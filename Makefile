@@ -7,7 +7,7 @@ PYTHON ?= python
 	bench-schedules-check bench-schedules-write bench-control \
 	bench-control-check bench-control-write bench-serving \
 	bench-serving-check bench-serving-write bench-scale \
-	bench-scale-check bench-scale-write figs profile \
+	bench-scale-check bench-scale-write e2e e2e-trace figs profile \
 	baseline baseline-write coverage chaos reports examples clean
 
 install:
@@ -96,6 +96,15 @@ bench-scale-check:
 
 bench-scale-write:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite scale --write
+
+# End-to-end benchmark (BENCHMARK.json): four workloads, each in a fresh
+# single-threaded child; e2e-trace reports the per-layer host-time split
+# instead of the end-to-end metrics.  See benchmarks/e2e/README.md.
+e2e:
+	$(PYTHON) benchmarks/e2e/run.py
+
+e2e-trace:
+	$(PYTHON) benchmarks/e2e/run.py --trace
 
 # cProfile the hottest Fig. 14 config (top 25 by cumulative time).
 profile:

@@ -1,154 +1,140 @@
-"""Compiled water-filling kernel (optional, bit-identical).
+"""Compiled fluid-network core (optional, bit-identical).
 
-The progressive-filling loop in :mod:`repro.netsim.fluid` is inherently
-sequential — each round fixes one bottleneck link and updates the
-residual capacity and load of the links its flows cross — so it cannot
-be vectorized across rounds.  At fleet scale (128 machines) a solve runs
-hundreds of rounds and the per-round numpy-call overhead dominates the
-whole simulation.  This module compiles the identical loop to native
-code at first use (plain ``cc -O2 -ffp-contract=off``, no third-party
-build system) and binds it through :mod:`ctypes`.
+Two loops of :mod:`repro.netsim.fluid` are compiled at first use (plain
+``cc -O2 -ffp-contract=off``, no third-party build system) and bound
+through :mod:`ctypes`: ``waterfill``, the progressive-filling solve,
+whose rounds are inherently sequential (each fixes one bottleneck link
+and updates the links its flows cross), and ``advance``, the per-flow
+byte accounting that runs on every timer and every solve.
 
-Bit-identity with the pure-python loop is a hard requirement (the golden
-tests and ``baseline --tolerance 0`` pin simulated times exactly), so
-the C code reproduces the float semantics operation for operation:
+Bit-identity with the pure-python loops is a hard requirement (the
+golden tests and ``baseline --tolerance 0`` pin simulated times exactly),
+so the C code reproduces the float semantics operation for operation:
 
-* shares are ``residual / load`` where ``load > 0`` else ``+inf`` — the
-  same single IEEE-754 division numpy performs;
-* the bottleneck is the *first* index achieving the minimal share
-  (numpy ``argmin`` tie-break).  The kernel keeps a lazy-invalidation
-  binary heap ordered by ``(share, link index)``; lexicographic order on
-  that pair is exactly "lowest index among minimal shares".  A NaN share
-  maps to a ``-inf`` heap key, matching ``argmin``'s "first NaN wins"
-  rule, and then terminates the loop through the same ``isfinite``
-  check;
-* per-link crossing counts accumulate in selected-group order (the
-  order ``np.bincount`` adds its weights), and the residual/load update
-  computes ``residual - (share * count)`` as two separate operations —
-  ``-ffp-contract=off`` forbids the compiler from fusing them into an
-  FMA, which would round differently;
-* links untouched by a round keep their residual/load words bitwise
-  unchanged, so recomputing their share next round is the same division
-  of the same operands — the heap can therefore skip them entirely.
+* shares are ``residual / load`` where ``load > 0`` else ``+inf``, and
+  the bottleneck is the minimal ``(share, link index)`` pair — numpy's
+  ``argmin`` tie-break — with a NaN share mapped to ``-inf`` (``argmin``'s
+  "first NaN wins"), which then ends the loop through ``isfinite``.  The
+  kernel finds it by a linear scan over a compact list of the loaded,
+  unfixed links: links with no load have an infinite share and are never
+  listed, and a link leaves the list when it is fixed or its load drains
+  to zero.  (A lazy-invalidation heap did this before; at 32 machines
+  91% of its pops were stale entries.)  Links a round does not touch
+  keep their residual and load bitwise, so their keys stay valid;
+* per-link crossing counts accumulate in selected-group order (the order
+  ``np.bincount`` adds its weights); groups with no flows add nothing
+  and are skipped (their rate is never read); and ``residual - share *
+  count`` stays two rounded operations, as ``-ffp-contract=off`` forbids
+  fusing them into an FMA;
+* ``advance`` adds link bytes in ``(flow, link-in-path)`` order, as
+  ``np.add.at`` does, and clamps like ``np.maximum(x, 0.0)``: NaN
+  propagates and ``-0.0`` becomes ``+0.0``.
 
-If no C compiler is available (or ``REPRO_WATERFILL=python`` is set)
-the callers fall back to the pure-python loops; nothing else changes.
+The kernels read the network's own arrays through addresses the network
+caches (:func:`address`), so a call converts a handful of integers.  If
+no C compiler is available, the callers run the pure-python loops and one
+:class:`RuntimeWarning` says why; ``REPRO_WATERFILL=python`` opts out
+silently.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
+import tempfile
+import warnings
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 #include <math.h>
 
-/* 16-byte heap entry: share key + link index.  Lexicographic order on
-   (key, idx) == "lowest link index among minimal shares" == the numpy
-   argmin tie-break the pure-python loop relies on. */
-typedef struct { double key; int64_t idx; } entry;
-
-static int entry_lt(entry a, entry b) {
-    return a.key < b.key || (a.key == b.key && a.idx < b.idx);
-}
-
-static void heap_push(entry *h, int64_t *len, entry e) {
-    int64_t i = (*len)++;
-    h[i] = e;
-    while (i > 0) {
-        int64_t p = (i - 1) / 2;
-        if (entry_lt(h[i], h[p])) {
-            entry t = h[p]; h[p] = h[i]; h[i] = t;
-            i = p;
-        } else {
-            break;
-        }
-    }
-}
-
-static entry heap_pop(entry *h, int64_t *len) {
-    entry top = h[0];
-    int64_t n = --(*len);
-    h[0] = h[n];
-    int64_t i = 0;
-    for (;;) {
-        int64_t l = 2 * i + 1, r = l + 1, m = i;
-        if (l < n && entry_lt(h[l], h[m])) m = l;
-        if (r < n && entry_lt(h[r], h[m])) m = r;
-        if (m == i) break;
-        entry t = h[m]; h[m] = h[i]; h[i] = t;
-        i = m;
-    }
-    return top;
-}
-
-static double share_of(double residual, double load) {
-    return load > 0.0 ? residual / load : INFINITY;
-}
-
-/* NaN sorts below everything: numpy argmin returns the first NaN. */
-static double key_of(double share) {
+/* numpy argmin returns the first NaN: NaN sorts below every share. */
+static double key_of(double residual, double load) {
+    double share = residual / load;
     return isnan(share) ? -INFINITY : share;
 }
 
+/* Swap-remove position j from the live-link list of length *n. */
+static void drop(int64_t j, int64_t *n, int64_t *live, double *keys,
+                 double *residual, double *load, int64_t *slot) {
+    int64_t last = --*n;
+    slot[live[last]] = j;
+    slot[live[j]] = -1;
+    live[j] = live[last];
+    keys[j] = keys[last];
+    residual[j] = residual[last];
+    load[j] = load[last];
+}
+
+/* Returns 0, or -1 when out of memory.  A link stays listed while an
+   unfixed flow crosses it, so the list empties in the round where the
+   python loops' unfixed-flow count reaches zero. */
 int64_t waterfill(
     int64_t nl, int64_t ng,
-    double *residual,            /* [nl] capacities, clobbered */
-    double *load,                /* [nl] crossing-flow counts, clobbered */
-    const int64_t *gpaths,       /* [ng*2] link ids per group, -1 = none */
-    const double *gcountf,       /* [ng] flow multiplicity per group */
-    const int64_t *sorted_groups,/* CSR payload: groups sorted by link */
-    const int64_t *starts,       /* [nl+1] CSR row starts */
-    double *grates,              /* [ng] out, pre-zeroed */
-    int64_t unfixed_flows,
-    /* caller-provided scratch */
-    double *keys,                /* [nl] */
-    unsigned char *fixed_link,   /* [nl] zeroed */
-    unsigned char *gunfixed,     /* [ng] set to 1 */
-    double *counts,              /* [nl] zeroed */
-    int64_t *touched,            /* [2*ng + 2] */
-    entry *heap                  /* [nl + 2*ng + 4] */
+    const double *capacity,       /* [nl] */
+    const int64_t *load_counts,   /* [nl] flows crossing each link */
+    const int64_t *gpaths,        /* [ng*2] link ids per group, -1 = none */
+    const int64_t *gcount,        /* [ng] flows per group */
+    const int64_t *sorted_groups, /* CSR payload: groups sorted by link */
+    const int64_t *starts,        /* [nl+1] CSR row starts */
+    double *grates                /* [ng] out */
 ) {
-    int64_t heap_len = 0;
-    int64_t rounds = 0;
+    /* The list of loaded, unfixed links (ids, share keys, residuals,
+       loads), link -> list position (-1 = absent), per-round crossing
+       counts and touched links, and the fixed-group flags. */
+    char *block = malloc(nl * 7 * sizeof(int64_t) + ng);
+    if (block == NULL) return -1;
+    int64_t *live = (int64_t *) block, *slot = live + nl, *touched = slot + nl;
+    double *keys = (double *) (touched + nl), *residual = keys + nl;
+    double *load = residual + nl, *counts = load + nl;
+    unsigned char *gfixed = (unsigned char *) (counts + nl);
+    memset(counts, 0, nl * sizeof(double));
+    memset(gfixed, 0, ng);
+    memset(grates, 0, ng * sizeof(double));
+    int64_t n = 0;
     for (int64_t i = 0; i < nl; i++) {
-        double k = key_of(share_of(residual[i], load[i]));
-        keys[i] = k;
-        entry e; e.key = k; e.idx = i;
-        heap_push(heap, &heap_len, e);
-    }
-    while (1) {
-        int64_t bottleneck = -1;
-        while (heap_len > 0) {
-            entry e = heap_pop(heap, &heap_len);
-            if (fixed_link[e.idx]) continue;       /* fixed in a past round */
-            if (e.key != keys[e.idx]) continue;    /* stale entry */
-            bottleneck = e.idx;
-            break;
+        if (load_counts[i] > 0) {
+            live[n] = i;
+            residual[n] = capacity[i];
+            load[n] = (double) load_counts[i];
+            keys[n] = key_of(residual[n], load[n]);
+            slot[i] = n++;
+        } else {
+            slot[i] = -1;
         }
-        if (bottleneck < 0) break;                 /* every link fixed */
-        double share = share_of(residual[bottleneck], load[bottleneck]);
+    }
+    while (n > 0) {
+        /* argmin of (key, link index) */
+        double share = keys[0];
+        int64_t bottleneck = live[0];
+        for (int64_t j = 1; j < n; j++) {
+            if (keys[j] <= share
+                && (keys[j] < share || live[j] < bottleneck)) {
+                share = keys[j];
+                bottleneck = live[j];
+            }
+        }
         if (!isfinite(share)) break;
         if (0.0 > share) share = 0.0;              /* == max(share, 0.0) */
         int64_t ntouched = 0;
-        int64_t fixed_count = 0;
-        int64_t any = 0;
+        int any = 0;
         for (int64_t k = starts[bottleneck]; k < starts[bottleneck + 1];
              k++) {
             int64_t g = sorted_groups[k];
-            if (!gunfixed[g]) continue;
-            any = 1;
+            if (gfixed[g] || gcount[g] == 0) continue;
+            gfixed[g] = 1;
             grates[g] = share;
-            gunfixed[g] = 0;
-            double w = gcountf[g];
-            fixed_count += (int64_t) w;
+            any = 1;
+            double w = (double) gcount[g];
             for (int64_t c = 0; c < 2; c++) {
                 int64_t link = gpaths[2 * g + c];
                 if (link < 0) continue;
@@ -161,146 +147,150 @@ int64_t waterfill(
             int64_t link = touched[t];
             double c = counts[link];
             counts[link] = 0.0;
+            int64_t j = slot[link];
+            /* The bottleneck leaves the list below.  j < 0 would mean a
+               populated group crosses an unloaded link, i.e. counts that
+               disagree with load_counts: skip rather than write astray. */
+            if (link == bottleneck || j < 0) continue;
             /* Two rounded ops, exactly like numpy's
                "residual -= share * counts": no FMA (-ffp-contract=off). */
             double sub = share * c;
-            residual[link] = residual[link] - sub;
-            load[link] = load[link] - c;
-            if (link == bottleneck) continue;      /* pinned to 0 below */
-            double k = key_of(share_of(residual[link], load[link]));
-            keys[link] = k;
-            entry e; e.key = k; e.idx = link;
-            heap_push(heap, &heap_len, e);
+            residual[j] = residual[j] - sub;
+            load[j] = load[j] - c;
+            if (load[j] > 0.0) {
+                keys[j] = key_of(residual[j], load[j]);
+            } else {                               /* share is +inf now */
+                drop(j, &n, live, keys, residual, load, slot);
+            }
         }
-        residual[bottleneck] = 0.0;
-        load[bottleneck] = 0.0;
-        fixed_link[bottleneck] = 1;
-        unfixed_flows -= fixed_count;
-        rounds++;
-        if (unfixed_flows <= 0) break;
+        drop(slot[bottleneck], &n, live, keys, residual, load, slot);
     }
-    return rounds;
+    free(block);
+    return 0;
+}
+
+void advance(
+    int64_t n, double dt,
+    const double *rates,          /* [n] */
+    double *remaining,            /* [n] */
+    const int64_t *paths,         /* [n*2] link ids per flow, -1 = none */
+    double *link_bytes            /* [links] */
+) {
+    int64_t first = 0;
+    while (first < n && !(rates[first] * dt > 0.0)) first++;
+    if (first == n) return;       /* nothing moved: leave every row as is */
+    for (int64_t i = 0; i < n; i++) {
+        double moved = rates[i] * dt;
+        double left = remaining[i] - moved;
+        remaining[i] = (left > 0.0 || isnan(left)) ? left : 0.0;
+        if (moved > 0.0) {
+            for (int64_t c = 0; c < 2; c++) {
+                int64_t link = paths[2 * i + c];
+                if (link >= 0) link_bytes[link] += moved;
+            }
+        }
+    }
 }
 """
 
 # src/repro/netsim/_waterfill.py -> repo root / build / waterfill
-_BUILD_DIR = Path(__file__).resolve().parents[3] / "build" / "waterfill"
+_REPO_BUILD_DIR = Path(__file__).resolve().parents[3] / "build" / "waterfill"
 
-_kernel: Optional[ctypes.CDLL] = None
-_kernel_probed = False
+
+def _build_dir() -> Path:
+    """The checkout's ``build/waterfill`` when writable, else a private
+    per-user directory under the system temp dir.  (In a non-editable
+    install the checkout path resolves next to ``site-packages``, which
+    is usually read-only.)  Raises ``OSError`` when neither is usable."""
+    try:
+        _REPO_BUILD_DIR.mkdir(parents=True, exist_ok=True)
+        if os.access(_REPO_BUILD_DIR, os.W_OK):
+            return _REPO_BUILD_DIR
+    except OSError:
+        pass
+    private = Path(tempfile.gettempdir()) / f"repro-waterfill-{os.getuid()}"
+    private.mkdir(mode=0o700, exist_ok=True)
+    # A shared temp dir lets another user pre-create the path; only load
+    # code from a directory nobody else can write to.
+    info = private.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise OSError(f"{private} is not a private directory")
+    return private
 
 
 def _compile() -> Optional[ctypes.CDLL]:
-    """Compile the kernel into the repo build dir; None on any failure."""
+    """Compile (or reuse) the kernels; None, with a warning, on failure."""
     digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    lib_path = _BUILD_DIR / f"waterfill_{digest}.so"
+    compiler = os.environ.get("CC", "cc")
     try:
+        build_dir = _build_dir()
+        lib_path = build_dir / f"waterfill_{digest}.so"
         if not lib_path.exists():
-            _BUILD_DIR.mkdir(parents=True, exist_ok=True)
-            src_path = _BUILD_DIR / f"waterfill_{digest}.c"
-            src_path.write_text(_C_SOURCE)
             tmp_path = lib_path.with_suffix(f".tmp{os.getpid()}.so")
             subprocess.run(
                 [
-                    os.environ.get("CC", "cc"),
+                    compiler,
                     "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-                    "-o", str(tmp_path), str(src_path), "-lm",
+                    "-o", str(tmp_path), "-x", "c", "-", "-lm",
                 ],
+                input=_C_SOURCE,
                 check=True,
                 capture_output=True,
+                text=True,
                 timeout=120,
             )
             os.replace(tmp_path, lib_path)  # atomic vs concurrent builds
         lib = ctypes.CDLL(str(lib_path))
-    except Exception:
-        return None
-    fn = lib.waterfill
-    fn.restype = ctypes.c_int64
-    fn.argtypes = (
-        [ctypes.c_int64, ctypes.c_int64]
-        + [ctypes.c_void_p] * 7
-        + [ctypes.c_int64]
-        + [ctypes.c_void_p] * 6
+    except subprocess.CalledProcessError as exc:
+        tail = "\n".join(exc.stderr.strip().splitlines()[-5:])
+        reason = f"{compiler} exited with status {exc.returncode}:\n{tail}"
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        reason = str(exc)
+    else:
+        pointer, int64 = ctypes.c_void_p, ctypes.c_int64
+        lib.waterfill.restype = int64
+        lib.waterfill.argtypes = [int64, int64] + [pointer] * 7
+        lib.advance.restype = None
+        lib.advance.argtypes = [int64, ctypes.c_double] + [pointer] * 4
+        return lib
+    warnings.warn(
+        "the compiled fluid-network kernel is unavailable, so the simulator "
+        "runs its pure-python loops, which are several times slower "
+        f"(set REPRO_WATERFILL=python to choose them silently): {reason}",
+        RuntimeWarning,
+        stacklevel=3,
     )
-    return lib
+    return None
 
 
+@functools.lru_cache(maxsize=None)
 def kernel() -> Optional[ctypes.CDLL]:
-    """The compiled kernel, or None (no compiler / opted out)."""
-    global _kernel, _kernel_probed
-    if not _kernel_probed:
-        _kernel_probed = True
-        if os.environ.get("REPRO_WATERFILL", "").lower() not in (
-            "python", "off", "0",
-        ):
-            _kernel = _compile()
-    return _kernel
+    """The compiled kernels, or None (no compiler / opted out); probed
+    once per process."""
+    if os.environ.get("REPRO_WATERFILL", "").lower() in ("python", "off", "0"):
+        return None
+    return _compile()
 
 
-class Scratch:
-    """Reusable kernel work buffers, sized with geometric headroom.
+def address(array: np.ndarray, dtype) -> int:
+    """Base address of a writable, C-contiguous, non-empty ``dtype`` array.
 
-    A solve runs thousands of times per iteration at fleet scale;
-    allocating multi-hundred-KB scratch arrays per call costs more in
-    page faults than the filling loop itself.  One Scratch instance is
-    kept per network and regrown only when the link/group tables do.
-    ``counts`` is zero between calls by construction: the kernel zeroes
-    every touched slot before any of its exit paths.
+    ``ctypes.c_char.from_buffer`` refuses read-only and non-contiguous
+    buffers and costs a quarter of ``ndarray.ctypes.data``.  The caller
+    keeps ``array`` alive for as long as it passes the address.
     """
-
-    def __init__(self, num_links: int, num_groups: int):
-        nl = num_links * 3 // 2 + 64
-        ng = num_groups * 3 // 2 + 64
-        self.nl = nl
-        self.ng = ng
-        self.residual = np.empty(nl)
-        self.load = np.empty(nl)
-        self.keys = np.empty(nl)
-        self.fixed = np.empty(nl, dtype=np.uint8)
-        self.counts = np.zeros(nl)
-        self.gcountf = np.empty(ng)
-        self.gunfixed = np.empty(ng, dtype=np.uint8)
-        self.touched = np.empty(2 * ng + 2, dtype=np.int64)
-        self.heap = np.empty(2 * (nl + 2 * ng + 4))  # (double, int64) pairs
-
-    def fits(self, num_links: int, num_groups: int) -> bool:
-        return num_links <= self.nl and num_groups <= self.ng
+    if array.dtype != dtype:
+        raise TypeError(f"expected a {np.dtype(dtype)} array, got {array.dtype}")
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
-def run(
-    lib: ctypes.CDLL,
-    scratch: Scratch,
-    capacity: np.ndarray,
-    load_counts: np.ndarray,
-    gpaths: np.ndarray,
-    gcount: np.ndarray,
-    sorted_groups: np.ndarray,
-    starts: np.ndarray,
-    grates: np.ndarray,
-    unfixed_flows: int,
-) -> int:
-    """Invoke the compiled filling loop; mutates ``grates`` in place."""
-    nl = capacity.shape[0]
-    ng = grates.shape[0]
-    residual = scratch.residual[:nl]
-    np.copyto(residual, capacity)
-    load = scratch.load[:nl]
-    np.copyto(load, load_counts, casting="unsafe")  # int64 -> float64
-    gcountf = scratch.gcountf[:ng]
-    np.copyto(gcountf, gcount, casting="unsafe")
-    scratch.fixed[:nl] = 0
-    scratch.gunfixed[:ng] = 1
+def run(lib: ctypes.CDLL, num_links: int, num_groups: int,
+        tables: Tuple[int, ...], grates: np.ndarray) -> None:
+    """Invoke the compiled filling loop; overwrites ``grates[:num_groups]``.
 
-    def ptr(array: np.ndarray) -> ctypes.c_void_p:
-        return ctypes.c_void_p(array.ctypes.data)
-
-    return int(
-        lib.waterfill(
-            nl, ng,
-            ptr(residual), ptr(load), ptr(gpaths), ptr(gcountf),
-            ptr(sorted_groups), ptr(starts), ptr(grates),
-            int(unfixed_flows),
-            ptr(scratch.keys), ptr(scratch.fixed), ptr(scratch.gunfixed),
-            ptr(scratch.counts), ptr(scratch.touched), ptr(scratch.heap),
-        )
-    )
+    ``tables`` holds the addresses of the network's capacity, load-count,
+    group-path, group-count and CSR (payload, row starts) arrays, in that
+    order.
+    """
+    if lib.waterfill(num_links, num_groups, *tables, address(grates, np.float64)):
+        raise MemoryError("no memory for the water-fill's work buffers")

@@ -226,11 +226,12 @@ class FluidNetwork:
         # the link set are append-only, so it is rebuilt only on growth.
         self._csr_groups: Optional[np.ndarray] = None
         self._csr_starts: Optional[np.ndarray] = None
-        self._csr_gvalid: Optional[np.ndarray] = None
-        self._csr_rowsum: Optional[np.ndarray] = None
         self._csr_shape = (-1, -1)
-        # Reusable work buffers for the compiled solver (see _waterfill).
-        self._solve_scratch: Optional[_waterfill.Scratch] = None
+        # Array addresses handed to the compiled kernels (see _waterfill):
+        # the solve's are refreshed with the CSR; the advance's are dropped
+        # wherever _rates/_remaining/_paths/_link_bytes are reallocated.
+        self._solve_tables: Tuple[int, ...] = ()
+        self._flow_addresses: Optional[Tuple[int, ...]] = None
         self._last_update = env.now
         self._generation = 0
         self._recompute_pending = False
@@ -250,6 +251,7 @@ class FluidNetwork:
             self._capacity = _grow(self._capacity, grown)
             self._link_bytes = _grow(self._link_bytes, grown)
             self._load_counts = _grow(self._load_counts, grown)
+            self._flow_addresses = None
         self._index[link_id] = index
         self._capacity[index] = float(bandwidth)
         self._link_bytes[index] = 0.0
@@ -369,6 +371,7 @@ class FluidNetwork:
             self._sizes = _grow(self._sizes, grown)
             self._gids = _grow(self._gids, grown)
             self._live = _grow(self._live, grown)
+            self._flow_addresses = None
         path_index = flow.path_index
         self._paths[row] = -1
         self._paths[row, : len(path_index)] = path_index
@@ -507,23 +510,37 @@ class FluidNetwork:
         """Move bytes for all active flows since the last update."""
         now = self.env.now
         dt = now - self._last_update
-        n = self._n
-        if dt > 0 and n:
-            moved = self._rates[:n] * dt
-            positive = moved > 0
-            if positive.any():
-                remaining = self._remaining[:n]
-                np.maximum(remaining - moved, 0.0, out=remaining)
-                # Accumulate per-link bytes in (flow, link-in-path) order —
-                # the same float addition order as a per-flow loop.
-                paths = self._paths[:n]
-                mask = (paths >= 0) & positive[:, None]
-                np.add.at(
-                    self._link_bytes,
-                    paths[mask],
-                    np.broadcast_to(moved[:, None], (n, 2))[mask],
-                )
         self._last_update = now
+        n = self._n
+        if not (dt > 0 and n):
+            return
+        lib = _waterfill.kernel()
+        if lib is not None:
+            # The numpy loop below, compiled (see _waterfill).
+            addresses = self._flow_addresses
+            if addresses is None:
+                addresses = self._flow_addresses = (
+                    _waterfill.address(self._rates, np.float64),
+                    _waterfill.address(self._remaining, np.float64),
+                    _waterfill.address(self._paths, np.int64),
+                    _waterfill.address(self._link_bytes, np.float64),
+                )
+            lib.advance(n, dt, *addresses)
+            return
+        moved = self._rates[:n] * dt
+        positive = moved > 0
+        if positive.any():
+            remaining = self._remaining[:n]
+            np.maximum(remaining - moved, 0.0, out=remaining)
+            # Accumulate per-link bytes in (flow, link-in-path) order —
+            # the same float addition order as a per-flow loop.
+            paths = self._paths[:n]
+            mask = (paths >= 0) & positive[:, None]
+            np.add.at(
+                self._link_bytes,
+                paths[mask],
+                np.broadcast_to(moved[:, None], (n, 2))[mask],
+            )
 
     def _assign_rates(self) -> None:
         """Water-filling max-min fair allocation (incremental, vectorized).
@@ -593,30 +610,17 @@ class FluidNetwork:
         """One full water-filling pass; returns per-group rates."""
         lib = _waterfill.kernel()
         if lib is not None:
-            return self._solve_compiled(num_groups, gcount, lib)
+            return self._solve_compiled(num_groups, lib)
         if self.coalesce:
             return self._solve_active(num_groups, gcount)
         return self._solve_dense(num_groups, gcount)
 
-    def _solve_compiled(
-        self, num_groups: int, gcount: np.ndarray, lib
-    ) -> np.ndarray:
-        """Water-filling via the compiled kernel (see ``_waterfill``).
-
-        Runs the dense-solver semantics — full link space, cached CSR
-        adjacency — but with the per-round work in native code, where a
-        lazy-invalidation heap replaces the O(links) argmin scan.  The
-        kernel performs the identical IEEE-754 operations in the
-        identical order, so the rates are bitwise those of
-        :meth:`_solve_dense` (and, by the coalescing invariant, of
-        :meth:`_solve_active`).
-        """
-        num_links = self._num_links
+    def _solve_compiled(self, num_groups: int, lib) -> np.ndarray:
+        """Water-filling via the compiled kernel (see ``_waterfill``): the
+        identical IEEE-754 operations in the identical order, so the rates
+        of populated groups are bitwise those of :meth:`_solve_dense` and
+        :meth:`_solve_active`; groups with no flows keep rate 0."""
         self._ensure_csr(num_groups)
-        scratch = self._solve_scratch
-        if scratch is None or not scratch.fits(num_links, num_groups):
-            scratch = _waterfill.Scratch(num_links, num_groups)
-            self._solve_scratch = scratch
         # The result lands in the memoization cache, so it needs its own
         # array — but recycling evicted buffers keeps their pages warm
         # (fresh multi-hundred-KB allocations fault in new pages on every
@@ -626,15 +630,10 @@ class FluidNetwork:
             pool.pop()  # group table outgrew this buffer
         if pool:
             grates = pool.pop()[:num_groups]
-            grates[:] = 0.0
         else:
-            grates = np.zeros(num_groups * 3 // 2 + 64)[:num_groups]
+            grates = np.empty(num_groups * 3 // 2 + 64)[:num_groups]
         _waterfill.run(
-            lib, scratch, self._capacity[:num_links],
-            self._load_counts[:num_links],
-            self._group_paths[:num_groups], gcount,
-            self._csr_groups, self._csr_starts, grates,
-            int(gcount.sum()),
+            lib, self._num_links, num_groups, self._solve_tables, grates
         )
         return grates
 
@@ -723,7 +722,8 @@ class FluidNetwork:
 
     def _ensure_csr(self, num_groups: int) -> None:
         """Build the link -> crossing groups adjacency (CSR over sorted
-        flat links); valid until the next link or group is interned."""
+        flat links) and the compiled solve's table addresses; both stay
+        valid until the next link or group is interned."""
         num_links = self._num_links
         if self._csr_shape == (num_groups, num_links):
             return
@@ -740,9 +740,16 @@ class FluidNetwork:
         self._csr_starts = np.searchsorted(
             sorted_links, np.arange(num_links + 1, dtype=np.int64)
         )
-        self._csr_gvalid = gvalid
-        self._csr_rowsum = gvalid.sum(axis=1)
         self._csr_shape = (num_groups, num_links)
+        address = _waterfill.address
+        self._solve_tables = (
+            address(self._capacity, np.float64),
+            address(self._load_counts, np.int64),
+            address(self._group_paths, np.int64),
+            address(self._group_count, np.int64),
+            address(self._csr_groups, np.int64),
+            address(self._csr_starts, np.int64),
+        )
 
     def _solve_dense(self, num_groups: int, gcount: np.ndarray) -> np.ndarray:
         """Water-filling over every registered link (uncoalesced
@@ -752,8 +759,8 @@ class FluidNetwork:
         self._ensure_csr(num_groups)
         sorted_groups = self._csr_groups
         starts = self._csr_starts
-        gvalid = self._csr_gvalid
-        rowsum = self._csr_rowsum
+        gvalid = gpaths >= 0
+        rowsum = gvalid.sum(axis=1)
 
         residual = self._capacity[:num_links].copy()
         load = self._load_counts[:num_links].astype(float)

@@ -11,8 +11,10 @@ uncoalesced solver.  The same bar applies to the compiled water-filling
 kernel against the pure-python filling loop.
 """
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,6 +141,111 @@ def test_compiled_kernel_equals_python_solver_exactly(schedule):
     with _python_solver():
         plain = _run_schedule(schedule, coalesce=True)
     assert compiled == plain
+
+
+def _fleet_network(seed):
+    """A fleet-shaped flow population, built without running the clock.
+
+    * Hundreds of NIC-like links (an egress and an ingress per machine),
+      all of one capacity, carry an all-to-all wave: six rounds of
+      machine permutations, every group with the same flow count.  Most
+      links then tie on their share, and the tie-break order decides how
+      residuals round.  (With random pairs or random counts, a kernel
+      that broke ties by list position instead of link index passed on
+      most seeds.)
+    * Twin links carry exactly the same groups at the same capacity: when
+      the lower-index twin is the bottleneck, the other drains to zero
+      load at (near) zero residual in the same round.
+    * Spur links are wide and only ever crossed together with a NIC link,
+      so they drain to zero load once that link is fixed.
+    * About a third of the groups lose every flow again (tombstoned), so
+      count-0 groups sit inside the CSR rows of loaded links.
+    """
+    rng = np.random.default_rng(seed)
+    machines = int(rng.integers(75, 150))
+    links = [
+        (f"{side}{machine}", 100.0)
+        for side in ("up", "down") for machine in range(machines)
+    ]
+    paths = [
+        (f"up{a}", f"down{b}")
+        for _ in range(6)
+        for a, b in enumerate(rng.permutation(machines))
+    ]
+    for k in range(machines // 10):
+        capacity = float(rng.choice([100.0, 300.0]))
+        links += [(f"t{k}a", capacity), (f"t{k}b", capacity), (f"s{k}", 1e6)]
+        paths.append((f"t{k}a", f"t{k}b"))
+        paths.extend(
+            (f"up{machine}", f"s{k}")
+            for machine in rng.integers(0, machines, 3)
+        )
+    # Link order is the argmin tie-break: interleave the kinds so that
+    # the kernel's swap-removes move tied NIC links out of index order.
+    env = Environment()
+    net = FluidNetwork(env)
+    for index in rng.permutation(len(links)):
+        net.add_link(*links[index])
+    rng.shuffle(paths)
+    count = int(rng.integers(1, 4))
+    retired = []
+    for path in paths:
+        flows = [net.transfer(path, 1.0) for _ in range(count)]
+        if rng.random() < 0.35:
+            retired.extend(flows)
+    mask = np.zeros(net._n, dtype=bool)
+    mask[[flow._row for flow in retired]] = True
+    net._remove_rows(mask)
+    return env, net
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_compiled_kernel_equals_python_solver_at_fleet_shape(seed):
+    lib = _waterfill.kernel()
+    if lib is None:
+        pytest.skip("no C compiler on this host")
+    _, net = _fleet_network(seed)
+    num_groups = net._num_groups
+    gcount = net._group_count[:num_groups]
+    assert net._num_links >= 150 and (gcount == 0).any()
+    compiled = net._solve_compiled(num_groups, lib)
+    reference = net._solve_active(num_groups, gcount)
+    # Groups with no flows are skipped by the kernel; no rate reads them.
+    populated = gcount > 0
+    assert compiled[populated].tobytes() == reference[populated].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compiled_advance_equals_numpy_path(seed):
+    if _waterfill.kernel() is None:
+        pytest.skip("no C compiler on this host")
+    dt = 0.5
+    outcomes = []
+    for solver in (nullcontext, _python_solver):
+        env, net = _fleet_network(seed)
+        net._assign_rates()
+        n = net._n
+        rng = np.random.default_rng(seed)
+        rates = net._rates[:n]
+        remaining = net._remaining[:n]
+        # Rows that keep bytes, land exactly on zero, or overshoot and
+        # clamp; NaN must propagate and a -0.0 on a tombstoned (rate 0)
+        # row must come out +0.0, as np.maximum does.
+        remaining[:] = rates * dt * rng.choice([0.5, 1.0, 1.5, 3.0], n)
+        remaining[::17] = np.nan
+        remaining[rates == 0] = -0.0
+        ledgers = []
+        for _ in range(2):
+            net._last_update = env.now - dt
+            with solver():
+                net._advance()
+            ledgers.append(
+                (remaining.tobytes(), net._link_bytes[:net._num_links].tobytes())
+            )
+            rates[:] = 0.0  # second pass: nothing moves, nothing changes
+            remaining[::5] = -0.0
+        outcomes.append(ledgers)
+    assert outcomes[0] == outcomes[1]
 
 
 class TestSetCapacityRescale:

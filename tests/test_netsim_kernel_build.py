@@ -1,0 +1,94 @@
+"""Building the compiled fluid-network kernel.
+
+A host that cannot build the kernel must say so, once and in the
+compiler's own words, instead of silently running the python loops,
+which are several times slower; an explicit ``REPRO_WATERFILL=python``
+stays silent.  The build goes to the checkout's ``build/`` when that is
+writable and to a private per-user temp directory otherwise (the case of
+a non-editable install).
+"""
+
+import os
+import shutil
+import tempfile
+import warnings
+
+import pytest
+
+from repro.netsim import _waterfill
+
+
+@pytest.fixture
+def fresh_probe(monkeypatch, tmp_path):
+    """Forget any earlier probe and build into an empty directory."""
+    monkeypatch.setattr(_waterfill, "_REPO_BUILD_DIR", tmp_path / "build")
+    monkeypatch.delenv("REPRO_WATERFILL", raising=False)
+    _waterfill.kernel.cache_clear()
+    yield tmp_path
+    _waterfill.kernel.cache_clear()
+
+
+def test_missing_compiler_warns_once(fresh_probe, monkeypatch):
+    monkeypatch.setenv("CC", "/nonexistent")
+    with pytest.warns(RuntimeWarning, match="/nonexistent") as record:
+        assert _waterfill.kernel() is None
+        assert _waterfill.kernel() is None
+    assert len(record) == 1
+
+
+def test_compiler_failure_warning_carries_its_stderr(fresh_probe, monkeypatch):
+    compiler = fresh_probe / "cc"
+    compiler.write_text(
+        "#!/bin/sh\necho 'first line' >&2\necho 'fatal: no such flag' >&2\nexit 3\n"
+    )
+    compiler.chmod(0o755)
+    monkeypatch.setenv("CC", str(compiler))
+    with pytest.warns(RuntimeWarning, match="status 3:\nfirst line\nfatal: no such flag"):
+        assert _waterfill.kernel() is None
+
+
+def test_opting_out_is_silent(fresh_probe, monkeypatch):
+    monkeypatch.setenv("CC", "/nonexistent")
+    monkeypatch.setenv("REPRO_WATERFILL", "python")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _waterfill.kernel() is None
+
+
+@pytest.fixture
+def private_temp(fresh_probe, monkeypatch):
+    """Point the system temp dir into the test's directory; return the
+    per-user build dir the fallback should use."""
+    temp = fresh_probe / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "gettempdir", lambda: str(temp))
+    return temp / f"repro-waterfill-{os.getuid()}"
+
+
+@pytest.mark.parametrize("checkout", ["blocked", "read-only"])
+def test_unwritable_checkout_builds_in_private_temp_dir(
+    checkout, fresh_probe, private_temp, monkeypatch
+):
+    has_compiler = shutil.which(os.environ.get("CC", "cc")) is not None
+    if checkout == "blocked":
+        # A file where the build dir's parent should be: mkdir fails.
+        (fresh_probe / "lib").write_text("")
+        monkeypatch.setattr(
+            _waterfill, "_REPO_BUILD_DIR", fresh_probe / "lib" / "build"
+        )
+    else:
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert _waterfill._build_dir() == private_temp
+    assert private_temp.stat().st_mode & 0o777 == 0o700
+    if not has_compiler:
+        pytest.skip("no C compiler on this host")
+    assert _waterfill._compile() is not None
+    assert list(private_temp.glob("waterfill_*.so"))
+
+
+def test_shared_temp_dir_is_refused(fresh_probe, private_temp, monkeypatch):
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    private_temp.mkdir(mode=0o777)
+    private_temp.chmod(0o777)
+    with pytest.warns(RuntimeWarning, match="not a private directory"):
+        assert _waterfill._compile() is None
