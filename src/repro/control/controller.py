@@ -10,7 +10,7 @@ emitting ``control.*`` metrics and trace marks.  Everything happens
 
 This module deliberately never imports :mod:`repro.core` at module level,
 so ``repro.core.engine`` can lazily import it (for the
-``recover_after_clean`` auto-wrap) without a cycle.
+``DegradationPolicy`` auto-wrap) without a cycle.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ class Controller:
             )
             cause = decision.causes.get(block)
             if cause == "fault":
-                # Exact legacy bookkeeping of _apply_degradation: the fault
-                # arm stays observable through the same stats + trace lane.
+                # The fault arm is observable through the fault stats and
+                # the fault.degrade trace lane.
                 if result.fault_stats is not None:
                     result.fault_stats.degraded_blocks[block] = resolved
                 trace.mark(

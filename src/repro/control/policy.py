@@ -450,7 +450,7 @@ class ControlPolicy:
 
     ``degradation`` (a :class:`~repro.faults.DegradationPolicy`) is the
     fault arm: its ``decide`` keeps picking the blocks to degrade, and its
-    ``recover_after_clean`` knob (None = legacy one-way ratchet) arms
+    ``recover_after_clean`` knob (None = one-way ratchet) arms
     probation-based recovery.  The load and replication arms follow
     ``config``.  ``preferred`` remembers each block's original (Eq. 1)
     strategy — the recovery target.
@@ -556,7 +556,7 @@ class ControlPolicy:
                 self.degradation, "recover_after_clean", None
             )
             if recover_after is None:
-                return          # legacy one-way ratchet preserved
+                return          # one-way ratchet
             state.streak = state.streak + 1 if signals.fault_clean else 0
             if state.streak >= recover_after * state.backoff:
                 self._recover(block, current, decision, state)

@@ -72,7 +72,7 @@ class JanusFeatures:
     # congested NIC always serves the chunk feeding the critical path.
     a2a_stagger: str = "off"
     # Backward dense-gradient all-reduce scheduling: "none" (not modelled,
-    # the legacy behaviour), "serial" (one all-reduce sweep after every
+    # the default), "serial" (one all-reduce sweep after every
     # worker finishes its backward), or "overlap" (per-block all-reduces
     # launched as soon as that block's backward dense compute retires,
     # filling idle link time behind later backward blocks).

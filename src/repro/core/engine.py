@@ -1,9 +1,11 @@
 """The timed MoE training engine.
 
-Simulates one training iteration of an MoE model on the cluster.  Dense
-compute runs in the engine's worker processes; every MoE block is delegated
-to the pluggable :class:`~repro.core.strategies.BlockStrategy` named by the
-per-block strategy map.  The built-in strategies are:
+Simulates one training iteration of an MoE model on the cluster.  The
+iteration is a task graph (:mod:`repro.core.taskgraph`) run one simkit
+process per lane.  Dense compute sits on the per-rank worker lanes; every
+MoE block contributes the tasks and lanes of the pluggable
+:class:`~repro.core.strategies.BlockStrategy` named by the per-block
+strategy map.  The built-in strategies are:
 
 * **expert-centric** blocks are bulk-synchronous: all workers rendezvous,
   run the dispatch All-to-All, compute their resident experts on the
@@ -42,8 +44,6 @@ from .taskgraph import TaskKind, build_iteration_plan, run_lane
 from .workload import IterationWorkload
 
 __all__ = ["IterationResult", "JanusEngine"]
-
-_BACKWARD = 2.0
 
 
 @dataclass
@@ -111,7 +111,6 @@ class JanusEngine:
         controller=None,
         metrics: Optional[MetricsRegistry] = None,
         trace: Optional[TraceRecorder] = None,
-        scheduler: str = "taskgraph",
     ):
         """``block_strategies`` maps every MoE block index to the strategy
         that executes it: a registered strategy name, a
@@ -138,9 +137,10 @@ class JanusEngine:
         no injected faults).  ``degradation``
         (:class:`~repro.faults.DegradationPolicy`) switches blocks that
         keep blowing their pull deadlines to the fallback strategy between
-        iterations of :meth:`run`; setting its ``recover_after_clean`` knob
-        auto-wraps it in a fault-arm-only adaptive controller so degraded
-        blocks return to their preferred paradigm after a clean streak.
+        iterations of :meth:`run`.  Without a ``controller`` it is wrapped
+        in a fault-arm-only adaptive controller: one-way by default, and
+        with ``recover_after_clean`` set, degraded blocks return to their
+        preferred paradigm after a clean streak.
 
         ``controller`` (:class:`~repro.control.Controller`) attaches the
         full adaptive control plane: before each iteration it advances the
@@ -148,14 +148,6 @@ class JanusEngine:
         result's signals and may re-pick per-block strategies and the
         expert replica map.  With drift and faults off the controller is
         structurally inert and runs stay bit-identical.
-
-        ``scheduler`` picks how the iteration's processes are organised:
-        ``"taskgraph"`` (the default) builds an explicit task DAG via
-        :mod:`repro.core.taskgraph` and runs one simkit process per lane —
-        bit-identical to the legacy path for the built-in paradigms, and
-        the only path that supports micro-batching and gradient all-reduce
-        schedules; ``"legacy"`` keeps the original hand-rolled process
-        spawning (retained for the equivalence test battery).
 
         ``metrics`` (:class:`~repro.metrics.MetricsRegistry`) enables
         quantitative observability: live counters in the schedulers plus
@@ -185,7 +177,6 @@ class JanusEngine:
         self.resilience = resilience
         if self.resilience is None and fault_plan is not None and fault_plan:
             self.resilience = ResilienceConfig()
-        self.degradation = degradation
         self.controller = controller
         # Control-plane replica map (block -> expert -> machines); empty
         # unless a controller placed replicas.
@@ -193,13 +184,9 @@ class JanusEngine:
         # Last chunk-tuning pass: block -> predicted per-chunk All-to-All
         # seconds (empty until ``chunk_autotune`` runs a retune).
         self.chunk_predictions: Dict[int, float] = {}
-        if (
-            self.controller is None
-            and degradation is not None
-            and getattr(degradation, "recover_after_clean", None) is not None
-        ):
-            # recover_after_clean needs cross-iteration state the frozen
-            # policy cannot hold: wrap it in a fault-arm-only controller.
+        if self.controller is None and degradation is not None:
+            # The frozen policy holds no cross-iteration state: run it as
+            # the fault arm of a controller with every other arm off.
             from ..control import ControlConfig, Controller, ControlPolicy
 
             self.controller = Controller(
@@ -219,11 +206,6 @@ class JanusEngine:
             self.controller.policy.degradation = degradation
         self.metrics = metrics
         self.trace_recorder = trace
-        if scheduler not in ("taskgraph", "legacy"):
-            raise ValueError(
-                f"scheduler must be 'taskgraph' or 'legacy', got {scheduler!r}"
-            )
-        self.scheduler = scheduler
         self.iterations_run = 0
         moe_indices = {b.index for b in workload.moe_blocks()}
         if set(block_strategies) != moe_indices:
@@ -234,14 +216,6 @@ class JanusEngine:
         self.block_strategies: Dict[int, str] = {
             index: resolve_strategy_name(spec)
             for index, spec in block_strategies.items()
-        }
-
-    @property
-    def block_paradigms(self) -> Dict[int, Paradigm]:
-        """Legacy view of the strategy map as :class:`Paradigm` members."""
-        return {
-            index: Paradigm(name)
-            for index, name in self.block_strategies.items()
         }
 
     def _rank_flops(self, rank: int) -> float:
@@ -264,9 +238,8 @@ class JanusEngine:
 
     def _prepare(self, forward_only: bool, trace=None):
         """Build the per-iteration world: environment, fabric, fault
-        machinery, strategies and context.  Shared verbatim by both
-        schedulers and by :meth:`build_graph` (exact code move from the
-        legacy ``run_iteration`` — bit-identity depends on it)."""
+        machinery, strategies and context.  Shared by :meth:`run_iteration`
+        and :meth:`build_graph`."""
         env = Environment()
         fabric = Fabric(env, self.cluster)
         if trace is None:
@@ -287,8 +260,8 @@ class JanusEngine:
         for index in sorted(self.block_strategies):
             name = self.block_strategies[index]
             strategy_blocks.setdefault(name, []).append(index)
-        # Instantiate in registration order: it fixes the relative spawn
-        # order of coordinator/scheduler processes (determinism).
+        # Instantiate in registration order: it fixes the relative order
+        # of the strategies' service lanes (determinism).
         strategies = {
             name: get_strategy(name)(self, tuple(strategy_blocks[name]))
             for name in strategy_names()
@@ -312,8 +285,6 @@ class JanusEngine:
             trace_worker=self.trace_worker,
             replicas=self.replicas,
         )
-        for strategy in strategies.values():
-            strategy.setup(ctx, forward_only)
         self._spawn_replica_syncs(ctx, dc_blocks)
         runner = {
             index: strategies[name]
@@ -398,33 +369,9 @@ class JanusEngine:
             forward_only
         )
         env = ctx.env
-
-        if self.scheduler == "taskgraph":
-            worker_procs, collector_procs = self._spawn_graph(
-                ctx, strategies, runner, forward_only
-            )
-        else:
-            if self.features.grad_allreduce != "none":
-                raise ValueError(
-                    "grad_allreduce schedules require scheduler='taskgraph'"
-                )
-            if self.features.micro_batches > 1 and any(
-                s.micro_capable for s in strategies.values()
-            ):
-                raise ValueError(
-                    "micro-batched strategies require scheduler='taskgraph'"
-                )
-            worker_procs = [
-                env.process(self._worker(ctx, rank, runner, forward_only))
-                for rank in range(self.workload.world_size)
-            ]
-            for strategy in strategies.values():
-                strategy.spawn_processes(ctx, forward_only)
-            collector_procs = [] if forward_only else [
-                proc
-                for strategy in strategies.values()
-                for proc in strategy.spawn_grad_collectors(ctx)
-            ]
+        worker_procs, collector_procs = self._spawn_graph(
+            ctx, strategies, runner, forward_only
+        )
 
         def driver():
             ctx.iteration_start.succeed()
@@ -531,40 +478,22 @@ class JanusEngine:
         return resolved
 
     def _apply_control(self, result: IterationResult) -> None:
-        """Between iterations: let the control plane adapt the engine.
-
-        With a controller attached this is the full adaptive loop (fault +
-        load arms, replication).  Otherwise the legacy degradation-only
-        path runs: flip blocks that kept missing their pull deadlines to
-        the policy's fallback strategy (graceful degradation through the
-        unified per-block selector), one-way.
-        """
+        """Between iterations: let the control plane, if any, adapt the
+        engine (fault and load arms, replication)."""
         if self.controller is not None:
             self.controller.observe(self, result)
-            return
-        if self.degradation is None or result.fault_stats is None:
-            return
-        for block, name in self.degradation.decide(result.fault_stats).items():
-            resolved = resolve_strategy_name(name)
-            if self.block_strategies.get(block) == resolved:
-                continue
-            self.block_strategies[block] = resolved
-            result.fault_stats.degraded_blocks[block] = resolved
-            result.trace.mark(
-                "fault.degrade", result.seconds, block=block, strategy=resolved
-            )
 
     def run_inference(self) -> IterationResult:
         """Simulate one forward-only (serving) pass."""
         return self.run_iteration(forward_only=True)
 
-    # -- task-graph scheduler ----------------------------------------------------------
+    # -- task-graph execution ----------------------------------------------------------
 
     def _spawn_graph(self, ctx, strategies, runner, forward_only: bool):
-        """Spawn one simkit process per graph lane, in plan order (which
-        replicates the legacy spawn order)."""
-        plan = build_iteration_plan(self, ctx, strategies, runner,
-                                    forward_only)
+        """Spawn one simkit process per graph lane, in lane creation order
+        (deterministic process and event ids)."""
+        graph = build_iteration_plan(self, ctx, strategies, runner,
+                                     forward_only)
         observer = self._task_observer(ctx)
         env = ctx.env
         arbiters = None
@@ -578,20 +507,15 @@ class JanusEngine:
 
             arbiters = {NIC_FABRIC_RESOURCE: PriorityResource(env)}
         worker_procs, collector_procs = [], []
-        for kind, payload in plan.entries:
-            if kind == "lane":
-                proc = env.process(
-                    run_lane(plan.graph, payload, observer, arbiters),
-                    name=payload.name, priority=payload.priority,
-                )
-                if payload.role == "worker":
-                    worker_procs.append(proc)
-                elif payload.role == "collector":
-                    collector_procs.append(proc)
-            elif kind == "legacy-services":
-                payload.spawn_processes(ctx, forward_only)
-            else:  # legacy-collectors
-                collector_procs.extend(payload.spawn_grad_collectors(ctx))
+        for lane in graph.lanes:
+            proc = env.process(
+                run_lane(graph, lane, observer, arbiters),
+                name=lane.name, priority=lane.priority,
+            )
+            if lane.role == "worker":
+                worker_procs.append(proc)
+            elif lane.role == "collector":
+                collector_procs.append(proc)
         return worker_procs, collector_procs
 
     def _task_observer(self, ctx):
@@ -641,9 +565,8 @@ class JanusEngine:
         ctx, strategies, runner, _, _, _ = self._prepare(
             forward_only, trace=TraceRecorder()
         )
-        plan = build_iteration_plan(self, ctx, strategies, runner,
+        return build_iteration_plan(self, ctx, strategies, runner,
                                     forward_only)
-        return plan.graph
 
     # -- setup helpers ----------------------------------------------------------------
 
@@ -661,51 +584,3 @@ class JanusEngine:
             pipeline_chunks=self.features.min_pipeline_chunks,
         )
         check_fits(estimate, self.cluster.spec.gpu.memory_bytes)
-
-    # -- worker process ------------------------------------------------------------------
-
-    def _worker(
-        self, ctx: IterationContext, rank: int, runner,
-        forward_only: bool = False,
-    ):
-        yield ctx.iteration_start
-        gpu = ctx.gpu_of[rank]
-        gpu_flops = self._rank_flops(rank)
-        workload = self.workload
-        record = rank == self.trace_worker
-
-        # Forward sweep.
-        for block in workload.blocks:
-            index = block.index
-            if block.is_moe:
-                ctx.block_entry[("fwd", index, rank)].succeed()
-            dense_seconds = self._jittered(
-                (block.dense_flops + block.ffn_flops) / gpu_flops
-            )
-            start = ctx.env.now
-            yield ctx.env.process(ctx.fabric.compute(gpu, dense_seconds))
-            if record:
-                ctx.trace.record(
-                    "compute.dense", start, ctx.env.now,
-                    worker=rank, block=index, detail="fwd",
-                )
-            if block.is_moe:
-                yield from runner[index].run_block(ctx, rank, index, "fwd")
-            if record:
-                ctx.trace.mark(
-                    "block_complete", ctx.env.now, worker=rank, block=index
-                )
-
-        if forward_only:
-            return
-
-        # Backward sweep (reverse block order; compute costs doubled).
-        for block in reversed(workload.blocks):
-            index = block.index
-            if block.is_moe:
-                ctx.block_entry[("bwd", index, rank)].succeed()
-                yield from runner[index].run_block(ctx, rank, index, "bwd")
-            dense_seconds = self._jittered(
-                _BACKWARD * (block.dense_flops + block.ffn_flops) / gpu_flops
-            )
-            yield ctx.env.process(ctx.fabric.compute(gpu, dense_seconds))

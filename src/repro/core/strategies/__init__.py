@@ -7,7 +7,7 @@ Importing this package registers the built-in strategies:
 * ``pipelined-ec``   — expert-centric with K-chunked All-to-All overlapped
   with expert compute (Parm/FlowMoE-style pipeline scheduling);
 * ``microbatch-ec``  — expert-centric split into M interleaved micro-batch
-  pipelines (task-graph scheduler only).
+  pipelines.
 
 New paradigms subclass :class:`BlockStrategy` and register with
 ``@register_strategy``; the engine, the unified selector and the CLI pick
@@ -22,15 +22,15 @@ from .base import (
     resolve_strategy_name,
     strategy_names,
 )
-# Import order fixes registration order, which in turn fixes the engine's
-# coordinator/scheduler spawn order and the memory-estimate term order:
-# expert-centric coordinators spawn before data-centric schedulers, exactly
-# as the pre-strategy engine did (bit-identical timings).
+# Import order fixes registration order, which in turn fixes the order of
+# the strategies' service lanes and of the memory-estimate terms:
+# expert-centric coordinators spawn before data-centric schedulers
+# (bit-identical timings).
 from .expert_centric import ExpertCentricStrategy
 from .data_centric import DataCentricStrategy
 from .pipelined import PipelinedExpertCentricStrategy
 # microbatch-ec registers last: appending keeps every pre-existing
-# registration index (and thus spawn/memory-term order) unchanged.
+# registration index (and thus lane/memory-term order) unchanged.
 from .microbatch import MicroBatchExpertCentricStrategy
 
 __all__ = [

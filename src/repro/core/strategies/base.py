@@ -1,12 +1,13 @@
 """The block-execution strategy interface and its registry.
 
 A :class:`BlockStrategy` encapsulates everything one *execution paradigm*
-needs to run the MoE blocks assigned to it inside a simulated iteration:
+needs to run the MoE blocks assigned to it inside a simulated iteration,
+expressed as parts of the iteration's task graph
+(:mod:`repro.core.taskgraph`):
 
-* per-iteration setup (synchronization events, barriers),
-* the per-rank block body executed by every worker in each phase,
-* coordinator / scheduler processes that drive communication,
-* gradient-collector processes for the backward sweep,
+* the tasks every worker lane runs for a block in each phase,
+* coordinator / scheduler lanes that drive communication,
+* gradient-collector lanes for the backward sweep,
 * its contribution to the per-GPU memory footprint.
 
 Strategies are registered by name (``@register_strategy``) and the engine,
@@ -50,66 +51,30 @@ class BlockStrategy(ABC):
     #: Whether the strategy's blocks are served by the Janus Task Queue
     #: (intra/inter-node schedulers, credits, caches).
     uses_task_queue: ClassVar[bool] = False
-    #: Whether the strategy can split its blocks into micro-batches under
-    #: the task-graph scheduler (implements ``micro_worker_tasks`` and
-    #: ``micro_service_lanes``).
+    #: Whether the strategy can split its blocks into micro-batches
+    #: (implements ``micro_worker_tasks`` and ``micro_service_lanes``).
     micro_capable: ClassVar[bool] = False
 
     def __init__(self, engine: "JanusEngine", blocks: Tuple[int, ...]):
         self.engine = engine
         self.blocks = tuple(sorted(blocks))
 
-    # -- lifecycle hooks -------------------------------------------------------
-
-    def setup(self, ctx: "IterationContext", forward_only: bool) -> None:
-        """Create per-iteration synchronization state (no processes yet)."""
-
-    @abstractmethod
-    def run_block(self, ctx: "IterationContext", rank: int, index: int,
-                  phase: str):
-        """Generator: one worker executes one of this strategy's blocks."""
-
-    def spawn_processes(self, ctx: "IterationContext",
-                        forward_only: bool) -> None:
-        """Spawn coordinator/scheduler processes for the iteration."""
-
-    def spawn_grad_collectors(self, ctx: "IterationContext") -> List:
-        """Processes that must finish before the iteration ends (backward
-        gradient plumbing); return the spawned process handles."""
-        return []
-
     # -- task-graph hooks ------------------------------------------------------
 
+    @abstractmethod
     def worker_tasks(self, ctx: "IterationContext", rank: int, index: int,
                      phase: str) -> List:
-        """Tasks a worker lane runs for one of this strategy's blocks.
-
-        The default wraps :meth:`run_block` in one composite task, so any
-        registered strategy works under the task-graph scheduler unchanged;
-        native strategies override this to expose their real task DAG.
-        """
-        from ..taskgraph import Task, TaskKind
-
-        return [Task(
-            f"{self.name}.{phase}.b{index}.w{rank}",
-            TaskKind.EXPERT_COMPUTE,
-            body=lambda: self.run_block(ctx, rank, index, phase),
-            worker=rank, block=index, phase=phase,
-            detail=f"{phase}:{self.name}",
-        )]
+        """Tasks a worker lane runs for one of this strategy's blocks."""
 
     def service_lanes(self, ctx: "IterationContext", graph,
-                      forward_only: bool):
-        """Coordinator/scheduler lanes for the task-graph scheduler.
+                      forward_only: bool) -> List:
+        """Coordinator/scheduler lanes, created on ``graph``."""
+        return []
 
-        ``None`` (the default) makes the engine fall back to
-        :meth:`spawn_processes` at the same point in the spawn order."""
-        return None
-
-    def collector_lanes(self, ctx: "IterationContext", graph):
-        """Gradient-collector lanes; ``None`` falls back to
-        :meth:`spawn_grad_collectors`."""
-        return None
+    def collector_lanes(self, ctx: "IterationContext", graph) -> List:
+        """Gradient-collector lanes that must finish before the iteration
+        ends (backward sweep only)."""
+        return []
 
     def micro_worker_tasks(self, ctx: "IterationContext", rank: int,
                            index: int, phase: str, micro: int,

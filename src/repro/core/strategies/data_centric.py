@@ -9,7 +9,7 @@ sweep (pre-reduced per machine when the hierarchical cache is on).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from ...cluster import Device
 from ..inter_scheduler import InterNodeScheduler
@@ -29,31 +29,18 @@ class DataCentricStrategy(BlockStrategy):
     name = "data-centric"
     uses_task_queue = True
 
-    def spawn_processes(self, ctx, forward_only: bool) -> None:
-        if not ctx.dc_block_indices:
-            return
-        phases = ("fwd",) if forward_only else ("fwd", "bwd")
-        for rank in range(self.engine.workload.world_size):
-            scheduler = IntraNodeScheduler(ctx, rank)
-            for phase in phases:
-                ctx.env.process(scheduler.pull_pipeline(phase))
-        if ctx.features.hierarchical:
-            for machine in range(ctx.layout.num_machines):
-                inter = InterNodeScheduler(ctx, machine)
-                for chain in inter.fetch_pipelines():
-                    ctx.env.process(chain)
+    def worker_tasks(self, ctx, rank: int, index: int, phase: str):
+        """One composite task per (rank, block, phase): the worker computes
+        its resident experts, then each pulled expert as its Intra-Node
+        Scheduler delivers it."""
+        return [Task(
+            f"{self.name}.{phase}.b{index}.w{rank}", TaskKind.EXPERT_COMPUTE,
+            body=lambda: self._compute_experts(ctx, rank, index, phase),
+            worker=rank, block=index, phase=phase,
+            detail=f"{phase}:{self.name}",
+        )]
 
-    def spawn_grad_collectors(self, ctx) -> List:
-        if not ctx.features.hierarchical or not ctx.dc_block_indices:
-            return []
-        processes = []
-        for machine in range(ctx.layout.num_machines):
-            inter = InterNodeScheduler(ctx, machine)
-            for collector in inter.grad_collectors():
-                processes.append(ctx.env.process(collector))
-        return processes
-
-    def run_block(self, ctx, rank: int, index: int, phase: str):
+    def _compute_experts(self, ctx, rank: int, index: int, phase: str):
         engine = self.engine
         workload = engine.workload
         block = workload.blocks[index]
@@ -110,16 +97,14 @@ class DataCentricStrategy(BlockStrategy):
             else:
                 self._push_gradient(ctx, rank, index, expert)
 
-    # -- task-graph builders ---------------------------------------------------
-
     def service_lanes(self, ctx, graph, forward_only: bool):
         if not ctx.dc_block_indices:
             return []
         lanes = []
         phases = ("fwd",) if forward_only else ("fwd", "bwd")
         for rank in range(self.engine.workload.world_size):
-            # One scheduler per rank shared by both phases, exactly as in
-            # spawn_processes — its credit/cache state spans the iteration.
+            # One scheduler per rank shared by both phases: its credit and
+            # cache state spans the iteration.
             scheduler = IntraNodeScheduler(ctx, rank)
             for phase in phases:
                 lane = graph.lane(

@@ -1,18 +1,16 @@
 """Expert-centric block execution: bulk-synchronous All-to-All.
 
 The Tutel-equivalent baseline and the expert-centric mode of unified Janus:
-all workers rendezvous at the block, a coordinator runs the dispatch
+all workers rendezvous at the block, a coordinator lane runs the dispatch
 All-to-All, every worker computes its resident experts on the received
 tokens, and the combine All-to-All returns the results.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Tuple
 
 from ...netsim import all_to_all
-from ...simkit import AllOf
 from ..memory_model import EC_A2A_SLACK
 from ..taskgraph import Task, TaskKind, gpu_claim
 from .base import BlockStrategy, register_strategy
@@ -28,97 +26,13 @@ class ExpertCentricStrategy(BlockStrategy):
 
     name = "expert-centric"
 
-    def setup(self, ctx, forward_only: bool) -> None:
-        self._sync = {}
-        world = self.engine.workload.world_size
-        phases = ("fwd",) if forward_only else ("fwd", "bwd")
-        for index in self.blocks:
-            for phase in phases:
-                self._sync[(phase, index)] = SimpleNamespace(
-                    arrive=[ctx.env.event() for _ in range(world)],
-                    computed=[ctx.env.event() for _ in range(world)],
-                    dispatch_done=ctx.env.event(),
-                    combine_done=ctx.env.event(),
-                )
-
-    def spawn_processes(self, ctx, forward_only: bool) -> None:
-        for (phase, index) in self._sync:
-            ctx.env.process(self._coordinator(ctx, index, phase))
-
-    def run_block(self, ctx, rank: int, index: int, phase: str):
-        engine = self.engine
-        sync = self._sync[(phase, index)]
-        workload = engine.workload
-        block = workload.blocks[index]
-        placement = ctx.placements[index]
-        gpu_flops = engine._rank_flops(rank)
-        mult = _BACKWARD if phase == "bwd" else 1.0
-
-        sync.arrive[rank].succeed()
-        yield sync.dispatch_done
-        received = sum(
-            int(block.routing[:, expert].sum())
-            for expert in placement.experts_of(rank)
-        )
-        # One batched GEMM group per resident expert: the expert-centric
-        # paradigm pays far fewer kernel launches than fine-grained pulls.
-        overhead = (
-            engine.cluster.spec.gpu.kernel_overhead
-            * placement.experts_per_worker
-        )
-        seconds = engine._jittered(
-            (received * workload.expert_flops / gpu_flops + overhead) * mult
-        )
-        start = ctx.env.now
-        yield ctx.env.process(ctx.fabric.compute(ctx.gpu_of[rank], seconds))
-        if rank == engine.trace_worker:
-            ctx.trace.record(
-                "compute.expert", start, ctx.env.now,
-                worker=rank, block=index, detail=f"{phase}:ec",
-            )
-        sync.computed[rank].succeed()
-        yield sync.combine_done
-
-    def _coordinator(self, ctx, index: int, phase: str):
-        engine = self.engine
-        sync = self._sync[(phase, index)]
-        workload = engine.workload
-        block = workload.blocks[index]
-        placement = ctx.placements[index]
-        dispatch = block.tokens_sent_matrix(placement, workload.token_bytes)
-        combine = dispatch.T
-
-        yield AllOf(ctx.env, sync.arrive)
-        start = ctx.env.now
-        yield all_to_all(
-            ctx.fabric, dispatch,
-            hierarchical=engine.features.hierarchical_a2a,
-        )
-        ctx.trace.record(
-            "comm.a2a", start, ctx.env.now,
-            block=index, detail=f"{phase}-dispatch",
-        )
-        sync.dispatch_done.succeed()
-        yield AllOf(ctx.env, sync.computed)
-        start = ctx.env.now
-        yield all_to_all(
-            ctx.fabric, combine,
-            hierarchical=engine.features.hierarchical_a2a,
-        )
-        ctx.trace.record(
-            "comm.a2a", start, ctx.env.now,
-            block=index, detail=f"{phase}-combine",
-        )
-        sync.combine_done.succeed()
-
-    # -- task-graph builders ---------------------------------------------------
-
     def _label(self, phase: str, index: int) -> str:
         return f"{self.name}.{phase}.b{index}"
 
     def _compute_body(self, ctx, rank: int, index: int, phase: str):
-        """The expert-compute section of :meth:`run_block`, as a task body
-        (identical arithmetic, trace and jitter-draw order)."""
+        """One rank's expert compute on the tokens it received: one
+        batched GEMM group per resident expert, so the expert-centric
+        paradigm pays far fewer kernel launches than fine-grained pulls."""
         engine = self.engine
 
         def body():

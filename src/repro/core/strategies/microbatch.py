@@ -1,4 +1,4 @@
-"""Micro-batched expert-centric execution (task-graph scheduler only).
+"""Micro-batched expert-centric execution.
 
 Splits the global batch into M micro-batches and gives each its own worker
 lane per rank, so the per-micro-batch block DAGs interleave: micro-batch
@@ -9,10 +9,8 @@ tokens (and of the dense flops, handled by the engine's micro worker
 lanes) but pays the full kernel-launch overhead per block, which is the
 cost that bounds useful M.
 
-Under the legacy scheduler — or with ``micro_batches=1`` — this strategy
-degrades to plain expert-centric behaviour (it inherits the synchronous
-coordinator path); the engine refuses ``scheduler="legacy"`` with M > 1 so
-the degradation is never silent.
+With ``micro_batches=1`` this strategy runs as plain expert-centric: it
+inherits the synchronous worker tasks and coordinator lanes.
 """
 
 from __future__ import annotations

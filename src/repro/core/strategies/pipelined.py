@@ -25,11 +25,9 @@ tuner's ``block_chunks`` override when one is set, else the global
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Tuple
 
 from ...netsim import all_to_all
-from ...simkit import AllOf
 from ..memory_model import EC_A2A_SLACK
 from ..taskgraph import Task, TaskKind, gpu_claim
 from .base import BlockStrategy, register_strategy
@@ -45,72 +43,6 @@ class PipelinedExpertCentricStrategy(BlockStrategy):
 
     name = "pipelined-ec"
 
-    def setup(self, ctx, forward_only: bool) -> None:
-        self._sync = {}
-        world = self.engine.workload.world_size
-        phases = ("fwd",) if forward_only else ("fwd", "bwd")
-        for index in self.blocks:
-            chunks = self.engine.features.chunks_for(index)
-            for phase in phases:
-                self._sync[(phase, index)] = SimpleNamespace(
-                    arrive=[ctx.env.event() for _ in range(world)],
-                    chunk_dispatched=[
-                        ctx.env.event() for _ in range(chunks)
-                    ],
-                    chunk_computed=[
-                        [ctx.env.event() for _ in range(world)]
-                        for _ in range(chunks)
-                    ],
-                    combine_done=ctx.env.event(),
-                )
-
-    def spawn_processes(self, ctx, forward_only: bool) -> None:
-        for (phase, index) in self._sync:
-            ctx.env.process(self._dispatcher(ctx, index, phase))
-            ctx.env.process(self._combiner(ctx, index, phase))
-
-    def run_block(self, ctx, rank: int, index: int, phase: str):
-        engine = self.engine
-        sync = self._sync[(phase, index)]
-        workload = engine.workload
-        block = workload.blocks[index]
-        placement = ctx.placements[index]
-        gpu_flops = engine._rank_flops(rank)
-        mult = _BACKWARD if phase == "bwd" else 1.0
-        chunks = engine.features.chunks_for(index)
-
-        sync.arrive[rank].succeed()
-        received = sum(
-            int(block.routing[:, expert].sum())
-            for expert in placement.experts_of(rank)
-        )
-        # Every chunk re-launches one batched GEMM group per resident
-        # expert — the kernel-overhead cost of pipelining.
-        overhead = (
-            engine.cluster.spec.gpu.kernel_overhead
-            * placement.experts_per_worker
-        )
-        for chunk in range(chunks):
-            yield sync.chunk_dispatched[chunk]
-            seconds = engine._jittered(
-                (received / chunks * workload.expert_flops / gpu_flops
-                 + overhead) * mult
-            )
-            start = ctx.env.now
-            yield ctx.env.process(
-                ctx.fabric.compute(ctx.gpu_of[rank], seconds)
-            )
-            if rank == engine.trace_worker:
-                ctx.trace.record(
-                    "compute.expert", start, ctx.env.now,
-                    worker=rank, block=index,
-                    detail=f"{phase}:pec:{chunk}",
-                )
-            sync.chunk_computed[chunk][rank].succeed()
-        yield sync.combine_done
-
-    # -- coordinators ----------------------------------------------------------
-
     def _chunk_matrix(self, ctx, index: int):
         workload = self.engine.workload
         block = workload.blocks[index]
@@ -118,45 +50,11 @@ class PipelinedExpertCentricStrategy(BlockStrategy):
         dispatch = block.tokens_sent_matrix(placement, workload.token_bytes)
         return dispatch / self.engine.features.chunks_for(index)
 
-    def _dispatcher(self, ctx, index: int, phase: str):
-        engine = self.engine
-        sync = self._sync[(phase, index)]
-        chunk = self._chunk_matrix(ctx, index)
-        yield AllOf(ctx.env, sync.arrive)
-        for i in range(engine.features.chunks_for(index)):
-            start = ctx.env.now
-            yield all_to_all(
-                ctx.fabric, chunk,
-                hierarchical=engine.features.hierarchical_a2a,
-            )
-            ctx.trace.record(
-                "comm.a2a", start, ctx.env.now,
-                block=index, detail=f"{phase}-dispatch:{i}",
-            )
-            sync.chunk_dispatched[i].succeed()
-
-    def _combiner(self, ctx, index: int, phase: str):
-        engine = self.engine
-        sync = self._sync[(phase, index)]
-        chunk = self._chunk_matrix(ctx, index).T
-        for i in range(engine.features.chunks_for(index)):
-            yield AllOf(ctx.env, sync.chunk_computed[i])
-            start = ctx.env.now
-            yield all_to_all(
-                ctx.fabric, chunk,
-                hierarchical=engine.features.hierarchical_a2a,
-            )
-            ctx.trace.record(
-                "comm.a2a", start, ctx.env.now,
-                block=index, detail=f"{phase}-combine:{i}",
-            )
-        sync.combine_done.succeed()
-
-    # -- task-graph builders ---------------------------------------------------
-
     def _chunk_compute_body(self, ctx, rank: int, index: int, phase: str,
                             chunk: int):
-        """One chunk of :meth:`run_block`'s compute loop as a task body."""
+        """One rank's expert compute on one token chunk.  Every chunk
+        re-launches one batched GEMM group per resident expert — the
+        kernel-overhead cost of pipelining."""
         engine = self.engine
 
         def body():

@@ -2,13 +2,13 @@
 
 The iteration is expressed as a DAG of typed tasks (gate, dense/expert
 compute, All-to-All chunks, Task-Queue pulls, gradient all-reduce) grouped
-into lanes, each lane executed by one simkit process.  The four legacy
-paradigms are rebuilt as graph builders — bit-identical on simulated times
-and traffic — and the graph unlocks schedules the strategy layer could not
-express: pipeline-parallel micro-batching and backward all-reduce overlap.
+into lanes, each lane executed by one simkit process.  It is the engine's
+only execution path: every block strategy contributes worker tasks and
+service/collector lanes, and the builder adds the schedules that span
+blocks — pipeline-parallel micro-batching and backward all-reduce overlap.
 """
 
-from .builders import SpawnPlan, build_iteration_plan, entry_label, gpu_claim
+from .builders import build_iteration_plan, entry_label, gpu_claim
 from .executor import run_lane
 from .graph import GraphValidationError, Lane, TaskGraph
 from .stagger import NIC_FABRIC_RESOURCE, apply_a2a_stagger, chunk_round
@@ -21,7 +21,6 @@ __all__ = [
     "Lane",
     "TaskGraph",
     "GraphValidationError",
-    "SpawnPlan",
     "build_iteration_plan",
     "entry_label",
     "gpu_claim",

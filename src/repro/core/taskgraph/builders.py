@@ -1,23 +1,22 @@
-"""Build the per-iteration task graph and its process spawn plan.
+"""Build the per-iteration task graph.
 
 :func:`build_iteration_plan` turns one engine iteration into a
-:class:`~repro.core.taskgraph.graph.TaskGraph` plus an ordered spawn plan.
-The plan replicates the legacy engine's process creation order exactly —
-worker processes for ranks 0..W-1, then each strategy's service processes
-in strategy registration order, then gradient collectors — because that
-order fixes event ids and therefore the golden-pinned kernel counters.
+:class:`~repro.core.taskgraph.graph.TaskGraph` whose lanes are created in
+process spawn order: worker lanes for ranks 0..W-1, then each strategy's
+service lanes in strategy registration order, then gradient collectors and
+all-reduce lanes.  The engine spawns ``graph.lanes`` in that order, so
+process and event ids, and with them the order of same-instant events,
+are deterministic.
 
 Strategies contribute through three hooks (see
 :class:`~repro.core.strategies.base.BlockStrategy`):
 
 * ``worker_tasks``    — the tasks a worker lane runs for one block,
-* ``service_lanes``   — coordinator/scheduler lanes (``None`` = fall back
-  to the legacy ``spawn_processes``),
-* ``collector_lanes`` — gradient-collector lanes (``None`` = legacy
-  ``spawn_grad_collectors``).
+* ``service_lanes``   — coordinator/scheduler lanes,
+* ``collector_lanes`` — gradient-collector lanes.
 
-On top of the rebuilt paradigms, this module owns the two schedules only
-the task graph can express: **micro-batched worker lanes** (``M`` lanes
+On top of the per-block paradigms, this module owns the two schedules that
+span blocks: **micro-batched worker lanes** (``M`` lanes
 per rank whose block DAGs interleave, so one micro-batch's expert compute
 overlaps another's All-to-All across block boundaries) and the
 **backward-pass gradient all-reduce** (per-block dense-gradient all-reduce
@@ -27,37 +26,16 @@ background dispatch priority).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
 from ...netsim import all_reduce
-from .graph import Lane, TaskGraph
+from .graph import TaskGraph
 from .stagger import apply_a2a_stagger
 from .task import ResourceClaim, Task, TaskKind
 
-__all__ = ["SpawnPlan", "build_iteration_plan"]
+__all__ = ["build_iteration_plan"]
 
 _BACKWARD = 2.0
-
-
-@dataclass
-class SpawnPlan:
-    """The graph plus the ordered process-spawn entries.
-
-    Entries are ``("lane", Lane)`` for graph lanes and
-    ``("legacy-services" | "legacy-collectors", strategy)`` for strategies
-    that keep their hand-rolled processes.
-    """
-
-    graph: TaskGraph
-    entries: List[Tuple[str, object]] = field(default_factory=list)
-
-    def lanes(self, role=None) -> List[Lane]:
-        return [
-            payload
-            for kind, payload in self.entries
-            if kind == "lane" and (role is None or payload.role == role)
-        ]
 
 
 # -- labels ----------------------------------------------------------------
@@ -87,8 +65,8 @@ def gpu_claim(rank: int) -> Tuple[ResourceClaim, ...]:
 
 def build_iteration_plan(
     engine, ctx, strategies, runner, forward_only: bool
-) -> SpawnPlan:
-    """Assemble the full iteration graph in legacy spawn order."""
+) -> TaskGraph:
+    """Assemble the full iteration graph, lanes in spawn order."""
     graph = TaskGraph(ctx.env)
     graph.bind("iteration_start", ctx.iteration_start)
     graph.declare_inputs("iteration_start")
@@ -108,7 +86,6 @@ def build_iteration_plan(
     )
     allreduce = "none" if forward_only else features.grad_allreduce
 
-    plan = SpawnPlan(graph)
     world = engine.workload.world_size
     for rank in range(world):
         if micro > 1:
@@ -120,38 +97,25 @@ def build_iteration_plan(
                     engine, ctx, lane, rank, m, micro, runner,
                     forward_only, allreduce,
                 )
-                plan.entries.append(("lane", lane))
         else:
             lane = graph.lane(f"worker.{rank}", role="worker", worker=rank)
             _build_worker_lane(
                 engine, ctx, lane, rank, runner, forward_only, allreduce
             )
-            plan.entries.append(("lane", lane))
 
+    # The hooks create their lanes on ``graph``; that creation order is
+    # the spawn order.
     for strategy in strategies.values():
         if micro > 1 and strategy.micro_capable:
-            lanes = strategy.micro_service_lanes(
-                ctx, graph, forward_only, micro
-            )
+            strategy.micro_service_lanes(ctx, graph, forward_only, micro)
         else:
-            lanes = strategy.service_lanes(ctx, graph, forward_only)
-        if lanes is None:
-            plan.entries.append(("legacy-services", strategy))
-        else:
-            plan.entries.extend(("lane", lane) for lane in lanes)
+            strategy.service_lanes(ctx, graph, forward_only)
 
     if not forward_only:
         for strategy in strategies.values():
-            lanes = strategy.collector_lanes(ctx, graph)
-            if lanes is None:
-                plan.entries.append(("legacy-collectors", strategy))
-            else:
-                plan.entries.extend(("lane", lane) for lane in lanes)
+            strategy.collector_lanes(ctx, graph)
         if allreduce != "none":
-            plan.entries.extend(
-                ("lane", lane)
-                for lane in _build_allreduce_lanes(engine, ctx, graph, micro)
-            )
+            _build_allreduce_lanes(engine, ctx, graph, micro)
     if features.a2a_stagger != "off":
         # Intra-A2A chunk scheduling (post-pass): model the shared NIC
         # fabric as an arbitrated resource so concurrent chunk sends
@@ -160,7 +124,7 @@ def build_iteration_plan(
         # the pass adds claims, so skipping it keeps graphs (and their
         # exports) byte-identical.
         apply_a2a_stagger(graph, features.a2a_stagger)
-    return plan
+    return graph
 
 
 # -- worker lanes ----------------------------------------------------------
@@ -171,8 +135,8 @@ def _dense_body(engine, ctx, rank, gpu, block, mult, scale, record, detail,
     """Dense (attention + non-expert FFN) compute for one block.
 
     ``mult`` is the backward factor, ``scale`` the 1/M micro-batch split;
-    both are powers of two in practice so the duration math stays
-    bit-identical to the legacy inline expression.  ``rank_flops`` is
+    both are powers of two in practice, so ``mult * scale * base`` equals
+    the unscaled ``mult * flops / rank_flops`` bit for bit.  ``rank_flops`` is
     hoisted to one :meth:`JanusEngine._rank_flops` call per lane — the
     lookup chain dominates graph-build time when resolved per block.
     """
@@ -204,8 +168,8 @@ def _mark_body(ctx, rank, index):
 def _build_worker_lane(
     engine, ctx, lane, rank, runner, forward_only, allreduce
 ):
-    """The straight (non-micro-batched) worker lane: mirrors the legacy
-    ``JanusEngine._worker`` generator task for task."""
+    """The straight (non-micro-batched) worker lane: the forward sweep,
+    then the backward sweep in reverse block order."""
     workload = engine.workload
     gpu = ctx.gpu_of[rank]
     record = rank == engine.trace_worker
@@ -420,7 +384,7 @@ def _allreduce_body(engine, ctx, index, nbytes, detail):
     return body
 
 
-def _build_allreduce_lanes(engine, ctx, graph, micro) -> List[Lane]:
+def _build_allreduce_lanes(engine, ctx, graph, micro) -> None:
     """Dense-gradient all-reduce of every block's non-expert parameters.
 
     ``serial`` runs one lane after the whole backward sweep — the classic
@@ -436,7 +400,6 @@ def _build_allreduce_lanes(engine, ctx, graph, micro) -> List[Lane]:
     config = workload.config
     world = workload.world_size
     micros = range(micro) if micro > 1 else (None,)
-    lanes: List[Lane] = []
     if mode == "serial":
         lane = graph.lane("allreduce.serial", role="collector")
         lane.add(Task(
@@ -456,8 +419,7 @@ def _build_allreduce_lanes(engine, ctx, graph, micro) -> List[Lane]:
                 ),
                 block=index, phase="bwd", detail="serial",
             ))
-        lanes.append(lane)
-        return lanes
+        return
     for block in reversed(workload.blocks):
         index = block.index
         lane = graph.lane(
@@ -476,5 +438,3 @@ def _build_allreduce_lanes(engine, ctx, graph, micro) -> List[Lane]:
             ),
             block=index, phase="bwd", detail="overlap", priority=2,
         ))
-        lanes.append(lane)
-    return lanes

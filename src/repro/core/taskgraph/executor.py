@@ -1,13 +1,12 @@
 """Run task-graph lanes on the simkit kernel.
 
-One lane = one simkit process.  The runner is written for *bit-exact*
-equivalence with the hand-rolled strategy processes it replaces, so it must
-never create events or processes the legacy code would not have created:
+One lane = one simkit process.  The runner adds no events or processes of
+its own beyond what the simulated work needs, which keeps simulated times
+and the golden-pinned kernel counters stable:
 
 * a task with a single wait yields that event **directly** (no wrapper),
 * a task with several waits builds the :class:`AllOf` lazily, at the moment
-  the lane reaches the task — exactly where the legacy coordinators built
-  theirs,
+  the lane reaches the task,
 * generator bodies are ``yield from``-ed inline (no sub-process),
 * signal events succeed after the body, in declaration order.
 
@@ -20,7 +19,7 @@ must never touch the simulation clock.
 *prioritized* scoped :class:`ResourceClaim` on an arbitrated resource
 holds one slot of it for the duration of its body — the intra-A2A chunk
 scheduler's NIC-fabric serialization.  Without arbiters (every default
-run) the execution path is exactly the legacy one.
+run) no resource requests are made at all.
 """
 
 from __future__ import annotations

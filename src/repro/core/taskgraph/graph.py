@@ -4,8 +4,8 @@ A :class:`TaskGraph` holds an ordered list of :class:`Lane`\\ s.  Each lane
 is executed by exactly one simkit process (see :mod:`.executor`): its tasks
 run in sequence, and cross-lane dependencies are expressed through event
 labels (a task ``signals`` a label, tasks elsewhere ``wait`` on it).  The
-1:1 lane↔process mapping is what keeps the rebuilt paradigms bit-identical
-to the legacy strategy processes — the graph adds structure, not events.
+1:1 lane↔process mapping keeps the kernel's event and process counts those
+of the simulated work itself — the graph adds structure, not events.
 
 Labels are plain strings so a graph is a self-contained structural object:
 :meth:`validate`, :meth:`to_dot` and :meth:`to_json` need no simulation

@@ -186,7 +186,6 @@ def unified_engine(
     controller=None,
     metrics=None,
     trace=None,
-    scheduler: str = "taskgraph",
 ) -> JanusEngine:
     """Full Janus: per-block strategy by R (see :func:`strategy_map`)."""
     return JanusEngine(
@@ -204,7 +203,6 @@ def unified_engine(
         controller=controller,
         metrics=metrics,
         trace=trace,
-        scheduler=scheduler,
     )
 
 
@@ -223,7 +221,6 @@ def auto_engine(
     controller=None,
     metrics=None,
     trace=None,
-    scheduler: str = "taskgraph",
 ) -> JanusEngine:
     """Schedule-aware unified Janus: per-block choice among data-centric,
     micro-batched and plain expert-centric (see :func:`auto_schedule_map`),
@@ -247,7 +244,6 @@ def auto_engine(
         controller=controller,
         metrics=metrics,
         trace=trace,
-        scheduler=scheduler,
     )
 
 
@@ -266,7 +262,6 @@ def strategy_engine(
     controller=None,
     metrics=None,
     trace=None,
-    scheduler: str = "taskgraph",
 ) -> JanusEngine:
     """Every MoE block under one registered block strategy."""
     name = resolve_strategy_name(strategy)
@@ -282,7 +277,6 @@ def strategy_engine(
         controller=controller,
         metrics=metrics,
         trace=trace,
-        scheduler=scheduler,
     )
 
 

@@ -70,7 +70,7 @@ def task_kind_breakdown(
     The engine's task observer counts every body-bearing task it retires
     into ``task.count``/``task.seconds`` (labelled by kind); this folds
     both counters into ``kind -> {"count", "seconds"}``, sorted by kind.
-    Empty when the run used the legacy scheduler or no registry."""
+    Empty when the run had no registry attached."""
     breakdown: Dict[str, Dict[str, float]] = {}
     for metric, field in (("task.count", "count"),
                           ("task.seconds", "seconds")):

@@ -154,12 +154,16 @@ class TestAutoWrap:
         assert policy.config.adapt_load is False
         assert policy.config.adapt_replicas is False
 
-    def test_legacy_degradation_stays_unwrapped(self):
+    def test_one_way_degradation_wraps_a_controller(self):
         engine = engine_for(
             "unified", moe_gpt(16), Cluster(2),
             degradation=DegradationPolicy(), check_memory=False,
         )
-        assert engine.controller is None
+        assert engine.controller is not None
+        policy = engine.controller.policy
+        assert policy.degradation.recover_after_clean is None
+        assert policy.config.adapt_load is False
+        assert policy.config.adapt_replicas is False
 
 
 class TestAdaptiveEndToEnd:

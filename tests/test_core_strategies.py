@@ -386,8 +386,8 @@ class TestCustomStrategyExtension:
         class Impostor(BlockStrategy):
             name = "data-centric"
 
-            def run_block(self, ctx, rank, index, phase):
-                yield None
+            def worker_tasks(self, ctx, rank, index, phase):
+                return []
 
         with pytest.raises(ValueError, match="already registered"):
             register_strategy(Impostor)
@@ -396,8 +396,8 @@ class TestCustomStrategyExtension:
         from repro.core import register_strategy
 
         class Nameless(BlockStrategy):
-            def run_block(self, ctx, rank, index, phase):
-                yield None
+            def worker_tasks(self, ctx, rank, index, phase):
+                return []
 
         with pytest.raises(ValueError):
             register_strategy(Nameless)
@@ -459,20 +459,18 @@ class TestContextStrategyBlocks:
             cluster, workload,
             {1: "expert-centric", 3: "data-centric", 5: "pipelined-ec"},
         )
-        # Run via a captured context: grab it from the per-iteration
-        # setup hook (invoked under both schedulers).
+        # Run via a captured context: grab it from the engine's
+        # per-iteration world builder.
         captured = {}
-        original = DataCentricStrategy.setup
+        prepare = engine._prepare
 
-        def capture(self, ctx, forward_only):
-            captured["ctx"] = ctx
-            return original(self, ctx, forward_only)
+        def capture(*args, **kwargs):
+            prepared = prepare(*args, **kwargs)
+            captured["ctx"] = prepared[0]
+            return prepared
 
-        DataCentricStrategy.setup = capture
-        try:
-            engine.run_iteration()
-        finally:
-            DataCentricStrategy.setup = original
+        engine._prepare = capture
+        engine.run_iteration()
         ctx = captured["ctx"]
         assert ctx.blocks_of("expert-centric") == (1,)
         assert ctx.blocks_of("data-centric") == (3,)

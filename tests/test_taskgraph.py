@@ -21,7 +21,6 @@ from repro.core import (
     TaskKind,
     engine_for,
     run_lane,
-    strategy_engine,
     strategy_names,
 )
 from repro.simkit import Environment
@@ -269,27 +268,6 @@ class TestEngineGraphs:
 
 
 class TestSchedulerGuards:
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="scheduler"):
-            _engine("expert-centric", scheduler="bogus")
-
-    def test_legacy_scheduler_rejects_grad_allreduce(self):
-        engine = _engine(
-            "expert-centric", scheduler="legacy",
-            features=JanusFeatures(grad_allreduce="overlap"),
-        )
-        with pytest.raises(ValueError, match="taskgraph"):
-            engine.run_iteration()
-
-    def test_legacy_scheduler_rejects_micro_batching(self):
-        engine = strategy_engine(
-            "microbatch-ec", small_config(), small_cluster(),
-            rng=np.random.default_rng(0), scheduler="legacy",
-            features=JanusFeatures(micro_batches=2),
-        )
-        with pytest.raises(ValueError, match="taskgraph"):
-            engine.run_iteration()
-
     def test_feature_validation(self):
         with pytest.raises(ValueError):
             JanusFeatures(micro_batches=0)

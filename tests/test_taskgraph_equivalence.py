@@ -1,76 +1,115 @@
-"""Property test: the task-graph scheduler is bit-identical to legacy.
+"""The task graph reproduces the retired process scheduler exactly.
 
-For every built-in paradigm and a randomized sweep of model/cluster
-shapes, running the same seeded iteration under ``scheduler="taskgraph"``
-and ``scheduler="legacy"`` must produce *exactly* equal simulated seconds,
-NIC egress bytes, and simulation-kernel counters (events processed and
-processes started) — the graph adds structure, not events.
+Before the task graph became the engine's only execution path, every
+built-in strategy also ran under a hand-rolled process scheduler.
+``fixtures/legacy_scheduler_table.json`` froze that scheduler's outputs
+on 30 seeded shapes: machines 2-3, experts per worker 1-2, batch 8/16,
+routing imbalance 0/0.3/0.6, random routing seeds, every built-in
+paradigm plus a mixed per-block map, training and forward-only.  Each row
+pins simulated seconds, per-machine NIC egress bytes and the kernel
+counters (events processed, processes started).  Replaying a row must
+match every one of them *exactly* — the graph adds structure, not events.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import strategy_engine
+from repro.core import JanusEngine, JanusFeatures, build_workload
 from repro.metrics import MetricsRegistry
 
 from tests.conftest import small_cluster, small_config
 
-PARADIGMS = ("expert-centric", "data-centric", "pipelined-ec")
+ROWS = json.loads(
+    (Path(__file__).parent / "fixtures" / "legacy_scheduler_table.json")
+    .read_text()
+)["rows"]
+PARADIGMS = (
+    "expert-centric", "data-centric", "pipelined-ec", "microbatch-ec",
+    "mixed",
+)
 
 
-def _run(paradigm, scheduler, machines, experts_per_worker, batch,
-         imbalance, seed):
-    experts = machines * 2 * experts_per_worker  # world size = machines * 2
+def _paradigm(row) -> str:
+    strategies = row["strategies"]
+    return strategies[0] if len(strategies) == 1 else "mixed"
+
+
+def _replay(row) -> dict:
+    """Run one fixture row's iteration; return its pinned outputs."""
+    strategies = row["strategies"]
+    experts = row["machines"] * 2 * row["experts_per_worker"]
+    moe = [2 * i + 1 for i in range(len(strategies))]
     config = small_config(
-        batch_size=batch, experts_per_block={1: experts, 3: experts}
+        batch_size=row["batch"], num_blocks=2 * len(strategies),
+        experts_per_block={block: experts for block in moe},
+    )
+    cluster = small_cluster(row["machines"], 2)
+    workload = build_workload(
+        config, cluster, imbalance=row["imbalance"],
+        rng=np.random.default_rng(row["seed"]),
+    )
+    features = (
+        JanusFeatures() if row["micro_batches"] is None
+        else JanusFeatures(micro_batches=row["micro_batches"])
     )
     registry = MetricsRegistry()
-    engine = strategy_engine(
-        paradigm, config, small_cluster(machines, 2),
-        rng=np.random.default_rng(seed), imbalance=imbalance,
-        metrics=registry, scheduler=scheduler,
+    engine = JanusEngine(
+        cluster, workload, dict(zip(moe, strategies)), features=features,
+        metrics=registry,
     )
-    result = engine.run_iteration()
-    return (
-        result.seconds,
-        tuple(float(b) for b in result.nic_egress_bytes),
-        registry.gauge("sim.events_processed", iteration=0),
-        registry.gauge("sim.processes_started", iteration=0),
-    )
+    result = engine.run_iteration(forward_only=row["forward_only"])
+    return {
+        "seconds": result.seconds,
+        "egress": [float(b) for b in result.nic_egress_bytes],
+        "events_processed": registry.gauge(
+            "sim.events_processed", iteration=0
+        ),
+        "processes_started": registry.gauge(
+            "sim.processes_started", iteration=0
+        ),
+    }
+
+
+def _frozen(row) -> dict:
+    return {
+        key: row[key]
+        for key in ("seconds", "egress", "events_processed",
+                    "processes_started")
+    }
 
 
 class TestTaskGraphBitEquivalence:
-    @given(
-        paradigm=st.sampled_from(PARADIGMS),
-        machines=st.integers(2, 3),
-        experts_per_worker=st.integers(1, 2),
-        batch=st.sampled_from([8, 16]),
-        imbalance=st.sampled_from([0.0, 0.3, 0.6]),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_schedulers_agree_exactly(
-        self, paradigm, machines, experts_per_worker, batch, imbalance, seed
-    ):
-        args = (machines, experts_per_worker, batch, imbalance, seed)
-        legacy = _run(paradigm, "legacy", *args)
-        graphed = _run(paradigm, "taskgraph", *args)
-        assert graphed == legacy  # exact: seconds, bytes, kernel counters
+    def test_table_covers_the_shape_space(self):
+        assert len(ROWS) >= 24
+        for paradigm in PARADIGMS:
+            runs = {
+                r["forward_only"] for r in ROWS if _paradigm(r) == paradigm
+            }
+            assert runs == {False, True}, paradigm
+        mixed = {
+            name
+            for r in ROWS if _paradigm(r) == "mixed"
+            for name in r["strategies"]
+        }
+        assert {"expert-centric", "data-centric", "pipelined-ec"} <= mixed
+        assert {r["machines"] for r in ROWS} == {2, 3}
+        assert {r["experts_per_worker"] for r in ROWS} == {1, 2}
+        assert {r["batch"] for r in ROWS} == {8, 16}
+        assert {r["imbalance"] for r in ROWS} == {0.0, 0.3, 0.6}
+
+    def test_schedulers_agree_exactly(self):
+        for row in ROWS:
+            if not row["forward_only"]:
+                assert _replay(row) == _frozen(row), row["id"]
 
     @pytest.mark.parametrize("paradigm", PARADIGMS)
     def test_forward_only_agrees_exactly(self, paradigm):
-        config = small_config()
-        results = []
-        for scheduler in ("legacy", "taskgraph"):
-            engine = strategy_engine(
-                paradigm, config, small_cluster(),
-                rng=np.random.default_rng(0), imbalance=0.3,
-                scheduler=scheduler,
-            )
-            result = engine.run_iteration(forward_only=True)
-            results.append(
-                (result.seconds, tuple(map(float, result.nic_egress_bytes)))
-            )
-        assert results[0] == results[1]
+        rows = [
+            r for r in ROWS if r["forward_only"] and _paradigm(r) == paradigm
+        ]
+        assert rows
+        for row in rows:
+            assert _replay(row) == _frozen(row), row["id"]
