@@ -2,13 +2,11 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-check bench-write bench-runtime \
-	bench-runtime-check bench-runtime-write bench-schedules \
-	bench-schedules-check bench-schedules-write bench-control \
-	bench-control-check bench-control-write bench-serving \
-	bench-serving-check bench-serving-write bench-scale \
-	bench-scale-check bench-scale-write e2e e2e-trace figs profile \
-	baseline baseline-write coverage chaos reports examples clean
+# The bench-% pattern targets cannot be .PHONY: make skips the pattern
+# rule search for phony targets.
+.PHONY: install test lint bench bench-check bench-write e2e e2e-trace \
+	figs profile baseline baseline-write coverage chaos reports examples \
+	clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -19,83 +17,24 @@ test:
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks examples
 
-# Wall-clock benchmark of the simulator itself (host time, not simulated
-# time); snapshot + history live in benchmarks/BENCH_speed.json.
-bench:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench
+# Wall-clock benchmarks (host time, not simulated time), one per suite of
+# repro.bench.SUITES: sim, runtime, schedules, control, serving, scale.
+# bench-SUITE runs the full suite and writes nothing, bench-SUITE-check
+# gates its quick subset against benchmarks/BENCH_*.json, and
+# bench-SUITE-write re-captures that snapshot (history preserved).  Plain
+# bench, bench-check and bench-write are the sim suite.
+bench: bench-sim
+bench-check: bench-sim-check
+bench-write: bench-sim-write
 
-bench-check:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --quick --check
+bench-%-check:
+	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite $* --quick --check
 
-bench-write:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --write
+bench-%-write:
+	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite $* --write
 
-# Wall-clock benchmark of the numerical runtime (trainer steps through the
-# sorted-dispatch executors); snapshot + history live in
-# benchmarks/BENCH_runtime.json.  float64 only — float32 captures
-# (bench --suite runtime --dtype float32) are experiments, never gates.
-bench-runtime:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite runtime
-
-bench-runtime-check:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite runtime --quick --check
-
-bench-runtime-write:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite runtime --write
-
-# Task-graph schedule benchmark (mixed-R MoE-GPT: micro-batching, grad
-# all-reduce, auto).  The check gates on calibration-rescaled wall medians
-# AND the simulated-time schedule wins; snapshot lives in
-# benchmarks/BENCH_schedules.json.
-bench-schedules:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite schedules
-
-bench-schedules-check:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite schedules --quick --check
-
-bench-schedules-write:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite schedules --write
-
-# Adaptive-control benchmark (drifting workload, controller vs every
-# static paradigm).  The check gates on calibration-rescaled wall medians
-# AND the structural control win — adaptive must beat every static in
-# simulated time; snapshot lives in benchmarks/BENCH_control.json.
-bench-control:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite control
-
-bench-control-check:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite control --quick --check
-
-bench-control-write:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite control --write
-
-# Request-level serving benchmark (seeded arrival traces, unified vs
-# disaggregated prefill/decode).  The check gates on calibration-rescaled
-# wall medians AND the structural serving win — disaggregated p99 TPOT
-# must beat unified on the skewed trace; snapshot lives in
-# benchmarks/BENCH_serving.json.
-bench-serving:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite serving
-
-bench-serving-check:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite serving --quick --check
-
-bench-serving-write:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite serving --write
-
-# Weak-scaling benchmark (MoE-GPT expert-centric, 8 -> 128 machines).
-# The check gates on calibration-rescaled wall medians AND two structural
-# laws: per-event cost may grow at most 1.3x from the smallest to the
-# largest fleet, and the 128-machine iteration must stay under the
-# (rescaled) 10 s budget; snapshot lives in benchmarks/BENCH_scale.json.
-bench-scale:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite scale
-
-bench-scale-check:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite scale --quick --check
-
-bench-scale-write:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite scale --write
+bench-%:
+	PYTHONPATH=src $(PYTHON) -m repro.cli bench --suite $*
 
 # End-to-end benchmark (BENCHMARK.json): four workloads, each in a fresh
 # single-threaded child; e2e-trace reports the per-layer host-time split

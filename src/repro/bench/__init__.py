@@ -1,152 +1,33 @@
-"""Wall-clock benchmark harness for the simulation core.
+"""Wall-clock benchmarks: ``repro bench``.
 
 Everything else in the repo measures *simulated* time; this package is the
-one place that measures *host* time — how long the simulator itself takes
-to run — so hot-path optimizations have a number to move and regressions
-have a number to trip on.  The committed snapshot lives in
-``benchmarks/BENCH_speed.json`` and carries a history list: the wall-clock
-perf trajectory of the project.
+one place that measures *host* time — how long the simulator and the
+numerical runtime take to run — so hot-path optimizations have a number
+to move and regressions have a number to trip on.
 
-Entry points: ``repro bench`` (CLI) and ``make bench`` / ``make
-bench-check``.
+Every suite is a :class:`Suite` record in :data:`SUITES`, run by the one
+harness in :mod:`repro.bench.harness`; each commits its snapshot, with a
+``history`` list of labelled prior captures, under ``benchmarks/``.
+
+Entry points: ``repro bench --suite NAME`` (CLI) and ``make
+bench[-NAME][-check|-write]``.
 """
 
-from .speed import (
-    DEFAULT_SNAPSHOT_PATH,
-    FULL_CONFIGS,
-    QUICK_CONFIGS,
-    SCHEMA,
-    BenchConfig,
-    calibrate,
-    check_snapshot,
-    format_suite,
-    run_suite,
-    time_config,
-    write_snapshot,
-)
-from .schedules import (
-    DEFAULT_SCHEDULES_SNAPSHOT_PATH,
-    SCHEDULE_FULL_CONFIGS,
-    SCHEDULE_QUICK_CONFIGS,
-    SCHEDULES_SCHEMA,
-    ScheduleBenchConfig,
-    check_autotune_win,
-    check_schedule_wins,
-    check_schedules_snapshot,
-    format_schedules_suite,
-    run_schedules_suite,
-    time_schedule_config,
-)
-from .control import (
-    CONTROL_FULL_CONFIGS,
-    CONTROL_QUICK_CONFIGS,
-    CONTROL_SCHEMA,
-    DEFAULT_CONTROL_SNAPSHOT_PATH,
-    ControlBenchConfig,
-    check_control_snapshot,
-    check_control_wins,
-    format_control_suite,
-    run_control_suite,
-    time_control_config,
-)
-from .serving import (
-    DEFAULT_SERVING_SNAPSHOT_PATH,
-    SERVING_FULL_CONFIGS,
-    SERVING_QUICK_CONFIGS,
-    SERVING_SCHEMA,
-    ServingBenchConfig,
-    check_serving_snapshot,
-    check_serving_wins,
-    format_serving_suite,
-    run_serving_suite,
-    time_serving_config,
-)
-from .scale import (
-    DEFAULT_SCALE_SNAPSHOT_PATH,
-    MAX_PER_EVENT_GROWTH,
-    SCALE_FULL_CONFIGS,
-    SCALE_QUICK_CONFIGS,
-    SCALE_SCHEMA,
-    TOP_ITERATION_BUDGET_S,
-    ScaleBenchConfig,
-    check_scale_snapshot,
-    check_scale_structure,
-    format_scale_suite,
-    run_scale_suite,
-    time_scale_config,
-)
-from .runtime_speed import (
-    DEFAULT_RUNTIME_SNAPSHOT_PATH,
-    RUNTIME_FULL_CONFIGS,
-    RUNTIME_QUICK_CONFIGS,
-    RUNTIME_SCHEMA,
-    RuntimeBenchConfig,
-    format_runtime_suite,
-    run_runtime_suite,
-    time_runtime_config,
-)
+from typing import Dict
 
-__all__ = [
-    "BenchConfig",
-    "CONTROL_FULL_CONFIGS",
-    "CONTROL_QUICK_CONFIGS",
-    "CONTROL_SCHEMA",
-    "ControlBenchConfig",
-    "DEFAULT_CONTROL_SNAPSHOT_PATH",
-    "DEFAULT_RUNTIME_SNAPSHOT_PATH",
-    "DEFAULT_SCALE_SNAPSHOT_PATH",
-    "DEFAULT_SCHEDULES_SNAPSHOT_PATH",
-    "DEFAULT_SERVING_SNAPSHOT_PATH",
-    "DEFAULT_SNAPSHOT_PATH",
-    "FULL_CONFIGS",
-    "MAX_PER_EVENT_GROWTH",
-    "QUICK_CONFIGS",
-    "RUNTIME_FULL_CONFIGS",
-    "RUNTIME_QUICK_CONFIGS",
-    "RUNTIME_SCHEMA",
-    "RuntimeBenchConfig",
-    "SCALE_FULL_CONFIGS",
-    "SCALE_QUICK_CONFIGS",
-    "SCALE_SCHEMA",
-    "SCHEDULE_FULL_CONFIGS",
-    "SCHEDULE_QUICK_CONFIGS",
-    "SCHEDULES_SCHEMA",
-    "SCHEMA",
-    "SERVING_FULL_CONFIGS",
-    "SERVING_QUICK_CONFIGS",
-    "SERVING_SCHEMA",
-    "TOP_ITERATION_BUDGET_S",
-    "ScaleBenchConfig",
-    "ScheduleBenchConfig",
-    "ServingBenchConfig",
-    "calibrate",
-    "check_control_snapshot",
-    "check_control_wins",
-    "check_scale_snapshot",
-    "check_scale_structure",
-    "check_schedule_wins",
-    "check_autotune_win",
-    "check_schedules_snapshot",
-    "check_serving_snapshot",
-    "check_serving_wins",
-    "check_snapshot",
-    "format_control_suite",
-    "format_runtime_suite",
-    "format_scale_suite",
-    "format_schedules_suite",
-    "format_serving_suite",
-    "format_suite",
-    "run_control_suite",
-    "run_runtime_suite",
-    "run_scale_suite",
-    "run_schedules_suite",
-    "run_serving_suite",
-    "run_suite",
-    "time_config",
-    "time_control_config",
-    "time_runtime_config",
-    "time_scale_config",
-    "time_schedule_config",
-    "time_serving_config",
-    "write_snapshot",
-]
+from . import control, runtime_speed, scale, schedules, serving, speed
+from .harness import Suite, capture, format_capture, write_snapshot
+
+SUITES: Dict[str, Suite] = {
+    suite.name: suite
+    for suite in (
+        speed.SUITE,
+        runtime_speed.SUITE,
+        schedules.SUITE,
+        control.SUITE,
+        serving.SUITE,
+        scale.SUITE,
+    )
+}
+
+__all__ = ["SUITES", "Suite", "capture", "format_capture", "write_snapshot"]

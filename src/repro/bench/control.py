@@ -1,4 +1,4 @@
-"""Benchmark of the adaptive control plane under a drifting workload.
+"""``repro bench --suite control``: the adaptive control plane under drift.
 
 Runs an 8-iteration flip-drift schedule — expert popularity alternates
 between balanced and Zipf-skewed phases every two iterations — on a
@@ -10,36 +10,21 @@ expert-centric, pipelined-ec, microbatch-ec, and the static Eq. 1
 re-picking per-block paradigms from the measured load signals between
 iterations, should win both.
 
-Like the schedules suite this capture gates on two axes:
-
-* wall-clock medians against ``benchmarks/BENCH_control.json`` with the
-  same calibration rescaling as :mod:`repro.bench.speed`, and
-* the **structural control win**, a pure simulated-time fact: the
-  adaptive run's total simulated seconds must beat *every* static
-  paradigm's total on the same drift trajectory.  That holds on any
-  host; a violation means the control policy regressed, not a slow
-  runner.
+Besides the shared wall-clock gate against
+``benchmarks/BENCH_control.json``, the suite gates on the **structural
+control win**, a pure simulated-time fact: the adaptive run's total
+simulated seconds must beat *every* static paradigm's total on the same
+drift trajectory.  That holds on any host; a violation means the control
+policy regressed, not a slow runner.
 """
 
 from __future__ import annotations
 
-import statistics
-import sys
-import time
-from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
-from .speed import calibrate, check_snapshot
+from .harness import BENCH_DIR, Suite, time_runs, timing
 
 CONTROL_SCHEMA = "janus-repro/bench-control/v1"
-
-DEFAULT_CONTROL_SNAPSHOT_PATH = (
-    Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_control.json"
-)
 
 # The crossover shape: batch 64 puts the 32-expert block's Eq. 1 gain
 # ratio near 1 (R = 1.33 on two machines), where the measured ordering
@@ -123,64 +108,23 @@ def time_control_config(spec: ControlBenchConfig, runs: int = 1) -> Dict:
     ``_ITERATIONS``-step drift trajectory, so every config — static or
     adaptive — sees bit-identical workload evolution.
     """
-    samples: List[float] = []
-    sim_seconds = 0.0
-    per_iteration: List[float] = []
-    events = 0
-    switches = 0
-    for _ in range(runs):
-        engine, controller = _build_engine(spec)
-        start = time.perf_counter()
-        results = engine.run(_ITERATIONS)
-        samples.append(time.perf_counter() - start)
-        sim_seconds = sum(result.seconds for result in results)
-        per_iteration = [
+    samples, (results, controller) = time_runs(
+        runs,
+        lambda built: (built[0].run(_ITERATIONS), built[1]),
+        lambda: _build_engine(spec),
+    )
+    entry = timing(samples)
+    events = sum(result.sim_events for result in results)
+    entry.update(
+        sim_seconds=sum(result.seconds for result in results),
+        per_iteration_ms=[
             round(result.seconds * 1e3, 3) for result in results
-        ]
-        events = sum(result.sim_events for result in results)
-        switches = controller.switch_count
-    median = statistics.median(samples)
-    return {
-        "median_s": median,
-        "best_s": min(samples),
-        "samples": [round(sample, 6) for sample in samples],
-        "sim_seconds": sim_seconds,
-        "per_iteration_ms": per_iteration,
-        "events": events,
-        "events_per_s": events / median if median > 0 else 0.0,
-        "switches": switches,
-    }
-
-
-def run_control_suite(
-    configs: Sequence[ControlBenchConfig] = CONTROL_FULL_CONFIGS,
-    runs: int = 1,
-    calibration: Optional[float] = None,
-) -> Dict:
-    """Time every control config and assemble the capture."""
-    return {
-        "schema": CONTROL_SCHEMA,
-        "config": {
-            "model": "MoE-GPT",
-            "experts": _EXPERTS,
-            "batch_size": _BATCH,
-            "machines": _MACHINES,
-            "iterations": _ITERATIONS,
-            "auto_threshold": _AUTO_THRESHOLD,
-            "drift": dict(_DRIFT),
-            "control": dict(_CONTROL),
-            "runs": runs,
-        },
-        "calibration_s": calibrate() if calibration is None else calibration,
-        "host": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
-        "runs": {
-            spec.key: time_control_config(spec, runs=runs)
-            for spec in configs
-        },
-    }
+        ],
+        events=events,
+        events_per_s=events / entry["median_s"],
+        switches=controller.switch_count,
+    )
+    return entry
 
 
 def check_control_wins(current: Dict) -> List[str]:
@@ -203,33 +147,42 @@ def check_control_wins(current: Dict) -> List[str]:
     return problems
 
 
-def check_control_snapshot(
-    current: Dict, snapshot: Dict, tolerance: float = 0.25
-) -> List[str]:
-    """Wall-clock regression gate (calibration-rescaled) + structural win."""
-    return check_control_wins(current) + check_snapshot(
-        current, snapshot, tolerance=tolerance
-    )
+def _vs_adaptive(entry: Dict, base: Optional[Dict]) -> str:
+    if not base or base["sim_seconds"] <= 0:
+        return "-"
+    return f"{entry['sim_seconds'] / base['sim_seconds']:.2f}x"
 
 
-def format_control_suite(current: Dict) -> str:
-    """Human-readable table of a capture, with speedups vs adaptive."""
-    runs = current.get("runs", {})
-    base = runs.get("adaptive", {}).get("sim_seconds")
-    header = (
-        f"{'config':<16} {'sim ms total':>13} {'vs adaptive':>12} "
-        f"{'switches':>9} {'wall ms':>9} {'events':>9}"
-    )
-    lines = [header, "-" * len(header)]
-    for key, entry in runs.items():
-        sim = entry["sim_seconds"]
-        ratio = f"{sim / base:.2f}x" if base and base > 0 else "-"
-        lines.append(
-            f"{key:<16} {sim * 1e3:>13.2f} {ratio:>12} "
-            f"{entry.get('switches', 0):>9d} "
-            f"{entry['median_s'] * 1e3:>9.1f} {entry['events']:>9d}"
-        )
-    lines.append(
-        f"calibration: {current.get('calibration_s', 0.0) * 1e3:.1f} ms"
-    )
-    return "\n".join(lines)
+SUITE = Suite(
+    name="control",
+    summary="adaptive controller vs static paradigms under drift",
+    schema=CONTROL_SCHEMA,
+    snapshot=BENCH_DIR / "BENCH_control.json",
+    full=CONTROL_FULL_CONFIGS,
+    quick=CONTROL_QUICK_CONFIGS,
+    # Every config is a full multi-iteration drift schedule, so one run
+    # per config is already a stable median.
+    runs=(1, 1),
+    unit="schedule",
+    measure=time_control_config,
+    describe=lambda configs, runs: {
+        "model": "MoE-GPT",
+        "experts": _EXPERTS,
+        "batch_size": _BATCH,
+        "machines": _MACHINES,
+        "iterations": _ITERATIONS,
+        "auto_threshold": _AUTO_THRESHOLD,
+        "drift": dict(_DRIFT),
+        "control": dict(_CONTROL),
+        "runs": runs,
+    },
+    columns=(
+        ("sim ms total",
+         lambda entry, _: f"{entry['sim_seconds'] * 1e3:.2f}"),
+        ("vs adaptive", _vs_adaptive),
+        ("switches", lambda entry, _: f"{entry['switches']:d}"),
+        ("events", lambda entry, _: f"{entry['events']:d}"),
+    ),
+    gates=lambda current, snapshot, scale: check_control_wins(current),
+    baseline="adaptive",
+)

@@ -1,46 +1,35 @@
-"""Wall-clock timing of the numerical runtime (trainer steps).
+"""``repro bench --suite runtime``: wall-clock time of trainer steps.
 
-``repro bench --suite runtime`` is the host-time counterpart of the
-simulator bench in :mod:`repro.bench.speed`, pointed at the *numerical*
-half of the repo: the tensorlib autograd engine driving the
+The host-time counterpart of the simulator suites, pointed at the
+*numerical* half of the repo: the tensorlib autograd engine driving the
 expert-centric / data-centric executors through full
 :class:`~repro.runtime.trainer.DistributedTrainer` steps.  Each config
-builds a distributed model once, runs warm-up steps (which also fill the
-data-centric replica pool), then times ``runs`` steady-state steps and
-reports the median host-seconds per step plus routed token-slots per
-second.
+builds a distributed model once and runs one warm-up step (which also
+fills the data-centric replica pool), then times steady-state steps and
+reports routed token-slots per second.  The committed snapshot is
+``benchmarks/BENCH_runtime.json``.
 
-The capture shares the calibration-rescaled regression gate of the
-simulator bench (:func:`repro.bench.speed.check_snapshot` is schema
-compatible); the committed snapshot lives in
-``benchmarks/BENCH_runtime.json`` and carries the perf-trajectory
-``history`` list.
-
-Timing is float64 by default — the dtype the equivalence battery pins —
-and ``dtype="float32"`` is an opt-in for experiments; float32 captures
-must not be compared against a float64 snapshot.
+Steps run at tensorlib's default dtype — float64, the dtype the
+equivalence battery pins.  ``repro bench --dtype float32`` scopes that
+default to float32 for experiments; its gate refuses to compare captures
+of different dtypes.
 """
 
 from __future__ import annotations
 
-import statistics
-import sys
-import time
-from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .speed import _cpu_count, calibrate
+from .harness import BENCH_DIR, Suite, time_runs, timing
 
 RUNTIME_SCHEMA = "janus-repro/bench-runtime/v1"
 
-# src/repro/bench/runtime_speed.py -> repo root / benchmarks
-DEFAULT_RUNTIME_SNAPSHOT_PATH = (
-    Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_runtime.json"
-)
-
 _DTYPES = ("float64", "float32")
+
+# Steps run before timing: fills the replica pool, allocates optimizer
+# state.
+_WARMUP = 1
 
 
 class RuntimeBenchConfig(NamedTuple):
@@ -134,19 +123,26 @@ def _build_trainer(spec: RuntimeBenchConfig):
     return config, layout, trainer, batches, targets
 
 
+def _default_dtype() -> str:
+    from ..tensorlib import get_default_dtype
+
+    return get_default_dtype().name
+
+
 def time_runtime_config(
     spec: RuntimeBenchConfig,
     runs: int = 3,
-    warmup: int = 1,
-    dtype: str = "float64",
+    warmup: int = _WARMUP,
+    dtype: Optional[str] = None,
 ) -> Dict:
     """Time ``runs`` steady-state trainer steps; report the median.
 
     Model/optimizer construction and ``warmup`` steps happen outside the
     timed region, so the number is host-seconds per
-    :meth:`DistributedTrainer.step` in steady state (replica pools filled,
-    optimizer state allocated).
+    :meth:`DistributedTrainer.step` in steady state.  ``dtype`` defaults
+    to tensorlib's current default.
     """
+    dtype = dtype or _default_dtype()
     if dtype not in _DTYPES:
         raise ValueError(f"dtype must be one of {_DTYPES}, got {dtype!r}")
     from ..tensorlib import default_dtype
@@ -155,75 +151,50 @@ def time_runtime_config(
         config, layout, trainer, batches, targets = _build_trainer(spec)
         for _ in range(max(0, warmup)):
             trainer.step(batches, targets)
-        samples: List[float] = []
-        for _ in range(runs):
-            start = time.perf_counter()
-            trainer.step(batches, targets)
-            samples.append(time.perf_counter() - start)
-    median = statistics.median(samples)
+        samples, _ = time_runs(
+            runs, lambda _: trainer.step(batches, targets)
+        )
+    entry = timing(samples)
     # Routed token-slots per step across all workers: B*S*k per worker.
     slots = config.tokens_per_worker * layout.world_size
-    return {
-        "median_s": median,
-        "best_s": min(samples),
-        "samples": [round(sample, 6) for sample in samples],
-        "token_slots": slots,
-        "token_slots_per_s": slots / median if median > 0 else 0.0,
-        "loss": trainer.last_loss,
-    }
-
-
-def run_runtime_suite(
-    configs: Sequence[RuntimeBenchConfig] = RUNTIME_FULL_CONFIGS,
-    runs: int = 3,
-    warmup: int = 1,
-    dtype: str = "float64",
-    calibration: Optional[float] = None,
-) -> Dict:
-    """Time every config and assemble the bench-runtime capture.
-
-    Trainer steps all run inline: unlike the simulator suite the runtime
-    configs are few and short, so process fan-out would mostly measure
-    interpreter start-up.
-    """
-    suite_start = time.perf_counter()
-    runs_section = {
-        spec.key: time_runtime_config(spec, runs=runs, warmup=warmup, dtype=dtype)
-        for spec in configs
-    }
-    wall_s = time.perf_counter() - suite_start
-    return {
-        "schema": RUNTIME_SCHEMA,
-        "config": {"runs": runs, "warmup": warmup, "dtype": dtype},
-        "calibration_s": calibrate() if calibration is None else calibration,
-        "host": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "cpus": _cpu_count(),
-        },
-        "runs": runs_section,
-        "wall_s": wall_s,
-    }
-
-
-def format_runtime_suite(current: Dict) -> str:
-    """Human-readable table of a runtime capture."""
-    lines = []
-    header = (
-        f"{'config':<34} {'median ms/step':>15} {'best':>9} "
-        f"{'slots':>7} {'slots/s':>10}"
+    entry.update(
+        token_slots=slots,
+        token_slots_per_s=slots / entry["median_s"],
+        loss=trainer.last_loss,
     )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for key, entry in current.get("runs", {}).items():
-        lines.append(
-            f"{key:<34} {entry['median_s'] * 1e3:>15.1f} "
-            f"{entry['best_s'] * 1e3:>9.1f} {entry['token_slots']:>7d} "
-            f"{entry['token_slots_per_s']:>10.0f}"
-        )
-    lines.append(
-        f"dtype: {current.get('config', {}).get('dtype', 'float64')}  "
-        f"calibration: {current.get('calibration_s', 0.0) * 1e3:.1f} ms "
-        f"(host {current.get('host', {}).get('cpus', '?')} cpu(s))"
-    )
-    return "\n".join(lines)
+    return entry
+
+
+def check_dtype(current: Dict, snapshot: Dict, scale: float) -> List[str]:
+    """float32 runs ~2x faster: comparing across dtypes would either mask
+    or fake a regression."""
+    snap_dtype = snapshot.get("config", {}).get("dtype")
+    cur_dtype = current.get("config", {}).get("dtype")
+    if snap_dtype == cur_dtype:
+        return []
+    return [
+        f"dtype mismatch: capture is {cur_dtype}, snapshot is "
+        f"{snap_dtype} (timings are not comparable)"
+    ]
+
+
+SUITE = Suite(
+    name="runtime",
+    summary="numerical trainer steps",
+    schema=RUNTIME_SCHEMA,
+    snapshot=BENCH_DIR / "BENCH_runtime.json",
+    full=RUNTIME_FULL_CONFIGS,
+    quick=RUNTIME_QUICK_CONFIGS,
+    runs=(3, 2),
+    unit="step",
+    measure=time_runtime_config,
+    describe=lambda configs, runs: {
+        "runs": runs, "warmup": _WARMUP, "dtype": _default_dtype(),
+    },
+    columns=(
+        ("best", lambda entry, _: f"{entry['best_s'] * 1e3:.1f}"),
+        ("slots", lambda entry, _: f"{entry['token_slots']:d}"),
+        ("slots/s", lambda entry, _: f"{entry['token_slots_per_s']:.0f}"),
+    ),
+    gates=check_dtype,
+)

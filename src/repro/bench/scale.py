@@ -1,9 +1,10 @@
-"""Weak-scaling benchmark: fleet sizes from 8 to 128 machines.
+"""``repro bench --suite scale``: fleet sizes from 8 to 128 machines.
 
-The speed suite times the paper's Fig.-14 configs at a fixed 4-machine
+The sim suite times the paper's Fig.-14 configs at a fixed 4-machine
 cluster; this suite grows the *cluster* — MoE-GPT under the
 expert-centric paradigm at 8, 16, 32, 64 and 128 machines (experts scale
-with the fleet, 8 per machine) — and gates on two properties:
+with the fleet, 8 per machine).  Besides the shared wall-clock gate
+against ``benchmarks/BENCH_scale.json`` it gates on:
 
 * **structure** (host-independent): wall microseconds per simulated
   event may grow at most ``MAX_PER_EVENT_GROWTH``x from the smallest to
@@ -12,37 +13,21 @@ with the fleet, 8 per machine) — and gates on two properties:
   is the scale-invariant: any superlinear term in the solver, the event
   core or the flow tables shows up here before it shows up anywhere
   else;
-* **wall clock** (calibration-rescaled like the speed suite): per-point
-  medians vs the committed ``benchmarks/BENCH_scale.json``, plus an
-  absolute budget — the 128-machine iteration must simulate in under
+* **budget**: the 128-machine iteration must simulate in under
   ``TOP_ITERATION_BUDGET_S`` seconds after rescaling by the host
   calibration ratio.
 
 The top point simulates two iterations back-to-back so the capture
-exercises over a million events in one timed sample.  Points run
-sequentially (never a process pool): they share nothing, but timing the
-128-machine point next to four busy siblings would measure the pool,
-not the simulator.
+exercises over a million events in one timed sample.
 """
 
 from __future__ import annotations
 
-import statistics
-import sys
-import time
-from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .speed import _CALIBRATION_SCALE_BOUNDS, calibrate, _cpu_count
+from .harness import BENCH_DIR, Suite, time_iterations
 
 SCALE_SCHEMA = "janus-repro/bench-scale/v1"
-
-# src/repro/bench/scale.py -> repo root / benchmarks / BENCH_scale.json
-DEFAULT_SCALE_SNAPSHOT_PATH = (
-    Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_scale.json"
-)
 
 # Structural gate: per-event wall cost from the smallest to the largest
 # fleet in a capture.
@@ -95,116 +80,36 @@ SCALE_QUICK_CONFIGS: Tuple[ScaleBenchConfig, ...] = (
 def time_scale_config(spec: ScaleBenchConfig, runs: int = 0) -> Dict:
     """Time one weak-scaling point; the median is seconds per iteration.
 
-    Construction (cluster, workload, engine) stays outside the timed
-    region.  Each run simulates ``spec.iterations`` fresh iterations on
-    fresh engines and reports wall seconds per iteration, so samples are
-    comparable across points regardless of their iteration multiplier.
-
-    The cyclic garbage collector is paused inside the timed region (and
-    restored after): generation-2 collections scan the whole live object
-    graph, which at 128 machines is ~300k flow/event objects — a
-    superlinear term that belongs to allocator policy, not to the
-    simulator, and would drown the structural gate in noise.  This is
-    the same discipline pytest-benchmark applies by default.
+    ``runs`` overrides the point's own sample count when positive.
     """
-    import gc
-
     from ..cluster import Cluster
-    from ..config import moe_bert, moe_gpt, moe_transformer_xl
+    from ..config import TABLE1_MODELS
     from ..core import JanusFeatures, build_workload, engine_for
 
-    factories = {
-        "MoE-BERT": moe_bert,
-        "MoE-GPT": moe_gpt,
-        "MoE-Transformer-xl": moe_transformer_xl,
-    }
-    config = factories[spec.model](spec.experts)
+    config = TABLE1_MODELS[spec.model](spec.experts)
     cluster = Cluster(spec.machines)
     workload = build_workload(config, cluster)
     features = JanusFeatures(topology_aware=True, prefetch=True)
-    runs = runs or spec.runs
-    samples: List[float] = []
-    events_per_iter = 0
-    sim_seconds = 0.0
-    for _ in range(runs):
-        engines = [
-            engine_for(
-                spec.mode, config, cluster,
-                workload=workload, features=features,
-            )
-            for _ in range(spec.iterations)
-        ]
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            for engine in engines:
-                result = engine.run_iteration()
-            elapsed = time.perf_counter() - start
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        samples.append(elapsed / spec.iterations)
-        events_per_iter = result.sim_events
-        sim_seconds = result.seconds
-    median = statistics.median(samples)
+    entry = time_iterations(
+        runs or spec.runs,
+        lambda: engine_for(
+            spec.mode, config, cluster, workload=workload, features=features
+        ),
+        iterations=spec.iterations,
+    )
     # The growth law divides two per-event costs, so it wants the
     # least-noise estimator: the best sample, not the median (which the
     # wall gate uses — a regression should shift the whole distribution,
     # while scheduler noise only pads it).
-    per_event_us = (
-        min(samples) / events_per_iter * 1e6 if events_per_iter else 0.0
+    events = entry["events"]
+    entry.update(
+        machines=spec.machines,
+        experts=spec.experts,
+        iterations=spec.iterations,
+        events_total=events * spec.iterations,
+        per_event_us=entry["best_s"] / events * 1e6 if events else 0.0,
     )
-    return {
-        "machines": spec.machines,
-        "experts": spec.experts,
-        "iterations": spec.iterations,
-        "median_s": median,
-        "best_s": min(samples),
-        "samples": [round(sample, 6) for sample in samples],
-        "sim_seconds": sim_seconds,
-        "events": events_per_iter,
-        "events_total": events_per_iter * spec.iterations,
-        "per_event_us": per_event_us,
-    }
-
-
-def run_scale_suite(
-    configs: Sequence[ScaleBenchConfig] = SCALE_FULL_CONFIGS,
-    runs: int = 0,
-    calibration: Optional[float] = None,
-) -> Dict:
-    """Run the weak-scaling sweep sequentially and assemble the capture.
-
-    ``runs`` overrides every config's sample count when positive.  A
-    throwaway 2-machine iteration runs first so no timed point pays
-    first-use costs (imports, the compiled water-filling kernel, numpy
-    warm-up).
-    """
-    time_scale_config(ScaleBenchConfig(machines=2), runs=1)  # warm-up
-    suite_start = time.perf_counter()
-    runs_section = {
-        spec.key: time_scale_config(spec, runs=runs) for spec in configs
-    }
-    wall_s = time.perf_counter() - suite_start
-    return {
-        "schema": SCALE_SCHEMA,
-        "config": {
-            "model": configs[0].model if configs else "",
-            "mode": configs[0].mode if configs else "",
-            "machines": [spec.machines for spec in configs],
-            "features": "topology_aware+prefetch",
-        },
-        "calibration_s": calibrate() if calibration is None else calibration,
-        "host": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "cpus": _cpu_count(),
-        },
-        "runs": runs_section,
-        "wall_s": wall_s,
-    }
+    return entry
 
 
 def _ordered_points(current: Dict) -> List[Dict]:
@@ -252,37 +157,9 @@ def check_scale_structure(
     return problems
 
 
-def check_scale_snapshot(
-    current: Dict, snapshot: Dict, tolerance: float = 0.25
-) -> List[str]:
-    """Regression gates: structure, per-point medians, top-point budget.
-
-    Medians and the absolute iteration budget are rescaled by the
-    calibration ratio (clamped) the way the speed suite does, so the
-    gate survives faster or slower CI runners.
-    """
+def _gates(current: Dict, snapshot: Dict, scale: float) -> List[str]:
+    """The growth law plus the rescaled top-point iteration budget."""
     problems = check_scale_structure(current)
-    snap_runs = snapshot.get("runs", {})
-    cur_runs = current.get("runs", {})
-    scale = 1.0
-    snap_cal = snapshot.get("calibration_s")
-    cur_cal = current.get("calibration_s")
-    if snap_cal and cur_cal:
-        low, high = _CALIBRATION_SCALE_BOUNDS
-        scale = min(max(cur_cal / snap_cal, low), high)
-    for key in sorted(cur_runs):
-        if key not in snap_runs:
-            problems.append(f"{key}: not in committed snapshot (run --write)")
-            continue
-        expected = snap_runs[key]["median_s"] * scale
-        actual = cur_runs[key]["median_s"]
-        if actual > expected * (1.0 + tolerance):
-            problems.append(
-                f"{key}: median {actual:.3f} s/iter vs allowed "
-                f"{expected * (1.0 + tolerance):.3f} s/iter "
-                f"(snapshot {snap_runs[key]['median_s']:.3f} s "
-                f"x calibration {scale:.2f} x band {1.0 + tolerance:.2f})"
-            )
     points = _ordered_points(current)
     if points:
         top = points[-1]
@@ -296,27 +173,38 @@ def check_scale_snapshot(
     return problems
 
 
-def format_scale_suite(current: Dict) -> str:
-    """Human-readable weak-scaling table."""
-    lines = []
-    header = (
-        f"{'machines':>8} {'experts':>8} {'s/iter':>9} {'events':>9} "
-        f"{'us/event':>9} {'growth':>7}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    points = _ordered_points(current)
-    base = points[0]["per_event_us"] if points else 0.0
-    for entry in points:
-        growth = entry["per_event_us"] / base if base > 0 else 0.0
-        lines.append(
-            f"{entry['machines']:>8d} {entry['experts']:>8d} "
-            f"{entry['median_s']:>9.3f} {entry['events']:>9d} "
-            f"{entry['per_event_us']:>9.2f} {growth:>6.2f}x"
-        )
-    lines.append(
-        f"calibration: {current.get('calibration_s', 0.0) * 1e3:.1f} ms "
-        f"(host {current.get('host', {}).get('cpus', '?')} cpu(s)); "
-        f"suite wall {current.get('wall_s', 0.0):.1f} s"
-    )
-    return "\n".join(lines)
+def _growth(entry: Dict, base: Optional[Dict]) -> str:
+    if not base or base["per_event_us"] <= 0:
+        return "-"
+    return f"{entry['per_event_us'] / base['per_event_us']:.2f}x"
+
+
+def _describe(configs: Sequence[ScaleBenchConfig], runs: int) -> Dict:
+    return {
+        "model": configs[0].model if configs else "",
+        "mode": configs[0].mode if configs else "",
+        "machines": [spec.machines for spec in configs],
+        "features": "topology_aware+prefetch",
+    }
+
+
+SUITE = Suite(
+    name="scale",
+    summary="weak-scaling sweep, 8-128 machines",
+    schema=SCALE_SCHEMA,
+    snapshot=BENCH_DIR / "BENCH_scale.json",
+    full=SCALE_FULL_CONFIGS,
+    quick=SCALE_QUICK_CONFIGS,
+    runs=(0, 0),    # 0: each point's own sample count
+    unit="iter",
+    measure=time_scale_config,
+    describe=_describe,
+    columns=(
+        ("experts", lambda entry, _: f"{entry['experts']:d}"),
+        ("events", lambda entry, _: f"{entry['events']:d}"),
+        ("us/event", lambda entry, _: f"{entry['per_event_us']:.2f}"),
+        ("growth", _growth),
+    ),
+    gates=_gates,
+    baseline=SCALE_QUICK_CONFIGS[0].key,
+)

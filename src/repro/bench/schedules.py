@@ -1,41 +1,27 @@
-"""Benchmark of the task-graph-only schedules (micro-batching, all-reduce).
+"""``repro bench --suite schedules``: the task-graph-only schedules.
 
 Times the mixed-R MoE-GPT configuration — one 32-expert block where the
 expert-centric family wins and one 256-expert block where data-centric
 wins — under the schedules the task graph unlocked: plain expert-centric
 (the baseline), micro-batched expert-centric, serial vs. overlapped
-backward gradient all-reduce, and the schedule-aware ``auto`` engine.
+backward gradient all-reduce, the schedule-aware ``auto`` engine, chunk
+autotuning and intra-A2A chunk staggering.
 
-Unlike the Fig. 14 speed suite, this capture gates on *two* axes:
-
-* wall-clock medians against ``benchmarks/BENCH_schedules.json`` with the
-  same calibration rescaling as :mod:`repro.bench.speed` (simulator
-  efficiency, host-independent), and
-* the **structural schedule wins**, which are pure simulated-time facts:
-  micro-batching must beat plain expert-centric and the overlapped
-  all-reduce must beat the serial one.  These hold on any host; a
-  violation means a schedule regression, not a slow runner.
+Besides the shared wall-clock gate against
+``benchmarks/BENCH_schedules.json``, the suite gates on the **structural
+schedule wins**, which are pure simulated-time facts: micro-batching must
+beat plain expert-centric, the overlapped all-reduce the serial one, and
+so on (:data:`STRUCTURAL_WINS`, :func:`check_autotune_win`).  These hold
+on any host; a violation means a schedule regression, not a slow runner.
 """
 
 from __future__ import annotations
 
-import statistics
-import sys
-import time
-from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .speed import calibrate, check_snapshot
+from .harness import BENCH_DIR, Suite, time_iterations
 
 SCHEDULES_SCHEMA = "janus-repro/bench-schedules/v1"
-
-DEFAULT_SCHEDULES_SNAPSHOT_PATH = (
-    Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_schedules.json"
-)
 
 # The mixed-R shape: moe_gpt(32) with block 10 widened to 256 experts.
 _MIXED_EXPERTS = {6: 32, 10: 256}
@@ -158,56 +144,21 @@ def time_schedule_config(spec: ScheduleBenchConfig, runs: int = 2) -> Dict:
         a2a_stagger=spec.stagger,
         **feature_kwargs,
     )
-    samples: List[float] = []
-    events = 0
-    sim_seconds = 0.0
-    for _ in range(runs):
-        engine = engine_for(
-            spec.mode, config, cluster, workload=workload,
-            features=features, check_memory=False,
-        )
-        start = time.perf_counter()
-        result = engine.run_iteration()
-        samples.append(time.perf_counter() - start)
-        events = result.sim_events
-        sim_seconds = result.seconds
-    median = statistics.median(samples)
-    return {
-        "median_s": median,
-        "best_s": min(samples),
-        "samples": [round(sample, 6) for sample in samples],
-        "sim_seconds": sim_seconds,
-        "events": events,
-        "events_per_s": events / median if median > 0 else 0.0,
-    }
+    return time_iterations(runs, lambda: engine_for(
+        spec.mode, config, cluster, workload=workload,
+        features=features, check_memory=False,
+    ))
 
 
-def run_schedules_suite(
-    configs: Sequence[ScheduleBenchConfig] = SCHEDULE_FULL_CONFIGS,
-    runs: int = 2,
-    calibration: Optional[float] = None,
-) -> Dict:
-    """Time every schedule config and assemble the capture."""
+def _describe(configs: Sequence[ScheduleBenchConfig], runs: int) -> Dict:
     return {
-        "schema": SCHEDULES_SCHEMA,
-        "config": {
-            "model": "MoE-GPT",
-            "experts_per_block": {
-                str(block): count
-                for block, count in sorted(_MIXED_EXPERTS.items())
-            },
-            "machines": _MACHINES,
-            "runs": runs,
+        "model": "MoE-GPT",
+        "experts_per_block": {
+            str(block): count
+            for block, count in sorted(_MIXED_EXPERTS.items())
         },
-        "calibration_s": calibrate() if calibration is None else calibration,
-        "host": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
-        "runs": {
-            spec.key: time_schedule_config(spec, runs=runs)
-            for spec in configs
-        },
+        "machines": _MACHINES,
+        "runs": runs,
     }
 
 
@@ -278,32 +229,30 @@ def check_schedule_wins(current: Dict) -> List[str]:
     return problems
 
 
-def check_schedules_snapshot(
-    current: Dict, snapshot: Dict, tolerance: float = 0.25
-) -> List[str]:
-    """Wall-clock regression gate (calibration-rescaled) + structural wins."""
-    return check_schedule_wins(current) + check_snapshot(
-        current, snapshot, tolerance=tolerance
-    )
+def _speedup(entry: Dict, base: Optional[Dict]) -> str:
+    sim = entry["sim_seconds"]
+    if not base or sim <= 0:
+        return "-"
+    return f"{base['sim_seconds'] / sim:.2f}x"
 
 
-def format_schedules_suite(current: Dict) -> str:
-    """Human-readable table of a capture, with speedups vs the baseline."""
-    runs = current.get("runs", {})
-    base = runs.get("expert-centric", {}).get("sim_seconds")
-    header = (
-        f"{'schedule':<30} {'sim ms/iter':>12} {'vs EC':>7} "
-        f"{'wall ms':>9} {'events':>8}"
-    )
-    lines = [header, "-" * len(header)]
-    for key, entry in runs.items():
-        sim = entry["sim_seconds"]
-        speedup = f"{base / sim:.2f}x" if base and sim > 0 else "-"
-        lines.append(
-            f"{key:<30} {sim * 1e3:>12.2f} {speedup:>7} "
-            f"{entry['median_s'] * 1e3:>9.1f} {entry['events']:>8d}"
-        )
-    lines.append(
-        f"calibration: {current.get('calibration_s', 0.0) * 1e3:.1f} ms"
-    )
-    return "\n".join(lines)
+SUITE = Suite(
+    name="schedules",
+    summary="task-graph schedules on the mixed-R model",
+    schema=SCHEDULES_SCHEMA,
+    snapshot=BENCH_DIR / "BENCH_schedules.json",
+    full=SCHEDULE_FULL_CONFIGS,
+    quick=SCHEDULE_QUICK_CONFIGS,
+    runs=(2, 1),
+    unit="iter",
+    measure=time_schedule_config,
+    describe=_describe,
+    columns=(
+        ("sim ms/iter",
+         lambda entry, _: f"{entry['sim_seconds'] * 1e3:.2f}"),
+        ("vs EC", _speedup),
+        ("events", lambda entry, _: f"{entry['events']:d}"),
+    ),
+    gates=lambda current, snapshot, scale: check_schedule_wins(current),
+    baseline="expert-centric",
+)

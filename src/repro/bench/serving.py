@@ -1,10 +1,9 @@
-"""Benchmark of the request-level serving simulator (``--suite serving``).
+"""``repro bench --suite serving``: the request-level serving simulator.
 
 Replays seeded open-loop traces through :mod:`repro.serving` on both
-topologies and gates on two axes, mirroring the schedules/control suites:
+topologies.  Besides the shared wall-clock gate against
+``benchmarks/BENCH_serving.json``, the suite gates on:
 
-* wall-clock medians against ``benchmarks/BENCH_serving.json`` with the
-  same calibration rescaling as :mod:`repro.bench.speed`, and
 * the **structural serving win**, a pure simulated-time fact: on the
   skewed-popularity trace the disaggregated prefill/decode topology must
   beat the unified topology's p99 per-output-token latency.  Unified
@@ -12,32 +11,19 @@ topologies and gates on two axes, mirroring the schedules/control suites:
   occasionally waits behind a whole prompt (head-of-line blocking);
   dedicated decoders with streamed multi-NIC KV transfer and hot-expert
   pinning keep that out of the tail.  This ordering holds on any host —
-  a violation means the serving model regressed, not a slow runner.
-
-Every run also re-checks completeness (all offered requests finished)
-and, when the snapshot was captured under the same NumPy version,
-bit-reproducibility of the per-request latency digest.
+  a violation means the serving model regressed, not a slow runner;
+* completeness: every run finished all offered requests;
+* when the snapshot was captured under the same NumPy version,
+  bit-reproducibility of the per-request latency digest.
 """
 
 from __future__ import annotations
 
-import statistics
-import sys
-import time
-from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-import numpy as np
-
-from .speed import calibrate, check_snapshot
+from .harness import BENCH_DIR, Suite, time_runs, timing
 
 SERVING_SCHEMA = "janus-repro/bench-serving/v1"
-
-DEFAULT_SERVING_SNAPSHOT_PATH = (
-    Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_serving.json"
-)
 
 # Cluster/model shape shared by every run: the bench-speed MoE-GPT shape
 # on four machines — two prefillers + two decoders when disaggregated.
@@ -120,70 +106,29 @@ def time_serving_config(spec: ServingBenchConfig, runs: int = 1) -> Dict:
     """
     from ..serving import simulate_serving
 
-    samples: List[float] = []
-    summary: Dict = {}
-    digest = ""
-    completed = False
-    for _ in range(runs):
-        start = time.perf_counter()
-        config, cluster, trace, serving = _build_run(spec)
-        result = simulate_serving(config, cluster, trace, serving)
-        samples.append(time.perf_counter() - start)
-        summary = result.summary()
-        digest = result.digest()
-        # Unserved requests keep the -1.0 sentinel completion stamp.
-        completed = bool((result.complete_s >= 0.0).all())
-    median = statistics.median(samples)
+    samples, result = time_runs(
+        runs, lambda _: simulate_serving(*_build_run(spec))
+    )
+    entry = timing(samples)
+    summary = result.summary()
     events = int(summary.get("sim_events", 0))
-    return {
-        "median_s": median,
-        "best_s": min(samples),
-        "samples": [round(sample, 6) for sample in samples],
-        "events": events,
-        "events_per_s": events / median if median > 0 else 0.0,
-        "requests": summary.get("requests", 0),
-        "completed_ok": completed,
-        "makespan_s": summary.get("makespan_s", 0.0),
-        "ttft_p50_ms": summary.get("ttft_p50_ms", 0.0),
-        "ttft_p99_ms": summary.get("ttft_p99_ms", 0.0),
-        "tpot_p50_ms": summary.get("tpot_p50_ms", 0.0),
-        "tpot_p99_ms": summary.get("tpot_p99_ms", 0.0),
-        "slo_attainment": summary.get("slo_attainment", 0.0),
-        "goodput_rps": summary.get("goodput_rps", 0.0),
-        "nic_gb": summary.get("nic_gb", 0.0),
-        "paradigms": summary.get("paradigms", {}),
-        "digest": digest,
-    }
-
-
-def run_serving_suite(
-    configs: Sequence[ServingBenchConfig] = SERVING_FULL_CONFIGS,
-    runs: int = 1,
-    calibration: Optional[float] = None,
-) -> Dict:
-    """Time every serving config and assemble the capture."""
-    return {
-        "schema": SERVING_SCHEMA,
-        "config": {
-            "model": "MoE-GPT",
-            "experts": _EXPERTS,
-            "machines": _MACHINES,
-            "traces": {
-                spec.trace: f"{_TRACES[spec.trace]};requests={spec.requests}"
-                for spec in configs
-            },
-            "runs": runs,
+    entry.update(
+        events=events,
+        events_per_s=events / entry["median_s"],
+        requests=summary.get("requests", 0),
+        # Unserved requests keep the -1.0 sentinel completion stamp.
+        completed_ok=bool((result.complete_s >= 0.0).all()),
+        digest=result.digest(),
+        **{
+            field: summary.get(field, 0.0)
+            for field in (
+                "makespan_s", "ttft_p50_ms", "ttft_p99_ms", "tpot_p50_ms",
+                "tpot_p99_ms", "slo_attainment", "goodput_rps", "nic_gb",
+            )
         },
-        "calibration_s": calibrate() if calibration is None else calibration,
-        "host": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
-        "runs": {
-            spec.key: time_serving_config(spec, runs=runs)
-            for spec in configs
-        },
-    }
+        paradigms=summary.get("paradigms", {}),
+    )
+    return entry
 
 
 def check_serving_wins(current: Dict) -> List[str]:
@@ -214,19 +159,15 @@ def check_serving_wins(current: Dict) -> List[str]:
     return problems
 
 
-def check_serving_snapshot(
-    current: Dict, snapshot: Dict, tolerance: float = 0.25
-) -> List[str]:
-    """Wall gate (calibration-rescaled) + structural win + digest pin.
+def _gates(current: Dict, snapshot: Dict, scale: float) -> List[str]:
+    """The structural win plus the digest pin.
 
     The per-request latency digest is compared only when the snapshot was
     captured under the same NumPy version: the arrival sampler leans on
     ``Generator`` distribution methods whose bit streams NumPy does not
     freeze across releases.
     """
-    problems = check_serving_wins(current) + check_snapshot(
-        current, snapshot, tolerance=tolerance
-    )
+    problems = check_serving_wins(current)
     same_numpy = (
         current.get("host", {}).get("numpy")
         == snapshot.get("host", {}).get("numpy")
@@ -249,24 +190,38 @@ def check_serving_snapshot(
     return problems
 
 
-def format_serving_suite(current: Dict) -> str:
-    """Human-readable table of a capture."""
-    header = (
-        f"{'config':<22} {'p99 TTFT':>9} {'p99 TPOT':>9} {'SLO':>6} "
-        f"{'goodput':>8} {'wall s':>7} {'events/s':>9}"
-    )
-    lines = [header, "-" * len(header)]
-    for key, entry in current.get("runs", {}).items():
-        lines.append(
-            f"{key:<22} "
-            f"{entry['ttft_p99_ms']:>7.2f}ms "
-            f"{entry['tpot_p99_ms']:>7.3f}ms "
-            f"{entry['slo_attainment']:>6.1%} "
-            f"{entry['goodput_rps']:>6.0f}/s "
-            f"{entry['median_s']:>7.2f} "
-            f"{entry['events_per_s']:>9.0f}"
-        )
-    lines.append(
-        f"calibration: {current.get('calibration_s', 0.0) * 1e3:.1f} ms"
-    )
-    return "\n".join(lines)
+def _describe(configs: Sequence[ServingBenchConfig], runs: int) -> Dict:
+    return {
+        "model": "MoE-GPT",
+        "experts": _EXPERTS,
+        "machines": _MACHINES,
+        "traces": {
+            spec.trace: f"{_TRACES[spec.trace]};requests={spec.requests}"
+            for spec in configs
+        },
+        "runs": runs,
+    }
+
+
+SUITE = Suite(
+    name="serving",
+    summary="request-level serving traces on both topologies",
+    schema=SERVING_SCHEMA,
+    snapshot=BENCH_DIR / "BENCH_serving.json",
+    full=SERVING_FULL_CONFIGS,
+    quick=SERVING_QUICK_CONFIGS,
+    # One run per config: the simulated facts are bit-identical across
+    # repeats, and the largest trace replays 50k requests.
+    runs=(1, 1),
+    unit="trace",
+    measure=time_serving_config,
+    describe=_describe,
+    columns=(
+        ("p99 TTFT", lambda entry, _: f"{entry['ttft_p99_ms']:.2f}ms"),
+        ("p99 TPOT", lambda entry, _: f"{entry['tpot_p99_ms']:.3f}ms"),
+        ("SLO", lambda entry, _: f"{entry['slo_attainment']:.1%}"),
+        ("goodput", lambda entry, _: f"{entry['goodput_rps']:.0f}/s"),
+        ("events/s", lambda entry, _: f"{entry['events_per_s']:.0f}"),
+    ),
+    gates=_gates,
+)

@@ -1,42 +1,19 @@
-"""Wall-clock timing of the Fig. 14 simulation configs.
+"""``repro bench --suite sim``: wall-clock time of the Fig. 14 configs.
 
-``time_config`` runs one (model, paradigm) combination ``runs`` times and
-reports the median seconds per simulated iteration plus kernel events per
-host-second.  ``run_suite`` times a list of configs — fanning the
-independent configs out across a :class:`ProcessPoolExecutor` when more
-than one worker is available — and assembles the machine-readable capture
-that ``repro bench --write`` commits to ``benchmarks/BENCH_speed.json``.
-
-Wall-clock numbers are machine-dependent, so the snapshot also stores a
-``calibration_s`` measurement: the time this host needs for a fixed
-kernel-shaped workload (heap churn + small numpy ops).  ``check_snapshot``
-rescales the committed medians by the calibration ratio before applying
-the regression tolerance, which keeps the CI gate meaningful on runners
-faster or slower than the machine that wrote the snapshot.
+Each config is one (model, paradigm) pair on four machines.  A sample is
+one :meth:`JanusEngine.run_iteration` on a fresh engine (construction is
+untimed), reported with kernel events per host-second.  The committed
+snapshot ``benchmarks/BENCH_speed.json`` carries the project's
+wall-clock perf trajectory in its ``history`` list.
 """
 
 from __future__ import annotations
 
-import heapq
-import statistics
-import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
-import numpy as np
+from .harness import BENCH_DIR, Suite, time_iterations
 
 SCHEMA = "janus-repro/bench-speed/v1"
-
-# src/repro/bench/speed.py -> repo root / benchmarks / BENCH_speed.json
-DEFAULT_SNAPSHOT_PATH = (
-    Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_speed.json"
-)
-
-# Calibration scaling is clamped so a wildly mis-measured calibration can
-# not silently absorb a real regression (or invent one).
-_CALIBRATION_SCALE_BOUNDS = (0.2, 5.0)
 
 
 class BenchConfig(NamedTuple):
@@ -67,228 +44,46 @@ QUICK_CONFIGS: Tuple[BenchConfig, ...] = tuple(
 )
 
 
-def _model_config(spec: BenchConfig):
-    from ..config import moe_bert, moe_gpt, moe_transformer_xl
-
-    factories = {
-        "MoE-BERT": moe_bert,
-        "MoE-GPT": moe_gpt,
-        "MoE-Transformer-xl": moe_transformer_xl,
-    }
-    return factories[spec.model](spec.experts)
-
-
 def time_config(spec: BenchConfig, runs: int = 3) -> Dict:
-    """Time ``runs`` cold iterations of one config; report the median.
-
-    Engine and workload construction happen outside the timed region: the
-    number is seconds per :meth:`JanusEngine.run_iteration` (one fresh
-    :class:`Environment` per run), i.e. the simulation loop itself.
-    """
+    """Time ``runs`` cold iterations of one config; report the median."""
     from ..cluster import Cluster
+    from ..config import TABLE1_MODELS
     from ..core import JanusFeatures, build_workload, engine_for
 
-    config = _model_config(spec)
+    config = TABLE1_MODELS[spec.model](spec.experts)
     cluster = Cluster(spec.machines)
     workload = build_workload(config, cluster)
     features = JanusFeatures(topology_aware=True, prefetch=True)
-    samples: List[float] = []
-    events = 0
-    sim_seconds = 0.0
-    for _ in range(runs):
-        engine = engine_for(
-            spec.mode, config, cluster, workload=workload, features=features
-        )
-        start = time.perf_counter()
-        result = engine.run_iteration()
-        samples.append(time.perf_counter() - start)
-        events = result.sim_events
-        sim_seconds = result.seconds
-    median = statistics.median(samples)
+    return time_iterations(runs, lambda: engine_for(
+        spec.mode, config, cluster, workload=workload, features=features
+    ))
+
+
+def _describe(configs: Sequence[BenchConfig], runs: int) -> Dict:
     return {
-        "median_s": median,
-        "best_s": min(samples),
-        "samples": [round(sample, 6) for sample in samples],
-        "sim_seconds": sim_seconds,
-        "events": events,
-        "events_per_s": events / median if median > 0 else 0.0,
+        "experts": configs[0].experts if configs else 0,
+        "machines": configs[0].machines if configs else 0,
+        "features": "full",
+        "runs": runs,
     }
 
 
-def _timed_job(job: Tuple[BenchConfig, int]) -> Tuple[str, Dict]:
-    spec, runs = job
-    return spec.key, time_config(spec, runs=runs)
-
-
-def _calibration_workload() -> float:
-    """Fixed kernel-shaped work: heap churn plus small numpy passes."""
-    heap: list = []
-    for i in range(20000):
-        heapq.heappush(heap, ((i * 2654435761) & 0xFFFF, i))
-    while heap:
-        heapq.heappop(heap)
-    acc = 0.0
-    values = np.arange(2048, dtype=float)
-    for _ in range(200):
-        values = values * 1.0000001
-        acc += float(values[:512].sum())
-    return acc
-
-
-def calibrate(repeat: int = 3) -> float:
-    """Best-of-``repeat`` wall time of the calibration workload."""
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        _calibration_workload()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def run_suite(
-    configs: Sequence[BenchConfig] = FULL_CONFIGS,
-    runs: int = 3,
-    jobs: int = 1,
-    calibration: Optional[float] = None,
-) -> Dict:
-    """Time every config and assemble the bench-speed capture.
-
-    ``jobs > 1`` fans the independent configs out across a process pool;
-    the ``parallel`` section then reports the multi-config scaling (sum of
-    per-worker sample times over elapsed wall time).  With ``jobs == 1``
-    everything runs inline in this process.
-    """
-    jobs = max(1, min(int(jobs), len(configs)))
-    suite_start = time.perf_counter()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(
-                pool.map(_timed_job, [(spec, runs) for spec in configs])
-            )
-    else:
-        results = dict(_timed_job((spec, runs)) for spec in configs)
-    wall_s = time.perf_counter() - suite_start
-    # Keep the run ordering stable regardless of pool completion order.
-    runs_section = {spec.key: results[spec.key] for spec in configs}
-    serial_s = sum(
-        sum(entry["samples"]) for entry in runs_section.values()
-    )
-    return {
-        "schema": SCHEMA,
-        "config": {
-            "experts": configs[0].experts if configs else 0,
-            "machines": configs[0].machines if configs else 0,
-            "features": "full",
-            "runs": runs,
-        },
-        "calibration_s": calibrate() if calibration is None else calibration,
-        "host": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "cpus": _cpu_count(),
-        },
-        "runs": runs_section,
-        "parallel": {
-            "jobs": jobs,
-            "sum_of_samples_s": serial_s,
-            "wall_s": wall_s,
-            "speedup": serial_s / wall_s if wall_s > 0 else 0.0,
-        },
-    }
-
-
-def _cpu_count() -> int:
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def check_snapshot(
-    current: Dict, snapshot: Dict, tolerance: float = 0.25
-) -> List[str]:
-    """Regression check: fresh medians vs the committed snapshot.
-
-    The committed medians are rescaled by the calibration ratio (current
-    host speed over snapshot host speed, clamped) so the gate compares
-    simulator efficiency rather than raw machine speed.  Returns the list
-    of violations (empty = pass).  Configs the current capture did not run
-    (``--quick``) are skipped.
-    """
-    problems = []
-    snap_runs = snapshot.get("runs", {})
-    cur_runs = current.get("runs", {})
-    scale = 1.0
-    snap_cal = snapshot.get("calibration_s")
-    cur_cal = current.get("calibration_s")
-    if snap_cal and cur_cal:
-        low, high = _CALIBRATION_SCALE_BOUNDS
-        scale = min(max(cur_cal / snap_cal, low), high)
-    for key in sorted(cur_runs):
-        if key not in snap_runs:
-            problems.append(f"{key}: not in committed snapshot (run --write)")
-            continue
-        expected = snap_runs[key]["median_s"] * scale
-        actual = cur_runs[key]["median_s"]
-        if actual > expected * (1.0 + tolerance):
-            problems.append(
-                f"{key}: median {actual * 1e3:.1f} ms/run vs allowed "
-                f"{expected * (1.0 + tolerance) * 1e3:.1f} ms/run "
-                f"(snapshot {snap_runs[key]['median_s'] * 1e3:.1f} ms "
-                f"x calibration {scale:.2f} x band {1.0 + tolerance:.2f})"
-            )
-    return problems
-
-
-def write_snapshot(path: Path, current: Dict) -> Dict:
-    """Write ``current`` to ``path``, preserving any existing history.
-
-    The ``history`` list is the wall-clock perf trajectory: each entry is
-    a labelled prior capture (medians and events/sec only).  It is never
-    rewritten by ``--write`` — append entries deliberately when a perf
-    milestone lands.
-    """
-    import json
-
-    history = []
-    if path.exists():
-        try:
-            history = json.loads(path.read_text()).get("history", [])
-        except (ValueError, OSError):
-            history = []
-    payload = dict(current)
-    payload["history"] = history
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return payload
-
-
-def format_suite(current: Dict) -> str:
-    """Human-readable table of a capture."""
-    lines = []
-    header = (
-        f"{'config':<34} {'median ms/run':>14} {'best':>9} "
-        f"{'events':>8} {'events/s':>11}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for key, entry in current.get("runs", {}).items():
-        lines.append(
-            f"{key:<34} {entry['median_s'] * 1e3:>14.1f} "
-            f"{entry['best_s'] * 1e3:>9.1f} {entry['events']:>8d} "
-            f"{entry['events_per_s']:>11.0f}"
-        )
-    parallel = current.get("parallel")
-    if parallel:
-        lines.append(
-            f"parallel: {parallel['jobs']} worker(s), "
-            f"{parallel['sum_of_samples_s']:.2f} s of runs in "
-            f"{parallel['wall_s']:.2f} s wall "
-            f"({parallel['speedup']:.2f}x scaling)"
-        )
-    lines.append(
-        f"calibration: {current.get('calibration_s', 0.0) * 1e3:.1f} ms "
-        f"(host {current.get('host', {}).get('cpus', '?')} cpu(s))"
-    )
-    return "\n".join(lines)
+SUITE = Suite(
+    name="sim",
+    summary="Fig. 14 simulator configs",
+    schema=SCHEMA,
+    snapshot=BENCH_DIR / "BENCH_speed.json",
+    full=FULL_CONFIGS,
+    quick=QUICK_CONFIGS,
+    # One sample of a sub-second iteration is scheduler noise; three
+    # give the quick CI gate a median.
+    runs=(3, 3),
+    unit="iter",
+    measure=time_config,
+    describe=_describe,
+    columns=(
+        ("best", lambda entry, _: f"{entry['best_s'] * 1e3:.1f}"),
+        ("events", lambda entry, _: f"{entry['events']:d}"),
+        ("events/s", lambda entry, _: f"{entry['events_per_s']:.0f}"),
+    ),
+)

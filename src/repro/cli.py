@@ -19,11 +19,10 @@ Commands:
   percentiles, goodput and SLO attainment.
 * ``chaos``    — sweep pull-loss rates across paradigms and report
   iteration time, retries and stale fallbacks (graceful degradation).
-* ``bench``    — wall-clock benchmarks with regression gates:
-  ``--suite sim`` times the simulator per Fig.-14 config against
-  ``benchmarks/BENCH_speed.json``; ``--suite runtime`` times numerical
-  trainer steps (sorted dispatch, both paradigms) against
-  ``benchmarks/BENCH_runtime.json``.
+* ``bench``    — wall-clock benchmarks with regression gates, one per
+  suite of ``repro.bench.SUITES`` (the Fig.-14 simulator configs,
+  numerical trainer steps, task-graph schedules, adaptive control,
+  serving, weak scaling), each against its ``benchmarks/BENCH_*.json``.
 * ``graph``    — build, validate and export the iteration's task graph
   (Graphviz DOT / structural JSON) without running it.
 * ``table1``   — regenerate the paper's Table 1 traffic comparison.
@@ -549,124 +548,29 @@ def cmd_chaos(args) -> int:
     return 0
 
 
-def _bench_capture(args, suite: str):
-    """Run one bench suite ("sim" or "runtime"); return (capture, path)."""
-    from .bench import (
-        CONTROL_FULL_CONFIGS,
-        CONTROL_QUICK_CONFIGS,
-        DEFAULT_CONTROL_SNAPSHOT_PATH,
-        DEFAULT_RUNTIME_SNAPSHOT_PATH,
-        DEFAULT_SCALE_SNAPSHOT_PATH,
-        DEFAULT_SCHEDULES_SNAPSHOT_PATH,
-        DEFAULT_SNAPSHOT_PATH,
-        FULL_CONFIGS,
-        QUICK_CONFIGS,
-        RUNTIME_FULL_CONFIGS,
-        RUNTIME_QUICK_CONFIGS,
-        SCALE_FULL_CONFIGS,
-        SCALE_QUICK_CONFIGS,
-        SCHEDULE_FULL_CONFIGS,
-        SCHEDULE_QUICK_CONFIGS,
-        SERVING_FULL_CONFIGS,
-        SERVING_QUICK_CONFIGS,
-        DEFAULT_SERVING_SNAPSHOT_PATH,
-        format_control_suite,
-        format_runtime_suite,
-        format_scale_suite,
-        format_schedules_suite,
-        format_serving_suite,
-        format_suite,
-        run_control_suite,
-        run_runtime_suite,
-        run_scale_suite,
-        run_schedules_suite,
-        run_serving_suite,
-        run_suite,
-    )
-
-    if suite == "control":
-        configs = (
-            CONTROL_QUICK_CONFIGS if args.quick else CONTROL_FULL_CONFIGS
-        )
-        # Every config is a full multi-iteration drift schedule, so one
-        # run per config is already a stable median.
-        runs = args.runs if args.runs is not None else 1
-        current = run_control_suite(configs, runs=runs)
-        print(format_control_suite(current))
-        return current, DEFAULT_CONTROL_SNAPSHOT_PATH
-    if suite == "schedules":
-        configs = (
-            SCHEDULE_QUICK_CONFIGS if args.quick else SCHEDULE_FULL_CONFIGS
-        )
-        runs = args.runs if args.runs is not None else (1 if args.quick else 2)
-        current = run_schedules_suite(configs, runs=runs)
-        print(format_schedules_suite(current))
-        return current, DEFAULT_SCHEDULES_SNAPSHOT_PATH
-    if suite == "serving":
-        configs = (
-            SERVING_QUICK_CONFIGS if args.quick else SERVING_FULL_CONFIGS
-        )
-        # One run per config: the simulated facts are bit-identical
-        # across repeats, and the largest trace replays 50k requests.
-        runs = args.runs if args.runs is not None else 1
-        current = run_serving_suite(configs, runs=runs)
-        print(format_serving_suite(current))
-        return current, DEFAULT_SERVING_SNAPSHOT_PATH
-    if suite == "scale":
-        configs = SCALE_QUICK_CONFIGS if args.quick else SCALE_FULL_CONFIGS
-        # Per-config sample counts (small points triple-sample, the
-        # 128-machine point is its own noise floor) unless overridden.
-        runs = args.runs if args.runs is not None else 0
-        current = run_scale_suite(configs, runs=runs)
-        print(format_scale_suite(current))
-        return current, DEFAULT_SCALE_SNAPSHOT_PATH
-    if suite == "sim":
-        configs = QUICK_CONFIGS if args.quick else FULL_CONFIGS
-        runs = args.runs if args.runs is not None else (1 if args.quick else 3)
-        jobs = args.jobs
-        if jobs is None:
-            import os
-
-            try:
-                jobs = len(os.sched_getaffinity(0))
-            except AttributeError:
-                jobs = os.cpu_count() or 1
-        current = run_suite(configs, runs=runs, jobs=jobs)
-        print(format_suite(current))
-        return current, DEFAULT_SNAPSHOT_PATH
-    configs = RUNTIME_QUICK_CONFIGS if args.quick else RUNTIME_FULL_CONFIGS
-    runs = args.runs if args.runs is not None else (2 if args.quick else 3)
-    current = run_runtime_suite(configs, runs=runs, dtype=args.dtype)
-    print(format_runtime_suite(current))
-    return current, DEFAULT_RUNTIME_SNAPSHOT_PATH
-
-
 def cmd_bench(args) -> int:
-    """Wall-clock benchmarks: the simulator (``BENCH_speed.json``) and the
-    numerical runtime (``BENCH_runtime.json``)."""
+    """Time each selected suite of :data:`repro.bench.SUITES`, then write
+    its snapshot or check the capture against it; exit with the worst
+    suite's code (1 = regression, 2 = missing snapshot)."""
     import json
 
-    from .bench import (
-        check_control_snapshot,
-        check_scale_snapshot,
-        check_schedules_snapshot,
-        check_serving_snapshot,
-        check_snapshot,
-        write_snapshot,
-    )
+    from .bench import SUITES, capture, format_capture, write_snapshot
+    from .tensorlib import default_dtype
 
-    suites = (
-        ("sim", "runtime", "schedules", "control", "serving", "scale")
-        if args.suite == "all"
-        else (args.suite,)
-    )
-    if len(suites) > 1 and (args.path is not None or args.out is not None):
+    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
+    if len(names) > 1 and (args.path is not None or args.out is not None):
         print("--path/--out are ambiguous with --suite all", file=sys.stderr)
         return 2
     worst = 0
-    for suite in suites:
-        current, default_path = _bench_capture(args, suite)
-        path = Path(args.path) if args.path is not None else default_path
+    for name in names:
+        suite = SUITES[name]
+        configs = suite.quick if args.quick else suite.full
+        full_runs, quick_runs = suite.runs
+        runs = args.runs or (quick_runs if args.quick else full_runs)
+        with default_dtype(args.dtype):
+            current = capture(suite, configs, runs)
+        print(format_capture(suite, current))
+        path = args.path or suite.snapshot
         if args.out is not None:
             Path(args.out).write_text(
                 json.dumps(current, indent=1, sort_keys=True) + "\n"
@@ -677,33 +581,13 @@ def cmd_bench(args) -> int:
             print(
                 f"snapshot written to {path} ({len(current['runs'])} configs)"
             )
-            continue
-        if args.check:
-            if not path.exists():
-                print(
-                    f"no snapshot at {path}; run --write first",
-                    file=sys.stderr,
-                )
-                return 2
-            snapshot = json.loads(path.read_text())
-            # The schedules/control suites also gate on simulated-time wins.
-            checker = {
-                "schedules": check_schedules_snapshot,
-                "control": check_control_snapshot,
-                "serving": check_serving_snapshot,
-                "scale": check_scale_snapshot,
-            }.get(suite, check_snapshot)
-            problems = checker(current, snapshot, tolerance=args.tolerance)
-            snap_dtype = snapshot.get("config", {}).get("dtype")
-            cur_dtype = current.get("config", {}).get("dtype")
-            if snap_dtype != cur_dtype:
-                # float32 runs ~2x faster; comparing across dtypes would
-                # either mask or fake a regression.
-                problems.insert(
-                    0,
-                    f"dtype mismatch: capture is {cur_dtype}, snapshot is "
-                    f"{snap_dtype} (timings are not comparable)",
-                )
+        elif args.check and not path.exists():
+            print(f"no snapshot at {path}; run --write first", file=sys.stderr)
+            worst = max(worst, 2)
+        elif args.check:
+            problems = suite.check(
+                current, json.loads(path.read_text()), args.tolerance
+            )
             if problems:
                 print(
                     f"bench regression ({len(problems)} config(s)):",
@@ -712,11 +596,11 @@ def cmd_bench(args) -> int:
                 for line in problems:
                     print(f"  {line}", file=sys.stderr)
                 worst = max(worst, 1)
-                continue
-            print(
-                f"bench OK: {len(current['runs'])} config(s) within "
-                f"{args.tolerance:.0%} of {path.name}"
-            )
+            else:
+                print(
+                    f"bench OK: {len(current['runs'])} config(s) within "
+                    f"{args.tolerance:.0%} of {path.name}"
+                )
     return worst
 
 
@@ -971,31 +855,26 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fault-plan RNG seed")
     chaos.set_defaults(func=cmd_chaos)
 
+    from .bench import SUITES
+
     bench = sub.add_parser(
         "bench", help="wall-clock benchmark of the simulator / runtime"
     )
-    bench.add_argument("--suite",
-                       choices=("sim", "runtime", "schedules", "control",
-                                "serving", "scale", "all"),
-                       default="sim",
-                       help="sim = simulator configs (BENCH_speed.json); "
-                            "runtime = numerical trainer steps "
-                            "(BENCH_runtime.json); schedules = task-graph "
-                            "schedules on the mixed-R model "
-                            "(BENCH_schedules.json); control = adaptive "
-                            "controller vs static paradigms under drift "
-                            "(BENCH_control.json); serving = request-level "
-                            "serving traces on both topologies "
-                            "(BENCH_serving.json); scale = weak-scaling "
-                            "sweep 8-128 machines (BENCH_scale.json); "
-                            "all = every suite")
+    bench.add_argument(
+        "--suite", choices=(*SUITES, "all"), default="sim",
+        help="; ".join(
+            f"{name} = {suite.summary}" for name, suite in SUITES.items()
+        ) + "; all = every suite",
+    )
     bench.add_argument("--quick", action="store_true",
-                       help="CI smoke subset (MoE-GPT, 3 paradigms)")
-    bench.add_argument("--runs", type=_positive_int, default=None,
-                       help="timed runs per config (default 3; 1 in --quick)")
-    bench.add_argument("--jobs", type=_positive_int, default=None,
-                       help="worker processes for the multi-config fan-out "
-                            "(default: available cpus; sim suite only)")
+                       help="each suite's CI smoke subset of configs")
+    bench.add_argument(
+        "--runs", type=_positive_int, default=None,
+        help="timed runs per config (default full/quick: " + ", ".join(
+            f"{name} {suite.runs[0]}/{suite.runs[1]}"
+            for name, suite in SUITES.items()
+        ) + "; 0 = each config's own count)",
+    )
     bench.add_argument("--dtype", choices=("float64", "float32"),
                        default="float64",
                        help="runtime-suite tensor dtype; float32 is an "
@@ -1005,15 +884,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the committed snapshot (preserves history)")
     bench.add_argument("--check", action="store_true",
                        help="fail when a median regresses past --tolerance "
-                            "vs the committed snapshot")
+                            "vs the committed snapshot, or a suite's "
+                            "structural gate fails")
     bench.add_argument("--tolerance", type=float, default=0.25,
                        help="relative regression band for --check")
     bench.add_argument("--out", default=None, metavar="PATH",
                        help="also dump the fresh capture JSON here")
     bench.add_argument(
         "--path", type=Path, default=None,
-        help="snapshot location (default benchmarks/BENCH_speed.json, "
-             "BENCH_runtime.json or BENCH_schedules.json per --suite)",
+        help="snapshot location (default benchmarks/<file> per --suite: "
+             + ", ".join(
+                 f"{suite.snapshot.name} ({name})"
+                 for name, suite in SUITES.items()
+             ) + ")",
     )
     bench.set_defaults(func=cmd_bench)
 

@@ -11,17 +11,17 @@ import json
 
 import pytest
 
-from repro.bench import (
+from repro.bench import SUITES, capture, format_capture
+from repro.bench.runtime_speed import (
     RUNTIME_FULL_CONFIGS,
     RUNTIME_QUICK_CONFIGS,
     RUNTIME_SCHEMA,
     RuntimeBenchConfig,
-    check_snapshot,
-    format_runtime_suite,
-    run_runtime_suite,
+    _runtime_model_config,
     time_runtime_config,
 )
-from repro.bench.runtime_speed import _runtime_model_config
+
+RUNTIME = SUITES["runtime"]
 
 
 def _capture(median_s, calibration_s=0.010, dtype="float64",
@@ -91,27 +91,27 @@ class TestTimeRuntimeConfig:
 class TestRunRuntimeSuite:
     def test_capture_schema(self):
         spec = RuntimeBenchConfig("trainer-small", "expert-centric")
-        current = run_runtime_suite([spec], runs=1, warmup=0)
+        current = capture(RUNTIME, [spec], runs=1)
         assert current["schema"] == RUNTIME_SCHEMA
         assert current["config"]["dtype"] == "float64"
         assert current["calibration_s"] > 0
         assert current["host"]["cpus"] >= 1
         assert spec.key in current["runs"]
         assert current["wall_s"] > 0
-        text = format_runtime_suite(current)
+        text = format_capture(RUNTIME, current)
         assert spec.key in text
         assert "float64" in text
 
 
 class TestRuntimeGate:
-    """check_snapshot is shared with the simulator suite; these pin the
-    runtime-shaped payloads through the same gate."""
+    """The median gate is shared with every suite; these pin the
+    runtime-shaped payloads through it and the dtype guard."""
 
     def test_pass_at_parity(self):
-        assert check_snapshot(_capture(0.1), _capture(0.1)) == []
+        assert RUNTIME.check(_capture(0.1), _capture(0.1)) == []
 
     def test_flags_regression(self):
-        problems = check_snapshot(
+        problems = RUNTIME.check(
             _capture(0.2), _capture(0.1), tolerance=0.25
         )
         assert len(problems) == 1
@@ -120,7 +120,7 @@ class TestRuntimeGate:
     def test_calibration_rescales(self):
         snap = _capture(0.100, calibration_s=0.010)
         cur = _capture(0.200, calibration_s=0.020)
-        assert check_snapshot(cur, snap, tolerance=0.25) == []
+        assert RUNTIME.check(cur, snap, tolerance=0.25) == []
 
 
 class TestRuntimeBenchCli:

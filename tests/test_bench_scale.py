@@ -2,28 +2,28 @@
 
 Wall-clock numbers are host-dependent, so the gates are exercised on
 synthetic captures: the host-independent per-event growth law, the
-calibration-rescaled median gate, and the absolute top-point iteration
-budget.  One live smoke run covers the timing path end to end at a tiny
-fleet size.
+median gate, and the calibration-rescaled top-point iteration budget.
+One live smoke run covers the timing path end to end at a tiny fleet
+size.
 """
 
 import json
 
 import pytest
 
-from repro.bench import (
+from repro.bench import SUITES, format_capture
+from repro.bench.scale import (
     MAX_PER_EVENT_GROWTH,
     SCALE_FULL_CONFIGS,
     SCALE_QUICK_CONFIGS,
     SCALE_SCHEMA,
     TOP_ITERATION_BUDGET_S,
     ScaleBenchConfig,
-    check_scale_snapshot,
     check_scale_structure,
-    format_scale_suite,
     time_scale_config,
 )
-from repro.bench.scale import DEFAULT_SCALE_SNAPSHOT_PATH
+
+SCALE = SUITES["scale"]
 
 
 def _entry(machines, per_event_us, events=10_000, iterations=1):
@@ -120,12 +120,12 @@ class TestStructureGate:
 class TestSnapshotGate:
     def test_identical_capture_passes(self):
         capture = _capture()
-        assert check_scale_snapshot(capture, capture) == []
+        assert SCALE.check(capture, capture) == []
 
     def test_regressed_median_fails(self):
         snapshot = _capture()
         current = _capture(per_event=(9.0, 9.9, 10.8))
-        problems = check_scale_snapshot(current, snapshot, tolerance=0.25)
+        problems = SCALE.check(current, snapshot, tolerance=0.25)
         assert any("s/iter" in p for p in problems)
 
     def test_calibration_rescale_absorbs_a_slow_host(self):
@@ -134,12 +134,12 @@ class TestSnapshotGate:
         current = _capture(
             per_event=(9.0, 9.9, 10.8), calibration_s=0.036
         )
-        assert check_scale_snapshot(current, snapshot, tolerance=0.25) == []
+        assert SCALE.check(current, snapshot, tolerance=0.25) == []
 
     def test_missing_key_is_reported(self):
         snapshot = _capture(machines=(8, 32), per_event=(5.0, 5.5))
         current = _capture()
-        problems = check_scale_snapshot(current, snapshot)
+        problems = SCALE.check(current, snapshot)
         assert any("not in committed snapshot" in p for p in problems)
 
     def test_top_point_budget_fails_when_blown(self):
@@ -147,24 +147,24 @@ class TestSnapshotGate:
         slow = 2 * TOP_ITERATION_BUDGET_S * 1e6 / 692_000  # us/event
         current = _capture(per_event=(5.0, 5.5, slow))
         # Inflate tolerance so only the absolute budget can trip.
-        problems = check_scale_snapshot(current, capture, tolerance=100.0)
+        problems = SCALE.check(current, capture, tolerance=100.0)
         assert any("budget" in p for p in problems)
 
 
 class TestCommittedSnapshot:
     def test_snapshot_exists_and_is_committed(self):
-        assert DEFAULT_SCALE_SNAPSHOT_PATH.exists()
-        snapshot = json.loads(DEFAULT_SCALE_SNAPSHOT_PATH.read_text())
+        assert SCALE.snapshot.exists()
+        snapshot = json.loads(SCALE.snapshot.read_text())
         assert snapshot["schema"] == SCALE_SCHEMA
         assert len(snapshot["runs"]) == len(SCALE_FULL_CONFIGS)
 
     def test_committed_snapshot_passes_its_own_gates(self):
-        snapshot = json.loads(DEFAULT_SCALE_SNAPSHOT_PATH.read_text())
+        snapshot = json.loads(SCALE.snapshot.read_text())
         assert check_scale_structure(snapshot) == []
-        assert check_scale_snapshot(snapshot, snapshot) == []
+        assert SCALE.check(snapshot, snapshot) == []
 
     def test_committed_top_point_crosses_a_million_events(self):
-        snapshot = json.loads(DEFAULT_SCALE_SNAPSHOT_PATH.read_text())
+        snapshot = json.loads(SCALE.snapshot.read_text())
         top = max(
             snapshot["runs"].values(), key=lambda entry: entry["machines"]
         )
@@ -182,7 +182,7 @@ class TestLiveSmoke:
         assert entry["median_s"] == pytest.approx(entry["best_s"])
 
     def test_format_suite_renders_growth_column(self):
-        table = format_scale_suite(_capture())
+        table = format_capture(SCALE, _capture())
         assert "us/event" in table
         assert "1.00x" in table
         assert "128" in table

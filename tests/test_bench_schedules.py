@@ -5,17 +5,17 @@ schema, key formatting, and the two gate layers (structural simulated-time
 wins + calibration-rescaled medians) on synthetic captures.
 """
 
-from repro.bench import (
+from repro.bench import SUITES, capture, format_capture
+from repro.bench.schedules import (
     SCHEDULE_FULL_CONFIGS,
     SCHEDULE_QUICK_CONFIGS,
     SCHEDULES_SCHEMA,
     ScheduleBenchConfig,
     check_autotune_win,
     check_schedule_wins,
-    check_schedules_snapshot,
-    format_schedules_suite,
-    run_schedules_suite,
 )
+
+SCHEDULES = SUITES["schedules"]
 
 
 def _entry(sim_seconds, median_s=0.1):
@@ -142,24 +142,24 @@ class TestSnapshotGate:
         # Wall regression (4x slower) AND a lost schedule win.
         current = _capture(ec_sim=0.14, micro_sim=0.20)
         current["runs"]["expert-centric"]["median_s"] = 0.4
-        problems = check_schedules_snapshot(current, snap, tolerance=0.25)
+        problems = SCHEDULES.check(current, snap, tolerance=0.25)
         assert any("does not beat" in p for p in problems)
         assert any("expert-centric: median" in p for p in problems)
 
     def test_pass_at_parity(self):
         snap = _capture()
-        assert check_schedules_snapshot(_capture(), snap) == []
+        assert SCHEDULES.check(_capture(), snap) == []
 
 
 class TestLiveCapture:
     def test_quick_suite_runs_and_formats(self):
         spec = ScheduleBenchConfig("expert-centric")
-        current = run_schedules_suite([spec], runs=1)
+        current = capture(SCHEDULES, [spec], runs=1)
         assert current["schema"] == SCHEDULES_SCHEMA
         assert current["config"]["machines"] == 4
         entry = current["runs"][spec.key]
         assert entry["sim_seconds"] > 0
         assert entry["events"] > 0
-        text = format_schedules_suite(current)
+        text = format_capture(SCHEDULES, current)
         assert "expert-centric" in text
         assert "1.00x" in text  # baseline compares to itself

@@ -9,17 +9,17 @@ One live smoke run covers the capture path end to end.
 
 import numpy as np
 
-from repro.bench import (
+from repro.bench import SUITES, capture, format_capture
+from repro.bench.serving import (
     SERVING_FULL_CONFIGS,
     SERVING_QUICK_CONFIGS,
     SERVING_SCHEMA,
     ServingBenchConfig,
-    check_serving_snapshot,
     check_serving_wins,
-    format_serving_suite,
-    run_serving_suite,
     time_serving_config,
 )
+
+SERVING = SUITES["serving"]
 
 
 def _entry(tpot_p99, median_s=0.5, requests=8000,
@@ -104,36 +104,36 @@ class TestStructuralWins:
 class TestSnapshotGate:
     def test_pass_at_parity(self):
         snap = _capture()
-        assert check_serving_snapshot(_capture(), snap) == []
+        assert SERVING.check(_capture(), snap) == []
 
     def test_wall_regression_is_flagged(self):
         snap = _capture()
         current = _capture(median_s=2.5)
-        problems = check_serving_snapshot(current, snap, tolerance=0.25)
+        problems = SERVING.check(current, snap, tolerance=0.25)
         assert any("median" in p for p in problems)
 
     def test_digest_mismatch_flagged_under_same_numpy(self):
         snap = _capture()
         current = _capture(digest="e" * 64)
-        problems = check_serving_snapshot(current, snap)
+        problems = SERVING.check(current, snap)
         assert any("bit-reproducible" in p for p in problems)
 
     def test_digest_skipped_across_numpy_versions(self):
         snap = _capture(numpy_version="0.0.1")
         current = _capture(digest="e" * 64)
-        assert check_serving_snapshot(current, snap) == []
+        assert SERVING.check(current, snap) == []
 
     def test_digest_skipped_when_request_counts_differ(self):
         # --quick replays shorter traces under the same keys.
         snap = _capture(requests=50_000)
         current = _capture(requests=8_000, digest="e" * 64)
-        assert check_serving_snapshot(current, snap) == []
+        assert SERVING.check(current, snap) == []
 
 
 class TestLiveCapture:
     def test_tiny_suite_runs_and_formats(self):
         spec = ServingBenchConfig("skewed", "unified", 400)
-        current = run_serving_suite([spec], runs=1, calibration=0.020)
+        current = capture(SERVING, [spec], runs=1, calibration=0.020)
         assert current["schema"] == SERVING_SCHEMA
         assert current["config"]["machines"] == 4
         assert "requests=400" in current["config"]["traces"]["skewed"]
@@ -142,7 +142,7 @@ class TestLiveCapture:
         assert entry["requests"] == 400
         assert entry["events"] > 0
         assert len(entry["digest"]) == 64
-        text = format_serving_suite(current)
+        text = format_capture(SERVING, current)
         assert "skewed/unified" in text
         assert "calibration" in text
 

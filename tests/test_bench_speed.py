@@ -1,4 +1,5 @@
-"""Tests for the wall-clock benchmark harness (``repro.bench``).
+"""Tests for the sim suite (``repro bench --suite sim``) and the shared
+harness it runs on.
 
 The harness measures *host* time, so no test pins absolute numbers; they
 cover the capture schema, the calibration-scaled regression gate, history
@@ -9,17 +10,11 @@ import json
 
 import pytest
 
-from repro.bench import (
-    QUICK_CONFIGS,
-    SCHEMA,
-    BenchConfig,
-    check_snapshot,
-    format_suite,
-    run_suite,
-    time_config,
-    write_snapshot,
-)
-from repro.bench.speed import _CALIBRATION_SCALE_BOUNDS
+from repro.bench import SUITES, capture, format_capture, write_snapshot
+from repro.bench.harness import CALIBRATION_SCALE_BOUNDS
+from repro.bench.speed import QUICK_CONFIGS, SCHEMA, BenchConfig, time_config
+
+SIM = SUITES["sim"]
 
 
 def _capture(median_s, calibration_s=0.010, key="MoE-GPT/data-centric"):
@@ -56,18 +51,15 @@ class TestTimeConfig:
 class TestRunSuite:
     def test_capture_schema(self):
         spec = BenchConfig("MoE-GPT", "expert-centric")
-        current = run_suite([spec], runs=1, jobs=1)
+        current = capture(SIM, [spec], runs=1)
         assert current["schema"] == SCHEMA
         assert current["config"]["experts"] == spec.experts
         assert current["calibration_s"] > 0
         assert current["host"]["cpus"] >= 1
         assert spec.key in current["runs"]
-        parallel = current["parallel"]
-        assert parallel["jobs"] == 1
-        assert parallel["wall_s"] > 0
-        assert parallel["speedup"] > 0
+        assert current["wall_s"] > 0
         # The table renderer accepts the capture.
-        text = format_suite(current)
+        text = format_capture(SIM, current)
         assert spec.key in text
         assert "calibration" in text
 
@@ -79,12 +71,12 @@ class TestCheckSnapshot:
     def test_pass_when_at_parity(self):
         snap = _capture(0.100)
         cur = _capture(0.100)
-        assert check_snapshot(cur, snap, tolerance=0.25) == []
+        assert SIM.check(cur, snap, tolerance=0.25) == []
 
     def test_flags_regression_beyond_tolerance(self):
         snap = _capture(0.100)
         cur = _capture(0.130)
-        problems = check_snapshot(cur, snap, tolerance=0.25)
+        problems = SIM.check(cur, snap, tolerance=0.25)
         assert len(problems) == 1
         assert "MoE-GPT/data-centric" in problems[0]
 
@@ -93,19 +85,19 @@ class TestCheckSnapshot:
         # doubles, medians double, gate passes.
         snap = _capture(0.100, calibration_s=0.010)
         cur = _capture(0.200, calibration_s=0.020)
-        assert check_snapshot(cur, snap, tolerance=0.25) == []
+        assert SIM.check(cur, snap, tolerance=0.25) == []
 
     def test_calibration_scale_is_clamped(self):
         # A wildly slow calibration cannot absorb a 100x regression.
-        low, high = _CALIBRATION_SCALE_BOUNDS
+        low, high = CALIBRATION_SCALE_BOUNDS
         snap = _capture(0.100, calibration_s=0.010)
         cur = _capture(0.100 * high * 2, calibration_s=0.010 * high * 100)
-        assert check_snapshot(cur, snap, tolerance=0.25)
+        assert SIM.check(cur, snap, tolerance=0.25)
 
     def test_configs_missing_from_snapshot_are_reported(self):
         snap = _capture(0.100, key="MoE-GPT/unified")
         cur = _capture(0.100)  # data-centric, absent from snapshot
-        problems = check_snapshot(cur, snap, tolerance=0.25)
+        problems = SIM.check(cur, snap, tolerance=0.25)
         assert "not in committed snapshot" in problems[0]
 
     def test_quick_capture_skips_unrun_configs(self):
@@ -114,7 +106,7 @@ class TestCheckSnapshot:
             snap["runs"]["MoE-GPT/data-centric"]
         )
         cur = _capture(0.100)
-        assert check_snapshot(cur, snap, tolerance=0.25) == []
+        assert SIM.check(cur, snap, tolerance=0.25) == []
 
 
 class TestWriteSnapshot:
@@ -142,8 +134,7 @@ class TestBenchCli:
 
         path = tmp_path / "BENCH_speed.json"
         args = [
-            "bench", "--quick", "--runs", "1", "--jobs", "1",
-            "--path", str(path),
+            "bench", "--quick", "--runs", "1", "--path", str(path),
         ]
         assert main(args + ["--write"]) == 0
         assert path.exists()
@@ -155,6 +146,6 @@ class TestBenchCli:
         from repro.cli import main
 
         assert main([
-            "bench", "--quick", "--runs", "1", "--jobs", "1",
+            "bench", "--quick", "--runs", "1",
             "--check", "--path", str(tmp_path / "missing.json"),
         ]) == 2
