@@ -10,11 +10,7 @@ Run:  python examples/paradigm_planner.py
 
 from repro.analysis import format_table
 from repro.config import moe_bert, moe_gpt, moe_transformer_xl, pr_moe_transformer_xl
-from repro.core import (
-    estimate_data_centric,
-    estimate_expert_centric,
-    profile_model,
-)
+from repro.core import estimate_strategies, profile_model
 from repro.units import GIB
 
 
@@ -42,10 +38,10 @@ def plan(config, num_machines, workers_per_machine=8):
         rows,
     ))
 
-    for label, estimate in (
-        ("expert-centric", estimate_expert_centric(config, world)),
-        ("data-centric", estimate_data_centric(config, world)),
-    ):
+    for label in ("expert-centric", "data-centric"):
+        estimate = estimate_strategies(
+            config, world, {label: config.num_moe_blocks}
+        )
         verdict = "OOM on 80GB A100!" if estimate.total > 80 * GIB else "fits"
         print(f"memory/{label}: {estimate.total / GIB:6.1f} GiB  ({verdict})")
 

@@ -55,8 +55,7 @@ from .core import (
     JanusFeatures,
     engine_for,
     engine_modes,
-    estimate_data_centric,
-    estimate_expert_centric,
+    estimate_strategies,
     profile_model,
     strategy_names,
 )
@@ -189,10 +188,10 @@ def cmd_plan(args) -> int:
     print(format_table(
         ["Block", "#Experts", "E", "R", "Paradigm", "EC GB", "DC GB"], rows,
     ))
-    for label, estimate in (
-        ("expert-centric", estimate_expert_centric(config, world)),
-        ("data-centric", estimate_data_centric(config, world)),
-    ):
+    for label in ("expert-centric", "data-centric"):
+        estimate = estimate_strategies(
+            config, world, {label: config.num_moe_blocks}
+        )
         verdict = "OOM" if estimate.total > 80 * GIB else "fits"
         print(f"memory {label}: {estimate.total / GIB:.1f} GiB ({verdict})")
     return 0

@@ -18,7 +18,6 @@ from .policy import (
     ControlConfig,
     ControlDecision,
     ControlPolicy,
-    CostModel,
     tune_engine_chunks,
 )
 from .signals import BlockLoadSignals, ControlSignals
@@ -31,6 +30,5 @@ __all__ = [
     "ControlPolicy",
     "ControlSignals",
     "Controller",
-    "CostModel",
     "tune_engine_chunks",
 ]

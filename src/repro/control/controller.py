@@ -8,16 +8,17 @@ decision — rewriting the engine's per-block strategy map and replica map,
 emitting ``control.*`` metrics and trace marks.  Everything happens
 *between* iterations: the controller never touches a live simulation.
 
-This module deliberately never imports :mod:`repro.core` at module level,
-so ``repro.core.engine`` can lazily import it (for the
-``DegradationPolicy`` auto-wrap) without a cycle.
+The cost model comes from :mod:`repro.core.paradigm`; ``repro.core``
+imports this package only lazily (the ``DegradationPolicy`` auto-wrap and
+the chunk tuner), so there is no import cycle.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .policy import ControlDecision, ControlPolicy, CostModel
+from ..core.paradigm import CostModel
+from .policy import ControlDecision, ControlPolicy
 from .signals import ControlSignals
 
 __all__ = ["Controller"]
@@ -50,7 +51,9 @@ class Controller:
         iteration = engine.iterations_run
         if self.policy is not None and self._cost_model is None:
             self.policy.attach(dict(engine.block_strategies))
-            self._cost_model = CostModel.from_engine(engine)
+            self._cost_model = CostModel.for_cluster(
+                engine.workload.config, engine.cluster, engine.features
+            )
             if self.policy.config.adapt_chunks:
                 # Arm the engine's per-iteration chunk retune: the engine
                 # re-runs the tuner at every iteration start, which *is*

@@ -26,19 +26,18 @@ rules keep it honest:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.paradigm import CostModel
 from .signals import BlockLoadSignals, ControlSignals
 
 __all__ = [
     "ControlConfig",
     "ControlDecision",
     "ControlPolicy",
-    "CostModel",
     "ChunkPlan",
     "tune_engine_chunks",
 ]
@@ -171,154 +170,6 @@ class ControlConfig:
 
 
 @dataclass(frozen=True)
-class CostModel:
-    """Closed-form per-block iteration-time estimates from *measured* load.
-
-    The same ingredients as Eq. 1 and the ``auto_schedule_map`` selector,
-    but evaluated on the iteration's observed routing aggregates instead of
-    the balanced-routing assumption: the expert-centric estimate pays the
-    measured cross-machine All-to-All bottleneck and the hottest rank's
-    compute (a synchronous collective is paced by its slowest participant),
-    while the data-centric estimate pays the largest per-machine external
-    fetch set — which skew does not inflate.  Absolute accuracy is not the
-    goal; the *ordering* under a hysteresis margin is what the policy
-    consumes (FSMoE-style measured cost modelling).
-    """
-
-    token_bytes: float
-    expert_bytes: float
-    expert_flops: float
-    gpu_flops: float
-    nic_bandwidth: float          # aggregate bytes/s per machine
-    kernel_overhead: float
-    micro_batches: int
-    ec_pipeline_chunks: int
-    nic_latency: float = 0.0      # per-transfer NIC latency (seconds)
-
-    _BACKWARD_TOTAL = 3.0         # fwd + 2x bwd sweeps
-
-    @classmethod
-    def from_engine(cls, engine) -> "CostModel":
-        spec = engine.cluster.spec
-        workload = engine.workload
-        return cls(
-            token_bytes=workload.token_bytes,
-            expert_bytes=workload.expert_bytes,
-            expert_flops=workload.expert_flops,
-            gpu_flops=spec.gpu.effective_flops(workload.config.hidden_dim),
-            nic_bandwidth=spec.num_nics * spec.nic.bandwidth,
-            kernel_overhead=spec.gpu.kernel_overhead,
-            micro_batches=engine.features.micro_batches,
-            ec_pipeline_chunks=engine.features.ec_pipeline_chunks,
-            nic_latency=spec.nic.latency,
-        )
-
-    def _a2a_seconds(self, sig: BlockLoadSignals) -> float:
-        """4 All-to-Alls per iteration (dispatch+combine, fwd and bwd) over
-        the measured cross-machine bottleneck."""
-        return (
-            4.0 * sig.a2a_bottleneck_tokens * self.token_bytes
-            / self.nic_bandwidth
-        )
-
-    def _hot_compute_seconds(self, sig: BlockLoadSignals) -> float:
-        return self._BACKWARD_TOTAL * sig.max_rank_recv * self.expert_flops \
-            / self.gpu_flops
-
-    def chunk_time(self, sig: BlockLoadSignals, chunks: int) -> float:
-        """Estimated fwd+bwd seconds for the block under a K-chunked,
-        compute-overlapped All-to-All schedule (pipelined-ec or
-        microbatch-ec with K micro-batches): the longer of comm and hot
-        compute hides all but one chunk of the shorter, and every extra
-        chunk re-pays the per-expert kernel launch."""
-        sweeps = self._BACKWARD_TOTAL
-        a2a = self._a2a_seconds(sig)
-        hot_compute = self._hot_compute_seconds(sig)
-        launch = sweeps * self.kernel_overhead * sig.experts_per_worker
-        overlapped = (
-            max(a2a, hot_compute)
-            + min(a2a, hot_compute) / chunks
-        )
-        extra_launch = (chunks - 1) * self.kernel_overhead \
-            * sig.experts_per_worker * sweeps
-        return overlapped + launch + extra_launch
-
-    def a2a_chunk_seconds(self, sig: BlockLoadSignals, chunks: int) -> float:
-        """Predicted duration of one dispatch/combine All-to-All chunk
-        (uncontended): the per-phase bottleneck bytes split K ways, plus
-        the send/ack NIC latency every chunked transfer pays regardless
-        of its size."""
-        return (
-            sig.a2a_bottleneck_tokens * self.token_bytes
-            / self.nic_bandwidth / chunks
-            + 2.0 * self.nic_latency
-        )
-
-    def tune_chunks(self, sig: BlockLoadSignals, max_chunks: int = 64) -> int:
-        """Analytic per-block chunk-count optimum over the measured load.
-
-        ``chunk_time`` is convex in K: ``min(a2a, hot)/K`` falls while
-        ``(K-1)·o`` rises (o = per-sweep kernel relaunch cost), so the
-        unconstrained optimum is ``K* = sqrt(min(a2a, hot) / o)``.  The
-        result is clamped to the divisibility/capacity lattice: powers of
-        two (binary-exact splits of the routing matrix, so chunked traffic
-        totals stay bit-identical to the unchunked sum), at most
-        ``max_chunks``, and at most one token per chunk on the hottest
-        rank.  Convexity means only the two lattice neighbours of K* can
-        win; ties break toward fewer chunks.
-        """
-        sweeps = self._BACKWARD_TOTAL
-        overhead = sweeps * self.kernel_overhead * sig.experts_per_worker
-        cap = 1
-        while cap * 2 <= min(max_chunks, max(1, sig.max_rank_recv)):
-            cap *= 2
-        shorter = min(self._a2a_seconds(sig), self._hot_compute_seconds(sig))
-        if shorter <= 0.0:
-            return 1
-        if overhead <= 0.0:
-            return cap
-        optimum = math.sqrt(shorter / overhead)
-        below = 1
-        while below * 2 <= optimum:
-            below *= 2
-        candidates = {min(below, cap), min(below * 2, cap)}
-        return min(candidates, key=lambda k: (self.chunk_time(sig, k), k))
-
-    def estimate(self, sig: BlockLoadSignals, strategy: str) -> float:
-        """Estimated fwd+bwd seconds for ``sig``'s block under ``strategy``."""
-        sweeps = self._BACKWARD_TOTAL
-        a2a = self._a2a_seconds(sig)
-        hot_compute = self._hot_compute_seconds(sig)
-        launch = sweeps * self.kernel_overhead * sig.experts_per_worker
-        if strategy == "expert-centric":
-            return a2a + hot_compute + launch
-        if strategy in ("pipelined-ec", "microbatch-ec"):
-            chunks = (
-                self.ec_pipeline_chunks if strategy == "pipelined-ec"
-                else self.micro_batches
-            )
-            return self.chunk_time(sig, chunks)
-        if strategy == "data-centric":
-            # Fetch the largest external expert set (fwd) and push the
-            # gradients home (bwd); prefetch overlaps roughly half of it
-            # behind dense compute (§5.3).
-            pull = (
-                2.0 * sig.max_external_count * self.expert_bytes
-                / self.nic_bandwidth
-            )
-            # DC computes where the tokens already are: every rank works on
-            # its own routed batch, so compute is the *mean*, not the max.
-            world = max(1, sig.num_experts // sig.experts_per_worker)
-            mean_rank_tokens = sig.tokens_total / world
-            compute = sweeps * mean_rank_tokens * self.expert_flops \
-                / self.gpu_flops
-            launch_dc = sweeps * self.kernel_overhead \
-                * sig.active_experts_per_rank
-            return 0.5 * pull + compute + launch_dc
-        raise ValueError(f"cost model knows no strategy {strategy!r}")
-
-
-@dataclass(frozen=True)
 class ChunkPlan:
     """One chunk-tuning pass over an engine's upcoming iteration.
 
@@ -350,58 +201,35 @@ def tune_engine_chunks(engine, max_chunks: int = 64) -> ChunkPlan:
     uses.  Pipelined-ec blocks get individual ``tune_chunks`` optima;
     microbatch-ec blocks share one global M minimizing the summed estimate.
     """
-    from .signals import BlockLoadSignals
-
-    costs = CostModel.from_engine(engine)
+    costs = CostModel.for_cluster(
+        engine.workload.config, engine.cluster, engine.features
+    )
     layout = engine.workload.layout
     overrides: List[Tuple[int, int]] = []
     predictions: List[Tuple[int, float]] = []
-    micro_sigs: List[BlockLoadSignals] = []
-    micro_blocks: List[int] = []
+    micro_sigs: Dict[int, BlockLoadSignals] = {}
     for block in engine.workload.moe_blocks():
         name = engine.block_strategies.get(block.index)
         if name not in ("pipelined-ec", "microbatch-ec"):
             continue
-        if block.num_experts % layout.world_size != 0:
-            # No whole number of experts per worker (fewer experts than
-            # workers, or an uneven split): the load signals have no
-            # per-worker expert aggregate to tune from — leave the
-            # block on its configured chunk count.
-            continue
         sig = BlockLoadSignals.from_block(block, layout)
-        if name == "pipelined-ec":
-            chunks = costs.tune_chunks(sig, max_chunks=max_chunks)
-            overrides.append((block.index, chunks))
-            predictions.append(
-                (block.index, costs.a2a_chunk_seconds(sig, chunks))
-            )
-        else:
-            micro_sigs.append(sig)
-            micro_blocks.append(block.index)
+        if name == "microbatch-ec":
+            micro_sigs[block.index] = sig
+            continue
+        chunks = costs.tune_chunks(sig, max_chunks=max_chunks)
+        overrides.append((block.index, chunks))
+        predictions.append(
+            (block.index, costs.a2a_chunk_seconds(sig, chunks))
+        )
 
     micro: Optional[int] = None
     if micro_sigs:
-        cap = 1
-        limit = min(
-            max_chunks,
-            max(1, min(sig.max_rank_recv for sig in micro_sigs)),
-        )
-        while cap * 2 <= limit:
-            cap *= 2
-        candidates = []
-        m = 1
-        while m <= cap:
-            candidates.append(m)
-            m *= 2
-        micro = min(
-            candidates,
-            key=lambda k: (
-                sum(costs.chunk_time(sig, k) for sig in micro_sigs), k
-            ),
+        micro = costs.tune_micro_batches(
+            micro_sigs.values(), max_chunks=max_chunks
         )
         predictions.extend(
             (index, costs.a2a_chunk_seconds(sig, micro))
-            for index, sig in zip(micro_blocks, micro_sigs)
+            for index, sig in micro_sigs.items()
         )
     return ChunkPlan(
         block_chunks=tuple(overrides),

@@ -213,6 +213,10 @@ class JanusEngine:
                 "block_strategies must cover exactly the MoE blocks "
                 f"{sorted(moe_indices)}, got {sorted(block_strategies)}"
             )
+        for index in moe_indices:
+            # An uneven expert split has no placement: fail here, not at
+            # the first iteration.
+            workload.placement(index)
         self.block_strategies: Dict[int, str] = {
             index: resolve_strategy_name(spec)
             for index, spec in block_strategies.items()

@@ -33,8 +33,6 @@ from ..netsim.memory import MemoryTracker
 __all__ = [
     "MemoryEstimate",
     "estimate_strategies",
-    "estimate_expert_centric",
-    "estimate_data_centric",
     "check_fits",
     "ACT_TENSORS_PER_BLOCK",
     "EC_A2A_SLACK",
@@ -137,39 +135,6 @@ def estimate_strategies(
         for term in terms:
             extra += term
     return MemoryEstimate(weights, activations, moe_stash, extra)
-
-
-def estimate_mixed(
-    config: ModelConfig,
-    world_size: int,
-    ec_moe_blocks: int,
-    dc_moe_blocks: int,
-    credit_size: int = 2,
-) -> MemoryEstimate:
-    """Estimate when some MoE blocks run expert-centric and some
-    data-centric (the unified engine, §7.5)."""
-    return estimate_strategies(
-        config,
-        world_size,
-        {"expert-centric": ec_moe_blocks, "data-centric": dc_moe_blocks},
-        credit_size=credit_size,
-    )
-
-
-def estimate_expert_centric(
-    config: ModelConfig, world_size: int
-) -> MemoryEstimate:
-    return estimate_mixed(config, world_size, config.num_moe_blocks, 0)
-
-
-def estimate_data_centric(
-    config: ModelConfig,
-    world_size: int,
-    credit_size: int = 2,
-) -> MemoryEstimate:
-    return estimate_mixed(
-        config, world_size, 0, config.num_moe_blocks, credit_size=credit_size
-    )
 
 
 def check_fits(

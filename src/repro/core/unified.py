@@ -15,6 +15,7 @@ the paper:
 * ``pipelined_expert_centric_engine`` — every MoE block uses the chunked,
   compute-overlapped All-to-All;
 * ``unified_engine``        — per-block choice by R (full Janus);
+* ``auto_engine``           — R plus the cost model's micro-batch test;
 * ``strategy_engine``       — every MoE block under any registered strategy.
 """
 
@@ -27,15 +28,19 @@ import numpy as np
 
 from ..cluster import Cluster
 from ..config import ModelConfig
-from ..models.flops import expert_flops_per_token
 from .context import JanusFeatures
 from .engine import JanusEngine
-from .paradigm import Paradigm
+from .paradigm import (
+    CostModel,
+    Paradigm,
+    comm_expert_centric,
+    gain_ratio,
+    select_paradigm,
+)
 from .strategies import resolve_strategy_name, strategy_names
 from .workload import IterationWorkload, build_workload
 
 __all__ = [
-    "paradigm_map",
     "strategy_map",
     "auto_schedule_map",
     "unified_engine",
@@ -65,12 +70,8 @@ def strategy_map(
     block-strategy names, so the selector chooses among N pluggable
     strategies, not a binary enum.
     """
-    from .paradigm import gain_ratio
-
     low = resolve_strategy_name(low_r_strategy)
     high = resolve_strategy_name(high_r_strategy)
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     mapping = {}
     world = cluster.num_machines * cluster.gpus_per_machine
     for index in config.moe_block_indices:
@@ -82,7 +83,8 @@ def strategy_map(
             config.hidden_dim,
             config.experts_per_worker(index, world),
         )
-        mapping[index] = high if ratio > threshold else low
+        paradigm = select_paradigm(ratio, threshold)
+        mapping[index] = high if paradigm is Paradigm.DATA_CENTRIC else low
     return mapping
 
 
@@ -92,69 +94,31 @@ def auto_schedule_map(
     threshold: float = 1.0,
     micro_batches: int = 4,
 ) -> Dict[int, str]:
-    """Per-block schedule selection extending Eq. 1 with the micro-batch
-    pipelining test (task-graph scheduler).
+    """:func:`strategy_map` plus the micro-batch pipelining test.
 
     Blocks with R > ``threshold`` still run data-centric — pipelining
-    cannot beat not moving the tokens at all.  For the low-R blocks the
-    selector estimates one phase's All-to-All time (the Eq. 1 traffic over
-    the machine's aggregate NIC bandwidth) and expert-compute time, and
-    picks ``microbatch-ec`` when the overlap win —
-    ``min(comm, compute) * (1 - 1/M)`` — exceeds the pipelining cost of
-    ``(M-1)`` extra kernel-launch sweeps; otherwise the plain synchronous
-    ``expert-centric`` block is kept.
+    cannot beat not moving the tokens at all.  A low-R block runs
+    ``microbatch-ec`` when :meth:`CostModel.micro_batching_pays` says the
+    overlap win of ``micro_batches`` chunks beats their extra kernel
+    launches; otherwise it keeps the plain synchronous ``expert-centric``
+    block.
     """
-    from .paradigm import comm_expert_centric, gain_ratio
-
-    if micro_batches <= 0:
-        raise ValueError("micro_batches must be positive")
-    mapping: Dict[int, str] = {}
-    spec = cluster.spec
-    n = cluster.num_machines
-    m = cluster.gpus_per_machine
-    world = n * m
-    gpu_flops = spec.gpu.effective_flops(config.hidden_dim)
-    eflops = expert_flops_per_token(config.hidden_dim, config.ffn_mult)
-    for index in config.moe_block_indices:
-        experts_per_worker = config.experts_per_worker(index, world)
-        ratio = gain_ratio(
-            config.batch_size, config.seq_len, config.top_k,
-            n, config.hidden_dim, experts_per_worker,
-        )
-        if ratio > threshold:
-            mapping[index] = "data-centric"
-            continue
-        comm_s = comm_expert_centric(
-            config.hidden_dim, config.tokens_per_worker, m, n,
-            config.dtype_bytes,
-        ) / (spec.num_nics * spec.nic.bandwidth)
-        compute_s = (
-            config.tokens_per_worker * eflops / gpu_flops
-            + spec.gpu.kernel_overhead * experts_per_worker
-        )
-        overlap_win = min(comm_s, compute_s) * (1.0 - 1.0 / micro_batches)
-        pipeline_cost = (
-            (micro_batches - 1)
-            * spec.gpu.kernel_overhead
-            * experts_per_worker
-        )
-        mapping[index] = (
-            "microbatch-ec" if overlap_win > pipeline_cost
-            else "expert-centric"
-        )
+    costs = CostModel.for_cluster(
+        config, cluster, JanusFeatures(micro_batches=micro_batches)
+    )
+    n, m = cluster.num_machines, cluster.gpus_per_machine
+    mapping = strategy_map(config, cluster, threshold=threshold)
+    for index, name in mapping.items():
+        if name == "expert-centric" and costs.micro_batching_pays(
+            comm_expert_centric(
+                config.hidden_dim, config.tokens_per_worker, m, n,
+                config.dtype_bytes,
+            ),
+            config.tokens_per_worker,
+            config.experts_per_worker(index, n * m),
+        ):
+            mapping[index] = "microbatch-ec"
     return mapping
-
-
-def paradigm_map(
-    config: ModelConfig, cluster: Cluster, threshold: float = 1.0
-) -> Dict[int, Paradigm]:
-    """Legacy view of :func:`strategy_map` as :class:`Paradigm` members."""
-    return {
-        index: Paradigm(name)
-        for index, name in strategy_map(
-            config, cluster, threshold=threshold
-        ).items()
-    }
 
 
 def _workload(

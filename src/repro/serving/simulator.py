@@ -39,6 +39,7 @@ import numpy as np
 
 from ..cluster import Cluster, Device
 from ..config import ModelConfig
+from ..core.paradigm import select_paradigm
 from ..core.strategies import comm_family, resolve_strategy_name
 from ..models.flops import dense_ffn_flops, expert_flops_per_token
 from ..netsim import Fabric
@@ -355,6 +356,9 @@ class ServingSimulator:
         ``token_copies`` is routed (token, expert) pairs per MoE block;
         ``expert_cap`` bounds how many distinct experts the step can touch
         (a decode step cannot touch more experts than it routes tokens).
+        Uncapped, the volumes are ``comm_expert_centric`` /
+        ``comm_data_centric`` with one worker per machine, times the MoE
+        blocks; the cap is the one intended difference.
         """
         size = len(pool)
         if size <= 1 or token_copies <= 0:
@@ -368,21 +372,16 @@ class ServingSimulator:
             min(self.num_experts, expert_cap) * self.moe_blocks
             * off_worker * self.config.expert_bytes
         )
-        mode = self.phase_mode[phase]
-        if mode == "auto":
-            # Eq. 1 pointwise: take the smaller byte volume; ties go to
-            # expert-centric, like select_paradigm's strict inequality.
-            if data_centric < expert_centric:
-                name, size_bytes = "data-centric", data_centric
-            else:
-                name, size_bytes = "expert-centric", expert_centric
-        else:
-            name = mode
-            size_bytes = (
-                data_centric
-                if comm_family(mode) == "data-centric"
-                else expert_centric
-            )
+        name = self.phase_mode[phase]
+        if name == "auto":
+            # Eq. 1 pointwise: R is the step's EC/DC byte ratio; ties go
+            # to expert-centric.
+            name = select_paradigm(expert_centric / data_centric).value
+        size_bytes = (
+            data_centric
+            if comm_family(name) == "data-centric"
+            else expert_centric
+        )
         counts = self.state.paradigms[phase]
         counts[name] = counts.get(name, 0) + 1
         return size_bytes, name

@@ -12,7 +12,6 @@ from .core import (
     StalledSimulationError,
     Timeout,
 )
-from .sharded import ShardedRun, ShardResult, run_sharded
 from .resources import (
     Container,
     PriorityRequest,
@@ -37,11 +36,8 @@ __all__ = [
     "Release",
     "Request",
     "Resource",
-    "ShardResult",
-    "ShardedRun",
     "SimulationError",
     "StalledSimulationError",
     "Store",
     "Timeout",
-    "run_sharded",
 ]

@@ -20,10 +20,9 @@ from repro.control import (
     ControlConfig,
     Controller,
     ControlPolicy,
-    CostModel,
     tune_engine_chunks,
 )
-from repro.core import JanusFeatures, strategy_engine
+from repro.core import CostModel, JanusFeatures, strategy_engine
 from repro.metrics import MetricsRegistry, chunk_tuning_breakdown
 
 from tests.conftest import small_cluster, small_config
@@ -156,14 +155,13 @@ class TestTuneEngineChunks:
         plan = tune_engine_chunks(self._engine("expert-centric"))
         assert plan.empty
 
-    def test_indivisible_block_is_left_alone(self):
+    def test_indivisible_block_is_rejected_at_construction(self):
         """A block whose experts do not split evenly across the world has
-        no per-worker load aggregate to tune from: skip it, tune the rest."""
+        no placement (and no per-worker load aggregate to tune from): the
+        engine refuses it up front instead of at the first iteration."""
         config = small_config(experts_per_block={1: 4, 3: 6})
-        plan = tune_engine_chunks(
+        with pytest.raises(ValueError, match="cannot be evenly placed"):
             self._engine("pipelined-ec", config=config)
-        )
-        assert [block for block, _ in plan.block_chunks] == [1]
 
 
 # -- engine integration: metrics, switches, controller arming --------------

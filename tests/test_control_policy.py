@@ -16,8 +16,8 @@ from repro.control import (
     ControlConfig,
     ControlPolicy,
     ControlSignals,
-    CostModel,
 )
+from repro.core import CostModel
 from repro.faults import DegradationPolicy
 from repro.faults.injector import FaultStats
 from repro.models import DriftingGate, TopKGate

@@ -12,7 +12,7 @@ from repro.core import (
     data_centric_engine,
     engine_for,
     expert_centric_engine,
-    paradigm_map,
+    strategy_map,
     unified_engine,
 )
 
@@ -166,7 +166,10 @@ class TestParadigmPerformanceShape:
             name="mixed", batch_size=16, seq_len=32, top_k=2, hidden_dim=64,
             num_blocks=4, experts_per_block={1: 4, 3: 16}, num_heads=4,
         )
-        mapping = paradigm_map(config, small_cluster())
+        mapping = {
+            index: Paradigm(name)
+            for index, name in strategy_map(config, small_cluster()).items()
+        }
         assert mapping[1] is Paradigm.DATA_CENTRIC
         assert mapping[3] is Paradigm.EXPERT_CENTRIC
 

@@ -3,16 +3,28 @@
 import pytest
 
 from repro.config import moe_bert, moe_gpt, moe_transformer_xl
-from repro.core import (
-    estimate_data_centric,
-    estimate_expert_centric,
-    estimate_mixed,
-)
+from repro.core import estimate_strategies
 from repro.core.memory_model import check_fits
 from repro.netsim import OutOfMemoryError
 from repro.units import GIB
 
 A100 = 80 * GIB
+
+
+def estimate_mixed(config, world_size, ec_blocks, dc_blocks):
+    """Some MoE blocks expert-centric, the rest data-centric (§7.5)."""
+    return estimate_strategies(
+        config, world_size,
+        {"expert-centric": ec_blocks, "data-centric": dc_blocks},
+    )
+
+
+def estimate_expert_centric(config, world_size):
+    return estimate_mixed(config, world_size, config.num_moe_blocks, 0)
+
+
+def estimate_data_centric(config, world_size):
+    return estimate_mixed(config, world_size, 0, config.num_moe_blocks)
 
 
 def seq_sensitivity_config(factory, seq_len):

@@ -404,18 +404,6 @@ class TestCustomStrategyExtension:
 
 
 class TestMemoryModel:
-    def test_estimate_strategies_matches_estimate_mixed(self):
-        from repro.core import estimate_mixed, estimate_strategies
-
-        config = small_config()
-        mixed = estimate_mixed(config, 4, 1, 1, credit_size=4)
-        via_strategies = estimate_strategies(
-            config, 4, {"expert-centric": 1, "data-centric": 1},
-            credit_size=4,
-        )
-        assert mixed.total == via_strategies.total
-        assert mixed.paradigm_extra == via_strategies.paradigm_extra
-
     def test_estimate_strategies_validates_coverage(self):
         from repro.core import estimate_strategies
 

@@ -9,16 +9,17 @@ from repro.analysis import r_grid
 from repro.cluster import Cluster
 from repro.config import ModelConfig
 from repro.core import JanusFeatures, strategy_engine
-from repro.core.memory_model import (
-    estimate_data_centric,
-    estimate_expert_centric,
-    estimate_mixed,
-)
 from repro.core.tensor_parallel import plan_tensor_parallel
 from repro.faults import FaultPlan, MessageLoss, ResilienceConfig
 from repro.models import TopKGate
 from repro.tensorlib import Tensor
 from repro.workloads import SyntheticCorpus
+
+from tests.test_core_memory import (
+    estimate_data_centric,
+    estimate_expert_centric,
+    estimate_mixed,
+)
 
 
 def moe_config(batch, seq, hidden, experts, k):

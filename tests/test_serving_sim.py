@@ -8,8 +8,12 @@ satisfy on any trace: every admitted request completes, token counts are
 conserved end to end, and reruns are bit-identical.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import comm_data_centric, comm_expert_centric
 from repro.metrics import MetricsRegistry, build_run_report, serving_breakdown
 from repro.serving import (
     ServingConfig,
@@ -20,6 +24,7 @@ from repro.serving import (
     generate_trace,
     simulate_serving,
 )
+from repro.serving.simulator import _PhaseState
 from repro.trace import TraceRecorder
 
 from tests.conftest import small_cluster, small_config
@@ -188,6 +193,60 @@ class TestInvariants:
                 small_config(experts_per_block={}), small_cluster(),
                 generate_trace(GOLDEN_SPEC),
             )
+
+
+class TestClosedForms:
+    """Serving's per-step wire bytes are the §5.1.3 closed forms.
+
+    A serving machine is one worker (m = 1), the step's routed (token,
+    expert) copies are T, the pool size is n, and every MoE block moves
+    the volume once.  The one intended difference is the ``expert_cap``
+    clamp: a decode step routing fewer copies than a block has experts
+    touches at most that many experts, so its data-centric volume scales
+    with ``min(E, cap)`` instead of E.  The cross-check therefore covers
+    uncapped steps (cap >= E)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool_size=st.integers(min_value=2, max_value=64),
+        copies=st.integers(min_value=1, max_value=100_000),
+        spare_cap=st.integers(min_value=0, max_value=64),
+        hidden=st.sampled_from([16, 64, 768]),
+    )
+    def test_uncapped_step_bytes_match_closed_forms(
+        self, pool_size, copies, spare_cap, hidden
+    ):
+        config = small_config(hidden_dim=hidden)
+        pool = tuple(range(pool_size))
+        trace = generate_trace(GOLDEN_SPEC)
+        moved = {}
+        for mode in ("expert-centric", "data-centric", "auto"):
+            sim = ServingSimulator(
+                config, small_cluster(), trace,
+                ServingConfig(prefill_paradigm=mode),
+            )
+            sim.state = _PhaseState(*(np.zeros(0),) * 4)
+            moved[mode] = sim._phase_traffic(
+                "prefill", pool, copies, sim.num_experts + spare_cap,
+            )
+        blocks = config.num_moe_blocks
+        expert_centric = blocks * comm_expert_centric(
+            hidden, copies, 1, pool_size, config.dtype_bytes
+        )
+        data_centric = blocks * comm_data_centric(
+            hidden, sim.num_experts / pool_size, 1, pool_size,
+            config.dtype_bytes,
+        )
+        ec_bytes, ec_name = moved["expert-centric"]
+        dc_bytes, dc_name = moved["data-centric"]
+        assert (ec_name, dc_name) == ("expert-centric", "data-centric")
+        assert ec_bytes == pytest.approx(expert_centric, rel=1e-12)
+        assert dc_bytes == pytest.approx(data_centric, rel=1e-12)
+        # ``auto`` is Eq. 1 on the step: the smaller volume, ties to EC.
+        assert moved["auto"] == min(
+            moved["expert-centric"], moved["data-centric"],
+            key=lambda pair: (pair[0], pair[1] != "expert-centric"),
+        )
 
 
 class TestReports:
