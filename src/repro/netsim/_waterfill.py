@@ -1,11 +1,22 @@
 """Compiled fluid-network core (optional, bit-identical).
 
-Two loops of :mod:`repro.netsim.fluid` are compiled at first use (plain
-``cc -O2 -ffp-contract=off``, no third-party build system) and bound
-through :mod:`ctypes`: ``waterfill``, the progressive-filling solve,
-whose rounds are inherently sequential (each fixes one bottleneck link
-and updates the links its flows cross), and ``advance``, the per-flow
-byte accounting that runs on every timer and every solve.
+The inner loops of :mod:`repro.netsim.fluid` are compiled at first use
+(plain ``cc -O2 -ffp-contract=off``, no third-party build system) and
+bound through :mod:`ctypes`:
+
+* ``waterfill``, the progressive-filling solve, whose rounds are
+  inherently sequential (each fixes one bottleneck link and updates the
+  links its flows cross);
+* ``advance``, the per-flow byte accounting behind every arrival and
+  rescale;
+* ``retire``, one completion timer: the byte advance, the finished-row
+  selection with its residue rules, and the tombstoning of those rows;
+* ``settle``, one re-solve after the rates are known: the byte advance,
+  the scatter of the group rates onto the live rows, and the earliest
+  completion ETA.
+
+So a fluid instant costs one C call instead of a score of small numpy
+calls, whose per-call overhead, not their arithmetic, was the cost.
 
 Bit-identity with the pure-python loops is a hard requirement (the
 golden tests and ``baseline --tolerance 0`` pin simulated times exactly),
@@ -26,15 +37,19 @@ so the C code reproduces the float semantics operation for operation:
   and are skipped (their rate is never read); and ``residual - share *
   count`` stays two rounded operations, as ``-ffp-contract=off`` forbids
   fusing them into an FMA;
-* ``advance`` adds link bytes in ``(flow, link-in-path)`` order, as
+* the byte advance adds link bytes in ``(flow, link-in-path)`` order, as
   ``np.add.at`` does, and clamps like ``np.maximum(x, 0.0)``: NaN
-  propagates and ``-0.0`` becomes ``+0.0``.
+  propagates and ``-0.0`` becomes ``+0.0``;
+* ``retire`` and ``settle`` take the ETA minimum as numpy does: the first
+  index wins a tie and the first NaN wins outright.  The finish threshold
+  ``eps * size + eps`` stays two rounded operations, and its constants
+  come in as arguments, so the python module stays their one definition.
 
 The kernels read the network's own arrays through addresses the network
-caches (:func:`address`), so a call converts a handful of integers.  If
-no C compiler is available, the callers run the pure-python loops and one
-:class:`RuntimeWarning` says why; ``REPRO_WATERFILL=python`` opts out
-silently.
+caches (:func:`address`, :func:`ledger`), so a call converts a handful
+of numbers.  If no C compiler is available, the callers run the
+pure-python loops and one :class:`RuntimeWarning` says why;
+``REPRO_WATERFILL=python`` opts out silently.
 """
 
 from __future__ import annotations
@@ -169,13 +184,27 @@ int64_t waterfill(
     return 0;
 }
 
-void advance(
-    int64_t n, double dt,
-    const double *rates,          /* [n] */
-    double *remaining,            /* [n] */
-    const int64_t *paths,         /* [n*2] link ids per flow, -1 = none */
-    double *link_bytes            /* [links] */
-) {
+/* The network's flow ledger: the addresses of its arrays, packed by
+   ledger() in this order. */
+typedef struct {
+    double *rates;                /* [rows] */
+    double *remaining;            /* [rows] */
+    const int64_t *paths;         /* [rows*2] link ids per flow, -1 = none */
+    double *link_bytes;           /* [links] */
+    const double *sizes;          /* [rows] */
+    unsigned char *live;          /* [rows] numpy bool */
+    const int64_t *gids;          /* [rows] path group of each row */
+    int64_t *group_count;         /* [groups] */
+    int64_t *load_counts;         /* [links] */
+    int64_t *retired;             /* [rows] out: retired rows, ascending */
+} ledger_t;
+
+/* Internal calls go through this static helper, never through the
+   exported advance(): inside a shared object that call binds through the
+   PLT, where glibc's legacy <regexp.h> advance() wins and crashes. */
+static void advance_rows(const ledger_t *t, int64_t n, double dt) {
+    const double *rates = t->rates;
+    double *remaining = t->remaining;
     int64_t first = 0;
     while (first < n && !(rates[first] * dt > 0.0)) first++;
     if (first == n) return;       /* nothing moved: leave every row as is */
@@ -185,11 +214,86 @@ void advance(
         remaining[i] = (left > 0.0 || isnan(left)) ? left : 0.0;
         if (moved > 0.0) {
             for (int64_t c = 0; c < 2; c++) {
-                int64_t link = paths[2 * i + c];
-                if (link >= 0) link_bytes[link] += moved;
+                int64_t link = t->paths[2 * i + c];
+                if (link >= 0) t->link_bytes[link] += moved;
             }
         }
     }
+}
+
+void advance(const ledger_t *t, int64_t n, double dt) {
+    advance_rows(t, n, dt);
+}
+
+/* One completion timer: advance by dt (when positive), then retire the
+   finished live rows -- remaining <= eps*size + eps -- or, when none
+   qualifies, the residue the timer was armed for.  Residue is the moving
+   rows' minimum ETA (first-index argmin, first NaN wins, as numpy's
+   argmin/min): if it is below the clock's resolution (now + eta <= now)
+   the whole sub-ulp cohort retires, else the argmin row retires only
+   within the relative band rel*size + eps.  Retired rows are tombstoned
+   and written to t->retired in ascending order; returns their count. */
+int64_t retire(const ledger_t *t, int64_t n, double dt, double now,
+               double eps, double rel) {
+    if (dt > 0.0) advance_rows(t, n, dt);
+    const double *rates = t->rates, *remaining = t->remaining;
+    const double *sizes = t->sizes;
+    int64_t *out = t->retired, k = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (t->live[i] && remaining[i] <= eps * sizes[i] + eps) out[k++] = i;
+    }
+    if (k == 0) {
+        int64_t candidate = -1;
+        double eta = 0.0;
+        for (int64_t i = 0; i < n; i++) {
+            if (!(rates[i] > 0.0)) continue;
+            double e = remaining[i] / rates[i];
+            if (candidate < 0 || e < eta || (isnan(e) && !isnan(eta))) {
+                candidate = i;
+                eta = e;
+            }
+        }
+        if (candidate < 0) return 0;
+        if (now + eta <= now) {
+            for (int64_t i = 0; i < n; i++) {
+                if (rates[i] > 0.0 && now + remaining[i] / rates[i] <= now)
+                    out[k++] = i;
+            }
+        } else if (remaining[candidate] <= rel * sizes[candidate] + eps) {
+            out[k++] = candidate;
+        }
+    }
+    for (int64_t j = 0; j < k; j++) {
+        int64_t i = out[j];
+        t->rates[i] = 0.0;
+        t->live[i] = 0;
+        t->group_count[t->gids[i]] -= 1;
+        for (int64_t c = 0; c < 2; c++) {
+            int64_t link = t->paths[2 * i + c];
+            if (link >= 0) t->load_counts[link] -= 1;
+        }
+    }
+    return k;
+}
+
+/* One re-solve: advance by dt (when positive), give every live row its
+   group's rate from grates, and return the minimum ETA over the moving
+   rows -- NaN if any is NaN (numpy's min), -1 if no row moves. */
+double settle(const ledger_t *t, int64_t n, double dt, const double *grates) {
+    if (dt > 0.0) advance_rows(t, n, dt);
+    double *rates = t->rates;
+    const double *remaining = t->remaining;
+    for (int64_t i = 0; i < n; i++) {
+        if (t->live[i]) rates[i] = grates[t->gids[i]];
+    }
+    double best = -1.0;
+    for (int64_t i = 0; i < n; i++) {
+        if (!(rates[i] > 0.0)) continue;
+        double e = remaining[i] / rates[i];
+        if (isnan(e)) return e;
+        if (best < 0.0 || e < best) best = e;
+    }
+    return best;
 }
 """
 
@@ -250,8 +354,13 @@ def _compile() -> Optional[ctypes.CDLL]:
         pointer, int64 = ctypes.c_void_p, ctypes.c_int64
         lib.waterfill.restype = int64
         lib.waterfill.argtypes = [int64, int64] + [pointer] * 7
+        double = ctypes.c_double
         lib.advance.restype = None
-        lib.advance.argtypes = [int64, ctypes.c_double] + [pointer] * 4
+        lib.advance.argtypes = [pointer, int64, double]
+        lib.retire.restype = int64
+        lib.retire.argtypes = [pointer, int64, double, double, double, double]
+        lib.settle.restype = double
+        lib.settle.argtypes = [pointer, int64, double, pointer]
         return lib
     warnings.warn(
         "the compiled fluid-network kernel is unavailable, so the simulator "
@@ -282,6 +391,33 @@ def address(array: np.ndarray, dtype) -> int:
     if array.dtype != dtype:
         raise TypeError(f"expected a {np.dtype(dtype)} array, got {array.dtype}")
     return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+
+# The field order of the C ``ledger_t``.
+_LEDGER_FIELDS = (
+    ("rates", np.float64),
+    ("remaining", np.float64),
+    ("paths", np.int64),
+    ("link_bytes", np.float64),
+    ("sizes", np.float64),
+    ("live", np.bool_),
+    ("gids", np.int64),
+    ("group_count", np.int64),
+    ("load_counts", np.int64),
+    ("retired", np.int64),
+)
+
+
+def ledger(**arrays: np.ndarray) -> ctypes.Array:
+    """Pack the addresses of the flow ledger's arrays into the C
+    ``ledger_t`` that ``advance``, ``retire`` and ``settle`` take.
+
+    The caller keeps every array alive, and builds a new ledger whenever
+    one of them is reallocated.
+    """
+    return (ctypes.c_void_p * len(_LEDGER_FIELDS))(*(
+        address(arrays[name], dtype) for name, dtype in _LEDGER_FIELDS
+    ))
 
 
 def run(lib: ctypes.CDLL, num_links: int, num_groups: int,

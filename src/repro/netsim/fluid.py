@@ -198,6 +198,8 @@ class FluidNetwork:
         # still in flight; _active carries None at dead rows so row indices
         # stay aligned until the next compaction.
         self._live = np.zeros(0, dtype=bool)
+        # Out-buffer of the compiled retire kernel: the rows it retired.
+        self._retired = np.zeros(0, dtype=np.int64)
         self._live_count = 0
         self._dead_count = 0
         self._n = 0
@@ -209,11 +211,12 @@ class FluidNetwork:
         self._num_groups = 0
         # Memoized solves keyed by (capacity epoch, trimmed group-count
         # signature): flow populations recur, so identical signatures are
-        # common across non-consecutive recomputes.  The cache is bounded
-        # by entry count and by bytes (fleet-scale rate arrays run to
-        # hundreds of KB each); evicted arrays are recycled through
-        # ``_grates_pool`` so solves write into warm pages.
-        self._solve_cache: Dict[Tuple[int, bytes], np.ndarray] = {}
+        # common across non-consecutive recomputes.  Each entry holds the
+        # per-group rate array and its address (for the compiled settle).
+        # The cache is bounded by entry count and by bytes (fleet-scale
+        # rate arrays run to hundreds of KB each); evicted arrays are
+        # recycled through ``_grates_pool`` so solves write into warm pages.
+        self._solve_cache: Dict[Tuple[int, bytes], Tuple[np.ndarray, int]] = {}
         self._solve_cache_bytes = 0
         self._grates_pool: List[np.ndarray] = []
         # Highest group id that ever held a flow: upper bound for the
@@ -228,10 +231,11 @@ class FluidNetwork:
         self._csr_starts: Optional[np.ndarray] = None
         self._csr_shape = (-1, -1)
         # Array addresses handed to the compiled kernels (see _waterfill):
-        # the solve's are refreshed with the CSR; the advance's are dropped
-        # wherever _rates/_remaining/_paths/_link_bytes are reallocated.
+        # the solve's are refreshed with the CSR; the flow ledger's (per-row
+        # arrays, link bytes and loads, group counts) are dropped wherever
+        # one of those arrays is reallocated.
         self._solve_tables: Tuple[int, ...] = ()
-        self._flow_addresses: Optional[Tuple[int, ...]] = None
+        self._flow_ledger = None
         self._last_update = env.now
         self._generation = 0
         self._recompute_pending = False
@@ -251,7 +255,7 @@ class FluidNetwork:
             self._capacity = _grow(self._capacity, grown)
             self._link_bytes = _grow(self._link_bytes, grown)
             self._load_counts = _grow(self._load_counts, grown)
-            self._flow_addresses = None
+            self._flow_ledger = None
         self._index[link_id] = index
         self._capacity[index] = float(bandwidth)
         self._link_bytes[index] = 0.0
@@ -371,7 +375,8 @@ class FluidNetwork:
             self._sizes = _grow(self._sizes, grown)
             self._gids = _grow(self._gids, grown)
             self._live = _grow(self._live, grown)
-            self._flow_addresses = None
+            self._retired = _grow(self._retired, grown)
+            self._flow_ledger = None
         path_index = flow.path_index
         self._paths[row] = -1
         self._paths[row, : len(path_index)] = path_index
@@ -400,6 +405,7 @@ class FluidNetwork:
             grown = max(16, 2 * gid)
             self._group_paths = _grow(self._group_paths, grown, fill=-1)
             self._group_count = _grow(self._group_count, grown)
+            self._flow_ledger = None
         self._group_paths[gid] = -1
         self._group_paths[gid, : len(path_index)] = path_index
         self._group_count[gid] = 0
@@ -445,10 +451,6 @@ class FluidNetwork:
         their position (so live rows never move and no float is touched)
         until :meth:`_compact` reclaims them."""
         rows = np.flatnonzero(finished_mask)
-        active = self._active
-        finished = [active[int(row)] for row in rows]
-        for row in rows:
-            active[int(row)] = None
         # In-place scatter-decrements: exact integer arithmetic, and no
         # O(num_groups)/O(num_links) bincount allocation per instant.
         np.subtract.at(self._group_count, self._gids[rows], 1)
@@ -458,8 +460,18 @@ class FluidNetwork:
             np.subtract.at(self._load_counts, links, 1)
         self._rates[rows] = 0.0
         self._live[rows] = False
-        self._dead_count += rows.size
-        self._live_count -= rows.size
+        return self._release(rows.tolist())
+
+    def _release(self, rows: List[int]) -> List[Flow]:
+        """Return the flows of the just-tombstoned ``rows`` (ascending)
+        and drop them from ``_active``; compact once half the rows are
+        dead."""
+        active = self._active
+        finished = [active[row] for row in rows]
+        for row in rows:
+            active[row] = None
+        self._dead_count += len(rows)
+        self._live_count -= len(rows)
         if self._live_count == 0:
             self._active = []
             self._n = 0
@@ -501,31 +513,46 @@ class FluidNetwork:
 
     def _do_recompute(self) -> None:
         self._recompute_pending = False
-        self._advance()
         self._reschedule()
 
     # -- fluid mechanics ----------------------------------------------------
 
-    def _advance(self) -> None:
-        """Move bytes for all active flows since the last update."""
+    def _elapsed(self) -> float:
+        """Seconds since the last byte update; stamps the update at now."""
         now = self.env.now
         dt = now - self._last_update
         self._last_update = now
+        return dt
+
+    def _ledger(self):
+        """The flow ledger's array addresses, packed for the compiled
+        kernels (see ``_waterfill.ledger``)."""
+        ledger = self._flow_ledger
+        if ledger is None:
+            ledger = self._flow_ledger = _waterfill.ledger(
+                rates=self._rates,
+                remaining=self._remaining,
+                paths=self._paths,
+                link_bytes=self._link_bytes,
+                sizes=self._sizes,
+                live=self._live,
+                gids=self._gids,
+                group_count=self._group_count,
+                load_counts=self._load_counts,
+                retired=self._retired,
+            )
+        return ledger
+
+    def _advance(self) -> None:
+        """Move bytes for all active flows since the last update."""
+        dt = self._elapsed()
         n = self._n
         if not (dt > 0 and n):
             return
         lib = _waterfill.kernel()
         if lib is not None:
             # The numpy loop below, compiled (see _waterfill).
-            addresses = self._flow_addresses
-            if addresses is None:
-                addresses = self._flow_addresses = (
-                    _waterfill.address(self._rates, np.float64),
-                    _waterfill.address(self._remaining, np.float64),
-                    _waterfill.address(self._paths, np.int64),
-                    _waterfill.address(self._link_bytes, np.float64),
-                )
-            lib.advance(n, dt, *addresses)
+            lib.advance(self._ledger(), n, dt)
             return
         moved = self._rates[:n] * dt
         positive = moved > 0
@@ -542,8 +569,116 @@ class FluidNetwork:
                 np.broadcast_to(moved[:, None], (n, 2))[mask],
             )
 
-    def _assign_rates(self) -> None:
+    def _settle(
+        self, grates: np.ndarray, grates_address: int
+    ) -> Optional[float]:
+        """Move bytes up to now, give every live row its group's rate from
+        ``grates`` and return the earliest completion ETA over the moving
+        rows: None when no row moves, NaN when any ETA is NaN."""
+        lib = _waterfill.kernel() if self.coalesce else None
+        if lib is not None:
+            # The numpy code below, in one compiled call (see _waterfill).
+            next_done = lib.settle(
+                self._ledger(), self._n, self._elapsed(), grates_address
+            )
+            return None if next_done < 0 else next_done
+        self._advance()
+        n = self._n
+        # Every active flow's group lies inside the trimmed signature, so a
+        # cached array from a smaller group table still covers all gids.
+        rates = self._rates[:n]
+        if self._dead_count:
+            # Only live rows take the solved rate: a tombstoned row's rate
+            # stays exactly 0 (what makes it invisible to _advance and the
+            # completion timer), and its group may be empty — i.e. beyond
+            # the cached array's trim width — so it must not index grates.
+            live = self._live[:n]
+            rates[live] = grates[self._gids[:n][live]]
+        else:
+            rates[:] = grates[self._gids[:n]]
+        moving = rates > 0
+        if not moving.any():
+            return None
+        return float((self._remaining[:n][moving] / rates[moving]).min())
+
+    def _retire_finished(self) -> List[Flow]:
+        """Move bytes up to now, retire the rows that are done and return
+        their flows in ascending row order."""
+        n = self._n
+        lib = _waterfill.kernel() if self.coalesce and n else None
+        if lib is not None:
+            # The numpy code below, in one compiled call (see _waterfill).
+            dt = self._elapsed()
+            count = lib.retire(
+                self._ledger(), n, dt, self._last_update,
+                _EPSILON, _FORCE_FINISH_REL,
+            )
+            if not count:
+                return []
+            return self._release(self._retired[:count].tolist())
+        self._advance()
+        finished_mask = self._finished_mask()
+        if finished_mask.any():
+            return self._remove_rows(finished_mask)
+        return []
+
+    def _finished_mask(self) -> np.ndarray:
+        """Rows a completion timer retires: those within ``_EPSILON`` of
+        done, else the residue the timer was armed for (none when it is
+        stale)."""
+        n = self._n
+        remaining = self._remaining[:n]
+        sizes = self._sizes[:n]
+        finished_mask = remaining <= _EPSILON * sizes + _EPSILON
+        if self._dead_count:
+            # Tombstoned rows sit at ~0 remaining; only live rows finish.
+            finished_mask &= self._live[:n]
+        if not finished_mask.any():
+            # The timer was armed for the minimum-ETA flow; if floating
+            # point residue kept its remaining microscopically above the
+            # threshold, finish it anyway rather than looping on
+            # zero-length timers.  Guard: only genuine residue qualifies —
+            # a stale timer looking at a flow with real bytes left (e.g.
+            # its rate was rescaled by set_capacity mid-flight) must
+            # recompute and re-arm instead of force-finishing.
+            rates = self._rates[:n]
+            moving = np.flatnonzero(rates > 0)
+            if moving.size:
+                etas = remaining[moving] / rates[moving]
+                candidate = int(moving[int(etas.argmin())])
+                # The relative band covers drift on large flows; the ETA
+                # clause covers small ones, where ``remaining -= rate*dt``
+                # cancellation leaves ~rate*ulp(now) bytes — more than any
+                # relative tolerance of a few-hundred-byte flow, yet with
+                # a completion time below the clock's float resolution
+                # (``now + eta == now``).  A timer for such a flow can
+                # never advance the clock, so finishing is the only
+                # faithful move; anything with a representable ETA still
+                # recomputes and re-arms.
+                now = self.env.now
+                eta = float(etas.min())
+                if now + eta <= now:
+                    # The whole sub-ulp cohort finishes together.  Retiring
+                    # rows only frees capacity, so any flow whose ETA is
+                    # already below the clock's resolution stays there as
+                    # its peers retire — finishing them one timer round at
+                    # a time would land every one at this same ``now``
+                    # while paying a full solve per flow (the fleet-scale
+                    # cascade pathology).
+                    finished_mask[moving[now + etas <= now]] = True
+                elif (
+                    remaining[candidate]
+                    <= _FORCE_FINISH_REL * sizes[candidate] + _EPSILON
+                ):
+                    finished_mask[candidate] = True
+        return finished_mask
+
+    def _assign_rates(self) -> Optional[float]:
         """Water-filling max-min fair allocation (incremental, vectorized).
+
+        Moves bytes up to now at the old rates, gives every live flow its
+        new rate and returns the earliest completion ETA among the moving
+        flows (None when none moves).
 
         The filling rounds run over path *groups* (flows with an identical
         link tuple) with multiplicities, which is arithmetically identical
@@ -561,9 +696,9 @@ class FluidNetwork:
         bottleneck (appended links/groups never reorder earlier indices,
         so argmin tie-breaks are stable too).
         """
-        n = self._n
-        if not n:
-            return
+        if not self._n:
+            self._advance()  # nothing in flight: only stamps the clock
+            return None
         num_groups = self._num_groups
         gcount = self._group_count[:num_groups]
         # _gid_hi bounds the last populated group from above; trailing
@@ -571,35 +706,25 @@ class FluidNetwork:
         # entry, never a false hit.
         width = self._gid_hi + 1
         key = (self._capacity_epoch, gcount[:width].tobytes())
-        grates = self._solve_cache.get(key)
-        if grates is None:
+        entry = self._solve_cache.get(key)
+        if entry is None:
             grates = self._solve(num_groups, gcount)
             if (
                 len(self._solve_cache) >= 4096
                 or self._solve_cache_bytes >= _SOLVE_CACHE_BUDGET
             ):
                 self._evict_solve_cache()
-            self._solve_cache[key] = grates
+            entry = (grates, _waterfill.address(grates, np.float64))
+            self._solve_cache[key] = entry
             self._solve_cache_bytes += grates.nbytes
-        # Every active flow's group lies inside the trimmed signature, so a
-        # cached array from a smaller group table still covers all gids.
-        rates = self._rates[:n]
-        if self._dead_count:
-            # Only live rows take the solved rate: a tombstoned row's rate
-            # stays exactly 0 (what makes it invisible to _advance and the
-            # completion timer), and its group may be empty — i.e. beyond
-            # the cached array's trim width — so it must not index grates.
-            live = self._live[:n]
-            rates[live] = grates[self._gids[:n][live]]
-        else:
-            rates[:] = grates[self._gids[:n]]
+        return self._settle(*entry)
 
     def _evict_solve_cache(self) -> None:
         """Drop every cached solve, recycling the arrays still large
         enough for the current group table into the grates pool."""
         pool = self._grates_pool
         num_groups = self._num_groups
-        for cached in self._solve_cache.values():
+        for cached, _ in self._solve_cache.values():
             base = cached.base if cached.base is not None else cached
             if base.shape[0] >= num_groups and len(pool) < 256:
                 pool.append(base)
@@ -805,18 +930,10 @@ class FluidNetwork:
 
     def _reschedule(self) -> None:
         """Recompute rates and arm a timer for the next flow completion."""
-        self._assign_rates()
+        next_done = self._assign_rates()
         self._generation += 1
-        n = self._n
-        if not n:
+        if next_done is None:
             return
-        rates = self._rates[:n]
-        moving = rates > 0
-        if not moving.any():
-            return
-        next_done = float(
-            (self._remaining[:n][moving] / rates[moving]).min()
-        )
         timer = self.env.timeout(max(next_done, 0.0), value=self._generation)
         timer.callbacks.append(self._on_timer_event)
 
@@ -826,58 +943,8 @@ class FluidNetwork:
     def _on_timer(self, generation: int) -> None:
         if generation != self._generation:
             return  # superseded by a newer reschedule
-        self._advance()
-        n = self._n
-        remaining = self._remaining[:n]
-        sizes = self._sizes[:n]
-        finished_mask = remaining <= _EPSILON * sizes + _EPSILON
-        if self._dead_count:
-            # Tombstoned rows sit at ~0 remaining; only live rows finish.
-            finished_mask &= self._live[:n]
-        if not finished_mask.any():
-            # The timer was armed for the minimum-ETA flow; if floating
-            # point residue kept its remaining microscopically above the
-            # threshold, finish it anyway rather than looping on
-            # zero-length timers.  Guard: only genuine residue qualifies —
-            # a stale timer looking at a flow with real bytes left (e.g.
-            # its rate was rescaled by set_capacity mid-flight) must
-            # recompute and re-arm instead of force-finishing.
-            rates = self._rates[:n]
-            moving = np.flatnonzero(rates > 0)
-            if moving.size:
-                etas = remaining[moving] / rates[moving]
-                candidate = int(moving[int(etas.argmin())])
-                # The relative band covers drift on large flows; the ETA
-                # clause covers small ones, where ``remaining -= rate*dt``
-                # cancellation leaves ~rate*ulp(now) bytes — more than any
-                # relative tolerance of a few-hundred-byte flow, yet with
-                # a completion time below the clock's float resolution
-                # (``now + eta == now``).  A timer for such a flow can
-                # never advance the clock, so finishing is the only
-                # faithful move; anything with a representable ETA still
-                # recomputes and re-arms.
-                now = self.env.now
-                eta = float(etas.min())
-                if now + eta <= now:
-                    # The whole sub-ulp cohort finishes together.  Retiring
-                    # rows only frees capacity, so any flow whose ETA is
-                    # already below the clock's resolution stays there as
-                    # its peers retire — finishing them one timer round at
-                    # a time would land every one at this same ``now``
-                    # while paying a full solve per flow (the fleet-scale
-                    # cascade pathology).
-                    finished_mask[moving[now + etas <= now]] = True
-                elif (
-                    remaining[candidate]
-                    <= _FORCE_FINISH_REL * sizes[candidate] + _EPSILON
-                ):
-                    finished_mask[candidate] = True
-                else:
-                    self._schedule_recompute()
-                    return
-        if finished_mask.any():
-            for flow in self._remove_rows(finished_mask):
-                self._finish(flow)
+        for flow in self._retire_finished():
+            self._finish(flow)
         self._schedule_recompute()
 
     def _finish(self, flow: Flow) -> None:

@@ -155,8 +155,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN, which would poison the heap
+            raise SimulationError(f"negative or NaN timeout delay: {delay}")
         # Event.__init__ inlined: timeouts are the hottest event kind.
         self.env = env
         self.callbacks = []

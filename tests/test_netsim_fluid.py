@@ -5,6 +5,8 @@ import pytest
 from repro.netsim import FluidNetwork
 from repro.simkit import Environment
 
+from tests.test_netsim_fluid_coalesce import _python_solver
+
 
 def make_net(links):
     env = Environment()
@@ -231,6 +233,15 @@ class TestStaleTimerGuard:
         # 2 s at full rate moves half the bytes; the rest at half rate
         # takes 4 s more.
         assert flow.completed_at == pytest.approx(latency + 6.0)
+
+
+class TestStaleTimerGuardPythonCore(TestStaleTimerGuard):
+    """The same guard with the compiled kernels switched off."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_core(self):
+        with _python_solver():
+            yield
 
 
 class TestSubUlpResidue:

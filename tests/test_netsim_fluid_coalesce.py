@@ -306,3 +306,190 @@ class TestSetCapacityRescale:
         after = flows[0].rate
         assert before == 100.0 / 3
         assert after == 20.0
+
+
+# -- the compiled instant step (retire / settle) against the numpy code ----
+
+
+def _ledger_network(seed, now=0.0, capacities=(1e3, 1e9, 2.5e10)):
+    """A few shared links, a dozen flows, a third of them tombstoned,
+    rates solved; the clock starts at ``now``."""
+    rng = np.random.default_rng(seed)
+    env = Environment(now)
+    net = FluidNetwork(env)
+    for i in range(4):
+        net.add_link(f"l{i}", float(rng.choice(capacities)))
+    flows = []
+    for k in range(int(rng.integers(8, 16))):
+        hops = rng.choice(4, int(rng.integers(1, 3)), replace=False)
+        size = float(rng.choice([1e2, 1e6, 1e9]))
+        flows.append(net.transfer(tuple(f"l{i}" for i in hops), size, tag=k))
+    mask = np.zeros(net._n, dtype=bool)
+    mask[rng.choice(net._n, net._n // 3, replace=False)] = True
+    net._remove_rows(mask)
+    net._assign_rates()
+    return env, net, rng
+
+
+def _ledger_state(net):
+    n, links, groups = net._n, net._num_links, net._num_groups
+    return (
+        n, net._dead_count, net._live_count,
+        net._remaining[:n].tobytes(), net._rates[:n].tobytes(),
+        net._live[:n].tobytes(),
+        net._link_bytes[:links].tobytes(),
+        net._load_counts[:links].tobytes(),
+        net._group_count[:groups].tobytes(),
+    )
+
+
+def _moving(net):
+    return np.flatnonzero(net._rates[:net._n] > 0)
+
+
+def _shape_tombstones(net, rng):
+    # Live rows land short of, exactly on, or past zero after the advance.
+    rows = _moving(net)
+    net._remaining[rows] = net._rates[rows] * 0.5 * rng.choice(
+        [0.5, 1.0, 1.0 + 1e-13, 3.0], rows.size
+    )
+    return 0.5
+
+
+def _shape_sub_ulp_cohort(net, rng):
+    # Every moving row sits above the finish threshold, but some ETAs are
+    # below ulp(1e6) / 2: the clock cannot move past them.
+    rows = _moving(net)
+    sizes, rates = net._sizes[rows], net._rates[rows]
+    floor = 4.0 * (1e-12 * sizes + 1e-12)
+    net._remaining[rows] = np.maximum(
+        floor, rates * rng.choice([1e-14, 1e-12, 1.0], rows.size)
+    )
+    return 0.0
+
+
+def _shape_rel_band(net, rng):
+    # Above the absolute threshold; the argmin row may sit inside the
+    # relative band (retires alone) or outside it (stale: none retires).
+    rows = _moving(net)
+    net._remaining[rows] = net._sizes[rows] * rng.choice(
+        [5e-10, 2e-9, 1e-3], rows.size
+    )
+    return 0.0
+
+
+def _shape_stale_after_rescale(net, rng):
+    net.set_capacity("l0", 7.0)
+    net._assign_rates()
+    rows = _moving(net)
+    net._remaining[rows] = net._sizes[rows] * 0.5
+    return 0.0
+
+
+def _shape_tied(net, rng):
+    # Equal rates and remainders inside the relative band: the first
+    # moving row, and only it, retires.
+    rows = _moving(net)
+    net._rates[rows] = 1e3
+    net._sizes[rows] = 1e9
+    net._remaining[rows] = 0.5
+    return 0.0
+
+
+def _shape_nan(net, rng):
+    # A NaN rate (its row stops moving) and a NaN remainder on a moving
+    # row.  The NaN row wins the argmin, so nothing retires, although
+    # every other moving row sits inside the relative band.
+    rows = _moving(net)
+    net._rates[rows[0]] = np.nan
+    net._remaining[rows[1:]] = net._sizes[rows[1:]] * 5e-10
+    net._remaining[rows[-1]] = np.nan
+    return 0.0
+
+
+_TIMER_SHAPES = {
+    "tombstones": (_shape_tombstones, 0.0),
+    "sub_ulp_cohort": (_shape_sub_ulp_cohort, 1e6),
+    "rel_band": (_shape_rel_band, 0.0),
+    "stale_after_rescale": (_shape_stale_after_rescale, 0.0),
+    "tied": (_shape_tied, 0.0),
+    "nan": (_shape_nan, 0.0),
+}
+
+
+def _timer_outcome(shape, now, seed, solver):
+    env, net, rng = _ledger_network(seed, now, capacities=(2.5e10,)
+                                    if now else (1e3, 1e9, 2.5e10))
+    dt = shape(net, rng)
+    net._last_update = env.now - dt
+    with solver():
+        finished = net._retire_finished()
+    return [flow.tag for flow in finished], _ledger_state(net)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", sorted(_TIMER_SHAPES))
+def test_compiled_retire_equals_numpy_timer(case, seed):
+    if _waterfill.kernel() is None:
+        pytest.skip("no C compiler on this host")
+    shape, now = _TIMER_SHAPES[case]
+    compiled = _timer_outcome(shape, now, seed, nullcontext)
+    reference = _timer_outcome(shape, now, seed, _python_solver)
+    assert compiled == reference
+    tags, _ = compiled
+    assert tags == sorted(tags)  # rows ascend with arrival order here
+    if case == "tied":
+        assert len(tags) == 1
+    if case in ("stale_after_rescale", "nan"):
+        assert tags == []
+
+
+def test_sub_ulp_cohort_retires_together():
+    if _waterfill.kernel() is None:
+        pytest.skip("no C compiler on this host")
+    tags, _ = _timer_outcome(_shape_sub_ulp_cohort, 1e6, 0, nullcontext)
+    assert len(tags) > 1
+
+
+def _settle_outcome(seed, fill, solver):
+    env, net, rng = _ledger_network(seed)
+    grates = rng.random(net._num_groups) * 1e3
+    fill(net, grates)
+    net._last_update = env.now - 0.5
+    with solver():
+        eta = net._settle(grates, _waterfill.address(grates, np.float64))
+    eta = None if eta is None else np.float64(eta).tobytes()
+    return eta, _ledger_state(net)
+
+
+def _fill_plain(net, grates):
+    grates[::3] = 0.0
+
+
+def _fill_none_moving(net, grates):
+    grates[:] = 0.0
+
+
+def _fill_nan_rate(net, grates):
+    grates[net._gids[_moving(net)[0]]] = np.nan
+
+
+def _fill_nan_eta(net, grates):
+    net._remaining[_moving(net)[-1]] = np.nan
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "fill", [_fill_plain, _fill_none_moving, _fill_nan_rate, _fill_nan_eta],
+    ids=lambda fill: fill.__name__[len("_fill_"):],
+)
+def test_compiled_settle_equals_numpy_reschedule(fill, seed):
+    if _waterfill.kernel() is None:
+        pytest.skip("no C compiler on this host")
+    compiled = _settle_outcome(seed, fill, nullcontext)
+    assert compiled == _settle_outcome(seed, fill, _python_solver)
+    eta, _ = compiled
+    if fill is _fill_none_moving:
+        assert eta is None
+    if fill is _fill_nan_eta:
+        assert np.isnan(np.frombuffer(eta)[0])
