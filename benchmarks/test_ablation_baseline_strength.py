@@ -17,8 +17,7 @@ from repro.config import moe_gpt
 from repro.core import (
     JanusFeatures,
     build_workload,
-    data_centric_engine,
-    expert_centric_engine,
+    engine_for,
 )
 
 
@@ -26,15 +25,15 @@ def run_baselines():
     config = moe_gpt(32)
     cluster = Cluster(4)
     workload = build_workload(config, cluster, imbalance=0.8)
-    naive = expert_centric_engine(
-        config, cluster, workload=workload,
+    naive = engine_for(
+        "expert-centric", config, cluster, workload=workload,
         features=JanusFeatures(hierarchical_a2a=False),
     ).run_iteration()
-    tutel = expert_centric_engine(
-        config, cluster, workload=workload,
+    tutel = engine_for(
+        "expert-centric", config, cluster, workload=workload,
     ).run_iteration()
-    janus = data_centric_engine(
-        config, cluster, workload=workload,
+    janus = engine_for(
+        "data-centric", config, cluster, workload=workload,
     ).run_iteration()
     return naive, tutel, janus
 

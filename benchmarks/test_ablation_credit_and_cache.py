@@ -13,7 +13,7 @@ from engine_cache import write_report
 from repro.analysis import format_table
 from repro.cluster import Cluster
 from repro.config import moe_gpt
-from repro.core import JanusFeatures, build_workload, data_centric_engine
+from repro.core import JanusFeatures, build_workload, engine_for
 
 CREDITS = (1, 2, 4, 16, 64)
 
@@ -25,8 +25,8 @@ def run_credit_sweep():
     results = {}
     for credit in CREDITS:
         features = JanusFeatures(credit_size=credit)
-        results[credit] = data_centric_engine(
-            config, cluster, workload=workload, features=features
+        results[credit] = engine_for(
+            "data-centric", config, cluster, workload=workload, features=features
         ).run_iteration()
     return results
 
@@ -66,11 +66,11 @@ def run_cache_ablation():
     config = moe_gpt(32)
     cluster = Cluster(4)
     workload = build_workload(config, cluster)
-    with_cache = data_centric_engine(
-        config, cluster, workload=workload
+    with_cache = engine_for(
+        "data-centric", config, cluster, workload=workload
     ).run_iteration()
-    without_cache = data_centric_engine(
-        config, cluster, workload=workload,
+    without_cache = engine_for(
+        "data-centric", config, cluster, workload=workload,
         features=JanusFeatures(hierarchical=False),
     ).run_iteration()
     return with_cache, without_cache

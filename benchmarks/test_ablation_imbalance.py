@@ -15,7 +15,7 @@ from engine_cache import write_report
 from repro.analysis import format_table
 from repro.cluster import Cluster
 from repro.config import moe_gpt
-from repro.core import build_workload, data_centric_engine, expert_centric_engine
+from repro.core import build_workload, engine_for
 from repro.workloads import assignment_imbalance
 
 SKEWS = (0.0, 0.8, 1.4)
@@ -31,11 +31,11 @@ def run_sweep():
         )
         block = workload.moe_blocks()[0]
         load_ratio = assignment_imbalance(block.routing.sum(axis=0))
-        ec = expert_centric_engine(
-            config, cluster, workload=workload
+        ec = engine_for(
+            "expert-centric", config, cluster, workload=workload
         ).run_iteration()
-        dc = data_centric_engine(
-            config, cluster, workload=workload
+        dc = engine_for(
+            "data-centric", config, cluster, workload=workload
         ).run_iteration()
         results[skew] = (load_ratio, ec, dc)
     return results

@@ -21,8 +21,7 @@ from repro.config import moe_gpt
 from repro.core import (
     build_workload,
     comm_data_centric,
-    data_centric_engine,
-    expert_centric_engine,
+    engine_for,
     gain_ratio,
 )
 
@@ -35,11 +34,11 @@ def run_sweep():
         config = moe_gpt(machines * 8)  # keep E = 1 per worker
         cluster = Cluster(machines)
         workload = build_workload(config, cluster)
-        ec = expert_centric_engine(
-            config, cluster, workload=workload
+        ec = engine_for(
+            "expert-centric", config, cluster, workload=workload
         ).run_iteration()
-        dc = data_centric_engine(
-            config, cluster, workload=workload
+        dc = engine_for(
+            "data-centric", config, cluster, workload=workload
         ).run_iteration()
         results[machines] = (config, ec, dc)
     return results

@@ -15,8 +15,7 @@ from repro.config import moe_gpt
 from repro.core import (
     JanusFeatures,
     build_workload,
-    data_centric_engine,
-    expert_centric_engine,
+    engine_for,
 )
 
 
@@ -27,8 +26,8 @@ def main():
     print(f"model: {config.name}  cluster: 4 machines x 8 A100  "
           f"tokens/worker: {config.tokens_per_worker}")
 
-    baseline = expert_centric_engine(
-        config, cluster, workload=workload
+    baseline = engine_for(
+        "expert-centric", config, cluster, workload=workload
     ).run_iteration()
     print(f"\nexpert-centric baseline: {baseline.seconds * 1e3:.1f} ms/iter "
           f"({baseline.all_to_all_share:.0%} in All-to-All, "
@@ -42,8 +41,8 @@ def main():
     labels, speedups = [], []
     final = None
     for label, features in variants:
-        result = data_centric_engine(
-            config, cluster, workload=workload, features=features
+        result = engine_for(
+            "data-centric", config, cluster, workload=workload, features=features
         ).run_iteration()
         labels.append(label)
         speedups.append(baseline.seconds / result.seconds)

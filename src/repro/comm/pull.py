@@ -130,9 +130,18 @@ class PullServer:
                 daemon=True,
             )
             self._inflight.add(proc)
-            # The completion event IS the process, so the bound discard can
+            # The completion event IS the process, so a bound method can
             # serve as the callback directly — no closure per serve.
-            proc.callbacks.append(self._inflight.discard)
+            proc.callbacks.append(self._retire)
+
+    def _retire(self, proc: Process) -> None:
+        self._inflight.discard(proc)
+        if isinstance(proc._exception, Interrupt):
+            # Interrupted in the instant it was spawned, before its first
+            # resume: a generator cannot catch what is thrown in before it
+            # starts, so the serve failed with the Interrupt itself.
+            proc.defuse()
+            self.dropped += 1
 
     def _serve(self, request: PullRequest):
         try:

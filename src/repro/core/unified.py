@@ -6,17 +6,14 @@ selector is generalized over the block-strategy registry
 (:mod:`repro.core.strategies`): the two sides of the R cut-over are
 pluggable strategy names, so e.g. low-R blocks can run ``pipelined-ec``
 instead of the plain synchronous All-to-All.  This module provides the
-selection plus convenience constructors for the engine flavours compared in
-the paper:
+selection plus the engine constructors compared in the paper:
 
-* ``expert_centric_engine`` — every MoE block uses All-to-All (the Tutel
-  baseline and the "expert-centric paradigm in Janus" ablation baseline);
-* ``data_centric_engine``   — every MoE block pulls experts;
-* ``pipelined_expert_centric_engine`` — every MoE block uses the chunked,
-  compute-overlapped All-to-All;
-* ``unified_engine``        — per-block choice by R (full Janus);
-* ``auto_engine``           — R plus the cost model's micro-batch test;
-* ``strategy_engine``       — every MoE block under any registered strategy.
+* ``unified_engine``  — per-block choice by R (full Janus);
+* ``auto_engine``     — R plus the cost model's micro-batch test;
+* ``strategy_engine`` — every MoE block under one registered strategy, e.g.
+  ``"expert-centric"`` (the Tutel baseline and the "expert-centric paradigm
+  in Janus" ablation baseline), ``"data-centric"`` or ``"pipelined-ec"``;
+* ``engine_for``      — any of the above by mode name (the CLI's factory).
 """
 
 from __future__ import annotations
@@ -45,9 +42,6 @@ __all__ = [
     "auto_schedule_map",
     "unified_engine",
     "auto_engine",
-    "expert_centric_engine",
-    "data_centric_engine",
-    "pipelined_expert_centric_engine",
     "strategy_engine",
     "engine_for",
     "engine_modes",
@@ -242,27 +236,6 @@ def strategy_engine(
         metrics=metrics,
         trace=trace,
     )
-
-
-def expert_centric_engine(
-    config: ModelConfig, cluster: Cluster, **kwargs
-) -> JanusEngine:
-    """Every MoE block over All-to-All (Tutel-equivalent baseline)."""
-    return strategy_engine("expert-centric", config, cluster, **kwargs)
-
-
-def data_centric_engine(
-    config: ModelConfig, cluster: Cluster, **kwargs
-) -> JanusEngine:
-    """Every MoE block pulls experts (pure data-centric)."""
-    return strategy_engine("data-centric", config, cluster, **kwargs)
-
-
-def pipelined_expert_centric_engine(
-    config: ModelConfig, cluster: Cluster, **kwargs
-) -> JanusEngine:
-    """Every MoE block over chunked, compute-overlapped All-to-All."""
-    return strategy_engine("pipelined-ec", config, cluster, **kwargs)
 
 
 def engine_modes() -> tuple:

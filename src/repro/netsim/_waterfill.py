@@ -47,24 +47,21 @@ so the C code reproduces the float semantics operation for operation:
 
 The kernels read the network's own arrays through addresses the network
 caches (:func:`address`, :func:`ledger`), so a call converts a handful
-of numbers.  If no C compiler is available, the callers run the
-pure-python loops and one :class:`RuntimeWarning` says why;
-``REPRO_WATERFILL=python`` opts out silently.
+of numbers.  :mod:`repro._native` builds and caches the shared object; if
+no C compiler is available, the callers run the pure-python loops and one
+:class:`RuntimeWarning` says why; ``REPRO_WATERFILL=python`` opts out
+silently.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import os
-import subprocess
-import tempfile
-import warnings
-from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
+
+from .. import _native
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -297,88 +294,28 @@ double settle(const ledger_t *t, int64_t n, double dt, const double *grates) {
 }
 """
 
-# src/repro/netsim/_waterfill.py -> repo root / build / waterfill
-_REPO_BUILD_DIR = Path(__file__).resolve().parents[3] / "build" / "waterfill"
+def _bind(path) -> ctypes.CDLL:
+    lib = ctypes.CDLL(str(path))
+    pointer, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    lib.waterfill.restype = int64
+    lib.waterfill.argtypes = [int64, int64] + [pointer] * 7
+    lib.advance.restype = None
+    lib.advance.argtypes = [pointer, int64, double]
+    lib.retire.restype = int64
+    lib.retire.argtypes = [pointer, int64, double, double, double, double]
+    lib.settle.restype = double
+    lib.settle.argtypes = [pointer, int64, double, pointer]
+    return lib
 
 
-def _build_dir() -> Path:
-    """The checkout's ``build/waterfill`` when writable, else a private
-    per-user directory under the system temp dir.  (In a non-editable
-    install the checkout path resolves next to ``site-packages``, which
-    is usually read-only.)  Raises ``OSError`` when neither is usable."""
-    try:
-        _REPO_BUILD_DIR.mkdir(parents=True, exist_ok=True)
-        if os.access(_REPO_BUILD_DIR, os.W_OK):
-            return _REPO_BUILD_DIR
-    except OSError:
-        pass
-    private = Path(tempfile.gettempdir()) / f"repro-waterfill-{os.getuid()}"
-    private.mkdir(mode=0o700, exist_ok=True)
-    # A shared temp dir lets another user pre-create the path; only load
-    # code from a directory nobody else can write to.
-    info = private.stat()
-    if info.st_uid != os.getuid() or info.st_mode & 0o022:
-        raise OSError(f"{private} is not a private directory")
-    return private
-
-
-def _compile() -> Optional[ctypes.CDLL]:
-    """Compile (or reuse) the kernels; None, with a warning, on failure."""
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    compiler = os.environ.get("CC", "cc")
-    try:
-        build_dir = _build_dir()
-        lib_path = build_dir / f"waterfill_{digest}.so"
-        if not lib_path.exists():
-            tmp_path = lib_path.with_suffix(f".tmp{os.getpid()}.so")
-            subprocess.run(
-                [
-                    compiler,
-                    "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-                    "-o", str(tmp_path), "-x", "c", "-", "-lm",
-                ],
-                input=_C_SOURCE,
-                check=True,
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            os.replace(tmp_path, lib_path)  # atomic vs concurrent builds
-        lib = ctypes.CDLL(str(lib_path))
-    except subprocess.CalledProcessError as exc:
-        tail = "\n".join(exc.stderr.strip().splitlines()[-5:])
-        reason = f"{compiler} exited with status {exc.returncode}:\n{tail}"
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        reason = str(exc)
-    else:
-        pointer, int64 = ctypes.c_void_p, ctypes.c_int64
-        lib.waterfill.restype = int64
-        lib.waterfill.argtypes = [int64, int64] + [pointer] * 7
-        double = ctypes.c_double
-        lib.advance.restype = None
-        lib.advance.argtypes = [pointer, int64, double]
-        lib.retire.restype = int64
-        lib.retire.argtypes = [pointer, int64, double, double, double, double]
-        lib.settle.restype = double
-        lib.settle.argtypes = [pointer, int64, double, pointer]
-        return lib
-    warnings.warn(
-        "the compiled fluid-network kernel is unavailable, so the simulator "
-        "runs its pure-python loops, which are several times slower "
-        f"(set REPRO_WATERFILL=python to choose them silently): {reason}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return None
+_FLAGS = ("-ffp-contract=off", "-lm")
 
 
 @functools.lru_cache(maxsize=None)
 def kernel() -> Optional[ctypes.CDLL]:
     """The compiled kernels, or None (no compiler / opted out); probed
     once per process."""
-    if os.environ.get("REPRO_WATERFILL", "").lower() in ("python", "off", "0"):
-        return None
-    return _compile()
+    return _native.load("waterfill", _C_SOURCE, _FLAGS, _bind, "fluid-network kernel")
 
 
 def address(array: np.ndarray, dtype) -> int:

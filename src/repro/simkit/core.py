@@ -8,6 +8,12 @@ events they wait on are triggered.
 The kernel is deterministic: events scheduled at the same simulated time are
 processed in insertion order (a monotonically increasing sequence number
 breaks ties in the event heap).
+
+The pure-python classes below are the reference kernel.  When the compiled
+event kernel (``_eventcore.py``) builds, its ``Event``, ``Timeout``,
+``Process`` and ``Environment`` base replace them with the same event
+order, and ``Condition``/``AllOf``/``AnyOf`` subclass the compiled
+``Event``; ``KERNEL`` names the kernel in use.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
+
+from . import _eventcore
 
 __all__ = [
     "Environment",
@@ -210,7 +218,9 @@ class Process(Event):
         # events: priority > 1 starts only after all normal-priority work
         # scheduled for the current instant (background lanes, e.g. the
         # overlapped gradient all-reduce of the task-graph scheduler).
-        Initialize(env, self, priority=priority)
+        # The initialize event is the first target, so an interrupt in the
+        # same instant detaches it and becomes the process's first resume.
+        self._target = Initialize(env, self, priority=priority)
 
     @property
     def is_alive(self) -> bool:
@@ -270,85 +280,6 @@ class Process(Event):
             target.callbacks.append(self._resume)
             break
         self.env._active_process = None
-
-
-class Condition(Event):
-    """Waits on a set of events until ``evaluate`` says the condition holds.
-
-    The value of a condition is a dict mapping each triggered constituent
-    event to its value, in trigger order.
-    """
-
-    __slots__ = ("_events", "_evaluate", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[int, int], bool],
-        events: Iterable[Event],
-    ):
-        super().__init__(env)
-        self._events = list(events)
-        self._evaluate = evaluate
-        self._count = 0
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("events belong to different environments")
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            if event.processed:
-                self._check(event)
-            else:
-                assert event.callbacks is not None
-                event.callbacks.append(self._check)
-
-    def _collect_values(self) -> dict:
-        # Only events that actually fired (callbacks processed) belong in
-        # the condition's value: a Timeout carries its value from creation
-        # but has not "happened" until the clock reaches it.
-        return {
-            event: event._value
-            for event in self._events
-            if event.processed and event._exception is None
-        }
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if event._exception is not None:
-            event._defused = True
-            self.fail(event._exception)
-        elif self._evaluate(len(self._events), self._count):
-            self.succeed(self._collect_values())
-
-
-def _all_done(total: int, done: int) -> bool:
-    return done == total
-
-
-def _any_done(total: int, done: int) -> bool:
-    return done >= 1
-
-
-class AllOf(Condition):
-    """Triggered when all constituent events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, _all_done, events)
-
-
-class AnyOf(Condition):
-    """Triggered when any constituent event has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, _any_done, events)
 
 
 class Environment:
@@ -523,26 +454,16 @@ class Environment:
 
         Returns the value of ``until`` when it is an event.
         """
-        stop_event: Optional[Event] = None
-        stop_time: Optional[float] = None
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise SimulationError(
-                    f"until={stop_time} is in the past (now={self._now})"
-                )
-
+        stop_event, stop_time = _stop_condition(self, until)
         queue = self._queue
         immediate = self._immediate
         step = self.step
         while queue or immediate or self._instant_hooks:
             if stop_event is not None and stop_event.callbacks is None:
-                return stop_event.value
+                break
             if stop_time is not None and self.peek() > stop_time:
                 self._now = stop_time
-                return None
+                break
             if self._instant_hooks and not immediate and (
                 not queue or queue[0][0] > self._now
             ):
@@ -552,20 +473,150 @@ class Environment:
                 self._flush_instant_hooks()
                 continue
             step()
+        return _run_result(self, stop_event, stop_time)
 
-        if stop_event is not None:
-            if stop_event.processed:
-                return stop_event.value
-            raise StalledSimulationError(
-                sorted(self.blocked_processes(), key=lambda p: p.name),
-                reason="run() finished but the awaited event never triggered",
-            )
-        if stop_time is not None:
-            self._now = stop_time
-            return None
-        blocked = self.blocked_processes()
-        if blocked:
-            raise StalledSimulationError(
-                sorted(blocked, key=lambda p: p.name)
-            )
+
+def _stop_condition(env, until: Any):
+    """``run(until)``'s (stop event, stop time) pair."""
+    if isinstance(until, Event):
+        return until, None
+    if until is None:
+        return None, None
+    stop_time = float(until)
+    if stop_time < env.now:
+        raise SimulationError(f"until={stop_time} is in the past (now={env.now})")
+    return None, stop_time
+
+
+def _run_result(env, stop_event: Optional[Event], stop_time: Optional[float]) -> Any:
+    """``run()``'s outcome once its loop has stopped: the stop event's
+    value, the clock set to the stop time, or a stall diagnosis."""
+    if stop_event is not None:
+        if stop_event.processed:
+            return stop_event.value
+        raise StalledSimulationError(
+            sorted(env.blocked_processes(), key=lambda p: p.name),
+            reason="run() finished but the awaited event never triggered",
+        )
+    if stop_time is not None:
+        env._now = stop_time
         return None
+    blocked = env.blocked_processes()
+    if blocked:
+        raise StalledSimulationError(sorted(blocked, key=lambda p: p.name))
+    return None
+
+
+_ckernel = _eventcore.kernel()
+KERNEL = "python" if _ckernel is None else "compiled"
+
+if _ckernel is not None:
+    # The compiled kernel (``_eventcore.py``) replaces the reference classes
+    # above with the same event order.  Tracers patch ``run``, ``process``
+    # and ``defer_to_instant_end`` in this class's own ``__dict__``, so all
+    # three are entries of it: the last two are the C methods, and ``run``
+    # wraps the compiled loop in the reference's ``until`` handling.
+    _Reference = Environment
+    Event = _ckernel.Event  # noqa: F811
+    Timeout = _ckernel.Timeout  # noqa: F811
+    Process = _ckernel.Process  # noqa: F811
+
+    class Environment(_ckernel.Environment):  # noqa: F811
+        __doc__ = _Reference.__doc__
+        process = _ckernel.Environment.process
+        defer_to_instant_end = _ckernel.Environment.defer_to_instant_end
+        blocked_processes = _Reference.blocked_processes
+        all_of = _Reference.all_of
+        any_of = _Reference.any_of
+
+        def run(self, until: Any = None) -> Any:
+            """Run until ``until`` (a time, an event, or exhaustion).
+
+            Returns the value of ``until`` when it is an event.
+            """
+            stop_event, stop_time = _stop_condition(self, until)
+            self._run(stop_event, stop_time)
+            return _run_result(self, stop_event, stop_time)
+
+
+class Condition(Event):
+    """Waits on a set of events until ``evaluate`` says the condition holds.
+
+    The value of a condition is a dict mapping each triggered constituent
+    event to its value, in trigger order.
+    """
+
+    __slots__ = ("_events", "_evaluate", "_count")
+
+    def __init__(
+        self,
+        env: "Environment",
+        evaluate: Callable[[int, int], bool],
+        events: Iterable[Event],
+    ):
+        super().__init__(env)
+        self._events = list(events)
+        self._evaluate = evaluate
+        self._count = 0
+        for event in self._events:
+            if event.env is not env:
+                raise SimulationError("events belong to different environments")
+        if not self._events:
+            self.succeed({})
+            return
+        for event in self._events:
+            if event.processed:
+                self._check(event)
+            else:
+                assert event.callbacks is not None
+                event.callbacks.append(self._check)
+
+    def _collect_values(self) -> dict:
+        # Only events that actually fired (callbacks processed) belong in
+        # the condition's value: a Timeout carries its value from creation
+        # but has not "happened" until the clock reaches it.
+        return {
+            event: event._value
+            for event in self._events
+            if event.processed and event._exception is None
+        }
+
+    def _check(self, event: Event) -> None:
+        if self.triggered:
+            return
+        self._count += 1
+        if event._exception is not None:
+            event._defused = True
+            self.fail(event._exception)
+        elif self._evaluate(len(self._events), self._count):
+            self.succeed(self._collect_values())
+
+
+def _all_done(total: int, done: int) -> bool:
+    return done == total
+
+
+def _any_done(total: int, done: int) -> bool:
+    return done >= 1
+
+
+class AllOf(Condition):
+    """Triggered when all constituent events have triggered."""
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", events: Iterable[Event]):
+        super().__init__(env, _all_done, events)
+
+
+class AnyOf(Condition):
+    """Triggered when any constituent event has triggered."""
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", events: Iterable[Event]):
+        super().__init__(env, _any_done, events)
+
+
+if _ckernel is not None:
+    _ckernel.setup(SimulationError, Interrupt, _PENDING, AllOf, AnyOf)

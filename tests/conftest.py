@@ -10,6 +10,9 @@ of re-simulating them.
 
 from __future__ import annotations
 
+import functools
+import importlib
+import os
 import sys
 from pathlib import Path
 
@@ -57,3 +60,36 @@ def tiny_model_config(**overrides) -> ModelConfig:
     )
     defaults.update(overrides)
     return ModelConfig(**defaults)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_simkit():
+    """A private copy of ``repro.simkit`` on the pure-python reference
+    kernel, whichever kernel ``repro.simkit`` itself runs.
+
+    The package is imported afresh with ``REPRO_WATERFILL=python``; then
+    ``sys.modules`` and the ``repro.simkit`` attribute are restored, so
+    every other module keeps the package it imported.  The copy has its
+    own classes, exceptions included.
+    """
+    import repro
+
+    def ours(name):
+        return name == "repro.simkit" or name.startswith("repro.simkit.")
+
+    saved = {name: sys.modules.pop(name) for name in list(sys.modules) if ours(name)}
+    saved_env = os.environ.get("REPRO_WATERFILL")
+    os.environ["REPRO_WATERFILL"] = "python"
+    try:
+        copy = importlib.import_module("repro.simkit")
+    finally:
+        if saved_env is None:
+            del os.environ["REPRO_WATERFILL"]
+        else:
+            os.environ["REPRO_WATERFILL"] = saved_env
+        for name in [name for name in sys.modules if ours(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+        repro.simkit = saved["repro.simkit"]
+    assert copy.core.KERNEL == "python"
+    return copy

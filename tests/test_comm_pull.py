@@ -294,6 +294,38 @@ class TestPullServerHardening:
         assert server._slots.count == 0
         assert not first.processed      # requester 'a' is still waiting
 
+    def test_outage_in_the_spawn_instant_drops_the_serve(self, monkeypatch):
+        """An outage landing in the instant a serve is spawned interrupts
+        it before its first resume: the serve counts as dropped, nothing
+        escapes the run, and the requester's retry gets the payload."""
+        env, cluster, fabric, transport = make_transport()
+        server_device = Device.gpu(1, 0)
+        server = transport.serve(server_device)
+        endpoint = transport.plane.endpoint(server_device)
+        deliver = endpoint._deliver
+
+        def outage():
+            # Starts after the listen loop has spawned this instant's serve.
+            server.interrupt_inflight()
+            yield env.timeout(0)
+
+        def deliver_into_outage(message):
+            monkeypatch.setattr(endpoint, "_deliver", deliver)
+            deliver(message)
+            env.process(outage())
+
+        monkeypatch.setattr(endpoint, "_deliver", deliver_into_outage)
+        done = transport.pull(
+            Device.gpu(0, 0), server_device, 1e6, key="e0",
+            timeout=0.002, max_retries=1,
+        )
+        env.run(until=done)
+        assert server.dropped == 1
+        assert server.served == 1
+        assert transport.retries == 1
+        assert transport.failures == 0
+        assert not server._inflight
+
     def test_pause_queues_requests_until_resume(self):
         env, cluster, fabric, transport = make_transport()
         server_device = Device.gpu(1, 0)

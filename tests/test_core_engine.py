@@ -9,9 +9,7 @@ from repro.core import (
     JanusFeatures,
     Paradigm,
     build_workload,
-    data_centric_engine,
     engine_for,
-    expert_centric_engine,
     strategy_map,
     unified_engine,
 )
@@ -22,18 +20,18 @@ from tests.conftest import small_cluster, small_config  # noqa: E402
 
 class TestEngineBasics:
     def test_ec_engine_runs_and_times_are_positive(self):
-        result = expert_centric_engine(small_config(), small_cluster()).run_iteration()
+        result = engine_for("expert-centric", small_config(), small_cluster()).run_iteration()
         assert result.seconds > 0
         assert result.all_to_all_seconds > 0
         assert result.all_to_all_share <= 1
 
     def test_dc_engine_runs_without_all_to_all(self):
-        result = data_centric_engine(small_config(), small_cluster()).run_iteration()
+        result = engine_for("data-centric", small_config(), small_cluster()).run_iteration()
         assert result.seconds > 0
         assert result.all_to_all_seconds == 0
 
     def test_iterations_are_deterministic(self):
-        engine = data_centric_engine(small_config(), small_cluster())
+        engine = engine_for("data-centric", small_config(), small_cluster())
         first = engine.run_iteration()
         second = engine.run_iteration()
         assert first.seconds == second.seconds
@@ -42,7 +40,7 @@ class TestEngineBasics:
         )
 
     def test_run_many(self):
-        engine = expert_centric_engine(small_config(), small_cluster())
+        engine = engine_for("expert-centric", small_config(), small_cluster())
         results = engine.run(3)
         assert len(results) == 3
 
@@ -68,8 +66,8 @@ class TestTrafficAccounting:
         config = small_config()
         cluster = small_cluster()
         workload = build_workload(config, cluster)
-        result = data_centric_engine(
-            config, cluster, workload=workload
+        result = engine_for(
+            "data-centric", config, cluster, workload=workload
         ).run_iteration()
         expert_bytes = workload.expert_bytes
         external_per_machine = 2  # 4 experts, 2 local per machine
@@ -86,11 +84,11 @@ class TestTrafficAccounting:
         config = small_config(experts_per_block={1: 8, 3: 8})
         cluster = small_cluster(machines=2, gpus=4)
         workload = build_workload(config, cluster)
-        with_cache = data_centric_engine(
-            config, cluster, workload=workload
+        with_cache = engine_for(
+            "data-centric", config, cluster, workload=workload
         ).run_iteration()
-        without_cache = data_centric_engine(
-            config, cluster, workload=workload,
+        without_cache = engine_for(
+            "data-centric", config, cluster, workload=workload,
             features=JanusFeatures(hierarchical=False),
         ).run_iteration()
         assert (
@@ -102,8 +100,8 @@ class TestTrafficAccounting:
         config = small_config()
         cluster = small_cluster()
         workload = build_workload(config, cluster)
-        result = expert_centric_engine(
-            config, cluster, workload=workload
+        result = engine_for(
+            "expert-centric", config, cluster, workload=workload
         ).run_iteration()
         expected = 0.0
         for block in workload.moe_blocks():
@@ -125,8 +123,8 @@ class TestParadigmPerformanceShape:
         config = small_config(batch_size=256, seq_len=128, hidden_dim=32)
         cluster = small_cluster()
         workload = build_workload(config, cluster)
-        ec = expert_centric_engine(config, cluster, workload=workload).run_iteration()
-        dc = data_centric_engine(config, cluster, workload=workload).run_iteration()
+        ec = engine_for("expert-centric", config, cluster, workload=workload).run_iteration()
+        dc = engine_for("data-centric", config, cluster, workload=workload).run_iteration()
         assert dc.seconds < ec.seconds
 
     def test_ec_faster_when_r_small(self):
@@ -134,8 +132,8 @@ class TestParadigmPerformanceShape:
         config = small_config(batch_size=1, seq_len=8, hidden_dim=256)
         cluster = small_cluster()
         workload = build_workload(config, cluster)
-        ec = expert_centric_engine(config, cluster, workload=workload).run_iteration()
-        dc = data_centric_engine(config, cluster, workload=workload).run_iteration()
+        ec = engine_for("expert-centric", config, cluster, workload=workload).run_iteration()
+        dc = engine_for("data-centric", config, cluster, workload=workload).run_iteration()
         assert ec.seconds < dc.seconds
 
     def test_unified_never_worse_than_both_pure_modes(self):
@@ -152,8 +150,8 @@ class TestParadigmPerformanceShape:
         cluster = small_cluster()
         workload = build_workload(config, cluster)
         kwargs = dict(workload=workload, check_memory=False)
-        ec = expert_centric_engine(config, cluster, **kwargs).run_iteration()
-        dc = data_centric_engine(config, cluster, **kwargs).run_iteration()
+        ec = engine_for("expert-centric", config, cluster, **kwargs).run_iteration()
+        dc = engine_for("data-centric", config, cluster, **kwargs).run_iteration()
         unified = unified_engine(config, cluster, **kwargs).run_iteration()
         # At this toy scale fixed link latencies dominate, so allow some
         # slack; the realistic-scale assertion lives in the Fig. 17 bench.
@@ -187,8 +185,8 @@ class TestFeatureAblation:
             ("topo", JanusFeatures(topology_aware=True, prefetch=False)),
             ("full", JanusFeatures(topology_aware=True, prefetch=True)),
         ]:
-            results[name] = data_centric_engine(
-                config, cluster, workload=workload, features=features
+            results[name] = engine_for(
+                "data-centric", config, cluster, workload=workload, features=features
             ).run_iteration()
         return results
 
@@ -202,12 +200,12 @@ class TestFeatureAblation:
         config = small_config(batch_size=64, seq_len=64)
         cluster = small_cluster()
         workload = build_workload(config, cluster)
-        no_prefetch = data_centric_engine(
-            config, cluster, workload=workload,
+        no_prefetch = engine_for(
+            "data-centric", config, cluster, workload=workload,
             features=JanusFeatures(prefetch=False),
         ).run_iteration()
-        prefetch = data_centric_engine(
-            config, cluster, workload=workload,
+        prefetch = engine_for(
+            "data-centric", config, cluster, workload=workload,
             features=JanusFeatures(prefetch=True),
         ).run_iteration()
         first_arrival = min(
@@ -224,8 +222,8 @@ class TestFeatureAblation:
     def test_credit_size_one_still_progresses(self):
         config = small_config()
         cluster = small_cluster()
-        result = data_centric_engine(
-            config, cluster,
+        result = engine_for(
+            "data-centric", config, cluster,
             features=JanusFeatures(credit_size=1),
         ).run_iteration()
         assert result.seconds > 0
@@ -238,7 +236,7 @@ class TestFeatureAblation:
 class TestTrace:
     def test_block_completions_recorded_for_trace_worker(self):
         config = small_config()
-        result = data_centric_engine(config, small_cluster()).run_iteration()
+        result = engine_for("data-centric", config, small_cluster()).run_iteration()
         completions = result.trace.block_completions(0)
         assert sorted(completions) == list(range(config.num_blocks))
         times = [completions[b] for b in range(config.num_blocks)]
@@ -246,14 +244,14 @@ class TestTrace:
 
     def test_expert_arrivals_recorded(self):
         config = small_config()
-        result = data_centric_engine(config, small_cluster()).run_iteration()
+        result = engine_for("data-centric", config, small_cluster()).run_iteration()
         arrivals = result.trace.expert_arrivals(0)
         # Worker 0 needs 3 foreign experts per MoE block (4 experts, 1 own).
         assert len(arrivals) == 2 * 3
 
     def test_ec_trace_has_a2a_spans(self):
         config = small_config()
-        result = expert_centric_engine(config, small_cluster()).run_iteration()
+        result = engine_for("expert-centric", config, small_cluster()).run_iteration()
         spans = result.trace.spans_of("comm.a2a")
         # 2 MoE blocks x 2 phases x 2 collectives.
         assert len(spans) == 8

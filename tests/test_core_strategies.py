@@ -12,9 +12,7 @@ from repro.core import (
     build_workload,
     engine_for,
     engine_modes,
-    expert_centric_engine,
     get_strategy,
-    pipelined_expert_centric_engine,
     resolve_strategy_name,
     strategy_map,
     strategy_names,
@@ -236,11 +234,11 @@ class TestPipelinedExpertCentric:
         cluster = small_cluster()
         workload = build_workload(config, cluster)
         features = JanusFeatures(ec_pipeline_chunks=1)
-        ec = expert_centric_engine(
-            config, cluster, workload=workload, features=features
+        ec = engine_for(
+            "expert-centric", config, cluster, workload=workload, features=features
         ).run_iteration()
-        pipelined = pipelined_expert_centric_engine(
-            config, cluster, workload=workload, features=features
+        pipelined = engine_for(
+            "pipelined-ec", config, cluster, workload=workload, features=features
         ).run_iteration()
         assert pipelined.seconds == pytest.approx(ec.seconds, rel=1e-9)
         np.testing.assert_allclose(
@@ -253,11 +251,11 @@ class TestPipelinedExpertCentric:
         config = small_config()
         cluster = small_cluster()
         workload = build_workload(config, cluster)
-        ec = expert_centric_engine(
-            config, cluster, workload=workload
+        ec = engine_for(
+            "expert-centric", config, cluster, workload=workload
         ).run_iteration()
-        pipelined = pipelined_expert_centric_engine(
-            config, cluster, workload=workload
+        pipelined = engine_for(
+            "pipelined-ec", config, cluster, workload=workload
         ).run_iteration()
         np.testing.assert_allclose(
             pipelined.nic_egress_bytes, ec.nic_egress_bytes, rtol=1e-9
@@ -279,9 +277,9 @@ class TestPipelinedExpertCentric:
         )
         workload = build_workload(config, cluster)
         kwargs = dict(workload=workload, check_memory=False)
-        ec = expert_centric_engine(config, cluster, **kwargs).run_iteration()
-        pipelined = pipelined_expert_centric_engine(
-            config, cluster, **kwargs
+        ec = engine_for("expert-centric", config, cluster, **kwargs).run_iteration()
+        pipelined = engine_for(
+            "pipelined-ec", config, cluster, **kwargs
         ).run_iteration()
         assert pipelined.seconds < ec.seconds
 
@@ -296,12 +294,12 @@ class TestPipelinedExpertCentric:
         )
         workload = build_workload(config, cluster)
         kwargs = dict(workload=workload, check_memory=False)
-        few = pipelined_expert_centric_engine(
-            config, cluster, features=JanusFeatures(ec_pipeline_chunks=2),
+        few = engine_for(
+            "pipelined-ec", config, cluster, features=JanusFeatures(ec_pipeline_chunks=2),
             **kwargs,
         ).run_iteration()
-        many = pipelined_expert_centric_engine(
-            config, cluster, features=JanusFeatures(ec_pipeline_chunks=64),
+        many = engine_for(
+            "pipelined-ec", config, cluster, features=JanusFeatures(ec_pipeline_chunks=64),
             **kwargs,
         ).run_iteration()
         assert many.seconds > few.seconds

@@ -4,10 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, MachineSpec
 from repro.config import ModelConfig
-from repro.core import (
-    data_centric_engine,
-    expert_centric_engine,
-)
+from repro.core import engine_for
 
 
 def config(**overrides):
@@ -25,14 +22,14 @@ def cluster():
 
 class TestInferenceMode:
     def test_inference_is_faster_than_training(self):
-        for factory in (expert_centric_engine, data_centric_engine):
-            engine = factory(config(), cluster())
+        for mode in ("expert-centric", "data-centric"):
+            engine = engine_for(mode, config(), cluster())
             training = engine.run_iteration()
             inference = engine.run_inference()
             assert inference.seconds < training.seconds
 
     def test_dc_inference_has_no_gradient_traffic(self):
-        engine = data_centric_engine(config(), cluster())
+        engine = engine_for("data-centric", config(), cluster())
         workload = engine.workload
         inference = engine.run_inference()
         # Cross-node traffic is exactly the forward expert pulls: one per
@@ -41,7 +38,7 @@ class TestInferenceMode:
         assert inference.nic_egress_bytes.sum() == pytest.approx(expected)
 
     def test_dc_inference_traffic_is_half_of_training(self):
-        engine = data_centric_engine(config(), cluster())
+        engine = engine_for("data-centric", config(), cluster())
         training = engine.run_iteration()
         inference = engine.run_inference()
         assert inference.nic_egress_bytes.sum() == pytest.approx(
@@ -49,7 +46,7 @@ class TestInferenceMode:
         )
 
     def test_ec_inference_runs_half_the_all_to_alls(self):
-        engine = expert_centric_engine(config(), cluster())
+        engine = engine_for("expert-centric", config(), cluster())
         training = engine.run_iteration()
         inference = engine.run_inference()
         assert (
@@ -58,11 +55,11 @@ class TestInferenceMode:
         )
 
     def test_inference_deterministic(self):
-        engine = data_centric_engine(config(), cluster())
+        engine = engine_for("data-centric", config(), cluster())
         assert engine.run_inference().seconds == engine.run_inference().seconds
 
     def test_training_after_inference_unaffected(self):
-        engine = data_centric_engine(config(), cluster())
+        engine = engine_for("data-centric", config(), cluster())
         before = engine.run_iteration().seconds
         engine.run_inference()
         after = engine.run_iteration().seconds

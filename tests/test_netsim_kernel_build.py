@@ -1,11 +1,12 @@
-"""Building the compiled fluid-network kernel.
+"""Building the compiled cores: the fluid-network kernel and the event kernel.
 
-A host that cannot build the kernel must say so, once and in the
-compiler's own words, instead of silently running the python loops,
-which are several times slower; an explicit ``REPRO_WATERFILL=python``
+A host that cannot build a core must say so, once per core and in the
+compiler's own words, instead of silently running the pure-python code,
+which is several times slower; an explicit ``REPRO_WATERFILL=python``
 stays silent.  The build goes to the checkout's ``build/`` when that is
 writable and to a private per-user temp directory otherwise (the case of
-a non-editable install).
+a non-editable install).  Both cores share one build helper
+(:mod:`repro._native`), and every test here covers both.
 """
 
 import os
@@ -15,25 +16,37 @@ import warnings
 
 import pytest
 
+from repro import _native
 from repro.netsim import _waterfill
+from repro.simkit import _eventcore
+
+# (build name, C source, flags, cached probe) per compiled core.
+CORES = (
+    ("waterfill", _waterfill._C_SOURCE, _waterfill._FLAGS, _waterfill.kernel),
+    ("eventcore", _eventcore._C_SOURCE, _eventcore._FLAGS, _eventcore.kernel),
+)
 
 
 @pytest.fixture
 def fresh_probe(monkeypatch, tmp_path):
-    """Forget any earlier probe and build into an empty directory."""
-    monkeypatch.setattr(_waterfill, "_REPO_BUILD_DIR", tmp_path / "build")
+    """Forget any earlier probe and build into an empty directory.  (The
+    event kernel the simkit package already loaded stays in use.)"""
+    monkeypatch.setattr(_native, "_REPO_BUILD_DIR", tmp_path / "build")
     monkeypatch.delenv("REPRO_WATERFILL", raising=False)
-    _waterfill.kernel.cache_clear()
+    for *_, kernel in CORES:
+        kernel.cache_clear()
     yield tmp_path
-    _waterfill.kernel.cache_clear()
+    for *_, kernel in CORES:
+        kernel.cache_clear()
 
 
 def test_missing_compiler_warns_once(fresh_probe, monkeypatch):
     monkeypatch.setenv("CC", "/nonexistent")
-    with pytest.warns(RuntimeWarning, match="/nonexistent") as record:
-        assert _waterfill.kernel() is None
-        assert _waterfill.kernel() is None
-    assert len(record) == 1
+    for *_, kernel in CORES:
+        with pytest.warns(RuntimeWarning, match="/nonexistent") as record:
+            assert kernel() is None
+            assert kernel() is None
+        assert len(record) == 1
 
 
 def test_compiler_failure_warning_carries_its_stderr(fresh_probe, monkeypatch):
@@ -43,8 +56,11 @@ def test_compiler_failure_warning_carries_its_stderr(fresh_probe, monkeypatch):
     )
     compiler.chmod(0o755)
     monkeypatch.setenv("CC", str(compiler))
-    with pytest.warns(RuntimeWarning, match="status 3:\nfirst line\nfatal: no such flag"):
-        assert _waterfill.kernel() is None
+    for *_, kernel in CORES:
+        with pytest.warns(
+            RuntimeWarning, match="status 3:\nfirst line\nfatal: no such flag"
+        ):
+            assert kernel() is None
 
 
 def test_opting_out_is_silent(fresh_probe, monkeypatch):
@@ -52,7 +68,8 @@ def test_opting_out_is_silent(fresh_probe, monkeypatch):
     monkeypatch.setenv("REPRO_WATERFILL", "python")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _waterfill.kernel() is None
+        for *_, kernel in CORES:
+            assert kernel() is None
 
 
 @pytest.fixture
@@ -62,7 +79,7 @@ def private_temp(fresh_probe, monkeypatch):
     temp = fresh_probe / "tmp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "gettempdir", lambda: str(temp))
-    return temp / f"repro-waterfill-{os.getuid()}"
+    return temp / f"repro-native-{os.getuid()}"
 
 
 @pytest.mark.parametrize("checkout", ["blocked", "read-only"])
@@ -74,21 +91,26 @@ def test_unwritable_checkout_builds_in_private_temp_dir(
         # A file where the build dir's parent should be: mkdir fails.
         (fresh_probe / "lib").write_text("")
         monkeypatch.setattr(
-            _waterfill, "_REPO_BUILD_DIR", fresh_probe / "lib" / "build"
+            _native, "_REPO_BUILD_DIR", fresh_probe / "lib" / "build"
         )
     else:
         monkeypatch.setattr(os, "access", lambda path, mode: False)
-    assert _waterfill._build_dir() == private_temp
+    for name, *_ in CORES:
+        assert _native.build_dir(name) == private_temp
     assert private_temp.stat().st_mode & 0o777 == 0o700
     if not has_compiler:
         pytest.skip("no C compiler on this host")
-    assert _waterfill._compile() is not None
-    assert list(private_temp.glob("waterfill_*.so"))
+    for name, source, flags, _ in CORES:
+        assert _native.build(name, source, flags).parent == private_temp
+        assert list(private_temp.glob(f"{name}_*.so"))
+    # The event kernel is not loaded a second time here; its build is.
+    assert _waterfill.kernel() is not None
 
 
 def test_shared_temp_dir_is_refused(fresh_probe, private_temp, monkeypatch):
     monkeypatch.setattr(os, "access", lambda path, mode: False)
     private_temp.mkdir(mode=0o777)
     private_temp.chmod(0o777)
-    with pytest.warns(RuntimeWarning, match="not a private directory"):
-        assert _waterfill._compile() is None
+    for *_, kernel in CORES:
+        with pytest.warns(RuntimeWarning, match="not a private directory"):
+            assert kernel() is None

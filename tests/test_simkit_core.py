@@ -313,3 +313,28 @@ def test_nested_processes_compose():
     env.process(root(results))
     env.run()
     assert results == [(5, 5)]
+
+
+def test_interrupt_before_first_resume_is_the_first_resume():
+    """The initialize event is a new process's first target: an interrupt
+    in the spawn instant detaches it and is thrown in at the start, so the
+    generator never runs and the process fails with the Interrupt."""
+    env = Environment()
+    started, caught = [], []
+
+    def victim():
+        started.append(env.now)
+        yield env.timeout(1)
+
+    def parent():
+        child = env.process(victim())
+        child.interrupt(cause="early")
+        try:
+            yield child
+        except Interrupt as interrupt:
+            caught.append((env.now, interrupt.cause))
+
+    env.run(until=env.process(parent()))
+    assert started == []
+    assert caught == [(0, "early")]
+    assert env.peek() == float("inf")
