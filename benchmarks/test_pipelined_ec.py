@@ -32,7 +32,6 @@ from repro.core import (
     build_workload,
     engine_for,
     gain_ratio,
-    unified_engine,
 )
 
 CHUNK_SWEEP = (1, 2, 4, 8, 16)
@@ -67,8 +66,9 @@ def run_mode(mode: str, chunks: int = 4):
         check_memory=False,
     )
     if mode == "unified+pec":
-        engine = unified_engine(
-            config, cluster, low_r_strategy="pipelined-ec", **kwargs
+        engine = engine_for(
+            "unified", config, cluster, low_r_strategy="pipelined-ec",
+            **kwargs,
         )
     else:
         engine = engine_for(mode, config, cluster, **kwargs)

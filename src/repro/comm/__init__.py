@@ -2,18 +2,16 @@
 RDMA data plane."""
 
 from .endpoint import ControlPlane, Endpoint
-from .messages import Ack, ControlMessage, GradPush, PullRequest, PullResponse
+from .messages import ControlMessage, GradPush, PullRequest
 from .pull import PullFailedError, PullServer, PullTransport
 
 __all__ = [
-    "Ack",
     "ControlMessage",
     "ControlPlane",
     "Endpoint",
     "GradPush",
     "PullFailedError",
     "PullRequest",
-    "PullResponse",
     "PullServer",
     "PullTransport",
 ]

@@ -15,7 +15,7 @@ from typing import Hashable
 
 from ..cluster import Device
 
-__all__ = ["ControlMessage", "PullRequest", "PullResponse", "GradPush", "Ack"]
+__all__ = ["ControlMessage", "PullRequest", "GradPush"]
 
 # Control messages are tiny; what matters on the wire is latency, not size.
 CONTROL_BYTES = 64.0
@@ -47,13 +47,6 @@ class PullRequest(ControlMessage):
 
 
 @dataclass(frozen=True)
-class PullResponse(ControlMessage):
-    """Header announcing that the data-plane transfer has been issued."""
-
-    payload_bytes: float = 0.0
-
-
-@dataclass(frozen=True)
 class GradPush(ControlMessage):
     """Announce a gradient payload headed to ``receiver`` (the home worker)."""
 
@@ -62,8 +55,3 @@ class GradPush(ControlMessage):
     def __post_init__(self):
         if self.payload_bytes < 0:
             raise ValueError("payload_bytes must be non-negative")
-
-
-@dataclass(frozen=True)
-class Ack(ControlMessage):
-    """Completion acknowledgement for a pull or push."""

@@ -51,15 +51,7 @@ from .taskgraph import (
     run_lane,
 )
 from .tensor_parallel import TensorParallelPlan, plan_tensor_parallel
-from .unified import (
-    auto_engine,
-    auto_schedule_map,
-    engine_for,
-    engine_modes,
-    strategy_engine,
-    strategy_map,
-    unified_engine,
-)
+from .unified import auto_schedule_map, engine_for, engine_modes, strategy_map
 from .workload import BlockWorkload, IterationWorkload, build_workload
 
 __all__ = [
@@ -88,7 +80,6 @@ __all__ = [
     "TaskKind",
     "TensorParallelPlan",
     "PcieCopyStep",
-    "auto_engine",
     "auto_schedule_map",
     "build_iteration_plan",
     "build_workload",
@@ -113,8 +104,6 @@ __all__ = [
     "apply_a2a_stagger",
     "select_paradigm",
     "split_external_groups",
-    "strategy_engine",
     "strategy_map",
     "strategy_names",
-    "unified_engine",
 ]

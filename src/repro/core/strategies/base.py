@@ -23,6 +23,8 @@ from abc import ABC, abstractmethod
 from enum import Enum
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Tuple, Type
 
+from ...models.flops import BACKWARD_MULTIPLIER
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..context import IterationContext
     from ..engine import JanusEngine
@@ -51,8 +53,9 @@ class BlockStrategy(ABC):
     #: Whether the strategy's blocks are served by the Janus Task Queue
     #: (intra/inter-node schedulers, credits, caches).
     uses_task_queue: ClassVar[bool] = False
-    #: Whether the strategy can split its blocks into micro-batches
-    #: (implements ``micro_worker_tasks`` and ``micro_service_lanes``).
+    #: Whether the strategy can split its blocks into micro-batches: its
+    #: ``worker_tasks`` take ``micro=(m, M)`` and its ``service_lanes``
+    #: take ``micro_batches=M``.
     micro_capable: ClassVar[bool] = False
 
     def __init__(self, engine: "JanusEngine", blocks: Tuple[int, ...]):
@@ -64,11 +67,16 @@ class BlockStrategy(ABC):
     @abstractmethod
     def worker_tasks(self, ctx: "IterationContext", rank: int, index: int,
                      phase: str) -> List:
-        """Tasks a worker lane runs for one of this strategy's blocks."""
+        """Tasks a worker lane runs for one of this strategy's blocks.
+
+        A ``micro_capable`` strategy also takes ``micro=(m, M)``: the
+        tasks micro-batch lane ``m`` of ``M`` runs."""
 
     def service_lanes(self, ctx: "IterationContext", graph,
                       forward_only: bool) -> List:
-        """Coordinator/scheduler lanes, created on ``graph``."""
+        """Coordinator/scheduler lanes, created on ``graph``.
+
+        A ``micro_capable`` strategy also takes ``micro_batches=M``."""
         return []
 
     def collector_lanes(self, ctx: "IterationContext", graph) -> List:
@@ -76,20 +84,18 @@ class BlockStrategy(ABC):
         ends (backward sweep only)."""
         return []
 
-    def micro_worker_tasks(self, ctx: "IterationContext", rank: int,
-                           index: int, phase: str, micro: int,
-                           micro_batches: int) -> List:
-        """Tasks micro-batch lane ``micro`` (of ``micro_batches``) runs for
-        one block.  Only meaningful when ``micro_capable`` is True."""
-        raise NotImplementedError(
-            f"{self.name!r} is not micro-batch capable"
-        )
+    # -- pricing -----------------------------------------------------------------
 
-    def micro_service_lanes(self, ctx: "IterationContext", graph,
-                            forward_only: bool, micro_batches: int):
-        """Per-micro-batch coordinator lanes (micro-capable strategies)."""
-        raise NotImplementedError(
-            f"{self.name!r} is not micro-batch capable"
+    def expert_seconds(self, tokens: float, gpu_flops: float,
+                       launches: int, phase: str) -> float:
+        """The one expert-compute price: ``tokens`` through an expert FFN
+        at ``gpu_flops`` plus ``launches`` kernel launches, doubled in the
+        backward sweep and jittered by the engine."""
+        engine = self.engine
+        mult = BACKWARD_MULTIPLIER if phase == "bwd" else 1.0
+        return engine._jittered(
+            (tokens * engine.workload.expert_flops / gpu_flops
+             + engine.cluster.spec.gpu.kernel_overhead * launches) * mult
         )
 
     # -- memory model ----------------------------------------------------------

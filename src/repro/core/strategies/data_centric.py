@@ -19,8 +19,6 @@ from .base import BlockStrategy, register_strategy
 
 __all__ = ["DataCentricStrategy"]
 
-_BACKWARD = 2.0
-
 
 @register_strategy
 class DataCentricStrategy(BlockStrategy):
@@ -47,17 +45,12 @@ class DataCentricStrategy(BlockStrategy):
         gpu = ctx.gpu_of[rank]
         gpu_flops = engine._rank_flops(rank)
         backward = phase == "bwd"
-        mult = _BACKWARD if backward else 1.0
         record = rank == engine.trace_worker
         routing = block.routing[rank]
 
-        overhead = engine.cluster.spec.gpu.kernel_overhead
-
         def expert_seconds(expert: int) -> float:
-            return engine._jittered(
-                (routing[expert] * workload.expert_flops / gpu_flops + overhead)
-                * mult
-            )
+            # One batched GEMM per expert: a single kernel launch.
+            return self.expert_seconds(routing[expert], gpu_flops, 1, phase)
 
         # Resident experts first — they need no communication at all.
         for expert in ctx.own_experts_with_tokens(index, rank):

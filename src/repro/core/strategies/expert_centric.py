@@ -4,6 +4,11 @@ The Tutel-equivalent baseline and the expert-centric mode of unified Janus:
 all workers rendezvous at the block, a coordinator lane runs the dispatch
 All-to-All, every worker computes its resident experts on the received
 tokens, and the combine All-to-All returns the results.
+
+The block is one schedule with a split degree: the micro-batched
+(``microbatch-ec``) and chunked (``pipelined-ec``) variants run the same
+compute and All-to-All bodies on ``1/split`` of the tokens, and the plain
+block is split 1.
 """
 
 from __future__ import annotations
@@ -17,41 +22,42 @@ from .base import BlockStrategy, register_strategy
 
 __all__ = ["ExpertCentricStrategy"]
 
-_BACKWARD = 2.0
-
 
 @register_strategy
 class ExpertCentricStrategy(BlockStrategy):
-    """Synchronous dispatch-compute-combine over All-to-All (§2.2)."""
+    """Synchronous dispatch-compute-combine over All-to-All (§2.2).
+
+    ``worker_tasks``/``service_lanes`` take the micro-batch ``(m, M)``:
+    each of the M pipelines carries 1/M of the tokens through its own
+    rendezvous, All-to-Alls and compute.  M=1 is the plain block."""
 
     name = "expert-centric"
 
-    def _label(self, phase: str, index: int) -> str:
-        return f"{self.name}.{phase}.b{index}"
+    def _label(self, phase: str, index: int, m: int = 0,
+               micro_batches: int = 1) -> str:
+        label = f"{self.name}.{phase}.b{index}"
+        return label if micro_batches == 1 else f"{label}.mb{m}"
 
-    def _compute_body(self, ctx, rank: int, index: int, phase: str):
-        """One rank's expert compute on the tokens it received: one
-        batched GEMM group per resident expert, so the expert-centric
-        paradigm pays far fewer kernel launches than fine-grained pulls."""
+    # -- the shared bodies -------------------------------------------------------
+
+    def _compute_task(self, ctx, name: str, rank: int, index: int,
+                      phase: str, split: int, detail: str, waits,
+                      signals) -> Task:
+        """One rank's expert compute on ``1/split`` of its received
+        tokens: one batched GEMM group per resident expert, so every split
+        pays the full kernel-launch cost."""
         engine = self.engine
 
         def body():
-            workload = engine.workload
-            block = workload.blocks[index]
+            block = engine.workload.blocks[index]
             placement = ctx.placements[index]
-            gpu_flops = engine._rank_flops(rank)
-            mult = _BACKWARD if phase == "bwd" else 1.0
             received = sum(
                 int(block.routing[:, expert].sum())
                 for expert in placement.experts_of(rank)
             )
-            overhead = (
-                engine.cluster.spec.gpu.kernel_overhead
-                * placement.experts_per_worker
-            )
-            seconds = engine._jittered(
-                (received * workload.expert_flops / gpu_flops + overhead)
-                * mult
+            seconds = self.expert_seconds(
+                received / split, engine._rank_flops(rank),
+                placement.experts_per_worker, phase,
             )
             start = ctx.env.now
             yield ctx.env.process(
@@ -60,21 +66,28 @@ class ExpertCentricStrategy(BlockStrategy):
             if rank == engine.trace_worker:
                 ctx.trace.record(
                     "compute.expert", start, ctx.env.now,
-                    worker=rank, block=index, detail=f"{phase}:ec",
+                    worker=rank, block=index, detail=detail,
                 )
 
-        return body
+        return Task(
+            name, TaskKind.EXPERT_COMPUTE, waits=waits, signals=signals,
+            body=body, claims=gpu_claim(rank),
+            worker=rank, block=index, phase=phase, detail=detail,
+        )
 
-    def _a2a_body(self, ctx, index: int, phase: str, combine: bool):
+    def _a2a_task(self, ctx, name: str, index: int, phase: str, split: int,
+                  combine: bool, suffix: str, waits, signals) -> Task:
+        """The dispatch (or, transposed, combine) All-to-All of ``1/split``
+        of the block's routed tokens."""
         engine = self.engine
+        detail = f"{phase}-{'combine' if combine else 'dispatch'}{suffix}"
 
         def body():
             workload = engine.workload
             block = workload.blocks[index]
-            placement = ctx.placements[index]
             matrix = block.tokens_sent_matrix(
-                placement, workload.token_bytes
-            )
+                ctx.placements[index], workload.token_bytes
+            ) / split
             if combine:
                 matrix = matrix.T
             start = ctx.env.now
@@ -83,28 +96,24 @@ class ExpertCentricStrategy(BlockStrategy):
                 hierarchical=engine.features.hierarchical_a2a,
             )
             ctx.trace.record(
-                "comm.a2a", start, ctx.env.now, block=index,
-                detail=f"{phase}-{'combine' if combine else 'dispatch'}",
+                "comm.a2a", start, ctx.env.now, block=index, detail=detail,
             )
 
-        return body
+        return Task(
+            name, TaskKind.A2A_CHUNK, waits=waits, signals=signals,
+            body=body, block=index, phase=phase, detail=detail,
+        )
 
-    def worker_tasks(self, ctx, rank: int, index: int, phase: str):
-        p = self._label(phase, index)
+    def _gated(self, p: str, rank: int, index: int, phase: str, computes):
+        """A worker's compute tasks between the block's rendezvous gate
+        and its leave gate (released by the last combine)."""
         return [
             Task(
                 f"{p}.w{rank}.arrive", TaskKind.GATE,
                 signals=(f"{p}.arrive.{rank}",),
                 worker=rank, block=index, phase=phase, traced=False,
             ),
-            Task(
-                f"{p}.w{rank}.compute", TaskKind.EXPERT_COMPUTE,
-                waits=(f"{p}.dispatched",),
-                signals=(f"{p}.computed.{rank}",),
-                body=self._compute_body(ctx, rank, index, phase),
-                claims=gpu_claim(rank),
-                worker=rank, block=index, phase=phase, detail=f"{phase}:ec",
-            ),
+            *computes,
             Task(
                 f"{p}.w{rank}.leave", TaskKind.GATE,
                 waits=(f"{p}.combined",),
@@ -112,29 +121,47 @@ class ExpertCentricStrategy(BlockStrategy):
             ),
         ]
 
-    def service_lanes(self, ctx, graph, forward_only: bool):
+    def _all_ranks(self, label: str) -> tuple:
+        return tuple(
+            f"{label}.{r}" for r in range(self.engine.workload.world_size)
+        )
+
+    # -- task-graph hooks ------------------------------------------------------
+
+    def worker_tasks(self, ctx, rank: int, index: int, phase: str,
+                     micro: Tuple[int, int] = (0, 1)):
+        m, micro_batches = micro
+        p = self._label(phase, index, m, micro_batches)
+        suffix = "" if micro_batches == 1 else f":mb{m}"
+        return self._gated(p, rank, index, phase, [self._compute_task(
+            ctx, f"{p}.w{rank}.compute", rank, index, phase, micro_batches,
+            f"{phase}:ec{suffix}", waits=(f"{p}.dispatched",),
+            signals=(f"{p}.computed.{rank}",),
+        )])
+
+    def service_lanes(self, ctx, graph, forward_only: bool,
+                      micro_batches: int = 1):
         lanes = []
-        world = self.engine.workload.world_size
         phases = ("fwd",) if forward_only else ("fwd", "bwd")
         for index in self.blocks:
             for phase in phases:
-                p = self._label(phase, index)
-                lane = graph.lane(f"{p}.coordinator", role="service")
-                lane.add(Task(
-                    f"{p}.a2a-dispatch", TaskKind.A2A_CHUNK,
-                    waits=tuple(f"{p}.arrive.{r}" for r in range(world)),
-                    signals=(f"{p}.dispatched",),
-                    body=self._a2a_body(ctx, index, phase, combine=False),
-                    block=index, phase=phase, detail=f"{phase}-dispatch",
-                ))
-                lane.add(Task(
-                    f"{p}.a2a-combine", TaskKind.A2A_CHUNK,
-                    waits=tuple(f"{p}.computed.{r}" for r in range(world)),
-                    signals=(f"{p}.combined",),
-                    body=self._a2a_body(ctx, index, phase, combine=True),
-                    block=index, phase=phase, detail=f"{phase}-combine",
-                ))
-                lanes.append(lane)
+                for m in range(micro_batches):
+                    p = self._label(phase, index, m, micro_batches)
+                    suffix = "" if micro_batches == 1 else f":mb{m}"
+                    lane = graph.lane(f"{p}.coordinator", role="service")
+                    lane.add(self._a2a_task(
+                        ctx, f"{p}.a2a-dispatch", index, phase,
+                        micro_batches, False, suffix,
+                        waits=self._all_ranks(f"{p}.arrive"),
+                        signals=(f"{p}.dispatched",),
+                    ))
+                    lane.add(self._a2a_task(
+                        ctx, f"{p}.a2a-combine", index, phase,
+                        micro_batches, True, suffix,
+                        waits=self._all_ranks(f"{p}.computed"),
+                        signals=(f"{p}.combined",),
+                    ))
+                    lanes.append(lane)
         return lanes
 
     @classmethod

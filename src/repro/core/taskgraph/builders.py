@@ -15,27 +15,31 @@ Strategies contribute through three hooks (see
 * ``service_lanes``   — coordinator/scheduler lanes,
 * ``collector_lanes`` — gradient-collector lanes.
 
+A ``micro_capable`` strategy's ``worker_tasks`` also take the micro-batch
+``(m, M)`` and its ``service_lanes`` take ``M``.
+
 On top of the per-block paradigms, this module owns the two schedules that
-span blocks: **micro-batched worker lanes** (``M`` lanes
-per rank whose block DAGs interleave, so one micro-batch's expert compute
-overlaps another's All-to-All across block boundaries) and the
-**backward-pass gradient all-reduce** (per-block dense-gradient all-reduce
-lanes scheduled into idle link time of the remaining backward sweep, at
-background dispatch priority).
+span blocks: **worker lanes** (``M`` lanes per rank whose block DAGs
+interleave, so one micro-batch's expert compute overlaps another's
+All-to-All across block boundaries; with M=1, the default when no
+micro-capable strategy runs, each rank has one straight lane with plain
+labels and no rendezvous gates) and the **backward-pass gradient
+all-reduce** (per-block dense-gradient all-reduce lanes scheduled into
+idle link time of the remaining backward sweep, at background dispatch
+priority).
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
+from ...models.flops import BACKWARD_MULTIPLIER
 from ...netsim import all_reduce
 from .graph import TaskGraph
 from .stagger import apply_a2a_stagger
 from .task import ResourceClaim, Task, TaskKind
 
 __all__ = ["build_iteration_plan"]
-
-_BACKWARD = 2.0
 
 
 # -- labels ----------------------------------------------------------------
@@ -86,28 +90,18 @@ def build_iteration_plan(
     )
     allreduce = "none" if forward_only else features.grad_allreduce
 
-    world = engine.workload.world_size
-    for rank in range(world):
-        if micro > 1:
-            for m in range(micro):
-                lane = graph.lane(
-                    f"worker.{rank}.mb{m}", role="worker", worker=rank
-                )
-                _build_micro_worker_lane(
-                    engine, ctx, lane, rank, m, micro, runner,
-                    forward_only, allreduce,
-                )
-        else:
-            lane = graph.lane(f"worker.{rank}", role="worker", worker=rank)
+    for rank in range(engine.workload.world_size):
+        for m in range(micro):
             _build_worker_lane(
-                engine, ctx, lane, rank, runner, forward_only, allreduce
+                engine, ctx, graph, rank, m, micro, runner, forward_only,
+                allreduce,
             )
 
     # The hooks create their lanes on ``graph``; that creation order is
     # the spawn order.
     for strategy in strategies.values():
-        if micro > 1 and strategy.micro_capable:
-            strategy.micro_service_lanes(ctx, graph, forward_only, micro)
+        if strategy.micro_capable:
+            strategy.service_lanes(ctx, graph, forward_only, micro)
         else:
             strategy.service_lanes(ctx, graph, forward_only)
 
@@ -166,90 +160,17 @@ def _mark_body(ctx, rank, index):
 
 
 def _build_worker_lane(
-    engine, ctx, lane, rank, runner, forward_only, allreduce
+    engine, ctx, graph, rank, m, micro, runner, forward_only, allreduce
 ):
-    """The straight (non-micro-batched) worker lane: the forward sweep,
-    then the backward sweep in reverse block order."""
-    workload = engine.workload
-    gpu = ctx.gpu_of[rank]
-    record = rank == engine.trace_worker
-    claims = gpu_claim(rank)
-    rank_flops = engine._rank_flops(rank)
-
-    lane.add(Task(
-        f"w{rank}.start", TaskKind.GATE, waits=("iteration_start",),
-        worker=rank, traced=False,
-    ))
-    for block in workload.blocks:
-        index = block.index
-        if block.is_moe:
-            lane.add(Task(
-                f"w{rank}.fwd.b{index}.entry", TaskKind.GATE,
-                signals=(entry_label("fwd", index, rank),),
-                worker=rank, block=index, phase="fwd", traced=False,
-            ))
-        lane.add(Task(
-            f"w{rank}.fwd.b{index}.dense", TaskKind.DENSE_COMPUTE,
-            body=_dense_body(
-                engine, ctx, rank, gpu, block, 1.0, 1.0, record, "fwd",
-                rank_flops,
-            ),
-            claims=claims, worker=rank, block=index, phase="fwd",
-            detail="fwd",
-        ))
-        if block.is_moe:
-            lane.add(*runner[index].worker_tasks(ctx, rank, index, "fwd"))
-        if record:
-            lane.add(Task(
-                f"w{rank}.fwd.b{index}.mark", TaskKind.GATE,
-                body=_mark_body(ctx, rank, index),
-                worker=rank, block=index, traced=False,
-            ))
-
-    if forward_only:
-        return
-
-    for block in reversed(workload.blocks):
-        index = block.index
-        if block.is_moe:
-            lane.add(Task(
-                f"w{rank}.bwd.b{index}.entry", TaskKind.GATE,
-                signals=(entry_label("bwd", index, rank),),
-                worker=rank, block=index, phase="bwd", traced=False,
-            ))
-            lane.add(*runner[index].worker_tasks(ctx, rank, index, "bwd"))
-        lane.add(Task(
-            f"w{rank}.bwd.b{index}.dense", TaskKind.DENSE_COMPUTE,
-            body=_dense_body(
-                engine, ctx, rank, gpu, block, _BACKWARD, 1.0, False, "bwd",
-                rank_flops,
-            ),
-            claims=claims, worker=rank, block=index, phase="bwd",
-            detail="bwd",
-        ))
-        if allreduce == "overlap":
-            lane.add(Task(
-                f"w{rank}.bwd.b{index}.grad-ready", TaskKind.GATE,
-                signals=(_bdense_label(index, rank),),
-                worker=rank, block=index, phase="bwd", traced=False,
-            ))
-    if allreduce == "serial":
-        lane.add(Task(
-            f"w{rank}.done", TaskKind.GATE, signals=(_done_label(rank),),
-            worker=rank, traced=False,
-        ))
-
-
-def _build_micro_worker_lane(
-    engine, ctx, lane, rank, m, micro, runner, forward_only, allreduce
-):
-    """One of the M micro-batch lanes of a rank.
+    """Lane ``m`` of a rank's M worker lanes: the forward sweep, then the
+    backward sweep in reverse block order.
 
     Every lane carries 1/M of the dense flops and of each micro-capable
     block's tokens; the shared per-GPU compute stream serializes the
     compute while the per-micro-batch All-to-Alls overlap it.  Blocks
     whose strategy is not micro-capable run at full batch on lane 0 with a
-    rendezvous/release barrier across the rank's lanes.
+    rendezvous/release barrier across the rank's lanes.  With M=1 the lane
+    is the rank's straight lane: no ``.mb0`` labels, no barrier gates.
     """
     workload = engine.workload
     gpu = ctx.gpu_of[rank]
@@ -257,7 +178,12 @@ def _build_micro_worker_lane(
     claims = gpu_claim(rank)
     rank_flops = engine._rank_flops(rank)
     scale = 1.0 / micro
-    p = f"w{rank}.mb{m}"
+    single = micro == 1
+    tag = "" if single else f".mb{m}"
+    suffix = "" if single else f":mb{m}"
+    mb = None if single else m
+    lane = graph.lane(f"worker.{rank}{tag}", role="worker", worker=rank)
+    p = f"w{rank}{tag}"
 
     lane.add(Task(
         f"{p}.start", TaskKind.GATE, waits=("iteration_start",),
@@ -278,42 +204,44 @@ def _build_micro_worker_lane(
         index = block.index
         strategy = runner[index]
         if strategy.micro_capable:
-            lane.add(*strategy.micro_worker_tasks(
-                ctx, rank, index, phase, m, micro
+            lane.add(*strategy.worker_tasks(
+                ctx, rank, index, phase, (m, micro)
             ))
+            return
+        if single:
+            lane.add(*strategy.worker_tasks(ctx, rank, index, phase))
             return
         # Full-batch rendezvous: lane 0 waits for every sibling lane to
         # reach the block, runs the block once, then releases them.  Lane 0
         # rendezvouses with itself implicitly, so only siblings signal.
         rv = f"rv.{phase}.b{index}.w{rank}"
-        if m != 0:
-            lane.add(Task(
-                f"{p}.{phase}.b{index}.rv", TaskKind.GATE,
-                signals=(f"{rv}.mb{m}",),
-                worker=rank, block=index, phase=phase, traced=False,
-            ))
+        gate = f"{p}.{phase}.b{index}"
         if m == 0:
-            siblings = tuple(
-                f"{rv}.mb{i}" for i in range(micro) if i != 0
+            lane.add(
+                Task(
+                    f"{gate}.gather", TaskKind.GATE,
+                    waits=tuple(f"{rv}.mb{i}" for i in range(1, micro)),
+                    worker=rank, block=index, phase=phase, traced=False,
+                ),
+                *strategy.worker_tasks(ctx, rank, index, phase),
+                Task(
+                    f"{gate}.release", TaskKind.GATE,
+                    signals=(f"{rv}.done",),
+                    worker=rank, block=index, phase=phase, traced=False,
+                ),
             )
-            if siblings:
-                lane.add(Task(
-                    f"{p}.{phase}.b{index}.gather", TaskKind.GATE,
-                    waits=siblings, worker=rank, block=index, phase=phase,
-                    traced=False,
-                ))
-            lane.add(*strategy.worker_tasks(ctx, rank, index, phase))
-            lane.add(Task(
-                f"{p}.{phase}.b{index}.release", TaskKind.GATE,
-                signals=(f"{rv}.done",),
-                worker=rank, block=index, phase=phase, traced=False,
-            ))
         else:
-            lane.add(Task(
-                f"{p}.{phase}.b{index}.released", TaskKind.GATE,
-                waits=(f"{rv}.done",),
-                worker=rank, block=index, phase=phase, traced=False,
-            ))
+            lane.add(
+                Task(
+                    f"{gate}.rv", TaskKind.GATE, signals=(f"{rv}.mb{m}",),
+                    worker=rank, block=index, phase=phase, traced=False,
+                ),
+                Task(
+                    f"{gate}.released", TaskKind.GATE,
+                    waits=(f"{rv}.done",),
+                    worker=rank, block=index, phase=phase, traced=False,
+                ),
+            )
 
     for block in workload.blocks:
         index = block.index
@@ -323,10 +251,10 @@ def _build_micro_worker_lane(
             f"{p}.fwd.b{index}.dense", TaskKind.DENSE_COMPUTE,
             body=_dense_body(
                 engine, ctx, rank, gpu, block, 1.0, scale, record,
-                f"fwd:mb{m}", rank_flops,
+                f"fwd{suffix}", rank_flops,
             ),
             claims=claims, worker=rank, block=index, phase="fwd",
-            detail=f"fwd:mb{m}",
+            detail=f"fwd{suffix}",
         ))
         if block.is_moe:
             moe_tasks(block, "fwd")
@@ -348,21 +276,21 @@ def _build_micro_worker_lane(
         lane.add(Task(
             f"{p}.bwd.b{index}.dense", TaskKind.DENSE_COMPUTE,
             body=_dense_body(
-                engine, ctx, rank, gpu, block, _BACKWARD, scale, False,
-                f"bwd:mb{m}", rank_flops,
+                engine, ctx, rank, gpu, block, BACKWARD_MULTIPLIER, scale,
+                False, f"bwd{suffix}", rank_flops,
             ),
             claims=claims, worker=rank, block=index, phase="bwd",
-            detail=f"bwd:mb{m}",
+            detail=f"bwd{suffix}",
         ))
         if allreduce == "overlap":
             lane.add(Task(
                 f"{p}.bwd.b{index}.grad-ready", TaskKind.GATE,
-                signals=(_bdense_label(index, rank, m),),
+                signals=(_bdense_label(index, rank, mb),),
                 worker=rank, block=index, phase="bwd", traced=False,
             ))
     if allreduce == "serial":
         lane.add(Task(
-            f"{p}.done", TaskKind.GATE, signals=(_done_label(rank, m),),
+            f"{p}.done", TaskKind.GATE, signals=(_done_label(rank, mb),),
             worker=rank, traced=False,
         ))
 

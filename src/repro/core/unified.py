@@ -6,14 +6,14 @@ selector is generalized over the block-strategy registry
 (:mod:`repro.core.strategies`): the two sides of the R cut-over are
 pluggable strategy names, so e.g. low-R blocks can run ``pipelined-ec``
 instead of the plain synchronous All-to-All.  This module provides the
-selection plus the engine constructors compared in the paper:
+selection plus :func:`engine_for`, the one constructor of the engines
+compared in the paper, by mode name:
 
-* ``unified_engine``  — per-block choice by R (full Janus);
-* ``auto_engine``     — R plus the cost model's micro-batch test;
-* ``strategy_engine`` — every MoE block under one registered strategy, e.g.
+* ``"unified"`` — per-block choice by R (full Janus);
+* ``"auto"``    — R plus the cost model's micro-batch test;
+* a registered strategy name — every MoE block under that strategy, e.g.
   ``"expert-centric"`` (the Tutel baseline and the "expert-centric paradigm
-  in Janus" ablation baseline), ``"data-centric"`` or ``"pipelined-ec"``;
-* ``engine_for``      — any of the above by mode name (the CLI's factory).
+  in Janus" ablation baseline), ``"data-centric"`` or ``"pipelined-ec"``.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ from .workload import IterationWorkload, build_workload
 __all__ = [
     "strategy_map",
     "auto_schedule_map",
-    "unified_engine",
-    "auto_engine",
-    "strategy_engine",
     "engine_for",
     "engine_modes",
 ]
@@ -115,129 +112,6 @@ def auto_schedule_map(
     return mapping
 
 
-def _workload(
-    config: ModelConfig,
-    cluster: Cluster,
-    workload: Optional[IterationWorkload],
-    imbalance: float,
-    rng: Optional[np.random.Generator],
-) -> IterationWorkload:
-    if workload is not None:
-        return workload
-    return build_workload(config, cluster, imbalance=imbalance, rng=rng)
-
-
-def unified_engine(
-    config: ModelConfig,
-    cluster: Cluster,
-    features: Optional[JanusFeatures] = None,
-    workload: Optional[IterationWorkload] = None,
-    imbalance: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-    check_memory: bool = True,
-    threshold: float = 1.0,
-    low_r_strategy: str = "expert-centric",
-    high_r_strategy: str = "data-centric",
-    fault_plan=None,
-    resilience=None,
-    degradation=None,
-    controller=None,
-    metrics=None,
-    trace=None,
-) -> JanusEngine:
-    """Full Janus: per-block strategy by R (see :func:`strategy_map`)."""
-    return JanusEngine(
-        cluster,
-        _workload(config, cluster, workload, imbalance, rng),
-        strategy_map(
-            config, cluster, threshold=threshold,
-            low_r_strategy=low_r_strategy, high_r_strategy=high_r_strategy,
-        ),
-        features=features,
-        check_memory=check_memory,
-        fault_plan=fault_plan,
-        resilience=resilience,
-        degradation=degradation,
-        controller=controller,
-        metrics=metrics,
-        trace=trace,
-    )
-
-
-def auto_engine(
-    config: ModelConfig,
-    cluster: Cluster,
-    features: Optional[JanusFeatures] = None,
-    workload: Optional[IterationWorkload] = None,
-    imbalance: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-    check_memory: bool = True,
-    threshold: float = 1.0,
-    fault_plan=None,
-    resilience=None,
-    degradation=None,
-    controller=None,
-    metrics=None,
-    trace=None,
-) -> JanusEngine:
-    """Schedule-aware unified Janus: per-block choice among data-centric,
-    micro-batched and plain expert-centric (see :func:`auto_schedule_map`),
-    with the backward dense-gradient all-reduce overlapped by default."""
-    if features is None:
-        features = JanusFeatures()
-    if features.grad_allreduce == "none":
-        features = dataclasses.replace(features, grad_allreduce="overlap")
-    return JanusEngine(
-        cluster,
-        _workload(config, cluster, workload, imbalance, rng),
-        auto_schedule_map(
-            config, cluster, threshold=threshold,
-            micro_batches=features.micro_batches,
-        ),
-        features=features,
-        check_memory=check_memory,
-        fault_plan=fault_plan,
-        resilience=resilience,
-        degradation=degradation,
-        controller=controller,
-        metrics=metrics,
-        trace=trace,
-    )
-
-
-def strategy_engine(
-    strategy: str,
-    config: ModelConfig,
-    cluster: Cluster,
-    features: Optional[JanusFeatures] = None,
-    workload: Optional[IterationWorkload] = None,
-    imbalance: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-    check_memory: bool = True,
-    fault_plan=None,
-    resilience=None,
-    degradation=None,
-    controller=None,
-    metrics=None,
-    trace=None,
-) -> JanusEngine:
-    """Every MoE block under one registered block strategy."""
-    name = resolve_strategy_name(strategy)
-    return JanusEngine(
-        cluster,
-        _workload(config, cluster, workload, imbalance, rng),
-        {index: name for index in config.moe_block_indices},
-        features=features,
-        check_memory=check_memory,
-        fault_plan=fault_plan,
-        resilience=resilience,
-        degradation=degradation,
-        controller=controller,
-        metrics=metrics,
-        trace=trace,
-    )
-
-
 def engine_modes() -> tuple:
     """Mode names accepted by :func:`engine_for` (and the CLI): every
     registered block strategy plus the R-driven ``"unified"`` selector and
@@ -249,15 +123,62 @@ def engine_for(
     mode: str,
     config: ModelConfig,
     cluster: Cluster,
-    **kwargs,
+    features: Optional[JanusFeatures] = None,
+    workload: Optional[IterationWorkload] = None,
+    imbalance: float = 0.0,
+    rng: Optional[np.random.Generator] = None,
+    check_memory: bool = True,
+    fault_plan=None,
+    resilience=None,
+    degradation=None,
+    controller=None,
+    metrics=None,
+    trace=None,
+    **selector,
 ) -> JanusEngine:
-    """Engine factory by mode name (see :func:`engine_modes`)."""
+    """Engine factory by mode name (see :func:`engine_modes`).
+
+    ``"unified"`` maps blocks with :func:`strategy_map` and takes its
+    ``threshold``/``low_r_strategy``/``high_r_strategy``.  ``"auto"`` maps
+    them with :func:`auto_schedule_map` (``threshold`` only) and overlaps
+    the backward dense-gradient all-reduce unless ``features`` picks a
+    schedule.  A registered strategy name runs every MoE block under that
+    strategy and takes no selector argument.  ``workload`` defaults to
+    :func:`build_workload` at ``imbalance`` with ``rng``.
+    """
     if mode == "unified":
-        return unified_engine(config, cluster, **kwargs)
-    if mode == "auto":
-        return auto_engine(config, cluster, **kwargs)
-    if mode in strategy_names():
-        return strategy_engine(mode, config, cluster, **kwargs)
-    raise ValueError(
-        f"unknown mode {mode!r}; expected one of {sorted(engine_modes())}"
+        mapping = strategy_map(config, cluster, **selector)
+    elif mode == "auto":
+        if features is None:
+            features = JanusFeatures()
+        if features.grad_allreduce == "none":
+            features = dataclasses.replace(features, grad_allreduce="overlap")
+        mapping = auto_schedule_map(
+            config, cluster, micro_batches=features.micro_batches, **selector
+        )
+    elif mode in strategy_names():
+        if selector:
+            raise TypeError(
+                f"mode {mode!r} takes no selector arguments, "
+                f"got {sorted(selector)}"
+            )
+        mapping = dict.fromkeys(config.moe_block_indices, mode)
+    else:
+        raise ValueError(
+            f"unknown mode {mode!r}; expected one of {sorted(engine_modes())}"
+        )
+    if workload is None:
+        workload = build_workload(config, cluster, imbalance=imbalance, rng=rng)
+    return JanusEngine(
+        cluster,
+        workload,
+        mapping,
+        features=features,
+        check_memory=check_memory,
+        fault_plan=fault_plan,
+        resilience=resilience,
+        degradation=degradation,
+        controller=controller,
+        metrics=metrics,
+        trace=trace,
     )

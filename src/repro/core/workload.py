@@ -16,7 +16,6 @@ import numpy as np
 from ..cluster import Cluster
 from ..config import ModelConfig
 from ..models.flops import (
-    BACKWARD_MULTIPLIER,
     attention_flops,
     dense_ffn_flops,
     expert_flops_per_token,
@@ -84,12 +83,6 @@ class IterationWorkload:
 
     def moe_blocks(self) -> List[BlockWorkload]:
         return [block for block in self.blocks if block.is_moe]
-
-    def expert_compute_seconds(
-        self, tokens: float, gpu_flops: float, backward: bool = False
-    ) -> float:
-        seconds = tokens * self.expert_flops / gpu_flops
-        return seconds * (BACKWARD_MULTIPLIER if backward else 1.0)
 
 
 def build_workload(

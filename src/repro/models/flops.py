@@ -14,7 +14,6 @@ __all__ = [
     "dense_ffn_flops",
     "gate_flops",
     "expert_flops_per_token",
-    "dense_block_flops",
     "BACKWARD_MULTIPLIER",
 ]
 
@@ -41,15 +40,6 @@ def gate_flops(batch: int, seq: int, hidden: int, num_experts: int) -> float:
 def expert_flops_per_token(hidden: int, mult: int = 4) -> float:
     """One token through one expert FFN (H -> mult*H -> H)."""
     return float(2 * 2 * hidden * mult * hidden)
-
-
-def dense_block_flops(config: ModelConfig) -> float:
-    """Forward FLOPs of one dense transformer block for one worker batch."""
-    return attention_flops(
-        config.batch_size, config.seq_len, config.hidden_dim
-    ) + dense_ffn_flops(
-        config.batch_size, config.seq_len, config.hidden_dim, config.ffn_mult
-    )
 
 
 def moe_block_dense_part_flops(config: ModelConfig, block_index: int) -> float:

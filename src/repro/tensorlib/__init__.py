@@ -10,7 +10,6 @@ from .tensor import (
     get_default_dtype,
     is_grad_enabled,
     no_grad,
-    set_default_dtype,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "get_default_dtype",
     "is_grad_enabled",
     "no_grad",
-    "set_default_dtype",
 ]

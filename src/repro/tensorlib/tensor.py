@@ -22,7 +22,6 @@ __all__ = [
     "is_grad_enabled",
     "default_dtype",
     "get_default_dtype",
-    "set_default_dtype",
 ]
 
 Number = Union[int, float]
@@ -60,11 +59,6 @@ def _check_dtype(dtype) -> np.dtype:
 def get_default_dtype() -> np.dtype:
     """The dtype newly constructed Tensors use."""
     return _DTYPE_STACK[-1]
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the process-wide Tensor dtype (float64 or float32)."""
-    _DTYPE_STACK[-1] = _check_dtype(dtype)
 
 
 class default_dtype:

@@ -12,16 +12,11 @@ __all__ = [
     "KB",
     "MB",
     "GB",
-    "KIB",
-    "MIB",
     "GIB",
     "US",
-    "MS",
     "gbps",
     "gbytes_per_s",
-    "to_gb",
     "to_gbps",
-    "to_ms",
 ]
 
 # Decimal sizes (used for traffic volumes, matching the paper's "GB").
@@ -30,13 +25,10 @@ MB = 1e6
 GB = 1e9
 
 # Binary sizes (used for device memory capacities).
-KIB = 1024.0
-MIB = 1024.0**2
 GIB = 1024.0**3
 
 # Time.
 US = 1e-6
-MS = 1e-3
 
 
 def gbps(value: float) -> float:
@@ -49,16 +41,6 @@ def gbytes_per_s(value: float) -> float:
     return value * 1e9
 
 
-def to_gb(num_bytes: float) -> float:
-    """Convert bytes to decimal gigabytes."""
-    return num_bytes / GB
-
-
 def to_gbps(bytes_per_s: float) -> float:
     """Convert bytes per second to gigabits per second."""
     return bytes_per_s * 8.0 / 1e9
-
-
-def to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds / MS

@@ -21,8 +21,8 @@ from repro.core import (
     TaskGraph,
     TaskKind,
     apply_a2a_stagger,
+    engine_for,
     run_lane,
-    strategy_engine,
 )
 from repro.core.taskgraph import chunk_round
 from repro.simkit import Environment, PriorityResource
@@ -31,7 +31,7 @@ from tests.conftest import small_cluster, small_config
 
 
 def _engine(mode="microbatch-ec", features=None, seed=0):
-    return strategy_engine(
+    return engine_for(
         mode,
         small_config(),
         small_cluster(),

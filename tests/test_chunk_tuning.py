@@ -22,7 +22,7 @@ from repro.control import (
     ControlPolicy,
     tune_engine_chunks,
 )
-from repro.core import CostModel, JanusFeatures, strategy_engine
+from repro.core import CostModel, JanusFeatures, engine_for
 from repro.metrics import MetricsRegistry, chunk_tuning_breakdown
 
 from tests.conftest import small_cluster, small_config
@@ -126,7 +126,7 @@ class TestTuneChunks:
 
 class TestTuneEngineChunks:
     def _engine(self, strategy, config=None, cluster=None, **kwargs):
-        return strategy_engine(
+        return engine_for(
             strategy,
             config if config is not None else small_config(),
             cluster if cluster is not None else small_cluster(),
@@ -170,7 +170,7 @@ class TestTuneEngineChunks:
 class TestEngineTuning:
     def _run(self, strategy, iterations=2, features=None, controller=None):
         registry = MetricsRegistry()
-        engine = strategy_engine(
+        engine = engine_for(
             strategy,
             small_config(),
             small_cluster(),
@@ -264,7 +264,7 @@ class TestBreakdown:
         from repro.metrics import build_run_report
 
         registry = MetricsRegistry()
-        engine = strategy_engine(
+        engine = engine_for(
             "pipelined-ec",
             small_config(),
             small_cluster(),
@@ -319,7 +319,7 @@ class TestCalibration:
             num_heads=4,
         )
         registry = MetricsRegistry()
-        engine = strategy_engine(
+        engine = engine_for(
             "pipelined-ec",
             config,
             Cluster(machines, MachineSpec(num_gpus=gpus)),
@@ -364,7 +364,7 @@ def _fingerprint(results):
 
 
 def _run(mode, features=None, seed=0, iterations=2):
-    engine = strategy_engine(
+    engine = engine_for(
         mode,
         small_config(),
         small_cluster(),

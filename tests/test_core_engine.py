@@ -11,7 +11,6 @@ from repro.core import (
     build_workload,
     engine_for,
     strategy_map,
-    unified_engine,
 )
 
 
@@ -152,7 +151,9 @@ class TestParadigmPerformanceShape:
         kwargs = dict(workload=workload, check_memory=False)
         ec = engine_for("expert-centric", config, cluster, **kwargs).run_iteration()
         dc = engine_for("data-centric", config, cluster, **kwargs).run_iteration()
-        unified = unified_engine(config, cluster, **kwargs).run_iteration()
+        unified = engine_for(
+            "unified", config, cluster, **kwargs
+        ).run_iteration()
         # At this toy scale fixed link latencies dominate, so allow some
         # slack; the realistic-scale assertion lives in the Fig. 17 bench.
         tolerance = 1.10

@@ -16,7 +16,6 @@ from repro.core import (
     resolve_strategy_name,
     strategy_map,
     strategy_names,
-    unified_engine,
 )
 from repro.core.strategies import (
     DataCentricStrategy,
@@ -61,14 +60,29 @@ class TestRegistry:
 
     def test_registration_order_is_ec_dc_pipelined(self):
         """Spawn order and memory-term order depend on it (determinism)."""
-        names = list(strategy_names())
-        assert names.index("expert-centric") < names.index("data-centric")
-        assert names.index("data-centric") < names.index("pipelined-ec")
+        assert strategy_names()[:4] == (
+            "expert-centric", "data-centric", "pipelined-ec",
+            "microbatch-ec",
+        )
 
     def test_engine_modes_derived_from_registry(self):
         modes = engine_modes()
         assert set(strategy_names()) <= set(modes)
         assert "unified" in modes
+
+    def test_strategy_modes_reject_selector_arguments(self):
+        for kwargs in ({"threshold": 2.0},
+                       {"low_r_strategy": "pipelined-ec"}):
+            with pytest.raises(TypeError):
+                engine_for(
+                    "expert-centric", small_config(), small_cluster(),
+                    **kwargs,
+                )
+        with pytest.raises(TypeError):
+            engine_for(
+                "auto", small_config(), small_cluster(),
+                low_r_strategy="pipelined-ec",
+            )
 
 
 class TestMixedStrategyIteration:
@@ -199,8 +213,8 @@ class TestGoldenRegression:
         workload = build_workload(
             config, cluster, imbalance=0.4, rng=np.random.default_rng(7)
         )
-        result = unified_engine(
-            config, cluster, workload=workload, check_memory=False
+        result = engine_for(
+            "unified", config, cluster, workload=workload, check_memory=False
         ).run_iteration()
         assert result.seconds == 0.002992758741333333
         assert result.nic_egress_bytes.tolist() == [
@@ -228,6 +242,22 @@ class TestGoldenRegression:
         ]
 
 
+class TestExpertComputePrice:
+    def test_one_price_for_tokens_launches_and_backward(self):
+        """``expert_seconds`` is the only expert-compute formula: tokens
+        through the expert FFN plus per-launch overhead, doubled in the
+        backward sweep."""
+        config = small_config()
+        cluster = small_cluster()
+        engine = engine_for("expert-centric", config, cluster)
+        strategy = ExpertCentricStrategy(engine, (1, 3))
+        flops = engine.workload.expert_flops
+        overhead = cluster.spec.gpu.kernel_overhead
+        forward = strategy.expert_seconds(100, 1e12, 2, "fwd")
+        assert forward == 100 * flops / 1e12 + overhead * 2
+        assert strategy.expert_seconds(100, 1e12, 2, "bwd") == 2 * forward
+
+
 class TestPipelinedExpertCentric:
     def test_single_chunk_degenerates_to_plain_ec(self):
         config = small_config()
@@ -240,9 +270,9 @@ class TestPipelinedExpertCentric:
         pipelined = engine_for(
             "pipelined-ec", config, cluster, workload=workload, features=features
         ).run_iteration()
-        assert pipelined.seconds == pytest.approx(ec.seconds, rel=1e-9)
-        np.testing.assert_allclose(
-            pipelined.nic_egress_bytes, ec.nic_egress_bytes, rtol=1e-9
+        assert pipelined.seconds == ec.seconds
+        np.testing.assert_array_equal(
+            pipelined.nic_egress_bytes, ec.nic_egress_bytes
         )
 
     def test_traffic_matches_plain_ec(self):
@@ -335,8 +365,8 @@ class TestStrategySelector:
             batch_size=16, seq_len=32, experts_per_block={1: 4, 3: 16}
         )
         cluster = small_cluster()
-        engine = unified_engine(
-            config, cluster, low_r_strategy="pipelined-ec",
+        engine = engine_for(
+            "unified", config, cluster, low_r_strategy="pipelined-ec",
             check_memory=False,
         )
         result = engine.run_iteration()

@@ -121,14 +121,6 @@ class TestBuildWorkload:
                 off_worker * workload.token_bytes
             )
 
-    def test_expert_compute_seconds(self):
-        cluster = Cluster(2, MachineSpec(num_gpus=2))
-        workload = build_workload(small_config(), cluster)
-        forward = workload.expert_compute_seconds(100, gpu_flops=1e12)
-        backward = workload.expert_compute_seconds(100, 1e12, backward=True)
-        assert forward == pytest.approx(100 * workload.expert_flops / 1e12)
-        assert backward == pytest.approx(2 * forward)
-
     def test_placement_requires_moe_block(self):
         cluster = Cluster(2, MachineSpec(num_gpus=2))
         workload = build_workload(small_config(), cluster)

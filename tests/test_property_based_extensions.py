@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.analysis import r_grid
 from repro.cluster import Cluster
 from repro.config import ModelConfig
-from repro.core import JanusFeatures, strategy_engine
+from repro.core import JanusFeatures, engine_for
 from repro.core.tensor_parallel import plan_tensor_parallel
 from repro.faults import FaultPlan, MessageLoss, ResilienceConfig
 from repro.models import TopKGate
@@ -149,7 +149,7 @@ class TestCreditDiscipline:
             seed=seed,
             faults=(MessageLoss(kinds=("pull-request",), rate=rate),),
         )
-        engine = strategy_engine(
+        engine = engine_for(
             "data-centric", config, cluster,
             features=JanusFeatures(credit_size=credit_size),
             check_memory=False,

@@ -12,10 +12,9 @@ from repro.cluster import Cluster
 from repro.config import moe_gpt
 from repro.core import (
     JanusFeatures,
-    auto_engine,
     auto_schedule_map,
+    engine_for,
     engine_modes,
-    strategy_engine,
     strategy_names,
 )
 from repro.netsim import Fabric, all_reduce
@@ -29,14 +28,14 @@ MIXED_R = moe_gpt(32).scaled(experts_per_block={6: 32, 10: 256})
 
 
 def _mixed_engine(mode, features=None):
-    return strategy_engine(
+    return engine_for(
         mode, MIXED_R, Cluster(4), rng=np.random.default_rng(0),
         imbalance=0.3, features=features, check_memory=False,
     )
 
 
 def _small_engine(mode, features=None):
-    return strategy_engine(
+    return engine_for(
         mode, small_config(), small_cluster(),
         rng=np.random.default_rng(0), imbalance=0.3, features=features,
     )
@@ -61,10 +60,15 @@ class TestMicroBatchedSchedule:
         )
 
     def test_single_micro_batch_degenerates_gracefully(self):
-        result = _small_engine(
-            "microbatch-ec", JanusFeatures(micro_batches=1)
-        ).run_iteration()
-        assert result.seconds > 0
+        """M=1 is the plain expert-centric block, bit for bit."""
+        features = JanusFeatures(micro_batches=1)
+        result = _small_engine("microbatch-ec", features).run_iteration()
+        plain = _small_engine("expert-centric", features).run_iteration()
+        assert result.seconds == plain.seconds
+        np.testing.assert_array_equal(
+            result.nic_egress_bytes, plain.nic_egress_bytes
+        )
+        assert result.sim_events == plain.sim_events
 
 
 class TestGradAllreduceSchedule:
@@ -143,21 +147,22 @@ class TestAutoSchedule:
             auto_schedule_map(MIXED_R, Cluster(4), micro_batches=0)
 
     def test_auto_engine_overlaps_allreduce_by_default(self):
-        engine = auto_engine(small_config(), small_cluster(),
-                             rng=np.random.default_rng(0))
+        engine = engine_for("auto", small_config(), small_cluster(),
+                            rng=np.random.default_rng(0))
         assert engine.features.grad_allreduce == "overlap"
 
     def test_auto_engine_keeps_explicit_allreduce_choice(self):
-        engine = auto_engine(
-            small_config(), small_cluster(), rng=np.random.default_rng(0),
+        engine = engine_for(
+            "auto", small_config(), small_cluster(),
+            rng=np.random.default_rng(0),
             features=JanusFeatures(grad_allreduce="serial"),
         )
         assert engine.features.grad_allreduce == "serial"
 
     def test_auto_engine_runs_end_to_end(self):
-        result = auto_engine(
-            small_config(), small_cluster(), rng=np.random.default_rng(0),
-            imbalance=0.3,
+        result = engine_for(
+            "auto", small_config(), small_cluster(),
+            rng=np.random.default_rng(0), imbalance=0.3,
         ).run_iteration()
         assert result.seconds > 0
         assert set(result.strategies) == {1, 3}
