@@ -1,71 +1,81 @@
-"""The pull protocol under the hood (paper §6).
+"""The pull primitive inside a simulated iteration (paper §6).
 
-Shows the substrate Janus builds its data-centric communication from: a
-socket control plane carrying pull requests and an RDMA data plane carrying
-expert payloads.  One machine's GPUs act as pull servers; a remote machine
-pulls four experts, first sequentially (fine-grained, as the Janus Task
-Queue issues them) and then all at once (to see the NIC being shared).
+Janus builds its data-centric communication from one pull: the requester
+sends a request to the expert's home machine through the socket, and the
+home machine sends the expert back over RDMA.  In the simulator that pull
+is the Inter-Node Scheduler's fetch chain: each machine runs one chain per
+NIC, and each chain issues its pulls one after another, so the request and
+payload of a pull show up as one ``comm.fetch`` span.
+
+The example runs one 2-machine data-centric MoE-GPT iteration and prints
+machine 0's fetch spans.  It then reruns the iteration with 30% of the pull
+requests lost.  A lost request is caught by the retry loop's timer and
+re-sent with a longer timeout; a pull that loses every attempt falls back
+to the stale cached copy of its expert for this iteration.
 
 Run:  python examples/pull_protocol.py
 """
 
-from repro.cluster import Cluster, Device
-from repro.comm import PullTransport
-from repro.netsim import Fabric
-from repro.simkit import AllOf, Environment
+from repro.cluster import Cluster
+from repro.config import moe_gpt
+from repro.core import build_workload, engine_for
+from repro.faults import FaultPlan
 
-EXPERT_BYTES = 18.9e6  # one H=768 fp32 expert
+# Seed 1 of this plan loses all four attempts of one pull.
+LOSSY = "seed=1;loss=pull-request*0.3"
+MACHINE = 0
+SHOWN = 6
+
+
+def run(fault_plan=None):
+    config = moe_gpt(16)
+    cluster = Cluster(num_machines=2)
+    workload = build_workload(config, cluster)
+    engine = engine_for(
+        "data-centric", config, cluster, workload=workload,
+        fault_plan=fault_plan,
+    )
+    return engine.run_iteration()
+
+
+def fetch_spans(result):
+    return [
+        span for span in result.trace.spans_of("comm.fetch")
+        if span.detail.startswith(f"machine={MACHINE} ")
+    ]
+
+
+def show_fetches(spans):
+    for span in spans[:SHOWN]:
+        print(f"  block {span.block:2d} {span.detail:28s} "
+              f"{span.start * 1e3:6.3f} -> {span.end * 1e3:6.3f} ms "
+              f"({span.duration * 1e3:.3f} ms)")
+    if len(spans) > SHOWN:
+        print(f"  ... {len(spans) - SHOWN} more")
 
 
 def main():
-    cluster = Cluster(num_machines=2)
-    env = Environment()
-    fabric = Fabric(env, cluster)
-    transport = PullTransport(fabric)
+    clean = run()
+    spans = fetch_spans(clean)
+    print(f"sequential fine-grained pulls of machine {MACHINE} "
+          f"(one fetch chain per NIC, one pull in flight on each):")
+    show_fetches(spans)
+    print(f"  {len(spans)} pulls, iteration {clean.seconds * 1e3:.2f} ms")
+    print(f"cross-machine bytes moved: "
+          f"{clean.nic_egress_bytes.sum() / 1e6:.1f} MB")
 
-    # Machine 1's first four GPUs each serve one expert.
-    servers = [Device.gpu(1, gpu) for gpu in range(4)]
-    for device in servers:
-        transport.serve(device)
-    requester = Device.gpu(0, 0)
-
-    print("sequential fine-grained pulls (one outstanding, like the "
-          "Intra-Node Scheduler):")
-    start = env.now
-    last = start
-
-    def sequential():
-        nonlocal last
-        for expert, server in enumerate(servers):
-            done = transport.pull(requester, server, EXPERT_BYTES, key=expert)
-            yield done
-            now = env.now
-            print(f"  expert {expert} from {server}: "
-                  f"arrived at {now * 1e3:6.2f} ms "
-                  f"(+{(now - last) * 1e3:.2f} ms)")
-            last = now
-
-    env.run(until=env.process(sequential()))
-    sequential_time = env.now - start
-
-    print("\nconcurrent pulls (all four at once):")
-    start = env.now
-    pulls = [
-        transport.pull(requester, server, EXPERT_BYTES, key=f"c{expert}")
-        for expert, server in enumerate(servers)
-    ]
-
-    def concurrent():
-        yield AllOf(env, pulls)
-
-    env.run(until=env.process(concurrent()))
-    concurrent_time = env.now - start
-    print(f"  all four arrived after {concurrent_time * 1e3:.2f} ms "
-          f"(sequential took {sequential_time * 1e3:.2f} ms)")
-    print(f"\ncross-machine bytes moved: "
-          f"{fabric.total_cross_machine_bytes() / 1e6:.1f} MB")
-    print("requester-side NIC is the bottleneck either way — which is why "
-          "Janus overlaps pulls with expert compute instead of racing them.")
+    lossy = run(FaultPlan.parse(LOSSY))
+    stats = lossy.fault_stats
+    print(f"\nthe same iteration with {LOSSY!r}:")
+    show_fetches(fetch_spans(lossy))
+    for kind in ("fault.retry", "fault.fallback"):
+        for span in lossy.trace.spans_of(kind):
+            print(f"  {kind:14s} at {span.start * 1e3:6.3f} ms  "
+                  f"block {span.block:2d} {span.detail}")
+    print(f"  {stats.dropped_messages} requests dropped, "
+          f"{stats.retries} retries, "
+          f"{stats.stale_fallbacks} stale fallback(s); "
+          f"iteration {lossy.seconds * 1e3:.2f} ms")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ Layers:
 from . import (
     analysis,
     cluster,
-    comm,
     config,
     core,
     models,
@@ -39,7 +38,6 @@ __version__ = "1.0.0"
 __all__ = [
     "analysis",
     "cluster",
-    "comm",
     "config",
     "core",
     "models",

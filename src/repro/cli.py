@@ -49,7 +49,6 @@ from .config import (
     moe_transformer_xl,
     pr_moe_transformer_xl,
 )
-from .comm import PullFailedError
 from .core import (
     GraphValidationError,
     JanusFeatures,
@@ -59,7 +58,7 @@ from .core import (
     profile_model,
     strategy_names,
 )
-from .faults import FaultPlan, MessageLoss, ResilienceConfig
+from .faults import FaultPlan, MessageLoss, PullFailedError, ResilienceConfig
 from .metrics import (
     MetricsRegistry,
     build_run_report,

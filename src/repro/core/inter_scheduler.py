@@ -14,10 +14,16 @@ from __future__ import annotations
 from typing import List
 
 from ..cluster import Device
+from ..faults import PullFailedError, flow_or_timeout, retry_flow
 from ..simkit import AnyOf
 from .context import IterationContext
 
 __all__ = ["InterNodeScheduler"]
+
+# Kernel/userspace socket processing cost of one pull request (§6).
+SOCKET_OVERHEAD_S = 15e-6
+
+_INF = float("inf")
 
 
 class InterNodeScheduler:
@@ -96,118 +102,68 @@ class InterNodeScheduler:
         return sorted(experts, key=key)
 
     def _fetch_chain(self, nic: int, tasks: List[tuple]):
+        """Pull ``tasks`` one after another over NIC ``nic``.
+
+        Each pull is the §6 primitive: a pull request travels to the
+        expert's home machine over the socket (latency only), then the
+        payload rides the RDMA data plane back.  Under
+        :class:`~repro.faults.ResilienceConfig` the request leg retries
+        with backoff and both legs honour the per-block deadline; a pull
+        that gives up falls back to the machine-cached stale expert copy
+        for this iteration instead of deadlocking the pipeline.
+        """
         ctx = self.ctx
-        from ..comm.endpoint import SOCKET_OVERHEAD_S
-
-        if ctx.resilience is not None:
-            yield from self._resilient_fetch_chain(nic, tasks)
-            return
-        for block, expert in tasks:
-            yield self._fetch_gate(block)
-            started = ctx.env.now
-            owner = ctx.placements[block].owner(expert)
-            owner_machine = ctx.layout.machine_of(owner)
-            # Control plane (§6): the pull request travels to the expert's
-            # home machine over the socket first — latency only, the
-            # payload rides the RDMA data plane below.
-            request = ctx.fabric.transfer(
-                self.host,
-                Device.host(owner_machine),
-                0.0,
-                nic_index=nic,
-                tag=("pull-request", block, self.machine, expert),
-            )
-            yield request.done
-            yield ctx.env.timeout(SOCKET_OVERHEAD_S)
-            flow = ctx.fabric.transfer(
-                Device.host(owner_machine),
-                self.host,
-                ctx.workload.expert_bytes,
-                nic_index=nic,
-                tag=("fetch-external", block, self.machine, expert),
-            )
-            yield flow.done
-            ctx.cache_fills[self.machine] += 1
-            self._account_fetch(nic, block, expert, started)
-            cached = ctx.cached_event(block, self.machine, expert)
-            if not cached.triggered:
-                cached.succeed()
-
-    # -- resilient forward fetch (fault-injected runs) -------------------------------
-
-    def _resilient_fetch_chain(self, nic: int, tasks: List[tuple]):
-        """The fetch chain with per-pull timeout/retry/backoff and a
-        per-block deadline.  A pull that exhausts its budget (or blows the
-        block deadline) falls back to the machine-cached stale expert copy
-        for this iteration instead of deadlocking the pipeline."""
-        ctx = self.ctx
-        from ..comm import PullFailedError
-        from ..comm.endpoint import SOCKET_OVERHEAD_S
-
-        res = ctx.resilience
         env = ctx.env
+        res = ctx.resilience
         for block, expert in tasks:
             yield self._fetch_gate(block)
             started = env.now
-            began = ctx.block_fetch_began.setdefault(
-                (self.machine, block), env.now
-            )
-            deadline = (
-                began + res.block_deadline
-                if res.block_deadline is not None
-                else float("inf")
-            )
             owner = ctx.placements[block].owner(expert)
-            owner_machine = ctx.layout.machine_of(owner)
-            delay = res.pull_timeout
-            fetched = False
-            attempts = res.max_retries + 1
-            for attempt in range(attempts):
-                budget = deadline - env.now
-                if budget <= 0:
-                    break
-                request = ctx.fabric.transfer(
-                    self.host,
-                    Device.host(owner_machine),
-                    0.0,
-                    nic_index=nic,
+            home = Device.host(ctx.layout.machine_of(owner))
+
+            def request():
+                return ctx.fabric.transfer(
+                    self.host, home, 0.0, nic_index=nic,
                     tag=("pull-request", block, self.machine, expert),
                 )
-                yield AnyOf(env, [request.done, env.timeout(min(delay, budget))])
-                if not request.done.triggered:
-                    # Request lost (or server dark): back off and re-send.
-                    if attempt < res.max_retries:
-                        self._count_retry(block, expert)
-                        delay *= res.backoff
-                    continue
+
+            deadline = _INF
+            if res is None:
+                yield request().done
+                arrived = True
+            else:
+                if res.block_deadline is not None:
+                    began = ctx.block_fetch_began.setdefault(
+                        (self.machine, block), env.now
+                    )
+                    deadline = began + res.block_deadline
+                arrived = (yield from retry_flow(
+                    env, res, request, res.pull_timeout,
+                    lambda: self._count_retry(block, expert), deadline,
+                )) is not None
+            fetched = False
+            if arrived:
                 yield env.timeout(SOCKET_OVERHEAD_S)
                 flow = ctx.fabric.transfer(
-                    Device.host(owner_machine),
-                    self.host,
-                    ctx.workload.expert_bytes,
+                    home, self.host, ctx.workload.expert_bytes,
                     nic_index=nic,
                     tag=("fetch-external", block, self.machine, expert),
                 )
-                remaining = deadline - env.now
-                if remaining == float("inf"):
+                if deadline == _INF:
                     yield flow.done
                 else:
-                    yield AnyOf(env, [flow.done, env.timeout(max(remaining, 0.0))])
+                    yield flow_or_timeout(
+                        env, flow, max(deadline - env.now, 0.0)
+                    )
                 # A degraded link may keep the payload in flight past the
                 # deadline; the bytes still move (wasted traffic) but the
                 # block stops waiting for them.
                 fetched = flow.done.triggered
-                break
             if fetched:
                 ctx.cache_fills[self.machine] += 1
                 self._account_fetch(nic, block, expert, started)
             else:
-                if res.on_failure == "raise":
-                    raise PullFailedError(
-                        self.host, Device.host(owner_machine),
-                        ("fetch", block, expert), attempts,
-                    )
-                self._stale_fallback(block, expert)
+                self._stale_fallback(block, expert, home)
             cached = ctx.cached_event(block, self.machine, expert)
             if not cached.triggered:
                 cached.succeed()
@@ -225,10 +181,16 @@ class InterNodeScheduler:
             "fault.retry", now, machine=self.machine, block=block, expert=expert
         )
 
-    def _stale_fallback(self, block: int, expert: int) -> None:
+    def _stale_fallback(self, block: int, expert: int, home: Device) -> None:
         """Give up on the fresh copy: serve this iteration from the stale
-        machine-cached expert (no cache-fill accounted)."""
+        machine-cached expert (no cache-fill accounted), or surface the
+        failure."""
         ctx = self.ctx
+        res = ctx.resilience
+        if res.on_failure == "raise":
+            raise PullFailedError(
+                self.host, home, ("fetch", block, expert), res.max_retries + 1,
+            )
         if ctx.fault_stats is not None:
             ctx.fault_stats.count_fallback(block)
         now = ctx.env.now
@@ -298,15 +260,12 @@ class InterNodeScheduler:
             yield push().done
             return
         env = ctx.env
-        delay = res.push_timeout
-        for attempt in range(res.max_retries + 1):
-            flow = push()
-            yield AnyOf(env, [flow.done, env.timeout(delay)])
-            if flow.done.triggered:
-                return
-            if attempt < res.max_retries:
-                self._count_retry(block, expert)
-                delay *= res.backoff
+        pushed = yield from retry_flow(
+            env, res, push, res.push_timeout,
+            lambda: self._count_retry(block, expert),
+        )
+        if pushed is not None:
+            return
         # Gradient lost for this iteration (real systems skip or re-apply
         # next step); record it rather than stalling the barrier.
         if ctx.fault_stats is not None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List
 
 from ..cluster import Device
-from ..simkit import AnyOf
+from ..faults import PullFailedError, retry_flow
 from .context import IterationContext
 from .priority import internal_pull_order, pcie_peer_schedule
 
@@ -133,77 +133,73 @@ class IntraNodeScheduler:
         yield from self._staged_copies(phase, block, needed)
 
     def _direct_remote_pulls(self, phase: str, block: int, needed: List[int]):
-        """No cache manager: every worker pulls remote experts itself."""
+        """No cache manager: every worker pulls remote experts itself.
+
+        Under :class:`~repro.faults.ResilienceConfig` a forward pull
+        retries with backoff; on give-up the expert is marked ready from
+        the worker's stale local copy.  The credit taken here stays held
+        either way and is released after compute, so the credit
+        discipline is unchanged under faults."""
         ctx = self.ctx
+        env = ctx.env
+        res = ctx.resilience
         placement = ctx.placements[block]
         for expert in needed:
             yield ctx.credits[self.rank].get(1)
-            started = ctx.env.now
+            started = env.now
             if phase == "fwd":
                 owner = placement.owner(expert)
-                if ctx.resilience is not None:
-                    yield from self._resilient_direct_pull(block, expert, owner)
-                    self._account_pull("direct", block, started)
-                    ctx.mark_ready(phase, block, self.rank, expert)
-                    continue
-                flow = ctx.fabric.transfer(
-                    ctx.gpu_of[owner],
-                    ctx.gpu_of[self.rank],
-                    ctx.workload.expert_bytes,
-                    tag=("pull-direct", block, self.rank, expert),
-                )
+
+                def pull():
+                    return ctx.fabric.transfer(
+                        ctx.gpu_of[owner],
+                        ctx.gpu_of[self.rank],
+                        ctx.workload.expert_bytes,
+                        tag=("pull-direct", block, self.rank, expert),
+                    )
+
+                if res is None:
+                    yield pull().done
+                elif (yield from retry_flow(
+                    env, res, pull, res.pull_timeout,
+                    lambda: self._count_retry(block, expert),
+                )) is None:
+                    self._stale_fallback(block, expert, owner)
+                kind = "direct"
             else:
-                flow = ctx.fabric.transfer(
+                yield ctx.fabric.transfer(
                     self.host,
                     ctx.gpu_of[self.rank],
                     ctx.workload.expert_bytes,
                     tag=("pull-backward", block, self.rank, expert),
-                )
-            yield flow.done
-            self._account_pull(
-                "direct" if phase == "fwd" else "backward", block, started
-            )
+                ).done
+                kind = "backward"
+            self._account_pull(kind, block, started)
             ctx.mark_ready(phase, block, self.rank, expert)
 
-    def _resilient_direct_pull(self, block: int, expert: int, owner: int):
-        """Direct pull with timeout/retry; on exhaustion mark the expert
-        ready from the worker's stale local copy.  The credit taken by the
-        caller stays held either way and is released after compute, so the
-        credit discipline is unchanged under faults."""
+    def _count_retry(self, block: int, expert: int) -> None:
         ctx = self.ctx
-        from ..comm import PullFailedError
+        if ctx.fault_stats is not None:
+            ctx.fault_stats.retries += 1
+        now = ctx.env.now
+        ctx.trace.record(
+            "fault.retry", now, now, worker=self.rank, block=block,
+            detail=f"expert={expert} direct",
+        )
 
+    def _stale_fallback(self, block: int, expert: int, owner: int) -> None:
+        """Give up on the fresh copy: compute on the worker's stale local
+        copy this iteration, or surface the failure."""
+        ctx = self.ctx
         res = ctx.resilience
-        env = ctx.env
-        delay = res.pull_timeout
-        attempts = res.max_retries + 1
-        for attempt in range(attempts):
-            flow = ctx.fabric.transfer(
-                ctx.gpu_of[owner],
-                ctx.gpu_of[self.rank],
-                ctx.workload.expert_bytes,
-                tag=("pull-direct", block, self.rank, expert),
-            )
-            yield AnyOf(env, [flow.done, env.timeout(delay)])
-            if flow.done.triggered:
-                return
-            if attempt < res.max_retries:
-                if ctx.fault_stats is not None:
-                    ctx.fault_stats.retries += 1
-                now = env.now
-                ctx.trace.record(
-                    "fault.retry", now, now, worker=self.rank, block=block,
-                    detail=f"expert={expert} direct",
-                )
-                delay *= res.backoff
         if res.on_failure == "raise":
             raise PullFailedError(
                 ctx.gpu_of[self.rank], ctx.gpu_of[owner],
-                ("direct", block, expert), attempts,
+                ("direct", block, expert), res.max_retries + 1,
             )
         if ctx.fault_stats is not None:
             ctx.fault_stats.count_fallback(block)
-        now = env.now
+        now = ctx.env.now
         ctx.trace.record(
             "fault.fallback", now, now, worker=self.rank, block=block,
             detail=f"expert={expert} stale",

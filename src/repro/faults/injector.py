@@ -4,12 +4,12 @@ The injector hooks the two chokepoints every simulated byte and FLOP pass
 through:
 
 * :meth:`intercept` is consulted by ``Fabric.transfer`` before a flow is
-  activated.  Droppable control messages (``pull-request``/``grad-push``/
-  ``pull-direct`` scheduler legs, and the comm layer's ``PullRequest``/
-  ``GradPush`` control flows) that fall to message loss or a server outage
-  return a *dead* flow — created but never activated, so its ``done`` event
-  never fires, exactly like a datagram lost on the wire.  Recovery is the
-  caller's timeout + retry.
+  activated.  Droppable scheduler legs (``pull-request``/``grad-push``/
+  ``pull-direct``) that fall to message loss, and pull requests addressed
+  to a machine inside a :class:`ServerOutage` window, return a *dead*
+  flow — created but never activated, so its ``done`` event never fires,
+  exactly like a datagram lost on the wire.  Recovery is the caller's
+  :func:`~repro.faults.retry_flow` timeout + retry.
 * :meth:`compute_duration` is consulted by ``Fabric.compute`` to stretch
   kernels on machines inside a :class:`ComputeSlowdown` window (piecewise,
   so a kernel spanning a window boundary pays the slow rate only inside
@@ -43,9 +43,6 @@ from .spec import (
 
 __all__ = ["FaultInjector", "FaultStats"]
 
-# Control-message class name (comm layer) -> lossable kind.
-_CONTROL_KINDS = {"PullRequest": "pull-request", "GradPush": "grad-push"}
-
 
 @dataclass
 class FaultStats:
@@ -76,13 +73,11 @@ class FaultInjector:
         fabric,
         trace=None,
         stats: Optional[FaultStats] = None,
-        transport=None,
     ):
         self.plan = plan
         self.fabric = fabric
         self.trace = trace
         self.stats = stats if stats is not None else FaultStats()
-        self.transport = transport
         self.rng = np.random.default_rng(plan.seed)
         self._losses = plan.of_type(MessageLoss)
         self._slowdowns = plan.of_type(ComputeSlowdown)
@@ -103,13 +98,6 @@ class FaultInjector:
                 name=f"fault-link[{fault.selector}]",
                 daemon=True,
             )
-        if self.transport is not None:
-            for fault in self._outages:
-                env.process(
-                    self._outage_window(fault),
-                    name=f"fault-outage[{fault.machine}]",
-                    daemon=True,
-                )
         if self.trace is not None:
             # Planned windows land in the fault lane up front; point faults
             # (drops/retries/fallbacks) are recorded as they happen.
@@ -129,7 +117,7 @@ class FaultInjector:
                 if math.isfinite(fault.end):
                     self.trace.record(
                         "fault.outage", fault.start, fault.end,
-                        detail=f"machine={fault.machine}:{fault.mode}",
+                        detail=f"machine={fault.machine}:drop",
                     )
         return self
 
@@ -151,32 +139,6 @@ class FaultInjector:
         for link_id, bandwidth in original.items():
             network.set_capacity(link_id, bandwidth)
 
-    # -- server outage windows (comm-layer transport) --------------------------
-
-    def _outage_window(self, fault: ServerOutage):
-        env = self.fabric.env
-        if fault.start > 0:
-            yield env.timeout(fault.start)
-        servers = [
-            server
-            for device, server in self.transport.servers.items()
-            if device.machine == fault.machine
-        ]
-        for server in servers:
-            if fault.mode == "pause":
-                server.pause()
-            else:
-                server.set_dropping(True)
-            server.interrupt_inflight()
-        if not math.isfinite(fault.end):
-            return
-        yield env.timeout(fault.end - env.now)
-        for server in servers:
-            if fault.mode == "pause":
-                server.resume()
-            else:
-                server.set_dropping(False)
-
     # -- transfer interception -------------------------------------------------
 
     def intercept(self, src, dst, size, tag) -> Optional[Flow]:
@@ -185,10 +147,8 @@ class FaultInjector:
         if kind is None:
             return None
         now = self.fabric.env.now
-        # Engine-level server outage: requests addressed to the dark
-        # machine's host vanish deterministically (both outage modes look
-        # like drops from the requester's side at this level; queueing
-        # semantics live in the comm-layer PullServer).
+        # Server outage: requests addressed to the dark machine's host
+        # vanish deterministically.
         if kind == "pull-request" and dst.kind == "host":
             for fault in self._outages:
                 if fault.machine == dst.machine and fault.start <= now < fault.end:
@@ -204,8 +164,6 @@ class FaultInjector:
         if not isinstance(tag, tuple) or not tag:
             return None
         head = tag[0]
-        if head == "control" and len(tag) > 1:
-            return _CONTROL_KINDS.get(tag[1])
         return head if isinstance(head, str) else None
 
     def _drop(self, size, tag, now: float, cause: str) -> Flow:

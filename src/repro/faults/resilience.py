@@ -2,7 +2,9 @@
 
 :class:`ResilienceConfig` gives every cross-machine control interaction a
 timeout, a bounded retry budget with exponential backoff, and a per-block
-deadline; :class:`DegradationPolicy` decides, between iterations, which
+deadline; :func:`retry_flow` is the one loop that spends that budget, for
+every scheduler leg that can be lost (pull request, direct pull, gradient
+push); :class:`DegradationPolicy` decides, between iterations, which
 blocks should abandon the pull-based data-centric paradigm and fall back
 to expert-centric (the unified selector's escape hatch when the fault
 pattern makes fine-grained pulls lose).
@@ -11,11 +13,34 @@ pattern makes fine-grained pulls lose).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
+from ..simkit import AnyOf
 from .injector import FaultStats
 
-__all__ = ["DegradationPolicy", "ResilienceConfig"]
+__all__ = [
+    "DegradationPolicy",
+    "PullFailedError",
+    "ResilienceConfig",
+    "flow_or_timeout",
+    "retry_flow",
+]
+
+_INF = float("inf")
+
+
+class PullFailedError(Exception):
+    """A pull exhausted its retry budget without receiving the payload."""
+
+    def __init__(self, requester, target, key, attempts: int):
+        self.requester = requester
+        self.target = target
+        self.key = key
+        self.attempts = attempts
+        super().__init__(
+            f"pull {key!r} from {target} to {requester} failed "
+            f"after {attempts} attempt(s)"
+        )
 
 
 @dataclass(frozen=True)
@@ -31,7 +56,7 @@ class ResilienceConfig:
     ``None`` disables the deadline.  ``on_failure`` picks between graceful
     degradation (``"degrade"``: stale-copy fallback, counted in
     :class:`~repro.faults.injector.FaultStats`) and ``"raise"`` (surface
-    :class:`~repro.comm.PullFailedError` to the caller).
+    :class:`PullFailedError` to the caller).
     """
 
     pull_timeout: float = 1e-3
@@ -54,6 +79,45 @@ class ResilienceConfig:
             raise ValueError("block_deadline must be positive")
         if self.on_failure not in ("degrade", "raise"):
             raise ValueError("on_failure must be 'degrade' or 'raise'")
+
+
+def flow_or_timeout(env, flow, seconds: float):
+    """An event that fires when ``flow`` completes or ``seconds`` pass,
+    whichever is first; ``flow.done.triggered`` then tells which."""
+    return AnyOf(env, [flow.done, env.timeout(seconds)])
+
+
+def retry_flow(
+    env,
+    res: ResilienceConfig,
+    send: Callable,
+    timeout: float,
+    on_retry: Callable[[], None],
+    deadline: float = _INF,
+):
+    """Send a flow until it completes; return it, or ``None`` on give-up.
+
+    Each attempt calls ``send()`` for a fresh flow and races its ``done``
+    against a timer of ``timeout`` (scaled by ``res.backoff`` per retry,
+    ``res.max_retries`` retries), clipped to what is left before
+    ``deadline``.  A deadline already passed gives up before sending.
+    ``on_retry`` runs before each re-send, so each call site books its own
+    retry counters and trace records.  A flow lost to the fault injector
+    never completes, so its timer is how the loop learns of the loss.
+    """
+    delay = timeout
+    for attempt in range(res.max_retries + 1):
+        budget = deadline - env.now
+        if budget <= 0:
+            return None
+        flow = send()
+        yield flow_or_timeout(env, flow, min(delay, budget))
+        if flow.done.triggered:
+            return flow
+        if attempt < res.max_retries:
+            on_retry()
+            delay *= res.backoff
+    return None
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,8 @@ the same timeline.  Supported fault kinds:
 * :class:`MessageLoss` — probabilistic loss of pull control messages
   (``pull-request``, ``grad-push``, ``pull-direct``) drawn from the plan's
   seeded RNG;
-* :class:`ServerOutage` — a machine's pull server stops serving: requests
-  to it are dropped (engine) or its :class:`~repro.comm.pull.PullServer`
-  pauses/drops (comm layer);
+* :class:`ServerOutage` — a machine stops serving pulls: pull requests
+  addressed to it are dropped;
 * :class:`ComputeSlowdown` — per-machine compute slowdown, the library
   generalization of the straggler ablation's static ``machine_speed``.
 
@@ -105,22 +104,16 @@ class MessageLoss:
 
 @dataclass(frozen=True)
 class ServerOutage:
-    """Machine ``machine``'s pull serving goes dark during the window.
-
-    ``mode="drop"`` discards incoming requests; ``mode="pause"`` stops
-    draining (requests queue and are served after the window).
-    """
+    """Machine ``machine``'s pull serving goes dark during the window:
+    pull requests addressed to it are dropped."""
 
     machine: int
-    mode: str = "drop"
     start: float = 0.0
     end: float = _INF
 
     def __post_init__(self):
         if self.machine < 0:
             raise ValueError("machine index must be non-negative")
-        if self.mode not in ("drop", "pause"):
-            raise ValueError(f"outage mode must be drop|pause, got {self.mode!r}")
         _check_window(self.start, self.end)
 
 
@@ -175,7 +168,6 @@ class FaultPlan:
           the window (selector may scope a machine: ``nic.0``)
         * ``slow=0*0.5``                   — machine 0 computes at half speed
         * ``outage=1@0.002:0.004``         — machine 1 drops pull requests
-          (``outage=1:pause@...`` queues them instead)
         """
         seed = 0
         faults = []
@@ -210,11 +202,9 @@ class FaultPlan:
                     ))
                 elif key == "outage":
                     target, _, window = body.partition("@")
-                    machine, _, mode = target.partition(":")
                     start, end = _parse_window(window)
                     faults.append(ServerOutage(
-                        machine=int(machine), mode=mode or "drop",
-                        start=start, end=end,
+                        machine=int(target), start=start, end=end,
                     ))
                 else:
                     raise ValueError(f"unknown fault kind {key!r}")

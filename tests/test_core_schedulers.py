@@ -11,6 +11,7 @@ from repro.core import (
     JanusFeatures,
     build_workload,
 )
+from repro.core.inter_scheduler import SOCKET_OVERHEAD_S
 from repro.netsim import Fabric
 from repro.simkit import AllOf, Environment
 from repro.trace import TraceRecorder
@@ -188,6 +189,32 @@ class TestInterScheduler:
         self.run_fetch(ctx, machine=0)
         expected = 4 * ctx.workload.expert_bytes
         assert ctx.fabric.nic_bytes(1, "out") == pytest.approx(expected)
+
+    def test_fetch_is_request_then_socket_then_payload(self):
+        """Each pull is the §6 sequence: a zero-byte request to the home
+        machine, the socket overhead, then the payload back over RDMA.
+        Each leg crosses two NIC links."""
+        ctx = make_context()
+        self.run_fetch(ctx, machine=0)
+        nic = ctx.fabric.cluster.spec.nic
+        expected = (
+            4 * nic.latency + SOCKET_OVERHEAD_S
+            + ctx.workload.expert_bytes / nic.bandwidth
+        )
+        spans = ctx.trace.spans_of("comm.fetch")
+        assert len(spans) == 4
+        for span in spans:
+            assert span.duration == pytest.approx(expected, rel=1e-9)
+
+    def test_fetch_chain_pulls_back_to_back(self):
+        """One chain keeps one pull in flight: with a single NIC the next
+        request leaves the instant the previous payload lands."""
+        ctx = make_context()
+        self.run_fetch(ctx, machine=0)
+        spans = ctx.trace.spans_of("comm.fetch")
+        assert {span.detail.split()[1] for span in spans} == {"nic=0"}
+        for before, after in zip(spans, spans[1:]):
+            assert after.start == before.end
 
     def test_chains_split_work_across_nics(self):
         ctx = make_context(gpus=4, num_experts=16)  # 8 external experts

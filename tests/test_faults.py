@@ -7,10 +7,11 @@ credit-discipline preservation, and the between-iteration paradigm
 degradation policy.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster import Cluster, LinkId
-from repro.comm import PullFailedError
 from repro.config import moe_gpt
 from repro.core import build_workload, engine_for
 from repro.faults import (
@@ -20,8 +21,10 @@ from repro.faults import (
     FaultPlan,
     LinkFault,
     MessageLoss,
+    PullFailedError,
     ResilienceConfig,
     ServerOutage,
+    retry_flow,
 )
 from repro.netsim import Fabric
 from repro.simkit import Environment
@@ -56,7 +59,7 @@ class TestFaultPlanParse:
     def test_full_grammar_round_trip(self):
         plan = FaultPlan.parse(
             "seed=7;loss=pull-request+grad-push*0.1;"
-            "link=nic.0*0.25@0.005:0.015;slow=0*0.5;outage=1:pause@0.002:0.004"
+            "link=nic.0*0.25@0.005:0.015;slow=0*0.5;outage=1@0.002:0.004"
         )
         assert plan.seed == 7
         loss, link, slow, outage = plan.faults
@@ -65,9 +68,7 @@ class TestFaultPlanParse:
         )
         assert link == LinkFault("nic.0", 0.25, start=0.005, end=0.015)
         assert slow == ComputeSlowdown(machine=0, speed=0.5)
-        assert outage == ServerOutage(
-            machine=1, mode="pause", start=0.002, end=0.004
-        )
+        assert outage == ServerOutage(machine=1, start=0.002, end=0.004)
 
     def test_empty_and_default_windows(self):
         plan = FaultPlan.parse("loss=pull-request*0.2")
@@ -86,7 +87,8 @@ class TestFaultPlanParse:
         "link=nic*0",                 # factor must be positive
         "link=nic*0.5@0.01:0.005",    # empty window
         "slow=x*0.5",                 # machine must be an int
-        "outage=0:flaky",             # unknown mode
+        "outage=0:flaky",             # outages take no :MODE suffix
+        "outage=1:pause@0:0.01",      # ... not even :pause
     ])
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ValueError):
@@ -134,6 +136,76 @@ class TestSetCapacity:
         network.add_link("l", 100.0)
         with pytest.raises(ValueError):
             network.set_capacity("l", 0.0)
+
+
+class TestRetryFlow:
+    """The one timeout/retry/backoff loop, on stand-in flows whose
+    ``done`` fires only when the test says so."""
+
+    @staticmethod
+    def drive(env, send, deadline=float("inf"), max_retries=2):
+        res = ResilienceConfig(max_retries=max_retries, backoff=2.0)
+        retries, outcome = [], []
+
+        def caller():
+            flow = yield from retry_flow(
+                env, res, send, 1e-3,
+                lambda: retries.append(env.now), deadline,
+            )
+            outcome.append((env.now, flow))
+
+        env.run(until=env.process(caller()))
+        return retries, outcome[0]
+
+    def test_lost_flow_gives_up_after_backoff(self):
+        env = Environment()
+        sent = []
+
+        def send():
+            sent.append(env.now)
+            return SimpleNamespace(done=env.event())  # lost: never fires
+
+        retries, (now, flow) = self.drive(env, send)
+        assert flow is None
+        # Timers of 1, 2 and 4 ms; a retry before each re-send.
+        assert sent == pytest.approx([0.0, 1e-3, 3e-3])
+        assert retries == pytest.approx([1e-3, 3e-3])
+        assert now == pytest.approx(7e-3)
+
+    def test_late_attempt_completes_and_is_returned(self):
+        env = Environment()
+        flows = []
+
+        def send():
+            flow = SimpleNamespace(done=env.event())
+            if len(flows) == 1:  # the second attempt lands after 0.5 ms
+                env.timeout(0.5e-3).callbacks.append(
+                    lambda _: flow.done.succeed()
+                )
+            flows.append(flow)
+            return flow
+
+        retries, (now, flow) = self.drive(env, send)
+        assert flow is flows[1]
+        assert retries == pytest.approx([1e-3])
+        assert now == pytest.approx(1.5e-3)
+
+    def test_deadline_clips_the_timer_and_stops_sending(self):
+        env = Environment()
+        sent = []
+
+        def send():
+            sent.append(env.now)
+            return SimpleNamespace(done=env.event())
+
+        retries, (now, flow) = self.drive(env, send, deadline=2.5e-3)
+        assert flow is None
+        # The second timer is clipped from 2 ms to the 1.5 ms left; the
+        # retry is booked before the deadline check, and the third attempt
+        # is never sent.
+        assert sent == pytest.approx([0.0, 1e-3])
+        assert retries == pytest.approx([1e-3, 2.5e-3])
+        assert now == pytest.approx(2.5e-3)
 
 
 class TestComputeSlowdown:
@@ -286,6 +358,8 @@ class TestDegradationPolicy:
             DegradationPolicy(degrade_after_fallbacks=0)
         with pytest.raises(ValueError):
             ResilienceConfig(pull_timeout=0)
+        with pytest.raises(ValueError):
+            ResilienceConfig(max_retries=-1)
         with pytest.raises(ValueError):
             ResilienceConfig(backoff=0.5)
         with pytest.raises(ValueError):

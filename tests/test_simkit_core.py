@@ -8,6 +8,8 @@ from repro.simkit import (
     Environment,
     Interrupt,
     SimulationError,
+    StalledSimulationError,
+    Store,
 )
 
 
@@ -338,3 +340,49 @@ def test_interrupt_before_first_resume_is_the_first_resume():
     assert started == []
     assert caught == [(0, "early")]
     assert env.peek() == float("inf")
+
+
+class TestStallDiagnostics:
+    def test_waiter_on_unfired_event_raises_stalled_simulation(self):
+        """A process waiting on an event nobody triggers is named in a
+        StalledSimulationError instead of env.run() silently returning."""
+        env = Environment()
+        never = env.event()
+
+        def waiter():
+            yield never
+
+        env.process(waiter(), name="stuck-puller")
+        with pytest.raises(StalledSimulationError) as excinfo:
+            env.run()
+        assert "stuck-puller" in str(excinfo.value)
+        assert any(
+            proc.name == "stuck-puller" for proc in excinfo.value.processes
+        )
+
+    def test_run_until_unreachable_event_raises(self):
+        env = Environment()
+        with pytest.raises(StalledSimulationError):
+            env.run(until=env.event())
+
+    def test_daemon_blocked_on_store_get_does_not_trip_stall_detection(self):
+        """A daemon listener left blocked on ``get()`` forever must not
+        read as a stall; plain env.run() drains cleanly."""
+        env = Environment()
+        inbox = Store(env)
+        received = []
+
+        def listener():
+            while True:
+                received.append((yield inbox.get()))
+
+        def sender():
+            for key in ("a", "b"):
+                yield env.timeout(1)
+                inbox.put(key)
+
+        env.process(listener(), name="listener", daemon=True)
+        env.process(sender())
+        env.run()
+        assert received == ["a", "b"]
+        assert env.now == 2
