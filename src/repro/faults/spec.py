@@ -44,10 +44,16 @@ _INF = float("inf")
 
 
 def _check_window(start: float, end: float) -> None:
-    if start < 0:
-        raise ValueError(f"fault window start must be >= 0, got {start}")
-    if end <= start:
+    # Negated comparisons, so a NaN bound is refused too.
+    if not 0 <= start < _INF:
+        raise ValueError(f"fault window start must be finite and >= 0, got {start}")
+    if not end > start:
         raise ValueError(f"fault window [{start}, {end}) is empty")
+
+
+def _check_factor(name: str, value: float) -> None:
+    if not 0 < value < _INF:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,7 @@ class LinkFault:
     end: float = _INF
 
     def __post_init__(self):
-        if self.factor <= 0:
-            raise ValueError(f"link factor must be positive, got {self.factor}")
+        _check_factor("link factor", self.factor)
         _check_window(self.start, self.end)
 
     def matches(self, link_id) -> bool:
@@ -129,8 +134,7 @@ class ComputeSlowdown:
     def __post_init__(self):
         if self.machine < 0:
             raise ValueError("machine index must be non-negative")
-        if self.speed <= 0:
-            raise ValueError(f"speed must be positive, got {self.speed}")
+        _check_factor("speed", self.speed)
         _check_window(self.start, self.end)
 
 

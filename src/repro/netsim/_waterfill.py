@@ -1,26 +1,47 @@
-"""Compiled fluid-network core (optional, bit-identical).
+"""The fluid network's kernel: its numerics behind one interface.
 
-The inner loops of :mod:`repro.netsim.fluid` are compiled at first use
-(plain ``cc -O2 -ffp-contract=off``, no third-party build system) and
-bound through :mod:`ctypes`:
+:class:`~repro.netsim.fluid.FluidNetwork` owns the flow ledger (the
+packed per-row arrays, the per-link bytes and loads, the per-group flow
+counts) and the solve tables; a *kernel* does the arithmetic on them.
+Two kernels share one interface, method for method:
 
-* ``waterfill``, the progressive-filling solve, whose rounds are
-  inherently sequential (each fixes one bottleneck link and updates the
-  links its flows cross);
-* ``advance``, the per-flow byte accounting behind every arrival and
-  rescale;
-* ``retire``, one completion timer: the byte advance, the finished-row
-  selection with its residue rules, and the tombstoning of those rows;
-* ``settle``, one re-solve after the rates are known: the byte advance,
-  the scatter of the group rates onto the live rows, and the earliest
-  completion ETA.
+* :class:`CompiledKernel`, C loops compiled at first use (plain ``cc -O2
+  -ffp-contract=off``, no third-party build system) and bound through
+  :mod:`ctypes`;
+* :class:`NumpyKernel`, the same steps in numpy: the reference the C
+  loops reproduce bit for bit.
 
-So a fluid instant costs one C call instead of a score of small numpy
-calls, whose per-call overhead, not their arithmetic, was the cost.
+Their methods:
 
-Bit-identity with the pure-python loops is a hard requirement (the
-golden tests and ``baseline --tolerance 0`` pin simulated times exactly),
-so the C code reproduces the float semantics operation for operation:
+* ``ledger(**arrays)`` packs the ledger's arrays into the handle the
+  next three take; ``handle(array, dtype)`` does the same for one solve
+  table or rate array.  A handle is the address for C and the array
+  itself for numpy.
+* ``advance(ledger, n, dt)``, the per-flow byte accounting behind every
+  arrival and rescale;
+* ``retire(ledger, n, dt, now, eps, rel)``, one completion timer: the
+  byte advance, the finished-row selection with its residue rules, and
+  the tombstoning of those rows;
+* ``settle(ledger, n, dt, grates)``, one re-solve after the rates are
+  known: the byte advance, the scatter of the group rates onto the live
+  rows, and the earliest completion ETA;
+* ``waterfill(num_links, num_groups, tables, grates)``, the
+  progressive-filling solve, whose rounds are inherently sequential (each
+  fixes one bottleneck link and updates the links its flows cross).
+  Callers go through :func:`run`, the one water-fill entry point.
+
+:func:`kernel` is the one place that picks between the two: the compiled
+kernel, or :data:`NUMPY` when ``REPRO_WATERFILL=python`` is set or the
+build fails (one :class:`RuntimeWarning` then says why).  The uncoalesced
+reference network (``FluidNetwork(coalesce=False)``) always runs
+:data:`REFERENCE`, the numpy kernel filling over every link, so it runs
+no compiled code.
+
+Compiled, a fluid instant costs one C call instead of a score of small
+numpy calls, whose per-call overhead, not their arithmetic, was the cost.
+Bit-identity with the numpy kernel is a hard requirement (the golden
+tests and ``baseline --tolerance 0`` pin simulated times exactly), so the
+C code reproduces the float semantics operation for operation:
 
 * shares are ``residual / load`` where ``load > 0`` else ``+inf``, and
   the bottleneck is the minimal ``(share, link index)`` pair — numpy's
@@ -43,21 +64,20 @@ so the C code reproduces the float semantics operation for operation:
 * ``retire`` and ``settle`` take the ETA minimum as numpy does: the first
   index wins a tie and the first NaN wins outright.  The finish threshold
   ``eps * size + eps`` stays two rounded operations, and its constants
-  come in as arguments, so the python module stays their one definition.
+  come in as arguments, so :mod:`repro.netsim.fluid` stays their one
+  definition.
 
-The kernels read the network's own arrays through addresses the network
-caches (:func:`address`, :func:`ledger`), so a call converts a handful
-of numbers.  :mod:`repro._native` builds and caches the shared object; if
-no C compiler is available, the callers run the pure-python loops and one
-:class:`RuntimeWarning` says why; ``REPRO_WATERFILL=python`` opts out
-silently.
+The compiled kernel reads the network's own arrays through the addresses
+the network caches, so a call converts a handful of numbers.
+:mod:`repro._native` builds and caches the shared object.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-from typing import Optional, Tuple
+from types import SimpleNamespace
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -294,28 +314,201 @@ double settle(const ledger_t *t, int64_t n, double dt, const double *grates) {
 }
 """
 
-def _bind(path) -> ctypes.CDLL:
-    lib = ctypes.CDLL(str(path))
-    pointer, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.waterfill.restype = int64
-    lib.waterfill.argtypes = [int64, int64] + [pointer] * 7
-    lib.advance.restype = None
-    lib.advance.argtypes = [pointer, int64, double]
-    lib.retire.restype = int64
-    lib.retire.argtypes = [pointer, int64, double, double, double, double]
-    lib.settle.restype = double
-    lib.settle.argtypes = [pointer, int64, double, pointer]
-    return lib
+
+class NumpyKernel:
+    """The fluid kernel in numpy: the reference the C loops reproduce.
+
+    ``every_link`` fills over every registered link instead of only the
+    loaded ones; the two fills are bit-identical (see :func:`_fill`).
+    """
+
+    def __init__(self, every_link: bool = False):
+        self.every_link = every_link
+
+    @staticmethod
+    def ledger(**arrays: np.ndarray) -> SimpleNamespace:
+        """The flow ledger's arrays, by name."""
+        return SimpleNamespace(**arrays)
+
+    @staticmethod
+    def handle(array: np.ndarray, dtype) -> np.ndarray:
+        return array
+
+    @staticmethod
+    def advance(t: SimpleNamespace, n: int, dt: float) -> None:
+        """Move ``rate * dt`` bytes on each of the first ``n`` rows."""
+        moved = t.rates[:n] * dt
+        positive = moved > 0
+        if positive.any():
+            remaining = t.remaining[:n]
+            np.maximum(remaining - moved, 0.0, out=remaining)
+            # Accumulate per-link bytes in (flow, link-in-path) order —
+            # the same float addition order as a per-flow loop.
+            paths = t.paths[:n]
+            mask = (paths >= 0) & positive[:, None]
+            np.add.at(
+                t.link_bytes,
+                paths[mask],
+                np.broadcast_to(moved[:, None], (n, 2))[mask],
+            )
+
+    def retire(self, t: SimpleNamespace, n: int, dt: float, now: float,
+               eps: float, rel: float) -> int:
+        """One completion timer: advance by ``dt``, then tombstone the
+        rows that are done and write them, ascending, to ``t.retired``;
+        returns their count.
+
+        Done means within ``eps * size + eps`` of zero.  When no live row
+        is, the timer was armed for the minimum-ETA row, and float residue
+        may have kept it microscopically above the threshold: that
+        residue retires, but only residue.  A stale timer looking at a row
+        with real bytes left (its rate was rescaled by ``set_capacity``
+        mid-flight) retires nothing, so the caller re-solves and re-arms.
+        """
+        if dt > 0:
+            self.advance(t, n, dt)
+        remaining = t.remaining[:n]
+        sizes = t.sizes[:n]
+        # Tombstoned rows sit at ~0 remaining; only live rows finish.
+        finished = (remaining <= eps * sizes + eps) & t.live[:n]
+        if not finished.any():
+            rates = t.rates[:n]
+            moving = np.flatnonzero(rates > 0)
+            if not moving.size:
+                return 0
+            etas = remaining[moving] / rates[moving]
+            if now + etas.min() <= now:
+                # Small flows are left ~rate*ulp(now) bytes by the
+                # ``remaining -= rate*dt`` cancellation: more than any
+                # relative tolerance of a few-hundred-byte flow, yet with
+                # a completion time below the clock's float resolution.
+                # A timer for them can never advance the clock, so the
+                # whole sub-ulp cohort finishes together.  Retiring rows
+                # only frees capacity, so a flow whose ETA is below the
+                # clock's resolution stays there as its peers retire —
+                # finishing them one timer round at a time would land
+                # every one at this same ``now`` while paying a full
+                # solve per flow (the fleet-scale cascade pathology).
+                finished[moving[now + etas <= now]] = True
+            else:
+                # The relative band covers drift on large flows; anything
+                # with a representable ETA outside it re-arms.
+                candidate = moving[etas.argmin()]
+                if remaining[candidate] <= rel * sizes[candidate] + eps:
+                    finished[candidate] = True
+        rows = np.flatnonzero(finished)
+        # In-place scatter-decrements: exact integer arithmetic, and no
+        # O(groups)/O(links) bincount allocation per instant.
+        np.subtract.at(t.group_count, t.gids[rows], 1)
+        paths = t.paths[rows]
+        np.subtract.at(t.load_counts, paths[paths >= 0], 1)
+        t.rates[rows] = 0.0
+        t.live[rows] = False
+        t.retired[:rows.size] = rows
+        return rows.size
+
+    def settle(self, t: SimpleNamespace, n: int, dt: float,
+               grates: np.ndarray) -> float:
+        """One re-solve: advance by ``dt``, give every live row its
+        group's rate from ``grates`` and return the minimum ETA over the
+        moving rows: NaN if any is NaN, -1 if no row moves."""
+        if dt > 0:
+            self.advance(t, n, dt)
+        rates = t.rates[:n]
+        live = t.live[:n]
+        # Only live rows take the solved rate: a tombstoned row's rate
+        # stays exactly 0 (what keeps it out of the byte advance and the
+        # completion timer), and its group may be empty — i.e. beyond the
+        # cached array's trim width — so it must not index grates.
+        rates[live] = grates[t.gids[:n][live]]
+        moving = rates > 0
+        if not moving.any():
+            return -1.0
+        return float((t.remaining[:n][moving] / rates[moving]).min())
+
+    def waterfill(self, num_links: int, num_groups: int,
+                  tables: Tuple[np.ndarray, ...], grates: np.ndarray) -> None:
+        capacity, load_counts, group_paths, group_count, csr, starts = tables
+        load_counts = load_counts[:num_links]
+        if self.every_link:
+            links = np.arange(num_links, dtype=np.int64)
+        else:
+            links = np.flatnonzero(load_counts > 0)
+        _fill(capacity, load_counts, group_paths[:num_groups],
+              group_count[:num_groups], csr, starts, links, grates)
 
 
-_FLAGS = ("-ffp-contract=off", "-lm")
+def _fill(capacity, load_counts, gpaths, gcount, csr, starts, links,
+          grates) -> None:
+    """Progressive filling over the ascending link ids ``links``;
+    overwrites ``grates`` with every group's rate.
+
+    The rounds run over path groups with multiplicities, which is
+    arithmetically identical to running over flows: a round fixes every
+    unfixed flow crossing the bottleneck at the same share, and the
+    residual update subtracts ``share * crossing_flow_count`` per link
+    either way.  Filling over the loaded links only is bit-identical to
+    filling over every link: a link with zero load has an infinite share
+    in every round, so it is never the argmin bottleneck (ties on the
+    share break toward the lowest index, and ``links`` ascends), and it
+    receives no residual or load update that is ever read.  ``csr`` and
+    ``starts`` are the link -> crossing groups adjacency over all links;
+    the row of a loaded link lists its groups in the order a compacted
+    adjacency would.
+    """
+    grates[:] = 0.0
+    na = links.size
+    if not na:
+        return
+    # The group -> link adjacency in the filled links' index space.
+    position = np.full(load_counts.size, -1, dtype=np.int64)
+    position[links] = np.arange(na, dtype=np.int64)
+    gvalid = gpaths >= 0
+    cpaths = np.full(gpaths.shape, -1, dtype=np.int64)
+    np.place(cpaths, gvalid, position[gpaths[gvalid]])
+    cvalid = cpaths >= 0
+    rowsum = cvalid.sum(axis=1)
+
+    residual = capacity[links]
+    load = load_counts[links].astype(float)
+    gcount_f = gcount.astype(float)
+    gunfixed = np.ones(gcount.size, dtype=bool)
+    unfixed_flows = int(gcount.sum())
+    shares = np.empty(na)
+    while True:
+        positive = load > 0
+        np.divide(residual, load, out=shares, where=positive)
+        shares[~positive] = np.inf
+        bottleneck = int(shares.argmin())
+        share = shares[bottleneck]
+        if not np.isfinite(share):
+            break
+        # Floating-point residue can push a residual slightly negative;
+        # never hand out a negative rate.
+        share = max(share, 0.0)
+        link = links[bottleneck]
+        candidates = csr[starts[link]: starts[link + 1]]
+        selected = candidates[gunfixed[candidates]]
+        if not selected.size:
+            break
+        grates[selected] = share
+        counts = np.bincount(
+            cpaths[selected][cvalid[selected]],
+            weights=gcount_f[selected].repeat(rowsum[selected]),
+            minlength=na,
+        )
+        residual -= share * counts
+        load -= counts
+        residual[bottleneck] = 0.0
+        load[bottleneck] = 0.0
+        gunfixed[selected] = False
+        unfixed_flows -= int(gcount[selected].sum())
+        if unfixed_flows <= 0:
+            break
 
 
-@functools.lru_cache(maxsize=None)
-def kernel() -> Optional[ctypes.CDLL]:
-    """The compiled kernels, or None (no compiler / opted out); probed
-    once per process."""
-    return _native.load("waterfill", _C_SOURCE, _FLAGS, _bind, "fluid-network kernel")
+NUMPY = NumpyKernel()
+REFERENCE = NumpyKernel(every_link=True)
 
 
 def address(array: np.ndarray, dtype) -> int:
@@ -345,25 +538,76 @@ _LEDGER_FIELDS = (
 )
 
 
-def ledger(**arrays: np.ndarray) -> ctypes.Array:
-    """Pack the addresses of the flow ledger's arrays into the C
-    ``ledger_t`` that ``advance``, ``retire`` and ``settle`` take.
+class CompiledKernel:
+    """The fluid kernel as C loops (``_C_SOURCE``).
 
-    The caller keeps every array alive, and builds a new ledger whenever
-    one of them is reallocated.
+    ``advance``, ``retire`` and ``settle`` are the ctypes functions
+    themselves, so a call costs no Python frame of its own; ``settle``
+    takes the rate array's address (:meth:`handle`).
     """
-    return (ctypes.c_void_p * len(_LEDGER_FIELDS))(*(
-        address(arrays[name], dtype) for name, dtype in _LEDGER_FIELDS
-    ))
+
+    handle = staticmethod(address)
+
+    def __init__(self, lib: ctypes.CDLL):
+        self._waterfill = lib.waterfill
+        self.advance = lib.advance
+        self.retire = lib.retire
+        self.settle = lib.settle
+
+    @staticmethod
+    def ledger(**arrays: np.ndarray) -> ctypes.Array:
+        """Pack the addresses of the flow ledger's arrays into the C
+        ``ledger_t``.
+
+        The caller keeps every array alive, and builds a new ledger
+        whenever one of them is reallocated.
+        """
+        return (ctypes.c_void_p * len(_LEDGER_FIELDS))(*(
+            address(arrays[name], dtype) for name, dtype in _LEDGER_FIELDS
+        ))
+
+    def waterfill(self, num_links: int, num_groups: int,
+                  tables: Tuple[int, ...], grates: np.ndarray) -> None:
+        if self._waterfill(
+            num_links, num_groups, *tables, address(grates, np.float64)
+        ):
+            raise MemoryError("no memory for the water-fill's work buffers")
 
 
-def run(lib: ctypes.CDLL, num_links: int, num_groups: int,
-        tables: Tuple[int, ...], grates: np.ndarray) -> None:
-    """Invoke the compiled filling loop; overwrites ``grates[:num_groups]``.
+def _bind(path) -> CompiledKernel:
+    lib = ctypes.CDLL(str(path))
+    pointer, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    lib.waterfill.restype = int64
+    lib.waterfill.argtypes = [int64, int64] + [pointer] * 7
+    lib.advance.restype = None
+    lib.advance.argtypes = [pointer, int64, double]
+    lib.retire.restype = int64
+    lib.retire.argtypes = [pointer, int64, double, double, double, double]
+    lib.settle.restype = double
+    lib.settle.argtypes = [pointer, int64, double, pointer]
+    return CompiledKernel(lib)
 
-    ``tables`` holds the addresses of the network's capacity, load-count,
+
+_FLAGS = ("-ffp-contract=off", "-lm")
+
+Kernel = Union[CompiledKernel, NumpyKernel]
+
+
+@functools.lru_cache(maxsize=None)
+def kernel() -> Kernel:
+    """The compiled kernel, or :data:`NUMPY` when it is opted out of or
+    cannot be built; probed once per process."""
+    return _native.load(
+        "waterfill", _C_SOURCE, _FLAGS, _bind, "fluid-network kernel"
+    ) or NUMPY
+
+
+def run(kernel: Kernel, num_links: int, num_groups: int,
+        tables: Tuple, grates: np.ndarray) -> None:
+    """Water-fill with ``kernel``; overwrites ``grates[:num_groups]``.
+
+    ``tables`` holds the handles of the network's capacity, load-count,
     group-path, group-count and CSR (payload, row starts) arrays, in that
     order.
     """
-    if lib.waterfill(num_links, num_groups, *tables, address(grates, np.float64)):
-        raise MemoryError("no memory for the water-fill's work buffers")
+    kernel.waterfill(num_links, num_groups, tables, grates)

@@ -38,10 +38,14 @@ solver reruns on every flow arrival/departure):
   least half the rows are dead (amortized O(1) per flow).  The solver
   additionally restricts each filling pass to links with at least one
   crossing flow.  Both shortcuts are bit-identical to the uncoalesced
-  path (``coalesce=False`` keeps it alive for the property battery):
-  tombstoned rows have rate exactly 0 so they move no bytes and touch no
-  link counters, compaction only relocates rows, and inactive links can
-  never be the bottleneck of a filling round.
+  reference (``coalesce=False``), which compacts after every retirement
+  and fills over every link: tombstoned rows have rate exactly 0 so they
+  move no bytes and touch no link counters, compaction only relocates
+  rows, and inactive links can never be the bottleneck of a filling
+  round.
+* The arithmetic runs in a kernel (:mod:`repro.netsim._waterfill`): the
+  compiled one when it builds, else numpy, with bit-identical results.
+  The uncoalesced reference always runs the numpy kernel.
 * Rate recomputation is deferred to the end of the simulated instant
   (``Environment.defer_to_instant_end``): a burst of arrivals/finishes at
   one timestamp — spread over any number of kernel events — triggers one
@@ -50,6 +54,7 @@ solver reruns on every flow arrival/departure):
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -67,8 +72,9 @@ _SOLVE_CACHE_BUDGET = 64 << 20
 
 __all__ = ["Flow", "FluidNetwork"]
 
+_INF = float("inf")
 _EPSILON = 1e-12
-# The _on_timer fallback may only force-finish a flow whose remaining bytes
+# A completion timer may only force-finish a flow whose remaining bytes
 # are within this relative band of its size — i.e. genuine floating-point
 # residue.  A stale timer observing a flow with real bytes left (e.g. after
 # a mid-flight set_capacity rescale) must reschedule instead.
@@ -176,9 +182,10 @@ class FluidNetwork:
     def __init__(self, env: Environment, coalesce: bool = True):
         self.env = env
         # Coalesced mode (default) tombstones finished ledger rows and
-        # water-fills over active links only; ``coalesce=False`` keeps the
-        # eager row-compaction/dense-solve path alive as the bit-identical
-        # reference for the equivalence property battery.
+        # water-fills over active links only; ``coalesce=False`` is the
+        # bit-identical reference for the equivalence tests: the numpy
+        # kernel filling over every link, and a compaction after every
+        # retirement.
         self.coalesce = coalesce
         self._index: Dict[Hashable, int] = {}
         # Per-link arrays; only the first _num_links entries are valid.
@@ -194,11 +201,11 @@ class FluidNetwork:
         self._rates = np.zeros(0)
         self._sizes = np.zeros(0)
         self._gids = np.zeros(0, dtype=np.int64)
-        # Tombstone ledger (coalesced mode): _live marks rows whose flow is
-        # still in flight; _active carries None at dead rows so row indices
-        # stay aligned until the next compaction.
+        # Tombstone ledger: _live marks rows whose flow is still in flight;
+        # _active carries None at dead rows so row indices stay aligned
+        # until the next compaction.
         self._live = np.zeros(0, dtype=bool)
-        # Out-buffer of the compiled retire kernel: the rows it retired.
+        # Out-buffer of the kernel's retire: the rows it retired.
         self._retired = np.zeros(0, dtype=np.int64)
         self._live_count = 0
         self._dead_count = 0
@@ -212,7 +219,7 @@ class FluidNetwork:
         # Memoized solves keyed by (capacity epoch, trimmed group-count
         # signature): flow populations recur, so identical signatures are
         # common across non-consecutive recomputes.  Each entry holds the
-        # per-group rate array and its address (for the compiled settle).
+        # per-group rate array and its kernel handle (for the settle).
         # The cache is bounded by entry count and by bytes (fleet-scale
         # rate arrays run to hundreds of KB each); evicted arrays are
         # recycled through ``_grates_pool`` so solves write into warm pages.
@@ -230,11 +237,11 @@ class FluidNetwork:
         self._csr_groups: Optional[np.ndarray] = None
         self._csr_starts: Optional[np.ndarray] = None
         self._csr_shape = (-1, -1)
-        # Array addresses handed to the compiled kernels (see _waterfill):
-        # the solve's are refreshed with the CSR; the flow ledger's (per-row
-        # arrays, link bytes and loads, group counts) are dropped wherever
-        # one of those arrays is reallocated.
-        self._solve_tables: Tuple[int, ...] = ()
+        # Array handles handed to the kernel (see _waterfill): the solve's
+        # are refreshed with the CSR; the flow ledger's (per-row arrays,
+        # link bytes and loads, group counts) are dropped wherever one of
+        # those arrays is reallocated.
+        self._solve_tables: Tuple = ()
         self._flow_ledger = None
         self._last_update = env.now
         self._generation = 0
@@ -245,8 +252,7 @@ class FluidNetwork:
 
     def add_link(self, link_id: Hashable, bandwidth: float) -> None:
         """Register a directed link with ``bandwidth`` bytes/second."""
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        _check_bandwidth(bandwidth)
         if link_id in self._index:
             raise ValueError(f"duplicate link id: {link_id!r}")
         index = self._num_links
@@ -277,8 +283,7 @@ class FluidNetwork:
         change; active flows crossing the link are re-waterfilled at the
         new capacity from the current instant.
         """
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        _check_bandwidth(bandwidth)
         index = self._index[link_id]
         self._advance()
         self._capacity[index] = float(bandwidth)
@@ -337,8 +342,12 @@ class FluidNetwork:
         """
         if path_index is None:
             path, path_index = self.resolve_path(path)
-        if size < 0:
-            raise ValueError(f"size must be non-negative, got {size}")
+        if not 0.0 <= size < _INF:
+            raise ValueError(f"size must be finite and non-negative, got {size}")
+        if not 0.0 <= latency < _INF:
+            raise ValueError(
+                f"latency must be finite and non-negative, got {latency}"
+            )
         flow = Flow(self.env, path, path_index, size, latency, tag=tag)
         if latency > 0:
             # The latency stage is a plain timer callback, not a Process:
@@ -413,59 +422,12 @@ class FluidNetwork:
         self._group_of[path_index] = gid
         return gid
 
-    def _remove_rows(self, finished_mask: np.ndarray) -> List[Flow]:
-        """Retire the masked rows and return their flows.
-
-        Coalesced mode tombstones in O(finished); the uncoalesced
-        reference compacts the ledger eagerly (O(active) per call).
-        """
-        if self.coalesce:
-            return self._retire_rows(finished_mask)
-        n = self._n
-        keep = ~finished_mask
-        finished: List[Flow] = []
-        kept: List[Flow] = []
-        for flow, done in zip(self._active, finished_mask):
-            (finished if done else kept).append(flow)
-        for flow in finished:
-            self._group_count[self._gids[flow._row]] -= 1
-            for index in flow.path_index:
-                self._load_counts[index] -= 1
-        k = len(kept)
-        self._paths[:k] = self._paths[:n][keep]
-        self._remaining[:k] = self._remaining[:n][keep]
-        self._rates[:k] = self._rates[:n][keep]
-        self._sizes[:k] = self._sizes[:n][keep]
-        self._gids[:k] = self._gids[:n][keep]
-        first = int(np.argmax(finished_mask))
-        for row in range(first, k):
-            kept[row]._row = row
-        self._active = kept
-        self._n = k
-        self._live_count = k
-        return finished
-
-    def _retire_rows(self, finished_mask: np.ndarray) -> List[Flow]:
-        """Tombstone the masked rows: zero their rate, clear their live
-        bit and release their group/link bookkeeping.  The dead rows keep
-        their position (so live rows never move and no float is touched)
-        until :meth:`_compact` reclaims them."""
-        rows = np.flatnonzero(finished_mask)
-        # In-place scatter-decrements: exact integer arithmetic, and no
-        # O(num_groups)/O(num_links) bincount allocation per instant.
-        np.subtract.at(self._group_count, self._gids[rows], 1)
-        paths = self._paths[rows]
-        links = paths[paths >= 0]
-        if links.size:
-            np.subtract.at(self._load_counts, links, 1)
-        self._rates[rows] = 0.0
-        self._live[rows] = False
-        return self._release(rows.tolist())
-
     def _release(self, rows: List[int]) -> List[Flow]:
         """Return the flows of the just-tombstoned ``rows`` (ascending)
-        and drop them from ``_active``; compact once half the rows are
-        dead."""
+        and drop them from ``_active``.  The dead rows keep their position
+        (so live rows never move and no float is touched) until
+        :meth:`_compact` reclaims them: once half the rows are dead, or at
+        once in the uncoalesced reference."""
         active = self._active
         finished = [active[row] for row in rows]
         for row in rows:
@@ -476,7 +438,9 @@ class FluidNetwork:
             self._active = []
             self._n = 0
             self._dead_count = 0
-        elif self._dead_count >= 64 and 2 * self._dead_count >= self._n:
+        elif not self.coalesce or (
+            self._dead_count >= 64 and 2 * self._dead_count >= self._n
+        ):
             self._compact()
         return finished
 
@@ -524,12 +488,18 @@ class FluidNetwork:
         self._last_update = now
         return dt
 
+    @functools.cached_property
+    def _kernel(self) -> _waterfill.Kernel:
+        """The kernel this network runs, chosen at its first use (so
+        building a network compiles nothing)."""
+        return _waterfill.kernel() if self.coalesce else _waterfill.REFERENCE
+
     def _ledger(self):
-        """The flow ledger's array addresses, packed for the compiled
-        kernels (see ``_waterfill.ledger``)."""
+        """The flow ledger's arrays, packed for the kernel (see
+        ``_waterfill``)."""
         ledger = self._flow_ledger
         if ledger is None:
-            ledger = self._flow_ledger = _waterfill.ledger(
+            ledger = self._flow_ledger = self._kernel.ledger(
                 rates=self._rates,
                 remaining=self._remaining,
                 paths=self._paths,
@@ -547,131 +517,34 @@ class FluidNetwork:
         """Move bytes for all active flows since the last update."""
         dt = self._elapsed()
         n = self._n
-        if not (dt > 0 and n):
-            return
-        lib = _waterfill.kernel()
-        if lib is not None:
-            # The numpy loop below, compiled (see _waterfill).
-            lib.advance(self._ledger(), n, dt)
-            return
-        moved = self._rates[:n] * dt
-        positive = moved > 0
-        if positive.any():
-            remaining = self._remaining[:n]
-            np.maximum(remaining - moved, 0.0, out=remaining)
-            # Accumulate per-link bytes in (flow, link-in-path) order —
-            # the same float addition order as a per-flow loop.
-            paths = self._paths[:n]
-            mask = (paths >= 0) & positive[:, None]
-            np.add.at(
-                self._link_bytes,
-                paths[mask],
-                np.broadcast_to(moved[:, None], (n, 2))[mask],
-            )
+        if dt > 0 and n:
+            self._kernel.advance(self._ledger(), n, dt)
 
-    def _settle(
-        self, grates: np.ndarray, grates_address: int
-    ) -> Optional[float]:
-        """Move bytes up to now, give every live row its group's rate from
-        ``grates`` and return the earliest completion ETA over the moving
-        rows: None when no row moves, NaN when any ETA is NaN."""
-        lib = _waterfill.kernel() if self.coalesce else None
-        if lib is not None:
-            # The numpy code below, in one compiled call (see _waterfill).
-            next_done = lib.settle(
-                self._ledger(), self._n, self._elapsed(), grates_address
-            )
-            return None if next_done < 0 else next_done
-        self._advance()
-        n = self._n
-        # Every active flow's group lies inside the trimmed signature, so a
-        # cached array from a smaller group table still covers all gids.
-        rates = self._rates[:n]
-        if self._dead_count:
-            # Only live rows take the solved rate: a tombstoned row's rate
-            # stays exactly 0 (what makes it invisible to _advance and the
-            # completion timer), and its group may be empty — i.e. beyond
-            # the cached array's trim width — so it must not index grates.
-            live = self._live[:n]
-            rates[live] = grates[self._gids[:n][live]]
-        else:
-            rates[:] = grates[self._gids[:n]]
-        moving = rates > 0
-        if not moving.any():
-            return None
-        return float((self._remaining[:n][moving] / rates[moving]).min())
+    def _settle(self, grates_handle) -> Optional[float]:
+        """Move bytes up to now, give every live row its group's rate
+        (``grates_handle`` is the kernel's handle of the solved rates) and
+        return the earliest completion ETA over the moving rows: None when
+        no row moves, NaN when any ETA is NaN."""
+        next_done = self._kernel.settle(
+            self._ledger(), self._n, self._elapsed(), grates_handle
+        )
+        return None if next_done < 0 else next_done
 
     def _retire_finished(self) -> List[Flow]:
-        """Move bytes up to now, retire the rows that are done and return
-        their flows in ascending row order."""
+        """Move bytes up to now, retire the rows that are done (or the
+        float residue the timer was armed for; see the kernel's
+        ``retire``) and return their flows in ascending row order."""
+        dt = self._elapsed()
         n = self._n
-        lib = _waterfill.kernel() if self.coalesce and n else None
-        if lib is not None:
-            # The numpy code below, in one compiled call (see _waterfill).
-            dt = self._elapsed()
-            count = lib.retire(
-                self._ledger(), n, dt, self._last_update,
-                _EPSILON, _FORCE_FINISH_REL,
-            )
-            if not count:
-                return []
-            return self._release(self._retired[:count].tolist())
-        self._advance()
-        finished_mask = self._finished_mask()
-        if finished_mask.any():
-            return self._remove_rows(finished_mask)
-        return []
-
-    def _finished_mask(self) -> np.ndarray:
-        """Rows a completion timer retires: those within ``_EPSILON`` of
-        done, else the residue the timer was armed for (none when it is
-        stale)."""
-        n = self._n
-        remaining = self._remaining[:n]
-        sizes = self._sizes[:n]
-        finished_mask = remaining <= _EPSILON * sizes + _EPSILON
-        if self._dead_count:
-            # Tombstoned rows sit at ~0 remaining; only live rows finish.
-            finished_mask &= self._live[:n]
-        if not finished_mask.any():
-            # The timer was armed for the minimum-ETA flow; if floating
-            # point residue kept its remaining microscopically above the
-            # threshold, finish it anyway rather than looping on
-            # zero-length timers.  Guard: only genuine residue qualifies —
-            # a stale timer looking at a flow with real bytes left (e.g.
-            # its rate was rescaled by set_capacity mid-flight) must
-            # recompute and re-arm instead of force-finishing.
-            rates = self._rates[:n]
-            moving = np.flatnonzero(rates > 0)
-            if moving.size:
-                etas = remaining[moving] / rates[moving]
-                candidate = int(moving[int(etas.argmin())])
-                # The relative band covers drift on large flows; the ETA
-                # clause covers small ones, where ``remaining -= rate*dt``
-                # cancellation leaves ~rate*ulp(now) bytes — more than any
-                # relative tolerance of a few-hundred-byte flow, yet with
-                # a completion time below the clock's float resolution
-                # (``now + eta == now``).  A timer for such a flow can
-                # never advance the clock, so finishing is the only
-                # faithful move; anything with a representable ETA still
-                # recomputes and re-arms.
-                now = self.env.now
-                eta = float(etas.min())
-                if now + eta <= now:
-                    # The whole sub-ulp cohort finishes together.  Retiring
-                    # rows only frees capacity, so any flow whose ETA is
-                    # already below the clock's resolution stays there as
-                    # its peers retire — finishing them one timer round at
-                    # a time would land every one at this same ``now``
-                    # while paying a full solve per flow (the fleet-scale
-                    # cascade pathology).
-                    finished_mask[moving[now + etas <= now]] = True
-                elif (
-                    remaining[candidate]
-                    <= _FORCE_FINISH_REL * sizes[candidate] + _EPSILON
-                ):
-                    finished_mask[candidate] = True
-        return finished_mask
+        if not n:
+            return []
+        count = self._kernel.retire(
+            self._ledger(), n, dt, self._last_update,
+            _EPSILON, _FORCE_FINISH_REL,
+        )
+        if not count:
+            return []
+        return self._release(self._retired[:count].tolist())
 
     def _assign_rates(self) -> Optional[float]:
         """Water-filling max-min fair allocation (incremental, vectorized).
@@ -681,10 +554,7 @@ class FluidNetwork:
         flows (None when none moves).
 
         The filling rounds run over path *groups* (flows with an identical
-        link tuple) with multiplicities, which is arithmetically identical
-        to running over individual flows: a round fixes every unfixed flow
-        crossing the bottleneck at the same share, and the residual update
-        subtracts ``share * crossing_flow_count`` per link either way.
+        link tuple) with multiplicities; see ``_waterfill._fill``.
 
         Solves are memoized by (capacity epoch, group-count signature
         trimmed to the last populated group).  A signature hit reuses the
@@ -708,16 +578,16 @@ class FluidNetwork:
         key = (self._capacity_epoch, gcount[:width].tobytes())
         entry = self._solve_cache.get(key)
         if entry is None:
-            grates = self._solve(num_groups, gcount)
+            grates = self._solve(num_groups)
             if (
                 len(self._solve_cache) >= 4096
                 or self._solve_cache_bytes >= _SOLVE_CACHE_BUDGET
             ):
                 self._evict_solve_cache()
-            entry = (grates, _waterfill.address(grates, np.float64))
+            entry = (grates, self._kernel.handle(grates, np.float64))
             self._solve_cache[key] = entry
             self._solve_cache_bytes += grates.nbytes
-        return self._settle(*entry)
+        return self._settle(entry[1])
 
     def _evict_solve_cache(self) -> None:
         """Drop every cached solve, recycling the arrays still large
@@ -731,20 +601,9 @@ class FluidNetwork:
         self._solve_cache.clear()
         self._solve_cache_bytes = 0
 
-    def _solve(self, num_groups: int, gcount: np.ndarray) -> np.ndarray:
-        """One full water-filling pass; returns per-group rates."""
-        lib = _waterfill.kernel()
-        if lib is not None:
-            return self._solve_compiled(num_groups, lib)
-        if self.coalesce:
-            return self._solve_active(num_groups, gcount)
-        return self._solve_dense(num_groups, gcount)
-
-    def _solve_compiled(self, num_groups: int, lib) -> np.ndarray:
-        """Water-filling via the compiled kernel (see ``_waterfill``): the
-        identical IEEE-754 operations in the identical order, so the rates
-        of populated groups are bitwise those of :meth:`_solve_dense` and
-        :meth:`_solve_active`; groups with no flows keep rate 0."""
+    def _solve(self, num_groups: int) -> np.ndarray:
+        """One full water-filling pass; returns per-group rates (those of
+        groups with no flows are never read)."""
         self._ensure_csr(num_groups)
         # The result lands in the memoization cache, so it needs its own
         # array — but recycling evicted buffers keeps their pages warm
@@ -758,97 +617,15 @@ class FluidNetwork:
         else:
             grates = np.empty(num_groups * 3 // 2 + 64)[:num_groups]
         _waterfill.run(
-            lib, self._num_links, num_groups, self._solve_tables, grates
+            self._kernel, self._num_links, num_groups, self._solve_tables,
+            grates,
         )
-        return grates
-
-    def _solve_active(self, num_groups: int, gcount: np.ndarray) -> np.ndarray:
-        """Water-filling restricted to links with at least one crossing
-        flow.
-
-        Bit-identical to :meth:`_solve_dense`: a link with zero load has an
-        infinite share in every dense round, so it can never be the argmin
-        bottleneck (ties on the share value break toward the lowest link
-        index, and the compacted arrays keep ascending link order), it
-        receives no residual/load updates that matter, and groups crossing
-        only inactive links are never candidates in either solver.  The
-        per-round cost drops from O(all links ever registered) to O(links
-        with active flows) — at fleet scale most links are idle outside
-        their phase (e.g. NVLink during the cross-machine pull wave).
-        """
-        num_links = self._num_links
-        load_full = self._load_counts[:num_links]
-        active = np.flatnonzero(load_full > 0)
-        na = int(active.size)
-        grates = np.zeros(num_groups)
-        if na == 0:
-            return grates
-        gpaths = self._group_paths[:num_groups]
-        # Remap the group->link adjacency into compact active-link space.
-        pos = np.full(num_links, -1, dtype=np.int64)
-        pos[active] = np.arange(na, dtype=np.int64)
-        gvalid = gpaths >= 0
-        mapped = pos[gpaths[gvalid]]
-        flat_groups = np.broadcast_to(
-            np.arange(num_groups, dtype=np.int64)[:, None],
-            (num_groups, 2),
-        )[gvalid]
-        adjacent = mapped >= 0
-        flat_links = mapped[adjacent]
-        flat_groups = flat_groups[adjacent]
-        order = np.argsort(flat_links, kind="stable")
-        sorted_groups = flat_groups[order]
-        starts = np.searchsorted(
-            flat_links[order], np.arange(na + 1, dtype=np.int64)
-        )
-        # Per-group active-link paths (compact index space) and degree.
-        cpaths = np.full((num_groups, 2), -1, dtype=np.int64)
-        np.place(cpaths, gvalid, mapped)
-        cvalid = cpaths >= 0
-        rowsum = cvalid.sum(axis=1)
-
-        residual = self._capacity[active].copy()
-        load = load_full[active].astype(float)
-        gcount_f = gcount.astype(float)
-        gunfixed = np.ones(num_groups, dtype=bool)
-        unfixed_flows = int(gcount.sum())
-        shares = np.empty(na)
-        while True:
-            positive = load > 0
-            np.divide(residual, load, out=shares, where=positive)
-            shares[~positive] = np.inf
-            bottleneck = int(shares.argmin())
-            share = shares[bottleneck]
-            if not np.isfinite(share):
-                break
-            share = max(share, 0.0)
-            candidates = sorted_groups[
-                starts[bottleneck]: starts[bottleneck + 1]
-            ]
-            selected = candidates[gunfixed[candidates]]
-            if not selected.size:
-                break
-            grates[selected] = share
-            touched = cpaths[selected][cvalid[selected]]
-            counts = np.bincount(
-                touched,
-                weights=gcount_f[selected].repeat(rowsum[selected]),
-                minlength=na,
-            )
-            residual -= share * counts
-            load -= counts
-            residual[bottleneck] = 0.0
-            load[bottleneck] = 0.0
-            gunfixed[selected] = False
-            unfixed_flows -= int(gcount[selected].sum())
-            if unfixed_flows <= 0:
-                break
         return grates
 
     def _ensure_csr(self, num_groups: int) -> None:
         """Build the link -> crossing groups adjacency (CSR over sorted
-        flat links) and the compiled solve's table addresses; both stay
-        valid until the next link or group is interned."""
+        flat links) and the solve's table handles; both stay valid until
+        the next link or group is interned."""
         num_links = self._num_links
         if self._csr_shape == (num_groups, num_links):
             return
@@ -866,67 +643,15 @@ class FluidNetwork:
             sorted_links, np.arange(num_links + 1, dtype=np.int64)
         )
         self._csr_shape = (num_groups, num_links)
-        address = _waterfill.address
+        handle = self._kernel.handle
         self._solve_tables = (
-            address(self._capacity, np.float64),
-            address(self._load_counts, np.int64),
-            address(self._group_paths, np.int64),
-            address(self._group_count, np.int64),
-            address(self._csr_groups, np.int64),
-            address(self._csr_starts, np.int64),
+            handle(self._capacity, np.float64),
+            handle(self._load_counts, np.int64),
+            handle(self._group_paths, np.int64),
+            handle(self._group_count, np.int64),
+            handle(self._csr_groups, np.int64),
+            handle(self._csr_starts, np.int64),
         )
-
-    def _solve_dense(self, num_groups: int, gcount: np.ndarray) -> np.ndarray:
-        """Water-filling over every registered link (uncoalesced
-        reference)."""
-        num_links = self._num_links
-        gpaths = self._group_paths[:num_groups]
-        self._ensure_csr(num_groups)
-        sorted_groups = self._csr_groups
-        starts = self._csr_starts
-        gvalid = gpaths >= 0
-        rowsum = gvalid.sum(axis=1)
-
-        residual = self._capacity[:num_links].copy()
-        load = self._load_counts[:num_links].astype(float)
-        gcount_f = gcount.astype(float)
-        grates = np.zeros(num_groups)
-        gunfixed = np.ones(num_groups, dtype=bool)
-        unfixed_flows = int(gcount.sum())
-        shares = np.empty(num_links)
-        while True:
-            positive = load > 0
-            np.divide(residual, load, out=shares, where=positive)
-            shares[~positive] = np.inf
-            bottleneck = int(shares.argmin())
-            share = shares[bottleneck]
-            if not np.isfinite(share):
-                break
-            # Floating-point residue can push a residual slightly negative;
-            # never hand out a negative rate.
-            share = max(share, 0.0)
-            candidates = sorted_groups[
-                starts[bottleneck]: starts[bottleneck + 1]
-            ]
-            selected = candidates[gunfixed[candidates]]
-            if not selected.size:
-                break
-            grates[selected] = share
-            touched = gpaths[selected][gvalid[selected]]
-            counts = np.bincount(
-                touched,
-                weights=gcount_f[selected].repeat(rowsum[selected]),
-                minlength=num_links,
-            )
-            residual -= share * counts
-            load -= counts
-            residual[bottleneck] = 0.0
-            load[bottleneck] = 0.0
-            gunfixed[selected] = False
-            unfixed_flows -= int(gcount[selected].sum())
-            if unfixed_flows <= 0:
-                break
-        return grates
 
     def _reschedule(self) -> None:
         """Recompute rates and arm a timer for the next flow completion."""
@@ -964,6 +689,13 @@ class FluidNetwork:
         index = self._index[link_id]
         return float(
             self._link_bytes[index] / (self._capacity[index] * elapsed)
+        )
+
+
+def _check_bandwidth(bandwidth: float) -> None:
+    if not 0.0 < bandwidth < _INF:
+        raise ValueError(
+            f"bandwidth must be positive and finite, got {bandwidth}"
         )
 
 

@@ -85,6 +85,12 @@ class TestFaultPlanParse:
         "loss=fetch-external*0.1",    # not a lossable kind
         "loss=pull-request*1.5",      # rate out of range
         "link=nic*0",                 # factor must be positive
+        "link=nic*nan@0:1",           # ... and a number
+        "link=nic*inf",               # ... and finite
+        "link=nic*0.5@nan:1",         # window bounds must be numbers
+        "link=nic*0.5@0:nan",
+        "slow=0*nan",                 # speed must be a finite number
+        "slow=0*inf",
         "link=nic*0.5@0.01:0.005",    # empty window
         "slow=x*0.5",                 # machine must be an int
         "outage=0:flaky",             # outages take no :MODE suffix

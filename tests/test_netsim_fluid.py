@@ -3,9 +3,8 @@
 import pytest
 
 from repro.netsim import FluidNetwork
+from repro.netsim import _waterfill
 from repro.simkit import Environment
-
-from tests.test_netsim_fluid_coalesce import _python_solver
 
 
 def make_net(links):
@@ -125,6 +124,30 @@ def test_negative_size_rejected():
         net.transfer(("l",), -5.0)
 
 
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_bandwidth_rejected(bandwidth):
+    env, net = make_net({"l": 1.0})
+    with pytest.raises(ValueError, match="bandwidth"):
+        net.add_link("m", bandwidth)
+    with pytest.raises(ValueError, match="bandwidth"):
+        net.set_capacity("l", bandwidth)
+    assert net.links() == ["l"] and net.capacity("l") == 1.0
+
+
+@pytest.mark.parametrize("size, latency", [
+    (float("nan"), 0.0),
+    (float("inf"), 0.0),
+    (10.0, float("inf")),
+    (10.0, float("nan")),
+    (10.0, -1.0),
+])
+def test_bad_size_or_latency_rejected(size, latency):
+    env, net = make_net({"l": 1.0})
+    with pytest.raises(ValueError, match="size|latency"):
+        net.transfer(("l",), size, latency)
+    assert not net.active_flows and env.peek() == float("inf")
+
+
 def test_duplicate_link_rejected():
     env, net = make_net({"l": 1.0})
     with pytest.raises(ValueError):
@@ -236,12 +259,11 @@ class TestStaleTimerGuard:
 
 
 class TestStaleTimerGuardPythonCore(TestStaleTimerGuard):
-    """The same guard with the compiled kernels switched off."""
+    """The same guard on the numpy kernel."""
 
     @pytest.fixture(autouse=True)
-    def _numpy_core(self):
-        with _python_solver():
-            yield
+    def _numpy_core(self, monkeypatch):
+        monkeypatch.setattr(_waterfill, "kernel", lambda: _waterfill.NUMPY)
 
 
 class TestSubUlpResidue:

@@ -7,11 +7,11 @@ per-member byte ledger (tombstoned retirement).  The acceptance bar is
 arrivals, departures and mid-flight capacity rescales, the coalesced
 network must hand every flow the same IEEE-754 rate, finish it at the
 same simulated time, and account the same per-link bytes as the
-uncoalesced solver.  The same bar applies to the compiled water-filling
-kernel against the pure-python filling loop.
+uncoalesced reference, which runs the numpy kernel, fills over every
+link and compacts after every retirement.  The same bar applies to the
+two kernels of ``repro.netsim._waterfill``, compared directly: the
+compiled one against numpy, step by step.
 """
-
-from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -21,6 +21,22 @@ from hypothesis import strategies as st
 from repro.netsim import FluidNetwork
 from repro.netsim import _waterfill
 from repro.simkit import Environment
+
+NUMPY = _waterfill.NUMPY
+COMPILED = None if _waterfill.kernel() is NUMPY else _waterfill.kernel()
+# Every kernel this host runs; the first one is what networks default to.
+KERNELS = (COMPILED, NUMPY) if COMPILED else (NUMPY,)
+needs_compiler = pytest.mark.skipif(
+    COMPILED is None, reason="no C compiler on this host"
+)
+
+
+def _network(env, kernel=None, coalesce=True):
+    """A network pinned to ``kernel`` (default: the one it would pick)."""
+    net = FluidNetwork(env, coalesce=coalesce)
+    if kernel is not None:
+        net._kernel = kernel
+    return net
 
 
 @st.composite
@@ -73,7 +89,7 @@ def _settle(env):
     env.run(until=env.now)
 
 
-def _run_schedule(schedule, coalesce):
+def _run_schedule(schedule, coalesce, kernel=None):
     """Replay one schedule; return (rate log, finish times, link bytes).
 
     The rate log snapshots every active flow's rate after each operation
@@ -82,7 +98,7 @@ def _run_schedule(schedule, coalesce):
     """
     links, ops, gaps = schedule
     env = Environment()
-    net = FluidNetwork(env, coalesce=coalesce)
+    net = _network(env, kernel, coalesce)
     for link_id, bandwidth in links:
         net.add_link(link_id, bandwidth)
     flows = []
@@ -121,29 +137,57 @@ def test_coalesced_equals_uncoalesced_exactly(schedule):
     assert coalesced == plain
 
 
-@contextmanager
-def _python_solver():
-    """Force the pure-python filling loops for the duration."""
-    original = _waterfill.kernel
-    _waterfill.kernel = lambda: None
-    try:
-        yield
-    finally:
-        _waterfill.kernel = original
-
-
+@needs_compiler
 @settings(max_examples=40, deadline=None)
 @given(schedules())
 def test_compiled_kernel_equals_python_solver_exactly(schedule):
-    if _waterfill.kernel() is None:
-        return  # no C compiler on this host; the python path is the only one
-    compiled = _run_schedule(schedule, coalesce=True)
-    with _python_solver():
-        plain = _run_schedule(schedule, coalesce=True)
-    assert compiled == plain
+    compiled = _run_schedule(schedule, coalesce=True, kernel=COMPILED)
+    assert compiled == _run_schedule(schedule, coalesce=True, kernel=NUMPY)
 
 
-def _fleet_network(seed):
+class _Unusable:
+    """Stands in for the compiled kernel: every method raises."""
+
+    def __getattr__(self, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"the compiled kernel's {name} was called")
+        return refuse
+
+
+_GUARD_SCHEDULE = (
+    [("l0", 100.0), ("l1", 40.0), ("l2", 250.0)],
+    [
+        ("arrive", [0, 1], 300.0),
+        ("arrive", [0], 120.0),
+        ("arrive", [1, 2], 80.0),
+        ("rescale", 1, 10.0),
+        ("arrive", [2], 500.0),
+        ("arrive", [0, 1], 300.0),
+        ("rescale", 0, 400.0),
+    ],
+    [0.0, 0.5, 0.0, 1.0, 0.25, 0.0, 2.0],
+)
+
+
+def test_reference_runs_no_compiled_code(monkeypatch):
+    monkeypatch.setattr(_waterfill, "kernel", _Unusable)
+    rate_log, finish_times, link_bytes = _run_schedule(
+        _GUARD_SCHEDULE, coalesce=False
+    )
+    assert None not in finish_times and rate_log[-1]
+    assert link_bytes["l0"] == pytest.approx(300.0 + 120.0 + 300.0)
+    # The swap is in force: a coalesced network does reach for it.
+    with pytest.raises(AssertionError, match="compiled kernel"):
+        _run_schedule(_GUARD_SCHEDULE, coalesce=True)
+
+
+def _retire_now(net, flows):
+    """Tombstone ``flows`` through the network's own retire step."""
+    net._remaining[[flow._row for flow in flows]] = 0.0
+    net._retire_finished()
+
+
+def _fleet_network(seed, kernel=None):
     """A fleet-shaped flow population, built without running the clock.
 
     * Hundreds of NIC-like links (an egress and an ingress per machine),
@@ -183,7 +227,7 @@ def _fleet_network(seed):
     # Link order is the argmin tie-break: interleave the kinds so that
     # the kernel's swap-removes move tied NIC links out of index order.
     env = Environment()
-    net = FluidNetwork(env)
+    net = _network(env, kernel)
     for index in rng.permutation(len(links)):
         net.add_link(*links[index])
     rng.shuffle(paths)
@@ -193,36 +237,49 @@ def _fleet_network(seed):
         flows = [net.transfer(path, 1.0) for _ in range(count)]
         if rng.random() < 0.35:
             retired.extend(flows)
-    mask = np.zeros(net._n, dtype=bool)
-    mask[[flow._row for flow in retired]] = True
-    net._remove_rows(mask)
+    _retire_now(net, retired)
     return env, net
+
+
+def _fill_with(kernel, net):
+    """One water-fill of ``net``'s current population by ``kernel``."""
+    num_groups = net._num_groups
+    net._ensure_csr(num_groups)
+    tables = tuple(
+        kernel.handle(array, array.dtype)
+        for array in (
+            net._capacity, net._load_counts, net._group_paths,
+            net._group_count, net._csr_groups, net._csr_starts,
+        )
+    )
+    grates = np.empty(num_groups)
+    _waterfill.run(kernel, net._num_links, num_groups, tables, grates)
+    return grates
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_compiled_kernel_equals_python_solver_at_fleet_shape(seed):
-    lib = _waterfill.kernel()
-    if lib is None:
-        pytest.skip("no C compiler on this host")
     _, net = _fleet_network(seed)
-    num_groups = net._num_groups
-    gcount = net._group_count[:num_groups]
+    gcount = net._group_count[:net._num_groups]
     assert net._num_links >= 150 and (gcount == 0).any()
-    compiled = net._solve_compiled(num_groups, lib)
-    reference = net._solve_active(num_groups, gcount)
-    # Groups with no flows are skipped by the kernel; no rate reads them.
+    # The loaded-links fill of each kernel and the every-link fill of the
+    # uncoalesced reference.  Groups with no flows are skipped by the
+    # compiled kernel; no rate reads them.
     populated = gcount > 0
-    assert compiled[populated].tobytes() == reference[populated].tobytes()
+    fills = {
+        _fill_with(kernel, net)[populated].tobytes()
+        for kernel in KERNELS + (_waterfill.REFERENCE,)
+    }
+    assert len(fills) == 1
 
 
+@needs_compiler
 @pytest.mark.parametrize("seed", range(6))
 def test_compiled_advance_equals_numpy_path(seed):
-    if _waterfill.kernel() is None:
-        pytest.skip("no C compiler on this host")
     dt = 0.5
     outcomes = []
-    for solver in (nullcontext, _python_solver):
-        env, net = _fleet_network(seed)
+    for kernel in KERNELS:
+        env, net = _fleet_network(seed, kernel)
         net._assign_rates()
         n = net._n
         rng = np.random.default_rng(seed)
@@ -237,8 +294,7 @@ def test_compiled_advance_equals_numpy_path(seed):
         ledgers = []
         for _ in range(2):
             net._last_update = env.now - dt
-            with solver():
-                net._advance()
+            net._advance()
             ledgers.append(
                 (remaining.tobytes(), net._link_bytes[:net._num_links].tobytes())
             )
@@ -308,15 +364,15 @@ class TestSetCapacityRescale:
         assert after == 20.0
 
 
-# -- the compiled instant step (retire / settle) against the numpy code ----
+# -- the instant step (retire / settle) of each kernel ----------------------
 
 
-def _ledger_network(seed, now=0.0, capacities=(1e3, 1e9, 2.5e10)):
+def _ledger_network(seed, kernel, now=0.0, capacities=(1e3, 1e9, 2.5e10)):
     """A few shared links, a dozen flows, a third of them tombstoned,
     rates solved; the clock starts at ``now``."""
     rng = np.random.default_rng(seed)
     env = Environment(now)
-    net = FluidNetwork(env)
+    net = _network(env, kernel)
     for i in range(4):
         net.add_link(f"l{i}", float(rng.choice(capacities)))
     flows = []
@@ -324,9 +380,8 @@ def _ledger_network(seed, now=0.0, capacities=(1e3, 1e9, 2.5e10)):
         hops = rng.choice(4, int(rng.integers(1, 3)), replace=False)
         size = float(rng.choice([1e2, 1e6, 1e9]))
         flows.append(net.transfer(tuple(f"l{i}" for i in hops), size, tag=k))
-    mask = np.zeros(net._n, dtype=bool)
-    mask[rng.choice(net._n, net._n // 3, replace=False)] = True
-    net._remove_rows(mask)
+    retired = rng.choice(len(flows), len(flows) // 3, replace=False)
+    _retire_now(net, [flows[k] for k in retired])
     net._assign_rates()
     return env, net, rng
 
@@ -417,26 +472,22 @@ _TIMER_SHAPES = {
 }
 
 
-def _timer_outcome(shape, now, seed, solver):
-    env, net, rng = _ledger_network(seed, now, capacities=(2.5e10,)
+def _timer_outcome(shape, now, seed, kernel):
+    env, net, rng = _ledger_network(seed, kernel, now, capacities=(2.5e10,)
                                     if now else (1e3, 1e9, 2.5e10))
     dt = shape(net, rng)
     net._last_update = env.now - dt
-    with solver():
-        finished = net._retire_finished()
+    finished = net._retire_finished()
     return [flow.tag for flow in finished], _ledger_state(net)
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("case", sorted(_TIMER_SHAPES))
 def test_compiled_retire_equals_numpy_timer(case, seed):
-    if _waterfill.kernel() is None:
-        pytest.skip("no C compiler on this host")
     shape, now = _TIMER_SHAPES[case]
-    compiled = _timer_outcome(shape, now, seed, nullcontext)
-    reference = _timer_outcome(shape, now, seed, _python_solver)
-    assert compiled == reference
-    tags, _ = compiled
+    outcomes = [_timer_outcome(shape, now, seed, kernel) for kernel in KERNELS]
+    assert outcomes[1:] == outcomes[:-1]
+    tags, _ = outcomes[0]
     assert tags == sorted(tags)  # rows ascend with arrival order here
     if case == "tied":
         assert len(tags) == 1
@@ -444,20 +495,29 @@ def test_compiled_retire_equals_numpy_timer(case, seed):
         assert tags == []
 
 
+def test_rows_within_the_threshold_retire_together():
+    # Representable ETAs, but every moving row within eps*size + eps of
+    # done: all retire on this timer, not one per round.
+    for kernel in KERNELS:
+        env, net, _ = _ledger_network(0, kernel)
+        rows = _moving(net)
+        net._remaining[rows] = 0.5 * (1e-12 * net._sizes[rows] + 1e-12)
+        assert env.now + (net._remaining[rows] / net._rates[rows]).min() > 0
+        assert len(net._retire_finished()) == rows.size > 1
+
+
 def test_sub_ulp_cohort_retires_together():
-    if _waterfill.kernel() is None:
-        pytest.skip("no C compiler on this host")
-    tags, _ = _timer_outcome(_shape_sub_ulp_cohort, 1e6, 0, nullcontext)
-    assert len(tags) > 1
+    for kernel in KERNELS:
+        tags, _ = _timer_outcome(_shape_sub_ulp_cohort, 1e6, 0, kernel)
+        assert len(tags) > 1
 
 
-def _settle_outcome(seed, fill, solver):
-    env, net, rng = _ledger_network(seed)
+def _settle_outcome(seed, fill, kernel):
+    env, net, rng = _ledger_network(seed, kernel)
     grates = rng.random(net._num_groups) * 1e3
     fill(net, grates)
     net._last_update = env.now - 0.5
-    with solver():
-        eta = net._settle(grates, _waterfill.address(grates, np.float64))
+    eta = net._settle(kernel.handle(grates, np.float64))
     eta = None if eta is None else np.float64(eta).tobytes()
     return eta, _ledger_state(net)
 
@@ -484,11 +544,9 @@ def _fill_nan_eta(net, grates):
     ids=lambda fill: fill.__name__[len("_fill_"):],
 )
 def test_compiled_settle_equals_numpy_reschedule(fill, seed):
-    if _waterfill.kernel() is None:
-        pytest.skip("no C compiler on this host")
-    compiled = _settle_outcome(seed, fill, nullcontext)
-    assert compiled == _settle_outcome(seed, fill, _python_solver)
-    eta, _ = compiled
+    outcomes = [_settle_outcome(seed, fill, kernel) for kernel in KERNELS]
+    assert outcomes[1:] == outcomes[:-1]
+    eta, _ = outcomes[0]
     if fill is _fill_none_moving:
         assert eta is None
     if fill is _fill_nan_eta:

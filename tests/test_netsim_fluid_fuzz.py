@@ -1,23 +1,28 @@
-"""Stateful fuzzer: the compiled and the pure-python fluid cores in lockstep.
+"""Stateful fuzzer: the fluid network's kernels and its reference in lockstep.
 
-A hypothesis state machine drives two identical ``Environment`` +
+A hypothesis state machine drives three identical ``Environment`` +
 ``FluidNetwork`` pairs with the same arrivals (1 B to 1 TB, optional
-start latency), mid-flight ``set_capacity`` rescales and clock advances.
-One network runs the compiled kernels, the other the numpy loops.  The
-clock may start at a large ``now``, where float residue is worst.
+start latency), mid-flight ``set_capacity`` rescales and clock advances:
 
-After every step the two must agree exactly: every rate, remaining byte
-count and finish time, every link's byte counter, the clock and the
+* a coalesced network on the kernel ``_waterfill.kernel()`` picks (the
+  compiled one where it builds);
+* a coalesced network on the numpy kernel;
+* the uncoalesced reference, which fills over every link and compacts
+  after every retirement.
+
+The clock may start at a large ``now``, where float residue is worst.
+
+After every step all three must agree exactly: every rate, remaining
+byte count and finish time, every link's byte counter, the clock and the
 event count.  Live flows keep ``0 <= remaining <= size``.  At teardown
-both networks drain under a hard step budget, so a livelock fails the
-example instead of hanging the suite; then every flow must have moved
-its bytes no faster than its path allows, and every link's counter must
-equal the bytes of the flows that crossed it.
+every network drains under the same hard step budget, so a livelock
+fails the example instead of hanging the suite; then every flow must
+have moved its bytes no faster than its path allows, and every link's
+counter must equal the bytes of the flows that crossed it.
 """
 
 import math
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -30,8 +35,6 @@ from hypothesis.stateful import (
 from repro.netsim import FluidNetwork
 from repro.netsim import _waterfill
 from repro.simkit import Environment, SimulationError
-
-from tests.test_netsim_fluid_coalesce import _python_solver
 
 _LINKS = 4
 # Steps allowed per in-flight flow while draining, plus a floor: each
@@ -63,8 +66,12 @@ def _step_until(env: Environment, target: float, budget: int) -> int:
     return steps
 
 
+# (kernel to pin, coalesce) per side; None keeps the network's own pick.
+_SIDES = ((None, True), (_waterfill.NUMPY, True), (None, False))
+
+
 class LockstepFluid(RuleBasedStateMachine):
-    """Compiled network ``a`` and pure-python network ``b``."""
+    """One network per entry of ``_SIDES``."""
 
     @initialize(
         start=st.sampled_from([0.0, 1e3, 1e6, 3.3e8]),
@@ -72,27 +79,24 @@ class LockstepFluid(RuleBasedStateMachine):
     )
     def build(self, start, capacities):
         self.sides = []
-        for compiled in (True, False):
+        for kernel, coalesce in _SIDES:
             env = Environment(start)
-            net = FluidNetwork(env)
+            net = FluidNetwork(env, coalesce=coalesce)
+            if kernel is not None:
+                net._kernel = kernel
             for index, capacity in enumerate(capacities):
                 net.add_link(f"l{index}", capacity)
-            self.sides.append((env, net, compiled))
-        self.flows = ([], [])
+            self.sides.append((env, net))
+        self.flows = tuple([] for _ in _SIDES)
         self.peak_capacity = list(capacities)
 
     def _each(self, action):
-        """Run ``action(env, net, index)`` on both sides, the pure-python
-        one with the compiled kernels switched off; returns both
+        """Run ``action(env, net, index)`` on every side; returns the
         results."""
-        results = []
-        for index, (env, net, compiled) in enumerate(self.sides):
-            if compiled:
-                results.append(action(env, net, index))
-            else:
-                with _python_solver():
-                    results.append(action(env, net, index))
-        return results
+        return [
+            action(env, net, index)
+            for index, (env, net) in enumerate(self.sides)
+        ]
 
     @rule(
         hops=st.lists(
@@ -124,22 +128,25 @@ class LockstepFluid(RuleBasedStateMachine):
         steps = self._each(
             lambda env, net, index: _step_until(env, env.now + gap, budget)
         )
-        assert steps[0] == steps[1]
+        assert len(set(steps)) == 1
 
     @invariant()
     def cores_agree_exactly(self):
         if not hasattr(self, "sides"):
             return
-        (env_a, net_a, _), (env_b, net_b, _) = self.sides
-        assert env_a.now == env_b.now
-        assert env_a.events_processed == env_b.events_processed
-        for flow_a, flow_b in zip(*self.flows):
-            assert flow_a.rate == flow_b.rate
-            assert flow_a.remaining == flow_b.remaining
-            assert flow_a.completed_at == flow_b.completed_at
-            if flow_a.completed_at is None:
-                assert 0.0 <= flow_a.remaining <= flow_a.size
-        assert dict(net_a.link_bytes.items()) == dict(net_b.link_bytes.items())
+        (env_a, net_a), *others = self.sides
+        for (env_b, net_b), flows_b in zip(others, self.flows[1:]):
+            assert env_a.now == env_b.now
+            assert env_a.events_processed == env_b.events_processed
+            for flow_a, flow_b in zip(self.flows[0], flows_b):
+                assert flow_a.rate == flow_b.rate
+                assert flow_a.remaining == flow_b.remaining
+                assert flow_a.completed_at == flow_b.completed_at
+            links_b = dict(net_b.link_bytes.items())
+            assert dict(net_a.link_bytes.items()) == links_b
+        for flow in self.flows[0]:
+            if flow.completed_at is None:
+                assert 0.0 <= flow.remaining <= flow.size
 
     def teardown(self):
         if not hasattr(self, "sides"):
@@ -149,7 +156,7 @@ class LockstepFluid(RuleBasedStateMachine):
             lambda env, net, index: _step_until(env, math.inf, budget)
         )
         self.cores_agree_exactly()
-        env, net, _ = self.sides[0]
+        env, net = self.sides[0]
         # Float residue a completion may leave or overshoot: the finish
         # bands, plus one clock ulp's worth of bytes at the fastest rate.
         slack = 4.0 * max(self.peak_capacity) * math.ulp(max(env.now, 1.0))
@@ -179,8 +186,5 @@ LockstepFluid.TestCase.settings = settings(
 )
 
 
-@pytest.mark.skipif(
-    _waterfill.kernel() is None, reason="no C compiler on this host"
-)
 class TestLockstepFluid(LockstepFluid.TestCase):
     pass

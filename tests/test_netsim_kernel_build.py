@@ -3,7 +3,9 @@
 A host that cannot build a core must say so, once per core and in the
 compiler's own words, instead of silently running the pure-python code,
 which is several times slower; an explicit ``REPRO_WATERFILL=python``
-stays silent.  The build goes to the checkout's ``build/`` when that is
+stays silent.  The probe then hands out the core's fallback: the numpy
+kernel for the fluid network, None (the reference kernel) for the event
+kernel.  The build goes to the checkout's ``build/`` when that is
 writable and to a private per-user temp directory otherwise (the case of
 a non-editable install).  Both cores share one build helper
 (:mod:`repro._native`), and every test here covers both.
@@ -20,10 +22,12 @@ from repro import _native
 from repro.netsim import _waterfill
 from repro.simkit import _eventcore
 
-# (build name, C source, flags, cached probe) per compiled core.
+# (build name, C source, flags, cached probe, its fallback) per core.
 CORES = (
-    ("waterfill", _waterfill._C_SOURCE, _waterfill._FLAGS, _waterfill.kernel),
-    ("eventcore", _eventcore._C_SOURCE, _eventcore._FLAGS, _eventcore.kernel),
+    ("waterfill", _waterfill._C_SOURCE, _waterfill._FLAGS, _waterfill.kernel,
+     _waterfill.NUMPY),
+    ("eventcore", _eventcore._C_SOURCE, _eventcore._FLAGS, _eventcore.kernel,
+     None),
 )
 
 
@@ -33,19 +37,19 @@ def fresh_probe(monkeypatch, tmp_path):
     event kernel the simkit package already loaded stays in use.)"""
     monkeypatch.setattr(_native, "_REPO_BUILD_DIR", tmp_path / "build")
     monkeypatch.delenv("REPRO_WATERFILL", raising=False)
-    for *_, kernel in CORES:
+    for *_, kernel, _ in CORES:
         kernel.cache_clear()
     yield tmp_path
-    for *_, kernel in CORES:
+    for *_, kernel, _ in CORES:
         kernel.cache_clear()
 
 
 def test_missing_compiler_warns_once(fresh_probe, monkeypatch):
     monkeypatch.setenv("CC", "/nonexistent")
-    for *_, kernel in CORES:
+    for *_, kernel, fallback in CORES:
         with pytest.warns(RuntimeWarning, match="/nonexistent") as record:
-            assert kernel() is None
-            assert kernel() is None
+            assert kernel() is fallback
+            assert kernel() is fallback
         assert len(record) == 1
 
 
@@ -56,11 +60,11 @@ def test_compiler_failure_warning_carries_its_stderr(fresh_probe, monkeypatch):
     )
     compiler.chmod(0o755)
     monkeypatch.setenv("CC", str(compiler))
-    for *_, kernel in CORES:
+    for *_, kernel, fallback in CORES:
         with pytest.warns(
             RuntimeWarning, match="status 3:\nfirst line\nfatal: no such flag"
         ):
-            assert kernel() is None
+            assert kernel() is fallback
 
 
 def test_opting_out_is_silent(fresh_probe, monkeypatch):
@@ -68,8 +72,8 @@ def test_opting_out_is_silent(fresh_probe, monkeypatch):
     monkeypatch.setenv("REPRO_WATERFILL", "python")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for *_, kernel in CORES:
-            assert kernel() is None
+        for *_, kernel, fallback in CORES:
+            assert kernel() is fallback
 
 
 @pytest.fixture
@@ -100,17 +104,17 @@ def test_unwritable_checkout_builds_in_private_temp_dir(
     assert private_temp.stat().st_mode & 0o777 == 0o700
     if not has_compiler:
         pytest.skip("no C compiler on this host")
-    for name, source, flags, _ in CORES:
+    for name, source, flags, *_ in CORES:
         assert _native.build(name, source, flags).parent == private_temp
         assert list(private_temp.glob(f"{name}_*.so"))
     # The event kernel is not loaded a second time here; its build is.
-    assert _waterfill.kernel() is not None
+    assert isinstance(_waterfill.kernel(), _waterfill.CompiledKernel)
 
 
 def test_shared_temp_dir_is_refused(fresh_probe, private_temp, monkeypatch):
     monkeypatch.setattr(os, "access", lambda path, mode: False)
     private_temp.mkdir(mode=0o777)
     private_temp.chmod(0o777)
-    for *_, kernel in CORES:
+    for *_, kernel, fallback in CORES:
         with pytest.warns(RuntimeWarning, match="not a private directory"):
-            assert kernel() is None
+            assert kernel() is fallback
