@@ -14,9 +14,10 @@ Two kernels share one interface, method for method:
 Their methods:
 
 * ``ledger(**arrays)`` packs the ledger's arrays into the handle the
-  next three take; ``handle(array, dtype)`` does the same for one solve
-  table or rate array.  A handle is the address for C and the array
-  itself for numpy.
+  next three take; ``fill_state(**arrays)`` packs a water-fill's round
+  log and work arrays (:func:`fill_arrays`); ``handle(array, dtype)``
+  does the same for one solve table or rate array.  A handle is the
+  address for C and the array itself for numpy.
 * ``advance(ledger, n, dt)``, the per-flow byte accounting behind every
   arrival and rescale;
 * ``retire(ledger, n, dt, now, eps, rel)``, one completion timer: the
@@ -25,7 +26,7 @@ Their methods:
 * ``settle(ledger, n, dt, grates)``, one re-solve after the rates are
   known: the byte advance, the scatter of the group rates onto the live
   rows, and the earliest completion ETA;
-* ``waterfill(num_links, num_groups, tables, grates)``, the
+* ``waterfill(num_links, num_groups, *tables, grates)``, the
   progressive-filling solve, whose rounds are inherently sequential (each
   fixes one bottleneck link and updates the links its flows cross).
   Callers go through :func:`run`, the one water-fill entry point.
@@ -53,6 +54,14 @@ C code reproduces the float semantics operation for operation:
   to zero.  (A lazy-invalidation heap did this before; at 32 machines
   91% of its pops were stale entries.)  Links a round does not touch
   keep their residual and load bitwise, so their keys stay valid;
+* the compiled fill keeps a log of its last fill's rounds (bottleneck
+  link and share key) and group counts in the network's fill arrays, and
+  takes a logged round without the scan while no group whose count
+  changed since can reach it: its bottleneck is listed and crossed by no
+  changed group, and no listed link that a changed group crosses sorts
+  below it.  Such a round does exactly what the logged one did (the
+  induction is in DESIGN §8), so replay changes no bit; the numpy
+  kernels scan every round;
 * per-link crossing counts accumulate in selected-group order (the order
   ``np.bincount`` adds its weights); groups with no flows add nothing
   and are skipped (their rate is never read); and ``residual - share *
@@ -68,7 +77,8 @@ C code reproduces the float semantics operation for operation:
   definition.
 
 The compiled kernel reads the network's own arrays through the addresses
-the network caches, so a call converts a handful of numbers.
+the network caches, so a call converts a handful of numbers and
+allocates nothing.
 :mod:`repro._native` builds and caches the shared object.
 """
 
@@ -77,7 +87,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from types import SimpleNamespace
-from typing import Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -85,7 +95,6 @@ from .. import _native
 
 _C_SOURCE = r"""
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 #include <math.h>
 
@@ -107,10 +116,32 @@ static void drop(int64_t j, int64_t *n, int64_t *live, double *keys,
     load[j] = load[last];
 }
 
-/* Returns 0, or -1 when out of memory.  A link stays listed while an
-   unfixed flow crosses it, so the list empties in the round where the
-   python loops' unfixed-flow count reaches zero. */
-int64_t waterfill(
+/* The water-fill's round log and work arrays, owned by the network and
+   packed by fill_state() in this order.  The work arrays are sized for the
+   network's link and group tables, so a fill allocates nothing. */
+typedef struct {
+    int64_t *meta;                /* [3] logged rounds, snapshot width,
+                                     rounds the last fill replayed */
+    int64_t *log_links;           /* [links] each logged round's bottleneck */
+    double *log_keys;             /* [links] its share key, before the clamp */
+    int64_t *snapshot;            /* [groups] the logged fill's group counts */
+    int64_t *iwork;               /* [links*4] */
+    double *dwork;                /* [links*4] */
+    unsigned char *flags;         /* [links+groups] */
+} fill_t;
+
+/* A link stays listed while an unfixed flow crosses it, so the list
+   empties in the round where the python loops' unfixed-flow count
+   reaches zero.
+
+   Round replay: a link is changed when a group whose count differs from
+   the logged fill's crosses it.  A logged round is taken without the
+   argmin scan while its bottleneck is listed and unchanged and no listed
+   changed link sorts below it by (key, link index); every round before
+   the first that fails does exactly what the logged fill did, so the
+   unchanged links' keys equal the logged fill's bit for bit (DESIGN §8).
+   The caller zeroes meta[0] whenever the capacities change. */
+void waterfill(
     int64_t nl, int64_t ng,
     const double *capacity,       /* [nl] */
     const int64_t *load_counts,   /* [nl] flows crossing each link */
@@ -118,17 +149,42 @@ int64_t waterfill(
     const int64_t *gcount,        /* [ng] flows per group */
     const int64_t *sorted_groups, /* CSR payload: groups sorted by link */
     const int64_t *starts,        /* [nl+1] CSR row starts */
+    const fill_t *f,
     double *grates                /* [ng] out */
 ) {
     /* The list of loaded, unfixed links (ids, share keys, residuals,
        loads), link -> list position (-1 = absent), per-round crossing
-       counts and touched links, and the fixed-group flags. */
-    char *block = malloc(nl * 7 * sizeof(int64_t) + ng);
-    if (block == NULL) return -1;
-    int64_t *live = (int64_t *) block, *slot = live + nl, *touched = slot + nl;
-    double *keys = (double *) (touched + nl), *residual = keys + nl;
+       counts and touched links, the changed links (flags and list) and
+       the fixed-group flags. */
+    int64_t *live = f->iwork, *slot = live + nl, *touched = slot + nl;
+    int64_t *changed = touched + nl;
+    double *keys = f->dwork, *residual = keys + nl;
     double *load = residual + nl, *counts = load + nl;
-    unsigned char *gfixed = (unsigned char *) (counts + nl);
+    unsigned char *is_changed = f->flags, *gfixed = is_changed + nl;
+    int64_t *meta = f->meta, *snapshot = f->snapshot;
+    int64_t logged = meta[0], width = meta[1], nchanged = 0;
+    /* Mark the links of the groups whose count differs from the
+       snapshot (groups past it count as 0), and take the new snapshot.
+       Most counts are unchanged: one memcmp clears a block of them. */
+    memset(is_changed, 0, nl);
+    for (int64_t lo = 0; lo < ng; lo += 64) {
+        int64_t hi = lo + 64 < ng ? lo + 64 : ng;
+        if (hi <= width && memcmp(gcount + lo, snapshot + lo,
+                                  (hi - lo) * sizeof(int64_t)) == 0)
+            continue;
+        for (int64_t g = lo; g < hi; g++) {
+            if (gcount[g] == (g < width ? snapshot[g] : 0)) continue;
+            snapshot[g] = gcount[g];
+            for (int64_t c = 0; c < 2; c++) {
+                int64_t link = gpaths[2 * g + c];
+                if (link >= 0 && !is_changed[link]) {
+                    is_changed[link] = 1;
+                    changed[nchanged++] = link;
+                }
+            }
+        }
+    }
+    meta[1] = ng;
     memset(counts, 0, nl * sizeof(double));
     memset(gfixed, 0, ng);
     memset(grates, 0, ng * sizeof(double));
@@ -144,18 +200,39 @@ int64_t waterfill(
             slot[i] = -1;
         }
     }
+    int64_t round = 0, replayed = 0;
     while (n > 0) {
-        /* argmin of (key, link index) */
-        double share = keys[0];
-        int64_t bottleneck = live[0];
-        for (int64_t j = 1; j < n; j++) {
-            if (keys[j] <= share
-                && (keys[j] < share || live[j] < bottleneck)) {
-                share = keys[j];
-                bottleneck = live[j];
+        double share = 0.0;
+        int64_t bottleneck = -1;
+        if (round < logged) {
+            bottleneck = f->log_links[round];
+            share = f->log_keys[round];
+            if (is_changed[bottleneck] || slot[bottleneck] < 0)
+                bottleneck = -1;
+            for (int64_t c = 0; bottleneck >= 0 && c < nchanged; c++) {
+                int64_t link = changed[c], j = slot[link];
+                if (j >= 0 && keys[j] <= share
+                    && (keys[j] < share || link < bottleneck))
+                    bottleneck = -1;
+            }
+            if (bottleneck < 0) logged = 0;        /* scan from here on */
+        }
+        if (bottleneck >= 0) {
+            replayed++;
+        } else {
+            /* argmin of (key, link index) */
+            share = keys[0];
+            bottleneck = live[0];
+            for (int64_t j = 1; j < n; j++) {
+                if (keys[j] <= share
+                    && (keys[j] < share || live[j] < bottleneck)) {
+                    share = keys[j];
+                    bottleneck = live[j];
+                }
             }
         }
         if (!isfinite(share)) break;
+        double key = share;
         if (0.0 > share) share = 0.0;              /* == max(share, 0.0) */
         int64_t ntouched = 0;
         int any = 0;
@@ -175,6 +252,9 @@ int64_t waterfill(
             }
         }
         if (!any) break;
+        f->log_links[round] = bottleneck;
+        f->log_keys[round] = key;
+        round++;
         for (int64_t t = 0; t < ntouched; t++) {
             int64_t link = touched[t];
             double c = counts[link];
@@ -197,8 +277,8 @@ int64_t waterfill(
         }
         drop(slot[bottleneck], &n, live, keys, residual, load, slot);
     }
-    free(block);
-    return 0;
+    meta[0] = round;
+    meta[2] = replayed;
 }
 
 /* The network's flow ledger: the addresses of its arrays, packed by
@@ -426,9 +506,13 @@ class NumpyKernel:
             return -1.0
         return float((t.remaining[:n][moving] / rates[moving]).min())
 
-    def waterfill(self, num_links: int, num_groups: int,
-                  tables: Tuple[np.ndarray, ...], grates: np.ndarray) -> None:
-        capacity, load_counts, group_paths, group_count, csr, starts = tables
+    fill_state = ledger
+
+    def waterfill(self, num_links: int, num_groups: int, capacity,
+                  load_counts, group_paths, group_count, csr, starts,
+                  fill, grates: np.ndarray) -> None:
+        """Every round scans for its bottleneck: the numpy kernels keep
+        no round log, so ``fill`` goes unread."""
         load_counts = load_counts[:num_links]
         if self.every_link:
             links = np.arange(num_links, dtype=np.int64)
@@ -538,18 +622,45 @@ _LEDGER_FIELDS = (
 )
 
 
+# The field order of the C ``fill_t``, with each array's length: so many
+# slots, plus so many per link and per group of the tables it serves.
+_FILL_FIELDS = (
+    ("meta", np.int64, 3, 0, 0),
+    ("log_links", np.int64, 0, 1, 0),
+    ("log_keys", np.float64, 0, 1, 0),
+    ("snapshot", np.int64, 0, 0, 1),
+    ("iwork", np.int64, 0, 4, 0),
+    ("dwork", np.float64, 0, 4, 0),
+    ("flags", np.uint8, 0, 1, 1),
+)
+
+
+def fill_arrays(num_links: int, num_groups: int) -> Dict[str, np.ndarray]:
+    """A water-fill's round log, group-count snapshot and work arrays for
+    tables of ``num_links`` links and ``num_groups`` groups, with nothing
+    logged yet.  ``meta`` holds the logged rounds, the snapshot's width
+    and the rounds the last fill replayed; zeroing its first slot
+    discards the log."""
+    return {
+        name: np.zeros(fixed + per_link * num_links + per_group * num_groups,
+                       dtype)
+        for name, dtype, fixed, per_link, per_group in _FILL_FIELDS
+    }
+
+
 class CompiledKernel:
     """The fluid kernel as C loops (``_C_SOURCE``).
 
-    ``advance``, ``retire`` and ``settle`` are the ctypes functions
-    themselves, so a call costs no Python frame of its own; ``settle``
-    takes the rate array's address (:meth:`handle`).
+    ``advance``, ``retire``, ``settle`` and ``waterfill`` are the ctypes
+    functions themselves, so a call costs no Python frame of its own;
+    ``settle`` and ``waterfill`` take the rate array's address
+    (:meth:`handle`).
     """
 
     handle = staticmethod(address)
 
     def __init__(self, lib: ctypes.CDLL):
-        self._waterfill = lib.waterfill
+        self.waterfill = lib.waterfill
         self.advance = lib.advance
         self.retire = lib.retire
         self.settle = lib.settle
@@ -566,19 +677,20 @@ class CompiledKernel:
             address(arrays[name], dtype) for name, dtype in _LEDGER_FIELDS
         ))
 
-    def waterfill(self, num_links: int, num_groups: int,
-                  tables: Tuple[int, ...], grates: np.ndarray) -> None:
-        if self._waterfill(
-            num_links, num_groups, *tables, address(grates, np.float64)
-        ):
-            raise MemoryError("no memory for the water-fill's work buffers")
+    @staticmethod
+    def fill_state(**arrays: np.ndarray) -> ctypes.Array:
+        """Pack the addresses of a water-fill's arrays (:func:`fill_arrays`)
+        into the C ``fill_t``; the caller keeps them alive."""
+        return (ctypes.c_void_p * len(_FILL_FIELDS))(*(
+            address(arrays[name], dtype) for name, dtype, *_ in _FILL_FIELDS
+        ))
 
 
 def _bind(path) -> CompiledKernel:
     lib = ctypes.CDLL(str(path))
     pointer, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.waterfill.restype = int64
-    lib.waterfill.argtypes = [int64, int64] + [pointer] * 7
+    lib.waterfill.restype = None
+    lib.waterfill.argtypes = [int64, int64] + [pointer] * 8
     lib.advance.restype = None
     lib.advance.argtypes = [pointer, int64, double]
     lib.retire.restype = int64
@@ -603,11 +715,12 @@ def kernel() -> Kernel:
 
 
 def run(kernel: Kernel, num_links: int, num_groups: int,
-        tables: Tuple, grates: np.ndarray) -> None:
-    """Water-fill with ``kernel``; overwrites ``grates[:num_groups]``.
+        tables: Tuple, grates) -> None:
+    """Water-fill with ``kernel`` into the rate array whose handle is
+    ``grates``: every populated group's rate, in ``grates[:num_groups]``.
 
     ``tables`` holds the handles of the network's capacity, load-count,
-    group-path, group-count and CSR (payload, row starts) arrays, in that
-    order.
+    group-path, group-count and CSR (payload, row starts) arrays and its
+    fill state (``kernel.fill_state(**fill_arrays(...))``), in that order.
     """
-    kernel.waterfill(num_links, num_groups, tables, grates)
+    kernel.waterfill(num_links, num_groups, *tables, grates)

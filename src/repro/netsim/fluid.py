@@ -63,11 +63,13 @@ import numpy as np
 from . import _waterfill
 from ..simkit import Environment, Event
 
-# Memoized-solve cache ceiling in bytes of cached rate arrays; entries
-# are also capped at 4096.  Hitting either bound evicts the whole cache
-# (and recycles the arrays) rather than tracking LRU order — signatures
-# either recur constantly (steady state: the cache never fills) or
-# almost never (fleet-scale churn: nothing is worth keeping).
+# Memoized-solve cache ceiling in bytes: each entry counts its signature
+# key and the whole pooled buffer its rates live in (the buffer carries
+# 1.5x slack over the group table).  Entries are also capped at 4096.
+# Hitting either bound evicts the whole cache (and recycles the arrays)
+# rather than tracking LRU order — signatures either recur constantly
+# (steady state: the cache never fills) or almost never (fleet-scale
+# churn: nothing is worth keeping).
 _SOLVE_CACHE_BUDGET = 64 << 20
 
 __all__ = ["Flow", "FluidNetwork"]
@@ -243,6 +245,10 @@ class FluidNetwork:
         # those arrays is reallocated.
         self._solve_tables: Tuple = ()
         self._flow_ledger = None
+        # The compiled water-fill's round log, group-count snapshot and
+        # work arrays (see ``_waterfill``), sized for the link and group
+        # tables and reallocated with them.
+        self._fill_arrays = _waterfill.fill_arrays(0, 0)
         self._last_update = env.now
         self._generation = 0
         self._recompute_pending = False
@@ -267,7 +273,7 @@ class FluidNetwork:
         self._link_bytes[index] = 0.0
         self._load_counts[index] = 0
         self._num_links = index + 1
-        self._capacity_epoch += 1
+        self._new_capacity_epoch()
 
     def capacity(self, link_id: Hashable) -> float:
         return float(self._capacity[self._index[link_id]])
@@ -287,8 +293,14 @@ class FluidNetwork:
         index = self._index[link_id]
         self._advance()
         self._capacity[index] = float(bandwidth)
-        self._capacity_epoch += 1
+        self._new_capacity_epoch()
         self._schedule_recompute()
+
+    def _new_capacity_epoch(self) -> None:
+        """Capacities changed: memoized solves of earlier epochs stop
+        matching, and the water-fill's round log is discarded."""
+        self._capacity_epoch += 1
+        self._fill_arrays["meta"][0] = 0
 
     @property
     def link_bytes(self) -> _LinkBytesView:
@@ -578,15 +590,14 @@ class FluidNetwork:
         key = (self._capacity_epoch, gcount[:width].tobytes())
         entry = self._solve_cache.get(key)
         if entry is None:
-            grates = self._solve(num_groups)
+            entry = self._solve(num_groups)
             if (
                 len(self._solve_cache) >= 4096
                 or self._solve_cache_bytes >= _SOLVE_CACHE_BUDGET
             ):
                 self._evict_solve_cache()
-            entry = (grates, self._kernel.handle(grates, np.float64))
             self._solve_cache[key] = entry
-            self._solve_cache_bytes += grates.nbytes
+            self._solve_cache_bytes += entry[0].base.nbytes + len(key[1])
         return self._settle(entry[1])
 
     def _evict_solve_cache(self) -> None:
@@ -601,9 +612,9 @@ class FluidNetwork:
         self._solve_cache.clear()
         self._solve_cache_bytes = 0
 
-    def _solve(self, num_groups: int) -> np.ndarray:
-        """One full water-filling pass; returns per-group rates (those of
-        groups with no flows are never read)."""
+    def _solve(self, num_groups: int) -> Tuple[np.ndarray, object]:
+        """One full water-filling pass; returns the per-group rates (those
+        of groups with no flows are never read) and their kernel handle."""
         self._ensure_csr(num_groups)
         # The result lands in the memoization cache, so it needs its own
         # array — but recycling evicted buffers keeps their pages warm
@@ -616,16 +627,19 @@ class FluidNetwork:
             grates = pool.pop()[:num_groups]
         else:
             grates = np.empty(num_groups * 3 // 2 + 64)[:num_groups]
+        handle = self._kernel.handle(grates, np.float64)
         _waterfill.run(
             self._kernel, self._num_links, num_groups, self._solve_tables,
-            grates,
+            handle,
         )
-        return grates
+        return grates, handle
 
     def _ensure_csr(self, num_groups: int) -> None:
         """Build the link -> crossing groups adjacency (CSR over sorted
         flat links) and the solve's table handles; both stay valid until
-        the next link or group is interned."""
+        the next link or group is interned.  The fill's arrays are
+        reallocated (discarding its round log) when the link or group
+        table outgrew them."""
         num_links = self._num_links
         if self._csr_shape == (num_groups, num_links):
             return
@@ -643,7 +657,13 @@ class FluidNetwork:
             sorted_links, np.arange(num_links + 1, dtype=np.int64)
         )
         self._csr_shape = (num_groups, num_links)
-        handle = self._kernel.handle
+        links, groups = self._capacity.shape[0], self._group_count.shape[0]
+        fill = self._fill_arrays
+        if (fill["snapshot"].shape[0] < groups
+                or fill["log_links"].shape[0] < links):
+            fill = self._fill_arrays = _waterfill.fill_arrays(links, groups)
+        kernel = self._kernel
+        handle = kernel.handle
         self._solve_tables = (
             handle(self._capacity, np.float64),
             handle(self._load_counts, np.int64),
@@ -651,6 +671,7 @@ class FluidNetwork:
             handle(self._group_count, np.int64),
             handle(self._csr_groups, np.int64),
             handle(self._csr_starts, np.int64),
+            kernel.fill_state(**fill),
         )
 
     def _reschedule(self) -> None:

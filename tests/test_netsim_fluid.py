@@ -1,9 +1,11 @@
 """Unit tests for the fluid max-min network model."""
 
+import numpy as np
 import pytest
 
 from repro.netsim import FluidNetwork
 from repro.netsim import _waterfill
+from repro.netsim import fluid
 from repro.simkit import Environment
 
 
@@ -297,3 +299,34 @@ class TestSubUlpResidue:
             env.step()
         assert state["flow"].done.triggered
         assert state["flow"].completed_at == pytest.approx(0.5)
+
+
+def test_solve_memo_stays_within_its_byte_budget(monkeypatch):
+    # Each memoized solve holds its signature key and the whole pooled
+    # buffer its rates sit in.  Under churn (every solve a fresh
+    # signature) the live entries hold at most the budget plus the one
+    # entry that crossed it.
+    monkeypatch.setattr(fluid, "_SOLVE_CACHE_BUDGET", 64 << 10)
+    rng = np.random.default_rng(0)
+    env, net = make_net({f"l{i}": 100.0 for i in range(40)})
+    paths = [
+        (f"l{a}", f"l{b}") for a, b in rng.integers(0, 40, (400, 2)) if a != b
+    ]
+    flows = [net.transfer(path, 1.0) for path in paths]
+    evictions = []
+    evict = net._evict_solve_cache
+    net._evict_solve_cache = lambda: evictions.append(evict())
+    for _ in range(200):
+        if rng.random() < 0.5:
+            flows.append(net.transfer(paths[rng.integers(len(paths))], 1.0))
+        else:
+            flow = flows.pop(int(rng.integers(len(flows))))
+            net._remaining[flow._row] = 0.0
+            net._retire_finished()
+        net._assign_rates()
+        held = [
+            grates.base.nbytes + len(signature)
+            for (_, signature), (grates, _) in net._solve_cache.items()
+        ]
+        assert sum(held) <= fluid._SOLVE_CACHE_BUDGET + max(held)
+    assert evictions

@@ -242,18 +242,23 @@ def _fleet_network(seed, kernel=None):
 
 
 def _fill_with(kernel, net):
-    """One water-fill of ``net``'s current population by ``kernel``."""
+    """One fresh water-fill of ``net``'s current population by ``kernel``
+    (with an empty round log: every round scans)."""
     num_groups = net._num_groups
     net._ensure_csr(num_groups)
+    fill = _waterfill.fill_arrays(net._num_links, num_groups)
     tables = tuple(
         kernel.handle(array, array.dtype)
         for array in (
             net._capacity, net._load_counts, net._group_paths,
             net._group_count, net._csr_groups, net._csr_starts,
         )
-    )
+    ) + (kernel.fill_state(**fill),)
     grates = np.empty(num_groups)
-    _waterfill.run(kernel, net._num_links, num_groups, tables, grates)
+    _waterfill.run(
+        kernel, net._num_links, num_groups, tables,
+        kernel.handle(grates, np.float64),
+    )
     return grates
 
 
@@ -302,6 +307,169 @@ def test_compiled_advance_equals_numpy_path(seed):
             remaining[::5] = -0.0
         outcomes.append(ledgers)
     assert outcomes[0] == outcomes[1]
+
+
+# -- round replay of the compiled water-fill -------------------------------
+#
+# The compiled fill logs each round's bottleneck and share key, and the
+# next fill takes a logged round without the argmin scan while nothing
+# that changed since can displace it.  Each case below fills once, makes
+# one change, and fills again; the replay must stop at the round the
+# change reaches, and every fill must equal a fresh numpy fill.
+
+
+def _replay_network(links, groups):
+    """A network on the compiled kernel with ``links`` (name -> capacity,
+    in index order) and ``count`` one-byte flows on each path of
+    ``groups``; the clock never runs.  Returns it and its flows by
+    path."""
+    net = _network(Environment(), COMPILED)
+    for name, capacity in links.items():
+        net.add_link(name, capacity)
+    flows = {}
+    _arrive(net, flows, groups)
+    return net, flows
+
+
+def _arrive(net, flows, groups):
+    for path, count in groups.items():
+        flows.setdefault(path, []).extend(
+            net.transfer(path, 1.0) for _ in range(count)
+        )
+
+
+def _check_fill(net, grates):
+    """``grates``, the network's own fill, must give every populated
+    group a fresh numpy fill's rate, bit for bit.  Returns that fill's
+    (rounds, replayed rounds)."""
+    populated = net._group_count[:net._num_groups] > 0
+    fresh = _fill_with(NUMPY, net)
+    assert grates[populated].tobytes() == fresh[populated].tobytes()
+    rounds, _, replayed = net._fill_arrays["meta"]
+    return int(rounds), int(replayed)
+
+
+def _checked_fill(net):
+    return _check_fill(net, net._solve(net._num_groups)[0])
+
+
+def _change_none(net, flows):
+    pass
+
+
+def _change_bottleneck(net, flows):
+    # Round 1's bottleneck A loses flows: its share rises.
+    _retire_now(net, [flows[("A",)].pop() for _ in range(2)])
+
+
+def _change_undercut(net, flows):
+    # C is round 2's bottleneck; new flows pull its share below round 1's.
+    _arrive(net, flows, {("C",): 8})
+
+
+def _change_tie(net, flows):
+    # C (a lower index than B) now ties round 1's share 1000/7 exactly.
+    _arrive(net, flows, {("C",): 2})
+
+
+def _change_nan(net, flows):
+    # X's capacity is NaN (written straight into the table: the public
+    # API rejects it); a flow on X gives it a NaN share, which sorts
+    # below every share and ends the fill.
+    net._capacity[net._index["X"]] = np.nan
+    _arrive(net, flows, {("X",): 1})
+
+
+def _change_drained(net, flows):
+    # Round 1's bottleneck A loses every flow: it is no longer listed.
+    _retire_now(net, flows.pop(("A",)))
+
+
+def _change_new_group(net, flows):
+    # A group interned after the logged fill crosses C and undercuts.
+    _arrive(net, flows, {("A", "C"): 8})
+
+
+def _change_capacity(net, flows):
+    # No group changes, but A's capacity does: the log is discarded.
+    net.set_capacity("A", 1000.0)
+
+
+_Z = {("Z",): 1}  # round 0 everywhere: an unchanged round to replay
+_REPLAY_CASES = {
+    "none": (
+        {"Z": 10.0, "A": 100.0, "B": 300.0},
+        {**_Z, ("A",): 2, ("A", "B"): 2, ("B",): 2},
+        _change_none, 3,
+    ),
+    "changed_bottleneck": (
+        {"Z": 10.0, "A": 100.0, "B": 300.0},
+        {**_Z, ("A",): 2, ("A", "B"): 2, ("B",): 2},
+        _change_bottleneck, 1,
+    ),
+    "undercut": (
+        {"Z": 10.0, "B": 300.0, "C": 500.0},
+        {**_Z, ("B",): 2, ("B", "C"): 2, ("C",): 2},
+        _change_undercut, 1,
+    ),
+    "tie": (
+        {"C": 1000.0, "B": 1000.0, "Z": 10.0},
+        {**_Z, ("C",): 3, ("B",): 5, ("B", "C"): 2},
+        _change_tie, 1,
+    ),
+    "nan": (
+        {"Z": 10.0, "B": 300.0, "X": 100.0},
+        {**_Z, ("B",): 4},
+        _change_nan, 0,
+    ),
+    "drained": (
+        {"Z": 10.0, "A": 100.0, "B": 300.0},
+        {**_Z, ("A",): 4, ("B",): 4},
+        _change_drained, 1,
+    ),
+    "new_group": (
+        {"Z": 10.0, "A": 1000.0, "B": 300.0, "C": 500.0},
+        {**_Z, ("B",): 2, ("B", "C"): 2, ("C",): 2},
+        _change_new_group, 1,
+    ),
+    "capacity": (
+        {"Z": 10.0, "A": 100.0, "B": 300.0},
+        {**_Z, ("A",): 2, ("A", "B"): 2, ("B",): 2},
+        _change_capacity, 0,
+    ),
+}
+
+
+@needs_compiler
+@pytest.mark.parametrize("case", list(_REPLAY_CASES))
+def test_replay_stops_where_the_change_reaches(case):
+    links, groups, change, replayed = _REPLAY_CASES[case]
+    net, flows = _replay_network(links, groups)
+    rounds, first = _checked_fill(net)
+    assert first == 0 and rounds >= 2
+    change(net, flows)
+    assert _checked_fill(net)[1] == replayed
+
+
+@needs_compiler
+@pytest.mark.parametrize("seed", range(4))
+def test_replay_at_fleet_shape(seed):
+    # The network's own timers retire the population instant by instant;
+    # every solve on the way is checked against a fresh numpy fill.
+    env, net = _fleet_network(seed, COMPILED)
+    totals = []
+    solve = net._solve
+
+    def checked_solve(num_groups):
+        solved = solve(num_groups)
+        totals.append(_check_fill(net, solved[0]))
+        return solved
+
+    net._solve = checked_solve
+    env.run()
+    assert not net.active_flows and len(totals) > 10
+    rounds, replayed = np.sum(totals, axis=0)
+    assert replayed > rounds / 2
 
 
 class TestSetCapacityRescale:

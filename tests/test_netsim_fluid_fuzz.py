@@ -5,12 +5,16 @@ A hypothesis state machine drives three identical ``Environment`` +
 start latency), mid-flight ``set_capacity`` rescales and clock advances:
 
 * a coalesced network on the kernel ``_waterfill.kernel()`` picks (the
-  compiled one where it builds);
-* a coalesced network on the numpy kernel;
-* the uncoalesced reference, which fills over every link and compacts
-  after every retirement.
+  compiled one where it builds, whose water-fill replays the logged
+  rounds of its last fill that no changed path group can reach);
+* a coalesced network on the numpy kernel, whose water-fill scans every
+  round;
+* the uncoalesced reference, which fills over every link, scans every
+  round and compacts after every retirement.
 
-The clock may start at a large ``now``, where float residue is worst.
+Eight links give a fill up to eight rounds, so replayed prefixes of
+several rounds occur.  The clock may start at a large ``now``, where
+float residue is worst.
 
 After every step all three must agree exactly: every rate, remaining
 byte count and finish time, every link's byte counter, the clock and the
@@ -36,7 +40,7 @@ from repro.netsim import FluidNetwork
 from repro.netsim import _waterfill
 from repro.simkit import Environment, SimulationError
 
-_LINKS = 4
+_LINKS = 8
 # Steps allowed per in-flight flow while draining, plus a floor: each
 # completion costs a timer fire, a done event and an instant-end solve.
 _STEPS_PER_FLOW = 40

@@ -8,11 +8,13 @@ kernel for the fluid network, None (the reference kernel) for the event
 kernel.  The build goes to the checkout's ``build/`` when that is
 writable and to a private per-user temp directory otherwise (the case of
 a non-editable install).  Both cores share one build helper
-(:mod:`repro._native`), and every test here covers both.
+(:mod:`repro._native`), and every test here covers both.  Both C sources
+also stay free of compiler warnings.
 """
 
 import os
 import shutil
+import subprocess
 import tempfile
 import warnings
 
@@ -118,3 +120,20 @@ def test_shared_temp_dir_is_refused(fresh_probe, private_temp, monkeypatch):
     for *_, kernel, fallback in CORES:
         with pytest.warns(RuntimeWarning, match="not a private directory"):
             assert kernel() is fallback
+
+
+@pytest.mark.parametrize("name, source, flags", [core[:3] for core in CORES],
+                         ids=[core[0] for core in CORES])
+def test_c_source_compiles_without_warnings(name, source, flags):
+    compiler = os.environ.get("CC", "cc")
+    if shutil.which(compiler) is None:
+        pytest.skip("no C compiler on this host")
+    # Linker inputs (-lm) mean nothing to a syntax check; clang would
+    # warn that they go unused.
+    compile_flags = [flag for flag in flags if not flag.startswith("-l")]
+    result = subprocess.run(
+        [compiler, *compile_flags, "-Wall", "-Werror", "-fsyntax-only",
+         "-x", "c", "-"],
+        input=source, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
