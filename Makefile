@@ -54,12 +54,15 @@ profile:
 figs:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Perf-regression gate: fresh metric capture vs benchmarks/BENCH_metrics.json.
+# Frozen-output goldens (tests/goldens.py): baseline replays every case of
+# every golden exactly; baseline-write re-captures the Fig. 14 metrics.
+# Re-capture any golden with PYTHONPATH=src:. python -m tests.goldens NAME...
 baseline:
-	PYTHONPATH=src $(PYTHON) benchmarks/baseline.py --check
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests \
+		-k "covers_every_case or replays_the_frozen_digest"
 
 baseline-write:
-	PYTHONPATH=src $(PYTHON) benchmarks/baseline.py --write
+	PYTHONPATH=src:. $(PYTHON) -m tests.goldens fig14-metrics
 
 # Line coverage with a hard 100% floor on the metrics subsystem
 # (requires pytest-cov; CI installs it).

@@ -26,11 +26,12 @@ rules keep it honest:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..clauses import parse_clauses
 from ..core.paradigm import CostModel
 from .signals import BlockLoadSignals, ControlSignals
 
@@ -128,45 +129,15 @@ class ControlConfig:
         ``adaptive`` (or an empty string) means all defaults; booleans
         accept ``on``/``off``.
         """
-        spec = cls()
-        fields_ = {
-            "deviation": float, "recover_deviation": float,
-            "share_deviation": float,
-            "hysteresis": float, "patience": int, "cooldown": int,
-            "recover_after_clean": int, "probation": int, "max_backoff": int,
-            "load_strategy": str, "hot_factor": float, "evict_factor": float,
-            "max_replicas": int,
-        }
-        flags = {
-            "load": "adapt_load",
-            "replicas": "adapt_replicas",
-            "chunks": "adapt_chunks",
-        }
-        for clause in text.split(";"):
-            clause = clause.strip()
-            if not clause or clause == "adaptive":
-                continue
-            if "=" not in clause:
-                raise ValueError(f"malformed control clause {clause!r}")
-            key, _, value = clause.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key in flags:
-                if value not in ("on", "off"):
-                    raise ValueError(
-                        f"control flag {key!r} must be on/off, got {value!r}"
-                    )
-                spec = replace(spec, **{flags[key]: value == "on"})
-            elif key in fields_:
-                try:
-                    spec = replace(spec, **{key: fields_[key](value)})
-                except ValueError as exc:
-                    raise ValueError(
-                        f"bad value for control field {key!r}: {value!r}"
-                    ) from exc
-            else:
-                raise ValueError(f"unknown control field {key!r}")
-        return spec
+        return parse_clauses(
+            cls(), text, "control",
+            flags={
+                "load": "adapt_load",
+                "replicas": "adapt_replicas",
+                "chunks": "adapt_chunks",
+            },
+            ignore="adaptive",
+        )
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,6 @@ class BlockWorkload:
     num_experts: int = 0
     routing: Optional[np.ndarray] = None  # (world, num_experts) int counts
 
-    def tokens_received_by_expert(self) -> np.ndarray:
-        if self.routing is None:
-            raise ValueError("dense blocks have no routing")
-        return self.routing.sum(axis=0)
-
     def tokens_sent_matrix(
         self, placement: ExpertPlacement, token_bytes: float
     ) -> np.ndarray:

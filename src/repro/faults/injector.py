@@ -59,10 +59,6 @@ class FaultStats:
         self.stale_fallbacks += 1
         self.fallbacks_by_block[block] = self.fallbacks_by_block.get(block, 0) + 1
 
-    @property
-    def total_fallbacks(self) -> int:
-        return self.stale_fallbacks
-
 
 class FaultInjector:
     """Applies one plan's faults to one fabric for the duration of a run."""

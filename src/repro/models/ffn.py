@@ -82,10 +82,3 @@ class Expert(FeedForward):
                 param.grad = grads[name].copy()
             else:
                 param.grad += grads[name]
-
-    @property
-    def weight_bytes(self) -> int:
-        """Bytes of the two weight matrices (ignores biases, like §5.1.3)."""
-        return int(
-            (self.fc1.weight.size + self.fc2.weight.size) * 8
-        )

@@ -7,8 +7,6 @@ the usual 2x the forward FLOPs.
 
 from __future__ import annotations
 
-from ..config import ModelConfig
-
 __all__ = [
     "attention_flops",
     "dense_ffn_flops",
@@ -40,15 +38,3 @@ def gate_flops(batch: int, seq: int, hidden: int, num_experts: int) -> float:
 def expert_flops_per_token(hidden: int, mult: int = 4) -> float:
     """One token through one expert FFN (H -> mult*H -> H)."""
     return float(2 * 2 * hidden * mult * hidden)
-
-
-def moe_block_dense_part_flops(config: ModelConfig, block_index: int) -> float:
-    """Attention + gate FLOPs of an MoE block (everything but the experts)."""
-    return attention_flops(
-        config.batch_size, config.seq_len, config.hidden_dim
-    ) + gate_flops(
-        config.batch_size,
-        config.seq_len,
-        config.hidden_dim,
-        config.num_experts(block_index),
-    )

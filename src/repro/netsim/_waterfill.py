@@ -20,7 +20,7 @@ Their methods:
   address for C and the array itself for numpy.
 * ``advance(ledger, n, dt)``, the per-flow byte accounting behind every
   arrival and rescale;
-* ``retire(ledger, n, dt, now, eps, rel)``, one completion timer: the
+* ``retire(ledger, n, dt, now, eps)``, one completion timer: the
   byte advance, the finished-row selection with its residue rules, and
   the tombstoning of those rows;
 * ``settle(ledger, n, dt, grates)``, one re-solve after the rates are
@@ -324,14 +324,12 @@ void advance(const ledger_t *t, int64_t n, double dt) {
 
 /* One completion timer: advance by dt (when positive), then retire the
    finished live rows -- remaining <= eps*size + eps -- or, when none
-   qualifies, the residue the timer was armed for.  Residue is the moving
-   rows' minimum ETA (first-index argmin, first NaN wins, as numpy's
-   argmin/min): if it is below the clock's resolution (now + eta <= now)
-   the whole sub-ulp cohort retires, else the argmin row retires only
-   within the relative band rel*size + eps.  Retired rows are tombstoned
-   and written to t->retired in ascending order; returns their count. */
+   qualifies and the moving rows' minimum ETA (first NaN wins, as numpy's
+   min) is below the clock's resolution (now + eta <= now), the whole
+   sub-ulp cohort.  Retired rows are tombstoned and written to
+   t->retired in ascending order; returns their count. */
 int64_t retire(const ledger_t *t, int64_t n, double dt, double now,
-               double eps, double rel) {
+               double eps) {
     if (dt > 0.0) advance_rows(t, n, dt);
     const double *rates = t->rates, *remaining = t->remaining;
     const double *sizes = t->sizes;
@@ -340,24 +338,20 @@ int64_t retire(const ledger_t *t, int64_t n, double dt, double now,
         if (t->live[i] && remaining[i] <= eps * sizes[i] + eps) out[k++] = i;
     }
     if (k == 0) {
-        int64_t candidate = -1;
+        int moving = 0;
         double eta = 0.0;
         for (int64_t i = 0; i < n; i++) {
             if (!(rates[i] > 0.0)) continue;
             double e = remaining[i] / rates[i];
-            if (candidate < 0 || e < eta || (isnan(e) && !isnan(eta))) {
-                candidate = i;
-                eta = e;
-            }
+            if (!moving || e < eta || (isnan(e) && !isnan(eta))) eta = e;
+            moving = 1;
         }
-        if (candidate < 0) return 0;
+        if (!moving) return 0;
         if (now + eta <= now) {
             for (int64_t i = 0; i < n; i++) {
                 if (rates[i] > 0.0 && now + remaining[i] / rates[i] <= now)
                     out[k++] = i;
             }
-        } else if (remaining[candidate] <= rel * sizes[candidate] + eps) {
-            out[k++] = candidate;
         }
     }
     for (int64_t j = 0; j < k; j++) {
@@ -433,17 +427,16 @@ class NumpyKernel:
             )
 
     def retire(self, t: SimpleNamespace, n: int, dt: float, now: float,
-               eps: float, rel: float) -> int:
+               eps: float) -> int:
         """One completion timer: advance by ``dt``, then tombstone the
         rows that are done and write them, ascending, to ``t.retired``;
         returns their count.
 
         Done means within ``eps * size + eps`` of zero.  When no live row
-        is, the timer was armed for the minimum-ETA row, and float residue
-        may have kept it microscopically above the threshold: that
-        residue retires, but only residue.  A stale timer looking at a row
-        with real bytes left (its rate was rescaled by ``set_capacity``
-        mid-flight) retires nothing, so the caller re-solves and re-arms.
+        is, only a sub-ulp cohort (below) retires; any other row re-arms.
+        A stale timer looking at a row with real bytes left (its rate was
+        rescaled by ``set_capacity`` mid-flight) therefore retires nothing,
+        so the caller re-solves and re-arms.
         """
         if dt > 0:
             self.advance(t, n, dt)
@@ -470,12 +463,6 @@ class NumpyKernel:
                 # every one at this same ``now`` while paying a full
                 # solve per flow (the fleet-scale cascade pathology).
                 finished[moving[now + etas <= now]] = True
-            else:
-                # The relative band covers drift on large flows; anything
-                # with a representable ETA outside it re-arms.
-                candidate = moving[etas.argmin()]
-                if remaining[candidate] <= rel * sizes[candidate] + eps:
-                    finished[candidate] = True
         rows = np.flatnonzero(finished)
         # In-place scatter-decrements: exact integer arithmetic, and no
         # O(groups)/O(links) bincount allocation per instant.
@@ -694,7 +681,7 @@ def _bind(path) -> CompiledKernel:
     lib.advance.restype = None
     lib.advance.argtypes = [pointer, int64, double]
     lib.retire.restype = int64
-    lib.retire.argtypes = [pointer, int64, double, double, double, double]
+    lib.retire.argtypes = [pointer, int64, double, double, double]
     lib.settle.restype = double
     lib.settle.argtypes = [pointer, int64, double, pointer]
     return CompiledKernel(lib)

@@ -105,12 +105,6 @@ class Fabric:
             path, size, latency=latency, tag=tag, path_index=path_index
         )
 
-    def transfer_proc(self, src: Device, dst: Device, size: float, **kwargs):
-        """Process form of :meth:`transfer` (``yield env.process(...)``)."""
-        flow = self.transfer(src, dst, size, **kwargs)
-        yield flow.done
-        return flow
-
     # -- computation ----------------------------------------------------------
 
     def compute(self, gpu: Device, seconds: float):

@@ -76,11 +76,6 @@ __all__ = ["Flow", "FluidNetwork"]
 
 _INF = float("inf")
 _EPSILON = 1e-12
-# A completion timer may only force-finish a flow whose remaining bytes
-# are within this relative band of its size — i.e. genuine floating-point
-# residue.  A stale timer observing a flow with real bytes left (e.g. after
-# a mid-flight set_capacity rescale) must reschedule instead.
-_FORCE_FINISH_REL = 1e-9
 
 
 class Flow:
@@ -543,16 +538,15 @@ class FluidNetwork:
         return None if next_done < 0 else next_done
 
     def _retire_finished(self) -> List[Flow]:
-        """Move bytes up to now, retire the rows that are done (or the
-        float residue the timer was armed for; see the kernel's
-        ``retire``) and return their flows in ascending row order."""
+        """Move bytes up to now, retire the rows that are done (or a
+        sub-ulp cohort; see the kernel's ``retire``) and return their
+        flows in ascending row order."""
         dt = self._elapsed()
         n = self._n
         if not n:
             return []
         count = self._kernel.retire(
-            self._ledger(), n, dt, self._last_update,
-            _EPSILON, _FORCE_FINISH_REL,
+            self._ledger(), n, dt, self._last_update, _EPSILON,
         )
         if not count:
             return []

@@ -48,21 +48,6 @@ class DistributedMoEBlock:
         self.ln2 = LayerNorm(hidden_dim)
         self.executor = executor
 
-    def forward_all(self, worker_activations: List[Tensor]) -> List[Tensor]:
-        post_attention = [
-            x + self.attention(self.ln1(x)) for x in worker_activations
-        ]
-        shapes = [h.shape for h in post_attention]
-        flat_tokens = [
-            self.ln2(h).reshape(h.shape[0] * h.shape[1], h.shape[2])
-            for h in post_attention
-        ]
-        mixed = self.executor.run(flat_tokens)
-        return [
-            h + out.reshape(*shape)
-            for h, out, shape in zip(post_attention, mixed, shapes)
-        ]
-
     def forward_stacked(self, x: Tensor, worker_batches: List[int]) -> Tensor:
         """Forward with every worker's activations stacked on the batch
         axis (worker-major).

@@ -31,9 +31,11 @@ controls how concentrated that popularity is (0 = uniform).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+
+from ..clauses import parse_clauses
 
 __all__ = [
     "TRACE_KINDS",
@@ -104,33 +106,7 @@ class TraceSpec:
         The first clause may be a bare kind name; remaining clauses are
         ``field=value`` with the fields of this dataclass.
         """
-        spec = cls()
-        fields = {
-            "kind": str, "rate": float, "requests": int, "seed": int,
-            "prompt_mean": float, "output_mean": float, "skew": float,
-            "period": float, "amplitude": float, "burst": float,
-            "duty": float,
-        }
-        for position, clause in enumerate(text.split(";")):
-            clause = clause.strip()
-            if not clause:
-                continue
-            if "=" not in clause:
-                if position == 0 and clause in TRACE_KINDS:
-                    spec = replace(spec, kind=clause)
-                    continue
-                raise ValueError(f"malformed trace clause {clause!r}")
-            key, _, value = clause.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in fields:
-                raise ValueError(f"unknown trace field {key!r}")
-            try:
-                spec = replace(spec, **{key: fields[key](value.strip())})
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad value for trace field {key!r}: {value!r}"
-                ) from exc
-        return spec
+        return parse_clauses(cls(), text, "trace", TRACE_KINDS)
 
     # -- the rate function -----------------------------------------------------
 

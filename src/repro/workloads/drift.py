@@ -25,10 +25,12 @@ Kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from ..clauses import parse_clauses
 
 __all__ = ["DRIFT_KINDS", "DriftSpec", "drift_weights", "apply_drift"]
 
@@ -68,31 +70,7 @@ class DriftSpec:
         The first clause may be a bare kind name (``flip;skew=1.5``).
         Numeric fields accept int/float literals.
         """
-        spec = cls(kind="static")
-        fields = {
-            "kind": str, "skew": float, "low_skew": float, "period": int,
-            "shift": int, "step": float, "seed": int,
-        }
-        for position, clause in enumerate(text.split(";")):
-            clause = clause.strip()
-            if not clause:
-                continue
-            if "=" not in clause:
-                if position == 0 and clause in DRIFT_KINDS:
-                    spec = replace(spec, kind=clause)
-                    continue
-                raise ValueError(f"malformed drift clause {clause!r}")
-            key, _, value = clause.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in fields:
-                raise ValueError(f"unknown drift field {key!r}")
-            try:
-                spec = replace(spec, **{key: fields[key](value.strip())})
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad value for drift field {key!r}: {value!r}"
-                ) from exc
-        return spec
+        return parse_clauses(cls(kind="static"), text, "drift", DRIFT_KINDS)
 
     def skew_at(self, iteration: int) -> float:
         """Effective Zipf skew at ``iteration`` (flip alternates regimes,

@@ -3,9 +3,6 @@
 Plain functions rather than pytest fixtures so call sites can parameterize
 them (``small_config(batch_size=8)``) and so the golden-metrics and
 property suites share exactly the configurations the engine tests lock.
-The benchmarks' engine-run cache (``benchmarks/engine_cache.py``) is made
-importable too, so tests can reuse its cached Fig. 14-scale runs instead
-of re-simulating them.
 """
 
 from __future__ import annotations
@@ -14,14 +11,9 @@ import functools
 import importlib
 import os
 import sys
-from pathlib import Path
 
 from repro.cluster import Cluster, MachineSpec
 from repro.config import ModelConfig
-
-_BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
-if str(_BENCHMARKS) not in sys.path:
-    sys.path.insert(0, str(_BENCHMARKS))
 
 
 def small_config(**overrides) -> ModelConfig:

@@ -1,0 +1,49 @@
+"""Every frozen-output fixture replays exactly (see :mod:`tests.goldens`).
+
+Four goldens replay under the test names they had before the registry,
+so their test ids stay put: ``fault`` and ``taskgraph`` (bound in
+``tests/test_fault_digests.py`` and ``tests/test_taskgraph_digest.py``),
+``legacy-table`` and ``block-maps`` (replayed in
+``tests/test_taskgraph_equivalence.py`` and ``tests/test_block_maps.py``).
+Every other golden is bound here, so a newly registered golden is tested
+with no further edit.
+"""
+
+import json
+from dataclasses import replace
+
+import pytest
+
+from tests.goldens import GOLDENS, bind, mismatches
+
+BOUND_ELSEWHERE = ("fault", "taskgraph", "legacy-table", "block-maps")
+
+test_fixture_covers_every_case, test_case_replays_the_frozen_digest = bind(
+    *(name for name in GOLDENS if name not in BOUND_ELSEWHERE)
+)
+
+
+@pytest.mark.parametrize("name", ["block-maps", "legacy-table"])
+def test_regenerating_an_unchanged_golden_rewrites_the_same_bytes(
+    name, tmp_path
+):
+    golden = GOLDENS[name]
+    copy = tmp_path / golden.fixture.name
+    copy.write_text(golden.fixture.read_text())
+    replace(golden, fixture=copy).write()
+    assert copy.read_text() == golden.fixture.read_text()
+
+
+@pytest.mark.parametrize("name", ["block-maps", "legacy-table"])
+def test_changing_one_pinned_field_fails_exactly_that_case(name, tmp_path):
+    golden = GOLDENS[name]
+    document = json.loads(golden.fixture.read_text())
+    case = sorted(document["cases"])[len(document["cases"]) // 2]
+    value = document["cases"][case]
+    if golden.pinned is None:
+        value[0] = value[0].lower()
+    else:
+        value[golden.pinned[0]] *= 2
+    copy = tmp_path / golden.fixture.name
+    copy.write_text(json.dumps(document))
+    assert mismatches(replace(golden, fixture=copy)) == [case]
