@@ -203,18 +203,6 @@ def cmd_simulate(args) -> int:
         print("--inference is a single forward pass; drop --iterations",
               file=sys.stderr)
         return 2
-    if (
-        isinstance(args.chunks, int)
-        and args.control is not None
-        and args.control.adapt_chunks
-    ):
-        print(
-            "--chunks N pins a fixed chunk count, which contradicts a "
-            "chunk-adaptive --control (chunks=on); use --chunks auto or "
-            "drop one of them",
-            file=sys.stderr,
-        )
-        return 2
     kwargs = {}
     feature_overrides = {}
     if args.chunks == "auto":

@@ -6,10 +6,14 @@ iteration's measured signals (:mod:`repro.control.signals`), decide
 hot experts to replicate across machines and which cold replicas to evict,
 and apply the decisions plus the next iteration's popularity drift
 (:mod:`repro.control.controller`).  Unifies the fault-driven
-:class:`~repro.faults.DegradationPolicy` of the resilience layer and the
-new load-driven adaptation behind one policy interface, with hysteresis,
-cooldown and probation-based recovery so decisions neither flap nor
-ratchet one-way.
+:class:`~repro.faults.DegradationPolicy` of the resilience layer (the
+fault arm, ``ControlPolicy``'s ``degradation``) and the load-driven
+adaptation behind one policy interface, with hysteresis, cooldown and
+probation-based recovery so decisions neither flap nor ratchet one-way.
+``JanusEngine(controller=)`` is the only way either reaches the engine;
+per-iteration chunk re-tuning is the engine's own
+``JanusFeatures(chunk_autotune=True)`` (``--chunks auto``), which sees the
+drifted routing whenever a controller is attached.
 """
 
 from .controller import Controller

@@ -1,16 +1,18 @@
 """The engine-facing controller: apply drift, harvest, decide, actuate.
 
-:class:`Controller` is the object the engine's run loop talks to.  Before
-every iteration it advances the workload's drift process (if any); after
-every iteration it harvests :class:`~repro.control.signals.ControlSignals`,
-runs the :class:`~repro.control.policy.ControlPolicy`, and actuates the
-decision — rewriting the engine's per-block strategy map and replica map,
-emitting ``control.*`` metrics and trace marks.  Everything happens
-*between* iterations: the controller never touches a live simulation.
+:class:`Controller` is the object the engine's run loop talks to, and the
+only way adaptation reaches the engine (``JanusEngine(controller=)``).
+Before every iteration it advances the workload's drift process (if any);
+after every iteration it harvests
+:class:`~repro.control.signals.ControlSignals`, runs the
+:class:`~repro.control.policy.ControlPolicy`, and actuates the decision —
+rewriting the engine's per-block strategy map and replica map, emitting
+``control.*`` metrics and trace marks.  Everything happens *between*
+iterations: the controller never touches a live simulation.
 
 The cost model comes from :mod:`repro.core.paradigm`; ``repro.core``
-imports this package only lazily (the ``DegradationPolicy`` auto-wrap and
-the chunk tuner), so there is no import cycle.
+imports this package only lazily (the chunk tuner), so there is no import
+cycle.
 """
 
 from __future__ import annotations
@@ -48,27 +50,12 @@ class Controller:
         this iteration (it decides on the upcoming routing); this covers
         the first iteration and standalone ``run_iteration`` calls.
         """
-        iteration = engine.iterations_run
         if self.policy is not None and self._cost_model is None:
             self.policy.attach(dict(engine.block_strategies))
             self._cost_model = CostModel.for_cluster(
                 engine.workload.config, engine.cluster, engine.features
             )
-            if self.policy.config.adapt_chunks:
-                # Arm the engine's per-iteration chunk retune: the engine
-                # re-runs the tuner at every iteration start, which *is*
-                # the controller's between-iteration chunk adaptation
-                # (each retune sees the freshly drifted routing).
-                import dataclasses
-
-                engine.features = dataclasses.replace(
-                    engine.features, chunk_autotune=True
-                )
-        if self.drift is not None and self._drift_applied != iteration:
-            from ..workloads.drift import apply_drift
-
-            apply_drift(engine.workload, self.drift, iteration)
-            self._drift_applied = iteration
+        self._drift_to(engine)
 
     def observe(self, engine, result) -> Optional[ControlDecision]:
         """Called by the engine after each iteration; actuates the policy.
@@ -82,21 +69,27 @@ class Controller:
         iteration lag, exactly the information a real control plane holds
         between the gate pass and the dispatch.
         """
-        next_iteration = engine.iterations_run
-        if self.drift is not None and self._drift_applied != next_iteration:
-            from ..workloads.drift import apply_drift
-
-            apply_drift(engine.workload, self.drift, next_iteration)
-            self._drift_applied = next_iteration
+        self._drift_to(engine)
         if self.policy is None:
             return None
         signals = ControlSignals.harvest(
-            result, engine.workload, iteration=next_iteration
+            result, engine.workload, iteration=engine.iterations_run
         )
         decision = self.policy.decide(signals, self._cost_model)
         self._actuate(engine, result, decision)
         self.decisions.append(decision)
         return decision
+
+    def _drift_to(self, engine) -> None:
+        """Advance the drift process to the engine's upcoming iteration,
+        once per iteration whichever of :meth:`prepare` and
+        :meth:`observe` gets there first."""
+        iteration = engine.iterations_run
+        if self.drift is not None and self._drift_applied != iteration:
+            from ..workloads.drift import apply_drift
+
+            apply_drift(engine.workload, self.drift, iteration)
+            self._drift_applied = iteration
 
     # -- actuation -----------------------------------------------------------
 

@@ -83,10 +83,6 @@ class ControlConfig:
     load_strategy: str = "data-centric"
     adapt_load: bool = True
     adapt_replicas: bool = True
-    # Re-tune per-block All-to-All chunk counts from measured routing
-    # before every iteration (the FSMoE-style chunk autotuner).  Off by
-    # default so attaching a controller stays bit-identical.
-    adapt_chunks: bool = False
     replicable: Tuple[str, ...] = ("data-centric",)
     hot_factor: float = 4.0
     evict_factor: float = 2.0
@@ -134,7 +130,6 @@ class ControlConfig:
             flags={
                 "load": "adapt_load",
                 "replicas": "adapt_replicas",
-                "chunks": "adapt_chunks",
             },
             ignore="adaptive",
         )
@@ -248,10 +243,12 @@ class ControlPolicy:
     """Per-block state machine unifying the fault and load arms.
 
     ``degradation`` (a :class:`~repro.faults.DegradationPolicy`) is the
-    fault arm: its ``decide`` keeps picking the blocks to degrade, and its
-    ``recover_after_clean`` knob (None = one-way ratchet) arms
-    probation-based recovery.  The load and replication arms follow
-    ``config``.  ``preferred`` remembers each block's original (Eq. 1)
+    fault arm, and this is its only way into the engine: its ``decide``
+    keeps picking the blocks to degrade, and its ``recover_after_clean``
+    knob (None = one-way ratchet) arms probation-based recovery.  The
+    load and replication arms follow ``config``; with
+    ``ControlConfig(adapt_load=False, adapt_replicas=False)`` the policy
+    runs the fault arm alone.  ``preferred`` remembers each block's original (Eq. 1)
     strategy — the recovery target.
     """
 

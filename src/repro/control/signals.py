@@ -2,18 +2,18 @@
 
 FSMoE's thesis (PAPERS.md) is that scheduling decisions should be driven by
 *measured* quantities, not model assumptions.  :class:`ControlSignals`
-harvests one finished iteration: the engine-level outcome
-(:class:`~repro.core.engine.IterationResult` — simulated seconds, All-to-All
-share, overlap efficiency, fault counters) plus per-block load aggregates
-(:class:`BlockLoadSignals`) computed from the routing matrices the iteration
-actually ran.  Everything here is pure post-hoc numpy bookkeeping — nothing
+carries exactly what the policy reads about one finished iteration: the
+strategy map it ran, its fault counters
+(:class:`~repro.core.engine.IterationResult`), and per-block load
+aggregates (:class:`BlockLoadSignals`) of the routing the next iteration
+will run.  Everything here is pure post-hoc numpy bookkeeping — nothing
 touches the simulation clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
 import numpy as np
 
@@ -35,8 +35,7 @@ class BlockLoadSignals:
     tokens_total: int
     # Fraction of all routed token-slots each expert received.
     expert_share: np.ndarray = field(repr=False)
-    # max / mean of tokens received, at rank and owner-machine granularity.
-    rank_imbalance: float = 1.0
+    # max / mean of tokens received per owner machine.
     machine_imbalance: float = 1.0
     # Tokens the hottest rank must compute (paces synchronous All-to-All).
     max_rank_recv: int = 0
@@ -99,18 +98,17 @@ class BlockLoadSignals:
             external_demand[machine] = frozenset(int(e) for e in needed)
             external_counts[machine] = int(needed.size)
 
-        def imbalance(values: np.ndarray) -> float:
-            mean = float(values.mean())
-            return float(values.max()) / mean if mean > 0 else 1.0
-
+        mean_machine_recv = float(machine_recv.mean())
         return cls(
             block=block.index,
             num_experts=num_experts,
             experts_per_worker=experts_per_worker,
             tokens_total=total,
             expert_share=recv / max(1, total),
-            rank_imbalance=imbalance(rank_recv),
-            machine_imbalance=imbalance(machine_recv),
+            machine_imbalance=(
+                float(machine_recv.max()) / mean_machine_recv
+                if mean_machine_recv > 0 else 1.0
+            ),
             max_rank_recv=int(rank_recv.max(initial=0)),
             a2a_bottleneck_tokens=bottleneck,
             external_demand=external_demand,
@@ -124,14 +122,9 @@ class ControlSignals:
     """Everything one control step sees about the finished iteration."""
 
     iteration: int
-    seconds: float
     strategies: Dict[int, str]
     blocks: Dict[int, BlockLoadSignals]
-    a2a_share: float = 0.0
-    overlap: float = 0.0
     fault_stats: Optional[object] = None
-    cache_fills: Dict[int, int] = field(default_factory=dict)
-    nic_egress_bytes: Tuple[float, ...] = ()
 
     @property
     def fault_clean(self) -> bool:
@@ -155,33 +148,16 @@ class ControlSignals:
         )
 
     @classmethod
-    def harvest(
-        cls, result, workload, iteration: int, ctx=None
-    ) -> "ControlSignals":
-        """Build signals from one iteration's result + the workload it ran.
-
-        ``ctx`` (the iteration's :class:`~repro.core.context
-        .IterationContext`) contributes cache-fill counts when available;
-        the engine does not retain it, so controller-driven harvesting
-        falls back to the result alone.
-        """
-        from ..metrics.collect import overlap_efficiency
-
+    def harvest(cls, result, workload, iteration: int) -> "ControlSignals":
+        """Build signals from one iteration's result and the workload's
+        current (already drifted) routing."""
         layout = workload.layout
-        blocks = {
-            block.index: BlockLoadSignals.from_block(block, layout)
-            for block in workload.moe_blocks()
-        }
         return cls(
             iteration=iteration,
-            seconds=result.seconds,
             strategies=dict(result.strategies),
-            blocks=blocks,
-            a2a_share=result.all_to_all_share,
-            overlap=overlap_efficiency(result.trace, result.iteration),
+            blocks={
+                block.index: BlockLoadSignals.from_block(block, layout)
+                for block in workload.moe_blocks()
+            },
             fault_stats=result.fault_stats,
-            cache_fills=dict(ctx.cache_fills) if ctx is not None else {},
-            nic_egress_bytes=tuple(
-                float(b) for b in result.nic_egress_bytes
-            ),
         )

@@ -107,7 +107,6 @@ class JanusEngine:
         jitter_seed: int = 0,
         fault_plan=None,
         resilience=None,
-        degradation=None,
         controller=None,
         metrics: Optional[MetricsRegistry] = None,
         trace: Optional[TraceRecorder] = None,
@@ -134,20 +133,17 @@ class JanusEngine:
         time-windowed faults into every iteration; it implies a default
         :class:`~repro.faults.ResilienceConfig` unless ``resilience`` is
         given explicitly (``resilience`` alone arms timeouts/retries with
-        no injected faults).  ``degradation``
-        (:class:`~repro.faults.DegradationPolicy`) switches blocks that
-        keep blowing their pull deadlines to the fallback strategy between
-        iterations of :meth:`run`.  Without a ``controller`` it is wrapped
-        in a fault-arm-only adaptive controller: one-way by default, and
-        with ``recover_after_clean`` set, degraded blocks return to their
-        preferred paradigm after a clean streak.
+        no injected faults).
 
-        ``controller`` (:class:`~repro.control.Controller`) attaches the
-        full adaptive control plane: before each iteration it advances the
-        workload's drift process, after each iteration it harvests the
+        ``controller`` (:class:`~repro.control.Controller`) is the only way
+        adaptation reaches the engine: before each iteration it advances
+        the workload's drift process, after each iteration it harvests the
         result's signals and may re-pick per-block strategies and the
-        expert replica map.  With drift and faults off the controller is
-        structurally inert and runs stay bit-identical.
+        expert replica map.  Its policy's fault arm (a
+        :class:`~repro.faults.DegradationPolicy` handed to
+        ``ControlPolicy``) moves blocks that keep blowing their pull
+        deadlines to the fallback strategy.  With drift and faults off
+        the controller is structurally inert and runs stay bit-identical.
 
         ``metrics`` (:class:`~repro.metrics.MetricsRegistry`) enables
         quantitative observability: live counters in the schedulers plus
@@ -181,29 +177,6 @@ class JanusEngine:
         # Control-plane replica map (block -> expert -> machines); empty
         # unless a controller placed replicas.
         self.replicas: Dict[int, Dict[int, tuple]] = {}
-        # Last chunk-tuning pass: block -> predicted per-chunk All-to-All
-        # seconds (empty until ``chunk_autotune`` runs a retune).
-        self.chunk_predictions: Dict[int, float] = {}
-        if self.controller is None and degradation is not None:
-            # The frozen policy holds no cross-iteration state: run it as
-            # the fault arm of a controller with every other arm off.
-            from ..control import ControlConfig, Controller, ControlPolicy
-
-            self.controller = Controller(
-                policy=ControlPolicy(
-                    config=ControlConfig(
-                        adapt_load=False, adapt_replicas=False
-                    ),
-                    degradation=degradation,
-                )
-            )
-        elif (
-            self.controller is not None
-            and self.controller.policy is not None
-            and self.controller.policy.degradation is None
-            and degradation is not None
-        ):
-            self.controller.policy.degradation = degradation
         self.metrics = metrics
         self.trace_recorder = trace
         self.iterations_run = 0
@@ -462,7 +435,6 @@ class JanusEngine:
         from ..control import tune_engine_chunks
 
         plan = tune_engine_chunks(self)
-        self.chunk_predictions = dict(plan.predicted_chunk_s)
         self.set_block_chunks(plan.block_chunks, plan.micro_batches)
         if self.metrics is not None:
             self.metrics.inc("control.chunk_tuning.retunes")

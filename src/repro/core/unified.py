@@ -130,7 +130,6 @@ def engine_for(
     check_memory: bool = True,
     fault_plan=None,
     resilience=None,
-    degradation=None,
     controller=None,
     metrics=None,
     trace=None,
@@ -177,7 +176,6 @@ def engine_for(
         check_memory=check_memory,
         fault_plan=fault_plan,
         resilience=resilience,
-        degradation=degradation,
         controller=controller,
         metrics=metrics,
         trace=trace,

@@ -7,7 +7,10 @@ loss, compute slowdown), :class:`FaultInjector` applies them to a live
 fabric, and :class:`ResilienceConfig`/:func:`retry_flow`/
 :class:`DegradationPolicy` give the schedulers the timeout/retry/fallback
 machinery to survive them — the measurable form of the paper's §3.2 "less
-synchronization" robustness claim.
+synchronization" robustness claim.  A :class:`DegradationPolicy` acts
+between iterations only as the fault arm of a
+:class:`~repro.control.ControlPolicy` (its ``degradation`` argument)
+inside the engine's :class:`~repro.control.Controller`.
 """
 
 from .injector import FaultInjector, FaultStats

@@ -133,9 +133,9 @@ class DegradationPolicy:
     consecutive iterations with no fault symptoms, a degraded block returns
     to its preferred (Eq. 1) strategy on probation — re-degrading during
     the probation window doubles the required clean streak (exponential
-    backoff, handled by the adaptive controller the engine wraps this
-    policy in).  The default ``None`` preserves the historical one-way
-    behaviour exactly.
+    backoff, handled by the :class:`~repro.control.ControlPolicy` whose
+    fault arm this policy is).  The default ``None`` preserves the
+    historical one-way behaviour exactly.
     """
 
     fallback_strategy: str = "expert-centric"

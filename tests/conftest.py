@@ -36,6 +36,20 @@ def small_cluster(machines: int = 2, gpus: int = 2) -> Cluster:
     return Cluster(machines, MachineSpec(num_gpus=gpus))
 
 
+def fault_arm_controller(degradation):
+    """A controller whose policy runs only the fault arm: ``degradation``
+    (a :class:`~repro.faults.DegradationPolicy`) with the load and replica
+    arms off."""
+    from repro.control import ControlConfig, Controller, ControlPolicy
+
+    return Controller(
+        policy=ControlPolicy(
+            config=ControlConfig(adapt_load=False, adapt_replicas=False),
+            degradation=degradation,
+        )
+    )
+
+
 def tiny_model_config(**overrides) -> ModelConfig:
     """Numerics-scale model: small enough to run real forward/backward."""
     defaults = dict(

@@ -219,13 +219,15 @@ class TestEngineTuning:
         assert sum(switches.values()) == 3  # 2 initial sets + 1 flip
 
     def test_controller_chunks_flag_arms_the_autotuner(self):
-        controller = Controller(
-            policy=ControlPolicy(
-                config=ControlConfig(adapt_chunks=True)
-            )
-        )
+        """``chunk_autotune`` is the tuner's one switch: the controller
+        has no chunk flag, and with one attached the tuner still re-tunes
+        before every iteration."""
+        with pytest.raises(TypeError):
+            ControlConfig(adapt_chunks=True)
         engine, registry, _ = self._run(
-            "pipelined-ec", controller=controller
+            "pipelined-ec",
+            features=JanusFeatures(chunk_autotune=True),
+            controller=Controller(policy=ControlPolicy()),
         )
         assert engine.features.chunk_autotune is True
         assert registry.total("control.chunk_tuning.retunes") == 2

@@ -131,22 +131,24 @@ class TestCommands:
         assert "ms per training iteration" in capsys.readouterr().out
 
     def test_fixed_chunks_conflict_with_chunk_adaptive_control(self, capsys):
-        code = main([
-            "simulate", "--model", "moe-gpt", "--machines", "2",
-            "--batch-size", "32", "--paradigm", "pipelined-ec",
-            "--chunks", "4", "--control", "adaptive;chunks=on",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--chunks auto" in err and "chunk-adaptive" in err
+        # ``--chunks`` is the one chunk switch: --control has no chunk flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "simulate", "--model", "moe-gpt", "--machines", "2",
+                "--batch-size", "32", "--paradigm", "pipelined-ec",
+                "--chunks", "4", "--control", "adaptive;chunks=on",
+            ])
+        assert excinfo.value.code == 2
+        assert "unknown control field" in capsys.readouterr().err
 
     def test_auto_chunks_compose_with_chunk_adaptive_control(self, capsys):
         assert main([
             "simulate", "--model", "moe-gpt", "--machines", "2",
             "--batch-size", "32", "--paradigm", "pipelined-ec",
-            "--chunks", "auto", "--control", "adaptive;chunks=on",
+            "--chunks", "auto", "--control", "adaptive",
             "--iterations", "2",
         ]) == 0
+        assert "control:" in capsys.readouterr().out
 
     def test_simulate_stagger_a2a_runs(self, capsys):
         assert main([

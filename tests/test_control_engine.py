@@ -4,8 +4,8 @@ The headline property (hypothesis-driven): with drift off and faults off,
 attaching a controller is *bit-identical* to not attaching one — same
 simulated seconds, same event counts, same NIC byte totals.  The rest
 covers the drift trajectory's determinism, replica-sync accounting, the
-``recover_after_clean`` auto-wrap, the adaptive switch end-to-end, and the
-CLI flags.
+fault-arm-only controller, the adaptive switch end-to-end, and the CLI
+flags.
 """
 
 import numpy as np
@@ -21,6 +21,8 @@ from repro.core import JanusFeatures, build_workload, engine_for
 from repro.faults import DegradationPolicy
 from repro.metrics import MetricsRegistry
 from repro.workloads import DriftSpec, apply_drift
+
+from tests.conftest import fault_arm_controller
 
 
 def _run(mode, *, experts=16, iterations=2, controller=None, **kwargs):
@@ -141,13 +143,17 @@ class TestReplicaSync:
 
 
 class TestAutoWrap:
+    """The fault arm reaches the engine only inside a controller."""
+
     def test_recover_after_clean_wraps_a_controller(self):
+        controller = fault_arm_controller(
+            DegradationPolicy(recover_after_clean=2)
+        )
         engine = engine_for(
-            "unified", moe_gpt(16), Cluster(2),
-            degradation=DegradationPolicy(recover_after_clean=2),
+            "unified", moe_gpt(16), Cluster(2), controller=controller,
             check_memory=False,
         )
-        assert engine.controller is not None
+        assert engine.controller is controller
         policy = engine.controller.policy
         assert policy.degradation.recover_after_clean == 2
         # The wrap is fault-arm only: no load/replica adaptation sneaks in.
@@ -155,11 +161,12 @@ class TestAutoWrap:
         assert policy.config.adapt_replicas is False
 
     def test_one_way_degradation_wraps_a_controller(self):
+        controller = fault_arm_controller(DegradationPolicy())
         engine = engine_for(
-            "unified", moe_gpt(16), Cluster(2),
-            degradation=DegradationPolicy(), check_memory=False,
+            "unified", moe_gpt(16), Cluster(2), controller=controller,
+            check_memory=False,
         )
-        assert engine.controller is not None
+        assert engine.controller is controller
         policy = engine.controller.policy
         assert policy.degradation.recover_after_clean is None
         assert policy.config.adapt_load is False

@@ -50,7 +50,6 @@ def make_sig(
         experts_per_worker=2,
         tokens_total=4096,
         expert_share=np.asarray(share, dtype=float),
-        rank_imbalance=1.0,
         machine_imbalance=machine_imbalance,
         max_rank_recv=max_rank,
         a2a_bottleneck_tokens=bottleneck,
@@ -63,7 +62,6 @@ def make_sig(
 def make_signals(sig, strategy="microbatch-ec", iteration=1, fault_stats=None):
     return ControlSignals(
         iteration=iteration,
-        seconds=0.01,
         strategies={sig.block: strategy},
         blocks={sig.block: sig},
         fault_stats=fault_stats,

@@ -30,6 +30,8 @@ from repro.netsim import Fabric
 from repro.simkit import Environment
 from repro.trace import render_timeline
 
+from tests.conftest import fault_arm_controller
+
 
 # Pre-PR golden timings for moe_gpt(16) on Cluster(2) with the default
 # workload: the no-fault acceptance bar (bit-identical, not approximate).
@@ -337,7 +339,8 @@ class TestDegradationPolicy:
         config, cluster, workload = setup
         engine = engine_for(
             "unified", config, cluster, workload=workload,
-            fault_plan=plan, degradation=DegradationPolicy(),
+            fault_plan=plan,
+            controller=fault_arm_controller(DegradationPolicy()),
         )
         first, second = engine.run(2)
         assert first.fault_stats.stale_fallbacks > 0
