@@ -17,7 +17,8 @@ The goldens:
 * ``block-maps`` -- the static per-block selectors' maps;
 * ``fig14-metrics`` -- the Fig. 14 configs with metrics attached;
 * ``serving`` -- the skewed 8000-request serving trace on both
-  topologies;
+  topologies, a 64-request trace on the small cluster, and instrumented
+  small runs that reach every branch of the serving step code;
 * ``control`` -- multi-iteration runs under the between-iteration
   controller: load switches, replicas, fault degradation and recovery,
   and chunk retunes.
@@ -477,33 +478,97 @@ def fig14_metrics(case: str) -> dict:
     }
 
 
-# -- serving: the skewed trace on both topologies --------------------------
+# -- serving: request-level serving on both topologies --------------------
 #
-# The ``repro bench --suite serving --quick`` pair, which is also the
-# serve-skewed-disagg benchmark shape: MoE-GPT, 32 experts, 4 machines,
-# Poisson 3000/s, Zipf-1.2 popularity, 8000 requests, seed 7.  Pins the
-# per-request latency digest and the summary percentiles.
+# * ``skewed/<topology>`` -- the ``repro bench --suite serving --quick``
+#   pair, which is also the serve-skewed-disagg benchmark shape: MoE-GPT,
+#   32 experts, 4 machines, Poisson 3000/s, Zipf-1.2 popularity, 8000
+#   requests, seed 7;
+# * ``small/<topology>`` -- 64 requests on ``small_config`` /
+#   ``small_cluster`` (max batch 8, prefill batch 2): the serving cost
+#   model's identity, replayed as ``TestGolden::test_latencies_pinned`` in
+#   ``tests/test_serving_sim.py``;
+# * instrumented runs of the small trace's requests arriving 100x faster
+#   (so batches fill to their caps), each with a MetricsRegistry and a
+#   TraceRecorder attached: ``small/disaggregated/data-centric`` (four
+#   machines, so both pools have peers, and decode steps pull expert
+#   parameters: the reversed direction of ``_wire``),
+#   ``small/unified/tiny-batches`` (max batch 2, prefill batch 1) and
+#   ``small/disaggregated/all-pinned`` (four machines, every expert pinned
+#   on the decoders).
+#
+# Per case: the per-request latency digest, the summary percentiles, the
+# makespan, the kernel's event count, per-NIC egress, pinned and missed
+# decode tokens and the per-phase paradigm counts; the instrumented cases
+# add the sha of the metrics dump and the span sha.
 
 SERVING_TRACE = (
     "poisson;rate=3000;seed=7;skew=1.2;prompt_mean=128;output_mean=32;"
     "requests=8000"
 )
+SERVING_SMALL_TRACE = (
+    "poisson;rate=200;requests=64;seed=5;prompt_mean=16;output_mean=8;"
+    "skew=1.0"
+)
+SERVING_LOADED_TRACE = SERVING_SMALL_TRACE.replace("rate=200", "rate=20000")
 SERVING_PERCENTILES = (
     "ttft_p50_ms", "ttft_p99_ms", "tpot_p50_ms", "tpot_p99_ms", "e2e_p99_ms",
+)
+SERVING_SMALL = dict(max_batch=8, prefill_batch=2)
+# Instrumented case -> (machines, ServingConfig knobs over SERVING_SMALL).
+SERVING_INSTRUMENTED = {
+    "small/disaggregated/data-centric": (
+        4, dict(topology="disaggregated", decode_paradigm="data-centric"),
+    ),
+    "small/unified/tiny-batches": (
+        2, dict(topology="unified", max_batch=2, prefill_batch=1),
+    ),
+    "small/disaggregated/all-pinned": (
+        4, dict(topology="disaggregated", pin_fraction=1.0),
+    ),
+}
+SERVING_CASES = (
+    "skewed/unified", "skewed/disaggregated",
+    "small/unified", "small/disaggregated",
+    *SERVING_INSTRUMENTED,
 )
 
 
 def serving_run(case: str) -> dict:
-    _, topology = case.split("/")
+    registry = recorder = None
+    if case.startswith("skewed/"):
+        config, cluster = moe_gpt(32), Cluster(4)
+        trace = generate_trace(TraceSpec.parse(SERVING_TRACE))
+        serving = ServingConfig(topology=case.split("/")[1])
+    else:
+        config, spec = small_config(), SERVING_SMALL_TRACE
+        machines, knobs = 2, dict(topology=case.split("/")[1])
+        if case in SERVING_INSTRUMENTED:
+            spec = SERVING_LOADED_TRACE
+            machines, knobs = SERVING_INSTRUMENTED[case]
+            registry, recorder = MetricsRegistry(), TraceRecorder()
+        trace = generate_trace(TraceSpec.parse(spec))
+        cluster = small_cluster(machines)
+        serving = ServingConfig(**{**SERVING_SMALL, **knobs})
     result = simulate_serving(
-        moe_gpt(32), Cluster(4), generate_trace(TraceSpec.parse(SERVING_TRACE)),
-        ServingConfig(topology=topology),
+        config, cluster, trace, serving, metrics=registry, recorder=recorder,
     )
     summary = result.summary()
-    return {
+    facts = {
         "digest": result.digest(),
         **{field: summary[field] for field in SERVING_PERCENTILES},
+        "makespan_s": summary["makespan_s"],
+        "slo_attainment": summary["slo_attainment"],
+        "sim_events": int(result.sim_events),
+        "egress": [repr(float(b)) for b in result.nic_egress_bytes],
+        "pinned_tokens": int(result.pinned_tokens),
+        "missed_tokens": int(result.missed_tokens),
+        "paradigms": summary["paradigms"],
     }
+    if registry is not None:
+        facts["metrics"] = _sha(registry.as_dict())
+        facts["trace"] = _trace_sha(recorder, "marks")
+    return facts
 
 
 # -- control: runs under the between-iteration controller -----------------
@@ -658,8 +723,7 @@ GOLDENS: Dict[str, Golden] = {
                         for mode in FIG14_MODES],
                fig14_metrics),
         Golden("serving", FIXTURES / "serving.json",
-               lambda: ["skewed/unified", "skewed/disaggregated"],
-               serving_run),
+               lambda: list(SERVING_CASES), serving_run),
         Golden("control", FIXTURES / "control.json",
                lambda: list(CONTROL_CASES), control_run),
     )
@@ -676,12 +740,14 @@ def mismatches(golden: Golden, cases: Optional[Sequence[str]] = None):
     return failing
 
 
-def bind(*names: str):
+def bind(*names: str, cases: Optional[Dict[str, str]] = None):
     """The one golden test over ``names``: a coverage check of every
     golden, then an exact replay per case.  Assign the pair to
     ``test_fixture_covers_every_case, test_case_replays_the_frozen_digest``
     in a test module.  Case ids are ``name/case``, or the bare case when
-    one golden is bound."""
+    one golden is bound.  ``cases`` (one golden only) maps test ids to
+    the cases to replay, so a test that moved into the registry keeps its
+    ids (inside a test class, wrap the replay in ``staticmethod``)."""
     goldens = [GOLDENS[name] for name in names]
     single = len(goldens) == 1
 
@@ -691,12 +757,19 @@ def bind(*names: str):
                 golden.name
             )
 
-    params = [
-        pytest.param(golden, case,
-                     id=case if single else f"{golden.name}/{case}")
-        for golden in goldens
-        for case in golden.cases()
-    ]
+    if cases is not None:
+        (golden,) = goldens
+        params = [
+            pytest.param(golden, case, id=test_id)
+            for test_id, case in cases.items()
+        ]
+    else:
+        params = [
+            pytest.param(golden, case,
+                         id=case if single else f"{golden.name}/{case}")
+            for golden in goldens
+            for case in golden.cases()
+        ]
 
     @pytest.mark.parametrize("golden,case", params)
     def replays(golden, case):
