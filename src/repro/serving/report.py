@@ -36,6 +36,11 @@ def build_serving_report(
     return report
 
 
+def _tpot(ms: Optional[float]) -> str:
+    """One TPOT cell; ``n/a`` when no request decoded."""
+    return f"{'n/a':>9}" if ms is None else f"{ms:>7.3f}ms"
+
+
 def format_serving_summary(
     results: Sequence[ServingResult], title: Optional[str] = None
 ) -> str:
@@ -55,8 +60,8 @@ def format_serving_summary(
             f"{summary['topology']:<15} "
             f"{summary['ttft_p50_ms']:>7.2f}ms "
             f"{summary['ttft_p99_ms']:>7.2f}ms "
-            f"{summary['tpot_p50_ms']:>7.3f}ms "
-            f"{summary['tpot_p99_ms']:>7.3f}ms "
+            f"{_tpot(summary['tpot_p50_ms'])} "
+            f"{_tpot(summary['tpot_p99_ms'])} "
             f"{summary['goodput_rps']:>7.0f}/s "
             f"{summary['slo_attainment']:>6.1%} "
             f"{summary['nic_gb']:>7.2f} "

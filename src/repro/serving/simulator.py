@@ -161,10 +161,16 @@ class ServingResult:
         return good & tpot_ok
 
     def summary(self) -> Dict:
-        """Headline serving KPIs (pure simulated-time facts)."""
+        """Headline serving KPIs (pure simulated-time facts).  The TPOT
+        percentiles are ``None`` when no request decodes (every output is
+        one token)."""
         ttft = self.ttft_s
         tpot = self.tpot_s
         percentile = np.percentile
+
+        def tpot_ms(q):
+            return float(percentile(tpot, q) * 1e3) if len(tpot) else None
+
         return {
             "topology": self.topology,
             "requests": len(self.trace),
@@ -172,8 +178,8 @@ class ServingResult:
             "offered_rps": float(self.trace.offered_rate),
             "ttft_p50_ms": float(percentile(ttft, 50) * 1e3),
             "ttft_p99_ms": float(percentile(ttft, 99) * 1e3),
-            "tpot_p50_ms": float(percentile(tpot, 50) * 1e3),
-            "tpot_p99_ms": float(percentile(tpot, 99) * 1e3),
+            "tpot_p50_ms": tpot_ms(50),
+            "tpot_p99_ms": tpot_ms(99),
             "e2e_p99_ms": float(percentile(self.e2e_s, 99) * 1e3),
             "slo_attainment": float(self.slo_good.mean()),
             "goodput_rps": float(self.slo_good.sum() / self.makespan_s)
@@ -233,8 +239,6 @@ class _Mailbox:
 class _PhaseState:
     """Mutable per-run bookkeeping shared by the worker generators."""
 
-    remaining: np.ndarray
-    context: np.ndarray
     first_token_s: np.ndarray
     complete_s: np.ndarray
     paradigms: Dict[str, Dict[str, int]] = field(
@@ -242,6 +246,31 @@ class _PhaseState:
     )
     pinned_tokens: int = 0
     missed_tokens: int = 0
+
+
+class _DecodeBatch:
+    """One worker's decode batch, each request's completion fixed when it
+    is admitted.
+
+    Every active request advances exactly one token per decode step of
+    its worker.  So a request admitted after ``steps`` steps with ``r``
+    tokens left to decode finishes at the end of step ``steps + r``, with
+    attention context ``prompt + output - 1``.  A step reads its size,
+    hot count and context sum here in O(1) and pops its completions from
+    ``due`` in admission order.  Once ``steps`` reaches ``horizon``, the
+    latest finish step scheduled, the batch must be empty; a request left
+    over was scheduled wrong and would otherwise decode forever.
+    """
+
+    __slots__ = ("size", "hot", "context", "steps", "due", "horizon")
+
+    def __init__(self):
+        self.size = 0  # active requests
+        self.hot = 0  # active requests routed to a pinned expert
+        self.context = 0  # summed attention context of the active requests
+        self.steps = 0  # decode steps completed
+        self.due: Dict[int, List[int]] = {}  # step -> requests it finishes
+        self.horizon = 0  # latest step in ``due``
 
 
 class ServingSimulator:
@@ -310,6 +339,8 @@ class ServingSimulator:
         self.kv_bytes_per_token = (
             2.0 * config.num_blocks * hidden * config.dtype_bytes
         )
+        self.token_bytes = config.token_bytes
+        self.expert_bytes = config.expert_bytes
 
         self.phase_mode = {
             "prefill": serving.prefill_paradigm,
@@ -321,24 +352,24 @@ class ServingSimulator:
         else:
             self.pin_count = 0
 
+        # Per-step lookups resolved once: host devices, each worker's wire
+        # peers per phase, and each paradigm name's byte family.
+        self._hosts = [Device.host(machine) for machine in range(machines)]
+        self._peers: Dict[Tuple[str, int], List[int]] = {
+            (phase, machine): [peer for peer in pool if peer != machine]
+            for phase, pool in (("prefill", self.prefill_pool),
+                                ("decode", self.decode_pool))
+            for machine in pool
+        }
+        self._pulls: Dict[str, bool] = {}
         self._peer_rr: Dict[Tuple[str, int], int] = {}
         self._kv_rr: Dict[int, int] = {}
         self._span_counts: Dict[str, int] = {}
 
-    # -- metric / trace helpers ------------------------------------------------
-
-    def _count(self, name: str, value: float = 1.0, **labels) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name, value, **labels)
-
-    def _observe(self, name: str, value: float, **labels) -> None:
-        if self.metrics is not None:
-            self.metrics.observe(name, value, **labels)
+    # -- trace helper ----------------------------------------------------------
 
     def _span(self, kind: str, start: float, end: float, machine: int,
               detail: str) -> None:
-        if self.recorder is None:
-            return
         seen = self._span_counts.get(kind, 0)
         if seen >= self.serving.span_budget:
             return
@@ -366,60 +397,66 @@ class ServingSimulator:
         off_worker = (size - 1) / size
         expert_centric = (
             2.0 * token_copies * self.moe_blocks
-            * off_worker * self.config.token_bytes
+            * off_worker * self.token_bytes
         )
         data_centric = (
             min(self.num_experts, expert_cap) * self.moe_blocks
-            * off_worker * self.config.expert_bytes
+            * off_worker * self.expert_bytes
         )
         name = self.phase_mode[phase]
         if name == "auto":
             # Eq. 1 pointwise: R is the step's EC/DC byte ratio; ties go
             # to expert-centric.
             name = select_paradigm(expert_centric / data_centric).value
-        size_bytes = (
-            data_centric
-            if comm_family(name) == "data-centric"
-            else expert_centric
-        )
+        pulls = self._pulls.get(name)
+        if pulls is None:
+            pulls = self._pulls[name] = (
+                comm_family(name) == "data-centric"
+            )
+        size_bytes = data_centric if pulls else expert_centric
         counts = self.state.paradigms[phase]
         counts[name] = counts.get(name, 0) + 1
         return size_bytes, name
 
-    def _wire(self, phase: str, machine: int, pool: Tuple[int, ...],
-              size_bytes: float, paradigm: str):
+    def _wire(self, phase: str, machine: int, size_bytes: float,
+              paradigm: str):
         """Start the step's aggregated off-worker flow; returns its event.
 
         Expert-centric ships tokens out to a peer; data-centric pulls
         expert parameters in from one.  Peers rotate round-robin so the
         byte bill spreads across the pool deterministically.
         """
-        peers = [peer for peer in pool if peer != machine]
-        slot = self._peer_rr.get((phase, machine), 0)
-        self._peer_rr[(phase, machine)] = slot + 1
+        key = (phase, machine)
+        peers = self._peers[key]
+        slot = self._peer_rr.get(key, 0)
+        self._peer_rr[key] = slot + 1
         peer = peers[slot % len(peers)]
-        if comm_family(paradigm) == "data-centric":
+        if self._pulls[paradigm]:
             src, dst = peer, machine
         else:
             src, dst = machine, peer
         flow = self.fabric.transfer(
-            Device.host(src), Device.host(dst), size_bytes,
+            self._hosts[src], self._hosts[dst], size_bytes,
             tag=("serve", phase, machine),
         )
-        self._count("serve.bytes", size_bytes, kind=phase)
+        if self.metrics is not None:
+            self.metrics.inc("serve.bytes", size_bytes, kind=phase)
         return flow.done
 
     # -- phase steps -----------------------------------------------------------
 
     def _prefill_step(self, machine: int, ids: List[int]):
         env = self.env
-        trace = self.trace
-        state = self.state
-        prompts = trace.prompt_tokens[ids]
-        tokens = int(prompts.sum())
-        attention_units = float(
-            (prompts.astype(float) * (prompts + 1.0)).sum()
-        ) / 2.0
+        prompt = self._prompt
+        tokens = 0
+        units = 0
+        for request in ids:
+            length = prompt[request]
+            tokens += length
+            units += length * (length + 1)
+        # Summed as exact integers and halved once: equal to a float sum
+        # of the per-request p(p+1) while the total stays below 2**53.
+        attention_units = float(units) / 2.0
         seconds = (
             tokens * self.tok_flops + attention_units * self.ctx_flops
         ) / self.machine_flops + self.step_overhead_s
@@ -428,79 +465,118 @@ class ServingSimulator:
             tokens * self.config.top_k, self.num_experts,
         )
         start = env.now
-        waits = [env.timeout(seconds)]
+        timeout = env.timeout(seconds)
         if size_bytes > 0:
-            waits.append(self._wire(
-                "prefill", machine, self.prefill_pool, size_bytes, paradigm
-            ))
-        yield waits[0] if len(waits) == 1 else AllOf(env, waits)
+            yield AllOf(env, [timeout, self._wire(
+                "prefill", machine, size_bytes, paradigm
+            )])
+        else:
+            yield timeout
         now = env.now
+        first_token_s = self.state.first_token_s
         for request in ids:
-            state.first_token_s[request] = now
-            self._observe("serve.ttft_s", now - trace.arrival_s[request])
-        self._count("serve.steps", phase="prefill")
-        self._count("serve.tokens", tokens, phase="prefill")
-        self._count("serve.requests", len(ids), kind="prefilled")
-        self._span("serve.prefill", start, now, machine,
-                   f"{len(ids)} req / {tokens} tok")
+            first_token_s[request] = now
+        metrics = self.metrics
+        if metrics is not None:
+            arrivals = self._arrival
+            for request in ids:
+                metrics.observe("serve.ttft_s", now - arrivals[request])
+            metrics.inc("serve.steps", phase="prefill")
+            metrics.inc("serve.tokens", tokens, phase="prefill")
+            metrics.inc("serve.requests", len(ids), kind="prefilled")
+        if self.recorder is not None:
+            self._span("serve.prefill", start, now, machine,
+                       f"{len(ids)} req / {tokens} tok")
 
-    def _decode_step(self, machine: int, pool: Tuple[int, ...],
-                     active: List[int], context_sum: float, pinned: bool):
+    def _admit(self, batch: _DecodeBatch, request: int) -> None:
+        """Add a prefilled request to ``batch`` and schedule its finish."""
+        batch.size += 1
+        batch.hot += self._hot[request]
+        batch.context += self._prompt[request]
+        due = batch.steps + self._remaining[request]
+        finishing = batch.due.get(due)
+        if finishing is None:
+            batch.due[due] = [request]
+            if due > batch.horizon:
+                batch.horizon = due
+        else:
+            finishing.append(request)
+
+    def _decode_step(self, machine: int, batch: _DecodeBatch, pinned: bool):
         env = self.env
         state = self.state
-        batch = len(active)
-        batch_ids = np.asarray(active, dtype=np.int64)
+        size = batch.size
         seconds = (
-            batch * self.tok_flops + context_sum * self.ctx_flops
+            size * self.tok_flops + batch.context * self.ctx_flops
         ) / self.machine_flops + self.step_overhead_s
-        if pinned and self.pin_count > 0:
-            hot = int(self.hot[batch_ids].sum())
-        else:
-            hot = 0
-        missed = batch - hot
+        hot = batch.hot
+        missed = size - hot
         state.pinned_tokens += hot
         state.missed_tokens += missed
         copies = missed * self.config.top_k
         size_bytes, paradigm = self._phase_traffic(
-            "decode", pool, copies, copies,
+            "decode", self.decode_pool, copies, copies,
         )
         start = env.now
-        waits = [env.timeout(seconds)]
+        timeout = env.timeout(seconds)
         if size_bytes > 0:
-            waits.append(self._wire(
-                "decode", machine, pool, size_bytes, paradigm
-            ))
-        yield waits[0] if len(waits) == 1 else AllOf(env, waits)
+            yield AllOf(env, [timeout, self._wire(
+                "decode", machine, size_bytes, paradigm
+            )])
+        else:
+            yield timeout
         now = env.now
-        retired_context = 0
-        state.remaining[batch_ids] -= 1
-        state.context[batch_ids] += 1
-        done_mask = state.remaining[batch_ids] == 0
-        if done_mask.any():
-            finished = batch_ids[done_mask]
-            state.complete_s[finished] = now
-            retired_context = int(state.context[finished].sum())
+        batch.steps += 1
+        batch.context += size
+        metrics = self.metrics
+        finished = batch.due.pop(batch.steps, None)
+        if finished is not None:
+            complete_s = state.complete_s
+            prompt = self._prompt
+            remaining = self._remaining
+            hot_of = self._hot
             for request in finished:
-                self._finish(int(request), now)
-            active[:] = batch_ids[~done_mask].tolist()
-        self._count("serve.steps", phase="decode")
-        self._count("serve.tokens", batch, phase="decode")
-        self._observe("serve.batch", batch, phase="decode")
-        self._span("serve.decode", start, now, machine,
-                   f"batch {batch}" + (f" / {hot} pinned" if pinned else ""))
-        return context_sum + batch - retired_context
+                complete_s[request] = now
+                # Its context at finish: prompt + output - 1.
+                batch.context -= prompt[request] + remaining[request]
+                batch.hot -= hot_of[request]
+            batch.size -= len(finished)
+            if metrics is not None:
+                for request in finished:
+                    self._finish(request, now)
+        if batch.size and batch.steps >= batch.horizon:
+            raise RuntimeError(
+                f"decode batch on machine {machine}: {batch.size} "
+                f"request(s) past their finish step {batch.horizon}"
+            )
+        if metrics is not None:
+            metrics.inc("serve.steps", phase="decode")
+            metrics.inc("serve.tokens", size, phase="decode")
+            metrics.observe("serve.batch", size, phase="decode")
+        if self.recorder is not None:
+            self._span(
+                "serve.decode", start, now, machine,
+                f"batch {size}" + (f" / {hot} pinned" if pinned else ""),
+            )
 
     def _finish(self, request: int, now: float) -> None:
-        trace = self.trace
-        state = self.state
-        self._count("serve.requests", kind="completed")
-        self._observe("serve.e2e_s", now - trace.arrival_s[request])
-        steps = int(trace.output_tokens[request]) - 1
+        """Observe a completed request (only with metrics attached)."""
+        metrics = self.metrics
+        metrics.inc("serve.requests", kind="completed")
+        metrics.observe("serve.e2e_s", now - self._arrival[request])
+        steps = self._remaining[request]
         if steps > 0:
-            self._observe(
+            metrics.observe(
                 "serve.tpot_s",
-                (now - state.first_token_s[request]) / steps,
+                (now - self.state.first_token_s[request]) / steps,
             )
+
+    def _complete_at_prefill(self, request: int) -> None:
+        """Finish a one-token request with its prefill."""
+        state = self.state
+        state.complete_s[request] = state.first_token_s[request]
+        if self.metrics is not None:
+            self._finish(request, self.env.now)
 
     # -- workers ---------------------------------------------------------------
 
@@ -508,15 +584,14 @@ class ServingSimulator:
         """One machine serving both phases with continuous batching."""
         env = self.env
         serving = self.serving
-        arrivals = self.trace.arrival_s
-        state = self.state
+        arrivals = self._arrival
+        remaining = self._remaining
         queue = deque(assigned)
-        active: List[int] = []
-        context_sum = 0.0
-        while queue or active:
+        batch = _DecodeBatch()
+        while queue or batch.size:
             now = env.now
             admit: List[int] = []
-            room = serving.max_batch - len(active)
+            room = serving.max_batch - batch.size
             while (queue and len(admit) < serving.prefill_batch
                    and len(admit) < room and arrivals[queue[0]] <= now):
                 admit.append(queue.popleft())
@@ -526,20 +601,13 @@ class ServingSimulator:
                 # pool exists to avoid.
                 yield from self._prefill_step(machine, admit)
                 for request in admit:
-                    if state.remaining[request] == 0:
-                        state.complete_s[request] = state.first_token_s[
-                            request
-                        ]
-                        self._finish(request, env.now)
+                    if remaining[request] == 0:
+                        self._complete_at_prefill(request)
                     else:
-                        active.append(request)
-                        context_sum += float(state.context[request])
+                        self._admit(batch, request)
                 continue
-            if active:
-                context_sum = yield from self._decode_step(
-                    machine, self.decode_pool, active, context_sum,
-                    pinned=False,
-                )
+            if batch.size:
+                yield from self._decode_step(machine, batch, pinned=False)
                 continue
             yield env.timeout(arrivals[queue[0]] - now)
 
@@ -554,8 +622,9 @@ class ServingSimulator:
         """
         env = self.env
         serving = self.serving
-        arrivals = self.trace.arrival_s
-        state = self.state
+        arrivals = self._arrival
+        remaining = self._remaining
+        decoder_of = self._decoder
         queue = deque(assigned)
         while queue:
             now = env.now
@@ -568,22 +637,22 @@ class ServingSimulator:
                 admit.append(queue.popleft())
             handoff: Dict[int, List[int]] = {}
             for request in admit:
-                if state.remaining[request] > 0:
-                    handoff.setdefault(
-                        int(self.decoder_of[request]), []
-                    ).append(request)
-            flows = {
-                decoder: self._kv_flows(machine, decoder, ids)
-                for decoder, ids in sorted(handoff.items())
-            }
+                if remaining[request] > 0:
+                    handoff.setdefault(decoder_of[request], []).append(
+                        request
+                    )
+            groups = sorted(handoff.items())
+            flows = [
+                self._kv_flows(machine, decoder, ids)
+                for decoder, ids in groups
+            ]
             yield from self._prefill_step(machine, admit)
             for request in admit:
-                if state.remaining[request] == 0:
-                    state.complete_s[request] = state.first_token_s[request]
-                    self._finish(request, env.now)
-            for decoder, ids in sorted(handoff.items()):
+                if remaining[request] == 0:
+                    self._complete_at_prefill(request)
+            for (decoder, ids), group_flows in zip(groups, flows):
                 env.process(
-                    self._kv_handoff(machine, decoder, ids, flows[decoder]),
+                    self._kv_handoff(machine, decoder, ids, group_flows),
                     name=f"serve.kv.{machine}->{decoder}",
                 )
 
@@ -596,19 +665,21 @@ class ServingSimulator:
         (a fluid-solver rate recompute per request).
         """
         num_nics = self.cluster.spec.num_nics
+        prompt = self._prompt
+        metrics = self.metrics
         lanes: Dict[int, float] = {}
+        slot = self._kv_rr.get(src, 0)
         for request in ids:
-            slot = self._kv_rr.get(src, 0)
-            self._kv_rr[src] = slot + 1
             lane = slot % num_nics
-            size_bytes = float(
-                self.kv_bytes_per_token * self.trace.prompt_tokens[request]
-            )
+            slot += 1
+            size_bytes = self.kv_bytes_per_token * prompt[request]
             lanes[lane] = lanes.get(lane, 0.0) + size_bytes
-            self._count("serve.bytes", size_bytes, kind="kv")
+            if metrics is not None:
+                metrics.inc("serve.bytes", size_bytes, kind="kv")
+        self._kv_rr[src] = slot
         return [
             self.fabric.transfer(
-                Device.host(src), Device.host(dst), size_bytes,
+                self._hosts[src], self._hosts[dst], size_bytes,
                 nic_index=lane, tag=("serve", "kv", src),
             )
             for lane, size_bytes in sorted(lanes.items())
@@ -620,32 +691,26 @@ class ServingSimulator:
         for flow in flows:
             if not flow.done.triggered:
                 yield flow.done
-        self._span("serve.kv", start, self.env.now, src,
-                   f"{len(ids)} req -> m{dst}")
+        if self.recorder is not None:
+            self._span("serve.kv", start, self.env.now, src,
+                       f"{len(ids)} req -> m{dst}")
         self.mailboxes[dst].put(ids)
 
     def _decode_worker(self, machine: int, expected: int):
         """Disaggregated decoder: admit from the mailbox between steps."""
-        serving = self.serving
-        state = self.state
+        max_batch = self.serving.max_batch
         mailbox = self.mailboxes[machine]
         pending: deque = deque()
-        active: List[int] = []
-        context_sum = 0.0
+        batch = _DecodeBatch()
         finished = 0
-        while finished < expected or active or pending:
+        while finished < expected or batch.size or pending:
             pending.extend(mailbox.drain())
-            while pending and len(active) < serving.max_batch:
-                request = pending.popleft()
-                active.append(request)
-                context_sum += float(state.context[request])
-            if active:
-                before = len(active)
-                context_sum = yield from self._decode_step(
-                    machine, self.decode_pool, active, context_sum,
-                    pinned=True,
-                )
-                finished += before - len(active)
+            while pending and batch.size < max_batch:
+                self._admit(batch, pending.popleft())
+            if batch.size:
+                before = batch.size
+                yield from self._decode_step(machine, batch, pinned=True)
+                finished += before - batch.size
             else:
                 yield mailbox.wait()
 
@@ -657,46 +722,39 @@ class ServingSimulator:
         self.env = Environment()
         self.fabric = Fabric(self.env, self.cluster)
         self.state = _PhaseState(
-            remaining=(trace.output_tokens - 1).astype(np.int64),
-            context=trace.prompt_tokens.astype(np.int64).copy(),
             first_token_s=np.full(count, -1.0),
             complete_s=np.full(count, -1.0),
         )
+        # Per-request facts, read by the steps as plain Python values.
+        self._prompt = trace.prompt_tokens.tolist()
+        self._arrival = trace.arrival_s.tolist()
+        self._remaining = (trace.output_tokens - 1).tolist()
         ranks = expert_rank(
             trace.affinity, self.num_experts, trace.spec.skew
         )
-        self.hot = ranks < self.pin_count
-        self._count("serve.requests", count, kind="offered")
+        self._hot = (ranks < self.pin_count).tolist()
+        if self.metrics is not None:
+            self.metrics.inc("serve.requests", count, kind="offered")
 
-        ids = np.arange(count)
         if self.serving.topology == "disaggregated":
-            decoders = np.asarray(self.decode_pool)
-            self.decoder_of = decoders[ids % len(decoders)]
+            ids = np.arange(count)
+            decoders = np.asarray(self.decode_pool)[
+                ids % len(self.decode_pool)
+            ]
+            self._decoder = decoders.tolist()
             self.mailboxes = {
                 machine: _Mailbox(self.env) for machine in self.decode_pool
             }
-            for slot, machine in enumerate(self.prefill_pool):
-                assigned = ids[ids % len(self.prefill_pool) == slot]
-                self.env.process(
-                    self._prefill_worker(machine, list(assigned)),
-                    name=f"serve.prefiller.{machine}",
-                )
-            decode_needed = self.state.remaining > 0
+            self._start_workers(self._prefill_worker, "prefiller")
+            decode_needed = trace.output_tokens > 1
             for machine in self.decode_pool:
-                expected = int(
-                    (decode_needed & (self.decoder_of == machine)).sum()
-                )
+                expected = int((decode_needed & (decoders == machine)).sum())
                 self.env.process(
                     self._decode_worker(machine, expected),
                     name=f"serve.decoder.{machine}",
                 )
         else:
-            for slot, machine in enumerate(self.prefill_pool):
-                assigned = ids[ids % len(self.prefill_pool) == slot]
-                self.env.process(
-                    self._unified_worker(machine, list(assigned)),
-                    name=f"serve.worker.{machine}",
-                )
+            self._start_workers(self._unified_worker, "worker")
         self.env.run()
 
         state = self.state
@@ -722,6 +780,16 @@ class ServingSimulator:
             pinned_tokens=state.pinned_tokens,
             missed_tokens=state.missed_tokens,
         )
+
+    def _start_workers(self, worker, role: str) -> None:
+        """One ``worker`` per prefill-pool machine; requests are dealt to
+        them round-robin by id."""
+        stride = len(self.prefill_pool)
+        for slot, machine in enumerate(self.prefill_pool):
+            self.env.process(
+                worker(machine, list(range(slot, len(self.trace), stride))),
+                name=f"serve.{role}.{machine}",
+            )
 
 
 def simulate_serving(

@@ -405,6 +405,23 @@ class TestServeCommand:
         ]) == 2
         assert "invalid serving config" in capsys.readouterr().err
 
+    def test_serve_without_decode_steps_exits_0(self, tmp_path, capsys):
+        # Every output is one token: no request decodes, so there is no
+        # TPOT to report.
+        import json
+
+        report_path = tmp_path / "serve.json"
+        assert main([
+            "serve", "--machines", "2", "--trace",
+            "poisson;rate=100;requests=20;seed=3;output_mean=1;prompt_mean=16",
+            "--out", str(report_path),
+        ]) == 0
+        assert "n/a" in capsys.readouterr().out
+        report = json.loads(report_path.read_text())
+        for entry in report["topologies"].values():
+            assert entry["tpot_p50_ms"] is None
+            assert entry["tpot_p99_ms"] is None
+
     def test_bench_accepts_serving_suite(self):
         args = build_parser().parse_args(["bench", "--suite", "serving"])
         assert args.suite == "serving"
