@@ -6,7 +6,9 @@ so their test ids stay put: ``fault`` and ``taskgraph`` (bound in
 ``legacy-table`` and ``block-maps`` (replayed in
 ``tests/test_taskgraph_equivalence.py`` and ``tests/test_block_maps.py``).
 Every other golden is bound here, so a newly registered golden is tested
-with no further edit.
+with no further edit.  The ``serving`` golden's ``small/<topology>``
+cases also replay as ``TestGolden::test_latencies_pinned`` in
+``tests/test_serving_sim.py``, the ids they had before the registry.
 """
 
 import json
