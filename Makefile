@@ -45,10 +45,14 @@ e2e:
 e2e-trace:
 	$(PYTHON) benchmarks/e2e/run.py --trace
 
-# cProfile the hottest Fig. 14 config (top 25 by cumulative time).
+# cProfile the hottest Fig. 14 config (top 25 by cumulative time); the
+# raw stats stay in build/profile.pstats for pstats or snakeviz.
 profile:
-	PYTHONPATH=src $(PYTHON) -m repro.cli simulate \
-		--model moe-gpt --paradigm data-centric --profile
+	mkdir -p build
+	PYTHONPATH=src $(PYTHON) -m cProfile -o build/profile.pstats -m repro \
+		simulate --model moe-gpt --paradigm data-centric
+	$(PYTHON) -c "import pstats; pstats.Stats('build/profile.pstats')\
+		.sort_stats('cumulative').print_stats(25)"
 
 # pytest-benchmark figure battery (simulated-time comparisons).
 figs:

@@ -30,12 +30,22 @@ Commands:
 
 Model names: moe-bert, moe-gpt, moe-transformer-xl, pr-moe (see
 ``repro.config``).
+
+Every command rejects a bad value with one line on stderr and exit code 2:
+argparse checks the flags it can check alone, and the model, cluster and
+serving configs reject the shapes they cannot run.  A simulation that
+fails (out of memory, a pull that exhausts its retries, a stalled event
+loop) exits 1.  To profile a command, run it under cProfile:
+``python -m cProfile -s cumulative -m repro simulate ...``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional
 
@@ -43,12 +53,12 @@ from .analysis import format_table, table1
 from .cluster import Cluster
 from .config import (
     TABLE1_MODELS,
-    ModelConfig,
     moe_bert,
     moe_gpt,
     moe_transformer_xl,
     pr_moe_transformer_xl,
 )
+from .control import ControlConfig, Controller, ControlPolicy
 from .core import (
     GraphValidationError,
     JanusFeatures,
@@ -66,9 +76,18 @@ from .metrics import (
     write_run_report,
 )
 from .netsim import OutOfMemoryError, measure_all_to_all_goodput
+from .serving import (
+    ServingConfig,
+    TraceSpec,
+    build_serving_report,
+    format_serving_summary,
+    generate_trace,
+    simulate_serving,
+)
 from .trace import TraceRecorder
 from .simkit import StalledSimulationError
 from .units import GIB
+from .workloads import DriftSpec
 
 # Simulation failures the CLI reports as one clean line, not a traceback.
 _SIMULATION_ERRORS = (OutOfMemoryError, PullFailedError, StalledSimulationError)
@@ -80,11 +99,25 @@ MODEL_CHOICES = {
 }
 
 
+class _InvalidInput(Exception):
+    """A command-line value the model, cluster or a spec rejected:
+    :func:`main` prints it as one line and exits 2."""
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
         )
     return value
 
@@ -102,53 +135,103 @@ def _chunk_spec(text: str):
         )
 
 
-def _fault_plan(text: str) -> FaultPlan:
+def _spec(parse):
+    """argparse ``type`` for a spec string (``--faults``, ``--drift``,
+    ``--control``, ``--trace``): ``parse``'s ``ValueError`` message
+    becomes the usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return convert
+
+
+def _engine_mode_list(text: str) -> List[str]:
+    """``--paradigms`` value: comma-separated :func:`engine_modes` names."""
+    modes = text.split(",")
+    unknown = [mode for mode in modes if mode not in engine_modes()]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown mode(s) {', '.join(unknown)}; expected "
+            f"{', '.join(sorted(engine_modes()))}"
+        )
+    return modes
+
+
+def _loss_rates(text: str) -> List[float]:
+    """``--rates`` value: comma-separated loss rates in [0, 1], sorted and
+    deduplicated."""
+    rates = sorted({float(rate) for rate in text.split(",")})
+    if not all(0.0 <= rate <= 1.0 for rate in rates):
+        raise argparse.ArgumentTypeError(
+            f"loss rates must be in [0, 1], got {text!r}"
+        )
+    return rates
+
+
+def _model_and_cluster(args):
+    """The shape flags as a ``(ModelConfig, Cluster)`` pair; a shape the
+    config or cluster rejects raises :class:`_InvalidInput`."""
+    overrides = {
+        name: getattr(args, name)
+        for name in ("batch_size", "seq_len", "top_k")
+        if getattr(args, name) is not None
+    }
     try:
-        return FaultPlan.parse(text)
+        cluster = Cluster(args.machines)
+        if args.model == "pr-moe":
+            config = pr_moe_transformer_xl(1 if args.machines <= 2 else 2)
+        else:
+            config = MODEL_CHOICES[args.model](args.experts)
+        if overrides:
+            config = config.scaled(**overrides)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        raise _InvalidInput(f"invalid shape: {exc}") from None
+    return config, cluster
 
 
-def _drift_spec(text: str):
-    from .workloads import DriftSpec
-
+def _engine_shape(args):
+    """:func:`_model_and_cluster`, plus the condition that the per-block
+    analysis and the timed engines share: every GPU holds the same number
+    of experts (serving has no such condition)."""
+    config, cluster = _model_and_cluster(args)
     try:
-        return DriftSpec.parse(text)
+        for block in config.moe_block_indices:
+            config.experts_per_worker(block, cluster.world_size)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        raise _InvalidInput(f"invalid shape: {exc}") from None
+    return config, cluster
 
 
-def _control_config(text: str):
-    from .control import ControlConfig
-
-    try:
-        return ControlConfig.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _trace_spec(text: str):
-    from .serving import TraceSpec
-
-    try:
-        return TraceSpec.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _resolve_model(args) -> ModelConfig:
-    if args.model == "pr-moe":
-        config = pr_moe_transformer_xl(1 if args.machines <= 2 else 2)
-    else:
-        config = MODEL_CHOICES[args.model](args.experts)
+def _engine_features(args) -> dict:
+    """``engine_for`` keywords for ``--chunks`` (and ``--stagger-a2a``
+    where the command has it); empty when both are at their defaults."""
     overrides = {}
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.seq_len is not None:
-        overrides["seq_len"] = args.seq_len
-    if args.top_k is not None:
-        overrides["top_k"] = args.top_k
-    return config.scaled(**overrides) if overrides else config
+    if args.chunks == "auto":
+        overrides["chunk_autotune"] = True
+    elif args.chunks is not None:
+        overrides["ec_pipeline_chunks"] = args.chunks
+    if getattr(args, "stagger_a2a", None) is not None:
+        overrides["a2a_stagger"] = args.stagger_a2a
+    return {"features": JanusFeatures(**overrides)} if overrides else {}
+
+
+def _write_report(path: str, report: dict, noun: str) -> None:
+    """Write a JSON report to ``path``, or print it when ``path`` is
+    ``-``."""
+    if path == "-":
+        print(json.dumps(report, indent=1, sort_keys=True))
+    else:
+        write_run_report(path, report)
+        print(f"{noun} written to {path}")
+
+
+def _write_trace(path: str, recorder, registry, process_name: str) -> None:
+    write_chrome_trace(path, recorder, registry, process_name=process_name)
+    print(f"Chrome trace written to {path} "
+          "(load in Perfetto / chrome://tracing)")
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
@@ -168,8 +251,7 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_plan(args) -> int:
-    config = _resolve_model(args)
-    cluster = Cluster(args.machines)
+    config, cluster = _engine_shape(args)
     world = cluster.world_size
     print(f"{config.name}: B={config.batch_size} S={config.seq_len} "
           f"k={config.top_k} H={config.hidden_dim} on {world} GPUs")
@@ -197,28 +279,16 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _resolve_model(args)
-    cluster = Cluster(args.machines)
     if args.inference and args.iterations > 1:
-        print("--inference is a single forward pass; drop --iterations",
-              file=sys.stderr)
-        return 2
-    kwargs = {}
-    feature_overrides = {}
-    if args.chunks == "auto":
-        feature_overrides["chunk_autotune"] = True
-    elif args.chunks is not None:
-        feature_overrides["ec_pipeline_chunks"] = args.chunks
-    if args.stagger_a2a is not None:
-        feature_overrides["a2a_stagger"] = args.stagger_a2a
-    if feature_overrides:
-        kwargs["features"] = JanusFeatures(**feature_overrides)
+        raise _InvalidInput(
+            "--inference is a single forward pass; drop --iterations"
+        )
+    config, cluster = _engine_shape(args)
+    kwargs = _engine_features(args)
     if args.faults is not None:
         kwargs["fault_plan"] = args.faults
     controller = None
     if args.drift is not None or args.control is not None:
-        from .control import Controller, ControlPolicy
-
         policy = (
             ControlPolicy(config=args.control)
             if args.control is not None
@@ -233,51 +303,27 @@ def cmd_simulate(args) -> int:
         trace = TraceRecorder()
         kwargs["metrics"] = registry
         kwargs["trace"] = trace
-    profiler = None
     try:
         engine = engine_for(args.paradigm, config, cluster, **kwargs)
-        if args.profile or args.profile_out is not None:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-        try:
-            if args.iterations > 1:
-                results = engine.run(args.iterations)
-                result = results[-1]
-            else:
-                result = engine.run_iteration(forward_only=args.inference)
-                results = [result]
-        finally:
-            if profiler is not None:
-                profiler.disable()
+        if args.iterations > 1:
+            results = engine.run(args.iterations)
+            result = results[-1]
+        else:
+            result = engine.run_iteration(forward_only=args.inference)
+            results = [result]
     except _SIMULATION_ERRORS as exc:
         print(f"{config.name} / {args.paradigm}: {exc}", file=sys.stderr)
         return 1
-    if profiler is not None:
-        import pstats
-
-        if args.profile_out is not None:
-            profiler.dump_stats(args.profile_out)
-            print(f"profile stats written to {args.profile_out}")
-        if args.profile:
-            stats = pstats.Stats(profiler, stream=sys.stdout)
-            stats.sort_stats("cumulative").print_stats(25)
     if args.metrics_out is not None:
         report = build_run_report(
             results, registry,
             model=config.name, paradigm=args.paradigm,
             machines=args.machines, inference=args.inference,
         )
-        write_run_report(args.metrics_out, report)
-        print(f"run report written to {args.metrics_out}")
+        _write_report(args.metrics_out, report, "run report")
     if args.trace_out is not None:
-        write_chrome_trace(
-            args.trace_out, trace, registry,
-            process_name=f"{config.name}/{args.paradigm}",
-        )
-        print(f"Chrome trace written to {args.trace_out} "
-              "(load in Perfetto / chrome://tracing)")
+        _write_trace(args.trace_out, trace, registry,
+                     f"{config.name}/{args.paradigm}")
     phase = "inference pass" if args.inference else "training iteration"
     if len(results) > 1:
         total = sum(item.seconds for item in results)
@@ -309,19 +355,13 @@ def cmd_report(args) -> int:
     """Multi-iteration run with full observability: prints a summary and
     writes the machine-readable run report (``--out``) plus, optionally,
     a Perfetto-loadable Chrome trace (``--trace-out``)."""
-    config = _resolve_model(args)
-    cluster = Cluster(args.machines)
+    config, cluster = _engine_shape(args)
     registry = MetricsRegistry()
     trace = TraceRecorder()
-    kwargs = {}
-    if args.chunks == "auto":
-        kwargs["features"] = JanusFeatures(chunk_autotune=True)
-    elif args.chunks is not None:
-        kwargs["features"] = JanusFeatures(ec_pipeline_chunks=args.chunks)
     try:
         engine = engine_for(
             args.paradigm, config, cluster, metrics=registry, trace=trace,
-            **kwargs,
+            **_engine_features(args),
         )
         results = engine.run(args.iterations)
     except _SIMULATION_ERRORS as exc:
@@ -380,38 +420,17 @@ def cmd_report(args) -> int:
              "Switches"],
             tuning_rows, title=title,
         ))
-    if args.out == "-":
-        import json
-
-        print(json.dumps(report, indent=1, sort_keys=True))
-    else:
-        write_run_report(args.out, report)
-        print(f"run report written to {args.out}")
+    _write_report(args.out, report, "run report")
     if args.trace_out is not None:
-        write_chrome_trace(
-            args.trace_out, trace, registry,
-            process_name=f"{config.name}/{args.paradigm}",
-        )
-        print(f"Chrome trace written to {args.trace_out} "
-              "(load in Perfetto / chrome://tracing)")
+        _write_trace(args.trace_out, trace, registry,
+                     f"{config.name}/{args.paradigm}")
     return 0
 
 
 def cmd_serve(args) -> int:
     """Replay a seeded open-loop request trace through continuous-batching
     serving workers and print per-topology latency/goodput KPIs."""
-    from dataclasses import asdict
-
-    from .serving import (
-        ServingConfig,
-        build_serving_report,
-        format_serving_summary,
-        generate_trace,
-        simulate_serving,
-    )
-
-    config = _resolve_model(args)
-    cluster = Cluster(args.machines)
+    config, cluster = _model_and_cluster(args)
     spec = args.trace
     trace = generate_trace(spec)
     topologies = (
@@ -436,8 +455,7 @@ def cmd_serve(args) -> int:
                 tpot_slo_s=args.tpot_slo,
             )
         except ValueError as exc:
-            print(f"invalid serving config: {exc}", file=sys.stderr)
-            return 2
+            raise _InvalidInput(f"invalid serving config: {exc}") from None
         if exporting:
             # Fresh lanes per topology: the exported report/trace carry
             # the last simulated topology's metric dump.
@@ -451,8 +469,7 @@ def cmd_serve(args) -> int:
         except ValueError as exc:
             # Split/model constraints are only checkable against the
             # cluster, so they surface from the simulator constructor.
-            print(f"invalid serving config: {exc}", file=sys.stderr)
-            return 2
+            raise _InvalidInput(f"invalid serving config: {exc}") from None
         except _SIMULATION_ERRORS as exc:
             print(f"{config.name} / serve {topology}: {exc}",
                   file=sys.stderr)
@@ -469,40 +486,19 @@ def cmd_serve(args) -> int:
             model=config.name, machines=args.machines,
             trace=dict(sorted(asdict(spec).items())),
         )
-        if args.out == "-":
-            import json
-
-            print(json.dumps(report, indent=1, sort_keys=True))
-        else:
-            import json
-
-            Path(args.out).write_text(
-                json.dumps(report, indent=1, sort_keys=False) + "\n"
-            )
-            print(f"serving report written to {args.out}")
+        _write_report(args.out, report, "serving report")
     if args.trace_out is not None:
-        write_chrome_trace(
-            args.trace_out, recorder, registry,
-            process_name=f"{config.name}/serve-{results[-1].topology}",
-        )
-        print(f"Chrome trace written to {args.trace_out} "
-              "(load in Perfetto / chrome://tracing)")
+        _write_trace(args.trace_out, recorder, registry,
+                     f"{config.name}/serve-{results[-1].topology}")
     return 0
 
 
 def cmd_chaos(args) -> int:
     """Loss-rate sweep: the §3.2 less-synchronization claim under fire."""
-    config = _resolve_model(args)
-    cluster = Cluster(args.machines)
-    try:
-        rates = sorted({float(rate) for rate in args.rates.split(",")})
-    except ValueError:
-        print(f"invalid --rates {args.rates!r}", file=sys.stderr)
-        return 2
-    modes = args.paradigms.split(",")
+    config, cluster = _engine_shape(args)
     rows = []
-    for mode in modes:
-        for rate in rates:
+    for mode in args.paradigms:
+        for rate in args.rates:
             plan = FaultPlan(
                 seed=args.seed,
                 faults=(MessageLoss(kinds=("pull-request",), rate=rate),),
@@ -538,8 +534,6 @@ def cmd_bench(args) -> int:
     """Time each selected suite of :data:`repro.bench.SUITES`, then write
     its snapshot or check the capture against it; exit with the worst
     suite's code (1 = regression, 2 = missing snapshot)."""
-    import json
-
     from .bench import SUITES, capture, format_capture, write_snapshot
     from .tensorlib import default_dtype
 
@@ -593,11 +587,9 @@ def cmd_bench(args) -> int:
 def cmd_graph(args) -> int:
     """Build, validate and export the iteration's task graph without
     running it (Graphviz DOT and/or structural JSON)."""
-    import json
     from collections import Counter
 
-    config = _resolve_model(args)
-    cluster = Cluster(args.machines)
+    config, cluster = _engine_shape(args)
     try:
         engine = engine_for(args.paradigm, config, cluster)
         graph = engine.build_graph(forward_only=args.inference)
@@ -689,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--inference", action="store_true",
                           help="forward-only pass (serving)")
     simulate.add_argument(
-        "--faults", type=_fault_plan, default=None, metavar="SPEC",
+        "--faults", type=_spec(FaultPlan.parse), default=None, metavar="SPEC",
         help="seeded fault plan, e.g. "
              "'seed=7;loss=pull-request*0.1;link=nic*0.25@0.005:0.015;"
              "slow=0*0.5;outage=1@0.002:0.004' "
@@ -702,28 +694,18 @@ def build_parser() -> argparse.ArgumentParser:
              "iterations, so they need more than one)",
     )
     simulate.add_argument(
-        "--drift", type=_drift_spec, default=None, metavar="SPEC",
+        "--drift", type=_spec(DriftSpec.parse), default=None, metavar="SPEC",
         help="drifting expert-popularity workload, e.g. "
              "'flip;skew=1.5;period=2;seed=7' "
              "(kinds: static, flip, rotate, walk; keys: skew, period, "
              "low_skew, step, seed)",
     )
     simulate.add_argument(
-        "--control", type=_control_config, default=None, metavar="SPEC",
+        "--control", type=_spec(ControlConfig.parse), default=None, metavar="SPEC",
         help="adaptive control plane, e.g. 'adaptive' or "
              "'adaptive;deviation=0.2;recover_after_clean=1;replicas=off' "
              "(re-picks per-block paradigms and replicates hot experts "
              "between iterations)",
-    )
-    simulate.add_argument(
-        "--profile", action="store_true",
-        help="run under cProfile and print the top-25 functions by "
-             "cumulative time (hot-path work starts from data)",
-    )
-    simulate.add_argument(
-        "--profile-out", default=None, metavar="PATH",
-        help="dump the raw cProfile stats here (implies --profile; load "
-             "with pstats.Stats(PATH) or snakeviz for offline analysis)",
     )
     simulate.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -767,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_model_arguments(serve)
     serve.add_argument(
-        "--trace", type=_trace_spec, metavar="SPEC",
+        "--trace", type=_spec(TraceSpec.parse), metavar="SPEC",
         default="poisson;rate=2000;requests=10000;seed=7;skew=1.2",
         help="seeded open-loop arrival trace, e.g. "
              "'poisson;rate=2000;requests=10000;seed=7;skew=1.2' "
@@ -827,11 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_model_arguments(chaos)
     chaos.add_argument(
-        "--rates", default="0,0.05,0.1,0.2",
-        help="comma-separated pull-request loss rates",
+        "--rates", type=_loss_rates, default="0,0.05,0.1,0.2",
+        help="comma-separated pull-request loss rates in [0, 1]",
     )
     chaos.add_argument(
-        "--paradigms",
+        "--paradigms", type=_engine_mode_list,
         # Every registered block strategy plus the unified selector — new
         # strategies join the sweep by registering, not by editing the CLI.
         default=",".join(strategy_names() + ("unified",)),
@@ -908,8 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=cmd_table1)
 
     goodput = sub.add_parser("goodput", help="All-to-All goodput stress test")
-    goodput.add_argument("--machines", type=int, default=4)
-    goodput.add_argument("--payload", type=float, default=32e6,
+    goodput.add_argument("--machines", type=_positive_int, default=4)
+    goodput.add_argument("--payload", type=_positive_float, default=32e6,
                          help="bytes per GPU pair")
     goodput.set_defaults(func=cmd_goodput)
     return parser
@@ -917,7 +899,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InvalidInput as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

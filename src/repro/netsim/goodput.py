@@ -9,6 +9,7 @@ reproduces that experiment on the simulated fabric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..cluster import Cluster, MachineSpec, a100_machine_spec
@@ -52,6 +53,11 @@ def measure_all_to_all_goodput(
     """Run ``rounds`` uniform All-to-Alls and measure per-GPU goodput."""
     if rounds <= 0:
         raise ValueError("rounds must be positive")
+    if not 0 < payload_bytes_per_pair < math.inf:
+        raise ValueError(
+            f"payload_bytes_per_pair must be positive and finite, got "
+            f"{payload_bytes_per_pair}"
+        )
     cluster = Cluster(num_machines, spec or a100_machine_spec())
     env = Environment()
     fabric = Fabric(env, cluster)

@@ -214,8 +214,8 @@ class DistributedMoETransformer:
             param.zero_grad()
 
     def state_dict(self):
-        """Flat name -> array mapping over every component (for
-        checkpointing via :mod:`repro.tensorlib.serialization`)."""
+        """Flat name -> array mapping over every component (the inverse of
+        :meth:`load_state_dict`)."""
         state = {}
         for prefix, module in self._named_components():
             for key, value in module.state_dict().items():

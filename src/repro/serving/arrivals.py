@@ -31,6 +31,7 @@ controls how concentrated that popularity is (0 = uniform).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,8 @@ class TraceSpec:
             raise ValueError(
                 f"kind must be one of {TRACE_KINDS}, got {self.kind!r}"
             )
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
         if self.requests <= 0:
             raise ValueError("requests must be positive")
         if self.prompt_mean < 1 or self.output_mean < 1:

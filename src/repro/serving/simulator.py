@@ -31,6 +31,7 @@ so reproducibility is checkable bit-for-bit.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from collections import deque
 from typing import Dict, List, Optional, Tuple
@@ -98,8 +99,9 @@ class ServingConfig:
         for phase_mode in (self.prefill_paradigm, self.decode_paradigm):
             if phase_mode != "auto":
                 resolve_strategy_name(phase_mode)  # raises when unknown
-        if self.ttft_slo_s <= 0 or self.tpot_slo_s <= 0:
-            raise ValueError("SLO bounds must be positive")
+        if not (0 < self.ttft_slo_s < math.inf
+                and 0 < self.tpot_slo_s < math.inf):
+            raise ValueError("SLO bounds must be positive and finite")
         if self.span_budget < 0:
             raise ValueError("span_budget must be non-negative")
 

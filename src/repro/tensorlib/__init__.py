@@ -3,7 +3,6 @@
 from . import functional
 from .module import Embedding, LayerNorm, Linear, Module, Parameter, Sequential
 from .optim import Adam, Optimizer, SGD
-from .serialization import CheckpointError, load_checkpoint, save_checkpoint
 from .tensor import (
     Tensor,
     default_dtype,
@@ -14,7 +13,6 @@ from .tensor import (
 
 __all__ = [
     "Adam",
-    "CheckpointError",
     "Embedding",
     "LayerNorm",
     "Linear",
@@ -24,8 +22,6 @@ __all__ = [
     "SGD",
     "Sequential",
     "Tensor",
-    "load_checkpoint",
-    "save_checkpoint",
     "default_dtype",
     "functional",
     "get_default_dtype",

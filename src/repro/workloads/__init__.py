@@ -1,7 +1,6 @@
-"""Synthetic workloads: token batches, corpora, routing distributions
-and drifting expert-popularity processes."""
+"""Synthetic workloads: token batches, routing distributions and
+drifting expert-popularity processes."""
 
-from .corpus import SyntheticCorpus
 from .drift import DRIFT_KINDS, DriftSpec, apply_drift, drift_weights
 from .tokens import (
     assignment_imbalance,
@@ -15,7 +14,6 @@ from .tokens import (
 __all__ = [
     "DRIFT_KINDS",
     "DriftSpec",
-    "SyntheticCorpus",
     "apply_drift",
     "drift_weights",
     "assignment_imbalance",

@@ -1,8 +1,39 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SMALL = ["--model", "moe-gpt", "--experts", "16", "--machines", "2",
+         "--batch-size", "8"]
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise ``TimeoutError`` in the block after ``seconds``, so a command
+    that never returns fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def parse_error_line(err: str, command: str) -> str:
+    """The one ``error:`` line argparse prints after its usage lines."""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [err.splitlines()[-1]], err
+    assert errors[0].startswith(f"repro {command}: error: argument ")
+    return errors[0]
 
 
 class TestParser:
@@ -230,33 +261,6 @@ class TestObservabilityCommands:
         assert "written" not in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
-    def test_simulate_profile_out_dumps_raw_pstats(self, tmp_path, capsys):
-        import pstats
-
-        stats_path = tmp_path / "sim.pstats"
-        assert main([
-            "simulate", *self.SMALL, "--profile-out", str(stats_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert f"profile stats written to {stats_path}" in out
-        # --profile-out implies profiling but not the stdout table.
-        assert "cumulative" not in out
-        stats = pstats.Stats(str(stats_path))
-        functions = {name for _, _, name in stats.stats}
-        assert "run_iteration" in functions
-
-    def test_simulate_profile_and_profile_out_compose(self, tmp_path,
-                                                      capsys):
-        stats_path = tmp_path / "sim.pstats"
-        assert main([
-            "simulate", *self.SMALL,
-            "--profile", "--profile-out", str(stats_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "profile stats written" in out
-        assert "cumulative" in out  # the stdout table still prints
-        assert stats_path.exists()
-
     def test_report_command_writes_multi_iteration_report(self, tmp_path,
                                                           capsys):
         import json
@@ -425,3 +429,87 @@ class TestServeCommand:
     def test_bench_accepts_serving_suite(self):
         args = build_parser().parse_args(["bench", "--suite", "serving"])
         assert args.suite == "serving"
+
+
+BAD_SHAPES = {
+    "no-machines": ["--machines", "0"],
+    "uneven-experts": ["--experts", "7", "--machines", "2"],
+    "no-batch": ["--batch-size", "0"],
+    "no-top-k": ["--top-k", "0"],
+}
+
+
+class TestInvalidInput:
+    """A rejected value exits 2 with one line on stderr, never with a
+    traceback, a hang or a nan in the output."""
+
+    # Serving runs any expert count; the training engines need every
+    # GPU to hold the same number of experts.
+    @pytest.mark.parametrize("command,shape", [
+        (command, shape)
+        for command in ("plan", "simulate", "report", "graph", "chaos",
+                        "serve")
+        for shape in BAD_SHAPES
+        if (command, shape) != ("serve", "uneven-experts")
+    ])
+    def test_rejected_shape_is_one_line(self, command, shape, capsys):
+        assert main([command, *BAD_SHAPES[shape]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid shape: ")
+        assert len(err.splitlines()) == 1, err
+
+    def test_serve_runs_an_uneven_expert_count(self, capsys):
+        assert main([
+            "serve", "--experts", "7", "--machines", "2",
+            "--topology", "unified", "--trace", TestServeCommand.TINY,
+        ]) == 0
+
+    # Spec flags: ``nan``/``inf`` parse as floats, and a ``<= 0`` check
+    # lets NaN through.  Accepted, ``rate=nan`` or ``rate=inf`` never
+    # returns (the thinning loop accepts no arrival), ``skew=nan`` fails in
+    # numpy and ``deviation=nan`` never switches.
+    NON_FINITE = {
+        "--trace": ("serve", "poisson;rate={};requests=50;seed=7"),
+        "--drift": ("simulate", "flip;skew={}"),
+        "--control": ("simulate", "adaptive;deviation={}"),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(NON_FINITE))
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+    def test_non_finite_spec_value_exits_2(self, flag, literal, capsys):
+        command, template = self.NON_FINITE[flag]
+        with deadline(30), pytest.raises(SystemExit) as excinfo:
+            main([command, *SMALL, flag, template.format(literal)])
+        assert excinfo.value.code == 2
+        line = parse_error_line(capsys.readouterr().err, command)
+        assert flag in line and repr(literal) in line
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("chaos", "--paradigms", "expert-centric,bogus"),
+        ("chaos", "--rates", "0,1.5"),
+        ("chaos", "--rates", "0,nan"),
+        ("chaos", "--rates", "0,lots"),
+        ("goodput", "--payload", "0"),
+        ("goodput", "--payload", "nan"),
+        ("goodput", "--machines", "0"),
+    ])
+    def test_rejected_flag_exits_2_at_parse_time(self, command, flag, value,
+                                                 capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, value])
+        assert excinfo.value.code == 2
+        assert flag in parse_error_line(capsys.readouterr().err, command)
+
+    def test_serve_rejects_a_nan_slo(self, capsys):
+        assert main([
+            "serve", *SMALL, "--trace", TestServeCommand.TINY,
+            "--ttft-slo", "nan",
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "invalid serving config: SLO bounds must be positive and "
+            "finite\n"
+        )
+
+    def test_inference_with_iterations_is_one_line(self, capsys):
+        assert main(["simulate", "--inference", "--iterations", "2"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1

@@ -202,6 +202,12 @@ class TestGoodput:
         with pytest.raises(ValueError):
             measure_all_to_all_goodput(1, rounds=0)
 
+    @pytest.mark.parametrize("payload", [0.0, -1e6, float("nan"), float("inf")])
+    def test_invalid_payload_rejected(self, payload):
+        # A zero payload would report 0/0 = nan Gbps.
+        with pytest.raises(ValueError, match="payload"):
+            measure_all_to_all_goodput(1, payload_bytes_per_pair=payload)
+
 
 class TestMemoryTracker:
     def test_allocate_and_free(self):

@@ -13,7 +13,6 @@ from repro.core.tensor_parallel import plan_tensor_parallel
 from repro.faults import FaultPlan, MessageLoss, ResilienceConfig
 from repro.models import TopKGate
 from repro.tensorlib import Tensor
-from repro.workloads import SyntheticCorpus
 
 from tests.test_core_memory import (
     estimate_data_centric,
@@ -113,21 +112,6 @@ class TestGateProperties:
             Tensor(np.random.default_rng(seed).standard_normal((40, 8)))
         )
         assert decision.tokens_per_expert(4).max() <= gate.expert_capacity(40)
-
-
-class TestCorpusProperties:
-    @given(
-        seed=st.integers(0, 10000),
-        index=st.integers(0, 1000),
-    )
-    @settings(max_examples=30)
-    def test_sequences_deterministic_and_in_range(self, seed, index):
-        corpus = SyntheticCorpus(64, 12, seed=seed)
-        a = corpus.sequence(index)
-        b = corpus.sequence(index)
-        np.testing.assert_array_equal(a, b)
-        assert a.min() >= 0 and a.max() < 64
-        assert len(a) == 13
 
 
 class TestCreditDiscipline:

@@ -175,7 +175,8 @@ class TestSpecParsing:
             TraceSpec.parse(text)
 
     @pytest.mark.parametrize("overrides", [
-        dict(kind="weekly"), dict(rate=0.0), dict(requests=0),
+        dict(kind="weekly"), dict(rate=0.0), dict(rate=float("nan")),
+        dict(rate=float("inf")), dict(requests=0),
         dict(prompt_mean=0.5), dict(output_mean=0.0), dict(skew=-1.0),
         dict(period=0.0), dict(amplitude=1.5), dict(burst=0.5),
         dict(duty=0.0), dict(duty=1.0),

@@ -223,6 +223,14 @@ class TestInvariants:
                 generate_trace(GOLDEN_SPEC),
             )
 
+    @pytest.mark.parametrize("field", ["ttft_slo_s", "tpot_slo_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_slo_bounds_rejected(self, field, value):
+        # ``nan <= 0`` is false, so a sign check alone passes a NaN bound,
+        # which then reports 0% attainment instead of refusing.
+        with pytest.raises(ValueError, match="SLO bounds"):
+            ServingConfig(**{field: value})
+
 
 class TestNoDecode:
     """A trace whose every output is one token never decodes: its TPOT

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.tensorlib import Tensor, no_grad
-from repro.tensorlib.gradcheck import gradcheck
+
+from tests.gradcheck import gradcheck
 
 RNG = np.random.default_rng(7)
 

@@ -15,7 +15,8 @@ from repro.tensorlib import (
     Tensor,
     functional as F,
 )
-from repro.tensorlib.gradcheck import gradcheck
+
+from tests.gradcheck import gradcheck
 
 RNG = np.random.default_rng(11)
 
