@@ -6,7 +6,6 @@ from .core import (
     Condition,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     StalledSimulationError,
@@ -16,7 +15,6 @@ from .resources import (
     Container,
     PriorityRequest,
     PriorityResource,
-    Release,
     Request,
     Resource,
     Store,
@@ -29,11 +27,9 @@ __all__ = [
     "Container",
     "Environment",
     "Event",
-    "Interrupt",
     "PriorityRequest",
     "PriorityResource",
     "Process",
-    "Release",
     "Request",
     "Resource",
     "SimulationError",

