@@ -538,9 +538,9 @@ class FluidNetwork:
         return None if next_done < 0 else next_done
 
     def _retire_finished(self) -> List[Flow]:
-        """Move bytes up to now, retire the rows that are done (or a
-        sub-ulp cohort; see the kernel's ``retire``) and return their
-        flows in ascending row order."""
+        """Move bytes up to now, retire the rows that are done (see the
+        kernel's ``retire``) and return their flows in ascending row
+        order."""
         dt = self._elapsed()
         n = self._n
         if not n:

@@ -621,7 +621,7 @@ def _shape_tied(net, rng):
 
 def _shape_nan(net, rng):
     # A NaN rate (its row stops moving) and a NaN remainder on a moving
-    # row.  The NaN ETA is the minimum, so no sub-ulp cohort retires.
+    # row: a NaN ETA never compares as underflowing, so nothing retires.
     rows = _moving(net)
     net._rates[rows[0]] = np.nan
     net._remaining[rows[1:]] = net._sizes[rows[1:]] * 5e-10
