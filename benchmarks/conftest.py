@@ -1,4 +1,5 @@
-"""Benchmark suite configuration: make engine_cache importable."""
+"""Benchmark suite configuration: put benchmarks/ on the import path, for
+engine_cache, wall and the e2e package."""
 
 import sys
 from pathlib import Path

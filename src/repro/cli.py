@@ -19,10 +19,6 @@ Commands:
   percentiles, goodput and SLO attainment.
 * ``chaos``    — sweep pull-loss rates across paradigms and report
   iteration time, retries and stale fallbacks (graceful degradation).
-* ``bench``    — wall-clock benchmarks with regression gates, one per
-  suite of ``repro.bench.SUITES`` (the Fig.-14 simulator configs,
-  numerical trainer steps, task-graph schedules, adaptive control,
-  serving, weak scaling), each against its ``benchmarks/BENCH_*.json``.
 * ``graph``    — build, validate and export the iteration's task graph
   (Graphviz DOT / structural JSON) without running it.
 * ``table1``   — regenerate the paper's Table 1 traffic comparison.
@@ -530,60 +526,6 @@ def cmd_chaos(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Time each selected suite of :data:`repro.bench.SUITES`, then write
-    its snapshot or check the capture against it; exit with the worst
-    suite's code (1 = regression, 2 = missing snapshot)."""
-    from .bench import SUITES, capture, format_capture, write_snapshot
-    from .tensorlib import default_dtype
-
-    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
-    if len(names) > 1 and (args.path is not None or args.out is not None):
-        print("--path/--out are ambiguous with --suite all", file=sys.stderr)
-        return 2
-    worst = 0
-    for name in names:
-        suite = SUITES[name]
-        configs = suite.quick if args.quick else suite.full
-        full_runs, quick_runs = suite.runs
-        runs = args.runs or (quick_runs if args.quick else full_runs)
-        with default_dtype(args.dtype):
-            current = capture(suite, configs, runs)
-        print(format_capture(suite, current))
-        path = args.path or suite.snapshot
-        if args.out is not None:
-            Path(args.out).write_text(
-                json.dumps(current, indent=1, sort_keys=True) + "\n"
-            )
-            print(f"capture written to {args.out}")
-        if args.write:
-            write_snapshot(path, current)
-            print(
-                f"snapshot written to {path} ({len(current['runs'])} configs)"
-            )
-        elif args.check and not path.exists():
-            print(f"no snapshot at {path}; run --write first", file=sys.stderr)
-            worst = max(worst, 2)
-        elif args.check:
-            problems = suite.check(
-                current, json.loads(path.read_text()), args.tolerance
-            )
-            if problems:
-                print(
-                    f"bench regression ({len(problems)} config(s)):",
-                    file=sys.stderr,
-                )
-                for line in problems:
-                    print(f"  {line}", file=sys.stderr)
-                worst = max(worst, 1)
-            else:
-                print(
-                    f"bench OK: {len(current['runs'])} config(s) within "
-                    f"{args.tolerance:.0%} of {path.name}"
-                )
-    return worst
-
-
 def cmd_graph(args) -> int:
     """Build, validate and export the iteration's task graph without
     running it (Graphviz DOT and/or structural JSON)."""
@@ -822,51 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0,
                        help="fault-plan RNG seed")
     chaos.set_defaults(func=cmd_chaos)
-
-    from .bench import SUITES
-
-    bench = sub.add_parser(
-        "bench", help="wall-clock benchmark of the simulator / runtime"
-    )
-    bench.add_argument(
-        "--suite", choices=(*SUITES, "all"), default="sim",
-        help="; ".join(
-            f"{name} = {suite.summary}" for name, suite in SUITES.items()
-        ) + "; all = every suite",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="each suite's CI smoke subset of configs")
-    bench.add_argument(
-        "--runs", type=_positive_int, default=None,
-        help="timed runs per config (default full/quick: " + ", ".join(
-            f"{name} {suite.runs[0]}/{suite.runs[1]}"
-            for name, suite in SUITES.items()
-        ) + "; 0 = each config's own count)",
-    )
-    bench.add_argument("--dtype", choices=("float64", "float32"),
-                       default="float64",
-                       help="runtime-suite tensor dtype; float32 is an "
-                            "experiment mode and is never comparable to "
-                            "a float64 snapshot")
-    bench.add_argument("--write", action="store_true",
-                       help="write the committed snapshot (preserves history)")
-    bench.add_argument("--check", action="store_true",
-                       help="fail when a median regresses past --tolerance "
-                            "vs the committed snapshot, or a suite's "
-                            "structural gate fails")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="relative regression band for --check")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="also dump the fresh capture JSON here")
-    bench.add_argument(
-        "--path", type=Path, default=None,
-        help="snapshot location (default benchmarks/<file> per --suite: "
-             + ", ".join(
-                 f"{suite.snapshot.name} ({name})"
-                 for name, suite in SUITES.items()
-             ) + ")",
-    )
-    bench.set_defaults(func=cmd_bench)
 
     graph = sub.add_parser(
         "graph", help="validate and export the iteration task graph"

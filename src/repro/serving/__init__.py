@@ -10,8 +10,9 @@
 * :mod:`~repro.serving.report` — the serving report rendered by
   ``repro serve`` and embedded by the run report.
 
-Entry points: ``repro serve`` (CLI), ``repro bench --suite serving``
-(gated against ``benchmarks/BENCH_serving.json``).
+Entry points: ``repro serve`` (CLI).  ``benchmarks/wall.py --suite
+serving`` times it against ``benchmarks/BENCH_serving.json``, and
+``benchmarks/test_bench_gates.py`` gates its disaggregation win.
 """
 
 from .arrivals import (

@@ -480,8 +480,9 @@ def fig14_metrics(case: str) -> dict:
 
 # -- serving: request-level serving on both topologies --------------------
 #
-# * ``skewed/<topology>`` -- the ``repro bench --suite serving --quick``
-#   pair, which is also the serve-skewed-disagg benchmark shape: MoE-GPT,
+# * ``skewed/<topology>`` -- the quick pair of the serving suite of
+#   ``benchmarks/wall.py`` (``skewed/<topology>/8000``), which is also the
+#   serve-skewed-disagg benchmark shape: MoE-GPT,
 #   32 experts, 4 machines, Poisson 3000/s, Zipf-1.2 popularity, 8000
 #   requests, seed 7;
 # * ``small/<topology>`` -- 64 requests on ``small_config`` /

@@ -426,10 +426,6 @@ class TestServeCommand:
             assert entry["tpot_p50_ms"] is None
             assert entry["tpot_p99_ms"] is None
 
-    def test_bench_accepts_serving_suite(self):
-        args = build_parser().parse_args(["bench", "--suite", "serving"])
-        assert args.suite == "serving"
-
 
 BAD_SHAPES = {
     "no-machines": ["--machines", "0"],
