@@ -5,7 +5,6 @@ from .module import Embedding, LayerNorm, Linear, Module, Parameter, Sequential
 from .optim import Adam, Optimizer, SGD
 from .tensor import (
     Tensor,
-    default_dtype,
     get_default_dtype,
     is_grad_enabled,
     no_grad,
@@ -22,7 +21,6 @@ __all__ = [
     "SGD",
     "Sequential",
     "Tensor",
-    "default_dtype",
     "functional",
     "get_default_dtype",
     "is_grad_enabled",

@@ -20,7 +20,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "default_dtype",
     "get_default_dtype",
 ]
 
@@ -28,10 +27,9 @@ Number = Union[int, float]
 
 _GRAD_ENABLED = [True]
 
-# Float precision of every Tensor created while the stack top is active.
-# float64 is the repo default (the EC/DC equivalence battery runs at tight
-# tolerances); float32 is an opt-in fast path for benchmarking.
-_DTYPE_STACK: List[np.dtype] = [np.dtype(np.float64)]
+# Float precision of every Tensor: the EC/DC equivalence battery runs at
+# tight tolerances.
+_DTYPE = np.dtype(np.float64)
 
 
 class no_grad:
@@ -49,31 +47,9 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED[-1]
 
 
-def _check_dtype(dtype) -> np.dtype:
-    dtype = np.dtype(dtype)
-    if dtype.kind != "f":
-        raise ValueError(f"default dtype must be floating, got {dtype}")
-    return dtype
-
-
 def get_default_dtype() -> np.dtype:
     """The dtype newly constructed Tensors use."""
-    return _DTYPE_STACK[-1]
-
-
-class default_dtype:
-    """Context manager scoping the Tensor dtype (like torch.set_default_dtype,
-    but restored on exit)."""
-
-    def __init__(self, dtype):
-        self.dtype = _check_dtype(dtype)
-
-    def __enter__(self):
-        _DTYPE_STACK.append(self.dtype)
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        _DTYPE_STACK.pop()
+    return _DTYPE
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -116,7 +92,7 @@ class Tensor:
         _backward: Optional[Callable[[np.ndarray], None]] = None,
         name: str = "",
     ):
-        self.data = np.asarray(data, dtype=_DTYPE_STACK[-1])
+        self.data = np.asarray(data, dtype=_DTYPE)
         self.requires_grad = requires_grad and is_grad_enabled()
         self.grad: Optional[np.ndarray] = None
         self._parents = _parents if self.requires_grad or _parents else ()
