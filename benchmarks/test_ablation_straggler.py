@@ -22,10 +22,11 @@ from engine_cache import write_report
 from repro.analysis import format_table
 from repro.cluster import Cluster
 from repro.config import moe_gpt
-from repro.core import Paradigm, build_workload, JanusEngine
+from repro.core import build_workload, JanusEngine
 
 SPEEDS = (1.0, 0.7, 0.5)
 JITTERS = (0.0, 0.2, 0.4)
+EC, DC = "expert-centric", "data-centric"
 
 
 def _engine(cluster, workload, config, paradigm, **kwargs):
@@ -43,14 +44,14 @@ def run_experiments():
     workload = build_workload(config, cluster)
     straggler = {}
     for speed in SPEEDS:
-        for paradigm in (Paradigm.EXPERT_CENTRIC, Paradigm.DATA_CENTRIC):
+        for paradigm in (EC, DC):
             straggler[(speed, paradigm)] = _engine(
                 cluster, workload, config, paradigm,
                 machine_speed={0: speed},
             ).run_iteration()
     jitter = {}
     for sigma in JITTERS:
-        for paradigm in (Paradigm.EXPERT_CENTRIC, Paradigm.DATA_CENTRIC):
+        for paradigm in (EC, DC):
             jitter[(sigma, paradigm)] = _engine(
                 cluster, workload, config, paradigm,
                 compute_jitter=sigma, jitter_seed=3,
@@ -66,17 +67,17 @@ def test_synchronization_sensitivity(benchmark):
     straggler_rows = [
         [
             f"{speed:.1f}",
-            f"{straggler[(speed, Paradigm.EXPERT_CENTRIC)].seconds * 1e3:.1f}",
-            f"{straggler[(speed, Paradigm.DATA_CENTRIC)].seconds * 1e3:.1f}",
+            f"{straggler[(speed, EC)].seconds * 1e3:.1f}",
+            f"{straggler[(speed, DC)].seconds * 1e3:.1f}",
         ]
         for speed in SPEEDS
     ]
     jitter_rows = [
         [
             f"{sigma:.1f}",
-            f"{jitter[(sigma, Paradigm.EXPERT_CENTRIC)].seconds * 1e3:.1f}",
-            f"{jitter[(sigma, Paradigm.DATA_CENTRIC)].seconds * 1e3:.1f}",
-            f"{jitter[(sigma, Paradigm.EXPERT_CENTRIC)].seconds / jitter[(sigma, Paradigm.DATA_CENTRIC)].seconds:.2f}x",
+            f"{jitter[(sigma, EC)].seconds * 1e3:.1f}",
+            f"{jitter[(sigma, DC)].seconds * 1e3:.1f}",
+            f"{jitter[(sigma, EC)].seconds / jitter[(sigma, DC)].seconds:.2f}x",
         ]
         for sigma in JITTERS
     ]
@@ -98,12 +99,12 @@ def test_synchronization_sensitivity(benchmark):
     # Constant straggler: the synchronous engine's absolute penalty is at
     # least the asynchronous engine's.
     ec_penalty = (
-        straggler[(0.5, Paradigm.EXPERT_CENTRIC)].seconds
-        - straggler[(1.0, Paradigm.EXPERT_CENTRIC)].seconds
+        straggler[(0.5, EC)].seconds
+        - straggler[(1.0, EC)].seconds
     )
     dc_penalty = (
-        straggler[(0.5, Paradigm.DATA_CENTRIC)].seconds
-        - straggler[(1.0, Paradigm.DATA_CENTRIC)].seconds
+        straggler[(0.5, DC)].seconds
+        - straggler[(1.0, DC)].seconds
     )
     assert ec_penalty >= dc_penalty * 0.95
     assert ec_penalty > 0 and dc_penalty > 0
@@ -111,17 +112,17 @@ def test_synchronization_sensitivity(benchmark):
     # Jitter: expert-centric degrades relatively faster, so the Janus
     # speedup widens monotonically with sigma.
     speedups = [
-        jitter[(sigma, Paradigm.EXPERT_CENTRIC)].seconds
-        / jitter[(sigma, Paradigm.DATA_CENTRIC)].seconds
+        jitter[(sigma, EC)].seconds
+        / jitter[(sigma, DC)].seconds
         for sigma in JITTERS
     ]
     assert speedups == sorted(speedups)
     ec_growth = (
-        jitter[(0.4, Paradigm.EXPERT_CENTRIC)].seconds
-        / jitter[(0.0, Paradigm.EXPERT_CENTRIC)].seconds
+        jitter[(0.4, EC)].seconds
+        / jitter[(0.0, EC)].seconds
     )
     dc_growth = (
-        jitter[(0.4, Paradigm.DATA_CENTRIC)].seconds
-        / jitter[(0.0, Paradigm.DATA_CENTRIC)].seconds
+        jitter[(0.4, DC)].seconds
+        / jitter[(0.0, DC)].seconds
     )
     assert ec_growth > dc_growth

@@ -69,9 +69,4 @@ def test_fig14_end_to_end(benchmark):
     # Janus's paradigm map must have chosen data-centric for every block
     # of these models (all R > 1).
     for model, (_, janus) in results.items():
-        from repro.core import Paradigm
-
-        assert all(
-            paradigm is Paradigm.DATA_CENTRIC
-            for paradigm in janus.paradigms.values()
-        )
+        assert set(janus.strategies.values()) == {"data-centric"}

@@ -11,7 +11,6 @@ with n, Eq. 1).
 
 from engine_cache import run_pr_moe, write_report
 from repro.analysis import format_table
-from repro.core import Paradigm
 
 MODES = ("expert-centric", "data-centric", "unified")
 
@@ -67,9 +66,9 @@ def test_fig17_prmoe_unified(benchmark):
     # data-centric, deep E=4 blocks expert-centric (§7.5).
     for gpus in (16, 32):
         unified = results[(gpus, "unified")]
-        paradigms = [unified.paradigms[b] for b in sorted(unified.paradigms)]
-        assert paradigms[:2] == [Paradigm.DATA_CENTRIC] * 2
-        assert paradigms[2:] == [Paradigm.EXPERT_CENTRIC] * 2
+        names = [unified.strategies[b] for b in sorted(unified.strategies)]
+        assert names[:2] == ["data-centric"] * 2
+        assert names[2:] == ["expert-centric"] * 2
 
     # Iteration time grows with the cluster size in every mode (the paper's
     # scalability observation).

@@ -3,15 +3,15 @@
 The paper argues the same communication design applies to inference.  A
 forward-only pass halves the data-centric wire bill (no gradient returns)
 and drops the backward All-to-Alls of the expert-centric family; the
-paradigm comparison carries over.  Parametrized over the strategy
-registry, so new paradigms join the serving comparison by registering.
+paradigm comparison carries over.  Parametrized over every strategy
+name.
 """
 
 import pytest
 
 from engine_cache import run_model, write_report
 from repro.analysis import format_table
-from repro.core import comm_family, strategy_names
+from repro.core import get_strategy, strategy_names
 
 STRATEGIES = strategy_names()
 
@@ -36,7 +36,7 @@ def test_forward_pass_cheaper_than_training(mode):
 def test_forward_wire_bill(mode):
     training, inference = _pair(mode)
     moved = inference.nic_egress_bytes.sum()
-    if comm_family(mode) == "data-centric":
+    if get_strategy(mode).uses_task_queue:
         # Pulls only, no gradient pushes: exactly half the training bill.
         assert moved == pytest.approx(
             training.nic_egress_bytes.sum() / 2

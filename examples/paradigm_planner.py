@@ -28,7 +28,7 @@ def plan(config, num_machines, workers_per_machine=8):
                 profile.num_experts,
                 profile.experts_per_worker,
                 f"{profile.ratio:.2f}",
-                profile.paradigm.value,
+                profile.paradigm,
                 f"{profile.expert_centric_bytes / 1e9:.2f}",
                 f"{profile.data_centric_bytes / 1e9:.2f}",
             ]

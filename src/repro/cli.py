@@ -258,7 +258,7 @@ def cmd_plan(args) -> int:
             profile.num_experts,
             profile.experts_per_worker,
             f"{profile.ratio:.2f}",
-            profile.paradigm.value,
+            profile.paradigm,
             f"{profile.expert_centric_bytes / 1e9:.2f}",
             f"{profile.data_centric_bytes / 1e9:.2f}",
         ])
@@ -604,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--paradigm",
         choices=sorted(engine_modes()),
         default="unified",
-        help="block-execution strategy (from the strategy registry) or "
+        help="block-execution strategy name or "
              "the R-driven per-block 'unified' selector",
     )
     simulate.add_argument(
@@ -756,8 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--paradigms", type=_engine_mode_list,
-        # Every registered block strategy plus the unified selector — new
-        # strategies join the sweep by registering, not by editing the CLI.
+        # Every block strategy plus the unified selector.
         default=",".join(strategy_names() + ("unified",)),
         help="comma-separated engine modes to sweep",
     )

@@ -98,29 +98,28 @@ class Controller:
         trace = result.trace
         now = result.seconds
         for block in sorted(decision.strategies):
-            resolved = engine.set_block_strategy(
-                block, decision.strategies[block]
-            )
+            name = decision.strategies[block]
+            engine.set_block_strategy(block, name)
             cause = decision.causes.get(block)
             if cause == "fault":
                 # The fault arm is observable through the fault stats and
                 # the fault.degrade trace lane.
                 if result.fault_stats is not None:
-                    result.fault_stats.degraded_blocks[block] = resolved
+                    result.fault_stats.degraded_blocks[block] = name
                 trace.mark(
-                    "fault.degrade", now, block=block, strategy=resolved
+                    "fault.degrade", now, block=block, strategy=name
                 )
                 if metrics is not None:
                     metrics.inc("control.fault_degrades", block=block)
             elif cause == "recover":
                 trace.mark(
-                    "control.recover", now, block=block, strategy=resolved
+                    "control.recover", now, block=block, strategy=name
                 )
                 if metrics is not None:
                     metrics.inc("control.recoveries", block=block)
             else:
                 trace.mark(
-                    "control.switch", now, block=block, strategy=resolved,
+                    "control.switch", now, block=block, strategy=name,
                     cause=cause,
                 )
                 if metrics is not None:

@@ -11,7 +11,6 @@ from .memory_model import (
 from .paradigm import (
     BlockCommProfile,
     CostModel,
-    Paradigm,
     comm_data_centric,
     comm_expert_centric,
     gain_ratio,
@@ -32,10 +31,7 @@ from .strategies import (
     ExpertCentricStrategy,
     MicroBatchExpertCentricStrategy,
     PipelinedExpertCentricStrategy,
-    comm_family,
     get_strategy,
-    register_strategy,
-    resolve_strategy_name,
     strategy_names,
 )
 from .taskgraph import (
@@ -73,7 +69,6 @@ __all__ = [
     "JanusEngine",
     "JanusFeatures",
     "MemoryEstimate",
-    "Paradigm",
     "ResourceClaim",
     "Task",
     "TaskGraph",
@@ -83,7 +78,6 @@ __all__ = [
     "auto_schedule_map",
     "build_iteration_plan",
     "build_workload",
-    "comm_family",
     "comm_data_centric",
     "comm_expert_centric",
     "engine_for",
@@ -97,8 +91,6 @@ __all__ = [
     "plan_tensor_parallel",
     "profile_block",
     "profile_model",
-    "register_strategy",
-    "resolve_strategy_name",
     "run_lane",
     "NIC_FABRIC_RESOURCE",
     "apply_a2a_stagger",

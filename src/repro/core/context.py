@@ -137,7 +137,6 @@ class IterationContext:
         features: JanusFeatures,
         trace: TraceRecorder,
         dc_blocks=None,
-        strategy_blocks=None,
         resilience=None,
         fault_stats=None,
         metrics=None,
@@ -146,12 +145,6 @@ class IterationContext:
     ):
         """``dc_blocks``: MoE block indices served by the Janus Task Queue
         (and thus need the schedulers).  Defaults to every MoE block.
-
-        ``strategy_blocks``: optional mapping of block-strategy name to the
-        MoE block indices that strategy executes (see
-        :mod:`repro.core.strategies`).  When omitted it is derived from
-        ``dc_blocks``: task-queue blocks run ``"data-centric"``, the rest
-        ``"expert-centric"``.
 
         ``replicas``: control-plane expert replica map
         (``block -> expert -> machines holding a replica``).  A replicated
@@ -199,21 +192,6 @@ class IterationContext:
         )
         if not set(self.dc_block_indices) <= set(moe_indices):
             raise ValueError("dc_blocks must be a subset of the MoE blocks")
-        if strategy_blocks is None:
-            strategy_blocks = {"data-centric": self.dc_block_indices}
-            rest = sorted(set(moe_indices) - set(self.dc_block_indices))
-            if rest:
-                strategy_blocks["expert-centric"] = rest
-        self.strategy_blocks = {
-            name: tuple(sorted(set(blocks)))
-            for name, blocks in strategy_blocks.items()
-        }
-        for name, blocks in self.strategy_blocks.items():
-            if not set(blocks) <= set(moe_indices):
-                raise ValueError(
-                    f"strategy {name!r} blocks must be a subset of the "
-                    "MoE blocks"
-                )
         world = layout.world_size
 
         # Worker r entered block b in each phase: gates non-prefetch fetching.
@@ -259,12 +237,6 @@ class IterationContext:
         # are pure in (block, rank); memoize them — they sit on the pull
         # scheduling hot path.  Callers only iterate the lists.
         self._routing_cache: Dict[Tuple[str, int, int], List[int]] = {}
-
-    # -- strategy helpers ------------------------------------------------------
-
-    def blocks_of(self, strategy_name: str) -> Tuple[int, ...]:
-        """MoE block indices executed by ``strategy_name`` (ascending)."""
-        return self.strategy_blocks.get(strategy_name, ())
 
     # -- routing helpers -------------------------------------------------------
 

@@ -3,7 +3,7 @@
 Simulates one training iteration of an MoE model on the cluster.  The
 iteration is a task graph (:mod:`repro.core.taskgraph`) run one simkit
 process per lane.  Dense compute sits on the per-rank worker lanes; every
-MoE block contributes the tasks and lanes of the pluggable
+MoE block contributes the tasks and lanes of the
 :class:`~repro.core.strategies.BlockStrategy` named by the per-block
 strategy map.  The built-in strategies are:
 
@@ -38,8 +38,7 @@ from ..simkit import AllOf, Environment
 from ..trace import TraceRecorder
 from .context import IterationContext, JanusFeatures
 from .memory_model import check_fits, estimate_strategies
-from .paradigm import Paradigm
-from .strategies import get_strategy, resolve_strategy_name, strategy_names
+from .strategies import get_strategy, strategy_names
 from .taskgraph import TaskKind, build_iteration_plan, run_lane
 from .workload import IterationWorkload
 
@@ -66,14 +65,6 @@ class IterationResult:
     # Kernel events processed while simulating this iteration (wall-clock
     # benchmarking divides these by seconds-of-host-time for events/sec).
     sim_events: int = 0
-
-    @property
-    def paradigms(self) -> Dict[int, Paradigm]:
-        """Per-block strategy as :class:`Paradigm` members (legacy view;
-        only works while every block ran a strategy the enum names)."""
-        return {
-            block: Paradigm(name) for block, name in self.strategies.items()
-        }
 
     @property
     def all_to_all_seconds(self) -> float:
@@ -111,10 +102,8 @@ class JanusEngine:
         metrics: Optional[MetricsRegistry] = None,
         trace: Optional[TraceRecorder] = None,
     ):
-        """``block_strategies`` maps every MoE block index to the strategy
-        that executes it: a registered strategy name, a
-        :class:`~repro.core.paradigm.Paradigm` member, or a
-        :class:`~repro.core.strategies.BlockStrategy` class.
+        """``block_strategies`` maps every MoE block index to the name of
+        the strategy that executes it (see :func:`strategy_names`).
 
         ``machine_speed`` maps machine index -> relative compute speed
         (1.0 = nominal; 0.5 = a straggler at half speed).  Models the
@@ -190,10 +179,9 @@ class JanusEngine:
             # An uneven expert split has no placement: fail here, not at
             # the first iteration.
             workload.placement(index)
-        self.block_strategies: Dict[int, str] = {
-            index: resolve_strategy_name(spec)
-            for index, spec in block_strategies.items()
-        }
+        for name in block_strategies.values():
+            get_strategy(name)  # raises when unknown
+        self.block_strategies: Dict[int, str] = dict(block_strategies)
 
     def _rank_flops(self, rank: int) -> float:
         """Effective FLOPs of the GPU hosting ``rank``, incl. stragglers."""
@@ -233,16 +221,16 @@ class JanusEngine:
             FaultInjector(
                 self.fault_plan, fabric, trace=trace, stats=fault_stats
             ).install()
-        strategy_blocks: Dict[str, List[int]] = {}
+        blocks_by_name: Dict[str, List[int]] = {}
         for index in sorted(self.block_strategies):
             name = self.block_strategies[index]
-            strategy_blocks.setdefault(name, []).append(index)
-        # Instantiate in registration order: it fixes the relative order
+            blocks_by_name.setdefault(name, []).append(index)
+        # Instantiate in strategy-table order: it fixes the relative order
         # of the strategies' service lanes (determinism).
         strategies = {
-            name: get_strategy(name)(self, tuple(strategy_blocks[name]))
+            name: get_strategy(name)(self, tuple(blocks_by_name[name]))
             for name in strategy_names()
-            if name in strategy_blocks
+            if name in blocks_by_name
         }
         dc_blocks = sorted(
             index
@@ -253,9 +241,6 @@ class JanusEngine:
         ctx = IterationContext(
             env, fabric, self.workload, self.features, trace,
             dc_blocks=dc_blocks,
-            strategy_blocks={
-                name: strategy.blocks for name, strategy in strategies.items()
-            },
             resilience=self.resilience,
             fault_stats=fault_stats,
             metrics=self.metrics,
@@ -444,14 +429,13 @@ class JanusEngine:
                     block=block,
                 )
 
-    def set_block_strategy(self, block: int, spec) -> str:
-        """Re-point one MoE block at a (resolved) strategy; returns the
-        canonical name.  The control plane's actuation entry point."""
+    def set_block_strategy(self, block: int, name: str) -> None:
+        """Re-point one MoE block at the strategy ``name``.  The control
+        plane's actuation entry point."""
         if block not in self.block_strategies:
             raise ValueError(f"block {block} has no strategy to replace")
-        resolved = resolve_strategy_name(spec)
-        self.block_strategies[block] = resolved
-        return resolved
+        get_strategy(name)  # raises when unknown
+        self.block_strategies[block] = name
 
     def _apply_control(self, result: IterationResult) -> None:
         """Between iterations: let the control plane, if any, adapt the

@@ -114,7 +114,7 @@ def estimate_strategies(
     ``block_counts`` maps block-strategy names (see
     :mod:`repro.core.strategies`) to how many MoE blocks run under each;
     the counts must cover every MoE block.  Each strategy contributes its
-    own ``paradigm_extra`` terms, summed in strategy-registration order so
+    own ``paradigm_extra`` terms, summed in strategy-table order so
     the result is bit-stable.
     """
     from .strategies import get_strategy, strategy_names

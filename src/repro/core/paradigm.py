@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from ..config import ModelConfig
 from ..models.flops import expert_flops_per_token
 
 __all__ = [
-    "Paradigm",
     "BlockCommProfile",
     "CostModel",
     "comm_data_centric",
@@ -38,22 +36,6 @@ __all__ = [
     "profile_block",
     "profile_model",
 ]
-
-
-class Paradigm(Enum):
-    """Which communication paradigm executes one MoE block.
-
-    Values double as block-strategy registry names (see
-    :mod:`repro.core.strategies`); the engine resolves execution through
-    that registry, so strategies beyond this enum can be plugged in.  The
-    §5.1.3 communication analysis below only distinguishes the two
-    paradigm *families*: pipelined expert-centric moves exactly the
-    expert-centric byte volume, just scheduled in overlapping chunks.
-    """
-
-    EXPERT_CENTRIC = "expert-centric"
-    DATA_CENTRIC = "data-centric"
-    PIPELINED_EXPERT_CENTRIC = "pipelined-ec"
 
 
 def comm_data_centric(
@@ -120,8 +102,9 @@ def gain_ratio(
     )
 
 
-def select_paradigm(ratio: float, threshold: float = 1.0) -> Paradigm:
-    """The paper's rule: data-centric iff R > threshold.
+def select_paradigm(ratio: float, threshold: float = 1.0) -> str:
+    """The paper's rule: ``"data-centric"`` iff R > threshold, else
+    ``"expert-centric"``.
 
     The default threshold is 1 (Eq. 1's break-even).  §7.5 raises it
     conservatively when deployment measurements show the data-centric
@@ -131,9 +114,7 @@ def select_paradigm(ratio: float, threshold: float = 1.0) -> Paradigm:
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    return (
-        Paradigm.DATA_CENTRIC if ratio > threshold else Paradigm.EXPERT_CENTRIC
-    )
+    return "data-centric" if ratio > threshold else "expert-centric"
 
 
 @dataclass(frozen=True)
@@ -144,14 +125,14 @@ class BlockCommProfile:
     num_experts: int
     experts_per_worker: int
     ratio: float
-    paradigm: Paradigm
+    paradigm: str
     expert_centric_bytes: float
     data_centric_bytes: float
 
     @property
     def traffic_reduction(self) -> float:
         """How much less cross-node traffic the chosen paradigm moves."""
-        if self.paradigm is Paradigm.DATA_CENTRIC:
+        if self.paradigm == "data-centric":
             return self.expert_centric_bytes / self.data_centric_bytes
         return 1.0
 

@@ -1,6 +1,4 @@
-"""Pluggable block-execution strategies for the timed Janus engine.
-
-Importing this package registers the built-in strategies:
+"""Block-execution strategies for the timed Janus engine, by name.
 
 * ``expert-centric`` — bulk-synchronous All-to-All (Tutel baseline);
 * ``data-centric``   — Janus Task Queue expert pulls;
@@ -9,29 +7,47 @@ Importing this package registers the built-in strategies:
 * ``microbatch-ec``  — expert-centric split into M interleaved micro-batch
   pipelines.
 
-New paradigms subclass :class:`BlockStrategy` and register with
-``@register_strategy``; the engine, the unified selector and the CLI pick
-them up by name.
+A strategy is spelled by its name everywhere; :func:`get_strategy` maps a
+name to its :class:`BlockStrategy` class and rejects every other spec.
 """
 
-from .base import (
-    BlockStrategy,
-    comm_family,
-    get_strategy,
-    register_strategy,
-    resolve_strategy_name,
-    strategy_names,
-)
-# Import order fixes registration order, which in turn fixes the order of
-# the strategies' service lanes and of the memory-estimate terms:
-# expert-centric coordinators spawn before data-centric schedulers
-# (bit-identical timings).
-from .expert_centric import ExpertCentricStrategy
+from typing import Tuple, Type
+
+from .base import BlockStrategy
 from .data_centric import DataCentricStrategy
-from .pipelined import PipelinedExpertCentricStrategy
-# microbatch-ec registers last: appending keeps every pre-existing
-# registration index (and thus lane/memory-term order) unchanged.
+from .expert_centric import ExpertCentricStrategy
 from .microbatch import MicroBatchExpertCentricStrategy
+from .pipelined import PipelinedExpertCentricStrategy
+
+# The table's order fixes the order of the strategies' service lanes and of
+# the memory-estimate terms: expert-centric coordinators spawn before
+# data-centric schedulers (bit-identical timings).
+_STRATEGIES = {
+    cls.name: cls
+    for cls in (
+        ExpertCentricStrategy,
+        DataCentricStrategy,
+        PipelinedExpertCentricStrategy,
+        MicroBatchExpertCentricStrategy,
+    )
+}
+
+
+def get_strategy(name: str) -> Type[BlockStrategy]:
+    """The strategy class named ``name``; ValueError for any other spec."""
+    try:
+        return _STRATEGIES[name]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"unknown block strategy {name!r}; expected one of "
+            f"{strategy_names()}"
+        ) from None
+
+
+def strategy_names() -> Tuple[str, ...]:
+    """Every strategy name, in table order."""
+    return tuple(_STRATEGIES)
+
 
 __all__ = [
     "BlockStrategy",
@@ -39,9 +55,6 @@ __all__ = [
     "ExpertCentricStrategy",
     "MicroBatchExpertCentricStrategy",
     "PipelinedExpertCentricStrategy",
-    "comm_family",
     "get_strategy",
-    "register_strategy",
-    "resolve_strategy_name",
     "strategy_names",
 ]

@@ -1,4 +1,4 @@
-"""The block-execution strategy interface and its registry.
+"""The block-execution strategy interface.
 
 A :class:`BlockStrategy` encapsulates everything one *execution paradigm*
 needs to run the MoE blocks assigned to it inside a simulated iteration,
@@ -10,18 +10,17 @@ expressed as parts of the iteration's task graph
 * gradient-collector lanes for the backward sweep,
 * its contribution to the per-GPU memory footprint.
 
-Strategies are registered by name (``@register_strategy``) and the engine,
-the unified selector, and the CLI all resolve strategy names through
-:func:`get_strategy` — adding a new paradigm is a new module in this
-package, not surgery on the engine core.  One strategy instance is created
-per iteration and per engine, so instances may keep per-iteration state.
+A strategy is named by its ``name`` alone: the engine, the unified
+selector, the control plane and the CLI all look names up with
+:func:`~repro.core.strategies.get_strategy`, whose table lists the
+built-in strategies.  One strategy instance is created per iteration and
+per engine, so instances may keep per-iteration state.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from enum import Enum
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Tuple, Type
+from typing import TYPE_CHECKING, ClassVar, List, Tuple
 
 from ...models.flops import BACKWARD_MULTIPLIER
 
@@ -30,14 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..engine import JanusEngine
     from ...config import ModelConfig
 
-__all__ = [
-    "BlockStrategy",
-    "register_strategy",
-    "get_strategy",
-    "strategy_names",
-    "resolve_strategy_name",
-    "comm_family",
-]
+__all__ = ["BlockStrategy"]
 
 
 class BlockStrategy(ABC):
@@ -48,7 +40,8 @@ class BlockStrategy(ABC):
     features, jitter and straggler models.
     """
 
-    #: Registry key; also the CLI mode name.
+    #: The strategy's one name: its key in the strategy table and its
+    #: CLI mode name.
     name: ClassVar[str]
     #: Whether the strategy's blocks are served by the Janus Task Queue
     #: (intra/inter-node schedulers, credits, caches).
@@ -114,74 +107,3 @@ class BlockStrategy(ABC):
         a deterministic order (bit-stable across refactors).
         """
         return ()
-
-
-_REGISTRY: Dict[str, Type[BlockStrategy]] = {}
-
-
-def register_strategy(cls: Type[BlockStrategy]) -> Type[BlockStrategy]:
-    """Class decorator: add ``cls`` to the registry under ``cls.name``."""
-    name = getattr(cls, "name", None)
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"{cls!r} must define a non-empty `name`")
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise ValueError(f"strategy name {name!r} already registered")
-    _REGISTRY[name] = cls
-    return cls
-
-
-def get_strategy(name: str) -> Type[BlockStrategy]:
-    """Look up a strategy class by name; raises ValueError when unknown."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown block strategy {name!r}; "
-            f"registered: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def strategy_names() -> Tuple[str, ...]:
-    """Registered strategy names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def resolve_strategy_name(spec) -> str:
-    """Normalize a strategy spec (name, Paradigm, or class) to its name.
-
-    Accepts a registered name, an enum member whose ``value`` is a
-    registered name (:class:`~repro.core.paradigm.Paradigm`), or a
-    :class:`BlockStrategy` subclass/instance.
-    """
-    if isinstance(spec, str):
-        name = spec
-    elif isinstance(spec, Enum):
-        name = spec.value
-    elif isinstance(spec, BlockStrategy) or (
-        isinstance(spec, type) and issubclass(spec, BlockStrategy)
-    ):
-        name = spec.name
-    else:
-        raise ValueError(f"cannot resolve block strategy from {spec!r}")
-    get_strategy(name)  # validate
-    return name
-
-
-def comm_family(spec) -> str:
-    """The §5.1.3 byte-volume family a strategy moves on the wire.
-
-    Strategies served by the Janus Task Queue pull experts to the data —
-    the *data-centric* volume (``8 H^2 E m (n-1)`` elements); everything
-    else ships tokens to the experts — the *expert-centric* volume
-    (``2 m H T (n-1)/n``).  Pipelining and micro-batching reschedule when
-    bytes move, not how many, so every registered expert-centric variant
-    maps to the same family.  Consumers (e.g. the serving simulator's
-    per-phase traffic model) size wire transfers from this.
-    """
-    name = resolve_strategy_name(spec)
-    return (
-        "data-centric"
-        if get_strategy(name).uses_task_queue
-        else "expert-centric"
-    )

@@ -15,12 +15,11 @@ from ...cluster import Device
 from ..inter_scheduler import InterNodeScheduler
 from ..intra_scheduler import IntraNodeScheduler
 from ..taskgraph import Task, TaskKind
-from .base import BlockStrategy, register_strategy
+from .base import BlockStrategy
 
 __all__ = ["DataCentricStrategy"]
 
 
-@register_strategy
 class DataCentricStrategy(BlockStrategy):
     """Fine-grained expert pulls through the Janus Task Queue (§4, §5)."""
 

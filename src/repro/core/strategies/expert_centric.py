@@ -18,12 +18,11 @@ from typing import Tuple
 from ...netsim import all_to_all
 from ..memory_model import EC_A2A_SLACK
 from ..taskgraph import Task, TaskKind, gpu_claim
-from .base import BlockStrategy, register_strategy
+from .base import BlockStrategy
 
 __all__ = ["ExpertCentricStrategy"]
 
 
-@register_strategy
 class ExpertCentricStrategy(BlockStrategy):
     """Synchronous dispatch-compute-combine over All-to-All (§2.2).
 

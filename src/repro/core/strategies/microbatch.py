@@ -16,13 +16,11 @@ expert-centric.
 
 from __future__ import annotations
 
-from .base import register_strategy
 from .expert_centric import ExpertCentricStrategy
 
 __all__ = ["MicroBatchExpertCentricStrategy"]
 
 
-@register_strategy
 class MicroBatchExpertCentricStrategy(ExpertCentricStrategy):
     """Expert-centric with M interleaved micro-batch pipelines."""
 

@@ -30,13 +30,11 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..memory_model import EC_A2A_SLACK
-from .base import register_strategy
 from .expert_centric import ExpertCentricStrategy
 
 __all__ = ["PipelinedExpertCentricStrategy"]
 
 
-@register_strategy
 class PipelinedExpertCentricStrategy(ExpertCentricStrategy):
     """Expert-centric with K-chunked, compute-overlapped All-to-All."""
 

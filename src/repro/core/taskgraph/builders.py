@@ -3,7 +3,7 @@
 :func:`build_iteration_plan` turns one engine iteration into a
 :class:`~repro.core.taskgraph.graph.TaskGraph` whose lanes are created in
 process spawn order: worker lanes for ranks 0..W-1, then each strategy's
-service lanes in strategy registration order, then gradient collectors and
+service lanes in strategy-table order, then gradient collectors and
 all-reduce lanes.  The engine spawns ``graph.lanes`` in that order, so
 process and event ids, and with them the order of same-instant events,
 are deterministic.

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import ModelConfig
-from .paradigm import Paradigm, gain_ratio, select_paradigm
+from .paradigm import gain_ratio, select_paradigm
 
 __all__ = ["TensorParallelPlan", "plan_tensor_parallel"]
 
@@ -42,7 +42,7 @@ class TensorParallelPlan:
     shard_bytes: float              # one expert shard (what a pull moves)
     base_ratio: float               # R at tp=1
     effective_ratio: float          # R_tp = tp * R
-    paradigm: Paradigm
+    paradigm: str                   # "data-centric" or "expert-centric"
 
 
 def plan_tensor_parallel(

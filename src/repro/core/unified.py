@@ -2,16 +2,15 @@
 
 Janus evaluates the gain ratio R for every MoE block before training starts
 and runs blocks with R > 1 data-centric and the rest expert-centric.  The
-selector is generalized over the block-strategy registry
-(:mod:`repro.core.strategies`): the two sides of the R cut-over are
-pluggable strategy names, so e.g. low-R blocks can run ``pipelined-ec``
-instead of the plain synchronous All-to-All.  This module provides the
-selection plus :func:`engine_for`, the one constructor of the engines
-compared in the paper, by mode name:
+two sides of the R cut-over are strategy names
+(:mod:`repro.core.strategies`), so e.g. low-R blocks can run
+``pipelined-ec`` instead of the plain synchronous All-to-All.  This module
+provides the selection plus :func:`engine_for`, the one constructor of the
+engines compared in the paper, by mode name:
 
 * ``"unified"`` — per-block choice by R (full Janus);
 * ``"auto"``    — R plus the cost model's micro-batch test;
-* a registered strategy name — every MoE block under that strategy, e.g.
+* a strategy name — every MoE block under that strategy, e.g.
   ``"expert-centric"`` (the Tutel baseline and the "expert-centric paradigm
   in Janus" ablation baseline), ``"data-centric"`` or ``"pipelined-ec"``.
 """
@@ -29,12 +28,11 @@ from .context import JanusFeatures
 from .engine import JanusEngine
 from .paradigm import (
     CostModel,
-    Paradigm,
     comm_expert_centric,
     gain_ratio,
     select_paradigm,
 )
-from .strategies import resolve_strategy_name, strategy_names
+from .strategies import get_strategy, strategy_names
 from .workload import IterationWorkload, build_workload
 
 __all__ = [
@@ -57,12 +55,11 @@ def strategy_map(
     ``threshold`` is the conservative cut-over of §7.5: blocks with
     R <= threshold run ``low_r_strategy`` (the paper raises it above 1 when
     the deployed data-centric path cannot reach the analytic bound, e.g.
-    PCIe capping cache-fill bandwidth).  Both sides are registered
-    block-strategy names, so the selector chooses among N pluggable
-    strategies, not a binary enum.
+    PCIe capping cache-fill bandwidth).  Both sides are strategy names
+    (see :func:`~repro.core.strategies.strategy_names`).
     """
-    low = resolve_strategy_name(low_r_strategy)
-    high = resolve_strategy_name(high_r_strategy)
+    get_strategy(low_r_strategy)  # raises when unknown
+    get_strategy(high_r_strategy)
     mapping = {}
     world = cluster.num_machines * cluster.gpus_per_machine
     for index in config.moe_block_indices:
@@ -74,8 +71,11 @@ def strategy_map(
             config.hidden_dim,
             config.experts_per_worker(index, world),
         )
-        paradigm = select_paradigm(ratio, threshold)
-        mapping[index] = high if paradigm is Paradigm.DATA_CENTRIC else low
+        mapping[index] = (
+            high_r_strategy
+            if select_paradigm(ratio, threshold) == "data-centric"
+            else low_r_strategy
+        )
     return mapping
 
 
@@ -114,9 +114,9 @@ def auto_schedule_map(
 
 def engine_modes() -> tuple:
     """Mode names accepted by :func:`engine_for` (and the CLI): every
-    registered block strategy plus the R-driven ``"unified"`` selector and
+    block strategy name plus the R-driven ``"unified"`` selector and
     the schedule-aware ``"auto"`` selector."""
-    return tuple(strategy_names()) + ("unified", "auto")
+    return strategy_names() + ("unified", "auto")
 
 
 def engine_for(
@@ -141,7 +141,7 @@ def engine_for(
     ``threshold``/``low_r_strategy``/``high_r_strategy``.  ``"auto"`` maps
     them with :func:`auto_schedule_map` (``threshold`` only) and overlaps
     the backward dense-gradient all-reduce unless ``features`` picks a
-    schedule.  A registered strategy name runs every MoE block under that
+    schedule.  A strategy name runs every MoE block under that
     strategy and takes no selector argument.  ``workload`` defaults to
     :func:`build_workload` at ``imbalance`` with ``rng``.
     """

@@ -41,7 +41,7 @@ import numpy as np
 from ..cluster import Cluster, Device
 from ..config import ModelConfig
 from ..core.paradigm import select_paradigm
-from ..core.strategies import comm_family, resolve_strategy_name
+from ..core.strategies import get_strategy
 from ..models.flops import dense_ffn_flops, expert_flops_per_token
 from ..netsim import Fabric
 from ..simkit import AllOf, Environment
@@ -73,7 +73,7 @@ class ServingConfig:
     #: Disaggregated only: fraction of each MoE block's experts pinned on
     #: every decode worker; requests ranked under the cut skip the wire.
     pin_fraction: float = 0.25
-    #: Strategy-registry name or "auto" per phase.
+    #: Strategy name or "auto" per phase.
     prefill_paradigm: str = "auto"
     decode_paradigm: str = "auto"
     #: Service-level objectives: time-to-first-token and per-output-token
@@ -98,7 +98,7 @@ class ServingConfig:
             raise ValueError("pin_fraction must be in [0, 1]")
         for phase_mode in (self.prefill_paradigm, self.decode_paradigm):
             if phase_mode != "auto":
-                resolve_strategy_name(phase_mode)  # raises when unknown
+                get_strategy(phase_mode)  # raises when unknown
         if not (0 < self.ttft_slo_s < math.inf
                 and 0 < self.tpot_slo_s < math.inf):
             raise ValueError("SLO bounds must be positive and finite")
@@ -409,12 +409,12 @@ class ServingSimulator:
         if name == "auto":
             # Eq. 1 pointwise: R is the step's EC/DC byte ratio; ties go
             # to expert-centric.
-            name = select_paradigm(expert_centric / data_centric).value
+            name = select_paradigm(expert_centric / data_centric)
         pulls = self._pulls.get(name)
         if pulls is None:
-            pulls = self._pulls[name] = (
-                comm_family(name) == "data-centric"
-            )
+            # Task-queue strategies pull experts to the data (the
+            # data-centric volume); every other ships tokens to experts.
+            pulls = self._pulls[name] = get_strategy(name).uses_task_queue
         size_bytes = data_centric if pulls else expert_centric
         counts = self.state.paradigms[phase]
         counts[name] = counts.get(name, 0) + 1

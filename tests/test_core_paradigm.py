@@ -9,7 +9,6 @@ from repro.config import (
     pr_moe_transformer_xl,
 )
 from repro.core import (
-    Paradigm,
     comm_data_centric,
     comm_expert_centric,
     gain_ratio,
@@ -33,7 +32,7 @@ class TestGainRatio:
         batch = 1_000_000 / 128
         ratio = gain_ratio(batch, 2048, 1, 16, 12288, 1)
         assert ratio == pytest.approx(20.35, abs=0.01)
-        assert select_paradigm(ratio) is Paradigm.DATA_CENTRIC
+        assert select_paradigm(ratio) == "data-centric"
 
     def test_r_monotonicity(self):
         base = gain_ratio(64, 128, 2, 4, 512, 1)
@@ -45,9 +44,9 @@ class TestGainRatio:
         assert gain_ratio(64, 128, 2, 4, 512, 2) == pytest.approx(base / 2)
 
     def test_selection_threshold(self):
-        assert select_paradigm(1.01) is Paradigm.DATA_CENTRIC
-        assert select_paradigm(1.0) is Paradigm.EXPERT_CENTRIC
-        assert select_paradigm(0.5) is Paradigm.EXPERT_CENTRIC
+        assert select_paradigm(1.01) == "data-centric"
+        assert select_paradigm(1.0) == "expert-centric"
+        assert select_paradigm(0.5) == "expert-centric"
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -115,7 +114,7 @@ class TestProfiles:
         for factory in (moe_bert, moe_gpt, moe_transformer_xl):
             config = factory(32)
             for profile in profile_model(config, 4, 8):
-                assert profile.paradigm is Paradigm.DATA_CENTRIC
+                assert profile.paradigm == "data-centric"
                 assert profile.ratio > 1
 
     def test_pr_moe_mixes_paradigms(self):
@@ -124,7 +123,7 @@ class TestProfiles:
         config = pr_moe_transformer_xl(1)
         profiles = profile_model(config, 2, 8)
         paradigms = [p.paradigm for p in profiles]
-        assert paradigms[:2] == [Paradigm.DATA_CENTRIC] * 2
+        assert paradigms[:2] == ["data-centric"] * 2
         # Deep blocks: R = 8/E = 2 with n=2 by Eq.1; the paper quotes R=1
         # (computed with n=4).  Either way E=4 blocks have much lower R.
         assert profiles[2].ratio == pytest.approx(profiles[0].ratio / 4)

@@ -1,4 +1,4 @@
-"""Tests for the pluggable block-execution strategy layer."""
+"""Tests for the block-execution strategy layer."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,11 @@ import pytest
 from repro.cluster import Cluster
 from repro.config import ModelConfig
 from repro.core import (
-    BlockStrategy,
     JanusEngine,
-    Paradigm,
     build_workload,
     engine_for,
     engine_modes,
     get_strategy,
-    resolve_strategy_name,
     strategy_map,
     strategy_names,
 )
@@ -43,24 +40,17 @@ class TestRegistry:
         with pytest.raises(ValueError, match="data-centric"):
             get_strategy("token-centric")
 
-    def test_resolve_accepts_name_paradigm_and_class(self):
-        assert resolve_strategy_name("data-centric") == "data-centric"
-        assert resolve_strategy_name(Paradigm.EXPERT_CENTRIC) == "expert-centric"
-        assert (
-            resolve_strategy_name(Paradigm.PIPELINED_EXPERT_CENTRIC)
-            == "pipelined-ec"
-        )
-        assert resolve_strategy_name(ExpertCentricStrategy) == "expert-centric"
-
     def test_resolve_rejects_garbage(self):
         with pytest.raises(ValueError):
-            resolve_strategy_name(42)
+            get_strategy(42)
         with pytest.raises(ValueError):
-            resolve_strategy_name("not-a-strategy")
+            get_strategy(["data-centric"])
+        with pytest.raises(ValueError):
+            get_strategy("not-a-strategy")
 
     def test_registration_order_is_ec_dc_pipelined(self):
         """Spawn order and memory-term order depend on it (determinism)."""
-        assert strategy_names()[:4] == (
+        assert strategy_names() == (
             "expert-centric", "data-centric", "pipelined-ec",
             "microbatch-ec",
         )
@@ -138,10 +128,8 @@ class TestMixedStrategyIteration:
 
     def test_paradigms_property_covers_builtin_strategies(self):
         result = self.make_engine().run_iteration()
-        assert result.paradigms == {
-            1: Paradigm.EXPERT_CENTRIC,
-            3: Paradigm.DATA_CENTRIC,
-            5: Paradigm.PIPELINED_EXPERT_CENTRIC,
+        assert result.strategies == {
+            1: "expert-centric", 3: "data-centric", 5: "pipelined-ec",
         }
 
     def test_strategy_specs_can_mix_forms(self):
@@ -149,13 +137,26 @@ class TestMixedStrategyIteration:
         cluster = small_cluster()
         workload = build_workload(config, cluster)
         engine = JanusEngine(
-            cluster, workload,
-            {1: Paradigm.DATA_CENTRIC, 3: ExpertCentricStrategy},
+            cluster, workload, {1: "data-centric", 3: "expert-centric"},
         )
         assert engine.block_strategies == {
             1: "data-centric", 3: "expert-centric",
         }
         assert engine.run_iteration().seconds > 0
+
+    def test_non_name_spec_rejected_naming_every_strategy(self):
+        """A strategy is spelled by its name only: a class (or anything
+        else) is rejected, and the error lists the four names."""
+        workload = build_workload(small_config(), small_cluster())
+        with pytest.raises(ValueError) as excinfo:
+            JanusEngine(
+                small_cluster(), workload,
+                {1: "data-centric", 3: ExpertCentricStrategy},
+            )
+        message = str(excinfo.value)
+        for name in ("expert-centric", "data-centric", "pipelined-ec",
+                     "microbatch-ec"):
+            assert name in message
 
     def test_unknown_strategy_in_map_rejected(self):
         config = small_config()
@@ -233,7 +234,7 @@ class TestGoldenRegression:
         )
         result = JanusEngine(
             cluster, workload,
-            {1: Paradigm.DATA_CENTRIC, 3: Paradigm.EXPERT_CENTRIC},
+            {1: "data-centric", 3: "expert-centric"},
             compute_jitter=0.05, jitter_seed=3, check_memory=False,
         ).run_iteration()
         assert result.seconds == 0.0015399149843149929
@@ -379,58 +380,6 @@ class TestStrategySelector:
         assert engine.run_iteration().seconds > 0
 
 
-class TestCustomStrategyExtension:
-    def test_engine_accepts_a_custom_strategy_instance_map(self):
-        """The extension point: a strategy defined outside the package can
-        drive blocks, provided it is registered."""
-        from repro.core.strategies.base import _REGISTRY
-
-        class SkipStrategy(ExpertCentricStrategy):
-            """EC with a different name, to exercise registration."""
-
-            name = "test-skip"
-
-        try:
-            from repro.core import register_strategy
-
-            register_strategy(SkipStrategy)
-            config = small_config()
-            cluster = small_cluster()
-            workload = build_workload(config, cluster)
-            engine = JanusEngine(
-                cluster, workload, {1: "test-skip", 3: "data-centric"},
-                check_memory=False,
-            )
-            result = engine.run_iteration()
-            assert result.strategies[1] == "test-skip"
-            with pytest.raises(ValueError):
-                result.paradigms  # no enum member for the custom name
-        finally:
-            _REGISTRY.pop("test-skip", None)
-
-    def test_duplicate_registration_rejected(self):
-        from repro.core import register_strategy
-
-        class Impostor(BlockStrategy):
-            name = "data-centric"
-
-            def worker_tasks(self, ctx, rank, index, phase):
-                return []
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_strategy(Impostor)
-
-    def test_nameless_strategy_rejected(self):
-        from repro.core import register_strategy
-
-        class Nameless(BlockStrategy):
-            def worker_tasks(self, ctx, rank, index, phase):
-                return []
-
-        with pytest.raises(ValueError):
-            register_strategy(Nameless)
-
-
 class TestMemoryModel:
     def test_estimate_strategies_validates_coverage(self):
         from repro.core import estimate_strategies
@@ -482,32 +431,19 @@ class TestContextStrategyBlocks:
 
         def capture(*args, **kwargs):
             prepared = prepare(*args, **kwargs)
-            captured["ctx"] = prepared[0]
+            captured["ctx"], captured["strategies"] = prepared[:2]
             return prepared
 
         engine._prepare = capture
         engine.run_iteration()
-        ctx = captured["ctx"]
-        assert ctx.blocks_of("expert-centric") == (1,)
-        assert ctx.blocks_of("data-centric") == (3,)
-        assert ctx.blocks_of("pipelined-ec") == (5,)
-        assert ctx.blocks_of("unheard-of") == ()
+        # One instance per strategy in use, in strategy-table order.
+        assert [
+            (name, strategy.blocks)
+            for name, strategy in captured["strategies"].items()
+        ] == [
+            ("expert-centric", (1,)),
+            ("data-centric", (3,)),
+            ("pipelined-ec", (5,)),
+        ]
         # Only task-queue strategies feed the schedulers.
-        assert ctx.dc_block_indices == [3]
-
-    def test_context_derives_strategy_blocks_from_dc_blocks(self):
-        from repro.core import IterationContext
-        from repro.netsim import Fabric
-        from repro.simkit import Environment
-        from repro.trace import TraceRecorder
-
-        config = small_config()
-        cluster = small_cluster()
-        workload = build_workload(config, cluster)
-        env = Environment()
-        ctx = IterationContext(
-            env, Fabric(env, cluster), workload, JanusFeatures(),
-            TraceRecorder(), dc_blocks={1},
-        )
-        assert ctx.blocks_of("data-centric") == (1,)
-        assert ctx.blocks_of("expert-centric") == (3,)
+        assert captured["ctx"].dc_block_indices == [3]

@@ -175,7 +175,7 @@ class TestMixedParadigmModel:
 class TestEngineStragglerAndJitter:
     def make_engine(self, **kwargs):
         from repro.cluster import Cluster, MachineSpec
-        from repro.core import JanusEngine, Paradigm, build_workload
+        from repro.core import JanusEngine, build_workload
 
         config = ModelConfig(
             name="s", batch_size=128, seq_len=64, top_k=2, hidden_dim=64,
@@ -185,7 +185,7 @@ class TestEngineStragglerAndJitter:
         workload = build_workload(config, cluster)
         return JanusEngine(
             cluster, workload,
-            {1: kwargs.pop("paradigm", Paradigm.EXPERT_CENTRIC)},
+            {1: "expert-centric"},
             **kwargs,
         )
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import moe_bert, moe_transformer_xl
-from repro.core import Paradigm
 from repro.core.tensor_parallel import plan_tensor_parallel
 
 
@@ -44,7 +43,7 @@ class TestTensorParallelPlan:
     def test_threshold_respected(self):
         config = moe_transformer_xl(32)
         plan = plan_tensor_parallel(config, 0, 4, 8, tp_degree=1, threshold=20)
-        assert plan.paradigm is Paradigm.EXPERT_CENTRIC
+        assert plan.paradigm == "expert-centric"
 
     def test_invalid_tp_rejected(self):
         config = moe_transformer_xl(32)
