@@ -33,6 +33,7 @@ import numpy as np
 
 from ..clauses import parse_clauses
 from ..core.paradigm import CostModel
+from ..core.strategies import get_strategy
 from .signals import BlockLoadSignals, ControlSignals
 
 __all__ = [
@@ -109,6 +110,8 @@ class ControlConfig:
             raise ValueError("evict_factor must not exceed hot_factor")
         if self.max_replicas < 0:
             raise ValueError("max_replicas must be non-negative")
+        for name in (self.load_strategy, *self.replicable):
+            get_strategy(name)  # raises when unknown
 
     @property
     def calm_deviation(self) -> float:

@@ -10,6 +10,7 @@ sweep (phase ``"fwd"``) and the backward sweep (phase ``"bwd"``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, List, Mapping, Tuple
 
 from ..cluster import Device
@@ -22,6 +23,13 @@ from .workload import IterationWorkload
 __all__ = ["JanusFeatures", "IterationContext", "PHASES"]
 
 PHASES = ("fwd", "bwd")
+
+
+def _check_count(label: str, value) -> None:
+    """A count of whole things (experts, chunks, micro-batches): a
+    positive integer, numpy integers included."""
+    if not isinstance(value, Integral) or value <= 0:
+        raise ValueError(f"{label} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +87,8 @@ class JanusFeatures:
     grad_allreduce: str = "none"
 
     def __post_init__(self):
-        if self.credit_size <= 0:
-            raise ValueError("credit_size must be positive")
-        if self.ec_pipeline_chunks <= 0:
-            raise ValueError("ec_pipeline_chunks must be positive")
-        if self.micro_batches <= 0:
-            raise ValueError("micro_batches must be positive")
+        for label in ("credit_size", "ec_pipeline_chunks", "micro_batches"):
+            _check_count(label, getattr(self, label))
         if self.grad_allreduce not in ("none", "serial", "overlap"):
             raise ValueError(
                 "grad_allreduce must be 'none', 'serial' or 'overlap'"
@@ -99,10 +103,7 @@ class JanusFeatures:
                 self, "block_chunks", tuple(tuple(p) for p in self.block_chunks)
             )
         for block, chunks in self.block_chunks:
-            if chunks <= 0:
-                raise ValueError(
-                    f"block_chunks[{block}] must be positive, got {chunks}"
-                )
+            _check_count(f"block_chunks[{block}]", chunks)
         if self.a2a_stagger not in ("off", "wave", "chain"):
             raise ValueError(
                 "a2a_stagger must be 'off', 'wave' or 'chain'"

@@ -112,8 +112,8 @@ def select_paradigm(ratio: float, threshold: float = 1.0) -> str:
     between switch and CPU capping cache-fill bandwidth), which is how the
     paper decides to run PR-MoE's deep E=4 blocks expert-centric.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < math.inf:
+        raise ValueError("threshold must be positive and finite")
     return "data-centric" if ratio > threshold else "expert-centric"
 
 

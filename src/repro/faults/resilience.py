@@ -147,6 +147,10 @@ class DegradationPolicy:
             raise ValueError("degrade_after_fallbacks must be positive")
         if self.recover_after_clean is not None and self.recover_after_clean <= 0:
             raise ValueError("recover_after_clean must be positive")
+        # Imported here: repro.core imports this module at load time.
+        from ..core.strategies import get_strategy
+
+        get_strategy(self.fallback_strategy)  # raises when unknown
 
     def decide(self, stats: FaultStats) -> Dict[int, str]:
         """Blocks to switch, given one iteration's fault counters."""

@@ -496,6 +496,21 @@ class TestInvalidInput:
         assert excinfo.value.code == 2
         assert flag in parse_error_line(capsys.readouterr().err, command)
 
+    def test_unknown_control_strategy_exits_2_at_parse_time(self, capsys):
+        """Strategy names in ``--control`` are checked when the flag is
+        parsed, not when the controller first applies a decision."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "simulate", "--machines", "2", "--experts", "32",
+                "--batch-size", "64", "--paradigm", "auto",
+                "--iterations", "4",
+                "--drift", "flip;skew=1.5;period=2;seed=7",
+                "--control", "adaptive;deviation=0.1;load_strategy=bogus",
+            ])
+        assert excinfo.value.code == 2
+        line = parse_error_line(capsys.readouterr().err, "simulate")
+        assert "--control" in line and "load_strategy" in line
+
     def test_serve_rejects_a_nan_slo(self, capsys):
         assert main([
             "serve", *SMALL, "--trace", TestServeCommand.TINY,

@@ -227,6 +227,14 @@ class TestControlConfig:
         with pytest.raises(ValueError):
             ControlConfig(evict_factor=5.0, hot_factor=4.0)
 
+    @pytest.mark.parametrize("fields", [
+        {"load_strategy": "bogus"},
+        {"replicable": ("data-centric", "bogus")},
+    ])
+    def test_unknown_strategy_names_rejected(self, fields):
+        with pytest.raises(ValueError, match="bogus"):
+            ControlConfig(**fields)
+
     def test_calm_deviation_defaults_to_half_deadband(self):
         assert ControlConfig(deviation=0.4).calm_deviation == 0.2
         assert ControlConfig(recover_deviation=0.05).calm_deviation == 0.05

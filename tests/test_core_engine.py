@@ -228,6 +228,19 @@ class TestFeatureAblation:
         with pytest.raises(ValueError):
             JanusFeatures(credit_size=0)
 
+    @pytest.mark.parametrize("field,bad,good", [
+        ("credit_size", 2.5, np.int64(2)),
+        ("ec_pipeline_chunks", 2.5, np.int64(2)),
+        ("micro_batches", 1.5, np.int32(2)),
+        ("block_chunks", {10: 2.5}, {10: np.int64(2)}),
+    ])
+    def test_non_integral_counts_rejected(self, field, bad, good):
+        """Credits, chunks and micro-batches count whole things; numpy
+        integers still count."""
+        with pytest.raises(ValueError, match="positive integer"):
+            JanusFeatures(**{field: bad})
+        JanusFeatures(**{field: good})
+
 
 class TestTrace:
     def test_block_completions_recorded_for_trace_worker(self):

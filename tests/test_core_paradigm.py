@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.config import (
     moe_bert,
     moe_gpt,
@@ -15,6 +16,7 @@ from repro.core import (
     profile_block,
     profile_model,
     select_paradigm,
+    strategy_map,
 )
 
 
@@ -47,6 +49,11 @@ class TestGainRatio:
         assert select_paradigm(1.01) == "data-centric"
         assert select_paradigm(1.0) == "expert-centric"
         assert select_paradigm(0.5) == "expert-centric"
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="threshold"):
+                select_paradigm(2.0, threshold=bad)
+            with pytest.raises(ValueError, match="threshold"):
+                strategy_map(moe_gpt(32), Cluster(2), threshold=bad)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -365,6 +365,8 @@ class TestDegradationPolicy:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             DegradationPolicy(degrade_after_fallbacks=0)
+        with pytest.raises(ValueError, match="bogus"):
+            DegradationPolicy(fallback_strategy="bogus")
         with pytest.raises(ValueError):
             ResilienceConfig(pull_timeout=0)
         with pytest.raises(ValueError):
