@@ -121,9 +121,8 @@ def estimate_strategies(
 
     if sum(block_counts.values()) != config.num_moe_blocks:
         raise ValueError("block counts must cover every MoE block")
-    unknown = set(block_counts) - set(strategy_names())
-    if unknown:
-        get_strategy(sorted(unknown)[0])  # raises with the known names
+    for name in block_counts:
+        get_strategy(name)  # raises when unknown
     weights, activations, moe_stash, _ = _base_terms(config, world_size)
     extra = 0.0
     for name in strategy_names():
