@@ -14,12 +14,16 @@ Two kernels share one interface, method for method:
 Their methods:
 
 * ``ledger(**arrays)`` packs the ledger's arrays into the handle the
-  next three take; ``fill_state(**arrays)`` packs a water-fill's round
+  next four take; ``fill_state(**arrays)`` packs a water-fill's round
   log and work arrays (:func:`fill_arrays`); ``handle(array, dtype)``
   does the same for one solve table or rate array.  A handle is the
   address for C and the array itself for numpy.
 * ``advance(ledger, n, dt)``, the per-flow byte accounting behind every
-  arrival and rescale;
+  rescale;
+* ``admit(ledger, row, dt, l0, l1, size, gid)``, one arrival: the byte
+  advance of the rows before ``row``, then the new row's path slots,
+  remaining bytes, rate, size, group and live bit, and its group and
+  link counts;
 * ``retire(ledger, n, dt, now, eps)``, one completion timer: the
   byte advance, the finished-row selection (one residue rule), and the
   tombstoning of those rows;
@@ -286,11 +290,11 @@ void waterfill(
 typedef struct {
     double *rates;                /* [rows] */
     double *remaining;            /* [rows] */
-    const int64_t *paths;         /* [rows*2] link ids per flow, -1 = none */
+    int64_t *paths;               /* [rows*2] link ids per flow, -1 = none */
     double *link_bytes;           /* [links] */
-    const double *sizes;          /* [rows] */
+    double *sizes;                /* [rows] */
     unsigned char *live;          /* [rows] numpy bool */
-    const int64_t *gids;          /* [rows] path group of each row */
+    int64_t *gids;                /* [rows] path group of each row */
     int64_t *group_count;         /* [groups] */
     int64_t *load_counts;         /* [links] */
     int64_t *retired;             /* [rows] out: retired rows, ascending */
@@ -320,6 +324,25 @@ static void advance_rows(const ledger_t *t, int64_t n, double dt) {
 
 void advance(const ledger_t *t, int64_t n, double dt) {
     advance_rows(t, n, dt);
+}
+
+/* One arrival: advance rows [0, row) by dt (when positive), then write
+   the flow's row -- its path (l1 = -1 for a one-link path), remaining =
+   size, rate 0, size, group and live bit -- and count it in its group
+   and on its links. */
+void admit(const ledger_t *t, int64_t row, double dt, int64_t l0,
+           int64_t l1, double size, int64_t gid) {
+    if (dt > 0.0) advance_rows(t, row, dt);
+    t->paths[2 * row] = l0;
+    t->paths[2 * row + 1] = l1;
+    t->remaining[row] = size;
+    t->rates[row] = 0.0;
+    t->sizes[row] = size;
+    t->gids[row] = gid;
+    t->live[row] = 1;
+    t->group_count[gid] += 1;
+    t->load_counts[l0] += 1;
+    if (l1 >= 0) t->load_counts[l1] += 1;
 }
 
 /* One completion timer: advance by dt (when positive), then retire the
@@ -409,6 +432,25 @@ class NumpyKernel:
                 paths[mask],
                 np.broadcast_to(moved[:, None], (n, 2))[mask],
             )
+
+    def admit(self, t: SimpleNamespace, row: int, dt: float, l0: int,
+              l1: int, size: float, gid: int) -> None:
+        """One arrival: advance rows ``[0, row)`` by ``dt``, then write
+        row ``row`` (path ``(l0, l1)``, ``l1 = -1`` for one link; remaining
+        ``size``, rate 0, ``size``, group ``gid``, live) and count it in
+        its group and on its links."""
+        if dt > 0:
+            self.advance(t, row, dt)
+        t.paths[row] = (l0, l1)
+        t.remaining[row] = size
+        t.rates[row] = 0.0
+        t.sizes[row] = size
+        t.gids[row] = gid
+        t.live[row] = True
+        t.group_count[gid] += 1
+        t.load_counts[l0] += 1
+        if l1 >= 0:
+            t.load_counts[l1] += 1
 
     def retire(self, t: SimpleNamespace, n: int, dt: float, now: float,
                eps: float) -> int:
@@ -613,9 +655,9 @@ def fill_arrays(num_links: int, num_groups: int) -> Dict[str, np.ndarray]:
 class CompiledKernel:
     """The fluid kernel as C loops (``_C_SOURCE``).
 
-    ``advance``, ``retire``, ``settle`` and ``waterfill`` are the ctypes
-    functions themselves, so a call costs no Python frame of its own;
-    ``settle`` and ``waterfill`` take the rate array's address
+    ``advance``, ``admit``, ``retire``, ``settle`` and ``waterfill`` are
+    the ctypes functions themselves, so a call costs no Python frame of
+    its own; ``settle`` and ``waterfill`` take the rate array's address
     (:meth:`handle`).
     """
 
@@ -624,6 +666,7 @@ class CompiledKernel:
     def __init__(self, lib: ctypes.CDLL):
         self.waterfill = lib.waterfill
         self.advance = lib.advance
+        self.admit = lib.admit
         self.retire = lib.retire
         self.settle = lib.settle
 
@@ -655,6 +698,8 @@ def _bind(path) -> CompiledKernel:
     lib.waterfill.argtypes = [int64, int64] + [pointer] * 8
     lib.advance.restype = None
     lib.advance.argtypes = [pointer, int64, double]
+    lib.admit.restype = None
+    lib.admit.argtypes = [pointer, int64, double, int64, int64, double, int64]
     lib.retire.restype = int64
     lib.retire.argtypes = [pointer, int64, double, double, double]
     lib.settle.restype = double

@@ -16,6 +16,7 @@ preserving where contention happens:
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 import numpy as np
@@ -60,6 +61,8 @@ def all_to_all(
         raise ValueError(
             f"send matrix must be {world}x{world}, got {matrix.shape}"
         )
+    if not np.isfinite(matrix).all():
+        raise ValueError("send matrix entries must be finite")
     if (matrix < 0).any():
         raise ValueError("send matrix entries must be non-negative")
 
@@ -153,6 +156,8 @@ def all_reduce(
     """
     if bytes_per_rank < 0:
         raise ValueError("bytes_per_rank must be non-negative")
+    if not math.isfinite(bytes_per_rank):
+        raise ValueError(f"bytes_per_rank must be finite, got {bytes_per_rank}")
     cluster = fabric.cluster
     world = cluster.world_size
     done_events: List[Event] = []

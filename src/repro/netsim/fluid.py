@@ -45,7 +45,13 @@ solver reruns on every flow arrival/departure):
   round.
 * The arithmetic runs in a kernel (:mod:`repro.netsim._waterfill`): the
   compiled one when it builds, else numpy, with bit-identical results.
-  The uncoalesced reference always runs the numpy kernel.
+  The uncoalesced reference always runs the numpy kernel.  A flow costs
+  one kernel call to admit (``_activate``: the byte advance up to its
+  arrival and its whole row) and one Python pass to retire
+  (``_on_timer_event``: the timer's ``retire`` call, the tombstones in
+  ``_active`` and the ``done`` events, in ascending row order).  Python
+  keeps the row-array growth and the group interning, which runs only
+  when a path has no group yet.
 * Rate recomputation is deferred to the end of the simulated instant
   (``Environment.defer_to_instant_end``): a burst of arrivals/finishes at
   one timestamp — spread over any number of kernel events — triggers one
@@ -329,6 +335,8 @@ class FluidNetwork:
                 raise ValueError(
                     f"paths are at most two links, got {len(path_index)}"
                 )
+            if len(set(path_index)) < len(path_index):
+                raise ValueError(f"path repeats a link: {path!r}")
             self._path_cache[path] = path_index
         return path, path_index
 
@@ -375,13 +383,6 @@ class FluidNetwork:
             # the latency delay has elapsed.
             self._finish(flow)
             return
-        self._advance()
-        self._append_row(flow)
-        self._schedule_recompute()
-
-    # -- packed per-flow state ----------------------------------------------
-
-    def _append_row(self, flow: Flow) -> None:
         row = self._n
         if row == self._remaining.shape[0]:
             grown = max(32, 2 * row)
@@ -394,26 +395,25 @@ class FluidNetwork:
             self._retired = _grow(self._retired, grown)
             self._flow_ledger = None
         path_index = flow.path_index
-        self._paths[row] = -1
-        self._paths[row, : len(path_index)] = path_index
-        self._remaining[row] = flow._remaining
-        self._rates[row] = 0.0
-        self._sizes[row] = flow.size
         gid = self._group_of.get(path_index)
         if gid is None:
             gid = self._intern_group(path_index)
-        self._gids[row] = gid
-        self._group_count[gid] += 1
         if gid > self._gid_hi:
             self._gid_hi = gid
-        for index in path_index:
-            self._load_counts[index] += 1
-        self._live[row] = True
+        # One kernel call moves the earlier rows' bytes up to now (the
+        # arrival's advance) and writes the new row.
+        self._kernel.admit(
+            self._ledger(), row, self._elapsed(), path_index[0],
+            path_index[1] if len(path_index) > 1 else -1, flow.size, gid,
+        )
         self._live_count += 1
         self._n = row + 1
         self._active.append(flow)
         flow._net = self
         flow._row = row
+        self._schedule_recompute()
+
+    # -- packed per-flow state ----------------------------------------------
 
     def _intern_group(self, path_index: Tuple[int, ...]) -> int:
         gid = self._num_groups
@@ -428,28 +428,6 @@ class FluidNetwork:
         self._num_groups = gid + 1
         self._group_of[path_index] = gid
         return gid
-
-    def _release(self, rows: List[int]) -> List[Flow]:
-        """Return the flows of the just-tombstoned ``rows`` (ascending)
-        and drop them from ``_active``.  The dead rows keep their position
-        (so live rows never move and no float is touched) until
-        :meth:`_compact` reclaims them: once half the rows are dead, or at
-        once in the uncoalesced reference."""
-        active = self._active
-        finished = [active[row] for row in rows]
-        for row in rows:
-            active[row] = None
-        self._dead_count += len(rows)
-        self._live_count -= len(rows)
-        if self._live_count == 0:
-            self._active = []
-            self._n = 0
-            self._dead_count = 0
-        elif not self.coalesce or (
-            self._dead_count >= 64 and 2 * self._dead_count >= self._n
-        ):
-            self._compact()
-        return finished
 
     def _compact(self) -> None:
         """Reclaim tombstoned rows, preserving live-row order (and hence
@@ -536,21 +514,6 @@ class FluidNetwork:
             self._ledger(), self._n, self._elapsed(), grates_handle
         )
         return None if next_done < 0 else next_done
-
-    def _retire_finished(self) -> List[Flow]:
-        """Move bytes up to now, retire the rows that are done (see the
-        kernel's ``retire``) and return their flows in ascending row
-        order."""
-        dt = self._elapsed()
-        n = self._n
-        if not n:
-            return []
-        count = self._kernel.retire(
-            self._ledger(), n, dt, self._last_update, _EPSILON,
-        )
-        if not count:
-            return []
-        return self._release(self._retired[:count].tolist())
 
     def _assign_rates(self) -> Optional[float]:
         """Water-filling max-min fair allocation (incremental, vectorized).
@@ -678,13 +641,45 @@ class FluidNetwork:
         timer.callbacks.append(self._on_timer_event)
 
     def _on_timer_event(self, event) -> None:
-        self._on_timer(event._value)
+        """One completion timer: move bytes up to now, retire the rows that
+        are done (see the kernel's ``retire``), drop their flows from
+        ``_active`` and finish them in ascending row order, then re-solve.
 
-    def _on_timer(self, generation: int) -> None:
-        if generation != self._generation:
-            return  # superseded by a newer reschedule
-        for flow in self._retire_finished():
-            self._finish(flow)
+        A timer superseded by a newer reschedule does nothing.  Retired
+        rows keep their position (so live rows never move and no float is
+        touched) until :meth:`_compact` reclaims them: once half the rows
+        are dead, or at once in the uncoalesced reference."""
+        if event._value != self._generation:
+            return
+        dt = self._elapsed()
+        now = self._last_update
+        n = self._n
+        count = 0
+        if n:
+            count = self._kernel.retire(self._ledger(), n, dt, now, _EPSILON)
+        if count:
+            active = self._active
+            finished = []
+            for row in self._retired[:count].tolist():
+                finished.append(active[row])
+                active[row] = None
+            self._dead_count += count
+            self._live_count -= count
+            if self._live_count == 0:
+                self._active = []
+                self._n = 0
+                self._dead_count = 0
+            elif not self.coalesce or (
+                self._dead_count >= 64 and 2 * self._dead_count >= n
+            ):
+                self._compact()
+            for flow in finished:
+                flow._net = None
+                flow._remaining = 0.0
+                flow._rate = 0.0
+                flow.completed_at = now
+                self.total_bytes_completed += flow.size
+                flow.done.succeed(flow)
         self._schedule_recompute()
 
     def _finish(self, flow: Flow) -> None:

@@ -102,6 +102,18 @@ class TestAllToAll:
         with pytest.raises(ValueError):
             all_to_all(fabric, matrix)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("hierarchical", [True, False])
+    def test_non_finite_entries_rejected_before_any_flow(self, bad,
+                                                         hierarchical):
+        env, cluster, fabric = make_fabric(2)
+        matrix = uniform_matrix(cluster.world_size, 1e3)
+        # The last cross-machine pair: every other flow would start first.
+        matrix[-1, cluster.gpus_per_machine - 1] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            all_to_all(fabric, matrix, hierarchical=hierarchical)
+        assert env.peek() == float("inf")
+
     def test_intra_machine_all_to_all_completes(self):
         env, cluster, fabric = make_fabric(1)
         matrix = uniform_matrix(8, 1e6)

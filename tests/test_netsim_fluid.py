@@ -1,5 +1,7 @@
 """Unit tests for the fluid max-min network model."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,12 @@ def make_net(links):
     for link_id, bandwidth in links.items():
         net.add_link(link_id, bandwidth)
     return env, net
+
+
+def fire_timer(net):
+    """Fire the network's live completion timer now, through the entry
+    point its timers call."""
+    net._on_timer_event(SimpleNamespace(_value=net._generation))
 
 
 def run_flows(env, net, specs):
@@ -186,11 +194,26 @@ def test_paths_longer_than_two_links_rejected():
         net.transfer(("a", "b", "c"), 10.0)
 
 
+def test_path_repeating_a_link_rejected():
+    # Crossed twice, a link would carry the flow's bytes twice and count
+    # it twice in its load.
+    env, net = make_net({"a": 10.0, "b": 10.0})
+    for path in (("a", "a"), ("b", "b")):
+        with pytest.raises(ValueError, match="repeats a link"):
+            net.transfer(path, 10.0)
+    assert env.peek() == float("inf") and not net.active_flows
+    with pytest.raises(ValueError, match="repeats a link"):
+        net.resolve_path(("a", "a"))
+    flow = net.transfer(("a", "b"), 10.0)
+    env.run(until=flow.done)
+    assert flow.completed_at == 1.0 and net.link_bytes["a"] == 10.0
+
+
 class TestStaleTimerGuard:
     """A timer must never force-finish a flow with real bytes remaining.
 
-    The epsilon fallback in ``_on_timer`` exists to absorb floating-point
-    residue when the minimum-ETA flow lands microscopically short of zero.
+    The timer's epsilon fallback exists to absorb floating-point residue
+    when the minimum-ETA flow lands microscopically short of zero.
     After a mid-flight ``set_capacity`` rescale the same code path can see
     a flow with *macroscopic* bytes left; it must recompute and re-arm
     instead of declaring the flow done early.
@@ -202,7 +225,7 @@ class TestStaleTimerGuard:
         env.run(until=1.0)
         # Fire the timer callback "early", with the live generation, while
         # 900 bytes are still outstanding (a stale-timer scenario).
-        net._on_timer(net._generation)
+        fire_timer(net)
         assert not flow.done.triggered
         assert flow.remaining == pytest.approx(900.0)
         env.run(until=flow.done)
@@ -275,7 +298,7 @@ class TestSubUlpResidue:
     independent of flow size — so a small flow on a fast link can be left
     with remaining bytes whose ETA satisfies ``now + eta == now``.  The
     zero-delay timer then never advances the clock and the solver
-    livelocks.  ``_on_timer`` treats such flows as finished.
+    livelocks.  ``_on_timer_event`` treats such flows as finished.
     """
 
     def test_tiny_flow_on_fast_link_completes_instead_of_livelocking(self):
@@ -322,7 +345,7 @@ def test_solve_memo_stays_within_its_byte_budget(monkeypatch):
         else:
             flow = flows.pop(int(rng.integers(len(flows))))
             net._remaining[flow._row] = 0.0
-            net._retire_finished()
+            fire_timer(net)
         net._assign_rates()
         held = [
             grates.base.nbytes + len(signature)

@@ -13,6 +13,8 @@ two kernels of ``repro.netsim._waterfill``, compared directly: the
 compiled one against numpy, step by step.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,10 +183,18 @@ def test_reference_runs_no_compiled_code(monkeypatch):
         _run_schedule(_GUARD_SCHEDULE, coalesce=True)
 
 
+def _fire_timer(net):
+    """Fire the network's live completion timer now, through the entry
+    point its timers call; return the flows it finished, in row order."""
+    flows = net.active_flows
+    net._on_timer_event(SimpleNamespace(_value=net._generation))
+    return [flow for flow in flows if flow.done.triggered]
+
+
 def _retire_now(net, flows):
-    """Tombstone ``flows`` through the network's own retire step."""
+    """Tombstone ``flows`` through the network's own completion timer."""
     net._remaining[[flow._row for flow in flows]] = 0.0
-    net._retire_finished()
+    _fire_timer(net)
 
 
 def _fleet_network(seed, kernel=None):
@@ -644,7 +654,7 @@ def _timer_outcome(shape, now, seed, kernel):
                                     if now else (1e3, 1e9, 2.5e10))
     dt = shape(net, rng)
     net._last_update = env.now - dt
-    finished = net._retire_finished()
+    finished = _fire_timer(net)
     return [flow.tag for flow in finished], _ledger_state(net)
 
 
@@ -668,13 +678,117 @@ def test_rows_within_the_threshold_retire_together():
         rows = _moving(net)
         net._remaining[rows] = 0.5 * (1e-12 * net._sizes[rows] + 1e-12)
         assert env.now + (net._remaining[rows] / net._rates[rows]).min() > 0
-        assert len(net._retire_finished()) == rows.size > 1
+        assert len(_fire_timer(net)) == rows.size > 1
 
 
 def test_sub_ulp_cohort_retires_together():
     for kernel in KERNELS:
         tags, _ = _timer_outcome(_shape_sub_ulp_cohort, 1e6, 0, kernel)
         assert len(tags) > 1
+
+
+def _admit_first_row(kernel, rng):
+    # An empty ledger: the advance before the first row moves nothing.
+    env = Environment(1.0)
+    net = _network(env, kernel)
+    for i in range(4):
+        net.add_link(f"l{i}", 100.0)
+    return env, net, ("l0",)
+
+
+def _admit_one_link(kernel, rng):
+    env, net, _ = _ledger_network(int(rng.integers(1 << 16)), kernel)
+    return env, net, ("l1",)
+
+
+def _admit_two_links(kernel, rng):
+    env, net, _ = _ledger_network(int(rng.integers(1 << 16)), kernel)
+    return env, net, ("l2", "l0")
+
+
+def _solved_network(kernel, rng, paths):
+    """One flow per path, a quarter of them tombstoned, rates solved."""
+    env = Environment()
+    net = _network(env, kernel)
+    links = sorted({link for path in paths for link in path})
+    for link in links:
+        net.add_link(link, float(rng.choice([1e3, 1e9])))
+    flows = [
+        net.transfer(path, float(rng.choice([1e2, 1e6])), tag=k)
+        for k, path in enumerate(paths)
+    ]
+    _retire_now(net, [flows[k] for k in
+                      rng.choice(len(flows), len(flows) // 4, replace=False)])
+    net._assign_rates()
+    return env, net
+
+
+def _admit_at_row_growth(kernel, rng):
+    # 32 rows fill the row arrays: row 32 grows them.
+    paths = [tuple(f"l{i}" for i in rng.choice(4, int(rng.integers(1, 3)),
+                                                replace=False))
+             for _ in range(32)]
+    env, net = _solved_network(kernel, rng, paths)
+    assert net._n == net._remaining.shape[0] == 32
+    return env, net, ("l3", "l1")
+
+
+def _admit_at_group_growth(kernel, rng):
+    # 16 groups fill the group table: a 17th path grows it.
+    pairs = [(f"l{a}", f"l{b}") for a in range(6) for b in range(6) if a != b]
+    order = rng.permutation(len(pairs))
+    env, net = _solved_network(kernel, rng, [pairs[k] for k in order[:16]])
+    assert net._num_groups == net._group_count.shape[0] == 16
+    return env, net, pairs[order[16]]
+
+
+_ADMIT_CASES = {
+    "first_row": _admit_first_row,
+    "one_link": _admit_one_link,
+    "two_links": _admit_two_links,
+    "row_growth": _admit_at_row_growth,
+    "group_growth": _admit_at_group_growth,
+}
+
+
+def _admit_outcome(case, seed, dt, kernel):
+    rng = np.random.default_rng(seed)
+    env, net, path = _ADMIT_CASES[case](kernel, rng)
+    net._last_update = env.now - dt
+    flow = net.transfer(path, 1e6, tag="new")
+    row = net._n - 1
+    assert net._active[row] is flow and flow._row == row
+    assert net._live[row] and net._rates[row] == 0.0
+    assert net._remaining[row] == net._sizes[row] == 1e6
+    n, groups = net._n, net._num_groups
+    return _ledger_state(net) + (
+        net._paths[:n].tobytes(), net._sizes[:n].tobytes(),
+        net._gids[:n].tobytes(), net._group_paths[:groups].tobytes(),
+        net._gid_hi, net._last_update,
+    )
+
+
+@pytest.mark.parametrize("dt", [0.5, 0.0])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", list(_ADMIT_CASES))
+def test_compiled_admit_equals_numpy_arrival(case, seed, dt):
+    outcomes = [_admit_outcome(case, seed, dt, kernel) for kernel in KERNELS]
+    assert outcomes[1:] == outcomes[:-1]
+    if case != "first_row":
+        # Tombstoned rows sit in the ledger the arrival advances.
+        assert outcomes[0][1] > 0
+
+
+@needs_compiler
+def test_compiled_and_numpy_kernels_expose_the_same_methods():
+    """A kernel method added to (or left in) only one kernel fails here."""
+    def methods(kernel):
+        return sorted(name for name in dir(kernel)
+                      if not name.startswith("_")
+                      and callable(getattr(kernel, name)))
+
+    assert methods(COMPILED) == methods(NUMPY)
+    assert "admit" in methods(NUMPY)
 
 
 def _settle_outcome(seed, fill, kernel):

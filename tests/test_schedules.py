@@ -131,6 +131,16 @@ class TestRingAllReduce:
         with pytest.raises(ValueError):
             all_reduce(fabric, -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("hierarchical", [True, False])
+    def test_non_finite_bytes_rejected_before_any_flow(self, bad,
+                                                       hierarchical):
+        env = Environment()
+        fabric = Fabric(env, Cluster(2))
+        with pytest.raises(ValueError, match="bytes_per_rank must be finite"):
+            all_reduce(fabric, bad, hierarchical=hierarchical)
+        assert env.peek() == float("inf")
+
 
 class TestAutoSchedule:
     def test_mixed_r_map_picks_per_block_winners(self):
