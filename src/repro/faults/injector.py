@@ -16,7 +16,10 @@ through:
   the window).
 
 Link faults run as daemon processes that rescale the matched links'
-bandwidth at the window edges via ``FluidNetwork.set_capacity``.
+bandwidth at the window edges via ``FluidNetwork.set_capacity``: to the
+link's capacity from before any window times the factors of the windows
+still open, so overlapping windows compound and the last to close
+restores it.
 
 Determinism: the RNG (seeded by the plan) is drawn only when a transfer is
 *eligible* for a loss fault, and eligible transfers occur in the engine's
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,6 +82,9 @@ class FaultInjector:
         self._slowdowns = plan.of_type(ComputeSlowdown)
         self._outages = plan.of_type(ServerOutage)
         self._link_faults = plan.of_type(LinkFault)
+        # Per link while any window on it is open: its capacity from
+        # before the first, and its open windows in the order they opened.
+        self._open_windows: Dict[Hashable, Tuple[float, List[LinkFault]]] = {}
         self.installed = False
 
     def install(self) -> "FaultInjector":
@@ -124,16 +130,30 @@ class FaultInjector:
         network = self.fabric.network
         if fault.start > 0:
             yield env.timeout(fault.start)
-        original = {}
-        for link_id in network.links():
-            if fault.matches(link_id):
-                original[link_id] = network.capacity(link_id)
-                network.set_capacity(link_id, original[link_id] * fault.factor)
+        links = [link_id for link_id in network.links() if fault.matches(link_id)]
+        for link_id in links:
+            _, faults = self._open_windows.setdefault(
+                link_id, (network.capacity(link_id), [])
+            )
+            faults.append(fault)
+            self._apply_windows(link_id)
         if not math.isfinite(fault.end):
             return
         yield env.timeout(fault.end - env.now)
-        for link_id, bandwidth in original.items():
-            network.set_capacity(link_id, bandwidth)
+        for link_id in links:
+            self._open_windows[link_id][1].remove(fault)
+            self._apply_windows(link_id)
+
+    def _apply_windows(self, link_id) -> None:
+        """Set ``link_id`` to its capacity from before any window times the
+        factors of its open windows, in the order they opened; forget that
+        capacity once no window is open."""
+        bandwidth, faults = self._open_windows[link_id]
+        for fault in faults:
+            bandwidth = bandwidth * fault.factor
+        if not faults:
+            del self._open_windows[link_id]
+        self.fabric.network.set_capacity(link_id, bandwidth)
 
     # -- transfer interception -------------------------------------------------
 

@@ -23,10 +23,10 @@ Their methods:
 * ``admit(ledger, row, dt, l0, l1, size, gid)``, one arrival: the byte
   advance of the rows before ``row``, then the new row's path slots,
   remaining bytes, rate, size, group and live bit, and its group and
-  link counts;
+  link counts and the count hash;
 * ``retire(ledger, n, dt, now, eps)``, one completion timer: the
   byte advance, the finished-row selection (one residue rule), and the
-  tombstoning of those rows;
+  tombstoning of those rows, which leave their counts and the hash;
 * ``settle(ledger, n, dt, grates)``, one re-solve after the rates are
   known: the byte advance, the scatter of the group rates onto the live
   rows, and the earliest completion ETA;
@@ -34,6 +34,12 @@ Their methods:
   progressive-filling solve, whose rounds are inherently sequential (each
   fixes one bottleneck link and updates the links its flows cross).
   Callers go through :func:`run`, the one water-fill entry point.
+
+The ledger's one-slot ``sig`` array is a running hash of the group
+counts, ``sum(group_count[g] * mix(g)) mod 2**64`` (:func:`mix`):
+``admit`` adds its group's weight and ``retire`` subtracts each retired
+row's, so the network reads the hash of any population in O(1) and keys
+its solve memo by it.
 
 :func:`kernel` is the one place that picks between the two: the compiled
 kernel, or :data:`NUMPY` when ``REPRO_WATERFILL=python`` is set or the
@@ -298,7 +304,18 @@ typedef struct {
     int64_t *group_count;         /* [groups] */
     int64_t *load_counts;         /* [links] */
     int64_t *retired;             /* [rows] out: retired rows, ascending */
+    uint64_t *sig;                /* [1] sum of group_count[g] * mix(g) */
 } ledger_t;
+
+/* A group's weight in the ledger's count hash: splitmix64's output for
+   state g (its finalizer of g plus the golden gamma, so no group weighs
+   0).  Must equal the numpy mix(). */
+static uint64_t mix(int64_t g) {
+    uint64_t z = (uint64_t) g + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
 
 /* Internal calls go through this static helper, never through the
    exported advance(): inside a shared object that call binds through the
@@ -328,8 +345,8 @@ void advance(const ledger_t *t, int64_t n, double dt) {
 
 /* One arrival: advance rows [0, row) by dt (when positive), then write
    the flow's row -- its path (l1 = -1 for a one-link path), remaining =
-   size, rate 0, size, group and live bit -- and count it in its group
-   and on its links. */
+   size, rate 0, size, group and live bit -- and count it in its group,
+   in the count hash and on its links. */
 void admit(const ledger_t *t, int64_t row, double dt, int64_t l0,
            int64_t l1, double size, int64_t gid) {
     if (dt > 0.0) advance_rows(t, row, dt);
@@ -341,6 +358,7 @@ void admit(const ledger_t *t, int64_t row, double dt, int64_t l0,
     t->gids[row] = gid;
     t->live[row] = 1;
     t->group_count[gid] += 1;
+    *t->sig += mix(gid);
     t->load_counts[l0] += 1;
     if (l1 >= 0) t->load_counts[l1] += 1;
 }
@@ -348,8 +366,8 @@ void admit(const ledger_t *t, int64_t row, double dt, int64_t l0,
 /* One completion timer: advance by dt (when positive), then retire the
    done live rows: remaining <= eps*size + eps, or a moving row whose
    own ETA is below the clock's resolution (now + eta <= now).  Retired
-   rows are tombstoned and written to t->retired in ascending order;
-   returns their count. */
+   rows are tombstoned, uncounted (group, count hash, links) and written
+   to t->retired in ascending order; returns their count. */
 int64_t retire(const ledger_t *t, int64_t n, double dt, double now,
                double eps) {
     if (dt > 0.0) advance_rows(t, n, dt);
@@ -366,6 +384,7 @@ int64_t retire(const ledger_t *t, int64_t n, double dt, double now,
         t->rates[i] = 0.0;
         t->live[i] = 0;
         t->group_count[t->gids[i]] -= 1;
+        *t->sig -= mix(t->gids[i]);
         for (int64_t c = 0; c < 2; c++) {
             int64_t link = t->paths[2 * i + c];
             if (link >= 0) t->load_counts[link] -= 1;
@@ -438,7 +457,7 @@ class NumpyKernel:
         """One arrival: advance rows ``[0, row)`` by ``dt``, then write
         row ``row`` (path ``(l0, l1)``, ``l1 = -1`` for one link; remaining
         ``size``, rate 0, ``size``, group ``gid``, live) and count it in
-        its group and on its links."""
+        its group, in the count hash and on its links."""
         if dt > 0:
             self.advance(t, row, dt)
         t.paths[row] = (l0, l1)
@@ -448,15 +467,16 @@ class NumpyKernel:
         t.gids[row] = gid
         t.live[row] = True
         t.group_count[gid] += 1
+        t.sig += mix(t.gids[row:row + 1])
         t.load_counts[l0] += 1
         if l1 >= 0:
             t.load_counts[l1] += 1
 
     def retire(self, t: SimpleNamespace, n: int, dt: float, now: float,
                eps: float) -> int:
-        """One completion timer: advance by ``dt``, then tombstone the
-        rows that are done and write them, ascending, to ``t.retired``;
-        returns their count.
+        """One completion timer: advance by ``dt``, then tombstone and
+        uncount (group, ``sig``, links) the rows that are done and write
+        them, ascending, to ``t.retired``; returns their count.
 
         A live row is done when it is within ``eps * size + eps`` of zero,
         or when it moves and its own ETA is below the clock's resolution
@@ -483,7 +503,9 @@ class NumpyKernel:
         rows = np.flatnonzero(finished)
         # In-place scatter-decrements: exact integer arithmetic, and no
         # O(groups)/O(links) bincount allocation per instant.
-        np.subtract.at(t.group_count, t.gids[rows], 1)
+        gids = t.gids[rows]
+        np.subtract.at(t.group_count, gids, 1)
+        t.sig -= mix(gids).sum(dtype=np.uint64)
         paths = t.paths[rows]
         np.subtract.at(t.load_counts, paths[paths >= 0], 1)
         t.rates[rows] = 0.0
@@ -595,6 +617,16 @@ def _fill(capacity, load_counts, gpaths, gcount, csr, starts, links,
             break
 
 
+def mix(gids: np.ndarray) -> np.ndarray:
+    """Each group's weight in the ledger's count hash ``sig``: the C
+    ``mix``, splitmix64's output for state ``gid``, in ``np.uint64``
+    arithmetic (which wraps mod 2**64, as C does)."""
+    z = gids.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 NUMPY = NumpyKernel()
 REFERENCE = NumpyKernel(every_link=True)
 
@@ -623,6 +655,7 @@ _LEDGER_FIELDS = (
     ("group_count", np.int64),
     ("load_counts", np.int64),
     ("retired", np.int64),
+    ("sig", np.uint64),
 )
 
 

@@ -23,13 +23,15 @@ solver reruns on every flow arrival/departure):
   rebuilt for every water-filling pass; ``Flow.remaining``/``Flow.rate``
   are views into those arrays while the flow is active.
 * Flows are grouped by identical path: the water-filling rounds run over
-  path *groups* (with multiplicities), and solves are memoized by
-  (capacity epoch, group-count signature) — flow populations recur, so a
-  recompute frequently reuses the cached per-group rates of an earlier
-  identical population.  All shortcuts are arranged to be bit-identical to
-  a fresh global recompute (same float operations in the same order),
-  which the golden-metrics battery and a hypothesis property test pin
-  down.
+  path *groups* (with multiplicities), and solves are memoized by the
+  group counts — flow populations recur, so a recompute frequently reuses
+  the cached per-group rates of an earlier identical population.  The
+  kernel keeps a running hash of the counts, which picks the memo entry
+  in O(1); a hit must still equal the whole count vector, and a capacity
+  change clears the memo.  All shortcuts are arranged to be
+  bit-identical to a fresh global recompute (same float operations in
+  the same order), which the golden-metrics battery and a hypothesis
+  property test pin down.
 * Coalescing (default, ``coalesce=True``): the path group acts as a
   macro-flow and the packed member rows are its byte ledger.  Finishing
   members are *tombstoned* (rate zeroed, live bit cleared, group count and
@@ -69,9 +71,9 @@ import numpy as np
 from . import _waterfill
 from ..simkit import Environment, Event
 
-# Memoized-solve cache ceiling in bytes: each entry counts its signature
-# key and the whole pooled buffer its rates live in (the buffer carries
-# 1.5x slack over the group table).  Entries are also capped at 4096.
+# Memoized-solve cache ceiling in bytes: each entry counts its group-count
+# signature and the whole pooled buffer its rates live in (the buffer
+# carries 1.5x slack over the group table).  Entries are also capped at 4096.
 # Hitting either bound evicts the whole cache (and recycles the arrays)
 # rather than tracking LRU order — signatures either recur constantly
 # (steady state: the cache never fills) or almost never (fleet-scale
@@ -196,7 +198,6 @@ class FluidNetwork:
         self._link_bytes = np.zeros(0)
         self._load_counts = np.zeros(0, dtype=np.int64)
         self._num_links = 0
-        self._capacity_epoch = 0
         # Per-flow packed state; rows parallel _active, first _n valid.
         self._active: List[Flow] = []
         self._paths = np.full((0, 2), -1, dtype=np.int64)
@@ -219,14 +220,20 @@ class FluidNetwork:
         self._group_paths = np.full((0, 2), -1, dtype=np.int64)
         self._group_count = np.zeros(0, dtype=np.int64)
         self._num_groups = 0
-        # Memoized solves keyed by (capacity epoch, trimmed group-count
-        # signature): flow populations recur, so identical signatures are
-        # common across non-consecutive recomputes.  Each entry holds the
-        # per-group rate array and its kernel handle (for the settle).
-        # The cache is bounded by entry count and by bytes (fleet-scale
-        # rate arrays run to hundreds of KB each); evicted arrays are
-        # recycled through ``_grates_pool`` so solves write into warm pages.
-        self._solve_cache: Dict[Tuple[int, bytes], Tuple[np.ndarray, int]] = {}
+        # The kernel's running hash of the group counts (see _waterfill),
+        # read through a memoryview: a plain int per solve.
+        self._sig = np.zeros(1, dtype=np.uint64)
+        self._sig_slot = memoryview(self._sig)
+        # Memoized solves keyed by that hash: flow populations recur, so
+        # identical signatures are common across non-consecutive
+        # recomputes.  Each entry holds the per-group rate array, its
+        # kernel handle (for the settle) and the trimmed group-count
+        # signature a hit must equal; the cache is cleared whenever a
+        # capacity changes.  It is bounded by entry count and by bytes
+        # (fleet-scale rate arrays run to hundreds of KB each); evicted
+        # arrays are recycled through ``_grates_pool`` so solves write
+        # into warm pages.
+        self._solve_cache: Dict[int, Tuple[np.ndarray, object, bytes]] = {}
         self._solve_cache_bytes = 0
         self._grates_pool: List[np.ndarray] = []
         # Highest group id that ever held a flow: upper bound for the
@@ -274,7 +281,7 @@ class FluidNetwork:
         self._link_bytes[index] = 0.0
         self._load_counts[index] = 0
         self._num_links = index + 1
-        self._new_capacity_epoch()
+        self._capacities_changed()
 
     def capacity(self, link_id: Hashable) -> float:
         return float(self._capacity[self._index[link_id]])
@@ -294,13 +301,13 @@ class FluidNetwork:
         index = self._index[link_id]
         self._advance()
         self._capacity[index] = float(bandwidth)
-        self._new_capacity_epoch()
+        self._capacities_changed()
         self._schedule_recompute()
 
-    def _new_capacity_epoch(self) -> None:
-        """Capacities changed: memoized solves of earlier epochs stop
-        matching, and the water-fill's round log is discarded."""
-        self._capacity_epoch += 1
+    def _capacities_changed(self) -> None:
+        """Capacities changed: no memoized solve can hit again, and the
+        water-fill's round log is discarded."""
+        self._evict_solve_cache()
         self._fill_arrays["meta"][0] = 0
 
     @property
@@ -495,6 +502,7 @@ class FluidNetwork:
                 group_count=self._group_count,
                 load_counts=self._load_counts,
                 retired=self._retired,
+                sig=self._sig,
             )
         return ledger
 
@@ -525,36 +533,39 @@ class FluidNetwork:
         The filling rounds run over path *groups* (flows with an identical
         link tuple) with multiplicities; see ``_waterfill._fill``.
 
-        Solves are memoized by (capacity epoch, group-count signature
-        trimmed to the last populated group).  A signature hit reuses the
-        cached per-group rates — the outcome of a fresh recompute would be
-        bit-identical because water-filling is a deterministic function of
-        (group paths, group counts, capacities): group paths are immutable
-        once interned, the epoch pins the capacities, and groups past the
-        trim point are empty so they add no link load and shift no
-        bottleneck (appended links/groups never reorder earlier indices,
-        so argmin tie-breaks are stable too).
+        Solves are memoized by the kernel's count hash ``_sig``, and a
+        hit must also equal the group-count signature trimmed to the last
+        populated group byte for byte; a different signature in the same
+        bucket is a miss whose solve replaces it.  A signature hit reuses
+        the cached per-group rates — the outcome of a fresh recompute
+        would be bit-identical because water-filling is a deterministic
+        function of (group paths, group counts, capacities): group paths
+        are immutable once interned, every capacity change clears the
+        memo, and groups past the trim point are empty so they add no
+        link load and shift no bottleneck (appended links/groups never
+        reorder earlier indices, so argmin tie-breaks are stable too).
         """
         if not self._n:
             self._advance()  # nothing in flight: only stamps the clock
             return None
         num_groups = self._num_groups
-        gcount = self._group_count[:num_groups]
-        # _gid_hi bounds the last populated group from above; trailing
-        # zeros in the signature only cost the occasional duplicate cache
-        # entry, never a false hit.
-        width = self._gid_hi + 1
-        key = (self._capacity_epoch, gcount[:width].tobytes())
-        entry = self._solve_cache.get(key)
-        if entry is None:
-            entry = self._solve(num_groups)
+        # _gid_hi bounds the last populated group from above and never
+        # decreases, so a signature of an older width never recurs.
+        signature = self._group_count[:self._gid_hi + 1].tobytes()
+        key = self._sig_slot[0]
+        cache = self._solve_cache
+        entry = cache.get(key)
+        if entry is None or entry[2] != signature:
+            if entry is not None:
+                self._solve_cache_bytes -= entry[0].base.nbytes + len(entry[2])
+            entry = self._solve(num_groups) + (signature,)
             if (
-                len(self._solve_cache) >= 4096
+                len(cache) >= 4096
                 or self._solve_cache_bytes >= _SOLVE_CACHE_BUDGET
             ):
                 self._evict_solve_cache()
-            self._solve_cache[key] = entry
-            self._solve_cache_bytes += entry[0].base.nbytes + len(key[1])
+            cache[key] = entry
+            self._solve_cache_bytes += entry[0].base.nbytes + len(signature)
         return self._settle(entry[1])
 
     def _evict_solve_cache(self) -> None:
@@ -562,7 +573,7 @@ class FluidNetwork:
         enough for the current group table into the grates pool."""
         pool = self._grates_pool
         num_groups = self._num_groups
-        for cached, _ in self._solve_cache.values():
+        for cached, *_ in self._solve_cache.values():
             base = cached.base if cached.base is not None else cached
             if base.shape[0] >= num_groups and len(pool) < 256:
                 pool.append(base)

@@ -146,6 +146,42 @@ class TestSetCapacity:
             network.set_capacity("l", 0.0)
 
 
+class TestOverlappingLinkWindows:
+    """Windows on one link compound while they overlap, and every window's
+    end leaves the link at its nominal capacity times the windows still
+    open."""
+
+    @staticmethod
+    def relative_capacity(faults, times):
+        env = Environment()
+        fabric = Fabric(env, Cluster(2))
+        network = fabric.network
+        nics = [link for link in network.links()
+                if str(link.kind).startswith("nic")]
+        nominal = [network.capacity(link) for link in nics]
+        FaultInjector(FaultPlan(faults=faults), fabric).install()
+        readings = []
+        for t in times:
+            env.run(until=t)
+            ratios = {network.capacity(link) / base
+                      for link, base in zip(nics, nominal)}
+            assert len(ratios) == 1  # every NIC alike
+            readings.append(ratios.pop())
+        return readings
+
+    def test_staggered_windows_restore_nominal(self):
+        faults = (LinkFault("nic", 0.5, 0.0, 5.0),
+                  LinkFault("nic", 0.5, 2.0, 10.0))
+        assert self.relative_capacity(faults, (1, 3, 6, 11)) == [
+            0.5, 0.25, 0.5, 1.0]
+
+    def test_nested_windows_restore_the_outer_factor(self):
+        faults = (LinkFault("nic", 0.5, 0.0, 10.0),
+                  LinkFault("nic", 0.2, 2.0, 5.0))
+        assert self.relative_capacity(faults, (1, 3, 6, 11)) == [
+            0.5, 0.5 * 0.2, 0.5, 1.0]
+
+
 class TestRetryFlow:
     """The one timeout/retry/backoff loop, on stand-in flows whose
     ``done`` fires only when the test says so."""

@@ -325,10 +325,11 @@ class TestSubUlpResidue:
 
 
 def test_solve_memo_stays_within_its_byte_budget(monkeypatch):
-    # Each memoized solve holds its signature key and the whole pooled
-    # buffer its rates sit in.  Under churn (every solve a fresh
+    # Each memoized solve holds its group-count signature and the whole
+    # pooled buffer its rates sit in.  Under churn (every solve a fresh
     # signature) the live entries hold at most the budget plus the one
-    # entry that crossed it.
+    # entry that crossed it, and the running byte count never drifts
+    # from them, also when a colliding population replaces an entry.
     monkeypatch.setattr(fluid, "_SOLVE_CACHE_BUDGET", 64 << 10)
     rng = np.random.default_rng(0)
     env, net = make_net({f"l{i}": 100.0 for i in range(40)})
@@ -339,17 +340,36 @@ def test_solve_memo_stays_within_its_byte_budget(monkeypatch):
     evictions = []
     evict = net._evict_solve_cache
     net._evict_solve_cache = lambda: evictions.append(evict())
-    for _ in range(200):
+    collisions = 0
+    for step in range(200):
         if rng.random() < 0.5:
             flows.append(net.transfer(paths[rng.integers(len(paths))], 1.0))
         else:
             flow = flows.pop(int(rng.integers(len(flows))))
             net._remaining[flow._row] = 0.0
             fire_timer(net)
-        net._assign_rates()
+        signature = net._group_count[:net._gid_hi + 1].tobytes()
+        others = [key for key, entry in net._solve_cache.items()
+                  if entry[2] != signature]
+        if step % 10 == 5 and others:
+            # Land this population in another's bucket: its solve
+            # replaces that entry.
+            sig = net._sig_slot[0]
+            net._sig[0] = others[0]
+            held_before = len(net._solve_cache)
+            net._assign_rates()
+            net._sig[0] = sig
+            if len(net._solve_cache) == held_before:
+                assert net._solve_cache[others[0]][2] == signature
+                collisions += 1
+        else:
+            net._assign_rates()
         held = [
             grates.base.nbytes + len(signature)
-            for (_, signature), (grates, _) in net._solve_cache.items()
+            for grates, _, signature in net._solve_cache.values()
         ]
         assert sum(held) <= fluid._SOLVE_CACHE_BUDGET + max(held)
-    assert evictions
+        assert net._solve_cache_bytes == sum(held)
+    assert evictions and collisions
+    net.set_capacity("l0", 50.0)
+    assert not net._solve_cache and net._solve_cache_bytes == 0

@@ -532,7 +532,7 @@ class TestSetCapacityRescale:
 
     def test_rescale_epoch_invalidates_solve_memo(self):
         # Same group signature before and after the rescale: only the
-        # capacity epoch distinguishes the cache keys.
+        # memo's clear on a capacity change keeps the old solve out.
         env, net, flows = self._shared_group_network(coalesce=True)
         before = flows[0].rate
         net.set_capacity("wire", 60.0)
@@ -572,7 +572,7 @@ def _ledger_state(net):
         net._live[:n].tobytes(),
         net._link_bytes[:links].tobytes(),
         net._load_counts[:links].tobytes(),
-        net._group_count[:groups].tobytes(),
+        net._group_count[:groups].tobytes(), net._sig_slot[0],
     )
 
 
@@ -830,3 +830,89 @@ def test_compiled_settle_equals_numpy_reschedule(fill, seed):
         assert eta is None
     if fill is _fill_nan_eta:
         assert np.isnan(np.frombuffer(eta)[0])
+
+
+# -- the ledger's group-count hash ------------------------------------------
+
+
+def _recomputed_sig(net):
+    """``sum(count * mix)`` mod 2**64 over the group table, from scratch."""
+    groups = net._num_groups
+    weights = _waterfill.mix(np.arange(groups, dtype=np.int64))
+    return int((net._group_count[:groups].astype(np.uint64)
+                * weights).sum(dtype=np.uint64))
+
+
+def _churn(seed, kernel, check=lambda net: None):
+    """A seeded schedule over a few shared paths: bursts of arrivals,
+    flows finishing on their timers, batches retired at once (enough to
+    compact the ledger) and a final drain that empties it, then a few
+    arrivals into the empty ledger.  ``check(net)`` runs after every
+    step; returns the rates after each step and every ETA the network
+    computed, as bytes, and every finish time."""
+    rng = np.random.default_rng(seed)
+    env = Environment()
+    net = _network(env, kernel)
+    for i in range(5):
+        net.add_link(f"l{i}", float(rng.choice([50.0, 100.0, 250.0])))
+    pool = [tuple(f"l{i}" for i in rng.choice(5, int(rng.integers(1, 3)),
+                                                replace=False))
+            for _ in range(8)]
+    etas, rates, flows = [], [], []
+    settle = net._settle
+    net._settle = lambda handle: etas.append(settle(handle)) or etas[-1]
+    compactions = []
+    compact = net._compact
+    net._compact = lambda: compactions.append(compact())
+
+    def step():
+        _settle(env)
+        check(net)
+        rates.append(np.array([flow.rate for flow in flows]).tobytes())
+
+    for burst in range(40):
+        for _ in range(int(rng.integers(0, 12))):
+            flows.append(net.transfer(pool[rng.integers(len(pool))],
+                                      float(rng.choice([10.0, 100.0, 1e3]))))
+        step()
+        if burst % 8 == 7:
+            live = net.active_flows
+            _retire_now(net, [live[k] for k in rng.choice(
+                len(live), len(live) * 3 // 4, replace=False)])
+            step()
+        env.run(until=env.now + float(rng.choice([0.0, 0.05, 0.5])))
+        step()
+    while net.active_flows:
+        env.run(until=env.peek())
+        step()
+    assert net._n == 0 and compactions
+    for path in pool[:3]:
+        flows.append(net.transfer(path, 10.0))
+    step()
+    finished = [flow.completed_at for flow in flows]
+    return rates, np.array(etas).tobytes(), finished
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kernel", KERNELS,
+                         ids=lambda kernel: type(kernel).__name__)
+def test_ledger_hash_matches_the_group_counts(kernel, seed):
+    sigs = []
+
+    def check(net):
+        assert net._sig_slot[0] == _recomputed_sig(net)
+        sigs.append(net._sig_slot[0])
+
+    _churn(seed, kernel, check)
+    assert 0 in sigs and len(set(sigs)) > 10
+
+
+def test_colliding_hashes_keep_every_output(monkeypatch):
+    # With one weight for every group the hash is the flow count, so
+    # every population of that many flows shares one memo bucket: only
+    # the full signature compare tells them apart.
+    runs = [_churn(seed, NUMPY) for seed in range(3)]
+    monkeypatch.setattr(
+        _waterfill, "mix", lambda gids: np.ones(np.shape(gids), np.uint64)
+    )
+    assert [_churn(seed, NUMPY) for seed in range(3)] == runs

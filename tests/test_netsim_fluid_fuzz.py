@@ -148,6 +148,7 @@ class LockstepFluid(RuleBasedStateMachine):
                 assert flow_a.completed_at == flow_b.completed_at
             links_b = dict(net_b.link_bytes.items())
             assert dict(net_a.link_bytes.items()) == links_b
+            assert net_a._sig_slot[0] == net_b._sig_slot[0]
         for flow in self.flows[0]:
             if flow.completed_at is None:
                 assert 0.0 <= flow.remaining <= flow.size

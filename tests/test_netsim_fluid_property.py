@@ -12,8 +12,8 @@ Rates depend only on (path multiset, capacities), so the reference clones
 the live network's active paths into a brand-new ``FluidNetwork`` and
 runs one cold solve.  Random schedules interleave arrivals on random
 one- or two-link paths with mid-flight capacity rescales, which
-exercises joins, departures (compaction), the solve memo across epochs,
-and the CSR adjacency cache.
+exercises joins, departures (compaction), the solve memo across capacity
+changes, and the CSR adjacency cache.
 """
 
 from hypothesis import given, settings
