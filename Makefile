@@ -57,9 +57,15 @@ profile:
 	$(PYTHON) -c "import pstats; pstats.Stats('build/profile.pstats')\
 		.sort_stats('cumulative').print_stats(25)"
 
-# pytest-benchmark figure battery (simulated-time comparisons).
+# Figure battery: every benchmarks/test_*.py figure, ablation and gate test
+# in simulated time, regenerating benchmarks/reports/*.txt.  Not under
+# --benchmark-only, which would skip every test without the benchmark
+# fixture (the structural gates of test_bench_gates.py among them).  The
+# e2e self-test and the wall-script tests run separately.  CI's
+# "Figure battery" step runs this target.
 figs:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable \
+		--ignore=benchmarks/e2e --ignore=benchmarks/test_wall.py
 
 # Frozen-output goldens (tests/goldens.py): baseline replays every case of
 # every golden exactly; baseline-write re-captures the Fig. 14 metrics.
@@ -93,6 +99,9 @@ examples:
 	$(PYTHON) examples/train_tiny_moe.py
 	$(PYTHON) examples/simulate_cluster_training.py
 
+# The tracked benchmarks/reports/*.txt stay; only the JSON the smoke
+# commands write there, and the caches, go.
 clean:
-	rm -rf benchmarks/reports .pytest_cache
+	rm -f benchmarks/reports/*.json
+	rm -rf .pytest_cache .ruff_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -20,9 +20,14 @@ from ..simkit import Container, Environment, Event, Store
 from ..trace import TraceRecorder
 from .workload import IterationWorkload
 
-__all__ = ["JanusFeatures", "IterationContext", "PHASES"]
+__all__ = ["JanusFeatures", "IterationContext", "PHASES", "TRACE_WORKER"]
 
 PHASES = ("fwd", "bwd")
+
+#: The one rank whose tasks, pulls and block marks land on the trace's
+#: worker lanes (service and collector tasks have no worker and are
+#: always traced).
+TRACE_WORKER = 0
 
 
 def _check_count(label: str, value) -> None:
@@ -141,7 +146,6 @@ class IterationContext:
         resilience=None,
         fault_stats=None,
         metrics=None,
-        trace_worker=0,
         replicas=None,
     ):
         """``dc_blocks``: MoE block indices served by the Janus Task Queue
@@ -167,8 +171,6 @@ class IterationContext:
         # and only ever perform pure Python increments, so attaching a
         # registry cannot change simulated timing.
         self.metrics = metrics
-        # Rank whose per-expert activity lands on the trace's worker lanes.
-        self.trace_worker = trace_worker
         # (machine, block, expert) cache keys already requested by some
         # worker: first request per key is a miss, the rest are dedup hits.
         self.cache_requested = set()

@@ -36,7 +36,7 @@ from ..metrics import MetricsRegistry, collect_iteration_metrics
 from ..netsim import Fabric
 from ..simkit import AllOf, Environment
 from ..trace import TraceRecorder
-from .context import IterationContext, JanusFeatures
+from .context import TRACE_WORKER, IterationContext, JanusFeatures
 from .memory_model import check_fits, estimate_strategies
 from .strategies import get_strategy, strategy_names
 from .taskgraph import TaskKind, build_iteration_plan, run_lane
@@ -92,7 +92,6 @@ class JanusEngine:
         block_strategies,
         features: Optional[JanusFeatures] = None,
         check_memory: bool = True,
-        trace_worker: int = 0,
         machine_speed: Optional[Dict[int, float]] = None,
         compute_jitter: float = 0.0,
         jitter_seed: int = 0,
@@ -146,7 +145,6 @@ class JanusEngine:
         self.workload = workload
         self.features = features if features is not None else JanusFeatures()
         self.check_memory = check_memory
-        self.trace_worker = trace_worker
         self.machine_speed = dict(machine_speed or {})
         for machine, speed in self.machine_speed.items():
             if not 0 <= machine < cluster.num_machines:
@@ -244,7 +242,6 @@ class JanusEngine:
             resilience=self.resilience,
             fault_stats=fault_stats,
             metrics=self.metrics,
-            trace_worker=self.trace_worker,
             replicas=self.replicas,
         )
         self._spawn_replica_syncs(ctx, dc_blocks)
@@ -479,13 +476,14 @@ class JanusEngine:
         return worker_procs, collector_procs
 
     def _task_observer(self, ctx):
-        """Per-task completion hook: ``task.*`` trace lane (for the trace
-        worker's tasks and the global service/collector tasks) plus
-        per-kind count/seconds counters.  Pure Python bookkeeping — never
-        changes simulated time."""
+        """Per-task completion hook, the only source of a task's spans:
+        the ``compute.*``/``comm.*`` span the task names (``task.span``)
+        and its ``task.*`` span, for the trace worker's tasks and the
+        global service/collector tasks, plus per-kind count/seconds
+        counters.  Pure Python bookkeeping — never changes simulated
+        time."""
         metrics = self.metrics
         trace = ctx.trace
-        trace_worker = self.trace_worker
         # Per-block per-chunk A2A timing feeds the tuner's predicted-vs-
         # measured report; only booked under tuning so default-features
         # runs keep their exact golden metric key sets.
@@ -509,10 +507,16 @@ class JanusEngine:
                         "control.chunk_tuning.measured_chunk_s",
                         ended - started, block=task.block,
                     )
-            if task.worker is None or task.worker == trace_worker:
+            worker = task.worker
+            if worker is None or worker == TRACE_WORKER:
+                if task.span is not None:
+                    trace.record(
+                        task.span, started, ended,
+                        worker=worker, block=task.block, detail=task.detail,
+                    )
                 trace.record(
                     f"task.{kind}", started, ended,
-                    worker=task.worker, block=task.block, detail=task.detail,
+                    worker=worker, block=task.block, detail=task.detail,
                 )
 
         return observe

@@ -23,7 +23,7 @@ from typing import List
 
 from ..cluster import Device
 from ..faults import PullFailedError, retry_flow
-from .context import IterationContext
+from .context import TRACE_WORKER, IterationContext
 from .priority import internal_pull_order, pcie_peer_schedule
 
 __all__ = ["IntraNodeScheduler"]
@@ -60,7 +60,7 @@ class IntraNodeScheduler:
         if self.metrics is not None:
             self.metrics.inc("pull.issued", kind=kind)
             self.metrics.observe("pull.latency_s", now - started, kind=kind)
-        if self.rank == ctx.trace_worker:
+        if self.rank == TRACE_WORKER:
             ctx.trace.record(
                 "comm.pull", started, now,
                 worker=self.rank, block=block, detail=kind,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ...cluster import Device
+from ..context import TRACE_WORKER
 from ..inter_scheduler import InterNodeScheduler
 from ..intra_scheduler import IntraNodeScheduler
 from ..taskgraph import Task, TaskKind
@@ -29,7 +30,8 @@ class DataCentricStrategy(BlockStrategy):
     def worker_tasks(self, ctx, rank: int, index: int, phase: str):
         """One composite task per (rank, block, phase): the worker computes
         its resident experts, then each pulled expert as its Intra-Node
-        Scheduler delivers it."""
+        Scheduler delivers it.  The observer books the whole task; the
+        composite records each expert's ``compute.expert`` part itself."""
         return [Task(
             f"{self.name}.{phase}.b{index}.w{rank}", TaskKind.EXPERT_COMPUTE,
             body=lambda: self._compute_experts(ctx, rank, index, phase),
@@ -44,7 +46,7 @@ class DataCentricStrategy(BlockStrategy):
         gpu = ctx.gpu_of[rank]
         gpu_flops = engine._rank_flops(rank)
         backward = phase == "bwd"
-        record = rank == engine.trace_worker
+        record = rank == TRACE_WORKER
         routing = block.routing[rank]
 
         def expert_seconds(expert: int) -> float:

@@ -58,20 +58,15 @@ class ExpertCentricStrategy(BlockStrategy):
                 received / split, engine._rank_flops(rank),
                 placement.experts_per_worker, phase,
             )
-            start = ctx.env.now
             yield ctx.env.process(
                 ctx.fabric.compute(ctx.gpu_of[rank], seconds)
             )
-            if rank == engine.trace_worker:
-                ctx.trace.record(
-                    "compute.expert", start, ctx.env.now,
-                    worker=rank, block=index, detail=detail,
-                )
 
         return Task(
             name, TaskKind.EXPERT_COMPUTE, waits=waits, signals=signals,
             body=body, claims=gpu_claim(rank),
             worker=rank, block=index, phase=phase, detail=detail,
+            span="compute.expert",
         )
 
     def _a2a_task(self, ctx, name: str, index: int, phase: str, split: int,
@@ -89,18 +84,15 @@ class ExpertCentricStrategy(BlockStrategy):
             ) / split
             if combine:
                 matrix = matrix.T
-            start = ctx.env.now
             yield all_to_all(
                 ctx.fabric, matrix,
                 hierarchical=engine.features.hierarchical_a2a,
-            )
-            ctx.trace.record(
-                "comm.a2a", start, ctx.env.now, block=index, detail=detail,
             )
 
         return Task(
             name, TaskKind.A2A_CHUNK, waits=waits, signals=signals,
             body=body, block=index, phase=phase, detail=detail,
+            span="comm.a2a",
         )
 
     def _gated(self, p: str, rank: int, index: int, phase: str, computes):
@@ -110,13 +102,13 @@ class ExpertCentricStrategy(BlockStrategy):
             Task(
                 f"{p}.w{rank}.arrive", TaskKind.GATE,
                 signals=(f"{p}.arrive.{rank}",),
-                worker=rank, block=index, phase=phase, traced=False,
+                worker=rank, block=index, phase=phase,
             ),
             *computes,
             Task(
                 f"{p}.w{rank}.leave", TaskKind.GATE,
                 waits=(f"{p}.combined",),
-                worker=rank, block=index, phase=phase, traced=False,
+                worker=rank, block=index, phase=phase,
             ),
         ]
 

@@ -35,6 +35,7 @@ from typing import Tuple
 
 from ...models.flops import BACKWARD_MULTIPLIER
 from ...netsim import all_reduce
+from ..context import TRACE_WORKER
 from .graph import TaskGraph
 from .stagger import apply_a2a_stagger
 from .task import ResourceClaim, Task, TaskKind
@@ -124,8 +125,7 @@ def build_iteration_plan(
 # -- worker lanes ----------------------------------------------------------
 
 
-def _dense_body(engine, ctx, rank, gpu, block, mult, scale, record, detail,
-                rank_flops):
+def _dense_body(engine, ctx, gpu, block, mult, scale, rank_flops):
     """Dense (attention + non-expert FFN) compute for one block.
 
     ``mult`` is the backward factor, ``scale`` the 1/M micro-batch split;
@@ -134,18 +134,11 @@ def _dense_body(engine, ctx, rank, gpu, block, mult, scale, record, detail,
     hoisted to one :meth:`JanusEngine._rank_flops` call per lane — the
     lookup chain dominates graph-build time when resolved per block.
     """
-    index = block.index
     base = (block.dense_flops + block.ffn_flops) / rank_flops
 
     def body():
         seconds = engine._jittered(mult * scale * base)
-        start = ctx.env.now
         yield ctx.env.process(ctx.fabric.compute(gpu, seconds))
-        if record:
-            ctx.trace.record(
-                "compute.dense", start, ctx.env.now,
-                worker=rank, block=index, detail=detail,
-            )
 
     return body
 
@@ -174,7 +167,6 @@ def _build_worker_lane(
     """
     workload = engine.workload
     gpu = ctx.gpu_of[rank]
-    record = rank == engine.trace_worker
     claims = gpu_claim(rank)
     rank_flops = engine._rank_flops(rank)
     scale = 1.0 / micro
@@ -187,7 +179,7 @@ def _build_worker_lane(
 
     lane.add(Task(
         f"{p}.start", TaskKind.GATE, waits=("iteration_start",),
-        worker=rank, traced=False,
+        worker=rank,
     ))
 
     def entry_task(block, phase):
@@ -197,7 +189,7 @@ def _build_worker_lane(
         lane.add(Task(
             f"{p}.{phase}.b{index}.entry", TaskKind.GATE,
             signals=(entry_label(phase, index, rank),),
-            worker=rank, block=index, phase=phase, traced=False,
+            worker=rank, block=index, phase=phase,
         ))
 
     def moe_tasks(block, phase):
@@ -221,25 +213,25 @@ def _build_worker_lane(
                 Task(
                     f"{gate}.gather", TaskKind.GATE,
                     waits=tuple(f"{rv}.mb{i}" for i in range(1, micro)),
-                    worker=rank, block=index, phase=phase, traced=False,
+                    worker=rank, block=index, phase=phase,
                 ),
                 *strategy.worker_tasks(ctx, rank, index, phase),
                 Task(
                     f"{gate}.release", TaskKind.GATE,
                     signals=(f"{rv}.done",),
-                    worker=rank, block=index, phase=phase, traced=False,
+                    worker=rank, block=index, phase=phase,
                 ),
             )
         else:
             lane.add(
                 Task(
                     f"{gate}.rv", TaskKind.GATE, signals=(f"{rv}.mb{m}",),
-                    worker=rank, block=index, phase=phase, traced=False,
+                    worker=rank, block=index, phase=phase,
                 ),
                 Task(
                     f"{gate}.released", TaskKind.GATE,
                     waits=(f"{rv}.done",),
-                    worker=rank, block=index, phase=phase, traced=False,
+                    worker=rank, block=index, phase=phase,
                 ),
             )
 
@@ -249,20 +241,17 @@ def _build_worker_lane(
             entry_task(block, "fwd")
         lane.add(Task(
             f"{p}.fwd.b{index}.dense", TaskKind.DENSE_COMPUTE,
-            body=_dense_body(
-                engine, ctx, rank, gpu, block, 1.0, scale, record,
-                f"fwd{suffix}", rank_flops,
-            ),
+            body=_dense_body(engine, ctx, gpu, block, 1.0, scale, rank_flops),
             claims=claims, worker=rank, block=index, phase="fwd",
-            detail=f"fwd{suffix}",
+            detail=f"fwd{suffix}", span="compute.dense",
         ))
         if block.is_moe:
             moe_tasks(block, "fwd")
-        if record and m == 0:
+        if rank == TRACE_WORKER and m == 0:
             lane.add(Task(
                 f"{p}.fwd.b{index}.mark", TaskKind.GATE,
                 body=_mark_body(ctx, rank, index),
-                worker=rank, block=index, traced=False,
+                worker=rank, block=index,
             ))
 
     if forward_only:
@@ -276,8 +265,8 @@ def _build_worker_lane(
         lane.add(Task(
             f"{p}.bwd.b{index}.dense", TaskKind.DENSE_COMPUTE,
             body=_dense_body(
-                engine, ctx, rank, gpu, block, BACKWARD_MULTIPLIER, scale,
-                False, f"bwd{suffix}", rank_flops,
+                engine, ctx, gpu, block, BACKWARD_MULTIPLIER, scale,
+                rank_flops,
             ),
             claims=claims, worker=rank, block=index, phase="bwd",
             detail=f"bwd{suffix}",
@@ -286,27 +275,23 @@ def _build_worker_lane(
             lane.add(Task(
                 f"{p}.bwd.b{index}.grad-ready", TaskKind.GATE,
                 signals=(_bdense_label(index, rank, mb),),
-                worker=rank, block=index, phase="bwd", traced=False,
+                worker=rank, block=index, phase="bwd",
             ))
     if allreduce == "serial":
         lane.add(Task(
             f"{p}.done", TaskKind.GATE, signals=(_done_label(rank, mb),),
-            worker=rank, traced=False,
+            worker=rank,
         ))
 
 
 # -- gradient all-reduce lanes ---------------------------------------------
 
 
-def _allreduce_body(engine, ctx, index, nbytes, detail):
+def _allreduce_body(engine, ctx, nbytes):
     def body():
-        start = ctx.env.now
         yield all_reduce(
             ctx.fabric, nbytes,
             hierarchical=engine.features.hierarchical_a2a,
-        )
-        ctx.trace.record(
-            "comm.allreduce", start, ctx.env.now, block=index, detail=detail,
         )
 
     return body
@@ -335,17 +320,16 @@ def _build_allreduce_lanes(engine, ctx, graph, micro) -> None:
             waits=tuple(
                 _done_label(rank, m) for rank in range(world) for m in micros
             ),
-            traced=False,
         ))
         for block in reversed(workload.blocks):
             index = block.index
             lane.add(Task(
                 f"allreduce.b{index}", TaskKind.GRAD_ALLREDUCE,
                 body=_allreduce_body(
-                    engine, ctx, index,
-                    config.dense_param_bytes(index), "serial",
+                    engine, ctx, config.dense_param_bytes(index)
                 ),
                 block=index, phase="bwd", detail="serial",
+                span="comm.allreduce",
             ))
         return
     for block in reversed(workload.blocks):
@@ -361,8 +345,8 @@ def _build_allreduce_lanes(engine, ctx, graph, micro) -> None:
                 for m in micros
             ),
             body=_allreduce_body(
-                engine, ctx, index, config.dense_param_bytes(index),
-                "overlap",
+                engine, ctx, config.dense_param_bytes(index)
             ),
             block=index, phase="bwd", detail="overlap", priority=2,
+            span="comm.allreduce",
         ))

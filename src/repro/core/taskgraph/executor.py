@@ -10,9 +10,11 @@ and the golden-pinned kernel counters stable:
 * generator bodies are ``yield from``-ed inline (no sub-process),
 * signal events succeed after the body, in declaration order.
 
-The optional ``observer`` is called after each traced body with the task
-and its start/end sim-times; it is pure bookkeeping (spans, counters) and
-must never touch the simulation clock.
+The optional ``observer`` is called after the body of every task that is
+not a ``GATE``, with the task and its start/end sim-times.  It is the only
+code that records a task's spans (the ``task.*`` span and the ``span``
+the task names); it is pure bookkeeping and must never touch the
+simulation clock.
 
 ``arbiters`` (optional) maps resource names to simkit
 :class:`~repro.simkit.PriorityResource` instances.  A task carrying a
@@ -28,6 +30,7 @@ from types import GeneratorType
 
 from ...simkit import AllOf
 from .graph import Lane, TaskGraph
+from .task import TaskKind
 
 __all__ = ["run_lane"]
 
@@ -59,7 +62,7 @@ def run_lane(graph: TaskGraph, lane: Lane, observer=None, arbiters=None):
             outcome = task.body()
             if isinstance(outcome, GeneratorType):
                 yield from outcome
-            if observer is not None and task.traced:
+            if observer is not None and task.kind is not TaskKind.GATE:
                 observer(task, started, env.now)
         for arbiter, request in grants:
             arbiter.release(request)

@@ -75,6 +75,12 @@ class Task:
     without an environment.  ``body`` is either ``None`` (pure
     synchronization), a plain callable (instant bookkeeping), or a
     generator function yielding simkit events (timed work).
+
+    A body is pure simulated work: it never records its own span.  The
+    executor's observer books every non-gate task with a body, and records
+    the ``span`` named here from the same stamps.  Two tasks of one kind
+    may differ (backward dense compute has no ``compute.dense`` span), so
+    the name is declared where the task is built.
     """
 
     name: str
@@ -88,9 +94,9 @@ class Task:
     block: Optional[int] = None
     phase: Optional[str] = None
     detail: Optional[str] = None
-    #: Whether the executor's observer books this task (``task.*`` span and
-    #: per-kind counters).  Builders turn it off for bookkeeping gates.
-    traced: bool = True
+    #: Name of the ``compute.*``/``comm.*`` span the executor's observer
+    #: records from this task's stamps, or ``None`` for no such span.
+    span: Optional[str] = None
 
     def __post_init__(self):
         if type(self.kind) is not TaskKind:

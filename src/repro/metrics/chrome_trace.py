@@ -4,8 +4,8 @@ Produces the Trace Event Format JSON that ``chrome://tracing`` and
 https://ui.perfetto.dev load directly: complete (``"ph": "X"``) events for
 spans, instant (``"ph": "i"``) events for point marks, counter
 (``"ph": "C"``) samples for registry counters, and metadata (``"ph": "M"``)
-events naming the process and per-worker threads.  Timestamps are
-microseconds, as the format requires.
+events naming one process per iteration and its per-worker threads.
+Timestamps are microseconds, as the format requires.
 """
 
 from __future__ import annotations
@@ -25,49 +25,44 @@ def _tid(worker: Optional[int]) -> int:
     return _GLOBAL_TID if worker is None else worker + 1
 
 
+def _lane_names(trace, process_name: str) -> List[Dict]:
+    """Metadata naming every ``(pid, tid)`` lane: one process per
+    recorded iteration, each with its coordinator and worker threads."""
+    lanes: Dict[int, set] = {}
+    for span in trace.spans:
+        lanes.setdefault(span.iteration, set()).add(span.worker)
+    for event in trace.events:
+        lanes.setdefault(event["iteration"], set()).add(event.get("worker"))
+    single = len(lanes) <= 1
+    events: List[Dict] = []
+    for pid in sorted(lanes) or [0]:
+        workers = sorted(w for w in lanes.get(pid, ()) if w is not None)
+        names = [
+            ("process_name", _GLOBAL_TID,
+             process_name if single else f"{process_name} iteration {pid}"),
+            ("thread_name", _GLOBAL_TID, "coordinators"),
+        ] + [("thread_name", _tid(w), f"worker {w}") for w in workers]
+        events.extend(
+            {"name": name, "ph": "M", "ts": 0, "pid": pid, "tid": tid,
+             "args": {"name": text}}
+            for name, tid, text in names
+        )
+    return events
+
+
 def chrome_trace(
     trace,
     registry: Optional[MetricsRegistry] = None,
     process_name: str = "janus-sim",
 ) -> Dict:
-    """Convert a :class:`~repro.trace.TraceRecorder` to a trace dict."""
-    events: List[Dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "ts": 0,
-            "pid": 0,
-            "tid": _GLOBAL_TID,
-            "args": {"name": process_name},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "ts": 0,
-            "pid": 0,
-            "tid": _GLOBAL_TID,
-            "args": {"name": "coordinators"},
-        },
-    ]
-    workers = sorted(
-        {span.worker for span in trace.spans if span.worker is not None}
-        | {
-            event["worker"]
-            for event in trace.events
-            if event.get("worker") is not None
-        }
-    )
-    for worker in workers:
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "ts": 0,
-                "pid": 0,
-                "tid": _tid(worker),
-                "args": {"name": f"worker {worker}"},
-            }
-        )
+    """Convert a :class:`~repro.trace.TraceRecorder` to a trace dict.
+
+    Each iteration's clock starts at zero, so each recorded iteration is
+    its own process (``pid`` = iteration) instead of being drawn on top of
+    the others; a single-iteration trace is process 0.  Counter samples
+    sit at the end of the last iteration."""
+    events = _lane_names(trace, process_name)
+    last = max(event["pid"] for event in events)
 
     end_ts = 0.0
     for span in trace.spans:
@@ -83,12 +78,13 @@ def chrome_trace(
                 "ph": "X",
                 "ts": span.start * _US,
                 "dur": span.duration * _US,
-                "pid": 0,
+                "pid": span.iteration,
                 "tid": _tid(span.worker),
                 "args": args,
             }
         )
-        end_ts = max(end_ts, span.end * _US)
+        if span.iteration == last:
+            end_ts = max(end_ts, span.end * _US)
 
     for event in trace.events:
         args = {
@@ -103,12 +99,13 @@ def chrome_trace(
                 "ph": "i",
                 "s": "t",
                 "ts": event["time"] * _US,
-                "pid": 0,
+                "pid": event["iteration"],
                 "tid": _tid(event.get("worker")),
                 "args": args,
             }
         )
-        end_ts = max(end_ts, event["time"] * _US)
+        if event["iteration"] == last:
+            end_ts = max(end_ts, event["time"] * _US)
 
     if registry is not None:
         for name in registry.counter_names():
@@ -121,7 +118,7 @@ def chrome_trace(
                     "name": name,
                     "ph": "C",
                     "ts": end_ts,
-                    "pid": 0,
+                    "pid": last,
                     "tid": _GLOBAL_TID,
                     "args": series,
                 }

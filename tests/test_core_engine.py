@@ -1,5 +1,7 @@
 """Integration tests for the timed engines (small configs for speed)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.config import ModelConfig
 from repro.core import (
     JanusEngine,
     JanusFeatures,
+    TaskKind,
     build_workload,
     engine_for,
     strategy_map,
@@ -264,3 +267,76 @@ class TestTrace:
         spans = result.trace.spans_of("comm.a2a")
         # 2 MoE blocks x 2 phases x 2 collectives.
         assert len(spans) == 8
+
+
+class TestOneSpanSource:
+    """The executor's observer is the only code that records a task's
+    spans: task bodies are pure simulated work."""
+
+    TASK_SPANS = ("compute.", "comm.a2a", "comm.allreduce")
+
+    def make_engine(self):
+        config = small_config(
+            num_blocks=6, experts_per_block={1: 4, 3: 4, 5: 4}
+        )
+        cluster = small_cluster()
+        return JanusEngine(
+            cluster, build_workload(config, cluster),
+            {1: "expert-centric", 3: "pipelined-ec", 5: "microbatch-ec"},
+            features=JanusFeatures(micro_batches=2, grad_allreduce="serial"),
+        )
+
+    def test_no_body_records_a_task_span(self, monkeypatch):
+        monkeypatch.setattr(
+            JanusEngine, "_task_observer", lambda self, ctx: None
+        )
+        trace = self.make_engine().run_iteration().trace
+        assert trace.block_completions(0)  # the recorder was live
+        assert not [
+            span for span in trace.spans
+            if span.kind.startswith(self.TASK_SPANS)
+        ]
+
+    def test_each_named_span_precedes_its_task_span(self, monkeypatch):
+        observed = []
+        original = JanusEngine._task_observer
+
+        def wrapped(self, ctx):
+            observe = original(self, ctx)
+
+            def logged(task, started, ended):
+                before = len(ctx.trace.spans)
+                observe(task, started, ended)
+                observed.append((task, ctx.trace.spans[before:]))
+
+            return logged
+
+        monkeypatch.setattr(JanusEngine, "_task_observer", wrapped)
+        trace = self.make_engine().run_iteration().trace
+        named = 0
+        for task, spans in observed:
+            if task.worker not in (None, 0):
+                assert spans == []
+                continue
+            assert spans[-1].kind == f"task.{task.kind.value}"
+            if task.span is None:
+                assert len(spans) == 1
+                continue
+            named += 1
+            first, second = spans
+            assert first.kind == task.span
+            assert dataclasses.replace(first, kind=second.kind) == second
+        assert named == len([
+            span for span in trace.spans
+            if span.kind.startswith(self.TASK_SPANS)
+        ])
+        assert {task.span for task, _ in observed} == {
+            None, "compute.dense", "compute.expert", "comm.a2a",
+            "comm.allreduce",
+        }
+        # Backward dense compute has never had a compute.dense span.
+        backward = [
+            task for task, _ in observed
+            if task.kind is TaskKind.DENSE_COMPUTE and task.phase == "bwd"
+        ]
+        assert backward and all(task.span is None for task in backward)

@@ -28,7 +28,10 @@ from tests.conftest import small_cluster, small_config
 MODES = ("expert-centric", "data-centric", "unified", "pipelined-ec")
 
 
-def run_instrumented(mode, seed=0, imbalance=0.3, **config_overrides):
+def run_instrumented(mode, seed=0, imbalance=0.3, iterations=1,
+                     **config_overrides):
+    """Run ``iterations`` iterations into one shared registry and
+    recorder; returns them with the last iteration's result."""
     registry = MetricsRegistry()
     trace = TraceRecorder()
     config = small_config(**config_overrides)
@@ -37,8 +40,7 @@ def run_instrumented(mode, seed=0, imbalance=0.3, **config_overrides):
         rng=np.random.default_rng(seed), imbalance=imbalance,
         metrics=registry, trace=trace,
     )
-    result = engine.run_iteration()
-    return registry, trace, result
+    return registry, trace, engine.run(iterations)[-1]
 
 
 class TestHistogramProperties:
@@ -177,17 +179,54 @@ class TestChromeTraceWellFormed:
                 assert event["s"] in {"g", "p", "t"}
 
     def test_thread_metadata_covers_every_span_lane(self):
-        _, trace, _ = run_instrumented("data-centric")
-        document = chrome_trace(trace)
-        events = document["traceEvents"]
-        named_tids = {
-            event["tid"] for event in events
-            if event["ph"] == "M" and event["name"] == "thread_name"
+        for iterations in (1, 2):
+            registry, trace, _ = run_instrumented(
+                "data-centric", iterations=iterations
+            )
+            events = chrome_trace(trace, registry)["traceEvents"]
+            named_lanes = {
+                (event["pid"], event["tid"]) for event in events
+                if event["ph"] == "M" and event["name"] == "thread_name"
+            }
+            named_pids = {
+                event["pid"] for event in events
+                if event["ph"] == "M" and event["name"] == "process_name"
+            }
+            used_lanes = {
+                (event["pid"], event["tid"]) for event in events
+                if event["ph"] != "M"
+            }
+            assert used_lanes <= named_lanes
+            assert {pid for pid, _ in named_lanes} == named_pids
+            assert named_pids == set(range(iterations))
+
+    def test_each_iteration_is_its_own_process(self):
+        # Every iteration's clock starts at zero: sharing one process
+        # would draw iteration 1 on top of iteration 0.
+        registry, trace, _ = run_instrumented("data-centric", iterations=2)
+        events = chrome_trace(trace, registry, process_name="sim")[
+            "traceEvents"
+        ]
+        for event in events:
+            if event["ph"] in ("X", "i"):
+                assert event["pid"] == event["args"]["iteration"]
+        spans = [event for event in events if event["ph"] == "X"]
+        assert {event["pid"] for event in spans} == {0, 1}
+        for pid in (0, 1):
+            assert sum(event["pid"] == pid for event in spans) == len(
+                trace.spans_of("", iteration=pid)
+            )
+        names = {
+            event["pid"]: event["args"]["name"] for event in events
+            if event["ph"] == "M" and event["name"] == "process_name"
         }
-        used_tids = {
-            event["tid"] for event in events if event["ph"] != "M"
-        }
-        assert used_tids <= named_tids
+        assert names == {0: "sim iteration 0", 1: "sim iteration 1"}
+        counters = [event for event in events if event["ph"] == "C"]
+        assert counters and all(event["pid"] == 1 for event in counters)
+        last_end = max(
+            span.end for span in trace.spans if span.iteration == 1
+        ) * 1e6
+        assert all(event["ts"] <= last_end for event in counters)
 
     def test_counter_events_carry_registry_totals(self):
         registry, trace, _ = run_instrumented("data-centric")

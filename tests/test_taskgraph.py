@@ -182,7 +182,7 @@ class TestExecutor:
         lane = graph.lane("w")
         lane.add(
             Task("worked", TaskKind.EXPERT_COMPUTE, body=body),
-            Task("silent", TaskKind.GATE, body=lambda: None, traced=False),
+            Task("silent", TaskKind.GATE, body=lambda: None),
             Task("bodyless", TaskKind.GATE),
         )
         env.process(run_lane(
