@@ -1,0 +1,1516 @@
+/* The simulator's compiled cores: one CPython extension, repro._ckernel.
+
+   repro/_native.py compiles this file with plain cc (-O2
+   -ffp-contract=off) at first use and imports it.  It holds two cores:
+
+   * the event kernel: Event, Timeout, Process and the Environment base
+     type behind repro.simkit.core (see repro/simkit/_eventcore.py);
+   * the fluid network's kernel: advance, admit, retire, settle and
+     waterfill, the C loops behind repro.netsim._waterfill.CompiledKernel,
+     plus the two packers, ledger() and tables(), whose objects carry the
+     network's arrays into those loops.
+
+   Every fluid entry is a METH_FASTCALL function, and every array reaches
+   C through the buffer protocol: a packer holds one buffer view per
+   array, checked for dtype, C-contiguity and writability, and the views
+   keep the arrays alive.  No raw address crosses from Python.  Only
+   PyInit__ckernel is exported; every other function is static. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <structmember.h>
+#include <limits.h>
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+/* == event kernel ====================================================== */
+
+/* Bound by setup(): the exception class the event kernel raises and
+   the "not yet triggered" sentinel of core.py. */
+static PyObject *SimulationError, *Pending;
+static PyObject *str_send, *str_throw, *str_name, *str_now, *str_value;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *env;
+    PyObject *callbacks;  /* a list, or None once processed */
+    PyObject *value;      /* Pending until triggered */
+    PyObject *exception;  /* NULL or None unless failed */
+    char defused;
+} EventObject;
+
+typedef struct {
+    EventObject event;
+    PyObject *generator;
+    PyObject *name;
+    char daemon;
+} ProcessObject;
+
+typedef struct {
+    double time;
+    long priority;
+    unsigned long long eid;
+    PyObject *event;
+} Entry;
+
+typedef struct {
+    unsigned long long eid;
+    PyObject *event;
+} Slot;
+
+typedef struct {
+    PyObject_HEAD
+    double now;
+    Entry *heap;
+    Py_ssize_t heap_len, heap_cap;
+    Slot *ring;           /* capacity is a power of two */
+    Py_ssize_t ring_head, ring_len, ring_cap;
+    unsigned long long eid;
+    PyObject *hooks;      /* instant-end callbacks (a list) */
+    PyObject *alive;      /* set of started, unfinished processes */
+    long long events_processed, processes_started;
+} EnvObject;
+
+static PyTypeObject EventType, TimeoutType, ProcessType, EnvType;
+
+#define HAS_EXC(e) ((e)->exception != NULL && (e)->exception != Py_None)
+#define TRIGGERED(e) ((e)->value != Pending || HAS_EXC(e))
+#define HOOKS_PENDING(env) ((env)->hooks != NULL && PyList_GET_SIZE((env)->hooks) > 0)
+#define DRAINED(env) ((env)->ring_len == 0 && \
+    ((env)->heap_len == 0 || (env)->heap[0].time > (env)->now))
+
+static int process_resume(ProcessObject *self, EventObject *event);
+
+/* -- queue ------------------------------------------------------------ */
+
+static inline int entry_less(const Entry *a, const Entry *b) {
+    if (a->time != b->time) return a->time < b->time;
+    if (a->priority != b->priority) return a->priority < b->priority;
+    return a->eid < b->eid;
+}
+
+static int heap_push(EnvObject *env, double time, long priority, PyObject *event) {
+    if (env->heap_len == env->heap_cap) {
+        Py_ssize_t cap = env->heap_cap ? 2 * env->heap_cap : 64;
+        Entry *heap = PyMem_Realloc(env->heap, cap * sizeof(Entry));
+        if (heap == NULL) { PyErr_NoMemory(); return -1; }
+        env->heap = heap;
+        env->heap_cap = cap;
+    }
+    Entry item = {time, priority, env->eid, event};
+    Entry *heap = env->heap;
+    Py_ssize_t i = env->heap_len++;
+    while (i > 0) {
+        Py_ssize_t parent = (i - 1) >> 1;
+        if (!entry_less(&item, &heap[parent])) break;
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = item;
+    return 0;
+}
+
+/* Removes the head; returns its event (the reference moves to the caller). */
+static PyObject *heap_pop(EnvObject *env) {
+    Entry *heap = env->heap;
+    PyObject *event = heap[0].event;
+    Py_ssize_t n = --env->heap_len;
+    if (n > 0) {
+        Entry last = heap[n];
+        Py_ssize_t i = 0;
+        for (;;) {
+            Py_ssize_t child = 2 * i + 1;
+            if (child >= n) break;
+            if (child + 1 < n && entry_less(&heap[child + 1], &heap[child])) child++;
+            if (!entry_less(&heap[child], &last)) break;
+            heap[i] = heap[child];
+            i = child;
+        }
+        heap[i] = last;
+    }
+    return event;
+}
+
+static int ring_push(EnvObject *env, PyObject *event) {
+    if (env->ring_len == env->ring_cap) {
+        Py_ssize_t cap = env->ring_cap ? 2 * env->ring_cap : 64;
+        Slot *ring = PyMem_Malloc(cap * sizeof(Slot));
+        if (ring == NULL) { PyErr_NoMemory(); return -1; }
+        for (Py_ssize_t i = 0; i < env->ring_len; i++)
+            ring[i] = env->ring[(env->ring_head + i) & (env->ring_cap - 1)];
+        PyMem_Free(env->ring);
+        env->ring = ring;
+        env->ring_cap = cap;
+        env->ring_head = 0;
+    }
+    Slot *slot = &env->ring[(env->ring_head + env->ring_len) & (env->ring_cap - 1)];
+    slot->eid = env->eid;
+    slot->event = event;
+    env->ring_len++;
+    return 0;
+}
+
+static PyObject *ring_pop(EnvObject *env) {
+    PyObject *event = env->ring[env->ring_head].event;
+    env->ring_head = (env->ring_head + 1) & (env->ring_cap - 1);
+    env->ring_len--;
+    return event;
+}
+
+static int schedule(PyObject *envobj, EventObject *event, double delay, long priority) {
+    if (envobj == NULL || !PyObject_TypeCheck(envobj, &EnvType)) {
+        PyErr_Format(PyExc_TypeError,
+                     "event belongs to %R, not to a compiled-kernel environment",
+                     envobj ? envobj : Py_None);
+        return -1;
+    }
+    EnvObject *env = (EnvObject *) envobj;
+    env->eid++;
+    int status = (delay == 0.0 && priority == 1)
+        ? ring_push(env, (PyObject *) event)
+        : heap_push(env, env->now + delay, priority, (PyObject *) event);
+    if (status == 0) Py_INCREF(event);
+    return status;
+}
+
+/* -- Event ------------------------------------------------------------ */
+
+/* Parses a vectorcall's arguments, each by position or keyword, into
+   out[0..count) (NULL when absent); the first `required` are mandatory. */
+static int parse_args(const char *function, const char *const *names, Py_ssize_t count,
+                      Py_ssize_t required, PyObject *const *args, Py_ssize_t nargs,
+                      PyObject *kwnames, PyObject **out) {
+    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    for (Py_ssize_t i = 0; i < count; i++) out[i] = i < nargs ? args[i] : NULL;
+    if (nargs > count) goto usage;
+    for (Py_ssize_t k = 0; k < nkw; k++) {
+        Py_ssize_t i = 0;
+        while (i < count && PyUnicode_CompareWithASCIIString(
+                PyTuple_GET_ITEM(kwnames, k), names[i]) != 0) i++;
+        if (i == count || out[i] != NULL) goto usage;
+        out[i] = args[nargs + k];
+    }
+    for (Py_ssize_t i = 0; i < required; i++) if (out[i] == NULL) goto usage;
+    return 0;
+usage:
+    PyErr_Format(PyExc_TypeError, "invalid arguments to %s()", function);
+    return -1;
+}
+
+static EventObject *event_alloc(PyTypeObject *type, PyObject *env) {
+    EventObject *self = (EventObject *) type->tp_alloc(type, 0);
+    if (self == NULL) return NULL;
+    self->callbacks = PyList_New(0);
+    if (self->callbacks == NULL) { Py_DECREF(self); return NULL; }
+    Py_XINCREF(env);
+    self->env = env;
+    Py_INCREF(Pending);
+    self->value = Pending;
+    return self;
+}
+
+static PyObject *event_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    return (PyObject *) event_alloc(type, NULL);
+}
+
+static int event_init(EventObject *self, PyObject *args, PyObject *kwds) {
+    static char *kwlist[] = {"env", NULL};
+    PyObject *env;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:Event", kwlist, &env)) return -1;
+    Py_INCREF(env);
+    Py_XSETREF(self->env, env);
+    return 0;
+}
+
+static int event_traverse(EventObject *self, visitproc visit, void *arg) {
+    Py_VISIT(self->env);
+    Py_VISIT(self->callbacks);
+    Py_VISIT(self->value);
+    Py_VISIT(self->exception);
+    return 0;
+}
+
+static int event_clear(EventObject *self) {
+    Py_CLEAR(self->env);
+    Py_CLEAR(self->callbacks);
+    Py_CLEAR(self->value);
+    Py_CLEAR(self->exception);
+    return 0;
+}
+
+static void event_dealloc(EventObject *self) {
+    PyObject_GC_UnTrack(self);
+    event_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+/* Sets the outcome and schedules the event now; value or exc is NULL. */
+static int trigger(EventObject *self, PyObject *value, PyObject *exc) {
+    if (TRIGGERED(self)) {
+        PyErr_Format(SimulationError, "%R has already been triggered", self);
+        return -1;
+    }
+    if (exc != NULL) {
+        Py_INCREF(exc);
+        Py_XSETREF(self->exception, exc);
+        value = Py_None;
+    }
+    Py_INCREF(value);
+    Py_XSETREF(self->value, value);
+    return schedule(self->env, self, 0.0, 1);
+}
+
+static PyObject *event_succeed(EventObject *self, PyObject *const *args,
+                               Py_ssize_t nargs, PyObject *kwnames) {
+    static const char *const names[] = {"value"};
+    PyObject *value;
+    if (parse_args("succeed", names, 1, 0, args, nargs, kwnames, &value) < 0
+            || trigger(self, value ? value : Py_None, NULL) < 0)
+        return NULL;
+    Py_INCREF(self);
+    return (PyObject *) self;
+}
+
+static PyObject *event_fail(EventObject *self, PyObject *exc) {
+    if (!TRIGGERED(self) && !PyExceptionInstance_Check(exc)) {
+        PyErr_SetString(SimulationError, "fail() requires an exception instance");
+        return NULL;
+    }
+    if (trigger(self, NULL, exc) < 0) return NULL;
+    Py_INCREF(self);
+    return (PyObject *) self;
+}
+
+/* Runs the callbacks, then raises the event's exception unless defused. */
+static int process_callbacks(EventObject *self) {
+    PyObject *callbacks = self->callbacks;
+    if (callbacks == NULL || !PyList_Check(callbacks)) {
+        PyErr_Format(PyExc_AssertionError, "%R was processed twice", self);
+        return -1;
+    }
+    Py_INCREF(Py_None);
+    self->callbacks = Py_None;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(callbacks); i++) {
+        PyObject *callback = PyList_GET_ITEM(callbacks, i);
+        int status;
+        Py_INCREF(callback);
+        if (Py_IS_TYPE(callback, &ProcessType)) {
+            status = process_resume((ProcessObject *) callback, self);
+        } else {
+            PyObject *result = PyObject_CallOneArg(callback, (PyObject *) self);
+            status = result == NULL ? -1 : 0;
+            Py_XDECREF(result);
+        }
+        Py_DECREF(callback);
+        if (status < 0) {
+            Py_DECREF(callbacks);
+            return -1;
+        }
+    }
+    Py_DECREF(callbacks);
+    if (HAS_EXC(self) && !self->defused) {
+        PyErr_SetObject((PyObject *) Py_TYPE(self->exception), self->exception);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *event_get_triggered(EventObject *self, void *closure) {
+    return PyBool_FromLong(TRIGGERED(self));
+}
+
+static PyObject *event_get_processed(EventObject *self, void *closure) {
+    return PyBool_FromLong(self->callbacks == Py_None);
+}
+
+static PyObject *event_get_value(EventObject *self, void *closure) {
+    if (!TRIGGERED(self)) {
+        PyErr_SetString(SimulationError, "event value is not yet available");
+        return NULL;
+    }
+    if (HAS_EXC(self)) {
+        PyErr_SetObject((PyObject *) Py_TYPE(self->exception), self->exception);
+        return NULL;
+    }
+    Py_INCREF(self->value);
+    return self->value;
+}
+
+static PyObject *event_repr(EventObject *self) {
+    const char *name = strrchr(Py_TYPE(self)->tp_name, '.');
+    name = name ? name + 1 : Py_TYPE(self)->tp_name;
+    PyObject *now = PyObject_GetAttr(self->env ? self->env : Py_None, str_now);
+    if (now == NULL) return NULL;
+    PyObject *repr = PyUnicode_FromFormat("<%s %s at t=%S>", name,
+                                          TRIGGERED(self) ? "triggered" : "pending", now);
+    Py_DECREF(now);
+    return repr;
+}
+
+static PyMethodDef event_methods[] = {
+    {"succeed", (PyCFunction)(void (*)(void)) event_succeed, METH_FASTCALL | METH_KEYWORDS,
+     "Trigger the event successfully with ``value``."},
+    {"fail", (PyCFunction) event_fail, METH_O, "Trigger the event with an exception."},
+    {NULL}
+};
+
+static PyMemberDef event_members[] = {
+    {"env", T_OBJECT, offsetof(EventObject, env), READONLY, NULL},
+    {"callbacks", T_OBJECT, offsetof(EventObject, callbacks), 0, NULL},
+    {"_value", T_OBJECT, offsetof(EventObject, value), 0, NULL},
+    {"_exception", T_OBJECT, offsetof(EventObject, exception), 0, NULL},
+    {"_defused", T_BOOL, offsetof(EventObject, defused), 0, NULL},
+    {NULL}
+};
+
+static PyGetSetDef event_getset[] = {
+    {"triggered", (getter) event_get_triggered, NULL,
+     "True once the event has a value and is scheduled for processing."},
+    {"processed", (getter) event_get_processed, NULL, "True once callbacks have run."},
+    {"value", (getter) event_get_value, NULL, NULL},
+    {NULL}
+};
+
+static PyTypeObject EventType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.core.Event",
+    .tp_doc = "An event that may be triggered once with a value or an exception.",
+    .tp_basicsize = sizeof(EventObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = event_new,
+    .tp_init = (initproc) event_init,
+    .tp_dealloc = (destructor) event_dealloc,
+    .tp_traverse = (traverseproc) event_traverse,
+    .tp_clear = (inquiry) event_clear,
+    .tp_repr = (reprfunc) event_repr,
+    .tp_methods = event_methods,
+    .tp_members = event_members,
+    .tp_getset = event_getset,
+};
+
+/* -- Timeout ---------------------------------------------------------- */
+
+static PyObject *make_timeout(PyObject *env, PyObject *delay_obj, PyObject *value) {
+    double delay = PyFloat_AsDouble(delay_obj);
+    if (delay == -1.0 && PyErr_Occurred()) return NULL;
+    if (!(delay >= 0)) {  /* also rejects NaN, which would poison the heap */
+        PyErr_Format(SimulationError, "negative or NaN timeout delay: %S", delay_obj);
+        return NULL;
+    }
+    EventObject *self = event_alloc(&TimeoutType, env);
+    if (self == NULL) return NULL;
+    Py_INCREF(value);
+    Py_SETREF(self->value, value);
+    if (schedule(env, self, delay, 1) < 0) {
+        Py_DECREF(self);
+        return NULL;
+    }
+    return (PyObject *) self;
+}
+
+static PyObject *timeout_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    static char *kwlist[] = {"env", "delay", "value", NULL};
+    PyObject *env, *delay, *value = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O:Timeout", kwlist, &env, &delay, &value))
+        return NULL;
+    return make_timeout(env, delay, value);
+}
+
+static int noop_init(PyObject *self, PyObject *args, PyObject *kwds) { return 0; }
+
+static PyTypeObject TimeoutType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.core.Timeout",
+    .tp_doc = "An event that triggers ``delay`` time units after its creation.",
+    .tp_basicsize = sizeof(EventObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_base = &EventType,
+    .tp_new = timeout_new,
+    .tp_init = noop_init,
+};
+
+/* -- Process ---------------------------------------------------------- */
+
+/* Resumes the generator: 0 = it yielded, 1 = it returned, -1 = it raised.
+   *out receives the yielded or returned object. */
+static int resume_generator(PyObject *generator, PyObject *value, PyObject *exc,
+                            PyObject **out) {
+#if PY_VERSION_HEX >= 0x030A0000
+    if (exc == NULL && PyGen_CheckExact(generator)) {
+        PySendResult status = PyIter_Send(generator, value, out);
+        return status == PYGEN_NEXT ? 0 : status == PYGEN_RETURN ? 1 : -1;
+    }
+#endif
+    *out = exc != NULL
+        ? PyObject_CallMethodOneArg(generator, str_throw, exc)
+        : PyObject_CallMethodOneArg(generator, str_send, value);
+    if (*out != NULL) return 0;
+    if (!PyErr_ExceptionMatches(PyExc_StopIteration)) return -1;
+    PyObject *type, *stop, *traceback;
+    PyErr_Fetch(&type, &stop, &traceback);
+    PyErr_NormalizeException(&type, &stop, &traceback);
+    *out = stop ? PyObject_GetAttr(stop, str_value) : NULL;
+    if (*out == NULL) {
+        PyErr_Clear();
+        Py_INCREF(Py_None);
+        *out = Py_None;
+    }
+    Py_XDECREF(type);
+    Py_XDECREF(stop);
+    Py_XDECREF(traceback);
+    return 1;
+}
+
+/* The generator finished: retire the process and trigger it. */
+static int process_finish(ProcessObject *self, EnvObject *env, PyObject *value, PyObject *exc) {
+    if (env->alive != NULL && PySet_Discard(env->alive, (PyObject *) self) < 0) return -1;
+    return trigger(&self->event, value, exc);
+}
+
+static int process_resume(ProcessObject *self, EventObject *event) {
+    EnvObject *env = (EnvObject *) self->event.env;
+    Py_INCREF(event);
+    for (;;) {
+        PyObject *target;
+        int status;
+        if (HAS_EXC(event)) {
+            event->defused = 1;
+            status = resume_generator(self->generator, NULL, event->exception, &target);
+        } else {
+            status = resume_generator(self->generator, event->value, NULL, &target);
+        }
+        Py_DECREF(event);
+        if (status == 1) {
+            status = process_finish(self, env, target, NULL);
+            Py_DECREF(target);
+            return status;
+        }
+        if (status < 0) {
+            PyObject *type, *exc, *traceback;
+            PyErr_Fetch(&type, &exc, &traceback);
+            PyErr_NormalizeException(&type, &exc, &traceback);
+            if (traceback != NULL) PyException_SetTraceback(exc, traceback);
+            status = process_finish(self, env, NULL, exc);
+            Py_XDECREF(type);
+            Py_XDECREF(exc);
+            Py_XDECREF(traceback);
+            return status;
+        }
+        if (!PyObject_TypeCheck(target, &EventType)) {
+            PyErr_Format(SimulationError, "process yielded a non-event: %R", target);
+            Py_DECREF(target);
+            return -1;
+        }
+        event = (EventObject *) target;
+        if (event->callbacks == Py_None) continue;  /* processed: resume at once */
+        if (event->callbacks == NULL || !PyList_Check(event->callbacks)) {
+            PyErr_SetString(PyExc_TypeError, "event callbacks must be a list");
+            Py_DECREF(target);
+            return -1;
+        }
+        status = PyList_Append(event->callbacks, (PyObject *) self);
+        Py_DECREF(target);
+        return status;
+    }
+}
+
+/* name, daemon and priority may be NULL (their defaults). */
+static PyObject *make_process(PyObject *env, PyObject *generator, PyObject *name,
+                             PyObject *daemon, PyObject *priority_obj) {
+    if (!PyObject_TypeCheck(env, &EnvType)) {
+        PyErr_Format(PyExc_TypeError, "%R is not a compiled-kernel environment", env);
+        return NULL;
+    }
+    long priority = priority_obj ? PyLong_AsLong(priority_obj) : 1;
+    if (priority == -1 && PyErr_Occurred()) return NULL;
+    int is_daemon = daemon ? PyObject_IsTrue(daemon) : 0;
+    int named = name ? PyObject_IsTrue(name) : 0;
+    if (is_daemon < 0 || named < 0) return NULL;
+    if (!PyObject_HasAttr(generator, str_throw)) {
+        PyErr_Format(SimulationError, "%R is not a generator", generator);
+        return NULL;
+    }
+    ProcessObject *self = (ProcessObject *) event_alloc(&ProcessType, env);
+    if (self == NULL) return NULL;
+    Py_INCREF(generator);
+    self->generator = generator;
+    if (named) {
+        Py_INCREF(name);
+        self->name = name;
+    } else {
+        self->name = PyObject_GetAttr(generator, str_name);
+        if (self->name == NULL) {
+            if (!PyErr_ExceptionMatches(PyExc_AttributeError)) goto error;
+            PyErr_Clear();
+            self->name = PyUnicode_FromString("process");
+            if (self->name == NULL) goto error;
+        }
+    }
+    /* Daemon processes (e.g. server listen loops) are expected to stay
+       blocked forever and are exempt from stall detection. */
+    self->daemon = (char) is_daemon;
+    /* The initialize event starts the generator at the current time;
+       priority > 1 starts the process only after all normal-priority work
+       of the instant. */
+    EventObject *init = event_alloc(&EventType, env);
+    if (init == NULL) goto error;
+    Py_INCREF(Py_None);
+    Py_SETREF(init->value, Py_None);
+    int status = (PyList_Append(init->callbacks, (PyObject *) self) < 0
+                  || schedule(env, init, 0.0, priority) < 0) ? -1 : 0;
+    Py_DECREF(init);
+    if (status < 0) goto error;
+    EnvObject *e = (EnvObject *) env;
+    if (PySet_Add(e->alive, (PyObject *) self) < 0) goto error;
+    e->processes_started++;
+    return (PyObject *) self;
+error:
+    Py_DECREF(self);
+    return NULL;
+}
+
+static PyObject *process_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    static char *kwlist[] = {"env", "generator", "name", "daemon", "priority", NULL};
+    PyObject *env, *generator, *name = NULL, *daemon = NULL, *priority = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|OOO:Process", kwlist,
+                                     &env, &generator, &name, &daemon, &priority))
+        return NULL;
+    return make_process(env, generator, name, daemon, priority);
+}
+
+static int process_traverse(ProcessObject *self, visitproc visit, void *arg) {
+    Py_VISIT(self->generator);
+    Py_VISIT(self->name);
+    return event_traverse(&self->event, visit, arg);
+}
+
+static int process_clear(ProcessObject *self) {
+    Py_CLEAR(self->generator);
+    Py_CLEAR(self->name);
+    return event_clear(&self->event);
+}
+
+static void process_dealloc(ProcessObject *self) {
+    PyObject_GC_UnTrack(self);
+    process_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+static PyMemberDef process_members[] = {
+    {"name", T_OBJECT, offsetof(ProcessObject, name), 0, NULL},
+    {"daemon", T_BOOL, offsetof(ProcessObject, daemon), 0, NULL},
+    {NULL}
+};
+
+static PyTypeObject ProcessType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.core.Process",
+    .tp_doc = "Wraps a generator; the process itself is an event that triggers when\n"
+              "the generator returns (with its return value) or raises.",
+    .tp_basicsize = sizeof(ProcessObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_base = &EventType,
+    .tp_new = process_new,
+    .tp_init = noop_init,
+    .tp_dealloc = (destructor) process_dealloc,
+    .tp_traverse = (traverseproc) process_traverse,
+    .tp_clear = (inquiry) process_clear,
+    .tp_members = process_members,
+};
+
+/* -- Environment ------------------------------------------------------ */
+
+static PyObject *env_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    EnvObject *self = (EnvObject *) type->tp_alloc(type, 0);
+    if (self == NULL) return NULL;
+    self->hooks = PyList_New(0);
+    self->alive = PySet_New(NULL);
+    if (self->hooks == NULL || self->alive == NULL) {
+        Py_DECREF(self);
+        return NULL;
+    }
+    return (PyObject *) self;
+}
+
+static int env_init(EnvObject *self, PyObject *args, PyObject *kwds) {
+    static char *kwlist[] = {"initial_time", NULL};
+    double initial_time = 0.0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|d:Environment", kwlist, &initial_time))
+        return -1;
+    self->now = initial_time;
+    return 0;
+}
+
+static int env_traverse(EnvObject *self, visitproc visit, void *arg) {
+    for (Py_ssize_t i = 0; i < self->heap_len; i++) Py_VISIT(self->heap[i].event);
+    for (Py_ssize_t i = 0; i < self->ring_len; i++)
+        Py_VISIT(self->ring[(self->ring_head + i) & (self->ring_cap - 1)].event);
+    Py_VISIT(self->hooks);
+    Py_VISIT(self->alive);
+    return 0;
+}
+
+static int env_clear(EnvObject *self) {
+    while (self->heap_len > 0) {
+        PyObject *event = self->heap[--self->heap_len].event;
+        Py_DECREF(event);
+    }
+    while (self->ring_len > 0) {
+        PyObject *event = ring_pop(self);
+        Py_DECREF(event);
+    }
+    Py_CLEAR(self->hooks);
+    Py_CLEAR(self->alive);
+    return 0;
+}
+
+static void env_dealloc(EnvObject *self) {
+    PyObject_GC_UnTrack(self);
+    env_clear(self);
+    PyMem_Free(self->heap);
+    PyMem_Free(self->ring);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+/* Runs the instant-end hooks while the current instant has drained. */
+static int flush_hooks(EnvObject *self) {
+    while (HOOKS_PENDING(self) && DRAINED(self)) {
+        PyObject *hooks = self->hooks;
+        self->hooks = PyList_New(0);
+        if (self->hooks == NULL) {
+            self->hooks = hooks;
+            return -1;
+        }
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(hooks); i++) {
+            PyObject *hook = PyList_GET_ITEM(hooks, i);
+            Py_INCREF(hook);
+            PyObject *result = PyObject_CallNoArgs(hook);
+            Py_DECREF(hook);
+            if (result == NULL) {
+                Py_DECREF(hooks);
+                return -1;
+            }
+            Py_DECREF(result);
+        }
+        Py_DECREF(hooks);
+    }
+    return 0;
+}
+
+static int env_step_impl(EnvObject *self) {
+    if (HOOKS_PENDING(self) && DRAINED(self) && flush_hooks(self) < 0) return -1;
+    PyObject *event;
+    if (self->ring_len > 0) {
+        Entry *head = self->heap;
+        if (self->heap_len > 0 && head->time == self->now
+                && (head->priority < 1 || (head->priority == 1
+                    && head->eid < self->ring[self->ring_head].eid)))
+            event = heap_pop(self);
+        else
+            event = ring_pop(self);
+    } else {
+        if (self->heap_len == 0) {
+            PyErr_SetString(SimulationError, "no more events to process");
+            return -1;
+        }
+        self->now = self->heap[0].time;
+        event = heap_pop(self);
+    }
+    self->events_processed++;
+    int status = process_callbacks((EventObject *) event);
+    Py_DECREF(event);
+    return status;
+}
+
+static double env_peek_impl(EnvObject *self) {
+    if (self->ring_len > 0 || HOOKS_PENDING(self)) return self->now;
+    if (self->heap_len == 0) return Py_HUGE_VAL;
+    return self->heap[0].time;
+}
+
+static PyObject *env_step(EnvObject *self, PyObject *unused) {
+    if (env_step_impl(self) < 0) return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *env_peek(EnvObject *self, PyObject *unused) {
+    return PyFloat_FromDouble(env_peek_impl(self));
+}
+
+/* run()'s loop: returns once stop_event is processed, the next activity
+   lies beyond stop_time (the clock then reads stop_time), or nothing is
+   left to do. */
+static PyObject *env_run(EnvObject *self, PyObject *args) {
+    PyObject *stop_event, *stop_time_obj;
+    if (!PyArg_ParseTuple(args, "OO:_run", &stop_event, &stop_time_obj)) return NULL;
+    if (stop_event != Py_None && !PyObject_TypeCheck(stop_event, &EventType)) {
+        PyErr_SetString(PyExc_TypeError, "_run() needs an Event or None");
+        return NULL;
+    }
+    EventObject *until = stop_event == Py_None ? NULL : (EventObject *) stop_event;
+    int timed = stop_time_obj != Py_None;
+    double stop_time = timed ? PyFloat_AsDouble(stop_time_obj) : 0.0;
+    if (stop_time == -1.0 && PyErr_Occurred()) return NULL;
+    while (self->heap_len > 0 || self->ring_len > 0 || HOOKS_PENDING(self)) {
+        if (until != NULL && until->callbacks == Py_None) break;
+        if (timed && env_peek_impl(self) > stop_time) {
+            self->now = stop_time;
+            break;
+        }
+        if (HOOKS_PENDING(self) && DRAINED(self)) {
+            /* The current instant has drained: run the instant-end hooks,
+               then re-apply the stop checks before any event they
+               scheduled (possibly later than stop_time) runs. */
+            if (flush_hooks(self) < 0) return NULL;
+            continue;
+        }
+        if (env_step_impl(self) < 0) return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *env_event(EnvObject *self, PyObject *unused) {
+    return (PyObject *) event_alloc(&EventType, (PyObject *) self);
+}
+
+static PyObject *env_timeout(EnvObject *self, PyObject *const *args,
+                             Py_ssize_t nargs, PyObject *kwnames) {
+    static const char *const names[] = {"delay", "value"};
+    PyObject *out[2];
+    if (parse_args("timeout", names, 2, 1, args, nargs, kwnames, out) < 0) return NULL;
+    return make_timeout((PyObject *) self, out[0], out[1] ? out[1] : Py_None);
+}
+
+static PyObject *env_process(EnvObject *self, PyObject *const *args,
+                             Py_ssize_t nargs, PyObject *kwnames) {
+    static const char *const names[] = {"generator", "name", "daemon", "priority"};
+    PyObject *out[4];
+    if (parse_args("process", names, 4, 1, args, nargs, kwnames, out) < 0) return NULL;
+    return make_process((PyObject *) self, out[0], out[1], out[2], out[3]);
+}
+
+static PyObject *env_defer(EnvObject *self, PyObject *callback) {
+    if (self->hooks == NULL || PyList_Append(self->hooks, callback) < 0) return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *env_get_now(EnvObject *self, void *closure) {
+    return PyFloat_FromDouble(self->now);
+}
+
+static PyMethodDef env_methods[] = {
+    {"event", (PyCFunction) env_event, METH_NOARGS, NULL},
+    {"process", (PyCFunction)(void (*)(void)) env_process, METH_FASTCALL | METH_KEYWORDS,
+     "Start a process running ``generator`` (see core.Environment.process)."},
+    {"defer_to_instant_end", (PyCFunction) env_defer, METH_O,
+     "Run ``callback`` once the current instant's cohort has drained."},
+    {"timeout", (PyCFunction)(void (*)(void)) env_timeout, METH_FASTCALL | METH_KEYWORDS, NULL},
+    {"step", (PyCFunction) env_step, METH_NOARGS,
+     "Process the next scheduled event (instant-end hooks first, once the\n"
+     "current instant has drained)."},
+    {"peek", (PyCFunction) env_peek, METH_NOARGS,
+     "Time of the next scheduled activity, or +inf if none."},
+    {"_run", (PyCFunction) env_run, METH_VARARGS, NULL},
+    {NULL}
+};
+
+static PyMemberDef env_members[] = {
+    {"_now", T_DOUBLE, offsetof(EnvObject, now), 0, NULL},
+    {"_alive", T_OBJECT, offsetof(EnvObject, alive), READONLY, NULL},
+    {"events_processed", T_LONGLONG, offsetof(EnvObject, events_processed), 0, NULL},
+    {"processes_started", T_LONGLONG, offsetof(EnvObject, processes_started), 0, NULL},
+    {NULL}
+};
+
+static PyGetSetDef env_getset[] = {
+    {"now", (getter) env_get_now, NULL, NULL},
+    {NULL}
+};
+
+static PyTypeObject EnvType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._ckernel.Environment",
+    .tp_doc = "The compiled event queue and loop behind core.Environment.",
+    .tp_basicsize = sizeof(EnvObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = env_new,
+    .tp_init = (initproc) env_init,
+    .tp_dealloc = (destructor) env_dealloc,
+    .tp_traverse = (traverseproc) env_traverse,
+    .tp_clear = (inquiry) env_clear,
+    .tp_methods = env_methods,
+    .tp_members = env_members,
+    .tp_getset = env_getset,
+};
+
+/* == fluid kernel ====================================================== */
+
+/* numpy argmin returns the first NaN: NaN sorts below every share. */
+static double key_of(double residual, double load) {
+    double share = residual / load;
+    return isnan(share) ? -INFINITY : share;
+}
+
+/* Swap-remove position j from the live-link list of length *n. */
+static void drop(int64_t j, int64_t *n, int64_t *live, double *keys,
+                 double *residual, double *load, int64_t *slot) {
+    int64_t last = --*n;
+    slot[live[last]] = j;
+    slot[live[j]] = -1;
+    live[j] = live[last];
+    keys[j] = keys[last];
+    residual[j] = residual[last];
+    load[j] = load[last];
+}
+
+/* The water-fill's round log and work arrays, owned by the network and
+   packed by tables() after the solve tables.  The work arrays are sized
+   for the network's link and group tables, so a fill allocates nothing. */
+typedef struct {
+    int64_t *meta;                /* [3] logged rounds, snapshot width,
+                                     rounds the last fill replayed */
+    int64_t *log_links;           /* [links] each logged round's bottleneck */
+    double *log_keys;             /* [links] its share key, before the clamp */
+    int64_t *snapshot;            /* [groups] the logged fill's group counts */
+    int64_t *iwork;               /* [links*4] */
+    double *dwork;                /* [links*4] */
+    unsigned char *flags;         /* [links+groups] */
+} fill_t;
+
+/* A link stays listed while an unfixed flow crosses it, so the list
+   empties in the round where the python loops' unfixed-flow count
+   reaches zero.
+
+   Round replay: a link is changed when a group whose count differs from
+   the logged fill's crosses it.  A logged round is taken without the
+   argmin scan while its bottleneck is listed and unchanged and no listed
+   changed link sorts below it by (key, link index); every round before
+   the first that fails does exactly what the logged fill did, so the
+   unchanged links' keys equal the logged fill's bit for bit (DESIGN §8).
+   The caller zeroes meta[0] whenever the capacities change. */
+static void waterfill(
+    int64_t nl, int64_t ng,
+    const double *capacity,       /* [nl] */
+    const int64_t *load_counts,   /* [nl] flows crossing each link */
+    const int64_t *gpaths,        /* [ng*2] link ids per group, -1 = none */
+    const int64_t *gcount,        /* [ng] flows per group */
+    const int64_t *sorted_groups, /* CSR payload: groups sorted by link */
+    const int64_t *starts,        /* [nl+1] CSR row starts */
+    const fill_t *f,
+    double *grates                /* [ng] out */
+) {
+    /* The list of loaded, unfixed links (ids, share keys, residuals,
+       loads), link -> list position (-1 = absent), per-round crossing
+       counts and touched links, the changed links (flags and list) and
+       the fixed-group flags. */
+    int64_t *live = f->iwork, *slot = live + nl, *touched = slot + nl;
+    int64_t *changed = touched + nl;
+    double *keys = f->dwork, *residual = keys + nl;
+    double *load = residual + nl, *counts = load + nl;
+    unsigned char *is_changed = f->flags, *gfixed = is_changed + nl;
+    int64_t *meta = f->meta, *snapshot = f->snapshot;
+    int64_t logged = meta[0], width = meta[1], nchanged = 0;
+    /* Mark the links of the groups whose count differs from the
+       snapshot (groups past it count as 0), and take the new snapshot.
+       Most counts are unchanged: one memcmp clears a block of them. */
+    memset(is_changed, 0, nl);
+    for (int64_t lo = 0; lo < ng; lo += 64) {
+        int64_t hi = lo + 64 < ng ? lo + 64 : ng;
+        if (hi <= width && memcmp(gcount + lo, snapshot + lo,
+                                  (hi - lo) * sizeof(int64_t)) == 0)
+            continue;
+        for (int64_t g = lo; g < hi; g++) {
+            if (gcount[g] == (g < width ? snapshot[g] : 0)) continue;
+            snapshot[g] = gcount[g];
+            for (int64_t c = 0; c < 2; c++) {
+                int64_t link = gpaths[2 * g + c];
+                if (link >= 0 && !is_changed[link]) {
+                    is_changed[link] = 1;
+                    changed[nchanged++] = link;
+                }
+            }
+        }
+    }
+    meta[1] = ng;
+    memset(counts, 0, nl * sizeof(double));
+    memset(gfixed, 0, ng);
+    memset(grates, 0, ng * sizeof(double));
+    int64_t n = 0;
+    for (int64_t i = 0; i < nl; i++) {
+        if (load_counts[i] > 0) {
+            live[n] = i;
+            residual[n] = capacity[i];
+            load[n] = (double) load_counts[i];
+            keys[n] = key_of(residual[n], load[n]);
+            slot[i] = n++;
+        } else {
+            slot[i] = -1;
+        }
+    }
+    int64_t round = 0, replayed = 0;
+    while (n > 0) {
+        double share = 0.0;
+        int64_t bottleneck = -1;
+        if (round < logged) {
+            bottleneck = f->log_links[round];
+            share = f->log_keys[round];
+            if (is_changed[bottleneck] || slot[bottleneck] < 0)
+                bottleneck = -1;
+            for (int64_t c = 0; bottleneck >= 0 && c < nchanged; c++) {
+                int64_t link = changed[c], j = slot[link];
+                if (j >= 0 && keys[j] <= share
+                    && (keys[j] < share || link < bottleneck))
+                    bottleneck = -1;
+            }
+            if (bottleneck < 0) logged = 0;        /* scan from here on */
+        }
+        if (bottleneck >= 0) {
+            replayed++;
+        } else {
+            /* argmin of (key, link index) */
+            share = keys[0];
+            bottleneck = live[0];
+            for (int64_t j = 1; j < n; j++) {
+                if (keys[j] <= share
+                    && (keys[j] < share || live[j] < bottleneck)) {
+                    share = keys[j];
+                    bottleneck = live[j];
+                }
+            }
+        }
+        if (!isfinite(share)) break;
+        double key = share;
+        if (0.0 > share) share = 0.0;              /* == max(share, 0.0) */
+        int64_t ntouched = 0;
+        int any = 0;
+        for (int64_t k = starts[bottleneck]; k < starts[bottleneck + 1];
+             k++) {
+            int64_t g = sorted_groups[k];
+            if (gfixed[g] || gcount[g] == 0) continue;
+            gfixed[g] = 1;
+            grates[g] = share;
+            any = 1;
+            double w = (double) gcount[g];
+            for (int64_t c = 0; c < 2; c++) {
+                int64_t link = gpaths[2 * g + c];
+                if (link < 0) continue;
+                if (counts[link] == 0.0) touched[ntouched++] = link;
+                counts[link] += w;
+            }
+        }
+        if (!any) break;
+        f->log_links[round] = bottleneck;
+        f->log_keys[round] = key;
+        round++;
+        for (int64_t t = 0; t < ntouched; t++) {
+            int64_t link = touched[t];
+            double c = counts[link];
+            counts[link] = 0.0;
+            int64_t j = slot[link];
+            /* The bottleneck leaves the list below.  j < 0 would mean a
+               populated group crosses an unloaded link, i.e. counts that
+               disagree with load_counts: skip rather than write astray. */
+            if (link == bottleneck || j < 0) continue;
+            /* Two rounded ops, exactly like numpy's
+               "residual -= share * counts": no FMA (-ffp-contract=off). */
+            double sub = share * c;
+            residual[j] = residual[j] - sub;
+            load[j] = load[j] - c;
+            if (load[j] > 0.0) {
+                keys[j] = key_of(residual[j], load[j]);
+            } else {                               /* share is +inf now */
+                drop(j, &n, live, keys, residual, load, slot);
+            }
+        }
+        drop(slot[bottleneck], &n, live, keys, residual, load, slot);
+    }
+    meta[0] = round;
+    meta[2] = replayed;
+}
+
+/* The network's flow ledger: its arrays' data, in ledger_fields order. */
+typedef struct {
+    double *rates;                /* [rows] */
+    double *remaining;            /* [rows] */
+    int64_t *paths;               /* [rows*2] link ids per flow, -1 = none */
+    double *link_bytes;           /* [links] */
+    double *sizes;                /* [rows] */
+    unsigned char *live;          /* [rows] numpy bool */
+    int64_t *gids;                /* [rows] path group of each row */
+    int64_t *group_count;         /* [groups] */
+    int64_t *load_counts;         /* [links] */
+    int64_t *retired;             /* [rows] out: retired rows, ascending */
+    uint64_t *sig;                /* [1] sum of group_count[g] * mix(g) */
+} ledger_t;
+
+/* A group's weight in the ledger's count hash: splitmix64's output for
+   state g (its finalizer of g plus the golden gamma, so no group weighs
+   0).  Must equal the numpy mix(). */
+static uint64_t mix(int64_t g) {
+    uint64_t z = (uint64_t) g + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/* The byte advance of rows [0, n) by dt. */
+static void advance_rows(const ledger_t *t, int64_t n, double dt) {
+    const double *rates = t->rates;
+    double *remaining = t->remaining;
+    int64_t first = 0;
+    while (first < n && !(rates[first] * dt > 0.0)) first++;
+    if (first == n) return;       /* nothing moved: leave every row as is */
+    for (int64_t i = 0; i < n; i++) {
+        double moved = rates[i] * dt;
+        double left = remaining[i] - moved;
+        remaining[i] = (left > 0.0 || isnan(left)) ? left : 0.0;
+        if (moved > 0.0) {
+            for (int64_t c = 0; c < 2; c++) {
+                int64_t link = t->paths[2 * i + c];
+                if (link >= 0) t->link_bytes[link] += moved;
+            }
+        }
+    }
+}
+
+/* One arrival: advance rows [0, row) by dt (when positive), then write
+   the flow's row -- its path (l1 = -1 for a one-link path), remaining =
+   size, rate 0, size, group and live bit -- and count it in its group,
+   in the count hash and on its links. */
+static void admit(const ledger_t *t, int64_t row, double dt, int64_t l0,
+           int64_t l1, double size, int64_t gid) {
+    if (dt > 0.0) advance_rows(t, row, dt);
+    t->paths[2 * row] = l0;
+    t->paths[2 * row + 1] = l1;
+    t->remaining[row] = size;
+    t->rates[row] = 0.0;
+    t->sizes[row] = size;
+    t->gids[row] = gid;
+    t->live[row] = 1;
+    t->group_count[gid] += 1;
+    *t->sig += mix(gid);
+    t->load_counts[l0] += 1;
+    if (l1 >= 0) t->load_counts[l1] += 1;
+}
+
+/* One completion timer: advance by dt (when positive), then retire the
+   done live rows: remaining <= eps*size + eps, or a moving row whose
+   own ETA is below the clock's resolution (now + eta <= now).  Retired
+   rows are tombstoned, uncounted (group, count hash, links) and written
+   to t->retired in ascending order; returns their count. */
+static int64_t retire(const ledger_t *t, int64_t n, double dt, double now,
+               double eps) {
+    if (dt > 0.0) advance_rows(t, n, dt);
+    const double *rates = t->rates, *remaining = t->remaining;
+    const double *sizes = t->sizes;
+    int64_t *out = t->retired, k = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (t->live[i] && (remaining[i] <= eps * sizes[i] + eps
+                           || (rates[i] > 0.0 && now + remaining[i] / rates[i] <= now)))
+            out[k++] = i;
+    }
+    for (int64_t j = 0; j < k; j++) {
+        int64_t i = out[j];
+        t->rates[i] = 0.0;
+        t->live[i] = 0;
+        t->group_count[t->gids[i]] -= 1;
+        *t->sig -= mix(t->gids[i]);
+        for (int64_t c = 0; c < 2; c++) {
+            int64_t link = t->paths[2 * i + c];
+            if (link >= 0) t->load_counts[link] -= 1;
+        }
+    }
+    return k;
+}
+
+/* One re-solve: advance by dt (when positive), give every live row its
+   group's rate from grates, and return the minimum ETA over the moving
+   rows -- NaN if any is NaN (numpy's min), -1 if no row moves. */
+static double settle(const ledger_t *t, int64_t n, double dt, const double *grates) {
+    if (dt > 0.0) advance_rows(t, n, dt);
+    double *rates = t->rates;
+    const double *remaining = t->remaining;
+    for (int64_t i = 0; i < n; i++) {
+        if (t->live[i]) rates[i] = grates[t->gids[i]];
+    }
+    double best = -1.0;
+    for (int64_t i = 0; i < n; i++) {
+        if (!(rates[i] > 0.0)) continue;
+        double e = remaining[i] / rates[i];
+        if (isnan(e)) return e;
+        if (best < 0.0 || e < best) best = e;
+    }
+    return best;
+}
+
+/* -- fluid kernel: packed arrays -------------------------------------- */
+
+/* numpy exports int64 as the C type it maps int64 to: long where long
+   has 64 bits, else long long. */
+#if LONG_MAX == 0x7fffffffffffffffL
+#define I64 "l"
+#define U64 "L"
+#else
+#define I64 "q"
+#define U64 "Q"
+#endif
+
+/* What an array's length counts: a pack's extent in each of the first
+   three is its shortest such array's, in units of `per` items. */
+enum { ROWS, LINKS, GROUPS, FREE };
+
+typedef struct {
+    const char *name;
+    const char *format;   /* the buffer format numpy exports for dtype */
+    const char *dtype;
+    int unit;
+    Py_ssize_t per;       /* items per unit; for FREE, the minimum length */
+} field_t;
+
+/* The ledger_t members, in order. */
+static const field_t ledger_fields[] = {
+    {"rates", "d", "float64", ROWS, 1},
+    {"remaining", "d", "float64", ROWS, 1},
+    {"paths", I64, "int64", ROWS, 2},
+    {"link_bytes", "d", "float64", LINKS, 1},
+    {"sizes", "d", "float64", ROWS, 1},
+    {"live", "?", "bool", ROWS, 1},
+    {"gids", I64, "int64", ROWS, 1},
+    {"group_count", I64, "int64", GROUPS, 1},
+    {"load_counts", I64, "int64", LINKS, 1},
+    {"retired", I64, "int64", ROWS, 1},
+    {"sig", U64, "uint64", FREE, 1},
+    {NULL}
+};
+
+/* The solve tables, then the fill_t members: the solve_t members, in
+   order.  csr, starts and flags are checked against each call. */
+typedef struct {
+    double *capacity;             /* [links] */
+    int64_t *load_counts;         /* [links] flows crossing each link */
+    int64_t *gpaths;              /* [groups*2] link ids per group, -1 = none */
+    int64_t *gcount;              /* [groups] flows per group */
+    int64_t *sorted_groups;       /* CSR payload: groups sorted by link */
+    int64_t *starts;              /* [links+1] CSR row starts */
+    fill_t fill;
+} solve_t;
+
+static const field_t table_fields[] = {
+    {"capacity", "d", "float64", LINKS, 1},
+    {"load_counts", I64, "int64", LINKS, 1},
+    {"group_paths", I64, "int64", GROUPS, 2},
+    {"group_count", I64, "int64", GROUPS, 1},
+    {"csr", I64, "int64", FREE, 0},
+    {"starts", I64, "int64", FREE, 0},
+    {"meta", I64, "int64", FREE, 3},
+    {"log_links", I64, "int64", LINKS, 1},
+    {"log_keys", "d", "float64", LINKS, 1},
+    {"snapshot", I64, "int64", GROUPS, 1},
+    {"iwork", I64, "int64", LINKS, 4},
+    {"dwork", "d", "float64", LINKS, 4},
+    {"flags", "B", "uint8", FREE, 0},
+    {NULL}
+};
+
+enum { LEDGER_ARRAYS = 11, TABLE_ARRAYS = 13, STARTS = 5, FLAGS = 12 };
+
+_Static_assert(sizeof(ledger_t) == LEDGER_ARRAYS * sizeof(void *), "ledger_t");
+_Static_assert(sizeof(solve_t) == TABLE_ARRAYS * sizeof(void *), "solve_t");
+
+typedef struct {
+    PyObject_HEAD
+    const field_t *fields;        /* ledger_fields or table_fields */
+    Py_ssize_t held;              /* buffer views acquired */
+    Py_ssize_t extent[FREE];
+    union {
+        void *data[TABLE_ARRAYS];
+        ledger_t ledger;
+        solve_t solve;
+    } at;
+    Py_buffer view[TABLE_ARRAYS];
+} PackObject;
+
+static void pack_dealloc(PackObject *self) {
+    for (Py_ssize_t i = 0; i < self->held; i++) PyBuffer_Release(&self->view[i]);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+static PyTypeObject PackType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._ckernel.Pack",
+    .tp_doc = "A fluid network's arrays, as the compiled kernel reads them;\n"
+              "made by ledger() or tables().",
+    .tp_basicsize = sizeof(PackObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_dealloc = (destructor) pack_dealloc,
+};
+
+/* Number of items in a view (C-contiguous, so len / itemsize). */
+static Py_ssize_t items(const Py_buffer *view) {
+    return view->itemsize ? view->len / view->itemsize : 0;
+}
+
+/* Acquire one buffer view per field from the keyword arguments. */
+static PyObject *pack(const char *what, const field_t *fields, PyObject *args,
+                      PyObject *kwargs) {
+    Py_ssize_t count = 0;
+    while (fields[count].name != NULL) count++;
+    if (PyTuple_GET_SIZE(args) != 0) {
+        PyErr_Format(PyExc_TypeError, "%s() takes its arrays by keyword only", what);
+        return NULL;
+    }
+    PackObject *self = PyObject_New(PackObject, &PackType);
+    if (self == NULL) return NULL;
+    self->fields = fields;
+    self->held = 0;
+    for (int unit = 0; unit < FREE; unit++) self->extent[unit] = PY_SSIZE_T_MAX;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        const field_t *field = &fields[i];
+        PyObject *array = kwargs ? PyDict_GetItemString(kwargs, field->name) : NULL;
+        if (array == NULL) {
+            PyErr_Format(PyExc_TypeError, "%s() needs the array '%s'", what, field->name);
+            goto error;
+        }
+        Py_buffer *view = &self->view[i];
+        if (PyObject_GetBuffer(array, view,
+                               PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE | PyBUF_FORMAT) < 0) {
+            PyObject *type, *value, *traceback;
+            PyErr_Fetch(&type, &value, &traceback);
+            PyErr_NormalizeException(&type, &value, &traceback);
+            PyErr_Format(type, "%s() array '%s': %S", what, field->name, value);
+            Py_XDECREF(type);
+            Py_XDECREF(value);
+            Py_XDECREF(traceback);
+            goto error;
+        }
+        self->held++;
+        if (view->format == NULL || strcmp(view->format, field->format) != 0) {
+            PyErr_Format(PyExc_TypeError, "%s() array '%s' must be %s, not buffer format '%s'",
+                         what, field->name, field->dtype, view->format ? view->format : "B");
+            goto error;
+        }
+        Py_ssize_t n = items(view);
+        if (field->unit == FREE) {
+            if (n < field->per) {
+                PyErr_Format(PyExc_ValueError, "%s() array '%s' needs %zd items, has %zd",
+                             what, field->name, field->per, n);
+                goto error;
+            }
+        } else if (n / field->per < self->extent[field->unit]) {
+            self->extent[field->unit] = n / field->per;
+        }
+        self->at.data[i] = view->buf;
+    }
+    if (kwargs != NULL && PyDict_GET_SIZE(kwargs) != count) {
+        PyErr_Format(PyExc_TypeError, "%s() got an array it does not take", what);
+        goto error;
+    }
+    return (PyObject *) self;
+error:
+    Py_DECREF(self);
+    return NULL;
+}
+
+static PyObject *py_ledger(PyObject *module, PyObject *args, PyObject *kwargs) {
+    return pack("ledger", ledger_fields, args, kwargs);
+}
+
+static PyObject *py_tables(PyObject *module, PyObject *args, PyObject *kwargs) {
+    return pack("tables", table_fields, args, kwargs);
+}
+
+/* -- fluid kernel: entry points --------------------------------------- */
+
+static int count_is(const char *function, Py_ssize_t nargs, Py_ssize_t want) {
+    if (nargs == want) return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                 function, want, nargs);
+    return -1;
+}
+
+static PackObject *unpack(PyObject *obj, const field_t *fields, const char *what) {
+    if (Py_IS_TYPE(obj, &PackType) && ((PackObject *) obj)->fields == fields)
+        return (PackObject *) obj;
+    PyErr_Format(PyExc_TypeError, "expected the packed %s, got %R", what, obj);
+    return NULL;
+}
+
+/* obj as an integer in [lo, hi). */
+static int int_arg(PyObject *obj, const char *name, Py_ssize_t lo, Py_ssize_t hi,
+                   int64_t *out) {
+    long long value = PyLong_AsLongLong(obj);
+    if (value == -1 && PyErr_Occurred()) return -1;
+    if (value < lo || value >= hi) {
+        PyErr_Format(PyExc_IndexError, "%s %lld is outside [%zd, %zd)", name, value, lo, hi);
+        return -1;
+    }
+    *out = (int64_t) value;
+    return 0;
+}
+
+static int double_arg(PyObject *obj, double *out) {
+    *out = PyFloat_AsDouble(obj);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* A float64 rate array of at least `need` items; release the view after. */
+static int rates_arg(PyObject *obj, int writable, Py_ssize_t need, Py_buffer *view) {
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0) return -1;
+    if (view->format == NULL || strcmp(view->format, "d") != 0 || items(view) < need) {
+        PyErr_Format(PyExc_TypeError, "the group rates must be a float64 array of "
+                     "at least %zd items", need);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* advance(ledger, n, dt) */
+static PyObject *py_advance(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    PackObject *t;
+    int64_t n;
+    double dt;
+    if (count_is("advance", nargs, 3) < 0
+            || (t = unpack(args[0], ledger_fields, "ledger")) == NULL
+            || int_arg(args[1], "n", 0, t->extent[ROWS] + 1, &n) < 0
+            || double_arg(args[2], &dt) < 0)
+        return NULL;
+    advance_rows(&t->at.ledger, n, dt);
+    Py_RETURN_NONE;
+}
+
+/* admit(ledger, row, dt, l0, l1, size, gid) */
+static PyObject *py_admit(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    PackObject *t;
+    int64_t row, l0, l1, gid;
+    double dt, size;
+    if (count_is("admit", nargs, 7) < 0
+            || (t = unpack(args[0], ledger_fields, "ledger")) == NULL
+            || int_arg(args[1], "row", 0, t->extent[ROWS], &row) < 0
+            || double_arg(args[2], &dt) < 0
+            || int_arg(args[3], "link", 0, t->extent[LINKS], &l0) < 0
+            || int_arg(args[4], "link", -1, t->extent[LINKS], &l1) < 0
+            || double_arg(args[5], &size) < 0
+            || int_arg(args[6], "group", 0, t->extent[GROUPS], &gid) < 0)
+        return NULL;
+    admit(&t->at.ledger, row, dt, l0, l1, size, gid);
+    Py_RETURN_NONE;
+}
+
+/* retire(ledger, n, dt, now, eps) -> the number of retired rows */
+static PyObject *py_retire(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    PackObject *t;
+    int64_t n;
+    double dt, now, eps;
+    if (count_is("retire", nargs, 5) < 0
+            || (t = unpack(args[0], ledger_fields, "ledger")) == NULL
+            || int_arg(args[1], "n", 0, t->extent[ROWS] + 1, &n) < 0
+            || double_arg(args[2], &dt) < 0
+            || double_arg(args[3], &now) < 0
+            || double_arg(args[4], &eps) < 0)
+        return NULL;
+    return PyLong_FromLongLong(retire(&t->at.ledger, n, dt, now, eps));
+}
+
+/* settle(ledger, n, dt, grates) -> the earliest ETA, NaN or -1 */
+static PyObject *py_settle(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    PackObject *t;
+    int64_t n;
+    double dt;
+    Py_buffer grates;
+    if (count_is("settle", nargs, 4) < 0
+            || (t = unpack(args[0], ledger_fields, "ledger")) == NULL
+            || int_arg(args[1], "n", 0, t->extent[ROWS] + 1, &n) < 0
+            || double_arg(args[2], &dt) < 0
+            || rates_arg(args[3], 0, 0, &grates) < 0)
+        return NULL;
+    double eta = settle(&t->at.ledger, n, dt, grates.buf);
+    PyBuffer_Release(&grates);
+    return PyFloat_FromDouble(eta);
+}
+
+/* waterfill(num_links, num_groups, tables, grates) */
+static PyObject *py_waterfill(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    PackObject *t;
+    int64_t nl, ng;
+    Py_buffer grates;
+    if (count_is("waterfill", nargs, 4) < 0
+            || (t = unpack(args[2], table_fields, "solve tables")) == NULL
+            || int_arg(args[0], "num_links", 0,
+                       Py_MIN(t->extent[LINKS], items(&t->view[STARTS]) - 1) + 1, &nl) < 0
+            || int_arg(args[1], "num_groups", 0, t->extent[GROUPS] + 1, &ng) < 0)
+        return NULL;
+    if (nl + ng > items(&t->view[FLAGS])) {
+        PyErr_SetString(PyExc_IndexError, "the fill's flags are too short for the tables");
+        return NULL;
+    }
+    if (rates_arg(args[3], 1, ng, &grates) < 0) return NULL;
+    const solve_t *s = &t->at.solve;
+    waterfill(nl, ng, s->capacity, s->load_counts, s->gpaths, s->gcount,
+              s->sorted_groups, s->starts, &s->fill, grates.buf);
+    PyBuffer_Release(&grates);
+    Py_RETURN_NONE;
+}
+
+/* == module ============================================================ */
+
+static PyObject *setup(PyObject *module, PyObject *args) {
+    PyObject *error, *pending;
+    if (!PyArg_ParseTuple(args, "OO:setup", &error, &pending)) return NULL;
+    Py_INCREF(error);
+    Py_XSETREF(SimulationError, error);
+    Py_INCREF(pending);
+    Py_XSETREF(Pending, pending);
+    Py_RETURN_NONE;
+}
+
+#define FASTCALL(function) (PyCFunction)(void (*)(void)) (function), METH_FASTCALL
+#define KEYWORDS(function) (PyCFunction)(void (*)(void)) (function), METH_VARARGS | METH_KEYWORDS
+
+static PyMethodDef module_methods[] = {
+    {"setup", setup, METH_VARARGS,
+     "setup(SimulationError, pending): bind the exception class the event\n"
+     "kernel raises and the not-yet-triggered sentinel."},
+    {"ledger", KEYWORDS(py_ledger),
+     "ledger(**arrays): pack a fluid network's flow ledger."},
+    {"tables", KEYWORDS(py_tables),
+     "tables(**arrays): pack a fluid network's solve tables and fill state."},
+    {"advance", FASTCALL(py_advance), "advance(ledger, n, dt)"},
+    {"admit", FASTCALL(py_admit), "admit(ledger, row, dt, l0, l1, size, gid)"},
+    {"retire", FASTCALL(py_retire), "retire(ledger, n, dt, now, eps) -> rows retired"},
+    {"settle", FASTCALL(py_settle), "settle(ledger, n, dt, grates) -> earliest ETA"},
+    {"waterfill", FASTCALL(py_waterfill), "waterfill(num_links, num_groups, tables, grates)"},
+    {NULL}
+};
+
+static struct PyModuleDef module_def = {
+    PyModuleDef_HEAD_INIT, "_ckernel", NULL, -1, module_methods,
+};
+
+PyMODINIT_FUNC PyInit__ckernel(void) {
+    if ((str_send = PyUnicode_InternFromString("send")) == NULL
+            || (str_throw = PyUnicode_InternFromString("throw")) == NULL
+            || (str_name = PyUnicode_InternFromString("__name__")) == NULL
+            || (str_now = PyUnicode_InternFromString("now")) == NULL
+            || (str_value = PyUnicode_InternFromString("value")) == NULL)
+        return NULL;
+    if (PyType_Ready(&EventType) < 0 || PyType_Ready(&TimeoutType) < 0
+            || PyType_Ready(&ProcessType) < 0 || PyType_Ready(&EnvType) < 0
+            || PyType_Ready(&PackType) < 0)
+        return NULL;
+    PyObject *module = PyModule_Create(&module_def);
+    if (module == NULL) return NULL;
+    PyTypeObject *types[] = {&EventType, &TimeoutType, &ProcessType, &EnvType};
+    const char *names[] = {"Event", "Timeout", "Process", "Environment"};
+    for (int i = 0; i < 4; i++) {
+        Py_INCREF(types[i]);
+        if (PyModule_AddObject(module, names[i], (PyObject *) types[i]) < 0) {
+            Py_DECREF(types[i]);
+            Py_DECREF(module);
+            return NULL;
+        }
+    }
+    return module;
+}

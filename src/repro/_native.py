@@ -1,44 +1,65 @@
-"""Building the simulator's compiled cores.
+"""Building the simulator's compiled cores: one CPython extension.
 
-The fluid network's water-fill (:mod:`repro.netsim._waterfill`) and the
-event kernel (:mod:`repro.simkit._eventcore`) each embed their C source
-as a string.  :func:`load` compiles it with plain ``cc`` at first use,
-caches the shared object under a name keyed by the hash of the source
-and the build flags, and hands its path to the caller's loader.  A
-cached build costs a hash and a ``dlopen``.
+The event kernel (:mod:`repro.simkit._eventcore`) and the fluid
+network's kernel (:mod:`repro.netsim._waterfill`) are C in one source,
+``_native.c`` next to this module, built into one extension module,
+``repro._ckernel``.  :func:`extension` compiles it with plain ``cc`` at
+first use (the first ``import repro.simkit``), caches the shared object
+under a name keyed by the hash of the source and the build flags, and
+imports it.  A cached build costs a hash and a ``dlopen``.
 
-* The cache is the checkout's ``build/`` when writable, else a private
-  per-user directory under the system temp dir (in a non-editable install
-  the checkout path resolves next to ``site-packages``, which is usually
-  read-only).
+* The cache is the checkout's ``build/native/`` when writable, else a
+  private per-user directory under the system temp dir (in a non-editable
+  install the checkout path resolves next to ``site-packages``, which is
+  usually read-only).
 * A finished build replaces its cache entry atomically, so concurrent
   first uses cannot load a half-written file.
-* If the build or the load fails, :func:`load` returns None and one
-  :class:`RuntimeWarning` per core says why, quoting the compiler's
-  stderr; the caller then runs its pure-python reference code.
-  ``REPRO_WATERFILL=python`` selects the pure-python code of every core
-  silently.
+* If the build or the import fails, :func:`extension` returns None and
+  one :class:`RuntimeWarning` says why, quoting the compiler's stderr;
+  both cores then run their pure-python code together.
+  ``REPRO_WATERFILL=python`` selects the pure-python code silently.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import subprocess
+import sysconfig
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
-
-_T = TypeVar("_T")
+from types import ModuleType
+from typing import Optional, Sequence
 
 # src/repro/_native.py -> repo root / build
 _REPO_BUILD_DIR = Path(__file__).resolve().parents[2] / "build"
+
+_SOURCE = Path(__file__).with_suffix(".c")
+_MODULE = "repro._ckernel"
+
+FLAGS = (
+    f"-I{sysconfig.get_paths()['include']}",
+    # The ABI the extension is built for is part of its cache key.
+    f"-DREPRO_ABI={sysconfig.get_config_var('SOABI')}",
+    # No FMA fusion: the fluid loops perform the numpy kernel's exact
+    # float-operation sequence.
+    "-ffp-contract=off",
+    "-lm",
+)
 
 
 def opted_out() -> bool:
     """True when ``REPRO_WATERFILL`` asks for the pure-python cores."""
     return os.environ.get("REPRO_WATERFILL", "").lower() in ("python", "off", "0")
+
+
+def source() -> str:
+    """The C source of the extension."""
+    return _SOURCE.read_text()
 
 
 def build_dir(name: str) -> Path:
@@ -84,31 +105,36 @@ def build(name: str, source: str, flags: Sequence[str]) -> Path:
     return lib_path
 
 
-def load(
-    name: str,
-    source: str,
-    flags: Sequence[str],
-    loader: Callable[[Path], _T],
-    what: str,
-) -> Optional[_T]:
-    """``loader(build(...))``, or None with one warning naming ``what``
-    (e.g. "fluid-network kernel") when the core cannot be built or loaded,
-    and silently when the pure-python cores were asked for."""
-    if opted_out():
-        return None
+def _import(path: Path) -> ModuleType:
+    loader = importlib.machinery.ExtensionFileLoader(_MODULE, str(path))
+    spec = importlib.util.spec_from_file_location(_MODULE, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
+
+
+def extension() -> Optional[ModuleType]:
+    """The compiled extension module, or None when the pure-python cores
+    were asked for (silently) or it cannot be built or imported (with one
+    warning per process)."""
+    return None if opted_out() else _load()
+
+
+@functools.lru_cache(maxsize=None)
+def _load() -> Optional[ModuleType]:
     compiler = os.environ.get("CC", "cc")
     try:
-        return loader(build(name, source, flags))
+        return _import(build("native", source(), FLAGS))
     except subprocess.CalledProcessError as exc:
         tail = "\n".join(exc.stderr.strip().splitlines()[-5:])
         reason = f"{compiler} exited with status {exc.returncode}:\n{tail}"
     except (OSError, ImportError, subprocess.TimeoutExpired) as exc:
         reason = str(exc)
     warnings.warn(
-        f"the compiled {what} is unavailable, so the simulator runs its "
+        "the compiled cores are unavailable, so the simulator runs its "
         "pure-python code, which is several times slower "
         f"(set REPRO_WATERFILL=python to choose it silently): {reason}",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
     return None

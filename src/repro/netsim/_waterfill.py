@@ -5,19 +5,22 @@ packed per-row arrays, the per-link bytes and loads, the per-group flow
 counts) and the solve tables; a *kernel* does the arithmetic on them.
 Two kernels share one interface, method for method:
 
-* :class:`CompiledKernel`, C loops compiled at first use (plain ``cc -O2
-  -ffp-contract=off``, no third-party build system) and bound through
-  :mod:`ctypes`;
+* :class:`CompiledKernel`, C loops in the simulator's one extension
+  module (``repro/_native.c``, built by :mod:`repro._native` with plain
+  ``cc -O2 -ffp-contract=off``, no third-party build system), each a
+  ``METH_FASTCALL`` builtin;
 * :class:`NumpyKernel`, the same steps in numpy: the reference the C
   loops reproduce bit for bit.
 
 Their methods:
 
-* ``ledger(**arrays)`` packs the ledger's arrays into the handle the
-  next four take; ``fill_state(**arrays)`` packs a water-fill's round
-  log and work arrays (:func:`fill_arrays`); ``handle(array, dtype)``
-  does the same for one solve table or rate array.  A handle is the
-  address for C and the array itself for numpy.
+* ``ledger(**arrays)`` packs the ledger's arrays into the object the
+  next four take; ``tables(**arrays)`` packs the solve tables and a
+  water-fill's round log and work arrays (:func:`fill_arrays`) into the
+  one ``waterfill`` takes.  The compiled pack holds a buffer view of
+  every array, which checks its dtype, C-contiguity and writability and
+  keeps it alive; the numpy pack is a namespace of the arrays.  Rate
+  arrays are passed as they are.
 * ``advance(ledger, n, dt)``, the per-flow byte accounting behind every
   rescale;
 * ``admit(ledger, row, dt, l0, l1, size, gid)``, one arrival: the byte
@@ -30,7 +33,7 @@ Their methods:
 * ``settle(ledger, n, dt, grates)``, one re-solve after the rates are
   known: the byte advance, the scatter of the group rates onto the live
   rows, and the earliest completion ETA;
-* ``waterfill(num_links, num_groups, *tables, grates)``, the
+* ``waterfill(num_links, num_groups, tables, grates)``, the
   progressive-filling solve, whose rounds are inherently sequential (each
   fixes one bottleneck link and updates the links its flows cross).
   Callers go through :func:`run`, the one water-fill entry point.
@@ -86,334 +89,22 @@ C code reproduces the float semantics operation for operation:
   come in as arguments, so :mod:`repro.netsim.fluid` stays their one
   definition.
 
-The compiled kernel reads the network's own arrays through the addresses
+The compiled kernel reads the network's own arrays through the packs
 the network caches, so a call converts a handful of numbers and
-allocates nothing.
-:mod:`repro._native` builds and caches the shared object.
+allocates no array.  Without a compiler or the Python headers the
+extension does not build, and the numpy kernel runs together with the
+event core's pure-python classes.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
-from types import SimpleNamespace
-from typing import Dict, Tuple, Union
+from types import ModuleType, SimpleNamespace
+from typing import Dict, Union
 
 import numpy as np
 
 from .. import _native
-
-_C_SOURCE = r"""
-#include <stdint.h>
-#include <string.h>
-#include <math.h>
-
-/* numpy argmin returns the first NaN: NaN sorts below every share. */
-static double key_of(double residual, double load) {
-    double share = residual / load;
-    return isnan(share) ? -INFINITY : share;
-}
-
-/* Swap-remove position j from the live-link list of length *n. */
-static void drop(int64_t j, int64_t *n, int64_t *live, double *keys,
-                 double *residual, double *load, int64_t *slot) {
-    int64_t last = --*n;
-    slot[live[last]] = j;
-    slot[live[j]] = -1;
-    live[j] = live[last];
-    keys[j] = keys[last];
-    residual[j] = residual[last];
-    load[j] = load[last];
-}
-
-/* The water-fill's round log and work arrays, owned by the network and
-   packed by fill_state() in this order.  The work arrays are sized for the
-   network's link and group tables, so a fill allocates nothing. */
-typedef struct {
-    int64_t *meta;                /* [3] logged rounds, snapshot width,
-                                     rounds the last fill replayed */
-    int64_t *log_links;           /* [links] each logged round's bottleneck */
-    double *log_keys;             /* [links] its share key, before the clamp */
-    int64_t *snapshot;            /* [groups] the logged fill's group counts */
-    int64_t *iwork;               /* [links*4] */
-    double *dwork;                /* [links*4] */
-    unsigned char *flags;         /* [links+groups] */
-} fill_t;
-
-/* A link stays listed while an unfixed flow crosses it, so the list
-   empties in the round where the python loops' unfixed-flow count
-   reaches zero.
-
-   Round replay: a link is changed when a group whose count differs from
-   the logged fill's crosses it.  A logged round is taken without the
-   argmin scan while its bottleneck is listed and unchanged and no listed
-   changed link sorts below it by (key, link index); every round before
-   the first that fails does exactly what the logged fill did, so the
-   unchanged links' keys equal the logged fill's bit for bit (DESIGN §8).
-   The caller zeroes meta[0] whenever the capacities change. */
-void waterfill(
-    int64_t nl, int64_t ng,
-    const double *capacity,       /* [nl] */
-    const int64_t *load_counts,   /* [nl] flows crossing each link */
-    const int64_t *gpaths,        /* [ng*2] link ids per group, -1 = none */
-    const int64_t *gcount,        /* [ng] flows per group */
-    const int64_t *sorted_groups, /* CSR payload: groups sorted by link */
-    const int64_t *starts,        /* [nl+1] CSR row starts */
-    const fill_t *f,
-    double *grates                /* [ng] out */
-) {
-    /* The list of loaded, unfixed links (ids, share keys, residuals,
-       loads), link -> list position (-1 = absent), per-round crossing
-       counts and touched links, the changed links (flags and list) and
-       the fixed-group flags. */
-    int64_t *live = f->iwork, *slot = live + nl, *touched = slot + nl;
-    int64_t *changed = touched + nl;
-    double *keys = f->dwork, *residual = keys + nl;
-    double *load = residual + nl, *counts = load + nl;
-    unsigned char *is_changed = f->flags, *gfixed = is_changed + nl;
-    int64_t *meta = f->meta, *snapshot = f->snapshot;
-    int64_t logged = meta[0], width = meta[1], nchanged = 0;
-    /* Mark the links of the groups whose count differs from the
-       snapshot (groups past it count as 0), and take the new snapshot.
-       Most counts are unchanged: one memcmp clears a block of them. */
-    memset(is_changed, 0, nl);
-    for (int64_t lo = 0; lo < ng; lo += 64) {
-        int64_t hi = lo + 64 < ng ? lo + 64 : ng;
-        if (hi <= width && memcmp(gcount + lo, snapshot + lo,
-                                  (hi - lo) * sizeof(int64_t)) == 0)
-            continue;
-        for (int64_t g = lo; g < hi; g++) {
-            if (gcount[g] == (g < width ? snapshot[g] : 0)) continue;
-            snapshot[g] = gcount[g];
-            for (int64_t c = 0; c < 2; c++) {
-                int64_t link = gpaths[2 * g + c];
-                if (link >= 0 && !is_changed[link]) {
-                    is_changed[link] = 1;
-                    changed[nchanged++] = link;
-                }
-            }
-        }
-    }
-    meta[1] = ng;
-    memset(counts, 0, nl * sizeof(double));
-    memset(gfixed, 0, ng);
-    memset(grates, 0, ng * sizeof(double));
-    int64_t n = 0;
-    for (int64_t i = 0; i < nl; i++) {
-        if (load_counts[i] > 0) {
-            live[n] = i;
-            residual[n] = capacity[i];
-            load[n] = (double) load_counts[i];
-            keys[n] = key_of(residual[n], load[n]);
-            slot[i] = n++;
-        } else {
-            slot[i] = -1;
-        }
-    }
-    int64_t round = 0, replayed = 0;
-    while (n > 0) {
-        double share = 0.0;
-        int64_t bottleneck = -1;
-        if (round < logged) {
-            bottleneck = f->log_links[round];
-            share = f->log_keys[round];
-            if (is_changed[bottleneck] || slot[bottleneck] < 0)
-                bottleneck = -1;
-            for (int64_t c = 0; bottleneck >= 0 && c < nchanged; c++) {
-                int64_t link = changed[c], j = slot[link];
-                if (j >= 0 && keys[j] <= share
-                    && (keys[j] < share || link < bottleneck))
-                    bottleneck = -1;
-            }
-            if (bottleneck < 0) logged = 0;        /* scan from here on */
-        }
-        if (bottleneck >= 0) {
-            replayed++;
-        } else {
-            /* argmin of (key, link index) */
-            share = keys[0];
-            bottleneck = live[0];
-            for (int64_t j = 1; j < n; j++) {
-                if (keys[j] <= share
-                    && (keys[j] < share || live[j] < bottleneck)) {
-                    share = keys[j];
-                    bottleneck = live[j];
-                }
-            }
-        }
-        if (!isfinite(share)) break;
-        double key = share;
-        if (0.0 > share) share = 0.0;              /* == max(share, 0.0) */
-        int64_t ntouched = 0;
-        int any = 0;
-        for (int64_t k = starts[bottleneck]; k < starts[bottleneck + 1];
-             k++) {
-            int64_t g = sorted_groups[k];
-            if (gfixed[g] || gcount[g] == 0) continue;
-            gfixed[g] = 1;
-            grates[g] = share;
-            any = 1;
-            double w = (double) gcount[g];
-            for (int64_t c = 0; c < 2; c++) {
-                int64_t link = gpaths[2 * g + c];
-                if (link < 0) continue;
-                if (counts[link] == 0.0) touched[ntouched++] = link;
-                counts[link] += w;
-            }
-        }
-        if (!any) break;
-        f->log_links[round] = bottleneck;
-        f->log_keys[round] = key;
-        round++;
-        for (int64_t t = 0; t < ntouched; t++) {
-            int64_t link = touched[t];
-            double c = counts[link];
-            counts[link] = 0.0;
-            int64_t j = slot[link];
-            /* The bottleneck leaves the list below.  j < 0 would mean a
-               populated group crosses an unloaded link, i.e. counts that
-               disagree with load_counts: skip rather than write astray. */
-            if (link == bottleneck || j < 0) continue;
-            /* Two rounded ops, exactly like numpy's
-               "residual -= share * counts": no FMA (-ffp-contract=off). */
-            double sub = share * c;
-            residual[j] = residual[j] - sub;
-            load[j] = load[j] - c;
-            if (load[j] > 0.0) {
-                keys[j] = key_of(residual[j], load[j]);
-            } else {                               /* share is +inf now */
-                drop(j, &n, live, keys, residual, load, slot);
-            }
-        }
-        drop(slot[bottleneck], &n, live, keys, residual, load, slot);
-    }
-    meta[0] = round;
-    meta[2] = replayed;
-}
-
-/* The network's flow ledger: the addresses of its arrays, packed by
-   ledger() in this order. */
-typedef struct {
-    double *rates;                /* [rows] */
-    double *remaining;            /* [rows] */
-    int64_t *paths;               /* [rows*2] link ids per flow, -1 = none */
-    double *link_bytes;           /* [links] */
-    double *sizes;                /* [rows] */
-    unsigned char *live;          /* [rows] numpy bool */
-    int64_t *gids;                /* [rows] path group of each row */
-    int64_t *group_count;         /* [groups] */
-    int64_t *load_counts;         /* [links] */
-    int64_t *retired;             /* [rows] out: retired rows, ascending */
-    uint64_t *sig;                /* [1] sum of group_count[g] * mix(g) */
-} ledger_t;
-
-/* A group's weight in the ledger's count hash: splitmix64's output for
-   state g (its finalizer of g plus the golden gamma, so no group weighs
-   0).  Must equal the numpy mix(). */
-static uint64_t mix(int64_t g) {
-    uint64_t z = (uint64_t) g + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-/* Internal calls go through this static helper, never through the
-   exported advance(): inside a shared object that call binds through the
-   PLT, where glibc's legacy <regexp.h> advance() wins and crashes. */
-static void advance_rows(const ledger_t *t, int64_t n, double dt) {
-    const double *rates = t->rates;
-    double *remaining = t->remaining;
-    int64_t first = 0;
-    while (first < n && !(rates[first] * dt > 0.0)) first++;
-    if (first == n) return;       /* nothing moved: leave every row as is */
-    for (int64_t i = 0; i < n; i++) {
-        double moved = rates[i] * dt;
-        double left = remaining[i] - moved;
-        remaining[i] = (left > 0.0 || isnan(left)) ? left : 0.0;
-        if (moved > 0.0) {
-            for (int64_t c = 0; c < 2; c++) {
-                int64_t link = t->paths[2 * i + c];
-                if (link >= 0) t->link_bytes[link] += moved;
-            }
-        }
-    }
-}
-
-void advance(const ledger_t *t, int64_t n, double dt) {
-    advance_rows(t, n, dt);
-}
-
-/* One arrival: advance rows [0, row) by dt (when positive), then write
-   the flow's row -- its path (l1 = -1 for a one-link path), remaining =
-   size, rate 0, size, group and live bit -- and count it in its group,
-   in the count hash and on its links. */
-void admit(const ledger_t *t, int64_t row, double dt, int64_t l0,
-           int64_t l1, double size, int64_t gid) {
-    if (dt > 0.0) advance_rows(t, row, dt);
-    t->paths[2 * row] = l0;
-    t->paths[2 * row + 1] = l1;
-    t->remaining[row] = size;
-    t->rates[row] = 0.0;
-    t->sizes[row] = size;
-    t->gids[row] = gid;
-    t->live[row] = 1;
-    t->group_count[gid] += 1;
-    *t->sig += mix(gid);
-    t->load_counts[l0] += 1;
-    if (l1 >= 0) t->load_counts[l1] += 1;
-}
-
-/* One completion timer: advance by dt (when positive), then retire the
-   done live rows: remaining <= eps*size + eps, or a moving row whose
-   own ETA is below the clock's resolution (now + eta <= now).  Retired
-   rows are tombstoned, uncounted (group, count hash, links) and written
-   to t->retired in ascending order; returns their count. */
-int64_t retire(const ledger_t *t, int64_t n, double dt, double now,
-               double eps) {
-    if (dt > 0.0) advance_rows(t, n, dt);
-    const double *rates = t->rates, *remaining = t->remaining;
-    const double *sizes = t->sizes;
-    int64_t *out = t->retired, k = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (t->live[i] && (remaining[i] <= eps * sizes[i] + eps
-                           || (rates[i] > 0.0 && now + remaining[i] / rates[i] <= now)))
-            out[k++] = i;
-    }
-    for (int64_t j = 0; j < k; j++) {
-        int64_t i = out[j];
-        t->rates[i] = 0.0;
-        t->live[i] = 0;
-        t->group_count[t->gids[i]] -= 1;
-        *t->sig -= mix(t->gids[i]);
-        for (int64_t c = 0; c < 2; c++) {
-            int64_t link = t->paths[2 * i + c];
-            if (link >= 0) t->load_counts[link] -= 1;
-        }
-    }
-    return k;
-}
-
-/* One re-solve: advance by dt (when positive), give every live row its
-   group's rate from grates, and return the minimum ETA over the moving
-   rows -- NaN if any is NaN (numpy's min), -1 if no row moves. */
-double settle(const ledger_t *t, int64_t n, double dt, const double *grates) {
-    if (dt > 0.0) advance_rows(t, n, dt);
-    double *rates = t->rates;
-    const double *remaining = t->remaining;
-    for (int64_t i = 0; i < n; i++) {
-        if (t->live[i]) rates[i] = grates[t->gids[i]];
-    }
-    double best = -1.0;
-    for (int64_t i = 0; i < n; i++) {
-        if (!(rates[i] > 0.0)) continue;
-        double e = remaining[i] / rates[i];
-        if (isnan(e)) return e;
-        if (best < 0.0 || e < best) best = e;
-    }
-    return best;
-}
-"""
-
 
 class NumpyKernel:
     """The fluid kernel in numpy: the reference the C loops reproduce.
@@ -427,12 +118,10 @@ class NumpyKernel:
 
     @staticmethod
     def ledger(**arrays: np.ndarray) -> SimpleNamespace:
-        """The flow ledger's arrays, by name."""
+        """The arrays, by name: the flow ledger or the solve tables."""
         return SimpleNamespace(**arrays)
 
-    @staticmethod
-    def handle(array: np.ndarray, dtype) -> np.ndarray:
-        return array
+    tables = ledger
 
     @staticmethod
     def advance(t: SimpleNamespace, n: int, dt: float) -> None:
@@ -532,20 +221,17 @@ class NumpyKernel:
             return -1.0
         return float((t.remaining[:n][moving] / rates[moving]).min())
 
-    fill_state = ledger
-
-    def waterfill(self, num_links: int, num_groups: int, capacity,
-                  load_counts, group_paths, group_count, csr, starts,
-                  fill, grates: np.ndarray) -> None:
+    def waterfill(self, num_links: int, num_groups: int,
+                  t: SimpleNamespace, grates: np.ndarray) -> None:
         """Every round scans for its bottleneck: the numpy kernels keep
-        no round log, so ``fill`` goes unread."""
-        load_counts = load_counts[:num_links]
+        no round log, so the fill arrays in ``t`` go unread."""
+        load_counts = t.load_counts[:num_links]
         if self.every_link:
             links = np.arange(num_links, dtype=np.int64)
         else:
             links = np.flatnonzero(load_counts > 0)
-        _fill(capacity, load_counts, group_paths[:num_groups],
-              group_count[:num_groups], csr, starts, links, grates)
+        _fill(t.capacity, load_counts, t.group_paths[:num_groups],
+              t.group_count[:num_groups], t.csr, t.starts, links, grates)
 
 
 def _fill(capacity, load_counts, gpaths, gcount, csr, starts, links,
@@ -631,36 +317,9 @@ NUMPY = NumpyKernel()
 REFERENCE = NumpyKernel(every_link=True)
 
 
-def address(array: np.ndarray, dtype) -> int:
-    """Base address of a writable, C-contiguous, non-empty ``dtype`` array.
-
-    ``ctypes.c_char.from_buffer`` refuses read-only and non-contiguous
-    buffers and costs a quarter of ``ndarray.ctypes.data``.  The caller
-    keeps ``array`` alive for as long as it passes the address.
-    """
-    if array.dtype != dtype:
-        raise TypeError(f"expected a {np.dtype(dtype)} array, got {array.dtype}")
-    return ctypes.addressof(ctypes.c_char.from_buffer(array))
-
-
-# The field order of the C ``ledger_t``.
-_LEDGER_FIELDS = (
-    ("rates", np.float64),
-    ("remaining", np.float64),
-    ("paths", np.int64),
-    ("link_bytes", np.float64),
-    ("sizes", np.float64),
-    ("live", np.bool_),
-    ("gids", np.int64),
-    ("group_count", np.int64),
-    ("load_counts", np.int64),
-    ("retired", np.int64),
-    ("sig", np.uint64),
-)
-
-
-# The field order of the C ``fill_t``, with each array's length: so many
-# slots, plus so many per link and per group of the tables it serves.
+# A water-fill's arrays, as ``tables()`` takes them after the solve
+# tables, with each array's length: so many slots, plus so many per link
+# and per group of the tables it serves.
 _FILL_FIELDS = (
     ("meta", np.int64, 3, 0, 0),
     ("log_links", np.int64, 0, 1, 0),
@@ -686,81 +345,42 @@ def fill_arrays(num_links: int, num_groups: int) -> Dict[str, np.ndarray]:
 
 
 class CompiledKernel:
-    """The fluid kernel as C loops (``_C_SOURCE``).
+    """The fluid kernel as the C loops of the extension module ``ext``.
 
-    ``advance``, ``admit``, ``retire``, ``settle`` and ``waterfill`` are
-    the ctypes functions themselves, so a call costs no Python frame of
-    its own; ``settle`` and ``waterfill`` take the rate array's address
-    (:meth:`handle`).
+    Every method is the extension's builtin itself, so a call costs no
+    Python frame of its own.
     """
 
-    handle = staticmethod(address)
+    def __init__(self, ext: ModuleType):
+        self.ledger = ext.ledger
+        self.tables = ext.tables
+        self.advance = ext.advance
+        self.admit = ext.admit
+        self.retire = ext.retire
+        self.settle = ext.settle
+        self.waterfill = ext.waterfill
 
-    def __init__(self, lib: ctypes.CDLL):
-        self.waterfill = lib.waterfill
-        self.advance = lib.advance
-        self.admit = lib.admit
-        self.retire = lib.retire
-        self.settle = lib.settle
-
-    @staticmethod
-    def ledger(**arrays: np.ndarray) -> ctypes.Array:
-        """Pack the addresses of the flow ledger's arrays into the C
-        ``ledger_t``.
-
-        The caller keeps every array alive, and builds a new ledger
-        whenever one of them is reallocated.
-        """
-        return (ctypes.c_void_p * len(_LEDGER_FIELDS))(*(
-            address(arrays[name], dtype) for name, dtype in _LEDGER_FIELDS
-        ))
-
-    @staticmethod
-    def fill_state(**arrays: np.ndarray) -> ctypes.Array:
-        """Pack the addresses of a water-fill's arrays (:func:`fill_arrays`)
-        into the C ``fill_t``; the caller keeps them alive."""
-        return (ctypes.c_void_p * len(_FILL_FIELDS))(*(
-            address(arrays[name], dtype) for name, dtype, *_ in _FILL_FIELDS
-        ))
-
-
-def _bind(path) -> CompiledKernel:
-    lib = ctypes.CDLL(str(path))
-    pointer, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.waterfill.restype = None
-    lib.waterfill.argtypes = [int64, int64] + [pointer] * 8
-    lib.advance.restype = None
-    lib.advance.argtypes = [pointer, int64, double]
-    lib.admit.restype = None
-    lib.admit.argtypes = [pointer, int64, double, int64, int64, double, int64]
-    lib.retire.restype = int64
-    lib.retire.argtypes = [pointer, int64, double, double, double]
-    lib.settle.restype = double
-    lib.settle.argtypes = [pointer, int64, double, pointer]
-    return CompiledKernel(lib)
-
-
-_FLAGS = ("-ffp-contract=off", "-lm")
 
 Kernel = Union[CompiledKernel, NumpyKernel]
 
 
 @functools.lru_cache(maxsize=None)
 def kernel() -> Kernel:
-    """The compiled kernel, or :data:`NUMPY` when it is opted out of or
-    cannot be built; probed once per process."""
-    return _native.load(
-        "waterfill", _C_SOURCE, _FLAGS, _bind, "fluid-network kernel"
-    ) or NUMPY
+    """The compiled kernel, or :data:`NUMPY` when the pure-python cores
+    were asked for or the extension cannot be built; probed once per
+    process."""
+    ext = _native.extension()
+    return NUMPY if ext is None else CompiledKernel(ext)
 
 
-def run(kernel: Kernel, num_links: int, num_groups: int,
-        tables: Tuple, grates) -> None:
-    """Water-fill with ``kernel`` into the rate array whose handle is
-    ``grates``: every populated group's rate, in ``grates[:num_groups]``.
+def run(kernel: Kernel, num_links: int, num_groups: int, tables,
+        grates: np.ndarray) -> None:
+    """Water-fill with ``kernel`` into the rate array ``grates``: every
+    populated group's rate, in ``grates[:num_groups]``.
 
-    ``tables`` holds the handles of the network's capacity, load-count,
-    group-path, group-count and CSR (payload, row starts) arrays and its
-    fill state (``kernel.fill_state(**fill_arrays(...))``), in that order.
+    ``tables`` is ``kernel.tables(...)`` of the network's capacity,
+    load-count, group-path, group-count and CSR (``csr`` payload,
+    ``starts`` row starts) arrays and its fill arrays
+    (:func:`fill_arrays`).
     """
-    kernel.waterfill(num_links, num_groups, *tables, grates)
+    kernel.waterfill(num_links, num_groups, tables, grates)

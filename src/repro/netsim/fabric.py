@@ -12,6 +12,7 @@ A :class:`Fabric` owns:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Optional
 
 from ..cluster import Cluster, Device, LinkId
@@ -111,8 +112,10 @@ class Fabric:
         """Occupy ``gpu``'s compute stream for ``seconds`` (a process)."""
         if gpu.kind != "gpu":
             raise ValueError(f"compute target must be a GPU, got {gpu}")
-        if seconds < 0:
-            raise ValueError("compute time must be non-negative")
+        if not 0.0 <= seconds < math.inf:
+            raise ValueError(
+                f"compute time must be finite and non-negative, got {seconds}"
+            )
         stream = self.compute_streams[gpu]
         with stream.request() as slot:
             yield slot

@@ -226,14 +226,13 @@ class FluidNetwork:
         self._sig_slot = memoryview(self._sig)
         # Memoized solves keyed by that hash: flow populations recur, so
         # identical signatures are common across non-consecutive
-        # recomputes.  Each entry holds the per-group rate array, its
-        # kernel handle (for the settle) and the trimmed group-count
-        # signature a hit must equal; the cache is cleared whenever a
-        # capacity changes.  It is bounded by entry count and by bytes
-        # (fleet-scale rate arrays run to hundreds of KB each); evicted
-        # arrays are recycled through ``_grates_pool`` so solves write
-        # into warm pages.
-        self._solve_cache: Dict[int, Tuple[np.ndarray, object, bytes]] = {}
+        # recomputes.  Each entry holds the per-group rate array and the
+        # trimmed group-count signature a hit must equal; the cache is
+        # cleared whenever a capacity changes.  It is bounded by entry
+        # count and by bytes (fleet-scale rate arrays run to hundreds of
+        # KB each); evicted arrays are recycled through ``_grates_pool``
+        # so solves write into warm pages.
+        self._solve_cache: Dict[int, Tuple[np.ndarray, bytes]] = {}
         self._solve_cache_bytes = 0
         self._grates_pool: List[np.ndarray] = []
         # Highest group id that ever held a flow: upper bound for the
@@ -247,11 +246,11 @@ class FluidNetwork:
         self._csr_groups: Optional[np.ndarray] = None
         self._csr_starts: Optional[np.ndarray] = None
         self._csr_shape = (-1, -1)
-        # Array handles handed to the kernel (see _waterfill): the solve's
-        # are refreshed with the CSR; the flow ledger's (per-row arrays,
-        # link bytes and loads, group counts) are dropped wherever one of
-        # those arrays is reallocated.
-        self._solve_tables: Tuple = ()
+        # The kernel's packs of the network's arrays (see _waterfill): the
+        # solve tables are repacked with the CSR; the flow ledger (per-row
+        # arrays, link bytes and loads, group counts) is dropped wherever
+        # one of its arrays is reallocated.
+        self._solve_tables = None
         self._flow_ledger = None
         # The compiled water-fill's round log, group-count snapshot and
         # work arrays (see ``_waterfill``), sized for the link and group
@@ -513,13 +512,12 @@ class FluidNetwork:
         if dt > 0 and n:
             self._kernel.advance(self._ledger(), n, dt)
 
-    def _settle(self, grates_handle) -> Optional[float]:
+    def _settle(self, grates: np.ndarray) -> Optional[float]:
         """Move bytes up to now, give every live row its group's rate
-        (``grates_handle`` is the kernel's handle of the solved rates) and
-        return the earliest completion ETA over the moving rows: None when
-        no row moves, NaN when any ETA is NaN."""
+        from ``grates`` and return the earliest completion ETA over the
+        moving rows: None when no row moves, NaN when any ETA is NaN."""
         next_done = self._kernel.settle(
-            self._ledger(), self._n, self._elapsed(), grates_handle
+            self._ledger(), self._n, self._elapsed(), grates
         )
         return None if next_done < 0 else next_done
 
@@ -555,10 +553,10 @@ class FluidNetwork:
         key = self._sig_slot[0]
         cache = self._solve_cache
         entry = cache.get(key)
-        if entry is None or entry[2] != signature:
+        if entry is None or entry[1] != signature:
             if entry is not None:
-                self._solve_cache_bytes -= entry[0].base.nbytes + len(entry[2])
-            entry = self._solve(num_groups) + (signature,)
+                self._solve_cache_bytes -= entry[0].base.nbytes + len(entry[1])
+            entry = (self._solve(num_groups), signature)
             if (
                 len(cache) >= 4096
                 or self._solve_cache_bytes >= _SOLVE_CACHE_BUDGET
@@ -566,7 +564,7 @@ class FluidNetwork:
                 self._evict_solve_cache()
             cache[key] = entry
             self._solve_cache_bytes += entry[0].base.nbytes + len(signature)
-        return self._settle(entry[1])
+        return self._settle(entry[0])
 
     def _evict_solve_cache(self) -> None:
         """Drop every cached solve, recycling the arrays still large
@@ -580,9 +578,9 @@ class FluidNetwork:
         self._solve_cache.clear()
         self._solve_cache_bytes = 0
 
-    def _solve(self, num_groups: int) -> Tuple[np.ndarray, object]:
+    def _solve(self, num_groups: int) -> np.ndarray:
         """One full water-filling pass; returns the per-group rates (those
-        of groups with no flows are never read) and their kernel handle."""
+        of groups with no flows are never read)."""
         self._ensure_csr(num_groups)
         # The result lands in the memoization cache, so it needs its own
         # array — but recycling evicted buffers keeps their pages warm
@@ -595,16 +593,15 @@ class FluidNetwork:
             grates = pool.pop()[:num_groups]
         else:
             grates = np.empty(num_groups * 3 // 2 + 64)[:num_groups]
-        handle = self._kernel.handle(grates, np.float64)
         _waterfill.run(
             self._kernel, self._num_links, num_groups, self._solve_tables,
-            handle,
+            grates,
         )
-        return grates, handle
+        return grates
 
     def _ensure_csr(self, num_groups: int) -> None:
         """Build the link -> crossing groups adjacency (CSR over sorted
-        flat links) and the solve's table handles; both stay valid until
+        flat links) and pack the solve tables; both stay valid until
         the next link or group is interned.  The fill's arrays are
         reallocated (discarding its round log) when the link or group
         table outgrew them."""
@@ -630,16 +627,14 @@ class FluidNetwork:
         if (fill["snapshot"].shape[0] < groups
                 or fill["log_links"].shape[0] < links):
             fill = self._fill_arrays = _waterfill.fill_arrays(links, groups)
-        kernel = self._kernel
-        handle = kernel.handle
-        self._solve_tables = (
-            handle(self._capacity, np.float64),
-            handle(self._load_counts, np.int64),
-            handle(self._group_paths, np.int64),
-            handle(self._group_count, np.int64),
-            handle(self._csr_groups, np.int64),
-            handle(self._csr_starts, np.int64),
-            kernel.fill_state(**fill),
+        self._solve_tables = self._kernel.tables(
+            capacity=self._capacity,
+            load_counts=self._load_counts,
+            group_paths=self._group_paths,
+            group_count=self._group_count,
+            csr=self._csr_groups,
+            starts=self._csr_starts,
+            **fill,
         )
 
     def _reschedule(self) -> None:

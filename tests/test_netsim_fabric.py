@@ -65,6 +65,14 @@ class TestFabric:
         with pytest.raises(ValueError):
             list(fabric.compute(Device.host(0), 1.0))
 
+    @pytest.mark.parametrize("seconds", [-1.0, float("inf"), float("nan")])
+    def test_compute_rejects_a_non_finite_or_negative_time(self, seconds):
+        env, cluster, fabric = make_fabric(1)
+        process = env.process(fabric.compute(Device.gpu(0, 0), seconds))
+        with pytest.raises(ValueError, match="finite and non-negative, got"):
+            env.run(until=process)
+        assert env.now == 0.0
+
     def test_flops_time(self):
         env, cluster, fabric = make_fabric(1)
         flops = cluster.spec.gpu.flops

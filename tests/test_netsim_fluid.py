@@ -350,7 +350,7 @@ def test_solve_memo_stays_within_its_byte_budget(monkeypatch):
             fire_timer(net)
         signature = net._group_count[:net._gid_hi + 1].tobytes()
         others = [key for key, entry in net._solve_cache.items()
-                  if entry[2] != signature]
+                  if entry[1] != signature]
         if step % 10 == 5 and others:
             # Land this population in another's bucket: its solve
             # replaces that entry.
@@ -360,13 +360,13 @@ def test_solve_memo_stays_within_its_byte_budget(monkeypatch):
             net._assign_rates()
             net._sig[0] = sig
             if len(net._solve_cache) == held_before:
-                assert net._solve_cache[others[0]][2] == signature
+                assert net._solve_cache[others[0]][1] == signature
                 collisions += 1
         else:
             net._assign_rates()
         held = [
             grates.base.nbytes + len(signature)
-            for grates, _, signature in net._solve_cache.values()
+            for grates, signature in net._solve_cache.values()
         ]
         assert sum(held) <= fluid._SOLVE_CACHE_BUDGET + max(held)
         assert net._solve_cache_bytes == sum(held)

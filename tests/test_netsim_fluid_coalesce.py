@@ -256,19 +256,14 @@ def _fill_with(kernel, net):
     (with an empty round log: every round scans)."""
     num_groups = net._num_groups
     net._ensure_csr(num_groups)
-    fill = _waterfill.fill_arrays(net._num_links, num_groups)
-    tables = tuple(
-        kernel.handle(array, array.dtype)
-        for array in (
-            net._capacity, net._load_counts, net._group_paths,
-            net._group_count, net._csr_groups, net._csr_starts,
-        )
-    ) + (kernel.fill_state(**fill),)
-    grates = np.empty(num_groups)
-    _waterfill.run(
-        kernel, net._num_links, num_groups, tables,
-        kernel.handle(grates, np.float64),
+    tables = kernel.tables(
+        capacity=net._capacity, load_counts=net._load_counts,
+        group_paths=net._group_paths, group_count=net._group_count,
+        csr=net._csr_groups, starts=net._csr_starts,
+        **_waterfill.fill_arrays(net._num_links, num_groups),
     )
+    grates = np.empty(num_groups)
+    _waterfill.run(kernel, net._num_links, num_groups, tables, grates)
     return grates
 
 
@@ -360,7 +355,7 @@ def _check_fill(net, grates):
 
 
 def _checked_fill(net):
-    return _check_fill(net, net._solve(net._num_groups)[0])
+    return _check_fill(net, net._solve(net._num_groups))
 
 
 def _change_none(net, flows):
@@ -471,9 +466,9 @@ def test_replay_at_fleet_shape(seed):
     solve = net._solve
 
     def checked_solve(num_groups):
-        solved = solve(num_groups)
-        totals.append(_check_fill(net, solved[0]))
-        return solved
+        grates = solve(num_groups)
+        totals.append(_check_fill(net, grates))
+        return grates
 
     net._solve = checked_solve
     env.run()
@@ -796,7 +791,7 @@ def _settle_outcome(seed, fill, kernel):
     grates = rng.random(net._num_groups) * 1e3
     fill(net, grates)
     net._last_update = env.now - 0.5
-    eta = net._settle(kernel.handle(grates, np.float64))
+    eta = net._settle(grates)
     eta = None if eta is None else np.float64(eta).tobytes()
     return eta, _ledger_state(net)
 
@@ -860,7 +855,7 @@ def _churn(seed, kernel, check=lambda net: None):
             for _ in range(8)]
     etas, rates, flows = [], [], []
     settle = net._settle
-    net._settle = lambda handle: etas.append(settle(handle)) or etas[-1]
+    net._settle = lambda grates: etas.append(settle(grates)) or etas[-1]
     compactions = []
     compact = net._compact
     net._compact = lambda: compactions.append(compact())
