@@ -8,7 +8,9 @@
    * the fluid network's kernel: advance, admit, retire, settle and
      waterfill, the C loops behind repro.netsim._waterfill.CompiledKernel,
      plus the two packers, ledger() and tables(), whose objects carry the
-     network's arrays into those loops.
+     network's arrays into those loops, and the network's bookkeeping
+     around them: activate, fire and recompute, over the state of the
+     FluidNetwork base type behind repro.netsim.fluid.FluidNetwork.
 
    Every fluid entry is a METH_FASTCALL function, and every array reaches
    C through the buffer protocol: a packer holds one buffer view per
@@ -391,11 +393,14 @@ static PyTypeObject EventType = {
 
 /* -- Timeout ---------------------------------------------------------- */
 
-static PyObject *make_timeout(PyObject *env, PyObject *delay_obj, PyObject *value) {
-    double delay = PyFloat_AsDouble(delay_obj);
-    if (delay == -1.0 && PyErr_Occurred()) return NULL;
+/* A Timeout due `delay` after now; a rejected delay is shown as `shown`,
+   or as a float when that is NULL. */
+static PyObject *new_timeout(PyObject *env, double delay, PyObject *value, PyObject *shown) {
     if (!(delay >= 0)) {  /* also rejects NaN, which would poison the heap */
-        PyErr_Format(SimulationError, "negative or NaN timeout delay: %S", delay_obj);
+        PyObject *number = shown ? shown : PyFloat_FromDouble(delay);
+        if (number != NULL)
+            PyErr_Format(SimulationError, "negative or NaN timeout delay: %S", number);
+        if (shown == NULL) Py_XDECREF(number);
         return NULL;
     }
     EventObject *self = event_alloc(&TimeoutType, env);
@@ -407,6 +412,12 @@ static PyObject *make_timeout(PyObject *env, PyObject *delay_obj, PyObject *valu
         return NULL;
     }
     return (PyObject *) self;
+}
+
+static PyObject *make_timeout(PyObject *env, PyObject *delay_obj, PyObject *value) {
+    double delay = PyFloat_AsDouble(delay_obj);
+    if (delay == -1.0 && PyErr_Occurred()) return NULL;
+    return new_timeout(env, delay, value, delay_obj);
 }
 
 static PyObject *timeout_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
@@ -1454,6 +1465,446 @@ static PyObject *py_waterfill(PyObject *module, PyObject *const *args, Py_ssize_
     Py_RETURN_NONE;
 }
 
+/* == fluid network ===================================================== */
+
+/* The bookkeeping of repro.netsim.fluid.FluidNetwork around the loops
+   above: activate, fire and recompute do what the network's Python
+   bodies _activate_python, _fire_python and _recompute_python do, in the
+   same order, creating the same events.  The network's scalar state and
+   flow list live in this type, the network's base class whenever the
+   extension loads, so the entries read them as fields and the Python
+   code reads the same names through the members.  The rare steps call
+   back into the network's methods: _ledger (a dropped pack), _grow_rows,
+   _intern_group, _compact and _memoize (a memo miss, which solves). */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *env;
+    PyObject *active;             /* list: each row's flow, None once retired */
+    PyObject *ledger;             /* the packed flow ledger, None when dropped */
+    PyObject *group_of;           /* dict: path index tuple -> group id */
+    PyObject *solve_cache;        /* dict: count hash -> (group rates, signature) */
+    PyObject *activate, *fire, *recompute;  /* the entries the network picked */
+    Py_ssize_t n, live_count, dead_count, gid_hi;
+    long long generation;
+    double last_update, total_bytes_completed, epsilon;
+    char coalesce, recompute_pending;
+} NetObject;
+
+static PyObject *zero;            /* 0.0 */
+static PyObject *str_underscore_value, *str_started_at, *str_completed_at, *str_size,
+    *str_path, *str_path_index, *str_done, *str_underscore_net, *str_underscore_row,
+    *str_underscore_remaining, *str_underscore_rate, *str_ledger, *str_grow_rows,
+    *str_intern_group, *str_compact, *str_memoize, *str_on_timer_event, *str_defer,
+    *str_succeed;
+
+static int net_traverse(NetObject *self, visitproc visit, void *arg) {
+    Py_VISIT(self->env);
+    Py_VISIT(self->active);
+    Py_VISIT(self->ledger);
+    Py_VISIT(self->group_of);
+    Py_VISIT(self->solve_cache);
+    Py_VISIT(self->activate);
+    Py_VISIT(self->fire);
+    Py_VISIT(self->recompute);
+    return 0;
+}
+
+static int net_clear(NetObject *self) {
+    Py_CLEAR(self->env);
+    Py_CLEAR(self->active);
+    Py_CLEAR(self->ledger);
+    Py_CLEAR(self->group_of);
+    Py_CLEAR(self->solve_cache);
+    Py_CLEAR(self->activate);
+    Py_CLEAR(self->fire);
+    Py_CLEAR(self->recompute);
+    return 0;
+}
+
+static void net_dealloc(NetObject *self) {
+    PyObject_GC_UnTrack(self);
+    net_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+static PyMemberDef net_members[] = {
+    {"env", T_OBJECT, offsetof(NetObject, env), 0, NULL},
+    {"_active", T_OBJECT, offsetof(NetObject, active), 0, NULL},
+    {"_flow_ledger", T_OBJECT, offsetof(NetObject, ledger), 0, NULL},
+    {"_group_of", T_OBJECT, offsetof(NetObject, group_of), 0, NULL},
+    {"_solve_cache", T_OBJECT, offsetof(NetObject, solve_cache), 0, NULL},
+    {"_activate", T_OBJECT, offsetof(NetObject, activate), 0, NULL},
+    {"_fire", T_OBJECT, offsetof(NetObject, fire), 0, NULL},
+    {"_recompute", T_OBJECT, offsetof(NetObject, recompute), 0, NULL},
+    {"_n", T_PYSSIZET, offsetof(NetObject, n), 0, NULL},
+    {"_live_count", T_PYSSIZET, offsetof(NetObject, live_count), 0, NULL},
+    {"_dead_count", T_PYSSIZET, offsetof(NetObject, dead_count), 0, NULL},
+    {"_gid_hi", T_PYSSIZET, offsetof(NetObject, gid_hi), 0, NULL},
+    {"_generation", T_LONGLONG, offsetof(NetObject, generation), 0, NULL},
+    {"_last_update", T_DOUBLE, offsetof(NetObject, last_update), 0, NULL},
+    {"total_bytes_completed", T_DOUBLE, offsetof(NetObject, total_bytes_completed), 0, NULL},
+    {"_epsilon", T_DOUBLE, offsetof(NetObject, epsilon), 0, NULL},
+    {"coalesce", T_BOOL, offsetof(NetObject, coalesce), 0, NULL},
+    {"_recompute_pending", T_BOOL, offsetof(NetObject, recompute_pending), 0, NULL},
+    {NULL}
+};
+
+static PyTypeObject NetType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._ckernel.FluidNetwork",
+    .tp_doc = "The compiled state behind netsim.fluid.FluidNetwork.",
+    .tp_basicsize = sizeof(NetObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = PyType_GenericNew,
+    .tp_dealloc = (destructor) net_dealloc,
+    .tp_traverse = (traverseproc) net_traverse,
+    .tp_clear = (inquiry) net_clear,
+    .tp_members = net_members,
+};
+
+/* An entry's network argument, whose environment must be compiled. */
+static NetObject *net_arg(const char *function, PyObject *obj) {
+    if (!PyObject_TypeCheck(obj, &NetType)) {
+        PyErr_Format(PyExc_TypeError, "%s() needs a fluid network, got %R", function, obj);
+        return NULL;
+    }
+    NetObject *net = (NetObject *) obj;
+    if (net->env == NULL || !PyObject_TypeCheck(net->env, &EnvType)) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s() needs a network on a compiled-kernel environment", function);
+        return NULL;
+    }
+    if (net->active == NULL || !PyList_Check(net->active)
+            || net->group_of == NULL || !PyDict_Check(net->group_of)
+            || net->solve_cache == NULL || !PyDict_Check(net->solve_cache)) {
+        PyErr_Format(PyExc_TypeError, "%s(): the network's flow list, group table "
+                     "or solve memo is not a list or dict", function);
+        return NULL;
+    }
+    return net;
+}
+
+static double now_of(const NetObject *net) {
+    return ((EnvObject *) net->env)->now;
+}
+
+/* Seconds since the last byte update; stamps the update at now. */
+static double elapsed(NetObject *net) {
+    double now = now_of(net), dt = now - net->last_update;
+    net->last_update = now;
+    return dt;
+}
+
+/* Calls the network's method `name` with up to one argument; -1 if it raised. */
+static int call_back(NetObject *net, PyObject *name, PyObject *arg) {
+    PyObject *result = arg == NULL
+        ? PyObject_CallMethodNoArgs((PyObject *) net, name)
+        : PyObject_CallMethodOneArg((PyObject *) net, name, arg);
+    Py_XDECREF(result);
+    return result == NULL ? -1 : 0;
+}
+
+/* The network's packed ledger, which _ledger() packs afresh once dropped
+   (a borrowed reference: the network holds the pack). */
+static PackObject *net_ledger(NetObject *net) {
+    if ((net->ledger == NULL || net->ledger == Py_None)
+            && call_back(net, str_ledger, NULL) < 0)
+        return NULL;
+    return unpack(net->ledger ? net->ledger : Py_None, ledger_fields, "ledger");
+}
+
+static int range_check(const char *name, int64_t value, Py_ssize_t lo, Py_ssize_t hi) {
+    if (value >= lo && value < hi) return 0;
+    PyErr_Format(PyExc_IndexError, "%s %lld is outside [%zd, %zd)", name,
+                 (long long) value, lo, hi);
+    return -1;
+}
+
+static int float_attr(PyObject *obj, PyObject *name, double *out) {
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL) return -1;
+    *out = PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* _schedule_recompute: one re-solve at the end of the instant, deferred
+   through the environment's defer_to_instant_end attribute. */
+static int defer_recompute(NetObject *net) {
+    if (net->recompute_pending) return 0;
+    net->recompute_pending = 1;
+    PyObject *result = PyObject_CallMethodOneArg(
+        net->env, str_defer, net->recompute ? net->recompute : Py_None);
+    Py_XDECREF(result);
+    return result == NULL ? -1 : 0;
+}
+
+/* _finish: the flow's last byte landed at `at`; it leaves the ledger
+   with no bytes or rate left, its bytes are counted, and done succeeds. */
+static int finish(NetObject *net, PyObject *flow, PyObject *at) {
+    double size;
+    if (PyObject_SetAttr(flow, str_underscore_net, Py_None) < 0
+            || PyObject_SetAttr(flow, str_underscore_remaining, zero) < 0
+            || PyObject_SetAttr(flow, str_underscore_rate, zero) < 0
+            || PyObject_SetAttr(flow, str_completed_at, at) < 0
+            || float_attr(flow, str_size, &size) < 0)
+        return -1;
+    net->total_bytes_completed += size;
+    PyObject *done = PyObject_GetAttr(flow, str_done);
+    if (done == NULL) return -1;
+    int status;
+    if (Py_IS_TYPE(done, &EventType)) {
+        status = trigger((EventObject *) done, flow, NULL);
+    } else {
+        PyObject *result = PyObject_CallMethodOneArg(done, str_succeed, flow);
+        status = result == NULL ? -1 : 0;
+        Py_XDECREF(result);
+    }
+    Py_DECREF(done);
+    return status;
+}
+
+/* The flow's group, interned by the network when its path has none. */
+static int group_of(NetObject *net, PyObject *path_index, int64_t *gid) {
+    PyObject *group = PyDict_GetItemWithError(net->group_of, path_index);
+    if (group != NULL) {
+        Py_INCREF(group);
+    } else if (PyErr_Occurred()) {
+        return -1;
+    } else {
+        group = PyObject_CallMethodOneArg((PyObject *) net, str_intern_group, path_index);
+        if (group == NULL) return -1;
+    }
+    *gid = PyLong_AsLongLong(group);
+    Py_DECREF(group);
+    return (*gid == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* A flow that moves bytes takes the next row: the row arrays grow when
+   every row is taken, its group is looked up or interned, and admit
+   advances the earlier rows and writes the new one. */
+static int take_row(NetObject *net, PyObject *flow, double size) {
+    Py_ssize_t row = net->n;
+    PackObject *t = net_ledger(net);
+    if (t == NULL || (row >= t->extent[ROWS] && call_back(net, str_grow_rows, NULL) < 0))
+        return -1;
+    PyObject *path_index = PyObject_GetAttr(flow, str_path_index);
+    if (path_index == NULL) return -1;
+    Py_ssize_t hops = PyTuple_Check(path_index) ? PyTuple_GET_SIZE(path_index) : 0;
+    int64_t l0 = 0, l1 = -1, gid = 0;
+    int status = -1;
+    if (hops < 1 || hops > 2) {
+        PyErr_Format(PyExc_TypeError, "a flow's path_index must be a tuple of one "
+                     "or two link indices, not %R", path_index);
+    } else if (group_of(net, path_index, &gid) == 0
+               /* Growth and interning drop the pack: fetch it again. */
+               && (t = net_ledger(net)) != NULL
+               && int_arg(PyTuple_GET_ITEM(path_index, 0), "link", 0, t->extent[LINKS], &l0) == 0
+               && (hops == 1 || int_arg(PyTuple_GET_ITEM(path_index, 1), "link", -1,
+                                        t->extent[LINKS], &l1) == 0)
+               && range_check("row", row, 0, t->extent[ROWS]) == 0
+               && range_check("group", gid, 0, t->extent[GROUPS]) == 0) {
+        status = 0;
+    }
+    Py_DECREF(path_index);
+    if (status < 0) return -1;
+    if (gid > net->gid_hi) net->gid_hi = gid;
+    admit(&t->at.ledger, row, elapsed(net), l0, l1, size, gid);
+    net->live_count++;
+    net->n = row + 1;
+    PyObject *row_obj = PyLong_FromSsize_t(row);
+    status = (row_obj == NULL
+              || PyList_Append(net->active, flow) < 0
+              || PyObject_SetAttr(flow, str_underscore_net, (PyObject *) net) < 0
+              || PyObject_SetAttr(flow, str_underscore_row, row_obj) < 0) ? -1 : 0;
+    Py_XDECREF(row_obj);
+    return status;
+}
+
+/* activate(net, flow): the flow starts now.  A zero-size or empty-path
+   flow finishes at once; any other takes a row.  Either way the
+   network's re-solve is deferred to the end of the instant. */
+static PyObject *py_activate(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    NetObject *net;
+    if (count_is("activate", nargs, 2) < 0 || (net = net_arg("activate", args[0])) == NULL)
+        return NULL;
+    PyObject *flow = args[1], *now = PyFloat_FromDouble(now_of(net)), *path = NULL;
+    double size = 0.0;
+    int status = -1, moves = 0;
+    if (now != NULL && PyObject_SetAttr(flow, str_started_at, now) == 0
+            && float_attr(flow, str_size, &size) == 0
+            && (path = PyObject_GetAttr(flow, str_path)) != NULL
+            && (moves = PyObject_IsTrue(path)) >= 0) {
+        if (size <= 0 || !moves) {
+            status = finish(net, flow, now);  /* a local copy or a pure-latency message */
+        } else {
+            status = take_row(net, flow, size) < 0 ? -1 : defer_recompute(net);
+        }
+    }
+    Py_XDECREF(path);
+    Py_XDECREF(now);
+    if (status < 0) return NULL;
+    Py_RETURN_NONE;
+}
+
+/* The `count` rows retire() wrote to `rows` leave the flow list (None
+   marks their rows until the next compaction), the compaction trigger
+   runs, and their flows finish at `now` in ascending row order. */
+static int finish_retired(NetObject *net, const int64_t *rows, Py_ssize_t n, int64_t count,
+                          double now) {
+    PyObject *active = net->active;
+    if (!PyList_Check(active) || PyList_GET_SIZE(active) < n) {
+        PyErr_SetString(PyExc_ValueError, "the network's flow list does not cover its ledger");
+        return -1;
+    }
+    PyObject *finished = PyList_New(count);
+    if (finished == NULL) return -1;
+    for (int64_t j = 0; j < count; j++) {
+        /* The flow list's reference moves to `finished`. */
+        PyList_SET_ITEM(finished, j, PyList_GET_ITEM(active, rows[j]));
+        Py_INCREF(Py_None);
+        PyList_SET_ITEM(active, rows[j], Py_None);
+    }
+    net->dead_count += count;
+    net->live_count -= count;
+    int status = 0;
+    if (net->live_count == 0) {
+        PyObject *empty = PyList_New(0);
+        if (empty == NULL) {
+            status = -1;
+        } else {
+            Py_SETREF(net->active, empty);
+            net->n = 0;
+            net->dead_count = 0;
+        }
+    } else if (!net->coalesce || (net->dead_count >= 64 && 2 * net->dead_count >= n)) {
+        status = call_back(net, str_compact, NULL);
+    }
+    PyObject *at = status == 0 ? PyFloat_FromDouble(now) : NULL;
+    for (int64_t j = 0; at != NULL && status == 0 && j < count; j++)
+        status = finish(net, PyList_GET_ITEM(finished, j), at);
+    Py_XDECREF(at);
+    Py_DECREF(finished);
+    return at == NULL ? -1 : status;
+}
+
+/* 1 when the timer's value is not the network's generation (a newer
+   re-solve superseded it), 0 when it is, -1 on error. */
+static int stale(NetObject *net, PyObject *event) {
+    PyObject *value;
+    if (PyObject_TypeCheck(event, &EventType)) {
+        value = ((EventObject *) event)->value;
+        Py_INCREF(value);
+    } else if ((value = PyObject_GetAttr(event, str_underscore_value)) == NULL) {
+        return -1;
+    }
+    PyObject *generation = PyLong_FromLongLong(net->generation);
+    int result = generation ? PyObject_RichCompareBool(value, generation, Py_NE) : -1;
+    Py_XDECREF(generation);
+    Py_DECREF(value);
+    return result;
+}
+
+/* fire(net, event): one completion timer.  Unless superseded, retire
+   moves the bytes up to now and retires the done rows, whose flows leave
+   the flow list and finish; then the re-solve is deferred. */
+static PyObject *py_fire(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    NetObject *net;
+    int superseded;
+    if (count_is("fire", nargs, 2) < 0 || (net = net_arg("fire", args[0])) == NULL
+            || (superseded = stale(net, args[1])) < 0)
+        return NULL;
+    if (superseded) Py_RETURN_NONE;
+    double dt = elapsed(net), now = net->last_update;
+    Py_ssize_t n = net->n;
+    if (n) {
+        PackObject *t = net_ledger(net);
+        if (t == NULL || range_check("n", n, 0, t->extent[ROWS] + 1) < 0) return NULL;
+        int64_t count = retire(&t->at.ledger, n, dt, now, net->epsilon);
+        if (count && finish_retired(net, t->at.ledger.retired, n, count, now) < 0)
+            return NULL;
+    }
+    if (defer_recompute(net) < 0) return NULL;
+    Py_RETURN_NONE;
+}
+
+/* The population's group rates, from the memo on a hit (the entry under
+   the count hash whose signature equals the group counts up to the
+   highest group ever used), else from the network's _memoize, which
+   solves and enters them; then settle.  *eta is settle's. */
+static int solve_and_settle(NetObject *net, double *eta) {
+    PackObject *t = net_ledger(net);
+    if (t == NULL) return -1;
+    Py_ssize_t n = net->n, width = net->gid_hi + 1;
+    if (range_check("n", n, 0, t->extent[ROWS] + 1) < 0
+            || range_check("group", width - 1, 0, t->extent[GROUPS]) < 0)
+        return -1;
+    const char *counts = (const char *) t->at.ledger.group_count;
+    Py_ssize_t nbytes = width * (Py_ssize_t) sizeof(int64_t);
+    PyObject *key = PyLong_FromUnsignedLongLong(*t->at.ledger.sig);
+    if (key == NULL) return -1;
+    PyObject *entry = PyDict_GetItemWithError(net->solve_cache, key), *signature;
+    if (entry != NULL && PyTuple_Check(entry) && PyTuple_GET_SIZE(entry) == 2
+            && PyBytes_Check(signature = PyTuple_GET_ITEM(entry, 1))
+            && PyBytes_GET_SIZE(signature) == nbytes
+            && memcmp(PyBytes_AS_STRING(signature), counts, nbytes) == 0) {
+        Py_INCREF(entry);
+    } else if (!PyErr_Occurred()) {  /* a miss (a failed lookup left entry NULL) */
+        signature = PyBytes_FromStringAndSize(counts, nbytes);
+        entry = signature == NULL ? NULL : PyObject_CallMethodObjArgs(
+            (PyObject *) net, str_memoize, key, signature, NULL);
+        Py_XDECREF(signature);
+    }
+    Py_DECREF(key);
+    if (entry == NULL) return -1;
+    Py_buffer grates;
+    int status = -1;
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
+        PyErr_Format(PyExc_TypeError, "a solve memo entry must be a (rates, signature) "
+                     "pair, not %R", entry);
+    } else if ((t = net_ledger(net)) != NULL
+               && rates_arg(PyTuple_GET_ITEM(entry, 0), 0, width, &grates) == 0) {
+        *eta = settle(&t->at.ledger, n, elapsed(net), grates.buf);
+        PyBuffer_Release(&grates);
+        status = 0;
+    }
+    Py_DECREF(entry);
+    return status;
+}
+
+/* recompute(net): the deferred re-solve.  The rows move up to now and
+   take their group's rate; the generation advances; and when a row
+   moves, a Timeout valued with the generation is armed for the earliest
+   completion (max(eta, 0.0); NaN is refused), calling the network's
+   _on_timer_event as looked up now. */
+static PyObject *py_recompute(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    NetObject *net;
+    if (count_is("recompute", nargs, 1) < 0 || (net = net_arg("recompute", args[0])) == NULL)
+        return NULL;
+    net->recompute_pending = 0;
+    double eta = -1.0;
+    if (net->n == 0) {
+        net->last_update = now_of(net);  /* nothing in flight: only stamps the clock */
+    } else if (solve_and_settle(net, &eta) < 0) {
+        return NULL;
+    }
+    net->generation++;
+    if (eta < 0.0) Py_RETURN_NONE;  /* no row moves */
+    PyObject *generation = PyLong_FromLongLong(net->generation);
+    PyObject *timer = generation == NULL ? NULL
+        : new_timeout(net->env, 0.0 > eta ? 0.0 : eta, generation, NULL);
+    Py_XDECREF(generation);
+    if (timer == NULL) return NULL;
+    PyObject *callback = PyObject_GetAttr((PyObject *) net, str_on_timer_event);
+    int status = callback == NULL ? -1
+        : PyList_Append(((EventObject *) timer)->callbacks, callback);
+    Py_XDECREF(callback);
+    Py_DECREF(timer);
+    if (status < 0) return NULL;
+    Py_RETURN_NONE;
+}
+
 /* == module ============================================================ */
 
 static PyObject *setup(PyObject *module, PyObject *args) {
@@ -1482,6 +1933,9 @@ static PyMethodDef module_methods[] = {
     {"retire", FASTCALL(py_retire), "retire(ledger, n, dt, now, eps) -> rows retired"},
     {"settle", FASTCALL(py_settle), "settle(ledger, n, dt, grates) -> earliest ETA"},
     {"waterfill", FASTCALL(py_waterfill), "waterfill(num_links, num_groups, tables, grates)"},
+    {"activate", FASTCALL(py_activate), "activate(net, flow): the flow starts now"},
+    {"fire", FASTCALL(py_fire), "fire(net, event): one completion timer"},
+    {"recompute", FASTCALL(py_recompute), "recompute(net): the deferred re-solve"},
     {NULL}
 };
 
@@ -1489,22 +1943,37 @@ static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_ckernel", NULL, -1, module_methods,
 };
 
+/* The attribute names the two cores look up, interned once. */
+static const struct {
+    PyObject **slot;
+    const char *name;
+} interned[] = {
+    {&str_send, "send"}, {&str_throw, "throw"}, {&str_name, "__name__"},
+    {&str_now, "now"}, {&str_value, "value"}, {&str_underscore_value, "_value"},
+    {&str_started_at, "started_at"}, {&str_completed_at, "completed_at"},
+    {&str_size, "size"}, {&str_path, "path"}, {&str_path_index, "path_index"},
+    {&str_done, "done"}, {&str_underscore_net, "_net"}, {&str_underscore_row, "_row"},
+    {&str_underscore_remaining, "_remaining"}, {&str_underscore_rate, "_rate"},
+    {&str_ledger, "_ledger"}, {&str_grow_rows, "_grow_rows"},
+    {&str_intern_group, "_intern_group"}, {&str_compact, "_compact"},
+    {&str_memoize, "_memoize"}, {&str_on_timer_event, "_on_timer_event"},
+    {&str_defer, "defer_to_instant_end"}, {&str_succeed, "succeed"},
+};
+
 PyMODINIT_FUNC PyInit__ckernel(void) {
-    if ((str_send = PyUnicode_InternFromString("send")) == NULL
-            || (str_throw = PyUnicode_InternFromString("throw")) == NULL
-            || (str_name = PyUnicode_InternFromString("__name__")) == NULL
-            || (str_now = PyUnicode_InternFromString("now")) == NULL
-            || (str_value = PyUnicode_InternFromString("value")) == NULL)
-        return NULL;
+    for (size_t i = 0; i < sizeof(interned) / sizeof(interned[0]); i++)
+        if ((*interned[i].slot = PyUnicode_InternFromString(interned[i].name)) == NULL)
+            return NULL;
+    if ((zero = PyFloat_FromDouble(0.0)) == NULL) return NULL;
     if (PyType_Ready(&EventType) < 0 || PyType_Ready(&TimeoutType) < 0
             || PyType_Ready(&ProcessType) < 0 || PyType_Ready(&EnvType) < 0
-            || PyType_Ready(&PackType) < 0)
+            || PyType_Ready(&PackType) < 0 || PyType_Ready(&NetType) < 0)
         return NULL;
     PyObject *module = PyModule_Create(&module_def);
     if (module == NULL) return NULL;
-    PyTypeObject *types[] = {&EventType, &TimeoutType, &ProcessType, &EnvType};
-    const char *names[] = {"Event", "Timeout", "Process", "Environment"};
-    for (int i = 0; i < 4; i++) {
+    PyTypeObject *types[] = {&EventType, &TimeoutType, &ProcessType, &EnvType, &NetType};
+    const char *names[] = {"Event", "Timeout", "Process", "Environment", "FluidNetwork"};
+    for (int i = 0; i < 5; i++) {
         Py_INCREF(types[i]);
         if (PyModule_AddObject(module, names[i], (PyObject *) types[i]) < 0) {
             Py_DECREF(types[i]);

@@ -36,7 +36,16 @@ Their methods:
 * ``waterfill(num_links, num_groups, tables, grates)``, the
   progressive-filling solve, whose rounds are inherently sequential (each
   fixes one bottleneck link and updates the links its flows cross).
-  Callers go through :func:`run`, the one water-fill entry point.
+  Callers go through :func:`run`, the one water-fill entry point;
+* ``activate(net, flow)``, ``fire(net, event)`` and ``recompute(net)``,
+  the network's bookkeeping around those calls, which the network binds
+  to itself with the kernel: a flow's activation, one completion timer
+  (the ``retire`` call, the flows' tombstones and ``done`` events, the
+  deferred re-solve) and the re-solve at the end of an instant (the memo
+  lookup, ``settle`` and the next completion timer).  The compiled ones
+  are C over the network's state; a memo miss calls back into the
+  network, which solves through :func:`run`.  The numpy kernel's run the
+  network's Python bodies, the reference.
 
 The ledger's one-slot ``sig`` array is a running hash of the group
 counts, ``sum(group_count[g] * mix(g)) mod 2**64`` (:func:`mix`):
@@ -233,6 +242,24 @@ class NumpyKernel:
         _fill(t.capacity, load_counts, t.group_paths[:num_groups],
               t.group_count[:num_groups], t.csr, t.starts, links, grates)
 
+    # The network's bookkeeping: its Python bodies, which make their
+    # arithmetic calls on whichever kernel the network runs.
+
+    @staticmethod
+    def activate(net, flow) -> None:
+        """The flow starts now (``FluidNetwork._activate_python``)."""
+        net._activate_python(flow)
+
+    @staticmethod
+    def fire(net, event) -> None:
+        """One completion timer (``FluidNetwork._fire_python``)."""
+        net._fire_python(event)
+
+    @staticmethod
+    def recompute(net) -> None:
+        """The deferred re-solve (``FluidNetwork._recompute_python``)."""
+        net._recompute_python()
+
 
 def _fill(capacity, load_counts, gpaths, gcount, csr, starts, links,
           grates) -> None:
@@ -359,6 +386,9 @@ class CompiledKernel:
         self.retire = ext.retire
         self.settle = ext.settle
         self.waterfill = ext.waterfill
+        self.activate = ext.activate
+        self.fire = ext.fire
+        self.recompute = ext.recompute
 
 
 Kernel = Union[CompiledKernel, NumpyKernel]

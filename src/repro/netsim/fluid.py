@@ -47,13 +47,23 @@ solver reruns on every flow arrival/departure):
   round.
 * The arithmetic runs in a kernel (:mod:`repro.netsim._waterfill`): the
   compiled one when it builds, else numpy, with bit-identical results.
-  The uncoalesced reference always runs the numpy kernel.  A flow costs
-  one kernel call to admit (``_activate``: the byte advance up to its
-  arrival and its whole row) and one Python pass to retire
-  (``_on_timer_event``: the timer's ``retire`` call, the tombstones in
-  ``_active`` and the ``done`` events, in ascending row order).  Python
-  keeps the row-array growth and the group interning, which runs only
-  when a path has no group yet.
+  The uncoalesced reference always runs the numpy kernel.  The
+  bookkeeping around the arithmetic goes with the kernel: with the
+  compiled one, a flow's activation, each completion timer and each
+  re-solve that hits the memo are one C call apiece (the extension's
+  ``activate``, ``fire`` and ``recompute``), which read the network's
+  scalar state and flow list as fields of its C base type, stamp and
+  succeed the flows, and create the timers.  With the numpy kernel the
+  Python bodies (``_activate_python``, ``_fire_python`` and
+  ``_recompute_python``) do the same, step for step.  So a flow costs
+  one C call to activate (the byte advance up to its arrival and its
+  whole row) and its share of one C call to retire (``retire``, the
+  tombstones in ``_active``, the compaction trigger and the ``done``
+  events, in ascending row order), plus the Python frames of ``transfer``
+  and of the ``_activate_event``/``_on_timer_event`` methods that reach
+  them.  Python keeps what is rare: the row-array growth, the group
+  interning (when a path has no group yet), the compaction and a memo
+  miss, which solves through :meth:`_solve` and ``_waterfill.run``.
 * Rate recomputation is deferred to the end of the simulated instant
   (``Environment.defer_to_instant_end``): a burst of arrivals/finishes at
   one timestamp — spread over any number of kernel events — triggers one
@@ -69,6 +79,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 import numpy as np
 
 from . import _waterfill
+from .. import _native
 from ..simkit import Environment, Event
 
 # Memoized-solve cache ceiling in bytes: each entry counts its group-count
@@ -181,7 +192,15 @@ class _LinkBytesView:
             yield link_id, float(self._network._link_bytes[index])
 
 
-class FluidNetwork:
+_ext = _native.extension()
+# With the extension, the network's scalar state and flow list live in
+# the C struct of its ``FluidNetwork`` type, where the compiled
+# bookkeeping reads them as fields; the Python code reads the same names
+# through the type's members.  Without it, they live in the instance dict.
+_State = object if _ext is None else _ext.FluidNetwork
+
+
+class FluidNetwork(_State):
     """Max-min fair bandwidth sharing over a set of directed links."""
 
     def __init__(self, env: Environment, coalesce: bool = True):
@@ -191,12 +210,18 @@ class FluidNetwork:
         # bit-identical reference for the equivalence tests: the numpy
         # kernel filling over every link, and a compaction after every
         # retirement.
-        self.coalesce = coalesce
+        self.coalesce = bool(coalesce)
         self._index: Dict[Hashable, int] = {}
         # Per-link arrays; only the first _num_links entries are valid.
         self._capacity = np.zeros(0)
         self._link_bytes = np.zeros(0)
         self._load_counts = np.zeros(0, dtype=np.int64)
+        # Capacity over time, for utilization: each link's registration
+        # time, and its capacity-seconds up to its last rescale (or
+        # registration), which ``_capacity_since`` stamps.
+        self._link_added = np.zeros(0)
+        self._capacity_seconds = np.zeros(0)
+        self._capacity_since = np.zeros(0)
         self._num_links = 0
         # Per-flow packed state; rows parallel _active, first _n valid.
         self._active: List[Flow] = []
@@ -259,7 +284,12 @@ class FluidNetwork:
         self._last_update = env.now
         self._generation = 0
         self._recompute_pending = False
+        # The retirement rule's residue tolerance (see the kernel's retire).
+        self._epsilon = _EPSILON
         self.total_bytes_completed = 0.0
+        self._kernel = (
+            _waterfill.kernel() if coalesce else _waterfill.REFERENCE
+        )
 
     # -- topology -----------------------------------------------------------
 
@@ -274,11 +304,16 @@ class FluidNetwork:
             self._capacity = _grow(self._capacity, grown)
             self._link_bytes = _grow(self._link_bytes, grown)
             self._load_counts = _grow(self._load_counts, grown)
+            self._link_added = _grow(self._link_added, grown)
+            self._capacity_seconds = _grow(self._capacity_seconds, grown)
+            self._capacity_since = _grow(self._capacity_since, grown)
             self._flow_ledger = None
         self._index[link_id] = index
         self._capacity[index] = float(bandwidth)
         self._link_bytes[index] = 0.0
         self._load_counts[index] = 0
+        self._link_added[index] = self._capacity_since[index] = self.env.now
+        self._capacity_seconds[index] = 0.0
         self._num_links = index + 1
         self._capacities_changed()
 
@@ -299,6 +334,11 @@ class FluidNetwork:
         _check_bandwidth(bandwidth)
         index = self._index[link_id]
         self._advance()
+        now = self.env.now
+        self._capacity_seconds[index] += self._capacity[index] * (
+            now - self._capacity_since[index]
+        )
+        self._capacity_since[index] = now
         self._capacity[index] = float(bandwidth)
         self._capacities_changed()
         self._schedule_recompute()
@@ -382,7 +422,13 @@ class FluidNetwork:
     def _activate_event(self, event) -> None:
         self._activate(event._value)
 
-    def _activate(self, flow: Flow) -> None:
+    # The bookkeeping of a flow's life: ``_activate(flow)``,
+    # ``_fire(event)`` and the deferred ``_recompute()`` are the kernel's
+    # ``activate``, ``fire`` and ``recompute`` bound to this network (see
+    # the ``_kernel`` setter).  The compiled kernel's are C; the numpy
+    # kernel's run the three Python bodies below, the reference.
+
+    def _activate_python(self, flow: Flow) -> None:
         flow.started_at = self.env.now
         if flow.size <= 0 or not flow.path:
             # Local copy or pure-latency message: completes instantly once
@@ -391,15 +437,7 @@ class FluidNetwork:
             return
         row = self._n
         if row == self._remaining.shape[0]:
-            grown = max(32, 2 * row)
-            self._paths = _grow(self._paths, grown, fill=-1)
-            self._remaining = _grow(self._remaining, grown)
-            self._rates = _grow(self._rates, grown)
-            self._sizes = _grow(self._sizes, grown)
-            self._gids = _grow(self._gids, grown)
-            self._live = _grow(self._live, grown)
-            self._retired = _grow(self._retired, grown)
-            self._flow_ledger = None
+            self._grow_rows()
         path_index = flow.path_index
         gid = self._group_of.get(path_index)
         if gid is None:
@@ -420,6 +458,18 @@ class FluidNetwork:
         self._schedule_recompute()
 
     # -- packed per-flow state ----------------------------------------------
+
+    def _grow_rows(self) -> None:
+        """Double the per-row arrays (every row is taken)."""
+        grown = max(32, 2 * self._n)
+        self._paths = _grow(self._paths, grown, fill=-1)
+        self._remaining = _grow(self._remaining, grown)
+        self._rates = _grow(self._rates, grown)
+        self._sizes = _grow(self._sizes, grown)
+        self._gids = _grow(self._gids, grown)
+        self._live = _grow(self._live, grown)
+        self._retired = _grow(self._retired, grown)
+        self._flow_ledger = None
 
     def _intern_group(self, path_index: Tuple[int, ...]) -> int:
         gid = self._num_groups
@@ -464,9 +514,9 @@ class FluidNetwork:
         if self._recompute_pending:
             return
         self._recompute_pending = True
-        self.env.defer_to_instant_end(self._do_recompute)
+        self.env.defer_to_instant_end(self._recompute)
 
-    def _do_recompute(self) -> None:
+    def _recompute_python(self) -> None:
         self._recompute_pending = False
         self._reschedule()
 
@@ -479,11 +529,22 @@ class FluidNetwork:
         self._last_update = now
         return dt
 
-    @functools.cached_property
+    @property
     def _kernel(self) -> _waterfill.Kernel:
-        """The kernel this network runs, chosen at its first use (so
-        building a network compiles nothing)."""
-        return _waterfill.kernel() if self.coalesce else _waterfill.REFERENCE
+        """The kernel this network runs."""
+        return self._kernel_in_use
+
+    @_kernel.setter
+    def _kernel(self, kernel: _waterfill.Kernel) -> None:
+        # The bookkeeping goes with the kernel: this is where the network
+        # picks between the compiled entries and the Python bodies.  Packs
+        # belong to their kernel, so the old ones are dropped.
+        self._kernel_in_use = kernel
+        self._activate = functools.partial(kernel.activate, self)
+        self._fire = functools.partial(kernel.fire, self)
+        self._recompute = functools.partial(kernel.recompute, self)
+        self._flow_ledger = None
+        self._csr_shape = (-1, -1)
 
     def _ledger(self):
         """The flow ledger's arrays, packed for the kernel (see
@@ -546,25 +607,29 @@ class FluidNetwork:
         if not self._n:
             self._advance()  # nothing in flight: only stamps the clock
             return None
-        num_groups = self._num_groups
         # _gid_hi bounds the last populated group from above and never
         # decreases, so a signature of an older width never recurs.
         signature = self._group_count[:self._gid_hi + 1].tobytes()
         key = self._sig_slot[0]
+        entry = self._solve_cache.get(key)
+        if entry is None or entry[1] != signature:
+            entry = self._memoize(key, signature)
+        return self._settle(entry[0])
+
+    def _memoize(self, key: int, signature: bytes) -> Tuple[np.ndarray, bytes]:
+        """A memo miss: solve the population and enter its rates under
+        ``key``, replacing any entry of another signature there; returns
+        the new ``(rates, signature)`` entry."""
         cache = self._solve_cache
         entry = cache.get(key)
-        if entry is None or entry[1] != signature:
-            if entry is not None:
-                self._solve_cache_bytes -= entry[0].base.nbytes + len(entry[1])
-            entry = (self._solve(num_groups), signature)
-            if (
-                len(cache) >= 4096
-                or self._solve_cache_bytes >= _SOLVE_CACHE_BUDGET
-            ):
-                self._evict_solve_cache()
-            cache[key] = entry
-            self._solve_cache_bytes += entry[0].base.nbytes + len(signature)
-        return self._settle(entry[0])
+        if entry is not None:
+            self._solve_cache_bytes -= entry[0].base.nbytes + len(entry[1])
+        entry = (self._solve(self._num_groups), signature)
+        if len(cache) >= 4096 or self._solve_cache_bytes >= _SOLVE_CACHE_BUDGET:
+            self._evict_solve_cache()
+        cache[key] = entry
+        self._solve_cache_bytes += entry[0].base.nbytes + len(signature)
+        return entry
 
     def _evict_solve_cache(self) -> None:
         """Drop every cached solve, recycling the arrays still large
@@ -655,6 +720,9 @@ class FluidNetwork:
         rows keep their position (so live rows never move and no float is
         touched) until :meth:`_compact` reclaims them: once half the rows
         are dead, or at once in the uncoalesced reference."""
+        self._fire(event)
+
+    def _fire_python(self, event) -> None:
         if event._value != self._generation:
             return
         dt = self._elapsed()
@@ -662,7 +730,7 @@ class FluidNetwork:
         n = self._n
         count = 0
         if n:
-            count = self._kernel.retire(self._ledger(), n, dt, now, _EPSILON)
+            count = self._kernel.retire(self._ledger(), n, dt, now, self._epsilon)
         if count:
             active = self._active
             finished = []
@@ -699,13 +767,21 @@ class FluidNetwork:
     # -- introspection -------------------------------------------------------
 
     def link_utilization(self, link_id: Hashable, elapsed: float) -> float:
-        """Average utilization of a link over ``elapsed`` seconds."""
+        """Average utilization of a link over ``elapsed`` seconds, against
+        its capacity averaged over its life so far (a rescaled link's
+        capacity-seconds, not its capacity now)."""
         if elapsed <= 0:
             return 0.0
         index = self._index[link_id]
-        return float(
-            self._link_bytes[index] / (self._capacity[index] * elapsed)
-        )
+        capacity = self._capacity[index]
+        now = self.env.now
+        added = self._link_added[index]
+        since = self._capacity_since[index]
+        if since != added:
+            capacity = (
+                self._capacity_seconds[index] + capacity * (now - since)
+            ) / (now - added)
+        return float(self._link_bytes[index] / (capacity * elapsed))
 
 
 def _check_bandwidth(bandwidth: float) -> None:

@@ -188,6 +188,34 @@ def test_utilization_metric():
     assert net.link_utilization("l", elapsed=10.0) == pytest.approx(0.5)
 
 
+def test_utilization_under_a_rescale_still_open_at_read_time():
+    env, net = make_net({"l": 100.0})
+    flow = net.transfer(("l",), 120.0)
+    env.run(until=1.0)
+    net.set_capacity("l", 10.0)
+    env.run(until=flow.done)
+    # 100 B in the first second, then 20 B at 10 B/s: busy throughout.
+    # Against the capacity at read time it would read 120 / (10 * 3) = 4.
+    assert flow.completed_at == env.now == pytest.approx(3.0)
+    assert net.capacity("l") == 10.0
+    assert net.link_utilization("l", elapsed=3.0) == pytest.approx(1.0)
+    assert net.link_utilization("l", elapsed=6.0) == pytest.approx(0.5)
+
+
+def test_utilization_under_a_rescale_closed_before_read_time():
+    env, net = make_net({"l": 100.0})
+    flow = net.transfer(("l",), 210.0)
+    env.run(until=1.0)
+    net.set_capacity("l", 10.0)
+    env.run(until=2.0)
+    net.set_capacity("l", 100.0)
+    env.run(until=flow.done)
+    # 100 B, then 10 B during the window, then 100 B: busy throughout,
+    # against 210 / (100 * 3) = 0.7 at the capacity of read time.
+    assert flow.completed_at == env.now == pytest.approx(3.0)
+    assert net.link_utilization("l", elapsed=3.0) == pytest.approx(1.0)
+
+
 def test_paths_longer_than_two_links_rejected():
     env, net = make_net({"a": 1.0, "b": 1.0, "c": 1.0})
     with pytest.raises(ValueError):
@@ -373,3 +401,71 @@ def test_solve_memo_stays_within_its_byte_budget(monkeypatch):
     assert evictions and collisions
     net.set_capacity("l0", 50.0)
     assert not net._solve_cache and net._solve_cache_bytes == 0
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [_waterfill.NUMPY] + (
+        [] if _waterfill.kernel() is _waterfill.NUMPY else [_waterfill.kernel()]
+    ),
+    ids=lambda kernel: type(kernel).__name__,
+)
+def test_class_level_wraps_see_every_timer_activation_and_resolve(
+    kernel, monkeypatch
+):
+    # An external tracer wraps these entry points on their classes after
+    # the network exists; on either bookkeeping path every completion
+    # timer, latency activation and deferred re-solve must reach them.
+    env, net = make_net({"a": 100.0, "b": 40.0, "c": 250.0})
+    net._kernel = kernel
+    calls = {"fire": 0, "activate": [], "resolve": 0, "armed": 0}
+    finished = set()
+    on_timer_event = FluidNetwork._on_timer_event
+    activate_event = FluidNetwork._activate_event
+    defer = type(env).defer_to_instant_end
+
+    def traced_timer(self, event):
+        calls["fire"] += 1
+        live = [flow for flow in self.active_flows]
+        on_timer_event(self, event)
+        finished.update(flow for flow in live if flow.done.triggered)
+
+    def traced_activate(self, event):
+        assert event._value.started_at is None
+        activate_event(self, event)
+        calls["activate"].append(event._value)
+
+    def traced_defer(self, callback):
+        def resolve():
+            calls["resolve"] += 1
+            callback()
+            # The re-solve armed a timer iff some flow now moves.
+            calls["armed"] += any(flow.rate > 0 for flow in net.active_flows)
+
+        defer(self, resolve)
+
+    monkeypatch.setattr(FluidNetwork, "_on_timer_event", traced_timer)
+    monkeypatch.setattr(FluidNetwork, "_activate_event", traced_activate)
+    monkeypatch.setattr(type(env), "defer_to_instant_end", traced_defer)
+    specs = [
+        (("a",), 300.0, 0.0), (("a", "b"), 120.0, 0.5), (("c",), 0.0, 0.25),
+        (("b",), 80.0, 0.0), ((), 10.0, 1.0), (("c", "a"), 500.0, 2.0),
+        (("a",), 300.0, 0.0), (("b", "c"), 64.0, 0.5),
+    ]
+    flows = []
+
+    def arrivals():
+        for path, size, latency in specs:
+            flows.append(net.transfer(path, size, latency))
+            yield env.timeout(0.75)
+
+    env.run(until=env.process(arrivals()))
+    env.run()
+    assert all(flow.done.processed for flow in flows)
+    moving = {flow for flow in flows if flow.size > 0 and flow.path}
+    assert finished == moving
+    assert set(calls["activate"]) == {
+        flow for flow in flows if flow.latency > 0
+    }
+    assert calls["resolve"] == net._generation > 0
+    assert calls["fire"] == calls["armed"] > 0

@@ -17,12 +17,14 @@ several rounds occur.  The clock may start at a large ``now``, where
 float residue is worst.
 
 After every step all three must agree exactly: every rate, remaining
-byte count and finish time, every link's byte counter, the clock and the
-event count.  Live flows keep ``0 <= remaining <= size``.  At teardown
-every network drains under the same hard step budget, so a livelock
-fails the example instead of hanging the suite; then every flow must
-have moved its bytes no faster than its path allows, and every link's
-counter must equal the bytes of the flows that crossed it.
+byte count, start and finish time, every link's byte counter, each
+network's completed bytes, the clock and the event count, and the order
+in which the flows' ``done`` events fired (flow and time).  Live flows
+keep ``0 <= remaining <= size``.  At teardown every network drains under
+the same hard step budget, so a livelock fails the example instead of
+hanging the suite; then every flow must have moved its bytes no faster
+than its path allows, and every link's counter must equal the bytes of
+the flows that crossed it.
 """
 
 import math
@@ -92,6 +94,7 @@ class LockstepFluid(RuleBasedStateMachine):
                 net.add_link(f"l{index}", capacity)
             self.sides.append((env, net))
         self.flows = tuple([] for _ in _SIDES)
+        self.done_order = tuple([] for _ in _SIDES)
         self.peak_capacity = list(capacities)
 
     def _each(self, action):
@@ -114,7 +117,14 @@ class LockstepFluid(RuleBasedStateMachine):
         path = tuple(f"l{index}" for index in hops)
 
         def start(env, net, index):
-            self.flows[index].append(net.transfer(path, size, latency))
+            flows = self.flows[index]
+            flow = net.transfer(path, size, latency)
+            order = self.done_order[index]
+            flow.done.callbacks.append(
+                lambda event, flow_index=len(flows):
+                    order.append((flow_index, env.now))
+            )
+            flows.append(flow)
 
         self._each(start)
 
@@ -145,10 +155,14 @@ class LockstepFluid(RuleBasedStateMachine):
             for flow_a, flow_b in zip(self.flows[0], flows_b):
                 assert flow_a.rate == flow_b.rate
                 assert flow_a.remaining == flow_b.remaining
+                assert flow_a.started_at == flow_b.started_at
                 assert flow_a.completed_at == flow_b.completed_at
             links_b = dict(net_b.link_bytes.items())
             assert dict(net_a.link_bytes.items()) == links_b
             assert net_a._sig_slot[0] == net_b._sig_slot[0]
+            assert net_a.total_bytes_completed == net_b.total_bytes_completed
+        for order in self.done_order[1:]:
+            assert order == self.done_order[0]
         for flow in self.flows[0]:
             if flow.completed_at is None:
                 assert 0.0 <= flow.remaining <= flow.size

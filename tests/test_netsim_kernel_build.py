@@ -181,7 +181,8 @@ COMPILED = None if _waterfill.kernel() is _waterfill.NUMPY else _waterfill.kerne
 needs_compiler = pytest.mark.skipif(
     COMPILED is None, reason="no C compiler on this host"
 )
-ENTRIES = ("ledger", "tables", "advance", "admit", "retire", "settle", "waterfill")
+ENTRIES = ("ledger", "tables", "advance", "admit", "retire", "settle", "waterfill",
+           "activate", "fire", "recompute")
 
 
 @needs_compiler
