@@ -98,6 +98,7 @@ examples:
 	$(PYTHON) examples/paradigm_planner.py
 	$(PYTHON) examples/train_tiny_moe.py
 	$(PYTHON) examples/simulate_cluster_training.py
+	$(PYTHON) examples/pull_protocol.py
 
 # The tracked benchmarks/reports/*.txt stay; only the JSON the smoke
 # commands write there, and the caches, go.

@@ -18,7 +18,7 @@ Spec = TypeVar("Spec")
 # Field annotation -> literal conversion (the spec modules use postponed
 # annotations, so dataclass field types are strings).  Fields of any
 # other type are not settable by ``field=value``.
-_LITERALS = {"int": int, "float": float, "str": str, "Optional[float]": float}
+_LITERALS = {"int": int, "float": float, "str": str}
 
 
 def parse_clauses(

@@ -647,7 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="adaptive control plane, e.g. 'adaptive' or "
              "'adaptive;deviation=0.2;recover_after_clean=1;replicas=off' "
              "(re-picks per-block paradigms and replicates hot experts "
-             "between iterations)",
+             "between iterations; keys: deviation, recover_after_clean; "
+             "on/off flags: load, replicas)",
     )
     simulate.add_argument(
         "--metrics-out", default=None, metavar="PATH",

@@ -8,8 +8,10 @@ and apply the decisions plus the next iteration's popularity drift
 (:mod:`repro.control.controller`).  Unifies the fault-driven
 :class:`~repro.faults.DegradationPolicy` of the resilience layer (the
 fault arm, ``ControlPolicy``'s ``degradation``) and the load-driven
-adaptation behind one policy interface, with hysteresis, cooldown and
-probation-based recovery so decisions neither flap nor ratchet one-way.
+adaptation behind one policy interface, with a deadband, a cost-model win
+margin and probation-based recovery so decisions neither flap nor ratchet
+one-way.  ``ControlConfig`` holds the four settings a caller may change;
+the rest are named constants of :mod:`repro.control.policy`.
 ``JanusEngine(controller=)`` is the only way either reaches the engine;
 per-iteration chunk re-tuning is the engine's own
 ``JanusFeatures(chunk_autotune=True)`` (``--chunks auto``), which sees the

@@ -13,15 +13,15 @@ rules keep it honest:
   workload the deviation is exactly zero and the policy is structurally
   inert — attaching a controller to a drift-free, fault-free run is
   bit-identical to not attaching one.
-* **Hysteresis everywhere.**  Switching needs ``patience`` consecutive
-  drifted iterations, a cost-model win of at least ``hysteresis`` margin,
-  and a ``cooldown`` gap between switches; recovery needs a calm/clean
-  streak and exits through a ``probation`` window.  Oscillating load
-  therefore cannot flap a block (tested in ``tests/test_control_policy``).
-* **Probation-based recovery.**  A recovered block is on probation; if it
-  re-degrades during (or right after) probation, the clean-streak target
-  doubles, up to ``max_backoff`` — repeated flapping gets exponentially
-  harder, never one-way as the old ratchet was.
+* **Hysteresis.**  Switching needs drift past the ``deviation`` deadband
+  and a cost-model win of at least :data:`HYSTERESIS`; load recovery needs
+  a calm streak below half the deadband.  Oscillating load therefore
+  cannot flap a block (tested in ``tests/test_control_policy``).
+* **Probation-based recovery.**  A recovered block is on probation for
+  :data:`PROBATION` iterations; if it re-degrades during (or right after)
+  probation, the clean-streak target doubles, up to :data:`MAX_BACKOFF` —
+  repeated flapping gets exponentially harder, never one-way as the old
+  ratchet was.
 """
 
 from __future__ import annotations
@@ -44,88 +44,57 @@ __all__ = [
     "tune_engine_chunks",
 ]
 
+# Total-variation distance of a block's expert-share vector from its
+# reference before the replication arm engages: catches hotspot *identity*
+# shifts (rotate drift) that leave machine imbalance flat.
+SHARE_DEVIATION = 0.1
+# Required relative cost-model win of the load arm's target.
+HYSTERESIS = 0.1
+# Post-recovery window during which re-degrading doubles the streak target.
+PROBATION = 2
+# Cap on that doubling.
+MAX_BACKOFF = 4
+# The load arm's target: pull-based fetching is immune to machine skew.
+LOAD_STRATEGY = "data-centric"
+# Replication watermarks: an expert must hold HOT_FACTOR/E of its block's
+# tokens to gain replicas and keeps them down to EVICT_FACTOR/E.
+HOT_FACTOR = 4.0
+EVICT_FACTOR = 2.0
+# Cap on cluster-wide (block, expert, machine) replica entries.
+MAX_REPLICAS = 16
+
 
 @dataclass(frozen=True)
 class ControlConfig:
-    """Knobs of the load/replication arms (the fault arm keeps its knobs on
+    """Knobs of the load/replication arms (the fault arm keeps its knob on
     :class:`~repro.faults.DegradationPolicy`).
 
     ``deviation`` is the deadband: relative growth of a block's
-    machine-imbalance over its reference before the load arm may act.
-    ``recover_deviation`` (default: half the deadband) is the calm
-    threshold for recovery — a lower exit than entry bar, classic
-    hysteresis.  ``hysteresis`` is the required cost-model win margin;
-    ``patience`` the consecutive drifted iterations before switching;
-    ``cooldown`` the minimum gap (iterations) after any switch;
-    ``recover_after_clean`` the calm/clean streak earning recovery;
-    ``probation`` the post-recovery window during which re-degrading
-    doubles the streak target (up to ``max_backoff``).
-
-    Replication: only blocks running a strategy in ``replicable`` (the
-    pull-based ones — replicas serve fetches, so All-to-All blocks cannot
-    use them) get replicas; an expert must hold ``hot_factor/E`` of the
-    block's tokens to gain replicas and keeps them down to
-    ``evict_factor/E`` (enter/exit watermarks); ``max_replicas`` caps
-    cluster-wide ``(block, expert, machine)`` entries.
+    machine-imbalance over its reference before the load arm may act; a
+    load-degraded block counts as calm at half of it (a lower exit than
+    entry bar).  ``recover_after_clean`` is the calm streak earning
+    recovery.  ``adapt_load`` and ``adapt_replicas`` switch the load and
+    replication arms.  Replicas go only to blocks running a Task Queue
+    strategy (replicas serve pull fetches, so All-to-All blocks cannot use
+    them).
     """
 
     deviation: float = 0.25
-    recover_deviation: Optional[float] = None
-    # Total-variation distance of a block's expert-share vector from its
-    # reference before the replication arm engages: catches hotspot
-    # *identity* shifts (rotate drift) that leave machine imbalance flat.
-    share_deviation: float = 0.1
-    hysteresis: float = 0.1
-    patience: int = 1
-    cooldown: int = 1
     recover_after_clean: int = 2
-    probation: int = 2
-    max_backoff: int = 4
-    load_strategy: str = "data-centric"
     adapt_load: bool = True
     adapt_replicas: bool = True
-    replicable: Tuple[str, ...] = ("data-centric",)
-    hot_factor: float = 4.0
-    evict_factor: float = 2.0
-    max_replicas: int = 16
 
     def __post_init__(self):
         if self.deviation < 0:
             raise ValueError("deviation must be non-negative")
-        if self.recover_deviation is not None and self.recover_deviation < 0:
-            raise ValueError("recover_deviation must be non-negative")
-        if self.share_deviation < 0:
-            raise ValueError("share_deviation must be non-negative")
-        if self.hysteresis < 0:
-            raise ValueError("hysteresis must be non-negative")
-        if self.patience <= 0 or self.cooldown < 0:
-            raise ValueError("patience must be positive, cooldown >= 0")
-        if self.recover_after_clean <= 0 or self.probation <= 0:
-            raise ValueError("recover_after_clean/probation must be positive")
-        if self.max_backoff < 1:
-            raise ValueError("max_backoff must be >= 1")
-        if self.hot_factor <= 1 or self.evict_factor <= 0:
-            raise ValueError("hot_factor must be > 1, evict_factor > 0")
-        if self.evict_factor > self.hot_factor:
-            raise ValueError("evict_factor must not exceed hot_factor")
-        if self.max_replicas < 0:
-            raise ValueError("max_replicas must be non-negative")
-        for name in (self.load_strategy, *self.replicable):
-            get_strategy(name)  # raises when unknown
-
-    @property
-    def calm_deviation(self) -> float:
-        return (
-            self.recover_deviation
-            if self.recover_deviation is not None
-            else self.deviation / 2.0
-        )
+        if self.recover_after_clean <= 0:
+            raise ValueError("recover_after_clean must be positive")
 
     @classmethod
     def parse(cls, text: str) -> "ControlConfig":
         """Parse the CLI grammar, e.g.
-        ``deviation=0.3;patience=2;replicas=off``.  The bare word
-        ``adaptive`` (or an empty string) means all defaults; booleans
+        ``deviation=0.3;recover_after_clean=1;replicas=off``.  The bare
+        word ``adaptive`` (or an empty string) means all defaults; booleans
         accept ``on``/``off``.
         """
         return parse_clauses(
@@ -235,9 +204,7 @@ class _BlockState:
 
     mode: str = "normal"          # normal | degraded | probation
     cause: Optional[str] = None   # fault | load (while degraded)
-    pending: int = 0              # consecutive drifted iterations seen
     streak: int = 0               # consecutive clean/calm iterations
-    cooldown: int = 0             # iterations until next switch allowed
     probation: int = 0            # remaining probation iterations
     backoff: int = 1              # clean-streak multiplier (doubles on flap)
 
@@ -313,7 +280,7 @@ class ControlPolicy:
             )
             drifted[block] = (
                 deviation > self.config.deviation
-                or share_drift > self.config.share_deviation
+                or share_drift > SHARE_DEVIATION
             )
             self._decide_block(
                 block, signals, decision, fault_targets, deviation, costs,
@@ -327,8 +294,6 @@ class ControlPolicy:
         cfg = self.config
         state = self.state_of(block)
         current = signals.strategies[block]
-        if state.cooldown > 0:
-            state.cooldown -= 1
         on_probation = state.mode == "probation"
         if on_probation:
             state.probation -= 1
@@ -340,10 +305,9 @@ class ControlPolicy:
         # degrade now, whatever the load arm thinks.
         if block in fault_targets:
             if on_probation:
-                state.backoff = min(state.backoff * 2, cfg.max_backoff)
+                state.backoff = min(state.backoff * 2, MAX_BACKOFF)
             state.mode, state.cause = "degraded", "fault"
-            state.streak = state.pending = 0
-            state.cooldown = cfg.cooldown
+            state.streak = 0
             target = fault_targets[block]
             if current != target:
                 decision.strategies[block] = target
@@ -366,43 +330,31 @@ class ControlPolicy:
             return
 
         if state.mode == "degraded" and state.cause == "load":
-            calm = deviation <= cfg.calm_deviation
+            calm = deviation <= cfg.deviation / 2.0
             state.streak = state.streak + 1 if calm else 0
             if state.streak >= cfg.recover_after_clean * state.backoff:
                 self._recover(block, current, decision, state)
             return
 
-        # Normal / probation: watch for sustained drift worth switching on.
+        # Normal / probation: switch on drift the cost model says pays.
         drifted = deviation > cfg.deviation
-        state.pending = state.pending + 1 if drifted else 0
-        if (
-            not drifted
-            or state.pending < cfg.patience
-            or state.cooldown > 0
-            or costs is None
-        ):
-            return
-        target = cfg.load_strategy
-        if target == current:
+        if not drifted or costs is None or current == LOAD_STRATEGY:
             return
         current_cost = costs.estimate(sig, current)
-        target_cost = costs.estimate(sig, target)
-        if target_cost >= current_cost * (1.0 - cfg.hysteresis):
+        target_cost = costs.estimate(sig, LOAD_STRATEGY)
+        if target_cost >= current_cost * (1.0 - HYSTERESIS):
             return
         if on_probation:
-            state.backoff = min(state.backoff * 2, cfg.max_backoff)
+            state.backoff = min(state.backoff * 2, MAX_BACKOFF)
         state.mode, state.cause = "degraded", "load"
-        state.streak = state.pending = 0
-        state.cooldown = cfg.cooldown
-        decision.strategies[block] = target
+        state.streak = 0
+        decision.strategies[block] = LOAD_STRATEGY
         decision.causes[block] = "load"
 
     def _recover(self, block, current, decision, state) -> None:
-        cfg = self.config
         state.mode, state.cause = "probation", None
-        state.probation = cfg.probation
+        state.probation = PROBATION
         state.streak = 0
-        state.cooldown = cfg.cooldown
         preferred = self.preferred.get(block, current)
         if current != preferred:
             decision.strategies[block] = preferred
@@ -411,8 +363,7 @@ class ControlPolicy:
     # -- replication arm -----------------------------------------------------
 
     def _decide_replicas(self, signals, decision, drifted_blocks) -> None:
-        cfg = self.config
-        if not cfg.adapt_replicas:
+        if not self.config.adapt_replicas:
             decision.replicas = self.replicas
             return
         effective = dict(signals.strategies)
@@ -421,11 +372,11 @@ class ControlPolicy:
         entries: List[Tuple[float, int, int, Tuple[int, ...]]] = []
         for block in sorted(signals.blocks):
             sig = signals.blocks[block]
-            if effective.get(block) not in cfg.replicable:
+            if not get_strategy(effective[block]).uses_task_queue:
                 continue
             held = self.replicas.get(block, {})
-            hot_cut = cfg.hot_factor / sig.num_experts
-            keep_cut = cfg.evict_factor / sig.num_experts
+            hot_cut = HOT_FACTOR / sig.num_experts
+            keep_cut = EVICT_FACTOR / sig.num_experts
             drifted = drifted_blocks.get(block, False)
             for expert in range(sig.num_experts):
                 share = float(sig.expert_share[expert])
@@ -449,7 +400,7 @@ class ControlPolicy:
         # Hottest experts claim the budget first; ties break low-index.
         entries.sort(key=lambda e: (-e[0], e[1], e[2]))
         new_map: Dict[int, Dict[int, Tuple[int, ...]]] = {}
-        budget = cfg.max_replicas
+        budget = MAX_REPLICAS
         for share, block, expert, machines in entries:
             take = machines[:budget]
             if not take:

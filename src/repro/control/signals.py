@@ -43,9 +43,8 @@ class BlockLoadSignals:
     # bottleneck an All-to-All dispatch of this block would hit.
     a2a_bottleneck_tokens: int = 0
     # Per machine: distinct external experts its workers route tokens to
-    # (the data-centric fetch set), and the count of them.
+    # (the data-centric fetch set).
     external_demand: Dict[int, FrozenSet[int]] = field(default_factory=dict)
-    external_counts: Dict[int, int] = field(default_factory=dict)
     # Mean (over ranks) number of experts with >0 routed tokens — the
     # kernel-launch count a data-centric worker pays.
     active_experts_per_rank: float = 0.0
@@ -53,9 +52,7 @@ class BlockLoadSignals:
     @property
     def max_external_count(self) -> int:
         """Largest per-machine external fetch set (paces DC fetching)."""
-        if not self.external_counts:
-            return 0
-        return max(self.external_counts.values())
+        return max(map(len, self.external_demand.values()), default=0)
 
     @classmethod
     def from_block(cls, block, layout) -> "BlockLoadSignals":
@@ -90,13 +87,11 @@ class BlockLoadSignals:
             np.arange(num_experts) // experts_per_worker
         ) // per_machine
         external_demand: Dict[int, FrozenSet[int]] = {}
-        external_counts: Dict[int, int] = {}
         for machine in range(machines):
             needed = np.flatnonzero(
                 (by_src_machine[machine] > 0) & (owner_machine != machine)
             )
             external_demand[machine] = frozenset(int(e) for e in needed)
-            external_counts[machine] = int(needed.size)
 
         mean_machine_recv = float(machine_recv.mean())
         return cls(
@@ -112,7 +107,6 @@ class BlockLoadSignals:
             max_rank_recv=int(rank_recv.max(initial=0)),
             a2a_bottleneck_tokens=bottleneck,
             external_demand=external_demand,
-            external_counts=external_counts,
             active_experts_per_rank=float((routing > 0).sum(axis=1).mean()),
         )
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import ModelConfig
-from ..netsim.memory import MemoryTracker
+from ..netsim.memory import OutOfMemoryError
 
 __all__ = [
     "MemoryEstimate",
@@ -136,13 +136,13 @@ def estimate_strategies(
     return MemoryEstimate(weights, activations, moe_stash, extra)
 
 
-def check_fits(
-    estimate: MemoryEstimate, capacity_bytes: float, label: str = "worker"
-) -> MemoryTracker:
-    """Validate the estimate against GPU capacity; raises OutOfMemoryError."""
-    tracker = MemoryTracker(capacity_bytes)
-    tracker.allocate(f"{label}.weights", estimate.weights)
-    tracker.allocate(f"{label}.activations", estimate.activations)
-    tracker.allocate(f"{label}.moe_stash", estimate.moe_stash)
-    tracker.allocate(f"{label}.paradigm_extra", estimate.paradigm_extra)
-    return tracker
+def check_fits(estimate: MemoryEstimate, capacity_bytes: float) -> None:
+    """Validate the estimate against GPU capacity: raises OutOfMemoryError
+    at the first term (weights, activations, MoE stash, paradigm extra)
+    that does not fit in what the earlier ones left."""
+    used = 0.0
+    for term in (estimate.weights, estimate.activations,
+                 estimate.moe_stash, estimate.paradigm_extra):
+        if term > capacity_bytes - used:
+            raise OutOfMemoryError(term, capacity_bytes - used, capacity_bytes)
+        used += term

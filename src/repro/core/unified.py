@@ -48,18 +48,17 @@ def strategy_map(
     cluster: Cluster,
     threshold: float = 1.0,
     low_r_strategy: str = "expert-centric",
-    high_r_strategy: str = "data-centric",
 ) -> Dict[int, str]:
     """Per-MoE-block strategy choice by the R metric (Eq. 1).
 
     ``threshold`` is the conservative cut-over of §7.5: blocks with
-    R <= threshold run ``low_r_strategy`` (the paper raises it above 1 when
-    the deployed data-centric path cannot reach the analytic bound, e.g.
-    PCIe capping cache-fill bandwidth).  Both sides are strategy names
-    (see :func:`~repro.core.strategies.strategy_names`).
+    R <= threshold run ``low_r_strategy``, a strategy name (see
+    :func:`~repro.core.strategies.strategy_names`); the paper raises it
+    above 1 when the deployed data-centric path cannot reach the analytic
+    bound, e.g. PCIe capping cache-fill bandwidth.  Blocks with
+    R > threshold run data-centric, the paper's rule.
     """
     get_strategy(low_r_strategy)  # raises when unknown
-    get_strategy(high_r_strategy)
     mapping = {}
     world = cluster.num_machines * cluster.gpus_per_machine
     for index in config.moe_block_indices:
@@ -72,7 +71,7 @@ def strategy_map(
             config.experts_per_worker(index, world),
         )
         mapping[index] = (
-            high_r_strategy
+            "data-centric"
             if select_paradigm(ratio, threshold) == "data-centric"
             else low_r_strategy
         )
@@ -138,7 +137,7 @@ def engine_for(
     """Engine factory by mode name (see :func:`engine_modes`).
 
     ``"unified"`` maps blocks with :func:`strategy_map` and takes its
-    ``threshold``/``low_r_strategy``/``high_r_strategy``.  ``"auto"`` maps
+    ``threshold``/``low_r_strategy``.  ``"auto"`` maps
     them with :func:`auto_schedule_map` (``threshold`` only) and overlaps
     the backward dense-gradient all-reduce unless ``features`` picks a
     schedule.  A strategy name runs every MoE block under that

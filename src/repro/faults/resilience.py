@@ -122,12 +122,12 @@ def retry_flow(
 
 @dataclass(frozen=True)
 class DegradationPolicy:
-    """Flip a block's paradigm after it keeps missing its pull deadlines.
+    """Flip a block's paradigm once it misses a pull deadline.
 
-    A block that accumulated at least ``degrade_after_fallbacks`` stale
-    fallbacks in one iteration is switched to ``fallback_strategy``
-    (expert-centric All-to-All needs no cross-machine pull round-trips, so
-    it is immune to pull-request loss) for subsequent iterations.
+    A block with any stale fallback in one iteration is switched to
+    expert-centric (its All-to-All needs no cross-machine pull
+    round-trips, so it is immune to pull-request loss) for subsequent
+    iterations.
 
     ``recover_after_clean`` un-ratchets the policy: after that many
     consecutive iterations with no fault symptoms, a degraded block returns
@@ -138,24 +138,16 @@ class DegradationPolicy:
     historical one-way behaviour exactly.
     """
 
-    fallback_strategy: str = "expert-centric"
-    degrade_after_fallbacks: int = 1
     recover_after_clean: Optional[int] = None
 
     def __post_init__(self):
-        if self.degrade_after_fallbacks <= 0:
-            raise ValueError("degrade_after_fallbacks must be positive")
         if self.recover_after_clean is not None and self.recover_after_clean <= 0:
             raise ValueError("recover_after_clean must be positive")
-        # Imported here: repro.core imports this module at load time.
-        from ..core.strategies import get_strategy
-
-        get_strategy(self.fallback_strategy)  # raises when unknown
 
     def decide(self, stats: FaultStats) -> Dict[int, str]:
         """Blocks to switch, given one iteration's fault counters."""
         return {
-            block: self.fallback_strategy
+            block: "expert-centric"
             for block, count in sorted(stats.fallbacks_by_block.items())
-            if count >= self.degrade_after_fallbacks
+            if count > 0
         }

@@ -135,13 +135,14 @@ def chunk_tuning_breakdown(registry: MetricsRegistry) -> Dict:
 
 
 def serving_breakdown(registry: MetricsRegistry) -> Dict[str, Dict]:
-    """Fold the ``serve.*`` lanes into one report section.
+    """Fold the ``serve.*`` lanes into the ``serving`` section of the
+    serve report (:func:`repro.serving.build_serving_report`).
 
     The serving simulator counts requests/steps/tokens/bytes (labelled by
     phase or kind) and observes TTFT / per-output-token / end-to-end
     latency plus decode batch-size histograms.  Counters fold per label
-    value; histograms contribute count/mean/min/max.  Empty when the run
-    never served, so training-only reports are unchanged.
+    value; histograms contribute count/mean/min/max.  Empty when the
+    registry holds no ``serve.*`` lane.
     """
     breakdown: Dict[str, Dict] = {}
     for metric in ("serve.requests", "serve.steps",

@@ -16,7 +16,6 @@ from .collect import (
     comm_busy_time,
     compute_busy_time,
     overlap_efficiency,
-    serving_breakdown,
     task_kind_breakdown,
 )
 from .registry import MetricsRegistry
@@ -80,9 +79,6 @@ def build_run_report(
         tuning = chunk_tuning_breakdown(registry)
         if tuning:
             report["chunk_tuning"] = tuning
-        serving = serving_breakdown(registry)
-        if serving:
-            report["serving"] = serving
     return report
 
 

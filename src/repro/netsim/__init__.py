@@ -4,14 +4,13 @@ from .collectives import all_reduce, all_to_all, all_to_all_proc, uniform_matrix
 from .fabric import Fabric
 from .fluid import Flow, FluidNetwork
 from .goodput import GoodputResult, measure_all_to_all_goodput
-from .memory import MemoryTracker, OutOfMemoryError
+from .memory import OutOfMemoryError
 
 __all__ = [
     "Fabric",
     "Flow",
     "FluidNetwork",
     "GoodputResult",
-    "MemoryTracker",
     "OutOfMemoryError",
     "all_reduce",
     "all_to_all",

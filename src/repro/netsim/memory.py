@@ -1,20 +1,19 @@
-"""Device memory accounting.
+"""The out-of-memory error of the device memory model.
 
-Used by the timed engines to reproduce the paper's out-of-memory behaviour
-(Fig. 16: Tutel OOMs training MoE-BERT at S=512 because the All-to-All
-receive buffers for the exchanged tokens exceed GPU memory, while Janus only
-ever materializes one expert at a time plus its token activations).
+Raised by :func:`repro.core.memory_model.check_fits` to reproduce the
+paper's out-of-memory behaviour (Fig. 16: Tutel OOMs training MoE-BERT at
+S=512 because the All-to-All receive buffers for the exchanged tokens
+exceed GPU memory, while Janus only ever materializes one expert at a time
+plus its token activations).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
-
-__all__ = ["OutOfMemoryError", "MemoryTracker"]
+__all__ = ["OutOfMemoryError"]
 
 
 class OutOfMemoryError(RuntimeError):
-    """Raised when an allocation exceeds the tracked device capacity."""
+    """Raised when a memory term exceeds what is left of device capacity."""
 
     def __init__(self, requested: float, available: float, capacity: float):
         super().__init__(
@@ -25,47 +24,3 @@ class OutOfMemoryError(RuntimeError):
         self.available = available
         self.capacity = capacity
 
-
-class MemoryTracker:
-    """Tracks named allocations against a fixed capacity (bytes)."""
-
-    def __init__(self, capacity: float):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = float(capacity)
-        self._allocations: Dict[Hashable, float] = {}
-        self.peak = 0.0
-
-    @property
-    def used(self) -> float:
-        return sum(self._allocations.values())
-
-    @property
-    def available(self) -> float:
-        return self.capacity - self.used
-
-    def allocate(self, name: Hashable, size: float) -> None:
-        """Reserve ``size`` bytes under ``name``; raises on exhaustion."""
-        if size < 0:
-            raise ValueError("allocation size must be non-negative")
-        if name in self._allocations:
-            raise ValueError(f"allocation {name!r} already exists")
-        if size > self.available:
-            raise OutOfMemoryError(size, self.available, self.capacity)
-        self._allocations[name] = float(size)
-        self.peak = max(self.peak, self.used)
-
-    def free(self, name: Hashable) -> float:
-        """Release the allocation and return its size."""
-        if name not in self._allocations:
-            raise KeyError(f"no allocation named {name!r}")
-        return self._allocations.pop(name)
-
-    def holds(self, name: Hashable) -> bool:
-        return name in self._allocations
-
-    def would_fit(self, size: float) -> bool:
-        return size <= self.available
-
-    def reset(self) -> None:
-        self._allocations.clear()

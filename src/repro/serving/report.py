@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from ..metrics import serving_breakdown
 from .simulator import ServingResult
 
 __all__ = ["SERVE_SCHEMA", "build_serving_report", "format_serving_summary"]
@@ -19,7 +20,9 @@ def build_serving_report(
     """Machine-readable document for one ``repro serve`` invocation.
 
     ``meta`` (model, machines, trace spec, ...) is recorded verbatim under
-    ``"run"``; each topology contributes its summary and digest.
+    ``"run"``; each topology contributes its summary and digest.  With a
+    ``registry``, the report carries its metric dump and the ``serve.*``
+    lanes folded by :func:`~repro.metrics.serving_breakdown`.
     """
     report = {
         "schema": SERVE_SCHEMA,
@@ -33,6 +36,7 @@ def build_serving_report(
     }
     if registry is not None:
         report["metrics"] = registry.as_dict()
+        report["serving"] = serving_breakdown(registry)
     return report
 
 

@@ -401,6 +401,18 @@ class TestServeCommand:
         trace = json.loads(trace_path.read_text())
         assert trace["traceEvents"]
 
+    def test_serve_report_carries_the_serving_breakdown(self, tmp_path):
+        import json
+
+        report_path = tmp_path / "serve.json"
+        assert main([
+            "serve", *self.SMALL, "--trace", self.TINY,
+            "--out", str(report_path),
+        ]) == 0
+        report = json.loads(report_path.read_text())
+        # The breakdown of the last simulated topology's registry.
+        assert report["serving"]["requests"]["completed"] == 80
+
     def test_serve_invalid_split_exits_2(self, capsys):
         # Two machines, two prefillers: no decoder left.
         assert main([
@@ -497,8 +509,9 @@ class TestInvalidInput:
         assert flag in parse_error_line(capsys.readouterr().err, command)
 
     def test_unknown_control_strategy_exits_2_at_parse_time(self, capsys):
-        """Strategy names in ``--control`` are checked when the flag is
-        parsed, not when the controller first applies a decision."""
+        """``--control`` names no strategy: the load arm's target is a
+        constant, so ``load_strategy`` is an unknown field, rejected when
+        the flag is parsed."""
         with pytest.raises(SystemExit) as excinfo:
             main([
                 "simulate", "--machines", "2", "--experts", "32",
@@ -510,6 +523,14 @@ class TestInvalidInput:
         assert excinfo.value.code == 2
         line = parse_error_line(capsys.readouterr().err, "simulate")
         assert "--control" in line and "load_strategy" in line
+        assert "unknown control field 'load_strategy'" in line
+
+    def test_retired_control_field_exits_2_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", *SMALL, "--control", "adaptive;patience=2"])
+        assert excinfo.value.code == 2
+        line = parse_error_line(capsys.readouterr().err, "simulate")
+        assert "unknown control field 'patience'" in line
 
     def test_serve_rejects_a_nan_slo(self, capsys):
         assert main([

@@ -17,6 +17,7 @@ from repro.control import (
     ControlPolicy,
     ControlSignals,
 )
+from repro.control.policy import MAX_REPLICAS
 from repro.core import CostModel
 from repro.faults import DegradationPolicy
 from repro.faults.injector import FaultStats
@@ -54,7 +55,6 @@ def make_sig(
         max_rank_recv=max_rank,
         a2a_bottleneck_tokens=bottleneck,
         external_demand=external,
-        external_counts={m: len(s) for m, s in external.items()},
         active_experts_per_rank=float(num_experts),
     )
 
@@ -200,11 +200,9 @@ class TestControlConfig:
 
     def test_parse_fields_and_flags(self):
         spec = ControlConfig.parse(
-            "adaptive;deviation=0.3;patience=2;replicas=off;"
-            "load_strategy=data-centric;recover_after_clean=1"
+            "adaptive;deviation=0.3;replicas=off;recover_after_clean=1"
         )
         assert spec.deviation == 0.3
-        assert spec.patience == 2
         assert spec.adapt_replicas is False
         assert spec.adapt_load is True
         assert spec.recover_after_clean == 1
@@ -220,24 +218,26 @@ class TestControlConfig:
             ControlConfig.parse(text)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ControlConfig(patience=0)
-        with pytest.raises(ValueError):
-            ControlConfig(hot_factor=0.5)
-        with pytest.raises(ValueError):
-            ControlConfig(evict_factor=5.0, hot_factor=4.0)
-
-    @pytest.mark.parametrize("fields", [
-        {"load_strategy": "bogus"},
-        {"replicable": ("data-centric", "bogus")},
-    ])
-    def test_unknown_strategy_names_rejected(self, fields):
-        with pytest.raises(ValueError, match="bogus"):
-            ControlConfig(**fields)
+        with pytest.raises(ValueError, match="deviation"):
+            ControlConfig(deviation=-0.1)
+        with pytest.raises(ValueError, match="recover_after_clean"):
+            ControlConfig(recover_after_clean=0)
 
     def test_calm_deviation_defaults_to_half_deadband(self):
-        assert ControlConfig(deviation=0.4).calm_deviation == 0.2
-        assert ControlConfig(recover_deviation=0.05).calm_deviation == 0.05
+        """A load-degraded block recovers once its deviation falls to half
+        the deadband, and not while it stays just above that."""
+        calm = make_sig(machine_imbalance=1.125)      # deviation 0.125
+        uneasy = make_sig(machine_imbalance=1.1251)   # just above it
+        for sig, recovers in ((calm, True), (uneasy, False)):
+            policy = calm_policy()
+            policy.decide(make_signals(BALANCED, iteration=0), COSTS)
+            assert policy.decide(
+                make_signals(SKEWED, iteration=1), COSTS
+            ).causes == {BLOCK: "load"}
+            decision = policy.decide(
+                make_signals(sig, "data-centric", iteration=2), COSTS
+            )
+            assert (decision.causes == {BLOCK: "recover"}) is recovers
 
 
 # -- cost model ------------------------------------------------------------
@@ -269,8 +269,7 @@ class TestCostModel:
 
 def calm_policy(**overrides):
     config = ControlConfig(**{
-        "deviation": 0.25, "patience": 1, "cooldown": 0,
-        "recover_after_clean": 1, "probation": 2, "hysteresis": 0.1,
+        "deviation": 0.25, "recover_after_clean": 1,
         "adapt_replicas": False, **overrides,
     })
     return ControlPolicy(config=config)
@@ -421,9 +420,7 @@ class TestFaultArm:
 class TestReplicationArm:
     def _policy(self, **overrides):
         config = ControlConfig(**{
-            "deviation": 0.25, "adapt_load": False,
-            "hot_factor": 4.0, "evict_factor": 2.0, "max_replicas": 16,
-            **overrides,
+            "deviation": 0.25, "adapt_load": False, **overrides,
         })
         return ControlPolicy(config=config)
 
@@ -470,11 +467,21 @@ class TestReplicationArm:
         assert decision.replicate == []
 
     def test_budget_caps_entries(self):
-        policy = self._policy(max_replicas=0)
-        policy.decide(make_signals(BALANCED, "data-centric", 0), COSTS)
-        hot = make_sig(share=self._share(0.6))
+        """More hot (expert, machine) pairs than the cap: exactly
+        MAX_REPLICAS entries, hottest experts first."""
+        num_experts = 128
+        policy = self._policy()
+        policy.decide(make_signals(
+            make_sig(num_experts=num_experts), "data-centric", 0
+        ), COSTS)
+        # Experts 0..19 all above the hot watermark (4/128), hotter at
+        # lower index; each is fetched by the one machine not owning it.
+        share = np.full(num_experts, 0.1 / (num_experts - 20))
+        share[:20] = np.linspace(0.05, 0.04, 20)
+        hot = make_sig(share=share, num_experts=num_experts)
         decision = policy.decide(make_signals(hot, "data-centric", 1), COSTS)
-        assert decision.replicate == []
+        assert len(decision.replicate) == MAX_REPLICAS < 20
+        assert sorted(decision.replicas[BLOCK]) == list(range(MAX_REPLICAS))
 
     def test_adapt_replicas_off(self):
         policy = self._policy(adapt_replicas=False)

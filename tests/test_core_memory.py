@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import moe_bert, moe_gpt, moe_transformer_xl
 from repro.core import estimate_strategies
-from repro.core.memory_model import check_fits
+from repro.core.memory_model import MemoryEstimate, check_fits
 from repro.netsim import OutOfMemoryError
 from repro.units import GIB
 
@@ -71,6 +71,24 @@ class TestFig16OOMBoundary:
         config = factory(32)
         assert estimate_expert_centric(config, 32).total < A100
         assert estimate_data_centric(config, 32).total < A100
+
+
+class TestCheckFits:
+    def test_oom_names_the_first_term_that_does_not_fit(self):
+        estimate = MemoryEstimate(
+            weights=0.5 * GIB, activations=0.25 * GIB,
+            moe_stash=0.5 * GIB, paradigm_extra=2 * GIB,
+        )
+        with pytest.raises(OutOfMemoryError) as exc_info:
+            check_fits(estimate, GIB)
+        error = exc_info.value
+        assert error.requested == 0.5 * GIB
+        assert error.available == 0.25 * GIB
+        assert error.capacity == GIB
+        assert str(error) == (
+            "out of memory: requested 0.54 GB with only 0.27 GB free of "
+            "1.07 GB"
+        )
 
 
 class TestEstimateStructure:

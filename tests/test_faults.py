@@ -394,15 +394,16 @@ class TestDegradationPolicy:
     def test_decide_thresholds(self):
         from repro.faults import FaultStats
 
-        policy = DegradationPolicy(degrade_after_fallbacks=3)
-        stats = FaultStats(fallbacks_by_block={1: 2, 3: 5})
-        assert policy.decide(stats) == {3: "expert-centric"}
+        # Any stale fallback degrades its block to expert-centric.
+        stats = FaultStats(fallbacks_by_block={1: 1, 3: 5})
+        assert DegradationPolicy().decide(stats) == {
+            1: "expert-centric", 3: "expert-centric",
+        }
+        assert DegradationPolicy().decide(FaultStats()) == {}
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            DegradationPolicy(degrade_after_fallbacks=0)
-        with pytest.raises(ValueError, match="bogus"):
-            DegradationPolicy(fallback_strategy="bogus")
+        with pytest.raises(ValueError, match="recover_after_clean"):
+            DegradationPolicy(recover_after_clean=0)
         with pytest.raises(ValueError):
             ResilienceConfig(pull_timeout=0)
         with pytest.raises(ValueError):

@@ -1,19 +1,17 @@
-"""Tests for the fabric, collectives, memory tracking and goodput harness."""
+"""Tests for the fabric, collectives and goodput harness."""
 
 import pytest
 
 from repro.cluster import Cluster, Device
 from repro.netsim import (
     Fabric,
-    MemoryTracker,
-    OutOfMemoryError,
     all_to_all,
     all_to_all_proc,
     measure_all_to_all_goodput,
     uniform_matrix,
 )
 from repro.simkit import Environment
-from repro.units import GIB, gbytes_per_s
+from repro.units import gbytes_per_s
 
 
 def make_fabric(num_machines=2):
@@ -227,44 +225,3 @@ class TestGoodput:
         # A zero payload would report 0/0 = nan Gbps.
         with pytest.raises(ValueError, match="payload"):
             measure_all_to_all_goodput(1, payload_bytes_per_pair=payload)
-
-
-class TestMemoryTracker:
-    def test_allocate_and_free(self):
-        tracker = MemoryTracker(10 * GIB)
-        tracker.allocate("weights", 4 * GIB)
-        assert tracker.used == 4 * GIB
-        assert tracker.available == 6 * GIB
-        assert tracker.free("weights") == 4 * GIB
-        assert tracker.used == 0
-
-    def test_oom_raises_with_details(self):
-        tracker = MemoryTracker(1 * GIB)
-        tracker.allocate("a", 0.75 * GIB)
-        with pytest.raises(OutOfMemoryError) as exc_info:
-            tracker.allocate("b", 0.5 * GIB)
-        assert exc_info.value.requested == 0.5 * GIB
-
-    def test_duplicate_name_rejected(self):
-        tracker = MemoryTracker(GIB)
-        tracker.allocate("x", 1)
-        with pytest.raises(ValueError):
-            tracker.allocate("x", 1)
-
-    def test_free_unknown_rejected(self):
-        tracker = MemoryTracker(GIB)
-        with pytest.raises(KeyError):
-            tracker.free("ghost")
-
-    def test_peak_tracking(self):
-        tracker = MemoryTracker(GIB)
-        tracker.allocate("a", 100)
-        tracker.allocate("b", 200)
-        tracker.free("a")
-        assert tracker.peak == 300
-
-    def test_would_fit(self):
-        tracker = MemoryTracker(100)
-        tracker.allocate("a", 60)
-        assert tracker.would_fit(40)
-        assert not tracker.would_fit(41)

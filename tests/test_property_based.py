@@ -13,7 +13,8 @@ from repro.core import (
     internal_pull_order,
     pcie_peer_schedule,
 )
-from repro.netsim import FluidNetwork, MemoryTracker, OutOfMemoryError
+from repro.core.memory_model import MemoryEstimate, check_fits
+from repro.netsim import FluidNetwork, OutOfMemoryError
 from repro.runtime import ExpertPlacement, RankLayout
 from repro.simkit import Environment
 from repro.tensorlib import Tensor
@@ -202,20 +203,28 @@ class TestFluidProperties:
 class TestMemoryProperties:
     @given(
         capacity=st.floats(1.0, 1e12),
-        fractions=st.lists(st.floats(0.0, 0.4), min_size=1, max_size=10),
+        fractions=st.lists(st.floats(0.0, 0.4), min_size=4, max_size=4),
     )
     @settings(max_examples=60)
-    def test_tracker_never_exceeds_capacity(self, capacity, fractions):
-        tracker = MemoryTracker(capacity)
-        for index, fraction in enumerate(fractions):
-            size = fraction * capacity
-            if size <= tracker.available:
-                tracker.allocate(index, size)
-            else:
-                with pytest.raises(OutOfMemoryError):
-                    tracker.allocate(index, size)
-        assert tracker.used <= capacity
-        assert tracker.peak <= capacity
+    def test_check_fits_rejects_exactly_the_overflowing_term(
+        self, capacity, fractions
+    ):
+        terms = [fraction * capacity for fraction in fractions]
+        used = 0.0
+        overflow = None
+        for term in terms:
+            if term > capacity - used:
+                overflow = (term, capacity - used)
+                break
+            used += term
+        if overflow is None:
+            check_fits(MemoryEstimate(*terms), capacity)
+            assert used <= capacity
+        else:
+            with pytest.raises(OutOfMemoryError) as excinfo:
+                check_fits(MemoryEstimate(*terms), capacity)
+            assert (excinfo.value.requested,
+                    excinfo.value.available) == overflow
 
 
 class TestWorkloadProperties:

@@ -362,11 +362,14 @@ class TestReports:
     def test_serving_breakdown_empty_without_serving(self):
         assert serving_breakdown(MetricsRegistry()) == {}
 
-    def test_run_report_embeds_serving_section(self):
+    def test_serving_report_embeds_serving_section(self):
         registry = MetricsRegistry()
-        run_small("unified", registry)
-        report = build_run_report([], registry, model="small")
+        result = run_small("unified", registry)
+        report = build_serving_report([result], registry, model="small")
+        assert report["serving"] == serving_breakdown(registry)
         assert report["serving"]["requests"]["completed"] == 64
+        # Only the serve report carries the serving section.
+        assert "serving" not in build_run_report([], registry)
 
     def test_build_serving_report(self):
         registry = MetricsRegistry()
