@@ -863,43 +863,76 @@ static double key_of(double residual, double load) {
     return isnan(share) ? -INFINITY : share;
 }
 
-/* Swap-remove position j from the live-link list of length *n. */
-static void drop(int64_t j, int64_t *n, int64_t *live, double *keys,
-                 double *residual, double *load, int64_t *slot) {
+/* Swap-remove position j from the listed links (ids and share keys) of
+   length *n. */
+static void drop(int64_t j, int64_t *n, int64_t *live, double *keys, int64_t *slot) {
     int64_t last = --*n;
     slot[live[last]] = j;
     slot[live[j]] = -1;
     live[j] = live[last];
     keys[j] = keys[last];
-    residual[j] = residual[last];
-    load[j] = load[last];
 }
 
-/* The water-fill's round log and work arrays, owned by the network and
-   packed by tables() after the solve tables.  The work arrays are sized
-   for the network's link and group tables, so a fill allocates nothing. */
+/* The water-fill's state between fills, owned by the network and packed
+   by tables() after the solve tables: the last fill's round log, the end
+   state it left and an undo record of every round, enough to roll any
+   suffix of its rounds back.  Sized for the network's link and group
+   tables, so a fill allocates nothing. */
 typedef struct {
-    int64_t *meta;                /* [3] logged rounds, snapshot width,
-                                     rounds the last fill replayed */
+    int64_t *meta;                /* [4] logged rounds, snapshot width, rounds
+                                     the last fill did not recompute, links
+                                     listed at its end */
     int64_t *log_links;           /* [links] each logged round's bottleneck */
     double *log_keys;             /* [links] its share key, before the clamp */
+    int64_t *log_ends;            /* [links*2] where each round's fixed groups
+                                     and its records end */
     int64_t *snapshot;            /* [groups] the logged fill's group counts */
-    int64_t *iwork;               /* [links*4] */
-    double *dwork;                /* [links*4] */
+    int64_t *log_groups;          /* [groups] the groups each round fixed */
+    double *group_rates;          /* [groups] each group's rate, 0 if unfixed */
+    int64_t *records;             /* [groups*6] per link a round updated: the
+                                     link, and its previous and next record */
+    double *before;               /* [groups*4] the link's residual and load
+                                     before that round */
+    int64_t *link_state;          /* [links*8] */
+    double *link_values;          /* [links*4] */
     unsigned char *flags;         /* [links+groups] */
 } fill_t;
+
+/* A changed link's share key at the start of a logged round, with the
+   fill's count changes applied: its residual and load are the values its
+   next record (`at`, -1 for none) saved, else the ones it ended with, or
+   its capacity and 0 when the logged fill did not load it; the load then
+   moves by the link's count delta.  +inf when that leaves no load. */
+static double changed_key(int64_t link, int64_t at, const double *capacity,
+                          const int64_t *load_counts, const int64_t *delta,
+                          const double *before, const double *residual,
+                          const double *load) {
+    double res = residual[link], ld = load[link];
+    if (load_counts[link] == delta[link]) {
+        res = capacity[link];
+        ld = 0.0;
+    } else if (at >= 0) {
+        res = before[2 * at];
+        ld = before[2 * at + 1];
+    }
+    ld += (double) delta[link];
+    return ld > 0.0 ? key_of(res, ld) : INFINITY;
+}
 
 /* A link stays listed while an unfixed flow crosses it, so the list
    empties in the round where the python loops' unfixed-flow count
    reaches zero.
 
-   Round replay: a link is changed when a group whose count differs from
-   the logged fill's crosses it.  A logged round is taken without the
-   argmin scan while its bottleneck is listed and unchanged and no listed
-   changed link sorts below it by (key, link index); every round before
-   the first that fails does exactly what the logged fill did, so the
-   unchanged links' keys equal the logged fill's bit for bit (DESIGN §8).
-   The caller zeroes meta[0] whenever the capacities change. */
+   Round resume: a link is changed when a group whose count differs from
+   the logged fill's crosses it.  The fill finds the first logged round r
+   that a changed link can reach -- its bottleneck is changed, or a listed
+   changed link sorts below it by (key, link index) -- reading only the
+   changed links' records; rolls rounds r.. of the logged fill back;
+   moves each changed link's load (and its records of the kept rounds) by
+   its count delta; and scans on from round r.  Before round r no changed
+   group is fixed, so every link's residual is the logged one and every
+   load the logged one plus its delta, bit for bit (DESIGN §8).  The
+   caller zeroes meta[0] whenever the capacities change. */
 static void waterfill(
     int64_t nl, int64_t ng,
     const double *capacity,       /* [nl] */
@@ -911,20 +944,25 @@ static void waterfill(
     const fill_t *f,
     double *grates                /* [ng] out */
 ) {
-    /* The list of loaded, unfixed links (ids, share keys, residuals,
-       loads), link -> list position (-1 = absent), per-round crossing
-       counts and touched links, the changed links (flags and list) and
-       the fixed-group flags. */
-    int64_t *live = f->iwork, *slot = live + nl, *touched = slot + nl;
-    int64_t *changed = touched + nl;
-    double *keys = f->dwork, *residual = keys + nl;
+    /* The listed links (ids and share keys), link -> list position (-1 =
+       absent), each round's touched links, the changed links with their
+       count deltas, each link's first and last record and a cursor into
+       them; each link's residual, load and per-round crossing count; the
+       changed-link and fixed-group flags. */
+    int64_t *live = f->link_state, *slot = live + nl, *touched = slot + nl;
+    int64_t *changed = touched + nl, *delta = changed + nl;
+    int64_t *first = delta + nl, *last = first + nl, *cursor = last + nl;
+    double *keys = f->link_values, *residual = keys + nl;
     double *load = residual + nl, *counts = load + nl;
     unsigned char *is_changed = f->flags, *gfixed = is_changed + nl;
-    int64_t *meta = f->meta, *snapshot = f->snapshot;
-    int64_t logged = meta[0], width = meta[1], nchanged = 0;
+    int64_t *meta = f->meta, *snapshot = f->snapshot, *ends = f->log_ends;
+    int64_t *rec = f->records, *log_groups = f->log_groups;
+    double *before = f->before, *rates = f->group_rates;
+    int64_t logged = meta[0], width = meta[1], n = meta[3], nchanged = 0;
     /* Mark the links of the groups whose count differs from the
-       snapshot (groups past it count as 0), and take the new snapshot.
-       Most counts are unchanged: one memcmp clears a block of them. */
+       snapshot (groups past it count as 0), sum each one's count delta,
+       and take the new snapshot.  Most counts are unchanged: one memcmp
+       clears a block of them. */
     memset(is_changed, 0, nl);
     for (int64_t lo = 0; lo < ng; lo += 64) {
         int64_t hi = lo + 64 < ng ? lo + 64 : ng;
@@ -932,76 +970,150 @@ static void waterfill(
                                   (hi - lo) * sizeof(int64_t)) == 0)
             continue;
         for (int64_t g = lo; g < hi; g++) {
-            if (gcount[g] == (g < width ? snapshot[g] : 0)) continue;
+            int64_t old = g < width ? snapshot[g] : 0;
+            if (gcount[g] == old) continue;
             snapshot[g] = gcount[g];
             for (int64_t c = 0; c < 2; c++) {
                 int64_t link = gpaths[2 * g + c];
-                if (link >= 0 && !is_changed[link]) {
+                if (link < 0) continue;
+                if (!is_changed[link]) {
                     is_changed[link] = 1;
+                    delta[link] = 0;
                     changed[nchanged++] = link;
                 }
+                delta[link] += gcount[g] - old;
             }
         }
     }
     meta[1] = ng;
-    memset(counts, 0, nl * sizeof(double));
-    memset(gfixed, 0, ng);
-    memset(grates, 0, ng * sizeof(double));
-    int64_t n = 0;
-    for (int64_t i = 0; i < nl; i++) {
-        if (load_counts[i] > 0) {
-            live[n] = i;
-            residual[n] = capacity[i];
-            load[n] = (double) load_counts[i];
-            keys[n] = key_of(residual[n], load[n]);
-            slot[i] = n++;
-        } else {
-            slot[i] = -1;
+    int64_t round = 0, ngroups = 0, nrec = 0;
+    if (logged == 0 || width > ng) {
+        /* No log: every link starts at its capacity and count. */
+        memset(counts, 0, nl * sizeof(double));
+        memset(gfixed, 0, ng);
+        memset(rates, 0, ng * sizeof(double));
+        n = 0;
+        for (int64_t i = 0; i < nl; i++) {
+            first[i] = last[i] = -1;
+            if (load_counts[i] > 0) {
+                live[n] = i;
+                residual[i] = capacity[i];
+                load[i] = (double) load_counts[i];
+                keys[n] = key_of(residual[i], load[i]);
+                slot[i] = n++;
+            } else {
+                slot[i] = -1;
+            }
+        }
+    } else {
+        memset(gfixed + width, 0, ng - width);
+        memset(rates + width, 0, (ng - width) * sizeof(double));
+        /* Walk the logged rounds with each changed link's key at their
+           start, moving a link's cursor past its records as the rounds
+           pass them; next_move is the lowest cursor, so a round before it
+           costs two comparisons. */
+        double best_key = INFINITY;
+        int64_t best_link = -1, next_move = -1;
+        for (int64_t c = 0; c < nchanged; c++) {
+            int64_t link = changed[c];
+            cursor[link] = load_counts[link] == delta[link] ? -1 : first[link];
+        }
+        for (; round < logged; round++) {
+            int64_t bottleneck = f->log_links[round];
+            if (is_changed[bottleneck]) break;
+            int64_t from = round ? ends[2 * round - 1] : 0;
+            if (round == 0 || (next_move >= 0 && next_move < from)) {
+                best_key = INFINITY;
+                next_move = -1;
+                for (int64_t c = 0; c < nchanged; c++) {
+                    int64_t link = changed[c], at = cursor[link];
+                    while (at >= 0 && at < from) at = rec[3 * at + 2];
+                    cursor[link] = at;
+                    if (at >= 0 && (next_move < 0 || at < next_move)) next_move = at;
+                    double key = changed_key(link, at, capacity, load_counts,
+                                             delta, before, residual, load);
+                    if (key <= best_key && (key < best_key || link < best_link)) {
+                        best_key = key;
+                        best_link = link;
+                    }
+                }
+            }
+            double share = f->log_keys[round];
+            if (best_key <= share && (best_key < share || best_link < bottleneck))
+                break;
+        }
+        /* Roll rounds logged-1 .. round back: every link a round updated
+           gets its values before it back, and with the round's bottleneck
+           is listed again; the round's groups are unfixed. */
+        for (int64_t k = logged - 1; k >= round; k--) {
+            int64_t r0 = k ? ends[2 * k - 1] : 0, g0 = k ? ends[2 * k - 2] : 0;
+            for (int64_t i = ends[2 * k + 1] - 1; i >= r0; i--) {
+                int64_t link = rec[3 * i], prev = rec[3 * i + 1];
+                residual[link] = before[2 * i];
+                load[link] = before[2 * i + 1];
+                last[link] = prev;
+                if (prev >= 0) rec[3 * prev + 2] = -1; else first[link] = -1;
+                if (slot[link] < 0) { live[n] = link; slot[link] = n++; }
+                keys[slot[link]] = key_of(residual[link], load[link]);
+            }
+            int64_t link = f->log_links[k];
+            live[n] = link;
+            slot[link] = n;
+            keys[n++] = key_of(residual[link], load[link]);
+            for (int64_t j = g0; j < ends[2 * k]; j++) {
+                gfixed[log_groups[j]] = 0;
+                rates[log_groups[j]] = 0.0;
+            }
+        }
+        if (round) {
+            ngroups = ends[2 * round - 2];
+            nrec = ends[2 * round - 1];
+        }
+        /* Apply the count deltas at round `round`: loads are integers
+           held in doubles, so the sums are exact.  A link the logged fill
+           did not load starts at its capacity and count. */
+        for (int64_t c = 0; c < nchanged; c++) {
+            int64_t link = changed[c];
+            if (load_counts[link] == delta[link]) {
+                residual[link] = capacity[link];
+                load[link] = (double) load_counts[link];
+            } else {
+                double d = (double) delta[link];
+                load[link] += d;
+                for (int64_t i = first[link]; i >= 0; i = rec[3 * i + 2])
+                    before[2 * i + 1] += d;
+            }
+            if (load[link] > 0.0) {
+                if (slot[link] < 0) { live[n] = link; slot[link] = n++; }
+                keys[slot[link]] = key_of(residual[link], load[link]);
+            } else if (slot[link] >= 0) {
+                drop(slot[link], &n, live, keys, slot);
+            }
         }
     }
-    int64_t round = 0, replayed = 0;
+    int64_t kept = round;
     while (n > 0) {
-        double share = 0.0;
-        int64_t bottleneck = -1;
-        if (round < logged) {
-            bottleneck = f->log_links[round];
-            share = f->log_keys[round];
-            if (is_changed[bottleneck] || slot[bottleneck] < 0)
-                bottleneck = -1;
-            for (int64_t c = 0; bottleneck >= 0 && c < nchanged; c++) {
-                int64_t link = changed[c], j = slot[link];
-                if (j >= 0 && keys[j] <= share
-                    && (keys[j] < share || link < bottleneck))
-                    bottleneck = -1;
-            }
-            if (bottleneck < 0) logged = 0;        /* scan from here on */
-        }
-        if (bottleneck >= 0) {
-            replayed++;
-        } else {
-            /* argmin of (key, link index) */
-            share = keys[0];
-            bottleneck = live[0];
-            for (int64_t j = 1; j < n; j++) {
-                if (keys[j] <= share
-                    && (keys[j] < share || live[j] < bottleneck)) {
-                    share = keys[j];
-                    bottleneck = live[j];
-                }
+        /* argmin of (key, link index) */
+        double share = keys[0];
+        int64_t bottleneck = live[0];
+        for (int64_t j = 1; j < n; j++) {
+            if (keys[j] <= share
+                && (keys[j] < share || live[j] < bottleneck)) {
+                share = keys[j];
+                bottleneck = live[j];
             }
         }
         if (!isfinite(share)) break;
         double key = share;
         if (0.0 > share) share = 0.0;              /* == max(share, 0.0) */
-        int64_t ntouched = 0;
-        int any = 0;
+        int64_t ntouched = 0, fixed = ngroups;
         for (int64_t k = starts[bottleneck]; k < starts[bottleneck + 1];
              k++) {
             int64_t g = sorted_groups[k];
             if (gfixed[g] || gcount[g] == 0) continue;
             gfixed[g] = 1;
-            grates[g] = share;
-            any = 1;
+            rates[g] = share;
+            log_groups[ngroups++] = g;
             double w = (double) gcount[g];
             for (int64_t c = 0; c < 2; c++) {
                 int64_t link = gpaths[2 * g + c];
@@ -1010,10 +1122,9 @@ static void waterfill(
                 counts[link] += w;
             }
         }
-        if (!any) break;
+        if (ngroups == fixed) break;
         f->log_links[round] = bottleneck;
         f->log_keys[round] = key;
-        round++;
         for (int64_t t = 0; t < ntouched; t++) {
             int64_t link = touched[t];
             double c = counts[link];
@@ -1023,21 +1134,34 @@ static void waterfill(
                populated group crosses an unloaded link, i.e. counts that
                disagree with load_counts: skip rather than write astray. */
             if (link == bottleneck || j < 0) continue;
+            int64_t i = nrec++;
+            rec[3 * i] = link;
+            rec[3 * i + 1] = last[link];
+            rec[3 * i + 2] = -1;
+            if (last[link] >= 0) rec[3 * last[link] + 2] = i; else first[link] = i;
+            last[link] = i;
+            before[2 * i] = residual[link];
+            before[2 * i + 1] = load[link];
             /* Two rounded ops, exactly like numpy's
                "residual -= share * counts": no FMA (-ffp-contract=off). */
             double sub = share * c;
-            residual[j] = residual[j] - sub;
-            load[j] = load[j] - c;
-            if (load[j] > 0.0) {
-                keys[j] = key_of(residual[j], load[j]);
+            residual[link] = residual[link] - sub;
+            load[link] = load[link] - c;
+            if (load[link] > 0.0) {
+                keys[j] = key_of(residual[link], load[link]);
             } else {                               /* share is +inf now */
-                drop(j, &n, live, keys, residual, load, slot);
+                drop(j, &n, live, keys, slot);
             }
         }
-        drop(slot[bottleneck], &n, live, keys, residual, load, slot);
+        ends[2 * round] = ngroups;
+        ends[2 * round + 1] = nrec;
+        round++;
+        drop(slot[bottleneck], &n, live, keys, slot);
     }
+    memcpy(grates, rates, ng * sizeof(double));
     meta[0] = round;
-    meta[2] = replayed;
+    meta[2] = kept;
+    meta[3] = n;
 }
 
 /* The network's flow ledger: its arrays' data, in ledger_fields order. */
@@ -1214,17 +1338,22 @@ static const field_t table_fields[] = {
     {"group_count", I64, "int64", GROUPS, 1},
     {"csr", I64, "int64", FREE, 0},
     {"starts", I64, "int64", FREE, 0},
-    {"meta", I64, "int64", FREE, 3},
+    {"meta", I64, "int64", FREE, 4},
     {"log_links", I64, "int64", LINKS, 1},
     {"log_keys", "d", "float64", LINKS, 1},
+    {"log_ends", I64, "int64", LINKS, 2},
     {"snapshot", I64, "int64", GROUPS, 1},
-    {"iwork", I64, "int64", LINKS, 4},
-    {"dwork", "d", "float64", LINKS, 4},
+    {"log_groups", I64, "int64", GROUPS, 1},
+    {"group_rates", "d", "float64", GROUPS, 1},
+    {"records", I64, "int64", GROUPS, 6},
+    {"before", "d", "float64", GROUPS, 4},
+    {"link_state", I64, "int64", LINKS, 8},
+    {"link_values", "d", "float64", LINKS, 4},
     {"flags", "B", "uint8", FREE, 0},
     {NULL}
 };
 
-enum { LEDGER_ARRAYS = 11, TABLE_ARRAYS = 13, STARTS = 5, FLAGS = 12 };
+enum { LEDGER_ARRAYS = 11, TABLE_ARRAYS = 18, STARTS = 5, FLAGS = 17 };
 
 _Static_assert(sizeof(ledger_t) == LEDGER_ARRAYS * sizeof(void *), "ledger_t");
 _Static_assert(sizeof(solve_t) == TABLE_ARRAYS * sizeof(void *), "solve_t");

@@ -93,10 +93,14 @@ class MachineSpec:
     )
     nic: LinkSpec = field(default_factory=lambda: LinkSpec(gbps(200.0), 8 * US))
     host_memory_bytes: float = 500 * GIB
+    # Kernel/userspace socket processing of one pull request (§6).
+    socket_overhead: float = 15e-6
 
     def __post_init__(self):
         if self.num_gpus <= 0:
             raise ValueError("num_gpus must be positive")
+        if self.socket_overhead < 0:
+            raise ValueError("socket_overhead must be non-negative")
         if self.num_gpus % self.gpus_per_pcie_switch != 0:
             raise ValueError(
                 "num_gpus must be divisible by gpus_per_pcie_switch"

@@ -20,9 +20,6 @@ from .context import IterationContext
 
 __all__ = ["InterNodeScheduler"]
 
-# Kernel/userspace socket processing cost of one pull request (§6).
-SOCKET_OVERHEAD_S = 15e-6
-
 _INF = float("inf")
 
 
@@ -34,7 +31,9 @@ class InterNodeScheduler:
         self.machine = machine
         self.metrics = ctx.metrics
         self.host = Device.host(machine)
-        self.num_nics = ctx.fabric.cluster.spec.num_nics
+        spec = ctx.fabric.cluster.spec
+        self.num_nics = spec.num_nics
+        self.socket_overhead = spec.socket_overhead
 
     def _account_fetch(
         self, nic: int, block: int, expert: int, started: float
@@ -143,7 +142,7 @@ class InterNodeScheduler:
                 )) is not None
             fetched = False
             if arrived:
-                yield env.timeout(SOCKET_OVERHEAD_S)
+                yield env.timeout(self.socket_overhead)
                 flow = ctx.fabric.transfer(
                     home, self.host, ctx.workload.expert_bytes,
                     nic_index=nic,

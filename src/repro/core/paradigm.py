@@ -129,13 +129,6 @@ class BlockCommProfile:
     expert_centric_bytes: float
     data_centric_bytes: float
 
-    @property
-    def traffic_reduction(self) -> float:
-        """How much less cross-node traffic the chosen paradigm moves."""
-        if self.paradigm == "data-centric":
-            return self.expert_centric_bytes / self.data_centric_bytes
-        return 1.0
-
 
 def profile_block(
     config: ModelConfig,

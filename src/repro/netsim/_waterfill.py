@@ -16,10 +16,11 @@ Their methods:
 
 * ``ledger(**arrays)`` packs the ledger's arrays into the object the
   next four take; ``tables(**arrays)`` packs the solve tables and a
-  water-fill's round log and work arrays (:func:`fill_arrays`) into the
-  one ``waterfill`` takes.  The compiled pack holds a buffer view of
-  every array, which checks its dtype, C-contiguity and writability and
-  keeps it alive; the numpy pack is a namespace of the arrays.  Rate
+  water-fill's round log, end state and work arrays (:func:`fill_arrays`)
+  into the one ``waterfill`` takes.  The compiled pack holds a buffer
+  view of every array, which checks its dtype, C-contiguity and
+  writability and keeps it alive; the numpy pack is a namespace of the
+  arrays.  Rate
   arrays are passed as they are.
 * ``advance(ledger, n, dt)``, the per-flow byte accounting behind every
   rescale;
@@ -76,13 +77,17 @@ C code reproduces the float semantics operation for operation:
   to zero.  (A lazy-invalidation heap did this before; at 32 machines
   91% of its pops were stale entries.)  Links a round does not touch
   keep their residual and load bitwise, so their keys stay valid;
-* the compiled fill keeps a log of its last fill's rounds (bottleneck
-  link and share key) and group counts in the network's fill arrays, and
-  takes a logged round without the scan while no group whose count
-  changed since can reach it: its bottleneck is listed and crossed by no
-  changed group, and no listed link that a changed group crosses sorts
-  below it.  Such a round does exactly what the logged one did (the
-  induction is in DESIGN §8), so replay changes no bit; the numpy
+* the compiled fill keeps its last fill's end state in the network's fill
+  arrays (:func:`fill_arrays`): the round log (bottleneck link, share key,
+  the groups each round fixed and each updated link's residual and load
+  before the round), each link's residual, load and listing, and each
+  group's count, fixed flag and rate.  The next fill finds the first
+  logged round a group whose count changed since can reach (its
+  bottleneck is crossed by a changed group, or a listed link that a
+  changed group crosses sorts below it), rolls the rounds from there back,
+  adds each changed link's count delta to its load, and scans on from that
+  round.  The rounds before it are the ones a scan would take (the
+  induction is in DESIGN §8), so resuming changes no bit; the numpy
   kernels scan every round;
 * per-link crossing counts accumulate in selected-group order (the order
   ``np.bincount`` adds its weights); groups with no flows add nothing
@@ -348,22 +353,27 @@ REFERENCE = NumpyKernel(every_link=True)
 # tables, with each array's length: so many slots, plus so many per link
 # and per group of the tables it serves.
 _FILL_FIELDS = (
-    ("meta", np.int64, 3, 0, 0),
+    ("meta", np.int64, 4, 0, 0),
     ("log_links", np.int64, 0, 1, 0),
     ("log_keys", np.float64, 0, 1, 0),
+    ("log_ends", np.int64, 0, 2, 0),
     ("snapshot", np.int64, 0, 0, 1),
-    ("iwork", np.int64, 0, 4, 0),
-    ("dwork", np.float64, 0, 4, 0),
+    ("log_groups", np.int64, 0, 0, 1),
+    ("group_rates", np.float64, 0, 0, 1),
+    ("records", np.int64, 0, 0, 6),
+    ("before", np.float64, 0, 0, 4),
+    ("link_state", np.int64, 0, 8, 0),
+    ("link_values", np.float64, 0, 4, 0),
     ("flags", np.uint8, 0, 1, 1),
 )
 
 
 def fill_arrays(num_links: int, num_groups: int) -> Dict[str, np.ndarray]:
-    """A water-fill's round log, group-count snapshot and work arrays for
-    tables of ``num_links`` links and ``num_groups`` groups, with nothing
-    logged yet.  ``meta`` holds the logged rounds, the snapshot's width
-    and the rounds the last fill replayed; zeroing its first slot
-    discards the log."""
+    """A water-fill's round log, end state and undo records for tables of
+    ``num_links`` links and ``num_groups`` groups, with nothing logged
+    yet.  ``meta`` holds the logged rounds, the snapshot's width, the
+    rounds the last fill did not recompute and the links it left listed;
+    zeroing its first slot discards the log."""
     return {
         name: np.zeros(fixed + per_link * num_links + per_group * num_groups,
                        dtype)

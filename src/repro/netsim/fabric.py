@@ -125,10 +125,6 @@ class Fabric:
                 )
             yield self.env.timeout(seconds)
 
-    def flops_time(self, flops: float) -> float:
-        """Seconds a GPU needs for ``flops`` floating point operations."""
-        return flops / self.cluster.spec.gpu.flops
-
     # -- accounting -----------------------------------------------------------
 
     def nic_bytes(self, machine: int, direction: str = "out") -> float:

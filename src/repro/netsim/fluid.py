@@ -764,6 +764,63 @@ class FluidNetwork(_State):
         self.total_bytes_completed += flow.size
         flow.done.succeed(flow)
 
+    # -- self-check ----------------------------------------------------------
+
+    def certify(self) -> None:
+        """Check the live rates for max-min fairness without the solver.
+
+        A max-min fair allocation is feasible (each link's rate sum is at
+        most its capacity) and gives every moving flow a bottleneck: a
+        saturated link on its path on which no flow is faster (Bertsekas
+        and Gallager, *Data Networks*, ch. 6).  Raises AssertionError
+        naming the first violation.  Call it after a re-solve: between an
+        arrival or ``set_capacity`` and the end of its instant the rates
+        are not yet solved.
+
+        Tolerance: link ``l`` with capacity ``C`` and ``n`` live flows
+        gets ``(3n + 2)·u·C`` (``u = 2**-53``) on its rate sum and on
+        rate comparisons.  The fill reaches ``l``'s residual through at
+        most ``n`` rounds of two rounded operations, ``r - s·c``, each
+        off by at most ``u`` of a magnitude below ``C``: ``2n·u·C``.  The
+        share ``r/load`` and its comparison with the others' add ``2u·C``,
+        and this check's own ``n``-term sum ``n·u·C``.
+        """
+        n = self._n
+        live = self._live[:n]
+        rates = self._rates[:n][live]
+        paths = self._paths[:n][live]
+        if not (rates >= 0.0).all():
+            raise AssertionError(f"a live rate is negative or NaN: {rates}")
+        num_links = self._num_links
+        capacity = self._capacity[:num_links]
+        crossing = paths >= 0
+        links = paths[crossing]
+        flow_rates = np.broadcast_to(rates[:, None], paths.shape)[crossing]
+        total = np.bincount(links, weights=flow_rates, minlength=num_links)
+        count = np.bincount(links, minlength=num_links)
+        tolerance = (3 * count + 2) * (np.finfo(float).eps / 2) * capacity
+        over = np.flatnonzero(~(total <= capacity + tolerance))
+        if over.size:
+            link = int(over[0])
+            raise AssertionError(
+                f"link {self.links()[link]!r} carries {float(total[link])!r} "
+                f"B/s over its capacity {float(capacity[link])!r}"
+            )
+        fastest = np.zeros(num_links)
+        np.maximum.at(fastest, links, flow_rates)
+        saturated = total >= capacity - tolerance
+        at = np.where(crossing, paths, 0)
+        bottleneck = crossing & saturated[at] & (
+            fastest[at] <= rates[:, None] + tolerance[at]
+        )
+        stuck = np.flatnonzero((rates > 0.0) & ~bottleneck.any(axis=1))
+        if stuck.size:
+            row = int(np.flatnonzero(live)[stuck[0]])
+            raise AssertionError(
+                f"flow {self._active[row]!r} at {float(rates[stuck[0]])!r} "
+                "B/s has no saturated link on which it is the fastest"
+            )
+
     # -- introspection -------------------------------------------------------
 
     def link_utilization(self, link_id: Hashable, elapsed: float) -> float:

@@ -99,3 +99,17 @@ def reference_simkit():
         repro.simkit = saved["repro.simkit"]
     assert copy.core.KERNEL == "python"
     return copy
+
+
+def certified(net):
+    """``net`` with :meth:`~repro.netsim.FluidNetwork.certify` run after
+    every re-solve at an instant's end, on whichever kernel it runs (pin
+    the kernel first: setting ``_kernel`` rebinds the re-solve)."""
+    recompute = net._recompute
+
+    def recompute_and_certify():
+        recompute()
+        net.certify()
+
+    net._recompute = recompute_and_certify
+    return net

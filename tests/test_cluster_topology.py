@@ -50,6 +50,10 @@ class TestMachineSpec:
         with pytest.raises(ValueError):
             MachineSpec(num_gpus=7)
 
+    def test_negative_socket_overhead_rejected(self):
+        with pytest.raises(ValueError):
+            MachineSpec(socket_overhead=-1e-6)
+
     def test_link_spec_validation(self):
         with pytest.raises(ValueError):
             LinkSpec(bandwidth=0, latency=0)

@@ -102,10 +102,6 @@ class TestValidation:
                 hidden_dim=10, num_blocks=1, num_heads=4,
             )
 
-    def test_with_experts_resizes_every_block(self):
-        config = moe_bert(32).with_experts(16)
-        assert all(config.num_experts(i) == 16 for i in config.moe_block_indices)
-
     def test_scaled_overrides(self):
         config = moe_bert().scaled(batch_size=64, seq_len=512)
         assert config.batch_size == 64

@@ -135,10 +135,6 @@ class TestProfiles:
         # (computed with n=4).  Either way E=4 blocks have much lower R.
         assert profiles[2].ratio == pytest.approx(profiles[0].ratio / 4)
 
-    def test_traffic_reduction_reported(self):
-        profile = profile_block(moe_transformer_xl(32), 0, 4, 8)
-        assert profile.traffic_reduction == pytest.approx(profile.ratio)
-
     def test_profile_block_fields(self):
         config = moe_gpt(32)
         profile = profile_block(config, 10, 4, 8)

@@ -11,7 +11,6 @@ from repro.core import (
     JanusFeatures,
     build_workload,
 )
-from repro.core.inter_scheduler import SOCKET_OVERHEAD_S
 from repro.netsim import Fabric
 from repro.simkit import AllOf, Environment
 from repro.trace import TraceRecorder
@@ -196,9 +195,10 @@ class TestInterScheduler:
         Each leg crosses two NIC links."""
         ctx = make_context()
         self.run_fetch(ctx, machine=0)
-        nic = ctx.fabric.cluster.spec.nic
+        spec = ctx.fabric.cluster.spec
+        nic = spec.nic
         expected = (
-            4 * nic.latency + SOCKET_OVERHEAD_S
+            4 * nic.latency + spec.socket_overhead
             + ctx.workload.expert_bytes / nic.bandwidth
         )
         spans = ctx.trace.spans_of("comm.fetch")

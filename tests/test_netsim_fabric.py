@@ -71,11 +71,6 @@ class TestFabric:
             env.run(until=process)
         assert env.now == 0.0
 
-    def test_flops_time(self):
-        env, cluster, fabric = make_fabric(1)
-        flops = cluster.spec.gpu.flops
-        assert fabric.flops_time(flops) == pytest.approx(1.0)
-
     def test_nic_byte_accounting(self):
         env, cluster, fabric = make_fabric(2)
         flow = fabric.transfer(Device.gpu(0, 0), Device.gpu(1, 0), 1e9)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.netsim import FluidNetwork
 from repro.netsim import _waterfill
 from repro.simkit import Environment
+from tests.conftest import certified
 
 NUMPY = _waterfill.NUMPY
 COMPILED = None if _waterfill.kernel() is NUMPY else _waterfill.kernel()
@@ -100,7 +101,7 @@ def _run_schedule(schedule, coalesce, kernel=None):
     """
     links, ops, gaps = schedule
     env = Environment()
-    net = _network(env, kernel, coalesce)
+    net = certified(_network(env, kernel, coalesce))
     for link_id, bandwidth in links:
         net.add_link(link_id, bandwidth)
     flows = []
@@ -350,7 +351,7 @@ def _check_fill(net, grates):
     populated = net._group_count[:net._num_groups] > 0
     fresh = _fill_with(NUMPY, net)
     assert grates[populated].tobytes() == fresh[populated].tobytes()
-    rounds, _, replayed = net._fill_arrays["meta"]
+    rounds, _, replayed = net._fill_arrays["meta"][:3]
     return int(rounds), int(replayed)
 
 
@@ -462,6 +463,7 @@ def test_replay_at_fleet_shape(seed):
     # The network's own timers retire the population instant by instant;
     # every solve on the way is checked against a fresh numpy fill.
     env, net = _fleet_network(seed, COMPILED)
+    certified(net)
     totals = []
     solve = net._solve
 
@@ -475,6 +477,111 @@ def test_replay_at_fleet_shape(seed):
     assert not net.active_flows and len(totals) > 10
     rounds, replayed = np.sum(totals, axis=0)
     assert replayed > rounds / 2
+
+
+# Resume across several fills: the fill rolls the logged fill back to its
+# first changed round, so what a fill leaves behind (its records, its
+# links' values, its group-count snapshot) must hold for the next one.
+# Each test drives the network's own re-solves (memo included) and checks
+# every water-fill against a fresh numpy fill; ``fills`` collects each
+# one's (rounds, rounds kept).
+
+
+def _checked_solves(net):
+    """Check every water-fill ``net`` runs from now on; returns the list
+    their (rounds, rounds not recomputed) are appended to."""
+    fills = []
+    solve = net._solve
+
+    def checked_solve(num_groups):
+        grates = solve(num_groups)
+        fills.append(_check_fill(net, grates))
+        return grates
+
+    net._solve = checked_solve
+    return fills
+
+
+def _resume_network(links, groups):
+    """``_replay_network`` with certified re-solves, solved once; returns
+    it, its flows by path and its checked fills."""
+    net, flows = _replay_network(links, groups)
+    certified(net)
+    fills = _checked_solves(net)
+    _settle(net.env)
+    return net, flows, fills
+
+
+@needs_compiler
+def test_resume_carries_each_delta_into_the_kept_records():
+    # Round 0 fixes Z, round 1 fixes A's groups (touching C), round 2
+    # fixes C's.  The second fill changes C past round 1: round 1 and its
+    # record of C are kept, and that record's load must take C's delta.
+    # The third changes A, rolls round 1 back and restores C from it.
+    net, flows, fills = _resume_network(
+        {"Z": 10.0, "A": 100.0, "C": 1000.0},
+        {**_Z, ("A", "C"): 2, ("A",): 2, ("C",): 2},
+    )
+    _arrive(net, flows, {("C",): 1})
+    _settle(net.env)
+    _arrive(net, flows, {("A",): 1})
+    _settle(net.env)
+    assert fills == [(3, 0), (3, 2), (3, 1)]
+
+
+@needs_compiler
+def test_a_reloaded_link_restarts_at_its_capacity():
+    # X drains in round 2 of the first fill, then loses every flow; the
+    # capacity change makes the second fill start afresh, which leaves
+    # X's values from the first.  The third fill loads X again: X must
+    # start at its capacity, not at what the first fill left.
+    net, flows, fills = _resume_network(
+        {"Z": 10.0, "A": 100.0, "X": 1000.0},
+        {**_Z, ("A", "X"): 2, ("A",): 2, ("X",): 2},
+    )
+    _retire_now(net, flows.pop(("A", "X")) + flows.pop(("X",)))
+    net.set_capacity("Z", 20.0)
+    _settle(net.env)
+    _arrive(net, flows, {("X",): 1})
+    _settle(net.env)
+    assert fills == [(3, 0), (2, 0), (3, 2)]
+
+
+@needs_compiler
+def test_resume_after_a_memo_hit_reads_the_last_fill():
+    # The population returns to the first fill's: a memo hit, no fill.
+    # The next fill's changes are counted against the last fill (C: 2 ->
+    # 1, B: 2 -> 3), not against the population the hit solved.
+    net, flows, fills = _resume_network(
+        {"Z": 10.0, "A": 100.0, "B": 300.0, "C": 500.0},
+        {**_Z, ("A",): 2, ("A", "B"): 2, ("B",): 2, ("C",): 1},
+    )
+    _arrive(net, flows, {("C",): 1})
+    _settle(net.env)
+    _retire_now(net, [flows[("C",)].pop()])
+    _settle(net.env)
+    assert len(fills) == 2
+    _arrive(net, flows, {("B",): 1})
+    _settle(net.env)
+    assert fills == [(4, 0), (4, 3), (4, 2)]
+
+
+@needs_compiler
+def test_fill_arrays_reallocated_with_the_tables_start_afresh():
+    # Sixteen groups fill the first group table; a seventeenth grows it,
+    # and the fill arrays are reallocated with it.  The fill after that
+    # starts afresh, and the one after resumes from it.
+    links = {"Z": 10.0, **{f"L{i}": 100.0 * (i + 2) for i in range(8)}}
+    groups = {**_Z, **{(f"L{i}",): 2 for i in range(8)}}
+    groups.update({(f"L{i}", f"L{i + 1}"): 1 for i in range(7)})
+    net, flows, fills = _resume_network(links, groups)
+    arrays = net._fill_arrays
+    _arrive(net, flows, {("Z", "L7"): 1})
+    _settle(net.env)
+    assert net._fill_arrays is not arrays
+    _arrive(net, flows, {("L7",): 1})
+    _settle(net.env)
+    assert [kept for _, kept in fills] == [0, 0, fills[2][0] - 1]
 
 
 class TestSetCapacityRescale:

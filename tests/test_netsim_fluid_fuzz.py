@@ -5,19 +5,23 @@ A hypothesis state machine drives three identical ``Environment`` +
 start latency), mid-flight ``set_capacity`` rescales and clock advances:
 
 * a coalesced network on the kernel ``_waterfill.kernel()`` picks (the
-  compiled one where it builds, whose water-fill replays the logged
-  rounds of its last fill that no changed path group can reach);
+  compiled one where it builds, whose water-fill resumes its last fill
+  at the first round a changed path group can reach, keeping the rounds
+  before it);
 * a coalesced network on the numpy kernel, whose water-fill scans every
   round;
 * the uncoalesced reference, which fills over every link, scans every
   round and compacts after every retirement.
 
-Eight links give a fill up to eight rounds, so replayed prefixes of
-several rounds occur.  The clock may start at a large ``now``, where
-float residue is worst.
+Eight links give a fill up to eight rounds, so kept prefixes of several
+rounds, and rolled-back suffixes, occur.  The clock may start at a large
+``now``, where float residue is worst.
 
-After every step all three must agree exactly: every rate, remaining
-byte count, start and finish time, every link's byte counter, each
+Every re-solve of every network is certified
+(:meth:`~repro.netsim.FluidNetwork.certify`: feasible rates, and a
+bottleneck for every moving flow, checked without the solver).  After
+every step all three must agree exactly: every rate, remaining byte
+count, start and finish time, every link's byte counter, each
 network's completed bytes, the clock and the event count, and the order
 in which the flows' ``done`` events fired (flow and time).  Live flows
 keep ``0 <= remaining <= size``.  At teardown every network drains under
@@ -41,6 +45,7 @@ from hypothesis.stateful import (
 from repro.netsim import FluidNetwork
 from repro.netsim import _waterfill
 from repro.simkit import Environment, SimulationError
+from tests.conftest import certified
 
 _LINKS = 8
 # Steps allowed per in-flight flow while draining, plus a floor: each
@@ -92,7 +97,7 @@ class LockstepFluid(RuleBasedStateMachine):
                 net._kernel = kernel
             for index, capacity in enumerate(capacities):
                 net.add_link(f"l{index}", capacity)
-            self.sides.append((env, net))
+            self.sides.append((env, certified(net)))
         self.flows = tuple([] for _ in _SIDES)
         self.done_order = tuple([] for _ in _SIDES)
         self.peak_capacity = list(capacities)

@@ -20,12 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import FluidNetwork
+from repro.netsim import _waterfill
 from repro.simkit import Environment
+from tests.conftest import certified
+
+# Every kernel this host runs: the compiled one where it builds, and numpy.
+KERNELS = (_waterfill.kernel(), _waterfill.NUMPY)
+if KERNELS[0] is _waterfill.NUMPY:
+    KERNELS = KERNELS[1:]
 
 
-def _build(links):
+def _build(links, kernel=None):
     env = Environment()
     net = FluidNetwork(env)
+    if kernel is not None:
+        net._kernel = kernel
     for link_id, bandwidth in links:
         net.add_link(link_id, bandwidth)
     return env, net
@@ -88,8 +97,15 @@ def schedules(draw):
 @settings(max_examples=60, deadline=None)
 @given(schedules())
 def test_incremental_rates_match_fresh_recompute(schedule):
+    # On every kernel, with every re-solve certified.
+    for kernel in KERNELS:
+        _replay_against_fresh_recomputes(schedule, kernel)
+
+
+def _replay_against_fresh_recomputes(schedule, kernel):
     links, ops, gaps = schedule
-    env, net = _build(links)
+    env, net = _build(links, kernel)
+    certified(net)
     for (op, *payload), gap in zip(ops, gaps):
         if gap > 0:
             # Let flows progress (and possibly finish) before the next op.
