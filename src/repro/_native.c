@@ -1176,18 +1176,7 @@ typedef struct {
     int64_t *group_count;         /* [groups] */
     int64_t *load_counts;         /* [links] */
     int64_t *retired;             /* [rows] out: retired rows, ascending */
-    uint64_t *sig;                /* [1] sum of group_count[g] * mix(g) */
 } ledger_t;
-
-/* A group's weight in the ledger's count hash: splitmix64's output for
-   state g (its finalizer of g plus the golden gamma, so no group weighs
-   0).  Must equal the numpy mix(). */
-static uint64_t mix(int64_t g) {
-    uint64_t z = (uint64_t) g + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 /* The byte advance of rows [0, n) by dt. */
 static void advance_rows(const ledger_t *t, int64_t n, double dt) {
@@ -1211,8 +1200,8 @@ static void advance_rows(const ledger_t *t, int64_t n, double dt) {
 
 /* One arrival: advance rows [0, row) by dt (when positive), then write
    the flow's row -- its path (l1 = -1 for a one-link path), remaining =
-   size, rate 0, size, group and live bit -- and count it in its group,
-   in the count hash and on its links. */
+   size, rate 0, size, group and live bit -- and count it in its group
+   and on its links. */
 static void admit(const ledger_t *t, int64_t row, double dt, int64_t l0,
            int64_t l1, double size, int64_t gid) {
     if (dt > 0.0) advance_rows(t, row, dt);
@@ -1224,7 +1213,6 @@ static void admit(const ledger_t *t, int64_t row, double dt, int64_t l0,
     t->gids[row] = gid;
     t->live[row] = 1;
     t->group_count[gid] += 1;
-    *t->sig += mix(gid);
     t->load_counts[l0] += 1;
     if (l1 >= 0) t->load_counts[l1] += 1;
 }
@@ -1232,7 +1220,7 @@ static void admit(const ledger_t *t, int64_t row, double dt, int64_t l0,
 /* One completion timer: advance by dt (when positive), then retire the
    done live rows: remaining <= eps*size + eps, or a moving row whose
    own ETA is below the clock's resolution (now + eta <= now).  Retired
-   rows are tombstoned, uncounted (group, count hash, links) and written
+   rows are tombstoned, uncounted (group, links) and written
    to t->retired in ascending order; returns their count. */
 static int64_t retire(const ledger_t *t, int64_t n, double dt, double now,
                double eps) {
@@ -1250,7 +1238,6 @@ static int64_t retire(const ledger_t *t, int64_t n, double dt, double now,
         t->rates[i] = 0.0;
         t->live[i] = 0;
         t->group_count[t->gids[i]] -= 1;
-        *t->sig -= mix(t->gids[i]);
         for (int64_t c = 0; c < 2; c++) {
             int64_t link = t->paths[2 * i + c];
             if (link >= 0) t->load_counts[link] -= 1;
@@ -1285,10 +1272,8 @@ static double settle(const ledger_t *t, int64_t n, double dt, const double *grat
    has 64 bits, else long long. */
 #if LONG_MAX == 0x7fffffffffffffffL
 #define I64 "l"
-#define U64 "L"
 #else
 #define I64 "q"
-#define U64 "Q"
 #endif
 
 /* What an array's length counts: a pack's extent in each of the first
@@ -1315,7 +1300,6 @@ static const field_t ledger_fields[] = {
     {"group_count", I64, "int64", GROUPS, 1},
     {"load_counts", I64, "int64", LINKS, 1},
     {"retired", I64, "int64", ROWS, 1},
-    {"sig", U64, "uint64", FREE, 1},
     {NULL}
 };
 
@@ -1353,7 +1337,7 @@ static const field_t table_fields[] = {
     {NULL}
 };
 
-enum { LEDGER_ARRAYS = 11, TABLE_ARRAYS = 18, STARTS = 5, FLAGS = 17 };
+enum { LEDGER_ARRAYS = 10, TABLE_ARRAYS = 18, STARTS = 5, FLAGS = 17 };
 
 _Static_assert(sizeof(ledger_t) == LEDGER_ARRAYS * sizeof(void *), "ledger_t");
 _Static_assert(sizeof(solve_t) == TABLE_ARRAYS * sizeof(void *), "solve_t");
@@ -1604,17 +1588,20 @@ static PyObject *py_waterfill(PyObject *module, PyObject *const *args, Py_ssize_
    extension loads, so the entries read them as fields and the Python
    code reads the same names through the members.  The rare steps call
    back into the network's methods: _ledger (a dropped pack), _grow_rows,
-   _intern_group, _compact and _memoize (a memo miss, which solves). */
+   _intern_group, _compact and _ensure_csr (solve tables dropped when a
+   link or group was interned). */
 
 typedef struct {
     PyObject_HEAD
     PyObject *env;
     PyObject *active;             /* list: each row's flow, None once retired */
     PyObject *ledger;             /* the packed flow ledger, None when dropped */
+    PyObject *tables;             /* the packed solve tables, None when dropped */
+    PyObject *grates;             /* float64 array: each group's rate, one per slot */
+    PyObject *kernel;             /* the kernel the network runs */
     PyObject *group_of;           /* dict: path index tuple -> group id */
-    PyObject *solve_cache;        /* dict: count hash -> (group rates, signature) */
     PyObject *activate, *fire, *recompute;  /* the entries the network picked */
-    Py_ssize_t n, live_count, dead_count, gid_hi;
+    Py_ssize_t n, live_count, dead_count, num_links, num_groups;
     long long generation;
     double last_update, total_bytes_completed, epsilon;
     char coalesce, recompute_pending;
@@ -1624,15 +1611,17 @@ static PyObject *zero;            /* 0.0 */
 static PyObject *str_underscore_value, *str_started_at, *str_completed_at, *str_size,
     *str_path, *str_path_index, *str_done, *str_underscore_net, *str_underscore_row,
     *str_underscore_remaining, *str_underscore_rate, *str_ledger, *str_grow_rows,
-    *str_intern_group, *str_compact, *str_memoize, *str_on_timer_event, *str_defer,
-    *str_succeed;
+    *str_intern_group, *str_compact, *str_ensure_csr, *str_on_timer_event, *str_defer,
+    *str_succeed, *str_waterfill_module, *str_run;
 
 static int net_traverse(NetObject *self, visitproc visit, void *arg) {
     Py_VISIT(self->env);
     Py_VISIT(self->active);
     Py_VISIT(self->ledger);
+    Py_VISIT(self->tables);
+    Py_VISIT(self->grates);
+    Py_VISIT(self->kernel);
     Py_VISIT(self->group_of);
-    Py_VISIT(self->solve_cache);
     Py_VISIT(self->activate);
     Py_VISIT(self->fire);
     Py_VISIT(self->recompute);
@@ -1643,8 +1632,10 @@ static int net_clear(NetObject *self) {
     Py_CLEAR(self->env);
     Py_CLEAR(self->active);
     Py_CLEAR(self->ledger);
+    Py_CLEAR(self->tables);
+    Py_CLEAR(self->grates);
+    Py_CLEAR(self->kernel);
     Py_CLEAR(self->group_of);
-    Py_CLEAR(self->solve_cache);
     Py_CLEAR(self->activate);
     Py_CLEAR(self->fire);
     Py_CLEAR(self->recompute);
@@ -1661,15 +1652,18 @@ static PyMemberDef net_members[] = {
     {"env", T_OBJECT, offsetof(NetObject, env), 0, NULL},
     {"_active", T_OBJECT, offsetof(NetObject, active), 0, NULL},
     {"_flow_ledger", T_OBJECT, offsetof(NetObject, ledger), 0, NULL},
+    {"_solve_tables", T_OBJECT, offsetof(NetObject, tables), 0, NULL},
+    {"_grates", T_OBJECT, offsetof(NetObject, grates), 0, NULL},
+    {"_kernel_in_use", T_OBJECT, offsetof(NetObject, kernel), 0, NULL},
     {"_group_of", T_OBJECT, offsetof(NetObject, group_of), 0, NULL},
-    {"_solve_cache", T_OBJECT, offsetof(NetObject, solve_cache), 0, NULL},
     {"_activate", T_OBJECT, offsetof(NetObject, activate), 0, NULL},
     {"_fire", T_OBJECT, offsetof(NetObject, fire), 0, NULL},
     {"_recompute", T_OBJECT, offsetof(NetObject, recompute), 0, NULL},
     {"_n", T_PYSSIZET, offsetof(NetObject, n), 0, NULL},
     {"_live_count", T_PYSSIZET, offsetof(NetObject, live_count), 0, NULL},
     {"_dead_count", T_PYSSIZET, offsetof(NetObject, dead_count), 0, NULL},
-    {"_gid_hi", T_PYSSIZET, offsetof(NetObject, gid_hi), 0, NULL},
+    {"_num_links", T_PYSSIZET, offsetof(NetObject, num_links), 0, NULL},
+    {"_num_groups", T_PYSSIZET, offsetof(NetObject, num_groups), 0, NULL},
     {"_generation", T_LONGLONG, offsetof(NetObject, generation), 0, NULL},
     {"_last_update", T_DOUBLE, offsetof(NetObject, last_update), 0, NULL},
     {"total_bytes_completed", T_DOUBLE, offsetof(NetObject, total_bytes_completed), 0, NULL},
@@ -1705,10 +1699,9 @@ static NetObject *net_arg(const char *function, PyObject *obj) {
         return NULL;
     }
     if (net->active == NULL || !PyList_Check(net->active)
-            || net->group_of == NULL || !PyDict_Check(net->group_of)
-            || net->solve_cache == NULL || !PyDict_Check(net->solve_cache)) {
-        PyErr_Format(PyExc_TypeError, "%s(): the network's flow list, group table "
-                     "or solve memo is not a list or dict", function);
+            || net->group_of == NULL || !PyDict_Check(net->group_of)) {
+        PyErr_Format(PyExc_TypeError, "%s(): the network's flow list or group table "
+                     "is not a list or dict", function);
         return NULL;
     }
     return net;
@@ -1838,7 +1831,6 @@ static int take_row(NetObject *net, PyObject *flow, double size) {
     }
     Py_DECREF(path_index);
     if (status < 0) return -1;
-    if (gid > net->gid_hi) net->gid_hi = gid;
     admit(&t->at.ledger, row, elapsed(net), l0, l1, size, gid);
     net->live_count++;
     net->n = row + 1;
@@ -1958,55 +1950,47 @@ static PyObject *py_fire(PyObject *module, PyObject *const *args, Py_ssize_t nar
     Py_RETURN_NONE;
 }
 
-/* The population's group rates, from the memo on a hit (the entry under
-   the count hash whose signature equals the group counts up to the
-   highest group ever used), else from the network's _memoize, which
-   solves and enters them; then settle.  *eta is settle's. */
-static int solve_and_settle(NetObject *net, double *eta) {
-    PackObject *t = net_ledger(net);
-    if (t == NULL) return -1;
-    Py_ssize_t n = net->n, width = net->gid_hi + 1;
-    if (range_check("n", n, 0, t->extent[ROWS] + 1) < 0
-            || range_check("group", width - 1, 0, t->extent[GROUPS]) < 0)
+/* The population's group rates: _waterfill.run, as looked up on its
+   module now, fills the network's group-rate array from its solve
+   tables, which _ensure_csr packs afresh once a link or group interning
+   dropped them; then settle reads that array.  *eta is settle's. */
+static int fill_and_settle(NetObject *net, double *eta) {
+    if ((net->tables == NULL || net->tables == Py_None)
+            && call_back(net, str_ensure_csr, NULL) < 0)
         return -1;
-    const char *counts = (const char *) t->at.ledger.group_count;
-    Py_ssize_t nbytes = width * (Py_ssize_t) sizeof(int64_t);
-    PyObject *key = PyLong_FromUnsignedLongLong(*t->at.ledger.sig);
-    if (key == NULL) return -1;
-    PyObject *entry = PyDict_GetItemWithError(net->solve_cache, key), *signature;
-    if (entry != NULL && PyTuple_Check(entry) && PyTuple_GET_SIZE(entry) == 2
-            && PyBytes_Check(signature = PyTuple_GET_ITEM(entry, 1))
-            && PyBytes_GET_SIZE(signature) == nbytes
-            && memcmp(PyBytes_AS_STRING(signature), counts, nbytes) == 0) {
-        Py_INCREF(entry);
-    } else if (!PyErr_Occurred()) {  /* a miss (a failed lookup left entry NULL) */
-        signature = PyBytes_FromStringAndSize(counts, nbytes);
-        entry = signature == NULL ? NULL : PyObject_CallMethodObjArgs(
-            (PyObject *) net, str_memoize, key, signature, NULL);
-        Py_XDECREF(signature);
+    PyObject *module = PyImport_GetModule(str_waterfill_module);
+    if (module == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ImportError, "repro.netsim._waterfill is not imported");
+        return -1;
     }
-    Py_DECREF(key);
-    if (entry == NULL) return -1;
+    PyObject *run = PyObject_GetAttr(module, str_run);
+    Py_DECREF(module);
+    if (run == NULL) return -1;
+    /* An unset kernel, tables or rate array is a NULL "O": an error. */
+    PyObject *result = PyObject_CallFunction(run, "OnnOO", net->kernel, net->num_links,
+                                             net->num_groups, net->tables, net->grates);
+    Py_DECREF(run);
+    if (result == NULL) return -1;
+    Py_DECREF(result);
+    PackObject *t = net_ledger(net);
+    Py_ssize_t n = net->n;
     Py_buffer grates;
-    int status = -1;
-    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
-        PyErr_Format(PyExc_TypeError, "a solve memo entry must be a (rates, signature) "
-                     "pair, not %R", entry);
-    } else if ((t = net_ledger(net)) != NULL
-               && rates_arg(PyTuple_GET_ITEM(entry, 0), 0, width, &grates) == 0) {
-        *eta = settle(&t->at.ledger, n, elapsed(net), grates.buf);
-        PyBuffer_Release(&grates);
-        status = 0;
-    }
-    Py_DECREF(entry);
-    return status;
+    /* Every live row's group is below the ledger's group extent. */
+    if (t == NULL || range_check("n", n, 0, t->extent[ROWS] + 1) < 0
+            || rates_arg(net->grates ? net->grates : Py_None, 0, t->extent[GROUPS],
+                         &grates) < 0)
+        return -1;
+    *eta = settle(&t->at.ledger, n, elapsed(net), grates.buf);
+    PyBuffer_Release(&grates);
+    return 0;
 }
 
-/* recompute(net): the deferred re-solve.  The rows move up to now and
-   take their group's rate; the generation advances; and when a row
-   moves, a Timeout valued with the generation is armed for the earliest
-   completion (max(eta, 0.0); NaN is refused), calling the network's
-   _on_timer_event as looked up now. */
+/* recompute(net): the deferred re-solve.  A water-fill gives each group
+   its rate, and the rows move up to now and take it; the generation
+   advances; and when a row moves, a Timeout valued with the generation
+   is armed for the earliest completion (max(eta, 0.0); NaN is refused),
+   calling the network's _on_timer_event as looked up now. */
 static PyObject *py_recompute(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
     NetObject *net;
     if (count_is("recompute", nargs, 1) < 0 || (net = net_arg("recompute", args[0])) == NULL)
@@ -2015,7 +1999,7 @@ static PyObject *py_recompute(PyObject *module, PyObject *const *args, Py_ssize_
     double eta = -1.0;
     if (net->n == 0) {
         net->last_update = now_of(net);  /* nothing in flight: only stamps the clock */
-    } else if (solve_and_settle(net, &eta) < 0) {
+    } else if (fill_and_settle(net, &eta) < 0) {
         return NULL;
     }
     net->generation++;
@@ -2085,8 +2069,9 @@ static const struct {
     {&str_underscore_remaining, "_remaining"}, {&str_underscore_rate, "_rate"},
     {&str_ledger, "_ledger"}, {&str_grow_rows, "_grow_rows"},
     {&str_intern_group, "_intern_group"}, {&str_compact, "_compact"},
-    {&str_memoize, "_memoize"}, {&str_on_timer_event, "_on_timer_event"},
+    {&str_ensure_csr, "_ensure_csr"}, {&str_on_timer_event, "_on_timer_event"},
     {&str_defer, "defer_to_instant_end"}, {&str_succeed, "succeed"},
+    {&str_waterfill_module, "repro.netsim._waterfill"}, {&str_run, "run"},
 };
 
 PyMODINIT_FUNC PyInit__ckernel(void) {

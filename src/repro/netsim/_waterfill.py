@@ -27,10 +27,10 @@ Their methods:
 * ``admit(ledger, row, dt, l0, l1, size, gid)``, one arrival: the byte
   advance of the rows before ``row``, then the new row's path slots,
   remaining bytes, rate, size, group and live bit, and its group and
-  link counts and the count hash;
+  link counts;
 * ``retire(ledger, n, dt, now, eps)``, one completion timer: the
   byte advance, the finished-row selection (one residue rule), and the
-  tombstoning of those rows, which leave their counts and the hash;
+  tombstoning of those rows, which leave their counts;
 * ``settle(ledger, n, dt, grates)``, one re-solve after the rates are
   known: the byte advance, the scatter of the group rates onto the live
   rows, and the earliest completion ETA;
@@ -42,17 +42,12 @@ Their methods:
   the network's bookkeeping around those calls, which the network binds
   to itself with the kernel: a flow's activation, one completion timer
   (the ``retire`` call, the flows' tombstones and ``done`` events, the
-  deferred re-solve) and the re-solve at the end of an instant (the memo
-  lookup, ``settle`` and the next completion timer).  The compiled ones
-  are C over the network's state; a memo miss calls back into the
-  network, which solves through :func:`run`.  The numpy kernel's run the
-  network's Python bodies, the reference.
-
-The ledger's one-slot ``sig`` array is a running hash of the group
-counts, ``sum(group_count[g] * mix(g)) mod 2**64`` (:func:`mix`):
-``admit`` adds its group's weight and ``retire`` subtracts each retired
-row's, so the network reads the hash of any population in O(1) and keys
-its solve memo by it.
+  deferred re-solve) and the re-solve at the end of an instant (the fill
+  through :func:`run`, ``settle`` and the next completion timer).  The
+  compiled ones are C over the network's state, which look :func:`run`
+  up on this module at each re-solve, so a wrapper of it sees every
+  fill.  The numpy kernel's run the network's Python bodies, the
+  reference.
 
 :func:`kernel` is the one place that picks between the two: the compiled
 kernel, or :data:`NUMPY` when ``REPRO_WATERFILL=python`` is set or the
@@ -160,7 +155,7 @@ class NumpyKernel:
         """One arrival: advance rows ``[0, row)`` by ``dt``, then write
         row ``row`` (path ``(l0, l1)``, ``l1 = -1`` for one link; remaining
         ``size``, rate 0, ``size``, group ``gid``, live) and count it in
-        its group, in the count hash and on its links."""
+        its group and on its links."""
         if dt > 0:
             self.advance(t, row, dt)
         t.paths[row] = (l0, l1)
@@ -170,7 +165,6 @@ class NumpyKernel:
         t.gids[row] = gid
         t.live[row] = True
         t.group_count[gid] += 1
-        t.sig += mix(t.gids[row:row + 1])
         t.load_counts[l0] += 1
         if l1 >= 0:
             t.load_counts[l1] += 1
@@ -178,7 +172,7 @@ class NumpyKernel:
     def retire(self, t: SimpleNamespace, n: int, dt: float, now: float,
                eps: float) -> int:
         """One completion timer: advance by ``dt``, then tombstone and
-        uncount (group, ``sig``, links) the rows that are done and write
+        uncount (group, links) the rows that are done and write
         them, ascending, to ``t.retired``; returns their count.
 
         A live row is done when it is within ``eps * size + eps`` of zero,
@@ -206,9 +200,7 @@ class NumpyKernel:
         rows = np.flatnonzero(finished)
         # In-place scatter-decrements: exact integer arithmetic, and no
         # O(groups)/O(links) bincount allocation per instant.
-        gids = t.gids[rows]
-        np.subtract.at(t.group_count, gids, 1)
-        t.sig -= mix(gids).sum(dtype=np.uint64)
+        np.subtract.at(t.group_count, t.gids[rows], 1)
         paths = t.paths[rows]
         np.subtract.at(t.load_counts, paths[paths >= 0], 1)
         t.rates[rows] = 0.0
@@ -227,8 +219,8 @@ class NumpyKernel:
         live = t.live[:n]
         # Only live rows take the solved rate: a tombstoned row's rate
         # stays exactly 0 (what keeps it out of the byte advance and the
-        # completion timer), and its group may be empty — i.e. beyond the
-        # cached array's trim width — so it must not index grates.
+        # completion timer), and its group may be empty, whose rate no
+        # fill defines.
         rates[live] = grates[t.gids[:n][live]]
         moving = rates > 0
         if not moving.any():
@@ -333,16 +325,6 @@ def _fill(capacity, load_counts, gpaths, gcount, csr, starts, links,
         unfixed_flows -= int(gcount[selected].sum())
         if unfixed_flows <= 0:
             break
-
-
-def mix(gids: np.ndarray) -> np.ndarray:
-    """Each group's weight in the ledger's count hash ``sig``: the C
-    ``mix``, splitmix64's output for state ``gid``, in ``np.uint64``
-    arithmetic (which wraps mod 2**64, as C does)."""
-    z = gids.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 NUMPY = NumpyKernel()

@@ -134,10 +134,3 @@ class Fabric:
             link_id = LinkId("nic", machine, nic, direction)
             total += self.network.link_bytes[link_id]
         return total
-
-    def total_cross_machine_bytes(self) -> float:
-        """Sum of NIC egress bytes across all machines."""
-        return sum(
-            self.nic_bytes(machine, "out")
-            for machine in range(self.cluster.num_machines)
-        )

@@ -23,15 +23,13 @@ solver reruns on every flow arrival/departure):
   rebuilt for every water-filling pass; ``Flow.remaining``/``Flow.rate``
   are views into those arrays while the flow is active.
 * Flows are grouped by identical path: the water-filling rounds run over
-  path *groups* (with multiplicities), and solves are memoized by the
-  group counts — flow populations recur, so a recompute frequently reuses
-  the cached per-group rates of an earlier identical population.  The
-  kernel keeps a running hash of the counts, which picks the memo entry
-  in O(1); a hit must still equal the whole count vector, and a capacity
-  change clears the memo.  All shortcuts are arranged to be
-  bit-identical to a fresh global recompute (same float operations in
-  the same order), which the golden-metrics battery and a hypothesis
-  property test pin down.
+  path *groups* (with multiplicities).  Every re-solve fills, and the
+  compiled fill resumes the last fill at its first round a changed
+  group count reaches (see ``_waterfill``); a capacity change discards
+  the round log.  All shortcuts are arranged to be bit-identical to a
+  fresh global recompute (same float operations in the same order),
+  which the golden-metrics battery and a hypothesis property test pin
+  down.
 * Coalescing (default, ``coalesce=True``): the path group acts as a
   macro-flow and the packed member rows are its byte ledger.  Finishing
   members are *tombstoned* (rate zeroed, live bit cleared, group count and
@@ -50,10 +48,10 @@ solver reruns on every flow arrival/departure):
   The uncoalesced reference always runs the numpy kernel.  The
   bookkeeping around the arithmetic goes with the kernel: with the
   compiled one, a flow's activation, each completion timer and each
-  re-solve that hits the memo are one C call apiece (the extension's
-  ``activate``, ``fire`` and ``recompute``), which read the network's
-  scalar state and flow list as fields of its C base type, stamp and
-  succeed the flows, and create the timers.  With the numpy kernel the
+  re-solve are one C call apiece (the extension's ``activate``, ``fire``
+  and ``recompute``), which read the network's scalar state and flow
+  list as fields of its C base type, stamp and succeed the flows, and
+  create the timers; a re-solve fills through ``_waterfill.run``.  With the numpy kernel the
   Python bodies (``_activate_python``, ``_fire_python`` and
   ``_recompute_python``) do the same, step for step.  So a flow costs
   one C call to activate (the byte advance up to its arrival and its
@@ -62,8 +60,9 @@ solver reruns on every flow arrival/departure):
   events, in ascending row order), plus the Python frames of ``transfer``
   and of the ``_activate_event``/``_on_timer_event`` methods that reach
   them.  Python keeps what is rare: the row-array growth, the group
-  interning (when a path has no group yet), the compaction and a memo
-  miss, which solves through :meth:`_solve` and ``_waterfill.run``.
+  interning (when a path has no group yet), the compaction and the
+  repacking of the solve tables after an interning
+  (:meth:`_ensure_csr`).
 * Rate recomputation is deferred to the end of the simulated instant
   (``Environment.defer_to_instant_end``): a burst of arrivals/finishes at
   one timestamp — spread over any number of kernel events — triggers one
@@ -81,15 +80,6 @@ import numpy as np
 from . import _waterfill
 from .. import _native
 from ..simkit import Environment, Event
-
-# Memoized-solve cache ceiling in bytes: each entry counts its group-count
-# signature and the whole pooled buffer its rates live in (the buffer
-# carries 1.5x slack over the group table).  Entries are also capped at 4096.
-# Hitting either bound evicts the whole cache (and recycles the arrays)
-# rather than tracking LRU order — signatures either recur constantly
-# (steady state: the cache never fills) or almost never (fleet-scale
-# churn: nothing is worth keeping).
-_SOLVE_CACHE_BUDGET = 64 << 20
 
 __all__ = ["Flow", "FluidNetwork"]
 
@@ -244,37 +234,20 @@ class FluidNetwork(_State):
         self._group_of: Dict[Tuple[int, ...], int] = {}
         self._group_paths = np.full((0, 2), -1, dtype=np.int64)
         self._group_count = np.zeros(0, dtype=np.int64)
+        # Each group's rate, as the last fill left it; grown with the
+        # group table.
+        self._grates = np.zeros(0)
         self._num_groups = 0
-        # The kernel's running hash of the group counts (see _waterfill),
-        # read through a memoryview: a plain int per solve.
-        self._sig = np.zeros(1, dtype=np.uint64)
-        self._sig_slot = memoryview(self._sig)
-        # Memoized solves keyed by that hash: flow populations recur, so
-        # identical signatures are common across non-consecutive
-        # recomputes.  Each entry holds the per-group rate array and the
-        # trimmed group-count signature a hit must equal; the cache is
-        # cleared whenever a capacity changes.  It is bounded by entry
-        # count and by bytes (fleet-scale rate arrays run to hundreds of
-        # KB each); evicted arrays are recycled through ``_grates_pool``
-        # so solves write into warm pages.
-        self._solve_cache: Dict[int, Tuple[np.ndarray, bytes]] = {}
-        self._solve_cache_bytes = 0
-        self._grates_pool: List[np.ndarray] = []
-        # Highest group id that ever held a flow: upper bound for the
-        # populated-signature width (avoids an O(groups) nonzero scan on
-        # every recompute instant).
-        self._gid_hi = -1
         # Resolved link-id tuples -> packed index tuples (routes repeat).
         self._path_cache: Dict[Tuple[Hashable, ...], Tuple[int, ...]] = {}
         # link -> crossing-groups CSR adjacency; both the group table and
         # the link set are append-only, so it is rebuilt only on growth.
         self._csr_groups: Optional[np.ndarray] = None
         self._csr_starts: Optional[np.ndarray] = None
-        self._csr_shape = (-1, -1)
         # The kernel's packs of the network's arrays (see _waterfill): the
-        # solve tables are repacked with the CSR; the flow ledger (per-row
-        # arrays, link bytes and loads, group counts) is dropped wherever
-        # one of its arrays is reallocated.
+        # solve tables (with the CSR) are dropped when a link or group is
+        # interned; the flow ledger (per-row arrays, link bytes and loads,
+        # group counts) wherever one of its arrays is reallocated.
         self._solve_tables = None
         self._flow_ledger = None
         # The compiled water-fill's round log, group-count snapshot and
@@ -315,6 +288,7 @@ class FluidNetwork(_State):
         self._link_added[index] = self._capacity_since[index] = self.env.now
         self._capacity_seconds[index] = 0.0
         self._num_links = index + 1
+        self._solve_tables = None
         self._capacities_changed()
 
     def capacity(self, link_id: Hashable) -> float:
@@ -344,9 +318,7 @@ class FluidNetwork(_State):
         self._schedule_recompute()
 
     def _capacities_changed(self) -> None:
-        """Capacities changed: no memoized solve can hit again, and the
-        water-fill's round log is discarded."""
-        self._evict_solve_cache()
+        """Capacities changed: the water-fill's round log is discarded."""
         self._fill_arrays["meta"][0] = 0
 
     @property
@@ -442,8 +414,6 @@ class FluidNetwork(_State):
         gid = self._group_of.get(path_index)
         if gid is None:
             gid = self._intern_group(path_index)
-        if gid > self._gid_hi:
-            self._gid_hi = gid
         # One kernel call moves the earlier rows' bytes up to now (the
         # arrival's advance) and writes the new row.
         self._kernel.admit(
@@ -477,12 +447,14 @@ class FluidNetwork(_State):
             grown = max(16, 2 * gid)
             self._group_paths = _grow(self._group_paths, grown, fill=-1)
             self._group_count = _grow(self._group_count, grown)
+            self._grates = _grow(self._grates, grown)
             self._flow_ledger = None
         self._group_paths[gid] = -1
         self._group_paths[gid, : len(path_index)] = path_index
         self._group_count[gid] = 0
         self._num_groups = gid + 1
         self._group_of[path_index] = gid
+        self._solve_tables = None
         return gid
 
     def _compact(self) -> None:
@@ -544,7 +516,7 @@ class FluidNetwork(_State):
         self._fire = functools.partial(kernel.fire, self)
         self._recompute = functools.partial(kernel.recompute, self)
         self._flow_ledger = None
-        self._csr_shape = (-1, -1)
+        self._solve_tables = None
 
     def _ledger(self):
         """The flow ledger's arrays, packed for the kernel (see
@@ -562,7 +534,6 @@ class FluidNetwork(_State):
                 group_count=self._group_count,
                 load_counts=self._load_counts,
                 retired=self._retired,
-                sig=self._sig,
             )
         return ledger
 
@@ -590,89 +561,31 @@ class FluidNetwork(_State):
         flows (None when none moves).
 
         The filling rounds run over path *groups* (flows with an identical
-        link tuple) with multiplicities; see ``_waterfill._fill``.
-
-        Solves are memoized by the kernel's count hash ``_sig``, and a
-        hit must also equal the group-count signature trimmed to the last
-        populated group byte for byte; a different signature in the same
-        bucket is a miss whose solve replaces it.  A signature hit reuses
-        the cached per-group rates — the outcome of a fresh recompute
-        would be bit-identical because water-filling is a deterministic
-        function of (group paths, group counts, capacities): group paths
-        are immutable once interned, every capacity change clears the
-        memo, and groups past the trim point are empty so they add no
-        link load and shift no bottleneck (appended links/groups never
-        reorder earlier indices, so argmin tie-breaks are stable too).
+        link tuple) with multiplicities; see ``_waterfill._fill``.  Every
+        call with live rows fills into ``_grates`` through
+        ``_waterfill.run``; the compiled fill resumes the last one at its
+        first round a changed group count reaches, which changes no bit
+        (DESIGN §8).
         """
         if not self._n:
             self._advance()  # nothing in flight: only stamps the clock
             return None
-        # _gid_hi bounds the last populated group from above and never
-        # decreases, so a signature of an older width never recurs.
-        signature = self._group_count[:self._gid_hi + 1].tobytes()
-        key = self._sig_slot[0]
-        entry = self._solve_cache.get(key)
-        if entry is None or entry[1] != signature:
-            entry = self._memoize(key, signature)
-        return self._settle(entry[0])
-
-    def _memoize(self, key: int, signature: bytes) -> Tuple[np.ndarray, bytes]:
-        """A memo miss: solve the population and enter its rates under
-        ``key``, replacing any entry of another signature there; returns
-        the new ``(rates, signature)`` entry."""
-        cache = self._solve_cache
-        entry = cache.get(key)
-        if entry is not None:
-            self._solve_cache_bytes -= entry[0].base.nbytes + len(entry[1])
-        entry = (self._solve(self._num_groups), signature)
-        if len(cache) >= 4096 or self._solve_cache_bytes >= _SOLVE_CACHE_BUDGET:
-            self._evict_solve_cache()
-        cache[key] = entry
-        self._solve_cache_bytes += entry[0].base.nbytes + len(signature)
-        return entry
-
-    def _evict_solve_cache(self) -> None:
-        """Drop every cached solve, recycling the arrays still large
-        enough for the current group table into the grates pool."""
-        pool = self._grates_pool
-        num_groups = self._num_groups
-        for cached, *_ in self._solve_cache.values():
-            base = cached.base if cached.base is not None else cached
-            if base.shape[0] >= num_groups and len(pool) < 256:
-                pool.append(base)
-        self._solve_cache.clear()
-        self._solve_cache_bytes = 0
-
-    def _solve(self, num_groups: int) -> np.ndarray:
-        """One full water-filling pass; returns the per-group rates (those
-        of groups with no flows are never read)."""
-        self._ensure_csr(num_groups)
-        # The result lands in the memoization cache, so it needs its own
-        # array — but recycling evicted buffers keeps their pages warm
-        # (fresh multi-hundred-KB allocations fault in new pages on every
-        # solve at fleet scale, which costs more than the solve itself).
-        pool = self._grates_pool
-        while pool and pool[-1].shape[0] < num_groups:
-            pool.pop()  # group table outgrew this buffer
-        if pool:
-            grates = pool.pop()[:num_groups]
-        else:
-            grates = np.empty(num_groups * 3 // 2 + 64)[:num_groups]
+        self._ensure_csr()
         _waterfill.run(
-            self._kernel, self._num_links, num_groups, self._solve_tables,
-            grates,
+            self._kernel, self._num_links, self._num_groups,
+            self._solve_tables, self._grates,
         )
-        return grates
+        return self._settle(self._grates)
 
-    def _ensure_csr(self, num_groups: int) -> None:
+    def _ensure_csr(self) -> None:
         """Build the link -> crossing groups adjacency (CSR over sorted
-        flat links) and pack the solve tables; both stay valid until
-        the next link or group is interned.  The fill's arrays are
-        reallocated (discarding its round log) when the link or group
-        table outgrew them."""
-        num_links = self._num_links
-        if self._csr_shape == (num_groups, num_links):
+        flat links) and pack the solve tables, unless they are packed:
+        both stay valid until the next link or group is interned, which
+        drops the tables.  The fill's arrays are reallocated (discarding
+        its round log) when the link or group table outgrew them."""
+        if self._solve_tables is not None:
             return
+        num_links, num_groups = self._num_links, self._num_groups
         gpaths = self._group_paths[:num_groups]
         gvalid = gpaths >= 0
         flat_links = gpaths[gvalid]
@@ -686,7 +599,6 @@ class FluidNetwork(_State):
         self._csr_starts = np.searchsorted(
             sorted_links, np.arange(num_links + 1, dtype=np.int64)
         )
-        self._csr_shape = (num_groups, num_links)
         links, groups = self._capacity.shape[0], self._group_count.shape[0]
         fill = self._fill_arrays
         if (fill["snapshot"].shape[0] < groups

@@ -2,12 +2,10 @@
 
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.netsim import FluidNetwork
 from repro.netsim import _waterfill
-from repro.netsim import fluid
 from repro.simkit import Environment
 
 
@@ -352,57 +350,6 @@ class TestSubUlpResidue:
         assert state["flow"].completed_at == pytest.approx(0.5)
 
 
-def test_solve_memo_stays_within_its_byte_budget(monkeypatch):
-    # Each memoized solve holds its group-count signature and the whole
-    # pooled buffer its rates sit in.  Under churn (every solve a fresh
-    # signature) the live entries hold at most the budget plus the one
-    # entry that crossed it, and the running byte count never drifts
-    # from them, also when a colliding population replaces an entry.
-    monkeypatch.setattr(fluid, "_SOLVE_CACHE_BUDGET", 64 << 10)
-    rng = np.random.default_rng(0)
-    env, net = make_net({f"l{i}": 100.0 for i in range(40)})
-    paths = [
-        (f"l{a}", f"l{b}") for a, b in rng.integers(0, 40, (400, 2)) if a != b
-    ]
-    flows = [net.transfer(path, 1.0) for path in paths]
-    evictions = []
-    evict = net._evict_solve_cache
-    net._evict_solve_cache = lambda: evictions.append(evict())
-    collisions = 0
-    for step in range(200):
-        if rng.random() < 0.5:
-            flows.append(net.transfer(paths[rng.integers(len(paths))], 1.0))
-        else:
-            flow = flows.pop(int(rng.integers(len(flows))))
-            net._remaining[flow._row] = 0.0
-            fire_timer(net)
-        signature = net._group_count[:net._gid_hi + 1].tobytes()
-        others = [key for key, entry in net._solve_cache.items()
-                  if entry[1] != signature]
-        if step % 10 == 5 and others:
-            # Land this population in another's bucket: its solve
-            # replaces that entry.
-            sig = net._sig_slot[0]
-            net._sig[0] = others[0]
-            held_before = len(net._solve_cache)
-            net._assign_rates()
-            net._sig[0] = sig
-            if len(net._solve_cache) == held_before:
-                assert net._solve_cache[others[0]][1] == signature
-                collisions += 1
-        else:
-            net._assign_rates()
-        held = [
-            grates.base.nbytes + len(signature)
-            for grates, signature in net._solve_cache.values()
-        ]
-        assert sum(held) <= fluid._SOLVE_CACHE_BUDGET + max(held)
-        assert net._solve_cache_bytes == sum(held)
-    assert evictions and collisions
-    net.set_capacity("l0", 50.0)
-    assert not net._solve_cache and net._solve_cache_bytes == 0
-
-
 @pytest.mark.parametrize(
     "kernel",
     [_waterfill.NUMPY] + (
@@ -413,16 +360,19 @@ def test_solve_memo_stays_within_its_byte_budget(monkeypatch):
 def test_class_level_wraps_see_every_timer_activation_and_resolve(
     kernel, monkeypatch
 ):
-    # An external tracer wraps these entry points on their classes after
-    # the network exists; on either bookkeeping path every completion
-    # timer, latency activation and deferred re-solve must reach them.
+    # An external tracer wraps these entry points on their classes (and
+    # the water-fill on its module) after the network exists; on either
+    # bookkeeping path every completion timer, latency activation,
+    # deferred re-solve and fill must reach them.
     env, net = make_net({"a": 100.0, "b": 40.0, "c": 250.0})
     net._kernel = kernel
-    calls = {"fire": 0, "activate": [], "resolve": 0, "armed": 0}
+    calls = {"fire": 0, "activate": [], "resolve": 0, "armed": 0,
+             "loaded": 0, "fill": 0}
     finished = set()
     on_timer_event = FluidNetwork._on_timer_event
     activate_event = FluidNetwork._activate_event
     defer = type(env).defer_to_instant_end
+    run = _waterfill.run
 
     def traced_timer(self, event):
         calls["fire"] += 1
@@ -438,13 +388,19 @@ def test_class_level_wraps_see_every_timer_activation_and_resolve(
     def traced_defer(self, callback):
         def resolve():
             calls["resolve"] += 1
+            calls["loaded"] += net._n > 0  # a re-solve with rows fills
             callback()
             # The re-solve armed a timer iff some flow now moves.
             calls["armed"] += any(flow.rate > 0 for flow in net.active_flows)
 
         defer(self, resolve)
 
+    def traced_run(*args):
+        calls["fill"] += 1
+        run(*args)
+
     monkeypatch.setattr(FluidNetwork, "_on_timer_event", traced_timer)
+    monkeypatch.setattr(_waterfill, "run", traced_run)
     monkeypatch.setattr(FluidNetwork, "_activate_event", traced_activate)
     monkeypatch.setattr(type(env), "defer_to_instant_end", traced_defer)
     specs = [
@@ -469,3 +425,4 @@ def test_class_level_wraps_see_every_timer_activation_and_resolve(
     }
     assert calls["resolve"] == net._generation > 0
     assert calls["fire"] == calls["armed"] > 0
+    assert calls["fill"] == calls["loaded"] > 0

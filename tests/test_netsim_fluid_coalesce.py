@@ -256,7 +256,7 @@ def _fill_with(kernel, net):
     """One fresh water-fill of ``net``'s current population by ``kernel``
     (with an empty round log: every round scans)."""
     num_groups = net._num_groups
-    net._ensure_csr(num_groups)
+    net._ensure_csr()
     tables = kernel.tables(
         capacity=net._capacity, load_counts=net._load_counts,
         group_paths=net._group_paths, group_count=net._group_count,
@@ -356,7 +356,12 @@ def _check_fill(net, grates):
 
 
 def _checked_fill(net):
-    return _check_fill(net, net._solve(net._num_groups))
+    """Fill ``net`` into its own group-rate array, as a re-solve does,
+    and check the fill."""
+    net._ensure_csr()
+    _waterfill.run(net._kernel, net._num_links, net._num_groups,
+                   net._solve_tables, net._grates)
+    return _check_fill(net, net._grates[:net._num_groups])
 
 
 def _change_none(net, flows):
@@ -459,20 +464,12 @@ def test_replay_stops_where_the_change_reaches(case):
 
 @needs_compiler
 @pytest.mark.parametrize("seed", range(4))
-def test_replay_at_fleet_shape(seed):
+def test_replay_at_fleet_shape(seed, monkeypatch):
     # The network's own timers retire the population instant by instant;
-    # every solve on the way is checked against a fresh numpy fill.
+    # every fill on the way is checked against a fresh numpy fill.
     env, net = _fleet_network(seed, COMPILED)
     certified(net)
-    totals = []
-    solve = net._solve
-
-    def checked_solve(num_groups):
-        grates = solve(num_groups)
-        totals.append(_check_fill(net, grates))
-        return grates
-
-    net._solve = checked_solve
+    totals = _checked_solves(net, monkeypatch)
     env.run()
     assert not net.active_flows and len(totals) > 10
     rounds, replayed = np.sum(totals, axis=0)
@@ -482,45 +479,47 @@ def test_replay_at_fleet_shape(seed):
 # Resume across several fills: the fill rolls the logged fill back to its
 # first changed round, so what a fill leaves behind (its records, its
 # links' values, its group-count snapshot) must hold for the next one.
-# Each test drives the network's own re-solves (memo included) and checks
-# every water-fill against a fresh numpy fill; ``fills`` collects each
-# one's (rounds, rounds kept).
+# Each test drives the network's own re-solves and checks every water-fill
+# against a fresh numpy fill; ``fills`` collects each one's (rounds,
+# rounds kept).
 
 
-def _checked_solves(net):
-    """Check every water-fill ``net`` runs from now on; returns the list
-    their (rounds, rounds not recomputed) are appended to."""
+def _checked_solves(net, monkeypatch):
+    """Check every water-fill ``net`` runs from now on, through the one
+    entry point ``_waterfill.run`` (which the compiled re-solve looks up
+    at each call); returns the list their (rounds, rounds not
+    recomputed) are appended to."""
     fills = []
-    solve = net._solve
+    run = _waterfill.run
 
-    def checked_solve(num_groups):
-        grates = solve(num_groups)
-        fills.append(_check_fill(net, grates))
-        return grates
+    def checked_run(kernel, num_links, num_groups, tables, grates):
+        run(kernel, num_links, num_groups, tables, grates)
+        if tables is net._solve_tables:  # not the check's own fresh fill
+            fills.append(_check_fill(net, grates[:num_groups]))
 
-    net._solve = checked_solve
+    monkeypatch.setattr(_waterfill, "run", checked_run)
     return fills
 
 
-def _resume_network(links, groups):
+def _resume_network(links, groups, monkeypatch):
     """``_replay_network`` with certified re-solves, solved once; returns
     it, its flows by path and its checked fills."""
     net, flows = _replay_network(links, groups)
     certified(net)
-    fills = _checked_solves(net)
+    fills = _checked_solves(net, monkeypatch)
     _settle(net.env)
     return net, flows, fills
 
 
 @needs_compiler
-def test_resume_carries_each_delta_into_the_kept_records():
+def test_resume_carries_each_delta_into_the_kept_records(monkeypatch):
     # Round 0 fixes Z, round 1 fixes A's groups (touching C), round 2
     # fixes C's.  The second fill changes C past round 1: round 1 and its
     # record of C are kept, and that record's load must take C's delta.
     # The third changes A, rolls round 1 back and restores C from it.
     net, flows, fills = _resume_network(
         {"Z": 10.0, "A": 100.0, "C": 1000.0},
-        {**_Z, ("A", "C"): 2, ("A",): 2, ("C",): 2},
+        {**_Z, ("A", "C"): 2, ("A",): 2, ("C",): 2}, monkeypatch,
     )
     _arrive(net, flows, {("C",): 1})
     _settle(net.env)
@@ -530,14 +529,14 @@ def test_resume_carries_each_delta_into_the_kept_records():
 
 
 @needs_compiler
-def test_a_reloaded_link_restarts_at_its_capacity():
+def test_a_reloaded_link_restarts_at_its_capacity(monkeypatch):
     # X drains in round 2 of the first fill, then loses every flow; the
     # capacity change makes the second fill start afresh, which leaves
     # X's values from the first.  The third fill loads X again: X must
     # start at its capacity, not at what the first fill left.
     net, flows, fills = _resume_network(
         {"Z": 10.0, "A": 100.0, "X": 1000.0},
-        {**_Z, ("A", "X"): 2, ("A",): 2, ("X",): 2},
+        {**_Z, ("A", "X"): 2, ("A",): 2, ("X",): 2}, monkeypatch,
     )
     _retire_now(net, flows.pop(("A", "X")) + flows.pop(("X",)))
     net.set_capacity("Z", 20.0)
@@ -548,33 +547,14 @@ def test_a_reloaded_link_restarts_at_its_capacity():
 
 
 @needs_compiler
-def test_resume_after_a_memo_hit_reads_the_last_fill():
-    # The population returns to the first fill's: a memo hit, no fill.
-    # The next fill's changes are counted against the last fill (C: 2 ->
-    # 1, B: 2 -> 3), not against the population the hit solved.
-    net, flows, fills = _resume_network(
-        {"Z": 10.0, "A": 100.0, "B": 300.0, "C": 500.0},
-        {**_Z, ("A",): 2, ("A", "B"): 2, ("B",): 2, ("C",): 1},
-    )
-    _arrive(net, flows, {("C",): 1})
-    _settle(net.env)
-    _retire_now(net, [flows[("C",)].pop()])
-    _settle(net.env)
-    assert len(fills) == 2
-    _arrive(net, flows, {("B",): 1})
-    _settle(net.env)
-    assert fills == [(4, 0), (4, 3), (4, 2)]
-
-
-@needs_compiler
-def test_fill_arrays_reallocated_with_the_tables_start_afresh():
+def test_fill_arrays_reallocated_with_the_tables_start_afresh(monkeypatch):
     # Sixteen groups fill the first group table; a seventeenth grows it,
     # and the fill arrays are reallocated with it.  The fill after that
     # starts afresh, and the one after resumes from it.
     links = {"Z": 10.0, **{f"L{i}": 100.0 * (i + 2) for i in range(8)}}
     groups = {**_Z, **{(f"L{i}",): 2 for i in range(8)}}
     groups.update({(f"L{i}", f"L{i + 1}"): 1 for i in range(7)})
-    net, flows, fills = _resume_network(links, groups)
+    net, flows, fills = _resume_network(links, groups, monkeypatch)
     arrays = net._fill_arrays
     _arrive(net, flows, {("Z", "L7"): 1})
     _settle(net.env)
@@ -633,8 +613,8 @@ class TestSetCapacityRescale:
         assert outcomes[0] == outcomes[1]
 
     def test_rescale_epoch_invalidates_solve_memo(self):
-        # Same group signature before and after the rescale: only the
-        # memo's clear on a capacity change keeps the old solve out.
+        # Same group counts before and after the rescale: only the round
+        # log's discard on a capacity change keeps the old fill out.
         env, net, flows = self._shared_group_network(coalesce=True)
         before = flows[0].rate
         net.set_capacity("wire", 60.0)
@@ -674,7 +654,7 @@ def _ledger_state(net):
         net._live[:n].tobytes(),
         net._link_bytes[:links].tobytes(),
         net._load_counts[:links].tobytes(),
-        net._group_count[:groups].tobytes(), net._sig_slot[0],
+        net._group_count[:groups].tobytes(),
     )
 
 
@@ -866,7 +846,7 @@ def _admit_outcome(case, seed, dt, kernel):
     return _ledger_state(net) + (
         net._paths[:n].tobytes(), net._sizes[:n].tobytes(),
         net._gids[:n].tobytes(), net._group_paths[:groups].tobytes(),
-        net._gid_hi, net._last_update,
+        net._last_update,
     )
 
 
@@ -932,89 +912,3 @@ def test_compiled_settle_equals_numpy_reschedule(fill, seed):
         assert eta is None
     if fill is _fill_nan_eta:
         assert np.isnan(np.frombuffer(eta)[0])
-
-
-# -- the ledger's group-count hash ------------------------------------------
-
-
-def _recomputed_sig(net):
-    """``sum(count * mix)`` mod 2**64 over the group table, from scratch."""
-    groups = net._num_groups
-    weights = _waterfill.mix(np.arange(groups, dtype=np.int64))
-    return int((net._group_count[:groups].astype(np.uint64)
-                * weights).sum(dtype=np.uint64))
-
-
-def _churn(seed, kernel, check=lambda net: None):
-    """A seeded schedule over a few shared paths: bursts of arrivals,
-    flows finishing on their timers, batches retired at once (enough to
-    compact the ledger) and a final drain that empties it, then a few
-    arrivals into the empty ledger.  ``check(net)`` runs after every
-    step; returns the rates after each step and every ETA the network
-    computed, as bytes, and every finish time."""
-    rng = np.random.default_rng(seed)
-    env = Environment()
-    net = _network(env, kernel)
-    for i in range(5):
-        net.add_link(f"l{i}", float(rng.choice([50.0, 100.0, 250.0])))
-    pool = [tuple(f"l{i}" for i in rng.choice(5, int(rng.integers(1, 3)),
-                                                replace=False))
-            for _ in range(8)]
-    etas, rates, flows = [], [], []
-    settle = net._settle
-    net._settle = lambda grates: etas.append(settle(grates)) or etas[-1]
-    compactions = []
-    compact = net._compact
-    net._compact = lambda: compactions.append(compact())
-
-    def step():
-        _settle(env)
-        check(net)
-        rates.append(np.array([flow.rate for flow in flows]).tobytes())
-
-    for burst in range(40):
-        for _ in range(int(rng.integers(0, 12))):
-            flows.append(net.transfer(pool[rng.integers(len(pool))],
-                                      float(rng.choice([10.0, 100.0, 1e3]))))
-        step()
-        if burst % 8 == 7:
-            live = net.active_flows
-            _retire_now(net, [live[k] for k in rng.choice(
-                len(live), len(live) * 3 // 4, replace=False)])
-            step()
-        env.run(until=env.now + float(rng.choice([0.0, 0.05, 0.5])))
-        step()
-    while net.active_flows:
-        env.run(until=env.peek())
-        step()
-    assert net._n == 0 and compactions
-    for path in pool[:3]:
-        flows.append(net.transfer(path, 10.0))
-    step()
-    finished = [flow.completed_at for flow in flows]
-    return rates, np.array(etas).tobytes(), finished
-
-
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("kernel", KERNELS,
-                         ids=lambda kernel: type(kernel).__name__)
-def test_ledger_hash_matches_the_group_counts(kernel, seed):
-    sigs = []
-
-    def check(net):
-        assert net._sig_slot[0] == _recomputed_sig(net)
-        sigs.append(net._sig_slot[0])
-
-    _churn(seed, kernel, check)
-    assert 0 in sigs and len(set(sigs)) > 10
-
-
-def test_colliding_hashes_keep_every_output(monkeypatch):
-    # With one weight for every group the hash is the flow count, so
-    # every population of that many flows shares one memo bucket: only
-    # the full signature compare tells them apart.
-    runs = [_churn(seed, NUMPY) for seed in range(3)]
-    monkeypatch.setattr(
-        _waterfill, "mix", lambda gids: np.ones(np.shape(gids), np.uint64)
-    )
-    assert [_churn(seed, NUMPY) for seed in range(3)] == runs

@@ -2,7 +2,7 @@
 to a from-scratch recompute.
 
 The fluid network maintains packed per-flow state, per-link load counts
-and a memoized group solve incrementally as flows join and leave.  The
+and a resumable group fill incrementally as flows join and leave.  The
 correctness claim is that none of those shortcuts can ever change a rate:
 at any instant, the rates it assigns equal — exactly, not approximately —
 what a *fresh* network (empty caches, flows re-added from scratch) would
@@ -12,8 +12,8 @@ Rates depend only on (path multiset, capacities), so the reference clones
 the live network's active paths into a brand-new ``FluidNetwork`` and
 runs one cold solve.  Random schedules interleave arrivals on random
 one- or two-link paths with mid-flight capacity rescales, which
-exercises joins, departures (compaction), the solve memo across capacity
-changes, and the CSR adjacency cache.
+exercises joins, departures (compaction), the fill's round log across
+capacity changes, and the CSR adjacency cache.
 """
 
 from hypothesis import given, settings

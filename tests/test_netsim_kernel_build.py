@@ -210,7 +210,6 @@ def _ledger_arrays(rows=4, links=3, groups=2):
         group_count=np.zeros(groups, dtype=np.int64),
         load_counts=np.zeros(links, dtype=np.int64),
         retired=np.zeros(rows, dtype=np.int64),
-        sig=np.zeros(1, dtype=np.uint64),
     )
 
 
@@ -254,8 +253,8 @@ def test_packing_refuses_an_array_the_c_loops_cannot_use(spoil, error, message):
 def test_a_kernel_call_checks_its_pack_and_its_bounds():
     arrays = _ledger_arrays(rows=4, links=3, groups=2)
     ledger = COMPILED.ledger(**arrays)
-    with pytest.raises(TypeError, match="needs the array 'sig'"):
-        COMPILED.ledger(**{k: v for k, v in arrays.items() if k != "sig"})
+    with pytest.raises(TypeError, match="needs the array 'retired'"):
+        COMPILED.ledger(**{k: v for k, v in arrays.items() if k != "retired"})
     with pytest.raises(TypeError, match="does not take"):
         COMPILED.ledger(**arrays, extra=np.zeros(1))
     with pytest.raises(TypeError, match="packed ledger"):
@@ -270,7 +269,7 @@ def test_a_kernel_call_checks_its_pack_and_its_bounds():
         COMPILED.retire(ledger, 5, 0.0, 0.0, 1e-12)
     with pytest.raises(TypeError, match="float64"):
         COMPILED.settle(ledger, 4, 0.0, np.zeros(2, dtype=np.float32))
-    assert not arrays["live"].any() and arrays["sig"][0] == 0
+    assert not arrays["live"].any()
 
 
 @needs_compiler
@@ -292,8 +291,6 @@ def test_a_packed_ledger_keeps_its_arrays_alive():
     assert t["gids"][2:].tolist() == [1, 0]
     assert t["load_counts"].tolist() == [1, 1, 1]
     assert t["group_count"].tolist() == [1, 1]
-    mix = _waterfill.mix(np.array([0, 1]))
-    assert int(t["sig"][0]) == int(mix.sum(dtype=np.uint64))
     t["remaining"][2] = 0.0
     del t
     gc.collect()
@@ -301,7 +298,7 @@ def test_a_packed_ledger_keeps_its_arrays_alive():
     t = {name: ref() for name, ref in refs.items()}
     assert t["retired"][0] == 2 and t["live"].tolist() == [False] * 3 + [True]
     assert t["load_counts"].tolist() == [0, 0, 1]
-    assert int(t["sig"][0]) == int(mix[0])
+    assert t["group_count"].tolist() == [1, 0]
     del t, ledger
     gc.collect()
     assert all(ref() is None for ref in refs.values())
