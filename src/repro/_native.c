@@ -3,8 +3,11 @@
    repro/_native.py compiles this file with plain cc (-O2
    -ffp-contract=off) at first use and imports it.  It holds two cores:
 
-   * the event kernel: Event, Timeout, Process and the Environment base
-     type behind repro.simkit.core (see repro/simkit/_eventcore.py);
+   * the event kernel: Event, Timeout, Process, Condition/AllOf/AnyOf
+     and the Environment base type behind repro.simkit.core, and the
+     wait primitives behind repro.simkit.resources: Resource,
+     PriorityResource, Store and Container with their request, put and
+     get events (see repro/simkit/_eventcore.py);
    * the fluid network's kernel: advance, admit, retire, settle and
      waterfill, the C loops behind repro.netsim._waterfill.CompiledKernel,
      plus the two packers, ledger() and tables(), whose objects carry the
@@ -32,6 +35,7 @@
    the "not yet triggered" sentinel of core.py. */
 static PyObject *SimulationError, *Pending;
 static PyObject *str_send, *str_throw, *str_name, *str_now, *str_value;
+static PyObject *zero;  /* 0.0 */
 
 typedef struct {
     PyObject_HEAD
@@ -74,7 +78,7 @@ typedef struct {
     long long events_processed, processes_started;
 } EnvObject;
 
-static PyTypeObject EventType, TimeoutType, ProcessType, EnvType;
+static PyTypeObject EventType, TimeoutType, ProcessType, EnvType, ConditionType, AnyOfType;
 
 #define HAS_EXC(e) ((e)->exception != NULL && (e)->exception != Py_None)
 #define TRIGGERED(e) ((e)->value != Pending || HAS_EXC(e))
@@ -83,6 +87,7 @@ static PyTypeObject EventType, TimeoutType, ProcessType, EnvType;
     ((env)->heap_len == 0 || (env)->heap[0].time > (env)->now))
 
 static int process_resume(ProcessObject *self, EventObject *event);
+static int condition_check(PyObject *self, EventObject *event);
 
 /* -- queue ------------------------------------------------------------ */
 
@@ -299,6 +304,8 @@ static int process_callbacks(EventObject *self) {
         Py_INCREF(callback);
         if (Py_IS_TYPE(callback, &ProcessType)) {
             status = process_resume((ProcessObject *) callback, self);
+        } else if (PyObject_TypeCheck(callback, &ConditionType)) {
+            status = condition_check(callback, self);
         } else {
             PyObject *result = PyObject_CallOneArg(callback, (PyObject *) self);
             status = result == NULL ? -1 : 0;
@@ -853,6 +860,971 @@ static PyTypeObject EnvType = {
     .tp_methods = env_methods,
     .tp_members = env_members,
     .tp_getset = env_getset,
+};
+
+/* -- Condition, AllOf, AnyOf ------------------------------------------ */
+
+/* A condition registers itself as each pending constituent's callback,
+   as a process does, and the dispatch counts it in condition_check. */
+enum { EVALUATE, ALL_OF, ANY_OF };
+
+typedef struct {
+    EventObject event;
+    PyObject *evaluate;   /* evaluate(total, done) -> bool; NULL for AllOf/AnyOf */
+    Py_ssize_t total, count;
+    char mode;
+} ConditionObject;
+
+/* One constituent was processed: count it, then fail with its exception
+   (defused) or succeed once the condition holds. */
+static int condition_check(PyObject *obj, EventObject *event) {
+    ConditionObject *self = (ConditionObject *) obj;
+    if (TRIGGERED(&self->event)) return 0;
+    self->count++;
+    if (HAS_EXC(event)) {
+        event->defused = 1;
+        return trigger(&self->event, NULL, event->exception);
+    }
+    int holds;
+    if (self->mode == ALL_OF) {
+        holds = self->count == self->total;
+    } else if (self->mode == ANY_OF) {
+        holds = self->count >= 1;
+    } else {
+        PyObject *result = PyObject_CallFunction(self->evaluate, "nn", self->total, self->count);
+        if (result == NULL) return -1;
+        holds = PyObject_IsTrue(result);
+        Py_DECREF(result);
+        if (holds < 0) return -1;
+    }
+    return holds ? trigger(&self->event, Py_None, NULL) : 0;
+}
+
+/* A condition over list(events), all of env: an empty one succeeds at
+   once; processed constituents are checked now, in list order. */
+static PyObject *make_condition(PyTypeObject *type, PyObject *env, char mode,
+                                PyObject *evaluate, PyObject *events) {
+    PyObject *list = PySequence_List(events);
+    if (list == NULL) return NULL;
+    ConditionObject *self = (ConditionObject *) event_alloc(type, env);
+    if (self == NULL) goto error;
+    Py_XINCREF(evaluate);
+    self->evaluate = evaluate;
+    self->mode = mode;
+    self->total = PyList_GET_SIZE(list);
+    for (Py_ssize_t i = 0; i < self->total; i++) {
+        PyObject *item = PyList_GET_ITEM(list, i);
+        if (!PyObject_TypeCheck(item, &EventType)) {
+            PyErr_Format(PyExc_TypeError, "%R is not an event", item);
+            goto error;
+        }
+        if (((EventObject *) item)->env != env) {
+            PyErr_SetString(SimulationError, "events belong to different environments");
+            goto error;
+        }
+    }
+    if (self->total == 0 && trigger(&self->event, Py_None, NULL) < 0) goto error;
+    for (Py_ssize_t i = 0; i < self->total; i++) {
+        EventObject *item = (EventObject *) PyList_GET_ITEM(list, i);
+        int status;
+        if (item->callbacks == Py_None) {
+            status = condition_check((PyObject *) self, item);
+        } else if (item->callbacks == NULL || !PyList_Check(item->callbacks)) {
+            PyErr_SetString(PyExc_TypeError, "event callbacks must be a list");
+            status = -1;
+        } else {
+            status = PyList_Append(item->callbacks, (PyObject *) self);
+        }
+        if (status < 0) goto error;
+    }
+    Py_DECREF(list);
+    return (PyObject *) self;
+error:
+    Py_DECREF(list);
+    Py_XDECREF(self);
+    return NULL;
+}
+
+static PyObject *condition_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    static char *kwlist[] = {"env", "evaluate", "events", NULL};
+    PyObject *env, *evaluate, *events;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO:Condition", kwlist,
+                                     &env, &evaluate, &events))
+        return NULL;
+    return make_condition(type, env, EVALUATE, evaluate, events);
+}
+
+/* AllOf(env, events) and AnyOf(env, events), by tp_new or vectorcall. */
+static PyObject *all_any_vectorcall(PyObject *type, PyObject *const *args,
+                                    size_t nargsf, PyObject *kwnames) {
+    static const char *const names[] = {"env", "events"};
+    PyTypeObject *kind = (PyTypeObject *) type;
+    PyObject *out[2];
+    if (parse_args(kind->tp_name, names, 2, 2, args, PyVectorcall_NARGS(nargsf),
+                   kwnames, out) < 0)
+        return NULL;
+    char mode = PyType_IsSubtype(kind, &AnyOfType) ? ANY_OF : ALL_OF;
+    return make_condition(kind, out[0], mode, NULL, out[1]);
+}
+
+static PyObject *all_any_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    return PyVectorcall_Call((PyObject *) type, args, kwds);
+}
+
+static int condition_traverse(ConditionObject *self, visitproc visit, void *arg) {
+    Py_VISIT(self->evaluate);
+    return event_traverse(&self->event, visit, arg);
+}
+
+static int condition_clear(ConditionObject *self) {
+    Py_CLEAR(self->evaluate);
+    return event_clear(&self->event);
+}
+
+static void condition_dealloc(ConditionObject *self) {
+    PyObject_GC_UnTrack(self);
+    condition_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+static PyTypeObject ConditionType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.core.Condition",
+    .tp_doc = "Waits on a set of events until ``evaluate`` says the condition holds.\n\n"
+              "A condition triggers with ``None``, or fails with the first\n"
+              "constituent failure.",
+    .tp_basicsize = sizeof(ConditionObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_base = &EventType,
+    .tp_new = condition_new,
+    .tp_init = noop_init,
+    .tp_dealloc = (destructor) condition_dealloc,
+    .tp_traverse = (traverseproc) condition_traverse,
+    .tp_clear = (inquiry) condition_clear,
+};
+
+static PyTypeObject AllOfType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.core.AllOf",
+    .tp_doc = "Triggered when all constituent events have triggered.",
+    .tp_basicsize = sizeof(ConditionObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_base = &ConditionType,
+    .tp_new = all_any_new,
+    .tp_vectorcall = all_any_vectorcall,
+};
+
+static PyTypeObject AnyOfType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.core.AnyOf",
+    .tp_doc = "Triggered when any constituent event has triggered.",
+    .tp_basicsize = sizeof(ConditionObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_base = &ConditionType,
+    .tp_new = all_any_new,
+    .tp_vectorcall = all_any_vectorcall,
+};
+
+/* -- wait primitives: shared pieces ----------------------------------- */
+
+/* An event that carries a StorePut's item or a container put's or get's
+   amount. */
+typedef struct {
+    EventObject event;
+    PyObject *item;
+} ItemEventObject;
+
+static PyTypeObject ResourceType, PriorityResourceType, RequestType, PriorityRequestType,
+    StoreType, StorePutType, StoreGetType, ContainerType, ContainerPutType, ContainerGetType;
+
+/* Removes and returns (a new reference) a list's first item. */
+static PyObject *pop_front(PyObject *list) {
+    PyObject *head = PyList_GET_ITEM(list, 0);
+    Py_INCREF(head);
+    if (PyList_SetSlice(list, 0, 1, NULL) < 0) {
+        Py_DECREF(head);
+        return NULL;
+    }
+    return head;
+}
+
+/* Position of `item` in `list` by identity, or -1. */
+static Py_ssize_t index_of(PyObject *list, PyObject *item) {
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(list); i++)
+        if (PyList_GET_ITEM(list, i) == item) return i;
+    return -1;
+}
+
+/* An event of `type` on env, appended to `queue`; item may be NULL. */
+static ItemEventObject *queue_event(PyTypeObject *type, PyObject *env, PyObject *queue,
+                                    PyObject *item) {
+    ItemEventObject *self = (ItemEventObject *) event_alloc(type, env);
+    if (self == NULL) return NULL;
+    if (item != NULL) {
+        Py_INCREF(item);
+        self->item = item;
+    }
+    if (PyList_Append(queue, (PyObject *) self) < 0) Py_CLEAR(self);
+    return self;
+}
+
+/* The environment of a resource, store or container: a compiled one. */
+static int check_env(PyObject *env) {
+    if (PyObject_TypeCheck(env, &EnvType)) return 0;
+    PyErr_Format(PyExc_TypeError, "%R is not a compiled-kernel environment", env);
+    return -1;
+}
+
+static int item_event_traverse(ItemEventObject *self, visitproc visit, void *arg) {
+    Py_VISIT(self->item);
+    return event_traverse(&self->event, visit, arg);
+}
+
+static int item_event_clear(ItemEventObject *self) {
+    Py_CLEAR(self->item);
+    return event_clear(&self->event);
+}
+
+static void item_event_dealloc(ItemEventObject *self) {
+    PyObject_GC_UnTrack(self);
+    item_event_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+/* -- Resource, PriorityResource --------------------------------------- */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *env;
+    PyObject *users;      /* granted requests, in grant order (a list) */
+    PyObject *queue;      /* waiting requests (a list): FIFO, or for a
+                             PriorityResource a binary heap by key */
+    Py_ssize_t capacity;
+    char prioritized;
+} ResourceObject;
+
+/* Request and PriorityRequest; a plain Request leaves the key unset. */
+typedef struct {
+    EventObject event;
+    PyObject *resource;
+    PyObject *priority;
+    double rank, time;    /* the key: (priority as a double, request time, seq) */
+    unsigned long long seq;
+} RequestObject;
+
+static unsigned long long request_seq;
+
+static int key_less(PyObject *a, PyObject *b) {
+    RequestObject *x = (RequestObject *) a, *y = (RequestObject *) b;
+    if (x->rank != y->rank) return x->rank < y->rank;
+    if (x->time != y->time) return x->time < y->time;
+    return x->seq < y->seq;
+}
+
+/* Restores the heap order of items[0, n) around position i.  The keys
+   are distinct (seq is), so the head is the minimum the reference's sort
+   puts first. */
+static void sift(PyObject **items, Py_ssize_t n, Py_ssize_t i) {
+    PyObject *item = items[i];
+    while (i > 0) {
+        Py_ssize_t parent = (i - 1) >> 1;
+        if (!key_less(item, items[parent])) break;
+        items[i] = items[parent];
+        i = parent;
+    }
+    for (;;) {
+        Py_ssize_t child = 2 * i + 1;
+        if (child >= n) break;
+        if (child + 1 < n && key_less(items[child + 1], items[child])) child++;
+        if (!key_less(items[child], item)) break;
+        items[i] = items[child];
+        i = child;
+    }
+    items[i] = item;
+}
+
+/* Removes and returns (a new reference) the waiting request at position
+   i: the FIFO closes the gap; the heap moves its last entry in. */
+static PyObject *queue_take(ResourceObject *self, Py_ssize_t i) {
+    PyObject *queue = self->queue;
+    PyObject **items = ((PyListObject *) queue)->ob_item;
+    PyObject *request = items[i];
+    Py_INCREF(request);
+    Py_ssize_t last = PyList_GET_SIZE(queue) - 1, gap = i;
+    if (self->prioritized) {
+        items[i] = items[last];
+        items[last] = request;
+        gap = last;
+    }
+    if (PyList_SetSlice(queue, gap, gap + 1, NULL) < 0) {
+        Py_DECREF(request);
+        return NULL;
+    }
+    if (gap != i) sift(((PyListObject *) queue)->ob_item, last, i);
+    return request;
+}
+
+/* Grants waiting requests, in queue order, while a slot is free. */
+static int grant(ResourceObject *self) {
+    while (PyList_GET_SIZE(self->queue) > 0 && PyList_GET_SIZE(self->users) < self->capacity) {
+        PyObject *request = queue_take(self, 0);
+        if (request == NULL) return -1;
+        int status = PyList_Append(self->users, request) < 0 ? -1
+            : trigger((EventObject *) request, Py_None, NULL);
+        Py_DECREF(request);
+        if (status < 0) return -1;
+    }
+    return 0;
+}
+
+/* A request of `type` on `owner`, queued and granted when a slot is
+   free; priority is NULL for a plain Request. */
+static PyObject *make_request(PyTypeObject *type, PyObject *owner, PyObject *priority) {
+    if (!PyObject_TypeCheck(owner, &ResourceType)) {
+        PyErr_Format(PyExc_TypeError, "%R is not a Resource", owner);
+        return NULL;
+    }
+    ResourceObject *resource = (ResourceObject *) owner;
+    double rank = 0.0;
+    if (priority != NULL) {
+        rank = PyFloat_AsDouble(priority);
+        if (rank == -1.0 && PyErr_Occurred()) return NULL;
+        if (isnan(rank)) {
+            PyErr_SetString(SimulationError, "request priority must not be NaN");
+            return NULL;
+        }
+    } else if (resource->prioritized) {
+        PyErr_SetString(PyExc_TypeError, "a PriorityResource takes PriorityRequests");
+        return NULL;
+    }
+    RequestObject *self = (RequestObject *) event_alloc(type, resource->env);
+    if (self == NULL) return NULL;
+    Py_INCREF(owner);
+    self->resource = owner;
+    if (priority != NULL) {
+        Py_INCREF(priority);
+        self->priority = priority;
+        self->rank = rank;
+        self->time = ((EnvObject *) resource->env)->now;
+        self->seq = ++request_seq;
+    }
+    PyObject *queue = resource->queue;
+    int status = PyList_Append(queue, (PyObject *) self);
+    if (status == 0 && resource->prioritized)
+        sift(((PyListObject *) queue)->ob_item, PyList_GET_SIZE(queue), PyList_GET_SIZE(queue) - 1);
+    if (status < 0 || grant(resource) < 0) {
+        Py_DECREF(self);
+        return NULL;
+    }
+    return (PyObject *) self;
+}
+
+/* Withdraws a request that has not been granted yet. */
+static int cancel(RequestObject *request) {
+    ResourceObject *resource = (ResourceObject *) request->resource;
+    Py_ssize_t i = index_of(resource->queue, (PyObject *) request);
+    if (i < 0) return 0;
+    PyObject *taken = queue_take(resource, i);
+    Py_XDECREF(taken);
+    return taken == NULL ? -1 : 0;
+}
+
+/* Frees the slot held by `request`, or withdraws it if it has none. */
+static int release(ResourceObject *self, PyObject *request) {
+    if (!PyObject_TypeCheck(request, &RequestType)) {
+        PyErr_Format(PyExc_TypeError, "%R is not a Request", request);
+        return -1;
+    }
+    Py_ssize_t i = index_of(self->users, request);
+    if (i < 0) return cancel((RequestObject *) request);
+    return PyList_SetSlice(self->users, i, i + 1, NULL) < 0 ? -1 : grant(self);
+}
+
+static PyObject *request_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    static char *kwlist[] = {"resource", "priority", NULL};
+    PyObject *resource, *priority = zero;
+    int prioritized = PyType_IsSubtype(type, &PriorityRequestType);
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, prioritized ? "O|O:PriorityRequest"
+                                     : "O:Request", kwlist, &resource, &priority))
+        return NULL;
+    return make_request(type, resource, prioritized ? priority : NULL);
+}
+
+static PyObject *request_enter(PyObject *self, PyObject *unused) {
+    Py_INCREF(self);
+    return self;
+}
+
+static PyObject *request_exit(RequestObject *self, PyObject *args) {
+    if (release((ResourceObject *) self->resource, (PyObject *) self) < 0) return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *request_cancel(RequestObject *self, PyObject *unused) {
+    if (cancel(self) < 0) return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *request_get_key(RequestObject *self, void *closure) {
+    return Py_BuildValue("(OdK)", self->priority, self->time, self->seq);
+}
+
+static int request_traverse(RequestObject *self, visitproc visit, void *arg) {
+    Py_VISIT(self->resource);
+    Py_VISIT(self->priority);
+    return event_traverse(&self->event, visit, arg);
+}
+
+static int request_clear(RequestObject *self) {
+    Py_CLEAR(self->resource);
+    Py_CLEAR(self->priority);
+    return event_clear(&self->event);
+}
+
+static void request_dealloc(RequestObject *self) {
+    PyObject_GC_UnTrack(self);
+    request_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+static PyMethodDef request_methods[] = {
+    {"__enter__", request_enter, METH_NOARGS, NULL},
+    {"__exit__", (PyCFunction) request_exit, METH_VARARGS, NULL},
+    {"cancel", (PyCFunction) request_cancel, METH_NOARGS,
+     "Withdraw a request that has not been granted yet."},
+    {NULL}
+};
+
+static PyMemberDef request_members[] = {
+    {"resource", T_OBJECT, offsetof(RequestObject, resource), READONLY, NULL},
+    {NULL}
+};
+
+static PyMemberDef priority_request_members[] = {
+    {"priority", T_OBJECT, offsetof(RequestObject, priority), READONLY, NULL},
+    {"time", T_DOUBLE, offsetof(RequestObject, time), READONLY, NULL},
+    {"seq", T_ULONGLONG, offsetof(RequestObject, seq), READONLY, NULL},
+    {NULL}
+};
+
+static PyGetSetDef priority_request_getset[] = {
+    {"key", (getter) request_get_key, NULL, NULL},
+    {NULL}
+};
+
+static PyTypeObject RequestType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.resources.Request",
+    .tp_doc = "A pending claim on a :class:`Resource` slot.",
+    .tp_basicsize = sizeof(RequestObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_base = &EventType,
+    .tp_new = request_new,
+    .tp_init = noop_init,
+    .tp_dealloc = (destructor) request_dealloc,
+    .tp_traverse = (traverseproc) request_traverse,
+    .tp_clear = (inquiry) request_clear,
+    .tp_methods = request_methods,
+    .tp_members = request_members,
+};
+
+static PyTypeObject PriorityRequestType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.resources.PriorityRequest",
+    .tp_doc = "Request with a priority; smaller value means earlier service.",
+    .tp_basicsize = sizeof(RequestObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_base = &RequestType,
+    .tp_new = request_new,
+    .tp_members = priority_request_members,
+    .tp_getset = priority_request_getset,
+};
+
+static PyObject *resource_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    static char *kwlist[] = {"env", "capacity", NULL};
+    PyObject *env, *capacity = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O:Resource", kwlist, &env, &capacity))
+        return NULL;
+    Py_ssize_t slots = 1;
+    if (capacity != NULL) {
+        slots = PyIndex_Check(capacity) ? PyNumber_AsSsize_t(capacity, NULL) : 0;
+        if (slots == -1 && PyErr_Occurred()) return NULL;
+    }
+    if (slots <= 0) {
+        PyErr_Format(SimulationError, "resource capacity must be a positive integer, got %R",
+                     capacity);
+        return NULL;
+    }
+    if (check_env(env) < 0) return NULL;
+    ResourceObject *self = (ResourceObject *) type->tp_alloc(type, 0);
+    if (self == NULL) return NULL;
+    Py_INCREF(env);
+    self->env = env;
+    self->capacity = slots;
+    self->prioritized = (char) PyType_IsSubtype(type, &PriorityResourceType);
+    self->users = PyList_New(0);
+    self->queue = PyList_New(0);
+    if (self->users == NULL || self->queue == NULL) Py_CLEAR(self);
+    return (PyObject *) self;
+}
+
+static PyObject *resource_request(ResourceObject *self, PyObject *unused) {
+    return make_request(&RequestType, (PyObject *) self, NULL);
+}
+
+static PyObject *priority_resource_request(ResourceObject *self, PyObject *const *args,
+                                           Py_ssize_t nargs, PyObject *kwnames) {
+    static const char *const names[] = {"priority"};
+    PyObject *priority;
+    if (parse_args("request", names, 1, 0, args, nargs, kwnames, &priority) < 0) return NULL;
+    return make_request(&PriorityRequestType, (PyObject *) self, priority ? priority : zero);
+}
+
+static PyObject *resource_release(ResourceObject *self, PyObject *request) {
+    if (release(self, request) < 0) return NULL;
+    Py_RETURN_NONE;
+}
+
+static int resource_traverse(ResourceObject *self, visitproc visit, void *arg) {
+    Py_VISIT(self->env);
+    Py_VISIT(self->users);
+    Py_VISIT(self->queue);
+    return 0;
+}
+
+static int resource_clear(ResourceObject *self) {
+    Py_CLEAR(self->env);
+    Py_CLEAR(self->users);
+    Py_CLEAR(self->queue);
+    return 0;
+}
+
+static void resource_dealloc(ResourceObject *self) {
+    PyObject_GC_UnTrack(self);
+    resource_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+static PyMethodDef resource_methods[] = {
+    {"request", (PyCFunction) resource_request, METH_NOARGS, NULL},
+    {"release", (PyCFunction) resource_release, METH_O,
+     "Free the slot held by ``request`` (no-op if it never got one)."},
+    {NULL}
+};
+
+static PyMethodDef priority_resource_methods[] = {
+    {"request", (PyCFunction)(void (*)(void)) priority_resource_request,
+     METH_FASTCALL | METH_KEYWORDS, NULL},
+    {NULL}
+};
+
+static PyMemberDef resource_members[] = {
+    {"env", T_OBJECT, offsetof(ResourceObject, env), READONLY, NULL},
+    {"capacity", T_PYSSIZET, offsetof(ResourceObject, capacity), READONLY, NULL},
+    {"users", T_OBJECT, offsetof(ResourceObject, users), READONLY, NULL},
+    {NULL}
+};
+
+static PyTypeObject ResourceType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.resources.Resource",
+    .tp_doc = "A resource with ``capacity`` slots and a FIFO wait queue.",
+    .tp_basicsize = sizeof(ResourceObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = resource_new,
+    .tp_dealloc = (destructor) resource_dealloc,
+    .tp_traverse = (traverseproc) resource_traverse,
+    .tp_clear = (inquiry) resource_clear,
+    .tp_methods = resource_methods,
+    .tp_members = resource_members,
+};
+
+static PyTypeObject PriorityResourceType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.resources.PriorityResource",
+    .tp_doc = "A resource whose wait queue is ordered by request priority.",
+    .tp_basicsize = sizeof(ResourceObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_base = &ResourceType,
+    .tp_methods = priority_resource_methods,
+};
+
+/* -- Store ------------------------------------------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *env;
+    PyObject *capacity;   /* as given */
+    PyObject *items, *put_queue, *get_queue;   /* lists */
+    double limit;         /* the capacity as a double */
+} StoreObject;
+
+/* Serves waiting puts and gets, each pass a put before a get. */
+static int store_trigger(StoreObject *self) {
+    for (int progressed = 1; progressed;) {
+        progressed = 0;
+        if (PyList_GET_SIZE(self->put_queue) > 0
+                && (double) PyList_GET_SIZE(self->items) < self->limit) {
+            PyObject *put = pop_front(self->put_queue);
+            int status = put == NULL ? -1
+                : PyList_Append(self->items, ((ItemEventObject *) put)->item) < 0 ? -1
+                : trigger((EventObject *) put, Py_None, NULL);
+            Py_XDECREF(put);
+            if (status < 0) return -1;
+            progressed = 1;
+        }
+        if (PyList_GET_SIZE(self->get_queue) > 0 && PyList_GET_SIZE(self->items) > 0) {
+            PyObject *get = pop_front(self->get_queue);
+            PyObject *item = get == NULL ? NULL : pop_front(self->items);
+            int status = item == NULL ? -1 : trigger((EventObject *) get, item, NULL);
+            Py_XDECREF(item);
+            Py_XDECREF(get);
+            if (status < 0) return -1;
+            progressed = 1;
+        }
+    }
+    return 0;
+}
+
+/* A put (item given) or a get (item NULL) on the store `owner`. */
+static PyObject *store_wait(PyTypeObject *type, PyObject *owner, PyObject *item) {
+    if (!PyObject_TypeCheck(owner, &StoreType)) {
+        PyErr_Format(PyExc_TypeError, "%R is not a Store", owner);
+        return NULL;
+    }
+    StoreObject *store = (StoreObject *) owner;
+    ItemEventObject *event = queue_event(type, store->env,
+                                         item ? store->put_queue : store->get_queue, item);
+    if (event != NULL && store_trigger(store) < 0) Py_CLEAR(event);
+    return (PyObject *) event;
+}
+
+static PyObject *store_put(PyObject *self, PyObject *item) {
+    return store_wait(&StorePutType, self, item);
+}
+
+static PyObject *store_get(PyObject *self, PyObject *unused) {
+    return store_wait(&StoreGetType, self, NULL);
+}
+
+static PyObject *store_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    static char *kwlist[] = {"env", "capacity", NULL};
+    PyObject *env, *capacity = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O:Store", kwlist, &env, &capacity))
+        return NULL;
+    double limit = capacity ? PyFloat_AsDouble(capacity) : Py_HUGE_VAL;
+    if (limit == -1.0 && PyErr_Occurred()) return NULL;
+    if (!(limit > 0)) {
+        PyErr_Format(SimulationError, "store capacity must be positive, got %R", capacity);
+        return NULL;
+    }
+    if (check_env(env) < 0) return NULL;
+    StoreObject *self = (StoreObject *) type->tp_alloc(type, 0);
+    if (self == NULL) return NULL;
+    Py_INCREF(env);
+    self->env = env;
+    Py_XINCREF(capacity);
+    self->capacity = capacity ? capacity : PyFloat_FromDouble(limit);
+    self->limit = limit;
+    self->items = PyList_New(0);
+    self->put_queue = PyList_New(0);
+    self->get_queue = PyList_New(0);
+    if (self->capacity == NULL || self->items == NULL || self->put_queue == NULL
+            || self->get_queue == NULL)
+        Py_CLEAR(self);
+    return (PyObject *) self;
+}
+
+static int store_traverse(StoreObject *self, visitproc visit, void *arg) {
+    Py_VISIT(self->env);
+    Py_VISIT(self->capacity);
+    Py_VISIT(self->items);
+    Py_VISIT(self->put_queue);
+    Py_VISIT(self->get_queue);
+    return 0;
+}
+
+static int store_clear(StoreObject *self) {
+    Py_CLEAR(self->env);
+    Py_CLEAR(self->capacity);
+    Py_CLEAR(self->items);
+    Py_CLEAR(self->put_queue);
+    Py_CLEAR(self->get_queue);
+    return 0;
+}
+
+static void store_dealloc(StoreObject *self) {
+    PyObject_GC_UnTrack(self);
+    store_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+static PyMethodDef store_methods[] = {
+    {"put", store_put, METH_O, NULL},
+    {"get", store_get, METH_NOARGS, NULL},
+    {NULL}
+};
+
+static PyMemberDef store_members[] = {
+    {"env", T_OBJECT, offsetof(StoreObject, env), READONLY, NULL},
+    {"capacity", T_OBJECT, offsetof(StoreObject, capacity), READONLY, NULL},
+    {"items", T_OBJECT, offsetof(StoreObject, items), READONLY, NULL},
+    {NULL}
+};
+
+static PyTypeObject StoreType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.resources.Store",
+    .tp_doc = "A FIFO item buffer with optional capacity.",
+    .tp_basicsize = sizeof(StoreObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = store_new,
+    .tp_dealloc = (destructor) store_dealloc,
+    .tp_traverse = (traverseproc) store_traverse,
+    .tp_clear = (inquiry) store_clear,
+    .tp_methods = store_methods,
+    .tp_members = store_members,
+};
+
+/* -- Container -------------------------------------------------------- */
+
+/* The level moves by the reference's own number arithmetic, so it and
+   min_level keep its types (an int container stays int). */
+typedef struct {
+    PyObject_HEAD
+    PyObject *env;
+    PyObject *capacity, *level, *min_level;
+    PyObject *put_queue, *get_queue;   /* lists */
+    double limit;         /* the capacity as a double */
+} ContainerObject;
+
+/* Serves waiting puts and gets, each pass a put before a get. */
+static int container_trigger(ContainerObject *self) {
+    for (int progressed = 1; progressed;) {
+        progressed = 0;
+        if (PyList_GET_SIZE(self->put_queue) > 0) {
+            PyObject *amount = ((ItemEventObject *) PyList_GET_ITEM(self->put_queue, 0))->item;
+            PyObject *level = PyNumber_Add(self->level, amount);
+            int fits = level == NULL ? -1 : PyObject_RichCompareBool(level, self->capacity, Py_LE);
+            PyObject *put = fits > 0 ? pop_front(self->put_queue) : NULL;
+            if (put == NULL) {
+                Py_XDECREF(level);
+                if (fits != 0) return -1;
+            } else {
+                Py_SETREF(self->level, level);
+                int status = trigger((EventObject *) put, Py_None, NULL);
+                Py_DECREF(put);
+                if (status < 0) return -1;
+                progressed = 1;
+            }
+        }
+        if (PyList_GET_SIZE(self->get_queue) > 0) {
+            PyObject *amount = ((ItemEventObject *) PyList_GET_ITEM(self->get_queue, 0))->item;
+            int enough = PyObject_RichCompareBool(self->level, amount, Py_GE);
+            if (enough < 0) return -1;
+            if (enough) {
+                PyObject *get = pop_front(self->get_queue);
+                PyObject *level = get == NULL ? NULL : PyNumber_Subtract(self->level, amount);
+                if (level == NULL) {
+                    Py_XDECREF(get);
+                    return -1;
+                }
+                Py_SETREF(self->level, level);
+                /* min(min_level, level): the level only when strictly lower */
+                int lower = PyObject_RichCompareBool(level, self->min_level, Py_LT);
+                if (lower > 0) {
+                    Py_INCREF(level);
+                    Py_SETREF(self->min_level, level);
+                }
+                int status = lower < 0 ? -1
+                    : trigger((EventObject *) get, ((ItemEventObject *) get)->item, NULL);
+                Py_DECREF(get);
+                if (status < 0) return -1;
+                progressed = 1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* A put or a get of `amount` on the container `owner`; an amount that is
+   not finite and positive or exceeds the capacity is refused. */
+static PyObject *container_wait(PyTypeObject *type, PyObject *owner, PyObject *amount) {
+    if (!PyObject_TypeCheck(owner, &ContainerType)) {
+        PyErr_Format(PyExc_TypeError, "%R is not a Container", owner);
+        return NULL;
+    }
+    ContainerObject *container = (ContainerObject *) owner;
+    int put = type == &ContainerPutType;
+    double value = PyFloat_AsDouble(amount);
+    if (value == -1.0 && PyErr_Occurred()) return NULL;
+    if (!(value > 0 && value <= container->limit && isfinite(value))) {
+        PyErr_Format(SimulationError, "%s amount must be positive, finite and at most the "
+                     "capacity, got %R", put ? "put" : "get", amount);
+        return NULL;
+    }
+    ItemEventObject *event = queue_event(type, container->env,
+                                         put ? container->put_queue : container->get_queue,
+                                         amount);
+    if (event != NULL && container_trigger(container) < 0) Py_CLEAR(event);
+    return (PyObject *) event;
+}
+
+static PyObject *container_put(PyObject *self, PyObject *amount) {
+    return container_wait(&ContainerPutType, self, amount);
+}
+
+static PyObject *container_get(PyObject *self, PyObject *amount) {
+    return container_wait(&ContainerGetType, self, amount);
+}
+
+/* A positive capacity and 0 <= init <= capacity, compared as the
+   reference compares them; sets the limit. */
+static int check_levels(ContainerObject *self) {
+    int ok = PyObject_RichCompareBool(self->capacity, zero, Py_GT);
+    if (ok == 0)
+        PyErr_Format(SimulationError, "container capacity must be positive, got %R",
+                     self->capacity);
+    if (ok <= 0) return -1;
+    ok = PyObject_RichCompareBool(self->level, zero, Py_GE);
+    if (ok > 0) ok = PyObject_RichCompareBool(self->level, self->capacity, Py_LE);
+    if (ok == 0) PyErr_SetString(SimulationError, "init level out of range");
+    if (ok <= 0) return -1;
+    self->limit = PyFloat_AsDouble(self->capacity);
+    return self->limit == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *container_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    static char *kwlist[] = {"env", "capacity", "init", NULL};
+    PyObject *env, *capacity = NULL, *init = zero;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|OO:Container", kwlist,
+                                     &env, &capacity, &init)
+            || check_env(env) < 0)
+        return NULL;
+    ContainerObject *self = (ContainerObject *) type->tp_alloc(type, 0);
+    if (self == NULL) return NULL;
+    Py_INCREF(env);
+    self->env = env;
+    Py_XINCREF(capacity);
+    self->capacity = capacity ? capacity : PyFloat_FromDouble(Py_HUGE_VAL);
+    Py_INCREF(init);
+    self->level = init;
+    Py_INCREF(init);
+    self->min_level = init;
+    self->put_queue = PyList_New(0);
+    self->get_queue = PyList_New(0);
+    if (self->capacity == NULL || self->put_queue == NULL || self->get_queue == NULL
+            || check_levels(self) < 0)
+        Py_CLEAR(self);
+    return (PyObject *) self;
+}
+
+static int container_traverse(ContainerObject *self, visitproc visit, void *arg) {
+    Py_VISIT(self->env);
+    Py_VISIT(self->capacity);
+    Py_VISIT(self->level);
+    Py_VISIT(self->min_level);
+    Py_VISIT(self->put_queue);
+    Py_VISIT(self->get_queue);
+    return 0;
+}
+
+static int container_clear(ContainerObject *self) {
+    Py_CLEAR(self->env);
+    Py_CLEAR(self->capacity);
+    Py_CLEAR(self->level);
+    Py_CLEAR(self->min_level);
+    Py_CLEAR(self->put_queue);
+    Py_CLEAR(self->get_queue);
+    return 0;
+}
+
+static void container_dealloc(ContainerObject *self) {
+    PyObject_GC_UnTrack(self);
+    container_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+static PyMethodDef container_methods[] = {
+    {"put", container_put, METH_O, NULL},
+    {"get", container_get, METH_O, NULL},
+    {NULL}
+};
+
+static PyMemberDef container_members[] = {
+    {"env", T_OBJECT, offsetof(ContainerObject, env), READONLY, NULL},
+    {"capacity", T_OBJECT, offsetof(ContainerObject, capacity), READONLY, NULL},
+    {"level", T_OBJECT, offsetof(ContainerObject, level), READONLY, NULL},
+    {"min_level", T_OBJECT, offsetof(ContainerObject, min_level), READONLY, NULL},
+    {NULL}
+};
+
+static PyTypeObject ContainerType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.resources.Container",
+    .tp_doc = "A homogeneous quantity (e.g. credits, bytes of buffer space).",
+    .tp_basicsize = sizeof(ContainerObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = container_new,
+    .tp_dealloc = (destructor) container_dealloc,
+    .tp_traverse = (traverseproc) container_traverse,
+    .tp_clear = (inquiry) container_clear,
+    .tp_methods = container_methods,
+    .tp_members = container_members,
+};
+
+/* -- put and get events ----------------------------------------------- */
+
+/* StorePut(store, item), StoreGet(store), ContainerPut(container, amount)
+   and ContainerGet(container, amount), as the owner's put and get. */
+static PyObject *wait_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    Py_ssize_t count = type == &StoreGetType ? 1 : 2;
+    PyObject *owner, *arg = NULL;
+    if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
+        PyErr_Format(PyExc_TypeError, "%s() takes positional arguments only", type->tp_name);
+        return NULL;
+    }
+    if (!PyArg_UnpackTuple(args, type->tp_name, count, count, &owner, &arg)) return NULL;
+    if (type == &StorePutType || type == &StoreGetType) return store_wait(type, owner, arg);
+    return container_wait(type, owner, arg);
+}
+
+static PyMemberDef store_put_members[] = {
+    {"item", T_OBJECT, offsetof(ItemEventObject, item), READONLY, NULL},
+    {NULL}
+};
+
+static PyMemberDef amount_members[] = {
+    {"amount", T_OBJECT, offsetof(ItemEventObject, item), READONLY, NULL},
+    {NULL}
+};
+
+#define ITEM_EVENT_TYPE(name, members) {                        \
+    PyVarObject_HEAD_INIT(NULL, 0)                               \
+    .tp_name = "repro.simkit.resources." name,                   \
+    .tp_basicsize = sizeof(ItemEventObject),                     \
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,         \
+    .tp_base = &EventType,                                       \
+    .tp_new = wait_new,                                          \
+    .tp_init = noop_init,                                        \
+    .tp_dealloc = (destructor) item_event_dealloc,               \
+    .tp_traverse = (traverseproc) item_event_traverse,           \
+    .tp_clear = (inquiry) item_event_clear,                      \
+    .tp_members = members,                                       \
+}
+
+static PyTypeObject StorePutType = ITEM_EVENT_TYPE("StorePut", store_put_members);
+static PyTypeObject ContainerPutType = ITEM_EVENT_TYPE("ContainerPut", amount_members);
+static PyTypeObject ContainerGetType = ITEM_EVENT_TYPE("ContainerGet", amount_members);
+
+static PyTypeObject StoreGetType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.resources.StoreGet",
+    .tp_basicsize = sizeof(EventObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_base = &EventType,
+    .tp_new = wait_new,
+    .tp_init = noop_init,
 };
 
 /* == fluid kernel ====================================================== */
@@ -1607,7 +2579,6 @@ typedef struct {
     char coalesce, recompute_pending;
 } NetObject;
 
-static PyObject *zero;            /* 0.0 */
 static PyObject *str_underscore_value, *str_started_at, *str_completed_at, *str_size,
     *str_path, *str_path_index, *str_done, *str_underscore_net, *str_underscore_row,
     *str_underscore_remaining, *str_underscore_rate, *str_ledger, *str_grow_rows,
@@ -2079,17 +3050,23 @@ PyMODINIT_FUNC PyInit__ckernel(void) {
         if ((*interned[i].slot = PyUnicode_InternFromString(interned[i].name)) == NULL)
             return NULL;
     if ((zero = PyFloat_FromDouble(0.0)) == NULL) return NULL;
-    if (PyType_Ready(&EventType) < 0 || PyType_Ready(&TimeoutType) < 0
-            || PyType_Ready(&ProcessType) < 0 || PyType_Ready(&EnvType) < 0
-            || PyType_Ready(&PackType) < 0 || PyType_Ready(&NetType) < 0)
-        return NULL;
+    /* Exported under their tp_name's last part; PackType stays private. */
+    PyTypeObject *types[] = {
+        &EventType, &TimeoutType, &ProcessType, &EnvType, &ConditionType, &AllOfType,
+        &AnyOfType, &RequestType, &PriorityRequestType, &ResourceType, &PriorityResourceType,
+        &StorePutType, &StoreGetType, &StoreType, &ContainerPutType, &ContainerGetType,
+        &ContainerType, &NetType,
+    };
+    const int count = sizeof(types) / sizeof(types[0]);
+    if (PyType_Ready(&PackType) < 0) return NULL;
+    for (int i = 0; i < count; i++)
+        if (PyType_Ready(types[i]) < 0) return NULL;
     PyObject *module = PyModule_Create(&module_def);
     if (module == NULL) return NULL;
-    PyTypeObject *types[] = {&EventType, &TimeoutType, &ProcessType, &EnvType, &NetType};
-    const char *names[] = {"Event", "Timeout", "Process", "Environment", "FluidNetwork"};
-    for (int i = 0; i < 5; i++) {
+    for (int i = 0; i < count; i++) {
+        const char *name = strrchr(types[i]->tp_name, '.') + 1;
         Py_INCREF(types[i]);
-        if (PyModule_AddObject(module, names[i], (PyObject *) types[i]) < 0) {
+        if (PyModule_AddObject(module, name, (PyObject *) types[i]) < 0) {
             Py_DECREF(types[i]);
             Py_DECREF(module);
             return NULL;

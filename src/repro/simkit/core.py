@@ -11,9 +11,9 @@ breaks ties in the event heap).
 
 The pure-python classes below are the reference kernel.  When the compiled
 event kernel (``_eventcore.py``) builds, its ``Event``, ``Timeout``,
-``Process`` and ``Environment`` base replace them with the same event
-order, and ``Condition``/``AllOf``/``AnyOf`` subclass the compiled
-``Event``; ``KERNEL`` names the kernel in use.
+``Process``, ``Condition``/``AllOf``/``AnyOf`` and ``Environment`` base
+replace them with the same event order (and its resource types replace
+those of ``resources.py``); ``KERNEL`` names the kernel in use.
 
 The kernel carries only what the simulator runs: a process waits on one
 event, on all of several (:class:`AllOf`) or on the first of several
@@ -543,3 +543,6 @@ class AnyOf(Condition):
 
 if _ckernel is not None:
     _ckernel.setup(SimulationError, _PENDING)
+    Condition = _ckernel.Condition  # noqa: F811
+    AllOf = _ckernel.AllOf  # noqa: F811
+    AnyOf = _ckernel.AnyOf  # noqa: F811

@@ -10,12 +10,25 @@ an item store, and a numeric container.  All follow the SimPy usage idiom::
 Releases happen either via the context manager or an explicit
 ``resource.release(request)``.  ``Resource.users`` holds the granted
 requests; the wait queue is private.
+
+Arguments that could only block forever are refused at the call with
+:class:`SimulationError`: a ``Resource`` capacity that is not a positive
+integer, a NaN ``Store`` or ``Container`` capacity, a NaN request
+priority, and a ``Container`` amount that is not finite or exceeds the
+capacity.
+
+The classes below are the reference.  When the compiled event kernel
+builds, its C types of the same names replace them with the same event
+order (see ``_eventcore.py``).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Any, List
 
+from . import core
 from .core import Environment, Event, SimulationError
 
 __all__ = [
@@ -55,8 +68,14 @@ class Resource:
     """A resource with ``capacity`` slots and a FIFO wait queue."""
 
     def __init__(self, env: Environment, capacity: int = 1):
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
+        try:
+            slots = operator.index(capacity)
+        except TypeError:
+            slots = 0
+        if slots <= 0:
+            raise SimulationError(
+                f"resource capacity must be a positive integer, got {capacity!r}"
+            )
         self.env = env
         self.capacity = capacity
         self.users: List[Request] = []
@@ -92,6 +111,8 @@ class PriorityRequest(Request):
     _seq = 0
 
     def __init__(self, resource: "PriorityResource", priority: float = 0.0):
+        if priority != priority:
+            raise SimulationError("request priority must not be NaN")
         self.priority = priority
         PriorityRequest._seq += 1
         self.time = resource.env.now
@@ -136,8 +157,8 @@ class Store:
     """A FIFO item buffer with optional capacity."""
 
     def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise SimulationError("store capacity must be positive")
+        if not capacity > 0:
+            raise SimulationError(f"store capacity must be positive, got {capacity!r}")
         self.env = env
         self.capacity = capacity
         self.items: List[Any] = []
@@ -165,12 +186,20 @@ class Store:
                 progressed = True
 
 
+def _check_amount(kind: str, container: "Container", amount: float) -> None:
+    """Refuse an amount no put or get could ever move."""
+    if not (0 < amount <= container.capacity and math.isfinite(amount)):
+        raise SimulationError(
+            f"{kind} amount must be positive, finite and at most the "
+            f"capacity, got {amount!r}"
+        )
+
+
 class ContainerPut(Event):
     __slots__ = ("amount",)
 
     def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise SimulationError("put amount must be positive")
+        _check_amount("put", container, amount)
         super().__init__(container.env)
         self.amount = amount
         container._put_queue.append(self)
@@ -181,8 +210,7 @@ class ContainerGet(Event):
     __slots__ = ("amount",)
 
     def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise SimulationError("get amount must be positive")
+        _check_amount("get", container, amount)
         super().__init__(container.env)
         self.amount = amount
         container._get_queue.append(self)
@@ -198,8 +226,10 @@ class Container:
         capacity: float = float("inf"),
         init: float = 0.0,
     ):
-        if capacity <= 0:
-            raise SimulationError("container capacity must be positive")
+        if not capacity > 0:
+            raise SimulationError(
+                f"container capacity must be positive, got {capacity!r}"
+            )
         if not 0 <= init <= capacity:
             raise SimulationError("init level out of range")
         self.env = env
@@ -237,3 +267,17 @@ class Container:
                 self.min_level = min(self.min_level, self._level)
                 get.succeed(get.amount)
                 progressed = True
+
+
+if core._ckernel is not None:
+    _ckernel = core._ckernel
+    Request = _ckernel.Request  # noqa: F811
+    Resource = _ckernel.Resource  # noqa: F811
+    PriorityRequest = _ckernel.PriorityRequest  # noqa: F811
+    PriorityResource = _ckernel.PriorityResource  # noqa: F811
+    StorePut = _ckernel.StorePut  # noqa: F811
+    StoreGet = _ckernel.StoreGet  # noqa: F811
+    Store = _ckernel.Store  # noqa: F811
+    ContainerPut = _ckernel.ContainerPut  # noqa: F811
+    ContainerGet = _ckernel.ContainerGet  # noqa: F811
+    Container = _ckernel.Container  # noqa: F811

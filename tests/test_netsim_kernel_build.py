@@ -191,6 +191,9 @@ def test_compiled_entries_are_builtins_of_the_one_extension():
     assert _eventcore.kernel() is ext
     assert repro.simkit.core.Event is ext.Event
     assert ext.Environment in repro.simkit.core.Environment.__mro__
+    for name in ("Condition", "AllOf", "AnyOf", "Request", "Resource", "PriorityRequest",
+                 "PriorityResource", "Store", "Container"):
+        assert getattr(repro.simkit, name) is getattr(ext, name), name
     kernel = _waterfill.kernel()
     for name in ENTRIES:
         entry = getattr(kernel, name)

@@ -6,13 +6,20 @@ the reference kernel (:func:`tests.conftest.reference_simkit`).  Each
 process runs a random program of timeouts (equal-time ones included),
 waits on events, ``AllOf``/``AnyOf`` over processed and pending events,
 ``succeed``/``fail`` calls and instant-end hooks that schedule more
-events; some start at ``priority > 1``.  Rules also trigger from
-outside, and drive the clock with ``run(until=time)`` and
-``run(until=event)``.
+events; some start at ``priority > 1``.  Programs also use the wait
+primitives: ``with``-scoped claims on a ``Resource`` and on a
+``PriorityResource`` (equal priorities included), bare requests that any
+op may later wait on, trigger or release (granted or not), puts and gets
+on a bounded and an unbounded ``Store`` (whose ``items`` list they may
+also append to directly), and ``Container`` puts and gets.
+Rules also trigger and release from outside, and drive the clock with
+``run(until=time)`` and ``run(until=event)``.
 
 Both sides log every resume with the clock, the value received and every
 exception that escapes a drive; after every rule the logs, the clock,
-``peek()``, ``events_processed`` and each event's state must be equal.
+``peek()``, ``events_processed``, each event's state, the resources'
+``users``, the stores' ``items`` and the container's ``level`` and
+``min_level`` must be equal.
 Every program is finite, so each drive ends; the clock advances and the
 final drain are ``step()`` loops under a hard budget all the same.
 """
@@ -30,6 +37,7 @@ from tests.conftest import reference_simkit
 _STEP_BUDGET = 5000
 _delays = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5])
 _index = st.integers(min_value=0, max_value=31)
+_priority = st.sampled_from([0, 1, 1])
 _op = st.one_of(
     st.tuples(st.just("timeout"), _delays),
     st.tuples(st.just("wait"), _index),
@@ -39,6 +47,11 @@ _op = st.one_of(
     st.tuples(st.just("fail"), _index),
     st.tuples(st.just("defer"), _delays),
     st.tuples(st.just("raise"), st.none()),
+    st.tuples(st.sampled_from(["claim", "priority_claim"]), st.tuples(_priority, _delays)),
+    st.tuples(st.just("request"), st.tuples(st.booleans(), _priority)),
+    st.tuples(st.just("release"), _index),
+    st.tuples(st.sampled_from(["put", "get", "stock"]), st.booleans()),
+    st.tuples(st.sampled_from(["container_put", "container_get"]), st.sampled_from([1, 2])),
 )
 
 
@@ -50,11 +63,17 @@ def _outcome(exc: BaseException):
 class _Side:
     """One kernel's environment, the events it tracks and its log."""
 
-    def __init__(self, simkit, start: float):
+    def __init__(self, simkit, start: float, slots: int):
         self.simkit = simkit
-        self.env = simkit.Environment(start)
+        self.env = env = simkit.Environment(start)
         self.events = []  # events and processes, in creation order
         self.log = []
+        self.resource = simkit.Resource(env, capacity=slots)
+        self.arbiter = simkit.PriorityResource(env)
+        self.stores = (simkit.Store(env, capacity=1), simkit.Store(env))
+        self.credits = simkit.Container(env, capacity=3, init=2)
+        self.requests = []  # bare requests, in creation order
+        self.labels = {}  # request -> the label of the op that made it
 
     def track(self, event):
         self.events.append(event)
@@ -66,9 +85,42 @@ class _Side:
     def record(self, *entry):
         self.log.append((self.env.now,) + entry)
 
+    def request(self, label: str, prioritized: bool, priority):
+        request = (self.arbiter.request(priority=priority) if prioritized
+                   else self.resource.request())
+        self.labels[request] = label
+        return request
+
+    def claim(self, label: str, prioritized: bool, arg):
+        """A ``with``-scoped request, held for a delay once granted."""
+        priority, hold = arg
+        with self.request(label, prioritized, priority) as request:
+            yield request
+            self.record(label, "granted")
+            yield self.env.timeout(hold)
+
     def act(self, label: str, kind: str, arg):
         """The ops that do not wait; returns the event to wait on, if any."""
         env, simkit = self.env, self.simkit
+        if kind == "request":
+            self.requests.append(self.track(self.request(label, *arg)))
+            return None
+        if kind == "release":
+            if self.requests:
+                request = self.requests[arg % len(self.requests)]
+                try:
+                    request.resource.release(request)
+                except simkit.SimulationError as exc:  # it granted a triggered request
+                    self.record(label, "refused", _outcome(exc))
+            return None
+        if kind == "stock":  # ``items`` is a real list that code may edit
+            self.stores[arg].items.append(label)
+            return None
+        if kind in ("put", "get"):
+            store = self.stores[arg]
+            return store.put(label) if kind == "put" else store.get()
+        if kind in ("container_put", "container_get"):
+            return self.credits.put(arg) if kind == "container_put" else self.credits.get(arg)
         if kind == "timeout":
             return env.timeout(arg, value=label)
         if kind == "wait":
@@ -104,6 +156,9 @@ class _Side:
         for step, (kind, arg) in enumerate(ops):
             label = f"{name}.{step}"
             try:
+                if kind in ("claim", "priority_claim"):
+                    yield from self.claim(label, kind == "priority_claim", arg)
+                    continue
                 target = self.act(label, kind, arg)
                 if target is None:
                     continue
@@ -144,13 +199,26 @@ class _Side:
             for event in self.events
         ]
 
+    def holdings(self):
+        """The wait primitives' visible state."""
+        return (
+            [self.labels[request] for request in self.resource.users],
+            [self.labels[request] for request in self.arbiter.users],
+            [list(store.items) for store in self.stores],
+            self.credits.level,
+            self.credits.min_level,
+        )
+
 
 class LockstepKernels(RuleBasedStateMachine):
     """Compiled side ``a`` and reference side ``b``."""
 
-    @initialize(start=st.sampled_from([0.0, 1.0, 3.3e8]))
-    def build(self, start):
-        self.sides = (_Side(repro.simkit, start), _Side(reference_simkit(), start))
+    @initialize(start=st.sampled_from([0.0, 1.0, 3.3e8]), slots=st.sampled_from([1, 2]))
+    def build(self, start, slots):
+        self.sides = (
+            _Side(repro.simkit, start, slots),
+            _Side(reference_simkit(), start, slots),
+        )
         self.processes = 0
 
     def _each(self, action):
@@ -169,11 +237,15 @@ class LockstepKernels(RuleBasedStateMachine):
             side.env.process(side.program(name, ops), name=name, priority=priority)
         ))
 
-    @rule(kind=st.sampled_from(["succeed", "fail", "defer"]),
+    @rule(kind=st.sampled_from(["succeed", "fail", "defer", "release", "stock"]),
           arg=_index, delay=_delays)
     def act_from_outside(self, kind, arg, delay):
         label = f"outside{len(self.sides[0].log)}"
-        self._each(lambda side: side.act(label, kind, delay if kind == "defer" else arg))
+        if kind == "defer":
+            arg = delay
+        elif kind == "stock":
+            arg = arg % 2
+        self._each(lambda side: side.act(label, kind, arg))
 
     @rule(gap=_delays)
     def advance(self, gap):
@@ -199,6 +271,7 @@ class LockstepKernels(RuleBasedStateMachine):
         assert a.env.events_processed == b.env.events_processed
         assert a.env.processes_started == b.env.processes_started
         assert a.state() == b.state()
+        assert a.holdings() == b.holdings()
         assert sorted(p.name for p in a.env.blocked_processes()) == sorted(
             p.name for p in b.env.blocked_processes()
         )
@@ -233,11 +306,28 @@ def _public_names(simkit):
     def program():
         yield env.timeout(1)
 
+    resource = simkit.Resource(env)
+    arbiter = simkit.PriorityResource(env)
+    store = simkit.Store(env)
+    credits = simkit.Container(env, capacity=2, init=1)
     instances = {
         "Environment": env,
         "Event": env.event(),
         "Timeout": env.timeout(1),
         "Process": env.process(program()),
+        "Condition": simkit.Condition(env, lambda total, done: done == total, [env.event()]),
+        "AllOf": simkit.AllOf(env, [env.event()]),
+        "AnyOf": simkit.AnyOf(env, []),
+        "Resource": resource,
+        "Request": resource.request(),
+        "PriorityResource": arbiter,
+        "PriorityRequest": arbiter.request(priority=1),
+        "Store": store,
+        "StorePut": store.put("item"),
+        "StoreGet": store.get(),
+        "Container": credits,
+        "ContainerPut": credits.put(1),
+        "ContainerGet": credits.get(1),
     }
     return {
         kind: sorted(name for name in dir(obj) if not name.startswith("_"))

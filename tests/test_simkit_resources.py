@@ -289,3 +289,131 @@ def test_container_put_blocks_at_capacity():
     env.process(getter())
     env.run()
     assert log == [8]
+
+
+@pytest.mark.parametrize("make", [
+    lambda env: Resource(env, capacity=1.5),
+    lambda env: Resource(env, capacity=2.0),
+    lambda env: Resource(env, capacity=-1),
+    lambda env: Store(env, capacity=float("nan")),
+    lambda env: Store(env, capacity=0),
+    lambda env: Container(env, capacity=float("nan")),
+    lambda env: Container(env, capacity=4, init=5),
+    lambda env: PriorityResource(env).request(priority=float("nan")),
+    lambda env: Container(env, capacity=4, init=4).get(float("nan")),
+    lambda env: Container(env, capacity=4, init=4).get(5),
+    lambda env: Container(env, capacity=4).put(5),
+    lambda env: Container(env, capacity=4).put(float("nan")),
+    lambda env: Container(env).put(float("inf")),
+    lambda env: Container(env, init=1).get(float("inf")),
+], ids=[
+    "resource-fractional", "resource-float", "resource-negative",
+    "store-nan", "store-zero", "container-nan", "container-init-above",
+    "priority-nan", "get-nan", "get-above-capacity", "put-above-capacity",
+    "put-nan", "put-inf", "get-inf",
+])
+def test_arguments_that_could_only_block_forever_are_refused(make):
+    """Each of these used to be accepted and then wait forever, ending the
+    run in a StalledSimulationError far from the call."""
+    env = Environment()
+    with pytest.raises(SimulationError):
+        make(env)
+    assert env.peek() == float("inf")
+
+
+def test_refusals_name_the_argument():
+    env = Environment()
+    with pytest.raises(SimulationError, match="positive integer, got 1.5"):
+        Resource(env, capacity=1.5)
+    with pytest.raises(SimulationError, match="store capacity must be positive, got nan"):
+        Store(env, capacity=float("nan"))
+    with pytest.raises(SimulationError, match="at most the capacity, got 5"):
+        Container(env, capacity=4).put(5)
+
+
+def test_amounts_up_to_capacity_are_served():
+    env = Environment()
+    container = Container(env, capacity=4, init=0)
+    log = []
+
+    def proc():
+        yield container.put(4)
+        yield container.get(4.0)
+        log.append((env.now, container.level))
+
+    env.process(proc())
+    env.run()
+    assert log == [(0, 0.0)]
+
+
+def test_integer_levels_stay_integers():
+    """The level moves by the arguments' own arithmetic: an int container
+    reports int levels (the credit gauges read them)."""
+    env = Environment()
+    credits = Container(env, capacity=4, init=4)
+
+    def proc():
+        yield credits.get(3)
+        yield credits.put(1)
+
+    env.process(proc())
+    env.run()
+    assert (credits.level, credits.min_level) == (2, 1)
+    assert type(credits.level) is int and type(credits.min_level) is int
+    assert type(Container(env).level) is float
+
+
+def test_priority_ties_at_one_instant_go_in_request_order():
+    env = Environment()
+    arbiter = PriorityResource(env, capacity=1)
+    order = []
+
+    def user(name, priority):
+        with arbiter.request(priority=priority) as req:
+            yield req
+            order.append(name)
+            yield env.timeout(1)
+
+    for name, priority in [("hold", 0), ("a", 2), ("b", 1), ("c", 2), ("d", 1)]:
+        env.process(user(name, priority))
+    env.run()
+    assert order == ["hold", "b", "d", "a", "c"]
+
+
+def test_withdrawn_priority_request_keeps_the_queue_order():
+    env = Environment()
+    arbiter = PriorityResource(env, capacity=1)
+    holder = arbiter.request(priority=0)
+    waiting = [arbiter.request(priority=p) for p in (3, 1, 2, 1, 3)]
+    arbiter.release(waiting[1])  # withdrawn before its grant
+    granted = []
+    for _ in range(len(waiting)):
+        arbiter.release(arbiter.users[0])
+        granted.extend(arbiter.users)
+    assert holder.triggered and not waiting[1].triggered
+    assert granted == [waiting[3], waiting[2], waiting[0], waiting[4]]
+    assert arbiter.users == []
+
+
+def test_store_serves_the_put_before_the_get_in_each_pass():
+    """An item placed in ``items`` directly (it is a real list) while a get
+    waits: the next put is granted first, then the waiting get."""
+    env = Environment()
+    store = Store(env)
+    log = []
+
+    def getter():
+        log.append(("got", (yield store.get())))
+
+    def putter():
+        yield env.timeout(1)
+        store.items.append("direct")
+        yield store.put("put")
+        log.append("put done")
+
+    env.process(getter())
+    env.process(putter())
+    env.run()
+    assert log == ["put done", ("got", "direct")]
+    assert store.items == ["put"]
+
