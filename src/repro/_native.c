@@ -13,7 +13,8 @@
      plus the two packers, ledger() and tables(), whose objects carry the
      network's arrays into those loops, and the network's bookkeeping
      around them: activate, fire and recompute, over the state of the
-     FluidNetwork base type behind repro.netsim.fluid.FluidNetwork.
+     FluidNetwork base type behind repro.netsim.fluid.FluidNetwork and
+     the fields of the Flow base type behind repro.netsim.fluid.Flow.
 
    Every fluid entry is a METH_FASTCALL function, and every array reaches
    C through the buffer protocol: a packer holds one buffer view per
@@ -28,6 +29,13 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+#if PY_VERSION_HEX < 0x030A0000
+static inline PyObject *Py_NewRef(PyObject *obj) {
+    Py_INCREF(obj);
+    return obj;
+}
+#endif
 
 /* == event kernel ====================================================== */
 
@@ -1868,6 +1876,9 @@ typedef struct {
     int64_t *link_state;          /* [links*8] */
     double *link_values;          /* [links*4] */
     unsigned char *flags;         /* [links+groups] */
+    int64_t *changes;             /* [1+groups] how many groups admit and retire
+                                     listed since the last fill, then their ids */
+    unsigned char *listed;        /* [groups] 1 while a group is on that list */
 } fill_t;
 
 /* A changed link's share key at the start of a logged round, with the
@@ -1904,7 +1915,13 @@ static double changed_key(int64_t link, int64_t at, const double *capacity,
    its count delta; and scans on from round r.  Before round r no changed
    group is fixed, so every link's residual is the logged one and every
    load the logged one plus its delta, bit for bit (DESIGN §8).  The
-   caller zeroes meta[0] whenever the capacities change. */
+   caller zeroes meta[0] whenever the capacities change.
+
+   The changed groups are the ones admit and retire listed since the
+   last fill (f->changes), so a resumed fill reads no group or link it
+   does not recompute; its link flags are cleared on the way out, and
+   its rates are f->group_rates, which the network passes as `grates`
+   (any other array gets a copy). */
 static void waterfill(
     int64_t nl, int64_t ng,
     const double *capacity,       /* [nl] */
@@ -1931,36 +1948,35 @@ static void waterfill(
     int64_t *rec = f->records, *log_groups = f->log_groups;
     double *before = f->before, *rates = f->group_rates;
     int64_t logged = meta[0], width = meta[1], n = meta[3], nchanged = 0;
-    /* Mark the links of the groups whose count differs from the
-       snapshot (groups past it count as 0), sum each one's count delta,
-       and take the new snapshot.  Most counts are unchanged: one memcmp
-       clears a block of them. */
-    memset(is_changed, 0, nl);
-    for (int64_t lo = 0; lo < ng; lo += 64) {
-        int64_t hi = lo + 64 < ng ? lo + 64 : ng;
-        if (hi <= width && memcmp(gcount + lo, snapshot + lo,
-                                  (hi - lo) * sizeof(int64_t)) == 0)
-            continue;
-        for (int64_t g = lo; g < hi; g++) {
-            int64_t old = g < width ? snapshot[g] : 0;
-            if (gcount[g] == old) continue;
-            snapshot[g] = gcount[g];
-            for (int64_t c = 0; c < 2; c++) {
-                int64_t link = gpaths[2 * g + c];
-                if (link < 0) continue;
-                if (!is_changed[link]) {
-                    is_changed[link] = 1;
-                    delta[link] = 0;
-                    changed[nchanged++] = link;
-                }
-                delta[link] += gcount[g] - old;
+    int fresh = logged == 0 || width > ng;
+    /* Empty the list of changed groups.  Resuming, a listed group whose
+       count differs from the snapshot (groups past it count as 0) marks
+       its links, adds its count delta to theirs and updates its snapshot
+       entry; a fresh fill rewrites the whole snapshot instead. */
+    for (int64_t j = 1; j <= f->changes[0]; j++) {
+        int64_t g = f->changes[j];
+        f->listed[g] = 0;
+        int64_t old = g < width ? snapshot[g] : 0;
+        if (fresh || g >= ng || gcount[g] == old) continue;
+        snapshot[g] = gcount[g];
+        for (int64_t c = 0; c < 2; c++) {
+            int64_t link = gpaths[2 * g + c];
+            if (link < 0) continue;
+            if (!is_changed[link]) {
+                is_changed[link] = 1;
+                delta[link] = 0;
+                changed[nchanged++] = link;
             }
+            delta[link] += gcount[g] - old;
         }
     }
+    f->changes[0] = 0;
     meta[1] = ng;
     int64_t round = 0, ngroups = 0, nrec = 0;
-    if (logged == 0 || width > ng) {
+    if (fresh) {
         /* No log: every link starts at its capacity and count. */
+        memcpy(snapshot, gcount, ng * sizeof(int64_t));
+        memset(is_changed, 0, nl);
         memset(counts, 0, nl * sizeof(double));
         memset(gfixed, 0, ng);
         memset(rates, 0, ng * sizeof(double));
@@ -2130,7 +2146,8 @@ static void waterfill(
         round++;
         drop(slot[bottleneck], &n, live, keys, slot);
     }
-    memcpy(grates, rates, ng * sizeof(double));
+    for (int64_t c = 0; c < nchanged; c++) is_changed[changed[c]] = 0;
+    if (grates != rates) memcpy(grates, rates, ng * sizeof(double));
     meta[0] = round;
     meta[2] = kept;
     meta[3] = n;
@@ -2148,26 +2165,42 @@ typedef struct {
     int64_t *group_count;         /* [groups] */
     int64_t *load_counts;         /* [links] */
     int64_t *retired;             /* [rows] out: retired rows, ascending */
+    int64_t *changes;             /* the fill's list of changed groups (fill_t) */
+    unsigned char *listed;        /* [groups] */
 } ledger_t;
+
+/* Whether advancing rows [0, n) by dt moves any byte: when none moves,
+   the advance leaves every row as it is. */
+static int moves_any(const ledger_t *t, int64_t n, double dt) {
+    for (int64_t i = 0; i < n; i++)
+        if (t->rates[i] * dt > 0.0) return 1;
+    return 0;
+}
+
+/* Row i's share of the byte advance by dt. */
+static inline void advance_row(const ledger_t *t, int64_t i, double dt) {
+    double moved = t->rates[i] * dt;
+    double left = t->remaining[i] - moved;
+    t->remaining[i] = (left > 0.0 || isnan(left)) ? left : 0.0;
+    if (moved > 0.0) {
+        for (int64_t c = 0; c < 2; c++) {
+            int64_t link = t->paths[2 * i + c];
+            if (link >= 0) t->link_bytes[link] += moved;
+        }
+    }
+}
 
 /* The byte advance of rows [0, n) by dt. */
 static void advance_rows(const ledger_t *t, int64_t n, double dt) {
-    const double *rates = t->rates;
-    double *remaining = t->remaining;
-    int64_t first = 0;
-    while (first < n && !(rates[first] * dt > 0.0)) first++;
-    if (first == n) return;       /* nothing moved: leave every row as is */
-    for (int64_t i = 0; i < n; i++) {
-        double moved = rates[i] * dt;
-        double left = remaining[i] - moved;
-        remaining[i] = (left > 0.0 || isnan(left)) ? left : 0.0;
-        if (moved > 0.0) {
-            for (int64_t c = 0; c < 2; c++) {
-                int64_t link = t->paths[2 * i + c];
-                if (link >= 0) t->link_bytes[link] += moved;
-            }
-        }
-    }
+    if (!moves_any(t, n, dt)) return;
+    for (int64_t i = 0; i < n; i++) advance_row(t, i, dt);
+}
+
+/* Group gid's count moved: list it for the next fill, once. */
+static inline void count_moved(const ledger_t *t, int64_t gid) {
+    if (t->listed[gid]) return;
+    t->listed[gid] = 1;
+    t->changes[1 + t->changes[0]++] = gid;
 }
 
 /* One arrival: advance rows [0, row) by dt (when positive), then write
@@ -2185,31 +2218,32 @@ static void admit(const ledger_t *t, int64_t row, double dt, int64_t l0,
     t->gids[row] = gid;
     t->live[row] = 1;
     t->group_count[gid] += 1;
+    count_moved(t, gid);
     t->load_counts[l0] += 1;
     if (l1 >= 0) t->load_counts[l1] += 1;
 }
 
-/* One completion timer: advance by dt (when positive), then retire the
-   done live rows: remaining <= eps*size + eps, or a moving row whose
-   own ETA is below the clock's resolution (now + eta <= now).  Retired
-   rows are tombstoned, uncounted (group, links) and written
-   to t->retired in ascending order; returns their count. */
+/* One completion timer: advance by dt (when positive) and retire the
+   done live rows, one row at a time: done is remaining <= eps*size + eps,
+   or a moving row whose own ETA is below the clock's resolution (now +
+   eta <= now).  A retired row is tombstoned, uncounted (group, links)
+   and written to t->retired, so those come out ascending; returns their
+   count. */
 static int64_t retire(const ledger_t *t, int64_t n, double dt, double now,
                double eps) {
-    if (dt > 0.0) advance_rows(t, n, dt);
-    const double *rates = t->rates, *remaining = t->remaining;
-    const double *sizes = t->sizes;
+    int advance = dt > 0.0 && moves_any(t, n, dt);
     int64_t *out = t->retired, k = 0;
     for (int64_t i = 0; i < n; i++) {
-        if (t->live[i] && (remaining[i] <= eps * sizes[i] + eps
-                           || (rates[i] > 0.0 && now + remaining[i] / rates[i] <= now)))
-            out[k++] = i;
-    }
-    for (int64_t j = 0; j < k; j++) {
-        int64_t i = out[j];
+        if (advance) advance_row(t, i, dt);
+        double left = t->remaining[i], rate = t->rates[i];
+        if (!t->live[i] || !(left <= eps * t->sizes[i] + eps
+                             || (rate > 0.0 && now + left / rate <= now)))
+            continue;
+        out[k++] = i;
         t->rates[i] = 0.0;
         t->live[i] = 0;
         t->group_count[t->gids[i]] -= 1;
+        count_moved(t, t->gids[i]);
         for (int64_t c = 0; c < 2; c++) {
             int64_t link = t->paths[2 * i + c];
             if (link >= 0) t->load_counts[link] -= 1;
@@ -2218,22 +2252,19 @@ static int64_t retire(const ledger_t *t, int64_t n, double dt, double now,
     return k;
 }
 
-/* One re-solve: advance by dt (when positive), give every live row its
-   group's rate from grates, and return the minimum ETA over the moving
-   rows -- NaN if any is NaN (numpy's min), -1 if no row moves. */
+/* One re-solve, one row at a time: advance by dt (when positive), give
+   every live row its group's rate from grates, and return the minimum
+   ETA over the moving rows -- NaN if any is NaN (numpy's min; every live
+   row still takes its rate), -1 if no row moves. */
 static double settle(const ledger_t *t, int64_t n, double dt, const double *grates) {
-    if (dt > 0.0) advance_rows(t, n, dt);
-    double *rates = t->rates;
-    const double *remaining = t->remaining;
+    int advance = dt > 0.0 && moves_any(t, n, dt);
+    double *rates = t->rates, best = -1.0;
     for (int64_t i = 0; i < n; i++) {
+        if (advance) advance_row(t, i, dt);
         if (t->live[i]) rates[i] = grates[t->gids[i]];
-    }
-    double best = -1.0;
-    for (int64_t i = 0; i < n; i++) {
-        if (!(rates[i] > 0.0)) continue;
-        double e = remaining[i] / rates[i];
-        if (isnan(e)) return e;
-        if (best < 0.0 || e < best) best = e;
+        if (!(rates[i] > 0.0) || isnan(best)) continue;
+        double e = t->remaining[i] / rates[i];
+        if (isnan(e) || best < 0.0 || e < best) best = e;
     }
     return best;
 }
@@ -2272,6 +2303,8 @@ static const field_t ledger_fields[] = {
     {"group_count", I64, "int64", GROUPS, 1},
     {"load_counts", I64, "int64", LINKS, 1},
     {"retired", I64, "int64", ROWS, 1},
+    {"changes", I64, "int64", GROUPS, 1},
+    {"listed", "?", "bool", GROUPS, 1},
     {NULL}
 };
 
@@ -2306,10 +2339,12 @@ static const field_t table_fields[] = {
     {"link_state", I64, "int64", LINKS, 8},
     {"link_values", "d", "float64", LINKS, 4},
     {"flags", "B", "uint8", FREE, 0},
+    {"changes", I64, "int64", GROUPS, 1},
+    {"listed", "?", "bool", GROUPS, 1},
     {NULL}
 };
 
-enum { LEDGER_ARRAYS = 10, TABLE_ARRAYS = 18, STARTS = 5, FLAGS = 17 };
+enum { LEDGER_ARRAYS = 12, TABLE_ARRAYS = 20, STARTS = 5, FLAGS = 17 };
 
 _Static_assert(sizeof(ledger_t) == LEDGER_ARRAYS * sizeof(void *), "ledger_t");
 _Static_assert(sizeof(solve_t) == TABLE_ARRAYS * sizeof(void *), "solve_t");
@@ -2561,7 +2596,148 @@ static PyObject *py_waterfill(PyObject *module, PyObject *const *args, Py_ssize_
    code reads the same names through the members.  The rare steps call
    back into the network's methods: _ledger (a dropped pack), _grow_rows,
    _intern_group, _compact and _ensure_csr (solve tables dropped when a
-   link or group was interned). */
+   link or group was interned).  A flow is this extension's Flow, the
+   base of repro.netsim.fluid.Flow, whose fields the entries read and
+   write directly. */
+
+/* -- the flow --------------------------------------------------------- */
+
+/* One transfer.  The Python subclass adds the remaining/rate/duration
+   views and the repr. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *path, *path_index, *tag;
+    PyObject *started_at, *completed_at;  /* None until stamped */
+    PyObject *done;               /* the event that succeeds with the flow */
+    PyObject *net;                /* the network while the flow holds a row, else None */
+    long long id;
+    Py_ssize_t row;
+    double size, latency, created_at;
+    double remaining, rate;       /* authoritative while the flow holds no row */
+} FlowObject;
+
+static PyTypeObject FlowType;
+static long long flow_ids;
+
+/* The number `obj` if it is finite and non-negative, else ValueError. */
+static int amount_arg(const char *name, PyObject *obj, double *out) {
+    *out = PyFloat_AsDouble(obj);
+    if (*out == -1.0 && PyErr_Occurred()) return -1;
+    if (0.0 <= *out && *out < INFINITY) return 0;
+    PyErr_Format(PyExc_ValueError, "%s must be finite and non-negative, got %S", name, obj);
+    return -1;
+}
+
+/* Flow(env, path, path_index, size, latency, tag=None): checks size and
+   latency, stamps created_at and makes the done event. */
+static PyObject *flow_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    static char *kwlist[] = {"env", "path", "path_index", "size", "latency", "tag", NULL};
+    PyObject *env, *path, *path_index, *size, *latency, *tag = Py_None;
+    double amount, delay;
+    if (kwds == NULL
+            ? !PyArg_UnpackTuple(args, "Flow", 5, 6, &env, &path, &path_index, &size,
+                                 &latency, &tag)
+            : !PyArg_ParseTupleAndKeywords(args, kwds, "OOOOO|O:Flow", kwlist, &env, &path,
+                                           &path_index, &size, &latency, &tag))
+        return NULL;
+    if (amount_arg("size", size, &amount) < 0 || amount_arg("latency", latency, &delay) < 0)
+        return NULL;
+    if (!PyObject_TypeCheck(env, &EnvType)) {
+        PyErr_Format(PyExc_TypeError, "Flow() needs a compiled-kernel environment, got %R",
+                     env);
+        return NULL;
+    }
+    double now = ((EnvObject *) env)->now;
+    PyObject *done = (PyObject *) event_alloc(&EventType, env);
+    if (done == NULL) return NULL;
+    FlowObject *self = (FlowObject *) type->tp_alloc(type, 0);
+    if (self == NULL) {
+        Py_DECREF(done);
+        return NULL;
+    }
+    self->id = flow_ids++;
+    self->path = Py_NewRef(path);
+    self->path_index = Py_NewRef(path_index);
+    self->tag = Py_NewRef(tag);
+    self->started_at = Py_NewRef(Py_None);
+    self->completed_at = Py_NewRef(Py_None);
+    self->done = done;
+    self->net = Py_NewRef(Py_None);
+    self->row = -1;
+    self->size = self->remaining = amount;
+    self->latency = delay;
+    self->created_at = now;
+    return (PyObject *) self;
+}
+
+static int flow_traverse(FlowObject *self, visitproc visit, void *arg) {
+    Py_VISIT(self->path);
+    Py_VISIT(self->path_index);
+    Py_VISIT(self->tag);
+    Py_VISIT(self->started_at);
+    Py_VISIT(self->completed_at);
+    Py_VISIT(self->done);
+    Py_VISIT(self->net);
+    return 0;
+}
+
+static int flow_clear(FlowObject *self) {
+    Py_CLEAR(self->path);
+    Py_CLEAR(self->path_index);
+    Py_CLEAR(self->tag);
+    Py_CLEAR(self->started_at);
+    Py_CLEAR(self->completed_at);
+    Py_CLEAR(self->done);
+    Py_CLEAR(self->net);
+    return 0;
+}
+
+static void flow_dealloc(FlowObject *self) {
+    PyObject_GC_UnTrack(self);
+    flow_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+static PyMemberDef flow_members[] = {
+    {"id", T_LONGLONG, offsetof(FlowObject, id), READONLY, NULL},
+    {"path", T_OBJECT, offsetof(FlowObject, path), 0, NULL},
+    {"path_index", T_OBJECT, offsetof(FlowObject, path_index), 0, NULL},
+    {"size", T_DOUBLE, offsetof(FlowObject, size), 0, NULL},
+    {"latency", T_DOUBLE, offsetof(FlowObject, latency), 0, NULL},
+    {"tag", T_OBJECT, offsetof(FlowObject, tag), 0, NULL},
+    {"created_at", T_DOUBLE, offsetof(FlowObject, created_at), 0, NULL},
+    {"started_at", T_OBJECT, offsetof(FlowObject, started_at), 0, NULL},
+    {"completed_at", T_OBJECT, offsetof(FlowObject, completed_at), 0, NULL},
+    {"done", T_OBJECT, offsetof(FlowObject, done), 0, NULL},
+    {"_net", T_OBJECT, offsetof(FlowObject, net), 0, NULL},
+    {"_row", T_PYSSIZET, offsetof(FlowObject, row), 0, NULL},
+    {"_remaining", T_DOUBLE, offsetof(FlowObject, remaining), 0, NULL},
+    {"_rate", T_DOUBLE, offsetof(FlowObject, rate), 0, NULL},
+    {NULL}
+};
+
+static PyTypeObject FlowType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._ckernel.Flow",
+    .tp_doc = "The compiled fields behind netsim.fluid.Flow.",
+    .tp_basicsize = sizeof(FlowObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = flow_new,
+    .tp_init = noop_init,
+    .tp_dealloc = (destructor) flow_dealloc,
+    .tp_traverse = (traverseproc) flow_traverse,
+    .tp_clear = (inquiry) flow_clear,
+    .tp_members = flow_members,
+};
+
+/* An entry's flow argument. */
+static FlowObject *flow_arg(const char *function, PyObject *obj) {
+    if (PyObject_TypeCheck(obj, &FlowType)) return (FlowObject *) obj;
+    PyErr_Format(PyExc_TypeError, "%s() needs a compiled-kernel flow, got %R", function, obj);
+    return NULL;
+}
+
+/* -- the network ------------------------------------------------------ */
 
 typedef struct {
     PyObject_HEAD
@@ -2579,11 +2755,9 @@ typedef struct {
     char coalesce, recompute_pending;
 } NetObject;
 
-static PyObject *str_underscore_value, *str_started_at, *str_completed_at, *str_size,
-    *str_path, *str_path_index, *str_done, *str_underscore_net, *str_underscore_row,
-    *str_underscore_remaining, *str_underscore_rate, *str_ledger, *str_grow_rows,
-    *str_intern_group, *str_compact, *str_ensure_csr, *str_on_timer_event, *str_defer,
-    *str_succeed, *str_waterfill_module, *str_run;
+static PyObject *str_underscore_value, *str_ledger, *str_grow_rows, *str_intern_group,
+    *str_compact, *str_ensure_csr, *str_on_timer_event, *str_defer, *str_succeed,
+    *str_waterfill_module, *str_run;
 
 static int net_traverse(NetObject *self, visitproc visit, void *arg) {
     Py_VISIT(self->env);
@@ -2714,14 +2888,6 @@ static int range_check(const char *name, int64_t value, Py_ssize_t lo, Py_ssize_
     return -1;
 }
 
-static int float_attr(PyObject *obj, PyObject *name, double *out) {
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL) return -1;
-    *out = PyFloat_AsDouble(value);
-    Py_DECREF(value);
-    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
-}
-
 /* _schedule_recompute: one re-solve at the end of the instant, deferred
    through the environment's defer_to_instant_end attribute. */
 static int defer_recompute(NetObject *net) {
@@ -2735,22 +2901,17 @@ static int defer_recompute(NetObject *net) {
 
 /* _finish: the flow's last byte landed at `at`; it leaves the ledger
    with no bytes or rate left, its bytes are counted, and done succeeds. */
-static int finish(NetObject *net, PyObject *flow, PyObject *at) {
-    double size;
-    if (PyObject_SetAttr(flow, str_underscore_net, Py_None) < 0
-            || PyObject_SetAttr(flow, str_underscore_remaining, zero) < 0
-            || PyObject_SetAttr(flow, str_underscore_rate, zero) < 0
-            || PyObject_SetAttr(flow, str_completed_at, at) < 0
-            || float_attr(flow, str_size, &size) < 0)
-        return -1;
-    net->total_bytes_completed += size;
-    PyObject *done = PyObject_GetAttr(flow, str_done);
-    if (done == NULL) return -1;
+static int finish(NetObject *net, FlowObject *flow, PyObject *at) {
+    Py_XSETREF(flow->net, Py_NewRef(Py_None));
+    flow->remaining = flow->rate = 0.0;
+    Py_XSETREF(flow->completed_at, Py_NewRef(at));
+    net->total_bytes_completed += flow->size;
+    PyObject *done = Py_NewRef(flow->done ? flow->done : Py_None);
     int status;
     if (Py_IS_TYPE(done, &EventType)) {
-        status = trigger((EventObject *) done, flow, NULL);
+        status = trigger((EventObject *) done, (PyObject *) flow, NULL);
     } else {
-        PyObject *result = PyObject_CallMethodOneArg(done, str_succeed, flow);
+        PyObject *result = PyObject_CallMethodOneArg(done, str_succeed, (PyObject *) flow);
         status = result == NULL ? -1 : 0;
         Py_XDECREF(result);
     }
@@ -2777,41 +2938,37 @@ static int group_of(NetObject *net, PyObject *path_index, int64_t *gid) {
 /* A flow that moves bytes takes the next row: the row arrays grow when
    every row is taken, its group is looked up or interned, and admit
    advances the earlier rows and writes the new one. */
-static int take_row(NetObject *net, PyObject *flow, double size) {
+static int take_row(NetObject *net, FlowObject *flow) {
     Py_ssize_t row = net->n;
     PackObject *t = net_ledger(net);
     if (t == NULL || (row >= t->extent[ROWS] && call_back(net, str_grow_rows, NULL) < 0))
         return -1;
-    PyObject *path_index = PyObject_GetAttr(flow, str_path_index);
-    if (path_index == NULL) return -1;
-    Py_ssize_t hops = PyTuple_Check(path_index) ? PyTuple_GET_SIZE(path_index) : 0;
+    PyObject *path_index = flow->path_index;
+    Py_ssize_t hops = path_index && PyTuple_Check(path_index) ? PyTuple_GET_SIZE(path_index) : 0;
     int64_t l0 = 0, l1 = -1, gid = 0;
-    int status = -1;
     if (hops < 1 || hops > 2) {
         PyErr_Format(PyExc_TypeError, "a flow's path_index must be a tuple of one "
-                     "or two link indices, not %R", path_index);
-    } else if (group_of(net, path_index, &gid) == 0
-               /* Growth and interning drop the pack: fetch it again. */
-               && (t = net_ledger(net)) != NULL
-               && int_arg(PyTuple_GET_ITEM(path_index, 0), "link", 0, t->extent[LINKS], &l0) == 0
-               && (hops == 1 || int_arg(PyTuple_GET_ITEM(path_index, 1), "link", -1,
-                                        t->extent[LINKS], &l1) == 0)
-               && range_check("row", row, 0, t->extent[ROWS]) == 0
-               && range_check("group", gid, 0, t->extent[GROUPS]) == 0) {
-        status = 0;
+                     "or two link indices, not %R", path_index ? path_index : Py_None);
+        return -1;
     }
+    Py_INCREF(path_index);  /* the interning below runs Python code */
+    int status = (group_of(net, path_index, &gid) == 0
+                  /* Growth and interning drop the pack: fetch it again. */
+                  && (t = net_ledger(net)) != NULL
+                  && int_arg(PyTuple_GET_ITEM(path_index, 0), "link", 0, t->extent[LINKS],
+                             &l0) == 0
+                  && (hops == 1 || int_arg(PyTuple_GET_ITEM(path_index, 1), "link", -1,
+                                           t->extent[LINKS], &l1) == 0)
+                  && range_check("row", row, 0, t->extent[ROWS]) == 0
+                  && range_check("group", gid, 0, t->extent[GROUPS]) == 0) ? 0 : -1;
     Py_DECREF(path_index);
-    if (status < 0) return -1;
-    admit(&t->at.ledger, row, elapsed(net), l0, l1, size, gid);
+    if (status < 0 || PyList_Append(net->active, (PyObject *) flow) < 0) return -1;
+    admit(&t->at.ledger, row, elapsed(net), l0, l1, flow->size, gid);
     net->live_count++;
     net->n = row + 1;
-    PyObject *row_obj = PyLong_FromSsize_t(row);
-    status = (row_obj == NULL
-              || PyList_Append(net->active, flow) < 0
-              || PyObject_SetAttr(flow, str_underscore_net, (PyObject *) net) < 0
-              || PyObject_SetAttr(flow, str_underscore_row, row_obj) < 0) ? -1 : 0;
-    Py_XDECREF(row_obj);
-    return status;
+    Py_XSETREF(flow->net, Py_NewRef((PyObject *) net));
+    flow->row = row;
+    return 0;
 }
 
 /* activate(net, flow): the flow starts now.  A zero-size or empty-path
@@ -2819,23 +2976,22 @@ static int take_row(NetObject *net, PyObject *flow, double size) {
    network's re-solve is deferred to the end of the instant. */
 static PyObject *py_activate(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
     NetObject *net;
-    if (count_is("activate", nargs, 2) < 0 || (net = net_arg("activate", args[0])) == NULL)
+    FlowObject *flow;
+    if (count_is("activate", nargs, 2) < 0 || (net = net_arg("activate", args[0])) == NULL
+            || (flow = flow_arg("activate", args[1])) == NULL)
         return NULL;
-    PyObject *flow = args[1], *now = PyFloat_FromDouble(now_of(net)), *path = NULL;
-    double size = 0.0;
-    int status = -1, moves = 0;
-    if (now != NULL && PyObject_SetAttr(flow, str_started_at, now) == 0
-            && float_attr(flow, str_size, &size) == 0
-            && (path = PyObject_GetAttr(flow, str_path)) != NULL
-            && (moves = PyObject_IsTrue(path)) >= 0) {
-        if (size <= 0 || !moves) {
+    PyObject *now = PyFloat_FromDouble(now_of(net));
+    if (now == NULL) return NULL;
+    Py_XSETREF(flow->started_at, Py_NewRef(now));
+    int moves = PyObject_IsTrue(flow->path ? flow->path : Py_None), status = -1;
+    if (moves >= 0) {
+        if (flow->size <= 0 || !moves) {
             status = finish(net, flow, now);  /* a local copy or a pure-latency message */
         } else {
-            status = take_row(net, flow, size) < 0 ? -1 : defer_recompute(net);
+            status = take_row(net, flow) < 0 ? -1 : defer_recompute(net);
         }
     }
-    Py_XDECREF(path);
-    Py_XDECREF(now);
+    Py_DECREF(now);
     if (status < 0) return NULL;
     Py_RETURN_NONE;
 }
@@ -2874,8 +3030,10 @@ static int finish_retired(NetObject *net, const int64_t *rows, Py_ssize_t n, int
         status = call_back(net, str_compact, NULL);
     }
     PyObject *at = status == 0 ? PyFloat_FromDouble(now) : NULL;
-    for (int64_t j = 0; at != NULL && status == 0 && j < count; j++)
-        status = finish(net, PyList_GET_ITEM(finished, j), at);
+    for (int64_t j = 0; at != NULL && status == 0 && j < count; j++) {
+        FlowObject *flow = flow_arg("fire", PyList_GET_ITEM(finished, j));
+        status = flow == NULL ? -1 : finish(net, flow, at);
+    }
     Py_XDECREF(at);
     Py_DECREF(finished);
     return at == NULL ? -1 : status;
@@ -3034,10 +3192,6 @@ static const struct {
 } interned[] = {
     {&str_send, "send"}, {&str_throw, "throw"}, {&str_name, "__name__"},
     {&str_now, "now"}, {&str_value, "value"}, {&str_underscore_value, "_value"},
-    {&str_started_at, "started_at"}, {&str_completed_at, "completed_at"},
-    {&str_size, "size"}, {&str_path, "path"}, {&str_path_index, "path_index"},
-    {&str_done, "done"}, {&str_underscore_net, "_net"}, {&str_underscore_row, "_row"},
-    {&str_underscore_remaining, "_remaining"}, {&str_underscore_rate, "_rate"},
     {&str_ledger, "_ledger"}, {&str_grow_rows, "_grow_rows"},
     {&str_intern_group, "_intern_group"}, {&str_compact, "_compact"},
     {&str_ensure_csr, "_ensure_csr"}, {&str_on_timer_event, "_on_timer_event"},
@@ -3055,7 +3209,7 @@ PyMODINIT_FUNC PyInit__ckernel(void) {
         &EventType, &TimeoutType, &ProcessType, &EnvType, &ConditionType, &AllOfType,
         &AnyOfType, &RequestType, &PriorityRequestType, &ResourceType, &PriorityResourceType,
         &StorePutType, &StoreGetType, &StoreType, &ContainerPutType, &ContainerGetType,
-        &ContainerType, &NetType,
+        &ContainerType, &FlowType, &NetType,
     };
     const int count = sizeof(types) / sizeof(types[0]);
     if (PyType_Ready(&PackType) < 0) return NULL;

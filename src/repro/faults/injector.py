@@ -183,12 +183,14 @@ class FaultInjector:
         return head if isinstance(head, str) else None
 
     def _drop(self, size, tag, now: float, cause: str) -> Flow:
+        # Created but never activated: done never fires, like a lost packet.
+        # The constructor refuses the sizes a delivered transfer refuses.
+        flow = Flow(self.fabric.env, (), (), size, 0.0, tag=tag)
         self.stats.dropped_messages += 1
         if self.trace is not None:
             self.trace.record("fault.drop", now, now, detail=f"{cause}:{tag[0]}")
             self.trace.mark("fault.drop", now, tag=tag, cause=cause)
-        # Created but never activated: done never fires, like a lost packet.
-        return Flow(self.fabric.env, (), (), size, 0.0, tag=tag)
+        return flow
 
     # -- compute slowdown ------------------------------------------------------
 

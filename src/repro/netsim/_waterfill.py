@@ -30,10 +30,11 @@ Their methods:
   link counts;
 * ``retire(ledger, n, dt, now, eps)``, one completion timer: the
   byte advance, the finished-row selection (one residue rule), and the
-  tombstoning of those rows, which leave their counts;
+  tombstoning of those rows, which leave their counts; compiled, one
+  pass over the rows does all three, row by row;
 * ``settle(ledger, n, dt, grates)``, one re-solve after the rates are
   known: the byte advance, the scatter of the group rates onto the live
-  rows, and the earliest completion ETA;
+  rows, and the earliest completion ETA; compiled, also one pass;
 * ``waterfill(num_links, num_groups, tables, grates)``, the
   progressive-filling solve, whose rounds are inherently sequential (each
   fixes one bottleneck link and updates the links its flows cross).
@@ -46,8 +47,11 @@ Their methods:
   through :func:`run`, ``settle`` and the next completion timer).  The
   compiled ones are C over the network's state, which look :func:`run`
   up on this module at each re-solve, so a wrapper of it sees every
-  fill.  The numpy kernel's run the network's Python bodies, the
-  reference.
+  fill.  The compiled ones take the extension's ``Flow`` (the base of
+  :class:`~repro.netsim.fluid.Flow`) and read and write its fields
+  directly.  The numpy kernel's run the network's Python bodies, the
+  reference, whose network makes :class:`~repro.netsim.fluid.PythonFlow`
+  flows.
 
 :func:`kernel` is the one place that picks between the two: the compiled
 kernel, or :data:`NUMPY` when ``REPRO_WATERFILL=python`` is set or the
@@ -76,7 +80,14 @@ C code reproduces the float semantics operation for operation:
   arrays (:func:`fill_arrays`): the round log (bottleneck link, share key,
   the groups each round fixed and each updated link's residual and load
   before the round), each link's residual, load and listing, and each
-  group's count, fixed flag and rate.  The next fill finds the first
+  group's count, fixed flag and rate.  The compiled ``admit`` and
+  ``retire`` put each group whose count they move on a list, once
+  (``changes``, with the ``listed`` flags), and the next fill reads the
+  changed counts from that list alone; a fill after a discarded log
+  rewrites the whole snapshot instead.  The network passes its group-rate
+  array as the fill arrays' ``group_rates``, so the fill writes its rates
+  in place and a resumed fill does no work per group or link it does not
+  recompute.  The next fill finds the first
   logged round a group whose count changed since can reach (its
   bottleneck is crossed by a changed group, or a listed link that a
   changed group crosses sorts below it), rolls the rounds from there back,
@@ -93,7 +104,10 @@ C code reproduces the float semantics operation for operation:
   ``np.add.at`` does, and clamps like ``np.maximum(x, 0.0)``: NaN
   propagates and ``-0.0`` becomes ``+0.0``;
 * ``settle`` takes the ETA minimum as numpy does: the first index wins a
-  tie and the first NaN wins outright.  The finish threshold
+  tie and the first NaN wins outright (every live row still takes its
+  rate); the one-pass loops advance, test and rate each row in row order,
+  which changes no operand of any row's floats and keeps the link bytes'
+  addition order.  The finish threshold
   ``eps * size + eps`` stays two rounded operations, and its constants
   come in as arguments, so :mod:`repro.netsim.fluid` stays their one
   definition.
@@ -347,6 +361,8 @@ _FILL_FIELDS = (
     ("link_state", np.int64, 0, 8, 0),
     ("link_values", np.float64, 0, 4, 0),
     ("flags", np.uint8, 0, 1, 1),
+    ("changes", np.int64, 1, 0, 1),
+    ("listed", np.bool_, 0, 0, 1),
 )
 
 
@@ -355,7 +371,10 @@ def fill_arrays(num_links: int, num_groups: int) -> Dict[str, np.ndarray]:
     ``num_links`` links and ``num_groups`` groups, with nothing logged
     yet.  ``meta`` holds the logged rounds, the snapshot's width, the
     rounds the last fill did not recompute and the links it left listed;
-    zeroing its first slot discards the log."""
+    zeroing its first slot discards the log.  ``changes`` counts, then
+    lists, the groups whose count moved since the last fill (the flow
+    ledger's ``admit`` and ``retire`` append to it, ``listed`` flags
+    them), and ``group_rates`` is the fill's rate per group."""
     return {
         name: np.zeros(fixed + per_link * num_links + per_group * num_groups,
                        dtype)

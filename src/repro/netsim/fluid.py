@@ -51,11 +51,16 @@ solver reruns on every flow arrival/departure):
   re-solve are one C call apiece (the extension's ``activate``, ``fire``
   and ``recompute``), which read the network's scalar state and flow
   list as fields of its C base type, stamp and succeed the flows, and
-  create the timers; a re-solve fills through ``_waterfill.run``.  With the numpy kernel the
-  Python bodies (``_activate_python``, ``_fire_python`` and
-  ``_recompute_python``) do the same, step for step.  So a flow costs
-  one C call to activate (the byte advance up to its arrival and its
-  whole row) and its share of one C call to retire (``retire``, the
+  create the timers; a re-solve fills through ``_waterfill.run``.  The
+  flow class goes with the kernel too: the compiled network's flows are
+  :class:`Flow`, whose fields live in the extension's ``Flow`` type, so
+  the C calls read and write them directly and its constructor checks
+  the size and latency, stamps the creation time and makes the ``done``
+  event in one call.  With the numpy kernel the Python bodies
+  (``_activate_python``, ``_fire_python`` and ``_recompute_python``) do
+  the same, step for step, on :class:`PythonFlow`, the reference.  So a
+  flow costs one C call to activate (the byte advance up to its arrival
+  and its whole row) and its share of one C call to retire (``retire``, the
   tombstones in ``_active``, the compaction trigger and the ``done``
   events, in ascending row order), plus the Python frames of ``transfer``
   and of the ``_activate_event``/``_on_timer_event`` methods that reach
@@ -87,52 +92,14 @@ _INF = float("inf")
 _EPSILON = 1e-12
 
 
-class Flow:
-    """One transfer in flight.
+_ext = _native.extension()
 
-    Attributes:
-        path: directed link ids the flow crosses (may be empty for a
-            device-local copy).
-        size: total bytes.
-        remaining: bytes still to move.
-        rate: current fair-share rate in bytes/second (0 until activated).
-        done: event triggered with the flow when the last byte lands.
-    """
 
-    _ids = itertools.count()
+class _FlowViews:
+    """What both flow classes define in Python: the live views of a
+    flow's bytes and rate, its duration and its repr."""
 
-    __slots__ = (
-        "id", "path", "path_index", "size", "latency",
-        "tag", "created_at", "started_at", "completed_at", "done",
-        "_net", "_row", "_remaining", "_rate",
-    )
-
-    def __init__(
-        self,
-        env: Environment,
-        path: Tuple[Hashable, ...],
-        path_index: Tuple[int, ...],
-        size: float,
-        latency: float,
-        tag: Optional[Hashable] = None,
-    ):
-        self.id = next(Flow._ids)
-        self.path = path
-        self.path_index = path_index
-        self.size = float(size)
-        self.latency = latency
-        self.tag = tag
-        self.created_at = env.now
-        self.started_at: Optional[float] = None
-        self.completed_at: Optional[float] = None
-        self.done: Event = env.event()
-        # While active, remaining/rate live in the network's packed arrays;
-        # _net/_row point at the row.  Before activation and after
-        # completion the cached scalars below are authoritative.
-        self._net: Optional["FluidNetwork"] = None
-        self._row = -1
-        self._remaining = float(size)
-        self._rate = 0.0
+    __slots__ = ()
 
     @property
     def remaining(self) -> float:
@@ -164,6 +131,75 @@ class Flow:
         )
 
 
+class PythonFlow(_FlowViews):
+    """One transfer in flight.
+
+    Attributes:
+        path: directed link ids the flow crosses (may be empty for a
+            device-local copy).
+        size: total bytes.
+        latency: seconds before the first byte moves.
+        remaining: bytes still to move.
+        rate: current fair-share rate in bytes/second (0 until activated).
+        done: event triggered with the flow when the last byte lands.
+
+    ``size`` and ``latency`` must be finite and non-negative.  This class
+    is the reference; with the compiled kernel, :class:`Flow` keeps the
+    same fields in the extension's ``Flow`` type.
+    """
+
+    _ids = itertools.count()
+
+    __slots__ = (
+        "id", "path", "path_index", "size", "latency",
+        "tag", "created_at", "started_at", "completed_at", "done",
+        "_net", "_row", "_remaining", "_rate",
+    )
+
+    def __init__(
+        self,
+        env: Environment,
+        path: Tuple[Hashable, ...],
+        path_index: Tuple[int, ...],
+        size: float,
+        latency: float,
+        tag: Optional[Hashable] = None,
+    ):
+        if not 0.0 <= size < _INF:
+            raise ValueError(f"size must be finite and non-negative, got {size}")
+        if not 0.0 <= latency < _INF:
+            raise ValueError(
+                f"latency must be finite and non-negative, got {latency}"
+            )
+        self.id = next(PythonFlow._ids)
+        self.path = path
+        self.path_index = path_index
+        self.size = float(size)
+        self.latency = float(latency)
+        self.tag = tag
+        self.created_at = env.now
+        self.started_at: Optional[float] = None
+        self.completed_at: Optional[float] = None
+        self.done: Event = env.event()
+        # While active, remaining/rate live in the network's packed arrays;
+        # _net/_row point at the row.  Before activation and after
+        # completion the cached scalars below are authoritative.
+        self._net: Optional["FluidNetwork"] = None
+        self._row = -1
+        self._remaining = float(size)
+        self._rate = 0.0
+
+
+if _ext is None:
+    Flow = PythonFlow
+else:
+    class Flow(_ext.Flow, _FlowViews):
+        # The extension's Flow holds the fields, so the compiled
+        # bookkeeping reads and writes them without attribute lookups.
+        __doc__ = PythonFlow.__doc__
+        __slots__ = ()
+
+
 class _LinkBytesView:
     """Read-only mapping from link id to total bytes moved over it."""
 
@@ -182,7 +218,6 @@ class _LinkBytesView:
             yield link_id, float(self._network._link_bytes[index])
 
 
-_ext = _native.extension()
 # With the extension, the network's scalar state and flow list live in
 # the C struct of its ``FluidNetwork`` type, where the compiled
 # bookkeeping reads them as fields; the Python code reads the same names
@@ -234,9 +269,6 @@ class FluidNetwork(_State):
         self._group_of: Dict[Tuple[int, ...], int] = {}
         self._group_paths = np.full((0, 2), -1, dtype=np.int64)
         self._group_count = np.zeros(0, dtype=np.int64)
-        # Each group's rate, as the last fill left it; grown with the
-        # group table.
-        self._grates = np.zeros(0)
         self._num_groups = 0
         # Resolved link-id tuples -> packed index tuples (routes repeat).
         self._path_cache: Dict[Tuple[Hashable, ...], Tuple[int, ...]] = {}
@@ -250,10 +282,11 @@ class FluidNetwork(_State):
         # group counts) wherever one of its arrays is reallocated.
         self._solve_tables = None
         self._flow_ledger = None
-        # The compiled water-fill's round log, group-count snapshot and
-        # work arrays (see ``_waterfill``), sized for the link and group
-        # tables and reallocated with them.
-        self._fill_arrays = _waterfill.fill_arrays(0, 0)
+        # The compiled water-fill's round log, group-count snapshot, list
+        # of changed groups, group rates and work arrays (see
+        # ``_waterfill``), sized for the link and group tables and
+        # reallocated with them.  ``_grates`` is its group-rate array.
+        self._grow_fill()
         self._last_update = env.now
         self._generation = 0
         self._recompute_pending = False
@@ -280,7 +313,7 @@ class FluidNetwork(_State):
             self._link_added = _grow(self._link_added, grown)
             self._capacity_seconds = _grow(self._capacity_seconds, grown)
             self._capacity_since = _grow(self._capacity_since, grown)
-            self._flow_ledger = None
+            self._grow_fill()
         self._index[link_id] = index
         self._capacity[index] = float(bandwidth)
         self._link_bytes[index] = 0.0
@@ -375,13 +408,7 @@ class FluidNetwork(_State):
         """
         if path_index is None:
             path, path_index = self.resolve_path(path)
-        if not 0.0 <= size < _INF:
-            raise ValueError(f"size must be finite and non-negative, got {size}")
-        if not 0.0 <= latency < _INF:
-            raise ValueError(
-                f"latency must be finite and non-negative, got {latency}"
-            )
-        flow = Flow(self.env, path, path_index, size, latency, tag=tag)
+        flow = self._new_flow(self.env, path, path_index, size, latency, tag)
         if latency > 0:
             # The latency stage is a plain timer callback, not a Process:
             # at fleet scale every point-to-point flow passes through here.
@@ -447,8 +474,7 @@ class FluidNetwork(_State):
             grown = max(16, 2 * gid)
             self._group_paths = _grow(self._group_paths, grown, fill=-1)
             self._group_count = _grow(self._group_count, grown)
-            self._grates = _grow(self._grates, grown)
-            self._flow_ledger = None
+            self._grow_fill()
         self._group_paths[gid] = -1
         self._group_paths[gid, : len(path_index)] = path_index
         self._group_count[gid] = 0
@@ -512,9 +538,26 @@ class FluidNetwork(_State):
         # picks between the compiled entries and the Python bodies.  Packs
         # belong to their kernel, so the old ones are dropped.
         self._kernel_in_use = kernel
+        self._new_flow = (
+            PythonFlow if isinstance(kernel, _waterfill.NumpyKernel) else Flow
+        )
         self._activate = functools.partial(kernel.activate, self)
         self._fire = functools.partial(kernel.fire, self)
         self._recompute = functools.partial(kernel.recompute, self)
+        self._flow_ledger = None
+        self._solve_tables = None
+        # The numpy kernel lists no changed group, so the compiled fill
+        # cannot resume across a switch.
+        self._capacities_changed()
+
+    def _grow_fill(self) -> None:
+        """Reallocate the water-fill's arrays for the link and group
+        tables' sizes, with nothing logged; the packs holding the old
+        ones are dropped."""
+        fill = self._fill_arrays = _waterfill.fill_arrays(
+            self._capacity.shape[0], self._group_count.shape[0]
+        )
+        self._grates = fill["group_rates"]
         self._flow_ledger = None
         self._solve_tables = None
 
@@ -534,6 +577,8 @@ class FluidNetwork(_State):
                 group_count=self._group_count,
                 load_counts=self._load_counts,
                 retired=self._retired,
+                changes=self._fill_arrays["changes"],
+                listed=self._fill_arrays["listed"],
             )
         return ledger
 
@@ -581,8 +626,7 @@ class FluidNetwork(_State):
         """Build the link -> crossing groups adjacency (CSR over sorted
         flat links) and pack the solve tables, unless they are packed:
         both stay valid until the next link or group is interned, which
-        drops the tables.  The fill's arrays are reallocated (discarding
-        its round log) when the link or group table outgrew them."""
+        drops the tables."""
         if self._solve_tables is not None:
             return
         num_links, num_groups = self._num_links, self._num_groups
@@ -599,11 +643,6 @@ class FluidNetwork(_State):
         self._csr_starts = np.searchsorted(
             sorted_links, np.arange(num_links + 1, dtype=np.int64)
         )
-        links, groups = self._capacity.shape[0], self._group_count.shape[0]
-        fill = self._fill_arrays
-        if (fill["snapshot"].shape[0] < groups
-                or fill["log_links"].shape[0] < links):
-            fill = self._fill_arrays = _waterfill.fill_arrays(links, groups)
         self._solve_tables = self._kernel.tables(
             capacity=self._capacity,
             load_counts=self._load_counts,
@@ -611,7 +650,7 @@ class FluidNetwork(_State):
             group_count=self._group_count,
             csr=self._csr_groups,
             starts=self._csr_starts,
-            **fill,
+            **self._fill_arrays,
         )
 
     def _reschedule(self) -> None:

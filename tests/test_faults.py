@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cluster import Cluster, LinkId
+from repro.cluster import Cluster, Device, LinkId
 from repro.config import moe_gpt
 from repro.core import build_workload, engine_for
 from repro.faults import (
@@ -26,7 +26,7 @@ from repro.faults import (
     ServerOutage,
     retry_flow,
 )
-from repro.netsim import Fabric
+from repro.netsim import Fabric, fluid
 from repro.simkit import Environment
 from repro.trace import render_timeline
 
@@ -144,6 +144,51 @@ class TestSetCapacity:
         network.add_link("l", 100.0)
         with pytest.raises(ValueError):
             network.set_capacity("l", 0.0)
+
+
+class TestDroppedTransfers:
+    """A transfer the injector drops is checked like one it delivers."""
+
+    @staticmethod
+    def _outage_fabric():
+        env = Environment()
+        fabric = Fabric(env, Cluster(2))
+        plan = FaultPlan(faults=(ServerOutage(machine=1, start=0.0, end=1.0),))
+        return fabric, FaultInjector(plan, fabric).install()
+
+    @pytest.mark.parametrize("size", [float("nan"), -5.0, float("inf")])
+    def test_a_dropped_transfer_refuses_a_bad_size(self, size):
+        fabric, injector = self._outage_fabric()
+        src, dst = Device.gpu(0, 0), Device.host(1)
+        with pytest.raises(ValueError, match="size must be finite and non-negative"):
+            fabric.transfer(src, dst, size, tag=("pull-request", 0))
+        assert injector.stats.dropped_messages == 0
+        # The same refusal as without the injector.
+        fabric.fault_injector = None
+        with pytest.raises(ValueError, match="size must be finite and non-negative"):
+            fabric.transfer(src, dst, size, tag=("pull-request", 0))
+
+    def test_a_dropped_transfer_is_a_dead_flow(self):
+        fabric, injector = self._outage_fabric()
+        flow = fabric.transfer(Device.gpu(0, 0), Device.host(1), 64.0,
+                               tag=("pull-request", 0))
+        fabric.env.run(until=2.0)
+        assert injector.stats.dropped_messages == 1
+        assert flow.size == 64.0 and not flow.done.triggered
+        assert flow.started_at is None and flow.remaining == 64.0
+
+    @pytest.mark.parametrize("flow_class", sorted(
+        {fluid.Flow, fluid.PythonFlow}, key=lambda cls: cls.__name__
+    ), ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("size, latency, name", [
+        (float("nan"), 0.0, "size"), (-1.0, 0.0, "size"),
+        (1.0, float("inf"), "latency"), (1.0, -0.5, "latency"),
+    ])
+    def test_both_flow_classes_check_size_and_latency(
+        self, flow_class, size, latency, name
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            flow_class(Environment(), (), (), size, latency)
 
 
 class TestOverlappingLinkWindows:

@@ -899,9 +899,16 @@ def _fill_nan_eta(net, grates):
     net._remaining[_moving(net)[-1]] = np.nan
 
 
+def _fill_nan_eta_first(net, grates):
+    # The first moving row's ETA is NaN: every live row after it must
+    # still take its new rate.
+    net._remaining[_moving(net)[0]] = np.nan
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize(
-    "fill", [_fill_plain, _fill_none_moving, _fill_nan_rate, _fill_nan_eta],
+    "fill", [_fill_plain, _fill_none_moving, _fill_nan_rate, _fill_nan_eta,
+             _fill_nan_eta_first],
     ids=lambda fill: fill.__name__[len("_fill_"):],
 )
 def test_compiled_settle_equals_numpy_reschedule(fill, seed):
@@ -910,5 +917,5 @@ def test_compiled_settle_equals_numpy_reschedule(fill, seed):
     eta, _ = outcomes[0]
     if fill is _fill_none_moving:
         assert eta is None
-    if fill is _fill_nan_eta:
+    if fill in (_fill_nan_eta, _fill_nan_eta_first):
         assert np.isnan(np.frombuffer(eta)[0])

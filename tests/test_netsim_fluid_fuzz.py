@@ -9,7 +9,8 @@ start latency), mid-flight ``set_capacity`` rescales and clock advances:
   at the first round a changed path group can reach, keeping the rounds
   before it);
 * a coalesced network on the numpy kernel, whose water-fill scans every
-  round;
+  round, and whose flows are the pure-python ``PythonFlow`` (the
+  compiled network's are the extension's);
 * the uncoalesced reference, which fills over every link, scans every
   round and compacts after every retirement.
 
@@ -23,8 +24,11 @@ bottleneck for every moving flow, checked without the solver).  After
 every step all three must agree exactly: every rate, remaining byte
 count, start and finish time, every link's byte counter, each
 network's completed bytes, the clock and the event count, and the order
-in which the flows' ``done`` events fired (flow and time).  Live flows
-keep ``0 <= remaining <= size``.  At teardown every network drains under
+in which the flows' ``done`` events fired (flow and time).  Each flow of
+the first network also equals its numpy-kernel twin field by field, every
+field but ``id``: its slots (the ``done`` event by state, the network
+reference by whose it is) and its views.  Live flows keep ``0 <=
+remaining <= size``.  At teardown every network drains under
 the same hard step budget, so a livelock fails the example instead of
 hanging the suite; then every flow must have moved its bytes no faster
 than its path allows, and every link's counter must equal the bytes of
@@ -44,6 +48,7 @@ from hypothesis.stateful import (
 
 from repro.netsim import FluidNetwork
 from repro.netsim import _waterfill
+from repro.netsim.fluid import PythonFlow
 from repro.simkit import Environment, SimulationError
 from tests.conftest import certified
 
@@ -79,6 +84,27 @@ def _step_until(env: Environment, target: float, budget: int) -> int:
 
 # (kernel to pin, coalesce) per side; None keeps the network's own pick.
 _SIDES = ((None, True), (_waterfill.NUMPY, True), (None, False))
+# A flow's fields as compared with its reference twin: every slot of the
+# Python flow but the id, then the views.
+_FIELDS = tuple(
+    name for name in PythonFlow.__slots__ if name not in ("id", "done", "_net")
+) + ("remaining", "rate", "duration")
+
+
+def _same_flow(flow, net, twin, twin_net):
+    """``flow`` of ``net`` equals ``twin`` of ``twin_net``, field by field."""
+    assert type(twin) is PythonFlow
+    for name in _FIELDS:
+        assert getattr(flow, name) == getattr(twin, name), name
+    assert (flow._net is net, flow._net is None) == (
+        twin._net is twin_net, twin._net is None
+    )
+    done, twin_done = flow.done, twin.done
+    assert (done.triggered, done.processed) == (
+        twin_done.triggered, twin_done.processed
+    )
+    if done.triggered:
+        assert done.value is flow and twin_done.value is twin
 
 
 class LockstepFluid(RuleBasedStateMachine):
@@ -154,6 +180,9 @@ class LockstepFluid(RuleBasedStateMachine):
         if not hasattr(self, "sides"):
             return
         (env_a, net_a), *others = self.sides
+        twin_net = self.sides[1][1]
+        for flow, twin in zip(self.flows[0], self.flows[1]):
+            _same_flow(flow, net_a, twin, twin_net)
         for (env_b, net_b), flows_b in zip(others, self.flows[1:]):
             assert env_a.now == env_b.now
             assert env_a.events_processed == env_b.events_processed

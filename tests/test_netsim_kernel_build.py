@@ -202,6 +202,7 @@ def test_compiled_entries_are_builtins_of_the_one_extension():
 
 
 def _ledger_arrays(rows=4, links=3, groups=2):
+    fill = _waterfill.fill_arrays(links, groups)
     return dict(
         rates=np.zeros(rows),
         remaining=np.zeros(rows),
@@ -213,6 +214,8 @@ def _ledger_arrays(rows=4, links=3, groups=2):
         group_count=np.zeros(groups, dtype=np.int64),
         load_counts=np.zeros(links, dtype=np.int64),
         retired=np.zeros(rows, dtype=np.int64),
+        changes=fill["changes"],
+        listed=fill["listed"],
     )
 
 
