@@ -7,9 +7,9 @@
      and the Environment base type behind repro.simkit.core, and the
      wait primitives behind repro.simkit.resources: Resource,
      PriorityResource, Store and Container with their request, put and
-     get events (see repro/simkit/_eventcore.py);
+     get events (see repro/simkit/core.py);
    * the fluid network's kernel: advance, admit, retire, settle and
-     waterfill, the C loops behind repro.netsim._waterfill.CompiledKernel,
+     waterfill, the C loops that repro.netsim._waterfill.kernel() returns,
      plus the two packers, ledger() and tables(), whose objects carry the
      network's arrays into those loops, and the network's bookkeeping
      around them: activate, fire and recompute, over the state of the

@@ -1,6 +1,6 @@
 """Building the simulator's compiled cores: one CPython extension.
 
-The event kernel (:mod:`repro.simkit._eventcore`) and the fluid
+The event kernel (:mod:`repro.simkit.core`) and the fluid
 network's kernel (:mod:`repro.netsim._waterfill`) are C in one source,
 ``_native.c`` next to this module, built into one extension module,
 ``repro._ckernel``.  :func:`extension` compiles it with plain ``cc`` at

@@ -92,7 +92,6 @@ class MachineSpec:
         default_factory=lambda: LinkSpec(gbytes_per_s(64.0), 3 * US)
     )
     nic: LinkSpec = field(default_factory=lambda: LinkSpec(gbps(200.0), 8 * US))
-    host_memory_bytes: float = 500 * GIB
     # Kernel/userspace socket processing of one pull request (§6).
     socket_overhead: float = 15e-6
 
@@ -125,18 +124,6 @@ class MachineSpec:
         """NIC index serving the GPU with this local rank."""
         self._check_rank(local_rank)
         return local_rank // self.gpus_per_nic
-
-    def pcie_peer_of(self, local_rank: int) -> int:
-        """The other GPU under the same PCIe switch (paper Fig. 8).
-
-        Only meaningful when ``gpus_per_pcie_switch == 2``.
-        """
-        if self.gpus_per_pcie_switch != 2:
-            raise ValueError(
-                "pcie_peer_of is defined only for 2 GPUs per PCIe switch"
-            )
-        self._check_rank(local_rank)
-        return local_rank ^ 1
 
     def _check_rank(self, local_rank: int) -> None:
         if not 0 <= local_rank < self.num_gpus:

@@ -140,12 +140,6 @@ class MetricsRegistry:
     def counter_names(self) -> List[str]:
         return sorted(self._counters)
 
-    def gauge_names(self) -> List[str]:
-        return sorted(self._gauges)
-
-    def histogram_names(self) -> List[str]:
-        return sorted(self._histograms)
-
     # -- export --------------------------------------------------------------
 
     @staticmethod

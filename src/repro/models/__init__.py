@@ -3,7 +3,7 @@
 from .attention import MultiHeadAttention
 from .dispatch import DispatchPlan, combine_sorted, gather_slots
 from .ffn import Expert, FeedForward
-from .gate import DriftingGate, GateDecision, TopKGate
+from .gate import GateDecision, TopKGate
 from .moe_block import MoEBlock, MoELayer, dispatch_compute_combine
 from .transformer import MoETransformer, TransformerBlock
 from . import flops
@@ -12,7 +12,6 @@ __all__ = [
     "DispatchPlan",
     "Expert",
     "FeedForward",
-    "DriftingGate",
     "GateDecision",
     "MoEBlock",
     "MoELayer",

@@ -81,15 +81,6 @@ class DispatchPlan:
         """Half-open ``[start, stop)`` of ``expert``'s rows in the layout."""
         return int(self.starts[expert]), int(self.starts[expert + 1])
 
-    def segment(self, expert: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(token_ids, slot_ids) routed to ``expert``.
-
-        Identical (values and order) to
-        ``np.nonzero(expert_indices == expert)``.
-        """
-        start, stop = self.segment_bounds(expert)
-        return self.token_ids[start:stop], self.slot_ids[start:stop]
-
     def experts_present(self) -> np.ndarray:
         """Experts with at least one routed slot, ascending."""
         return np.flatnonzero(self.counts)
@@ -98,7 +89,7 @@ class DispatchPlan:
 def gather_slots(tokens: Tensor, plan: DispatchPlan) -> Tensor:
     """Gather routed token rows into plan (sorted-by-expert) order.
 
-    Forward matches ``tokens.gather_rows(plan.token_ids)``; the backward
+    Forward matches ``tokens[plan.token_ids]``; the backward
     pass exploits that every (token, slot) pair occurs exactly once in the
     plan, so the incoming gradient can be *assigned* into an (N, k, H)
     layout and reduced over the slot axis — no ``np.add.at`` scalar loop.

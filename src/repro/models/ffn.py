@@ -36,25 +36,20 @@ class FeedForward(Module):
 
 
 class Expert(FeedForward):
-    """An expert FFN with weight import/export for the data-centric runtime.
+    """An expert FFN whose weights and gradients move between workers.
 
     The data-centric paradigm physically moves expert weights between
-    workers; :meth:`export_weights` / :meth:`import_weights` are the
-    serialization points, and :meth:`collect_gradients` extracts the
-    gradient payload that is shipped back to the expert's home worker.
+    workers; :meth:`refresh_from` copies them into a replica, and
+    :meth:`collect_gradients` extracts the gradient payload that is
+    shipped back to the expert's home worker.
     """
-
-    def export_weights(self) -> Dict[str, np.ndarray]:
-        return self.state_dict()
-
-    def import_weights(self, weights: Dict[str, np.ndarray]) -> None:
-        self.load_state_dict(weights)
 
     def refresh_from(self, source: "Expert") -> None:
         """Copy ``source``'s weights into this expert's existing buffers.
 
-        The zero-allocation sibling of ``import_weights(export_weights())``
-        used by the data-centric replica pool: parameter arrays are reused
+        The zero-allocation sibling of
+        ``load_state_dict(source.state_dict())`` used by the data-centric
+        replica pool: parameter arrays are reused
         across iterations and stale replica gradients are dropped.
         """
         own = dict(self.named_parameters())

@@ -16,7 +16,7 @@ import numpy as np
 from ..tensorlib import Linear, Module, Tensor
 from .dispatch import DispatchPlan
 
-__all__ = ["GateDecision", "TopKGate", "DriftingGate"]
+__all__ = ["GateDecision", "TopKGate"]
 
 
 @dataclass
@@ -51,17 +51,6 @@ class GateDecision:
     @property
     def num_experts(self) -> int:
         return self.probs.shape[1]
-
-    def tokens_per_expert(self, num_experts: int) -> np.ndarray:
-        """Histogram of token-slot assignments over experts (dropped
-        slots, marked -1, are excluded)."""
-        flat = self.expert_indices.reshape(-1)
-        return np.bincount(flat[flat >= 0], minlength=num_experts)
-
-    @property
-    def dropped_slots(self) -> int:
-        """Token-slots dropped by the capacity limit."""
-        return int((self.expert_indices < 0).sum())
 
     def dispatch_plan(self) -> DispatchPlan:
         """Sorted segment layout of this decision (computed once, cached)."""
@@ -142,9 +131,6 @@ class TopKGate(Module):
             selection_scores = selection_scores + self.noise_rng.normal(
                 0.0, self.noise_std, size=selection_scores.shape
             )
-        bias = self._selection_bias()
-        if bias is not None:
-            selection_scores = selection_scores + bias
         order = np.argsort(-selection_scores, axis=-1, kind="stable")
         expert_indices = order[:, : self.top_k]
         if self.capacity_factor is not None:
@@ -166,13 +152,6 @@ class TopKGate(Module):
             probs=probs,
             aux_loss=aux_loss,
         )
-
-    def _selection_bias(self) -> Optional[np.ndarray]:
-        """Additive bias on the routing *selection* scores (not the
-        differentiable combine weights).  ``None`` means unbiased — the
-        base gate's behaviour.  Subclasses (e.g. :class:`DriftingGate`)
-        use it to steer tokens_per_expert without touching gradients."""
-        return None
 
     def _apply_capacity(self, expert_indices: np.ndarray) -> np.ndarray:
         """Drop token-slots beyond each expert's capacity (marked -1).
@@ -205,59 +184,3 @@ class TopKGate(Module):
         fraction = counts / max(1, expert_indices.size)
         mean_probs = probs.mean(axis=0)  # (num_experts,)
         return (mean_probs * Tensor(fraction)).sum() * float(self.num_experts)
-
-
-class DriftingGate(TopKGate):
-    """A gate whose routing popularity follows a seeded drift process.
-
-    Wraps the learned selection with an additive log-popularity bias from a
-    :class:`~repro.workloads.drift.DriftSpec`, so the *functional* runtime's
-    ``tokens_per_expert`` histogram tracks the same drifting/hotspot-shifting
-    skew the timed engines see through
-    :func:`~repro.workloads.drift.apply_drift`.  Call :meth:`advance` between
-    iterations; the bias only perturbs selection scores, so combine weights
-    and gradients remain those of the underlying learned gate.
-
-    ``bias_strength`` scales the bias: 0 disables drift entirely (the gate
-    is then byte-for-byte a :class:`TopKGate`); large values pin routing to
-    the drifted popularity regardless of the learned logits.
-    """
-
-    def __init__(self, *args, drift=None, block_index: int = 0,
-                 bias_strength: float = 1.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        if bias_strength < 0:
-            raise ValueError("bias_strength must be non-negative")
-        if drift is None:
-            from ..workloads.drift import DriftSpec
-
-            drift = DriftSpec()
-        self.drift = drift
-        self.block_index = block_index
-        self.bias_strength = bias_strength
-        self.iteration = 0
-        self._bias_cache = None
-
-    def advance(self, iteration: Optional[int] = None) -> int:
-        """Move to ``iteration`` (default: next); returns the new index."""
-        self.iteration = (
-            self.iteration + 1 if iteration is None else iteration
-        )
-        if self.iteration < 0:
-            raise ValueError("iteration must be non-negative")
-        self._bias_cache = None
-        return self.iteration
-
-    def popularity(self) -> np.ndarray:
-        """Target popularity over experts at the current iteration."""
-        return self.drift.weights(
-            self.num_experts, self.iteration, self.block_index
-        )
-
-    def _selection_bias(self) -> Optional[np.ndarray]:
-        if self.bias_strength == 0:
-            return None
-        if self._bias_cache is None:
-            weights = np.maximum(self.popularity(), 1e-12)
-            self._bias_cache = self.bias_strength * np.log(weights)
-        return self._bias_cache

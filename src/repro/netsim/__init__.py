@@ -1,6 +1,6 @@
 """Flow-level network simulation over the cluster topology."""
 
-from .collectives import all_reduce, all_to_all, all_to_all_proc, uniform_matrix
+from .collectives import all_reduce, all_to_all, uniform_matrix
 from .fabric import Fabric
 from .fluid import Flow, FluidNetwork
 from .goodput import GoodputResult, measure_all_to_all_goodput
@@ -14,7 +14,6 @@ __all__ = [
     "OutOfMemoryError",
     "all_reduce",
     "all_to_all",
-    "all_to_all_proc",
     "measure_all_to_all_goodput",
     "uniform_matrix",
 ]

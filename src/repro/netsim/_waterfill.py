@@ -3,16 +3,16 @@
 :class:`~repro.netsim.fluid.FluidNetwork` owns the flow ledger (the
 packed per-row arrays, the per-link bytes and loads, the per-group flow
 counts) and the solve tables; a *kernel* does the arithmetic on them.
-Two kernels share one interface, method for method:
+Two kernels share one arithmetic interface, entry for entry:
 
-* :class:`CompiledKernel`, C loops in the simulator's one extension
-  module (``repro/_native.c``, built by :mod:`repro._native` with plain
-  ``cc -O2 -ffp-contract=off``, no third-party build system), each a
-  ``METH_FASTCALL`` builtin;
-* :class:`NumpyKernel`, the same steps in numpy: the reference the C
-  loops reproduce bit for bit.
+* the compiled kernel, C loops in the simulator's one extension module
+  (``repro/_native.c``, built by :mod:`repro._native` with plain
+  ``cc -O2 -ffp-contract=off``, no third-party build system): the
+  extension module itself, whose entries are ``METH_FASTCALL`` builtins;
+* :class:`NumpyKernel`, the same arithmetic in numpy: the reference the
+  C loops reproduce bit for bit.
 
-Their methods:
+Their entries:
 
 * ``ledger(**arrays)`` packs the ledger's arrays into the object the
   next four take; ``tables(**arrays)`` packs the solve tables and a
@@ -39,22 +39,23 @@ Their methods:
   progressive-filling solve, whose rounds are inherently sequential (each
   fixes one bottleneck link and updates the links its flows cross).
   Callers go through :func:`run`, the one water-fill entry point;
-* ``activate(net, flow)``, ``fire(net, event)`` and ``recompute(net)``,
-  the network's bookkeeping around those calls, which the network binds
-  to itself with the kernel: a flow's activation, one completion timer
-  (the ``retire`` call, the flows' tombstones and ``done`` events, the
-  deferred re-solve) and the re-solve at the end of an instant (the fill
-  through :func:`run`, ``settle`` and the next completion timer).  The
-  compiled ones are C over the network's state, which look :func:`run`
-  up on this module at each re-solve, so a wrapper of it sees every
-  fill.  The compiled ones take the extension's ``Flow`` (the base of
+* compiled only: ``activate(net, flow)``, ``fire(net, event)`` and
+  ``recompute(net)``, the network's bookkeeping around those calls, which
+  the network binds to itself with the kernel: a flow's activation, one
+  completion timer (the ``retire`` call, the flows' tombstones and
+  ``done`` events, the deferred re-solve) and the re-solve at the end of
+  an instant (the fill through :func:`run`, ``settle`` and the next
+  completion timer).  They are C over the network's state, which look
+  :func:`run` up on this module at each re-solve, so a wrapper of it
+  sees every fill.  They take the extension's ``Flow`` (the base of
   :class:`~repro.netsim.fluid.Flow`) and read and write its fields
-  directly.  The numpy kernel's run the network's Python bodies, the
-  reference, whose network makes :class:`~repro.netsim.fluid.PythonFlow`
-  flows.
+  directly.  With the numpy kernel, the network binds its own Python
+  bodies (``_activate_python``, ``_fire_python`` and
+  ``_recompute_python``), the reference, and makes
+  :class:`~repro.netsim.fluid.PythonFlow` flows.
 
-:func:`kernel` is the one place that picks between the two: the compiled
-kernel, or :data:`NUMPY` when ``REPRO_WATERFILL=python`` is set or the
+:func:`kernel` is the one place that picks between the two: the extension
+module, or :data:`NUMPY` when ``REPRO_WATERFILL=python`` is set or the
 build fails (one :class:`RuntimeWarning` then says why).  The uncoalesced
 reference network (``FluidNetwork(coalesce=False)``) always runs
 :data:`REFERENCE`, the numpy kernel filling over every link, so it runs
@@ -253,24 +254,6 @@ class NumpyKernel:
         _fill(t.capacity, load_counts, t.group_paths[:num_groups],
               t.group_count[:num_groups], t.csr, t.starts, links, grates)
 
-    # The network's bookkeeping: its Python bodies, which make their
-    # arithmetic calls on whichever kernel the network runs.
-
-    @staticmethod
-    def activate(net, flow) -> None:
-        """The flow starts now (``FluidNetwork._activate_python``)."""
-        net._activate_python(flow)
-
-    @staticmethod
-    def fire(net, event) -> None:
-        """One completion timer (``FluidNetwork._fire_python``)."""
-        net._fire_python(event)
-
-    @staticmethod
-    def recompute(net) -> None:
-        """The deferred re-solve (``FluidNetwork._recompute_python``)."""
-        net._recompute_python()
-
 
 def _fill(capacity, load_counts, gpaths, gcount, csr, starts, links,
           grates) -> None:
@@ -382,36 +365,18 @@ def fill_arrays(num_links: int, num_groups: int) -> Dict[str, np.ndarray]:
     }
 
 
-class CompiledKernel:
-    """The fluid kernel as the C loops of the extension module ``ext``.
-
-    Every method is the extension's builtin itself, so a call costs no
-    Python frame of its own.
-    """
-
-    def __init__(self, ext: ModuleType):
-        self.ledger = ext.ledger
-        self.tables = ext.tables
-        self.advance = ext.advance
-        self.admit = ext.admit
-        self.retire = ext.retire
-        self.settle = ext.settle
-        self.waterfill = ext.waterfill
-        self.activate = ext.activate
-        self.fire = ext.fire
-        self.recompute = ext.recompute
-
-
-Kernel = Union[CompiledKernel, NumpyKernel]
+# A kernel: the extension module itself, whose builtins are the entries,
+# or a :class:`NumpyKernel`.
+Kernel = Union[ModuleType, NumpyKernel]
 
 
 @functools.lru_cache(maxsize=None)
 def kernel() -> Kernel:
-    """The compiled kernel, or :data:`NUMPY` when the pure-python cores
-    were asked for or the extension cannot be built; probed once per
-    process."""
+    """The extension module, whose builtins are the compiled kernel, or
+    :data:`NUMPY` when the pure-python cores were asked for or the
+    extension cannot be built; probed once per process."""
     ext = _native.extension()
-    return NUMPY if ext is None else CompiledKernel(ext)
+    return NUMPY if ext is None else ext
 
 
 def run(kernel: Kernel, num_links: int, num_groups: int, tables,

@@ -25,7 +25,7 @@ from ..cluster import Device
 from ..simkit import AllOf, Event
 from .fabric import Fabric
 
-__all__ = ["all_reduce", "all_to_all", "all_to_all_proc", "uniform_matrix"]
+__all__ = ["all_reduce", "all_to_all", "uniform_matrix"]
 
 
 def uniform_matrix(world_size: int, bytes_per_pair: float) -> np.ndarray:
@@ -208,10 +208,3 @@ def all_reduce(
             done_events.append(flow.done)
 
     return AllOf(fabric.env, done_events)
-
-
-def all_to_all_proc(fabric: Fabric, send_bytes: Sequence[Sequence[float]]):
-    """Process form: ``yield env.process(all_to_all_proc(...))``."""
-    start = fabric.env.now
-    yield all_to_all(fabric, send_bytes)
-    return fabric.env.now - start

@@ -358,12 +358,6 @@ class FluidNetwork(_State):
     def link_bytes(self) -> _LinkBytesView:
         return _LinkBytesView(self)
 
-    @property
-    def active_flows(self) -> List[Flow]:
-        if self._dead_count:
-            return [flow for flow in self._active if flow is not None]
-        return list(self._active)
-
     # -- transfers ----------------------------------------------------------
 
     def resolve_path(
@@ -422,10 +416,10 @@ class FluidNetwork(_State):
         self._activate(event._value)
 
     # The bookkeeping of a flow's life: ``_activate(flow)``,
-    # ``_fire(event)`` and the deferred ``_recompute()`` are the kernel's
-    # ``activate``, ``fire`` and ``recompute`` bound to this network (see
-    # the ``_kernel`` setter).  The compiled kernel's are C; the numpy
-    # kernel's run the three Python bodies below, the reference.
+    # ``_fire(event)`` and the deferred ``_recompute()`` are the compiled
+    # kernel's ``activate``, ``fire`` and ``recompute`` bound to this
+    # network, or with the numpy kernel the three Python bodies below, the
+    # reference (see the ``_kernel`` setter).
 
     def _activate_python(self, flow: Flow) -> None:
         flow.started_at = self.env.now
@@ -538,12 +532,16 @@ class FluidNetwork(_State):
         # picks between the compiled entries and the Python bodies.  Packs
         # belong to their kernel, so the old ones are dropped.
         self._kernel_in_use = kernel
-        self._new_flow = (
-            PythonFlow if isinstance(kernel, _waterfill.NumpyKernel) else Flow
-        )
-        self._activate = functools.partial(kernel.activate, self)
-        self._fire = functools.partial(kernel.fire, self)
-        self._recompute = functools.partial(kernel.recompute, self)
+        if isinstance(kernel, _waterfill.NumpyKernel):
+            self._new_flow = PythonFlow
+            self._activate = self._activate_python
+            self._fire = self._fire_python
+            self._recompute = self._recompute_python
+        else:
+            self._new_flow = Flow
+            self._activate = functools.partial(kernel.activate, self)
+            self._fire = functools.partial(kernel.fire, self)
+            self._recompute = functools.partial(kernel.recompute, self)
         self._flow_ledger = None
         self._solve_tables = None
         # The numpy kernel lists no changed group, so the compiled fill

@@ -6,7 +6,7 @@ from .executor import MoEExecutor
 from .expert_centric import ExpertCentricMoE
 from .layout import ExpertPlacement, RankLayout
 from .model import DistributedMoEBlock, DistributedMoETransformer
-from .trainer import DistributedTrainer, StepMetrics, linear_warmup_schedule
+from .trainer import DistributedTrainer, StepMetrics
 
 __all__ = [
     "CommLog",
@@ -20,5 +20,4 @@ __all__ = [
     "MoEExecutor",
     "RankLayout",
     "StepMetrics",
-    "linear_warmup_schedule",
 ]

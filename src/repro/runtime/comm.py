@@ -9,7 +9,7 @@ formula alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -86,41 +86,6 @@ class CommLog:
             and not self.layout.same_machine(record.src_rank, record.dst_rank)
         )
 
-    def intra_machine_bytes(self, kinds: Optional[List[str]] = None) -> float:
-        """Bytes moved between ranks of the same machine (NVLink/PCIe
-        class traffic, e.g. cache-manager expert serves)."""
-        return sum(
-            record.num_bytes
-            for record in self.records
-            if (kinds is None or record.kind in kinds)
-            and record.src_rank != record.dst_rank
-            and self.layout.same_machine(record.src_rank, record.dst_rank)
-        )
-
-    def machine_egress_bytes(self, kinds: Optional[List[str]] = None) -> np.ndarray:
-        """Cross-machine bytes sent by each machine."""
-        egress = np.zeros(self.layout.num_machines)
-        for record in self.records:
-            if kinds is not None and record.kind not in kinds:
-                continue
-            src = self.layout.machine_of(record.src_rank)
-            dst = self.layout.machine_of(record.dst_rank)
-            if src != dst:
-                egress[src] += record.num_bytes
-        return egress
-
-    def machine_ingress_bytes(self, kinds: Optional[List[str]] = None) -> np.ndarray:
-        """Cross-machine bytes received by each machine."""
-        ingress = np.zeros(self.layout.num_machines)
-        for record in self.records:
-            if kinds is not None and record.kind not in kinds:
-                continue
-            src = self.layout.machine_of(record.src_rank)
-            dst = self.layout.machine_of(record.dst_rank)
-            if src != dst:
-                ingress[dst] += record.num_bytes
-        return ingress
-
     def rank_matrix(self, kinds: Optional[List[str]] = None) -> np.ndarray:
         """(world, world) matrix of bytes sent rank->rank."""
         world = self.layout.world_size
@@ -129,9 +94,3 @@ class CommLog:
             if kinds is None or record.kind in kinds:
                 matrix[record.src_rank, record.dst_rank] += record.num_bytes
         return matrix
-
-    def by_kind(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for record in self.records:
-            totals[record.kind] = totals.get(record.kind, 0.0) + record.num_bytes
-        return totals

@@ -153,9 +153,3 @@ class DataCentricMoE(MoEExecutor):
                 "grad_push", sender, owner, self.expert_bytes
             )
             self.experts[expert_id].apply_gradients(replica.collect_gradients())
-
-    # -- introspection ------------------------------------------------------------
-
-    def pulled_expert_count(self) -> int:
-        """Distinct (machine, expert) pulls in the last iteration."""
-        return len(self._replicas)

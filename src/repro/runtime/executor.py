@@ -124,9 +124,3 @@ class MoEExecutor:
         decisions = [self.gate(tokens) for tokens in worker_tokens]
         self.last_decisions = decisions
         return decisions
-
-    @staticmethod
-    def _weighted_scatter(num_tokens, token_ids, slot_ids, expert_out, decision):
-        weights = decision.combine_weights[token_ids, slot_ids]
-        weighted = expert_out * weights.reshape(-1, 1)
-        return Tensor.scatter_rows(num_tokens, token_ids, weighted)

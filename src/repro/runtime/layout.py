@@ -80,9 +80,6 @@ class ExpertPlacement:
         start = rank * self.experts_per_worker
         return tuple(range(start, start + self.experts_per_worker))
 
-    def is_local(self, expert: int, rank: int) -> bool:
-        return self.owner(expert) == rank
-
     def _check(self, expert: int) -> None:
         if not 0 <= expert < self.num_experts:
             raise ValueError(

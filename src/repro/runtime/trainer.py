@@ -2,23 +2,22 @@
 
 Owns the full step the paper's system performs each iteration: forward
 through the paradigm executors, backward, paradigm-specific gradient
-movement (``finish_backward``), optional gradient clipping, optimizer step
-and learning-rate scheduling — plus per-step metrics including the
-cross-machine traffic drawn from the CommLog.
+movement (``finish_backward``) and the optimizer step — plus per-step
+metrics including the cross-machine traffic drawn from the CommLog.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..tensorlib import Optimizer
-from ..tensorlib.optim import clip_grad_norm, global_grad_norm
+from ..tensorlib.optim import global_grad_norm
 from .model import DistributedMoETransformer
 
-__all__ = ["StepMetrics", "DistributedTrainer", "linear_warmup_schedule"]
+__all__ = ["StepMetrics", "DistributedTrainer"]
 
 
 @dataclass(frozen=True)
@@ -39,21 +38,6 @@ class StepMetrics:
         )
 
 
-def linear_warmup_schedule(
-    base_lr: float, warmup_steps: int
-) -> Callable[[int], float]:
-    """LR ramps linearly to ``base_lr`` over ``warmup_steps`` steps."""
-    if base_lr <= 0 or warmup_steps < 0:
-        raise ValueError("base_lr must be positive, warmup_steps >= 0")
-
-    def schedule(step: int) -> float:
-        if warmup_steps == 0 or step >= warmup_steps:
-            return base_lr
-        return base_lr * (step + 1) / warmup_steps
-
-    return schedule
-
-
 class DistributedTrainer:
     """Drives training steps of a :class:`DistributedMoETransformer`."""
 
@@ -61,15 +45,9 @@ class DistributedTrainer:
         self,
         model: DistributedMoETransformer,
         optimizer: Optimizer,
-        grad_clip: Optional[float] = None,
-        lr_schedule: Optional[Callable[[int], float]] = None,
     ):
-        if grad_clip is not None and grad_clip <= 0:
-            raise ValueError("grad_clip must be positive")
         self.model = model
         self.optimizer = optimizer
-        self.grad_clip = grad_clip
-        self.lr_schedule = lr_schedule
         self.step_count = 0
         self.history: List[StepMetrics] = []
 
@@ -80,17 +58,11 @@ class DistributedTrainer:
     ) -> StepMetrics:
         """One synchronous training step across all emulated workers."""
         wire_before = self.model.comm_log.cross_machine_bytes()
-        if self.lr_schedule is not None:
-            self.optimizer.lr = self.lr_schedule(self.step_count)
-
         self.optimizer.zero_grad()
         loss = self.model.loss(list(worker_tokens), list(worker_targets))
         loss.backward()
         self.model.finish_backward()
-        if self.grad_clip is not None:
-            grad_norm = clip_grad_norm(self.optimizer.parameters, self.grad_clip)
-        else:
-            grad_norm = global_grad_norm(self.optimizer.parameters)
+        grad_norm = global_grad_norm(self.optimizer.parameters)
         self.optimizer.step()
 
         metrics = StepMetrics(
@@ -104,23 +76,6 @@ class DistributedTrainer:
         )
         self.history.append(metrics)
         self.step_count += 1
-        return metrics
-
-    def fit(
-        self,
-        data: Iterable[Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]],
-        steps: Optional[int] = None,
-        log_every: int = 0,
-    ) -> List[StepMetrics]:
-        """Run steps over ``data`` (an iterable of (tokens, targets))."""
-        metrics: List[StepMetrics] = []
-        for index, (tokens, targets) in enumerate(data):
-            if steps is not None and index >= steps:
-                break
-            result = self.step(tokens, targets)
-            metrics.append(result)
-            if log_every and result.step % log_every == 0:
-                print(result)
         return metrics
 
     @property

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..clauses import parse_clauses
+from ..core.context import _check_count
 
 __all__ = [
     "TRACE_KINDS",
@@ -84,8 +85,13 @@ class TraceSpec:
             )
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
-        if self.requests <= 0:
-            raise ValueError("requests must be positive")
+        _check_count("requests", self.requests)
+        for name in ("prompt_mean", "output_mean", "skew", "period",
+                     "amplitude", "burst", "duty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}"
+                )
         if self.prompt_mean < 1 or self.output_mean < 1:
             raise ValueError("prompt_mean and output_mean must be >= 1")
         if self.skew < 0:
@@ -140,9 +146,6 @@ class TraceSpec:
             )
         return np.full_like(times, self.rate)
 
-    def generate(self) -> "RequestTrace":
-        return generate_trace(self)
-
 
 @dataclass
 class RequestTrace:
@@ -160,10 +163,6 @@ class RequestTrace:
     @property
     def total_prompt_tokens(self) -> int:
         return int(self.prompt_tokens.sum())
-
-    @property
-    def total_output_tokens(self) -> int:
-        return int(self.output_tokens.sum())
 
     @property
     def offered_rate(self) -> float:

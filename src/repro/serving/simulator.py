@@ -40,6 +40,7 @@ import numpy as np
 
 from ..cluster import Cluster, Device
 from ..config import ModelConfig
+from ..core.context import _check_count
 from ..core.paradigm import select_paradigm
 from ..core.strategies import get_strategy
 from ..models.flops import dense_ffn_flops, expert_flops_per_token
@@ -92,8 +93,8 @@ class ServingConfig:
             )
         if self.prefillers is not None and self.prefillers <= 0:
             raise ValueError("prefillers must be positive")
-        if self.max_batch <= 0 or self.prefill_batch <= 0:
-            raise ValueError("max_batch and prefill_batch must be positive")
+        _check_count("max_batch", self.max_batch)
+        _check_count("prefill_batch", self.prefill_batch)
         if not 0.0 <= self.pin_fraction <= 1.0:
             raise ValueError("pin_fraction must be in [0, 1]")
         for phase_mode in (self.prefill_paradigm, self.decode_paradigm):

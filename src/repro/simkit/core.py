@@ -10,10 +10,77 @@ processed in insertion order (a monotonically increasing sequence number
 breaks ties in the event heap).
 
 The pure-python classes below are the reference kernel.  When the compiled
-event kernel (``_eventcore.py``) builds, its ``Event``, ``Timeout``,
-``Process``, ``Condition``/``AllOf``/``AnyOf`` and ``Environment`` base
-replace them with the same event order (and its resource types replace
-those of ``resources.py``); ``KERNEL`` names the kernel in use.
+event kernel builds, its ``Event``, ``Timeout``, ``Process``,
+``Condition``/``AllOf``/``AnyOf`` and ``Environment`` base replace them
+with the same event order (and its resource types replace those of
+``resources.py``); ``KERNEL`` names the kernel in use.
+
+The compiled event kernel
+-------------------------
+
+It is the per-event hot path of this module as C in the simulator's one
+extension module (``repro/_native.c``, built, cached and imported by
+:mod:`repro._native`, which also holds the fluid network's kernel):
+``Event`` (trigger, callback dispatch and accessors), ``Timeout``,
+``Process`` (its resume loop), ``Condition``/``AllOf``/``AnyOf`` and an
+``Environment`` base type (schedule, pop, ``step``, the ``run`` loop, the
+instant-end hook flush, ``peek``, ``timeout`` and ``event``); and every
+wait primitive of :mod:`repro.simkit.resources`: ``Resource``/``Request``,
+``PriorityResource``/``PriorityRequest``, ``Store`` with
+``StorePut``/``StoreGet`` and ``Container`` with
+``ContainerPut``/``ContainerGet``.  One simulated event used to cost
+about five Python frames (``step`` → ``_process_callbacks`` →
+``Process._resume``, plus ``_schedule`` and ``succeed``); now it costs
+the generator's own frame, and a request, put or get adds no frame.  It
+reproduces the reference's event order exactly, because every golden
+pins it:
+
+* The queue is a flat binary heap keyed by ``(time, priority, eid)``
+  plus a FIFO ring for zero-delay, priority-1 schedules (every
+  ``succeed``/``fail`` and delay-0 timeout).  Eids are handed out at
+  schedule time, so the ring is in eid order and all of it is due at
+  ``now``.  A heap head wins over the ring head only when it is due at
+  ``now`` and ``(priority, eid) < (1, ring eid)``: exactly ``step()``'s
+  merge rule over the reference's bucket heap and deque, which is the
+  ``(time, priority, eid)`` order of one flat heap.
+* A timeout's due time is ``now + delay``, one double add.
+* A process waiting on an event registers itself (not a bound method)
+  as the callback, and the dispatch resumes it without a call through
+  Python.  A condition registers itself the same way, and the dispatch
+  counts it in C; constituents already processed are checked at
+  construction, in list order, and the first failure is defused and
+  propagated.  A process holds no reference to the event it waits on,
+  and the kernel tracks no running process: nothing preempts a process,
+  so the resume loop writes no per-wait state.  ``callbacks`` stays a
+  real list that Python code may append to, and reads ``None`` once the
+  event is processed.
+* The wait primitives create and schedule the same events in the same
+  order as the reference: a ``Resource`` grants in FIFO order; a
+  ``PriorityResource`` keeps its waiters in a binary heap keyed by
+  ``(priority, request time, global seq)``, whose head is the request
+  the reference's stable sort puts first (the keys are distinct); the
+  ``Store`` and ``Container`` trigger loops serve a put before a get in
+  each pass.  ``users`` and ``items`` are real lists, and a container's
+  ``level`` and ``min_level`` move by the reference's own number
+  arithmetic (an int container stays int).
+* Real generators resume through ``PyIter_Send`` (Python >= 3.10); any
+  other iterator with ``send``/``throw`` methods, such as a tracing
+  proxy, is resumed through those methods.
+* Every type implements ``tp_traverse``/``tp_clear``: events, processes,
+  resources and the environment form reference cycles.  ``Timeout``,
+  ``AllOf``, ``AnyOf``, ``PriorityRequest``, ``PriorityResource`` and
+  ``StoreGet`` add no object fields, so they leave
+  ``Py_TPFLAGS_HAVE_GC`` unset and inherit their base's GC support (a
+  static subtype that sets the flag without its own traverse fails
+  ``PyType_Ready``).
+
+What stays in Python: the ``Environment`` subclass whose own ``run``,
+``process`` and ``defer_to_instant_end`` external tracers patch.  This
+module and ``resources.py`` bind the C types under the reference names
+once ``_native.extension()`` has picked the kernel.  Without a compiler
+or the Python headers, the pure-python classes stay and the fluid
+network keeps its numpy kernel, and one ``RuntimeWarning`` says why;
+``REPRO_WATERFILL=python`` selects both silently.
 
 The kernel carries only what the simulator runs: a process waits on one
 event, on all of several (:class:`AllOf`) or on the first of several
@@ -28,7 +95,7 @@ import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from . import _eventcore
+from .. import _native
 
 __all__ = [
     "Environment",
@@ -442,12 +509,12 @@ def _run_result(env, stop_event: Optional[Event], stop_time: Optional[float]) ->
     return None
 
 
-_ckernel = _eventcore.kernel()
+_ckernel = _native.extension()
 KERNEL = "python" if _ckernel is None else "compiled"
 
 if _ckernel is not None:
-    # The compiled kernel (``_eventcore.py``) replaces the reference classes
-    # above with the same event order.  Tracers patch ``run``, ``process``
+    # The compiled kernel (see the module docstring) replaces the reference
+    # classes above with the same event order.  Tracers patch ``run``, ``process``
     # and ``defer_to_instant_end`` in this class's own ``__dict__``, so all
     # three are entries of it: the last two are the C methods, and ``run``
     # wraps the compiled loop in the reference's ``until`` handling.

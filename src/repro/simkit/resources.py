@@ -19,7 +19,7 @@ capacity.
 
 The classes below are the reference.  When the compiled event kernel
 builds, its C types of the same names replace them with the same event
-order (see ``_eventcore.py``).
+order (see ``core.py``).
 """
 
 from __future__ import annotations

@@ -1,14 +1,9 @@
 """Numpy-backed reverse-mode autograd engine and nn building blocks."""
 
 from . import functional
-from .module import Embedding, LayerNorm, Linear, Module, Parameter, Sequential
-from .optim import Adam, Optimizer, SGD
-from .tensor import (
-    Tensor,
-    get_default_dtype,
-    is_grad_enabled,
-    no_grad,
-)
+from .module import Embedding, LayerNorm, Linear, Module, Parameter
+from .optim import Adam, Optimizer
+from .tensor import Tensor, get_default_dtype
 
 __all__ = [
     "Adam",
@@ -18,11 +13,7 @@ __all__ = [
     "Module",
     "Optimizer",
     "Parameter",
-    "SGD",
-    "Sequential",
     "Tensor",
     "functional",
     "get_default_dtype",
-    "is_grad_enabled",
-    "no_grad",
 ]

@@ -8,7 +8,6 @@ from .tensor import Tensor
 
 __all__ = [
     "softmax",
-    "log_softmax",
     "cross_entropy",
     "layer_norm",
     "linear",
@@ -39,17 +38,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x._make(out_data, (x,), backward)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log likelihood of integer ``targets``.
 
     ``logits`` has shape (N, classes); ``targets`` shape (N,).  Fused into
     one graph node with the classic ``(softmax - onehot) / N`` backward:
-    the composite log_softmax/getitem/mean chain allocates several
+    a composite log-softmax/getitem/mean chain allocates several
     (N, classes) temporaries and a scatter-add per call on the largest
     arrays in the model (the lm-head logits).
     """

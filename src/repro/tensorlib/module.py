@@ -9,7 +9,7 @@ import numpy as np
 from . import functional as F
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Linear", "LayerNorm", "Embedding", "Sequential"]
+__all__ = ["Parameter", "Module", "Linear", "LayerNorm", "Embedding"]
 
 
 class Parameter(Tensor):
@@ -67,9 +67,6 @@ class Module:
                     f"{param.data.shape} vs {state[name].shape}"
                 )
             param.data = state[name].copy()
-
-    def num_parameters(self) -> int:
-        return sum(param.size for param in self.parameters())
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -132,22 +129,3 @@ class Embedding(Module):
         if token_ids.min() < 0 or token_ids.max() >= self.num_embeddings:
             raise IndexError("token id out of embedding range")
         return self.weight[token_ids]
-
-
-class Sequential(Module):
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self._sequence = list(modules)
-        for index, module in enumerate(modules):
-            setattr(self, f"layer{index}", module)
-
-    def forward(self, x):
-        for module in self._sequence:
-            x = module(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self._sequence)
-
-    def __iter__(self):
-        return iter(self._sequence)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm", "global_grad_norm"]
+__all__ = ["Optimizer", "Adam", "global_grad_norm"]
 
 
 def global_grad_norm(parameters: Iterable[Tensor]) -> float:
@@ -25,22 +25,6 @@ def global_grad_norm(parameters: Iterable[Tensor]) -> float:
     return float(np.sqrt(total))
 
 
-def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm.  Parameters without gradients are skipped.
-    """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    params = [p for p in parameters if p.grad is not None]
-    total = global_grad_norm(params)
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for param in params:
-            param.grad *= scale
-    return total
-
-
 class Optimizer:
     def __init__(self, parameters: Iterable[Tensor]):
         self.parameters: List[Tensor] = list(parameters)
@@ -53,34 +37,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters, lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0 <= momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += param.grad
-                update = velocity
-            else:
-                update = param.grad
-            # In place: the update never rebinds param.data, so exported
-            # views and optimizer state stay attached to the same buffer.
-            param.data -= self.lr * update
 
 
 class Adam(Optimizer):

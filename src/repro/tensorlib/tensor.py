@@ -18,33 +18,14 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "no_grad",
-    "is_grad_enabled",
     "get_default_dtype",
 ]
 
 Number = Union[int, float]
 
-_GRAD_ENABLED = [True]
-
 # Float precision of every Tensor: the EC/DC equivalence battery runs at
 # tight tolerances.
 _DTYPE = np.dtype(np.float64)
-
-
-class no_grad:
-    """Context manager disabling graph recording (like torch.no_grad)."""
-
-    def __enter__(self):
-        _GRAD_ENABLED.append(False)
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        _GRAD_ENABLED.pop()
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED[-1]
 
 
 def get_default_dtype() -> np.dtype:
@@ -93,7 +74,7 @@ class Tensor:
         name: str = "",
     ):
         self.data = np.asarray(data, dtype=_DTYPE)
-        self.requires_grad = requires_grad and is_grad_enabled()
+        self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._parents = _parents if self.requires_grad or _parents else ()
         self._backward = _backward
@@ -109,13 +90,6 @@ class Tensor:
     @staticmethod
     def ones(*shape, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape, rng: Optional[np.random.Generator] = None,
-              scale: float = 1.0, requires_grad: bool = False) -> "Tensor":
-        rng = rng if rng is not None else np.random.default_rng()
-        return Tensor(rng.standard_normal(shape) * scale,
-                      requires_grad=requires_grad)
 
     @staticmethod
     def as_tensor(value) -> "Tensor":
@@ -143,14 +117,11 @@ class Tensor:
             raise ValueError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- graph plumbing -----------------------------------------------------------
 
     def _make(self, data, parents, backward) -> "Tensor":
         requires = any(p.requires_grad for p in parents)
-        if not (requires and is_grad_enabled()):
+        if not requires:
             return Tensor(data)
         return Tensor(data, requires_grad=True, _parents=parents,
                       _backward=backward)
@@ -378,16 +349,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate_owned(grad * mask)
-
-        return self._make(out_data, (self,), backward)
-
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
 
@@ -498,33 +459,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def gather_rows(self, index: np.ndarray) -> "Tensor":
-        """Select rows of a 2-d tensor: ``out[i] = self[index[i]]``.
-
-        The MoE dispatch primitive (token gather); backward scatter-adds.
-        """
-        index = np.asarray(index)
-        return self[index]
-
-    @staticmethod
-    def scatter_rows(
-        num_rows: int, index: np.ndarray, values: "Tensor"
-    ) -> "Tensor":
-        """Inverse of :meth:`gather_rows`: ``out[index[i]] += values[i]``.
-
-        The MoE combine primitive (weighted un-dispatch of expert outputs).
-        """
-        index = np.asarray(index)
-        values = Tensor.as_tensor(values)
-        out_data = np.zeros((num_rows,) + values.shape[1:], dtype=values.data.dtype)
-        np.add.at(out_data, index, values.data)
-
-        def backward(grad):
-            if values.requires_grad:
-                values._accumulate_owned(grad[index])
-
-        return values._make(out_data, (values,), backward)
-
     @staticmethod
     def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor.as_tensor(t) for t in tensors]
@@ -539,7 +473,7 @@ class Tensor:
                     tensor._accumulate(grad[tuple(slicer)])
 
         requires = any(t.requires_grad for t in tensors)
-        if not (requires and is_grad_enabled()):
+        if not requires:
             return Tensor(out_data)
         return Tensor(out_data, requires_grad=True, _parents=tuple(tensors),
                       _backward=backward)

@@ -111,14 +111,6 @@ class TraceRecorder:
             and self._in_scope(span, iteration)
         ]
 
-    def total_time(
-        self, kind_prefix: str, iteration: Optional[int] = None
-    ) -> float:
-        """Sum of span durations (may double-count overlapping spans)."""
-        return sum(
-            span.duration for span in self.spans_of(kind_prefix, iteration)
-        )
-
     def busy_time(
         self, kind_prefix: str, iteration: Optional[int] = None
     ) -> float:
@@ -133,16 +125,6 @@ class TraceRecorder:
             (span.start, span.end)
             for prefix in kind_prefixes
             for span in self.spans_of(prefix, iteration)
-        )
-
-    def worker_busy_time(
-        self, worker: int, iteration: Optional[int] = None
-    ) -> float:
-        """Union busy time of every span attributed to one worker."""
-        return _busy(
-            (span.start, span.end)
-            for span in self.spans
-            if span.worker == worker and self._in_scope(span, iteration)
         )
 
     def events_of(

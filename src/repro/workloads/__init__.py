@@ -7,7 +7,6 @@ from .tokens import (
     balanced_assignment,
     target_batches,
     token_batches,
-    zipf_assignment,
     zipf_weights,
 )
 
@@ -20,6 +19,5 @@ __all__ = [
     "balanced_assignment",
     "target_batches",
     "token_batches",
-    "zipf_assignment",
     "zipf_weights",
 ]

@@ -5,7 +5,7 @@ drifts as the corpus mix shifts, transient hotspots appear and heal, and the
 hot-expert *identity* migrates.  A :class:`DriftSpec` describes one seeded
 popularity process; :func:`drift_weights` evaluates it as a pure function of
 ``(spec, num_experts, iteration, block_index)`` so every component — the
-workload regenerator, the gate layer, tests — sees the same trajectory
+workload regenerator, the controller's tests — sees the same trajectory
 without shared mutable state.
 
 Kinds:
@@ -25,6 +25,7 @@ Kinds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,6 +55,11 @@ class DriftSpec:
             raise ValueError(
                 f"kind must be one of {DRIFT_KINDS}, got {self.kind!r}"
             )
+        for name in ("skew", "low_skew", "period", "shift", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}"
+                )
         if self.skew < 0 or self.low_skew < 0:
             raise ValueError("skew values must be non-negative")
         if self.period <= 0:
@@ -87,13 +93,6 @@ class DriftSpec:
         rng = np.random.default_rng([self.seed, block_index, 0x9E3779B9])
         return rng.permutation(num_experts)
 
-    def weights(
-        self, num_experts: int, iteration: int, block_index: int = 0
-    ) -> np.ndarray:
-        """Popularity over experts at ``iteration`` — normalized, positive,
-        deterministic in ``(spec, num_experts, iteration, block_index)``."""
-        return drift_weights(self, num_experts, iteration, block_index)
-
 
 def _zipf(num_experts: int, skew: float) -> np.ndarray:
     weights = 1.0 / np.arange(1, num_experts + 1, dtype=float) ** skew
@@ -106,7 +105,8 @@ def drift_weights(
     iteration: int,
     block_index: int = 0,
 ) -> np.ndarray:
-    """Evaluate ``spec`` at one iteration (see :meth:`DriftSpec.weights`)."""
+    """Popularity over experts at ``iteration`` — normalized, positive,
+    deterministic in ``(spec, num_experts, iteration, block_index)``."""
     if num_experts <= 0:
         raise ValueError("num_experts must be positive")
     if iteration < 0:

@@ -19,7 +19,6 @@ __all__ = [
     "token_batches",
     "target_batches",
     "balanced_assignment",
-    "zipf_assignment",
     "assignment_imbalance",
 ]
 
@@ -79,28 +78,6 @@ def zipf_weights(
     weights /= weights.sum()
     rng.shuffle(weights)
     return weights
-
-
-def zipf_assignment(
-    num_slots: int,
-    num_experts: int,
-    skew: float = 1.0,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Zipf-distributed token-slot counts: hot experts get most tokens.
-
-    ``skew=0`` is uniform; larger skews concentrate load (the imbalance the
-    paper measures in §3.1, citation [24]).
-    """
-    if skew < 0:
-        raise ValueError("skew must be non-negative")
-    rng = rng if rng is not None else np.random.default_rng()
-    weights = 1.0 / np.arange(1, num_experts + 1) ** skew
-    weights /= weights.sum()
-    # Shuffle so the hot expert index is not always 0.
-    rng.shuffle(weights)
-    counts = rng.multinomial(num_slots, weights)
-    return counts.astype(np.int64)
 
 
 def assignment_imbalance(counts: np.ndarray) -> float:

@@ -14,6 +14,7 @@ import sys
 
 from repro.cluster import Cluster, MachineSpec
 from repro.config import ModelConfig
+from repro.netsim import _waterfill
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -99,6 +100,14 @@ def reference_simkit():
         repro.simkit = saved["repro.simkit"]
     assert copy.core.KERNEL == "python"
     return copy
+
+
+def kernel_id(kernel) -> str:
+    """A fluid kernel's test id: ``NumpyKernel``, or ``CompiledKernel`` for
+    the extension module."""
+    if isinstance(kernel, _waterfill.NumpyKernel):
+        return "NumpyKernel"
+    return "CompiledKernel"
 
 
 def certified(net):

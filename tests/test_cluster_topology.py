@@ -33,12 +33,6 @@ class TestMachineSpec:
         spec = a100_machine_spec()
         assert [spec.nic_of(g) for g in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
 
-    def test_pcie_peer_is_the_other_gpu_under_the_switch(self):
-        spec = a100_machine_spec()
-        assert spec.pcie_peer_of(0) == 1
-        assert spec.pcie_peer_of(1) == 0
-        assert spec.pcie_peer_of(6) == 7
-
     def test_rank_bounds_checked(self):
         spec = a100_machine_spec()
         with pytest.raises(ValueError):

@@ -1,11 +1,11 @@
 """Unit tests of the adaptive control plane's decision layer.
 
-Covers the drift generators (:mod:`repro.workloads.drift` and the
-:class:`~repro.models.DriftingGate`), the CLI parse grammars, the
-measured-load cost model, and the :class:`~repro.control.ControlPolicy`
-state machine: hysteresis (oscillating sub-deadband load must not flap),
-probation-based recovery with exponential backoff, the fault arm's legacy
-one-way ratchet, and the replication watermarks/budget.
+Covers the drift generators (:mod:`repro.workloads.drift`), the CLI parse
+grammars, the measured-load cost model, and the
+:class:`~repro.control.ControlPolicy` state machine: hysteresis
+(oscillating sub-deadband load must not flap), probation-based recovery
+with exponential backoff, the fault arm's legacy one-way ratchet, and the
+replication watermarks/budget.
 """
 
 import numpy as np
@@ -21,8 +21,6 @@ from repro.control.policy import MAX_REPLICAS
 from repro.core import CostModel
 from repro.faults import DegradationPolicy
 from repro.faults.injector import FaultStats
-from repro.models import DriftingGate, TopKGate
-from repro.tensorlib import Tensor
 from repro.workloads import DRIFT_KINDS, DriftSpec, drift_weights
 
 BLOCK = 10
@@ -109,11 +107,20 @@ class TestDriftSpec:
         with pytest.raises(ValueError):
             DriftSpec.parse(text)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(skew=float("nan")), dict(low_skew=float("inf")),
+        dict(kind="walk", step=float("inf")), dict(period=float("nan")),
+    ])
+    def test_non_finite_fields_refused(self, overrides):
+        # A NaN popularity reached the engine's multinomial draw.
+        with pytest.raises(ValueError, match="must be finite"):
+            DriftSpec(**overrides)
+
     @pytest.mark.parametrize("kind", DRIFT_KINDS)
     def test_weights_are_a_distribution(self, kind):
         spec = DriftSpec(kind=kind, skew=1.3, seed=3)
         for iteration in (0, 1, 5):
-            weights = spec.weights(16, iteration, block_index=BLOCK)
+            weights = drift_weights(spec, 16, iteration, BLOCK)
             assert weights.shape == (16,)
             assert np.all(weights > 0)
             assert weights.sum() == pytest.approx(1.0)
@@ -133,8 +140,8 @@ class TestDriftSpec:
 
     def test_rotate_shifts_hot_identity_keeps_values(self):
         spec = DriftSpec(kind="rotate", skew=2.0, period=1, shift=1, seed=5)
-        before = spec.weights(16, 0, BLOCK)
-        after = spec.weights(16, 1, BLOCK)
+        before = drift_weights(spec, 16, 0, BLOCK)
+        after = drift_weights(spec, 16, 1, BLOCK)
         # Same popularity values, assigned to different experts.
         np.testing.assert_allclose(np.sort(before), np.sort(after))
         assert int(before.argmax()) != int(after.argmax())
@@ -143,52 +150,9 @@ class TestDriftSpec:
         still = DriftSpec(kind="walk", skew=1.2, step=0.0, seed=2)
         static = DriftSpec(kind="static", skew=1.2, seed=2)
         np.testing.assert_allclose(
-            still.weights(16, 7, BLOCK), static.weights(16, 7, BLOCK)
+            drift_weights(still, 16, 7, BLOCK),
+            drift_weights(static, 16, 7, BLOCK),
         )
-
-
-class TestDriftingGate:
-    HIDDEN, EXPERTS, TOKENS = 8, 4, 256
-
-    def _tokens(self):
-        rng = np.random.default_rng(0)
-        return Tensor(rng.standard_normal((self.TOKENS, self.HIDDEN)))
-
-    def test_zero_bias_strength_matches_plain_gate(self):
-        plain = TopKGate(self.HIDDEN, self.EXPERTS, 1,
-                         rng=np.random.default_rng(1))
-        drifting = DriftingGate(self.HIDDEN, self.EXPERTS, 1,
-                                rng=np.random.default_rng(1),
-                                bias_strength=0.0)
-        tokens = self._tokens()
-        np.testing.assert_array_equal(
-            plain.forward(tokens).expert_indices,
-            drifting.forward(tokens).expert_indices,
-        )
-
-    def test_strong_bias_tracks_drifting_hotspot(self):
-        gate = DriftingGate(
-            self.HIDDEN, self.EXPERTS, 1,
-            rng=np.random.default_rng(1),
-            drift=DriftSpec(kind="rotate", skew=3.0, period=1, seed=9),
-            bias_strength=50.0,
-        )
-        tokens = self._tokens()
-        seen = []
-        for iteration in range(3):
-            gate.advance(iteration)
-            decision = gate.forward(tokens)
-            histogram = decision.tokens_per_expert(self.EXPERTS)
-            assert int(histogram.argmax()) == int(gate.popularity().argmax())
-            seen.append(int(histogram.argmax()))
-        assert len(set(seen)) > 1        # the hotspot actually moved
-
-    def test_advance_defaults_to_next_iteration(self):
-        gate = DriftingGate(self.HIDDEN, self.EXPERTS, 1)
-        assert gate.advance() == 1
-        assert gate.advance(5) == 5
-        with pytest.raises(ValueError):
-            gate.advance(-1)
 
 
 # -- config grammar --------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.runtime import (
     RankLayout,
 )
 from repro.tensorlib import Tensor
+from tests.helpers import pulled_expert_count
 
 HIDDEN = 8
 
@@ -98,7 +99,7 @@ class TestExecutorContracts:
         # Every expert gets exactly one replica per machine (each machine
         # hosts a non-owner worker for every expert; the owner itself uses
         # the canonical module): 2 machines x 4 experts = 8.
-        assert executor.pulled_expert_count() == 8
+        assert pulled_expert_count(executor) == 8
 
 
 class TestGoodputParameters:

@@ -26,11 +26,11 @@ from repro.faults import (
     ServerOutage,
     retry_flow,
 )
-from repro.netsim import Fabric, fluid
+from repro.netsim import Fabric, _waterfill, fluid
 from repro.simkit import Environment
 from repro.trace import render_timeline
 
-from tests.conftest import fault_arm_controller
+from tests.conftest import fault_arm_controller, kernel_id
 
 
 # Pre-PR golden timings for moe_gpt(16) on Cluster(2) with the default
@@ -176,6 +176,19 @@ class TestDroppedTransfers:
         assert injector.stats.dropped_messages == 1
         assert flow.size == 64.0 and not flow.done.triggered
         assert flow.started_at is None and flow.remaining == 64.0
+
+    @pytest.mark.parametrize("kernel", sorted(
+        {_waterfill.NUMPY, _waterfill.kernel()}, key=kernel_id
+    ), ids=kernel_id)
+    def test_a_dropped_transfer_is_the_networks_flow_class(self, kernel):
+        fabric, injector = self._outage_fabric()
+        fabric.network._kernel = kernel
+        delivered = fabric.transfer(Device.gpu(0, 0), Device.gpu(0, 1), 64.0,
+                                    tag=("pull-request", 0))
+        dropped = fabric.transfer(Device.gpu(0, 0), Device.host(1), 64.0,
+                                  tag=("pull-request", 0))
+        assert injector.stats.dropped_messages == 1
+        assert type(dropped) is type(delivered) is fabric.network._new_flow
 
     @pytest.mark.parametrize("flow_class", sorted(
         {fluid.Flow, fluid.PythonFlow}, key=lambda cls: cls.__name__

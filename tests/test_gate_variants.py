@@ -5,6 +5,7 @@ import pytest
 
 from repro.models import MoELayer, TopKGate
 from repro.tensorlib import Tensor
+from tests.helpers import dropped_slots, tokens_per_expert
 
 RNG = np.random.default_rng(5)
 
@@ -63,21 +64,21 @@ class TestCapacityFactor:
                         capacity_factor=1.0)
         decision = gate(tokens(100))
         capacity = gate.expert_capacity(100)
-        assert decision.tokens_per_expert(8).max() <= capacity
+        assert tokens_per_expert(decision, 8).max() <= capacity
 
     def test_tight_capacity_drops_slots(self):
         gate = TopKGate(8, 8, 2, rng=np.random.default_rng(1),
                         capacity_factor=0.5)
         decision = gate(tokens(200))
-        assert decision.dropped_slots > 0
+        assert dropped_slots(decision) > 0
         capacity = gate.expert_capacity(200)
-        assert decision.tokens_per_expert(8).max() <= capacity
+        assert tokens_per_expert(decision, 8).max() <= capacity
 
     def test_generous_capacity_drops_nothing(self):
         gate = TopKGate(8, 8, 2, rng=np.random.default_rng(1),
                         capacity_factor=8.0)
         decision = gate(tokens(100))
-        assert decision.dropped_slots == 0
+        assert dropped_slots(decision) == 0
 
     def test_earlier_tokens_win_slots(self):
         """Admission is by token order (GShard position-in-expert): the
@@ -120,7 +121,7 @@ class TestCapacityFactor:
         assert out.shape == (2, 30, 8)
         out.sum().backward()
         assert x.grad is not None
-        assert layer.last_decision.dropped_slots > 0
+        assert dropped_slots(layer.last_decision) > 0
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):

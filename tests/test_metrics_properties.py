@@ -24,6 +24,7 @@ from repro.metrics import (
 from repro.trace import TraceRecorder
 
 from tests.conftest import small_cluster, small_config
+from tests.helpers import worker_busy_time
 
 MODES = ("expert-centric", "data-centric", "unified", "pipelined-ec")
 
@@ -127,7 +128,7 @@ class TestEngineInvariants:
         }
         assert workers  # the traced worker recorded something
         for worker in workers:
-            busy = trace.worker_busy_time(worker, iteration=0)
+            busy = worker_busy_time(trace, worker, iteration=0)
             assert 0 <= busy <= result.seconds + 1e-12
 
     @pytest.mark.parametrize("mode", MODES)
@@ -140,7 +141,7 @@ class TestEngineInvariants:
 
     def test_histogram_latencies_are_non_negative(self):
         registry, _, result = run_instrumented("data-centric")
-        for name in registry.histogram_names():
+        for name in registry.as_dict()["histograms"]:
             for key in (
                 (), (("kind", "internal"),), (("kind", "pcie"),),
                 (("kind", "peer"),), (("kind", "backward"),),

@@ -114,9 +114,9 @@ class TestGaugesAndHistograms:
         registry.set("b", 1.0)
         registry.observe("c", 1.0)
         registry.clear()
-        assert registry.counter_names() == []
-        assert registry.gauge_names() == []
-        assert registry.histogram_names() == []
+        assert registry.as_dict() == {
+            "counters": {}, "gauges": {}, "histograms": {}
+        }
 
 
 class TestExport:
@@ -127,8 +127,10 @@ class TestExport:
         registry.set("z.gauge", 0.0)
         registry.observe("m.hist", 1.0)
         assert registry.counter_names() == ["a.first", "b.second"]
-        assert registry.gauge_names() == ["z.gauge"]
-        assert registry.histogram_names() == ["m.hist"]
+        snapshot = registry.as_dict()
+        assert list(snapshot["counters"]) == ["a.first", "b.second"]
+        assert list(snapshot["gauges"]) == ["z.gauge"]
+        assert list(snapshot["histograms"]) == ["m.hist"]
 
     def test_as_dict_round_trips_to_json(self):
         import json

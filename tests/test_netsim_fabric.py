@@ -6,7 +6,6 @@ from repro.cluster import Cluster, Device
 from repro.netsim import (
     Fabric,
     all_to_all,
-    all_to_all_proc,
     measure_all_to_all_goodput,
     uniform_matrix,
 )
@@ -18,6 +17,13 @@ def make_fabric(num_machines=2):
     env = Environment()
     cluster = Cluster(num_machines)
     return env, cluster, Fabric(env, cluster)
+
+
+def a2a_seconds(env, fabric, matrix):
+    """Simulated seconds one ``all_to_all`` of ``matrix`` takes from now."""
+    start = env.now
+    env.run(until=all_to_all(fabric, matrix))
+    return env.now - start
 
 
 class TestFabric:
@@ -120,33 +126,19 @@ class TestAllToAll:
     def test_intra_machine_all_to_all_completes(self):
         env, cluster, fabric = make_fabric(1)
         matrix = uniform_matrix(8, 1e6)
-        results = []
-
-        def driver():
-            elapsed = yield env.process(all_to_all_proc(fabric, matrix))
-            results.append(elapsed)
-
-        env.process(driver())
-        env.run()
-        assert results and results[0] > 0
+        elapsed = a2a_seconds(env, fabric, matrix)
+        assert elapsed > 0
 
     def test_inter_machine_all_to_all_is_nic_bound(self):
         env, cluster, fabric = make_fabric(2)
         per_pair = 1e6
         matrix = uniform_matrix(16, per_pair)
-        results = []
-
-        def driver():
-            elapsed = yield env.process(all_to_all_proc(fabric, matrix))
-            results.append(elapsed)
-
-        env.process(driver())
-        env.run()
+        elapsed = a2a_seconds(env, fabric, matrix)
         # Each machine sends 8*8 pair-payloads to the other machine,
         # split over 4 NICs.
         cross = 64 * per_pair
         expected = cross / 4 / cluster.spec.nic.bandwidth
-        assert results[0] == pytest.approx(expected, rel=0.05)
+        assert elapsed == pytest.approx(expected, rel=0.05)
 
     def test_flat_mode_same_traffic_slower_or_equal_under_skew(self):
         env1 = Environment()
@@ -189,17 +181,10 @@ class TestAllToAll:
         env, cluster, fabric = make_fabric(2)
         matrix = uniform_matrix(16, 1e5)
         matrix[0, 8] = 1e8  # one heavy cross-machine pair
-        results = []
-
-        def driver():
-            elapsed = yield env.process(all_to_all_proc(fabric, matrix))
-            results.append(elapsed)
-
-        env.process(driver())
-        env.run()
+        elapsed = a2a_seconds(env, fabric, matrix)
         heavy_bytes = matrix[0:8, 8:16].sum() / cluster.spec.num_nics
         min_expected = heavy_bytes / cluster.spec.nic.bandwidth
-        assert results[0] >= min_expected * 0.99
+        assert elapsed >= min_expected * 0.99
 
 
 class TestGoodput:

@@ -7,6 +7,8 @@ import pytest
 from repro.netsim import FluidNetwork
 from repro.netsim import _waterfill
 from repro.simkit import Environment
+from tests.conftest import kernel_id
+from tests.helpers import active_flows
 
 
 def make_net(links):
@@ -153,7 +155,7 @@ def test_bad_size_or_latency_rejected(size, latency):
     env, net = make_net({"l": 1.0})
     with pytest.raises(ValueError, match="size|latency"):
         net.transfer(("l",), size, latency)
-    assert not net.active_flows and env.peek() == float("inf")
+    assert not active_flows(net) and env.peek() == float("inf")
 
 
 def test_duplicate_link_rejected():
@@ -227,7 +229,7 @@ def test_path_repeating_a_link_rejected():
     for path in (("a", "a"), ("b", "b")):
         with pytest.raises(ValueError, match="repeats a link"):
             net.transfer(path, 10.0)
-    assert env.peek() == float("inf") and not net.active_flows
+    assert env.peek() == float("inf") and not active_flows(net)
     with pytest.raises(ValueError, match="repeats a link"):
         net.resolve_path(("a", "a"))
     flow = net.transfer(("a", "b"), 10.0)
@@ -355,7 +357,7 @@ class TestSubUlpResidue:
     [_waterfill.NUMPY] + (
         [] if _waterfill.kernel() is _waterfill.NUMPY else [_waterfill.kernel()]
     ),
-    ids=lambda kernel: type(kernel).__name__,
+    ids=kernel_id,
 )
 def test_class_level_wraps_see_every_timer_activation_and_resolve(
     kernel, monkeypatch
@@ -376,7 +378,7 @@ def test_class_level_wraps_see_every_timer_activation_and_resolve(
 
     def traced_timer(self, event):
         calls["fire"] += 1
-        live = [flow for flow in self.active_flows]
+        live = [flow for flow in active_flows(self)]
         on_timer_event(self, event)
         finished.update(flow for flow in live if flow.done.triggered)
 
@@ -391,7 +393,7 @@ def test_class_level_wraps_see_every_timer_activation_and_resolve(
             calls["loaded"] += net._n > 0  # a re-solve with rows fills
             callback()
             # The re-solve armed a timer iff some flow now moves.
-            calls["armed"] += any(flow.rate > 0 for flow in net.active_flows)
+            calls["armed"] += any(flow.rate > 0 for flow in active_flows(net))
 
         defer(self, resolve)
 

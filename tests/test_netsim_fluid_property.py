@@ -23,6 +23,7 @@ from repro.netsim import FluidNetwork
 from repro.netsim import _waterfill
 from repro.simkit import Environment
 from tests.conftest import certified
+from tests.helpers import active_flows
 
 # Every kernel this host runs: the compiled one where it builds, and numpy.
 KERNELS = (_waterfill.kernel(), _waterfill.NUMPY)
@@ -117,14 +118,14 @@ def _replay_against_fresh_recomputes(schedule, kernel):
             index, bandwidth = payload
             net.set_capacity(f"l{index}", bandwidth)
         _settle(env)
-        active = net.active_flows
+        active = active_flows(net)
         current_links = [(lid, net.capacity(lid)) for lid in net.links()]
         expected = _fresh_rates(current_links, active)
         got = [flow.rate for flow in active]
         assert got == expected  # exact float equality, not approx
 
     # Drain to completion: every flow must finish (no lost wakeups).
-    while net.active_flows:
+    while active_flows(net):
         env.run(until=env.peek())
         _settle(env)
     assert net._n == 0

@@ -34,7 +34,6 @@ import pytest
 import repro.simkit.core
 from repro import _native
 from repro.netsim import _waterfill
-from repro.simkit import _eventcore
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -42,7 +41,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def _probe():
     """Each core's choice, asked afresh: (fluid kernel, event kernel)."""
     _waterfill.kernel.cache_clear()
-    return _waterfill.kernel(), _eventcore.kernel()
+    return _waterfill.kernel(), _native.extension()
 
 
 # What the probe hands out when the extension is unavailable.
@@ -119,11 +118,8 @@ def test_unwritable_checkout_builds_in_private_temp_dir(
     if not has_compiler:
         pytest.skip("no C compiler on this host")
     fluid, events = _probe()
-    assert list(private_temp.glob("native_*.so")) == [
-        Path(fluid.admit.__self__.__file__)
-    ]
-    assert isinstance(fluid, _waterfill.CompiledKernel)
-    assert events is not None
+    assert list(private_temp.glob("native_*.so")) == [Path(fluid.__file__)]
+    assert fluid is events
 
 
 def test_shared_temp_dir_is_refused(fresh_probe, private_temp, monkeypatch):
@@ -135,7 +131,7 @@ def test_shared_temp_dir_is_refused(fresh_probe, private_temp, monkeypatch):
     assert len(record) == 1
 
 
-# Each core's section of the one source, by the core's python module.
+# Each core's section of the one source, by core.
 SECTIONS = {
     "eventcore": "/* == event kernel ==",
     "waterfill": "/* == fluid kernel ==",
@@ -188,17 +184,14 @@ ENTRIES = ("ledger", "tables", "advance", "admit", "retire", "settle", "waterfil
 @needs_compiler
 def test_compiled_entries_are_builtins_of_the_one_extension():
     ext = _native.extension()
-    assert _eventcore.kernel() is ext
+    assert _waterfill.kernel() is ext
     assert repro.simkit.core.Event is ext.Event
     assert ext.Environment in repro.simkit.core.Environment.__mro__
     for name in ("Condition", "AllOf", "AnyOf", "Request", "Resource", "PriorityRequest",
                  "PriorityResource", "Store", "Container"):
         assert getattr(repro.simkit, name) is getattr(ext, name), name
-    kernel = _waterfill.kernel()
     for name in ENTRIES:
-        entry = getattr(kernel, name)
-        assert isinstance(entry, types.BuiltinFunctionType), name
-        assert entry is getattr(ext, name), name
+        assert isinstance(getattr(ext, name), types.BuiltinFunctionType), name
 
 
 def _ledger_arrays(rows=4, links=3, groups=2):

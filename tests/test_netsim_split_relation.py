@@ -44,7 +44,7 @@ from repro.netsim import FluidNetwork
 from repro.netsim import _waterfill
 from repro.netsim.fluid import _EPSILON
 from repro.simkit import Environment
-from tests.conftest import certified
+from tests.conftest import certified, kernel_id
 
 NUMPY = _waterfill.NUMPY
 COMPILED = None if _waterfill.kernel() is NUMPY else _waterfill.kernel()
@@ -121,7 +121,7 @@ def _run(kernel, capacities, clock, start, sizes, background):
     )
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("kernel", KERNELS, ids=kernel_id)
 @pytest.mark.parametrize("seed", range(16))
 def test_a_split_flow_finishes_with_the_whole(kernel, seed):
     capacities, clock, start, halves, background = _scenario(seed)
@@ -156,7 +156,7 @@ def test_a_split_flow_finishes_with_the_whole(kernel, seed):
     assert k_split > 2
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("kernel", KERNELS, ids=kernel_id)
 def test_a_competitor_breaks_the_relation(kernel):
     # Why the split path must carry no other flow: against one
     # competitor on s0, the whole flow gets half of s0 and the two halves

@@ -20,6 +20,7 @@ from repro.simkit import Environment
 from repro.tensorlib import Tensor
 from repro.tensorlib import functional as F
 from repro.workloads import balanced_assignment
+from tests.helpers import scatter_rows
 
 machines = st.integers(min_value=2, max_value=8)
 workers = st.integers(min_value=1, max_value=16)
@@ -264,6 +265,6 @@ class TestTensorProperties:
         index = rng.integers(0, rows, size=rows + 2)
         x = rng.standard_normal((rows + 2, dim))
         y = rng.standard_normal((rows, dim))
-        scattered = Tensor.scatter_rows(rows, index, Tensor(x)).numpy()
-        gathered = Tensor(y).gather_rows(index).numpy()
+        scattered = scatter_rows(rows, index, Tensor(x)).numpy()
+        gathered = Tensor(y)[index].numpy()
         assert np.vdot(scattered, y) == pytest.approx(np.vdot(x, gathered))

@@ -14,6 +14,7 @@ from repro.faults import FaultPlan, MessageLoss, ResilienceConfig
 from repro.models import TopKGate
 from repro.tensorlib import Tensor
 
+from tests.helpers import tokens_per_expert
 from tests.test_core_memory import (
     estimate_data_centric,
     estimate_expert_centric,
@@ -111,7 +112,7 @@ class TestGateProperties:
         decision = gate(
             Tensor(np.random.default_rng(seed).standard_normal((40, 8)))
         )
-        assert decision.tokens_per_expert(4).max() <= gate.expert_capacity(40)
+        assert tokens_per_expert(decision, 4).max() <= gate.expert_capacity(40)
 
 
 class TestCreditDiscipline:

@@ -30,6 +30,7 @@ from repro.runtime import (
     RankLayout,
 )
 from repro.tensorlib import Tensor
+from tests.helpers import pulled_expert_count, scatter_rows
 
 HIDDEN = 8
 
@@ -37,6 +38,14 @@ HIDDEN = 8
 def naive_slots(decision, expert_id):
     """The pre-vectorization per-expert scan (row-major order)."""
     return np.nonzero(decision.expert_indices == expert_id)
+
+
+def weighted_scatter(num_tokens, token_ids, slot_ids, expert_out, decision):
+    """One (worker, expert) pair's combine: the expert's output rows,
+    weighted by their gate weights, scattered back to their tokens."""
+    weights = decision.combine_weights[token_ids, slot_ids]
+    weighted = expert_out * weights.reshape(-1, 1)
+    return scatter_rows(num_tokens, token_ids, weighted)
 
 
 class NaiveExpertCentric(ExpertCentricMoE):
@@ -63,7 +72,7 @@ class NaiveExpertCentric(ExpertCentricMoE):
                         "dispatch", rank, owner,
                         token_ids.size * self.token_bytes,
                     )
-                pieces.append(tokens.gather_rows(token_ids))
+                pieces.append(tokens[token_ids])
                 meta.append((rank, token_ids, slot_ids))
             if not pieces:
                 continue
@@ -80,7 +89,7 @@ class NaiveExpertCentric(ExpertCentricMoE):
                     self.comm_log.record(
                         "combine", owner, rank, count * self.token_bytes
                     )
-                contribution = self._weighted_scatter(
+                contribution = weighted_scatter(
                     worker_tokens[rank].shape[0], token_ids, slot_ids,
                     piece, decisions[rank],
                 )
@@ -117,8 +126,8 @@ class NaiveDataCentric(DataCentricMoE):
                 if token_ids.size == 0:
                     continue
                 expert = self._fetch(expert_id, rank)
-                expert_out = expert(tokens.gather_rows(token_ids))
-                contribution = self._weighted_scatter(
+                expert_out = expert(tokens[token_ids])
+                contribution = weighted_scatter(
                     num_tokens, token_ids, slot_ids, expert_out, decision
                 )
                 output = (
@@ -244,7 +253,7 @@ class TestSortedDispatchEquivalence:
         ]
         run_and_grads(naive, [Tensor(batch) for batch in data])
         run_and_grads(fast, [Tensor(batch) for batch in data])
-        assert fast.pulled_expert_count() == naive.pulled_expert_count()
+        assert pulled_expert_count(fast) == pulled_expert_count(naive)
 
 
 class TestDispatchPlanSegments:
@@ -272,7 +281,9 @@ class TestDispatchPlanSegments:
         total = 0
         for expert_id in range(num_experts):
             token_ids, slot_ids = np.nonzero(expert_indices == expert_id)
-            plan_tokens, plan_slots = plan.segment(expert_id)
+            start, stop = plan.segment_bounds(expert_id)
+            plan_tokens = plan.token_ids[start:stop]
+            plan_slots = plan.slot_ids[start:stop]
             np.testing.assert_array_equal(plan_tokens, token_ids)
             np.testing.assert_array_equal(plan_slots, slot_ids)
             assert plan.count(expert_id) == token_ids.size

@@ -157,7 +157,7 @@ class TestBackwardEquivalence:
 class TestTrainingEquivalence:
     def test_sgd_trajectories_identical(self):
         """Several optimizer steps under each paradigm stay in lockstep."""
-        from repro.tensorlib import SGD
+        from tests.helpers import SGD
 
         layout = RankLayout(2, 2)
         ec, dc = make_pair(layout)

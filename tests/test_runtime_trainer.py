@@ -1,15 +1,11 @@
-"""Tests for the distributed trainer, grad clipping and checkpointing."""
+"""Tests for the distributed trainer and checkpointing."""
 
 import numpy as np
 import pytest
 
 from repro.runtime import DistributedMoETransformer, RankLayout
-from repro.runtime.trainer import (
-    DistributedTrainer,
-    linear_warmup_schedule,
-)
-from repro.tensorlib import Adam, Parameter
-from repro.tensorlib.optim import clip_grad_norm
+from repro.runtime.trainer import DistributedTrainer
+from repro.tensorlib import Adam
 from repro.workloads import target_batches, token_batches
 
 RNG = np.random.default_rng(4)
@@ -22,7 +18,7 @@ def tiny_config():
     return tiny_model_config(name="trainer-test", batch_size=3, vocab_size=48)
 
 
-def make_trainer(paradigm="data-centric", **kwargs):
+def make_trainer(paradigm="data-centric"):
     config = tiny_config()
     layout = RankLayout(2, 2)
     model = DistributedMoETransformer(
@@ -31,7 +27,7 @@ def make_trainer(paradigm="data-centric", **kwargs):
         rng=np.random.default_rng(1),
     )
     optimizer = Adam(model.parameters(), lr=3e-3)
-    return config, layout, model, DistributedTrainer(model, optimizer, **kwargs)
+    return config, layout, model, DistributedTrainer(model, optimizer)
 
 
 def make_batch(config, layout, seed):
@@ -40,49 +36,6 @@ def make_batch(config, layout, seed):
         token_batches(config, layout.world_size, rng=rng),
         target_batches(config, layout.world_size, rng=rng),
     )
-
-
-class TestClipGradNorm:
-    def test_clips_to_max_norm(self):
-        param = Parameter(np.zeros(4))
-        param.grad = np.full(4, 10.0)
-        norm = clip_grad_norm([param], max_norm=1.0)
-        assert norm == pytest.approx(20.0)
-        assert np.linalg.norm(param.grad) == pytest.approx(1.0)
-
-    def test_small_gradients_untouched(self):
-        param = Parameter(np.zeros(4))
-        param.grad = np.full(4, 0.1)
-        clip_grad_norm([param], max_norm=10.0)
-        np.testing.assert_allclose(param.grad, 0.1)
-
-    def test_skips_gradless_params(self):
-        with_grad = Parameter(np.zeros(2))
-        with_grad.grad = np.ones(2)
-        without = Parameter(np.zeros(2))
-        clip_grad_norm([with_grad, without], max_norm=0.5)
-        assert without.grad is None
-
-    def test_invalid_max_norm(self):
-        with pytest.raises(ValueError):
-            clip_grad_norm([], max_norm=0)
-
-
-class TestSchedule:
-    def test_warmup_ramps_then_holds(self):
-        schedule = linear_warmup_schedule(1e-3, warmup_steps=4)
-        values = [schedule(step) for step in range(6)]
-        assert values[0] == pytest.approx(0.25e-3)
-        assert values[3] == pytest.approx(1e-3)
-        assert values[5] == pytest.approx(1e-3)
-
-    def test_zero_warmup(self):
-        schedule = linear_warmup_schedule(1e-3, warmup_steps=0)
-        assert schedule(0) == 1e-3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            linear_warmup_schedule(0, 4)
 
 
 class TestTrainer:
@@ -107,35 +60,6 @@ class TestTrainer:
             first.cross_machine_bytes, rel=0.5
         )
 
-    def test_grad_clip_bounds_reported_norm_effect(self):
-        config, layout, model, trainer = make_trainer(grad_clip=0.01)
-        tokens, targets = make_batch(config, layout, seed=0)
-        metrics = trainer.step(tokens, targets)
-        post_norm = np.sqrt(sum(
-            float((p.grad**2).sum())
-            for p in trainer.optimizer.parameters
-            if p.grad is not None
-        ))
-        assert metrics.grad_norm >= post_norm
-        assert post_norm <= 0.01 * 1.001
-
-    def test_lr_schedule_applied(self):
-        config, layout, model, trainer = make_trainer(
-            lr_schedule=linear_warmup_schedule(1e-2, warmup_steps=2)
-        )
-        tokens, targets = make_batch(config, layout, seed=0)
-        first = trainer.step(tokens, targets)
-        second = trainer.step(tokens, targets)
-        assert first.learning_rate == pytest.approx(5e-3)
-        assert second.learning_rate == pytest.approx(1e-2)
-
-    def test_fit_over_generator(self):
-        config, layout, model, trainer = make_trainer()
-        data = (make_batch(config, layout, seed=s) for s in range(10))
-        metrics = trainer.fit(data, steps=4)
-        assert len(metrics) == 4
-        assert trainer.step_count == 4
-
     def test_paradigms_train_identically(self):
         results = {}
         for paradigm in ("expert-centric", "data-centric"):
@@ -147,11 +71,6 @@ class TestTrainer:
         assert results["expert-centric"] == pytest.approx(
             results["data-centric"], abs=1e-9
         )
-
-    def test_invalid_grad_clip(self):
-        with pytest.raises(ValueError):
-            make_trainer(grad_clip=0)
-
 
 class TestModelStateDict:
     def test_round_trip_preserves_forward(self):

@@ -201,6 +201,12 @@ class TestInvariants:
             ServingConfig(prefillers=0)
         with pytest.raises(ValueError):
             ServingConfig(max_batch=0)
+        # A NaN batch admitted nothing: the unified worker spun on
+        # zero-length timeouts and the disaggregated run stalled.
+        for field in ("max_batch", "prefill_batch"):
+            for value in (float("nan"), 0.5):
+                with pytest.raises(ValueError, match="positive integer"):
+                    ServingConfig(**{field: value})
         with pytest.raises(ValueError):
             ServingConfig(pin_fraction=1.5)
         with pytest.raises(ValueError):

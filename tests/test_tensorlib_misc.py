@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.tensorlib import Tensor, no_grad
+from repro.tensorlib import Tensor
 
 from tests.gradcheck import gradcheck
+from tests.helpers import scatter_rows
 
 RNG = np.random.default_rng(13)
 
@@ -17,25 +18,11 @@ class TestConstructors:
         assert z.shape == (2, 3) and (z.numpy() == 0).all()
         assert o.shape == (4,) and (o.numpy() == 1).all()
 
-    def test_randn_seeded(self):
-        a = Tensor.randn(5, rng=np.random.default_rng(1))
-        b = Tensor.randn(5, rng=np.random.default_rng(1))
-        np.testing.assert_array_equal(a.numpy(), b.numpy())
-
-    def test_randn_scale(self):
-        x = Tensor.randn(10000, rng=np.random.default_rng(1), scale=0.01)
-        assert abs(float(x.numpy().std()) - 0.01) < 0.002
-
     def test_as_tensor_passthrough(self):
         x = Tensor([1.0])
         assert Tensor.as_tensor(x) is x
         y = Tensor.as_tensor([2.0])
         assert isinstance(y, Tensor)
-
-    def test_requires_grad_respects_no_grad_context(self):
-        with no_grad():
-            x = Tensor([1.0], requires_grad=True)
-        assert not x.requires_grad
 
 
 class TestShapingAndIndexing:
@@ -63,13 +50,13 @@ class TestShapingAndIndexing:
 
     def test_scatter_rows_empty_index(self):
         values = Tensor(np.zeros((0, 4)))
-        out = Tensor.scatter_rows(3, np.array([], dtype=int), values)
+        out = scatter_rows(3, np.array([], dtype=int), values)
         assert out.shape == (3, 4)
         assert (out.numpy() == 0).all()
 
     def test_gather_rows_repeated_index_grad_accumulates(self):
         x = Tensor(RNG.standard_normal((3, 2)), requires_grad=True)
-        x.gather_rows(np.array([1, 1, 1])).sum().backward()
+        x[np.array([1, 1, 1])].sum().backward()
         np.testing.assert_allclose(x.grad[1], [3.0, 3.0])
         np.testing.assert_allclose(x.grad[0], 0.0)
 
@@ -94,13 +81,6 @@ class TestGuards:
         (x - y).sum().backward()
         assert x.grad[0] == pytest.approx(1.0)
         assert y.grad[0] == pytest.approx(-1.0)
-
-    def test_detach_shares_no_graph(self):
-        x = Tensor([1.0], requires_grad=True)
-        d = x.detach()
-        (d * 3).sum()  # no error, no graph
-        assert not d.requires_grad
-        assert d.numpy() is not x.numpy() or True  # copy semantics
 
     def test_repr_mentions_grad(self):
         assert "requires_grad" in repr(Tensor([1.0], requires_grad=True))

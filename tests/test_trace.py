@@ -3,6 +3,7 @@
 import pytest
 
 from repro.trace import Span, TraceRecorder
+from tests.helpers import worker_busy_time
 
 
 class TestSpan:
@@ -23,12 +24,6 @@ class TestTraceRecorder:
         trace.record("comm.a2a", 0, 5, block=1)
         assert len(trace.spans_of("compute")) == 2
         assert len(trace.spans_of("comm.a2a")) == 1
-
-    def test_total_time_sums_durations(self):
-        trace = TraceRecorder()
-        trace.record("comm.a2a", 0, 2)
-        trace.record("comm.a2a", 1, 4)  # overlapping
-        assert trace.total_time("comm.a2a") == 5
 
     def test_busy_time_merges_overlaps(self):
         trace = TraceRecorder()
@@ -96,7 +91,6 @@ class TestIterationScoping:
         trace.record("comm.a2a", 0, 2)
         assert trace.busy_time("comm.a2a", iteration=0) == 1
         assert trace.busy_time("comm.a2a", iteration=1) == 2
-        assert trace.total_time("comm.a2a", iteration=1) == 2
         assert len(trace.spans_of("comm.a2a", iteration=0)) == 1
         # Default scope still covers the whole recording.
         assert trace.busy_time("comm.a2a") == 2  # intervals overlap
@@ -118,9 +112,9 @@ class TestIterationScoping:
         trace.record("compute.dense", 0, 1, worker=0)
         trace.new_iteration()
         trace.record("compute.dense", 2, 4, worker=0)
-        assert trace.worker_busy_time(0, iteration=0) == 1
-        assert trace.worker_busy_time(0, iteration=1) == 2
-        assert trace.worker_busy_time(0) == 3
+        assert worker_busy_time(trace, 0, iteration=0) == 1
+        assert worker_busy_time(trace, 0, iteration=1) == 2
+        assert worker_busy_time(trace, 0) == 3
 
     def test_clear_resets_the_scope(self):
         trace = TraceRecorder()
