@@ -4,15 +4,48 @@ The defaults mirror the paper's testbed (§5.2, §7.1): machines with
 8× NVIDIA A100 SXM 80 GB connected by NVLink/NVSwitch (600 GB/s per GPU),
 PCIe 4.0 ×16 to the host (64 GB/s) with one PCIe switch per two GPUs, and
 four 200 Gbps GDR NICs per machine, each NIC shared by one GPU pair.
+
+Every field is checked at construction: a rate or size must be positive
+and finite, a time non-negative and finite, and a count a positive
+integer.  A bad value raises :class:`ValueError` naming the field.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 from ..units import GIB, US, gbps, gbytes_per_s
 
 __all__ = ["LinkSpec", "GpuSpec", "MachineSpec", "a100_machine_spec"]
+
+
+def _check_positive(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not 0.0 < value < math.inf:  # also refuses NaN
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_non_negative(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not 0.0 <= value < math.inf:  # also refuses NaN
+            raise ValueError(
+                f"{name} must be non-negative and finite, got {value!r}"
+            )
+
+
+def _check_counts(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        try:
+            count = operator.index(value)
+        except TypeError:
+            count = 0
+        if count <= 0:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,10 +62,8 @@ class LinkSpec:
     latency: float
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.latency < 0:
-            raise ValueError(f"latency must be non-negative, got {self.latency}")
+        _check_positive(self, "bandwidth")
+        _check_non_negative(self, "latency")
 
 
 @dataclass(frozen=True)
@@ -53,12 +84,8 @@ class GpuSpec:
     kernel_overhead: float = 48e-6
 
     def __post_init__(self):
-        if self.flops <= 0:
-            raise ValueError("flops must be positive")
-        if self.memory_bytes <= 0:
-            raise ValueError("memory_bytes must be positive")
-        if self.kernel_overhead < 0:
-            raise ValueError("kernel_overhead must be non-negative")
+        _check_positive(self, "flops", "memory_bytes")
+        _check_non_negative(self, "kernel_overhead")
 
     def effective_flops(self, hidden_dim: int) -> float:
         """Sustained throughput for GEMMs of a given hidden dimension.
@@ -96,10 +123,8 @@ class MachineSpec:
     socket_overhead: float = 15e-6
 
     def __post_init__(self):
-        if self.num_gpus <= 0:
-            raise ValueError("num_gpus must be positive")
-        if self.socket_overhead < 0:
-            raise ValueError("socket_overhead must be non-negative")
+        _check_counts(self, "num_gpus", "gpus_per_pcie_switch", "gpus_per_nic")
+        _check_non_negative(self, "socket_overhead")
         if self.num_gpus % self.gpus_per_pcie_switch != 0:
             raise ValueError(
                 "num_gpus must be divisible by gpus_per_pcie_switch"

@@ -10,7 +10,43 @@ from repro.cluster import (
     MachineSpec,
     a100_machine_spec,
 )
+from repro.cluster.hardware import GpuSpec
 from repro.units import gbps, gbytes_per_s
+
+NAN, INF = float("nan"), float("inf")
+
+# (spec class, keyword arguments, the field the refusal names)
+_HOSTILE_SPECS = [
+    (LinkSpec, dict(bandwidth=NAN, latency=NAN), "bandwidth"),
+    (LinkSpec, dict(bandwidth=INF, latency=0.0), "bandwidth"),
+    (LinkSpec, dict(bandwidth=1.0, latency=INF), "latency"),
+    (LinkSpec, dict(bandwidth=1.0, latency=NAN), "latency"),
+    (GpuSpec, dict(flops=NAN), "flops"),
+    (GpuSpec, dict(flops=INF), "flops"),
+    (GpuSpec, dict(memory_bytes=NAN), "memory_bytes"),
+    (GpuSpec, dict(memory_bytes=0.0), "memory_bytes"),
+    (GpuSpec, dict(kernel_overhead=INF), "kernel_overhead"),
+    (GpuSpec, dict(kernel_overhead=NAN), "kernel_overhead"),
+    (MachineSpec, dict(socket_overhead=NAN), "socket_overhead"),
+    (MachineSpec, dict(socket_overhead=INF), "socket_overhead"),
+    (MachineSpec, dict(num_gpus=4.0), "num_gpus"),
+    (MachineSpec, dict(num_gpus=0), "num_gpus"),
+    (MachineSpec, dict(gpus_per_nic=-2), "gpus_per_nic"),
+    (MachineSpec, dict(gpus_per_nic=0), "gpus_per_nic"),
+    (MachineSpec, dict(gpus_per_nic=2.0), "gpus_per_nic"),
+    (MachineSpec, dict(gpus_per_pcie_switch=0), "gpus_per_pcie_switch"),
+    (MachineSpec, dict(gpus_per_pcie_switch=-2), "gpus_per_pcie_switch"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, kwargs, name", _HOSTILE_SPECS,
+    ids=[f"{spec.__name__}-{'-'.join(f'{k}={v}' for k, v in kwargs.items())}"
+         for spec, kwargs, _ in _HOSTILE_SPECS],
+)
+def test_a_hostile_spec_field_is_refused_by_name(spec, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        spec(**kwargs)
 
 
 class TestMachineSpec:
