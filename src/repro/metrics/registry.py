@@ -110,11 +110,6 @@ class MetricsRegistry:
             series[key] = Histogram()
         series[key].observe(value)
 
-    def clear(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
     # -- reads ---------------------------------------------------------------
 
     def counter(self, name: str, **labels) -> float:

@@ -60,11 +60,6 @@ class CommLog:
         if not self.layout.same_machine(src_rank, dst_rank):
             self._cross_machine_total += num_bytes
 
-    def clear(self) -> None:
-        self.records.clear()
-        self._total = 0.0
-        self._cross_machine_total = 0.0
-
     # -- aggregation -----------------------------------------------------------
 
     def total_bytes(self, kinds: Optional[List[str]] = None) -> float:

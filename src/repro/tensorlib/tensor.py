@@ -349,15 +349,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate_owned(grad * (1 - out_data**2))
-
-        return self._make(out_data, (self,), backward)
-
     def gelu(self) -> "Tensor":
         """tanh-approximated GELU (as used by BERT/GPT).
 

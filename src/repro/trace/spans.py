@@ -91,11 +91,6 @@ class TraceRecorder:
         event.update(attrs)
         self.events.append(event)
 
-    def clear(self) -> None:
-        self.spans.clear()
-        self.events.clear()
-        self.iteration = 0
-
     # -- queries ---------------------------------------------------------------
 
     def _in_scope(self, span: Span, iteration: Optional[int]) -> bool:

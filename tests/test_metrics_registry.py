@@ -108,16 +108,6 @@ class TestGaugesAndHistograms:
     def test_missing_histogram_is_none(self):
         assert MetricsRegistry().histogram("nope") is None
 
-    def test_clear_empties_everything(self):
-        registry = MetricsRegistry()
-        registry.inc("a")
-        registry.set("b", 1.0)
-        registry.observe("c", 1.0)
-        registry.clear()
-        assert registry.as_dict() == {
-            "counters": {}, "gauges": {}, "histograms": {}
-        }
-
 
 class TestExport:
     def test_names_are_sorted(self):

@@ -109,13 +109,6 @@ class TestCommLog:
         with pytest.raises(ValueError):
             CommRecord("dispatch", 0, 1, -5)
 
-    def test_clear(self):
-        layout = RankLayout(1, 2)
-        log = CommLog(layout)
-        log.record("dispatch", 0, 1, 5)
-        log.clear()
-        assert log.total_bytes() == 0
-
     def test_intra_machine_bytes(self):
         layout = RankLayout(2, 2)
         log = CommLog(layout)

@@ -63,14 +63,6 @@ class TestTraceRecorder:
         assert len(trace.expert_arrivals()) == 2
         assert len(trace.expert_arrivals(worker=1)) == 1
 
-    def test_clear(self):
-        trace = TraceRecorder()
-        trace.record("x", 0, 1)
-        trace.mark("y", 0)
-        trace.clear()
-        assert not trace.spans
-        assert not trace.events
-
 
 class TestIterationScoping:
     """A recorder shared across iterations must never double-count."""
@@ -115,14 +107,6 @@ class TestIterationScoping:
         assert worker_busy_time(trace, 0, iteration=0) == 1
         assert worker_busy_time(trace, 0, iteration=1) == 2
         assert worker_busy_time(trace, 0) == 3
-
-    def test_clear_resets_the_scope(self):
-        trace = TraceRecorder()
-        trace.new_iteration()
-        trace.clear()
-        assert trace.iteration == 0
-        trace.record("x", 0, 1)
-        assert trace.spans[0].iteration == 0
 
     def test_busy_union_merges_across_prefixes(self):
         trace = TraceRecorder()
