@@ -7,10 +7,8 @@ Each primitive runs as one process that performs ``--ops`` operations
 back to back on a fresh environment.  Its time per operation minus that
 of a process doing the same number of bare waits (``yield
 env.timeout(0)``) is the primitive's own cost.  The minimum over
-``--repeats`` loops is reported, for the compiled event kernel and for
-the pure-python reference kernel, each in a child interpreter (the
-reference one with ``REPRO_WATERFILL=python``, which also runs the fluid
-network's numpy kernel and its Python flows).
+``--repeats`` loops is reported, measured in this process on the
+compiled cores.
 
 The fluid rows are absolute, not above a bare wait:
 
@@ -35,9 +33,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
-import os
-import subprocess
 import sys
 import time
 from types import SimpleNamespace
@@ -183,46 +178,25 @@ def measure(ops: int, repeats: int) -> dict:
             fluid[name] = min(fluid[name], run(simkit, netsim, ops))
     bare = best.pop("bare wait")
     costs = {name: (seconds - bare) * 1e6 for name, seconds in best.items()}
-    return {"kernel": simkit.core.KERNEL, "bare_us": bare * 1e6, "costs": costs,
+    return {"bare_us": bare * 1e6, "costs": costs,
             "fluid": {name: seconds * 1e6 for name, seconds in fluid.items()}}
-
-
-def _child(kernel: str, ops: int, repeats: int) -> dict:
-    env = dict(os.environ)
-    env.pop("REPRO_WATERFILL", None)
-    if kernel == "python":
-        env["REPRO_WATERFILL"] = "python"
-    out = subprocess.run(
-        [sys.executable, __file__, "--child", "--ops", str(ops),
-         "--repeats", str(repeats)],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ops", type=int, default=10_000)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child:
-        print(json.dumps(measure(args.ops, args.repeats)))
-        return 0
-    runs = [_child(kernel, args.ops, args.repeats) for kernel in ("compiled", "python")]
+    run = measure(args.ops, args.repeats)
     print(f"simkit wait primitives: us per op above a bare event wait "
           f"(min of {args.repeats} x {args.ops} ops)")
-    header = f"{'primitive':<28}" + "".join(f"{run['kernel']:>11}" for run in runs)
-    print(header)
-    print(f"{'(bare wait, absolute)':<28}"
-          + "".join(f"{run['bare_us']:>11.2f}" for run in runs))
-    for name in runs[0]["costs"]:
-        print(f"{name:<28}" + "".join(f"{run['costs'][name]:>11.2f}" for run in runs))
+    print(f"{'(bare wait, absolute)':<28}{run['bare_us']:>11.2f}")
+    for name, cost in run["costs"].items():
+        print(f"{name:<28}{cost:>11.2f}")
     print(f"\nfluid network: us per flow (transfer to done) and per re-solve, "
           f"absolute (min of {args.repeats})")
-    print(header)
-    for name in runs[0]["fluid"]:
-        print(f"{name:<28}" + "".join(f"{run['fluid'][name]:>11.2f}" for run in runs))
+    for name, cost in run["fluid"].items():
+        print(f"{name:<28}{cost:>11.2f}")
     return 0
 
 

@@ -5,11 +5,11 @@
 
    * the event kernel: Event, Timeout, Process, Condition/AllOf/AnyOf
      and the Environment base type behind repro.simkit.core, and the
-     wait primitives behind repro.simkit.resources: Resource,
+     wait primitives repro.simkit binds: Resource,
      PriorityResource, Store and Container with their request, put and
      get events (see repro/simkit/core.py);
    * the fluid network's kernel: advance, admit, retire, settle and
-     waterfill, the C loops that repro.netsim._waterfill.kernel() returns,
+     waterfill, the C loops behind repro.netsim._waterfill,
      plus the two packers, ledger() and tables(), whose objects carry the
      network's arrays into those loops, and the network's bookkeeping
      around them: activate, fire and recompute, over the state of the
@@ -20,7 +20,9 @@
    C through the buffer protocol: a packer holds one buffer view per
    array, checked for dtype, C-contiguity and writability, and the views
    keep the arrays alive.  No raw address crosses from Python.  Only
-   PyInit__ckernel is exported; every other function is static. */
+   PyInit__ckernel is exported; every other function is static.  The
+   tests keep a pure-python twin of every type and entry (tests/reference/),
+   which "the reference" below names. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1322,7 +1324,7 @@ static PyGetSetDef priority_request_getset[] = {
 
 static PyTypeObject RequestType = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.simkit.resources.Request",
+    .tp_name = "repro.simkit.Request",
     .tp_doc = "A pending claim on a :class:`Resource` slot.",
     .tp_basicsize = sizeof(RequestObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
@@ -1338,7 +1340,7 @@ static PyTypeObject RequestType = {
 
 static PyTypeObject PriorityRequestType = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.simkit.resources.PriorityRequest",
+    .tp_name = "repro.simkit.PriorityRequest",
     .tp_doc = "Request with a priority; smaller value means earlier service.",
     .tp_basicsize = sizeof(RequestObject),
     .tp_flags = Py_TPFLAGS_DEFAULT,
@@ -1435,7 +1437,7 @@ static PyMemberDef resource_members[] = {
 
 static PyTypeObject ResourceType = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.simkit.resources.Resource",
+    .tp_name = "repro.simkit.Resource",
     .tp_doc = "A resource with ``capacity`` slots and a FIFO wait queue.",
     .tp_basicsize = sizeof(ResourceObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
@@ -1449,7 +1451,7 @@ static PyTypeObject ResourceType = {
 
 static PyTypeObject PriorityResourceType = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.simkit.resources.PriorityResource",
+    .tp_name = "repro.simkit.PriorityResource",
     .tp_doc = "A resource whose wait queue is ordered by request priority.",
     .tp_basicsize = sizeof(ResourceObject),
     .tp_flags = Py_TPFLAGS_DEFAULT,
@@ -1582,7 +1584,7 @@ static PyMemberDef store_members[] = {
 
 static PyTypeObject StoreType = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.simkit.resources.Store",
+    .tp_name = "repro.simkit.Store",
     .tp_doc = "A FIFO item buffer with optional capacity.",
     .tp_basicsize = sizeof(StoreObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
@@ -1769,7 +1771,7 @@ static PyMemberDef container_members[] = {
 
 static PyTypeObject ContainerType = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.simkit.resources.Container",
+    .tp_name = "repro.simkit.Container",
     .tp_doc = "A homogeneous quantity (e.g. credits, bytes of buffer space).",
     .tp_basicsize = sizeof(ContainerObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
@@ -1809,7 +1811,7 @@ static PyMemberDef amount_members[] = {
 
 #define ITEM_EVENT_TYPE(name, members) {                        \
     PyVarObject_HEAD_INIT(NULL, 0)                               \
-    .tp_name = "repro.simkit.resources." name,                   \
+    .tp_name = "repro.simkit." name,                             \
     .tp_basicsize = sizeof(ItemEventObject),                     \
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,         \
     .tp_base = &EventType,                                       \
@@ -1827,7 +1829,7 @@ static PyTypeObject ContainerGetType = ITEM_EVENT_TYPE("ContainerGet", amount_me
 
 static PyTypeObject StoreGetType = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.simkit.resources.StoreGet",
+    .tp_name = "repro.simkit.StoreGet",
     .tp_basicsize = sizeof(EventObject),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_base = &EventType,
@@ -2588,12 +2590,11 @@ static PyObject *py_waterfill(PyObject *module, PyObject *const *args, Py_ssize_
 /* == fluid network ===================================================== */
 
 /* The bookkeeping of repro.netsim.fluid.FluidNetwork around the loops
-   above: activate, fire and recompute do what the network's Python
-   bodies _activate_python, _fire_python and _recompute_python do, in the
-   same order, creating the same events.  The network's scalar state and
-   flow list live in this type, the network's base class whenever the
-   extension loads, so the entries read them as fields and the Python
-   code reads the same names through the members.  The rare steps call
+   above: activate, fire and recompute do what the reference's Python
+   bodies of the same names do, in the same order, creating the same
+   events.  The network's scalar state and flow list live in this type,
+   the network's base class, so the entries read them as fields and the
+   Python code reads the same names through the members.  The rare steps call
    back into the network's methods: _ledger (a dropped pack), _grow_rows,
    _intern_group, _compact and _ensure_csr (solve tables dropped when a
    link or group was interned).  A flow is this extension's Flow, the
@@ -2752,7 +2753,7 @@ typedef struct {
     Py_ssize_t n, live_count, dead_count, num_links, num_groups;
     long long generation;
     double last_update, total_bytes_completed, epsilon;
-    char coalesce, recompute_pending;
+    char recompute_pending;
 } NetObject;
 
 static PyObject *str_underscore_value, *str_ledger, *str_grow_rows, *str_intern_group,
@@ -2813,7 +2814,6 @@ static PyMemberDef net_members[] = {
     {"_last_update", T_DOUBLE, offsetof(NetObject, last_update), 0, NULL},
     {"total_bytes_completed", T_DOUBLE, offsetof(NetObject, total_bytes_completed), 0, NULL},
     {"_epsilon", T_DOUBLE, offsetof(NetObject, epsilon), 0, NULL},
-    {"coalesce", T_BOOL, offsetof(NetObject, coalesce), 0, NULL},
     {"_recompute_pending", T_BOOL, offsetof(NetObject, recompute_pending), 0, NULL},
     {NULL}
 };
@@ -3026,7 +3026,7 @@ static int finish_retired(NetObject *net, const int64_t *rows, Py_ssize_t n, int
             net->n = 0;
             net->dead_count = 0;
         }
-    } else if (!net->coalesce || (net->dead_count >= 64 && 2 * net->dead_count >= n)) {
+    } else if (net->dead_count >= 64 && 2 * net->dead_count >= n) {
         status = call_back(net, str_compact, NULL);
     }
     PyObject *at = status == 0 ? PyFloat_FromDouble(now) : NULL;

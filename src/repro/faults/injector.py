@@ -184,11 +184,8 @@ class FaultInjector:
 
     def _drop(self, size, tag, now: float, cause: str) -> Flow:
         # Created but never activated: done never fires, like a lost packet.
-        # The network's own flow class, so its constructor refuses the
-        # sizes a delivered transfer refuses.
-        flow = self.fabric.network._new_flow(
-            self.fabric.env, (), (), size, 0.0, tag
-        )
+        # The constructor refuses the sizes a delivered transfer refuses.
+        flow = Flow(self.fabric.env, (), (), size, 0.0, tag)
         self.stats.dropped_messages += 1
         if self.trace is not None:
             self.trace.record("fault.drop", now, now, detail=f"{cause}:{tag[0]}")

@@ -30,44 +30,38 @@ solver reruns on every flow arrival/departure):
   fresh global recompute (same float operations in the same order),
   which the golden-metrics battery and a hypothesis property test pin
   down.
-* Coalescing (default, ``coalesce=True``): the path group acts as a
-  macro-flow and the packed member rows are its byte ledger.  Finishing
-  members are *tombstoned* (rate zeroed, live bit cleared, group count and
-  link loads decremented) in O(finished) instead of compacting the whole
-  ledger per completion event, and the arrays are compacted only when at
-  least half the rows are dead (amortized O(1) per flow).  The solver
-  additionally restricts each filling pass to links with at least one
-  crossing flow.  Both shortcuts are bit-identical to the uncoalesced
-  reference (``coalesce=False``), which compacts after every retirement
-  and fills over every link: tombstoned rows have rate exactly 0 so they
-  move no bytes and touch no link counters, compaction only relocates
-  rows, and inactive links can never be the bottleneck of a filling
-  round.
-* The arithmetic runs in a kernel (:mod:`repro.netsim._waterfill`): the
-  compiled one when it builds, else numpy, with bit-identical results.
-  The uncoalesced reference always runs the numpy kernel.  The
-  bookkeeping around the arithmetic goes with the kernel: with the
-  compiled one, a flow's activation, each completion timer and each
-  re-solve are one C call apiece (the extension's ``activate``, ``fire``
-  and ``recompute``), which read the network's scalar state and flow
-  list as fields of its C base type, stamp and succeed the flows, and
-  create the timers; a re-solve fills through ``_waterfill.run``.  The
-  flow class goes with the kernel too: the compiled network's flows are
-  :class:`Flow`, whose fields live in the extension's ``Flow`` type, so
-  the C calls read and write them directly and its constructor checks
-  the size and latency, stamps the creation time and makes the ``done``
-  event in one call.  With the numpy kernel the Python bodies
-  (``_activate_python``, ``_fire_python`` and ``_recompute_python``) do
-  the same, step for step, on :class:`PythonFlow`, the reference.  So a
-  flow costs one C call to activate (the byte advance up to its arrival
-  and its whole row) and its share of one C call to retire (``retire``, the
-  tombstones in ``_active``, the compaction trigger and the ``done``
-  events, in ascending row order), plus the Python frames of ``transfer``
-  and of the ``_activate_event``/``_on_timer_event`` methods that reach
-  them.  Python keeps what is rare: the row-array growth, the group
-  interning (when a path has no group yet), the compaction and the
-  repacking of the solve tables after an interning
-  (:meth:`_ensure_csr`).
+* Coalescing: the path group acts as a macro-flow and the packed member
+  rows are its byte ledger.  Finishing members are *tombstoned* (rate
+  zeroed, live bit cleared, group count and link loads decremented) in
+  O(finished) instead of compacting the whole ledger per completion
+  event, and the arrays are compacted only when at least half the rows
+  are dead (amortized O(1) per flow).  The solver additionally restricts
+  each filling pass to links with at least one crossing flow.  Both
+  shortcuts are bit-identical to the uncoalesced reference (the tests'
+  ``reference.fluid.UNCOALESCED``), which compacts after every
+  retirement and fills over every link: tombstoned rows have rate
+  exactly 0 so they move no bytes and touch no link counters, compaction
+  only relocates rows, and inactive links can never be the bottleneck of
+  a filling round.
+* The arithmetic runs in the compiled kernel
+  (:mod:`repro.netsim._waterfill`), and so does the bookkeeping around
+  it: a flow's activation, each completion timer and each re-solve are
+  one C call apiece (the extension's ``activate``, ``fire`` and
+  ``recompute``, bound in the ``_kernel`` setter), which read the
+  network's scalar state and flow list as fields of its C base type,
+  stamp and succeed the flows, and create the timers; a re-solve fills
+  through ``_waterfill.run``.  The network's flows are :class:`Flow`,
+  whose fields live in the extension's ``Flow`` type, so the C calls read
+  and write them directly and its constructor checks the size and
+  latency, stamps the creation time and makes the ``done`` event in one
+  call.  So a flow costs one C call to activate (the byte advance up to
+  its arrival and its whole row) and its share of one C call to retire
+  (``retire``, the tombstones in ``_active``, the compaction trigger and
+  the ``done`` events, in ascending row order), plus the Python frames of
+  ``transfer`` and of the ``_activate_event``/``_on_timer_event`` methods
+  that reach them.  Python keeps what is rare: the row-array growth, the
+  group interning (when a path has no group yet), the compaction and the
+  repacking of the solve tables after an interning (:meth:`_ensure_csr`).
 * Rate recomputation is deferred to the end of the simulated instant
   (``Environment.defer_to_instant_end``): a burst of arrivals/finishes at
   one timestamp — spread over any number of kernel events — triggers one
@@ -77,14 +71,13 @@ solver reruns on every flow arrival/departure):
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from . import _waterfill
 from .. import _native
-from ..simkit import Environment, Event
+from ..simkit import Environment
 
 __all__ = ["Flow", "FluidNetwork"]
 
@@ -95,9 +88,23 @@ _EPSILON = 1e-12
 _ext = _native.extension()
 
 
-class _FlowViews:
-    """What both flow classes define in Python: the live views of a
-    flow's bytes and rate, its duration and its repr."""
+class Flow(_ext.Flow):
+    """One transfer in flight.
+
+    Attributes:
+        path: directed link ids the flow crosses (may be empty for a
+            device-local copy).
+        size: total bytes.
+        latency: seconds before the first byte moves.
+        remaining: bytes still to move.
+        rate: current fair-share rate in bytes/second (0 until activated).
+        done: event triggered with the flow when the last byte lands.
+
+    ``size`` and ``latency`` must be finite and non-negative.  The
+    extension's ``Flow`` holds the fields, so the compiled bookkeeping
+    reads and writes them without attribute lookups; this class adds the
+    views and the repr.
+    """
 
     __slots__ = ()
 
@@ -131,75 +138,6 @@ class _FlowViews:
         )
 
 
-class PythonFlow(_FlowViews):
-    """One transfer in flight.
-
-    Attributes:
-        path: directed link ids the flow crosses (may be empty for a
-            device-local copy).
-        size: total bytes.
-        latency: seconds before the first byte moves.
-        remaining: bytes still to move.
-        rate: current fair-share rate in bytes/second (0 until activated).
-        done: event triggered with the flow when the last byte lands.
-
-    ``size`` and ``latency`` must be finite and non-negative.  This class
-    is the reference; with the compiled kernel, :class:`Flow` keeps the
-    same fields in the extension's ``Flow`` type.
-    """
-
-    _ids = itertools.count()
-
-    __slots__ = (
-        "id", "path", "path_index", "size", "latency",
-        "tag", "created_at", "started_at", "completed_at", "done",
-        "_net", "_row", "_remaining", "_rate",
-    )
-
-    def __init__(
-        self,
-        env: Environment,
-        path: Tuple[Hashable, ...],
-        path_index: Tuple[int, ...],
-        size: float,
-        latency: float,
-        tag: Optional[Hashable] = None,
-    ):
-        if not 0.0 <= size < _INF:
-            raise ValueError(f"size must be finite and non-negative, got {size}")
-        if not 0.0 <= latency < _INF:
-            raise ValueError(
-                f"latency must be finite and non-negative, got {latency}"
-            )
-        self.id = next(PythonFlow._ids)
-        self.path = path
-        self.path_index = path_index
-        self.size = float(size)
-        self.latency = float(latency)
-        self.tag = tag
-        self.created_at = env.now
-        self.started_at: Optional[float] = None
-        self.completed_at: Optional[float] = None
-        self.done: Event = env.event()
-        # While active, remaining/rate live in the network's packed arrays;
-        # _net/_row point at the row.  Before activation and after
-        # completion the cached scalars below are authoritative.
-        self._net: Optional["FluidNetwork"] = None
-        self._row = -1
-        self._remaining = float(size)
-        self._rate = 0.0
-
-
-if _ext is None:
-    Flow = PythonFlow
-else:
-    class Flow(_ext.Flow, _FlowViews):
-        # The extension's Flow holds the fields, so the compiled
-        # bookkeeping reads and writes them without attribute lookups.
-        __doc__ = PythonFlow.__doc__
-        __slots__ = ()
-
-
 class _LinkBytesView:
     """Read-only mapping from link id to total bytes moved over it."""
 
@@ -218,24 +156,17 @@ class _LinkBytesView:
             yield link_id, float(self._network._link_bytes[index])
 
 
-# With the extension, the network's scalar state and flow list live in
-# the C struct of its ``FluidNetwork`` type, where the compiled
-# bookkeeping reads them as fields; the Python code reads the same names
-# through the type's members.  Without it, they live in the instance dict.
-_State = object if _ext is None else _ext.FluidNetwork
+class FluidNetwork(_ext.FluidNetwork):
+    """Max-min fair bandwidth sharing over a set of directed links.
 
+    The network's scalar state and flow list live in the C struct of the
+    extension's ``FluidNetwork`` type, where the compiled bookkeeping
+    reads them as fields; the Python code reads the same names through
+    the type's members.
+    """
 
-class FluidNetwork(_State):
-    """Max-min fair bandwidth sharing over a set of directed links."""
-
-    def __init__(self, env: Environment, coalesce: bool = True):
+    def __init__(self, env: Environment):
         self.env = env
-        # Coalesced mode (default) tombstones finished ledger rows and
-        # water-fills over active links only; ``coalesce=False`` is the
-        # bit-identical reference for the equivalence tests: the numpy
-        # kernel filling over every link, and a compaction after every
-        # retirement.
-        self.coalesce = bool(coalesce)
         self._index: Dict[Hashable, int] = {}
         # Per-link arrays; only the first _num_links entries are valid.
         self._capacity = np.zeros(0)
@@ -293,9 +224,7 @@ class FluidNetwork(_State):
         # The retirement rule's residue tolerance (see the kernel's retire).
         self._epsilon = _EPSILON
         self.total_bytes_completed = 0.0
-        self._kernel = (
-            _waterfill.kernel() if coalesce else _waterfill.REFERENCE
-        )
+        self._kernel = _ext
 
     # -- topology -----------------------------------------------------------
 
@@ -402,7 +331,7 @@ class FluidNetwork(_State):
         """
         if path_index is None:
             path, path_index = self.resolve_path(path)
-        flow = self._new_flow(self.env, path, path_index, size, latency, tag)
+        flow = Flow(self.env, path, path_index, size, latency, tag)
         if latency > 0:
             # The latency stage is a plain timer callback, not a Process:
             # at fleet scale every point-to-point flow passes through here.
@@ -416,37 +345,9 @@ class FluidNetwork(_State):
         self._activate(event._value)
 
     # The bookkeeping of a flow's life: ``_activate(flow)``,
-    # ``_fire(event)`` and the deferred ``_recompute()`` are the compiled
-    # kernel's ``activate``, ``fire`` and ``recompute`` bound to this
-    # network, or with the numpy kernel the three Python bodies below, the
-    # reference (see the ``_kernel`` setter).
-
-    def _activate_python(self, flow: Flow) -> None:
-        flow.started_at = self.env.now
-        if flow.size <= 0 or not flow.path:
-            # Local copy or pure-latency message: completes instantly once
-            # the latency delay has elapsed.
-            self._finish(flow)
-            return
-        row = self._n
-        if row == self._remaining.shape[0]:
-            self._grow_rows()
-        path_index = flow.path_index
-        gid = self._group_of.get(path_index)
-        if gid is None:
-            gid = self._intern_group(path_index)
-        # One kernel call moves the earlier rows' bytes up to now (the
-        # arrival's advance) and writes the new row.
-        self._kernel.admit(
-            self._ledger(), row, self._elapsed(), path_index[0],
-            path_index[1] if len(path_index) > 1 else -1, flow.size, gid,
-        )
-        self._live_count += 1
-        self._n = row + 1
-        self._active.append(flow)
-        flow._net = self
-        flow._row = row
-        self._schedule_recompute()
+    # ``_fire(event)`` and the deferred ``_recompute()`` are the kernel's
+    # ``activate``, ``fire`` and ``recompute`` bound to this network (see
+    # the ``_kernel`` setter).
 
     # -- packed per-flow state ----------------------------------------------
 
@@ -508,10 +409,6 @@ class FluidNetwork(_State):
         self._recompute_pending = True
         self.env.defer_to_instant_end(self._recompute)
 
-    def _recompute_python(self) -> None:
-        self._recompute_pending = False
-        self._reschedule()
-
     # -- fluid mechanics ----------------------------------------------------
 
     def _elapsed(self) -> float:
@@ -522,30 +419,22 @@ class FluidNetwork(_State):
         return dt
 
     @property
-    def _kernel(self) -> _waterfill.Kernel:
-        """The kernel this network runs."""
+    def _kernel(self):
+        """The kernel this network runs: the extension module."""
         return self._kernel_in_use
 
     @_kernel.setter
-    def _kernel(self, kernel: _waterfill.Kernel) -> None:
-        # The bookkeeping goes with the kernel: this is where the network
-        # picks between the compiled entries and the Python bodies.  Packs
-        # belong to their kernel, so the old ones are dropped.
+    def _kernel(self, kernel) -> None:
+        # The bookkeeping goes with the kernel.  Packs belong to their
+        # kernel, so the old ones are dropped, and a kernel that lists no
+        # changed group (the tests' numpy reference) leaves a round log
+        # the compiled fill cannot resume from.
         self._kernel_in_use = kernel
-        if isinstance(kernel, _waterfill.NumpyKernel):
-            self._new_flow = PythonFlow
-            self._activate = self._activate_python
-            self._fire = self._fire_python
-            self._recompute = self._recompute_python
-        else:
-            self._new_flow = Flow
-            self._activate = functools.partial(kernel.activate, self)
-            self._fire = functools.partial(kernel.fire, self)
-            self._recompute = functools.partial(kernel.recompute, self)
+        self._activate = functools.partial(kernel.activate, self)
+        self._fire = functools.partial(kernel.fire, self)
+        self._recompute = functools.partial(kernel.recompute, self)
         self._flow_ledger = None
         self._solve_tables = None
-        # The numpy kernel lists no changed group, so the compiled fill
-        # cannot resume across a switch.
         self._capacities_changed()
 
     def _grow_fill(self) -> None:
@@ -587,39 +476,6 @@ class FluidNetwork(_State):
         if dt > 0 and n:
             self._kernel.advance(self._ledger(), n, dt)
 
-    def _settle(self, grates: np.ndarray) -> Optional[float]:
-        """Move bytes up to now, give every live row its group's rate
-        from ``grates`` and return the earliest completion ETA over the
-        moving rows: None when no row moves, NaN when any ETA is NaN."""
-        next_done = self._kernel.settle(
-            self._ledger(), self._n, self._elapsed(), grates
-        )
-        return None if next_done < 0 else next_done
-
-    def _assign_rates(self) -> Optional[float]:
-        """Water-filling max-min fair allocation (incremental, vectorized).
-
-        Moves bytes up to now at the old rates, gives every live flow its
-        new rate and returns the earliest completion ETA among the moving
-        flows (None when none moves).
-
-        The filling rounds run over path *groups* (flows with an identical
-        link tuple) with multiplicities; see ``_waterfill._fill``.  Every
-        call with live rows fills into ``_grates`` through
-        ``_waterfill.run``; the compiled fill resumes the last one at its
-        first round a changed group count reaches, which changes no bit
-        (DESIGN §8).
-        """
-        if not self._n:
-            self._advance()  # nothing in flight: only stamps the clock
-            return None
-        self._ensure_csr()
-        _waterfill.run(
-            self._kernel, self._num_links, self._num_groups,
-            self._solve_tables, self._grates,
-        )
-        return self._settle(self._grates)
-
     def _ensure_csr(self) -> None:
         """Build the link -> crossing groups adjacency (CSR over sorted
         flat links) and pack the solve tables, unless they are packed:
@@ -651,15 +507,6 @@ class FluidNetwork(_State):
             **self._fill_arrays,
         )
 
-    def _reschedule(self) -> None:
-        """Recompute rates and arm a timer for the next flow completion."""
-        next_done = self._assign_rates()
-        self._generation += 1
-        if next_done is None:
-            return
-        timer = self.env.timeout(max(next_done, 0.0), value=self._generation)
-        timer.callbacks.append(self._on_timer_event)
-
     def _on_timer_event(self, event) -> None:
         """One completion timer: move bytes up to now, retire the rows that
         are done (see the kernel's ``retire``), drop their flows from
@@ -667,51 +514,9 @@ class FluidNetwork(_State):
 
         A timer superseded by a newer reschedule does nothing.  Retired
         rows keep their position (so live rows never move and no float is
-        touched) until :meth:`_compact` reclaims them: once half the rows
-        are dead, or at once in the uncoalesced reference."""
+        touched) until :meth:`_compact` reclaims them, once half the rows
+        are dead."""
         self._fire(event)
-
-    def _fire_python(self, event) -> None:
-        if event._value != self._generation:
-            return
-        dt = self._elapsed()
-        now = self._last_update
-        n = self._n
-        count = 0
-        if n:
-            count = self._kernel.retire(self._ledger(), n, dt, now, self._epsilon)
-        if count:
-            active = self._active
-            finished = []
-            for row in self._retired[:count].tolist():
-                finished.append(active[row])
-                active[row] = None
-            self._dead_count += count
-            self._live_count -= count
-            if self._live_count == 0:
-                self._active = []
-                self._n = 0
-                self._dead_count = 0
-            elif not self.coalesce or (
-                self._dead_count >= 64 and 2 * self._dead_count >= n
-            ):
-                self._compact()
-            for flow in finished:
-                flow._net = None
-                flow._remaining = 0.0
-                flow._rate = 0.0
-                flow.completed_at = now
-                self.total_bytes_completed += flow.size
-                flow.done.succeed(flow)
-        self._schedule_recompute()
-
-    def _finish(self, flow: Flow) -> None:
-        flow._net = None
-        flow._remaining = 0.0
-        flow._rate = 0.0
-        flow.completed_at = self.env.now
-        self.total_bytes_completed += flow.size
-        flow.done.succeed(flow)
 
     # -- self-check ----------------------------------------------------------
 

@@ -1,4 +1,24 @@
-"""Minimal process-based discrete-event simulation kernel (SimPy-style)."""
+"""Minimal process-based discrete-event simulation kernel (SimPy-style).
+
+The event types come from :mod:`repro.simkit.core`; the shared-resource
+primitives are the compiled extension's types, bound here: FIFO and
+priority-ordered resources (semaphores with queueing), an item store and
+a numeric container.  All follow the SimPy usage idiom::
+
+    with resource.request() as req:
+        yield req
+        ...critical section...
+
+Releases happen either via the context manager or an explicit
+``resource.release(request)``.  ``Resource.users`` holds the granted
+requests; the wait queue is private.
+
+Arguments that could only block forever are refused at the call with
+:class:`SimulationError`: a ``Resource`` capacity that is not a positive
+integer, a NaN ``Store`` or ``Container`` capacity, a NaN request
+priority, and a ``Container`` amount that is not finite or exceeds the
+capacity.
+"""
 
 from .core import (
     AllOf,
@@ -10,15 +30,15 @@ from .core import (
     SimulationError,
     StalledSimulationError,
     Timeout,
+    _ext,
 )
-from .resources import (
-    Container,
-    PriorityRequest,
-    PriorityResource,
-    Request,
-    Resource,
-    Store,
-)
+
+Container = _ext.Container
+PriorityRequest = _ext.PriorityRequest
+PriorityResource = _ext.PriorityResource
+Request = _ext.Request
+Resource = _ext.Resource
+Store = _ext.Store
 
 __all__ = [
     "AllOf",

@@ -9,11 +9,11 @@ The kernel is deterministic: events scheduled at the same simulated time are
 processed in insertion order (a monotonically increasing sequence number
 breaks ties in the event heap).
 
-The pure-python classes below are the reference kernel.  When the compiled
-event kernel builds, its ``Event``, ``Timeout``, ``Process``,
-``Condition``/``AllOf``/``AnyOf`` and ``Environment`` base replace them
-with the same event order (and its resource types replace those of
-``resources.py``); ``KERNEL`` names the kernel in use.
+Every event type is the compiled event kernel's (below): ``Event``,
+``Timeout``, ``Process``, ``Condition``/``AllOf``/``AnyOf`` and the
+``Environment`` base, and the wait primitives that :mod:`repro.simkit`
+binds.  This module adds the exceptions, ``run``'s ``until`` handling and
+the ``Environment`` subclass.
 
 The compiled event kernel
 -------------------------
@@ -25,15 +25,16 @@ extension module (``repro/_native.c``, built, cached and imported by
 ``Process`` (its resume loop), ``Condition``/``AllOf``/``AnyOf`` and an
 ``Environment`` base type (schedule, pop, ``step``, the ``run`` loop, the
 instant-end hook flush, ``peek``, ``timeout`` and ``event``); and every
-wait primitive of :mod:`repro.simkit.resources`: ``Resource``/``Request``,
+wait primitive of :mod:`repro.simkit`: ``Resource``/``Request``,
 ``PriorityResource``/``PriorityRequest``, ``Store`` with
 ``StorePut``/``StoreGet`` and ``Container`` with
 ``ContainerPut``/``ContainerGet``.  One simulated event used to cost
 about five Python frames (``step`` → ``_process_callbacks`` →
 ``Process._resume``, plus ``_schedule`` and ``succeed``); now it costs
 the generator's own frame, and a request, put or get adds no frame.  It
-reproduces the reference's event order exactly, because every golden
-pins it:
+reproduces the event order of the pure-python reference (its twin in the
+tests' ``tests/reference/simkit.py``, the one the per-event design below
+calls "the reference") exactly, because every golden pins it:
 
 * The queue is a flat binary heap keyed by ``(time, priority, eid)``
   plus a FIFO ring for zero-delay, priority-1 schedules (every
@@ -76,11 +77,9 @@ pins it:
 
 What stays in Python: the ``Environment`` subclass whose own ``run``,
 ``process`` and ``defer_to_instant_end`` external tracers patch.  This
-module and ``resources.py`` bind the C types under the reference names
-once ``_native.extension()`` has picked the kernel.  Without a compiler
-or the Python headers, the pure-python classes stay and the fluid
-network keeps its numpy kernel, and one ``RuntimeWarning`` says why;
-``REPRO_WATERFILL=python`` selects both silently.
+module binds the C types, which :func:`repro._native.extension` builds
+at the first import; without a compiler or the Python headers that
+import fails with the compiler's error.
 
 The kernel carries only what the simulator runs: a process waits on one
 event, on all of several (:class:`AllOf`) or on the first of several
@@ -90,10 +89,8 @@ event, on all of several (:class:`AllOf`) or on the first of several
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, List, Optional
 
 from .. import _native
 
@@ -137,317 +134,30 @@ class StalledSimulationError(SimulationError):
 _PENDING = object()
 
 
-class Event:
-    """An event that may be triggered once with a value or an exception.
+_ext = _native.extension()
+_ext.setup(SimulationError, _PENDING)
 
-    Processes wait on events by yielding them.  Callbacks registered through
-    :attr:`callbacks` run when the event is processed by the environment.
-    """
-
-    __slots__ = ("env", "callbacks", "_value", "_exception", "_defused")
-
-    def __init__(self, env: "Environment"):
-        self.env = env
-        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
-        self._value: Any = _PENDING
-        self._exception: Optional[BaseException] = None
-        self._defused = False
-
-    @property
-    def triggered(self) -> bool:
-        """True once the event has a value and is scheduled for processing."""
-        return self._value is not _PENDING or self._exception is not None
-
-    @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self.callbacks is None
-
-    @property
-    def value(self) -> Any:
-        if not self.triggered:
-            raise SimulationError("event value is not yet available")
-        if self._exception is not None:
-            raise self._exception
-        return self._value
-
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
-        if self._value is not _PENDING or self._exception is not None:
-            raise SimulationError(f"{self!r} has already been triggered")
-        self._value = value
-        self.env._schedule(self)
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception."""
-        if self._value is not _PENDING or self._exception is not None:
-            raise SimulationError(f"{self!r} has already been triggered")
-        if not isinstance(exception, BaseException):
-            raise SimulationError("fail() requires an exception instance")
-        self._exception = exception
-        self._value = None
-        self.env._schedule(self)
-        return self
-
-    def _process_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
-        if self._exception is not None and not self._defused:
-            raise self._exception
-
-    def __repr__(self) -> str:
-        state = "triggered" if self.triggered else "pending"
-        return f"<{type(self).__name__} {state} at t={self.env.now}>"
+Event = _ext.Event
+Timeout = _ext.Timeout
+Process = _ext.Process
+Condition = _ext.Condition
+AllOf = _ext.AllOf
+AnyOf = _ext.AnyOf
 
 
-class Timeout(Event):
-    """An event that triggers ``delay`` time units after its creation."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if not delay >= 0:  # also rejects NaN, which would poison the heap
-            raise SimulationError(f"negative or NaN timeout delay: {delay}")
-        # Event.__init__ inlined: timeouts are the hottest event kind.
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._exception = None
-        self._defused = False
-        env._schedule(self, delay=delay)
-
-
-class Initialize(Event):
-    """Internal event that starts a process at the current time."""
-
-    __slots__ = ()
-
-    def __init__(
-        self, env: "Environment", process: "Process", priority: int = 1
-    ):
-        super().__init__(env)
-        self._value = None
-        self.callbacks.append(process._resume)
-        env._schedule(self, priority=priority)
-
-
-class Process(Event):
-    """Wraps a generator; the process itself is an event that triggers when
-    the generator returns (with its return value) or raises."""
-
-    __slots__ = ("_generator", "name", "daemon")
-
-    def __init__(
-        self,
-        env: "Environment",
-        generator: Generator,
-        name: Optional[str] = None,
-        daemon: bool = False,
-        priority: int = 1,
-    ):
-        if not hasattr(generator, "throw"):
-            raise SimulationError(f"{generator!r} is not a generator")
-        super().__init__(env)
-        self._generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
-        # Daemon processes (e.g. server listen loops) are expected to stay
-        # blocked forever and are exempt from stall detection.
-        self.daemon = daemon
-        env.processes_started += 1
-        env._alive.add(self)
-        # ``priority`` orders the process's first dispatch among same-time
-        # events: priority > 1 starts only after all normal-priority work
-        # scheduled for the current instant (background lanes, e.g. the
-        # overlapped gradient all-reduce of the task-graph scheduler).
-        Initialize(env, self, priority=priority)
-
-    def _resume(self, event: Event) -> None:
-        while True:
-            try:
-                if event._exception is not None:
-                    event._defused = True
-                    target = self._generator.throw(event._exception)
-                else:
-                    target = self._generator.send(event._value)
-            except StopIteration as stop:
-                self.env._alive.discard(self)
-                self.succeed(getattr(stop, "value", None))
-                return
-            except BaseException as exc:
-                self.env._alive.discard(self)
-                self.fail(exc)
-                return
-
-            if not isinstance(target, Event):
-                raise SimulationError(
-                    f"process yielded a non-event: {target!r}"
-                )
-            if target.callbacks is None:
-                # Already processed: resume immediately with its outcome.
-                event = target
-                continue
-            target.callbacks.append(self._resume)
-            return
-
-
-class Environment:
+class Environment(_ext.Environment):
     """Coordinates event scheduling and process execution."""
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
-        # Calendar-bucket front-end on the heap: the heap holds one
-        # ``(time, priority)`` key per distinct scheduling instant, and the
-        # events themselves sit in per-key FIFO buckets.  Dense-timer
-        # regimes (hundreds of compute kernels finishing at the same
-        # simulated instant at fleet scale) then cost one heap push for the
-        # whole cohort instead of one per event, and draining a cohort is a
-        # bucket walk, not repeated heap pops.  Bucket FIFO order is eid
-        # order (eids are handed out monotonically at schedule time), so
-        # the merged pop order is exactly the (time, priority, eid) order
-        # of a single flat heap.
-        self._queue: List = []
-        self._buckets: dict = {}
-        # Zero-delay, normal-priority schedules (the vast majority: every
-        # succeed()/fail() and delay-0 timeout) bypass the heap.  Invariant:
-        # every entry was enqueued at the current ``_now``, so the deque is
-        # already in (time, priority, eid) order and ``_now`` cannot advance
-        # while it is non-empty.
-        self._immediate: deque = deque()
-        # Callbacks to run when the current instant's cohort has fully
-        # drained (no event due at ``_now`` remains), just before the clock
-        # would advance.  This is how the fluid network recomputes rates
-        # once per same-timestamp cohort instead of once per event.
-        self._instant_hooks: List[Callable[[], None]] = []
-        self._eid = 0
-        self._alive: set = set()
-        # Kernel accounting (harvested by repro.metrics; never read by the
-        # simulation itself).
-        self.events_processed = 0
-        self.processes_started = 0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    # -- event factories ---------------------------------------------------
-
-    def event(self) -> Event:
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
-
-    def process(
-        self,
-        generator: Generator,
-        name: Optional[str] = None,
-        daemon: bool = False,
-        priority: int = 1,
-    ) -> Process:
-        return Process(
-            self, generator, name=name, daemon=daemon, priority=priority
-        )
+    # Tracers patch ``run``, ``process`` and ``defer_to_instant_end`` in
+    # this class's own ``__dict__``, so all three are entries of it: the
+    # last two are the C methods, and ``run`` wraps the compiled loop in
+    # the ``until`` handling below.
+    process = _ext.Environment.process
+    defer_to_instant_end = _ext.Environment.defer_to_instant_end
 
     def blocked_processes(self) -> List[Process]:
         """Non-daemon processes that are alive (started, not finished)."""
         return [p for p in self._alive if not p.daemon]
-
-    # -- scheduling --------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
-        self._eid += 1
-        if delay == 0.0 and priority == 1:
-            self._immediate.append((self._eid, event))
-        else:
-            key = (self._now + delay, priority)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                self._buckets[key] = bucket = deque()
-                heapq.heappush(self._queue, key)
-            bucket.append((self._eid, event))
-
-    def defer_to_instant_end(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` once the current instant's cohort has drained.
-
-        The callback fires after every event due at the current simulated
-        time has been processed, immediately before the clock would advance
-        (or the queue exhausts).  Callbacks may schedule new events — at
-        the current instant or later — in which case those are processed
-        (and the hooks re-flushed) before time moves.
-        """
-        self._instant_hooks.append(callback)
-
-    def _instant_drained(self) -> bool:
-        """No event due at the current instant remains."""
-        if self._immediate:
-            return False
-        queue = self._queue
-        return not queue or queue[0][0] > self._now
-
-    def _flush_instant_hooks(self) -> None:
-        while self._instant_hooks and self._instant_drained():
-            hooks = self._instant_hooks
-            self._instant_hooks = []
-            for hook in hooks:
-                hook()
-
-    def peek(self) -> float:
-        """Time of the next scheduled activity, or +inf if none.
-
-        Pending instant-end hooks count as activity at the current time:
-        they may schedule events at ``now`` when they run.
-        """
-        if self._immediate or self._instant_hooks:
-            return self._now
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
-
-    def step(self) -> None:
-        """Process the next scheduled event.
-
-        The merged pop order over the heap buckets and the immediate deque
-        is exactly the (time, priority, eid) order a single flat heap would
-        give: bucket times are always >= ``_now``, so a bucket entry wins
-        only when it is at the current time with a higher priority or an
-        earlier eid than the oldest immediate event.  When the current
-        instant has fully drained, pending instant-end hooks run before
-        the clock advances.
-        """
-        immediate = self._immediate
-        queue = self._queue
-        if self._instant_hooks and not immediate and (
-            not queue or queue[0][0] > self._now
-        ):
-            self._flush_instant_hooks()
-        if immediate:
-            event = None
-            if queue:
-                key = queue[0]
-                if key[0] == self._now:
-                    bucket = self._buckets[key]
-                    if (key[1], bucket[0][0]) < (1, immediate[0][0]):
-                        event = bucket.popleft()[1]
-                        if not bucket:
-                            del self._buckets[key]
-                            heapq.heappop(queue)
-            if event is None:
-                event = immediate.popleft()[1]
-        else:
-            if not queue:
-                raise SimulationError("no more events to process")
-            key = queue[0]
-            bucket = self._buckets[key]
-            event = bucket.popleft()[1]
-            if not bucket:
-                del self._buckets[key]
-                heapq.heappop(queue)
-            self._now = key[0]
-        self.events_processed += 1
-        event._process_callbacks()
 
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (a time, an event, or exhaustion).
@@ -455,24 +165,7 @@ class Environment:
         Returns the value of ``until`` when it is an event.
         """
         stop_event, stop_time = _stop_condition(self, until)
-        queue = self._queue
-        immediate = self._immediate
-        step = self.step
-        while queue or immediate or self._instant_hooks:
-            if stop_event is not None and stop_event.callbacks is None:
-                break
-            if stop_time is not None and self.peek() > stop_time:
-                self._now = stop_time
-                break
-            if self._instant_hooks and not immediate and (
-                not queue or queue[0][0] > self._now
-            ):
-                # The current instant has drained: run the instant-end
-                # hooks, then re-apply the stop checks before any event
-                # they scheduled (possibly later than ``until``) runs.
-                self._flush_instant_hooks()
-                continue
-            step()
+        self._run(stop_event, stop_time)
         return _run_result(self, stop_event, stop_time)
 
 
@@ -507,109 +200,3 @@ def _run_result(env, stop_event: Optional[Event], stop_time: Optional[float]) ->
     if blocked:
         raise StalledSimulationError(sorted(blocked, key=lambda p: p.name))
     return None
-
-
-_ckernel = _native.extension()
-KERNEL = "python" if _ckernel is None else "compiled"
-
-if _ckernel is not None:
-    # The compiled kernel (see the module docstring) replaces the reference
-    # classes above with the same event order.  Tracers patch ``run``, ``process``
-    # and ``defer_to_instant_end`` in this class's own ``__dict__``, so all
-    # three are entries of it: the last two are the C methods, and ``run``
-    # wraps the compiled loop in the reference's ``until`` handling.
-    _Reference = Environment
-    Event = _ckernel.Event  # noqa: F811
-    Timeout = _ckernel.Timeout  # noqa: F811
-    Process = _ckernel.Process  # noqa: F811
-
-    class Environment(_ckernel.Environment):  # noqa: F811
-        __doc__ = _Reference.__doc__
-        process = _ckernel.Environment.process
-        defer_to_instant_end = _ckernel.Environment.defer_to_instant_end
-        blocked_processes = _Reference.blocked_processes
-
-        def run(self, until: Any = None) -> Any:
-            """Run until ``until`` (a time, an event, or exhaustion).
-
-            Returns the value of ``until`` when it is an event.
-            """
-            stop_event, stop_time = _stop_condition(self, until)
-            self._run(stop_event, stop_time)
-            return _run_result(self, stop_event, stop_time)
-
-
-class Condition(Event):
-    """Waits on a set of events until ``evaluate`` says the condition holds.
-
-    A condition triggers with ``None``, or fails with the first
-    constituent failure.
-    """
-
-    __slots__ = ("_events", "_evaluate", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[int, int], bool],
-        events: Iterable[Event],
-    ):
-        super().__init__(env)
-        self._events = list(events)
-        self._evaluate = evaluate
-        self._count = 0
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("events belong to different environments")
-        if not self._events:
-            self.succeed()
-            return
-        for event in self._events:
-            if event.processed:
-                self._check(event)
-            else:
-                assert event.callbacks is not None
-                event.callbacks.append(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if event._exception is not None:
-            event._defused = True
-            self.fail(event._exception)
-        elif self._evaluate(len(self._events), self._count):
-            self.succeed()
-
-
-def _all_done(total: int, done: int) -> bool:
-    return done == total
-
-
-def _any_done(total: int, done: int) -> bool:
-    return done >= 1
-
-
-class AllOf(Condition):
-    """Triggered when all constituent events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, _all_done, events)
-
-
-class AnyOf(Condition):
-    """Triggered when any constituent event has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, _any_done, events)
-
-
-if _ckernel is not None:
-    _ckernel.setup(SimulationError, _PENDING)
-    Condition = _ckernel.Condition  # noqa: F811
-    AllOf = _ckernel.AllOf  # noqa: F811
-    AnyOf = _ckernel.AnyOf  # noqa: F811

@@ -3,18 +3,52 @@
 Plain functions rather than pytest fixtures so call sites can parameterize
 them (``small_config(batch_size=8)``) and so the golden-metrics and
 property suites share exactly the configurations the engine tests lock.
+
+With ``REPRO_WATERFILL=python`` this module installs the pure-python
+reference cores (:mod:`tests.reference`) in place of the compiled
+extension before the first ``repro`` import, so every test runs on them.
+It is the only place that knows a second kernel exists.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
+import importlib.util
 import os
 import sys
+from contextlib import contextmanager
 
-from repro.cluster import Cluster, MachineSpec
-from repro.config import ModelConfig
-from repro.netsim import _waterfill
+from tests import reference
+
+
+def _install_reference() -> None:
+    """Import ``repro`` with ``repro._native.extension`` answering the
+    reference package: ``_native`` is loaded before the package body,
+    which binds the extension's types at import."""
+    spec = importlib.util.find_spec("repro")
+    package = importlib.util.module_from_spec(spec)
+    sys.modules["repro"] = package
+    native = importlib.import_module("repro._native")
+    native.extension = lambda: reference
+    spec.loader.exec_module(package)
+
+
+REFERENCE_INSTALLED = os.environ.get("REPRO_WATERFILL") == "python"
+if REFERENCE_INSTALLED:
+    if "repro" in sys.modules:
+        raise RuntimeError(
+            "REPRO_WATERFILL=python, but repro was imported before "
+            "tests.conftest could install the reference cores"
+        )
+    _install_reference()
+
+from repro import _native  # noqa: E402
+from repro.cluster import Cluster, MachineSpec  # noqa: E402
+from repro.config import ModelConfig  # noqa: E402
+
+# The compiled extension, or None when the reference cores are installed.
+COMPILED = None if REFERENCE_INSTALLED else _native.extension()
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -69,43 +103,57 @@ def tiny_model_config(**overrides) -> ModelConfig:
     return ModelConfig(**defaults)
 
 
-@functools.lru_cache(maxsize=None)
-def reference_simkit():
-    """A private copy of ``repro.simkit`` on the pure-python reference
-    kernel, whichever kernel ``repro.simkit`` itself runs.
-
-    The package is imported afresh with ``REPRO_WATERFILL=python``; then
-    ``sys.modules`` and the ``repro.simkit`` attribute are restored, so
-    every other module keeps the package it imported.  The copy has its
-    own classes, exceptions included.
-    """
-    import repro
+@contextmanager
+def _private_import(*prefixes):
+    """Import afresh, for the length of the block, every module whose name
+    starts with one of ``prefixes``; then restore ``sys.modules`` and the
+    parent packages' attributes, so every other module keeps what it
+    imported."""
 
     def ours(name):
-        return name == "repro.simkit" or name.startswith("repro.simkit.")
+        return any(name == p or name.startswith(p + ".") for p in prefixes)
 
     saved = {name: sys.modules.pop(name) for name in list(sys.modules) if ours(name)}
-    saved_env = os.environ.get("REPRO_WATERFILL")
-    os.environ["REPRO_WATERFILL"] = "python"
     try:
-        copy = importlib.import_module("repro.simkit")
+        yield
     finally:
-        if saved_env is None:
-            del os.environ["REPRO_WATERFILL"]
-        else:
-            os.environ["REPRO_WATERFILL"] = saved_env
         for name in [name for name in sys.modules if ours(name)]:
             del sys.modules[name]
         sys.modules.update(saved)
-        repro.simkit = saved["repro.simkit"]
-    assert copy.core.KERNEL == "python"
+        for name in prefixes:
+            parent, _, child = name.rpartition(".")
+            if name in saved and parent in sys.modules:
+                setattr(sys.modules[parent], child, saved[name])
+
+
+@functools.lru_cache(maxsize=None)
+def reference_simkit():
+    """A private copy of ``repro.simkit`` on a private copy of the
+    reference cores, whichever cores ``repro.simkit`` itself runs.
+
+    The copy is imported with ``repro._native.extension`` answering the
+    reference package, as with ``REPRO_WATERFILL=python``; it has its own
+    classes, exceptions included, and its own reference module, whose
+    ``setup`` leaves the installed one alone.
+    """
+    with _private_import("tests.reference"):
+        private = importlib.import_module("tests.reference")
+    saved = _native.extension
+    _native.extension = lambda: private
+    try:
+        with _private_import("repro.simkit"):
+            copy = importlib.import_module("repro.simkit")
+    finally:
+        _native.extension = saved
+    assert copy.Event is private.Event
     return copy
 
 
 def kernel_id(kernel) -> str:
-    """A fluid kernel's test id: ``NumpyKernel``, or ``CompiledKernel`` for
-    the extension module."""
-    if isinstance(kernel, _waterfill.NumpyKernel):
+    """A fluid kernel's test id: ``NumpyKernel`` for the reference (the
+    package or one of its kernels), ``CompiledKernel`` for the extension
+    module."""
+    if kernel is reference or isinstance(kernel, reference.fluid.NumpyKernel):
         return "NumpyKernel"
     return "CompiledKernel"
 

@@ -26,10 +26,11 @@ from repro.faults import (
     ServerOutage,
     retry_flow,
 )
-from repro.netsim import Fabric, _waterfill, fluid
+from repro.netsim import Fabric, fluid
 from repro.simkit import Environment
 from repro.trace import render_timeline
 
+from tests import reference
 from tests.conftest import fault_arm_controller, kernel_id
 
 
@@ -178,7 +179,7 @@ class TestDroppedTransfers:
         assert flow.started_at is None and flow.remaining == 64.0
 
     @pytest.mark.parametrize("kernel", sorted(
-        {_waterfill.NUMPY, _waterfill.kernel()}, key=kernel_id
+        {reference, fluid._ext}, key=kernel_id
     ), ids=kernel_id)
     def test_a_dropped_transfer_is_the_networks_flow_class(self, kernel):
         fabric, injector = self._outage_fabric()
@@ -188,11 +189,10 @@ class TestDroppedTransfers:
         dropped = fabric.transfer(Device.gpu(0, 0), Device.host(1), 64.0,
                                   tag=("pull-request", 0))
         assert injector.stats.dropped_messages == 1
-        assert type(dropped) is type(delivered) is fabric.network._new_flow
+        assert type(dropped) is type(delivered) is fluid.Flow
 
-    @pytest.mark.parametrize("flow_class", sorted(
-        {fluid.Flow, fluid.PythonFlow}, key=lambda cls: cls.__name__
-    ), ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("flow_class", [fluid.Flow, reference.Flow],
+                             ids=["Flow", "PythonFlow"])
     @pytest.mark.parametrize("size, latency, name", [
         (float("nan"), 0.0, "size"), (-1.0, 0.0, "size"),
         (1.0, float("inf"), "latency"), (1.0, -0.5, "latency"),

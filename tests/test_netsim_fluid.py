@@ -5,9 +5,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.netsim import FluidNetwork
-from repro.netsim import _waterfill
+from repro.netsim import _waterfill, fluid
 from repro.simkit import Environment
-from tests.conftest import kernel_id
+from tests import reference
+from tests.conftest import COMPILED, kernel_id
 from tests.helpers import active_flows
 
 
@@ -316,7 +317,7 @@ class TestStaleTimerGuardPythonCore(TestStaleTimerGuard):
 
     @pytest.fixture(autouse=True)
     def _numpy_core(self, monkeypatch):
-        monkeypatch.setattr(_waterfill, "kernel", lambda: _waterfill.NUMPY)
+        monkeypatch.setattr(fluid, "_ext", reference)
 
 
 class TestSubUlpResidue:
@@ -354,9 +355,7 @@ class TestSubUlpResidue:
 
 @pytest.mark.parametrize(
     "kernel",
-    [_waterfill.NUMPY] + (
-        [] if _waterfill.kernel() is _waterfill.NUMPY else [_waterfill.kernel()]
-    ),
+    [reference] + ([COMPILED] if COMPILED else []),
     ids=kernel_id,
 )
 def test_class_level_wraps_see_every_timer_activation_and_resolve(

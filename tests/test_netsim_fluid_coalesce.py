@@ -7,10 +7,10 @@ per-member byte ledger (tombstoned retirement).  The acceptance bar is
 arrivals, departures and mid-flight capacity rescales, the coalesced
 network must hand every flow the same IEEE-754 rate, finish it at the
 same simulated time, and account the same per-link bytes as the
-uncoalesced reference, which runs the numpy kernel, fills over every
-link and compacts after every retirement.  The same bar applies to the
-two kernels of ``repro.netsim._waterfill``, compared directly: the
-compiled one against numpy, step by step.
+uncoalesced reference (``tests.reference.fluid.UNCOALESCED``), which
+runs the numpy kernel, fills over every link and compacts after every
+retirement.  The same bar applies to the compiled kernel and the numpy
+reference of ``tests/reference/``, compared directly, step by step.
 """
 
 import types
@@ -22,23 +22,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import FluidNetwork
-from repro.netsim import _waterfill
+from repro.netsim import _waterfill, fluid
 from repro.simkit import Environment
-from tests.conftest import certified
+from tests import reference
+from tests.conftest import COMPILED, certified
 from tests.helpers import active_flows
+from tests.reference.fluid import UNCOALESCED, assign_rates, settle_rates
 
-NUMPY = _waterfill.NUMPY
-COMPILED = None if _waterfill.kernel() is NUMPY else _waterfill.kernel()
-# Every kernel this host runs; the first one is what networks default to.
+# The numpy reference kernel: the reference package's fluid entries.
+NUMPY = reference
+# Every kernel this run has; the first one is what networks default to.
 KERNELS = (COMPILED, NUMPY) if COMPILED else (NUMPY,)
 needs_compiler = pytest.mark.skipif(
-    COMPILED is None, reason="no C compiler on this host"
+    COMPILED is None, reason="the reference cores are installed"
 )
 
 
-def _network(env, kernel=None, coalesce=True):
+def _network(env, kernel=None):
     """A network pinned to ``kernel`` (default: the one it would pick)."""
-    net = FluidNetwork(env, coalesce=coalesce)
+    net = FluidNetwork(env)
     if kernel is not None:
         net._kernel = kernel
     return net
@@ -94,7 +96,7 @@ def _settle(env):
     env.run(until=env.now)
 
 
-def _run_schedule(schedule, coalesce, kernel=None):
+def _run_schedule(schedule, kernel=None):
     """Replay one schedule; return (rate log, finish times, link bytes).
 
     The rate log snapshots every active flow's rate after each operation
@@ -103,7 +105,7 @@ def _run_schedule(schedule, coalesce, kernel=None):
     """
     links, ops, gaps = schedule
     env = Environment()
-    net = certified(_network(env, kernel, coalesce))
+    net = certified(_network(env, kernel))
     for link_id, bandwidth in links:
         net.add_link(link_id, bandwidth)
     flows = []
@@ -135,8 +137,8 @@ def _run_schedule(schedule, coalesce, kernel=None):
 @settings(max_examples=60, deadline=None)
 @given(schedules())
 def test_coalesced_equals_uncoalesced_exactly(schedule):
-    coalesced = _run_schedule(schedule, coalesce=True)
-    plain = _run_schedule(schedule, coalesce=False)
+    coalesced = _run_schedule(schedule)
+    plain = _run_schedule(schedule, kernel=UNCOALESCED)
     # Exact float equality on every rate at every instant, every finish
     # time, and every link's byte counter — not approx.
     assert coalesced == plain
@@ -146,8 +148,8 @@ def test_coalesced_equals_uncoalesced_exactly(schedule):
 @settings(max_examples=40, deadline=None)
 @given(schedules())
 def test_compiled_kernel_equals_python_solver_exactly(schedule):
-    compiled = _run_schedule(schedule, coalesce=True, kernel=COMPILED)
-    assert compiled == _run_schedule(schedule, coalesce=True, kernel=NUMPY)
+    compiled = _run_schedule(schedule, kernel=COMPILED)
+    assert compiled == _run_schedule(schedule, kernel=NUMPY)
 
 
 class _Unusable:
@@ -175,15 +177,17 @@ _GUARD_SCHEDULE = (
 
 
 def test_reference_runs_no_compiled_code(monkeypatch):
-    monkeypatch.setattr(_waterfill, "kernel", _Unusable)
+    # The kernel a new network starts on: the uncoalesced reference
+    # replaces it before any flow exists.
+    monkeypatch.setattr(fluid, "_ext", _Unusable())
     rate_log, finish_times, link_bytes = _run_schedule(
-        _GUARD_SCHEDULE, coalesce=False
+        _GUARD_SCHEDULE, kernel=UNCOALESCED
     )
     assert None not in finish_times and rate_log[-1]
     assert link_bytes["l0"] == pytest.approx(300.0 + 120.0 + 300.0)
     # The swap is in force: a coalesced network does reach for it.
     with pytest.raises(AssertionError, match="compiled kernel"):
-        _run_schedule(_GUARD_SCHEDULE, coalesce=True)
+        _run_schedule(_GUARD_SCHEDULE)
 
 
 def _fire_timer(net):
@@ -281,7 +285,7 @@ def test_compiled_kernel_equals_python_solver_at_fleet_shape(seed):
     populated = gcount > 0
     fills = {
         _fill_with(kernel, net)[populated].tobytes()
-        for kernel in KERNELS + (_waterfill.REFERENCE,)
+        for kernel in KERNELS + (UNCOALESCED,)
     }
     assert len(fills) == 1
 
@@ -293,7 +297,7 @@ def test_compiled_advance_equals_numpy_path(seed):
     outcomes = []
     for kernel in KERNELS:
         env, net = _fleet_network(seed, kernel)
-        net._assign_rates()
+        assign_rates(net)
         n = net._n
         rng = np.random.default_rng(seed)
         rates = net._rates[:n]
@@ -569,9 +573,9 @@ def test_fill_arrays_reallocated_with_the_tables_start_afresh(monkeypatch):
 class TestSetCapacityRescale:
     """Coalescing must respect mid-flight ``set_capacity`` rescales."""
 
-    def _shared_group_network(self, coalesce):
+    def _shared_group_network(self, kernel=None):
         env = Environment()
-        net = FluidNetwork(env, coalesce=coalesce)
+        net = _network(env, kernel)
         net.add_link("wire", 100.0)
         # Three flows in ONE path group: the group's macro-row carries
         # multiplicity 3 through the rescale.
@@ -580,7 +584,7 @@ class TestSetCapacityRescale:
         return env, net, flows
 
     def test_rescale_rerates_a_coalesced_group(self):
-        env, net, flows = self._shared_group_network(coalesce=True)
+        env, net, flows = self._shared_group_network()
         assert [flow.rate for flow in flows] == [100.0 / 3] * 3
         env.run(until=1.0)
         net.set_capacity("wire", 30.0)
@@ -596,8 +600,8 @@ class TestSetCapacityRescale:
 
     def test_rescale_matches_uncoalesced_exactly(self):
         outcomes = []
-        for coalesce in (True, False):
-            env, net, flows = self._shared_group_network(coalesce)
+        for kernel in (None, UNCOALESCED):
+            env, net, flows = self._shared_group_network(kernel)
             env.run(until=1.0)
             net.set_capacity("wire", 30.0)
             _settle(env)
@@ -617,7 +621,7 @@ class TestSetCapacityRescale:
     def test_rescale_epoch_invalidates_solve_memo(self):
         # Same group counts before and after the rescale: only the round
         # log's discard on a capacity change keeps the old fill out.
-        env, net, flows = self._shared_group_network(coalesce=True)
+        env, net, flows = self._shared_group_network()
         before = flows[0].rate
         net.set_capacity("wire", 60.0)
         _settle(env)
@@ -644,7 +648,7 @@ def _ledger_network(seed, kernel, now=0.0, capacities=(1e3, 1e9, 2.5e10)):
         flows.append(net.transfer(tuple(f"l{i}" for i in hops), size, tag=k))
     retired = rng.choice(len(flows), len(flows) // 3, replace=False)
     _retire_now(net, [flows[k] for k in retired])
-    net._assign_rates()
+    assign_rates(net)
     return env, net, rng
 
 
@@ -697,7 +701,7 @@ def _shape_rel_band(net, rng):
 
 def _shape_stale_after_rescale(net, rng):
     net.set_capacity("l0", 7.0)
-    net._assign_rates()
+    assign_rates(net)
     rows = _moving(net)
     net._remaining[rows] = net._sizes[rows] * 0.5
     return 0.0
@@ -803,7 +807,7 @@ def _solved_network(kernel, rng, paths):
     ]
     _retire_now(net, [flows[k] for k in
                       rng.choice(len(flows), len(flows) // 4, replace=False)])
-    net._assign_rates()
+    assign_rates(net)
     return env, net
 
 
@@ -863,21 +867,27 @@ def test_compiled_admit_equals_numpy_arrival(case, seed, dt):
         assert outcomes[0][1] > 0
 
 
+def _public_names(module):
+    """A module's public attributes, submodules aside."""
+    return sorted(
+        name for name, value in vars(module).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+
+
 @needs_compiler
 def test_compiled_and_numpy_kernels_expose_the_same_methods():
-    """A kernel method added to (or left in) only one kernel fails here.
+    """The reference package's public names are the extension module's.
 
-    The compiled kernel is the extension module: its builtins are the
-    numpy kernel's methods, plus the bookkeeping entries that a numpy
-    network runs as its own Python bodies and the event core's ``setup``.
+    A compiled type or entry without a pure-python twin in
+    ``tests/reference/``, or a twin left behind, fails here: the fluid
+    entries, the bookkeeping entries, the event core's ``setup`` and
+    every event, wait-primitive, flow and network type.
     """
-    numpy = {name for name in dir(NUMPY)
-             if not name.startswith("_") and callable(getattr(NUMPY, name))}
-    compiled = {name for name in dir(COMPILED)
-                if isinstance(getattr(COMPILED, name), types.BuiltinFunctionType)}
-    assert "admit" in numpy
-    assert compiled - numpy == {"activate", "fire", "recompute", "setup"}
-    assert numpy <= compiled
+    names = _public_names(reference)
+    assert {"admit", "activate", "setup", "Flow", "Environment"} <= set(names)
+    assert names == sorted(reference.__all__)
+    assert names == _public_names(COMPILED)
 
 
 def _settle_outcome(seed, fill, kernel):
@@ -885,7 +895,7 @@ def _settle_outcome(seed, fill, kernel):
     grates = rng.random(net._num_groups) * 1e3
     fill(net, grates)
     net._last_update = env.now - 0.5
-    eta = net._settle(grates)
+    eta = settle_rates(net, grates)
     eta = None if eta is None else np.float64(eta).tobytes()
     return eta, _ledger_state(net)
 

@@ -4,13 +4,11 @@ A hypothesis state machine drives three identical ``Environment`` +
 ``FluidNetwork`` pairs with the same arrivals (1 B to 1 TB, optional
 start latency), mid-flight ``set_capacity`` rescales and clock advances:
 
-* a coalesced network on the kernel ``_waterfill.kernel()`` picks (the
-  compiled one where it builds, whose water-fill resumes its last fill
-  at the first round a changed path group can reach, keeping the rounds
-  before it);
-* a coalesced network on the numpy kernel, whose water-fill scans every
-  round, and whose flows are the pure-python ``PythonFlow`` (the
-  compiled network's are the extension's);
+* a coalesced network on the kernel it starts on (the compiled one,
+  whose water-fill resumes its last fill at the first round a changed
+  path group can reach, keeping the rounds before it);
+* a coalesced network on the numpy reference (``tests/reference/``),
+  whose water-fill scans every round and whose bookkeeping is Python;
 * the uncoalesced reference, which fills over every link, scans every
   round and compacts after every retirement.
 
@@ -26,8 +24,8 @@ count, start and finish time, every link's byte counter, each
 network's completed bytes, the clock and the event count, and the order
 in which the flows' ``done`` events fired (flow and time).  Each flow of
 the first network also equals its numpy-kernel twin field by field, every
-field but ``id``: its slots (the ``done`` event by state, the network
-reference by whose it is) and its views.  Live flows keep ``0 <=
+field but ``id``: the reference ``Flow``'s slots (the ``done`` event by
+state, the network reference by whose it is) and the views.  Live flows keep ``0 <=
 remaining <= size``.  At teardown every network drains under
 the same hard step budget, so a livelock fails the example instead of
 hanging the suite; then every flow must have moved its bytes no faster
@@ -47,10 +45,10 @@ from hypothesis.stateful import (
 )
 
 from repro.netsim import FluidNetwork
-from repro.netsim import _waterfill
-from repro.netsim.fluid import PythonFlow
 from repro.simkit import Environment, SimulationError
+from tests import reference
 from tests.conftest import certified
+from tests.reference.fluid import UNCOALESCED
 
 _LINKS = 8
 # Steps allowed per in-flight flow while draining, plus a floor: each
@@ -82,18 +80,17 @@ def _step_until(env: Environment, target: float, budget: int) -> int:
     return steps
 
 
-# (kernel to pin, coalesce) per side; None keeps the network's own pick.
-_SIDES = ((None, True), (_waterfill.NUMPY, True), (None, False))
+# The kernel to pin per side; None keeps the network's own.
+_SIDES = (None, reference, UNCOALESCED)
 # A flow's fields as compared with its reference twin: every slot of the
-# Python flow but the id, then the views.
+# reference flow but the id, then the views.
 _FIELDS = tuple(
-    name for name in PythonFlow.__slots__ if name not in ("id", "done", "_net")
+    name for name in reference.Flow.__slots__ if name not in ("id", "done", "_net")
 ) + ("remaining", "rate", "duration")
 
 
 def _same_flow(flow, net, twin, twin_net):
     """``flow`` of ``net`` equals ``twin`` of ``twin_net``, field by field."""
-    assert type(twin) is PythonFlow
     for name in _FIELDS:
         assert getattr(flow, name) == getattr(twin, name), name
     assert (flow._net is net, flow._net is None) == (
@@ -116,9 +113,9 @@ class LockstepFluid(RuleBasedStateMachine):
     )
     def build(self, start, capacities):
         self.sides = []
-        for kernel, coalesce in _SIDES:
+        for kernel in _SIDES:
             env = Environment(start)
-            net = FluidNetwork(env, coalesce=coalesce)
+            net = FluidNetwork(env)
             if kernel is not None:
                 net._kernel = kernel
             for index, capacity in enumerate(capacities):

@@ -20,15 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import FluidNetwork
-from repro.netsim import _waterfill
 from repro.simkit import Environment
-from tests.conftest import certified
+from tests import reference
+from tests.conftest import COMPILED, certified
 from tests.helpers import active_flows
+from tests.reference.fluid import assign_rates
 
-# Every kernel this host runs: the compiled one where it builds, and numpy.
-KERNELS = (_waterfill.kernel(), _waterfill.NUMPY)
-if KERNELS[0] is _waterfill.NUMPY:
-    KERNELS = KERNELS[1:]
+# Every kernel this run has: the compiled one, unless the reference cores
+# are installed, and the numpy reference.
+KERNELS = (COMPILED, reference) if COMPILED else (reference,)
 
 
 def _build(links, kernel=None):
@@ -43,9 +43,9 @@ def _build(links, kernel=None):
 
 def _fresh_rates(links, active):
     """Rates a brand-new network assigns to the same path multiset."""
-    _, reference = _build(links)
-    clones = [reference.transfer(flow.path, 1.0) for flow in active]
-    reference._assign_rates()
+    _, fresh = _build(links)
+    clones = [fresh.transfer(flow.path, 1.0) for flow in active]
+    assign_rates(fresh)
     return [clone.rate for clone in clones]
 
 

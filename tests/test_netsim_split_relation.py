@@ -41,14 +41,12 @@ import numpy as np
 import pytest
 
 from repro.netsim import FluidNetwork
-from repro.netsim import _waterfill
 from repro.netsim.fluid import _EPSILON
 from repro.simkit import Environment
-from tests.conftest import certified, kernel_id
+from tests import reference
+from tests.conftest import COMPILED, certified, kernel_id
 
-NUMPY = _waterfill.NUMPY
-COMPILED = None if _waterfill.kernel() is NUMPY else _waterfill.kernel()
-KERNELS = (COMPILED, NUMPY) if COMPILED else (NUMPY,)
+KERNELS = (COMPILED, reference) if COMPILED else (reference,)
 
 _U = 2.0 ** -53
 _SPLIT_PATH = ("s0", "s1")
