@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..config import ModelConfig
-from ..core.paradigm import comm_data_centric, comm_expert_centric
+from ..core.paradigm import profile_model
 
 __all__ = ["TrafficRow", "table1_row", "table1", "model_size_billion"]
 
@@ -66,21 +66,9 @@ def table1_row(
     world = num_machines * workers_per_machine
     ec_total = 0.0
     dc_total = 0.0
-    for index in config.moe_block_indices:
-        ec_total += comm_expert_centric(
-            config.hidden_dim,
-            config.tokens_per_worker,
-            workers_per_machine,
-            num_machines,
-            config.dtype_bytes,
-        )
-        dc_total += comm_data_centric(
-            config.hidden_dim,
-            config.experts_per_worker(index, world),
-            workers_per_machine,
-            num_machines,
-            config.dtype_bytes,
-        )
+    for profile in profile_model(config, num_machines, workers_per_machine):
+        ec_total += profile.expert_centric_bytes
+        dc_total += profile.data_centric_bytes
     return TrafficRow(
         model=config.name,
         batch_size=config.batch_size,

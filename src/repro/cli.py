@@ -10,9 +10,10 @@ Commands:
   ``--drift SPEC`` shifts expert popularity between iterations;
   ``--control SPEC`` turns on the adaptive control plane;
   ``--metrics-out``/``--trace-out`` export the run report and Chrome
-  trace).
-* ``report``   — run several iterations with full metrics and write the
-  machine-readable run report (and optionally a Perfetto-loadable trace).
+  trace).  It is the one command that writes a run report.
+* ``report``   — print the tables of a run report that ``simulate
+  --metrics-out`` wrote: per iteration, per task kind and the chunk
+  tuner's.
 * ``serve``    — request-level inference serving: replay a seeded
   open-loop arrival trace through continuous-batching workers (unified
   or disaggregated prefill/decode pools) and report TTFT/TPOT
@@ -64,8 +65,9 @@ from .core import (
     profile_model,
     strategy_names,
 )
-from .faults import FaultPlan, MessageLoss, PullFailedError, ResilienceConfig
+from .faults import FaultPlan, MessageLoss, PullFailedError
 from .metrics import (
+    SCHEMA,
     MetricsRegistry,
     build_run_report,
     write_chrome_trace,
@@ -96,8 +98,9 @@ MODEL_CHOICES = {
 
 
 class _InvalidInput(Exception):
-    """A command-line value the model, cluster or a spec rejected:
-    :func:`main` prints it as one line and exits 2."""
+    """A command-line value the model, cluster or a spec rejected, or a
+    report file that cannot be read: :func:`main` prints it as one line
+    and exits 2."""
 
 
 def _positive_int(text: str) -> int:
@@ -202,14 +205,14 @@ def _engine_shape(args):
 
 
 def _engine_features(args) -> dict:
-    """``engine_for`` keywords for ``--chunks`` (and ``--stagger-a2a``
-    where the command has it); empty when both are at their defaults."""
+    """``engine_for`` keywords for ``--chunks`` and ``--stagger-a2a``;
+    empty when both are at their defaults."""
     overrides = {}
     if args.chunks == "auto":
         overrides["chunk_autotune"] = True
     elif args.chunks is not None:
         overrides["ec_pipeline_chunks"] = args.chunks
-    if getattr(args, "stagger_a2a", None) is not None:
+    if args.stagger_a2a is not None:
         overrides["a2a_stagger"] = args.stagger_a2a
     return {"features": JanusFeatures(**overrides)} if overrides else {}
 
@@ -248,11 +251,17 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 
 def cmd_plan(args) -> int:
     config, cluster = _engine_shape(args)
+    try:
+        profiles = profile_model(
+            config, args.machines, cluster.gpus_per_machine
+        )
+    except ValueError as exc:
+        raise _InvalidInput(f"invalid shape: {exc}") from None
     world = cluster.world_size
     print(f"{config.name}: B={config.batch_size} S={config.seq_len} "
           f"k={config.top_k} H={config.hidden_dim} on {world} GPUs")
     rows = []
-    for profile in profile_model(config, args.machines, cluster.gpus_per_machine):
+    for profile in profiles:
         rows.append([
             profile.block_index,
             profile.num_experts,
@@ -315,6 +324,7 @@ def cmd_simulate(args) -> int:
             results, registry,
             model=config.name, paradigm=args.paradigm,
             machines=args.machines, inference=args.inference,
+            iterations=args.iterations,
         )
         _write_report(args.metrics_out, report, "run report")
     if args.trace_out is not None:
@@ -347,29 +357,32 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    """Multi-iteration run with full observability: prints a summary and
-    writes the machine-readable run report (``--out``) plus, optionally,
-    a Perfetto-loadable Chrome trace (``--trace-out``)."""
-    config, cluster = _engine_shape(args)
-    registry = MetricsRegistry()
-    trace = TraceRecorder()
+def _load_run_report(path: str) -> dict:
+    """The run report at ``path``; a file that cannot be read, is not JSON
+    or carries another schema raises :class:`_InvalidInput`."""
     try:
-        engine = engine_for(
-            args.paradigm, config, cluster, metrics=registry, trace=trace,
-            **_engine_features(args),
+        with open(path) as handle:
+            report = json.load(handle)
+    except OSError as exc:
+        raise _InvalidInput(f"cannot read run report: {exc}") from None
+    except ValueError as exc:
+        raise _InvalidInput(f"{path} is not JSON: {exc}") from None
+    schema = report.get("schema") if isinstance(report, dict) else None
+    if schema != SCHEMA:
+        raise _InvalidInput(
+            f"{path} is not a run report: schema {schema!r}, "
+            f"expected {SCHEMA!r}"
         )
-        results = engine.run(args.iterations)
-    except _SIMULATION_ERRORS as exc:
-        print(f"{config.name} / {args.paradigm}: {exc}", file=sys.stderr)
-        return 1
-    report = build_run_report(
-        results, registry,
-        model=config.name, paradigm=args.paradigm,
-        machines=args.machines, iterations=args.iterations,
-    )
+    return report
+
+
+def cmd_report(args) -> int:
+    """Print the tables of a written run report: per iteration, per task
+    kind and, when the chunk tuner ran, its per-block choices."""
+    report = _load_run_report(args.path)
+    run, iterations = report["run"], report["iterations"]
     rows = []
-    for index, summary in enumerate(report["iterations"]):
+    for index, summary in enumerate(iterations):
         rows.append([
             index,
             f"{summary['seconds'] * 1e3:.2f}",
@@ -379,8 +392,8 @@ def cmd_report(args) -> int:
         ])
     print(format_table(
         ["Iter", "ms", "A2A", "Overlap", "GB/machine"], rows,
-        title=f"{config.name} / {args.paradigm} "
-              f"({args.machines} machines, {args.iterations} iterations)",
+        title=f"{run['model']} / {run['paradigm']} "
+              f"({run['machines']} machines, {len(iterations)} iterations)",
     ))
     tasks = report.get("tasks")
     if tasks:
@@ -416,10 +429,6 @@ def cmd_report(args) -> int:
              "Switches"],
             tuning_rows, title=title,
         ))
-    _write_report(args.out, report, "run report")
-    if args.trace_out is not None:
-        _write_trace(args.trace_out, trace, registry,
-                     f"{config.name}/{args.paradigm}")
     return 0
 
 
@@ -500,10 +509,7 @@ def cmd_chaos(args) -> int:
                 faults=(MessageLoss(kinds=("pull-request",), rate=rate),),
             )
             try:
-                engine = engine_for(
-                    mode, config, cluster,
-                    fault_plan=plan, resilience=ResilienceConfig(),
-                )
+                engine = engine_for(mode, config, cluster, fault_plan=plan)
                 result = engine.run_iteration()
             except _SIMULATION_ERRORS as exc:
                 print(f"{config.name} / {mode}: {exc}", file=sys.stderr)
@@ -661,29 +667,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     report = sub.add_parser(
-        "report", help="multi-iteration run report with full metrics"
-    )
-    _add_model_arguments(report)
-    report.add_argument(
-        "--paradigm",
-        choices=sorted(engine_modes()),
-        default="unified",
-        help="block-execution strategy or the unified selector",
-    )
-    report.add_argument("--iterations", type=_positive_int, default=3,
-                        help="iterations to simulate")
-    report.add_argument(
-        "--chunks", type=_chunk_spec, default=None, metavar="N|auto",
-        help="fixed pipelined-ec chunk count, or 'auto' for the "
-             "cost-model tuner (adds the per-block tuning table)",
+        "report", help="print the tables of a written run report"
     )
     report.add_argument(
-        "--out", default="report.json", metavar="PATH",
-        help="run-report destination ('-' prints JSON to stdout)",
-    )
-    report.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="also write a Chrome-trace/Perfetto JSON of the run",
+        "path", metavar="PATH",
+        help="run report JSON written by 'simulate --metrics-out'",
     )
     report.set_defaults(func=cmd_report)
 

@@ -91,13 +91,16 @@ def auto_schedule_map(
     ``microbatch-ec`` when :meth:`CostModel.micro_batching_pays` says the
     overlap win of ``micro_batches`` chunks beats their extra kernel
     launches; otherwise it keeps the plain synchronous ``expert-centric``
-    block.
+    block.  One machine has no cross-node All-to-All to overlap, so there
+    every low-R block keeps ``expert-centric``.
     """
     costs = CostModel.for_cluster(
         config, cluster, JanusFeatures(micro_batches=micro_batches)
     )
     n, m = cluster.num_machines, cluster.gpus_per_machine
     mapping = strategy_map(config, cluster, threshold=threshold)
+    if n < 2:
+        return mapping
     for index, name in mapping.items():
         if name == "expert-centric" and costs.micro_batching_pays(
             comm_expert_centric(

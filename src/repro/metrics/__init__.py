@@ -9,16 +9,15 @@
 * :mod:`~repro.metrics.chrome_trace` — Trace Event Format export for
   ``chrome://tracing`` / Perfetto.
 * :mod:`~repro.metrics.report` — the versioned machine-readable run
-  report behind ``--metrics-out`` and ``repro report``.
+  report that ``simulate --metrics-out`` writes and ``repro report``
+  renders.
 """
 
 from .chrome_trace import chrome_trace, write_chrome_trace
 from .collect import (
+    busy_kpis,
     chunk_tuning_breakdown,
     collect_iteration_metrics,
-    comm_busy_time,
-    compute_busy_time,
-    overlap_efficiency,
     serving_breakdown,
     task_kind_breakdown,
 )
@@ -36,13 +35,11 @@ __all__ = [
     "MetricsRegistry",
     "SCHEMA",
     "build_run_report",
+    "busy_kpis",
     "chrome_trace",
     "chunk_tuning_breakdown",
     "collect_iteration_metrics",
-    "comm_busy_time",
-    "compute_busy_time",
     "iteration_summary",
-    "overlap_efficiency",
     "serving_breakdown",
     "task_kind_breakdown",
     "write_chrome_trace",

@@ -17,14 +17,12 @@ touches the simulation clock.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .registry import MetricsRegistry
 
 __all__ = [
-    "overlap_efficiency",
-    "comm_busy_time",
-    "compute_busy_time",
+    "busy_kpis",
     "task_kind_breakdown",
     "chunk_tuning_breakdown",
     "serving_breakdown",
@@ -32,34 +30,30 @@ __all__ = [
 ]
 
 
-def comm_busy_time(trace, iteration: Optional[int] = None) -> float:
-    """Union time any traced communication lane was busy."""
-    return trace.busy_union("comm.", iteration=iteration)
+def busy_kpis(
+    trace, iteration: Optional[int] = None
+) -> Tuple[float, float, float]:
+    """``(comm busy, compute busy, overlap efficiency)`` of the traced
+    lanes, from three interval unions.
 
-
-def compute_busy_time(trace, iteration: Optional[int] = None) -> float:
-    """Union time any traced compute lane was busy."""
-    return trace.busy_union("compute.", iteration=iteration)
-
-
-def overlap_efficiency(trace, iteration: Optional[int] = None) -> float:
-    """Fraction of the scarcer resource's busy time hidden under the other.
-
-    ``overlap = busy(comm) + busy(compute) - busy(comm ∪ compute)`` is the
-    time computation and communication ran concurrently on the traced
-    lanes; dividing by ``min(busy(comm), busy(compute))`` normalizes to
-    [0, 1]: 1.0 means the scarcer activity was fully overlapped (the Fig.
-    13 ideal), 0.0 means strict serialization (the Fig. 3 baseline).
+    The busy times are the union time any ``comm.*`` and any
+    ``compute.*`` lane was busy.  ``overlap = busy(comm) + busy(compute)
+    - busy(comm ∪ compute)`` is the time computation and communication
+    ran concurrently; the efficiency divides it by ``min(busy(comm),
+    busy(compute))`` to normalize to [0, 1]: 1.0 means the scarcer
+    activity was fully overlapped (the Fig. 13 ideal), 0.0 means strict
+    serialization (the Fig. 3 baseline).
     """
-    comm = comm_busy_time(trace, iteration)
-    compute = compute_busy_time(trace, iteration)
+    comm = trace.busy_union("comm.", iteration=iteration)
+    compute = trace.busy_union("compute.", iteration=iteration)
     either = trace.busy_union("comm.", "compute.", iteration=iteration)
     bound = min(comm, compute)
     if bound <= 0:
-        return 0.0
+        return comm, compute, 0.0
     # Interval-union arithmetic accumulates float noise; keep the KPI in
     # its defined [0, 1] range.
-    return min(max((comm + compute - either) / bound, 0.0), 1.0)
+    overlap = min(max((comm + compute - either) / bound, 0.0), 1.0)
+    return comm, compute, overlap
 
 
 def task_kind_breakdown(
@@ -187,27 +181,18 @@ def collect_iteration_metrics(
     ``fabric`` the iteration's :class:`~repro.netsim.Fabric` and ``ctx``
     its :class:`~repro.core.context.IterationContext`.
     """
-    trace = result.trace
-    scope = getattr(result, "iteration", None)
+    comm, compute, overlap = busy_kpis(
+        result.trace, getattr(result, "iteration", None)
+    )
 
     # Headline timing KPIs.
     registry.set("iter.seconds", result.seconds, iteration=iteration)
-    registry.set(
-        "iter.overlap_efficiency",
-        overlap_efficiency(trace, scope),
-        iteration=iteration,
-    )
+    registry.set("iter.overlap_efficiency", overlap, iteration=iteration)
     registry.set(
         "iter.a2a_share", result.all_to_all_share, iteration=iteration
     )
-    registry.set(
-        "iter.comm_busy_s", comm_busy_time(trace, scope), iteration=iteration
-    )
-    registry.set(
-        "iter.compute_busy_s",
-        compute_busy_time(trace, scope),
-        iteration=iteration,
-    )
+    registry.set("iter.comm_busy_s", comm, iteration=iteration)
+    registry.set("iter.compute_busy_s", compute, iteration=iteration)
 
     # Paradigm decisions per block (counts accumulate across iterations).
     for block, name in sorted(result.strategies.items()):

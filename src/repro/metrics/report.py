@@ -1,4 +1,5 @@
-"""Machine-readable run reports (``--metrics-out`` / ``repro report``).
+"""Machine-readable run reports (written by ``simulate --metrics-out``,
+rendered by ``repro report``).
 
 One report summarizes a sequence of simulated iterations: headline
 timings, the derived overlap/All-to-All KPIs, traffic, per-block strategy
@@ -11,13 +12,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from .collect import (
-    chunk_tuning_breakdown,
-    comm_busy_time,
-    compute_busy_time,
-    overlap_efficiency,
-    task_kind_breakdown,
-)
+from .collect import busy_kpis, chunk_tuning_breakdown, task_kind_breakdown
 from .registry import MetricsRegistry
 
 __all__ = ["SCHEMA", "iteration_summary", "build_run_report", "write_run_report"]
@@ -27,15 +22,19 @@ SCHEMA = "janus-repro/run-report/v1"
 
 def iteration_summary(result) -> Dict:
     """Headline numbers of one :class:`IterationResult`."""
-    trace = result.trace
-    scope = getattr(result, "iteration", None)
+    comm, compute, overlap = busy_kpis(
+        result.trace, getattr(result, "iteration", None)
+    )
+    seconds = result.seconds
+    a2a = result.all_to_all_seconds
     summary = {
-        "seconds": result.seconds,
-        "all_to_all_seconds": result.all_to_all_seconds,
-        "all_to_all_share": result.all_to_all_share,
-        "overlap_efficiency": overlap_efficiency(trace, scope),
-        "comm_busy_seconds": comm_busy_time(trace, scope),
-        "compute_busy_seconds": compute_busy_time(trace, scope),
+        "seconds": seconds,
+        "all_to_all_seconds": a2a,
+        # IterationResult.all_to_all_share, without a second union.
+        "all_to_all_share": a2a / seconds if seconds > 0 else 0.0,
+        "overlap_efficiency": overlap,
+        "comm_busy_seconds": comm,
+        "compute_busy_seconds": compute,
         "nic_egress_bytes": [float(b) for b in result.nic_egress_bytes],
         "cross_node_gb_per_machine": result.cross_node_gb_per_machine,
         "strategies": {

@@ -59,7 +59,7 @@ from repro.faults import (
     PullFailedError,
     ResilienceConfig,
 )
-from repro.metrics import MetricsRegistry, overlap_efficiency
+from repro.metrics import MetricsRegistry, busy_kpis
 from repro.serving import (
     ServingConfig,
     TraceSpec,
@@ -469,9 +469,9 @@ def fig14_metrics(case: str) -> dict:
     ).run_iteration()
     return {
         "makespan_seconds": result.seconds,
-        "overlap_efficiency": overlap_efficiency(
+        "overlap_efficiency": busy_kpis(
             result.trace, iteration=result.iteration
-        ),
+        )[2],
         "all_to_all_share": result.all_to_all_share,
         "egress_bytes_total": float(result.nic_egress_bytes.sum()),
         **{name: registry.total(name) for name in FIG14_COUNTERS},

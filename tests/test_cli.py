@@ -79,8 +79,6 @@ class TestParser:
     def test_simulate_chunks_auto(self):
         args = build_parser().parse_args(["simulate", "--chunks", "auto"])
         assert args.chunks == "auto"
-        args = build_parser().parse_args(["report", "--chunks", "auto"])
-        assert args.chunks == "auto"
 
     def test_simulate_stagger_choices(self):
         args = build_parser().parse_args(
@@ -107,6 +105,15 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "B=64 S=256 k=4" in out
+
+    def test_plan_on_one_machine_is_one_line(self, capsys):
+        """The per-block analysis prices cross-node traffic, which one
+        machine does not have: a rejected shape, not a traceback."""
+        assert main(["plan", "--machines", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid shape: ")
+        assert len(captured.err.splitlines()) == 1, captured.err
 
     def test_plan_pr_moe_mixes_paradigms(self, capsys):
         assert main(["plan", "--model", "pr-moe", "--machines", "2"]) == 0
@@ -230,16 +237,21 @@ class TestObservabilityCommands:
         trace = json.loads(trace_path.read_text())
         assert {"X", "M"} <= {e["ph"] for e in trace["traceEvents"]}
 
+    def simulate_report(self, path, *flags):
+        """Write a run report with ``simulate --metrics-out``."""
+        assert main([
+            "simulate", *self.SMALL, *flags, "--metrics-out", str(path),
+        ]) == 0
+
     def test_report_chunks_auto_prints_the_tuning_table(self, tmp_path,
                                                         capsys):
         import json
 
         out_path = tmp_path / "report.json"
-        assert main([
-            "report", *self.SMALL, "--paradigm", "pipelined-ec",
-            "--chunks", "auto", "--iterations", "2",
-            "--out", str(out_path),
-        ]) == 0
+        self.simulate_report(out_path, "--paradigm", "pipelined-ec",
+                             "--chunks", "auto", "--iterations", "2")
+        capsys.readouterr()
+        assert main(["report", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "chunk autotuner (2 retune(s)" in out
         assert "Pred ms/chunk" in out
@@ -248,11 +260,10 @@ class TestObservabilityCommands:
         assert report["chunk_tuning"]["retunes"] == 2
         assert report["chunk_tuning"]["blocks"]
 
-    def test_report_without_tuning_prints_no_table(self, capsys):
-        assert main([
-            "report", *self.SMALL, "--paradigm", "pipelined-ec",
-            "--iterations", "1",
-        ]) == 0
+    def test_report_without_tuning_prints_no_table(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        self.simulate_report(out_path, "--paradigm", "pipelined-ec")
+        assert main(["report", str(out_path)]) == 0
         assert "chunk autotuner" not in capsys.readouterr().out
 
     def test_simulate_without_export_flags_writes_nothing(self, tmp_path,
@@ -266,12 +277,12 @@ class TestObservabilityCommands:
         import json
 
         out_path = tmp_path / "run.json"
-        assert main([
-            "report", *self.SMALL, "--iterations", "2",
-            "--out", str(out_path),
-        ]) == 0
+        self.simulate_report(out_path, "--iterations", "2")
+        capsys.readouterr()
+        assert main(["report", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "Iter" in out  # summary table header
+        assert "(2 machines, 2 iterations)" in out
         assert "task-graph breakdown" in out
         assert "expert-compute" in out
         report = json.loads(out_path.read_text())
@@ -279,22 +290,45 @@ class TestObservabilityCommands:
         assert report["run"]["iterations"] == 2
         assert report["tasks"]["expert-compute"]["count"] > 0
 
-    def test_report_command_stdout_mode(self, capsys):
-        assert main([
-            "report", *self.SMALL, "--iterations", "1", "--out", "-",
-        ]) == 0
-        assert '"schema"' in capsys.readouterr().out
+    def test_report_command_stdout_mode(self, tmp_path, capsys):
+        """``--metrics-out -`` prints the report JSON first; saved, it
+        renders like a written file."""
+        import json
+
+        self.simulate_report("-", "--iterations", "1")
+        out = capsys.readouterr().out
+        assert '"schema"' in out
+        document, _ = json.JSONDecoder().raw_decode(out)
+        out_path = tmp_path / "report.json"
+        out_path.write_text(json.dumps(document))
+        assert main(["report", str(out_path)]) == 0
+        assert "(2 machines, 1 iterations)" in capsys.readouterr().out
 
     def test_report_command_trace_out(self, tmp_path, capsys):
         import json
 
         trace_path = tmp_path / "trace.json"
-        assert main([
-            "report", *self.SMALL, "--iterations", "1",
-            "--out", str(tmp_path / "r.json"), "--trace-out", str(trace_path),
-        ]) == 0
+        self.simulate_report(tmp_path / "r.json", "--iterations", "1",
+                             "--trace-out", str(trace_path))
+        assert main(["report", str(tmp_path / "r.json")]) == 0
         trace = json.loads(trace_path.read_text())
         assert trace["traceEvents"]
+
+    @pytest.mark.parametrize("name,text", [
+        ("missing", None),
+        ("not-json", "MoE-GPT / unified: 1.0 ms\n"),
+        ("wrong-schema", '{"schema": "janus-repro/serve-report/v1"}'),
+    ])
+    def test_report_refuses_a_bad_file(self, tmp_path, capsys, name, text):
+        path = tmp_path / f"{name}.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert str(path) in captured.err
 
 
 class TestGraphCommand:
@@ -455,8 +489,7 @@ class TestInvalidInput:
     # GPU to hold the same number of experts.
     @pytest.mark.parametrize("command,shape", [
         (command, shape)
-        for command in ("plan", "simulate", "report", "graph", "chaos",
-                        "serve")
+        for command in ("plan", "simulate", "graph", "chaos", "serve")
         for shape in BAD_SHAPES
         if (command, shape) != ("serve", "uneven-experts")
     ])

@@ -8,9 +8,9 @@ from repro.faults import FaultPlan, MessageLoss
 from repro.metrics import (
     MetricsRegistry,
     build_run_report,
+    busy_kpis,
     collect_iteration_metrics,
     iteration_summary,
-    overlap_efficiency,
     task_kind_breakdown,
     write_run_report,
 )
@@ -33,19 +33,19 @@ class TestOverlapEfficiency:
     def test_zero_when_either_side_idle(self):
         trace = TraceRecorder()
         trace.record("compute.dense", 0, 1)
-        assert overlap_efficiency(trace) == 0.0  # no comm at all
+        assert busy_kpis(trace)[2] == 0.0  # no comm at all
 
     def test_full_overlap_is_one(self):
         trace = TraceRecorder()
         trace.record("compute.dense", 0, 4)
         trace.record("comm.a2a", 1, 2)
-        assert overlap_efficiency(trace) == 1.0
+        assert busy_kpis(trace)[2] == 1.0
 
     def test_no_overlap_is_zero(self):
         trace = TraceRecorder()
         trace.record("compute.dense", 0, 1)
         trace.record("comm.a2a", 1, 2)
-        assert overlap_efficiency(trace) == 0.0
+        assert busy_kpis(trace)[2] == 0.0
 
 
 class _Stub:

@@ -16,10 +16,8 @@ from repro.metrics import (
     Histogram,
     MetricsRegistry,
     build_run_report,
+    busy_kpis,
     chrome_trace,
-    comm_busy_time,
-    compute_busy_time,
-    overlap_efficiency,
 )
 from repro.trace import TraceRecorder
 
@@ -134,10 +132,10 @@ class TestEngineInvariants:
     @pytest.mark.parametrize("mode", MODES)
     def test_derived_kpis_are_normalized(self, mode):
         _, trace, result = run_instrumented(mode)
-        efficiency = overlap_efficiency(trace, iteration=0)
+        comm, compute, efficiency = busy_kpis(trace, iteration=0)
         assert 0.0 <= efficiency <= 1.0 + 1e-9
-        assert comm_busy_time(trace, 0) <= result.seconds + 1e-12
-        assert compute_busy_time(trace, 0) <= result.seconds + 1e-12
+        assert comm <= result.seconds + 1e-12
+        assert compute <= result.seconds + 1e-12
 
     def test_histogram_latencies_are_non_negative(self):
         registry, _, result = run_instrumented("data-centric")

@@ -156,6 +156,15 @@ class TestAutoSchedule:
         with pytest.raises(ValueError):
             auto_schedule_map(MIXED_R, Cluster(4), micro_batches=0)
 
+    def test_one_machine_keeps_low_r_blocks_expert_centric(self):
+        """One machine has no cross-node All-to-All to overlap, so the
+        micro-batch test is not asked (its closed form needs two)."""
+        config = moe_gpt(8).scaled(batch_size=1, seq_len=8)
+        result = engine_for("auto", config, Cluster(1)).run_iteration()
+        assert result.seconds > 0
+        assert set(result.strategies.values()) == {"expert-centric"}
+        assert set(result.strategies) == set(config.moe_block_indices)
+
     def test_auto_engine_overlaps_allreduce_by_default(self):
         engine = engine_for("auto", small_config(), small_cluster(),
                             rng=np.random.default_rng(0))
