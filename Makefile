@@ -4,7 +4,7 @@ PYTHON ?= python
 
 # The bench-% pattern targets cannot be .PHONY: make skips the pattern
 # rule search for phony targets.
-.PHONY: install test lint bench bench-check bench-write e2e e2e-trace \
+.PHONY: install test lint bench bench-check bench-write e2e e2e-trace e2e-ab \
 	figs profile baseline baseline-write coverage chaos reports examples \
 	clean
 
@@ -48,6 +48,16 @@ e2e:
 e2e-trace:
 	$(PYTHON) benchmarks/e2e/run.py --trace
 
+# A/B the end-to-end benchmark: PARENT (a git revision) against the working
+# tree, both exported into fresh directories with no bytecode caches,
+# PAIRS alternating pairs of run.py, then compare.py.  See
+# benchmarks/e2e_ab.py.
+PAIRS ?= 10
+SEED ?= 7
+e2e-ab:
+	@test -n "$(PARENT)" || { echo "usage: make e2e-ab PARENT=<rev> [PAIRS=10 SEED=7]" >&2; exit 2; }
+	$(PYTHON) benchmarks/e2e_ab.py $(PARENT) --pairs $(PAIRS) --seed $(SEED)
+
 # cProfile the hottest Fig. 14 config (top 25 by cumulative time); the
 # raw stats stay in build/profile.pstats for pstats or snakeviz.
 profile:
@@ -61,11 +71,12 @@ profile:
 # in simulated time, regenerating benchmarks/reports/*.txt.  Not under
 # --benchmark-only, which would skip every test without the benchmark
 # fixture (the structural gates of test_bench_gates.py among them).  The
-# e2e self-test and the wall-script tests run separately.  CI's
-# "Figure battery" step runs this target.
+# e2e self-test, the A/B script's smoke test and the wall-script tests run
+# separately.  CI's "Figure battery" step runs this target.
 figs:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable \
-		--ignore=benchmarks/e2e --ignore=benchmarks/test_wall.py
+		--ignore=benchmarks/e2e --ignore=benchmarks/test_wall.py \
+		--ignore=benchmarks/test_e2e_ab.py
 
 # Frozen-output goldens (tests/goldens.py): baseline replays every case of
 # every golden exactly; baseline-write re-captures the Fig. 14 metrics.

@@ -47,10 +47,16 @@ class BlockWorkload:
     ) -> np.ndarray:
         """(world, world) dispatch byte matrix for All-to-All."""
         world = self.routing.shape[0]
-        matrix = np.zeros((world, world))
-        for expert in range(self.num_experts):
-            owner = placement.owner(expert)
-            matrix[:, owner] += self.routing[:, expert] * token_bytes
+        # Expert e lives on worker e // experts_per_worker, so the last
+        # axis lists each owner's experts in expert order.  Summing them
+        # one by one from the first (not from 0.0, which adds nothing to
+        # a non-negative byte count) rounds as a per-expert accumulation.
+        per_expert = (self.routing * token_bytes).reshape(
+            world, world, placement.experts_per_worker
+        )
+        matrix = per_expert[:, :, 0].copy()
+        for k in range(1, placement.experts_per_worker):
+            matrix += per_expert[:, :, k]
         np.fill_diagonal(matrix, 0.0)
         return matrix
 

@@ -17,6 +17,7 @@ preserving where contention happens:
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import List, Sequence
 
 import numpy as np
@@ -30,9 +31,32 @@ __all__ = ["all_reduce", "all_to_all", "uniform_matrix"]
 
 def uniform_matrix(world_size: int, bytes_per_pair: float) -> np.ndarray:
     """Send matrix where every rank sends the same amount to every other."""
+    check_count("world_size", world_size)
     matrix = np.full((world_size, world_size), float(bytes_per_pair))
     np.fill_diagonal(matrix, 0.0)
     return matrix
+
+
+def check_count(label: str, value) -> None:
+    """Refuse ``value`` unless it is a positive integer (numpy's too)."""
+    if not isinstance(value, Integral) or value <= 0:
+        raise ValueError(f"{label} must be a positive integer, got {value!r}")
+
+
+def _machine_pair_totals(matrix: np.ndarray, n: int, g: int) -> np.ndarray:
+    """``(n, n)`` bytes each machine pair exchanges, in one numpy pass.
+
+    Entry ``[i, j]`` is bit-identical to ``matrix[i*g:(i+1)*g,
+    j*g:(j+1)*g].sum()``: numpy sums such a block in the order its
+    elements lie in memory, row-major for a C-ordered matrix and
+    column-major for a transposed one (the combine All-to-All's).  So
+    each block is laid out contiguously in that order and summed along
+    one axis, which rounds exactly as the per-block sum does.
+    """
+    if abs(matrix.strides[0]) < abs(matrix.strides[1]):
+        return _machine_pair_totals(np.ascontiguousarray(matrix.T), n, g).T
+    blocks = np.ascontiguousarray(matrix).reshape(n, g, n, g).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(blocks).reshape(n, n, g * g).sum(axis=2)
 
 
 def all_to_all(
@@ -67,51 +91,46 @@ def all_to_all(
         raise ValueError("send matrix entries must be non-negative")
 
     done_events: List[Event] = []
+    n = cluster.num_machines
+    g = cluster.gpus_per_machine
+    intra_routes, inter_routes = fabric.a2a_routes()
+    transfer = fabric.network.transfer
 
-    # Intra-machine flows: GPU pair granularity over NVLink.
-    for machine in range(cluster.num_machines):
-        base = machine * cluster.gpus_per_machine
-        for src_local in range(cluster.gpus_per_machine):
-            for dst_local in range(cluster.gpus_per_machine):
-                if src_local == dst_local:
+    # Intra-machine flows: GPU pair granularity over NVLink.  Staged
+    # straight on the fluid network: the fault injector's intercept can
+    # neither drop nor draw for an ``a2a-*`` tag, which no fault spec
+    # accepts (DESIGN §12, "Bulk All-to-All staging").
+    machines = np.arange(n)
+    blocks = matrix.reshape(n, g, n, g)[machines, :, machines, :].tolist()
+    for machine, (block, routes) in enumerate(zip(blocks, intra_routes)):
+        for src_local, (row, row_routes) in enumerate(zip(block, routes)):
+            for dst_local, size in enumerate(row):
+                if src_local == dst_local or size <= 0:
                     continue
-                size = matrix[base + src_local, base + dst_local]
-                if size <= 0:
-                    continue
-                flow = fabric.transfer(
-                    Device.gpu(machine, src_local),
-                    Device.gpu(machine, dst_local),
-                    size,
+                path, latency, path_index = row_routes[dst_local]
+                flow = transfer(
+                    path, size, latency=latency, path_index=path_index,
                     tag=("a2a-intra", machine, src_local, dst_local),
                 )
                 done_events.append(flow.done)
 
     if hierarchical:
         # Inter-machine flows: aggregate per machine pair, stripe over NICs.
-        num_nics = cluster.spec.num_nics
-        for src_machine in range(cluster.num_machines):
-            for dst_machine in range(cluster.num_machines):
-                if src_machine == dst_machine:
+        totals = _machine_pair_totals(matrix, n, g)
+        per_nic = totals / cluster.spec.num_nics
+        for src_machine, (row_totals, row_sizes, routes) in enumerate(
+            zip(totals.tolist(), per_nic.tolist(), inter_routes)
+        ):
+            for dst_machine, total in enumerate(row_totals):
+                if src_machine == dst_machine or total <= 0:
                     continue
-                src_base = src_machine * cluster.gpus_per_machine
-                dst_base = dst_machine * cluster.gpus_per_machine
-                total = matrix[
-                    src_base : src_base + cluster.gpus_per_machine,
-                    dst_base : dst_base + cluster.gpus_per_machine,
-                ].sum()
-                if total <= 0:
-                    continue
-                per_nic = total / num_nics
-                for nic in range(num_nics):
-                    path, latency, path_index = fabric.nic_route(
-                        src_machine, dst_machine, nic
-                    )
-                    flow = fabric.network.transfer(
-                        path,
-                        per_nic,
-                        latency=latency,
+                size = row_sizes[dst_machine]
+                for nic, (path, latency, path_index) in enumerate(
+                    routes[dst_machine]
+                ):
+                    flow = transfer(
+                        path, size, latency=latency, path_index=path_index,
                         tag=("a2a-inter", src_machine, dst_machine, nic),
-                        path_index=path_index,
                     )
                     done_events.append(flow.done)
     else:

@@ -49,12 +49,15 @@ class Fabric:
         # is ~70k routes per iteration.
         memo = getattr(cluster, "_fabric_route_memo", None)
         if memo is None:
-            memo = ({}, {})
+            memo = [{}, {}, None]
             cluster._fabric_route_memo = memo
+        self._route_memo = memo
         self._route_cache: Dict[tuple, tuple] = memo[0]
         # (src machine, dst machine, nic) -> same triple, for collectives
         # that stripe machine-pair traffic over the NICs directly.
         self._nic_route_cache: Dict[tuple, tuple] = memo[1]
+        # memo[2]: the All-to-All route tables (a2a_routes), built at the
+        # first All-to-All on the cluster.
 
     # -- communication -------------------------------------------------------
 
@@ -80,6 +83,49 @@ class Fabric:
             self._nic_route_cache[key] = cached
         return cached
 
+    def a2a_routes(self):
+        """``(intra, inter)`` route tables of the staged All-to-All.
+
+        ``intra[machine][src_local][dst_local]`` is the NVLink route of a
+        GPU pair, as :meth:`transfer` resolves it, and
+        ``inter[src_machine][dst_machine]`` lists the :meth:`nic_route`
+        of every NIC; both hold ``None`` on their diagonal.  The tables
+        live in the cluster's route memo, so they are built once per
+        cluster, at its first All-to-All: fabrics that never run one pay
+        nothing for them.
+        """
+        tables = self._route_memo[2]
+        if tables is None:
+            cluster = self.cluster
+            gpus = range(cluster.gpus_per_machine)
+            machines = range(cluster.num_machines)
+            nics = range(cluster.spec.num_nics)
+            gpu = Device.gpu
+            intra = [
+                [[None if s == d else self._route(gpu(m, s), gpu(m, d)) for d in gpus]
+                 for s in gpus]
+                for m in machines
+            ]
+            inter = [
+                [None if s == d else [self.nic_route(s, d, nic) for nic in nics]
+                 for d in machines]
+                for s in machines
+            ]
+            tables = self._route_memo[2] = (intra, inter)
+        return tables
+
+    def _route(self, src: Device, dst: Device, nic_index: Optional[int] = None):
+        """Cached ``(path, latency, path_index)`` from ``src`` to ``dst``."""
+        key = (src, dst, nic_index)
+        cached = self._route_cache.get(key)
+        if cached is None:
+            path, path_index = self.network.resolve_path(
+                self.cluster.route(src, dst, nic_index=nic_index)
+            )
+            cached = (path, self.path_latency(path), path_index)
+            self._route_cache[key] = cached
+        return cached
+
     def transfer(
         self,
         src: Device,
@@ -93,14 +139,9 @@ class Fabric:
             dropped = self.fault_injector.intercept(src, dst, size, tag)
             if dropped is not None:
                 return dropped
-        key = (src, dst, nic_index)
-        cached = self._route_cache.get(key)
+        cached = self._route_cache.get((src, dst, nic_index))
         if cached is None:
-            path, path_index = self.network.resolve_path(
-                self.cluster.route(src, dst, nic_index=nic_index)
-            )
-            cached = (path, self.path_latency(path), path_index)
-            self._route_cache[key] = cached
+            cached = self._route(src, dst, nic_index)
         path, latency, path_index = cached
         return self.network.transfer(
             path, size, latency=latency, tag=tag, path_index=path_index

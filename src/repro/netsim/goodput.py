@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..cluster import Cluster, MachineSpec, a100_machine_spec
 from ..simkit import Environment
 from ..units import to_gbps
-from .collectives import all_to_all, uniform_matrix
+from .collectives import all_to_all, check_count, uniform_matrix
 from .fabric import Fabric
 
 __all__ = ["GoodputResult", "measure_all_to_all_goodput"]
@@ -51,8 +51,7 @@ def measure_all_to_all_goodput(
     spec: MachineSpec = None,
 ) -> GoodputResult:
     """Run ``rounds`` uniform All-to-Alls and measure per-GPU goodput."""
-    if rounds <= 0:
-        raise ValueError("rounds must be positive")
+    check_count("rounds", rounds)
     if not 0 < payload_bytes_per_pair < math.inf:
         raise ValueError(
             f"payload_bytes_per_pair must be positive and finite, got "

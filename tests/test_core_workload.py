@@ -6,6 +6,8 @@ import pytest
 from repro.cluster import Cluster, MachineSpec
 from repro.config import moe_bert
 from repro.core import build_workload
+from repro.core.workload import BlockWorkload
+from repro.runtime.layout import ExpertPlacement
 from repro.workloads import (
     assignment_imbalance,
     balanced_assignment,
@@ -117,6 +119,33 @@ class TestBuildWorkload:
             assert matrix[rank].sum() == pytest.approx(
                 off_worker * workload.token_bytes
             )
+
+    @pytest.mark.parametrize("experts_per_worker", [1, 2, 4])
+    def test_dispatch_matrix_is_the_per_expert_accumulation(
+        self, experts_per_worker
+    ):
+        # Bitwise equal to adding each expert's column of bytes onto its
+        # owner's column, one expert at a time, in expert order.
+        world = 6
+        num_experts = world * experts_per_worker
+        rng = np.random.default_rng(experts_per_worker)
+        routing = rng.integers(0, 5000, size=(world, num_experts))
+        routing[rng.random(routing.shape) < 0.2] = 0
+        block = BlockWorkload(
+            index=1, is_moe=True, dense_flops=1.0,
+            num_experts=num_experts, routing=routing,
+        )
+        placement = ExpertPlacement(num_experts, world)
+        token_bytes = 1536.1 / 3.0
+        expected = np.zeros((world, world))
+        for expert in range(num_experts):
+            owner = placement.owner(expert)
+            expected[:, owner] += routing[:, expert] * token_bytes
+        np.fill_diagonal(expected, 0.0)
+        matrix = block.tokens_sent_matrix(placement, token_bytes)
+        assert matrix.dtype == expected.dtype
+        assert matrix.flags.c_contiguous
+        assert matrix.tobytes() == expected.tobytes()
 
     def test_placement_requires_moe_block(self):
         cluster = Cluster(2, MachineSpec(num_gpus=2))

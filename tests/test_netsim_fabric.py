@@ -99,6 +99,15 @@ class TestAllToAll:
         assert matrix.diagonal().sum() == 0
         assert matrix.sum() == pytest.approx(12 * 100.0)
 
+    @pytest.mark.parametrize("world_size", [2.5, 2.0, 0, -1, "4", None])
+    def test_uniform_matrix_refuses_a_non_positive_or_fractional_size(
+        self, world_size
+    ):
+        with pytest.raises(
+            ValueError, match="world_size must be a positive integer"
+        ):
+            uniform_matrix(world_size, 1.0)
+
     def test_wrong_matrix_shape_rejected(self):
         env, cluster, fabric = make_fabric(1)
         with pytest.raises(ValueError):
@@ -200,8 +209,11 @@ class TestGoodput:
         assert result.elapsed_seconds > 0
 
     def test_invalid_rounds_rejected(self):
-        with pytest.raises(ValueError):
-            measure_all_to_all_goodput(1, rounds=0)
+        for rounds in (0, -1, 2.0, 1.5, "2", None):
+            with pytest.raises(
+                ValueError, match="rounds must be a positive integer"
+            ):
+                measure_all_to_all_goodput(1, rounds=rounds)
 
     @pytest.mark.parametrize("payload", [0.0, -1e6, float("nan"), float("inf")])
     def test_invalid_payload_rejected(self, payload):
