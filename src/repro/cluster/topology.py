@@ -100,11 +100,6 @@ class Cluster:
     def world_size(self) -> int:
         return self.num_machines * self.gpus_per_machine
 
-    def global_rank(self, machine: int, local_rank: int) -> int:
-        self._check_machine(machine)
-        self.spec._check_rank(local_rank)
-        return machine * self.gpus_per_machine + local_rank
-
     def machine_of(self, global_rank: int) -> int:
         self._check_global(global_rank)
         return global_rank // self.gpus_per_machine
@@ -214,12 +209,6 @@ class Cluster:
         return 0
 
     # -- validation ---------------------------------------------------------
-
-    def _check_machine(self, machine: int) -> None:
-        if not 0 <= machine < self.num_machines:
-            raise ValueError(
-                f"machine {machine} out of range [0, {self.num_machines})"
-            )
 
     def _check_global(self, global_rank: int) -> None:
         if not 0 <= global_rank < self.world_size:

@@ -14,6 +14,7 @@ from numbers import Integral
 from typing import Dict, List, Mapping, Tuple
 
 from ..cluster import Device
+from ..faults import PullFailedError
 from ..netsim import Fabric
 from ..runtime.layout import ExpertPlacement
 from ..simkit import Container, Environment, Event, Store
@@ -303,6 +304,12 @@ class IterationContext:
             needed.update(self.needed_external(block_index, rank))
         return sorted(needed)
 
+    def block_order(self, phase: str) -> List[int]:
+        """The Task Queue's blocks in ``phase``'s sweep order: ascending
+        forward, descending backward."""
+        indices = self.dc_block_indices
+        return indices if phase == "fwd" else indices[::-1]
+
     def replicated_on(self, block_index: int, expert: int, machine: int) -> bool:
         """Whether ``machine`` holds a control-plane replica of the expert."""
         by_block = self.replicas.get(block_index)
@@ -349,6 +356,51 @@ class IterationContext:
                 block=block,
                 expert=expert,
             )
+
+    def book_fault(
+        self, kind: str, block: int, expert: int, *,
+        machine=None, worker=None, failure=None,
+    ) -> None:
+        """Book one fault outcome of a losable pull leg, for a machine's
+        Inter-Node Scheduler or a worker's direct pull.
+
+        ``kind`` is ``"retry"`` (a re-send), ``"fallback"`` (a pull gave
+        up and the stale copy serves this iteration) or ``"grad_lost"`` (a
+        gradient push gave up).  It is counted in the iteration's
+        :class:`~repro.faults.FaultStats`, if any, and recorded as a
+        zero-length ``fault.<kind>`` span plus a mark; a worker's retry is
+        a span only, tagged ``direct``.  Under ``on_failure="raise"`` a
+        fallback raises :class:`~repro.faults.PullFailedError` with
+        ``failure``'s ``(requester, target, key)`` instead.
+        """
+        res = self.resilience
+        if kind == "fallback" and res.on_failure == "raise":
+            raise PullFailedError(*failure, res.max_retries + 1)
+        stats = self.fault_stats
+        if stats is not None:
+            if kind == "retry":
+                stats.retries += 1
+            elif kind == "fallback":
+                stats.count_fallback(block)
+            else:
+                stats.grad_failures += 1
+        if worker is None:
+            where = {"machine": machine}
+            detail = f"machine={machine} expert={expert}"
+        else:
+            where = {"worker": worker}
+            detail = f"expert={expert}"
+        if kind == "fallback":
+            detail += " stale"
+        elif worker is not None:
+            detail += " direct"
+        now = self.env.now
+        span = f"fault.{kind}"
+        self.trace.record(
+            span, now, now, worker=worker, block=block, detail=detail
+        )
+        if worker is None or kind == "fallback":
+            self.trace.mark(span, now, **where, block=block, expert=expert)
 
     def fetch_start_event(self, phase: str, block: int, rank: int) -> Event:
         """When worker ``rank``'s fetching for ``block`` may begin."""

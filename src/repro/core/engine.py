@@ -199,7 +199,7 @@ class JanusEngine:
 
     # -- public API ----------------------------------------------------------------
 
-    def _prepare(self, forward_only: bool, trace=None):
+    def _prepare(self, trace=None):
         """Build the per-iteration world: environment, fabric, fault
         machinery, strategies and context.  Shared by :meth:`run_iteration`
         and :meth:`build_graph`."""
@@ -324,9 +324,7 @@ class JanusEngine:
         if self.check_memory:
             self._check_memory()
         self._jitter_rng = np.random.default_rng(self.jitter_seed)
-        ctx, strategies, runner, fabric, fault_stats, trace = self._prepare(
-            forward_only
-        )
+        ctx, strategies, runner, fabric, fault_stats, trace = self._prepare()
         env = ctx.env
         worker_procs, collector_procs = self._spawn_graph(
             ctx, strategies, runner, forward_only
@@ -380,7 +378,10 @@ class JanusEngine:
         for _ in range(iterations):
             result = self.run_iteration()
             results.append(result)
-            self._apply_control(result)
+            # Between iterations: let the control plane, if any, adapt
+            # the engine (fault and load arms, replication).
+            if self.controller is not None:
+                self.controller.observe(self, result)
         return results
 
     def set_block_chunks(self, overrides, micro_batches=None) -> None:
@@ -433,12 +434,6 @@ class JanusEngine:
             raise ValueError(f"block {block} has no strategy to replace")
         get_strategy(name)  # raises when unknown
         self.block_strategies[block] = name
-
-    def _apply_control(self, result: IterationResult) -> None:
-        """Between iterations: let the control plane, if any, adapt the
-        engine (fault and load arms, replication)."""
-        if self.controller is not None:
-            self.controller.observe(self, result)
 
     def run_inference(self) -> IterationResult:
         """Simulate one forward-only (serving) pass."""
@@ -526,9 +521,7 @@ class JanusEngine:
         behind ``repro graph`` exports.  Uses a throwaway trace recorder so
         the engine's shared recorder is not advanced."""
         self._jitter_rng = np.random.default_rng(self.jitter_seed)
-        ctx, strategies, runner, _, _, _ = self._prepare(
-            forward_only, trace=TraceRecorder()
-        )
+        ctx, strategies, runner, _, _, _ = self._prepare(trace=TraceRecorder())
         return build_iteration_plan(self, ctx, strategies, runner,
                                     forward_only)
 

@@ -7,6 +7,11 @@ and announces it through the Cache Manager events.  In the backward phase it
 collects the local workers' gradient contributions for each pulled expert,
 pre-reduces them, and pushes a single gradient payload back to the expert's
 home machine.
+
+Both losable legs — the pull request and the gradient push — wait through
+:func:`~repro.faults.retry_flow`, armed or not, and every retry, stale
+fallback and lost gradient is booked through
+:meth:`~repro.core.context.IterationContext.book_fault`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from typing import List
 
 from ..cluster import Device
-from ..faults import PullFailedError, flow_or_timeout, retry_flow
+from ..faults import flow_or_timeout, retry_flow
 from ..simkit import AnyOf
 from .context import IterationContext
 
@@ -49,17 +54,13 @@ class InterNodeScheduler:
             detail=f"machine={self.machine} nic={nic} expert={expert}",
         )
 
-    def moe_blocks(self, reverse: bool = False) -> List[int]:
-        indices = list(self.ctx.dc_block_indices)
-        return list(reversed(indices)) if reverse else indices
-
     # -- forward: hierarchical fetch ------------------------------------------------
 
     def fetch_pipelines(self):
         """One sequential fetch chain per NIC (fine-grained §5.1 pulls)."""
         assignments: List[List[tuple]] = [[] for _ in range(self.num_nics)]
         position = 0
-        for block in self.moe_blocks():
+        for block in self.ctx.block_order("fwd"):
             for expert in self._external_order(block):
                 assignments[position % self.num_nics].append((block, expert))
                 position += 1
@@ -127,21 +128,19 @@ class InterNodeScheduler:
                 )
 
             deadline = _INF
-            if res is None:
-                yield request().done
-                arrived = True
-            else:
-                if res.block_deadline is not None:
-                    began = ctx.block_fetch_began.setdefault(
-                        (self.machine, block), env.now
-                    )
-                    deadline = began + res.block_deadline
-                arrived = (yield from retry_flow(
-                    env, res, request, res.pull_timeout,
-                    lambda: self._count_retry(block, expert), deadline,
-                )) is not None
+            if res is not None and res.block_deadline is not None:
+                began = ctx.block_fetch_began.setdefault(
+                    (self.machine, block), env.now
+                )
+                deadline = began + res.block_deadline
             fetched = False
-            if arrived:
+            if (yield from retry_flow(
+                env, res, request,
+                lambda: ctx.book_fault(
+                    "retry", block, expert, machine=self.machine
+                ),
+                deadline,
+            )) is not None:
                 yield env.timeout(self.socket_overhead)
                 flow = ctx.fabric.transfer(
                     home, self.host, ctx.workload.expert_bytes,
@@ -162,45 +161,13 @@ class InterNodeScheduler:
                 ctx.cache_fills[self.machine] += 1
                 self._account_fetch(nic, block, expert, started)
             else:
-                self._stale_fallback(block, expert, home)
+                ctx.book_fault(
+                    "fallback", block, expert, machine=self.machine,
+                    failure=(self.host, home, ("fetch", block, expert)),
+                )
             cached = ctx.cached_event(block, self.machine, expert)
             if not cached.triggered:
                 cached.succeed()
-
-    def _count_retry(self, block: int, expert: int) -> None:
-        ctx = self.ctx
-        if ctx.fault_stats is not None:
-            ctx.fault_stats.retries += 1
-        now = ctx.env.now
-        ctx.trace.record(
-            "fault.retry", now, now, block=block,
-            detail=f"machine={self.machine} expert={expert}",
-        )
-        ctx.trace.mark(
-            "fault.retry", now, machine=self.machine, block=block, expert=expert
-        )
-
-    def _stale_fallback(self, block: int, expert: int, home: Device) -> None:
-        """Give up on the fresh copy: serve this iteration from the stale
-        machine-cached expert (no cache-fill accounted), or surface the
-        failure."""
-        ctx = self.ctx
-        res = ctx.resilience
-        if res.on_failure == "raise":
-            raise PullFailedError(
-                self.host, home, ("fetch", block, expert), res.max_retries + 1,
-            )
-        if ctx.fault_stats is not None:
-            ctx.fault_stats.count_fallback(block)
-        now = ctx.env.now
-        ctx.trace.record(
-            "fault.fallback", now, now, block=block,
-            detail=f"machine={self.machine} expert={expert} stale",
-        )
-        ctx.trace.mark(
-            "fault.fallback", now, machine=self.machine, block=block,
-            expert=expert,
-        )
 
     def _fetch_gate(self, block: int):
         """Fetching may start at iteration start (prefetch) or when the
@@ -220,7 +187,7 @@ class InterNodeScheduler:
         """One collector per (block, external expert): wait for every local
         contribution, pre-reduce, send one payload home."""
         processes = []
-        for block in self.moe_blocks(reverse=True):
+        for block in self.ctx.block_order("bwd"):
             for expert in self.ctx.machine_external_experts(block, self.machine):
                 contributors = self._contributor_count(block, expert)
                 if contributors:
@@ -254,27 +221,14 @@ class InterNodeScheduler:
                 tag=("grad-push", block, self.machine, expert),
             )
 
-        res = ctx.resilience
-        if res is None:
-            yield push().done
-            return
-        env = ctx.env
-        pushed = yield from retry_flow(
-            env, res, push, res.push_timeout,
-            lambda: self._count_retry(block, expert),
-        )
-        if pushed is not None:
-            return
-        # Gradient lost for this iteration (real systems skip or re-apply
-        # next step); record it rather than stalling the barrier.
-        if ctx.fault_stats is not None:
-            ctx.fault_stats.grad_failures += 1
-        now = env.now
-        ctx.trace.record(
-            "fault.grad_lost", now, now, block=block,
-            detail=f"machine={self.machine} expert={expert}",
-        )
-        ctx.trace.mark(
-            "fault.grad_lost", now, machine=self.machine, block=block,
-            expert=expert,
-        )
+        if (yield from retry_flow(
+            ctx.env, ctx.resilience, push,
+            lambda: ctx.book_fault(
+                "retry", block, expert, machine=self.machine
+            ),
+            push=True,
+        )) is None:
+            # Gradient lost for this iteration (real systems skip or
+            # re-apply next step); record it rather than stalling the
+            # barrier.
+            ctx.book_fault("grad_lost", block, expert, machine=self.machine)

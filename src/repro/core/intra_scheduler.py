@@ -7,7 +7,12 @@ Algorithm 1's staggered order when topology awareness is on), then stage 2
 copies the machine-cached external experts from CPU memory into the GPU
 (with the PCIe-switch peer schedule when topology awareness is on).  The
 cross-machine half of stage 1 — filling the CPU cache over the NICs — runs
-in parallel in the Inter-Node Scheduler.
+in parallel in the Inter-Node Scheduler.  Without the cache (the
+``hierarchical=False`` ablation) stage 2 is the worker's own direct pulls,
+each waited on through :func:`~repro.faults.retry_flow` and booked through
+:meth:`~repro.core.context.IterationContext.book_fault` on give-up.  The
+backward sweep re-stages every needed expert from host memory, where the
+forward offload left it, in one loop and in the forward's stage order.
 
 Every pull consumes one credit of the worker's credit-based buffer
 (§5.1.1); the worker releases the credit after it finishes computing on the
@@ -22,7 +27,7 @@ from __future__ import annotations
 from typing import List
 
 from ..cluster import Device
-from ..faults import PullFailedError, retry_flow
+from ..faults import retry_flow
 from .context import TRACE_WORKER, IterationContext
 from .priority import internal_pull_order, pcie_peer_schedule
 
@@ -47,10 +52,6 @@ class IntraNodeScheduler:
             else None
         )
 
-    def moe_blocks(self, phase: str) -> List[int]:
-        indices = list(self.ctx.dc_block_indices)
-        return indices if phase == "fwd" else list(reversed(indices))
-
     def _account_pull(self, kind: str, block: int, started: float) -> None:
         """Book one completed pull: counter + latency histogram + a trace
         span on the traced worker's ``comm.pull`` lane.  Pure observation —
@@ -68,41 +69,54 @@ class IntraNodeScheduler:
 
     def pull_pipeline(self, phase: str):
         """The worker's pull queue: per block, stage-1 internal NVLink pulls
-        followed by stage-2 copies of cached external experts (Fig. 6)."""
-        for block in self.moe_blocks(phase):
-            yield self.ctx.fetch_start_event(phase, block, self.rank)
-            yield from self._internal_stage(phase, block)
-            yield from self._external_stage(phase, block)
+        followed by stage-2 copies of cached external experts (Fig. 6);
+        backward, one host-to-GPU re-stage per needed expert."""
+        ctx = self.ctx
+        rank = self.rank
+        for block in ctx.block_order(phase):
+            yield ctx.fetch_start_event(phase, block, rank)
+            if phase == "bwd":
+                for expert in (
+                    self._internal_order(block)
+                    + ctx.needed_external(block, rank)
+                ):
+                    yield ctx.credits[rank].get(1)
+                    started = ctx.env.now
+                    yield ctx.fabric.transfer(
+                        self.host,
+                        ctx.gpu_of[rank],
+                        ctx.workload.expert_bytes,
+                        tag=("pull-backward", block, rank, expert),
+                    ).done
+                    self._account_pull("backward", block, started)
+                    ctx.mark_ready(phase, block, rank, expert)
+                continue
+            yield from self._internal_stage(block)
+            needed = ctx.needed_external(block, rank)
+            if not needed:
+                continue
+            if ctx.features.hierarchical:
+                yield from self._staged_copies(block, needed)
+            else:
+                yield from self._direct_remote_pulls(block, needed)
 
     # -- stage 1: internal pulls ------------------------------------------------
 
-    def _internal_stage(self, phase: str, block: int):
-        """Pull machine-local experts over NVLink (forward) or re-stage them
-        from host memory over PCIe (backward, after the forward offload)."""
+    def _internal_stage(self, block: int):
+        """Pull machine-local experts GPU-to-GPU over NVLink."""
         ctx = self.ctx
+        placement = ctx.placements[block]
         for expert in self._internal_order(block):
             yield ctx.credits[self.rank].get(1)
             started = ctx.env.now
-            if phase == "fwd":
-                owner = ctx.placements[block].owner(expert)
-                flow = ctx.fabric.transfer(
-                    ctx.gpu_of[owner],
-                    ctx.gpu_of[self.rank],
-                    ctx.workload.expert_bytes,
-                    tag=("pull-internal", block, self.rank, expert),
-                )
-            else:
-                flow = ctx.fabric.transfer(
-                    self.host,
-                    ctx.gpu_of[self.rank],
-                    ctx.workload.expert_bytes,
-                    tag=("pull-backward", block, self.rank, expert),
-                )
-            yield flow.done
-            self._account_pull(
-                "internal" if phase == "fwd" else "backward", block, started
-            )
-            ctx.mark_ready(phase, block, self.rank, expert)
+            yield ctx.fabric.transfer(
+                ctx.gpu_of[placement.owner(expert)],
+                ctx.gpu_of[self.rank],
+                ctx.workload.expert_bytes,
+                tag=("pull-internal", block, self.rank, expert),
+            ).done
+            self._account_pull("internal", block, started)
+            ctx.mark_ready("fwd", block, self.rank, expert)
 
     def _internal_order(self, block: int) -> List[int]:
         ctx = self.ctx
@@ -121,147 +135,83 @@ class IntraNodeScheduler:
 
     # -- stage 2: external copies -------------------------------------------------
 
-    def _external_stage(self, phase: str, block: int):
-        """Copies of externally cached experts into the GPU."""
-        ctx = self.ctx
-        needed = ctx.needed_external(block, self.rank)
-        if not needed:
-            return
-        if not ctx.features.hierarchical:
-            yield from self._direct_remote_pulls(phase, block, needed)
-            return
-        yield from self._staged_copies(phase, block, needed)
-
-    def _direct_remote_pulls(self, phase: str, block: int, needed: List[int]):
+    def _direct_remote_pulls(self, block: int, needed: List[int]):
         """No cache manager: every worker pulls remote experts itself.
 
-        Under :class:`~repro.faults.ResilienceConfig` a forward pull
-        retries with backoff; on give-up the expert is marked ready from
-        the worker's stale local copy.  The credit taken here stays held
-        either way and is released after compute, so the credit
-        discipline is unchanged under faults."""
+        Under :class:`~repro.faults.ResilienceConfig` a pull retries with
+        backoff; on give-up the expert is marked ready from the worker's
+        stale local copy.  The credit taken here stays held either way and
+        is released after compute, so the credit discipline is unchanged
+        under faults."""
         ctx = self.ctx
-        env = ctx.env
-        res = ctx.resilience
+        rank = self.rank
         placement = ctx.placements[block]
         for expert in needed:
-            yield ctx.credits[self.rank].get(1)
-            started = env.now
-            if phase == "fwd":
-                owner = placement.owner(expert)
+            yield ctx.credits[rank].get(1)
+            started = ctx.env.now
+            owner = placement.owner(expert)
 
-                def pull():
-                    return ctx.fabric.transfer(
-                        ctx.gpu_of[owner],
-                        ctx.gpu_of[self.rank],
-                        ctx.workload.expert_bytes,
-                        tag=("pull-direct", block, self.rank, expert),
-                    )
-
-                if res is None:
-                    yield pull().done
-                elif (yield from retry_flow(
-                    env, res, pull, res.pull_timeout,
-                    lambda: self._count_retry(block, expert),
-                )) is None:
-                    self._stale_fallback(block, expert, owner)
-                kind = "direct"
-            else:
-                yield ctx.fabric.transfer(
-                    self.host,
-                    ctx.gpu_of[self.rank],
+            def pull():
+                return ctx.fabric.transfer(
+                    ctx.gpu_of[owner],
+                    ctx.gpu_of[rank],
                     ctx.workload.expert_bytes,
-                    tag=("pull-backward", block, self.rank, expert),
-                ).done
-                kind = "backward"
-            self._account_pull(kind, block, started)
-            ctx.mark_ready(phase, block, self.rank, expert)
+                    tag=("pull-direct", block, rank, expert),
+                )
 
-    def _count_retry(self, block: int, expert: int) -> None:
-        ctx = self.ctx
-        if ctx.fault_stats is not None:
-            ctx.fault_stats.retries += 1
-        now = ctx.env.now
-        ctx.trace.record(
-            "fault.retry", now, now, worker=self.rank, block=block,
-            detail=f"expert={expert} direct",
-        )
+            if (yield from retry_flow(
+                ctx.env, ctx.resilience, pull,
+                lambda: ctx.book_fault("retry", block, expert, worker=rank),
+            )) is None:
+                ctx.book_fault(
+                    "fallback", block, expert, worker=rank, failure=(
+                        ctx.gpu_of[rank], ctx.gpu_of[owner],
+                        ("direct", block, expert),
+                    ),
+                )
+            self._account_pull("direct", block, started)
+            ctx.mark_ready("fwd", block, rank, expert)
 
-    def _stale_fallback(self, block: int, expert: int, owner: int) -> None:
-        """Give up on the fresh copy: compute on the worker's stale local
-        copy this iteration, or surface the failure."""
+    def _staged_copies(self, block: int, needed: List[int]):
+        """Copy the machine-cached experts into the GPU as the Inter-Node
+        Scheduler announces them, alternating PCIe copies with NVLink
+        copies from the pair peer when topology awareness is on (Fig. 9)."""
         ctx = self.ctx
-        res = ctx.resilience
-        if res.on_failure == "raise":
-            raise PullFailedError(
-                ctx.gpu_of[self.rank], ctx.gpu_of[owner],
-                ("direct", block, expert), res.max_retries + 1,
-            )
-        if ctx.fault_stats is not None:
-            ctx.fault_stats.count_fallback(block)
-        now = ctx.env.now
-        ctx.trace.record(
-            "fault.fallback", now, now, worker=self.rank, block=block,
-            detail=f"expert={expert} stale",
+        use_peer_scheme = (
+            ctx.features.topology_aware and self.peer_rank is not None
         )
-        ctx.trace.mark(
-            "fault.fallback", now, worker=self.rank, block=block, expert=expert
-        )
-
-    def _staged_copies(self, phase: str, block: int, needed: List[int]):
-        ctx = self.ctx
-        machine_cached = ctx.machine_external_experts(block, self.machine)
         peer_needed = (
             set(ctx.needed_external(block, self.peer_rank))
-            if self.peer_rank is not None
+            if use_peer_scheme
             else set()
         )
-        use_peer_scheme = (
-            phase == "fwd"
-            and ctx.features.topology_aware
-            and self.peer_rank is not None
-        )
         schedule = pcie_peer_schedule(
-            machine_cached, self.local_rank, enabled=use_peer_scheme
+            ctx.machine_external_experts(block, self.machine),
+            self.local_rank,
+            enabled=use_peer_scheme,
         )
         needed_set = set(needed)
         for step in schedule:
-            if step.expert not in needed_set:
+            expert = step.expert
+            if expert not in needed_set:
                 continue
-            via_peer = (
-                step.via == "peer"
-                and use_peer_scheme
-                and step.expert in peer_needed
-            )
-            if phase == "fwd":
-                self._account_cache_request(block, step.expert)
-                yield ctx.cached_event(block, self.machine, step.expert)
-            # Backward: the expert already sits in host memory from the
-            # forward offload, so there is nothing to wait for.
+            self._account_cache_request(block, expert)
+            yield ctx.cached_event(block, self.machine, expert)
             yield ctx.credits[self.rank].get(1)
             started = ctx.env.now
-            if via_peer:
-                yield ctx.ready_event("fwd", block, self.peer_rank, step.expert)
-                flow = ctx.fabric.transfer(
-                    ctx.gpu_of[self.peer_rank],
-                    ctx.gpu_of[self.rank],
-                    ctx.workload.expert_bytes,
-                    tag=("pull-peer", block, self.rank, step.expert),
-                )
+            if step.via == "peer" and expert in peer_needed:
+                yield ctx.ready_event("fwd", block, self.peer_rank, expert)
+                source, kind = ctx.gpu_of[self.peer_rank], "peer"
             else:
-                flow = ctx.fabric.transfer(
-                    self.host,
-                    ctx.gpu_of[self.rank],
-                    ctx.workload.expert_bytes,
-                    tag=("pull-pcie", block, self.rank, step.expert),
-                )
-            yield flow.done
-            if phase == "fwd":
-                kind = "peer" if via_peer else "pcie"
-            else:
-                kind = "backward"
+                source, kind = self.host, "pcie"
+            yield ctx.fabric.transfer(
+                source,
+                ctx.gpu_of[self.rank],
+                ctx.workload.expert_bytes,
+                tag=("pull-" + kind, block, self.rank, expert),
+            ).done
             self._account_pull(kind, block, started)
-            ctx.mark_ready(phase, block, self.rank, step.expert)
+            ctx.mark_ready("fwd", block, self.rank, expert)
 
     def _account_cache_request(self, block: int, expert: int) -> None:
         """Cache-manager dedup accounting (§5.1.2): the first worker to

@@ -143,31 +143,24 @@ class DataCentricStrategy(BlockStrategy):
 
     def _push_gradient(self, ctx, rank: int, index: int, expert: int):
         workload = self.engine.workload
-        placement = ctx.placements[index]
-        owner = placement.owner(expert)
+        owner = ctx.placements[index].owner(expert)
         machine = ctx.layout.machine_of(rank)
-        owner_machine = ctx.layout.machine_of(owner)
+        internal = ctx.layout.machine_of(owner) == machine
         gpu = ctx.gpu_of[rank]
-        if owner_machine == machine:
-            flow = ctx.fabric.transfer(
+        if internal or not ctx.features.hierarchical:
+            ctx.grad_delivered.append(ctx.fabric.transfer(
                 gpu, ctx.gpu_of[owner], workload.expert_bytes,
-                tag=("grad-internal", index, rank, expert),
-            )
-            ctx.grad_delivered.append(flow.done)
-        elif ctx.features.hierarchical:
-            flow = ctx.fabric.transfer(
-                gpu, Device.host(machine), workload.expert_bytes,
-                tag=("grad-stage", index, rank, expert),
-            )
-            ctx.env.process(
-                _stage_grad(ctx, flow, index, machine, expert)
-            )
-        else:
-            flow = ctx.fabric.transfer(
-                gpu, ctx.gpu_of[owner], workload.expert_bytes,
-                tag=("grad-direct", index, rank, expert),
-            )
-            ctx.grad_delivered.append(flow.done)
+                tag=(
+                    "grad-internal" if internal else "grad-direct",
+                    index, rank, expert,
+                ),
+            ).done)
+            return
+        flow = ctx.fabric.transfer(
+            gpu, Device.host(machine), workload.expert_bytes,
+            tag=("grad-stage", index, rank, expert),
+        )
+        ctx.env.process(_stage_grad(ctx, flow, index, machine, expert))
 
     @classmethod
     def memory_terms(

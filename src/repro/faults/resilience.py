@@ -2,21 +2,23 @@
 
 :class:`ResilienceConfig` gives every cross-machine control interaction a
 timeout, a bounded retry budget with exponential backoff, and a per-block
-deadline; :func:`retry_flow` is the one loop that spends that budget, for
-every scheduler leg that can be lost (pull request, direct pull, gradient
-push); :class:`DegradationPolicy` decides, between iterations, which
-blocks should abandon the pull-based data-centric paradigm and fall back
-to expert-centric (the unified selector's escape hatch when the fault
+deadline; :func:`retry_flow` is the one wait on every scheduler leg that
+can be lost (pull request, direct pull, gradient push), armed or not;
+:class:`DegradationPolicy` decides, between iterations, which blocks
+should abandon the pull-based data-centric paradigm and fall back to
+expert-centric (the unified selector's escape hatch when the fault
 pattern makes fine-grained pulls lose).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Dict, Optional
 
 from ..simkit import AnyOf
 from .injector import FaultStats
+from .spec import _check_factor
 
 __all__ = [
     "DegradationPolicy",
@@ -67,16 +69,23 @@ class ResilienceConfig:
     on_failure: str = "degrade"
 
     def __post_init__(self):
-        if self.pull_timeout <= 0:
-            raise ValueError("pull_timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.push_timeout <= 0:
-            raise ValueError("push_timeout must be positive")
-        if self.block_deadline is not None and self.block_deadline <= 0:
-            raise ValueError("block_deadline must be positive")
+        _check_factor("pull_timeout", self.pull_timeout)
+        _check_factor("push_timeout", self.push_timeout)
+        if not 1.0 <= self.backoff < _INF:  # also refuses NaN
+            raise ValueError(
+                f"backoff must be finite and >= 1, got {self.backoff}"
+            )
+        if (
+            isinstance(self.max_retries, bool)
+            or not isinstance(self.max_retries, Integral)
+            or self.max_retries < 0
+        ):
+            raise ValueError(
+                "max_retries must be a non-negative integer, "
+                f"got {self.max_retries}"
+            )
+        if self.block_deadline is not None:
+            _check_factor("block_deadline", self.block_deadline)
         if self.on_failure not in ("degrade", "raise"):
             raise ValueError("on_failure must be 'degrade' or 'raise'")
 
@@ -89,23 +98,30 @@ def flow_or_timeout(env, flow, seconds: float):
 
 def retry_flow(
     env,
-    res: ResilienceConfig,
+    res: Optional[ResilienceConfig],
     send: Callable,
-    timeout: float,
     on_retry: Callable[[], None],
     deadline: float = _INF,
+    push: bool = False,
 ):
     """Send a flow until it completes; return it, or ``None`` on give-up.
 
-    Each attempt calls ``send()`` for a fresh flow and races its ``done``
-    against a timer of ``timeout`` (scaled by ``res.backoff`` per retry,
-    ``res.max_retries`` retries), clipped to what is left before
+    The one wait on a losable scheduler leg.  Unarmed (``res is None``)
+    it sends once and waits for ``done``: no timer, no extra event.
+    Armed, each attempt calls ``send()`` for a fresh flow and races its
+    ``done`` against a timer of ``res.pull_timeout`` (``res.push_timeout``
+    when ``push``), scaled by ``res.backoff`` per retry over
+    ``res.max_retries`` retries and clipped to what is left before
     ``deadline``.  A deadline already passed gives up before sending.
-    ``on_retry`` runs before each re-send, so each call site books its own
-    retry counters and trace records.  A flow lost to the fault injector
-    never completes, so its timer is how the loop learns of the loss.
+    ``on_retry`` runs before each re-send, so each call site books its
+    own retry.  A flow lost to the fault injector never completes, so its
+    timer is how the loop learns of the loss.
     """
-    delay = timeout
+    if res is None:
+        flow = send()
+        yield flow.done
+        return flow
+    delay = res.push_timeout if push else res.pull_timeout
     for attempt in range(res.max_retries + 1):
         budget = deadline - env.now
         if budget <= 0:

@@ -118,9 +118,6 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Optional[float]:
         return self._gauges.get(name, {}).get(_label_key(labels))
 
-    def histogram(self, name: str, **labels) -> Optional[Histogram]:
-        return self._histograms.get(name, {}).get(_label_key(labels))
-
     def total(self, name: str) -> float:
         """Sum of a counter over every label set."""
         return sum(self._counters.get(name, {}).values())

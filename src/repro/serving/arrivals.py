@@ -38,6 +38,7 @@ import numpy as np
 
 from ..clauses import parse_clauses
 from ..core.context import _check_count
+from ..workloads.tokens import zipf_law
 
 __all__ = [
     "TRACE_KINDS",
@@ -233,7 +234,6 @@ def expert_rank(
         return np.minimum(
             (affinity * num_experts).astype(np.int64), num_experts - 1
         )
-    weights = 1.0 / np.arange(1, num_experts + 1, dtype=float) ** skew
-    cdf = np.cumsum(weights / weights.sum())
+    cdf = np.cumsum(zipf_law(num_experts, skew))
     cdf[-1] = 1.0  # guard the float tail so affinity < 1 always maps
     return np.searchsorted(cdf, affinity, side="right").astype(np.int64)

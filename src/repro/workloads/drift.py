@@ -32,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from ..clauses import parse_clauses
+from .tokens import zipf_law
 
 __all__ = ["DRIFT_KINDS", "DriftSpec", "drift_weights", "apply_drift"]
 
@@ -94,11 +95,6 @@ class DriftSpec:
         return rng.permutation(num_experts)
 
 
-def _zipf(num_experts: int, skew: float) -> np.ndarray:
-    weights = 1.0 / np.arange(1, num_experts + 1, dtype=float) ** skew
-    return weights / weights.sum()
-
-
 def drift_weights(
     spec: DriftSpec,
     num_experts: int,
@@ -115,7 +111,7 @@ def drift_weights(
     if spec.kind == "rotate":
         turns = (iteration // spec.period) * spec.shift
         perm = np.roll(perm, -turns)
-    ranked = _zipf(num_experts, spec.skew_at(iteration))
+    ranked = zipf_law(num_experts, spec.skew_at(iteration))
     if spec.kind == "walk" and iteration > 0 and spec.step > 0:
         rng = np.random.default_rng([spec.seed, block_index, 0x57A1CDEF])
         steps = rng.normal(0.0, spec.step, size=(iteration, num_experts))

@@ -20,6 +20,7 @@ __all__ = [
     "target_batches",
     "balanced_assignment",
     "assignment_imbalance",
+    "zipf_law",
 ]
 
 
@@ -61,6 +62,13 @@ def balanced_assignment(num_slots: int, num_experts: int) -> np.ndarray:
     return counts
 
 
+def zipf_law(num_ranks: int, skew: float) -> np.ndarray:
+    """Normalized Zipf weights over popularity ranks: ``weight_r`` is
+    proportional to ``1 / (r + 1) ** skew``, hottest rank first."""
+    weights = 1.0 / np.arange(1, num_ranks + 1, dtype=float) ** skew
+    return weights / weights.sum()
+
+
 def zipf_weights(
     num_experts: int,
     skew: float,
@@ -74,8 +82,7 @@ def zipf_weights(
     if skew < 0:
         raise ValueError("skew must be non-negative")
     rng = rng if rng is not None else np.random.default_rng()
-    weights = 1.0 / np.arange(1, num_experts + 1) ** skew
-    weights /= weights.sum()
+    weights = zipf_law(num_experts, skew)
     rng.shuffle(weights)
     return weights
 

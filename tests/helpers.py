@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.metrics.registry import _label_key
 from repro.tensorlib import Optimizer, Tensor
 from repro.trace.spans import _busy
 
@@ -27,6 +28,14 @@ def tokens_per_expert(decision, num_experts: int) -> np.ndarray:
 def dropped_slots(decision) -> int:
     """Token-slots of a gate decision dropped by the capacity limit."""
     return int((decision.expert_indices < 0).sum())
+
+
+# -- metrics -----------------------------------------------------------------
+
+
+def histogram(registry, name: str, **labels):
+    """A metrics registry's histogram of one label set, or None."""
+    return registry._histograms.get(name, {}).get(_label_key(labels))
 
 
 # -- fluid networks ----------------------------------------------------------

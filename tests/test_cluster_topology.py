@@ -112,7 +112,7 @@ class TestClusterRanks:
         cluster = Cluster(4)
         for machine in range(4):
             for local in range(8):
-                rank = cluster.global_rank(machine, local)
+                rank = machine * cluster.gpus_per_machine + local
                 assert cluster.machine_of(rank) == machine
                 assert cluster.local_rank_of(rank) == local
 

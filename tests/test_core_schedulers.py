@@ -3,13 +3,14 @@
 import pytest
 
 from repro.cluster import Cluster, MachineSpec
-from repro.config import ModelConfig
+from repro.config import ModelConfig, moe_gpt
 from repro.core import (
     InterNodeScheduler,
     IntraNodeScheduler,
     IterationContext,
     JanusFeatures,
     build_workload,
+    engine_for,
 )
 from repro.netsim import Fabric
 from repro.simkit import AllOf, Environment
@@ -162,6 +163,39 @@ class TestIntraScheduler:
         assert scheduler.peer_rank == 1
         scheduler1 = IntraNodeScheduler(ctx, 1)
         assert scheduler1.peer_rank == 0
+
+    @pytest.mark.parametrize("hierarchical", [True, False])
+    def test_backward_restages_every_forward_pull_from_host(
+        self, hierarchical, monkeypatch
+    ):
+        """The backward sweep re-stages each expert the forward pulled,
+        once, host-to-GPU and tagged ``pull-backward`` — the cached
+        external experts of a hierarchical iteration included."""
+        flows = []
+        transfer = Fabric.transfer
+
+        def spy(self, src, dst, size, nic_index=None, tag=None):
+            flows.append((src, dst, tag))
+            return transfer(self, src, dst, size, nic_index, tag)
+
+        monkeypatch.setattr(Fabric, "transfer", spy)
+        config = moe_gpt(16)
+        cluster = Cluster(2)
+        engine_for(
+            "data-centric", config, cluster,
+            workload=build_workload(config, cluster),
+            features=JanusFeatures(hierarchical=hierarchical),
+        ).run_iteration()
+        forward = {"pull-internal", "pull-peer", "pull-pcie", "pull-direct"}
+        pulled = sorted(tag[1:] for _, _, tag in flows if tag[0] in forward)
+        restaged = [(src, dst, tag) for src, dst, tag in flows
+                    if tag[0] == "pull-backward"]
+        assert sorted(tag[1:] for _, _, tag in restaged) == pulled
+        assert all(src.kind == "host" and dst.kind == "gpu"
+                   for src, dst, _ in restaged)
+        # Every host-to-GPU pull-pcie copy belongs to the forward sweep.
+        pcie = [tag[1:] for _, _, tag in flows if tag[0] == "pull-pcie"]
+        assert len(pcie) == len(set(pcie))
 
 
 class TestInterScheduler:

@@ -241,23 +241,70 @@ class TestOverlappingLinkWindows:
 
 
 class TestRetryFlow:
-    """The one timeout/retry/backoff loop, on stand-in flows whose
-    ``done`` fires only when the test says so."""
+    """The one wait on a losable leg, on stand-in flows whose ``done``
+    fires only when the test says so."""
 
     @staticmethod
     def drive(env, send, deadline=float("inf"), max_retries=2):
-        res = ResilienceConfig(max_retries=max_retries, backoff=2.0)
+        res = ResilienceConfig(
+            pull_timeout=1e-3, max_retries=max_retries, backoff=2.0
+        )
         retries, outcome = [], []
 
         def caller():
             flow = yield from retry_flow(
-                env, res, send, 1e-3,
-                lambda: retries.append(env.now), deadline,
+                env, res, send, lambda: retries.append(env.now), deadline,
             )
             outcome.append((env.now, flow))
 
         env.run(until=env.process(caller()))
         return retries, outcome[0]
+
+    @staticmethod
+    def landing_flow(env):
+        """A flow whose ``done`` fires after 0.5 ms."""
+        flow = SimpleNamespace(done=env.event())
+        env.timeout(0.5e-3).callbacks.append(lambda _: flow.done.succeed())
+        return flow
+
+    def test_unarmed_sends_once_and_waits_with_no_timer(self):
+        env = Environment()
+        sent, outcome = [], []
+
+        def send():
+            sent.append(self.landing_flow(env))
+            return sent[-1]
+
+        def caller():
+            outcome.append((yield from retry_flow(env, None, send, None)))
+
+        env.run(until=env.process(caller()))
+        assert outcome == sent and len(sent) == 1
+        assert env.now == pytest.approx(0.5e-3)
+
+        bare = Environment()
+
+        def waiter():
+            yield self.landing_flow(bare).done
+
+        bare.run(until=bare.process(waiter()))
+        assert env.events_processed == bare.events_processed
+
+    def test_push_uses_the_push_timeout(self):
+        env = Environment()
+        res = ResilienceConfig(
+            pull_timeout=1e-3, push_timeout=5e-3, max_retries=0
+        )
+
+        def caller():
+            flow = yield from retry_flow(
+                env, res, lambda: SimpleNamespace(done=env.event()), None,
+                push=True,
+            )
+            assert flow is None
+
+        env.run(until=env.process(caller()))
+        assert env.now == pytest.approx(5e-3)
 
     def test_lost_flow_gives_up_after_backoff(self):
         env = Environment()
@@ -279,13 +326,11 @@ class TestRetryFlow:
         flows = []
 
         def send():
-            flow = SimpleNamespace(done=env.event())
             if len(flows) == 1:  # the second attempt lands after 0.5 ms
-                env.timeout(0.5e-3).callbacks.append(
-                    lambda _: flow.done.succeed()
-                )
-            flows.append(flow)
-            return flow
+                flows.append(self.landing_flow(env))
+            else:
+                flows.append(SimpleNamespace(done=env.event()))
+            return flows[-1]
 
         retries, (now, flow) = self.drive(env, send)
         assert flow is flows[1]
@@ -470,3 +515,22 @@ class TestDegradationPolicy:
             ResilienceConfig(backoff=0.5)
         with pytest.raises(ValueError):
             ResilienceConfig(on_failure="shrug")
+
+
+class TestResilienceConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("pull_timeout", float("nan")),
+        ("backoff", float("nan")),
+        ("max_retries", 1.5),
+        ("push_timeout", float("inf")),
+        ("block_deadline", float("nan")),
+        ("max_retries", True),
+    ])
+    def test_values_that_break_a_run_are_refused(self, field, value):
+        """Each value was accepted once and then failed mid-run, ran to
+        ``seconds=inf`` or passed silently."""
+        with pytest.raises(ValueError, match=field):
+            ResilienceConfig(**{field: value})
+
+    def test_the_boundary_values_are_accepted(self):
+        ResilienceConfig(max_retries=0, backoff=1.0, block_deadline=None)

@@ -19,6 +19,7 @@ from repro.metrics import MetricsRegistry
 from repro.trace import TraceRecorder
 
 from tests.conftest import small_cluster, small_config
+from tests.helpers import histogram
 
 EXPERT_BYTES = 131072.0  # hidden_dim=64 -> 2 * H * 4H * 4 bytes
 
@@ -66,7 +67,7 @@ class TestGoldenCountersDataCentric:
         assert registry.counter("pull.issued", kind="peer") == 8.0
         assert registry.counter("pull.issued", kind="backward") == 24.0
         assert registry.total("pull.issued") == 48.0
-        assert registry.histogram("pull.latency_s", kind="internal").count == 8
+        assert histogram(registry, "pull.latency_s", kind="internal").count == 8
 
     def test_cache_manager_counters(self):
         registry, _ = run_with_metrics("data-centric")

@@ -22,7 +22,7 @@ from repro.metrics import (
 from repro.trace import TraceRecorder
 
 from tests.conftest import small_cluster, small_config
-from tests.helpers import worker_busy_time
+from tests.helpers import histogram, worker_busy_time
 
 MODES = ("expert-centric", "data-centric", "unified", "pipelined-ec")
 
@@ -144,7 +144,7 @@ class TestEngineInvariants:
                 (), (("kind", "internal"),), (("kind", "pcie"),),
                 (("kind", "peer"),), (("kind", "backward"),),
             ):
-                hist = registry.histogram(name, **dict(key))
+                hist = histogram(registry, name, **dict(key))
                 if hist is None:
                     continue
                 assert hist.min >= 0.0

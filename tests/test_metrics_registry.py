@@ -4,6 +4,8 @@ import pytest
 
 from repro.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 
+from tests.helpers import histogram
+
 
 class TestHistogram:
     def test_observe_tracks_count_sum_min_max(self):
@@ -101,12 +103,12 @@ class TestGaugesAndHistograms:
         registry.observe("pull.latency_s", 1e-4, kind="internal")
         registry.observe("pull.latency_s", 2e-4, kind="internal")
         registry.observe("pull.latency_s", 5.0, kind="pcie")
-        internal = registry.histogram("pull.latency_s", kind="internal")
+        internal = histogram(registry, "pull.latency_s", kind="internal")
         assert internal.count == 2
-        assert registry.histogram("pull.latency_s", kind="pcie").count == 1
+        assert histogram(registry, "pull.latency_s", kind="pcie").count == 1
 
     def test_missing_histogram_is_none(self):
-        assert MetricsRegistry().histogram("nope") is None
+        assert histogram(MetricsRegistry(), "nope") is None
 
 
 class TestExport:

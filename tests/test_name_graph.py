@@ -7,12 +7,15 @@ of names.  The callers are every ``.py`` file under ``src/``,
 ``README.md``; tests are not callers.  A definition counts as called
 when its name appears in a caller as
 
-* a ``Name``, an ``Attribute`` or a ``from … import``, except for a
-  package ``__init__``'s re-exports and any module's ``__all__``;
+* an ``Attribute`` or a ``from … import``, except for a package
+  ``__init__``'s re-exports and any module's ``__all__``;
 * an identifier-shaped string, such as a ``getattr`` name or a tracer
   patch target like ``"FluidNetwork._on_timer_event"``;
 * a string literal of ``src/repro/_native.c``, which is how the
-  compiled kernels call back into Python (``"_compact"``, ``"_ledger"``).
+  compiled kernels call back into Python (``"_compact"``, ``"_ledger"``);
+* a bare ``Name``, for a module-level function or class only: a class
+  member is reached through its object, so a parameter or local that
+  shares a method's name does not call the method.
 
 Names match by their last part, so one ``x.run`` keeps every ``run``.
 Dunder methods are exempt, and a definition is not its own call.  A
@@ -46,12 +49,11 @@ C_STRING = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
 README_BLOCK = re.compile(r"```python\n(.*?)```", re.S)
 
 
-def definitions() -> dict:
-    """``qualified name -> (file, line)`` of every function, method and
-    class under ``src/repro``, nested in classes but not in functions."""
-    found = {}
+def collect_definitions(tree: ast.AST, path: Path, found: dict) -> None:
+    """Add ``qualified name -> (file, line)`` of every function, method
+    and class of ``tree``, nested in classes but not in functions."""
 
-    def visit(body, prefix, path):
+    def visit(body, prefix):
         for node in body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
@@ -60,10 +62,16 @@ def definitions() -> dict:
             if not (name.startswith("__") and name.endswith("__")):
                 found.setdefault(f"{prefix}{name}", (path, node.lineno))
             if isinstance(node, ast.ClassDef):
-                visit(node.body, f"{prefix}{name}.", path)
+                visit(node.body, f"{prefix}{name}.")
 
+    visit(tree.body, "")
+
+
+def definitions() -> dict:
+    """Every definition under ``src/repro``."""
+    found = {}
     for path in sorted(PACKAGE.rglob("*.py")):
-        visit(ast.parse(path.read_text(), str(path)).body, "", path)
+        collect_definitions(ast.parse(path.read_text(), str(path)), path, found)
     return found
 
 
@@ -75,51 +83,63 @@ def _is_all(node) -> bool:
                for t in targets)
 
 
-def names_in(tree: ast.AST, package_init: bool) -> set:
-    """Every name ``tree`` calls by the rules of the module docstring."""
+def names_in(tree: ast.AST, package_init: bool):
+    """``(bare, members)``: the bare ``Name``s ``tree`` uses, and the
+    names it calls by every other rule of the module docstring."""
     skipped = {
         id(inner) for node in ast.walk(tree) if _is_all(node)
         for inner in ast.walk(node)
     }
-    used = set()
+    bare, members = set(), set()
     for node in ast.walk(tree):
         if id(node) in skipped:
             continue
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            members.add(node.attr)
         elif isinstance(node, ast.ImportFrom) and not package_init:
-            used.update(alias.name for alias in node.names)
+            members.update(alias.name for alias in node.names)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and IDENTIFIER.fullmatch(node.value)):
-            used.update(node.value.split("."))
-    return used
+            members.update(node.value.split("."))
+    return bare, members
 
 
-def callers() -> set:
-    """Every name some caller uses."""
-    used = set()
+def callers():
+    """``(bare, members)`` over every caller."""
+    bare, members = set(), set()
+
+    def add(tree, package_init):
+        tree_bare, tree_members = names_in(tree, package_init)
+        bare.update(tree_bare)
+        members.update(tree_members)
+
     for directory in CALLER_DIRS:
         for path in sorted(directory.rglob("*.py")):
-            tree = ast.parse(path.read_text(), str(path))
-            package_init = (path.name == "__init__.py"
-                            and path.is_relative_to(SRC))
-            used |= names_in(tree, package_init)
+            add(ast.parse(path.read_text(), str(path)),
+                path.name == "__init__.py" and path.is_relative_to(SRC))
     for block in README_BLOCK.findall((ROOT / "README.md").read_text()):
-        used |= names_in(ast.parse(block), False)
+        add(ast.parse(block), False)
     for literal in C_STRING.findall(NATIVE.read_text()):
         if IDENTIFIER.fullmatch(literal):
-            used.update(literal.split("."))
-    return used
+            members.update(literal.split("."))
+    return bare, members
+
+
+def is_called(name: str, calls) -> bool:
+    """Whether the definition ``name`` has a caller in ``calls``."""
+    bare, members = calls
+    last = name.rpartition(".")[2]
+    return last in members or ("." not in name and last in bare)
 
 
 def test_every_name_has_a_caller_outside_the_tests():
-    used = callers()
+    calls = callers()
     unreached = sorted(
         f"{name} ({path.relative_to(ROOT)}:{line})"
         for name, (path, line) in definitions().items()
-        if name.rpartition(".")[2] not in used and name not in ALLOWED
+        if not is_called(name, calls) and name not in ALLOWED
     )
     assert unreached == [], (
         f"{len(unreached)} names have no caller in src/, benchmarks/, "
@@ -129,10 +149,28 @@ def test_every_name_has_a_caller_outside_the_tests():
 
 
 def test_allow_list_names_live_definitions_without_callers():
-    used = callers()
+    calls = callers()
     defined = definitions()
     stale = sorted(
         name for name in ALLOWED
-        if name not in defined or name.rpartition(".")[2] in used
+        if name not in defined or is_called(name, calls)
     )
     assert stale == [], f"allow-listed but missing or called: {stale}"
+
+
+def test_a_local_variable_does_not_keep_a_method_alive():
+    """A method named like a caller's parameter is unreached; a
+    module-level function of that name is reached, since a bare name can
+    pass it around."""
+    defined = {}
+    collect_definitions(ast.parse(
+        "class Grid:\n    def width(self):\n        return 1\n"
+        "def width():\n    return 1\n"
+    ), Path("grid.py"), defined)
+    assert sorted(defined) == ["Grid", "Grid.width", "width"]
+    local = names_in(ast.parse("def area(width):\n    return width * 2\n"),
+                     False)
+    assert not is_called("Grid.width", local)
+    assert is_called("width", local)
+    through_object = names_in(ast.parse("grid.width()\n"), False)
+    assert is_called("Grid.width", through_object)
