@@ -58,14 +58,17 @@ e2e-ab:
 	@test -n "$(PARENT)" || { echo "usage: make e2e-ab PARENT=<rev> [PAIRS=10 SEED=7]" >&2; exit 2; }
 	$(PYTHON) benchmarks/e2e_ab.py $(PARENT) --pairs $(PAIRS) --seed $(SEED)
 
-# cProfile the hottest Fig. 14 config (top 25 by cumulative time); the
-# raw stats stay in build/profile.pstats for pstats or snakeviz.
+# cProfile the hottest Fig. 14 config: the top 25 by cumulative time, then
+# by self time (tottime), where a cost spread over many small callers,
+# such as a Python __hash__, shows.  The raw stats stay in
+# build/profile.pstats for pstats or snakeviz.
 profile:
 	mkdir -p build
 	PYTHONPATH=src $(PYTHON) -m cProfile -o build/profile.pstats -m repro \
 		simulate --model moe-gpt --paradigm data-centric
-	$(PYTHON) -c "import pstats; pstats.Stats('build/profile.pstats')\
-		.sort_stats('cumulative').print_stats(25)"
+	$(PYTHON) -c "import pstats; stats = pstats.Stats('build/profile.pstats');\
+		stats.sort_stats('cumulative').print_stats(25);\
+		stats.sort_stats('tottime').print_stats(25)"
 
 # Figure battery: every benchmarks/test_*.py figure, ablation and gate test
 # in simulated time, regenerating benchmarks/reports/*.txt.  Not under

@@ -20,8 +20,7 @@ Modelled links per machine (all full duplex, one ``LinkId`` per direction):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .hardware import MachineSpec, a100_machine_spec
 
@@ -32,17 +31,26 @@ _LINK_KINDS = ("nvlink", "pcie_gpu", "pcie_up", "nic")
 _DIRECTIONS = ("out", "in")
 
 
-@dataclass(frozen=True, order=True)
-class Device:
-    """An endpoint of a transfer: a GPU or a machine's host (CPU) memory."""
-
+class _DeviceFields(NamedTuple):
     kind: str
     machine: int
     index: int = 0
 
-    def __post_init__(self):
-        if self.kind not in _DEVICE_KINDS:
-            raise ValueError(f"unknown device kind: {self.kind!r}")
+
+class Device(_DeviceFields):
+    """An endpoint of a transfer: a GPU or a machine's host (CPU) memory.
+
+    A tuple, so hashing, equality and ordering run in C: each route memo
+    lookup and compute-stream lookup hashes one.  The hash is
+    ``hash((kind, machine, index))``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, machine: int, index: int = 0):
+        if kind not in _DEVICE_KINDS:
+            raise ValueError(f"unknown device kind: {kind!r}")
+        return tuple.__new__(cls, (kind, machine, index))
 
     @staticmethod
     def gpu(machine: int, local_rank: int) -> "Device":
@@ -58,24 +66,30 @@ class Device:
         return f"gpu[{self.machine}.{self.index}]"
 
 
-@dataclass(frozen=True, order=True)
-class LinkId:
-    """One direction of one physical link.
-
-    ``direction`` is relative to the device the link belongs to: ``out`` is
-    traffic leaving the GPU / switch / NIC, ``in`` is traffic entering it.
-    """
-
+class _LinkIdFields(NamedTuple):
     kind: str
     machine: int
     index: int
     direction: str
 
-    def __post_init__(self):
-        if self.kind not in _LINK_KINDS:
-            raise ValueError(f"unknown link kind: {self.kind!r}")
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(f"unknown link direction: {self.direction!r}")
+
+class LinkId(_LinkIdFields):
+    """One direction of one physical link.
+
+    ``direction`` is relative to the device the link belongs to: ``out`` is
+    traffic leaving the GPU / switch / NIC, ``in`` is traffic entering it.
+    A tuple like :class:`Device`, hashed as
+    ``hash((kind, machine, index, direction))``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, machine: int, index: int, direction: str):
+        if kind not in _LINK_KINDS:
+            raise ValueError(f"unknown link kind: {kind!r}")
+        if direction not in _DIRECTIONS:
+            raise ValueError(f"unknown link direction: {direction!r}")
+        return tuple.__new__(cls, (kind, machine, index, direction))
 
     def __str__(self) -> str:
         return f"{self.kind}[{self.machine}.{self.index}].{self.direction}"

@@ -181,8 +181,13 @@ class IterationContext:
         self.layout = layout
         cluster = fabric.cluster
 
+        # Endpoint tables, built once: no flow constructs a Device.
         self.gpu_of: Dict[int, Device] = {
             rank: cluster.gpu_device(rank) for rank in range(layout.world_size)
+        }
+        self.host_of: Dict[int, Device] = {
+            machine: Device.host(machine)
+            for machine in range(layout.num_machines)
         }
         self.placements: Dict[int, ExpertPlacement] = {
             block.index: ExpertPlacement(block.num_experts, layout.world_size)

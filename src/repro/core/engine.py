@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..cluster import Cluster, Device
+from ..cluster import Cluster
 from ..faults import FaultInjector, FaultStats, ResilienceConfig
 from ..metrics import MetricsRegistry, collect_iteration_metrics
 from ..netsim import Fabric
@@ -293,8 +293,8 @@ class JanusEngine:
             cached.succeed()
         started = ctx.env.now
         flow = ctx.fabric.transfer(
-            Device.host(home),
-            Device.host(machine),
+            ctx.host_of[home],
+            ctx.host_of[machine],
             self.workload.expert_bytes,
             nic_index=nic,
             tag=("replica-sync", block, machine, expert),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import List
 
-from ..cluster import Device
 from ..faults import flow_or_timeout, retry_flow
 from ..simkit import AnyOf
 from .context import IterationContext
@@ -35,7 +34,7 @@ class InterNodeScheduler:
         self.ctx = ctx
         self.machine = machine
         self.metrics = ctx.metrics
-        self.host = Device.host(machine)
+        self.host = ctx.host_of[machine]
         spec = ctx.fabric.cluster.spec
         self.num_nics = spec.num_nics
         self.socket_overhead = spec.socket_overhead
@@ -119,7 +118,7 @@ class InterNodeScheduler:
             yield self._fetch_gate(block)
             started = env.now
             owner = ctx.placements[block].owner(expert)
-            home = Device.host(ctx.layout.machine_of(owner))
+            home = ctx.host_of[ctx.layout.machine_of(owner)]
 
             def request():
                 return ctx.fabric.transfer(
@@ -215,7 +214,7 @@ class InterNodeScheduler:
         def push():
             return ctx.fabric.transfer(
                 self.host,
-                Device.host(owner_machine),
+                ctx.host_of[owner_machine],
                 ctx.workload.expert_bytes,
                 nic_index=nic,
                 tag=("grad-push", block, self.machine, expert),

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import List
 
-from ..cluster import Device
 from ..faults import retry_flow
 from .context import TRACE_WORKER, IterationContext
 from .priority import internal_pull_order, pcie_peer_schedule
@@ -43,7 +42,7 @@ class IntraNodeScheduler:
         self.metrics = ctx.metrics
         self.machine = ctx.layout.machine_of(rank)
         self.local_rank = ctx.layout.local_rank_of(rank)
-        self.host = Device.host(self.machine)
+        self.host = ctx.host_of[self.machine]
         layout = ctx.layout
         peer_local = self.local_rank ^ 1
         self.peer_rank = (

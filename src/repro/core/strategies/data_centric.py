@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ...cluster import Device
 from ..context import TRACE_WORKER
 from ..inter_scheduler import InterNodeScheduler
 from ..intra_scheduler import IntraNodeScheduler
@@ -44,6 +43,7 @@ class DataCentricStrategy(BlockStrategy):
         workload = engine.workload
         block = workload.blocks[index]
         gpu = ctx.gpu_of[rank]
+        host = ctx.host_of[ctx.layout.machine_of(rank)]
         gpu_flops = engine._rank_flops(rank)
         backward = phase == "bwd"
         record = rank == TRACE_WORKER
@@ -83,9 +83,7 @@ class DataCentricStrategy(BlockStrategy):
                 # Offload the used expert to host memory for backward reuse
                 # (asynchronous; does not block the pipeline).
                 ctx.fabric.transfer(
-                    gpu,
-                    Device.host(ctx.layout.machine_of(rank)),
-                    workload.expert_bytes,
+                    gpu, host, workload.expert_bytes,
                     tag=("offload", index, rank, expert),
                 )
             else:
@@ -157,7 +155,7 @@ class DataCentricStrategy(BlockStrategy):
             ).done)
             return
         flow = ctx.fabric.transfer(
-            gpu, Device.host(machine), workload.expert_bytes,
+            gpu, ctx.host_of[machine], workload.expert_bytes,
             tag=("grad-stage", index, rank, expert),
         )
         ctx.env.process(_stage_grad(ctx, flow, index, machine, expert))

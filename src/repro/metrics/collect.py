@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..cluster import LinkId
 from .registry import MetricsRegistry
 
 __all__ = [
@@ -264,7 +265,9 @@ def collect_iteration_metrics(
 
 
 def _link_label(link_id) -> str:
-    """Stable text label for a link id (LinkId tuples or plain ids)."""
-    if isinstance(link_id, tuple):
+    """Stable text label for a link id: a :class:`LinkId`'s own ``str``
+    (``nic[0.1].out``), another tuple's parts joined by ``:``, or any
+    other id's ``str``.  ``LinkId`` is a tuple, so it is tested first."""
+    if isinstance(link_id, tuple) and not isinstance(link_id, LinkId):
         return ":".join(str(part) for part in link_id)
     return str(link_id)

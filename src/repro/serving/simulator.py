@@ -34,6 +34,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from collections import deque
+from numbers import Integral
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,6 +58,12 @@ __all__ = [
 ]
 
 TOPOLOGIES = ("unified", "disaggregated")
+
+
+def _whole(value) -> bool:
+    """An integer, numpy's included, but not a bool: a bool is an
+    ``Integral`` too, and ``True`` would silently count as one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,13 @@ class ServingConfig:
                 f"topology must be one of {TOPOLOGIES}, "
                 f"got {self.topology!r}"
             )
-        if self.prefillers is not None and self.prefillers <= 0:
-            raise ValueError("prefillers must be positive")
+        if self.prefillers is not None and not (
+            _whole(self.prefillers) and self.prefillers > 0
+        ):
+            raise ValueError(
+                "prefillers must be None or a positive integer, "
+                f"got {self.prefillers!r}"
+            )
         _check_count("max_batch", self.max_batch)
         _check_count("prefill_batch", self.prefill_batch)
         if not 0.0 <= self.pin_fraction <= 1.0:
@@ -103,8 +115,12 @@ class ServingConfig:
         if not (0 < self.ttft_slo_s < math.inf
                 and 0 < self.tpot_slo_s < math.inf):
             raise ValueError("SLO bounds must be positive and finite")
-        if self.span_budget < 0:
-            raise ValueError("span_budget must be non-negative")
+        # ``seen >= nan`` is always false: a NaN budget never caps spans.
+        if not (_whole(self.span_budget) and self.span_budget >= 0):
+            raise ValueError(
+                "span_budget must be a non-negative integer, "
+                f"got {self.span_budget!r}"
+            )
 
 
 @dataclass

@@ -103,6 +103,69 @@ class TestDevice:
             Device("tpu", 0, 0)
 
 
+_FIELDS = {
+    Device: ("kind", "machine", "index"),
+    LinkId: ("kind", "machine", "index", "direction"),
+}
+
+
+def _endpoints():
+    """Every endpoint of a two-machine cluster: GPUs, hosts and links."""
+    cluster = Cluster(2)
+    devices = list(cluster.gpus())
+    devices += [Device.host(machine) for machine in range(2)]
+    return devices + [link_id for link_id, _, _ in cluster.iter_links()]
+
+
+def _field_tuple(endpoint):
+    return tuple(getattr(endpoint, name) for name in _FIELDS[type(endpoint)])
+
+
+class TestEndpointContract:
+    """Devices and link ids are tuples: C hashing, equality and order,
+    with the dataclass hash values, labels and immutability kept."""
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for endpoint in _endpoints():
+            assert hash(endpoint) == hash(_field_tuple(endpoint))
+
+    def test_str_and_repr_literals(self):
+        assert str(Device.gpu(0, 1)) == "gpu[0.1]"
+        assert str(Device.host(1)) == "host[1]"
+        assert repr(Device.gpu(0, 1)) == "Device(kind='gpu', machine=0, index=1)"
+        assert repr(Device.host(1)) == "Device(kind='host', machine=1, index=0)"
+        link_id = LinkId("nic", 1, 2, "in")
+        assert str(link_id) == "nic[1.2].in"
+        assert repr(link_id) == (
+            "LinkId(kind='nic', machine=1, index=2, direction='in')"
+        )
+        assert Device("host", 0) == Device.host(0)
+
+    def test_sort_order_is_the_field_tuple_order(self):
+        endpoints = _endpoints()
+        devices = [e for e in endpoints if isinstance(e, Device)]
+        links = [e for e in endpoints if isinstance(e, LinkId)]
+        for group in (devices, links):
+            assert [_field_tuple(e) for e in sorted(reversed(group))] == sorted(
+                _field_tuple(e) for e in group
+            )
+
+    def test_fields_cannot_be_assigned(self):
+        for endpoint in _endpoints():
+            for name in _FIELDS[type(endpoint)]:
+                with pytest.raises(AttributeError):
+                    setattr(endpoint, name, getattr(endpoint, name))
+            with pytest.raises(AttributeError):
+                endpoint.extra = 1
+
+    def test_hash_and_eq_are_the_tuple_slots(self):
+        # A Python-level __hash__ or __eq__ would put the per-flow route
+        # memo lookups back into the interpreter.
+        for kind in (Device, LinkId):
+            assert kind.__hash__ is tuple.__hash__
+            assert kind.__eq__ is tuple.__eq__
+
+
 class TestClusterRanks:
     def test_world_size(self):
         cluster = Cluster(4)

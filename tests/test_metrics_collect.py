@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster import LinkId
 from repro.core import engine_for
 from repro.faults import FaultPlan, MessageLoss
 from repro.metrics import (
@@ -27,6 +28,11 @@ class TestLinkLabels:
     def test_plain_ids_stringify(self):
         assert _link_label("pcie-up") == "pcie-up"
         assert _link_label(7) == "7"
+
+    def test_link_ids_keep_their_own_label(self):
+        # A LinkId is a tuple, yet it must not be joined as nic:0:1:out.
+        link_id = LinkId("nic", 0, 1, "out")
+        assert _link_label(link_id) == str(link_id) == "nic[0.1].out"
 
 
 class TestOverlapEfficiency:

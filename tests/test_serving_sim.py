@@ -215,6 +215,16 @@ class TestInvariants:
             ServingConfig(ttft_slo_s=0.0)
         with pytest.raises(ValueError):
             ServingConfig(span_budget=-1)
+        # A fractional or NaN prefiller count failed mid-run in range(),
+        # True ran as one prefiller, and a NaN span budget never capped.
+        for value in (1.5, float("nan"), True, 0, -1):
+            with pytest.raises(ValueError, match="^prefillers must be"):
+                ServingConfig(topology="disaggregated", prefillers=value)
+        for value in (1.5, float("nan"), True, -1):
+            with pytest.raises(ValueError, match="^span_budget must be"):
+                ServingConfig(span_budget=value)
+        ServingConfig(topology="disaggregated", prefillers=np.int64(1))
+        ServingConfig(span_budget=0)
         with pytest.raises(ValueError):
             # All machines prefilling leaves no decoder.
             ServingSimulator(
