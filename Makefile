@@ -12,7 +12,7 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks examples

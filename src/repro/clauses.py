@@ -7,7 +7,6 @@ of its own (:meth:`repro.faults.FaultPlan.parse`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields, replace
 from typing import Mapping, Optional, Sequence, TypeVar
 
@@ -35,8 +34,9 @@ def parse_clauses(
     ``float`` or ``str`` annotation (``-`` in a name reads as ``_``), or
     ``flag=on|off`` for a key of ``flags``, which names the boolean field
     it sets.  The first clause may be a bare name from ``kinds``, which
-    sets ``kind``; the bare word ``ignore`` is skipped anywhere.  A float
-    literal must be finite.  Every problem raises ``ValueError`` whose
+    sets ``kind``; the bare word ``ignore`` is skipped anywhere.  The
+    spec's ``__post_init__`` checks each value (a number against its
+    field's declared domain).  Every problem raises ``ValueError`` whose
     message names the ``noun``.
     """
     flags = flags or {}
@@ -64,10 +64,7 @@ def parse_clauses(
             spec = replace(spec, **{flags[key]: value == "on"})
         elif key in literals:
             try:
-                literal = literals[key](value)
-                if isinstance(literal, float) and not math.isfinite(literal):
-                    raise ValueError(f"{value!r} is not finite")
-                spec = replace(spec, **{key: literal})
+                spec = replace(spec, **{key: literals[key](value)})
             except ValueError as exc:
                 raise ValueError(
                     f"bad value for {noun} field {key!r}: {value!r}"

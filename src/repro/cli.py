@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -65,6 +64,7 @@ from .core import (
     profile_model,
     strategy_names,
 )
+from .domains import POSITIVE, POSITIVE_INT, Domain, domain_of
 from .faults import FaultPlan, MessageLoss, PullFailedError
 from .metrics import (
     SCHEMA,
@@ -103,35 +103,30 @@ class _InvalidInput(Exception):
     and exits 2."""
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}"
-        )
-    return value
+def _flag(accepts: Domain):
+    """argparse ``type`` for a numeric flag: refuses, when the flag is
+    parsed, what ``accepts`` refuses.  A flag that sets a config field
+    passes that field's declared domain, so both refuse the same values."""
+    def convert(text: str):
+        try:
+            value = accepts.kind(text)
+        except ValueError:
+            value = text
+        if not accepts.contains(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {accepts.phrase()}, got {text!r}"
+            )
+        return value
 
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {text!r}"
-        )
-    return value
+    return convert
 
 
 def _chunk_spec(text: str):
-    """``--chunks`` value: a fixed positive count, or ``auto`` to let the
+    """``--chunks`` value: a fixed chunk count, or ``auto`` to let the
     cost-model tuner pick per-block counts every iteration."""
     if text.strip().lower() == "auto":
         return "auto"
-    try:
-        return _positive_int(text)
-    except (argparse.ArgumentTypeError, ValueError):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer or 'auto', got {text!r}"
-        )
+    return _flag(domain_of(JanusFeatures, "ec_pipeline_chunks"))(text)
 
 
 def _spec(parse):
@@ -160,14 +155,10 @@ def _engine_mode_list(text: str) -> List[str]:
 
 
 def _loss_rates(text: str) -> List[float]:
-    """``--rates`` value: comma-separated loss rates in [0, 1], sorted and
-    deduplicated."""
-    rates = sorted({float(rate) for rate in text.split(",")})
-    if not all(0.0 <= rate <= 1.0 for rate in rates):
-        raise argparse.ArgumentTypeError(
-            f"loss rates must be in [0, 1], got {text!r}"
-        )
-    return rates
+    """``--rates`` value: comma-separated loss rates (``MessageLoss.rate``),
+    sorted and deduplicated."""
+    rate = _flag(domain_of(MessageLoss, "rate"))
+    return sorted({rate(item) for item in text.split(",")})
 
 
 def _model_and_cluster(args):
@@ -447,20 +438,18 @@ def cmd_serve(args) -> int:
     results = []
     registry = recorder = None
     for topology in topologies:
-        try:
-            serving = ServingConfig(
-                topology=topology,
-                prefillers=args.prefillers,
-                max_batch=args.max_batch,
-                prefill_batch=args.prefill_batch,
-                pin_fraction=args.pin_fraction,
-                prefill_paradigm=args.prefill_paradigm,
-                decode_paradigm=args.decode_paradigm,
-                ttft_slo_s=args.ttft_slo,
-                tpot_slo_s=args.tpot_slo,
-            )
-        except ValueError as exc:
-            raise _InvalidInput(f"invalid serving config: {exc}") from None
+        # Each flag was checked against its field's domain when parsed.
+        serving = ServingConfig(
+            topology=topology,
+            prefillers=args.prefillers,
+            max_batch=args.max_batch,
+            prefill_batch=args.prefill_batch,
+            pin_fraction=args.pin_fraction,
+            prefill_paradigm=args.prefill_paradigm,
+            decode_paradigm=args.decode_paradigm,
+            ttft_slo_s=args.ttft_slo,
+            tpot_slo_s=args.tpot_slo,
+        )
         if exporting:
             # Fresh lanes per topology: the exported report/trace carry
             # the last simulated topology's metric dump.
@@ -637,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
              "@start:end in simulated seconds)",
     )
     simulate.add_argument(
-        "--iterations", type=_positive_int, default=1,
+        "--iterations", type=_flag(POSITIVE_INT), default=1,
         help="training iterations to simulate (drift/control act between "
              "iterations, so they need more than one)",
     )
@@ -695,16 +684,23 @@ def build_parser() -> argparse.ArgumentParser:
              "both back to back on the same trace",
     )
     serve.add_argument(
-        "--prefillers", type=_positive_int, default=None,
+        "--prefillers", type=_flag(domain_of(ServingConfig, "prefillers")),
+        default=None,
         help="prefill machines in the disaggregated split "
              "(default: half the machines)",
     )
-    serve.add_argument("--max-batch", type=_positive_int, default=64,
-                       help="decode continuous-batching cap per worker")
-    serve.add_argument("--prefill-batch", type=_positive_int, default=8,
-                       help="prompts admitted per prefill step")
     serve.add_argument(
-        "--pin-fraction", type=float, default=0.25,
+        "--max-batch", type=_flag(domain_of(ServingConfig, "max_batch")),
+        default=64, help="decode continuous-batching cap per worker",
+    )
+    serve.add_argument(
+        "--prefill-batch",
+        type=_flag(domain_of(ServingConfig, "prefill_batch")),
+        default=8, help="prompts admitted per prefill step",
+    )
+    serve.add_argument(
+        "--pin-fraction", type=_flag(domain_of(ServingConfig, "pin_fraction")),
+        default=0.25,
         help="fraction of experts pinned on disaggregated decoders "
              "(pinned-expert tokens skip the decode wire)",
     )
@@ -721,10 +717,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="comm paradigm for decode wire traffic",
     )
-    serve.add_argument("--ttft-slo", type=float, default=0.5,
-                       help="time-to-first-token SLO in seconds")
-    serve.add_argument("--tpot-slo", type=float, default=0.005,
-                       help="per-output-token SLO in seconds")
+    serve.add_argument(
+        "--ttft-slo", type=_flag(domain_of(ServingConfig, "ttft_slo_s")),
+        default=0.5, help="time-to-first-token SLO in seconds",
+    )
+    serve.add_argument(
+        "--tpot-slo", type=_flag(domain_of(ServingConfig, "tpot_slo_s")),
+        default=0.005, help="per-output-token SLO in seconds",
+    )
     serve.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the serving report JSON here ('-' prints to stdout)",
@@ -749,7 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(strategy_names() + ("unified",)),
         help="comma-separated engine modes to sweep",
     )
-    chaos.add_argument("--seed", type=int, default=0,
+    chaos.add_argument("--seed", type=_flag(domain_of(FaultPlan, "seed")),
+                       default=0,
                        help="fault-plan RNG seed")
     chaos.set_defaults(func=cmd_chaos)
 
@@ -775,8 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=cmd_table1)
 
     goodput = sub.add_parser("goodput", help="All-to-All goodput stress test")
-    goodput.add_argument("--machines", type=_positive_int, default=4)
-    goodput.add_argument("--payload", type=_positive_float, default=32e6,
+    goodput.add_argument("--machines", type=_flag(POSITIVE_INT), default=4)
+    goodput.add_argument("--payload", type=_flag(POSITIVE), default=32e6,
                          help="bytes per GPU pair")
     goodput.set_defaults(func=cmd_goodput)
     return parser

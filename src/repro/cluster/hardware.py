@@ -5,47 +5,20 @@ The defaults mirror the paper's testbed (§5.2, §7.1): machines with
 PCIe 4.0 ×16 to the host (64 GB/s) with one PCIe switch per two GPUs, and
 four 200 Gbps GDR NICs per machine, each NIC shared by one GPU pair.
 
-Every field is checked at construction: a rate or size must be positive
-and finite, a time non-negative and finite, and a count a positive
-integer.  A bad value raises :class:`ValueError` naming the field.
+Each numeric field declares its domain (:mod:`repro.domains`): a rate or
+size is positive and finite, a time non-negative and finite, and a count
+a positive integer, never a bool.  A value outside it raises ``ValueError``
+naming the field and the spec, before ``MachineSpec``'s divisibility rules.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass, field
 
+from ..domains import NON_NEGATIVE, POSITIVE, POSITIVE_INT, check_fields, domain
 from ..units import GIB, US, gbps, gbytes_per_s
 
 __all__ = ["LinkSpec", "GpuSpec", "MachineSpec", "a100_machine_spec"]
-
-
-def _check_positive(spec, *names: str) -> None:
-    for name in names:
-        value = getattr(spec, name)
-        if not 0.0 < value < math.inf:  # also refuses NaN
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _check_non_negative(spec, *names: str) -> None:
-    for name in names:
-        value = getattr(spec, name)
-        if not 0.0 <= value < math.inf:  # also refuses NaN
-            raise ValueError(
-                f"{name} must be non-negative and finite, got {value!r}"
-            )
-
-
-def _check_counts(spec, *names: str) -> None:
-    for name in names:
-        value = getattr(spec, name)
-        try:
-            count = operator.index(value)
-        except TypeError:
-            count = 0
-        if count <= 0:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,12 +31,11 @@ class LinkSpec:
         latency: fixed per-transfer latency in seconds.
     """
 
-    bandwidth: float
-    latency: float
+    bandwidth: float = domain(POSITIVE)
+    latency: float = domain(NON_NEGATIVE)
 
     def __post_init__(self):
-        _check_positive(self, "bandwidth")
-        _check_non_negative(self, "latency")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -75,17 +47,16 @@ class GpuSpec:
     conservative fraction of its 312 TFLOPS peak.
     """
 
-    flops: float = 180e12
-    memory_bytes: float = 80 * GIB
+    flops: float = domain(POSITIVE, 180e12)
+    memory_bytes: float = domain(POSITIVE, 80 * GIB)
     # Fixed cost per kernel launch (CUDA launch + framework dispatch).
     # Charged once per expert GEMM group, it is what makes computing 32
     # small expert batches more expensive than one big batched GEMM — the
     # real-world tax on fine-grained data-centric execution.
-    kernel_overhead: float = 48e-6
+    kernel_overhead: float = domain(NON_NEGATIVE, 48e-6)
 
     def __post_init__(self):
-        _check_positive(self, "flops", "memory_bytes")
-        _check_non_negative(self, "kernel_overhead")
+        check_fields(self)
 
     def effective_flops(self, hidden_dim: int) -> float:
         """Sustained throughput for GEMMs of a given hidden dimension.
@@ -108,9 +79,9 @@ class MachineSpec:
     share each PCIe switch (both are 2 on the paper's A100 boxes).
     """
 
-    num_gpus: int = 8
-    gpus_per_pcie_switch: int = 2
-    gpus_per_nic: int = 2
+    num_gpus: int = domain(POSITIVE_INT, 8)
+    gpus_per_pcie_switch: int = domain(POSITIVE_INT, 2)
+    gpus_per_nic: int = domain(POSITIVE_INT, 2)
     gpu: GpuSpec = field(default_factory=GpuSpec)
     nvlink: LinkSpec = field(
         default_factory=lambda: LinkSpec(gbytes_per_s(600.0), 2 * US)
@@ -120,11 +91,10 @@ class MachineSpec:
     )
     nic: LinkSpec = field(default_factory=lambda: LinkSpec(gbps(200.0), 8 * US))
     # Kernel/userspace socket processing of one pull request (§6).
-    socket_overhead: float = 15e-6
+    socket_overhead: float = domain(NON_NEGATIVE, 15e-6)
 
     def __post_init__(self):
-        _check_counts(self, "num_gpus", "gpus_per_pcie_switch", "gpus_per_nic")
-        _check_non_negative(self, "socket_overhead")
+        check_fields(self)
         if self.num_gpus % self.gpus_per_pcie_switch != 0:
             raise ValueError(
                 "num_gpus must be divisible by gpus_per_pcie_switch"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, NamedTuple, Tuple
 
+from ..domains import POSITIVE_INT
 from .hardware import MachineSpec, a100_machine_spec
 
 __all__ = ["Device", "LinkId", "Cluster"]
@@ -99,8 +100,7 @@ class Cluster:
     """``num_machines`` identical machines described by ``spec``."""
 
     def __init__(self, num_machines: int, spec: MachineSpec = None):
-        if num_machines <= 0:
-            raise ValueError("num_machines must be positive")
+        POSITIVE_INT.check("num_machines", num_machines)
         self.num_machines = num_machines
         self.spec = spec if spec is not None else a100_machine_spec()
 

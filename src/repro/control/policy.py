@@ -34,6 +34,7 @@ import numpy as np
 from ..clauses import parse_clauses
 from ..core.paradigm import CostModel
 from ..core.strategies import get_strategy
+from ..domains import NON_NEGATIVE, POSITIVE_INT, check_fields, domain
 from .signals import BlockLoadSignals, ControlSignals
 
 __all__ = [
@@ -79,16 +80,13 @@ class ControlConfig:
     them).
     """
 
-    deviation: float = 0.25
-    recover_after_clean: int = 2
+    deviation: float = domain(NON_NEGATIVE, 0.25)
+    recover_after_clean: int = domain(POSITIVE_INT, 2)
     adapt_load: bool = True
     adapt_replicas: bool = True
 
     def __post_init__(self):
-        if self.deviation < 0:
-            raise ValueError("deviation must be non-negative")
-        if self.recover_after_clean <= 0:
-            raise ValueError("recover_after_clean must be positive")
+        check_fields(self)
 
     @classmethod
     def parse(cls, text: str) -> "ControlConfig":

@@ -10,10 +10,10 @@ sweep (phase ``"fwd"``) and the backward sweep (phase ``"bwd"``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Dict, List, Mapping, Tuple
 
 from ..cluster import Device
+from ..domains import POSITIVE_INT, check_block_map, check_fields, domain
 from ..faults import PullFailedError
 from ..netsim import Fabric
 from ..runtime.layout import ExpertPlacement
@@ -31,13 +31,6 @@ PHASES = ("fwd", "bwd")
 TRACE_WORKER = 0
 
 
-def _check_count(label: str, value) -> None:
-    """A count of whole things (experts, chunks, micro-batches): a
-    positive integer, numpy integers included."""
-    if not isinstance(value, Integral) or value <= 0:
-        raise ValueError(f"{label} must be a positive integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class JanusFeatures:
     """Feature flags for the data-centric engine (the §7.2 ablation axes).
@@ -53,7 +46,7 @@ class JanusFeatures:
     topology_aware: bool = True
     prefetch: bool = True
     hierarchical: bool = True
-    credit_size: int = 16
+    credit_size: int = domain(POSITIVE_INT, 16)
     # Expert-centric blocks: Tutel-style hierarchical All-to-All (per
     # machine-pair aggregation striped over NICs) vs the naive flat
     # per-GPU-pair decomposition.
@@ -61,12 +54,12 @@ class JanusFeatures:
     # Pipelined expert-centric blocks: number of token chunks the dispatch
     # and combine All-to-Alls are split into, so expert compute on chunk i
     # overlaps the All-to-All of chunk i+1 (Parm/FlowMoE-style).
-    ec_pipeline_chunks: int = 4
+    ec_pipeline_chunks: int = domain(POSITIVE_INT, 4)
     # Task-graph scheduler: number of micro-batches M a micro-capable
     # strategy splits the global batch into (pipeline-parallel interleaving
     # of the per-block DAGs).  Inert unless a micro-capable strategy (e.g.
     # ``microbatch-ec``) is selected, so the default changes nothing.
-    micro_batches: int = 4
+    micro_batches: int = domain(POSITIVE_INT, 4)
     # Per-block chunk-count overrides for the chunked expert-centric
     # strategies (FSMoE-style cost-modelled chunk sizing): block index ->
     # chunk count.  Accepts a mapping at construction; normalized to a
@@ -93,23 +86,17 @@ class JanusFeatures:
     grad_allreduce: str = "none"
 
     def __post_init__(self):
-        for label in ("credit_size", "ec_pipeline_chunks", "micro_batches"):
-            _check_count(label, getattr(self, label))
+        check_fields(self)
         if self.grad_allreduce not in ("none", "serial", "overlap"):
             raise ValueError(
                 "grad_allreduce must be 'none', 'serial' or 'overlap'"
             )
         if isinstance(self.block_chunks, Mapping):
-            object.__setattr__(
-                self, "block_chunks",
-                tuple(sorted(self.block_chunks.items())),
-            )
+            pairs = sorted(self.block_chunks.items())
         else:
-            object.__setattr__(
-                self, "block_chunks", tuple(tuple(p) for p in self.block_chunks)
-            )
-        for block, chunks in self.block_chunks:
-            _check_count(f"block_chunks[{block}]", chunks)
+            pairs = (tuple(pair) for pair in self.block_chunks)
+        object.__setattr__(self, "block_chunks", tuple(pairs))
+        check_block_map(self, "block_chunks", self.block_chunks)
         if self.a2a_stagger not in ("off", "wave", "chain"):
             raise ValueError(
                 "a2a_stagger must be 'off', 'wave' or 'chain'"

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..cluster import Cluster
+from ..domains import NON_NEGATIVE, POSITIVE
 from ..faults import FaultInjector, FaultStats, ResilienceConfig
 from ..metrics import MetricsRegistry, collect_iteration_metrics
 from ..netsim import Fabric
@@ -149,10 +150,8 @@ class JanusEngine:
         for machine, speed in self.machine_speed.items():
             if not 0 <= machine < cluster.num_machines:
                 raise ValueError(f"machine {machine} out of range")
-            if speed <= 0:
-                raise ValueError("machine speeds must be positive")
-        if compute_jitter < 0:
-            raise ValueError("compute_jitter must be non-negative")
+            POSITIVE.check(f"machine_speed[{machine}]", speed)
+        NON_NEGATIVE.check("compute_jitter", compute_jitter)
         self.compute_jitter = compute_jitter
         self.jitter_seed = jitter_seed
         self._jitter_rng = None

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from ..config import ModelConfig
+from ..domains import POSITIVE, POSITIVE_INT
 from ..models.flops import expert_flops_per_token
 
 __all__ = [
@@ -47,8 +48,7 @@ def comm_data_centric(
 ) -> float:
     """Per-machine cross-node bytes, forward phase, data-centric (§5.1.3)."""
     _check_cluster(num_machines, workers_per_machine)
-    if experts_per_worker <= 0:
-        raise ValueError("experts_per_worker must be positive")
+    POSITIVE.check("experts_per_worker", experts_per_worker)
     elements = (
         8
         * hidden_dim**2
@@ -72,8 +72,7 @@ def comm_expert_centric(
     ``(n-1)/n`` fraction of the machine's ``m*T`` tokens off-machine.
     """
     _check_cluster(num_machines, workers_per_machine)
-    if tokens_per_worker <= 0:
-        raise ValueError("tokens_per_worker must be positive")
+    POSITIVE.check("tokens_per_worker", tokens_per_worker)
     elements = (
         2
         * workers_per_machine
@@ -183,8 +182,7 @@ def profile_model(
 def _check_cluster(num_machines: int, workers_per_machine: int) -> None:
     if num_machines < 2:
         raise ValueError("cross-node analysis needs at least 2 machines")
-    if workers_per_machine <= 0:
-        raise ValueError("workers_per_machine must be positive")
+    POSITIVE_INT.check("workers_per_machine", workers_per_machine)
 
 
 def _pow2_floor(limit: float) -> int:

@@ -13,12 +13,18 @@ pattern makes fine-grained pulls lose).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Dict, Optional
 
+from ..domains import (
+    AT_LEAST_ONE,
+    NON_NEGATIVE_INT,
+    POSITIVE,
+    POSITIVE_INT,
+    check_fields,
+    domain,
+)
 from ..simkit import AnyOf
 from .injector import FaultStats
-from .spec import _check_factor
 
 __all__ = [
     "DegradationPolicy",
@@ -61,31 +67,15 @@ class ResilienceConfig:
     :class:`PullFailedError` to the caller).
     """
 
-    pull_timeout: float = 1e-3
-    max_retries: int = 3
-    backoff: float = 2.0
-    push_timeout: float = 20e-3
-    block_deadline: Optional[float] = 100e-3
+    pull_timeout: float = domain(POSITIVE, 1e-3)
+    max_retries: int = domain(NON_NEGATIVE_INT, 3)
+    backoff: float = domain(AT_LEAST_ONE, 2.0)
+    push_timeout: float = domain(POSITIVE, 20e-3)
+    block_deadline: Optional[float] = domain(POSITIVE.or_none(), 100e-3)
     on_failure: str = "degrade"
 
     def __post_init__(self):
-        _check_factor("pull_timeout", self.pull_timeout)
-        _check_factor("push_timeout", self.push_timeout)
-        if not 1.0 <= self.backoff < _INF:  # also refuses NaN
-            raise ValueError(
-                f"backoff must be finite and >= 1, got {self.backoff}"
-            )
-        if (
-            isinstance(self.max_retries, bool)
-            or not isinstance(self.max_retries, Integral)
-            or self.max_retries < 0
-        ):
-            raise ValueError(
-                "max_retries must be a non-negative integer, "
-                f"got {self.max_retries}"
-            )
-        if self.block_deadline is not None:
-            _check_factor("block_deadline", self.block_deadline)
+        check_fields(self)
         if self.on_failure not in ("degrade", "raise"):
             raise ValueError("on_failure must be 'degrade' or 'raise'")
 
@@ -154,11 +144,10 @@ class DegradationPolicy:
     historical one-way behaviour exactly.
     """
 
-    recover_after_clean: Optional[int] = None
+    recover_after_clean: Optional[int] = domain(POSITIVE_INT.or_none(), None)
 
     def __post_init__(self):
-        if self.recover_after_clean is not None and self.recover_after_clean <= 0:
-            raise ValueError("recover_after_clean must be positive")
+        check_fields(self)
 
     def decide(self, stats: FaultStats) -> Dict[int, str]:
         """Blocks to switch, given one iteration's fault counters."""

@@ -22,9 +22,18 @@ that method for the mini-grammar.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple, Union
+
+from ..domains import (
+    NON_NEGATIVE,
+    NON_NEGATIVE_INT,
+    POSITIVE,
+    UNIT,
+    Domain,
+    check_fields,
+    domain,
+)
 
 __all__ = [
     "LOSSABLE_MESSAGE_KINDS",
@@ -42,18 +51,13 @@ LOSSABLE_MESSAGE_KINDS = ("pull-request", "grad-push", "pull-direct")
 
 _INF = float("inf")
 
-
-def _check_window(start: float, end: float) -> None:
-    # Negated comparisons, so a NaN bound is refused too.
-    if not 0 <= start < _INF:
-        raise ValueError(f"fault window start must be finite and >= 0, got {start}")
-    if not end > start:
-        raise ValueError(f"fault window [{start}, {end}) is empty")
+# A window's end: after a start >= 0, and ``inf`` for the whole run.
+_END = Domain(float, 0, _INF, low_open=True, high_open=False)
 
 
-def _check_factor(name: str, value: float) -> None:
-    if not 0 < value < _INF:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+def _check_window(fault) -> None:
+    if not fault.end > fault.start:
+        raise ValueError(f"fault window [{fault.start}, {fault.end}) is empty")
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,13 @@ class LinkFault:
     ``"kind.machine"`` (e.g. ``"nic.0"``)."""
 
     selector: str
-    factor: float
-    start: float = 0.0
-    end: float = _INF
+    factor: float = domain(POSITIVE)
+    start: float = domain(NON_NEGATIVE, 0.0)
+    end: float = domain(_END, _INF)
 
     def __post_init__(self):
-        _check_factor("link factor", self.factor)
-        _check_window(self.start, self.end)
+        check_fields(self)
+        _check_window(self)
 
     def matches(self, link_id) -> bool:
         kind, machine = self.selector, None
@@ -87,11 +91,12 @@ class MessageLoss:
     """Drop each matching control message with probability ``rate``."""
 
     kinds: Tuple[str, ...] = ("pull-request", "grad-push")
-    rate: float = 0.1
-    start: float = 0.0
-    end: float = _INF
+    rate: float = domain(UNIT, 0.1)
+    start: float = domain(NON_NEGATIVE, 0.0)
+    end: float = domain(_END, _INF)
 
     def __post_init__(self):
+        check_fields(self)
         if isinstance(self.kinds, str):
             object.__setattr__(self, "kinds", (self.kinds,))
         else:
@@ -102,9 +107,7 @@ class MessageLoss:
                     f"cannot inject loss on {kind!r}; lossable kinds: "
                     f"{LOSSABLE_MESSAGE_KINDS}"
                 )
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"loss rate must be in [0, 1], got {self.rate}")
-        _check_window(self.start, self.end)
+        _check_window(self)
 
 
 @dataclass(frozen=True)
@@ -112,30 +115,27 @@ class ServerOutage:
     """Machine ``machine``'s pull serving goes dark during the window:
     pull requests addressed to it are dropped."""
 
-    machine: int
-    start: float = 0.0
-    end: float = _INF
+    machine: int = domain(NON_NEGATIVE_INT)
+    start: float = domain(NON_NEGATIVE, 0.0)
+    end: float = domain(_END, _INF)
 
     def __post_init__(self):
-        if self.machine < 0:
-            raise ValueError("machine index must be non-negative")
-        _check_window(self.start, self.end)
+        check_fields(self)
+        _check_window(self)
 
 
 @dataclass(frozen=True)
 class ComputeSlowdown:
     """Machine ``machine`` computes at ``speed`` (< 1) during the window."""
 
-    machine: int
-    speed: float
-    start: float = 0.0
-    end: float = _INF
+    machine: int = domain(NON_NEGATIVE_INT)
+    speed: float = domain(POSITIVE)
+    start: float = domain(NON_NEGATIVE, 0.0)
+    end: float = domain(_END, _INF)
 
     def __post_init__(self):
-        if self.machine < 0:
-            raise ValueError("machine index must be non-negative")
-        _check_factor("speed", self.speed)
-        _check_window(self.start, self.end)
+        check_fields(self)
+        _check_window(self)
 
 
 FaultSpec = Union[LinkFault, MessageLoss, ServerOutage, ComputeSlowdown]
@@ -145,10 +145,11 @@ FaultSpec = Union[LinkFault, MessageLoss, ServerOutage, ComputeSlowdown]
 class FaultPlan:
     """A seeded, ordered collection of fault specs for one run."""
 
-    seed: int = 0
+    seed: int = domain(NON_NEGATIVE_INT, 0)
     faults: Tuple[FaultSpec, ...] = ()
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "faults", tuple(self.faults))
 
     def __bool__(self) -> bool:
@@ -239,6 +240,4 @@ def _parse_window(window: str):
         raise ValueError(f"expected 'start:end' window, got {window!r}")
     start = float(start_text)
     end = _INF if end_text in ("", "inf") else float(end_text)
-    if not math.isfinite(start):
-        raise ValueError("window start must be finite")
     return start, end

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..domains import NON_NEGATIVE, POSITIVE
 from ..tensorlib import Linear, Module, Tensor
 from .dispatch import DispatchPlan
 
@@ -89,10 +90,8 @@ class TopKGate(Module):
             raise ValueError(
                 f"top_k must be in [1, {num_experts}], got {top_k}"
             )
-        if noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        if capacity_factor is not None and capacity_factor <= 0:
-            raise ValueError("capacity_factor must be positive")
+        NON_NEGATIVE.check("noise_std", noise_std)
+        POSITIVE.or_none().check("capacity_factor", capacity_factor)
         self.hidden_dim = hidden_dim
         self.num_experts = num_experts
         self.top_k = top_k

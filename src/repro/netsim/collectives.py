@@ -17,12 +17,12 @@ preserving where contention happens:
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from typing import List, Sequence
 
 import numpy as np
 
 from ..cluster import Device
+from ..domains import POSITIVE_INT
 from ..simkit import AllOf, Event
 from .fabric import Fabric
 
@@ -31,16 +31,10 @@ __all__ = ["all_reduce", "all_to_all", "uniform_matrix"]
 
 def uniform_matrix(world_size: int, bytes_per_pair: float) -> np.ndarray:
     """Send matrix where every rank sends the same amount to every other."""
-    check_count("world_size", world_size)
+    POSITIVE_INT.check("world_size", world_size)
     matrix = np.full((world_size, world_size), float(bytes_per_pair))
     np.fill_diagonal(matrix, 0.0)
     return matrix
-
-
-def check_count(label: str, value) -> None:
-    """Refuse ``value`` unless it is a positive integer (numpy's too)."""
-    if not isinstance(value, Integral) or value <= 0:
-        raise ValueError(f"{label} must be a positive integer, got {value!r}")
 
 
 def _machine_pair_totals(matrix: np.ndarray, n: int, g: int) -> np.ndarray:

@@ -9,13 +9,13 @@ reproduces that experiment on the simulated fabric.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..cluster import Cluster, MachineSpec, a100_machine_spec
+from ..domains import POSITIVE, POSITIVE_INT
 from ..simkit import Environment
 from ..units import to_gbps
-from .collectives import all_to_all, check_count, uniform_matrix
+from .collectives import all_to_all, uniform_matrix
 from .fabric import Fabric
 
 __all__ = ["GoodputResult", "measure_all_to_all_goodput"]
@@ -51,12 +51,8 @@ def measure_all_to_all_goodput(
     spec: MachineSpec = None,
 ) -> GoodputResult:
     """Run ``rounds`` uniform All-to-Alls and measure per-GPU goodput."""
-    check_count("rounds", rounds)
-    if not 0 < payload_bytes_per_pair < math.inf:
-        raise ValueError(
-            f"payload_bytes_per_pair must be positive and finite, got "
-            f"{payload_bytes_per_pair}"
-        )
+    POSITIVE_INT.check("rounds", rounds)
+    POSITIVE.check("payload_bytes_per_pair", payload_bytes_per_pair)
     cluster = Cluster(num_machines, spec or a100_machine_spec())
     env = Environment()
     fabric = Fabric(env, cluster)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..domains import POSITIVE_INT, check_fields, domain
+
 __all__ = ["RankLayout", "ExpertPlacement"]
 
 
@@ -12,12 +14,11 @@ __all__ = ["RankLayout", "ExpertPlacement"]
 class RankLayout:
     """Maps global worker ranks onto machines (n machines x m workers)."""
 
-    num_machines: int
-    workers_per_machine: int
+    num_machines: int = domain(POSITIVE_INT)
+    workers_per_machine: int = domain(POSITIVE_INT)
 
     def __post_init__(self):
-        if self.num_machines <= 0 or self.workers_per_machine <= 0:
-            raise ValueError("layout dimensions must be positive")
+        check_fields(self)
 
     @property
     def world_size(self) -> int:
@@ -54,12 +55,11 @@ class ExpertPlacement:
     Algorithm 1 (``rank(i)`` is the worker hosting expert ``i``).
     """
 
-    num_experts: int
-    world_size: int
+    num_experts: int = domain(POSITIVE_INT)
+    world_size: int = domain(POSITIVE_INT)
 
     def __post_init__(self):
-        if self.num_experts <= 0 or self.world_size <= 0:
-            raise ValueError("placement dimensions must be positive")
+        check_fields(self)
         if self.num_experts % self.world_size != 0:
             raise ValueError(
                 f"{self.num_experts} experts cannot be evenly placed on "

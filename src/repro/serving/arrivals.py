@@ -31,13 +31,22 @@ controls how concentrated that popularity is (0 = uniform).
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..clauses import parse_clauses
-from ..core.context import _check_count
+from ..domains import (
+    AT_LEAST_ONE,
+    NON_NEGATIVE,
+    NON_NEGATIVE_INT,
+    POSITIVE,
+    POSITIVE_INT,
+    UNIT,
+    Domain,
+    check_fields,
+    domain,
+)
 from ..workloads.tokens import zipf_law
 
 __all__ = [
@@ -68,43 +77,23 @@ class TraceSpec:
     """One seeded request-arrival process (see module docstring)."""
 
     kind: str = "poisson"
-    rate: float = 1000.0
-    requests: int = 10_000
-    seed: int = 0
-    prompt_mean: float = 128.0
-    output_mean: float = 32.0
-    skew: float = 0.0
-    period: float = 4.0
-    amplitude: float = 0.8
-    burst: float = 4.0
-    duty: float = 0.2
+    rate: float = domain(POSITIVE, 1000.0)
+    requests: int = domain(POSITIVE_INT, 10_000)
+    seed: int = domain(NON_NEGATIVE_INT, 0)
+    prompt_mean: float = domain(AT_LEAST_ONE, 128.0)
+    output_mean: float = domain(AT_LEAST_ONE, 32.0)
+    skew: float = domain(NON_NEGATIVE, 0.0)
+    period: float = domain(POSITIVE, 4.0)
+    amplitude: float = domain(UNIT, 0.8)
+    burst: float = domain(AT_LEAST_ONE, 4.0)
+    duty: float = domain(Domain(float, 0, 1, low_open=True), 0.2)
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in TRACE_KINDS:
             raise ValueError(
                 f"kind must be one of {TRACE_KINDS}, got {self.kind!r}"
             )
-        if not 0 < self.rate < math.inf:
-            raise ValueError("rate must be positive and finite")
-        _check_count("requests", self.requests)
-        for name in ("prompt_mean", "output_mean", "skew", "period",
-                     "amplitude", "burst", "duty"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite, got {getattr(self, name)!r}"
-                )
-        if self.prompt_mean < 1 or self.output_mean < 1:
-            raise ValueError("prompt_mean and output_mean must be >= 1")
-        if self.skew < 0:
-            raise ValueError("skew must be non-negative")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise ValueError("amplitude must be in [0, 1]")
-        if self.burst < 1:
-            raise ValueError("burst must be >= 1")
-        if not 0.0 < self.duty < 1.0:
-            raise ValueError("duty must be in (0, 1)")
 
     @classmethod
     def parse(cls, text: str) -> "TraceSpec":
@@ -225,10 +214,8 @@ def expert_rank(
     and decode — which is what makes decode-side hot-expert pinning
     meaningful.
     """
-    if num_experts <= 0:
-        raise ValueError("num_experts must be positive")
-    if skew < 0:
-        raise ValueError("skew must be non-negative")
+    POSITIVE_INT.check("num_experts", num_experts)
+    NON_NEGATIVE.check("skew", skew)
     affinity = np.asarray(affinity, dtype=float)
     if skew == 0:
         return np.minimum(

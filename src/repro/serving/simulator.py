@@ -31,19 +31,17 @@ so reproducibility is checkable bit-for-bit.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from collections import deque
-from numbers import Integral
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..cluster import Cluster, Device
 from ..config import ModelConfig
-from ..core.context import _check_count
 from ..core.paradigm import select_paradigm
 from ..core.strategies import get_strategy
+from ..domains import NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT, check_fields, domain
 from ..models.flops import dense_ffn_flops, expert_flops_per_token
 from ..netsim import Fabric
 from ..simkit import AllOf, Environment
@@ -60,12 +58,6 @@ __all__ = [
 TOPOLOGIES = ("unified", "disaggregated")
 
 
-def _whole(value) -> bool:
-    """An integer, numpy's included, but not a bool: a bool is an
-    ``Integral`` too, and ``True`` would silently count as one."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ServingConfig:
     """Knobs of one serving deployment (see module docstring)."""
@@ -73,54 +65,35 @@ class ServingConfig:
     topology: str = "unified"
     #: Disaggregated only: machines devoted to prefill (default: half,
     #: at least one on each side).
-    prefillers: Optional[int] = None
+    prefillers: Optional[int] = domain(POSITIVE_INT.or_none(), None)
     #: Decode admission cap per worker (continuous-batching batch size).
-    max_batch: int = 64
+    max_batch: int = domain(POSITIVE_INT, 64)
     #: Requests fused into one prefill step.
-    prefill_batch: int = 8
+    prefill_batch: int = domain(POSITIVE_INT, 8)
     #: Disaggregated only: fraction of each MoE block's experts pinned on
     #: every decode worker; requests ranked under the cut skip the wire.
-    pin_fraction: float = 0.25
+    pin_fraction: float = domain(UNIT, 0.25)
     #: Strategy name or "auto" per phase.
     prefill_paradigm: str = "auto"
     decode_paradigm: str = "auto"
     #: Service-level objectives: time-to-first-token and per-output-token
     #: latency bounds a request must meet to count toward goodput.
-    ttft_slo_s: float = 0.5
-    tpot_slo_s: float = 0.005
+    ttft_slo_s: float = domain(POSITIVE, 0.5)
+    tpot_slo_s: float = domain(POSITIVE, 0.005)
     #: Per-kind cap on recorded trace spans (0 disables span recording);
     #: million-request runs must not grow a million-span trace.
-    span_budget: int = 512
+    span_budget: int = domain(NON_NEGATIVE_INT, 512)
 
     def __post_init__(self):
+        check_fields(self)
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"topology must be one of {TOPOLOGIES}, "
                 f"got {self.topology!r}"
             )
-        if self.prefillers is not None and not (
-            _whole(self.prefillers) and self.prefillers > 0
-        ):
-            raise ValueError(
-                "prefillers must be None or a positive integer, "
-                f"got {self.prefillers!r}"
-            )
-        _check_count("max_batch", self.max_batch)
-        _check_count("prefill_batch", self.prefill_batch)
-        if not 0.0 <= self.pin_fraction <= 1.0:
-            raise ValueError("pin_fraction must be in [0, 1]")
         for phase_mode in (self.prefill_paradigm, self.decode_paradigm):
             if phase_mode != "auto":
                 get_strategy(phase_mode)  # raises when unknown
-        if not (0 < self.ttft_slo_s < math.inf
-                and 0 < self.tpot_slo_s < math.inf):
-            raise ValueError("SLO bounds must be positive and finite")
-        # ``seen >= nan`` is always false: a NaN budget never caps spans.
-        if not (_whole(self.span_budget) and self.span_budget >= 0):
-            raise ValueError(
-                "span_budget must be a non-negative integer, "
-                f"got {self.span_budget!r}"
-            )
 
 
 @dataclass

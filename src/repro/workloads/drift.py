@@ -25,13 +25,13 @@ Kinds:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..clauses import parse_clauses
+from ..domains import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE_INT, check_fields, domain
 from .tokens import zipf_law
 
 __all__ = ["DRIFT_KINDS", "DriftSpec", "drift_weights", "apply_drift"]
@@ -44,31 +44,19 @@ class DriftSpec:
     """One seeded expert-popularity drift process (see module docstring)."""
 
     kind: str = "flip"
-    skew: float = 1.5
-    low_skew: float = 0.0
-    period: int = 4
-    shift: int = 1
-    step: float = 0.25
-    seed: int = 0
+    skew: float = domain(NON_NEGATIVE, 1.5)
+    low_skew: float = domain(NON_NEGATIVE, 0.0)
+    period: int = domain(POSITIVE_INT, 4)
+    shift: int = domain(POSITIVE_INT, 1)
+    step: float = domain(NON_NEGATIVE, 0.25)
+    seed: int = domain(NON_NEGATIVE_INT, 0)
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in DRIFT_KINDS:
             raise ValueError(
                 f"kind must be one of {DRIFT_KINDS}, got {self.kind!r}"
             )
-        for name in ("skew", "low_skew", "period", "shift", "step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite, got {getattr(self, name)!r}"
-                )
-        if self.skew < 0 or self.low_skew < 0:
-            raise ValueError("skew values must be non-negative")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if self.shift <= 0:
-            raise ValueError("shift must be positive")
-        if self.step < 0:
-            raise ValueError("step must be non-negative")
 
     @classmethod
     def parse(cls, text: str) -> "DriftSpec":
@@ -82,8 +70,7 @@ class DriftSpec:
     def skew_at(self, iteration: int) -> float:
         """Effective Zipf skew at ``iteration`` (flip alternates regimes,
         starting at the ``low_skew`` pole)."""
-        if iteration < 0:
-            raise ValueError("iteration must be non-negative")
+        NON_NEGATIVE_INT.check("iteration", iteration)
         if self.kind == "flip":
             return self.low_skew if (iteration // self.period) % 2 == 0 \
                 else self.skew
@@ -103,10 +90,8 @@ def drift_weights(
 ) -> np.ndarray:
     """Popularity over experts at ``iteration`` — normalized, positive,
     deterministic in ``(spec, num_experts, iteration, block_index)``."""
-    if num_experts <= 0:
-        raise ValueError("num_experts must be positive")
-    if iteration < 0:
-        raise ValueError("iteration must be non-negative")
+    POSITIVE_INT.check("num_experts", num_experts)
+    NON_NEGATIVE_INT.check("iteration", iteration)
     perm = spec._permutation(num_experts, block_index)
     if spec.kind == "rotate":
         turns = (iteration // spec.period) * spec.shift

@@ -14,6 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..config import ModelConfig
+from ..domains import NON_NEGATIVE, POSITIVE_INT
 
 __all__ = [
     "token_batches",
@@ -54,8 +55,7 @@ def target_batches(
 
 def balanced_assignment(num_slots: int, num_experts: int) -> np.ndarray:
     """Token-slot counts per expert under perfectly balanced routing."""
-    if num_experts <= 0:
-        raise ValueError("num_experts must be positive")
+    POSITIVE_INT.check("num_experts", num_experts)
     base = num_slots // num_experts
     counts = np.full(num_experts, base, dtype=np.int64)
     counts[: num_slots % num_experts] += 1
@@ -79,8 +79,7 @@ def zipf_weights(
     Use one weight vector per MoE block so all workers overload the *same*
     hot experts — the cluster-wide imbalance §3.1 describes.
     """
-    if skew < 0:
-        raise ValueError("skew must be non-negative")
+    NON_NEGATIVE.check("skew", skew)
     rng = rng if rng is not None else np.random.default_rng()
     weights = zipf_law(num_experts, skew)
     rng.shuffle(weights)

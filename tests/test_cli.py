@@ -566,13 +566,15 @@ class TestInvalidInput:
         assert "unknown control field 'patience'" in line
 
     def test_serve_rejects_a_nan_slo(self, capsys):
-        assert main([
-            "serve", *SMALL, "--trace", TestServeCommand.TINY,
-            "--ttft-slo", "nan",
-        ]) == 2
-        assert capsys.readouterr().err == (
-            "invalid serving config: SLO bounds must be positive and "
-            "finite\n"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve", *SMALL, "--trace", TestServeCommand.TINY,
+                "--ttft-slo", "nan",
+            ])
+        assert excinfo.value.code == 2
+        assert parse_error_line(capsys.readouterr().err, "serve") == (
+            "repro serve: error: argument --ttft-slo: must be positive and "
+            "finite, got 'nan'"
         )
 
     def test_inference_with_iterations_is_one_line(self, capsys):

@@ -9,6 +9,7 @@ from repro.config import (
     moe_transformer_xl,
     pr_moe_transformer_xl,
 )
+from repro.core import JanusFeatures
 
 
 class TestTable1Configs:
@@ -101,6 +102,35 @@ class TestValidation:
                 name="bad", batch_size=1, seq_len=1, top_k=1,
                 hidden_dim=10, num_blocks=1, num_heads=4,
             )
+
+    def test_zero_heads_is_refused_before_the_divisibility_rule(self):
+        # ``hidden_dim % 0`` raised ZeroDivisionError.
+        with pytest.raises(ValueError, match=r"^num_heads must be .*ModelConfig"):
+            moe_gpt().scaled(num_heads=0)
+
+    @pytest.mark.parametrize("make, pattern", [
+        (lambda: moe_gpt().scaled(experts_per_block={1.5: 32}),
+         r"^experts_per_block index must be .*1\.5 \(ModelConfig\)$"),
+        (lambda: moe_gpt().scaled(experts_per_block={True: 32}),
+         r"^experts_per_block index must be .*True \(ModelConfig\)$"),
+        (lambda: moe_gpt().scaled(experts_per_block={10: 32.0}),
+         r"^experts_per_block\[10\] must be .*32\.0 \(ModelConfig\)$"),
+        (lambda: JanusFeatures(block_chunks={-1: 2}),
+         r"^block_chunks index must be .*-1 \(JanusFeatures\)$"),
+        (lambda: JanusFeatures(block_chunks={1.5: 2}),
+         r"^block_chunks index must be .*1\.5 \(JanusFeatures\)$"),
+        (lambda: JanusFeatures(block_chunks={True: 2}),
+         r"^block_chunks index must be .*True \(JanusFeatures\)$"),
+        (lambda: JanusFeatures(block_chunks=((3, True),)),
+         r"^block_chunks\[3\] must be .*True \(JanusFeatures\)$"),
+    ], ids=["experts-fraction", "experts-bool", "experts-float-count",
+            "chunks-negative", "chunks-fraction", "chunks-bool",
+            "chunks-bool-count"])
+    def test_block_maps_refuse_a_bad_index_or_count(self, make, pattern):
+        """A block index is a non-negative integer and a per-block count a
+        positive one; ``chunks_for`` silently ignored a ``-1`` override."""
+        with pytest.raises(ValueError, match=pattern):
+            make()
 
     def test_scaled_overrides(self):
         config = moe_bert().scaled(batch_size=64, seq_len=512)

@@ -12,11 +12,17 @@ cases also replay as ``TestGolden::test_latencies_pinned`` in
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from tests.goldens import GOLDENS, bind, mismatches
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BOUND_ELSEWHERE = ("fault", "taskgraph", "legacy-table", "block-maps")
 
@@ -49,3 +55,33 @@ def test_changing_one_pinned_field_fails_exactly_that_case(name, tmp_path):
     copy = tmp_path / golden.fixture.name
     copy.write_text(json.dumps(document))
     assert mismatches(replace(golden, fixture=copy)) == [case]
+
+
+# The child imports tests.conftest first, so under REPRO_WATERFILL=python
+# (inherited) it replays on the reference cores, as this process does.
+_REPLAY_ONE = """
+import json, sys
+import tests.conftest
+from tests.goldens import GOLDENS, _sha
+replayed, frozen = GOLDENS[sys.argv[1]].replay(sys.argv[2])
+print(json.dumps([_sha(replayed), replayed == frozen]))
+"""
+
+
+def test_a_golden_replays_identically_under_two_hash_seeds():
+    """``str`` hashes, and so the order of sets and dicts keyed by
+    devices, change with ``PYTHONHASHSEED``; a golden that moves
+    replicas, traces and metrics replays the same under two seeds."""
+    path = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH", "")]
+    )
+    outputs = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", _REPLAY_ONE, "control", "rotate-replicas"],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            cwd=ROOT, capture_output=True, text=True, check=True, timeout=300,
+        ).stdout)
+        for seed in ("1", "987654")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1], "the replay differs from the frozen fixture"

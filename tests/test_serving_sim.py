@@ -244,7 +244,7 @@ class TestInvariants:
     def test_non_finite_slo_bounds_rejected(self, field, value):
         # ``nan <= 0`` is false, so a sign check alone passes a NaN bound,
         # which then reports 0% attainment instead of refusing.
-        with pytest.raises(ValueError, match="SLO bounds"):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             ServingConfig(**{field: value})
 
 
