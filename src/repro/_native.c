@@ -12,7 +12,7 @@
      waterfill, the C loops behind repro.netsim._waterfill,
      plus the two packers, ledger() and tables(), whose objects carry the
      network's arrays into those loops, and the network's bookkeeping
-     around them: activate, fire and recompute, over the state of the
+     around them: stage, activate, fire and recompute, over the state of the
      FluidNetwork base type behind repro.netsim.fluid.FluidNetwork and
      the fields of the Flow base type behind repro.netsim.fluid.Flow.
 
@@ -50,7 +50,9 @@ static PyObject *zero;  /* 0.0 */
 typedef struct {
     PyObject_HEAD
     PyObject *env;
-    PyObject *callbacks;  /* a list, or None once processed */
+    PyObject *callback;   /* the first callback, inline while callbacks is NULL */
+    PyObject *callbacks;  /* NULL until a second callback or a Python read, then a
+                             list; None once processed */
     PyObject *value;      /* Pending until triggered */
     PyObject *exception;  /* NULL or None unless failed */
     char defused;
@@ -218,8 +220,6 @@ usage:
 static EventObject *event_alloc(PyTypeObject *type, PyObject *env) {
     EventObject *self = (EventObject *) type->tp_alloc(type, 0);
     if (self == NULL) return NULL;
-    self->callbacks = PyList_New(0);
-    if (self->callbacks == NULL) { Py_DECREF(self); return NULL; }
     Py_XINCREF(env);
     self->env = env;
     Py_INCREF(Pending);
@@ -242,6 +242,7 @@ static int event_init(EventObject *self, PyObject *args, PyObject *kwds) {
 
 static int event_traverse(EventObject *self, visitproc visit, void *arg) {
     Py_VISIT(self->env);
+    Py_VISIT(self->callback);
     Py_VISIT(self->callbacks);
     Py_VISIT(self->value);
     Py_VISIT(self->exception);
@@ -250,6 +251,7 @@ static int event_traverse(EventObject *self, visitproc visit, void *arg) {
 
 static int event_clear(EventObject *self) {
     Py_CLEAR(self->env);
+    Py_CLEAR(self->callback);
     Py_CLEAR(self->callbacks);
     Py_CLEAR(self->value);
     Py_CLEAR(self->exception);
@@ -299,35 +301,64 @@ static PyObject *event_fail(EventObject *self, PyObject *exc) {
     return (PyObject *) self;
 }
 
+/* Registers `callback` on a pending event: inline if it is the first,
+   else in the list, which the second one creates. */
+static int add_callback(EventObject *event, PyObject *callback) {
+    PyObject *callbacks = event->callbacks;
+    if (callbacks == NULL) {
+        if (event->callback == NULL) {
+            event->callback = Py_NewRef(callback);
+            return 0;
+        }
+        if ((callbacks = PyList_New(2)) == NULL) return -1;
+        PyList_SET_ITEM(callbacks, 0, event->callback);  /* the slot's reference */
+        PyList_SET_ITEM(callbacks, 1, Py_NewRef(callback));
+        event->callback = NULL;
+        event->callbacks = callbacks;
+        return 0;
+    }
+    if (!PyList_Check(callbacks)) {
+        PyErr_SetString(PyExc_TypeError, "event callbacks must be a list");
+        return -1;
+    }
+    return PyList_Append(callbacks, callback);
+}
+
+/* Runs one callback: a process resumes, a condition counts the event,
+   anything else is called with it. */
+static int run_callback(EventObject *self, PyObject *callback) {
+    if (Py_IS_TYPE(callback, &ProcessType))
+        return process_resume((ProcessObject *) callback, self);
+    if (PyObject_TypeCheck(callback, &ConditionType))
+        return condition_check(callback, self);
+    PyObject *result = PyObject_CallOneArg(callback, (PyObject *) self);
+    Py_XDECREF(result);
+    return result == NULL ? -1 : 0;
+}
+
 /* Runs the callbacks, then raises the event's exception unless defused. */
 static int process_callbacks(EventObject *self) {
-    PyObject *callbacks = self->callbacks;
-    if (callbacks == NULL || !PyList_Check(callbacks)) {
+    PyObject *callbacks = self->callbacks, *callback = self->callback;
+    if (callbacks != NULL && !PyList_Check(callbacks)) {
         PyErr_Format(PyExc_AssertionError, "%R was processed twice", self);
         return -1;
     }
-    Py_INCREF(Py_None);
-    self->callbacks = Py_None;
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(callbacks); i++) {
-        PyObject *callback = PyList_GET_ITEM(callbacks, i);
-        int status;
-        Py_INCREF(callback);
-        if (Py_IS_TYPE(callback, &ProcessType)) {
-            status = process_resume((ProcessObject *) callback, self);
-        } else if (PyObject_TypeCheck(callback, &ConditionType)) {
-            status = condition_check(callback, self);
-        } else {
-            PyObject *result = PyObject_CallOneArg(callback, (PyObject *) self);
-            status = result == NULL ? -1 : 0;
-            Py_XDECREF(result);
-        }
+    /* The references move to this frame. */
+    self->callbacks = Py_NewRef(Py_None);
+    self->callback = NULL;
+    int status = 0;
+    if (callback != NULL) {
+        status = run_callback(self, callback);
         Py_DECREF(callback);
-        if (status < 0) {
-            Py_DECREF(callbacks);
-            return -1;
+    } else if (callbacks != NULL) {
+        for (Py_ssize_t i = 0; status == 0 && i < PyList_GET_SIZE(callbacks); i++) {
+            callback = Py_NewRef(PyList_GET_ITEM(callbacks, i));
+            status = run_callback(self, callback);
+            Py_DECREF(callback);
         }
     }
-    Py_DECREF(callbacks);
+    Py_XDECREF(callbacks);
+    if (status < 0) return -1;
     if (HAS_EXC(self) && !self->defused) {
         PyErr_SetObject((PyObject *) Py_TYPE(self->exception), self->exception);
         return -1;
@@ -341,6 +372,29 @@ static PyObject *event_get_triggered(EventObject *self, void *closure) {
 
 static PyObject *event_get_processed(EventObject *self, void *closure) {
     return PyBool_FromLong(self->callbacks == Py_None);
+}
+
+/* The callbacks as a list, which a read creates from the inline slot
+   and keeps, so what Python appends C runs too; None once processed. */
+static PyObject *event_get_callbacks(EventObject *self, void *closure) {
+    if (self->callbacks == NULL) {
+        PyObject *callbacks = PyList_New(self->callback != NULL);
+        if (callbacks == NULL) return NULL;
+        if (self->callback != NULL) PyList_SET_ITEM(callbacks, 0, self->callback);
+        self->callback = NULL;
+        self->callbacks = callbacks;
+    }
+    return Py_NewRef(self->callbacks);
+}
+
+static int event_set_callbacks(EventObject *self, PyObject *value, void *closure) {
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete an event's callbacks");
+        return -1;
+    }
+    Py_CLEAR(self->callback);
+    Py_XSETREF(self->callbacks, Py_NewRef(value));
+    return 0;
 }
 
 static PyObject *event_get_value(EventObject *self, void *closure) {
@@ -376,7 +430,6 @@ static PyMethodDef event_methods[] = {
 
 static PyMemberDef event_members[] = {
     {"env", T_OBJECT, offsetof(EventObject, env), READONLY, NULL},
-    {"callbacks", T_OBJECT, offsetof(EventObject, callbacks), 0, NULL},
     {"_value", T_OBJECT, offsetof(EventObject, value), 0, NULL},
     {"_exception", T_OBJECT, offsetof(EventObject, exception), 0, NULL},
     {"_defused", T_BOOL, offsetof(EventObject, defused), 0, NULL},
@@ -387,6 +440,9 @@ static PyGetSetDef event_getset[] = {
     {"triggered", (getter) event_get_triggered, NULL,
      "True once the event has a value and is scheduled for processing."},
     {"processed", (getter) event_get_processed, NULL, "True once callbacks have run."},
+    {"callbacks", (getter) event_get_callbacks, (setter) event_set_callbacks,
+     "What runs when the event is processed, in registration order (a list);\n"
+     "None once processed."},
     {"value", (getter) event_get_value, NULL, NULL},
     {NULL}
 };
@@ -532,12 +588,7 @@ static int process_resume(ProcessObject *self, EventObject *event) {
         }
         event = (EventObject *) target;
         if (event->callbacks == Py_None) continue;  /* processed: resume at once */
-        if (event->callbacks == NULL || !PyList_Check(event->callbacks)) {
-            PyErr_SetString(PyExc_TypeError, "event callbacks must be a list");
-            Py_DECREF(target);
-            return -1;
-        }
-        status = PyList_Append(event->callbacks, (PyObject *) self);
+        status = add_callback(event, (PyObject *) self);
         Py_DECREF(target);
         return status;
     }
@@ -585,7 +636,7 @@ static PyObject *make_process(PyObject *env, PyObject *generator, PyObject *name
     if (init == NULL) goto error;
     Py_INCREF(Py_None);
     Py_SETREF(init->value, Py_None);
-    int status = (PyList_Append(init->callbacks, (PyObject *) self) < 0
+    int status = (add_callback(init, (PyObject *) self) < 0
                   || schedule(env, init, 0.0, priority) < 0) ? -1 : 0;
     Py_DECREF(init);
     if (status < 0) goto error;
@@ -937,14 +988,9 @@ static PyObject *make_condition(PyTypeObject *type, PyObject *env, char mode,
     for (Py_ssize_t i = 0; i < self->total; i++) {
         EventObject *item = (EventObject *) PyList_GET_ITEM(list, i);
         int status;
-        if (item->callbacks == Py_None) {
-            status = condition_check((PyObject *) self, item);
-        } else if (item->callbacks == NULL || !PyList_Check(item->callbacks)) {
-            PyErr_SetString(PyExc_TypeError, "event callbacks must be a list");
-            status = -1;
-        } else {
-            status = PyList_Append(item->callbacks, (PyObject *) self);
-        }
+        status = item->callbacks == Py_None
+            ? condition_check((PyObject *) self, item)
+            : add_callback(item, (PyObject *) self);
         if (status < 0) goto error;
     }
     Py_DECREF(list);
@@ -2590,9 +2636,9 @@ static PyObject *py_waterfill(PyObject *module, PyObject *const *args, Py_ssize_
 /* == fluid network ===================================================== */
 
 /* The bookkeeping of repro.netsim.fluid.FluidNetwork around the loops
-   above: activate, fire and recompute do what the reference's Python
-   bodies of the same names do, in the same order, creating the same
-   events.  The network's scalar state and flow list live in this type,
+   above: stage, activate, fire and recompute do what the reference's
+   Python bodies of the same names do, in the same order, creating the
+   same events.  The network's scalar state and flow list live in this type,
    the network's base class, so the entries read them as fields and the
    Python code reads the same names through the members.  The rare steps call
    back into the network's methods: _ledger (a dropped pack), _grow_rows,
@@ -2629,6 +2675,32 @@ static int amount_arg(const char *name, PyObject *obj, double *out) {
     return -1;
 }
 
+/* A flow of `type` on the compiled env, with a checked size and latency:
+   it is stamped with the creation time and gets its done event. */
+static PyObject *make_flow(PyTypeObject *type, PyObject *env, PyObject *path,
+                           PyObject *path_index, double amount, double delay, PyObject *tag) {
+    PyObject *done = (PyObject *) event_alloc(&EventType, env);
+    if (done == NULL) return NULL;
+    FlowObject *self = (FlowObject *) type->tp_alloc(type, 0);
+    if (self == NULL) {
+        Py_DECREF(done);
+        return NULL;
+    }
+    self->id = flow_ids++;
+    self->path = Py_NewRef(path);
+    self->path_index = Py_NewRef(path_index);
+    self->tag = Py_NewRef(tag);
+    self->started_at = Py_NewRef(Py_None);
+    self->completed_at = Py_NewRef(Py_None);
+    self->done = done;
+    self->net = Py_NewRef(Py_None);
+    self->row = -1;
+    self->size = self->remaining = amount;
+    self->latency = delay;
+    self->created_at = ((EnvObject *) env)->now;
+    return (PyObject *) self;
+}
+
 /* Flow(env, path, path_index, size, latency, tag=None): checks size and
    latency, stamps created_at and makes the done event. */
 static PyObject *flow_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
@@ -2648,27 +2720,7 @@ static PyObject *flow_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
                      env);
         return NULL;
     }
-    double now = ((EnvObject *) env)->now;
-    PyObject *done = (PyObject *) event_alloc(&EventType, env);
-    if (done == NULL) return NULL;
-    FlowObject *self = (FlowObject *) type->tp_alloc(type, 0);
-    if (self == NULL) {
-        Py_DECREF(done);
-        return NULL;
-    }
-    self->id = flow_ids++;
-    self->path = Py_NewRef(path);
-    self->path_index = Py_NewRef(path_index);
-    self->tag = Py_NewRef(tag);
-    self->started_at = Py_NewRef(Py_None);
-    self->completed_at = Py_NewRef(Py_None);
-    self->done = done;
-    self->net = Py_NewRef(Py_None);
-    self->row = -1;
-    self->size = self->remaining = amount;
-    self->latency = delay;
-    self->created_at = now;
-    return (PyObject *) self;
+    return make_flow(type, env, path, path_index, amount, delay, tag);
 }
 
 static int flow_traverse(FlowObject *self, visitproc visit, void *arg) {
@@ -2758,7 +2810,7 @@ typedef struct {
 
 static PyObject *str_underscore_value, *str_ledger, *str_grow_rows, *str_intern_group,
     *str_compact, *str_ensure_csr, *str_on_timer_event, *str_defer, *str_succeed,
-    *str_waterfill_module, *str_run;
+    *str_waterfill_module, *str_run, *str_activate_event;
 
 static int net_traverse(NetObject *self, visitproc visit, void *arg) {
     Py_VISIT(self->env);
@@ -2996,6 +3048,109 @@ static PyObject *py_activate(PyObject *module, PyObject *const *args, Py_ssize_t
     Py_RETURN_NONE;
 }
 
+/* A staged flow's path_index: a tuple of one or two link indices in
+   [0, num_links), or an empty one for an empty path. */
+static int check_path_index(PyObject *path, PyObject *path_index, Py_ssize_t num_links) {
+    Py_ssize_t hops = PyTuple_Check(path_index) ? PyTuple_GET_SIZE(path_index) : -1;
+    if (hops == 0) {
+        int moves = PyObject_IsTrue(path);
+        if (moves <= 0) return moves;
+    }
+    if (hops < 1 || hops > 2) {
+        PyErr_Format(PyExc_TypeError, "a flow's path_index must be a tuple of one "
+                     "or two link indices, not %R", path_index);
+        return -1;
+    }
+    int64_t link;
+    for (Py_ssize_t i = 0; i < hops; i++)
+        if (int_arg(PyTuple_GET_ITEM(path_index, i), "link", 0, num_links, &link) < 0)
+            return -1;
+    return 0;
+}
+
+/* stage(net, flow_type, paths, path_indices, sizes, latencies, tags): the
+   flows of one batch, made and started in order as transfer starts one.
+   Every input is checked before the first flow is made.  A flow with a
+   latency gets a Timeout valued with it, calling the network's
+   _activate_event as looked up once per call; any other activates at
+   once through the network's _activate.  Returns the flows, a list. */
+static PyObject *py_stage(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    static const char *const inputs[] = {
+        "paths", "path_indices", "sizes", "latencies", "tags"};
+    NetObject *net;
+    if (count_is("stage", nargs, 7) < 0 || (net = net_arg("stage", args[0])) == NULL)
+        return NULL;
+    PyTypeObject *type = (PyTypeObject *) args[1];
+    if (!PyType_Check(args[1]) || !PyType_IsSubtype(type, &FlowType)) {
+        PyErr_Format(PyExc_TypeError, "stage() needs a compiled-kernel Flow type, got %R",
+                     args[1]);
+        return NULL;
+    }
+    PyObject *seqs[5] = {NULL}, *flows = NULL, *activate_event = NULL;
+    PyObject *env = Py_NewRef(net->env);  /* the checked one, whatever Python rebinds */
+    double *amounts = NULL;
+    Py_ssize_t n = 0;
+    for (int k = 0; k < 5; k++) {
+        /* Tuples: the activations below run Python code, which must not
+           move the items under this loop. */
+        if ((seqs[k] = PySequence_Tuple(args[2 + k])) == NULL) goto done;
+        if (k == 0) {
+            n = PyTuple_GET_SIZE(seqs[0]);
+        } else if (PyTuple_GET_SIZE(seqs[k]) != n) {
+            PyErr_Format(PyExc_ValueError, "stage() got %zd paths but %zd %s", n,
+                         PyTuple_GET_SIZE(seqs[k]), inputs[k]);
+            goto done;
+        }
+    }
+    PyObject **paths = &PyTuple_GET_ITEM(seqs[0], 0);
+    PyObject **path_indices = &PyTuple_GET_ITEM(seqs[1], 0);
+    PyObject **sizes = &PyTuple_GET_ITEM(seqs[2], 0);
+    PyObject **latencies = &PyTuple_GET_ITEM(seqs[3], 0);
+    PyObject **tags = &PyTuple_GET_ITEM(seqs[4], 0);
+    if ((amounts = PyMem_Malloc((2 * n + 1) * sizeof(double))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (amount_arg("size", sizes[i], &amounts[2 * i]) < 0
+                || amount_arg("latency", latencies[i], &amounts[2 * i + 1]) < 0
+                || check_path_index(paths[i], path_indices[i], net->num_links) < 0)
+            goto done;
+    if ((flows = PyList_New(n)) == NULL) goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double delay = amounts[2 * i + 1];
+        PyObject *flow = make_flow(type, env, paths[i], path_indices[i], amounts[2 * i],
+                                   delay, tags[i]);
+        if (flow == NULL) goto fail;
+        PyList_SET_ITEM(flows, i, flow);  /* the list owns the flow */
+        if (delay > 0) {
+            if (activate_event == NULL
+                    && (activate_event = PyObject_GetAttr((PyObject *) net,
+                                                          str_activate_event)) == NULL)
+                goto fail;
+            PyObject *timer = new_timeout(env, delay, flow, NULL);
+            int status = timer == NULL ? -1 : add_callback((EventObject *) timer,
+                                                           activate_event);
+            Py_XDECREF(timer);
+            if (status < 0) goto fail;
+        } else {
+            PyObject *result = PyObject_CallOneArg(
+                net->activate ? net->activate : Py_None, flow);
+            if (result == NULL) goto fail;
+            Py_DECREF(result);
+        }
+    }
+    goto done;
+fail:
+    Py_CLEAR(flows);
+done:
+    Py_DECREF(env);
+    Py_XDECREF(activate_event);
+    PyMem_Free(amounts);
+    for (int k = 0; k < 5; k++) Py_XDECREF(seqs[k]);
+    return flows;
+}
+
 /* The `count` rows retire() wrote to `rows` leave the flow list (None
    marks their rows until the next compaction), the compaction trigger
    runs, and their flows finish at `now` in ascending row order. */
@@ -3140,7 +3295,7 @@ static PyObject *py_recompute(PyObject *module, PyObject *const *args, Py_ssize_
     if (timer == NULL) return NULL;
     PyObject *callback = PyObject_GetAttr((PyObject *) net, str_on_timer_event);
     int status = callback == NULL ? -1
-        : PyList_Append(((EventObject *) timer)->callbacks, callback);
+        : add_callback((EventObject *) timer, callback);
     Py_XDECREF(callback);
     Py_DECREF(timer);
     if (status < 0) return NULL;
@@ -3176,6 +3331,8 @@ static PyMethodDef module_methods[] = {
     {"settle", FASTCALL(py_settle), "settle(ledger, n, dt, grates) -> earliest ETA"},
     {"waterfill", FASTCALL(py_waterfill), "waterfill(num_links, num_groups, tables, grates)"},
     {"activate", FASTCALL(py_activate), "activate(net, flow): the flow starts now"},
+    {"stage", FASTCALL(py_stage),
+     "stage(net, flow_type, paths, path_indices, sizes, latencies, tags) -> flows"},
     {"fire", FASTCALL(py_fire), "fire(net, event): one completion timer"},
     {"recompute", FASTCALL(py_recompute), "recompute(net): the deferred re-solve"},
     {NULL}
@@ -3195,6 +3352,7 @@ static const struct {
     {&str_ledger, "_ledger"}, {&str_grow_rows, "_grow_rows"},
     {&str_intern_group, "_intern_group"}, {&str_compact, "_compact"},
     {&str_ensure_csr, "_ensure_csr"}, {&str_on_timer_event, "_on_timer_event"},
+    {&str_activate_event, "_activate_event"},
     {&str_defer, "defer_to_instant_end"}, {&str_succeed, "succeed"},
     {&str_waterfill_module, "repro.netsim._waterfill"}, {&str_run, "run"},
 };

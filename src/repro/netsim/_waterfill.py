@@ -36,16 +36,22 @@ Its entries:
   progressive-filling solve, whose rounds are inherently sequential (each
   fixes one bottleneck link and updates the links its flows cross).
   Callers go through :func:`run`, the one water-fill entry point;
-* ``activate(net, flow)``, ``fire(net, event)`` and ``recompute(net)``,
-  the network's bookkeeping around those calls, which the network binds
-  to itself with the kernel: a flow's activation, one completion timer
+* ``stage(net, flow_type, paths, path_indices, sizes, latencies,
+  tags)``, ``activate(net, flow)``, ``fire(net, event)`` and
+  ``recompute(net)``, the network's bookkeeping around those calls,
+  which the network binds to itself with the kernel: a batch of flows
+  made and started in order (each as ``FluidNetwork.transfer``, its
+  one-flow case, starts one, after the whole batch is checked), a
+  flow's activation, one completion timer
   (the ``retire`` call, the flows' tombstones and ``done`` events, the
   deferred re-solve) and the re-solve at the end of an instant (the fill
   through :func:`run`, ``settle`` and the next completion timer).  They
   are C over the network's state, which look :func:`run` up on this
-  module at each re-solve, so a wrapper of it sees every fill.  They take
-  the extension's ``Flow`` (the base of :class:`~repro.netsim.fluid.Flow`)
-  and read and write its fields directly.
+  module at each re-solve, so a wrapper of it sees every fill, and
+  ``stage`` looks up the network's ``_activate_event`` once per batch
+  for the latency timers it arms.  They take the extension's ``Flow``
+  (the base of :class:`~repro.netsim.fluid.Flow`) and read and write
+  its fields directly.
 
 A fluid instant costs one C call instead of a score of small numpy
 calls, whose per-call overhead, not their arithmetic, was the cost.

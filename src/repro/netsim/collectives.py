@@ -17,6 +17,7 @@ preserving where contention happens:
 from __future__ import annotations
 
 import math
+import operator
 from typing import List, Sequence
 
 import numpy as np
@@ -27,6 +28,8 @@ from ..simkit import AllOf, Event
 from .fabric import Fabric
 
 __all__ = ["all_reduce", "all_to_all", "uniform_matrix"]
+
+_DONE = operator.attrgetter("done")
 
 
 def uniform_matrix(world_size: int, bytes_per_pair: float) -> np.ndarray:
@@ -84,50 +87,36 @@ def all_to_all(
     if (matrix < 0).any():
         raise ValueError("send matrix entries must be non-negative")
 
-    done_events: List[Event] = []
     n = cluster.num_machines
     g = cluster.gpus_per_machine
-    intra_routes, inter_routes = fabric.a2a_routes()
-    transfer = fabric.network.transfer
+    paths, path_indices, latencies, tags = fabric.a2a_routes()
 
-    # Intra-machine flows: GPU pair granularity over NVLink.  Staged
-    # straight on the fluid network: the fault injector's intercept can
-    # neither drop nor draw for an ``a2a-*`` tag, which no fault spec
-    # accepts (DESIGN §12, "Bulk All-to-All staging").
+    # Intra-machine flows: GPU pair granularity over NVLink, one per
+    # off-diagonal entry of each machine's diagonal block, in route-table
+    # order.  Staged straight on the fluid network: the fault injector's
+    # intercept can neither drop nor draw for an ``a2a-*`` tag, which no
+    # fault spec accepts (DESIGN §12, "Bulk All-to-All staging").
     machines = np.arange(n)
-    blocks = matrix.reshape(n, g, n, g)[machines, :, machines, :].tolist()
-    for machine, (block, routes) in enumerate(zip(blocks, intra_routes)):
-        for src_local, (row, row_routes) in enumerate(zip(block, routes)):
-            for dst_local, size in enumerate(row):
-                if src_local == dst_local or size <= 0:
-                    continue
-                path, latency, path_index = row_routes[dst_local]
-                flow = transfer(
-                    path, size, latency=latency, path_index=path_index,
-                    tag=("a2a-intra", machine, src_local, dst_local),
-                )
-                done_events.append(flow.done)
-
+    sizes = matrix.reshape(n, g, n, g)[machines, :, machines, :][
+        :, ~np.eye(g, dtype=bool)
+    ].ravel()
+    # A row is staged when its key is positive: a pair's own size, or a
+    # machine pair's total for each of its NIC stripes.
+    keys = sizes
     if hierarchical:
         # Inter-machine flows: aggregate per machine pair, stripe over NICs.
-        totals = _machine_pair_totals(matrix, n, g)
-        per_nic = totals / cluster.spec.num_nics
-        for src_machine, (row_totals, row_sizes, routes) in enumerate(
-            zip(totals.tolist(), per_nic.tolist(), inter_routes)
-        ):
-            for dst_machine, total in enumerate(row_totals):
-                if src_machine == dst_machine or total <= 0:
-                    continue
-                size = row_sizes[dst_machine]
-                for nic, (path, latency, path_index) in enumerate(
-                    routes[dst_machine]
-                ):
-                    flow = transfer(
-                        path, size, latency=latency, path_index=path_index,
-                        tag=("a2a-inter", src_machine, dst_machine, nic),
-                    )
-                    done_events.append(flow.done)
-    else:
+        num_nics = cluster.spec.num_nics
+        totals = _machine_pair_totals(matrix, n, g)[~np.eye(n, dtype=bool)]
+        sizes = np.concatenate([sizes, np.repeat(totals / num_nics, num_nics)])
+        keys = np.concatenate([keys, np.repeat(totals, num_nics)])
+    rows = np.flatnonzero(keys > 0)
+    flows = fabric.network._stage(
+        paths[rows].tolist(), path_indices[rows].tolist(),
+        sizes[rows].tolist(), latencies[rows].tolist(), tags[rows].tolist(),
+    )
+    done_events: List[Event] = list(map(_DONE, flows))
+
+    if not hierarchical:
         # Naive flat decomposition: one flow per cross-machine GPU pair,
         # each pinned to the NIC of its source GPU.
         for src_rank in range(world):

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Optional
 
+import numpy as np
+
 from ..cluster import Cluster, Device, LinkId
 from ..simkit import Environment, Resource
 from .fluid import Flow, FluidNetwork
@@ -84,15 +86,19 @@ class Fabric:
         return cached
 
     def a2a_routes(self):
-        """``(intra, inter)`` route tables of the staged All-to-All.
+        """The staged All-to-All's route table, one row per flow it may
+        stage: ``(paths, path_indices, latencies, tags)``.
 
-        ``intra[machine][src_local][dst_local]`` is the NVLink route of a
-        GPU pair, as :meth:`transfer` resolves it, and
-        ``inter[src_machine][dst_machine]`` lists the :meth:`nic_route`
-        of every NIC; both hold ``None`` on their diagonal.  The tables
-        live in the cluster's route memo, so they are built once per
-        cluster, at its first All-to-All: fabrics that never run one pay
-        nothing for them.
+        The first rows are the GPU pairs inside each machine, in
+        ``(machine, src_local, dst_local)`` order, over the NVLink route
+        :meth:`transfer` resolves; the rest are each machine pair's NICs,
+        in ``(src_machine, dst_machine, nic)`` order, over their
+        :meth:`nic_route`.  Each row's tag is built here too, so a staged
+        flow builds none.  ``latencies`` is a float64 array, the other
+        columns object arrays, so a selection of rows is one fancy index.
+        The table lives in the cluster's route memo: it is built once per
+        cluster, at its first All-to-All, and fabrics that never run one
+        pay nothing for it.
         """
         tables = self._route_memo[2]
         if tables is None:
@@ -101,17 +107,21 @@ class Fabric:
             machines = range(cluster.num_machines)
             nics = range(cluster.spec.num_nics)
             gpu = Device.gpu
-            intra = [
-                [[None if s == d else self._route(gpu(m, s), gpu(m, d)) for d in gpus]
-                 for s in gpus]
-                for m in machines
+            rows = [
+                (self._route(gpu(m, s), gpu(m, d)), ("a2a-intra", m, s, d))
+                for m in machines for s in gpus for d in gpus if s != d
             ]
-            inter = [
-                [None if s == d else [self.nic_route(s, d, nic) for nic in nics]
-                 for d in machines]
-                for s in machines
+            rows += [
+                (self.nic_route(s, d, nic), ("a2a-inter", s, d, nic))
+                for s in machines for d in machines if s != d for nic in nics
             ]
-            tables = self._route_memo[2] = (intra, inter)
+            routes = [route for route, _ in rows]
+            tables = self._route_memo[2] = (
+                _objects(path for path, _, _ in routes),
+                _objects(path_index for _, _, path_index in routes),
+                np.fromiter((latency for _, latency, _ in routes), float, len(rows)),
+                _objects(tag for _, tag in rows),
+            )
         return tables
 
     def _route(self, src: Device, dst: Device, nic_index: Optional[int] = None):
@@ -175,3 +185,8 @@ class Fabric:
             link_id = LinkId("nic", machine, nic, direction)
             total += self.network.link_bytes[link_id]
         return total
+
+
+def _objects(items) -> np.ndarray:
+    """A 1-D object array of ``items`` (tuples stay elements)."""
+    return np.fromiter(items, dtype=object)

@@ -45,23 +45,28 @@ solver reruns on every flow arrival/departure):
   a filling round.
 * The arithmetic runs in the compiled kernel
   (:mod:`repro.netsim._waterfill`), and so does the bookkeeping around
-  it: a flow's activation, each completion timer and each re-solve are
-  one C call apiece (the extension's ``activate``, ``fire`` and
-  ``recompute``, bound in the ``_kernel`` setter), which read the
-  network's scalar state and flow list as fields of its C base type,
-  stamp and succeed the flows, and create the timers; a re-solve fills
-  through ``_waterfill.run``.  The network's flows are :class:`Flow`,
-  whose fields live in the extension's ``Flow`` type, so the C calls read
-  and write them directly and its constructor checks the size and
-  latency, stamps the creation time and makes the ``done`` event in one
-  call.  So a flow costs one C call to activate (the byte advance up to
-  its arrival and its whole row) and its share of one C call to retire
+  it: staging a batch of flows, a flow's activation, each completion
+  timer and each re-solve are one C call apiece (the extension's
+  ``stage``, ``activate``, ``fire`` and ``recompute``, bound in the
+  ``_kernel`` setter), which read the network's scalar state and flow
+  list as fields of its C base type, make, stamp and succeed the flows,
+  and create the timers; a re-solve fills through ``_waterfill.run``.
+  The network's flows are :class:`Flow`, whose fields live in the
+  extension's ``Flow`` type, so the C calls read and write them directly;
+  ``stage`` and the constructor check the size and latency, stamp the
+  creation time and make the ``done`` event.  ``stage`` makes a whole
+  batch in order, each flow as :meth:`FluidNetwork.transfer` (its
+  one-flow case) makes one, so the All-to-All admits a collective in one
+  call with no Python frame per flow.  So a flow costs its share of one
+  C call to stage, one C call to activate (the byte advance up to its
+  arrival and its whole row) and its share of one C call to retire
   (``retire``, the tombstones in ``_active``, the compaction trigger and
   the ``done`` events, in ascending row order), plus the Python frames of
-  ``transfer`` and of the ``_activate_event``/``_on_timer_event`` methods
-  that reach them.  Python keeps what is rare: the row-array growth, the
-  group interning (when a path has no group yet), the compaction and the
-  repacking of the solve tables after an interning (:meth:`_ensure_csr`).
+  the ``_activate_event``/``_on_timer_event`` methods that reach them
+  (and of ``transfer`` for a flow staged alone).  Python keeps what is
+  rare: the row-array growth, the group interning (when a path has no
+  group yet), the compaction and the repacking of the solve tables after
+  an interning (:meth:`_ensure_csr`).
 * Rate recomputation is deferred to the end of the simulated instant
   (``Environment.defer_to_instant_end``): a burst of arrivals/finishes at
   one timestamp — spread over any number of kernel events — triggers one
@@ -331,23 +336,19 @@ class FluidNetwork(_ext.FluidNetwork):
         """
         if path_index is None:
             path, path_index = self.resolve_path(path)
-        flow = Flow(self.env, path, path_index, size, latency, tag)
-        if latency > 0:
-            # The latency stage is a plain timer callback, not a Process:
-            # at fleet scale every point-to-point flow passes through here.
-            timer = self.env.timeout(latency, value=flow)
-            timer.callbacks.append(self._activate_event)
-        else:
-            self._activate(flow)
-        return flow
+        return self._stage((path,), (path_index,), (size,), (latency,), (tag,))[0]
 
     def _activate_event(self, event) -> None:
         self._activate(event._value)
 
-    # The bookkeeping of a flow's life: ``_activate(flow)``,
-    # ``_fire(event)`` and the deferred ``_recompute()`` are the kernel's
+    # The bookkeeping of a flow's life: ``_stage(paths, path_indices,
+    # sizes, latencies, tags)``, ``_activate(flow)``, ``_fire(event)`` and
+    # the deferred ``_recompute()`` are the kernel's ``stage``,
     # ``activate``, ``fire`` and ``recompute`` bound to this network (see
-    # the ``_kernel`` setter).
+    # the ``_kernel`` setter).  ``_stage`` makes and starts a batch of
+    # flows in order, each as ``transfer`` does, and returns them: a flow
+    # with a latency gets a ``Timeout`` calling ``_activate_event``, looked
+    # up once per batch, and any other activates at once.
 
     # -- packed per-flow state ----------------------------------------------
 
@@ -430,6 +431,7 @@ class FluidNetwork(_ext.FluidNetwork):
         # changed group (the tests' numpy reference) leaves a round log
         # the compiled fill cannot resume from.
         self._kernel_in_use = kernel
+        self._stage = functools.partial(kernel.stage, self, Flow)
         self._activate = functools.partial(kernel.activate, self)
         self._fire = functools.partial(kernel.fire, self)
         self._recompute = functools.partial(kernel.recompute, self)

@@ -52,9 +52,13 @@ calls "the reference") exactly, because every golden pins it:
   construction, in list order, and the first failure is defused and
   propagated.  A process holds no reference to the event it waits on,
   and the kernel tracks no running process: nothing preempts a process,
-  so the resume loop writes no per-wait state.  ``callbacks`` stays a
-  real list that Python code may append to, and reads ``None`` once the
-  event is processed.
+  so the resume loop writes no per-wait state.  An event keeps its
+  first callback in an inline slot, and allocates its ``callbacks``
+  list only for a second one or when Python reads or assigns
+  ``callbacks``: the read returns a real list that Python code may
+  append to, which the event keeps (what C registers later lands in it,
+  in registration order), and reads ``None`` once the event is
+  processed.  So an event with one waiter carries no list.
 * The wait primitives create and schedule the same events in the same
   order as the reference: a ``Resource`` grants in FIFO order; a
   ``PriorityResource`` keeps its waiters in a binary heap keyed by

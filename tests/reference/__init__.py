@@ -48,6 +48,7 @@ admit = fluid.NUMPY.admit
 retire = fluid.NUMPY.retire
 settle = fluid.NUMPY.settle
 waterfill = fluid.NUMPY.waterfill
+stage = fluid.NUMPY.stage
 activate = fluid.NUMPY.activate
 fire = fluid.NUMPY.fire
 recompute = fluid.NUMPY.recompute
@@ -81,6 +82,7 @@ __all__ = [
     "retire",
     "settle",
     "setup",
+    "stage",
     "tables",
     "waterfill",
 ]

@@ -3,8 +3,10 @@ the reference.
 
 The twin of the extension's fluid entries: the arithmetic (``ledger``,
 ``tables``, ``advance``, ``admit``, ``retire``, ``settle`` and
-``waterfill``), the network's bookkeeping around it (``activate(net,
-flow)``, ``fire(net, event)`` and ``recompute(net)``), the ``Flow`` type
+``waterfill``), the network's bookkeeping around it (``stage(net,
+flow_type, paths, path_indices, sizes, latencies, tags)``,
+``activate(net, flow)``, ``fire(net, event)`` and ``recompute(net)``),
+the ``Flow`` type
 and the ``FluidNetwork`` base, entry for entry.  The C loops reproduce
 this arithmetic bit for bit (``repro.netsim._waterfill`` says how); the
 numpy water-fill scans every round and keeps no round log, so the fill
@@ -17,6 +19,7 @@ after every retirement.
 from __future__ import annotations
 
 import itertools
+import operator
 from types import SimpleNamespace
 from typing import Hashable, Optional, Tuple
 
@@ -60,12 +63,8 @@ class Flow:
         latency: float,
         tag: Optional[Hashable] = None,
     ):
-        if not 0.0 <= size < _INF:
-            raise ValueError(f"size must be finite and non-negative, got {size}")
-        if not 0.0 <= latency < _INF:
-            raise ValueError(
-                f"latency must be finite and non-negative, got {latency}"
-            )
+        _check_amount("size", size)
+        _check_amount("latency", latency)
         self.id = next(Flow._ids)
         self.path = path
         self.path_index = path_index
@@ -219,8 +218,45 @@ class NumpyKernel:
         _fill(t.capacity, load_counts, t.group_paths[:num_groups],
               t.group_count[:num_groups], t.csr, t.starts, links, grates)
 
-    # -- the bookkeeping: ``FluidNetwork._activate``, ``_fire`` and
-    # ``_recompute`` once the network runs this kernel.
+    # -- the bookkeeping: ``FluidNetwork._stage``, ``_activate``, ``_fire``
+    # and ``_recompute`` once the network runs this kernel.
+
+    def stage(self, net, flow_type, paths, path_indices, sizes, latencies,
+              tags) -> list:
+        """A batch of flows, made and started in order as ``transfer``
+        starts one, after every input is checked: a flow with a latency
+        gets a timer calling ``net._activate_event`` (looked up once), any
+        other activates at once.  Returns the flows."""
+        count = len(paths)
+        for name, items in (
+            ("path_indices", path_indices), ("sizes", sizes),
+            ("latencies", latencies), ("tags", tags),
+        ):
+            if len(items) != count:
+                raise ValueError(
+                    f"stage() got {count} paths but {len(items)} {name}"
+                )
+        for path, path_index, size, latency in zip(
+            paths, path_indices, sizes, latencies
+        ):
+            _check_amount("size", size)
+            _check_amount("latency", latency)
+            _check_path_index(path, path_index, net._num_links)
+        activate_event = None
+        flows = []
+        for path, path_index, size, latency, tag in zip(
+            paths, path_indices, sizes, latencies, tags
+        ):
+            flow = flow_type(net.env, path, path_index, size, latency, tag)
+            flows.append(flow)
+            if latency > 0:
+                if activate_event is None:
+                    activate_event = net._activate_event
+                timer = net.env.timeout(latency, value=flow)
+                timer.callbacks.append(activate_event)
+            else:
+                net._activate(flow)
+        return flows
 
     def activate(self, net, flow) -> None:
         """The flow starts now: its row, or at once its end."""
@@ -289,6 +325,28 @@ class NumpyKernel:
         """The deferred re-solve at the end of an instant."""
         net._recompute_pending = False
         _reschedule(net)
+
+
+def _check_amount(name: str, value) -> None:
+    if not 0.0 <= value < _INF:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
+def _check_path_index(path, path_index, num_links: int) -> None:
+    """One or two link indices in ``[0, num_links)``, or none for an empty
+    path."""
+    hops = len(path_index) if isinstance(path_index, tuple) else -1
+    if hops == 0 and not path:
+        return
+    if not 1 <= hops <= 2:
+        raise TypeError(
+            "a flow's path_index must be a tuple of one or two link "
+            f"indices, not {path_index!r}"
+        )
+    for link in path_index:
+        value = operator.index(link)
+        if not 0 <= value < num_links:
+            raise IndexError(f"link {value} is outside [0, {num_links})")
 
 
 def _finish(net, flow) -> None:

@@ -4,7 +4,8 @@
 one numpy pass over the send matrix.  ``per_pair_all_to_all`` below is
 the per-pair loop it replaced, kept here as the reference: both must
 create the same flows (tag, size to the last bit, path, latency) in the
-same order, and move the same bytes through every NIC.  Run under
+same order, start and finish them at the same instants, move the same
+bytes through every NIC and process the same events.  Run under
 ``REPRO_WATERFILL=python`` too, where the flows live on the reference
 fluid kernel.
 """
@@ -99,21 +100,26 @@ def per_pair_all_to_all(fabric, send_bytes, hierarchical=True):
 
 def run_staging(stage, cluster, matrices, hierarchical, plan=None):
     """Run ``stage`` over each matrix in turn on a fresh fabric; return the
-    created flows as (tag, size hex, path, path index, latency) in creation
-    order, every NIC's byte count, and the end time."""
+    created flows as (tag, size hex, path, path index, latency hex, start
+    hex, finish hex) in creation order, every NIC's byte count, the end
+    time and the event count.
+
+    The flows are recorded from what the network's batch entry
+    (``_stage``) returns: ``transfer`` stages its one flow through it, and
+    the bulk ``all_to_all`` calls it directly."""
     env = Environment()
     fabric = Fabric(env, cluster)
     if plan is not None:
         FaultInjector(plan, fabric).install()
     flows = []
-    transfer = fabric.network.transfer
+    stage_batch = fabric.network._stage
 
-    def recording(*args, **kwargs):
-        flow = transfer(*args, **kwargs)
-        flows.append(flow)
-        return flow
+    def recording(*args):
+        staged = stage_batch(*args)
+        flows.extend(staged)
+        return staged
 
-    fabric.network.transfer = recording
+    fabric.network._stage = recording
 
     def driver():
         for matrix in matrices:
@@ -121,7 +127,8 @@ def run_staging(stage, cluster, matrices, hierarchical, plan=None):
 
     env.run(until=env.process(driver()))
     records = [
-        (f.tag, f.size.hex(), f.path, f.path_index, f.latency.hex())
+        (f.tag, f.size.hex(), f.path, f.path_index, f.latency.hex(),
+         f.started_at.hex(), f.completed_at.hex())
         for f in flows
     ]
     nic_bytes = [
@@ -129,7 +136,7 @@ def run_staging(stage, cluster, matrices, hierarchical, plan=None):
         for machine in range(cluster.num_machines)
         for direction in ("out", "in")
     ]
-    return records, nic_bytes, env.now.hex()
+    return records, nic_bytes, env.now.hex(), env.events_processed
 
 
 def send_matrix(world, seed, zero_share, scale):

@@ -159,6 +159,82 @@ def test_bad_size_or_latency_rejected(size, latency):
     assert not active_flows(net) and env.peek() == float("inf")
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+# A batch input to replace -> (the refused value, the error and its
+# message).  Each bad value sits in the batch's last flow.
+_BAD_BATCHES = {
+    "size negative": ("sizes", -1.0, ValueError,
+                      "size must be finite and non-negative, got -1.0"),
+    "size nan": ("sizes", _NAN, ValueError,
+                 "size must be finite and non-negative, got nan"),
+    "size inf": ("sizes", _INF, ValueError,
+                 "size must be finite and non-negative, got inf"),
+    "latency negative": ("latencies", -1.0, ValueError,
+                         "latency must be finite and non-negative, got -1.0"),
+    "latency nan": ("latencies", _NAN, ValueError,
+                    "latency must be finite and non-negative, got nan"),
+    "latency inf": ("latencies", _INF, ValueError,
+                    "latency must be finite and non-negative, got inf"),
+    "path_index empty": ("path_indices", (), TypeError,
+                         "a flow's path_index must be a tuple of one or two "
+                         "link indices, not ()"),
+    "path_index three links": ("path_indices", (0, 1, 2), TypeError,
+                               "a flow's path_index must be a tuple of one "
+                               "or two link indices, not (0, 1, 2)"),
+    "path_index a list": ("path_indices", [0], TypeError,
+                          "a flow's path_index must be a tuple of one or "
+                          "two link indices, not [0]"),
+    "path_index past the links": ("path_indices", (0, 3), IndexError,
+                                  "link 3 is outside [0, 3)"),
+    "path_index negative": ("path_indices", (-1,), IndexError,
+                            "link -1 is outside [0, 3)"),
+    "inputs of two lengths": ("tags", None, ValueError,
+                              "stage() got 3 paths but 2 tags"),
+}
+
+
+@pytest.mark.parametrize(
+    "kernel", [reference] + ([COMPILED] if COMPILED else []), ids=kernel_id
+)
+@pytest.mark.parametrize("case", sorted(_BAD_BATCHES))
+def test_stage_refuses_a_bad_batch_before_staging_any_flow(case, kernel):
+    env, net = make_net({"a": 100.0, "b": 50.0, "c": 10.0})
+    net._kernel = kernel
+    path, path_index = net.resolve_path(("a", "b"))
+    batch = {
+        "paths": [path] * 3,
+        "path_indices": [path_index] * 3,
+        "sizes": [1.0, 0.0, 2.0],
+        "latencies": [0.0, 0.5, 0.0],
+        "tags": ["x", "y", "z"],
+    }
+    name, value, error, message = _BAD_BATCHES[case]
+    if value is None:
+        batch[name] = batch[name][:2]
+    else:
+        batch[name][-1] = value
+    with pytest.raises(error) as refused:
+        net._stage(*batch.values())
+    assert str(refused.value) == message
+    # Nothing of the batch was staged: no row, timer, event or re-solve.
+    assert net._n == 0 and not net._recompute_pending
+    assert env.peek() == _INF and env.events_processed == 0
+    if value is None:
+        return
+    # The one-flow case refuses it with the same message.
+    flow = {key: column[-1] for key, column in batch.items()}
+    with pytest.raises(error) as single:
+        net.transfer(flow["paths"], flow["sizes"], flow["latencies"],
+                     path_index=flow["path_indices"])
+    assert str(single.value) == str(refused.value)
+    if name != "path_indices":
+        with pytest.raises(error) as constructed:
+            fluid.Flow(env, path, path_index, flow["sizes"], flow["latencies"])
+        assert str(constructed.value) == str(refused.value)
+    assert env.peek() == _INF
+
+
 def test_duplicate_link_rejected():
     env, net = make_net({"l": 1.0})
     with pytest.raises(ValueError):

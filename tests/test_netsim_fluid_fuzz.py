@@ -2,7 +2,10 @@
 
 A hypothesis state machine drives three identical ``Environment`` +
 ``FluidNetwork`` pairs with the same arrivals (1 B to 1 TB, optional
-start latency), mid-flight ``set_capacity`` rescales and clock advances:
+start latency), batches of arrivals (zero sizes and latencies among
+them) that one network stages in one call of its batch entry
+(``_stage``) and the others through one ``transfer`` each, mid-flight
+``set_capacity`` rescales and clock advances:
 
 * a coalesced network on the kernel it starts on (the compiled one,
   whose water-fill resumes its last fill at the first round a changed
@@ -57,6 +60,11 @@ _STEPS_PER_FLOW = 40
 _STEP_FLOOR = 200
 
 _log_sizes = st.floats(min_value=0.0, max_value=12.0).map(lambda e: 10.0 ** e)
+_hops = st.lists(
+    st.integers(min_value=0, max_value=_LINKS - 1),
+    min_size=1, max_size=2, unique=True,
+)
+_latencies = st.sampled_from([0.0, 0.0, 1e-6, 0.25])
 _log_capacities = st.floats(min_value=3.0, max_value=11.0).map(
     lambda e: 10.0 ** e
 )
@@ -133,26 +141,51 @@ class LockstepFluid(RuleBasedStateMachine):
             for index, (env, net) in enumerate(self.sides)
         ]
 
-    @rule(
-        hops=st.lists(
-            st.integers(min_value=0, max_value=_LINKS - 1),
-            min_size=1, max_size=2, unique=True,
-        ),
-        size=_log_sizes,
-        latency=st.sampled_from([0.0, 0.0, 1e-6, 0.25]),
-    )
+    def _track(self, env, index, flow):
+        """Log ``flow`` on side ``index``: its ``done`` order is compared."""
+        flows = self.flows[index]
+        order = self.done_order[index]
+        flow.done.callbacks.append(
+            lambda event, flow_index=len(flows): order.append((flow_index, env.now))
+        )
+        flows.append(flow)
+
+    @rule(hops=_hops, size=_log_sizes, latency=_latencies)
     def arrive(self, hops, size, latency):
         path = tuple(f"l{index}" for index in hops)
 
         def start(env, net, index):
-            flows = self.flows[index]
-            flow = net.transfer(path, size, latency)
-            order = self.done_order[index]
-            flow.done.callbacks.append(
-                lambda event, flow_index=len(flows):
-                    order.append((flow_index, env.now))
-            )
-            flows.append(flow)
+            self._track(env, index, net.transfer(path, size, latency))
+
+        self._each(start)
+
+    @rule(
+        specs=st.lists(
+            st.tuples(_hops, st.one_of(st.just(0.0), _log_sizes), _latencies),
+            min_size=1, max_size=6,
+        ),
+        batched=st.integers(min_value=0, max_value=len(_SIDES) - 1),
+    )
+    def arrive_together(self, specs, batched):
+        """k flows in one call of the batch entry on one side, and through
+        k ``transfer`` calls on the others."""
+        paths = [tuple(f"l{index}" for index in hops) for hops, _, _ in specs]
+        sizes = [size for _, size, _ in specs]
+        latencies = [latency for _, _, latency in specs]
+
+        def start(env, net, index):
+            if index == batched:
+                path_indices = [net.resolve_path(path)[1] for path in paths]
+                staged = net._stage(
+                    paths, path_indices, sizes, latencies, [None] * len(specs)
+                )
+            else:
+                staged = [
+                    net.transfer(path, size, latency)
+                    for path, size, latency in zip(paths, sizes, latencies)
+                ]
+            for flow in staged:
+                self._track(env, index, flow)
 
         self._each(start)
 

@@ -1,15 +1,24 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+import itertools
+
+import numpy as np
 import pytest
 
+import repro.simkit
+from repro.cluster import Cluster
+from repro.netsim import Fabric, all_to_all
 from repro.simkit import (
     AllOf,
     AnyOf,
+    Condition,
     Environment,
     SimulationError,
     StalledSimulationError,
     Store,
 )
+from tests.conftest import COMPILED
 
 
 def test_timeout_advances_clock():
@@ -332,3 +341,124 @@ class TestStallDiagnostics:
         env.run()
         assert received == ["a", "b"]
         assert env.now == 2
+
+
+# -- callbacks: an inline first slot, a list on demand ----------------------
+# (tests/test_simkit_reference_kernel.py reruns these on the reference.)
+
+
+def _owner(callback):
+    """Who registered ``callback``: a process or condition registers itself
+    on the compiled core and its bound method on the reference."""
+    return getattr(callback, "__self__", callback)
+
+
+def _wait(env, event, log=None, name=None):
+    """Start a process waiting on ``event`` and let it register."""
+
+    def waiter():
+        yield event
+        if log is not None:
+            log.append(name)
+
+    process = env.process(waiter())
+    env.step()
+    return process
+
+
+def test_callbacks_read_as_a_list_in_registration_order():
+    env = Environment()
+    event = env.event()
+    assert event.callbacks == []
+    process = _wait(env, event)
+    first_read = event.callbacks
+    assert isinstance(first_read, list)
+    assert [_owner(callback) for callback in first_read] == [process]
+    condition = AllOf(env, [event])
+
+    def hook(_):
+        pass
+
+    event.callbacks.append(hook)
+    # A read keeps the list: what C registers later lands in it too.
+    assert event.callbacks is first_read
+    assert [_owner(callback) for callback in event.callbacks] == [
+        process, condition, hook
+    ]
+    event.succeed()
+    env.run()
+    assert condition.processed
+
+
+def test_assigning_callbacks_replaces_them():
+    env = Environment()
+    event = env.event()
+    condition = AllOf(env, [event])
+    log = []
+    event.callbacks = [lambda e: log.append(e.value)]
+    assert len(event.callbacks) == 1
+    event.succeed("value")
+    env.run()
+    assert log == ["value"]
+    assert not condition.triggered
+
+
+def test_callbacks_read_none_once_processed():
+    env = Environment()
+    event = env.event()
+    _wait(env, event)
+    event.succeed()
+    assert event.callbacks is not None
+    env.run()
+    assert event.processed and event.callbacks is None
+
+
+@pytest.mark.parametrize(
+    "order", list(itertools.permutations(["process", "condition", "hook"]))
+)
+def test_waiters_on_one_event_resume_in_registration_order(order):
+    env = Environment()
+    event = env.event()
+    log = []
+
+    def evaluate(total, count):
+        log.append("condition")
+        return count == total
+
+    for kind in order:
+        if kind == "process":
+            _wait(env, event, log, "process")
+        elif kind == "condition":
+            Condition(env, evaluate, [event])
+        else:
+            event.callbacks.append(lambda _: log.append("hook"))
+    event.succeed()
+    env.run()
+    assert log == list(order)
+
+
+@pytest.mark.skipif(COMPILED is None, reason="counts the compiled core's objects")
+def test_a_staged_all_to_all_leaves_three_tracked_objects_per_flow():
+    """A flow with a latency leaves its ``Flow``, ``done`` event and
+    ``Timeout``: each event keeps its one callback inline, the timers
+    share one bound ``_activate_event`` and the tags come from the route
+    table.  The call itself leaves two more: its ``AllOf`` and that bound
+    method."""
+    cluster = Cluster(2)
+    # The compiled environment even where the reference rerun of this
+    # suite rebinds ``Environment``.
+    env = repro.simkit.Environment()
+    fabric = Fabric(env, cluster)
+    matrix = np.random.default_rng(3).random((cluster.world_size,) * 2) + 1.0
+    all_to_all(fabric, matrix)  # builds the route table
+    env.run()
+    flows = len(fabric.a2a_routes()[0])
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        all_to_all(fabric, matrix)
+        new = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert new <= 3 * flows + 2
