@@ -47,13 +47,7 @@ from typing import List, Optional
 
 from .analysis import format_table, table1
 from .cluster import Cluster
-from .config import (
-    TABLE1_MODELS,
-    moe_bert,
-    moe_gpt,
-    moe_transformer_xl,
-    pr_moe_transformer_xl,
-)
+from .config import TABLE1_MODELS, pr_moe_transformer_xl
 from .control import ControlConfig, Controller, ControlPolicy
 from .core import (
     GraphValidationError,
@@ -90,11 +84,8 @@ from .workloads import DriftSpec
 # Simulation failures the CLI reports as one clean line, not a traceback.
 _SIMULATION_ERRORS = (OutOfMemoryError, PullFailedError, StalledSimulationError)
 
-MODEL_CHOICES = {
-    "moe-bert": moe_bert,
-    "moe-gpt": moe_gpt,
-    "moe-transformer-xl": moe_transformer_xl,
-}
+# ``--model`` names: the Table 1 models in lowercase, plus ``pr-moe``.
+MODEL_CHOICES = {name.lower(): factory for name, factory in TABLE1_MODELS.items()}
 
 
 class _InvalidInput(Exception):
@@ -301,6 +292,9 @@ def cmd_simulate(args) -> int:
         kwargs["trace"] = trace
     try:
         engine = engine_for(args.paradigm, config, cluster, **kwargs)
+    except ValueError as exc:
+        raise _InvalidInput(str(exc)) from None
+    try:
         if args.iterations > 1:
             results = engine.run(args.iterations)
             result = results[-1]
@@ -430,7 +424,7 @@ def cmd_serve(args) -> int:
     spec = args.trace
     trace = generate_trace(spec)
     topologies = (
-        ("unified", "disaggregated")
+        domain_of(ServingConfig, "topology").values
         if args.topology == "both"
         else (args.topology,)
     )
@@ -610,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
              "iteration",
     )
     simulate.add_argument(
-        "--stagger-a2a", choices=("off", "wave", "chain"), default=None,
+        "--stagger-a2a", default=None,
+        choices=domain_of(JanusFeatures, "a2a_stagger").values,
         help="intra-A2A chunk scheduling: arbitrate the shared NIC fabric "
              "per chunk ('wave' grants in arrival order, 'chain' staggers "
              "by micro-batch round); default keeps the fluid model",
@@ -634,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--drift", type=_spec(DriftSpec.parse), default=None, metavar="SPEC",
         help="drifting expert-popularity workload, e.g. "
              "'flip;skew=1.5;period=2;seed=7' "
-             "(kinds: static, flip, rotate, walk; keys: skew, period, "
-             "low_skew, step, seed)",
+             f"(kinds: {', '.join(domain_of(DriftSpec, 'kind').values)}; "
+             "keys: skew, period, low_skew, step, seed)",
     )
     simulate.add_argument(
         "--control", type=_spec(ControlConfig.parse), default=None, metavar="SPEC",
@@ -673,12 +668,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="poisson;rate=2000;requests=10000;seed=7;skew=1.2",
         help="seeded open-loop arrival trace, e.g. "
              "'poisson;rate=2000;requests=10000;seed=7;skew=1.2' "
-             "(kinds: poisson, diurnal, bursty; keys: rate, requests, "
-             "seed, prompt_mean, output_mean, skew, period, amplitude, "
-             "burst, duty)",
+             f"(kinds: {', '.join(domain_of(TraceSpec, 'kind').values)}; "
+             "keys: rate, requests, seed, prompt_mean, output_mean, skew, "
+             "period, amplitude, burst, duty)",
     )
     serve.add_argument(
-        "--topology", choices=("unified", "disaggregated", "both"),
+        "--topology",
+        choices=(*domain_of(ServingConfig, "topology").values, "both"),
         default="both",
         help="unified workers, disaggregated prefiller/decoder pools, or "
              "both back to back on the same trace",
@@ -706,14 +702,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--prefill-paradigm",
-        choices=sorted(strategy_names() + ("auto",)),
+        choices=sorted(domain_of(ServingConfig, "prefill_paradigm").values),
         default="auto",
         help="comm paradigm for prefill wire traffic ('auto' = Eq. 1 "
              "byte-volume pick per step)",
     )
     serve.add_argument(
         "--decode-paradigm",
-        choices=sorted(strategy_names() + ("auto",)),
+        choices=sorted(domain_of(ServingConfig, "decode_paradigm").values),
         default="auto",
         help="comm paradigm for decode wire traffic",
     )

@@ -28,7 +28,7 @@ from .hardware import MachineSpec, a100_machine_spec
 __all__ = ["Device", "LinkId", "Cluster"]
 
 _DEVICE_KINDS = ("gpu", "host")
-_LINK_KINDS = ("nvlink", "pcie_gpu", "pcie_up", "nic")
+LINK_KINDS = ("nvlink", "pcie_gpu", "pcie_up", "nic")
 _DIRECTIONS = ("out", "in")
 
 
@@ -86,7 +86,7 @@ class LinkId(_LinkIdFields):
     __slots__ = ()
 
     def __new__(cls, kind: str, machine: int, index: int, direction: str):
-        if kind not in _LINK_KINDS:
+        if kind not in LINK_KINDS:
             raise ValueError(f"unknown link kind: {kind!r}")
         if direction not in _DIRECTIONS:
             raise ValueError(f"unknown link direction: {direction!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 from ..cluster import Device
-from ..domains import POSITIVE_INT, check_block_map, check_fields, domain
+from ..domains import POSITIVE_INT, Choice, check_block_map, check_fields, domain
 from ..faults import PullFailedError
 from ..netsim import Fabric
 from ..runtime.layout import ExpertPlacement
@@ -77,30 +77,22 @@ class JanusFeatures:
     # in raw arrival order (the unscheduled baseline); "chain" arbitrates
     # the same fabric but staggers grants by schedule position, so a
     # congested NIC always serves the chunk feeding the critical path.
-    a2a_stagger: str = "off"
+    a2a_stagger: str = domain(Choice(("off", "wave", "chain")), "off")
     # Backward dense-gradient all-reduce scheduling: "none" (not modelled,
     # the default), "serial" (one all-reduce sweep after every
     # worker finishes its backward), or "overlap" (per-block all-reduces
     # launched as soon as that block's backward dense compute retires,
     # filling idle link time behind later backward blocks).
-    grad_allreduce: str = "none"
+    grad_allreduce: str = domain(Choice(("none", "serial", "overlap")), "none")
 
     def __post_init__(self):
         check_fields(self)
-        if self.grad_allreduce not in ("none", "serial", "overlap"):
-            raise ValueError(
-                "grad_allreduce must be 'none', 'serial' or 'overlap'"
-            )
         if isinstance(self.block_chunks, Mapping):
             pairs = sorted(self.block_chunks.items())
         else:
             pairs = (tuple(pair) for pair in self.block_chunks)
         object.__setattr__(self, "block_chunks", tuple(pairs))
         check_block_map(self, "block_chunks", self.block_chunks)
-        if self.a2a_stagger not in ("off", "wave", "chain"):
-            raise ValueError(
-                "a2a_stagger must be 'off', 'wave' or 'chain'"
-            )
 
     def chunks_for(self, block: int) -> int:
         """Chunk count for one block: the per-block override when the

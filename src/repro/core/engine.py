@@ -176,6 +176,9 @@ class JanusEngine:
             # An uneven expert split has no placement: fail here, not at
             # the first iteration.
             workload.placement(index)
+        if fault_plan is not None:
+            # So must a fault with nothing to hit.
+            fault_plan.check_targets(cluster)
         for name in block_strategies.values():
             get_strategy(name)  # raises when unknown
         self.block_strategies: Dict[int, str] = dict(block_strategies)

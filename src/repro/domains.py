@@ -1,7 +1,8 @@
-"""Declared domains of the numeric config fields.
+"""Declared domains of the numeric and string-choice config fields.
 
-Each numeric field declares once the values it accepts, as
-``batch_size: int = domain(POSITIVE_INT)``, and ``check_fields(self)``
+Each such field declares once the values it accepts, as
+``batch_size: int = domain(POSITIVE_INT)`` or ``on_failure: str =
+domain(Choice(("degrade", "raise")), "degrade")``, and ``check_fields(self)``
 opens the class's ``__post_init__``: a value outside its domain raises
 ``ValueError("{field} must be {phrase}, got {value!r} ({Class})")``.
 Rules relating two fields stay hand-written and run after it.  A bool is
@@ -14,12 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, field, fields
 from numbers import Integral, Real
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 __all__ = [
-    "AT_LEAST_ONE", "Domain", "NON_NEGATIVE", "NON_NEGATIVE_INT", "POSITIVE",
-    "POSITIVE_INT", "UNIT", "check_block_map", "check_fields", "domain",
-    "domain_of",
+    "AT_LEAST_ONE", "Choice", "Domain", "NON_NEGATIVE", "NON_NEGATIVE_INT",
+    "POSITIVE", "POSITIVE_INT", "UNIT", "check_block_map", "check_fields",
+    "declarations", "domain", "domain_of",
 ]
 
 _KEY = "domain"
@@ -81,6 +82,23 @@ class Domain(NamedTuple):
             )
 
 
+class Choice(NamedTuple):
+    """The strings ``values``: one field's named choices, such as a
+    topology or a fault policy.  ``kind`` converts a spec string's text,
+    as a :class:`Domain`'s does."""
+
+    values: Tuple[str, ...]
+
+    kind = str
+    check = Domain.check
+
+    def contains(self, value) -> bool:
+        return isinstance(value, str) and value in self.values
+
+    def phrase(self) -> str:
+        return "one of " + ", ".join(map(repr, self.values))
+
+
 POSITIVE_INT = Domain(int, 1)
 NON_NEGATIVE_INT = Domain(int, 0)
 POSITIVE = Domain(float, 0, low_open=True)
@@ -89,12 +107,19 @@ UNIT = Domain(float, 0, 1, high_open=False)
 AT_LEAST_ONE = Domain(float, 1)
 
 
-def domain(accepts: Domain, default=MISSING):
+def domain(accepts: Domain | Choice, default=MISSING):
     """A dataclass field whose values must lie in ``accepts``."""
     return field(default=default, metadata={_KEY: accepts})
 
 
-def domain_of(cls, name: str) -> Optional[Domain]:
+def declarations(cls) -> dict:
+    """Field name -> declared domain of each field of the dataclass (or
+    instance) ``cls`` that declares one, in field order."""
+    return {item.name: item.metadata[_KEY]
+            for item in fields(cls) if _KEY in item.metadata}
+
+
+def domain_of(cls, name: str) -> Optional[Domain | Choice]:
     """The domain the field ``name`` of the dataclass ``cls`` declares,
     ``None`` when it declares none."""
     return {item.name: item.metadata.get(_KEY) for item in fields(cls)}[name]
@@ -103,10 +128,8 @@ def domain_of(cls, name: str) -> Optional[Domain]:
 def check_fields(spec) -> None:
     """Refuse any field of the dataclass ``spec`` outside its domain."""
     owner = type(spec).__name__
-    for item in fields(spec):
-        accepts = item.metadata.get(_KEY)
-        if accepts is not None:
-            accepts.check(item.name, getattr(spec, item.name), owner)
+    for name, accepts in declarations(spec).items():
+        accepts.check(name, getattr(spec, name), owner)
 
 
 def check_block_map(spec, name: str, pairs) -> None:

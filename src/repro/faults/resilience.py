@@ -20,6 +20,7 @@ from ..domains import (
     NON_NEGATIVE_INT,
     POSITIVE,
     POSITIVE_INT,
+    Choice,
     check_fields,
     domain,
 )
@@ -72,12 +73,10 @@ class ResilienceConfig:
     backoff: float = domain(AT_LEAST_ONE, 2.0)
     push_timeout: float = domain(POSITIVE, 20e-3)
     block_deadline: Optional[float] = domain(POSITIVE.or_none(), 100e-3)
-    on_failure: str = "degrade"
+    on_failure: str = domain(Choice(("degrade", "raise")), "degrade")
 
     def __post_init__(self):
         check_fields(self)
-        if self.on_failure not in ("degrade", "raise"):
-            raise ValueError("on_failure must be 'degrade' or 'raise'")
 
 
 def flow_or_timeout(env, flow, seconds: float):

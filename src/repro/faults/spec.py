@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
+from ..cluster.topology import LINK_KINDS
 from ..domains import (
     NON_NEGATIVE,
     NON_NEGATIVE_INT,
@@ -74,6 +75,18 @@ class LinkFault:
 
     def __post_init__(self):
         check_fields(self)
+        kind, dot, machine = str(self.selector).partition(".")
+        known = kind == "*" or (
+            kind and any(name.startswith(kind) for name in LINK_KINDS)
+        )
+        if not (isinstance(self.selector, str) and known
+                and (not dot or machine.isdecimal())):
+            raise ValueError(
+                "selector must be '*' or a prefix of a link kind "
+                f"({', '.join(LINK_KINDS)}), optionally '.machine' with a "
+                f"non-negative integer machine, got {self.selector!r} "
+                "(LinkFault)"
+            )
         _check_window(self)
 
     def matches(self, link_id) -> bool:
@@ -157,6 +170,23 @@ class FaultPlan:
 
     def of_type(self, cls) -> Tuple[FaultSpec, ...]:
         return tuple(f for f in self.faults if isinstance(f, cls))
+
+    def check_targets(self, cluster) -> None:
+        """Refuse a fault on a machine ``cluster`` does not have, or on
+        links none of ``cluster``'s links match: it would run fault-free."""
+        links = [link_id for link_id, _, _ in cluster.iter_links()]
+        for fault in self.faults:
+            if isinstance(fault, LinkFault):
+                hit = any(fault.matches(link_id) for link_id in links)
+            elif isinstance(fault, (ServerOutage, ComputeSlowdown)):
+                hit = fault.machine < cluster.num_machines
+            else:
+                continue
+            if not hit:
+                raise ValueError(
+                    f"{fault!r} targets nothing on a "
+                    f"{cluster.num_machines}-machine cluster"
+                )
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":

@@ -47,29 +47,18 @@ class CommLog:
     def __init__(self, layout: RankLayout):
         self.layout = layout
         self.records: List[CommRecord] = []
-        # Running totals so per-step metrics don't rescan the whole history
+        # Running total so per-step metrics don't rescan the whole history
         # (the log grows without bound over a training run).
-        self._total = 0.0
         self._cross_machine_total = 0.0
 
     def record(self, kind: str, src_rank: int, dst_rank: int, num_bytes: float) -> None:
         self.layout._check(src_rank)
         self.layout._check(dst_rank)
         self.records.append(CommRecord(kind, src_rank, dst_rank, num_bytes))
-        self._total += num_bytes
         if not self.layout.same_machine(src_rank, dst_rank):
             self._cross_machine_total += num_bytes
 
     # -- aggregation -----------------------------------------------------------
-
-    def total_bytes(self, kinds: Optional[List[str]] = None) -> float:
-        if kinds is None:
-            return self._total
-        return sum(
-            record.num_bytes
-            for record in self.records
-            if record.kind in kinds
-        )
 
     def cross_machine_bytes(self, kinds: Optional[List[str]] = None) -> float:
         if kinds is None:

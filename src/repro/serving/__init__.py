@@ -16,7 +16,6 @@ serving`` times it against ``benchmarks/BENCH_serving.json``, and
 """
 
 from .arrivals import (
-    TRACE_KINDS,
     RequestTrace,
     TraceSpec,
     expert_rank,
@@ -24,7 +23,6 @@ from .arrivals import (
 )
 from .report import SERVE_SCHEMA, build_serving_report, format_serving_summary
 from .simulator import (
-    TOPOLOGIES,
     ServingConfig,
     ServingResult,
     ServingSimulator,
@@ -33,8 +31,6 @@ from .simulator import (
 
 __all__ = [
     "SERVE_SCHEMA",
-    "TOPOLOGIES",
-    "TRACE_KINDS",
     "RequestTrace",
     "ServingConfig",
     "ServingResult",

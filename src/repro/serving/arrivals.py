@@ -43,6 +43,7 @@ from ..domains import (
     POSITIVE,
     POSITIVE_INT,
     UNIT,
+    Choice,
     Domain,
     check_fields,
     domain,
@@ -50,14 +51,11 @@ from ..domains import (
 from ..workloads.tokens import zipf_law
 
 __all__ = [
-    "TRACE_KINDS",
     "TraceSpec",
     "RequestTrace",
     "generate_trace",
     "expert_rank",
 ]
-
-TRACE_KINDS = ("poisson", "diurnal", "bursty")
 
 # Candidate arrivals drawn per thinning round.  Fixed — chunking is part
 # of the deterministic sampling procedure, so it must not depend on the
@@ -76,7 +74,7 @@ _LENGTH_CAP = 16
 class TraceSpec:
     """One seeded request-arrival process (see module docstring)."""
 
-    kind: str = "poisson"
+    kind: str = domain(Choice(("poisson", "diurnal", "bursty")), "poisson")
     rate: float = domain(POSITIVE, 1000.0)
     requests: int = domain(POSITIVE_INT, 10_000)
     seed: int = domain(NON_NEGATIVE_INT, 0)
@@ -90,10 +88,6 @@ class TraceSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.kind not in TRACE_KINDS:
-            raise ValueError(
-                f"kind must be one of {TRACE_KINDS}, got {self.kind!r}"
-            )
 
     @classmethod
     def parse(cls, text: str) -> "TraceSpec":
@@ -103,7 +97,7 @@ class TraceSpec:
         The first clause may be a bare kind name; remaining clauses are
         ``field=value`` with the fields of this dataclass.
         """
-        return parse_clauses(cls(), text, "trace", TRACE_KINDS)
+        return parse_clauses(cls(), text, "trace")
 
     # -- the rate function -----------------------------------------------------
 

@@ -40,29 +40,28 @@ import numpy as np
 from ..cluster import Cluster, Device
 from ..config import ModelConfig
 from ..core.paradigm import select_paradigm
-from ..core.strategies import get_strategy
-from ..domains import NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT, check_fields, domain
+from ..core.strategies import get_strategy, strategy_names
+from ..domains import NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT, Choice, check_fields, domain
 from ..models.flops import dense_ffn_flops, expert_flops_per_token
 from ..netsim import Fabric
 from ..simkit import AllOf, Environment
 from .arrivals import RequestTrace, expert_rank
 
 __all__ = [
-    "TOPOLOGIES",
     "ServingConfig",
     "ServingResult",
     "ServingSimulator",
     "simulate_serving",
 ]
 
-TOPOLOGIES = ("unified", "disaggregated")
+_PARADIGMS = Choice((*strategy_names(), "auto"))
 
 
 @dataclass(frozen=True)
 class ServingConfig:
     """Knobs of one serving deployment (see module docstring)."""
 
-    topology: str = "unified"
+    topology: str = domain(Choice(("unified", "disaggregated")), "unified")
     #: Disaggregated only: machines devoted to prefill (default: half,
     #: at least one on each side).
     prefillers: Optional[int] = domain(POSITIVE_INT.or_none(), None)
@@ -74,8 +73,8 @@ class ServingConfig:
     #: every decode worker; requests ranked under the cut skip the wire.
     pin_fraction: float = domain(UNIT, 0.25)
     #: Strategy name or "auto" per phase.
-    prefill_paradigm: str = "auto"
-    decode_paradigm: str = "auto"
+    prefill_paradigm: str = domain(_PARADIGMS, "auto")
+    decode_paradigm: str = domain(_PARADIGMS, "auto")
     #: Service-level objectives: time-to-first-token and per-output-token
     #: latency bounds a request must meet to count toward goodput.
     ttft_slo_s: float = domain(POSITIVE, 0.5)
@@ -86,14 +85,6 @@ class ServingConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(
-                f"topology must be one of {TOPOLOGIES}, "
-                f"got {self.topology!r}"
-            )
-        for phase_mode in (self.prefill_paradigm, self.decode_paradigm):
-            if phase_mode != "auto":
-                get_strategy(phase_mode)  # raises when unknown
 
 
 @dataclass

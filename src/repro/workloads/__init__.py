@@ -1,7 +1,7 @@
 """Synthetic workloads: token batches, routing distributions and
 drifting expert-popularity processes."""
 
-from .drift import DRIFT_KINDS, DriftSpec, apply_drift, drift_weights
+from .drift import DriftSpec, apply_drift, drift_weights
 from .tokens import (
     assignment_imbalance,
     balanced_assignment,
@@ -11,7 +11,6 @@ from .tokens import (
 )
 
 __all__ = [
-    "DRIFT_KINDS",
     "DriftSpec",
     "apply_drift",
     "drift_weights",

@@ -31,19 +31,17 @@ from typing import Optional
 import numpy as np
 
 from ..clauses import parse_clauses
-from ..domains import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE_INT, check_fields, domain
+from ..domains import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE_INT, Choice, check_fields, domain
 from .tokens import zipf_law
 
-__all__ = ["DRIFT_KINDS", "DriftSpec", "drift_weights", "apply_drift"]
-
-DRIFT_KINDS = ("static", "flip", "rotate", "walk")
+__all__ = ["DriftSpec", "drift_weights", "apply_drift"]
 
 
 @dataclass(frozen=True)
 class DriftSpec:
     """One seeded expert-popularity drift process (see module docstring)."""
 
-    kind: str = "flip"
+    kind: str = domain(Choice(("static", "flip", "rotate", "walk")), "flip")
     skew: float = domain(NON_NEGATIVE, 1.5)
     low_skew: float = domain(NON_NEGATIVE, 0.0)
     period: int = domain(POSITIVE_INT, 4)
@@ -53,10 +51,6 @@ class DriftSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.kind not in DRIFT_KINDS:
-            raise ValueError(
-                f"kind must be one of {DRIFT_KINDS}, got {self.kind!r}"
-            )
 
     @classmethod
     def parse(cls, text: str) -> "DriftSpec":
@@ -65,7 +59,7 @@ class DriftSpec:
         The first clause may be a bare kind name (``flip;skew=1.5``).
         Numeric fields accept int/float literals.
         """
-        return parse_clauses(cls(kind="static"), text, "drift", DRIFT_KINDS)
+        return parse_clauses(cls(kind="static"), text, "drift")
 
     def skew_at(self, iteration: int) -> float:
         """Effective Zipf skew at ``iteration`` (flip alternates regimes,

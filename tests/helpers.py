@@ -57,6 +57,12 @@ def _records(log, kinds):
     ]
 
 
+def total_bytes(log, kinds=None) -> float:
+    """Bytes a :class:`~repro.runtime.CommLog` recorded, of ``kinds``
+    only when given."""
+    return sum(record.num_bytes for record in _records(log, kinds))
+
+
 def intra_machine_bytes(log, kinds=None) -> float:
     """Bytes a :class:`~repro.runtime.CommLog` moved between different
     ranks of the same machine (NVLink/PCIe class traffic, e.g. cache

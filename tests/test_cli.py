@@ -533,6 +533,8 @@ class TestInvalidInput:
         ("goodput", "--payload", "0"),
         ("goodput", "--payload", "nan"),
         ("goodput", "--machines", "0"),
+        ("simulate", "--faults", "link=nic.abc*0.5"),
+        ("simulate", "--faults", "link=bogus*0.5"),
     ])
     def test_rejected_flag_exits_2_at_parse_time(self, command, flag, value,
                                                  capsys):
@@ -576,6 +578,14 @@ class TestInvalidInput:
             "repro serve: error: argument --ttft-slo: must be positive and "
             "finite, got 'nan'"
         )
+
+    @pytest.mark.parametrize("faults", ["outage=99", "slow=99*0.5"])
+    def test_a_fault_on_a_missing_machine_is_one_line(self, faults, capsys):
+        assert main(["simulate", *SMALL, "--faults", faults]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "machine=99" in captured.err
+        assert len(captured.err.splitlines()) == 1, captured.err
 
     def test_inference_with_iterations_is_one_line(self, capsys):
         assert main(["simulate", "--inference", "--iterations", "2"]) == 2

@@ -1,17 +1,23 @@
-"""Every numeric config field declares its domain, and the domain holds.
+"""Every numeric and string config field declares its domain, and the
+domain holds.
 
 By introspection over ``src/repro``, every public dataclass with a field
 annotated ``int`` or ``float`` (or ``Optional`` of one) is either a
 config, whose every such field declares a :class:`repro.domains.Domain`,
-or a record in :data:`RECORDS`, one reason per group.  A new field of a
+or a record in :data:`RECORDS`, one reason per group.  Every ``str``
+field of a config declares a :class:`repro.domains.Choice`, or is free
+text listed in :data:`FREE_FORM` with a reason.  A new field of a
 config, or a new config, is covered with no edit here.
 
-For each declared field: the kind matches the annotation, the default
-lies inside the domain, and NaN, ±inf, ``True``, a fraction where an int
-is meant, ``None`` (unless optional) and the value just past each bound
-raise ``ValueError`` at construction, naming the field and the class.
-This covers construction only: that every accepted value also runs a
-simulation to a finite end is not checked here.
+For each declared numeric field: the kind matches the annotation, the
+default lies inside the domain, and NaN, ±inf, ``True``, a fraction where
+an int is meant, ``None`` (unless optional) and the value just past each
+bound raise ``ValueError`` at construction, naming the field and the
+class.  For each declared choice: the default is one of its values; a
+value in the wrong case, ``""``, ``None``, a number and ``bytes`` are
+refused the same way; and each CLI flag that sets the field offers the
+declared values.  This covers construction only: that every accepted
+value also runs a simulation to a finite end is not checked here.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import argparse
 import math
 import pkgutil
 import re
@@ -27,12 +34,14 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cli import build_parser
 from repro.cluster import LinkSpec
 from repro.config import moe_gpt
-from repro.domains import domain_of
+from repro.core import JanusFeatures
+from repro.domains import Choice, domain_of
 from repro.faults import ComputeSlowdown, FaultPlan, LinkFault, ServerOutage
 from repro.runtime.layout import ExpertPlacement, RankLayout
-from repro.serving import TraceSpec
+from repro.serving import ServingConfig, TraceSpec
 from repro.workloads import DriftSpec
 
 # Public dataclasses whose numbers the program computes, or derives from
@@ -56,6 +65,13 @@ RECORDS = {
 }
 RECORD_NAMES = {name for names in RECORDS.values() for name in names}
 
+# ``str`` fields of configs that are free text, not a choice.
+FREE_FORM = {
+    "ModelConfig.name": "a display label, printed and never compared",
+    "LinkFault.selector": "a link-kind prefix and an optional machine, "
+                          "checked by LinkFault itself",
+}
+
 # A valid instance of each config whose fields are not all defaulted.
 SAMPLES = {
     "ComputeSlowdown": lambda: ComputeSlowdown(machine=0, speed=0.5),
@@ -70,19 +86,27 @@ SAMPLES = {
 _NUMERIC = re.compile(r"(?:typing\.)?(Optional\[)?(int|float)\]?")
 
 
+def _annotation(item) -> str:
+    return (item.type if isinstance(item.type, str)
+            else getattr(item.type, "__name__", repr(item.type)))
+
+
 def numeric_fields(cls):
     """``(field, kind name, optional)`` of each ``int``/``float`` field."""
     for item in dataclasses.fields(cls):
-        match = _NUMERIC.fullmatch(
-            item.type if isinstance(item.type, str)
-            else getattr(item.type, "__name__", repr(item.type))
-        )
+        match = _NUMERIC.fullmatch(_annotation(item))
         if match:
             yield item, match.group(2), bool(match.group(1))
 
 
-def numeric_dataclasses():
-    """Every public dataclass of ``repro`` with a numeric field."""
+def string_fields(cls):
+    """Each field of ``cls`` annotated ``str``."""
+    return [item for item in dataclasses.fields(cls)
+            if _annotation(item) == "str"]
+
+
+def public_dataclasses():
+    """Every public dataclass of ``repro``."""
     found = {}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         if info.name == "repro.__main__" or "._" in info.name:
@@ -91,15 +115,18 @@ def numeric_dataclasses():
         for name, cls in vars(module).items():
             if (inspect.isclass(cls) and dataclasses.is_dataclass(cls)
                     and cls.__module__ == module.__name__
-                    and not name.startswith("_")
-                    and any(numeric_fields(cls))):
+                    and not name.startswith("_")):
                 found[name] = cls
     return found
 
 
-CLASSES = numeric_dataclasses()
+DATACLASSES = public_dataclasses()
+CLASSES = {name: cls for name, cls in DATACLASSES.items()
+           if any(numeric_fields(cls))}
 CONFIGS = {name: cls for name, cls in CLASSES.items()
            if name not in RECORD_NAMES}
+STRING_CONFIGS = {name: cls for name, cls in DATACLASSES.items()
+                  if string_fields(cls) and name not in RECORD_NAMES}
 DECLARED = [
     (cls, item.name, domain_of(cls, item.name))
     for name, cls in sorted(CONFIGS.items())
@@ -213,3 +240,114 @@ def test_the_spec_grammars_refuse_through_the_declarations(parse, text):
     only mid-run, fails when the text is parsed, naming the field."""
     with pytest.raises(ValueError, match="seed"):
         parse(text)
+
+
+# -- string choices ----------------------------------------------------------
+
+CHOICES = [
+    (cls, item.name, domain_of(cls, item.name))
+    for name, cls in sorted(STRING_CONFIGS.items())
+    for item in string_fields(cls)
+    if isinstance(domain_of(cls, item.name), Choice)
+]
+
+
+def test_every_string_config_field_declares_a_choice():
+    undeclared = sorted(
+        f"{name}.{item.name}" for name, cls in STRING_CONFIGS.items()
+        for item in string_fields(cls)
+        if not isinstance(domain_of(cls, item.name), Choice)
+        and f"{name}.{item.name}" not in FREE_FORM
+    )
+    assert undeclared == [], (
+        "declare a Choice (repro.domains) on each, or list it in FREE_FORM "
+        f"with a reason: {undeclared}"
+    )
+    assert {f"{cls.__name__}.{name}" for cls, name, _ in CHOICES} >= {
+        "JanusFeatures.a2a_stagger", "JanusFeatures.grad_allreduce",
+        "ResilienceConfig.on_failure", "DriftSpec.kind", "TraceSpec.kind",
+        "ServingConfig.topology", "ServingConfig.prefill_paradigm",
+        "ServingConfig.decode_paradigm",
+    }
+
+
+def test_free_form_names_live_undeclared_string_fields():
+    live = {
+        f"{name}.{item.name}" for name, cls in STRING_CONFIGS.items()
+        for item in string_fields(cls) if domain_of(cls, item.name) is None
+    }
+    assert sorted(set(FREE_FORM) - live) == []
+
+
+@pytest.mark.parametrize(
+    "cls, name, accepts", CHOICES,
+    ids=[f"{cls.__name__}.{name}" for cls, name, _ in CHOICES],
+)
+def test_the_choice_holds_the_default(cls, name, accepts):
+    (item,) = [item for item in string_fields(cls) if item.name == name]
+    assert accepts.contains(item.default)
+    assert accepts.contains(getattr(sample(cls), name))
+
+
+def not_chosen(accepts):
+    """A declared value in the wrong case, and the values no choice holds."""
+    first = accepts.values[0]
+    assert first.upper() not in accepts.values
+    return [first.upper(), "", None, 1, first.encode()]
+
+
+BAD_CHOICES = [
+    (cls, name, value)
+    for cls, name, accepts in CHOICES for value in not_chosen(accepts)
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, value", BAD_CHOICES,
+    ids=[f"{cls.__name__}.{name}={value!r}" for cls, name, value in BAD_CHOICES],
+)
+def test_a_value_outside_the_choice_is_refused_by_name(cls, name, value):
+    pattern = rf"^{name} must be one of .*, got .* \({cls.__name__}\)$"
+    with pytest.raises(ValueError, match=pattern):
+        dataclasses.replace(sample(cls), **{name: value})
+
+
+def _option(command: str, flag: str) -> argparse.Action:
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    (action,) = [action for action in commands.choices[command]._actions
+                 if flag in action.option_strings]
+    return action
+
+
+# Each CLI flag that sets a declared choice, and the values it adds.
+CHOICE_FLAGS = [
+    ("simulate", "--stagger-a2a", JanusFeatures, "a2a_stagger", ()),
+    ("serve", "--topology", ServingConfig, "topology", ("both",)),
+    ("serve", "--prefill-paradigm", ServingConfig, "prefill_paradigm", ()),
+    ("serve", "--decode-paradigm", ServingConfig, "decode_paradigm", ()),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, cls, name, extra", CHOICE_FLAGS,
+    ids=[flag for _, flag, _, _, _ in CHOICE_FLAGS],
+)
+def test_each_cli_flag_offers_the_declared_choice(command, flag, cls, name,
+                                                  extra):
+    declared = domain_of(cls, name).values
+    assert sorted(_option(command, flag).choices) == sorted(
+        (*declared, *extra)
+    )
+
+
+@pytest.mark.parametrize("parse", [DriftSpec.parse, TraceSpec.parse],
+                         ids=["drift", "trace"])
+def test_the_spec_grammars_take_each_declared_kind_bare(parse):
+    """``--drift`` and ``--trace`` set ``kind`` from a bare first clause;
+    the words they accept are the declared choice."""
+    cls = type(parse(""))
+    for kind in domain_of(cls, "kind").values:
+        assert parse(kind).kind == kind
+    with pytest.raises(ValueError, match="malformed"):
+        parse("Flip")

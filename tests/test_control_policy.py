@@ -19,9 +19,10 @@ from repro.control import (
 )
 from repro.control.policy import MAX_REPLICAS
 from repro.core import CostModel
+from repro.domains import domain_of
 from repro.faults import DegradationPolicy
 from repro.faults.injector import FaultStats
-from repro.workloads import DRIFT_KINDS, DriftSpec, drift_weights
+from repro.workloads import DriftSpec, drift_weights
 
 BLOCK = 10
 
@@ -117,7 +118,7 @@ class TestDriftSpec:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             DriftSpec(**overrides)
 
-    @pytest.mark.parametrize("kind", DRIFT_KINDS)
+    @pytest.mark.parametrize("kind", domain_of(DriftSpec, "kind").values)
     def test_weights_are_a_distribution(self, kind):
         spec = DriftSpec(kind=kind, skew=1.3, seed=3)
         for iteration in (0, 1, 5):

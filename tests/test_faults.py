@@ -7,6 +7,7 @@ credit-discipline preservation, and the between-iteration paradigm
 degradation policy.
 """
 
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -98,6 +99,8 @@ class TestFaultPlanParse:
         "slow=x*0.5",                 # machine must be an int
         "outage=0:flaky",             # outages take no :MODE suffix
         "outage=1:pause@0:0.01",      # ... not even :pause
+        "link=nic.abc*0.5",           # a link's machine is an int
+        "link=bogus*0.5",             # no link kind starts with 'bogus'
     ])
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ValueError):
@@ -453,6 +456,17 @@ class TestEngineUnderFaults:
         assert stats.dropped_messages > 0
         assert stats.retries > 0
         assert result.seconds < 2 * GOLDEN_SECONDS["data-centric"]
+
+    @pytest.mark.parametrize("spec", [
+        "outage=2", "slow=2*0.5", "link=nic.99*0.5",
+    ], ids=["outage", "slow", "link"])
+    def test_a_fault_with_no_target_is_refused_at_construction(
+        self, setup, spec
+    ):
+        """On two machines each ran a fault-free iteration."""
+        (fault,) = FaultPlan.parse(spec).faults
+        with pytest.raises(ValueError, match=re.escape(repr(fault))):
+            run_one(setup, "data-centric", fault_plan=FaultPlan.parse(spec))
 
     def test_on_failure_raise_surfaces_pull_failure(self, setup):
         plan = FaultPlan.parse("seed=1;loss=pull-request*1.0")

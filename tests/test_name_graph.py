@@ -15,17 +15,22 @@ when its name appears in a caller as
   compiled kernels call back into Python (``"_compact"``, ``"_ledger"``);
 * a bare ``Name``, for a module-level function or class only: a class
   member is reached through its object, so a parameter or local that
-  shares a method's name does not call the method.
+  shares a method's name does not call the method;
+* ``self.x`` or ``cls.x`` inside a class body, for a member ``x`` of
+  that class, of a class it derives from or of a class derived from it
+  (classes are matched by name, bases by their last part): such a use
+  reaches nothing in an unrelated class.
 
-Names match by their last part, so one ``x.run`` keeps every ``run``.
-Dunder methods are exempt, and a definition is not its own call.  A
-name that only tests reach belongs in ``tests/`` or nowhere; the
-exceptions sit in :data:`ALLOWED`.
+Other names match by their last part, so one ``x.run`` keeps every
+``run``.  Dunder methods are exempt, and a definition is not its own
+call.  A name that only tests reach belongs in ``tests/`` or nowhere;
+the exceptions sit in :data:`ALLOWED`.
 """
 
 import ast
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -83,55 +88,119 @@ def _is_all(node) -> bool:
                for t in targets)
 
 
-def names_in(tree: ast.AST, package_init: bool):
-    """``(bare, members)``: the bare ``Name``s ``tree`` uses, and the
-    names it calls by every other rule of the module docstring."""
+class Calls(NamedTuple):
+    """What callers use: bare ``Name``s, the member names called by
+    every other rule, ``self``/``cls`` members by the classes using them,
+    and each class's base names."""
+
+    bare: set
+    members: set
+    own: dict     # member name -> names of the classes using self.member
+    bases: dict   # class name -> names of its bases
+
+    def update(self, other: "Calls") -> None:
+        self.bare.update(other.bare)
+        self.members.update(other.members)
+        for table, more in ((self.own, other.own), (self.bases, other.bases)):
+            for key, names in more.items():
+                table.setdefault(key, set()).update(names)
+
+
+def _last(node) -> str:
+    """The last name part of a base class expression (``Generic[T]`` ->
+    ``Generic``)."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return getattr(node, "attr", getattr(node, "id", ""))
+
+
+def _own_members(tree: ast.AST) -> dict:
+    """``id(node) -> class name`` of each ``self.x``/``cls.x`` attribute
+    inside a class body, by its innermost class."""
+    found = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (owner and isinstance(child, ast.Attribute)
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id in ("self", "cls")):
+                found[id(child)] = owner
+            visit(child, child.name if isinstance(child, ast.ClassDef)
+                  else owner)
+
+    visit(tree, None)
+    return found
+
+
+def names_in(tree: ast.AST, package_init: bool) -> Calls:
+    """The names ``tree`` uses, by the rules of the module docstring."""
     skipped = {
         id(inner) for node in ast.walk(tree) if _is_all(node)
         for inner in ast.walk(node)
     }
-    bare, members = set(), set()
+    owners = _own_members(tree)
+    calls = Calls(set(), set(), {}, {})
     for node in ast.walk(tree):
         if id(node) in skipped:
             continue
         if isinstance(node, ast.Name):
-            bare.add(node.id)
+            calls.bare.add(node.id)
+        elif isinstance(node, ast.Attribute) and id(node) in owners:
+            calls.own.setdefault(node.attr, set()).add(owners[id(node)])
         elif isinstance(node, ast.Attribute):
-            members.add(node.attr)
+            calls.members.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            calls.bases.setdefault(node.name, set()).update(
+                _last(base) for base in node.bases)
         elif isinstance(node, ast.ImportFrom) and not package_init:
-            members.update(alias.name for alias in node.names)
+            calls.members.update(alias.name for alias in node.names)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and IDENTIFIER.fullmatch(node.value)):
-            members.update(node.value.split("."))
-    return bare, members
+            calls.members.update(node.value.split("."))
+    return calls
 
 
-def callers():
-    """``(bare, members)`` over every caller."""
-    bare, members = set(), set()
-
-    def add(tree, package_init):
-        tree_bare, tree_members = names_in(tree, package_init)
-        bare.update(tree_bare)
-        members.update(tree_members)
-
+def callers() -> Calls:
+    """What every caller uses."""
+    calls = Calls(set(), set(), {}, {})
     for directory in CALLER_DIRS:
         for path in sorted(directory.rglob("*.py")):
-            add(ast.parse(path.read_text(), str(path)),
-                path.name == "__init__.py" and path.is_relative_to(SRC))
+            calls.update(names_in(
+                ast.parse(path.read_text(), str(path)),
+                path.name == "__init__.py" and path.is_relative_to(SRC),
+            ))
     for block in README_BLOCK.findall((ROOT / "README.md").read_text()):
-        add(ast.parse(block), False)
+        calls.update(names_in(ast.parse(block), False))
     for literal in C_STRING.findall(NATIVE.read_text()):
         if IDENTIFIER.fullmatch(literal):
-            members.update(literal.split("."))
-    return bare, members
+            calls.members.update(literal.split("."))
+    return calls
 
 
-def is_called(name: str, calls) -> bool:
+def _lineage(name: str, bases: dict) -> set:
+    """The class ``name`` and every class it derives from."""
+    seen, todo = set(), [name]
+    while todo:
+        current = todo.pop()
+        if current not in seen:
+            seen.add(current)
+            todo.extend(bases.get(current, ()))
+    return seen
+
+
+def is_called(name: str, calls: Calls) -> bool:
     """Whether the definition ``name`` has a caller in ``calls``."""
-    bare, members = calls
-    last = name.rpartition(".")[2]
-    return last in members or ("." not in name and last in bare)
+    owner, _, last = name.rpartition(".")
+    if last in calls.members:
+        return True
+    if not owner:
+        return last in calls.bare
+    owner = owner.rpartition(".")[2]
+    return any(
+        user in _lineage(owner, calls.bases)
+        or owner in _lineage(user, calls.bases)
+        for user in calls.own.get(last, ())
+    )
 
 
 def test_every_name_has_a_caller_outside_the_tests():
@@ -174,3 +243,22 @@ def test_a_local_variable_does_not_keep_a_method_alive():
     assert is_called("width", local)
     through_object = names_in(ast.parse("grid.width()\n"), False)
     assert is_called("Grid.width", through_object)
+
+
+def test_self_reaches_only_its_own_class_line():
+    """``self.total`` in a record with a ``total`` field does not call an
+    unrelated class's ``total`` method; ``self.x`` reaches ``x`` up and
+    down its own class line."""
+    calls = names_in(ast.parse(
+        "class Log:\n    def total(self):\n        return 0\n"
+        "class Result:\n    def mean(self):\n        return self.total\n"
+        "class Base:\n    def hook(self):\n        pass\n"
+        "    def run(self):\n        return self.hook()\n"
+        "class Child(module.Base):\n    def hook(self):\n        pass\n"
+        "    @classmethod\n    def go(cls):\n        return cls.run\n"
+    ), False)
+    assert not is_called("Log.total", calls)
+    assert is_called("Base.hook", calls)
+    assert is_called("Child.hook", calls)
+    assert is_called("Base.run", calls)
+    assert not is_called("Child.go", calls)

@@ -17,7 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving import TRACE_KINDS, TraceSpec, expert_rank, generate_trace
+from repro.domains import domain_of
+from repro.serving import TraceSpec, expert_rank, generate_trace
+
+TRACE_KINDS = domain_of(TraceSpec, "kind").values
 
 # One spec per trace shape, reused by the non-hypothesis tests.
 SHAPES = {
