@@ -10,7 +10,15 @@ env.timeout(0)``) is the primitive's own cost.  The minimum over
 ``--repeats`` loops is reported, measured in this process on the
 compiled cores.
 
-The fluid rows are absolute, not above a bare wait:
+The GPU-kernel rows are absolute, not above a bare wait: one process
+runs ``--ops`` kernels of 1 us back to back on one compute stream and
+waits on each, in today's form (``Fabric.compute``'s compiled hold,
+``Resource.hold``) and in the form it replaced (a generator process
+that claims the stream ``with`` a request and waits a timeout).  Both
+forms schedule the same four events per kernel: the process's start,
+the grant, the timeout and the process's end.
+
+The fluid rows are absolute too:
 
 * a flow, from ``transfer`` to its ``done`` event: one process sends
   ``--ops`` flows one after another over one link and waits on each, so
@@ -24,8 +32,9 @@ The fluid rows are absolute, not above a bare wait:
 
 Layer: the e2e tracer (``e2e/tracing.py``) patches no primitive, so it
 books their time to the layer of the calling process -- ``core.lanes``
-for task-graph waits and arbiter claims, ``netsim.procs`` for compute
-streams and collectives, ``simkit`` for callbacks run by the event loop.
+for task-graph waits, arbiter claims and the call that starts a hold,
+``netsim.procs`` for collectives, ``simkit`` for callbacks run by the
+event loop and for a hold's grant, timeout and release.
 This script measures that slice alone: the simkit wait primitives.
 """
 
@@ -137,6 +146,30 @@ def _resolve_seconds(simkit, netsim, ops: int) -> float:
     return spent / ops
 
 
+def _generator_kernel(simkit, env, kit, ops):
+    stream = kit.resource
+
+    def compute(seconds):
+        with stream.request() as slot:
+            yield slot
+            yield env.timeout(seconds)
+
+    for _ in range(ops):
+        yield env.process(compute(1e-6))
+
+
+def _hold_kernel(simkit, env, kit, ops):
+    for _ in range(ops):
+        yield kit.resource.hold(1e-6, None, "compute")
+
+
+# name -> process body; each operation runs one GPU kernel and waits on it.
+KERNELS = {
+    "kernel, generator process": _generator_kernel,
+    "kernel, Resource.hold": _hold_kernel,
+}
+
+
 # name -> seconds per op, given the simkit and netsim modules and --ops.
 FLUID = {
     "flow, no latency": lambda simkit, netsim, ops: _flow_seconds(
@@ -170,15 +203,19 @@ def measure(ops: int, repeats: int) -> dict:
     import repro.simkit as simkit
 
     best = {name: float("inf") for name in OPERATIONS}
+    kernels = {name: float("inf") for name in KERNELS}
     fluid = {name: float("inf") for name in FLUID}
     for _ in range(repeats):
         for name, body in OPERATIONS.items():
             best[name] = min(best[name], _seconds_per_op(simkit, body, ops))
+        for name, body in KERNELS.items():
+            kernels[name] = min(kernels[name], _seconds_per_op(simkit, body, ops))
         for name, run in FLUID.items():
             fluid[name] = min(fluid[name], run(simkit, netsim, ops))
     bare = best.pop("bare wait")
     costs = {name: (seconds - bare) * 1e6 for name, seconds in best.items()}
     return {"bare_us": bare * 1e6, "costs": costs,
+            "kernels": {name: seconds * 1e6 for name, seconds in kernels.items()},
             "fluid": {name: seconds * 1e6 for name, seconds in fluid.items()}}
 
 
@@ -192,6 +229,9 @@ def main(argv=None) -> int:
           f"(min of {args.repeats} x {args.ops} ops)")
     print(f"{'(bare wait, absolute)':<28}{run['bare_us']:>11.2f}")
     for name, cost in run["costs"].items():
+        print(f"{name:<28}{cost:>11.2f}")
+    print(f"\nGPU kernels: us per kernel, waited on, absolute (min of {args.repeats})")
+    for name, cost in run["kernels"].items():
         print(f"{name:<28}{cost:>11.2f}")
     print(f"\nfluid network: us per flow (transfer to done) and per re-solve, "
           f"absolute (min of {args.repeats})")

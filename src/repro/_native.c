@@ -5,9 +5,10 @@
 
    * the event kernel: Event, Timeout, Process, Condition/AllOf/AnyOf
      and the Environment base type behind repro.simkit.core, and the
-     wait primitives repro.simkit binds: Resource,
-     PriorityResource, Store and Container with their request, put and
-     get events (see repro/simkit/core.py);
+     wait primitives repro.simkit binds: Resource (and its hold, the
+     generator-free process every GPU kernel runs as), PriorityResource,
+     Store and Container with their request, put and get events (see
+     repro/simkit/core.py);
    * the fluid network's kernel: advance, admit, retire, settle and
      waterfill, the C loops behind repro.netsim._waterfill,
      plus the two packers, ledger() and tables(), whose objects carry the
@@ -44,7 +45,7 @@ static inline PyObject *Py_NewRef(PyObject *obj) {
 /* Bound by setup(): the exception class the event kernel raises and
    the "not yet triggered" sentinel of core.py. */
 static PyObject *SimulationError, *Pending;
-static PyObject *str_send, *str_throw, *str_name, *str_now, *str_value;
+static PyObject *str_send, *str_throw, *str_name, *str_now, *str_value, *str_hold;
 static PyObject *zero;  /* 0.0 */
 
 typedef struct {
@@ -90,7 +91,8 @@ typedef struct {
     long long events_processed, processes_started;
 } EnvObject;
 
-static PyTypeObject EventType, TimeoutType, ProcessType, EnvType, ConditionType, AnyOfType;
+static PyTypeObject EventType, TimeoutType, ProcessType, EnvType, ConditionType, AnyOfType,
+    HoldType;
 
 #define HAS_EXC(e) ((e)->exception != NULL && (e)->exception != Py_None)
 #define TRIGGERED(e) ((e)->value != Pending || HAS_EXC(e))
@@ -100,6 +102,8 @@ static PyTypeObject EventType, TimeoutType, ProcessType, EnvType, ConditionType,
 
 static int process_resume(ProcessObject *self, EventObject *event);
 static int condition_check(PyObject *self, EventObject *event);
+typedef struct HoldObject HoldObject;
+static int hold_resume(HoldObject *self, EventObject *event);
 
 /* -- queue ------------------------------------------------------------ */
 
@@ -324,11 +328,13 @@ static int add_callback(EventObject *event, PyObject *callback) {
     return PyList_Append(callbacks, callback);
 }
 
-/* Runs one callback: a process resumes, a condition counts the event,
-   anything else is called with it. */
+/* Runs one callback: a process or a hold resumes, a condition counts
+   the event, anything else is called with it. */
 static int run_callback(EventObject *self, PyObject *callback) {
     if (Py_IS_TYPE(callback, &ProcessType))
         return process_resume((ProcessObject *) callback, self);
+    if (Py_IS_TYPE(callback, &HoldType))
+        return hold_resume((HoldObject *) callback, self);
     if (PyObject_TypeCheck(callback, &ConditionType))
         return condition_check(callback, self);
     PyObject *result = PyObject_CallOneArg(callback, (PyObject *) self);
@@ -594,6 +600,25 @@ static int process_resume(ProcessObject *self, EventObject *event) {
     }
 }
 
+/* Schedules the initialize event that starts a new process (or hold) at
+   the current time, and counts it alive; priority > 1 starts it only
+   after all normal-priority work of the instant. */
+static int start_process(ProcessObject *self, long priority) {
+    PyObject *env = self->event.env;
+    EventObject *init = event_alloc(&EventType, env);
+    if (init == NULL) return -1;
+    Py_INCREF(Py_None);
+    Py_SETREF(init->value, Py_None);
+    int status = (add_callback(init, (PyObject *) self) < 0
+                  || schedule(env, init, 0.0, priority) < 0) ? -1 : 0;
+    Py_DECREF(init);
+    if (status < 0) return -1;
+    EnvObject *e = (EnvObject *) env;
+    if (PySet_Add(e->alive, (PyObject *) self) < 0) return -1;
+    e->processes_started++;
+    return 0;
+}
+
 /* name, daemon and priority may be NULL (their defaults). */
 static PyObject *make_process(PyObject *env, PyObject *generator, PyObject *name,
                              PyObject *daemon, PyObject *priority_obj) {
@@ -629,20 +654,7 @@ static PyObject *make_process(PyObject *env, PyObject *generator, PyObject *name
     /* Daemon processes (e.g. server listen loops) are expected to stay
        blocked forever and are exempt from stall detection. */
     self->daemon = (char) is_daemon;
-    /* The initialize event starts the generator at the current time;
-       priority > 1 starts the process only after all normal-priority work
-       of the instant. */
-    EventObject *init = event_alloc(&EventType, env);
-    if (init == NULL) goto error;
-    Py_INCREF(Py_None);
-    Py_SETREF(init->value, Py_None);
-    int status = (add_callback(init, (PyObject *) self) < 0
-                  || schedule(env, init, 0.0, priority) < 0) ? -1 : 0;
-    Py_DECREF(init);
-    if (status < 0) goto error;
-    EnvObject *e = (EnvObject *) env;
-    if (PySet_Add(e->alive, (PyObject *) self) < 0) goto error;
-    e->processes_started++;
+    if (start_process(self, priority) < 0) goto error;
     return (PyObject *) self;
 error:
     Py_DECREF(self);
@@ -1461,8 +1473,15 @@ static void resource_dealloc(ResourceObject *self) {
     Py_TYPE(self)->tp_free((PyObject *) self);
 }
 
+static PyObject *resource_hold(ResourceObject *self, PyObject *const *args,
+                               Py_ssize_t nargs, PyObject *kwnames);  /* see Hold */
+
 static PyMethodDef resource_methods[] = {
     {"request", (PyCFunction) resource_request, METH_NOARGS, NULL},
+    {"hold", (PyCFunction)(void (*)(void)) resource_hold, METH_FASTCALL | METH_KEYWORDS,
+     "hold(delay, stretch=None, name='hold'): start a process that holds one\n"
+     "slot for ``delay`` once granted (``stretch(delay, now)`` at the grant\n"
+     "when given), then releases it and triggers with None."},
     {"release", (PyCFunction) resource_release, METH_O,
      "Free the slot held by ``request`` (no-op if it never got one)."},
     {NULL}
@@ -1503,6 +1522,167 @@ static PyTypeObject PriorityResourceType = {
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_base = &ResourceType,
     .tp_methods = priority_resource_methods,
+};
+
+/* -- Hold ------------------------------------------------------------- */
+
+/* Resource.hold's process: a seize-advance-release state machine with
+   the event order of the generator process
+       with resource.request() as slot:
+           yield slot
+           if stretch is not None: delay = stretch(delay, env.now)
+           yield env.timeout(delay)
+   -- its init event, the grant, the timeout and its end, each scheduled
+   where the generator's would be -- without a generator frame.  The
+   end clears resource, request and stretch. */
+struct HoldObject {
+    ProcessObject process;   /* generator stays NULL */
+    PyObject *resource;
+    PyObject *request;       /* NULL until the init event seizes a slot */
+    PyObject *stretch;       /* NULL or a callable */
+    PyObject *delay;
+};
+
+/* Ends the hold: the slot (if any) is released first, as the `with`
+   block's exit does, then the hold triggers with None or, when exc is
+   not NULL, fails with it. */
+static int hold_finish(HoldObject *self, PyObject *exc) {
+    PyObject *request = self->request;
+    self->request = NULL;
+    int status = 0;
+    if (request != NULL) {
+        status = release((ResourceObject *) self->resource, request);
+        Py_DECREF(request);
+    }
+    Py_CLEAR(self->resource);
+    Py_CLEAR(self->stretch);
+    if (status < 0) return -1;
+    return process_finish(&self->process, (EnvObject *) self->process.event.env,
+                          exc ? NULL : Py_None, exc);
+}
+
+/* The pending Python error fails the hold, as it fails a generator. */
+static int hold_raise(HoldObject *self) {
+    PyObject *type, *exc, *traceback;
+    PyErr_Fetch(&type, &exc, &traceback);
+    PyErr_NormalizeException(&type, &exc, &traceback);
+    if (traceback != NULL) PyException_SetTraceback(exc, traceback);
+    int status = hold_finish(self, exc);
+    Py_XDECREF(type);
+    Py_XDECREF(exc);
+    Py_XDECREF(traceback);
+    return status;
+}
+
+static int hold_resume(HoldObject *self, EventObject *event) {
+    PyObject *env = self->process.event.env;
+    if (self->resource == NULL) {  /* only a stray callback reaches an ended hold */
+        PyErr_Format(SimulationError, "%R has already ended", self);
+        return -1;
+    }
+    if (self->request == NULL) {  /* the init event: seize */
+        self->request = make_request(&RequestType, self->resource, NULL);
+        if (self->request == NULL) return hold_raise(self);
+        return add_callback((EventObject *) self->request, (PyObject *) self);
+    }
+    if (HAS_EXC(event)) {  /* thrown into the `with` block */
+        event->defused = 1;
+        PyObject *exc = Py_NewRef(event->exception);
+        int status = hold_finish(self, exc);
+        Py_DECREF(exc);
+        return status;
+    }
+    if ((PyObject *) event != self->request) return hold_finish(self, NULL);
+    /* granted: advance */
+    PyObject *delay = Py_NewRef(self->delay);
+    if (self->stretch != NULL) {
+        PyObject *now = PyFloat_FromDouble(((EnvObject *) env)->now);
+        Py_SETREF(delay, now == NULL ? NULL
+                  : PyObject_CallFunctionObjArgs(self->stretch, delay, now, NULL));
+        Py_XDECREF(now);
+        if (delay == NULL) return hold_raise(self);
+    }
+    PyObject *timeout = make_timeout(env, delay, Py_None);
+    Py_DECREF(delay);
+    if (timeout == NULL) return hold_raise(self);
+    int status = add_callback((EventObject *) timeout, (PyObject *) self);
+    Py_DECREF(timeout);
+    return status;
+}
+
+static PyObject *resource_hold(ResourceObject *self, PyObject *const *args,
+                               Py_ssize_t nargs, PyObject *kwnames) {
+    static const char *const names[] = {"delay", "stretch", "name"};
+    PyObject *out[3];
+    if (parse_args("hold", names, 3, 1, args, nargs, kwnames, out) < 0) return NULL;
+    if (self->prioritized) {
+        PyErr_SetString(PyExc_TypeError, "a PriorityResource cannot hold; "
+                        "request a slot with a priority instead");
+        return NULL;
+    }
+    PyObject *delay = out[0], *stretch = out[1] == Py_None ? NULL : out[1];
+    double seconds = PyFloat_AsDouble(delay);
+    if (seconds == -1.0 && PyErr_Occurred()) return NULL;
+    if (!(seconds >= 0)) {
+        PyErr_Format(SimulationError, "negative or NaN timeout delay: %S", delay);
+        return NULL;
+    }
+    if (stretch != NULL && !PyCallable_Check(stretch)) {
+        PyErr_Format(PyExc_TypeError, "stretch must be callable, not %R", stretch);
+        return NULL;
+    }
+    int named = out[2] ? PyObject_IsTrue(out[2]) : 0;
+    if (named < 0) return NULL;
+    HoldObject *hold = (HoldObject *) event_alloc(&HoldType, self->env);
+    if (hold == NULL) return NULL;
+    hold->resource = Py_NewRef((PyObject *) self);
+    hold->stretch = stretch ? Py_NewRef(stretch) : NULL;
+    hold->delay = Py_NewRef(delay);
+    hold->process.name = Py_NewRef(named ? out[2] : str_hold);
+    if (start_process(&hold->process, 1) < 0) {
+        Py_DECREF(hold);
+        return NULL;
+    }
+    return (PyObject *) hold;
+}
+
+static int hold_traverse(HoldObject *self, visitproc visit, void *arg) {
+    Py_VISIT(self->resource);
+    Py_VISIT(self->request);
+    Py_VISIT(self->stretch);
+    Py_VISIT(self->delay);
+    return process_traverse(&self->process, visit, arg);
+}
+
+static int hold_clear(HoldObject *self) {
+    Py_CLEAR(self->resource);
+    Py_CLEAR(self->request);
+    Py_CLEAR(self->stretch);
+    Py_CLEAR(self->delay);
+    return process_clear(&self->process);
+}
+
+static void hold_dealloc(HoldObject *self) {
+    PyObject_GC_UnTrack(self);
+    hold_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *) self);
+}
+
+static PyTypeObject HoldType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simkit.Hold",
+    .tp_doc = "The process :meth:`Resource.hold` starts: it holds one slot for a\n"
+              "delay and triggers with None once it has released it.",
+    .tp_basicsize = sizeof(HoldObject),
+#ifdef Py_TPFLAGS_DISALLOW_INSTANTIATION
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_DISALLOW_INSTANTIATION,
+#else
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+#endif
+    .tp_base = &ProcessType,
+    .tp_dealloc = (destructor) hold_dealloc,
+    .tp_traverse = (traverseproc) hold_traverse,
+    .tp_clear = (inquiry) hold_clear,
 };
 
 /* -- Store ------------------------------------------------------------ */
@@ -2655,7 +2835,7 @@ typedef struct {
     PyObject_HEAD
     PyObject *path, *path_index, *tag;
     PyObject *started_at, *completed_at;  /* None until stamped */
-    PyObject *done;               /* the event that succeeds with the flow */
+    PyObject *done;               /* the event that succeeds (with None) at the end */
     PyObject *net;                /* the network while the flow holds a row, else None */
     long long id;
     Py_ssize_t row;
@@ -2952,7 +3132,9 @@ static int defer_recompute(NetObject *net) {
 }
 
 /* _finish: the flow's last byte landed at `at`; it leaves the ledger
-   with no bytes or rate left, its bytes are counted, and done succeeds. */
+   with no bytes or rate left, its bytes are counted, and done succeeds
+   with None (a done event whose value were the flow would close a
+   flow -> done -> flow cycle only the cyclic GC could free). */
 static int finish(NetObject *net, FlowObject *flow, PyObject *at) {
     Py_XSETREF(flow->net, Py_NewRef(Py_None));
     flow->remaining = flow->rate = 0.0;
@@ -2961,9 +3143,9 @@ static int finish(NetObject *net, FlowObject *flow, PyObject *at) {
     PyObject *done = Py_NewRef(flow->done ? flow->done : Py_None);
     int status;
     if (Py_IS_TYPE(done, &EventType)) {
-        status = trigger((EventObject *) done, (PyObject *) flow, NULL);
+        status = trigger((EventObject *) done, Py_None, NULL);
     } else {
-        PyObject *result = PyObject_CallMethodOneArg(done, str_succeed, (PyObject *) flow);
+        PyObject *result = PyObject_CallMethodNoArgs(done, str_succeed);
         status = result == NULL ? -1 : 0;
         Py_XDECREF(result);
     }
@@ -3342,13 +3524,15 @@ static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_ckernel", NULL, -1, module_methods,
 };
 
-/* The attribute names the two cores look up, interned once. */
+/* The attribute names the two cores look up, and a hold's default
+   name, interned once. */
 static const struct {
     PyObject **slot;
     const char *name;
 } interned[] = {
     {&str_send, "send"}, {&str_throw, "throw"}, {&str_name, "__name__"},
-    {&str_now, "now"}, {&str_value, "value"}, {&str_underscore_value, "_value"},
+    {&str_now, "now"}, {&str_value, "value"}, {&str_hold, "hold"},
+    {&str_underscore_value, "_value"},
     {&str_ledger, "_ledger"}, {&str_grow_rows, "_grow_rows"},
     {&str_intern_group, "_intern_group"}, {&str_compact, "_compact"},
     {&str_ensure_csr, "_ensure_csr"}, {&str_on_timer_event, "_on_timer_event"},
@@ -3362,7 +3546,8 @@ PyMODINIT_FUNC PyInit__ckernel(void) {
         if ((*interned[i].slot = PyUnicode_InternFromString(interned[i].name)) == NULL)
             return NULL;
     if ((zero = PyFloat_FromDouble(0.0)) == NULL) return NULL;
-    /* Exported under their tp_name's last part; PackType stays private. */
+    /* Exported under their tp_name's last part; PackType and HoldType stay
+       private (Resource.hold makes a hold). */
     PyTypeObject *types[] = {
         &EventType, &TimeoutType, &ProcessType, &EnvType, &ConditionType, &AllOfType,
         &AnyOfType, &RequestType, &PriorityRequestType, &ResourceType, &PriorityResourceType,
@@ -3373,6 +3558,7 @@ PyMODINIT_FUNC PyInit__ckernel(void) {
     if (PyType_Ready(&PackType) < 0) return NULL;
     for (int i = 0; i < count; i++)
         if (PyType_Ready(types[i]) < 0) return NULL;
+    if (PyType_Ready(&HoldType) < 0) return NULL;
     PyObject *module = PyModule_Create(&module_def);
     if (module == NULL) return NULL;
     for (int i = 0; i < count; i++) {

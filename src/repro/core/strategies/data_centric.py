@@ -47,7 +47,10 @@ class DataCentricStrategy(BlockStrategy):
         gpu_flops = engine._rank_flops(rank)
         backward = phase == "bwd"
         record = rank == TRACE_WORKER
-        routing = block.routing[rank]
+        # Python ints, read once per task: numpy scalars would make every
+        # kernel's pricing numpy arithmetic.  Not cached across tasks —
+        # drift rewrites ``routing`` in place between iterations.
+        routing = block.routing[rank].tolist()
 
         def expert_seconds(expert: int) -> float:
             # One batched GEMM per expert: a single kernel launch.
@@ -56,9 +59,7 @@ class DataCentricStrategy(BlockStrategy):
         # Resident experts first — they need no communication at all.
         for expert in ctx.own_experts_with_tokens(index, rank):
             start = ctx.env.now
-            yield ctx.env.process(
-                ctx.fabric.compute(gpu, expert_seconds(expert))
-            )
+            yield ctx.fabric.compute(gpu, expert_seconds(expert))
             if record:
                 ctx.trace.record(
                     "compute.expert", start, ctx.env.now,
@@ -70,9 +71,7 @@ class DataCentricStrategy(BlockStrategy):
         for _ in range(len(needed)):
             expert = yield store.get()
             start = ctx.env.now
-            yield ctx.env.process(
-                ctx.fabric.compute(gpu, expert_seconds(expert))
-            )
+            yield ctx.fabric.compute(gpu, expert_seconds(expert))
             if record:
                 ctx.trace.record(
                     "compute.expert", start, ctx.env.now,

@@ -58,9 +58,7 @@ class ExpertCentricStrategy(BlockStrategy):
                 received / split, engine._rank_flops(rank),
                 placement.experts_per_worker, phase,
             )
-            yield ctx.env.process(
-                ctx.fabric.compute(ctx.gpu_of[rank], seconds)
-            )
+            yield ctx.fabric.compute(ctx.gpu_of[rank], seconds)
 
         return Task(
             name, TaskKind.EXPERT_COMPUTE, waits=waits, signals=signals,

@@ -138,7 +138,7 @@ def _dense_body(engine, ctx, gpu, block, mult, scale, rank_flops):
 
     def body():
         seconds = engine._jittered(mult * scale * base)
-        yield ctx.env.process(ctx.fabric.compute(gpu, seconds))
+        yield ctx.fabric.compute(gpu, seconds)
 
     return body
 

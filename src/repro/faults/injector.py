@@ -10,10 +10,11 @@ through:
   flow — created but never activated, so its ``done`` event never fires,
   exactly like a datagram lost on the wire.  Recovery is the caller's
   :func:`~repro.faults.retry_flow` timeout + retry.
-* :meth:`compute_duration` is consulted by ``Fabric.compute`` to stretch
-  kernels on machines inside a :class:`ComputeSlowdown` window (piecewise,
-  so a kernel spanning a window boundary pays the slow rate only inside
-  the window).
+* :meth:`compute_duration`, bound to a kernel's machine, is the
+  ``stretch`` of the hold ``Fabric.compute`` returns: the hold calls it
+  at its grant to stretch kernels on machines inside a
+  :class:`ComputeSlowdown` window (piecewise, so a kernel spanning a
+  window boundary pays the slow rate only inside the window).
 
 Link faults run as daemon processes that rescale the matched links'
 bandwidth at the window edges via ``FluidNetwork.set_capacity``: to the

@@ -7,11 +7,13 @@ A :class:`Fabric` owns:
 * one serial compute stream per GPU (kernels on a stream execute in order;
   DMA/copy engines are separate, which is what allows computation and
   communication to overlap — the fact Janus's fine-grained scheduling
-  exploits).
+  exploits).  A kernel is one compiled hold of its stream
+  (:meth:`Fabric.compute`): no generator frame per kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Iterable, Optional
 
@@ -160,21 +162,38 @@ class Fabric:
     # -- computation ----------------------------------------------------------
 
     def compute(self, gpu: Device, seconds: float):
-        """Occupy ``gpu``'s compute stream for ``seconds`` (a process)."""
+        """Occupy ``gpu``'s compute stream for ``seconds``: a hold, the
+        process to wait on (see :meth:`~repro.simkit.Resource.hold`).
+
+        The arguments are checked here, at the call: ``gpu`` must be a GPU
+        of this cluster and ``seconds`` a finite, non-negative number (a
+        bool is not one).  Under a fault plan the injector's
+        ``compute_duration`` stretches the kernel at its grant.
+        """
+        stream = self.compute_streams.get(gpu)
+        if stream is None or isinstance(seconds, bool) or not 0.0 <= seconds < math.inf:
+            self._refuse_compute(gpu, seconds)
+        injector = self.fault_injector
+        if injector is None:
+            return stream.hold(seconds, None, "compute")
+        stretch = functools.partial(injector.compute_duration, gpu.machine)
+        return stream.hold(seconds, stretch, "compute")
+
+    def _refuse_compute(self, gpu: Device, seconds: float) -> None:
+        """Raise the ``ValueError`` that :meth:`compute` refuses its
+        arguments with."""
         if gpu.kind != "gpu":
             raise ValueError(f"compute target must be a GPU, got {gpu}")
-        if not 0.0 <= seconds < math.inf:
+        if gpu not in self.compute_streams:
             raise ValueError(
-                f"compute time must be finite and non-negative, got {seconds}"
+                f"compute target {gpu} is not a GPU of this "
+                f"{self.cluster.num_machines}-machine cluster"
             )
-        stream = self.compute_streams[gpu]
-        with stream.request() as slot:
-            yield slot
-            if self.fault_injector is not None:
-                seconds = self.fault_injector.compute_duration(
-                    gpu.machine, seconds, self.env.now
-                )
-            yield self.env.timeout(seconds)
+        if isinstance(seconds, bool):
+            raise ValueError(f"compute time must be a number, got a bool ({seconds})")
+        raise ValueError(
+            f"compute time must be finite and non-negative, got {seconds}"
+        )
 
     # -- accounting -----------------------------------------------------------
 

@@ -103,7 +103,7 @@ class Flow(_ext.Flow):
         latency: seconds before the first byte moves.
         remaining: bytes still to move.
         rate: current fair-share rate in bytes/second (0 until activated).
-        done: event triggered with the flow when the last byte lands.
+        done: event triggered (with ``None``) when the last byte lands.
 
     ``size`` and ``latency`` must be finite and non-negative.  The
     extension's ``Flow`` holds the fields, so the compiled bookkeeping

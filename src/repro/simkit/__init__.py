@@ -11,13 +11,16 @@ a numeric container.  All follow the SimPy usage idiom::
 
 Releases happen either via the context manager or an explicit
 ``resource.release(request)``.  ``Resource.users`` holds the granted
-requests; the wait queue is private.
+requests; the wait queue is private.  ``resource.hold(delay)`` runs that
+whole idiom -- claim a slot, hold it ``delay``, release -- as one
+compiled process to wait on, with no generator (see
+:mod:`repro.simkit.core`).
 
 Arguments that could only block forever are refused at the call with
 :class:`SimulationError`: a ``Resource`` capacity that is not a positive
 integer, a NaN ``Store`` or ``Container`` capacity, a NaN request
-priority, and a ``Container`` amount that is not finite or exceeds the
-capacity.
+priority, a negative or NaN hold delay, and a ``Container`` amount
+that is not finite or exceeds the capacity.
 """
 
 from .core import (

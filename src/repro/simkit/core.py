@@ -25,9 +25,9 @@ extension module (``repro/_native.c``, built, cached and imported by
 ``Process`` (its resume loop), ``Condition``/``AllOf``/``AnyOf`` and an
 ``Environment`` base type (schedule, pop, ``step``, the ``run`` loop, the
 instant-end hook flush, ``peek``, ``timeout`` and ``event``); and every
-wait primitive of :mod:`repro.simkit`: ``Resource``/``Request``,
-``PriorityResource``/``PriorityRequest``, ``Store`` with
-``StorePut``/``StoreGet`` and ``Container`` with
+wait primitive of :mod:`repro.simkit`: ``Resource``/``Request`` and
+the resource's hold (below), ``PriorityResource``/``PriorityRequest``,
+``Store`` with ``StorePut``/``StoreGet`` and ``Container`` with
 ``ContainerPut``/``ContainerGet``.  One simulated event used to cost
 about five Python frames (``step`` → ``_process_callbacks`` →
 ``Process._resume``, plus ``_schedule`` and ``succeed``); now it costs
@@ -68,6 +68,20 @@ calls "the reference") exactly, because every golden pins it:
   each pass.  ``users`` and ``items`` are real lists, and a container's
   ``level`` and ``min_level`` move by the reference's own number
   arithmetic (an int container stays int).
+* ``Resource.hold(delay, stretch=None, name="hold")`` starts a process
+  with no generator: a ``Process`` subtype whose resume is a
+  seize-advance-release state machine.  Its init event requests one
+  slot; at the grant it calls ``stretch(delay, now)`` when given and
+  waits a ``Timeout``; at the timeout it releases the slot and triggers
+  with ``None``.  These are the events, in the order, of a generator
+  process running ``with resource.request() as slot: yield slot; yield
+  env.timeout(delay)`` (the reference's ``hold`` is that generator),
+  and it is counted, named and listed as a blocked process the same
+  way.  A failure (a raising ``stretch``, a refused stretched delay)
+  releases the slot before the hold fails, as the ``with`` block's exit
+  does.  ``PriorityResource`` refuses it.  Every GPU kernel is one
+  (``Fabric.compute``), so a kernel costs no generator frame and no
+  Python resume.
 * Real generators resume through ``PyIter_Send`` (Python >= 3.10); any
   other iterator with ``send``/``throw`` methods, such as a tracing
   proxy, is resumed through those methods.

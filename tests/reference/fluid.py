@@ -38,7 +38,7 @@ class Flow:
         latency: seconds before the first byte moves.
         remaining: bytes still to move.
         rate: current fair-share rate in bytes/second (0 until activated).
-        done: event triggered with the flow when the last byte lands.
+        done: event triggered (with ``None``) when the last byte lands.
 
     ``size`` and ``latency`` must be finite and non-negative.  The
     extension's ``Flow`` type keeps the same fields in C; the views
@@ -318,7 +318,7 @@ class NumpyKernel:
                 flow._rate = 0.0
                 flow.completed_at = now
                 net.total_bytes_completed += flow.size
-                flow.done.succeed(flow)
+                flow.done.succeed()
         net._schedule_recompute()
 
     def recompute(self, net) -> None:
@@ -355,7 +355,7 @@ def _finish(net, flow) -> None:
     flow._rate = 0.0
     flow.completed_at = net.env.now
     net.total_bytes_completed += flow.size
-    flow.done.succeed(flow)
+    flow.done.succeed()
 
 
 def _reschedule(net) -> None:

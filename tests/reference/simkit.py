@@ -2,7 +2,8 @@
 
 The twin of the extension's ``Event``, ``Timeout``, ``Process``,
 ``Environment`` base, ``Condition``/``AllOf``/``AnyOf`` and wait
-primitives (``Request``/``Resource``, ``PriorityRequest``/
+primitives (``Request``/``Resource`` with ``Resource.hold``, whose
+process here runs a ``with``-block generator, ``PriorityRequest``/
 ``PriorityResource``, ``StorePut``/``StoreGet``/``Store`` and
 ``ContainerPut``/``ContainerGet``/``Container``), with the same event
 order.  Like the extension's types, these carry no ``run``: the
@@ -476,6 +477,20 @@ class Resource:
     def request(self) -> Request:
         return Request(self)
 
+    def hold(self, delay: float, stretch=None, name: Optional[str] = None) -> Process:
+        """Start a process that holds one slot for ``delay`` once granted
+        (``stretch(delay, now)`` at the grant when given), then releases
+        it and triggers with None."""
+        if isinstance(self, PriorityResource):
+            raise TypeError(
+                "a PriorityResource cannot hold; request a slot with a priority instead"
+            )
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN timeout delay: {delay}")
+        if stretch is not None and not callable(stretch):
+            raise TypeError(f"stretch must be callable, not {stretch!r}")
+        return Hold(self.env, _hold(self, delay, stretch), name=name or "hold")
+
     def release(self, request: Request) -> None:
         """Free the slot held by ``request`` (no-op if it never got one)."""
         if request in self.users:
@@ -493,6 +508,22 @@ class Resource:
             request = self._queue.pop(0)
             self.users.append(request)
             request.succeed()
+
+
+class Hold(Process):
+    """The process :meth:`Resource.hold` starts: it holds one slot for a
+    delay and triggers with None once it has released it."""
+
+    __slots__ = ()
+
+
+def _hold(resource: Resource, delay: float, stretch) -> Generator:
+    """The generator behind :meth:`Resource.hold`."""
+    with resource.request() as slot:
+        yield slot
+        if stretch is not None:
+            delay = stretch(delay, resource.env.now)
+        yield resource.env.timeout(delay)
 
 
 class PriorityRequest(Request):

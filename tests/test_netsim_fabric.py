@@ -9,7 +9,7 @@ from repro.netsim import (
     measure_all_to_all_goodput,
     uniform_matrix,
 )
-from repro.simkit import Environment
+from repro.simkit import Environment, Process
 from repro.units import gbytes_per_s
 
 
@@ -56,7 +56,7 @@ class TestFabric:
         ends = []
 
         def kernel(duration):
-            yield env.process(fabric.compute(gpu, duration))
+            yield fabric.compute(gpu, duration)
             ends.append(env.now)
 
         env.process(kernel(2.0))
@@ -64,17 +64,37 @@ class TestFabric:
         env.run()
         assert ends == [2.0, 5.0]
 
+    def test_a_kernel_is_a_hold_named_compute(self):
+        env, cluster, fabric = make_fabric(1)
+        kernel = fabric.compute(Device.gpu(0, 0), 1.5)
+        assert isinstance(kernel, Process) and kernel.name == "compute"
+        assert env.blocked_processes() == [kernel]
+        assert env.run(until=kernel) is None and env.now == 1.5
+        assert env.processes_started == 1 and env.events_processed == 4
+
     def test_compute_on_host_rejected(self):
         env, cluster, fabric = make_fabric(1)
-        with pytest.raises(ValueError):
-            list(fabric.compute(Device.host(0), 1.0))
+        with pytest.raises(ValueError, match="must be a GPU, got host"):
+            fabric.compute(Device.host(0), 1.0)
+
+    def test_compute_on_a_gpu_the_cluster_lacks_is_rejected(self):
+        env, cluster, fabric = make_fabric(2)
+        with pytest.raises(ValueError, match=r"gpu\[5\.0\] is not a GPU of this"):
+            fabric.compute(Device.gpu(5, 0), 1.0)
+        assert env.processes_started == 0
+
+    @pytest.mark.parametrize("seconds", [True, False])
+    def test_compute_rejects_a_bool_time(self, seconds):
+        env, cluster, fabric = make_fabric(1)
+        with pytest.raises(ValueError, match="must be a number, got a bool"):
+            fabric.compute(Device.gpu(0, 0), seconds)
+        assert env.processes_started == 0
 
     @pytest.mark.parametrize("seconds", [-1.0, float("inf"), float("nan")])
     def test_compute_rejects_a_non_finite_or_negative_time(self, seconds):
         env, cluster, fabric = make_fabric(1)
-        process = env.process(fabric.compute(Device.gpu(0, 0), seconds))
         with pytest.raises(ValueError, match="finite and non-negative, got"):
-            env.run(until=process)
+            fabric.compute(Device.gpu(0, 0), seconds)
         assert env.now == 0.0
 
     def test_nic_byte_accounting(self):

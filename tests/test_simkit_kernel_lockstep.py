@@ -8,14 +8,19 @@ waits on events, ``AllOf``/``AnyOf`` over processed and pending events,
 ``succeed``/``fail`` calls and instant-end hooks that schedule more
 events; some start at ``priority > 1``.  Programs also use the wait
 primitives: ``with``-scoped claims on a ``Resource`` and on a
-``PriorityResource`` (equal priorities included), bare requests that any
+``PriorityResource`` (equal priorities included), holds on the
+``Resource`` (``Resource.hold``: zero delays included, with no
+``stretch``, one that lengthens the hold and one that raises at the
+grant, queued behind the claims and the bare requests that a release may
+hand the slot on from), bare requests that any
 op may later wait on, trigger or release (granted or not), puts and gets
 on a bounded and an unbounded ``Store`` (whose ``items`` list they may
 also append to directly), and ``Container`` puts and gets.
 Rules also trigger and release from outside, and drive the clock with
 ``run(until=time)`` and ``run(until=event)``.
 
-Both sides log every resume with the clock, the value received and every
+Both sides log every resume with the clock, the events processed so far
+(so a reordering within an instant shows), the value received and every
 exception that escapes a drive; after every rule the logs, the clock,
 ``peek()``, ``events_processed``, each event's state, the resources'
 ``users``, the stores' ``items`` and the container's ``level`` and
@@ -52,6 +57,7 @@ _op = st.one_of(
     st.tuples(st.just("release"), _index),
     st.tuples(st.sampled_from(["put", "get", "stock"]), st.booleans()),
     st.tuples(st.sampled_from(["container_put", "container_get"]), st.sampled_from([1, 2])),
+    st.tuples(st.just("hold"), st.tuples(_delays, st.sampled_from([None, "stretch", "raise"]))),
 )
 
 
@@ -83,7 +89,7 @@ class _Side:
         return self.events[index % len(self.events)] if self.events else None
 
     def record(self, *entry):
-        self.log.append((self.env.now,) + entry)
+        self.log.append((self.env.now, self.env.events_processed) + entry)
 
     def request(self, label: str, prioritized: bool, priority):
         request = (self.arbiter.request(priority=priority) if prioritized
@@ -130,6 +136,9 @@ class _Side:
             if kind == "any_of" and not events:
                 return None
             return (simkit.AllOf if kind == "all_of" else simkit.AnyOf)(env, events)
+        if kind == "hold":
+            delay, stretch = arg
+            return self.track(self.resource.hold(delay, self.stretch(label, stretch), label))
         if kind == "defer":
             env.defer_to_instant_end(lambda: self.hook(label, arg))
             return None
@@ -146,6 +155,20 @@ class _Side:
         except simkit.SimulationError as exc:
             self.record(label, "refused", _outcome(exc))
         return None
+
+    def stretch(self, label: str, kind):
+        """A hold's ``stretch``: none, one that logs its call and lengthens
+        the hold, or one that raises at the grant."""
+        if kind is None:
+            return None
+
+        def stretch(delay, now):
+            self.record(label, "stretch", delay, now)
+            if kind == "raise":
+                raise ValueError(label)
+            return 2 * delay + 0.5
+
+        return stretch
 
     def hook(self, label: str, delay: float):
         self.record(label, "hook")
@@ -202,7 +225,7 @@ class _Side:
     def holdings(self):
         """The wait primitives' visible state."""
         return (
-            [self.labels[request] for request in self.resource.users],
+            [self.labels.get(request, "hold") for request in self.resource.users],
             [self.labels[request] for request in self.arbiter.users],
             [list(store.items) for store in self.stores],
             self.credits.level,
@@ -319,6 +342,7 @@ def _public_names(simkit):
         "AllOf": simkit.AllOf(env, [env.event()]),
         "AnyOf": simkit.AnyOf(env, []),
         "Resource": resource,
+        "Hold": resource.hold(1),
         "Request": resource.request(),
         "PriorityResource": arbiter,
         "PriorityRequest": arbiter.request(priority=1),

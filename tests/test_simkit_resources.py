@@ -417,3 +417,118 @@ def test_store_serves_the_put_before_the_get_in_each_pass():
     assert log == ["put done", ("got", "direct")]
     assert store.items == ["put"]
 
+
+
+def _kernels(env, start_kernel):
+    """Three contended kernels started by one process, each next to a timer
+    due when it ends; returns the log of resumes in dispatch order."""
+    stream = Resource(env, capacity=1)
+    log = []
+
+    def waiter(name, event):
+        value = yield event
+        log.append((name, env.now, env.events_processed, value))
+
+    def launch():
+        for delay in (2.0, 0.0, 1.5):
+            kernel = start_kernel(stream, delay)
+            env.process(waiter(f"kernel{delay}", kernel))
+            env.process(waiter(f"timer{delay}", env.timeout(delay)))
+            yield env.timeout(0.0)
+
+    env.process(launch())
+    steps = []
+    while env.peek() < float("inf"):
+        env.step()
+        steps.append((env.now, env.events_processed, env.processes_started))
+    return log, steps
+
+
+def test_hold_runs_the_events_of_a_with_block_process():
+    """A hold schedules what ``with request(): yield req; yield timeout``
+    in a process does, in the same order: init, grant, timeout, end."""
+
+    def generator_kernel(env):
+        def start(stream, delay):
+            def compute():
+                with stream.request() as slot:
+                    yield slot
+                    yield env.timeout(delay)
+
+            return env.process(compute())
+
+        return start
+
+    env_a, env_b = Environment(), Environment()
+    held = _kernels(env_a, lambda stream, delay: stream.hold(delay, None, "compute"))
+    assert held == _kernels(env_b, generator_kernel(env_b))
+    log, steps = held
+    assert [name for name, *_ in log if name.startswith("kernel")] == [
+        "kernel2.0", "kernel0.0", "kernel1.5",
+    ]
+    assert steps[-1] == (3.5, len(steps), 10)
+
+
+def test_hold_stretches_its_delay_at_the_grant():
+    env = Environment()
+    stream = Resource(env)
+    calls = []
+
+    def stretch(delay, now):
+        calls.append((delay, now))
+        return 3 * delay
+
+    first = stream.hold(1.0)
+    second = stream.hold(0.5, stretch)
+    env.run()
+    assert calls == [(0.5, 1.0)]
+    assert (first.value, second.value, env.now) == (None, None, 2.5)
+
+
+def test_a_failing_hold_releases_its_slot_before_it_fails():
+    env = Environment()
+    stream = Resource(env)
+    log = []
+
+    def stretch(delay, now):
+        raise ValueError("stretch failed")
+
+    def waiter(name, event):
+        try:
+            yield event
+            log.append((name, env.now, "ok"))
+        except ValueError as exc:
+            log.append((name, env.now, str(exc)))
+
+    hold = stream.hold(1.0, stretch)
+    env.process(waiter("hold", hold))
+    env.process(waiter("next", stream.hold(2.0)))
+    env.run()
+    assert log == [("hold", 0.0, "stretch failed"), ("next", 2.0, "ok")]
+    assert stream.users == []
+
+
+def test_a_hold_is_a_started_process_until_it_ends():
+    env = Environment()
+    stream = Resource(env)
+    hold = stream.hold(1.0, name="compute")
+    queued = stream.hold(0.0)
+    assert (hold.name, queued.name) == ("compute", "hold")
+    assert env.processes_started == 2
+    assert sorted(p.name for p in env.blocked_processes()) == ["compute", "hold"]
+    env.run(until=hold)
+    assert env.blocked_processes() == [queued]
+    env.run()
+    assert env.blocked_processes() == [] and env.now == 1.0
+
+
+def test_hold_arguments_are_refused_at_the_call():
+    env = Environment()
+    with pytest.raises(TypeError, match="PriorityResource"):
+        PriorityResource(env).hold(1.0)
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(SimulationError, match="negative or NaN"):
+            Resource(env).hold(delay)
+    with pytest.raises(TypeError, match="stretch must be callable"):
+        Resource(env).hold(1.0, 2.0)
+    assert env.processes_started == 0
