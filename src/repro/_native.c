@@ -16,8 +16,10 @@
      around them: stage, activate, fire and recompute, over the state of the
      FluidNetwork base type behind repro.netsim.fluid.FluidNetwork and
      the fields of the Flow base type behind repro.netsim.fluid.Flow.
+     The four are also that type's methods _stage, _activate, _fire and
+     _recompute.
 
-   Every fluid entry is a METH_FASTCALL function, and every array reaches
+   Every fluid function of the module is METH_FASTCALL, and every array reaches
    C through the buffer protocol: a packer holds one buffer view per
    array, checked for dtype, C-contiguity and writability, and the views
    keep the arrays alive.  No raw address crosses from Python.  Only
@@ -886,6 +888,25 @@ static PyObject *env_defer(EnvObject *self, PyObject *callback) {
     Py_RETURN_NONE;
 }
 
+/* close(): the scheduled events and the pending instant-end hooks are
+   dropped.  A run stopped at its until= event may leave both, and each
+   callback they hold (a network's deferred re-solve, a timer's process)
+   reaches back to the environment: dropped, they leave no cycle. */
+static PyObject *env_close(EnvObject *self, PyObject *unused) {
+    PyObject *hooks = PyList_New(0);
+    if (hooks == NULL) return NULL;
+    Py_XSETREF(self->hooks, hooks);
+    while (self->heap_len > 0) {
+        PyObject *event = self->heap[--self->heap_len].event;
+        Py_DECREF(event);
+    }
+    while (self->ring_len > 0) {
+        PyObject *event = ring_pop(self);
+        Py_DECREF(event);
+    }
+    Py_RETURN_NONE;
+}
+
 static PyObject *env_get_now(EnvObject *self, void *closure) {
     return PyFloat_FromDouble(self->now);
 }
@@ -903,6 +924,8 @@ static PyMethodDef env_methods[] = {
     {"peek", (PyCFunction) env_peek, METH_NOARGS,
      "Time of the next scheduled activity, or +inf if none."},
     {"_run", (PyCFunction) env_run, METH_VARARGS, NULL},
+    {"close", (PyCFunction) env_close, METH_NOARGS,
+     "Drop the scheduled events and the pending instant-end hooks."},
     {NULL}
 };
 
@@ -2981,7 +3004,7 @@ typedef struct {
     PyObject *grates;             /* float64 array: each group's rate, one per slot */
     PyObject *kernel;             /* the kernel the network runs */
     PyObject *group_of;           /* dict: path index tuple -> group id */
-    PyObject *activate, *fire, *recompute;  /* the entries the network picked */
+    PyObject *flow_type;          /* the Flow subtype _stage makes */
     Py_ssize_t n, live_count, dead_count, num_links, num_groups;
     long long generation;
     double last_update, total_bytes_completed, epsilon;
@@ -2990,7 +3013,7 @@ typedef struct {
 
 static PyObject *str_underscore_value, *str_ledger, *str_grow_rows, *str_intern_group,
     *str_compact, *str_ensure_csr, *str_on_timer_event, *str_defer, *str_succeed,
-    *str_waterfill_module, *str_run, *str_activate_event;
+    *str_waterfill_module, *str_run, *str_activate_event, *str_activate, *str_recompute;
 
 static int net_traverse(NetObject *self, visitproc visit, void *arg) {
     Py_VISIT(self->env);
@@ -3000,9 +3023,7 @@ static int net_traverse(NetObject *self, visitproc visit, void *arg) {
     Py_VISIT(self->grates);
     Py_VISIT(self->kernel);
     Py_VISIT(self->group_of);
-    Py_VISIT(self->activate);
-    Py_VISIT(self->fire);
-    Py_VISIT(self->recompute);
+    Py_VISIT(self->flow_type);
     return 0;
 }
 
@@ -3014,9 +3035,7 @@ static int net_clear(NetObject *self) {
     Py_CLEAR(self->grates);
     Py_CLEAR(self->kernel);
     Py_CLEAR(self->group_of);
-    Py_CLEAR(self->activate);
-    Py_CLEAR(self->fire);
-    Py_CLEAR(self->recompute);
+    Py_CLEAR(self->flow_type);
     return 0;
 }
 
@@ -3034,9 +3053,7 @@ static PyMemberDef net_members[] = {
     {"_grates", T_OBJECT, offsetof(NetObject, grates), 0, NULL},
     {"_kernel_in_use", T_OBJECT, offsetof(NetObject, kernel), 0, NULL},
     {"_group_of", T_OBJECT, offsetof(NetObject, group_of), 0, NULL},
-    {"_activate", T_OBJECT, offsetof(NetObject, activate), 0, NULL},
-    {"_fire", T_OBJECT, offsetof(NetObject, fire), 0, NULL},
-    {"_recompute", T_OBJECT, offsetof(NetObject, recompute), 0, NULL},
+    {"_flow_type", T_OBJECT, offsetof(NetObject, flow_type), 0, NULL},
     {"_n", T_PYSSIZET, offsetof(NetObject, n), 0, NULL},
     {"_live_count", T_PYSSIZET, offsetof(NetObject, live_count), 0, NULL},
     {"_dead_count", T_PYSSIZET, offsetof(NetObject, dead_count), 0, NULL},
@@ -3050,18 +3067,7 @@ static PyMemberDef net_members[] = {
     {NULL}
 };
 
-static PyTypeObject NetType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._ckernel.FluidNetwork",
-    .tp_doc = "The compiled state behind netsim.fluid.FluidNetwork.",
-    .tp_basicsize = sizeof(NetObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
-    .tp_new = PyType_GenericNew,
-    .tp_dealloc = (destructor) net_dealloc,
-    .tp_traverse = (traverseproc) net_traverse,
-    .tp_clear = (inquiry) net_clear,
-    .tp_members = net_members,
-};
+static PyTypeObject NetType;
 
 /* An entry's network argument, whose environment must be compiled. */
 static NetObject *net_arg(const char *function, PyObject *obj) {
@@ -3121,12 +3127,14 @@ static int range_check(const char *name, int64_t value, Py_ssize_t lo, Py_ssize_
 }
 
 /* _schedule_recompute: one re-solve at the end of the instant, deferred
-   through the environment's defer_to_instant_end attribute. */
+   through the environment's defer_to_instant_end attribute.  The hook
+   is the network itself (calling it runs its _recompute, see net_call):
+   a deferral allocates nothing, and the environment holds the network
+   only until the instant ends. */
 static int defer_recompute(NetObject *net) {
     if (net->recompute_pending) return 0;
     net->recompute_pending = 1;
-    PyObject *result = PyObject_CallMethodOneArg(
-        net->env, str_defer, net->recompute ? net->recompute : Py_None);
+    PyObject *result = PyObject_CallMethodOneArg(net->env, str_defer, (PyObject *) net);
     Py_XDECREF(result);
     return result == NULL ? -1 : 0;
 }
@@ -3208,12 +3216,9 @@ static int take_row(NetObject *net, FlowObject *flow) {
 /* activate(net, flow): the flow starts now.  A zero-size or empty-path
    flow finishes at once; any other takes a row.  Either way the
    network's re-solve is deferred to the end of the instant. */
-static PyObject *py_activate(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
-    NetObject *net;
-    FlowObject *flow;
-    if (count_is("activate", nargs, 2) < 0 || (net = net_arg("activate", args[0])) == NULL
-            || (flow = flow_arg("activate", args[1])) == NULL)
-        return NULL;
+static PyObject *activate(NetObject *net, PyObject *arg) {
+    FlowObject *flow = flow_arg("activate", arg);
+    if (flow == NULL) return NULL;
     PyObject *now = PyFloat_FromDouble(now_of(net));
     if (now == NULL) return NULL;
     Py_XSETREF(flow->started_at, Py_NewRef(now));
@@ -3255,17 +3260,15 @@ static int check_path_index(PyObject *path, PyObject *path_index, Py_ssize_t num
    Every input is checked before the first flow is made.  A flow with a
    latency gets a Timeout valued with it, calling the network's
    _activate_event as looked up once per call; any other activates at
-   once through the network's _activate.  Returns the flows, a list. */
-static PyObject *py_stage(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+   once through the network's _activate, looked up per flow.  Returns
+   the flows, a list.  `args` are the five inputs. */
+static PyObject *stage(NetObject *net, PyObject *flow_type, PyObject *const *args) {
     static const char *const inputs[] = {
         "paths", "path_indices", "sizes", "latencies", "tags"};
-    NetObject *net;
-    if (count_is("stage", nargs, 7) < 0 || (net = net_arg("stage", args[0])) == NULL)
-        return NULL;
-    PyTypeObject *type = (PyTypeObject *) args[1];
-    if (!PyType_Check(args[1]) || !PyType_IsSubtype(type, &FlowType)) {
+    PyTypeObject *type = (PyTypeObject *) flow_type;
+    if (!PyType_Check(flow_type) || !PyType_IsSubtype(type, &FlowType)) {
         PyErr_Format(PyExc_TypeError, "stage() needs a compiled-kernel Flow type, got %R",
-                     args[1]);
+                     flow_type);
         return NULL;
     }
     PyObject *seqs[5] = {NULL}, *flows = NULL, *activate_event = NULL;
@@ -3275,7 +3278,7 @@ static PyObject *py_stage(PyObject *module, PyObject *const *args, Py_ssize_t na
     for (int k = 0; k < 5; k++) {
         /* Tuples: the activations below run Python code, which must not
            move the items under this loop. */
-        if ((seqs[k] = PySequence_Tuple(args[2 + k])) == NULL) goto done;
+        if ((seqs[k] = PySequence_Tuple(args[k])) == NULL) goto done;
         if (k == 0) {
             n = PyTuple_GET_SIZE(seqs[0]);
         } else if (PyTuple_GET_SIZE(seqs[k]) != n) {
@@ -3316,8 +3319,8 @@ static PyObject *py_stage(PyObject *module, PyObject *const *args, Py_ssize_t na
             Py_XDECREF(timer);
             if (status < 0) goto fail;
         } else {
-            PyObject *result = PyObject_CallOneArg(
-                net->activate ? net->activate : Py_None, flow);
+            PyObject *result = PyObject_CallMethodOneArg((PyObject *) net, str_activate,
+                                                         flow);
             if (result == NULL) goto fail;
             Py_DECREF(result);
         }
@@ -3396,12 +3399,9 @@ static int stale(NetObject *net, PyObject *event) {
 /* fire(net, event): one completion timer.  Unless superseded, retire
    moves the bytes up to now and retires the done rows, whose flows leave
    the flow list and finish; then the re-solve is deferred. */
-static PyObject *py_fire(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
-    NetObject *net;
-    int superseded;
-    if (count_is("fire", nargs, 2) < 0 || (net = net_arg("fire", args[0])) == NULL
-            || (superseded = stale(net, args[1])) < 0)
-        return NULL;
+static PyObject *fire(NetObject *net, PyObject *event) {
+    int superseded = stale(net, event);
+    if (superseded < 0) return NULL;
     if (superseded) Py_RETURN_NONE;
     double dt = elapsed(net), now = net->last_update;
     Py_ssize_t n = net->n;
@@ -3457,10 +3457,7 @@ static int fill_and_settle(NetObject *net, double *eta) {
    advances; and when a row moves, a Timeout valued with the generation
    is armed for the earliest completion (max(eta, 0.0); NaN is refused),
    calling the network's _on_timer_event as looked up now. */
-static PyObject *py_recompute(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
-    NetObject *net;
-    if (count_is("recompute", nargs, 1) < 0 || (net = net_arg("recompute", args[0])) == NULL)
-        return NULL;
+static PyObject *recompute(NetObject *net) {
     net->recompute_pending = 0;
     double eta = -1.0;
     if (net->n == 0) {
@@ -3484,6 +3481,98 @@ static PyObject *py_recompute(PyObject *module, PyObject *const *args, Py_ssize_
     Py_RETURN_NONE;
 }
 
+#define FASTCALL(function) (PyCFunction)(void (*)(void)) (function), METH_FASTCALL
+#define KEYWORDS(function) (PyCFunction)(void (*)(void)) (function), METH_VARARGS | METH_KEYWORDS
+
+/* The entries, two ways: module functions taking the network first (the
+   kernel interface a swapped-in kernel such as the tests' reference
+   shares), and the network's own methods, which the network runs while
+   its kernel is this module.  A method binds nothing to the network, so
+   a finished network is freed by reference counting alone. */
+static PyObject *py_activate(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    NetObject *net;
+    if (count_is("activate", nargs, 2) < 0 || (net = net_arg("activate", args[0])) == NULL)
+        return NULL;
+    return activate(net, args[1]);
+}
+
+static PyObject *py_stage(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    NetObject *net;
+    if (count_is("stage", nargs, 7) < 0 || (net = net_arg("stage", args[0])) == NULL)
+        return NULL;
+    return stage(net, args[1], args + 2);
+}
+
+static PyObject *py_fire(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    NetObject *net;
+    if (count_is("fire", nargs, 2) < 0 || (net = net_arg("fire", args[0])) == NULL)
+        return NULL;
+    return fire(net, args[1]);
+}
+
+static PyObject *py_recompute(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
+    NetObject *net;
+    if (count_is("recompute", nargs, 1) < 0 || (net = net_arg("recompute", args[0])) == NULL)
+        return NULL;
+    return recompute(net);
+}
+
+static PyObject *net_activate(PyObject *self, PyObject *flow) {
+    NetObject *net = net_arg("activate", self);
+    return net == NULL ? NULL : activate(net, flow);
+}
+
+static PyObject *net_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    NetObject *net;
+    if (count_is("stage", nargs, 5) < 0 || (net = net_arg("stage", self)) == NULL) return NULL;
+    return stage(net, net->flow_type ? net->flow_type : Py_None, args);
+}
+
+static PyObject *net_fire(PyObject *self, PyObject *event) {
+    NetObject *net = net_arg("fire", self);
+    return net == NULL ? NULL : fire(net, event);
+}
+
+static PyObject *net_recompute(PyObject *self, PyObject *unused) {
+    NetObject *net = net_arg("recompute", self);
+    return net == NULL ? NULL : recompute(net);
+}
+
+/* Calling the network runs its deferred re-solve: its _recompute, as
+   looked up now, so a wrap an instance installs is reached. */
+static PyObject *net_call(PyObject *self, PyObject *args, PyObject *kwds) {
+    if (PyTuple_GET_SIZE(args) || (kwds != NULL && PyDict_GET_SIZE(kwds))) {
+        PyErr_SetString(PyExc_TypeError, "a fluid network is called with no arguments");
+        return NULL;
+    }
+    return PyObject_CallMethodNoArgs(self, str_recompute);
+}
+
+static PyMethodDef net_methods[] = {
+    {"_stage", FASTCALL(net_stage),
+     "_stage(paths, path_indices, sizes, latencies, tags) -> flows"},
+    {"_activate", (PyCFunction) net_activate, METH_O, "_activate(flow): the flow starts now"},
+    {"_fire", (PyCFunction) net_fire, METH_O, "_fire(event): one completion timer"},
+    {"_recompute", (PyCFunction) net_recompute, METH_NOARGS,
+     "_recompute(): the deferred re-solve"},
+    {NULL}
+};
+
+static PyTypeObject NetType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._ckernel.FluidNetwork",
+    .tp_doc = "The compiled state behind netsim.fluid.FluidNetwork.",
+    .tp_basicsize = sizeof(NetObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = PyType_GenericNew,
+    .tp_dealloc = (destructor) net_dealloc,
+    .tp_traverse = (traverseproc) net_traverse,
+    .tp_clear = (inquiry) net_clear,
+    .tp_members = net_members,
+    .tp_methods = net_methods,
+    .tp_call = net_call,
+};
+
 /* == module ============================================================ */
 
 static PyObject *setup(PyObject *module, PyObject *args) {
@@ -3495,9 +3584,6 @@ static PyObject *setup(PyObject *module, PyObject *args) {
     Py_XSETREF(Pending, pending);
     Py_RETURN_NONE;
 }
-
-#define FASTCALL(function) (PyCFunction)(void (*)(void)) (function), METH_FASTCALL
-#define KEYWORDS(function) (PyCFunction)(void (*)(void)) (function), METH_VARARGS | METH_KEYWORDS
 
 static PyMethodDef module_methods[] = {
     {"setup", setup, METH_VARARGS,
@@ -3536,7 +3622,8 @@ static const struct {
     {&str_ledger, "_ledger"}, {&str_grow_rows, "_grow_rows"},
     {&str_intern_group, "_intern_group"}, {&str_compact, "_compact"},
     {&str_ensure_csr, "_ensure_csr"}, {&str_on_timer_event, "_on_timer_event"},
-    {&str_activate_event, "_activate_event"},
+    {&str_activate_event, "_activate_event"}, {&str_activate, "_activate"},
+    {&str_recompute, "_recompute"},
     {&str_defer, "defer_to_instant_end"}, {&str_succeed, "succeed"},
     {&str_waterfill_module, "repro.netsim._waterfill"}, {&str_run, "run"},
 };

@@ -343,6 +343,10 @@ class JanusEngine:
                 yield AllOf(env, pending)
 
         env.run(until=env.process(driver()))
+        # The iteration is over: what the run left pending (the last
+        # instant's deferred re-solve) is dropped, so nothing holds the
+        # environment in a cycle and reference counting frees the run.
+        env.close()
         egress = np.array(
             [
                 fabric.nic_bytes(machine, "out")

@@ -75,7 +75,13 @@ class FaultInjector:
         stats: Optional[FaultStats] = None,
     ):
         self.plan = plan
-        self.fabric = fabric
+        # What the faults act on.  The fabric itself is held only until
+        # install() hooks it: from then on it holds the injector, and the
+        # injector holding it back would close a cycle that only the
+        # cyclic collector frees.
+        self.env = fabric.env
+        self.network = fabric.network
+        self._fabric = fabric
         self.trace = trace
         self.stats = stats if stats is not None else FaultStats()
         self.rng = np.random.default_rng(plan.seed)
@@ -86,15 +92,14 @@ class FaultInjector:
         # Per link while any window on it is open: its capacity from
         # before the first, and its open windows in the order they opened.
         self._open_windows: Dict[Hashable, Tuple[float, List[LinkFault]]] = {}
-        self.installed = False
 
     def install(self) -> "FaultInjector":
         """Hook the fabric and spawn the window processes.  Idempotent."""
-        if self.installed:
+        fabric, self._fabric = self._fabric, None
+        if fabric is None:
             return self
-        self.installed = True
-        self.fabric.fault_injector = self
-        env = self.fabric.env
+        fabric.fault_injector = self
+        env = self.env
         for fault in self._link_faults:
             env.process(
                 self._link_window(fault),
@@ -127,8 +132,8 @@ class FaultInjector:
     # -- link windows --------------------------------------------------------
 
     def _link_window(self, fault: LinkFault):
-        env = self.fabric.env
-        network = self.fabric.network
+        env = self.env
+        network = self.network
         if fault.start > 0:
             yield env.timeout(fault.start)
         links = [link_id for link_id in network.links() if fault.matches(link_id)]
@@ -154,7 +159,7 @@ class FaultInjector:
             bandwidth = bandwidth * fault.factor
         if not faults:
             del self._open_windows[link_id]
-        self.fabric.network.set_capacity(link_id, bandwidth)
+        self.network.set_capacity(link_id, bandwidth)
 
     # -- transfer interception -------------------------------------------------
 
@@ -163,7 +168,7 @@ class FaultInjector:
         kind = self._message_kind(tag)
         if kind is None:
             return None
-        now = self.fabric.env.now
+        now = self.env.now
         # Server outage: requests addressed to the dark machine's host
         # vanish deterministically.
         if kind == "pull-request" and dst.kind == "host":
@@ -186,7 +191,7 @@ class FaultInjector:
     def _drop(self, size, tag, now: float, cause: str) -> Flow:
         # Created but never activated: done never fires, like a lost packet.
         # The constructor refuses the sizes a delivered transfer refuses.
-        flow = Flow(self.fabric.env, (), (), size, 0.0, tag)
+        flow = Flow(self.env, (), (), size, 0.0, tag)
         self.stats.dropped_messages += 1
         if self.trace is not None:
             self.trace.record("fault.drop", now, now, detail=f"{cause}:{tag[0]}")

@@ -46,10 +46,11 @@ solver reruns on every flow arrival/departure):
 * The arithmetic runs in the compiled kernel
   (:mod:`repro.netsim._waterfill`), and so does the bookkeeping around
   it: staging a batch of flows, a flow's activation, each completion
-  timer and each re-solve are one C call apiece (the extension's
-  ``stage``, ``activate``, ``fire`` and ``recompute``, bound in the
-  ``_kernel`` setter), which read the network's scalar state and flow
-  list as fields of its C base type, make, stamp and succeed the flows,
+  timer and each re-solve are one C call apiece (the ``_stage``,
+  ``_activate``, ``_fire`` and ``_recompute`` methods of the extension's
+  ``FluidNetwork`` type; see the ``_kernel`` setter), which read the
+  network's scalar state and flow list as fields of its C base type,
+  make, stamp and succeed the flows,
   and create the timers; a re-solve fills through ``_waterfill.run``.
   The network's flows are :class:`Flow`, whose fields live in the
   extension's ``Flow`` type, so the C calls read and write them directly;
@@ -172,6 +173,8 @@ class FluidNetwork(_ext.FluidNetwork):
 
     def __init__(self, env: Environment):
         self.env = env
+        # The type of the flows the bookkeeping's ``_stage`` makes.
+        self._flow_type = Flow
         self._index: Dict[Hashable, int] = {}
         # Per-link arrays; only the first _num_links entries are valid.
         self._capacity = np.zeros(0)
@@ -344,8 +347,8 @@ class FluidNetwork(_ext.FluidNetwork):
     # The bookkeeping of a flow's life: ``_stage(paths, path_indices,
     # sizes, latencies, tags)``, ``_activate(flow)``, ``_fire(event)`` and
     # the deferred ``_recompute()`` are the kernel's ``stage``,
-    # ``activate``, ``fire`` and ``recompute`` bound to this network (see
-    # the ``_kernel`` setter).  ``_stage`` makes and starts a batch of
+    # ``activate``, ``fire`` and ``recompute`` for this network (see the
+    # ``_kernel`` setter).  ``_stage`` makes and starts a batch of
     # flows in order, each as ``transfer`` does, and returns them: a flow
     # with a latency gets a ``Timeout`` calling ``_activate_event``, looked
     # up once per batch, and any other activates at once.
@@ -426,15 +429,22 @@ class FluidNetwork(_ext.FluidNetwork):
 
     @_kernel.setter
     def _kernel(self, kernel) -> None:
-        # The bookkeeping goes with the kernel.  Packs belong to their
-        # kernel, so the old ones are dropped, and a kernel that lists no
-        # changed group (the tests' numpy reference) leaves a round log
-        # the compiled fill cannot resume from.
+        # The bookkeeping goes with the kernel.  On the extension it is the
+        # base type's own methods; any other kernel (the tests' reference
+        # swapped in) is bound here, in partials that close a
+        # network -> partial -> network cycle only the cyclic collector
+        # frees.  Packs belong to their kernel, so the old ones are
+        # dropped, and a kernel that lists no changed group (the tests'
+        # numpy reference) leaves a round log the compiled fill cannot
+        # resume from.
         self._kernel_in_use = kernel
-        self._stage = functools.partial(kernel.stage, self, Flow)
-        self._activate = functools.partial(kernel.activate, self)
-        self._fire = functools.partial(kernel.fire, self)
-        self._recompute = functools.partial(kernel.recompute, self)
+        for name in ("_stage", "_activate", "_fire", "_recompute"):
+            vars(self).pop(name, None)
+        if kernel is not _native.extension():
+            self._stage = functools.partial(kernel.stage, self, Flow)
+            self._activate = functools.partial(kernel.activate, self)
+            self._fire = functools.partial(kernel.fire, self)
+            self._recompute = functools.partial(kernel.recompute, self)
         self._flow_ledger = None
         self._solve_tables = None
         self._capacities_changed()

@@ -64,6 +64,7 @@ def measure_all_to_all_goodput(
 
     start = env.now
     env.run(until=env.process(driver()))
+    env.close()  # the last re-solve's hook would hold the network in a cycle
     elapsed = env.now - start
     total = matrix.sum() * rounds
     return GoodputResult(

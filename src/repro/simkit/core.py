@@ -24,8 +24,8 @@ extension module (``repro/_native.c``, built, cached and imported by
 ``Event`` (trigger, callback dispatch and accessors), ``Timeout``,
 ``Process`` (its resume loop), ``Condition``/``AllOf``/``AnyOf`` and an
 ``Environment`` base type (schedule, pop, ``step``, the ``run`` loop, the
-instant-end hook flush, ``peek``, ``timeout`` and ``event``); and every
-wait primitive of :mod:`repro.simkit`: ``Resource``/``Request`` and
+instant-end hook flush, ``peek``, ``timeout``, ``event`` and ``close``);
+and every wait primitive of :mod:`repro.simkit`: ``Resource``/``Request`` and
 the resource's hold (below), ``PriorityResource``/``PriorityRequest``,
 ``Store`` with ``StorePut``/``StoreGet`` and ``Container`` with
 ``ContainerPut``/``ContainerGet``.  One simulated event used to cost
@@ -94,10 +94,18 @@ calls "the reference") exactly, because every golden pins it:
   ``PyType_Ready``).
 
 What stays in Python: the ``Environment`` subclass whose own ``run``,
-``process`` and ``defer_to_instant_end`` external tracers patch.  This
-module binds the C types, which :func:`repro._native.extension` builds
-at the first import; without a compiler or the Python headers that
-import fails with the compiler's error.
+``process`` and ``defer_to_instant_end`` external tracers patch.  Its
+``run`` pauses the cyclic garbage collector while the loop runs: a run
+makes no reference cycle that outlives it (an event's callbacks are
+dropped once it is processed, a flow's ``done`` succeeds with ``None``,
+and the fluid network's bookkeeping is its type's methods), so a
+collection in the loop frees nothing the run made and only scans the
+live simulation.  The collector's switch is per interpreter, so runs on
+several threads share it; each run restores the state it found, and a
+nested run finds it off.  This module binds the C types, which
+:func:`repro._native.extension` builds at the first import; without a
+compiler or the Python headers that import fails with the compiler's
+error.
 
 The kernel carries only what the simulator runs: a process waits on one
 event, on all of several (:class:`AllOf`) or on the first of several
@@ -107,6 +115,7 @@ event, on all of several (:class:`AllOf`) or on the first of several
 
 from __future__ import annotations
 
+import gc
 import math
 from typing import Any, List, Optional
 
@@ -180,10 +189,18 @@ class Environment(_ext.Environment):
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (a time, an event, or exhaustion).
 
-        Returns the value of ``until`` when it is an event.
+        Returns the value of ``until`` when it is an event.  The cyclic
+        garbage collector is off while the loop runs and back in the state
+        the run found once it returns or raises.
         """
         stop_event, stop_time = _stop_condition(self, until)
-        self._run(stop_event, stop_time)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._run(stop_event, stop_time)
+        finally:
+            if collecting:
+                gc.enable()
         return _run_result(self, stop_event, stop_time)
 
 

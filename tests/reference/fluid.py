@@ -87,7 +87,23 @@ class Flow:
 class FluidNetwork:
     """The network's scalar state and flow list, which the extension keeps
     in the C struct of its ``FluidNetwork`` type; here, the instance
-    dict of :class:`repro.netsim.fluid.FluidNetwork`."""
+    dict of :class:`repro.netsim.fluid.FluidNetwork`.  The bookkeeping
+    methods are :data:`NUMPY`'s, as the extension type's are its own
+    entries: a network running this package as its kernel binds nothing
+    to itself."""
+
+    def _stage(self, paths, path_indices, sizes, latencies, tags) -> list:
+        return NUMPY.stage(self, self._flow_type, paths, path_indices,
+                           sizes, latencies, tags)
+
+    def _activate(self, flow) -> None:
+        NUMPY.activate(self, flow)
+
+    def _fire(self, event) -> None:
+        NUMPY.fire(self, event)
+
+    def _recompute(self) -> None:
+        NUMPY.recompute(self)
 
 
 class NumpyKernel:

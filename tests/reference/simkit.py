@@ -341,6 +341,13 @@ class Environment:
         self.events_processed += 1
         event._process_callbacks()
 
+    def close(self) -> None:
+        """Drop the scheduled events and the pending instant-end hooks."""
+        self._queue.clear()
+        self._buckets.clear()
+        self._immediate.clear()
+        self._instant_hooks.clear()
+
     def _run(self, stop_event: Optional[Event], stop_time: Optional[float]) -> None:
         """``run()``'s loop: step until the queue and the instant-end
         hooks are exhausted, ``stop_event`` is processed, or the next
@@ -372,7 +379,7 @@ class Condition(Event):
     constituent failure.
     """
 
-    __slots__ = ("_events", "_evaluate", "_count")
+    __slots__ = ("_total", "_evaluate", "_count")
 
     def __init__(
         self,
@@ -381,16 +388,20 @@ class Condition(Event):
         events: Iterable[Event],
     ):
         super().__init__(env)
-        self._events = list(events)
+        # The count of constituents, not the list: a constituent that
+        # never triggers holds the condition in its callbacks, and the
+        # condition holding it back would close a cycle.
+        events = list(events)
+        self._total = len(events)
         self._evaluate = evaluate
         self._count = 0
-        for event in self._events:
+        for event in events:
             if event.env is not env:
                 raise SimulationError("events belong to different environments")
-        if not self._events:
+        if not events:
             self.succeed()
             return
-        for event in self._events:
+        for event in events:
             if event.processed:
                 self._check(event)
             else:
@@ -404,7 +415,7 @@ class Condition(Event):
         if event._exception is not None:
             event._defused = True
             self.fail(event._exception)
-        elif self._evaluate(len(self._events), self._count):
+        elif self._evaluate(self._total, self._count):
             self.succeed()
 
 

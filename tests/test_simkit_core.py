@@ -343,6 +343,110 @@ class TestStallDiagnostics:
         assert env.now == 2
 
 
+# -- the collector pause ----------------------------------------------------
+
+
+@pytest.fixture
+def collecting():
+    """The cyclic collector on for the test, then as it was."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if not was:
+        gc.disable()
+
+
+@pytest.mark.parametrize(
+    "ending", ["exhaustion", "until-time", "until-event", "raises", "stall"]
+)
+def test_run_pauses_the_collector_and_restores_it(collecting, ending):
+    """A process reads the collector off inside the loop; however the run
+    ends, the collector is on again once it returns or raises."""
+    env = Environment()
+    seen = []
+
+    def proc():
+        seen.append(gc.isenabled())
+        yield env.timeout(1)
+        seen.append(gc.isenabled())
+        if ending == "raises":
+            raise ValueError("boom")
+        if ending == "stall":
+            yield env.event()
+
+    process = env.process(proc())
+    if ending == "raises":
+        with pytest.raises(ValueError, match="boom"):
+            env.run()
+    elif ending == "stall":
+        with pytest.raises(StalledSimulationError):
+            env.run()
+    else:
+        until = {"exhaustion": None, "until-time": 5, "until-event": process}[ending]
+        env.run(until=until)
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+def test_a_run_started_with_the_collector_off_leaves_it_off(collecting):
+    env = Environment()
+    seen = []
+
+    def proc():
+        yield env.timeout(1)
+        seen.append(gc.isenabled())
+
+    env.process(proc())
+    gc.disable()
+    env.run()
+    assert seen == [False]
+    assert not gc.isenabled()
+
+
+def test_a_nested_run_restores_the_outer_runs_state(collecting):
+    """A process of one environment running a second one: the inner run
+    finds the collector off and leaves it off for the rest of the outer
+    run, which turns it back on."""
+    outer, inner = Environment(), Environment()
+    seen = []
+
+    def inner_proc():
+        yield inner.timeout(1)
+        seen.append(("inner", gc.isenabled()))
+
+    def outer_proc():
+        yield outer.timeout(1)
+        inner.process(inner_proc())
+        inner.run()
+        seen.append(("outer", gc.isenabled()))
+        yield outer.timeout(1)
+
+    outer.process(outer_proc())
+    outer.run()
+    assert seen == [("inner", False), ("outer", False)]
+    assert gc.isenabled()
+
+
+def test_close_drops_what_a_stopped_run_left():
+    """A run stopped at its event leaves the instant-end hook deferred in
+    that instant and every later event; ``close`` drops them both."""
+    env = Environment()
+    hooks = []
+
+    def proc():
+        yield env.timeout(1)
+        env.defer_to_instant_end(lambda: hooks.append(env.now))
+
+    process = env.process(proc())
+    env.timeout(5)
+    env.run(until=process)
+    assert env.peek() == 1
+    env.close()
+    assert env.peek() == float("inf")
+    env.run()
+    assert (hooks, env.now) == ([], 1)
+
+
 # -- callbacks: an inline first slot, a list on demand ----------------------
 # (tests/test_simkit_reference_kernel.py reruns these on the reference.)
 
